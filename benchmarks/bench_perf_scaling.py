@@ -9,11 +9,13 @@ analysed at ``samples`` evenly spaced instants, the way the simulator's
   (fresh vector-clock replay) and the analyses are recomputed with
   :class:`~repro.ccp.zigzag.BruteForceZigzagAnalysis` message-level BFS plus
   uncached Theorem-1/2 and recovery-line oracles;
-* **new path**: the :class:`~repro.simulation.trace.TraceRecorder` runs with
-  ``incremental_analyses="on"`` — delta-maintained checkpoint knowledge
-  serves the Theorem-1/2 retained sets and recovery lines, and the blocked
-  bitset :class:`~repro.ccp.zigzag.ZigzagAnalysis` kernel answers the zigzag
-  queries over the level-batched condensation DAG.
+* **new path**: the :class:`~repro.simulation.trace.TraceRecorder`'s
+  checkpoint-knowledge tracker serves the Theorem-1/2 retained sets and
+  recovery lines, and the blocked bitset
+  :class:`~repro.ccp.zigzag.ZigzagAnalysis` kernel answers the zigzag
+  queries over the level-batched condensation DAG.  The tracker of an
+  unpruned row is born at the first instant (one catch-up replay of the log
+  fed so far, billed to that instant) and delta-maintained afterwards.
 
 The sweep is organised in three tiers:
 
@@ -241,9 +243,7 @@ def run_config(
         num_messages=num_messages,
         checkpoint_rate=CHECKPOINT_RATE,
     )
-    recorder = TraceRecorder(
-        num_processes, incremental_analyses="on", prune=prune
-    )
+    recorder = TraceRecorder(num_processes, prune=prune)
     writer = None
     if trace_dir is not None:
         from repro.traceio.writer import TraceWriter
@@ -407,12 +407,7 @@ def measure_memory_pass(
         gc.collect()
         tracemalloc.start()
         try:
-            if prune:
-                recorder = TraceRecorder(num_processes, prune=True)
-            else:
-                # The unpruned reference runs the classic architecture: eager
-                # vector-clock causal order plus full-recompute analyses.
-                recorder = TraceRecorder(num_processes)
+            recorder = TraceRecorder(num_processes, prune=prune)
             feeder = TraceFeeder(recorder)
             consumed = 0
             for point in _sample_points(len(script), samples):
@@ -459,7 +454,7 @@ def _warmup() -> None:
     often smallest — measured configuration.
     """
     script = random_ccp_script(0, num_processes=2, num_messages=30)
-    recorder = TraceRecorder(2, incremental_analyses="on")
+    recorder = TraceRecorder(2)
     TraceFeeder(recorder).feed(script)
     _suite_new(recorder)
     _suite_old(recorder)

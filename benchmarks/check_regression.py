@@ -31,6 +31,14 @@ or aggregation ordering fails the gate before it can corrupt a paper-scale
 study.  ``--skip-campaign`` disables the gate (e.g. when bisecting a pure
 kernel regression).
 
+The **recovery-session scaling** gate (``--smoke`` only) is a ratio gate too,
+over a deterministic counter instead of a clock: the same crash schedule is
+appended to a 1x and to a 4x warm-up history, and the Python lines executed by
+one recovery session (crash, recovery line, rollbacks, history truncation,
+full Theorem-1/2 audit) may grow by at most 2x.  A session is meant to cost
+what it rolled back, not the length of the run; replaying or rescanning the
+history per session shows up as ~4x.
+
 Run directly::
 
     python benchmarks/check_regression.py --smoke
@@ -42,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -62,6 +71,12 @@ MIN_MEMORY_REDUCTION = 0.30
 # Fresh-run memory gate: peak traced bytes of a pruned medium-tier run may
 # grow at most this much over the committed baseline.
 MEMORY_GROWTH_THRESHOLD = 0.20
+# Recovery-session scaling gate: simulated warm-up before the first crash (1x
+# and 4x), the crash schedule appended to both, and how much more one session
+# may cost on the longer history.
+SESSION_WARM_UPS = (60.0, 240.0)
+SESSION_SCHEDULE = (20, 40.0)  # sessions, simulated time they are spread over
+SESSION_COST_GROWTH_CEILING = 2.0
 
 
 def _load_document(path: str) -> Dict[str, Any]:
@@ -207,6 +222,69 @@ def compare(
     return violations
 
 
+def recovery_session_cost(warm_up: float) -> float:
+    """Python lines executed per recovery session after ``warm_up`` of failure-free history.
+
+    An 8-process FDAS + RDT-LGC run with ``audit="full"``; only the sessions
+    (``SimulationRunner.inject_crash``) are traced, so the simulation between
+    them is not counted, and the first session includes building the
+    knowledge tracker from the warm-up history.  The count is a function of
+    the seed alone — no clock, so the gate cannot flake on a busy host.
+    """
+    from repro.simulation.runner import SimulationConfig, SimulationRunner
+    from repro.simulation.workloads import UniformRandomWorkload
+
+    sessions, window = SESSION_SCHEDULE
+    rng = random.Random(1)
+    runner = SimulationRunner(
+        SimulationConfig(
+            num_processes=8,
+            duration=warm_up + window,
+            workload=UniformRandomWorkload(),
+            seed=1,
+            audit="full",
+        )
+    )
+    lines = 0
+
+    def count_line(frame: Any, event: str, arg: Any) -> Any:
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count_line
+
+    def crash(pid: int) -> None:
+        previous = sys.gettrace()
+        sys.settrace(count_line)
+        try:
+            runner.inject_crash(pid)
+        finally:
+            sys.settrace(previous)
+
+    for index in range(sessions):
+        at = warm_up + (index + rng.random()) * window / sessions
+        runner.engine.schedule_at(at, lambda pid=rng.randrange(8): crash(pid))
+    result = runner.run()
+    if len(result.recoveries) != sessions or not result.all_audits_safe:
+        raise RuntimeError("the recovery-session gate's own run went wrong")
+    return lines / sessions
+
+
+def check_recovery_session_scaling(
+    *, ceiling: float = SESSION_COST_GROWTH_CEILING
+) -> List[str]:
+    """Gate: a recovery session costs what it rolled back, not the run's length."""
+    short, long = (recovery_session_cost(warm_up) for warm_up in SESSION_WARM_UPS)
+    growth = long / short
+    if growth > ceiling:
+        return [
+            f"recovery-session cost grew {growth:.2f}x ({short:.0f} -> {long:.0f} "
+            f"lines per session) when the warm-up history grew "
+            f"{SESSION_WARM_UPS[1] / SESSION_WARM_UPS[0]:.0f}x (allowed {ceiling:.1f}x)"
+        ]
+    return []
+
+
 def check_campaign_determinism(*, workers: int = 2) -> List[str]:
     """Gate the campaign subsystem: serial and pooled execution of the same
     spec must produce byte-identical aggregate tables (empty == pass)."""
@@ -280,13 +358,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    campaign_violations: List[str] = []
+    # The gates that need no committed baseline.
+    standalone_violations = check_recovery_session_scaling() if args.smoke else []
     if not args.skip_campaign:
-        campaign_violations = check_campaign_determinism()
+        standalone_violations += check_campaign_determinism()
 
     if not os.path.exists(args.baseline):
-        if campaign_violations:
-            for violation in campaign_violations:
+        if standalone_violations:
+            for violation in standalone_violations:
                 print(f"REGRESSION: {violation}", file=sys.stderr)
             return 1
         print(f"check_regression: no baseline at {args.baseline}; nothing to check")
@@ -316,7 +395,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         fresh = {(r["processes"], r["messages"]): r for r in document["rows"]}
 
     violations = (
-        campaign_violations
+        standalone_violations
         + document_violations
         + memory_violations
         + compare(
@@ -335,6 +414,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     memory_note = "skipped" if args.skip_memory else "within threshold"
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
+        f"session scaling gate {'ok' if args.smoke else 'skipped (--smoke only)'}, "
         f"campaign gate {campaign_note}, memory gate {memory_note} — ok"
     )
     return 0

@@ -131,6 +131,9 @@ class ProcessHistory:
 
     pid: int
     events: List[Event] = field(default_factory=list)
+    #: The CHECKPOINT events of ``events``, in order.  Kept alongside so the
+    #: checkpoint queries cost the number of checkpoints, not of events.
+    checkpoints: List[Event] = field(default_factory=list, repr=False)
 
     def append(self, event: Event) -> None:
         """Append ``event``, validating process id and sequence number."""
@@ -144,6 +147,8 @@ class ProcessHistory:
                 f"got {event.seq}"
             )
         self.events.append(event)
+        if event.kind is EventKind.CHECKPOINT:
+            self.checkpoints.append(event)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -156,15 +161,15 @@ class ProcessHistory:
 
     def checkpoint_events(self) -> List[Event]:
         """All CHECKPOINT events in order."""
-        return [e for e in self.events if e.is_checkpoint()]
+        return list(self.checkpoints)
 
     def last_checkpoint_index(self) -> int:
         """Index of the last checkpoint taken, or -1 if none was taken."""
-        for event in reversed(self.events):
-            if event.is_checkpoint():
-                assert event.checkpoint_index is not None
-                return event.checkpoint_index
-        return -1
+        if not self.checkpoints:
+            return -1
+        index = self.checkpoints[-1].checkpoint_index
+        assert index is not None
+        return index
 
 
 class EventLog:
@@ -388,126 +393,95 @@ class EventLog:
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
+    def causal_replay(self) -> Iterator[Event]:
+        """Iterate over all events in an order consistent with happened-before.
+
+        Program order per process, and every receive after its send.  A
+        process is followed until it blocks on a receive whose send has not
+        been yielded yet; yielding that send wakes it up again, so every
+        event is visited once.  Raises ``ValueError`` when some receive's
+        send never appears (impossible for logs built through ``add_*``).
+        """
+        histories = [history.events for history in self._histories]
+        cursors = [0] * len(histories)
+        waiting: Dict[int, int] = {}  # message id -> receiver blocked on it
+        runnable = list(reversed(self.processes))
+        while runnable:
+            pid = runnable.pop()
+            events = histories[pid]
+            while cursors[pid] < len(events):
+                event = events[cursors[pid]]
+                if event.kind is EventKind.RECEIVE:
+                    assert event.message_id is not None
+                    send = self._messages[event.message_id].send_event
+                    if cursors[send.pid] <= send.seq:
+                        waiting[event.message_id] = pid
+                        break
+                cursors[pid] += 1
+                yield event
+                if event.kind is EventKind.SEND and event.message_id in waiting:
+                    runnable.append(waiting.pop(event.message_id))
+        if waiting:
+            raise ValueError(
+                "event log is not causally replayable: some receive has no "
+                "matching send before it"
+            )
+
+    def _check_window(self, bounds: Sequence[int], what: str) -> None:
+        if len(bounds) != self.num_processes:
+            raise ValueError(f"one {what} per process is required")
+        for pid, bound in enumerate(bounds):
+            if not 0 <= bound <= len(self._histories[pid]):
+                raise ValueError(f"invalid {what} {bound} for process {pid}")
+
     def prefix(self, lengths: Sequence[int]) -> "EventLog":
         """Return a new :class:`EventLog` containing only a prefix per process.
 
         ``lengths[pid]`` gives the number of events of ``pid`` to keep.  The
-        prefix need not be a consistent cut; messages whose receive event falls
-        outside the prefix become undelivered, and messages whose *send* event
-        falls outside are dropped entirely.
+        cut need not be consistent: messages whose receive event falls
+        outside it become undelivered, and messages whose *send* event falls
+        outside are dropped entirely (a kept receive of such a message is
+        replaced by an INTERNAL placeholder so event numbering holds).
+
+        The kept events are shared with this log, not re-created: the event
+        lists are sliced and only the *discarded* suffixes are walked — they
+        are the only places a message can change state.  This log is left
+        untouched, so patterns already derived from it stay valid.
         """
-        if len(lengths) != self.num_processes:
-            raise ValueError("one prefix length per process is required")
+        self._check_window(lengths, "prefix length")
         sub = EventLog(self.num_processes, checkpoint_bases=self._checkpoint_bases)
-        kept_sends: Dict[int, EventId] = {}
-        for pid in self.processes:
-            length = lengths[pid]
-            if not 0 <= length <= len(self._histories[pid]):
-                raise ValueError(
-                    f"invalid prefix length {length} for process {pid}"
-                )
-        # First pass: re-append events; sends register messages, receives are
-        # deferred to a second pass so that cross-process ordering of the
-        # original message ids is preserved.
-        deferred_receives: List[Event] = []
-        for pid in self.processes:
-            for event in self._histories[pid].events[: lengths[pid]]:
+        messages = sub._messages = dict(self._messages)
+        for history in self._histories:
+            length = lengths[history.pid]
+            discarded = history.events[length:]
+            gone = sum(event.kind is EventKind.CHECKPOINT for event in discarded)
+            sub._histories[history.pid] = ProcessHistory(
+                history.pid,
+                history.events[:length],
+                history.checkpoints[: len(history.checkpoints) - gone],
+            )
+        for history in self._histories:
+            for event in history.events[lengths[history.pid]:]:
                 if event.kind is EventKind.SEND:
                     assert event.message_id is not None
-                    kept_sends[event.message_id] = event.event_id
-        for pid in self.processes:
-            for event in self._histories[pid].events[: lengths[pid]]:
-                if event.kind is EventKind.INTERNAL:
-                    sub.add_internal(pid, time=event.time)
-                elif event.kind is EventKind.CHECKPOINT:
-                    assert event.checkpoint_index is not None
-                    sub.add_checkpoint(
-                        pid, event.checkpoint_index, time=event.time, forced=event.forced
-                    )
-                elif event.kind is EventKind.SEND:
+                    receive = messages.pop(event.message_id).receive_event
+                    if receive is not None and receive.seq < lengths[receive.pid]:
+                        kept = sub._histories[receive.pid].events
+                        orphan = kept[receive.seq]
+                        kept[receive.seq] = Event(
+                            orphan.pid, orphan.seq, EventKind.INTERNAL, time=orphan.time
+                        )
+                elif event.kind is EventKind.RECEIVE:
                     assert event.message_id is not None
-                    original = self._messages[event.message_id]
-                    sub.add_send(
-                        pid,
-                        original.receiver,
-                        message_id=event.message_id,
-                        time=event.time,
-                    )
-                else:  # RECEIVE
-                    deferred_receives.append(event)
-        # Second pass: receives, in global order of (pid, seq) is fine because
-        # add_receive only needs the send to exist.  Receives of dropped sends
-        # would violate cut-closedness under program order only if the caller
-        # passed a prefix where a receive is kept but its send is not; we keep
-        # the receive as an INTERNAL placeholder in that case to preserve the
-        # event numbering of the prefix.
-        deferred_receives.sort(key=lambda e: (e.pid, e.seq))
-        # add_receive appends at the end of the history, so replaying receives
-        # out of their original position would corrupt per-process order.  We
-        # rebuild instead: the loop above already appended all non-receive
-        # events in order, which breaks ordering whenever a receive is not the
-        # last event.  To keep this simple and correct we rebuild from scratch
-        # below whenever any receive exists.
-        if deferred_receives:
-            return self._rebuild_prefix(lengths, kept_sends)
-        return sub
-
-    def _rebuild_prefix(
-        self, lengths: Sequence[int], kept_sends: Dict[int, EventId]
-    ) -> "EventLog":
-        """Rebuild a prefix log preserving per-process event order exactly."""
-        sub = EventLog(self.num_processes, checkpoint_bases=self._checkpoint_bases)
-        # Replay events in an interleaving that respects message causality:
-        # repeatedly pick a process whose next event is enabled (a receive is
-        # enabled only once its send has been replayed).
-        cursors = [0] * self.num_processes
-        replayed_sends: Dict[int, int] = {}
-        total = sum(lengths)
-        replayed = 0
-        while replayed < total:
-            progressed = False
-            for pid in self.processes:
-                if cursors[pid] >= lengths[pid]:
-                    continue
-                event = self._histories[pid][cursors[pid]]
-                if event.kind is EventKind.RECEIVE:
-                    assert event.message_id is not None
-                    if event.message_id not in replayed_sends:
-                        # The send is either later in the replay or outside the
-                        # prefix; in the latter case record an internal event
-                        # placeholder so prefix lengths stay meaningful.
-                        if event.message_id not in kept_sends:
-                            sub.add_internal(pid, time=event.time)
-                            cursors[pid] += 1
-                            replayed += 1
-                            progressed = True
-                        continue
-                    sub.add_receive(event.message_id, time=event.time)
-                elif event.kind is EventKind.SEND:
-                    assert event.message_id is not None
-                    original = self._messages[event.message_id]
-                    sub.add_send(
-                        pid,
-                        original.receiver,
-                        message_id=event.message_id,
-                        time=event.time,
-                    )
-                    replayed_sends[event.message_id] = pid
-                elif event.kind is EventKind.CHECKPOINT:
-                    assert event.checkpoint_index is not None
-                    sub.add_checkpoint(
-                        pid, event.checkpoint_index, time=event.time, forced=event.forced
-                    )
-                else:
-                    sub.add_internal(pid, time=event.time)
-                cursors[pid] += 1
-                replayed += 1
-                progressed = True
-            if not progressed:
-                raise ValueError(
-                    "prefix is not replayable: a receive precedes its send "
-                    "within the requested prefix"
-                )
+                    message = messages.get(event.message_id)
+                    if message is not None:
+                        messages[event.message_id] = Message(
+                            message.message_id,
+                            message.sender,
+                            message.receiver,
+                            message.send_event,
+                        )
+        sub._next_message_id = max(messages, default=-1) + 1
         return sub
 
     def suffix(
@@ -525,75 +499,40 @@ class EventLog:
         per-process event counts (and trace replay) stay meaningful; sends
         pending at the cut survive as undelivered messages.
         """
-        if len(starts) != self.num_processes:
-            raise ValueError("one suffix start per process is required")
-        for pid in self.processes:
-            if not 0 <= starts[pid] <= len(self._histories[pid]):
-                raise ValueError(f"invalid suffix start {starts[pid]} for process {pid}")
-        kept_sends = {
-            message_id
-            for message_id, message in self._messages.items()
-            if message.send_event.seq >= starts[message.sender]
-        }
-        for message_id in kept_sends:
-            message = self._messages[message_id]
-            if (
-                message.receive_event is not None
-                and message.receive_event.seq < starts[message.receiver]
-            ):
-                raise ValueError(
-                    f"suffix is not send-closed: message {message_id} keeps its "
-                    "send but drops its receive"
-                )
+        self._check_window(starts, "suffix start")
         sub = EventLog(self.num_processes, checkpoint_bases=checkpoint_bases)
-        # Replay with the same enabled-event scheduler as _rebuild_prefix:
-        # receives wait for their send unless the send was discarded, in which
-        # case they degrade to INTERNAL placeholders immediately.
-        cursors = list(starts)
-        replayed_sends: Dict[int, int] = {}
-        total = sum(len(self._histories[pid]) - starts[pid] for pid in self.processes)
-        replayed = 0
-        while replayed < total:
-            progressed = False
-            for pid in self.processes:
-                if cursors[pid] >= len(self._histories[pid]):
-                    continue
-                event = self._histories[pid][cursors[pid]]
-                if event.kind is EventKind.RECEIVE:
-                    assert event.message_id is not None
-                    if event.message_id not in replayed_sends:
-                        if event.message_id not in kept_sends:
-                            sub.add_internal(pid, time=event.time)
-                            cursors[pid] += 1
-                            replayed += 1
-                            progressed = True
-                        continue
-                    sub.add_receive(event.message_id, time=event.time)
-                elif event.kind is EventKind.SEND:
-                    assert event.message_id is not None
-                    original = self._messages[event.message_id]
-                    sub.add_send(
-                        pid,
-                        original.receiver,
-                        message_id=event.message_id,
-                        time=event.time,
+        for message_id, message in self._messages.items():
+            send, receive = message.send_event, message.receive_event
+            if send.seq < starts[message.sender]:
+                continue
+            if receive is not None:
+                if receive.seq < starts[message.receiver]:
+                    raise ValueError(
+                        f"suffix is not send-closed: message {message_id} keeps "
+                        "its send but drops its receive"
                     )
-                    replayed_sends[event.message_id] = pid
-                elif event.kind is EventKind.CHECKPOINT:
+                receive = EventId(receive.pid, receive.seq - starts[receive.pid])
+            sub._messages[message_id] = Message(
+                message_id,
+                message.sender,
+                message.receiver,
+                EventId(send.pid, send.seq - starts[send.pid]),
+                receive,
+            )
+        sub._next_message_id = max(sub._messages, default=-1) + 1
+        for pid, start in enumerate(starts):
+            for event in self._histories[pid].events[start:]:
+                if event.kind is EventKind.CHECKPOINT:
                     assert event.checkpoint_index is not None
                     sub.add_checkpoint(
                         pid, event.checkpoint_index, time=event.time, forced=event.forced
                     )
+                elif event.message_id is None or event.message_id in sub._messages:
+                    sub._histories[pid].append(
+                        Event(pid, event.seq - start, event.kind, event.message_id, time=event.time)
+                    )
                 else:
                     sub.add_internal(pid, time=event.time)
-                cursors[pid] += 1
-                replayed += 1
-                progressed = True
-            if not progressed:
-                raise ValueError(
-                    "suffix is not replayable: a receive precedes its send "
-                    "within the requested suffix"
-                )
         return sub
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -26,74 +26,37 @@ from repro.causality.vector_clock import VectorClock
 class CausalOrder:
     """Causal (happened-before) order of the events of an :class:`EventLog`.
 
-    The constructor performs a single replay of the log, assigning each event
-    a vector timestamp.  The replay requires that each receive event's send is
+    The constructor performs a single replay of the log
+    (:meth:`EventLog.causal_replay`), assigning each event a vector
+    timestamp.  The replay requires that each receive event's send is
     replayable before it, which holds for every log produced by the simulator
-    and the CCP builder; a log violating this is rejected.
-
-    The replay state (per-process cursors and clocks, piggybacked send
-    clocks) is retained, so an order built over a *growing* log can be kept
-    current with :meth:`refresh`: only events appended since the last
-    replay are timestamped, which is what makes the simulation trace
-    recorder's live CCP incremental instead of quadratic over a run.
+    and the CCP builder; a log violating this is rejected with ``ValueError``.
+    The order describes the log as of construction: events appended later are
+    not timestamped.
     """
 
     def __init__(self, log: EventLog) -> None:
         self._log = log
         self._timestamps: Dict[EventId, VectorClock] = {}
-        n = log.num_processes
-        self._cursors = [0] * n
-        self._clocks = [VectorClock.zeros(n) for _ in range(n)]
-        self._send_clocks: Dict[int, VectorClock] = {}
-        self.refresh()
+        clocks = [VectorClock.zeros(log.num_processes) for _ in log.processes]
+        # Piggybacked clocks of the messages in flight at this point of the
+        # replay; a message is received at most once, so its entry is popped.
+        send_clocks: Dict[int, VectorClock] = {}
+        for event in log.causal_replay():
+            clock = clocks[event.pid]
+            if event.kind is EventKind.RECEIVE:
+                assert event.message_id is not None
+                clock.merge(send_clocks.pop(event.message_id))
+            clock.tick(event.pid)
+            if event.kind is EventKind.SEND:
+                assert event.message_id is not None
+                send_clocks[event.message_id] = clock.copy()
+            self._timestamps[event.event_id] = clock.copy()
 
     @property
     def log(self) -> EventLog:
         """The event log this order was built from."""
         return self._log
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def refresh(self) -> None:
-        """Timestamp every event appended to the log since the last replay.
-
-        Idempotent; a no-op when the order is already current.  Raises
-        ``ValueError`` if the new suffix is not causally replayable (a receive
-        whose send never appears).
-        """
-        cursors = self._cursors
-        clocks = self._clocks
-        send_clocks = self._send_clocks
-        remaining = self._log.total_events() - len(self._timestamps)
-        while remaining > 0:
-            progressed = False
-            for pid in self._log.processes:
-                history = self._log.history(pid)
-                while cursors[pid] < len(history):
-                    event = history[cursors[pid]]
-                    if event.kind is EventKind.RECEIVE:
-                        assert event.message_id is not None
-                        if event.message_id not in send_clocks:
-                            break  # wait for the send to be replayed
-                        # A message is received at most once (the log enforces
-                        # it), so its send clock is dead after this merge; pop
-                        # to keep the retained state bounded by in-flight
-                        # messages rather than all messages ever sent.
-                        clocks[pid].merge(send_clocks.pop(event.message_id))
-                    clocks[pid].tick(pid)
-                    if event.kind is EventKind.SEND:
-                        assert event.message_id is not None
-                        send_clocks[event.message_id] = clocks[pid].copy()
-                    self._timestamps[event.event_id] = clocks[pid].copy()
-                    cursors[pid] += 1
-                    remaining -= 1
-                    progressed = True
-            if not progressed and remaining > 0:
-                raise ValueError(
-                    "event log is not causally replayable: some receive has no "
-                    "matching send before it"
-                )
 
     # ------------------------------------------------------------------
     # Queries

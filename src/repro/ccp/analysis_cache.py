@@ -92,32 +92,20 @@ class AnalysisCache:
     # statements of the theorems.
     #
     # When the CCP carries an ``analysis_provider`` (a live recorder's
-    # incremental knowledge state), the provider's answer is served instead:
-    # on pruned histories it is the only authoritative one.  In "check" mode
-    # the classic answer is computed as well and compared, whenever the log
-    # is unpruned and therefore a valid reference.
-
-    def _provider_answer(self, attribute: str):
-        provider = self._ccp.analysis_provider
-        if provider is None:
-            return None
-        answer = getattr(provider, attribute)()
-        if provider.mode == "check" and provider.comparable:
-            classic = getattr(self, f"_classic_{attribute}")()
-            if classic != answer:
-                raise AssertionError(
-                    f"incremental {attribute} diverged from full recompute: "
-                    f"incremental={sorted(answer)} classic={sorted(classic)}"
-                )
-        return answer
+    # knowledge state), the provider's answer is served instead: on pruned
+    # histories it is the only authoritative one.  The classic computations
+    # answer for hand-built, provider-less patterns and are the reference
+    # the tests compare a recorder's view against.
 
     @property
     def theorem1_retained(self) -> FrozenSet[CheckpointId]:
         """Stable checkpoints Theorem 1 still deems necessary."""
         if self._theorem1_retained is None:
-            answer = self._provider_answer("theorem1_retained")
+            provider = self._ccp.analysis_provider
             self._theorem1_retained = (
-                answer if answer is not None else self._classic_theorem1_retained()
+                provider.theorem1_retained()
+                if provider is not None
+                else self._classic_theorem1_retained()
             )
         return self._theorem1_retained
 
@@ -146,9 +134,11 @@ class AnalysisCache:
     def theorem2_retained(self) -> FrozenSet[CheckpointId]:
         """Stable checkpoints retained under causal knowledge only (Theorem 2)."""
         if self._theorem2_retained is None:
-            answer = self._provider_answer("theorem2_retained")
+            provider = self._ccp.analysis_provider
             self._theorem2_retained = (
-                answer if answer is not None else self._classic_theorem2_retained()
+                provider.theorem2_retained()
+                if provider is not None
+                else self._classic_theorem2_retained()
             )
         return self._theorem2_retained
 
@@ -203,14 +193,6 @@ class AnalysisCache:
             provider = self._ccp.analysis_provider
             if provider is not None:
                 cached = provider.recovery_line(key)
-                if provider.mode == "check" and provider.comparable:
-                    classic = _recovery_line_lemma1(self._ccp, key)
-                    if classic != cached:
-                        raise AssertionError(
-                            f"incremental recovery line for F={sorted(key)} "
-                            f"diverged from full recompute: "
-                            f"incremental={cached} classic={classic}"
-                        )
             else:
                 cached = _recovery_line_lemma1(self._ccp, key)
             self._recovery_lines[key] = cached

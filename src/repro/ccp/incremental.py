@@ -18,9 +18,10 @@ no event-graph traversal at all:
 
 Every checkpoint-level precedence fact the theorems need is then one integer
 comparison: ``c_f^m`` causally precedes ``c_i^k`` iff ``ckpt_ck[c_i^k][f] >=
-m`` (and precedes the volatile ``v_i`` iff ``ck[i][f] >= m``).  The retained
-sets and recovery lines fall out as linear scans over the *live* checkpoint
-window — bounded by obsolescence pruning, not by run length.
+m`` (and precedes the volatile ``v_i`` iff ``ck[i][f] >= m``).  Knowledge only
+grows along a process's checkpoints, so the retained sets and recovery lines
+fall out of ``O(n^2)`` bisections over the *live* checkpoint window — neither
+run length nor window size is ever scanned.
 
 A per-process journal of ``(seq, ck)`` snapshots at knowledge-changing events
 supports recovery truncation (restore the vector at the cut by bisection) and
@@ -31,15 +32,25 @@ of pruned sends survive only as INTERNAL placeholders.
 :class:`IncrementalAnalysisView` is the read side handed to
 :class:`~repro.ccp.pattern.CCP` as its ``analysis_provider``: it is bound to
 the recorder version it was created at and refuses to answer once the
-recorded execution has moved on.  ``mode="check"`` makes the analysis cache
-compute the classic full-recompute answer as well and assert equality — the
-cross-check the equivalence test matrix runs.
+recorded execution has moved on.  The classic full recompute stays in
+:class:`~repro.ccp.analysis_cache.AnalysisCache` as the answer for
+provider-less patterns and as the reference the equivalence tests diff a
+recorder's view against.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+)
 
 from repro.ccp.checkpoint import CheckpointId
 from repro.membership import MembershipError
@@ -47,8 +58,6 @@ from repro.membership import MembershipError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ccp.consistency import GlobalCheckpoint
     from repro.simulation.trace import TraceRecorder
-
-INCREMENTAL_MODES = ("off", "on", "check")
 
 
 def _entry(vector: Sequence[int], f: int) -> int:
@@ -196,25 +205,9 @@ class IncrementalAnalysisView:
     silently describe a different execution, so stale access raises.
     """
 
-    def __init__(self, recorder: "TraceRecorder", mode: str) -> None:
+    def __init__(self, recorder: "TraceRecorder") -> None:
         self._recorder = recorder
         self._version = recorder.version
-        self._mode = mode
-
-    @property
-    def mode(self) -> str:
-        """``"on"`` (authoritative) or ``"check"`` (cross-checked by the cache)."""
-        return self._mode
-
-    @property
-    def comparable(self) -> bool:
-        """True when classic full recompute over the log equals ground truth.
-
-        On pruned histories the event graph has lost edges (receives of pruned
-        sends survive as INTERNAL placeholders), so the classic recomputation
-        is not a valid reference and check mode compares nothing.
-        """
-        return all(base == 0 for base in self._recorder.log.checkpoint_bases)
 
     # ------------------------------------------------------------------
     # Internals
@@ -251,57 +244,61 @@ class IncrementalAnalysisView:
     # ------------------------------------------------------------------
     # Analyses
     # ------------------------------------------------------------------
-    def theorem1_retained(self) -> FrozenSet[CheckpointId]:
-        """Theorem 1 over knowledge state: c_i^k is retained iff some process f
-        satisfies ``ckpt_ck[c_i^{k+1}][f] >= last(f) > ckpt_ck[c_i^k][f]``.
+    # What p_i knows of p_f only grows along p_i's checkpoints (receives
+    # max-merge, truncation restores an earlier state and forgets the later
+    # snapshots), so "the first general checkpoint of p_i that knows c_f^m"
+    # is a bisection over the live window, never a scan of it.
+
+    def _first_knowing(
+        self,
+        tracker: CheckpointKnowledgeTracker,
+        pid: int,
+        window: range,
+        last_stable: Sequence[int],
+        targets: Mapping[int, int],
+    ) -> int:
+        """Offset in ``window`` of the first general checkpoint of ``pid`` whose
+        knowledge reaches ``targets[f]`` for some ``f`` (``len(window)`` if none)."""
+
+        def knows(index: int) -> bool:
+            snapshot = self._snapshot(tracker, pid, index, last_stable)
+            return any(_entry(snapshot, f) >= m for f, m in targets.items())
+
+        return bisect_left(window, True, key=knows)
+
+    def _retained(self, theorem: int) -> FrozenSet[CheckpointId]:
+        """``c_i^k`` is retained iff some active ``f`` has
+        ``ckpt_ck[c_i^{k+1}][f] >= m_i(f) > ckpt_ck[c_i^k][f]``: per ``(i, f)``
+        that is the one checkpoint just before the first that knows
+        ``c_f^{m_i(f)}``.  Theorem 1 takes ``m_i(f) = last(f)``; Theorem 2 the
+        owner's *known* last checkpoint ``ck[i][f]``.
 
         Departed processes are excluded on both sides: they can never be
         faulty again, so nothing pins their checkpoints and they pin
         nothing (the garbage-of-departed invariant).
         """
         tracker, last_stable, bases = self._state()
-        n = self._recorder.num_processes
         departed = self._departed
+        active = [p for p in range(self._recorder.num_processes) if p not in departed]
         retained = set()
-        for pid in range(n):
-            if pid in departed:
-                continue
-            for k in range(bases[pid], last_stable[pid] + 1):
-                cid = CheckpointId(pid, k)
-                current = tracker.ckpt_ck[cid]
-                successor = self._snapshot(tracker, pid, k + 1, last_stable)
-                for f in range(n):
-                    if f in departed:
-                        continue
-                    last = last_stable[f]
-                    if last >= 0 and _entry(successor, f) >= last > _entry(current, f):
-                        retained.add(cid)
-                        break
+        for pid in active:
+            window = range(bases[pid], last_stable[pid] + 2)  # stable ones, then volatile
+            wanted = last_stable if theorem == 1 else tracker.ck[pid]
+            for f in active:
+                if wanted[f] < 0:
+                    continue
+                first = self._first_knowing(tracker, pid, window, last_stable, {f: wanted[f]})
+                if 0 < first < len(window):
+                    retained.add(CheckpointId(pid, window[first - 1]))
         return frozenset(retained)
 
+    def theorem1_retained(self) -> FrozenSet[CheckpointId]:
+        """Stable checkpoints Theorem 1 still deems necessary."""
+        return self._retained(1)
+
     def theorem2_retained(self) -> FrozenSet[CheckpointId]:
-        """Theorem 2: as Theorem 1 but against the owner's *known* last
-        checkpoints ``ck[i][f]`` instead of the global ``last(f)``."""
-        tracker, last_stable, bases = self._state()
-        n = self._recorder.num_processes
-        departed = self._departed
-        retained = set()
-        for pid in range(n):
-            if pid in departed:
-                continue
-            known = tracker.ck[pid]
-            for k in range(bases[pid], last_stable[pid] + 1):
-                cid = CheckpointId(pid, k)
-                current = tracker.ckpt_ck[cid]
-                successor = self._snapshot(tracker, pid, k + 1, last_stable)
-                for f in range(n):
-                    if f in departed:
-                        continue
-                    m = known[f]
-                    if m >= 0 and _entry(successor, f) >= m > _entry(current, f):
-                        retained.add(cid)
-                        break
-        return frozenset(retained)
+        """Stable checkpoints retained under causal knowledge only (Theorem 2)."""
+        return self._retained(2)
 
     def recovery_line(self, faulty_set: FrozenSet[int]) -> "GlobalCheckpoint":
         """Lemma 1: per process the last general checkpoint not causally
@@ -314,20 +311,14 @@ class IncrementalAnalysisView:
         from repro.ccp.consistency import GlobalCheckpoint
 
         tracker, last_stable, bases = self._state()
-        n = self._recorder.num_processes
         departed = self._departed
+        lasts = {f: last_stable[f] for f in faulty_set}
         indices: List[int] = []
-        for pid in range(n):
+        for pid in range(self._recorder.num_processes):
             if pid in departed:
                 indices.append(last_stable[pid] + 1)
                 continue
-            chosen = bases[pid] if bases[pid] <= last_stable[pid] + 1 else 0
-            for gamma in range(bases[pid], last_stable[pid] + 2):
-                snapshot = self._snapshot(tracker, pid, gamma, last_stable)
-                preceded = any(
-                    _entry(snapshot, f) >= last_stable[f] for f in faulty_set
-                )
-                if not preceded:
-                    chosen = gamma
-            indices.append(chosen)
+            window = range(bases[pid], last_stable[pid] + 2)
+            preceded = self._first_knowing(tracker, pid, window, last_stable, lasts)
+            indices.append(window[max(preceded - 1, 0)])
         return GlobalCheckpoint(tuple(indices))

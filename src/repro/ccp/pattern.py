@@ -65,9 +65,8 @@ class CCP:
         self,
         log: EventLog,
         *,
-        causal_order: Optional[CausalOrder] = None,
         recorded_dvs: Optional[Mapping[CheckpointId, Sequence[int]]] = None,
-        message_intervals: Optional[Sequence[MessageInterval]] = None,
+        message_intervals: Optional[Iterable[MessageInterval]] = None,
         analysis_provider: Optional[object] = None,
         departed: Iterable[int] = (),
     ) -> None:
@@ -78,10 +77,6 @@ class CCP:
         log:
             The execution.  It must be causally replayable (every receive has a
             send); use :meth:`from_log` to restrict to a cut first.
-        causal_order:
-            A pre-computed :class:`CausalOrder` for ``log``.  Built lazily on
-            first event-level precedence query if absent — incrementally
-            maintained analyses never pay for the vector-clock replay.
         recorded_dvs:
             Dependency vectors recorded by the checkpointing middleware, keyed
             by checkpoint id.  When present they are attached to the
@@ -89,16 +84,15 @@ class CCP:
             still available through :meth:`ground_truth_dv`.
         message_intervals:
             Pre-computed :class:`MessageInterval` records for every delivered
-            message of ``log`` (derived from the log if absent).  Supplied by
-            incremental producers such as the simulation trace recorder, which
-            tracks intervals as events are appended.
+            message of ``log``, in any order (derived from the log if absent).
+            Supplied by incremental producers such as the simulation trace
+            recorder, which tracks intervals as events are appended.
         analysis_provider:
             An optional delta-maintained analysis source (see
             :mod:`repro.ccp.incremental`).  When present, the
             :class:`~repro.ccp.analysis_cache.AnalysisCache` serves Theorem-1/2
             retained sets and recovery lines from it instead of recomputing
-            them from the event graph; ``provider.mode == "check"`` makes the
-            cache compute both and assert equality.
+            them from the event graph.
         departed:
             Pids that left the membership before this cut.  A departed
             process can never be faulty again, so the analyses exclude it
@@ -107,7 +101,9 @@ class CCP:
             invariant).
         """
         self._log = log
-        self._lazy_order = causal_order
+        # Built on the first event-level precedence query: analyses served
+        # by a provider never pay for the vector-clock replay.
+        self._lazy_order: Optional[CausalOrder] = None
         self._provider = analysis_provider
         self._departed = frozenset(departed)
         self._recorded_dvs = dict(recorded_dvs) if recorded_dvs else {}
@@ -115,15 +111,15 @@ class CCP:
         self._stable_events: List[List[Event]] = [
             log.history(pid).checkpoint_events() for pid in log.processes
         ]
+        # Checkpoint records are materialised on first access: an audit or a
+        # recovery-line query over a long run touches a handful of them.
         self._checkpoints: Dict[CheckpointId, Checkpoint] = {}
         self._ground_truth_dvs: Dict[CheckpointId, Tuple[int, ...]] = {}
         self._analyses: Optional["AnalysisCache"] = None
-        self._build_checkpoints()
-        self._messages = (
-            list(message_intervals)
-            if message_intervals is not None
-            else self._build_message_intervals()
-        )
+        # Ordered by message id on first use (see messages()): audits and
+        # recovery lines never look at the messages.
+        self._unordered_messages = message_intervals
+        self._messages: Optional[List[MessageInterval]] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -141,29 +137,18 @@ class CCP:
             log = cut.restrict(log)
         return cls(log, recorded_dvs=recorded_dvs)
 
-    def _build_checkpoints(self) -> None:
-        for pid in self._log.processes:
-            for event in self._stable_events[pid]:
-                assert event.checkpoint_index is not None
-                cid = CheckpointId(pid, event.checkpoint_index)
-                self._checkpoints[cid] = Checkpoint(
-                    pid=pid,
-                    index=event.checkpoint_index,
-                    kind=CheckpointKind.STABLE,
-                    dependency_vector=self._recorded_or_none(cid),
-                    event_seq=event.seq,
-                    forced=event.forced,
-                    time=event.time,
-                )
-            volatile_index = self.last_stable(pid) + 1
-            vid = CheckpointId(pid, volatile_index)
-            self._checkpoints[vid] = Checkpoint(
-                pid=pid,
-                index=volatile_index,
-                kind=CheckpointKind.VOLATILE,
-                dependency_vector=self._recorded_or_none(vid),
-                event_seq=None,
-            )
+    def _stable_event(self, cid: CheckpointId) -> Optional[Event]:
+        """The CHECKPOINT event of ``cid``: None for the volatile, KeyError if absent."""
+        if cid.pid in self._log.processes:
+            events = self._stable_events[cid.pid]
+            # Indices are contiguous from the first recorded checkpoint on.
+            first = events[0].checkpoint_index if events else 0
+            assert first is not None
+            if first <= cid.index < first + len(events):
+                return events[cid.index - first]
+            if cid.index == first + len(events):
+                return None
+        raise KeyError(f"checkpoint {cid} is not part of this CCP")
 
     def _recorded_or_none(self, cid: CheckpointId) -> Optional[Tuple[int, ...]]:
         recorded = self._recorded_dvs.get(cid)
@@ -281,19 +266,45 @@ class CCP:
 
     def has_checkpoint(self, cid: CheckpointId) -> bool:
         """True if ``cid`` exists in this pattern."""
-        return cid in self._checkpoints
+        try:
+            self._stable_event(cid)
+        except KeyError:
+            return False
+        return True
 
     def checkpoint(self, cid: CheckpointId) -> Checkpoint:
-        """The :class:`Checkpoint` record for ``cid``."""
-        return self._checkpoints[cid]
+        """The :class:`Checkpoint` record for ``cid`` (KeyError if absent)."""
+        checkpoint = self._checkpoints.get(cid)
+        if checkpoint is None:
+            event = self._stable_event(cid)
+            if event is None:
+                checkpoint = Checkpoint(
+                    pid=cid.pid,
+                    index=cid.index,
+                    kind=CheckpointKind.VOLATILE,
+                    dependency_vector=self._recorded_or_none(cid),
+                    event_seq=None,
+                )
+            else:
+                checkpoint = Checkpoint(
+                    pid=cid.pid,
+                    index=cid.index,
+                    kind=CheckpointKind.STABLE,
+                    dependency_vector=self._recorded_or_none(cid),
+                    event_seq=event.seq,
+                    forced=event.forced,
+                    time=event.time,
+                )
+            self._checkpoints[cid] = checkpoint
+        return checkpoint
 
     def is_stable(self, cid: CheckpointId) -> bool:
         """True if ``cid`` denotes a stable checkpoint of this pattern."""
-        return self.has_checkpoint(cid) and self._checkpoints[cid].is_stable
+        return self.has_checkpoint(cid) and self.checkpoint(cid).is_stable
 
     def is_volatile(self, cid: CheckpointId) -> bool:
         """True if ``cid`` denotes the volatile checkpoint of its process."""
-        return self.has_checkpoint(cid) and self._checkpoints[cid].is_volatile
+        return self.has_checkpoint(cid) and self.checkpoint(cid).is_volatile
 
     def total_stable_checkpoints(self) -> int:
         """Total number of stable checkpoints across all processes."""
@@ -321,7 +332,15 @@ class CCP:
         return last + 1
 
     def messages(self) -> List[MessageInterval]:
-        """Delivered messages annotated with send/receive intervals."""
+        """Delivered messages annotated with send/receive intervals, by message id."""
+        if self._messages is None:
+            if self._unordered_messages is None:
+                self._messages = self._build_message_intervals()
+            else:
+                self._messages = sorted(
+                    self._unordered_messages, key=lambda interval: interval.message_id
+                )
+                self._unordered_messages = None
         return list(self._messages)
 
     # ------------------------------------------------------------------
@@ -354,12 +373,10 @@ class CCP:
         and is preceded by everything in the causal past of its process's last
         event (including all of the process's own checkpoints).
         """
-        self._require(first)
-        self._require(second)
+        first_cp = self.checkpoint(first)
+        second_cp = self.checkpoint(second)
         if first == second:
             return False
-        first_cp = self._checkpoints[first]
-        second_cp = self._checkpoints[second]
         if first_cp.is_volatile:
             return False
         assert first_cp.event_seq is not None
@@ -396,7 +413,7 @@ class CCP:
         driven by an RDT protocol this equals the vector the protocol stored
         with the checkpoint (Equation 2), which tests verify.
         """
-        self._require(cid)
+        self.checkpoint(cid)  # KeyError unless part of this CCP
         cached = self._ground_truth_dvs.get(cid)
         if cached is not None:
             return cached
@@ -415,21 +432,14 @@ class CCP:
 
     def dv(self, cid: CheckpointId) -> Tuple[int, ...]:
         """The dependency vector of ``cid``: recorded if available, else ground truth."""
-        recorded = self._checkpoints[cid].dependency_vector
+        recorded = self.checkpoint(cid).dependency_vector
         if recorded is not None:
             return recorded
         return self.ground_truth_dv(cid)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _require(self, cid: CheckpointId) -> None:
-        if cid not in self._checkpoints:
-            raise KeyError(f"checkpoint {cid} is not part of this CCP")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CCP(processes={self.num_processes}, "
             f"stable={self.total_stable_checkpoints()}, "
-            f"messages={len(self._messages)})"
+            f"messages={len(self.messages())})"
         )

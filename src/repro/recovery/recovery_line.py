@@ -62,10 +62,10 @@ def recovery_line(ccp: CCP, faulty: Iterable[int]) -> GlobalCheckpoint:
 def _recovery_line_lemma1(ccp: CCP, faulty_set: Set[int]) -> GlobalCheckpoint:
     """Lemma 1 by full recompute over checkpoint-level precedence queries.
 
-    Uncached; called via the analysis cache.  This is the *reference* path:
-    recorders running with ``incremental_analyses="on"`` serve recovery lines
-    from their maintained knowledge state instead, and ``"check"`` mode
-    compares that answer against this one.
+    Uncached; called via the analysis cache.  This is the *reference* path
+    (and the answer for provider-less patterns): trace recorders serve
+    recovery lines from their maintained knowledge state instead, and the
+    equivalence tests compare that answer against this one.
     """
     indices: List[int] = []
     for pid in ccp.processes:

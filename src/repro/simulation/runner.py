@@ -47,14 +47,10 @@ class SimulationConfig:
     sample_interval: Optional[float] = None
     audit: str = "off"
     keep_final_ccp: bool = False
-    #: Analysis mode of the trace recorder: ``"off"`` (classic full
-    #: recompute), ``"on"`` (delta-maintained checkpoint knowledge) or
-    #: ``"check"`` (both, cross-asserted — used by the equivalence tests).
-    incremental_analyses: str = "off"
     #: When True, collectors' obsolescence decisions are fed back to the
     #: trace recorder, which compacts garbage checkpoint intervals out of
-    #: the event log (implies ``incremental_analyses="on"``).  Persisted
-    #: traces are unaffected: sinks observe the full history.
+    #: the event log.  Persisted traces are unaffected: sinks observe the
+    #: full history.
     prune_trace: bool = False
     #: When set, the run streams a replayable trace artifact to this path
     #: (see :mod:`repro.traceio`); ``trace_meta`` is free-form provenance
@@ -84,10 +80,6 @@ class SimulationConfig:
             raise ValueError("backend must be one of 'sim', 'live'")
         if self.audit not in ("off", "safety", "full"):
             raise ValueError("audit must be one of 'off', 'safety', 'full'")
-        if self.incremental_analyses not in ("off", "on", "check"):
-            raise ValueError(
-                "incremental_analyses must be one of 'off', 'on', 'check'"
-            )
         # Fail fast on fault models that cannot serve this process count
         # (undersized latency matrices, partitions naming unknown pids).
         self.network.validate_for(self.num_processes)
@@ -268,7 +260,6 @@ class SimulationRunner:
         self._transport = SimTransport(self._engine, self._network)
         self._trace = TraceRecorder(
             config.num_processes,
-            incremental_analyses=config.incremental_analyses,
             prune=config.prune_trace,
             # Static membership passes None so the recorder is bit-for-bit
             # the pre-membership one; joiners start dormant otherwise.
@@ -489,9 +480,9 @@ class SimulationRunner:
     def current_ccp(self) -> CCP:
         """The CCP of the execution recorded so far.
 
-        Served from the trace recorder's incremental substrate: the pattern
-        (and its attached analysis cache) is only rebuilt when the recorded
-        execution actually changed since the previous call.
+        Served from the trace recorder's substrate: the pattern (and its
+        attached analysis cache) is only rebuilt when the recorded execution
+        actually changed since the previous call.
         """
         volatile = {node.pid: node.current_dv for node in self._nodes}
         return self._trace.ccp(volatile_dvs=volatile)

@@ -8,7 +8,7 @@ of the recorded execution is exactly the pattern the paper's characterisations
 are stated over, so the recorder is what connects the *online* algorithms to
 the *offline* oracles in tests and benchmarks.
 
-The recorder maintains the expensive CCP substrate *incrementally* rather than
+The recorder keeps the CCP substrate current as events arrive rather than
 re-deriving it per snapshot:
 
 * checkpoint-interval indices of message send/receive events are assigned at
@@ -17,24 +17,17 @@ re-deriving it per snapshot:
   from the log;
 * :meth:`ccp` memoises the built pattern keyed on a mutation version: while
   no new event arrives, every caller receives the *same* CCP object and with
-  it the same shared :class:`repro.ccp.analysis_cache.AnalysisCache`, which is
-  what lets ``audit="full"`` sampling stop rebuilding the pattern and its
-  zigzag/obsolete analyses at every instant.
+  it the same shared :class:`repro.ccp.analysis_cache.AnalysisCache`.
 
-``incremental_analyses`` selects how retained sets and recovery lines are
-produced at analysis instants:
-
-* ``"off"`` (default) — classic full recompute: a live
-  :class:`repro.causality.CausalOrder` is kept current with
-  :meth:`CausalOrder.refresh` and the analysis cache derives everything from
-  checkpoint-level precedence queries.
-* ``"on"`` — a :class:`repro.ccp.incremental.CheckpointKnowledgeTracker` is
-  maintained in O(P) per event and snapshots carry an
-  :class:`repro.ccp.incremental.IncrementalAnalysisView` as their
-  ``analysis_provider``; no vector-clock replay happens at all unless some
-  caller explicitly asks for event-level precedence.
-* ``"check"`` — both substrates are maintained and the analysis cache
-  asserts they agree (the cross-check mode the equivalence tests run).
+:meth:`ccp` is the only gate to analysis, and every snapshot it hands out
+carries an :class:`repro.ccp.incremental.IncrementalAnalysisView` as its
+``analysis_provider``: retained sets and recovery lines are answered from a
+:class:`repro.ccp.incremental.CheckpointKnowledgeTracker` by bisection, with
+no vector-clock replay unless a caller asks for event-level precedence.  The
+tracker is built *on demand*: a run that never asks for an analysis does no
+per-event analysis work, and the first :meth:`ccp` catches the tracker up
+with one causal-order replay of the current log; from then on the
+``record_*`` methods keep it current in O(P) per event.
 
 ``prune=True`` additionally lets the recorder *consume* the obsolescence
 decisions collectors emit (:meth:`record_elimination`): once a contiguous
@@ -45,16 +38,16 @@ Pruning weakens the cut to a *send-closed consistent* one first, which is
 exactly what keeps the zigzag relation of every retained checkpoint intact;
 receives of pruned sends that arrive later are recorded as INTERNAL events
 (their knowledge merge still happens, so Theorem-2 state stays exact).
-Pruning implies ``incremental_analyses="on"``: on a pruned log the classic
-recomputation is no longer a valid stand-in for ground truth, the maintained
-knowledge state is.
+A pruning recorder starts its tracker at event 0: a pruned log has lost the
+edges a catch-up replay would need, so the maintained knowledge state is the
+only authoritative one.
 
 Recovery sessions rewrite history: the post-rollback state of the system is the
 recovery-line cut, so :meth:`apply_recovery` truncates each rolled-back
 process's history at its recovery-line component (the resulting prefix is a
-consistent cut because the recovery line is consistent), forgets the
-checkpoints that were rolled back, and rebuilds the incremental state from the
-truncated log (the one place the live substrate is invalidated wholesale).
+consistent cut because the recovery line is consistent) and repairs the
+substrate from the discarded suffixes alone — a session costs what it rolled
+back, not the length of the run.
 
 Persistence: the recorder accepts :class:`TraceSink` observers
 (:meth:`attach_sink`).  Every successfully recorded occurrence — including
@@ -82,15 +75,10 @@ from typing import (
 )
 
 from repro.causality.events import EventKind, EventLog
-from repro.causality.happens_before import CausalOrder
 from repro.ccp.checkpoint import CheckpointId
-from repro.ccp.incremental import (
-    INCREMENTAL_MODES,
-    CheckpointKnowledgeTracker,
-    IncrementalAnalysisView,
-)
+from repro.ccp.incremental import CheckpointKnowledgeTracker, IncrementalAnalysisView
 from repro.ccp.pattern import CCP, MessageInterval
-from repro.membership import MembershipView
+from repro.membership import MembershipError, MembershipView
 from repro.recovery.rollback_plan import RollbackPlan
 
 
@@ -146,21 +134,10 @@ class TraceRecorder:
         self,
         num_processes: int,
         *,
-        incremental_analyses: str = "off",
         prune: bool = False,
         prune_threshold: int = 512,
         initial_members: Optional[Iterable[int]] = None,
     ) -> None:
-        if incremental_analyses not in INCREMENTAL_MODES:
-            raise ValueError(
-                f"unknown incremental_analyses mode {incremental_analyses!r} "
-                f"(expected one of {INCREMENTAL_MODES})"
-            )
-        if prune and incremental_analyses == "off":
-            # Classic recomputation over a pruned log is not authoritative
-            # (the event graph loses edges); pruning requires the maintained
-            # knowledge state.
-            incremental_analyses = "on"
         self._num_processes = num_processes
         # Membership: pids without a join event are members from the start;
         # dormant joiners exist in the log (empty history) until they join.
@@ -173,22 +150,14 @@ class TraceRecorder:
         self._dropped_messages: set[int] = set()
         # Incremental CCP substrate.
         self._version = 0
-        self._incremental = incremental_analyses
+        # Born at the first ccp() (see _catch_up_tracker) — except under
+        # pruning, whose log cannot be replayed once compacted.
         self._tracker: Optional[CheckpointKnowledgeTracker] = (
-            CheckpointKnowledgeTracker(num_processes)
-            if incremental_analyses != "off"
-            else None
-        )
-        # "on" mode never replays vector clocks; a CCP snapshot builds a
-        # causal order lazily only if some caller asks for event-level
-        # precedence explicitly.
-        self._order: Optional[CausalOrder] = (
-            CausalOrder(self._log) if incremental_analyses != "on" else None
+            CheckpointKnowledgeTracker(num_processes) if prune else None
         )
         self._checkpoints_taken = [0] * num_processes
         self._message_intervals: Dict[int, MessageInterval] = {}
         self._pending_sends: Dict[int, Tuple[int, int, int, int]] = {}
-        self._ckpt_seq: Dict[CheckpointId, int] = {}
         # Obsolescence-driven pruning state.
         self._prune_enabled = prune
         self._prune_threshold = prune_threshold
@@ -222,11 +191,6 @@ class TraceRecorder:
         return self._version
 
     @property
-    def incremental_analyses(self) -> str:
-        """The analysis mode this recorder runs in (``off``/``on``/``check``)."""
-        return self._incremental
-
-    @property
     def pruning_enabled(self) -> bool:
         """True if obsolescence-driven log compaction is active."""
         return self._prune_enabled
@@ -238,7 +202,7 @@ class TraceRecorder:
 
     @property
     def knowledge_tracker(self) -> Optional[CheckpointKnowledgeTracker]:
-        """The maintained checkpoint-knowledge state (None in ``off`` mode)."""
+        """The maintained checkpoint-knowledge state (None before the first :meth:`ccp`)."""
         return self._tracker
 
     @property
@@ -380,10 +344,8 @@ class TraceRecorder:
         """Record a stable checkpoint and the vector stored with it."""
         self._require_member(pid)
         event = self._log.add_checkpoint(pid, index, time=time, forced=forced)
-        cid = CheckpointId(pid, index)
-        self._recorded_dvs[cid] = tuple(dependency_vector)
+        self._recorded_dvs[CheckpointId(pid, index)] = tuple(dependency_vector)
         self._checkpoints_taken[pid] = index + 1
-        self._ckpt_seq[cid] = event.seq
         if self._tracker is not None:
             self._tracker.note_checkpoint(pid, index, event.seq)
         self._version += 1
@@ -401,8 +363,6 @@ class TraceRecorder:
     # Membership events
     # ------------------------------------------------------------------
     def _require_member(self, pid: int) -> None:
-        from repro.membership import MembershipError
-
         if not self._membership.is_member(pid):
             state = "departed" if pid in self._membership.departed else (
                 "dormant (not yet joined)"
@@ -455,10 +415,6 @@ class TraceRecorder:
         self._checkpoints_taken.extend([0] * pad)
         self._prune_floor.extend([0] * pad)
         self._num_processes = num_processes
-        if self._order is not None:
-            # The causal order's clocks are sized at construction; joins are
-            # rare, so a fresh replay is simpler than widening every clock.
-            self._order = CausalOrder(self._log)
 
     # ------------------------------------------------------------------
     # Obsolescence-driven pruning
@@ -487,6 +443,13 @@ class TraceRecorder:
         self._prune_floor[pid] = floor
         self.maybe_prune()
 
+    def _checkpoint_seq(self, pid: int, index: int) -> int:
+        """Position of the CHECKPOINT event of ``s_pid^index`` (IndexError if not in the log)."""
+        offset = index - self._log.checkpoint_base(pid)
+        if offset < 0:
+            raise IndexError(index)
+        return self._log.history(pid).checkpoints[offset].seq
+
     def maybe_prune(self, *, force: bool = False) -> bool:
         """Compact obsolete checkpoint intervals out of the log.
 
@@ -514,7 +477,7 @@ class TraceRecorder:
                 desired.append(max(bases[pid], min(self._prune_floor[pid], last)))
         # Cheap upper bound on reclaimable events before paying for the fixpoint.
         upper = sum(
-            self._ckpt_seq[CheckpointId(pid, d)] if d > bases[pid] else 0
+            self._checkpoint_seq(pid, d) if d > bases[pid] else 0
             for pid, d in enumerate(desired)
         )
         if upper == 0 or (not force and upper < self._prune_threshold):
@@ -538,7 +501,7 @@ class TraceRecorder:
                     )
                     changed = True
         starts = [
-            self._ckpt_seq[CheckpointId(pid, cut[pid])] if cut[pid] > bases[pid] else 0
+            self._checkpoint_seq(pid, cut[pid]) if cut[pid] > bases[pid] else 0
             for pid in range(self._num_processes)
         ]
         total = sum(starts)
@@ -589,17 +552,10 @@ class TraceRecorder:
         ]
         for cid in stale_cids:
             del self._recorded_dvs[cid]
-        self._ckpt_seq = {
-            cid: seq - starts[cid.pid]
-            for cid, seq in self._ckpt_seq.items()
-            if cid.index >= cut[cid.pid]
-        }
         if self._tracker is not None:
             self._tracker.apply_suffix(starts)
             self._tracker.forget_checkpoints(stale_cids)
             self._tracker.forget_messages(pruned_delivered)
-        if self._order is not None:
-            self._order = CausalOrder(self._log)
         self._pruned_events += sum(starts)
         self._ccp_cache = None
         self._version += 1
@@ -608,55 +564,46 @@ class TraceRecorder:
     # Recovery sessions
     # ------------------------------------------------------------------
     def apply_recovery(self, plan: RollbackPlan) -> None:
-        """Truncate the recorded history at the recovery line of ``plan``."""
-        lengths: List[int] = []
-        for pid in range(self._num_processes):
-            rollback = plan.rollback_for(pid)
-            history = self._log.history(pid)
-            if rollback is None:
-                lengths.append(len(history))
-                continue
-            cutoff = None
-            for event in history:
-                if (
-                    event.kind is EventKind.CHECKPOINT
-                    and event.checkpoint_index == rollback.rollback_index
-                ):
-                    cutoff = event.seq + 1
-                    break
-            if cutoff is None:
+        """Truncate the recorded history at the recovery line of ``plan``.
+
+        Everything is repaired from the discarded suffixes: only there can a
+        message lose its send (dropped) or its receive (pending again), and
+        only there do checkpoints disappear.
+        """
+        lengths = [len(self._log.history(pid)) for pid in range(self._num_processes)]
+        for rollback in plan.rollbacks:
+            try:
+                cutoff = self._checkpoint_seq(rollback.pid, rollback.rollback_index)
+            except IndexError:
                 raise RuntimeError(
                     f"recovery line references checkpoint "
-                    f"s{pid}^{rollback.rollback_index} which is not in the trace"
-                )
-            lengths.append(cutoff)
-        surviving_messages = set()
-        for pid in range(self._num_processes):
-            for event in self._log.history(pid).events[: lengths[pid]]:
+                    f"s{rollback.pid}^{rollback.rollback_index} which is not in the trace"
+                ) from None
+            lengths[rollback.pid] = cutoff + 1
+        newly_dropped: List[int] = []
+        stale: List[CheckpointId] = []
+        for rollback in plan.rollbacks:
+            pid = rollback.pid
+            for event in self._log.history(pid).events[lengths[pid]:]:
                 if event.kind is EventKind.SEND:
-                    surviving_messages.add(event.message_id)
-        newly_dropped = []
-        for message in self._log.messages():
-            if message.message_id not in surviving_messages:
-                self._dropped_messages.add(message.message_id)
-                newly_dropped.append(message.message_id)
-        if self._tracker is not None:
-            self._tracker.apply_truncation(lengths)
-            self._tracker.forget_messages(newly_dropped)
-        self._log = self._log.prefix(lengths)
-        for pid in range(self._num_processes):
-            rollback = plan.rollback_for(pid)
-            if rollback is None:
-                continue
-            stale = [
-                cid
-                for cid in self._recorded_dvs
-                if cid.pid == pid and cid.index > rollback.rollback_index
-            ]
-            for cid in stale:
-                del self._recorded_dvs[cid]
-            if self._tracker is not None:
-                self._tracker.forget_checkpoints(stale)
+                    assert event.message_id is not None
+                    newly_dropped.append(event.message_id)
+                    self._pending_sends.pop(event.message_id, None)
+                    self._message_intervals.pop(event.message_id, None)
+                elif event.kind is EventKind.RECEIVE:
+                    assert event.message_id is not None
+                    interval = self._message_intervals.pop(event.message_id, None)
+                    if interval is not None and interval.send_seq < lengths[interval.sender]:
+                        self._pending_sends[event.message_id] = (
+                            interval.sender,
+                            interval.receiver,
+                            interval.send_interval,
+                            interval.send_seq,
+                        )
+                elif event.kind is EventKind.CHECKPOINT:
+                    assert event.checkpoint_index is not None
+                    stale.append(CheckpointId(pid, event.checkpoint_index))
+            self._checkpoints_taken[pid] = rollback.rollback_index + 1
             # Rolled-back checkpoint indices are *reused* after recovery
             # (stable storage rewinds its next index), so elimination facts
             # recorded for the discarded incarnations must not survive to
@@ -669,65 +616,35 @@ class TraceRecorder:
             self._prune_floor[pid] = min(
                 self._prune_floor[pid], rollback.rollback_index
             )
-        self._rebuild_incremental_state()
+        self._dropped_messages.update(newly_dropped)
+        for cid in stale:
+            del self._recorded_dvs[cid]
+        if self._tracker is not None:
+            self._tracker.apply_truncation(lengths)
+            self._tracker.forget_messages(newly_dropped)
+            self._tracker.forget_checkpoints(stale)
+        # A new log, not an in-place cut: CCPs already handed out keep the
+        # pre-crash history (the recovery oracles judge the line against it).
+        self._log = self._log.prefix(lengths)
+        self._ccp_cache = None
         self._version += 1
         for sink in self._sinks:
             sink.on_recovery(plan)
 
-    def _rebuild_incremental_state(self) -> None:
-        """Re-derive the live substrate after history was truncated."""
-        if self._order is not None:
-            self._order = CausalOrder(self._log)
-        self._ccp_cache = None
-        self._pending_sends.clear()
-        self._message_intervals.clear()
-        self._ckpt_seq.clear()
-        # One pass per process assigns every event its checkpoint interval;
-        # messages are then stitched together from the per-event assignments.
-        send_info: Dict[int, Tuple[int, int, int, int]] = {}
-        receive_info: Dict[int, Tuple[int, int]] = {}
-        for pid in range(self._num_processes):
-            taken = self._log.checkpoint_base(pid)
-            for event in self._log.history(pid):
-                if event.kind is EventKind.SEND:
-                    assert event.message_id is not None
-                    message = self._log.message(event.message_id)
-                    send_info[event.message_id] = (
-                        pid,
-                        message.receiver,
-                        taken,
-                        event.seq,
-                    )
-                elif event.kind is EventKind.RECEIVE:
-                    assert event.message_id is not None
-                    receive_info[event.message_id] = (taken, event.seq)
-                elif event.kind is EventKind.CHECKPOINT:
-                    assert event.checkpoint_index is not None
-                    self._ckpt_seq[
-                        CheckpointId(pid, event.checkpoint_index)
-                    ] = event.seq
-                    taken = event.checkpoint_index + 1
-            self._checkpoints_taken[pid] = taken
-        for message_id, (sender, receiver, send_interval, send_seq) in send_info.items():
-            received = receive_info.get(message_id)
-            if received is None:
-                self._pending_sends[message_id] = (
-                    sender,
-                    receiver,
-                    send_interval,
-                    send_seq,
-                )
-                continue
-            receive_interval, receive_seq = received
-            self._message_intervals[message_id] = MessageInterval(
-                message_id=message_id,
-                sender=sender,
-                receiver=receiver,
-                send_interval=send_interval,
-                receive_interval=receive_interval,
-                send_seq=send_seq,
-                receive_seq=receive_seq,
-            )
+    def _catch_up_tracker(self) -> CheckpointKnowledgeTracker:
+        """Build the knowledge tracker by one causal-order replay of the log."""
+        tracker = CheckpointKnowledgeTracker(self._num_processes)
+        for event in self._log.causal_replay():
+            if event.kind is EventKind.SEND:
+                assert event.message_id is not None
+                tracker.note_send(event.message_id, event.pid)
+            elif event.kind is EventKind.RECEIVE:
+                assert event.message_id is not None
+                tracker.note_receive(event.message_id, event.pid, event.seq)
+            elif event.kind is EventKind.CHECKPOINT:
+                assert event.checkpoint_index is not None
+                tracker.note_checkpoint(event.pid, event.checkpoint_index, event.seq)
+        return tracker
 
     # ------------------------------------------------------------------
     # Analysis snapshots
@@ -758,22 +675,13 @@ class TraceRecorder:
         if volatile_dvs is not None:
             for pid, dv in volatile_dvs.items():
                 recorded[CheckpointId(pid, self._checkpoints_taken[pid])] = tuple(dv)
-        if self._order is not None:
-            self._order.refresh()
-        intervals = [
-            self._message_intervals[mid] for mid in sorted(self._message_intervals)
-        ]
-        provider = (
-            IncrementalAnalysisView(self, self._incremental)
-            if self._tracker is not None
-            else None
-        )
+        if self._tracker is None:
+            self._tracker = self._catch_up_tracker()
         ccp = CCP(
             self._log,
-            causal_order=self._order,
             recorded_dvs=recorded,
-            message_intervals=intervals,
-            analysis_provider=provider,
+            message_intervals=list(self._message_intervals.values()),
+            analysis_provider=IncrementalAnalysisView(self),
             departed=self._membership.departed,
         )
         self._ccp_cache = (self._version, fingerprint, ccp)

@@ -6,8 +6,10 @@ committed ``BENCH_perf.json``, and sanity-checks the committed document
 itself: the headline acceptance row (8 processes / 2000 messages at >= 10x
 over the brute-force reference), the datacenter-tier latency row (64
 processes / 10^5 messages under 50 ms per instant), the medium-tier memory
-section (>= 30% peak reduction from pruning) and the fresh pruned-run memory
-gate (peak traced bytes must stay within 20% of the committed baseline).
+section (>= 30% peak reduction from pruning), the fresh pruned-run memory
+gate (peak traced bytes must stay within 20% of the committed baseline) and
+the recovery-session scaling gate (a session may cost at most 2x more after a
+4x longer warm-up history).
 """
 
 import json
@@ -95,7 +97,10 @@ def test_smoke_regression_check_passes(committed_document):
     with clear failure attribution, instead of paying for the sweep twice.
     The memory gate (tracemalloc-based, hardware independent) runs as part of
     this check: a pruned medium-tier run whose peak grows more than 20% over
-    the committed baseline fails tier-1.
+    the committed baseline fails tier-1.  So does the recovery-session scaling
+    gate (a ratio of two executed-line counts, a function of the seed alone):
+    replaying or rescanning the history per session reads ~3.6x against its
+    2x ceiling, and the violation printed on stderr names it.
     """
     from benchmarks.check_regression import main
 

@@ -155,3 +155,204 @@ class TestEventLogPrefix:
             log.prefix([1])
         with pytest.raises(ValueError):
             log.prefix([5, 0])
+
+
+def _readd_window(log, starts, ends, checkpoint_bases):
+    """Reference for ``prefix``/``suffix``: re-add every surviving event.
+
+    Events of ``[starts[pid], ends[pid])`` are replayed through ``add_*`` into
+    a fresh log, in an interleaving where a receive waits for its send; a
+    receive whose send lies outside the window becomes an INTERNAL
+    placeholder.  This is what ``prefix`` and ``suffix`` did before they
+    sliced the histories.
+    """
+    sub = EventLog(log.num_processes, checkpoint_bases=checkpoint_bases)
+    kept_sends = {
+        event.message_id
+        for pid in log.processes
+        for event in log.history(pid).events[starts[pid] : ends[pid]]
+        if event.kind is EventKind.SEND
+    }
+    cursors = list(starts)
+    remaining = sum(end - start for start, end in zip(starts, ends))
+    while remaining:
+        for pid in log.processes:
+            while cursors[pid] < ends[pid]:
+                event = log.history(pid)[cursors[pid]]
+                if event.kind is EventKind.CHECKPOINT:
+                    sub.add_checkpoint(
+                        pid, event.checkpoint_index, time=event.time, forced=event.forced
+                    )
+                elif event.kind is EventKind.SEND:
+                    receiver = log.message(event.message_id).receiver
+                    sub.add_send(pid, receiver, message_id=event.message_id, time=event.time)
+                elif event.kind is EventKind.RECEIVE and event.message_id in kept_sends:
+                    if not sub.has_message(event.message_id):
+                        break  # its send is replayed in a later round
+                    sub.add_receive(event.message_id, time=event.time)
+                else:
+                    sub.add_internal(pid, time=event.time)
+                cursors[pid] += 1
+                remaining -= 1
+    return sub
+
+
+def _assert_same_log(actual, reference):
+    assert actual.checkpoint_bases == reference.checkpoint_bases
+    for pid in reference.processes:
+        assert actual.history(pid).events == reference.history(pid).events
+    assert actual.messages() == reference.messages()
+    # The construction state carries over too: the next automatic message id
+    # and the next checkpoint index each process may record.
+    assert actual.add_send(0, 1)[1].message_id == reference.add_send(0, 1)[1].message_id
+    for pid in reference.processes:
+        expected = reference.history(pid).last_checkpoint_index() + 1
+        expected = max(expected, reference.checkpoint_base(pid))
+        with pytest.raises(ValueError, match=f"expected checkpoint index {expected}"):
+            actual.add_checkpoint(pid, expected + 1)
+        actual.add_checkpoint(pid, expected)
+
+
+def _random_log(seed):
+    from repro.scenarios.random_patterns import random_ccp_script
+
+    num_processes = 2 + seed % 4
+    script = random_ccp_script(
+        seed,
+        num_processes=num_processes,
+        num_messages=15 + seed % 25,
+        checkpoint_rate=0.25,
+        undelivered_fraction=0.2,
+    )
+    log = EventLog(num_processes)
+    taken = [0] * num_processes
+    for time, op in enumerate(script):
+        if op[0] == "send":
+            log.add_send(op[1], op[2], message_id=op[3], time=float(time))
+        elif op[0] == "receive":
+            log.add_receive(op[1], time=float(time))
+        else:
+            log.add_checkpoint(op[1], taken[op[1]], time=float(time), forced=time % 2 == 0)
+            taken[op[1]] += 1
+    return log
+
+
+def _close_under_sends(log, lengths):
+    """Shrink ``lengths`` to the largest consistent cut below it."""
+    lengths = list(lengths)
+    changed = True
+    while changed:
+        changed = False
+        for message in log.delivered_messages():
+            send, receive = message.send_event, message.receive_event
+            if receive.seq < lengths[receive.pid] and send.seq >= lengths[send.pid]:
+                lengths[receive.pid] = receive.seq
+                changed = True
+    return lengths
+
+
+def _kinds(log, lengths=None):
+    return [
+        [event.kind for event in log.history(pid).events[: lengths and lengths[pid]]]
+        for pid in log.processes
+    ]
+
+
+class TestWindowsMatchReaddReference:
+    """Slicing ``prefix``/``suffix`` equal re-adding the surviving events one by one."""
+
+    SEEDS = range(40)
+
+    def _cuts(self, log, seed):
+        import random
+
+        rng = random.Random(seed)
+        for _ in range(6):
+            lengths = [rng.randint(0, len(log.history(pid))) for pid in log.processes]
+            yield lengths
+            yield _close_under_sends(log, lengths)
+
+    def test_random_cuts(self):
+        seen = {"consistent": 0, "undelivered": 0, "placeholder": 0}
+        for seed in self.SEEDS:
+            log = _random_log(seed)
+            zeros = [0] * log.num_processes
+            for lengths in self._cuts(log, seed):
+                sub = log.prefix(lengths)
+                reference = _readd_window(log, zeros, lengths, zeros)
+                placeholder = _kinds(sub) != _kinds(log, lengths)
+                seen["placeholder"] += placeholder
+                seen["consistent"] += not placeholder
+                seen["undelivered"] += any(
+                    log.message(m.message_id).delivered and not m.delivered
+                    for m in sub.messages()
+                )
+                _assert_same_log(sub, reference)
+        # Every situation the fix-up distinguishes occurs in the corpus.
+        assert all(count >= 20 for count in seen.values()), seen
+
+    def test_prefix_leaves_the_original_untouched(self):
+        log = _random_log(5)
+        events = [list(log.history(pid).events) for pid in log.processes]
+        messages = log.messages()
+        log.prefix([len(log.history(pid)) // 2 for pid in log.processes])
+        assert [log.history(pid).events for pid in log.processes] == events
+        assert log.messages() == messages
+
+    def test_prefix_shares_the_kept_events(self):
+        log = _random_log(6)
+        lengths = _close_under_sends(
+            log, [len(log.history(pid)) // 2 for pid in log.processes]
+        )
+        sub = log.prefix(lengths)
+        for pid in log.processes:
+            kept = sub.history(pid).events
+            assert all(a is b for a, b in zip(kept, log.history(pid).events))
+
+    def test_suffix_matches_readd_reference(self):
+        import random
+
+        pruned = 0
+        for seed in self.SEEDS:
+            log = _random_log(seed)
+            rng = random.Random(seed)
+            # Cut each process at one of its checkpoint events, then weaken
+            # the cut until it is send-closed (a receiver that would lose the
+            # receive of a surviving send keeps its whole history).
+            bases, starts = [], []
+            for pid in log.processes:
+                checkpoints = log.history(pid).checkpoint_events()
+                chosen = rng.choice(checkpoints) if checkpoints else None
+                bases.append(chosen.checkpoint_index if chosen else 0)
+                starts.append(chosen.seq if chosen else 0)
+            changed = True
+            while changed:
+                changed = False
+                for message in log.delivered_messages():
+                    send, receive = message.send_event, message.receive_event
+                    if send.seq >= starts[send.pid] and 0 < starts[receive.pid] > receive.seq:
+                        bases[receive.pid] = starts[receive.pid] = 0
+                        changed = True
+            pruned += any(starts)
+            ends = [len(log.history(pid)) for pid in log.processes]
+            _assert_same_log(
+                log.suffix(starts, checkpoint_bases=bases),
+                _readd_window(log, starts, ends, bases),
+            )
+        assert pruned >= len(self.SEEDS) // 4
+
+    def test_suffix_validates_starts_and_send_closure(self):
+        log = EventLog(2)
+        log.add_checkpoint(0, 0)
+        log.add_checkpoint(1, 0)
+        _, message = log.add_send(0, 1)
+        log.add_receive(message.message_id)
+        log.add_checkpoint(1, 1)
+        with pytest.raises(ValueError, match="one suffix start per process"):
+            log.suffix([0], checkpoint_bases=[0])
+        with pytest.raises(ValueError, match="invalid suffix start"):
+            log.suffix([3, 0], checkpoint_bases=[0, 0])
+        with pytest.raises(ValueError, match="not send-closed"):
+            log.suffix([0, 2], checkpoint_bases=[0, 1])
+        with pytest.raises(ValueError, match="expected checkpoint index"):
+            log.suffix([2, 2], checkpoint_bases=[0, 0])  # p1's first survivor is s^1

@@ -5,8 +5,8 @@ Property corpus for the incremental subsystem: a pruning
 must answer every analysis — Theorem-1/2 retained sets, Lemma-1 recovery
 lines, the zigzag relation — exactly as an identically-fed unpruned twin
 does over the surviving (live) checkpoint window, at every instant of the
-churn schedule.  ``"check"`` mode recorders cross-assert the incremental and
-classic answers internally; the blocked bitset kernel is additionally pinned
+churn schedule.  Unpruned recorders are diffed against the classic recompute
+(the ``assert_view_matches_classic`` fixture); the blocked bitset kernel is additionally pinned
 to the brute-force reference on *pruned* (based) logs, where closures start
 at per-process base intervals rather than zero; and the numpy backend must
 agree with the big-int backend bit for bit.
@@ -147,24 +147,17 @@ class TestPrunedEqualsFullRecompute:
             _eliminate_theorem1_garbage(pruned)
 
 
-class TestCheckModeCrossAsserts:
-    """``"check"`` recorders compare incremental vs classic at every query."""
+class TestViewMatchesClassic:
+    """The recorder's view equals the classic recompute at every instant."""
 
     @pytest.mark.parametrize("seed", SEEDS[::3])
-    def test_chunked_feed_with_queries(self, seed):
+    def test_chunked_feed_with_queries(self, seed, assert_view_matches_classic):
         script = _script(seed)
-        num_processes = 2 + seed % 5
-        recorder = TraceRecorder(num_processes, incremental_analyses="check")
+        recorder = TraceRecorder(2 + seed % 5)
         feeder = TraceFeeder(recorder)
         for chunk in _chunks(script):
             feeder.feed(chunk)
-            ccp = recorder.ccp()
-            # Each access runs the incremental view AND the classic oracle
-            # and raises on any mismatch.
-            ccp.analyses.theorem1_retained
-            ccp.analyses.theorem2_retained
-            for faulty in range(num_processes):
-                ccp.analyses.recovery_line({faulty})
+            assert_view_matches_classic(recorder)
 
 
 class TestKernelOnBasedLogs:
@@ -209,7 +202,7 @@ class TestKernelOnBasedLogs:
 class TestChurnSchedules:
     """Crash/recovery churn: pruning + truncation rebuilds + index reuse."""
 
-    def _run(self, seed, *, prune, crashes, incremental="off"):
+    def _run(self, seed, *, prune, crashes, before_run=lambda runner: None):
         from repro.simulation.failures import FailureSchedule
         from repro.simulation.runner import SimulationConfig, SimulationRunner
         from repro.simulation.workloads import UniformRandomWorkload
@@ -224,9 +217,9 @@ class TestChurnSchedules:
             seed=seed,
             audit="full",
             prune_trace=prune,
-            incremental_analyses=incremental,
         )
         runner = SimulationRunner(config)
+        before_run(runner)
         result = runner.run()
         return runner, result
 
@@ -258,18 +251,28 @@ class TestChurnSchedules:
             ) == truth_ccp.analyses.recovery_line({faulty})
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_check_mode_survives_recovery_truncation(self, seed):
+    def test_view_matches_classic_across_recovery_truncation(
+        self, seed, assert_view_matches_classic, cross_check_sink
+    ):
         crashes = [(60.0, seed % 4), (110.0, (seed + 1) % 4)]
+        sinks, between = [], []
+
+        def schedule_checks(runner):
+            # Right after each session (the sink), and while the rolled-back
+            # checkpoint indices are being reused.
+            sinks.append(cross_check_sink(runner.trace))
+            for time in (59.9, 65.0, 75.0, 109.9, 115.0, 125.0):
+                runner.engine.schedule_at(
+                    time,
+                    lambda: between.append(assert_view_matches_classic(runner.trace)),
+                )
+
         runner, result = self._run(
-            seed, prune=False, crashes=crashes, incremental="check"
+            seed, prune=False, crashes=crashes, before_run=schedule_checks
         )
-        assert len(result.recoveries) == 2
-        assert result.all_audits_safe
-        ccp = runner.current_ccp()
-        ccp.analyses.theorem1_retained
-        ccp.analyses.theorem2_retained
-        for faulty in range(4):
-            ccp.analyses.recovery_line({faulty})
+        assert len(result.recoveries) == 2 and sinks[0].checked == 2
+        assert len(between) == 6 and result.all_audits_safe
+        assert_view_matches_classic(runner.trace)
 
     def test_pruned_run_trace_replays_and_verifies(self, tmp_path):
         """Sinks see the full history: a pruned run's trace stays complete."""

@@ -1,10 +1,11 @@
-"""Shared fixtures: the paper's figures as CCPs."""
+"""Shared fixtures: the paper's figures as CCPs, and the classic cross-check."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.ccp.pattern import CCP
+from repro.simulation.trace import TraceRecorder, TraceSink
 from repro.scenarios.figures import figure1_ccp as _figure1_ccp
 from repro.scenarios.figures import figure2_ccp as _figure2_ccp
 from repro.scenarios.figures import figure3_ccp as _figure3_ccp
@@ -34,3 +35,54 @@ def figure3_ccp() -> CCP:
 @pytest.fixture
 def figure4_ccp() -> CCP:
     return _figure4_ccp()
+
+
+def _assert_view_matches_classic(recorder: TraceRecorder) -> None:
+    """Diff a recorder's knowledge-vector analyses against the classic recompute.
+
+    The reference is a provider-less :class:`CCP` over the same log, whose
+    analysis cache answers Theorems 1/2 and Lemma 1 by vector-clock replay and
+    pairwise ``causally_precedes``.  Only valid on unpruned logs: a pruned log
+    has lost the edges the replay needs.
+    """
+    assert not any(recorder.log.checkpoint_bases), "classic reference needs an unpruned log"
+    view = recorder.ccp().analyses
+    classic = CCP(
+        recorder.log,
+        recorded_dvs=recorder.recorded_checkpoint_dvs(),
+        departed=recorder.departed,
+    ).analyses
+    assert view.theorem1_retained == classic.theorem1_retained
+    assert view.theorem2_retained == classic.theorem2_retained
+    for pid in classic.ccp.active_processes:
+        if classic.ccp.last_stable(pid) >= 0:  # only a process with a checkpoint can fail
+            assert view.recovery_line({pid}) == classic.recovery_line({pid}), f"F={{{pid}}}"
+
+
+@pytest.fixture(scope="session")
+def assert_view_matches_classic():
+    """The ``"check"`` cross-assertion, as a callable taking a recorder."""
+    return _assert_view_matches_classic
+
+
+class CrossCheckSink(TraceSink):
+    """Cross-checks a recorder right after every recovery session and
+    membership change — the states where the view reuses checkpoint indices,
+    has just been truncated, or has just grown."""
+
+    def __init__(self, recorder: TraceRecorder) -> None:
+        self.recorder = recorder
+        self.checked = 0
+        recorder.attach_sink(self)
+
+    def _check(self, *_args) -> None:
+        _assert_view_matches_classic(self.recorder)
+        self.checked += 1
+
+    on_recovery = on_join = on_leave = _check
+
+
+@pytest.fixture(scope="session")
+def cross_check_sink():
+    """Factory attaching a :class:`CrossCheckSink` to a recorder."""
+    return CrossCheckSink

@@ -119,6 +119,49 @@ class TestCrashConfigurations:
         )
         assert violation is not None and violation.kind == "recovery-line"
 
+    @pytest.mark.parametrize("num_processes, messages", [(2, 3), (3, 4), (3, 5)])
+    def test_mid_round_crash_explores_clean(self, num_processes, messages):
+        # The crash falls between checkpoint rounds, so non-faulty processes
+        # roll back too and the oracles need the full pre-crash history.
+        config = ExploreConfig(
+            num_processes=num_processes,
+            program=ring_program(num_processes, messages, crash_pid=0),
+        )
+        result = explore(config, max_executions=150)
+        assert result.ok, result.first and str(result.first.violation)
+
+    def test_pre_crash_pattern_survives_the_recovery_session(self):
+        from dataclasses import replace
+
+        from repro.simulation.runner import SimulationConfig, SimulationRunner
+        from repro.simulation.workloads import ScriptedWorkload
+
+        runner = SimulationRunner(
+            SimulationConfig(
+                num_processes=2, duration=100.0, workload=ScriptedWorkload([])
+            )
+        )
+        for node in runner.nodes:
+            node.start()
+            node.take_checkpoint(forced=False)
+        runner.nodes[0].send_message(1)  # received after s_1^1: p1 must roll back
+        runner.engine.run(until=50.0)
+        pre_crash_ccp = runner.current_ccp()
+        events_before = pre_crash_ccp.log.total_events()
+        runner.inject_crash(0)
+        record = runner.recoveries[-1]
+        assert record.recovery_line == (1, 1) and record.rolled_back_processes == 2
+        # The snapshot handed out before the crash still holds the discarded
+        # send/receive pair, so the real line passes (brute-force cross-check
+        # included) and a line keeping the orphan receive is rejected.
+        assert pre_crash_ccp.log.total_events() == events_before
+        assert runner.trace.log.total_events() < events_before
+        oracles = OracleStack()
+        assert oracles.check_recovery(pre_crash_ccp, record, step=1) is None
+        orphaned = replace(record, recovery_line=(1, 2))
+        violation = oracles.check_recovery(pre_crash_ccp, orphaned, step=1)
+        assert violation is not None and "inconsistent" in violation.detail
+
 
 class TestScheduleValidation:
     def test_well_formed_schedule_passes(self):

@@ -200,12 +200,24 @@ class TestRunnerMembership:
         with pytest.raises(ValueError, match="outside the run duration"):
             _dynamic_config(duration=50.0)
 
-    def test_incremental_analyses_agree_under_churn(self):
-        """The delta-maintained substrate must match the classic recompute
-        across joins (matrix growth) and leaves (departed exclusion)."""
-        config = _dynamic_config(incremental_analyses="check")
-        result = run_simulation(config)
+    def test_view_matches_classic_under_churn(
+        self, assert_view_matches_classic, cross_check_sink
+    ):
+        """The knowledge-vector substrate must match the classic recompute
+        across joins (matrix growth), leaves (departed exclusion) and a
+        recovery session in between."""
+        config = _dynamic_config(failures=FailureSchedule.of([(40.0, 2)]))
+        runner = SimulationRunner(config)
+        sink = cross_check_sink(runner.trace)  # after the join, the crash, the leave
+        times = [config.duration * fraction for fraction in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        for time in times:
+            runner.engine.schedule_at(
+                time, lambda: assert_view_matches_classic(runner.trace)
+            )
+        result = runner.run()
+        assert sink.checked == 3 and len(result.recoveries) == 1
         assert result.all_audits_safe and result.all_audits_optimal
+        assert_view_matches_classic(runner.trace)
 
 
 class TestNetworkDeparture:
