@@ -39,6 +39,14 @@ full Theorem-1/2 audit) may grow by at most 2x.  A session is meant to cost
 what it rolled back, not the length of the run; replaying or rescanning the
 history per session shows up as ~4x.
 
+The **recording-path** gate (``--smoke`` only) uses the same counter as an
+absolute ceiling: Python lines executed inside
+``TraceRecorder.record_send/record_receive/record_checkpoint`` (callees —
+the ``EventLog`` — included) per recorded occurrence on a fixed audit-off
+run.  The path allocates one record per event and one per message state and
+keeps no second message table; a shadow structure or a per-field
+``__init__`` growing back shows up as tens of lines per occurrence.
+
 Run directly::
 
     python benchmarks/check_regression.py --smoke
@@ -77,6 +85,10 @@ MEMORY_GROWTH_THRESHOLD = 0.20
 SESSION_WARM_UPS = (60.0, 240.0)
 SESSION_SCHEDULE = (20, 40.0)  # sessions, simulated time they are spread over
 SESSION_COST_GROWTH_CEILING = 2.0
+# Recording-path gate: lines per recorded occurrence on its fixed run (28.9
+# when the gate was added, so ~25 % headroom; 61.4 on its parent commit, with
+# the recorder's shadow message tables and dataclass records).
+RECORDING_LINES_CEILING = 36.0
 
 
 def _load_document(path: str) -> Dict[str, Any]:
@@ -222,6 +234,30 @@ def compare(
     return violations
 
 
+class _LineCounter:
+    """Counts the Python lines executed while active (``sys.settrace``).
+
+    The count is a function of the executed code alone — no clock, so a gate
+    built on it cannot flake on a busy host.
+    """
+
+    def __init__(self) -> None:
+        self.lines = 0
+
+    def _trace(self, frame: Any, event: str, arg: Any) -> Any:
+        if event == "line":
+            self.lines += 1
+        return self._trace
+
+    def __enter__(self) -> "_LineCounter":
+        self._previous = sys.gettrace()
+        sys.settrace(self._trace)
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        sys.settrace(self._previous)
+
+
 def recovery_session_cost(warm_up: float) -> float:
     """Python lines executed per recovery session after ``warm_up`` of failure-free history.
 
@@ -229,7 +265,7 @@ def recovery_session_cost(warm_up: float) -> float:
     (``SimulationRunner.inject_crash``) are traced, so the simulation between
     them is not counted, and the first session includes building the
     knowledge tracker from the warm-up history.  The count is a function of
-    the seed alone — no clock, so the gate cannot flake on a busy host.
+    the seed alone.
     """
     from repro.simulation.runner import SimulationConfig, SimulationRunner
     from repro.simulation.workloads import UniformRandomWorkload
@@ -245,21 +281,11 @@ def recovery_session_cost(warm_up: float) -> float:
             audit="full",
         )
     )
-    lines = 0
-
-    def count_line(frame: Any, event: str, arg: Any) -> Any:
-        nonlocal lines
-        if event == "line":
-            lines += 1
-        return count_line
+    counter = _LineCounter()
 
     def crash(pid: int) -> None:
-        previous = sys.gettrace()
-        sys.settrace(count_line)
-        try:
+        with counter:
             runner.inject_crash(pid)
-        finally:
-            sys.settrace(previous)
 
     for index in range(sessions):
         at = warm_up + (index + rng.random()) * window / sessions
@@ -267,7 +293,7 @@ def recovery_session_cost(warm_up: float) -> float:
     result = runner.run()
     if len(result.recoveries) != sessions or not result.all_audits_safe:
         raise RuntimeError("the recovery-session gate's own run went wrong")
-    return lines / sessions
+    return counter.lines / sessions
 
 
 def check_recovery_session_scaling(
@@ -281,6 +307,54 @@ def check_recovery_session_scaling(
             f"recovery-session cost grew {growth:.2f}x ({short:.0f} -> {long:.0f} "
             f"lines per session) when the warm-up history grew "
             f"{SESSION_WARM_UPS[1] / SESSION_WARM_UPS[0]:.0f}x (allowed {ceiling:.1f}x)"
+        ]
+    return []
+
+
+def recording_lines_per_occurrence() -> float:
+    """Python lines executed per recorded send, receive and checkpoint.
+
+    A failure-free 8-process FDAS + RDT-LGC run with the audit off, so no
+    knowledge tracker exists and the recorder does nothing but record; only
+    the three ``TraceRecorder.record_*`` calls are traced (their callees in
+    the ``EventLog`` included), not the simulation around them.
+    """
+    from repro.simulation.runner import SimulationConfig, SimulationRunner
+    from repro.simulation.workloads import UniformRandomWorkload
+
+    runner = SimulationRunner(
+        SimulationConfig(
+            num_processes=8, duration=150.0, workload=UniformRandomWorkload(), seed=1
+        )
+    )
+    counter = _LineCounter()
+    occurrences = 0
+
+    def counted(record: Any) -> Any:
+        def traced(*args: Any, **kwargs: Any) -> None:
+            nonlocal occurrences
+            occurrences += 1
+            with counter:
+                record(*args, **kwargs)
+
+        return traced
+
+    for name in ("record_send", "record_receive", "record_checkpoint"):
+        setattr(runner.trace, name, counted(getattr(runner.trace, name)))
+    result = runner.run()
+    if result.messages_sent == 0 or runner.trace.knowledge_tracker is not None:
+        raise RuntimeError("the recording-path gate's own run went wrong")
+    return counter.lines / occurrences
+
+
+def check_recording_path_cost(*, ceiling: float = RECORDING_LINES_CEILING) -> List[str]:
+    """Gate: recording an occurrence stays one cheap record, kept once."""
+    lines = recording_lines_per_occurrence()
+    if lines > ceiling:
+        return [
+            f"the recording path executes {lines:.1f} Python lines per recorded "
+            f"occurrence (allowed {ceiling:.1f}): TraceRecorder.record_* / "
+            f"EventLog.add_* regrew"
         ]
     return []
 
@@ -359,7 +433,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     # The gates that need no committed baseline.
-    standalone_violations = check_recovery_session_scaling() if args.smoke else []
+    standalone_violations: List[str] = []
+    if args.smoke:
+        standalone_violations += check_recovery_session_scaling()
+        standalone_violations += check_recording_path_cost()
     if not args.skip_campaign:
         standalone_violations += check_campaign_determinism()
 
@@ -414,7 +491,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     memory_note = "skipped" if args.skip_memory else "within threshold"
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
-        f"session scaling gate {'ok' if args.smoke else 'skipped (--smoke only)'}, "
+        f"session scaling and recording-path gates "
+        f"{'ok' if args.smoke else 'skipped (--smoke only)'}, "
         f"campaign gate {campaign_note}, memory gate {memory_note} — ok"
     )
     return 0

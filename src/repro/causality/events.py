@@ -5,16 +5,23 @@ of processes ``p_1 .. p_n`` that communicate only by exchanging messages.  A
 process execution is a sequence of events; events are *internal* (including
 local checkpoints) or *communication* events (send/receive).
 
-The classes in this module are plain, immutable records.  They carry no
-behaviour beyond validation and convenient accessors; all causal reasoning is
-done by :mod:`repro.causality.happens_before` and the CCP layer.
+:class:`Event` and :class:`Message` are immutable, tuple-backed records
+(``NamedTuple`` classes): one allocation each, hashable, comparable and
+picklable by value, with the field names as read-only attributes.  An
+:class:`EventLog` keeps exactly one :class:`Event` per event and one
+:class:`Message` per message; the message carries the positions *and* the
+checkpoint intervals of its send and receive, stamped by the log the moment
+they are recorded, so nothing downstream re-derives or shadows them.  The
+records carry no behaviour beyond validation and convenient accessors; all
+causal reasoning is done by :mod:`repro.causality.happens_before` and the CCP
+layer.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class EventKind(enum.Enum):
@@ -27,6 +34,14 @@ class EventKind(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+# Module-level aliases: an enum member lookup goes through the metaclass
+# (~0.2 us on CPython 3.11), and the recording path does several per event.
+_INTERNAL = EventKind.INTERNAL
+_SEND = EventKind.SEND
+_RECEIVE = EventKind.RECEIVE
+_CHECKPOINT = EventKind.CHECKPOINT
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -44,8 +59,17 @@ class EventId:
         return f"e{self.pid}^{self.seq}"
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class _EventFields(NamedTuple):
+    pid: int
+    seq: int
+    kind: EventKind
+    message_id: Optional[int] = None
+    checkpoint_index: Optional[int] = None
+    time: float = 0.0
+    forced: bool = False
+
+
+class Event(_EventFields):
     """A single event executed by a process.
 
     Parameters
@@ -69,20 +93,23 @@ class Event:
         communication-induced protocol (as opposed to a basic checkpoint).
     """
 
-    pid: int
-    seq: int
-    kind: EventKind
-    message_id: Optional[int] = None
-    checkpoint_index: Optional[int] = None
-    time: float = 0.0
-    forced: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind in (EventKind.SEND, EventKind.RECEIVE):
-            if self.message_id is None:
-                raise ValueError(f"{self.kind} event requires a message_id")
-        if self.kind is EventKind.CHECKPOINT and self.checkpoint_index is None:
+    def __new__(
+        cls,
+        pid: int,
+        seq: int,
+        kind: EventKind,
+        message_id: Optional[int] = None,
+        checkpoint_index: Optional[int] = None,
+        time: float = 0.0,
+        forced: bool = False,
+    ) -> "Event":
+        if message_id is None and (kind is _SEND or kind is _RECEIVE):
+            raise ValueError(f"{kind} event requires a message_id")
+        if checkpoint_index is None and kind is _CHECKPOINT:
             raise ValueError("CHECKPOINT event requires a checkpoint_index")
+        return tuple.__new__(cls, (pid, seq, kind, message_id, checkpoint_index, time, forced))
 
     @property
     def event_id(self) -> EventId:
@@ -91,38 +118,60 @@ class Event:
 
     def is_checkpoint(self) -> bool:
         """True if this event records the taking of a local checkpoint."""
-        return self.kind is EventKind.CHECKPOINT
+        return self.kind is _CHECKPOINT
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         extra = ""
-        if self.kind in (EventKind.SEND, EventKind.RECEIVE):
+        if self.kind in (_SEND, _RECEIVE):
             extra = f"(m{self.message_id})"
-        elif self.kind is EventKind.CHECKPOINT:
+        elif self.kind is _CHECKPOINT:
             extra = f"(c{self.pid}^{self.checkpoint_index})"
         return f"{self.kind.value}@p{self.pid}#{self.seq}{extra}"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """An application message exchanged between two processes.
 
-    A message is *delivered* when both ``send_event`` and ``receive_event`` are
-    known.  Messages that were sent but never received (lost, or still in
-    transit at the cut under analysis) have ``receive_event is None``; they do
-    not contribute dependencies, matching the CCP definition in Section 2.2
-    which excludes lost and in-transit messages.
+    ``send_seq`` / ``receive_seq`` are the positions of the send and receive
+    events in the sender's and receiver's histories; ``send_interval`` /
+    ``receive_interval`` are the checkpoint intervals those events belong to
+    (``alpha`` such that the send is in ``I_sender^alpha``, likewise for the
+    receive) — the only facts about messages the zigzag-path analysis needs
+    (Definition 3).  Interval indices are global: pruning a log re-bases the
+    seqs, never the intervals.
+
+    A message is *delivered* when both its send and its receive are known.
+    Messages that were sent but never received (lost, or still in transit at
+    the cut under analysis) have ``receive_seq == receive_interval == -1`` and
+    ``receive_event is None``; they do not contribute dependencies, matching
+    the CCP definition in Section 2.2 which excludes lost and in-transit
+    messages.
     """
 
     message_id: int
     sender: int
     receiver: int
-    send_event: EventId
-    receive_event: Optional[EventId] = None
+    send_seq: int
+    send_interval: int
+    receive_seq: int = -1
+    receive_interval: int = -1
+
+    @property
+    def send_event(self) -> EventId:
+        """The :class:`EventId` of the send event."""
+        return EventId(self.sender, self.send_seq)
+
+    @property
+    def receive_event(self) -> Optional[EventId]:
+        """The :class:`EventId` of the receive event (None while undelivered)."""
+        if self.receive_seq < 0:
+            return None
+        return EventId(self.receiver, self.receive_seq)
 
     @property
     def delivered(self) -> bool:
         """True if the message was received within the recorded execution."""
-        return self.receive_event is not None
+        return self.receive_seq >= 0
 
 
 @dataclass
@@ -147,7 +196,7 @@ class ProcessHistory:
                 f"got {event.seq}"
             )
         self.events.append(event)
-        if event.kind is EventKind.CHECKPOINT:
+        if event.kind is _CHECKPOINT:
             self.checkpoints.append(event)
 
     def __len__(self) -> int:
@@ -277,12 +326,12 @@ class EventLog:
         return sum(len(h) for h in self._histories)
 
     def messages(self) -> List[Message]:
-        """All registered messages (delivered or not), ordered by id."""
-        return [self._messages[mid] for mid in sorted(self._messages)]
+        """All registered messages (delivered or not), in send-recording order."""
+        return list(self._messages.values())
 
     def delivered_messages(self) -> List[Message]:
         """Messages that have both a send and a receive event."""
-        return [m for m in self.messages() if m.delivered]
+        return [m for m in self._messages.values() if m.receive_seq >= 0]
 
     def message(self, message_id: int) -> Message:
         """The message with id ``message_id``."""
@@ -297,10 +346,9 @@ class EventLog:
     # ------------------------------------------------------------------
     def add_internal(self, pid: int, *, time: float = 0.0) -> Event:
         """Record an internal event at process ``pid``."""
-        event = Event(
-            pid=pid, seq=len(self._histories[pid]), kind=EventKind.INTERNAL, time=time
-        )
-        self._histories[pid].append(event)
+        history = self._histories[pid]
+        event = Event(pid, len(history.events), _INTERNAL, None, None, time)
+        history.append(event)
         return event
 
     def add_checkpoint(
@@ -311,22 +359,15 @@ class EventLog:
         Checkpoint indices must be taken in increasing order, starting at the
         process's checkpoint base (0 unless the log was pruned).
         """
-        last = self._histories[pid].last_checkpoint_index()
-        expected = self._checkpoint_bases[pid] if last < 0 else last + 1
+        history = self._histories[pid]
+        expected = self._checkpoint_bases[pid] + len(history.checkpoints)
         if checkpoint_index != expected:
             raise ValueError(
                 f"process {pid}: expected checkpoint index {expected}, "
                 f"got {checkpoint_index}"
             )
-        event = Event(
-            pid=pid,
-            seq=len(self._histories[pid]),
-            kind=EventKind.CHECKPOINT,
-            checkpoint_index=checkpoint_index,
-            time=time,
-            forced=forced,
-        )
-        self._histories[pid].append(event)
+        event = Event(pid, len(history.events), _CHECKPOINT, None, checkpoint_index, time, forced)
+        history.append(event)
         return event
 
     def add_send(
@@ -339,54 +380,45 @@ class EventLog:
     ) -> Tuple[Event, Message]:
         """Record the sending of a message from ``sender`` to ``receiver``.
 
-        Returns the send event and the (not-yet-delivered) message record.
+        Returns the send event and the (not-yet-delivered) message record,
+        stamped with the sender's current checkpoint interval.
         """
-        if receiver not in self.processes:
+        if not 0 <= receiver < len(self._histories):
             raise ValueError(f"unknown receiver process {receiver}")
         if message_id is None:
             message_id = self._next_message_id
         if message_id in self._messages:
             raise ValueError(f"message id {message_id} already used")
-        self._next_message_id = max(self._next_message_id, message_id + 1)
-        event = Event(
-            pid=sender,
-            seq=len(self._histories[sender]),
-            kind=EventKind.SEND,
-            message_id=message_id,
-            time=time,
-        )
-        self._histories[sender].append(event)
-        message = Message(
-            message_id=message_id,
-            sender=sender,
-            receiver=receiver,
-            send_event=event.event_id,
-        )
+        if message_id >= self._next_message_id:
+            self._next_message_id = message_id + 1
+        history = self._histories[sender]
+        seq = len(history.events)
+        event = Event(sender, seq, _SEND, message_id, None, time)
+        history.append(event)
+        interval = self._checkpoint_bases[sender] + len(history.checkpoints)
+        message = Message(message_id, sender, receiver, seq, interval)
         self._messages[message_id] = message
         return event, message
 
     def add_receive(self, message_id: int, *, time: float = 0.0) -> Event:
-        """Record the receipt of a previously sent message."""
-        if message_id not in self._messages:
+        """Record the receipt of a previously sent message.
+
+        The message record is replaced by its delivered state, stamped with
+        the receiver's current checkpoint interval.
+        """
+        message = self._messages.get(message_id)
+        if message is None:
             raise ValueError(f"receive of unknown message {message_id}")
-        message = self._messages[message_id]
-        if message.delivered:
+        if message.receive_seq >= 0:
             raise ValueError(f"message {message_id} already received")
         pid = message.receiver
-        event = Event(
-            pid=pid,
-            seq=len(self._histories[pid]),
-            kind=EventKind.RECEIVE,
-            message_id=message_id,
-            time=time,
-        )
-        self._histories[pid].append(event)
+        history = self._histories[pid]
+        seq = len(history.events)
+        event = Event(pid, seq, _RECEIVE, message_id, None, time)
+        history.append(event)
+        interval = self._checkpoint_bases[pid] + len(history.checkpoints)
         self._messages[message_id] = Message(
-            message_id=message.message_id,
-            sender=message.sender,
-            receiver=message.receiver,
-            send_event=message.send_event,
-            receive_event=event.event_id,
+            message_id, message.sender, pid, message.send_seq, message.send_interval, seq, interval
         )
         return event
 
@@ -411,15 +443,15 @@ class EventLog:
             events = histories[pid]
             while cursors[pid] < len(events):
                 event = events[cursors[pid]]
-                if event.kind is EventKind.RECEIVE:
+                if event.kind is _RECEIVE:
                     assert event.message_id is not None
-                    send = self._messages[event.message_id].send_event
-                    if cursors[send.pid] <= send.seq:
+                    message = self._messages[event.message_id]
+                    if cursors[message.sender] <= message.send_seq:
                         waiting[event.message_id] = pid
                         break
                 cursors[pid] += 1
                 yield event
-                if event.kind is EventKind.SEND and event.message_id in waiting:
+                if event.kind is _SEND and event.message_id in waiting:
                     runnable.append(waiting.pop(event.message_id))
         if waiting:
             raise ValueError(
@@ -454,7 +486,7 @@ class EventLog:
         for history in self._histories:
             length = lengths[history.pid]
             discarded = history.events[length:]
-            gone = sum(event.kind is EventKind.CHECKPOINT for event in discarded)
+            gone = sum(event.kind is _CHECKPOINT for event in discarded)
             sub._histories[history.pid] = ProcessHistory(
                 history.pid,
                 history.events[:length],
@@ -462,24 +494,21 @@ class EventLog:
             )
         for history in self._histories:
             for event in history.events[lengths[history.pid]:]:
-                if event.kind is EventKind.SEND:
+                if event.kind is _SEND:
                     assert event.message_id is not None
-                    receive = messages.pop(event.message_id).receive_event
-                    if receive is not None and receive.seq < lengths[receive.pid]:
-                        kept = sub._histories[receive.pid].events
-                        orphan = kept[receive.seq]
-                        kept[receive.seq] = Event(
-                            orphan.pid, orphan.seq, EventKind.INTERNAL, time=orphan.time
+                    message = messages.pop(event.message_id)
+                    if 0 <= message.receive_seq < lengths[message.receiver]:
+                        kept = sub._histories[message.receiver].events
+                        orphan = kept[message.receive_seq]
+                        kept[message.receive_seq] = Event(
+                            orphan.pid, orphan.seq, _INTERNAL, time=orphan.time
                         )
-                elif event.kind is EventKind.RECEIVE:
+                elif event.kind is _RECEIVE:
                     assert event.message_id is not None
-                    message = messages.get(event.message_id)
-                    if message is not None:
-                        messages[event.message_id] = Message(
-                            message.message_id,
-                            message.sender,
-                            message.receiver,
-                            message.send_event,
+                    pending = messages.get(event.message_id)
+                    if pending is not None:
+                        messages[event.message_id] = pending._replace(
+                            receive_seq=-1, receive_interval=-1
                         )
         sub._next_message_id = max(messages, default=-1) + 1
         return sub
@@ -502,27 +531,25 @@ class EventLog:
         self._check_window(starts, "suffix start")
         sub = EventLog(self.num_processes, checkpoint_bases=checkpoint_bases)
         for message_id, message in self._messages.items():
-            send, receive = message.send_event, message.receive_event
-            if send.seq < starts[message.sender]:
+            send_seq = message.send_seq - starts[message.sender]
+            if send_seq < 0:
                 continue
-            if receive is not None:
-                if receive.seq < starts[message.receiver]:
+            receive_seq = message.receive_seq
+            if receive_seq >= 0:
+                receive_seq -= starts[message.receiver]
+                if receive_seq < 0:
                     raise ValueError(
                         f"suffix is not send-closed: message {message_id} keeps "
                         "its send but drops its receive"
                     )
-                receive = EventId(receive.pid, receive.seq - starts[receive.pid])
-            sub._messages[message_id] = Message(
-                message_id,
-                message.sender,
-                message.receiver,
-                EventId(send.pid, send.seq - starts[send.pid]),
-                receive,
+            # Interval indices are global: only the positions are re-based.
+            sub._messages[message_id] = message._replace(
+                send_seq=send_seq, receive_seq=receive_seq
             )
         sub._next_message_id = max(sub._messages, default=-1) + 1
         for pid, start in enumerate(starts):
             for event in self._histories[pid].events[start:]:
-                if event.kind is EventKind.CHECKPOINT:
+                if event.kind is _CHECKPOINT:
                     assert event.checkpoint_index is not None
                     sub.add_checkpoint(
                         pid, event.checkpoint_index, time=event.time, forced=event.forced

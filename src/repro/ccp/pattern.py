@@ -13,12 +13,15 @@ by the rest of the library:
   graph rather than from piggybacked vectors);
 * per-checkpoint ground-truth dependency vectors, which — for RDT executions —
   coincide with the vectors an RDT protocol piggybacks (Equation 2);
-* message interval information needed by the zigzag-path analysis.
+* the delivered messages with their send/receive intervals, as needed by the
+  zigzag-path analysis (the log's own :class:`~repro.causality.events.Message`
+  records: the intervals are stamped when the events are recorded).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -32,7 +35,7 @@ from typing import (
 )
 
 from repro.causality.cuts import Cut
-from repro.causality.events import Event, EventId, EventLog
+from repro.causality.events import Event, EventId, EventLog, Message
 from repro.causality.happens_before import CausalOrder
 from repro.ccp.checkpoint import Checkpoint, CheckpointId, CheckpointKind
 
@@ -40,22 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ccp.analysis_cache import AnalysisCache
 
 
-@dataclass(frozen=True, slots=True)
-class MessageInterval:
-    """A delivered message annotated with its send and receive intervals.
-
-    The *send interval* is the index ``alpha`` such that the send event belongs
-    to ``I_sender^alpha``; likewise for the receive interval.  These are the
-    only facts about messages needed for zigzag-path analysis (Definition 3).
-    """
-
-    message_id: int
-    sender: int
-    receiver: int
-    send_interval: int
-    receive_interval: int
-    send_seq: int
-    receive_seq: int
+_event_seq = attrgetter("seq")
 
 
 class CCP:
@@ -66,7 +54,6 @@ class CCP:
         log: EventLog,
         *,
         recorded_dvs: Optional[Mapping[CheckpointId, Sequence[int]]] = None,
-        message_intervals: Optional[Iterable[MessageInterval]] = None,
         analysis_provider: Optional[object] = None,
         departed: Iterable[int] = (),
     ) -> None:
@@ -82,11 +69,6 @@ class CCP:
             by checkpoint id.  When present they are attached to the
             corresponding :class:`Checkpoint` records; ground-truth vectors are
             still available through :meth:`ground_truth_dv`.
-        message_intervals:
-            Pre-computed :class:`MessageInterval` records for every delivered
-            message of ``log``, in any order (derived from the log if absent).
-            Supplied by incremental producers such as the simulation trace
-            recorder, which tracks intervals as events are appended.
         analysis_provider:
             An optional delta-maintained analysis source (see
             :mod:`repro.ccp.incremental`).  When present, the
@@ -116,10 +98,11 @@ class CCP:
         self._checkpoints: Dict[CheckpointId, Checkpoint] = {}
         self._ground_truth_dvs: Dict[CheckpointId, Tuple[int, ...]] = {}
         self._analyses: Optional["AnalysisCache"] = None
-        # Ordered by message id on first use (see messages()): audits and
+        # The registry as of now (the log may keep growing); filtered and
+        # ordered by message id on first use (see messages()): audits and
         # recovery lines never look at the messages.
-        self._unordered_messages = message_intervals
-        self._messages: Optional[List[MessageInterval]] = None
+        self._registry: Optional[List[Message]] = log.messages()
+        self._messages: List[Message] = []
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -153,25 +136,6 @@ class CCP:
     def _recorded_or_none(self, cid: CheckpointId) -> Optional[Tuple[int, ...]]:
         recorded = self._recorded_dvs.get(cid)
         return tuple(recorded) if recorded is not None else None
-
-    def _build_message_intervals(self) -> List[MessageInterval]:
-        intervals: List[MessageInterval] = []
-        for message in self._log.delivered_messages():
-            send_event = self._log.event(message.send_event)
-            assert message.receive_event is not None
-            receive_event = self._log.event(message.receive_event)
-            intervals.append(
-                MessageInterval(
-                    message_id=message.message_id,
-                    sender=message.sender,
-                    receiver=message.receiver,
-                    send_interval=self.interval_of_event(send_event),
-                    receive_interval=self.interval_of_event(receive_event),
-                    send_seq=send_event.seq,
-                    receive_seq=receive_event.seq,
-                )
-            )
-        return intervals
 
     # ------------------------------------------------------------------
     # Basic structure
@@ -320,27 +284,15 @@ class CCP:
         (exclusive), so an event's interval is one more than the index of the
         last checkpoint taken at or before it.
         """
-        if isinstance(event, EventId):
-            event = self._log.event(event)
-        last = self._log.checkpoint_base(event.pid) - 1
-        for ckpt in self._stable_events[event.pid]:
-            if ckpt.seq <= event.seq:
-                assert ckpt.checkpoint_index is not None
-                last = ckpt.checkpoint_index
-            else:
-                break
-        return last + 1
+        checkpoints = self._stable_events[event.pid]
+        taken = bisect_right(checkpoints, event.seq, key=_event_seq)
+        return self._log.checkpoint_base(event.pid) + taken
 
-    def messages(self) -> List[MessageInterval]:
-        """Delivered messages annotated with send/receive intervals, by message id."""
-        if self._messages is None:
-            if self._unordered_messages is None:
-                self._messages = self._build_message_intervals()
-            else:
-                self._messages = sorted(
-                    self._unordered_messages, key=lambda interval: interval.message_id
-                )
-                self._unordered_messages = None
+    def messages(self) -> List[Message]:
+        """Delivered messages with their send/receive intervals, by message id."""
+        if self._registry is not None:
+            self._messages = sorted(m for m in self._registry if m.delivered)
+            self._registry = None
         return list(self._messages)
 
     # ------------------------------------------------------------------

@@ -55,8 +55,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.causality.events import Message
 from repro.ccp.checkpoint import CheckpointId
-from repro.ccp.pattern import CCP, MessageInterval
+from repro.ccp.pattern import CCP
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,12 +82,12 @@ class _ZigzagBase:
 
     def __init__(self, ccp: CCP) -> None:
         self._ccp = ccp
-        self._messages: Dict[int, MessageInterval] = {
+        self._messages: Dict[int, Message] = {
             m.message_id: m for m in ccp.messages()
         }
         # Per-sender message lists sorted by send interval: _start_messages and
         # the hand-off successor computation are range queries on these.
-        self._by_sender: Dict[int, List[MessageInterval]] = {}
+        self._by_sender: Dict[int, List[Message]] = {}
         for message in self._messages.values():
             self._by_sender.setdefault(message.sender, []).append(message)
         for sent in self._by_sender.values():
@@ -105,7 +106,7 @@ class _ZigzagBase:
     # ------------------------------------------------------------------
     # Message graph (lazy; only needed for witness-path search)
     # ------------------------------------------------------------------
-    def _sent_at_or_after(self, pid: int, interval: int) -> List[MessageInterval]:
+    def _sent_at_or_after(self, pid: int, interval: int) -> List[Message]:
         """Messages sent by ``pid`` in interval ``interval`` or later."""
         sent = self._by_sender.get(pid)
         if not sent:

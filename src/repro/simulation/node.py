@@ -25,7 +25,7 @@ collection related to that receipt — is enforced in :meth:`deliver`.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.causality.dependency_vector import DependencyVector
 from repro.gc.base import ControlPlane, GarbageCollector
@@ -171,15 +171,8 @@ class SimulationNode:
 
     def deliver(self, message: AppMessage) -> None:
         """Deliver an application message to this process."""
-        if self._inert:
-            return
-        if self._protocol.should_force_checkpoint(self._dv.as_tuple(), message.piggyback):
-            self.take_checkpoint(forced=True)
-        self._trace.record_receive(message.message_id, self._transport.now())
-        updated = self._dv.absorb(message.piggyback)
-        self._protocol.notify_receive()
-        self._collector.on_receive(message.piggyback, updated, self._dv.as_tuple())
-        self.messages_received += 1
+        if self._receive(message, self._trace.record_receive):
+            self.messages_received += 1
 
     def deliver_duplicate(self, message: AppMessage) -> None:
         """Deliver a duplicate copy of a message this process already received.
@@ -193,15 +186,22 @@ class SimulationNode:
         trace knows the ground truth and records a causally-neutral
         duplicate event instead of a second receive.
         """
+        if self._receive(message, self._trace.record_duplicate_receive):
+            self.duplicates_received += 1
+
+    def _receive(
+        self, message: AppMessage, record: Callable[[int, float], None]
+    ) -> bool:
+        """The delivery path shared by fresh and duplicate copies; False if inert."""
         if self._inert:
-            return
+            return False
         if self._protocol.should_force_checkpoint(self._dv.as_tuple(), message.piggyback):
             self.take_checkpoint(forced=True)
-        self._trace.record_duplicate_receive(message.message_id, self._transport.now())
+        record(message.message_id, self._transport.now())
         updated = self._dv.absorb(message.piggyback)
         self._protocol.notify_receive()
         self._collector.on_receive(message.piggyback, updated, self._dv.as_tuple())
-        self.duplicates_received += 1
+        return True
 
     def take_checkpoint(self, *, forced: bool = False, payload: Any = None) -> int:
         """Take a basic or forced checkpoint; returns its index."""
@@ -209,15 +209,11 @@ class SimulationNode:
             return self._storage.last_index()
         index = self._dv.current_interval()
         now = self._transport.now()
-        self._storage.store(
-            index, self._dv.as_tuple(), payload=payload, forced=forced, time=now
-        )
-        self._trace.record_checkpoint(
-            self._pid, index, self._dv.as_tuple(), forced=forced, time=now
-        )
-        self._collector.on_checkpoint_stored(
-            index, self._dv.as_tuple(), forced=forced, time=now
-        )
+        # One snapshot for storage, trace and collector (tuples are immutable).
+        dv = self._dv.as_tuple()
+        self._storage.store(index, dv, payload=payload, forced=forced, time=now)
+        self._trace.record_checkpoint(self._pid, index, dv, forced=forced, time=now)
+        self._collector.on_checkpoint_stored(index, dv, forced=forced, time=now)
         self._protocol.notify_checkpoint()
         self._dv.advance_after_checkpoint()
         if forced:

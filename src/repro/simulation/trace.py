@@ -8,16 +8,15 @@ of the recorded execution is exactly the pattern the paper's characterisations
 are stated over, so the recorder is what connects the *online* algorithms to
 the *offline* oracles in tests and benchmarks.
 
-The recorder keeps the CCP substrate current as events arrive rather than
-re-deriving it per snapshot:
-
-* checkpoint-interval indices of message send/receive events are assigned at
-  record time (an event's interval is fixed the moment it happens), so the
-  :class:`repro.ccp.pattern.MessageInterval` table never has to be recomputed
-  from the log;
-* :meth:`ccp` memoises the built pattern keyed on a mutation version: while
-  no new event arrives, every caller receives the *same* CCP object and with
-  it the same shared :class:`repro.ccp.analysis_cache.AnalysisCache`.
+The event log *is* the CCP substrate: the log stamps every message with the
+checkpoint intervals of its send and receive the moment they are recorded
+(an event's interval is fixed when it happens), and the recorder keeps no
+message table of its own — which sends are pending, which messages are
+delivered and in which intervals is read from the log's one
+:class:`repro.causality.events.Message` record per message.  :meth:`ccp`
+memoises the built pattern keyed on a mutation version: while no new event
+arrives, every caller receives the *same* CCP object and with it the same
+shared :class:`repro.ccp.analysis_cache.AnalysisCache`.
 
 :meth:`ccp` is the only gate to analysis, and every snapshot it hands out
 carries an :class:`repro.ccp.incremental.IncrementalAnalysisView` as its
@@ -45,9 +44,10 @@ only authoritative one.
 Recovery sessions rewrite history: the post-rollback state of the system is the
 recovery-line cut, so :meth:`apply_recovery` truncates each rolled-back
 process's history at its recovery-line component (the resulting prefix is a
-consistent cut because the recovery line is consistent) and repairs the
-substrate from the discarded suffixes alone — a session costs what it rolled
-back, not the length of the run.
+consistent cut because the recovery line is consistent);
+:meth:`repro.causality.events.EventLog.prefix` repairs the message records
+from the discarded suffixes alone — a session costs what it rolled back, not
+the length of the run.
 
 Persistence: the recorder accepts :class:`TraceSink` observers
 (:meth:`attach_sink`).  Every successfully recorded occurrence — including
@@ -77,7 +77,7 @@ from typing import (
 from repro.causality.events import EventKind, EventLog
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.incremental import CheckpointKnowledgeTracker, IncrementalAnalysisView
-from repro.ccp.pattern import CCP, MessageInterval
+from repro.ccp.pattern import CCP
 from repro.membership import MembershipError, MembershipView
 from repro.recovery.rollback_plan import RollbackPlan
 
@@ -156,8 +156,6 @@ class TraceRecorder:
             CheckpointKnowledgeTracker(num_processes) if prune else None
         )
         self._checkpoints_taken = [0] * num_processes
-        self._message_intervals: Dict[int, MessageInterval] = {}
-        self._pending_sends: Dict[int, Tuple[int, int, int, int]] = {}
         # Obsolescence-driven pruning state.
         self._prune_enabled = prune
         self._prune_threshold = prune_threshold
@@ -243,15 +241,7 @@ class TraceRecorder:
     ) -> None:
         """Record the sending of an application message."""
         self._require_member(sender)
-        event, _ = self._log.add_send(
-            sender, receiver, message_id=message_id, time=time
-        )
-        self._pending_sends[message_id] = (
-            sender,
-            receiver,
-            self._checkpoints_taken[sender],
-            event.seq,
-        )
+        self._log.add_send(sender, receiver, message_id=message_id, time=time)
         if self._tracker is not None:
             self._tracker.note_send(message_id, sender)
         self._version += 1
@@ -284,18 +274,8 @@ class TraceRecorder:
         if not self._log.has_message(message_id):
             return
         event = self._log.add_receive(message_id, time=time)
-        sender, receiver, send_interval, send_seq = self._pending_sends.pop(message_id)
-        self._message_intervals[message_id] = MessageInterval(
-            message_id=message_id,
-            sender=sender,
-            receiver=receiver,
-            send_interval=send_interval,
-            receive_interval=self._checkpoints_taken[receiver],
-            send_seq=send_seq,
-            receive_seq=event.seq,
-        )
         if self._tracker is not None:
-            self._tracker.note_receive(message_id, receiver, event.seq)
+            self._tracker.note_receive(message_id, event.pid, event.seq)
         self._version += 1
         for sink in self._sinks:
             sink.on_receive(message_id, time)
@@ -483,21 +463,22 @@ class TraceRecorder:
         if upper == 0 or (not force and upper < self._prune_threshold):
             return False
         cut = desired
+        delivered = self._log.delivered_messages()
         changed = True
         while changed:
             changed = False
-            for interval in self._message_intervals.values():
-                sender_cut = cut[interval.sender] > bases[interval.sender]
+            for message in delivered:
+                sender_cut = cut[message.sender] > bases[message.sender]
                 send_kept = (
-                    not sender_cut or interval.send_interval > cut[interval.sender]
+                    not sender_cut or message.send_interval > cut[message.sender]
                 )
                 if (
                     send_kept
-                    and cut[interval.receiver] > bases[interval.receiver]
-                    and interval.receive_interval <= cut[interval.receiver]
+                    and cut[message.receiver] > bases[message.receiver]
+                    and message.receive_interval <= cut[message.receiver]
                 ):
-                    cut[interval.receiver] = max(
-                        bases[interval.receiver], interval.receive_interval - 1
+                    cut[message.receiver] = max(
+                        bases[message.receiver], message.receive_interval - 1
                     )
                     changed = True
         starts = [
@@ -512,41 +493,18 @@ class TraceRecorder:
 
     def _perform_prune(self, cut: List[int], starts: List[int]) -> None:
         """Apply a computed send-closed cut: rewrite the log and remap state."""
-        pruned_delivered = [
-            message_id
-            for message_id, interval in self._message_intervals.items()
-            if interval.send_seq < starts[interval.sender]
-        ]
-        for message_id in pruned_delivered:
-            interval = self._message_intervals.pop(message_id)
-            self._pruned_delivered[message_id] = interval.receiver
-        pruned_pending = [
-            message_id
-            for message_id, (sender, _, _, seq) in self._pending_sends.items()
-            if seq < starts[sender]
-        ]
-        for message_id in pruned_pending:
-            sender, receiver, _, _ = self._pending_sends.pop(message_id)
-            self._pruned_pending[message_id] = (sender, receiver)
+        pruned_delivered: List[int] = []
+        for message in self._log.messages():
+            if message.send_seq < starts[message.sender]:
+                if message.delivered:
+                    pruned_delivered.append(message.message_id)
+                    self._pruned_delivered[message.message_id] = message.receiver
+                else:
+                    self._pruned_pending[message.message_id] = (
+                        message.sender,
+                        message.receiver,
+                    )
         self._log = self._log.suffix(starts, checkpoint_bases=cut)
-        self._message_intervals = {
-            message_id: MessageInterval(
-                message_id=interval.message_id,
-                sender=interval.sender,
-                receiver=interval.receiver,
-                send_interval=interval.send_interval,
-                receive_interval=interval.receive_interval,
-                send_seq=interval.send_seq - starts[interval.sender],
-                receive_seq=interval.receive_seq - starts[interval.receiver],
-            )
-            for message_id, interval in self._message_intervals.items()
-        }
-        self._pending_sends = {
-            message_id: (sender, receiver, send_interval, seq - starts[sender])
-            for message_id, (sender, receiver, send_interval, seq) in (
-                self._pending_sends.items()
-            )
-        }
         stale_cids = [
             cid for cid in self._recorded_dvs if cid.index < cut[cid.pid]
         ]
@@ -567,8 +525,9 @@ class TraceRecorder:
         """Truncate the recorded history at the recovery line of ``plan``.
 
         Everything is repaired from the discarded suffixes: only there can a
-        message lose its send (dropped) or its receive (pending again), and
-        only there do checkpoints disappear.
+        message lose its send (dropped) or its receive (pending again — the
+        log's :meth:`~repro.causality.events.EventLog.prefix` sees to both),
+        and only there do checkpoints disappear.
         """
         lengths = [len(self._log.history(pid)) for pid in range(self._num_processes)]
         for rollback in plan.rollbacks:
@@ -588,18 +547,6 @@ class TraceRecorder:
                 if event.kind is EventKind.SEND:
                     assert event.message_id is not None
                     newly_dropped.append(event.message_id)
-                    self._pending_sends.pop(event.message_id, None)
-                    self._message_intervals.pop(event.message_id, None)
-                elif event.kind is EventKind.RECEIVE:
-                    assert event.message_id is not None
-                    interval = self._message_intervals.pop(event.message_id, None)
-                    if interval is not None and interval.send_seq < lengths[interval.sender]:
-                        self._pending_sends[event.message_id] = (
-                            interval.sender,
-                            interval.receiver,
-                            interval.send_interval,
-                            interval.send_seq,
-                        )
                 elif event.kind is EventKind.CHECKPOINT:
                     assert event.checkpoint_index is not None
                     stale.append(CheckpointId(pid, event.checkpoint_index))
@@ -680,7 +627,6 @@ class TraceRecorder:
         ccp = CCP(
             self._log,
             recorded_dvs=recorded,
-            message_intervals=list(self._message_intervals.values()),
             analysis_provider=IncrementalAnalysisView(self),
             departed=self._membership.departed,
         )

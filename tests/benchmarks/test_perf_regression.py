@@ -7,9 +7,10 @@ itself: the headline acceptance row (8 processes / 2000 messages at >= 10x
 over the brute-force reference), the datacenter-tier latency row (64
 processes / 10^5 messages under 50 ms per instant), the medium-tier memory
 section (>= 30% peak reduction from pruning), the fresh pruned-run memory
-gate (peak traced bytes must stay within 20% of the committed baseline) and
-the recovery-session scaling gate (a session may cost at most 2x more after a
-4x longer warm-up history).
+gate (peak traced bytes must stay within 20% of the committed baseline), the
+recovery-session scaling gate (a session may cost at most 2x more after a
+4x longer warm-up history) and the recording-path gate (executed lines per
+recorded send/receive/checkpoint under an absolute ceiling).
 """
 
 import json
@@ -100,11 +101,26 @@ def test_smoke_regression_check_passes(committed_document):
     the committed baseline fails tier-1.  So does the recovery-session scaling
     gate (a ratio of two executed-line counts, a function of the seed alone):
     replaying or rescanning the history per session reads ~3.6x against its
-    2x ceiling, and the violation printed on stderr names it.
+    2x ceiling, and the violation printed on stderr names it.  The
+    recording-path gate runs here too and has its own test below.
     """
     from benchmarks.check_regression import main
 
     assert main(["--smoke", "--threshold", "0.5", "--skip-campaign"]) == 0
+
+
+def test_recording_path_stays_under_its_line_ceiling():
+    """One cheap record per event, one per message state, each fact kept once.
+
+    An executed-line count per recorded occurrence (a function of the seed
+    alone); the recorder with shadow message tables and dataclass records
+    this gate was added against reads 1.7x the ceiling.
+    """
+    from benchmarks.check_regression import check_recording_path_cost
+
+    assert check_recording_path_cost() == []
+    (violation,) = check_recording_path_cost(ceiling=1.0)  # the gate can fire
+    assert "TraceRecorder.record_*" in violation
 
 
 def test_campaign_gate_is_deterministic_across_worker_counts():

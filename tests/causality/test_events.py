@@ -1,8 +1,13 @@
 """Unit tests for the event log substrate."""
 
-import pytest
+import pickle
 
-from repro.causality.events import Event, EventId, EventKind, EventLog
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.causality.events import Event, EventId, EventKind, EventLog, Message
+from repro.ccp.pattern import CCP
 
 
 class TestEvent:
@@ -26,6 +31,52 @@ class TestEvent:
         event = Event(pid=0, seq=0, kind=EventKind.CHECKPOINT, checkpoint_index=0)
         assert event.is_checkpoint()
         assert not Event(pid=0, seq=1, kind=EventKind.INTERNAL).is_checkpoint()
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_keyword = Event(pid=1, seq=2, kind=EventKind.SEND, message_id=3, time=4.0)
+        assert Event(1, 2, EventKind.SEND, 3, None, 4.0) == by_keyword
+        assert by_keyword.checkpoint_index is None and by_keyword.forced is False
+
+
+RECORDS = [
+    Event(pid=1, seq=2, kind=EventKind.SEND, message_id=3, time=4.0),
+    Event(pid=0, seq=0, kind=EventKind.CHECKPOINT, checkpoint_index=0, forced=True),
+    Message(message_id=3, sender=1, receiver=0, send_seq=2, send_interval=1),
+    Message(3, 1, 0, 2, 1, receive_seq=5, receive_interval=2),
+]
+
+
+class TestRecordsAreValues:
+    """``Event`` and ``Message`` are immutable, dict-less, hashable, picklable."""
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_immutable_and_without_instance_dict(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 9)
+        with pytest.raises(AttributeError):
+            record.extra = 9
+        assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_equality_and_hash_by_value(self, record):
+        twin = type(record)(*record)
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+        assert record._replace(**{record._fields[1]: 7}) != record
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_pickle_round_trip(self, record):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(record, protocol))
+            assert type(clone) is type(record) and clone == record
+
+    def test_message_accessors(self):
+        pending, delivered = RECORDS[2], RECORDS[3]
+        assert pending.send_event == EventId(1, 2)
+        assert pending.receive_event is None and not pending.delivered
+        assert (pending.receive_seq, pending.receive_interval) == (-1, -1)
+        assert delivered.receive_event == EventId(0, 5) and delivered.delivered
 
 
 class TestEventLogConstruction:
@@ -79,6 +130,44 @@ class TestEventLogConstruction:
         log.add_send(0, 1, message_id=7)
         with pytest.raises(ValueError):
             log.add_send(1, 0, message_id=7)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            lambda log: log.add_internal(-1),
+            lambda log: log.add_checkpoint(-1, 1),
+            lambda log: log.add_send(-1, 0),
+            lambda log: log.add_send(0, -1),
+        ],
+    )
+    def test_negative_pid_rejected(self, record):
+        log = EventLog(2)
+        for pid in log.processes:
+            log.add_checkpoint(pid, 0)
+        with pytest.raises(ValueError):
+            record(log)
+        assert log.total_events() == 2 and log.messages() == []
+
+    def test_history_rejects_out_of_sequence_events(self):
+        log = EventLog(1)
+        log.add_internal(0)
+        with pytest.raises(ValueError, match="expected seq 1"):
+            log.history(0).append(Event(pid=0, seq=2, kind=EventKind.INTERNAL))
+        with pytest.raises(ValueError, match="expected seq 1"):
+            log.history(0).append(Event(pid=0, seq=0, kind=EventKind.INTERNAL))
+
+    def test_messages_are_stamped_with_their_intervals(self):
+        log = EventLog(2)
+        _, early = log.add_send(0, 1)  # before any checkpoint: interval 0
+        log.add_checkpoint(0, 0)
+        log.add_checkpoint(1, 0)
+        log.add_checkpoint(1, 1)
+        _, late = log.add_send(0, 1)
+        log.add_receive(late.message_id)
+        assert (early.send_seq, early.send_interval) == (0, 0)
+        assert log.message(late.message_id) == Message(
+            late.message_id, 0, 1, send_seq=2, send_interval=1, receive_seq=2, receive_interval=2
+        )
 
     def test_explicit_message_ids_do_not_collide_with_auto_ids(self):
         log = EventLog(2)
@@ -201,7 +290,8 @@ def _assert_same_log(actual, reference):
     assert actual.checkpoint_bases == reference.checkpoint_bases
     for pid in reference.processes:
         assert actual.history(pid).events == reference.history(pid).events
-    assert actual.messages() == reference.messages()
+    # Same records; the reference registers its sends in another order.
+    assert sorted(actual.messages()) == sorted(reference.messages())
     # The construction state carries over too: the next automatic message id
     # and the next checkpoint index each process may record.
     assert actual.add_send(0, 1)[1].message_id == reference.add_send(0, 1)[1].message_id
@@ -249,6 +339,31 @@ def _close_under_sends(log, lengths):
                 lengths[receive.pid] = receive.seq
                 changed = True
     return lengths
+
+
+def _send_closed_window(log, rng):
+    """Random ``suffix`` arguments: ``(starts, checkpoint_bases)``.
+
+    Cut each process at one of its checkpoint events, then weaken the cut
+    until it is send-closed (a receiver that would lose the receive of a
+    surviving send keeps its whole history).
+    """
+    bases, starts = list(log.checkpoint_bases), [0] * log.num_processes
+    for pid in log.processes:
+        checkpoints = log.history(pid).checkpoint_events()
+        if checkpoints:
+            chosen = rng.choice(checkpoints)
+            bases[pid], starts[pid] = chosen.checkpoint_index, chosen.seq
+    changed = True
+    while changed:
+        changed = False
+        for message in log.delivered_messages():
+            send, receive = message.send_event, message.receive_event
+            if send.seq >= starts[send.pid] and 0 < starts[receive.pid] > receive.seq:
+                bases[receive.pid] = log.checkpoint_base(receive.pid)
+                starts[receive.pid] = 0
+                changed = True
+    return starts, bases
 
 
 def _kinds(log, lengths=None):
@@ -316,23 +431,7 @@ class TestWindowsMatchReaddReference:
         for seed in self.SEEDS:
             log = _random_log(seed)
             rng = random.Random(seed)
-            # Cut each process at one of its checkpoint events, then weaken
-            # the cut until it is send-closed (a receiver that would lose the
-            # receive of a surviving send keeps its whole history).
-            bases, starts = [], []
-            for pid in log.processes:
-                checkpoints = log.history(pid).checkpoint_events()
-                chosen = rng.choice(checkpoints) if checkpoints else None
-                bases.append(chosen.checkpoint_index if chosen else 0)
-                starts.append(chosen.seq if chosen else 0)
-            changed = True
-            while changed:
-                changed = False
-                for message in log.delivered_messages():
-                    send, receive = message.send_event, message.receive_event
-                    if send.seq >= starts[send.pid] and 0 < starts[receive.pid] > receive.seq:
-                        bases[receive.pid] = starts[receive.pid] = 0
-                        changed = True
+            starts, bases = _send_closed_window(log, rng)
             pruned += any(starts)
             ends = [len(log.history(pid)) for pid in log.processes]
             _assert_same_log(
@@ -356,3 +455,69 @@ class TestWindowsMatchReaddReference:
             log.suffix([0, 2], checkpoint_bases=[0, 1])
         with pytest.raises(ValueError, match="expected checkpoint index"):
             log.suffix([2, 2], checkpoint_bases=[0, 0])  # p1's first survivor is s^1
+
+
+def _assert_messages_describe_the_events(log):
+    """Every ``Message`` agrees with the SEND/RECEIVE events it stands for.
+
+    The stamped intervals are checked against :meth:`CCP.interval_of_event`
+    and against a count of the checkpoint events before the position.
+    """
+    ccp = CCP(log)
+
+    def interval(event):
+        before = log.history(event.pid).events[: event.seq]
+        counted = sum(e.kind is EventKind.CHECKPOINT for e in before)
+        assert ccp.interval_of_event(event) == ccp.interval_of_event(event.event_id)
+        assert ccp.interval_of_event(event) == log.checkpoint_base(event.pid) + counted
+        return ccp.interval_of_event(event)
+
+    for message in log.messages():
+        send = log.event(message.send_event)
+        assert (send.kind, send.pid, send.message_id) == (
+            EventKind.SEND, message.sender, message.message_id
+        )
+        assert message.send_interval == interval(send)
+        if message.delivered:
+            receive = log.event(message.receive_event)
+            assert (receive.kind, receive.pid, receive.message_id) == (
+                EventKind.RECEIVE, message.receiver, message.message_id
+            )
+            assert message.receive_interval == interval(receive)
+        else:
+            assert message.receive_event is None
+            assert (message.receive_seq, message.receive_interval) == (-1, -1)
+    # And the other way round: no SEND or RECEIVE event without its record.
+    for event in log.events():
+        if event.kind is EventKind.SEND:
+            assert log.message(event.message_id).send_event == event.event_id
+        elif event.kind is EventKind.RECEIVE:
+            assert log.message(event.message_id).receive_event == event.event_id
+
+
+class TestMessagesDescribeTheEvents:
+    """The one record per message stays true to the events through every window."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_after_prefix_suffix_and_late_receives(self, seed, data):
+        log = _random_log(seed)
+        _assert_messages_describe_the_events(log)
+        lengths = [
+            data.draw(st.integers(0, len(log.history(pid))), label=f"length[{pid}]")
+            for pid in log.processes
+        ]
+        rng = data.draw(st.randoms(use_true_random=False))
+        for window in (log, log.prefix(lengths)):
+            _assert_messages_describe_the_events(window)
+            starts, bases = _send_closed_window(window, rng)
+            based = window.suffix(starts, checkpoint_bases=bases)
+            _assert_messages_describe_the_events(based)
+            # Recording goes on in a based log: stamps count from the base.
+            for message in based.messages():
+                if not message.delivered and rng.random() < 0.7:
+                    based.add_receive(message.message_id)
+            taken = len(based.history(0).checkpoint_events())
+            based.add_checkpoint(0, based.checkpoint_base(0) + taken)
+            based.add_receive(based.add_send(0, 1)[1].message_id)
+            _assert_messages_describe_the_events(based)

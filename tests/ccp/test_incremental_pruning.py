@@ -20,8 +20,12 @@ must remain a complete, faithful artifact (pruning is invisible to sinks).
 
 import pytest
 
+from repro.causality.events import EventKind, Message
 from repro.ccp.checkpoint import CheckpointId
+from repro.ccp.consistency import GlobalCheckpoint
 from repro.ccp.zigzag import BruteForceZigzagAnalysis, ZigzagAnalysis
+from repro.recovery.manager import RecoveryManager
+from repro.recovery.rollback_plan import ProcessRollback, RollbackPlan
 from repro.scenarios.random_patterns import TraceFeeder, random_ccp_script
 from repro.simulation.trace import TraceRecorder
 
@@ -297,6 +301,102 @@ class TestChurnSchedules:
         result = run_simulation(config)
         assert result.recoveries
         assert traceio_main(["replay", path, "--verify"]) == 0
+
+
+def _messages_from_events(log):
+    """Brute force: the delivered messages and their intervals, from the events alone."""
+    sends, receives = {}, {}
+    for pid in log.processes:
+        interval = log.checkpoint_base(pid)
+        for event in log.history(pid).events:
+            if event.kind is EventKind.CHECKPOINT:
+                interval = event.checkpoint_index + 1
+            elif event.kind is EventKind.SEND:
+                sends[event.message_id] = (pid, event.seq, interval)
+            elif event.kind is EventKind.RECEIVE:
+                receives[event.message_id] = (pid, event.seq, interval)
+    messages = []
+    for message_id in sorted(receives):
+        sender, send_seq, send_interval = sends[message_id]  # no receive without its send
+        receiver, receive_seq, receive_interval = receives[message_id]
+        messages.append(
+            Message(
+                message_id, sender, receiver, send_seq, send_interval, receive_seq, receive_interval
+            )
+        )
+    return messages
+
+
+def _assert_late_receive_accepted_once(recorder, message_id):
+    assert not recorder.log.message(message_id).delivered
+    recorder.record_receive(message_id, 10_000.0)
+    assert recorder.log.message(message_id).delivered
+    for _ in range(2):
+        with pytest.raises(ValueError, match="already received"):
+            recorder.record_receive(message_id, 10_001.0)
+
+
+class TestRecorderReadsTheLog:
+    """The recorder keeps no message table: its CCP's messages are the log's."""
+
+    def test_recovery_repairs_both_ends_of_a_message(self):
+        recorder = TraceRecorder(3)
+        feeder = TraceFeeder(recorder)
+        feeder.feed(
+            [
+                ("send", 0, 1, 0),  # send kept, receive discarded: pending again
+                ("receive", 0),
+                ("checkpoint", 1),
+                ("send", 1, 2, 1),  # send discarded, receive kept: a placeholder
+                ("receive", 1),
+                ("send", 2, 0, 2),  # untouched
+                ("receive", 2),
+                ("send", 1, 0, 3),  # in transit, send discarded
+            ]
+        )
+        assert [m.message_id for m in recorder.ccp().messages()] == [0, 1, 2]
+        receive_of_1 = recorder.log.message(1).receive_event
+        recorder.apply_recovery(
+            RollbackPlan(
+                faulty=(1,),
+                recovery_line=GlobalCheckpoint((1, 0, 1)),
+                rollbacks=(ProcessRollback(1, 0),),
+                last_interval_vector=(1, 1, 1),
+            )
+        )
+        log = recorder.log
+        assert recorder.ccp().messages() == _messages_from_events(log) == [log.message(2)]
+        assert log.has_message(0) and not log.has_message(1) and not log.has_message(3)
+        assert log.event(receive_of_1).kind is EventKind.INTERNAL
+        recorder.record_receive(1, 9_000.0)  # its send was rolled back: ignored
+        assert log.event(receive_of_1).kind is EventKind.INTERNAL and not log.has_message(1)
+        _assert_late_receive_accepted_once(recorder, 0)
+        assert log.message(0) == Message(0, 0, 1, 1, 1, receive_seq=1, receive_interval=1)
+        assert recorder.ccp().messages() == _messages_from_events(log)
+        assert [m.message_id for m in recorder.ccp().messages()] == [0, 2]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_messages_equal_the_events_under_churn_and_pruning(self, seed):
+        script = _script(seed)
+        num_processes = 2 + seed % 5
+        recorder = TraceRecorder(num_processes, prune=True, prune_threshold=8)
+        feeder = TraceFeeder(recorder)
+        for part, chunk in enumerate(_chunks(script)):
+            feeder.feed(chunk)
+            assert recorder.ccp().messages() == _messages_from_events(recorder.log)
+            if part == 2:
+                delivered = {m.message_id for m in recorder.log.delivered_messages()}
+                plan = RecoveryManager().plan(recorder.ccp(), [seed % num_processes])
+                recorder.apply_recovery(plan)
+                feeder.resync()
+                assert recorder.ccp().messages() == _messages_from_events(recorder.log)
+                for message in recorder.log.messages():
+                    if message.message_id in delivered and not message.delivered:
+                        _assert_late_receive_accepted_once(recorder, message.message_id)
+                assert recorder.ccp().messages() == _messages_from_events(recorder.log)
+            _eliminate_theorem1_garbage(recorder)
+        recorder.maybe_prune(force=True)
+        assert recorder.ccp().messages() == _messages_from_events(recorder.log)
 
 
 class TestFeederResync:

@@ -166,9 +166,7 @@ class TestRecorderRoundTrip:
         replayed = TraceReader(path).replay()
         live_ccp = runner.trace.ccp()
         replayed_ccp = replayed.recorder.ccp()
-        assert [
-            dataclasses.astuple(m) for m in replayed_ccp.messages()
-        ] == [dataclasses.astuple(m) for m in live_ccp.messages()]
+        assert replayed_ccp.messages() == live_ccp.messages()
         assert (
             replayed_ccp.analyses.useless_checkpoints
             == live_ccp.analyses.useless_checkpoints
