@@ -47,6 +47,14 @@ run.  The path allocates one record per event and one per message state and
 keeps no second message table; a shadow structure or a per-field
 ``__init__`` growing back shows up as tens of lines per occurrence.
 
+The **trace-codec** gate (``--smoke`` only) counts the same way on the same
+run with a trace attached: lines executed inside ``TraceWriter.on_send/
+on_receive/on_checkpoint/write_sample`` per record written, and inside
+``TraceReader.lines()`` plus ``validate_record`` per line read back.  A line
+costs a format string (or one shared encoder), one unbuffered write and one
+C scan; a per-record ``json.dumps``/``json.loads`` wrapper chain, a buffered
+write-and-flush pair or a table rebuilt per record shows up as 2-4x.
+
 Run directly::
 
     python benchmarks/check_regression.py --smoke
@@ -60,6 +68,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -89,6 +98,11 @@ SESSION_COST_GROWTH_CEILING = 2.0
 # when the gate was added, so ~25 % headroom; 61.4 on its parent commit, with
 # the recorder's shadow message tables and dataclass records).
 RECORDING_LINES_CEILING = 36.0
+# Trace-codec gate, on the same run with a trace attached: lines per record
+# written and per line read back (13.9 and 16.0 when the gate was added; 53.4
+# and 38.0 on its parent commit, which called json.dumps/json.loads and a
+# buffered write + flush per record).
+TRACE_CODEC_LINES_CEILING = 20.0
 
 
 def _load_document(path: str) -> Dict[str, Any]:
@@ -243,6 +257,17 @@ class _LineCounter:
 
     def __init__(self) -> None:
         self.lines = 0
+        self.calls = 0
+
+    def counting(self, function: Any) -> Any:
+        """``function`` with every call counted and its lines traced."""
+
+        def traced(*args: Any, **kwargs: Any) -> Any:
+            self.calls += 1
+            with self:
+                return function(*args, **kwargs)
+
+        return traced
 
     def _trace(self, frame: Any, event: str, arg: Any) -> Any:
         if event == "line":
@@ -311,6 +336,20 @@ def check_recovery_session_scaling(
     return []
 
 
+def _recording_run_config(trace_path: Optional[str] = None) -> Any:
+    """The fixed run of the recording-path and trace-codec gates."""
+    from repro.simulation.runner import SimulationConfig
+    from repro.simulation.workloads import UniformRandomWorkload
+
+    return SimulationConfig(
+        num_processes=8,
+        duration=150.0,
+        workload=UniformRandomWorkload(),
+        seed=1,
+        trace_path=trace_path,
+    )
+
+
 def recording_lines_per_occurrence() -> float:
     """Python lines executed per recorded send, receive and checkpoint.
 
@@ -319,32 +358,16 @@ def recording_lines_per_occurrence() -> float:
     the three ``TraceRecorder.record_*`` calls are traced (their callees in
     the ``EventLog`` included), not the simulation around them.
     """
-    from repro.simulation.runner import SimulationConfig, SimulationRunner
-    from repro.simulation.workloads import UniformRandomWorkload
+    from repro.simulation.runner import SimulationRunner
 
-    runner = SimulationRunner(
-        SimulationConfig(
-            num_processes=8, duration=150.0, workload=UniformRandomWorkload(), seed=1
-        )
-    )
+    runner = SimulationRunner(_recording_run_config())
     counter = _LineCounter()
-    occurrences = 0
-
-    def counted(record: Any) -> Any:
-        def traced(*args: Any, **kwargs: Any) -> None:
-            nonlocal occurrences
-            occurrences += 1
-            with counter:
-                record(*args, **kwargs)
-
-        return traced
-
     for name in ("record_send", "record_receive", "record_checkpoint"):
-        setattr(runner.trace, name, counted(getattr(runner.trace, name)))
+        setattr(runner.trace, name, counter.counting(getattr(runner.trace, name)))
     result = runner.run()
     if result.messages_sent == 0 or runner.trace.knowledge_tracker is not None:
         raise RuntimeError("the recording-path gate's own run went wrong")
-    return counter.lines / occurrences
+    return counter.lines / counter.calls
 
 
 def check_recording_path_cost(*, ceiling: float = RECORDING_LINES_CEILING) -> List[str]:
@@ -357,6 +380,64 @@ def check_recording_path_cost(*, ceiling: float = RECORDING_LINES_CEILING) -> Li
             f"EventLog.add_* regrew"
         ]
     return []
+
+
+def trace_codec_lines() -> Tuple[float, float]:
+    """Python lines executed per trace record written and per trace line read.
+
+    The recording-path gate's run, streamed to a trace file.  Written: the
+    four ``TraceWriter`` methods a failure-free run calls per occurrence and
+    per sample, callees (the codec, the write) included.  Read: the file it
+    wrote, through ``TraceReader.lines()`` and ``validate_record`` — replaying
+    the records into a recorder is the recording path, gated above.
+    """
+    from repro.simulation.runner import SimulationRunner
+    from repro.traceio.format import validate_record
+    from repro.traceio.reader import TraceReader
+    from repro.traceio.writer import TraceWriter
+
+    write_counter = _LineCounter()
+    originals = {
+        name: getattr(TraceWriter, name)
+        for name in ("on_send", "on_receive", "on_checkpoint", "write_sample")
+    }
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "gate.trace.jsonl")
+        try:
+            for name, method in originals.items():
+                setattr(TraceWriter, name, write_counter.counting(method))
+            result = SimulationRunner(_recording_run_config(path)).run()
+        finally:
+            for name, method in originals.items():
+                setattr(TraceWriter, name, method)
+        read_counter = _LineCounter()
+        lines_read = 0
+        with read_counter:
+            for line, parsed in TraceReader(path).lines():
+                lines_read += 1
+                if isinstance(parsed, list):
+                    validate_record(parsed, line=line, path=path)
+    # Every record the writer methods wrote, plus the header and the footer.
+    if result.messages_sent == 0 or lines_read != write_counter.calls + 2:
+        raise RuntimeError("the trace-codec gate's own run went wrong")
+    return write_counter.lines / write_counter.calls, read_counter.lines / lines_read
+
+
+def check_trace_codec_cost(*, ceiling: float = TRACE_CODEC_LINES_CEILING) -> List[str]:
+    """Gate: a trace line costs its bytes, not a chain of per-record wrappers."""
+    write_lines, read_lines = trace_codec_lines()
+    violations = []
+    if write_lines > ceiling:
+        violations.append(
+            f"the trace writer executes {write_lines:.1f} Python lines per record "
+            f"(allowed {ceiling:.1f}): TraceWriter.on_* / the format codec regrew"
+        )
+    if read_lines > ceiling:
+        violations.append(
+            f"the trace reader executes {read_lines:.1f} Python lines per line "
+            f"(allowed {ceiling:.1f}): TraceReader.lines / validate_record regrew"
+        )
+    return violations
 
 
 def check_campaign_determinism(*, workers: int = 2) -> List[str]:
@@ -437,6 +518,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.smoke:
         standalone_violations += check_recovery_session_scaling()
         standalone_violations += check_recording_path_cost()
+        standalone_violations += check_trace_codec_cost()
     if not args.skip_campaign:
         standalone_violations += check_campaign_determinism()
 
@@ -491,7 +573,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     memory_note = "skipped" if args.skip_memory else "within threshold"
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
-        f"session scaling and recording-path gates "
+        f"session scaling, recording-path and trace-codec gates "
         f"{'ok' if args.smoke else 'skipped (--smoke only)'}, "
         f"campaign gate {campaign_note}, memory gate {memory_note} — ok"
     )

@@ -1,11 +1,14 @@
 """Per-worker trace shards: the durable half of the live trace pipeline.
 
 Each worker incarnation streams every occurrence it observes to its own
-shard file — JSONL, one record per line, flushed before the occurrence has
-any external effect (in particular a send is durable *before* its datagram
-leaves the socket, so across the whole system a recorded receive always has
-a recorded send).  The coordinator merges the shards into one v2
-:mod:`repro.traceio` artifact (:mod:`repro.live.merge`).
+shard file — JSONL, one record per line, handed to the OS in full before the
+occurrence has any external effect (in particular a send survives a SIGKILL
+of the worker *before* its datagram leaves the socket, so across the whole
+system a recorded receive always has a recorded send).  Lines are encoded,
+written and parsed by the same codec and write discipline as the artifact
+(:mod:`repro.traceio.format`, :func:`repro.traceio.writer.write_line`).  The
+coordinator merges the shards into one v2 :mod:`repro.traceio` artifact
+(:mod:`repro.live.merge`).
 
 Shard lines:
 
@@ -32,19 +35,21 @@ reader's ``allow_partial`` contract.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
+from json import JSONDecodeError
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.traceio.format import (
-    TAG_CHECKPOINT,
     TAG_DUPLICATE,
     TAG_INTERNAL,
-    TAG_RECEIVE,
-    TAG_SEND,
+    decode_line,
+    encode_checkpoint,
+    encode_document,
+    encode_receive,
+    encode_send,
     validate_record,
 )
+from repro.traceio.writer import open_line_file, write_line
 
 #: Shard-only record tag: a collector eliminated a stable checkpoint.
 #: Never part of the merged artifact (eliminations are not trace events);
@@ -60,10 +65,10 @@ class ShardWriter:
 
     Implements the :class:`repro.transport.base.TraceRecorderPort` the node
     writes through, plus the Lamport-clock bookkeeping the merge key needs.
-    Every line is flushed before the write returns; ``after_send`` (when
-    set) fires *after* the send record is durable — the live transport uses
-    it to put the datagram on the wire only once the send can no longer be
-    lost from the recorded history.
+    Every line is handed to the OS before the write returns; ``after_send``
+    (when set) fires *after* that — the live transport uses it to put the
+    datagram on the wire only once a kill of this worker can no longer lose
+    the send from the recorded history.
     """
 
     def __init__(
@@ -83,10 +88,7 @@ class ShardWriter:
         self._records = 0
         self._closed = False
         self.after_send: Optional[Callable[[int], None]] = None
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._handle = open(path, "w", encoding="utf-8")
-        self._write_line(
+        header = encode_document(
             {
                 "shard": SHARD_VERSION,
                 "pid": pid,
@@ -95,6 +97,8 @@ class ShardWriter:
                 "incarnation": incarnation,
             }
         )
+        self._handle = open_line_file(path)
+        write_line(self._handle, header)
 
     # ------------------------------------------------------------------
     # Clock and epoch
@@ -126,17 +130,17 @@ class ShardWriter:
         self, sender: int, receiver: int, message_id: int, time: float
     ) -> None:
         """Record an application send; transmits the datagram once durable."""
-        self._record([TAG_SEND, sender, receiver, message_id, time])
+        self._record(encode_send(sender, receiver, message_id, time))
         if self.after_send is not None:
             self.after_send(message_id)
 
     def record_receive(self, message_id: int, time: float) -> None:
         """Record a first-copy delivery."""
-        self._record([TAG_RECEIVE, message_id, time])
+        self._record(encode_receive(message_id, time))
 
     def record_duplicate_receive(self, message_id: int, time: float) -> None:
         """Record a duplicate-copy delivery."""
-        self._record([TAG_DUPLICATE, message_id, time])
+        self._record(encode_document([TAG_DUPLICATE, message_id, time]))
 
     def record_checkpoint(
         self,
@@ -148,24 +152,15 @@ class ShardWriter:
         time: float,
     ) -> None:
         """Record a stable checkpoint with its stored dependency vector."""
-        self._record(
-            [
-                TAG_CHECKPOINT,
-                pid,
-                index,
-                1 if forced else 0,
-                time,
-                list(dependency_vector),
-            ]
-        )
+        self._record(encode_checkpoint(pid, index, forced, time, dependency_vector))
 
     def record_internal(self, pid: int, time: float) -> None:
         """Record an internal event."""
-        self._record([TAG_INTERNAL, pid, time])
+        self._record(encode_document([TAG_INTERNAL, pid, time]))
 
     def record_elimination(self, pid: int, index: int) -> None:
         """Record a collector elimination (shard-only bookkeeping)."""
-        self._record([TAG_ELIMINATION, pid, index])
+        self._record(encode_document([TAG_ELIMINATION, pid, index]))
 
     # ------------------------------------------------------------------
     # Completion
@@ -174,8 +169,11 @@ class ShardWriter:
         """Write the shard footer and close (clean worker shutdown only)."""
         if self._closed:
             return
-        self._write_line(
-            {"shard_footer": {"records": self._records, "lamport": self._lamport}}
+        write_line(
+            self._handle,
+            encode_document(
+                {"shard_footer": {"records": self._records, "lamport": self._lamport}}
+            ),
         )
         self._closed = True
         self._handle.close()
@@ -183,15 +181,11 @@ class ShardWriter:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _record(self, record: List[Any]) -> None:
+    def _record(self, record: bytes) -> None:
+        """Stamp one encoded record with the merge key and hand it to the OS."""
         self._lamport += 1
         self._records += 1
-        self._write_line([self._epoch, self._lamport, record])
-
-    def _write_line(self, document: Any) -> None:
-        self._handle.write(json.dumps(document, separators=(",", ":")) + "\n")
-        # Flushed per line: a SIGKILLed worker leaves everything it observed.
-        self._handle.flush()
+        write_line(self._handle, b"[%d,%d,%b]" % (self._epoch, self._lamport, record))
 
 
 @dataclass(frozen=True)
@@ -235,10 +229,10 @@ def read_shard(path: str) -> ShardData:
             if not stripped:
                 continue
             try:
-                parsed = json.loads(stripped)
-            except json.JSONDecodeError:
+                parsed = decode_line(stripped)
+            except JSONDecodeError:
                 # A torn final line is the expected remnant of a SIGKILL;
-                # torn *interior* lines would desynchronise json.loads on
+                # torn *interior* lines would desynchronise the parse of
                 # the following line instead, so stopping here is safe.
                 break
             if header is None:

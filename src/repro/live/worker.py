@@ -32,9 +32,9 @@ frame           meaning
 ==============  =========================================================
 
 A worker can be SIGKILLed at any instant; its shard stays a readable
-prefix (flushed per record) and the coordinator reconstructs its storage
-from it — that asymmetry (durable shard, volatile everything else) is the
-paper's crash model made physical.
+prefix (each record is handed to the OS as it happens) and the coordinator
+reconstructs its storage from it — that asymmetry (durable shard, volatile
+everything else) is the paper's crash model made physical.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ A persisted trace is a JSONL file with three kinds of lines:
   injected failure schedule, plus free-form ``meta`` (campaign cell identity
   when the trace was produced by a campaign sweep);
 * **records** (middle lines, JSON arrays): compact tagged tuples, one per
-  recorded occurrence, appended and flushed in the exact order the live
-  :class:`repro.simulation.trace.TraceRecorder` observed them — which is what
+  recorded occurrence, appended — each handed to the OS in full before the
+  recording call returns — in the exact order the live
+  :class:`repro.simulation.trace.TraceRecorder` observed them, which is what
   makes replay deterministic;
 * **footer** (last line, a JSON object under the ``"footer"`` key): record
   and event counts (truncation detection), the run's scalar result record and
@@ -57,12 +58,33 @@ misinterpreting records, and refuse structurally invalid content
 A file whose footer is missing, or whose footer counts disagree with
 the records actually present, raises :class:`TraceTruncatedError`
 unless the caller opts into partial replay.
+
+The codec
+---------
+
+This module is the only place that turns a document into a line's bytes or a
+line back into a document; :class:`~repro.traceio.writer.TraceWriter`,
+:class:`~repro.traceio.reader.TraceReader` and the live backend's shards
+(:mod:`repro.live.shard`) are users of it.  Every line is what ``json.dumps``
+with ``separators=(",", ":")`` produces and what ``json.loads`` accepts — the
+codec only removes the per-line plumbing around the same C encoder and
+scanner.  :func:`encode_document` is one shared
+``JSONEncoder``; the four records a run emits by the ten-thousand
+(:func:`encode_send`, :func:`encode_receive`, :func:`encode_checkpoint`,
+:func:`encode_sample`) are formatted directly when every argument is exactly
+an ``int`` or a finite ``float`` (``float.__repr__`` is what ``json`` emits)
+and fall back to :func:`encode_document` otherwise, so ``True``,
+``numpy.int64`` or ``inf`` read and raise exactly as they do there.
+:func:`decode_line` runs one shared ``JSONDecoder``'s scanner over one
+stripped line; lines are never joined before parsing, because ``[1,[2]`` /
+``[3]]`` would then read as records.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.runner import SimulationConfig, SimulationResult
@@ -87,21 +109,20 @@ TAG_PARTITION = "p"
 TAG_JOIN = "j"
 TAG_LEAVE = "l"
 
-#: Tags the current version knows how to replay.
-KNOWN_TAGS = frozenset(
-    (
-        TAG_SEND,
-        TAG_RECEIVE,
-        TAG_DUPLICATE,
-        TAG_CHECKPOINT,
-        TAG_INTERNAL,
-        TAG_RECOVERY,
-        TAG_SAMPLE,
-        TAG_PARTITION,
-        TAG_JOIN,
-        TAG_LEAVE,
-    )
-)
+#: The tags the current version knows how to replay, each with its record's
+#: number of fields (tag included).
+RECORD_ARITY = {
+    TAG_SEND: 5,
+    TAG_RECEIVE: 3,
+    TAG_DUPLICATE: 3,
+    TAG_CHECKPOINT: 6,
+    TAG_INTERNAL: 3,
+    TAG_RECOVERY: 5,
+    TAG_SAMPLE: 3,
+    TAG_PARTITION: 4,
+    TAG_JOIN: 3,
+    TAG_LEAVE: 3,
+}
 
 
 class TraceError(Exception):
@@ -431,22 +452,97 @@ def validate_record(record: Any, *, line: int, path: str = "<trace>") -> List[An
             f"{path}:{line}: body records must be non-empty JSON arrays"
         )
     tag = record[0]
-    arity = {
-        TAG_SEND: 5,
-        TAG_RECEIVE: 3,
-        TAG_DUPLICATE: 3,
-        TAG_CHECKPOINT: 6,
-        TAG_INTERNAL: 3,
-        TAG_RECOVERY: 5,
-        TAG_SAMPLE: 3,
-        TAG_PARTITION: 4,
-        TAG_JOIN: 3,
-        TAG_LEAVE: 3,
-    }.get(tag)
+    # A garbled tag can be a list or an object, which a dict cannot look up.
+    arity = RECORD_ARITY.get(tag) if isinstance(tag, str) else None
+    if arity == len(record):
+        return record
     if arity is None:
         raise TraceFormatError(f"{path}:{line}: unknown record tag {tag!r}")
-    if len(record) != arity:
-        raise TraceFormatError(
-            f"{path}:{line}: {tag!r} record has {len(record)} fields, expected {arity}"
-        )
-    return record
+    raise TraceFormatError(
+        f"{path}:{line}: {tag!r} record has {len(record)} fields, expected {arity}"
+    )
+
+
+# ----------------------------------------------------------------------
+# Line codec
+# ----------------------------------------------------------------------
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_scan_once = json.JSONDecoder().scan_once
+
+# The direct formats below are json's bytes only for exactly these types and
+# finite values: ``True`` would print as ``True``, an int subclass or a numpy
+# scalar through its own repr (or not raise), ``inf`` as ``inf``.
+_INFINITY = float("inf")
+_PLAIN_NUMBERS = (int, float)
+_PLAIN_INTS = frozenset((int,))
+
+_SEND = f'["{TAG_SEND}",%d,%d,%d,%a]'.encode()
+_RECEIVE = f'["{TAG_RECEIVE}",%d,%a]'.encode()
+_CHECKPOINT = f'["{TAG_CHECKPOINT}",%d,%d,%d,%a,[%b]]'.encode()
+_SAMPLE = f'["{TAG_SAMPLE}",%a,[%b]]'.encode()
+
+
+def encode_document(document: Any) -> bytes:
+    """One line's bytes (no newline) for any header, footer or record."""
+    return _encode(document).encode()
+
+
+def encode_send(sender: int, receiver: int, message_id: int, time: float) -> bytes:
+    """The ``s`` record's bytes."""
+    if (
+        type(sender) is type(receiver) is type(message_id) is int
+        and type(time) in _PLAIN_NUMBERS
+        and -_INFINITY < time < _INFINITY
+    ):
+        return _SEND % (sender, receiver, message_id, time)
+    return encode_document([TAG_SEND, sender, receiver, message_id, time])
+
+
+def encode_receive(message_id: int, time: float) -> bytes:
+    """The ``r`` record's bytes."""
+    if (
+        type(message_id) is int
+        and type(time) in _PLAIN_NUMBERS
+        and -_INFINITY < time < _INFINITY
+    ):
+        return _RECEIVE % (message_id, time)
+    return encode_document([TAG_RECEIVE, message_id, time])
+
+
+def encode_checkpoint(
+    pid: int, index: int, forced: bool, time: float, dependency_vector: Iterable[int]
+) -> bytes:
+    """The ``c`` record's bytes."""
+    flag = 1 if forced else 0
+    vector = list(dependency_vector)
+    if (
+        type(pid) is type(index) is int
+        and type(time) in _PLAIN_NUMBERS
+        and -_INFINITY < time < _INFINITY
+        and _PLAIN_INTS.issuperset(map(type, vector))
+    ):
+        return _CHECKPOINT % (pid, index, flag, time, ",".join(map(repr, vector)).encode())
+    return encode_document([TAG_CHECKPOINT, pid, index, flag, time, vector])
+
+
+def encode_sample(time: float, retained_per_process: Iterable[int]) -> bytes:
+    """The ``S`` record's bytes."""
+    retained = list(retained_per_process)
+    if (
+        type(time) in _PLAIN_NUMBERS
+        and -_INFINITY < time < _INFINITY
+        and _PLAIN_INTS.issuperset(map(type, retained))
+    ):
+        return _SAMPLE % (time, ",".join(map(repr, retained)).encode())
+    return encode_document([TAG_SAMPLE, time, retained])
+
+
+def decode_line(line: str) -> Any:
+    """Parse one stripped line; raises ``json.JSONDecodeError`` like ``json.loads``."""
+    try:
+        document, end = _scan_once(line, 0)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", line, exc.value) from None
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return document

@@ -13,13 +13,17 @@ round-trip property tests assert this byte for byte.
 Cheap consumers (campaign re-aggregation, ``inspect`` on huge traces) can use
 :meth:`TraceReader.summary` instead, which reads only the header and footer
 without materialising a recorder.
+
+Lines are parsed one at a time by :func:`repro.traceio.format.decode_line`
+(the scanner ``json.loads`` delegates to, without its per-call wrappers) —
+never joined, so a line either is one complete JSON document or is damage.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
+from json import JSONDecodeError
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.ccp.consistency import GlobalCheckpoint
@@ -40,6 +44,7 @@ from repro.traceio.format import (
     RunProvenance,
     TraceFormatError,
     TraceTruncatedError,
+    decode_line,
     metrics_from_record,
     validate_header,
     validate_record,
@@ -161,7 +166,7 @@ class TraceReader:
         iteration with :class:`TraceTruncatedError`; an unparseable line
         followed by further content raises :class:`TraceFormatError`.
         """
-        bad: Optional[Tuple[int, json.JSONDecodeError]] = None
+        bad: Optional[Tuple[int, JSONDecodeError]] = None
         with open(self._path, "r", encoding="utf-8") as handle:
             for index, raw in enumerate(handle):
                 stripped = raw.strip()
@@ -173,8 +178,8 @@ class TraceReader:
                         f"{self._path}:{line}: unparseable line"
                     ) from exc
                 try:
-                    parsed = json.loads(stripped)
-                except json.JSONDecodeError as exc:
+                    parsed = decode_line(stripped)
+                except JSONDecodeError as exc:
                     bad = (index + 1, exc)
                     continue
                 yield index + 1, parsed
@@ -212,8 +217,8 @@ class TraceReader:
                 if header is not None and stripped.startswith("["):
                     continue  # body record — content irrelevant here
                 try:
-                    parsed = json.loads(stripped)
-                except json.JSONDecodeError:
+                    parsed = decode_line(stripped)
+                except JSONDecodeError:
                     continue  # half-written tail of a killed writer
                 if header is None:
                     header = validate_header(parsed, path=self._path)

@@ -2,31 +2,36 @@
 
 :class:`TraceWriter` implements the :class:`repro.simulation.trace.TraceSink`
 protocol, so attaching one to a :class:`~repro.simulation.trace.TraceRecorder`
-turns every recorded occurrence into an appended-and-flushed JSONL record the
-moment it happens — a killed run leaves a readable (partial) trace, exactly
-like the campaign store's crash semantics.  The runner additionally streams
-storage-occupancy samples through :meth:`write_sample` and closes the file
-with a footer carrying the run's result record and per-cell metrics
-(:meth:`finalize`) or the failure that aborted it (:meth:`abort`).
+turns every recorded occurrence into an appended JSONL record the moment it
+happens: the file is unbuffered, so each record is handed to the OS in full
+(:func:`write_line`) before the recording call returns — a killed run leaves
+every record it observed plus at most one torn line, a readable (partial)
+trace, exactly like the campaign store's crash semantics.  The bytes of each
+line come from the codec in :mod:`repro.traceio.format`.  The runner
+additionally streams storage-occupancy samples through :meth:`write_sample`
+and closes the file with a footer carrying the run's result record and
+per-cell metrics (:meth:`finalize`) or the failure that aborted it
+(:meth:`abort`).
 """
 
 from __future__ import annotations
 
-import json
+import io
 import os
 from typing import Any, Dict, Mapping, Optional, Sequence, TYPE_CHECKING
 
 from repro.traceio.format import (
-    TAG_CHECKPOINT,
     TAG_DUPLICATE,
     TAG_INTERNAL,
     TAG_JOIN,
     TAG_LEAVE,
     TAG_PARTITION,
-    TAG_RECEIVE,
     TAG_RECOVERY,
-    TAG_SAMPLE,
-    TAG_SEND,
+    encode_checkpoint,
+    encode_document,
+    encode_receive,
+    encode_sample,
+    encode_send,
     make_footer,
     make_header,
     make_scripted_header,
@@ -36,6 +41,25 @@ from repro.traceio.format import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.recovery.rollback_plan import RollbackPlan
     from repro.simulation.runner import SimulationConfig, SimulationResult
+
+
+def open_line_file(path: str) -> io.FileIO:
+    """Create (truncate) ``path`` and its directory for :func:`write_line`."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "wb", buffering=0)
+
+
+def write_line(handle: io.FileIO, document: bytes) -> None:
+    """Hand one encoded document, newline-terminated, to the OS in full.
+
+    ``handle`` is unbuffered, so once this returns the line survives a kill
+    of the process; a short write (full disk) is completed or raises.
+    """
+    line = document + b"\n"
+    written = handle.write(line)
+    while written != len(line):
+        line = line[written:]
+        written = handle.write(line)
 
 
 class TraceWriter:
@@ -51,17 +75,18 @@ class TraceWriter:
     ) -> None:
         if (config is None) == (header is None):
             raise ValueError("pass exactly one of config or header")
-        self._path = path
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._records = 0
-        self._events = 0
-        self._closed = False
-        self._handle = open(path, "w", encoding="utf-8")
         if header is None:
             assert config is not None
             header = make_header(config, meta=meta)
-        self._write_line(header)
+        # Built and encoded before the file exists: a header that cannot be
+        # written leaves neither an open handle nor an empty trace behind.
+        first_line = encode_document(header)
+        self._path = path
+        self._records = 0
+        self._events = 0
+        self._closed = False
+        self._handle = open_line_file(path)
+        write_line(self._handle, first_line)
 
     @classmethod
     def scripted(
@@ -100,17 +125,17 @@ class TraceWriter:
     def on_send(self, sender: int, receiver: int, message_id: int, time: float) -> None:
         """Persist an application send."""
         self._events += 1
-        self._write_record([TAG_SEND, sender, receiver, message_id, time])
+        self._append(encode_send(sender, receiver, message_id, time))
 
     def on_receive(self, message_id: int, time: float) -> None:
         """Persist a message delivery."""
         self._events += 1
-        self._write_record([TAG_RECEIVE, message_id, time])
+        self._append(encode_receive(message_id, time))
 
     def on_duplicate_receive(self, message_id: int, time: float) -> None:
         """Persist a duplicate delivery (at-least-once channels)."""
         self._events += 1
-        self._write_record([TAG_DUPLICATE, message_id, time])
+        self._append(encode_document([TAG_DUPLICATE, message_id, time]))
 
     def on_checkpoint(
         self,
@@ -123,33 +148,33 @@ class TraceWriter:
     ) -> None:
         """Persist a stable checkpoint and its stored dependency vector."""
         self._events += 1
-        self._write_record(
-            [TAG_CHECKPOINT, pid, index, 1 if forced else 0, time, list(dependency_vector)]
-        )
+        self._append(encode_checkpoint(pid, index, forced, time, dependency_vector))
 
     def on_internal(self, pid: int, time: float) -> None:
         """Persist an internal application event."""
         self._events += 1
-        self._write_record([TAG_INTERNAL, pid, time])
+        self._append(encode_document([TAG_INTERNAL, pid, time]))
 
     def on_join(self, pid: int, time: float) -> None:
         """Persist a membership join (``pid`` becomes an active member)."""
-        self._write_record([TAG_JOIN, pid, time])
+        self._append(encode_document([TAG_JOIN, pid, time]))
 
     def on_leave(self, pid: int, time: float) -> None:
         """Persist a membership leave (``pid`` retires permanently)."""
-        self._write_record([TAG_LEAVE, pid, time])
+        self._append(encode_document([TAG_LEAVE, pid, time]))
 
     def on_recovery(self, plan: "RollbackPlan") -> None:
         """Persist a recovery session (the full rollback plan)."""
-        self._write_record(
-            [
-                TAG_RECOVERY,
-                list(plan.faulty),
-                list(plan.recovery_line.indices),
-                [[r.pid, r.rollback_index] for r in plan.rollbacks],
-                list(plan.last_interval_vector),
-            ]
+        self._append(
+            encode_document(
+                [
+                    TAG_RECOVERY,
+                    list(plan.faulty),
+                    list(plan.recovery_line.indices),
+                    [[r.pid, r.rollback_index] for r in plan.rollbacks],
+                    list(plan.last_interval_vector),
+                ]
+            )
         )
 
     # ------------------------------------------------------------------
@@ -157,14 +182,16 @@ class TraceWriter:
     # ------------------------------------------------------------------
     def write_sample(self, time: float, retained_per_process: Sequence[int]) -> None:
         """Persist a storage-occupancy sample."""
-        self._write_record([TAG_SAMPLE, time, list(retained_per_process)])
+        self._append(encode_sample(time, retained_per_process))
 
     def write_partition_event(
         self, kind: str, time: float, groups: Sequence[Sequence[int]]
     ) -> None:
         """Persist a partition transition (``kind`` is ``cut`` or ``heal``)."""
-        self._write_record(
-            [TAG_PARTITION, kind, time, [list(group) for group in groups]]
+        self._append(
+            encode_document(
+                [TAG_PARTITION, kind, time, [list(group) for group in groups]]
+            )
         )
 
     # ------------------------------------------------------------------
@@ -235,16 +262,12 @@ class TraceWriter:
     def _finish(self, footer: Dict[str, Any]) -> None:
         if self._closed:
             raise RuntimeError(f"trace writer for {self._path!r} is already closed")
-        self._write_line(footer)
+        write_line(self._handle, encode_document(footer))
         self.close()
 
-    def _write_record(self, record: list) -> None:
-        self._records += 1
-        self._write_line(record)
-
-    def _write_line(self, document: Any) -> None:
+    def _append(self, record: bytes) -> None:
+        """Count one encoded body record and hand it to the OS."""
         if self._closed:
             raise RuntimeError(f"trace writer for {self._path!r} is already closed")
-        self._handle.write(json.dumps(document, separators=(",", ":")) + "\n")
-        # Flushed per record so a killed run leaves everything it observed.
-        self._handle.flush()
+        self._records += 1
+        write_line(self._handle, record)

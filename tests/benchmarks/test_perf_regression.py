@@ -9,8 +9,10 @@ processes / 10^5 messages under 50 ms per instant), the medium-tier memory
 section (>= 30% peak reduction from pruning), the fresh pruned-run memory
 gate (peak traced bytes must stay within 20% of the committed baseline), the
 recovery-session scaling gate (a session may cost at most 2x more after a
-4x longer warm-up history) and the recording-path gate (executed lines per
-recorded send/receive/checkpoint under an absolute ceiling).
+4x longer warm-up history), the recording-path gate (executed lines per
+recorded send/receive/checkpoint under an absolute ceiling) and the
+trace-codec gate (executed lines per trace record written and per trace line
+read back, under one ceiling).
 """
 
 import json
@@ -102,7 +104,8 @@ def test_smoke_regression_check_passes(committed_document):
     gate (a ratio of two executed-line counts, a function of the seed alone):
     replaying or rescanning the history per session reads ~3.6x against its
     2x ceiling, and the violation printed on stderr names it.  The
-    recording-path gate runs here too and has its own test below.
+    recording-path and trace-codec gates run here too and have their own
+    tests below.
     """
     from benchmarks.check_regression import main
 
@@ -121,6 +124,22 @@ def test_recording_path_stays_under_its_line_ceiling():
     assert check_recording_path_cost() == []
     (violation,) = check_recording_path_cost(ceiling=1.0)  # the gate can fire
     assert "TraceRecorder.record_*" in violation
+
+
+def test_trace_codec_stays_under_its_line_ceiling():
+    """A trace line costs a format string, one write and one C scan.
+
+    Executed-line counts per record written and per line read back (functions
+    of the seed alone); the writer and reader this gate was added against —
+    ``json.dumps`` + write + flush and ``json.loads`` per record — read 2.7x
+    and 1.9x the ceiling.
+    """
+    from benchmarks.check_regression import check_trace_codec_cost
+
+    assert check_trace_codec_cost() == []
+    written, read = check_trace_codec_cost(ceiling=1.0)  # the gate can fire
+    assert "TraceWriter.on_*" in written
+    assert "TraceReader.lines" in read
 
 
 def test_campaign_gate_is_deterministic_across_worker_counts():
