@@ -4,7 +4,7 @@ Runs the full evaluation grid — all 5 collectors × 4 workload shapes ×
 failure levels × ≥10 seeds — through :mod:`repro.scenarios.campaign` on a
 worker pool, and writes:
 
-* the JSONL result store (``benchmarks/results/campaign_paper_grid.jsonl``) —
+* the SQLite result store (``benchmarks/results/campaign_paper_grid.sqlite``) —
   re-running the benchmark resumes from it instead of recomputing;
 * the aggregate tables (text to stdout, CSV/JSON next to the store);
 * a throughput line (cells/second, worker count) for the perf trajectory.
@@ -64,7 +64,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--traces", action="store_true",
         help="persist a replayable trace artifact per cell next to the store "
-             "(re-aggregate/re-audit later with `python -m repro.traceio replay`)",
+             "(re-aggregate/re-audit later with `python -m repro trace replay`)",
     )
     args = parser.parse_args(argv)
 
@@ -83,9 +83,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec = paper_campaign_spec(num_seeds=args.seeds, duration=args.duration)
         store_name = "campaign_paper_grid"
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    store_path = os.path.join(RESULTS_DIR, f"{store_name}.jsonl")
-    if args.fresh and os.path.exists(store_path):
-        os.remove(store_path)
+    store_path = os.path.join(RESULTS_DIR, f"{store_name}.sqlite")
+    if args.fresh:
+        # A killed sweep can leave SQLite's WAL sidecars next to the store.
+        for suffix in ("", "-wal", "-shm"):
+            if os.path.exists(store_path + suffix):
+                os.remove(store_path + suffix)
 
     print(
         f"campaign {spec.name!r}: {spec.cell_count} cells "

@@ -6,7 +6,7 @@ i.i.d. loss, Gilbert–Elliott bursty loss, duplication, an asymmetric latency
 matrix, a healing partition, FIFO discipline — plus crash-recovery churn,
 through :mod:`repro.scenarios.campaign`, and writes:
 
-* the JSONL result store (``benchmarks/results/fault_models.jsonl``) —
+* the SQLite result store (``benchmarks/results/fault_models.sqlite``) —
   re-running the benchmark resumes from it instead of recomputing;
 * the aggregate tables grouped per network regime (text to stdout, CSV/JSON
   next to the store);
@@ -99,9 +99,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec = fault_model_campaign_spec(num_seeds=args.seeds, duration=args.duration)
         store_name = "fault_models"
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    store_path = os.path.join(RESULTS_DIR, f"{store_name}.jsonl")
-    if args.fresh and os.path.exists(store_path):
-        os.remove(store_path)
+    store_path = os.path.join(RESULTS_DIR, f"{store_name}.sqlite")
+    if args.fresh:
+        # A killed sweep can leave SQLite's WAL sidecars next to the store.
+        for suffix in ("", "-wal", "-shm"):
+            if os.path.exists(store_path + suffix):
+                os.remove(store_path + suffix)
 
     print(
         f"campaign {spec.name!r}: {spec.cell_count} cells "

@@ -5,7 +5,7 @@ Walks the whole campaign pipeline on a deliberately tiny grid:
 
 1. declare a :class:`CampaignSpec` (the grid axes);
 2. expand it into self-seeded cells and run them on a 2-worker pool while
-   streaming results to a JSONL store — and a replayable trace artifact per
+   streaming results to a SQLite store — and a replayable trace artifact per
    cell (``trace_dir``);
 3. run the *same* campaign again — every cell resumes from the store, nothing
    re-executes;
@@ -16,8 +16,8 @@ Walks the whole campaign pipeline on a deliberately tiny grid:
    state — the recovery lines of the replayed recorder are the live run's.
 
 The full paper-scale study is the same pipeline via
-``python -m repro.campaign`` — only the grid is bigger; the trace tooling is
-also available standalone as ``python -m repro.traceio``.
+``python -m repro campaign`` — only the grid is bigger; the trace tooling is
+also available standalone as ``python -m repro trace``.
 """
 
 import os
@@ -50,7 +50,7 @@ def main() -> None:
     print(f"campaign {spec.name!r}: {spec.cell_count} cells")
 
     with tempfile.TemporaryDirectory() as scratch:
-        store = os.path.join(scratch, "quickstart.jsonl")
+        store = os.path.join(scratch, "quickstart.sqlite")
         traces = os.path.join(scratch, "traces")
 
         # 2. First run: everything executes (here on a 2-worker pool), each

@@ -11,7 +11,7 @@ executed and aggregated by :mod:`repro.scenarios.campaign`.  This script runs
 a shrunk copy of it (3 seeds, no failures) so it finishes in seconds; the
 full grid (≥10 seeds, crash injection, worker pool) is one command::
 
-    python -m repro.campaign --workers 8 --store results/paper.jsonl
+    python -m repro campaign --workers 8 --store results/paper.sqlite
 """
 
 from repro.scenarios.experiments import paper_campaign_spec, run_collector_comparison

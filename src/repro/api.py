@@ -541,8 +541,11 @@ def query(
 
     Raises:
         SpecValidationError: for unknown query names or parameters.
+        FileNotFoundError: when ``store`` does not exist (nothing is created).
+        ValueError: when ``store`` exists but is not a SQLite result store.
     """
     from repro.scenarios.campaign.queries import QUERIES, run_query, store_summary
+    from repro.scenarios.campaign.sqlstore import SQLResultStore
 
     if name is None or name == "aggregate":
         group_by = params.pop("group_by", None)
@@ -560,8 +563,10 @@ def query(
         raise SpecValidationError(
             "name", f"unknown query {name!r}", accepted=sorted(QUERIES)
         )
+    # Opened outside the try: an unusable store is not a parameter error.
+    opened = SQLResultStore(store, create=False)
     try:
-        return run_query(store, name, **params)
+        return run_query(opened, name, **params)
     except (KeyError, ValueError) as exc:
         raise SpecValidationError("params", str(exc)) from exc
 

@@ -27,13 +27,9 @@ Two implementations of the relation are provided:
   *levels* (a component's level is one more than the maximum level of the
   components it reaches directly), each component ORs the closures of its
   deduplicated successor components exactly once, and whole levels are
-  processed as a block.  Two propagation backends share that schedule — the
-  default pure-Python big-int backend (the correctness reference) and an
-  optional numpy ``uint64`` blocked-bitset backend selected with
-  ``kernel="numpy"`` (or the ``REPRO_ZIGZAG_KERNEL`` environment variable),
-  which gathers each level's successor rows into one matrix and reduces them
-  with a single vectorised OR.  Every relation query then becomes a couple of
-  bit operations over the precomputed closures.  Node layouts are *based*:
+  processed as a block, one Python big-int OR per condensation edge.  Every
+  relation query then becomes a couple of bit operations over the precomputed
+  closures.  Node layouts are *based*:
   bit 0 of a process's segment is its first retained interval, so patterns
   whose prefix has been pruned away (see ``EventLog.checkpoint_bases``) get
   compact bitsets sized by the live window, not by run length.
@@ -49,7 +45,6 @@ search through :class:`_ZigzagBase`.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -252,25 +247,6 @@ class _ZigzagBase:
         return len(self.zigzag_pairs())
 
 
-def _resolve_kernel(kernel: Optional[str]) -> str:
-    """Resolve the propagation backend name (argument, then env, then default)."""
-    resolved = kernel if kernel is not None else os.environ.get(
-        "REPRO_ZIGZAG_KERNEL", "bigint"
-    )
-    if resolved not in ("bigint", "numpy"):
-        raise ValueError(
-            f"unknown zigzag kernel {resolved!r} (expected 'bigint' or 'numpy')"
-        )
-    if resolved == "numpy":
-        try:
-            import numpy  # noqa: F401
-        except ImportError as exc:  # pragma: no cover - env without numpy
-            raise RuntimeError(
-                "zigzag kernel 'numpy' requested but numpy is not installed"
-            ) from exc
-    return resolved
-
-
 class ZigzagAnalysis(_ZigzagBase):
     """Bitset zigzag kernel: interval condensation + blocked reachability.
 
@@ -278,10 +254,7 @@ class ZigzagAnalysis(_ZigzagBase):
     bitset OR per condensation edge, where ``N`` is the number of *retained*
     checkpoint intervals and ``M`` the number of delivered messages.
     Components are grouped into reverse-topological levels and each level is
-    propagated as a block; ``kernel="numpy"`` reduces each level with
-    vectorised ``uint64`` word operations while the default ``"bigint"``
-    backend stays pure Python.  After construction (both backends expose the
-    same Python big-int closures):
+    propagated as a block.  After construction:
 
     * :meth:`zigzag_exists` is one AND over two precomputed big ints;
     * :meth:`useless_checkpoints` is one bit test per general checkpoint;
@@ -290,9 +263,8 @@ class ZigzagAnalysis(_ZigzagBase):
       pair counts in closed form without materialising the list.
     """
 
-    def __init__(self, ccp: CCP, *, kernel: Optional[str] = None) -> None:
+    def __init__(self, ccp: CCP) -> None:
         super().__init__(ccp)
-        self._kernel = _resolve_kernel(kernel)
         # Node layout: node (p, gamma) at bit offset[p] + (gamma - lo[p])
         # represents the hand-off state "a message sent by p in interval
         # >= gamma is usable"; gamma ranges over lo(p)..volatile_index(p),
@@ -309,11 +281,6 @@ class ZigzagAnalysis(_ZigzagBase):
             total += self._volatile[pid] - self._lo[pid] + 1
         self._num_nodes = total
         self._closures: List[int] = self._compute_closures()
-
-    @property
-    def kernel(self) -> str:
-        """The propagation backend this analysis was built with."""
-        return self._kernel
 
     # ------------------------------------------------------------------
     # Kernel construction
@@ -332,7 +299,7 @@ class ZigzagAnalysis(_ZigzagBase):
         reaches), which makes levelling a single forward pass: a component's
         level is one more than the maximum level of its (deduplicated)
         successor components.  Levels are then propagated as blocks, sink
-        level first, by the selected backend.
+        level first: one big-int OR per condensation edge.
         """
         n = self._num_nodes
         # Edges: chain (p, g) -> (p, g+1); message (sender, sigma) -> (receiver, rho).
@@ -379,30 +346,6 @@ class ZigzagAnalysis(_ZigzagBase):
         for comp_id, lv in enumerate(level):
             levels[lv].append(comp_id)
 
-        if self._kernel == "numpy":
-            comp_closure = self._propagate_numpy(
-                num_comps, comp_targets, comp_succs, levels
-            )
-        else:
-            comp_closure = self._propagate_bigint(
-                num_comps, comp_targets, comp_succs, levels
-            )
-
-        closures = [0] * n
-        for comp_id, members in enumerate(components):
-            bits = comp_closure[comp_id]
-            for u in members:
-                closures[u] = bits
-        return closures
-
-    @staticmethod
-    def _propagate_bigint(
-        num_comps: int,
-        comp_targets: List[List[int]],
-        comp_succs: List[List[int]],
-        levels: List[List[int]],
-    ) -> List[int]:
-        """Pure-Python blocked propagation: one big-int OR per condensation edge."""
         comp_closure: List[int] = [0] * num_comps
         for level_comps in levels:
             for comp_id in level_comps:
@@ -412,59 +355,13 @@ class ZigzagAnalysis(_ZigzagBase):
                 for s in comp_succs[comp_id]:
                     bits |= comp_closure[s]
                 comp_closure[comp_id] = bits
-        return comp_closure
 
-    def _propagate_numpy(
-        self,
-        num_comps: int,
-        comp_targets: List[List[int]],
-        comp_succs: List[List[int]],
-        levels: List[List[int]],
-    ) -> List[int]:
-        """Vectorised blocked propagation over a ``uint64`` bitset matrix.
-
-        Each component owns one row of ``ceil(num_nodes / 64)`` words.  Direct
-        arrival bits are scattered with a single ``bitwise_or.at``; per level,
-        the successor rows of every component in the level are gathered into
-        one matrix and reduced with ``bitwise_or.reduceat``.  Rows are
-        converted back to Python big ints at the end so the query layer is
-        backend independent.
-        """
-        import numpy as np
-
-        words = max(1, (self._num_nodes + 63) >> 6)
-        rows = np.zeros((num_comps, words), dtype=np.uint64)
-        comp_ids: List[int] = []
-        word_ids: List[int] = []
-        bit_vals: List[int] = []
-        for comp_id, targets in enumerate(comp_targets):
-            for v in targets:
-                comp_ids.append(comp_id)
-                word_ids.append(v >> 6)
-                bit_vals.append(1 << (v & 63))
-        if comp_ids:
-            np.bitwise_or.at(
-                rows,
-                (np.asarray(comp_ids), np.asarray(word_ids)),
-                np.asarray(bit_vals, dtype=np.uint64),
-            )
-        for level_comps in levels:
-            with_succ = [c for c in level_comps if comp_succs[c]]
-            if not with_succ:
-                continue
-            flat: List[int] = []
-            starts: List[int] = []
-            for comp_id in with_succ:
-                starts.append(len(flat))
-                flat.extend(comp_succs[comp_id])
-            reduced = np.bitwise_or.reduceat(
-                rows[np.asarray(flat)], np.asarray(starts), axis=0
-            )
-            rows[np.asarray(with_succ)] |= reduced
-        return [
-            int.from_bytes(rows[comp_id].tobytes(), "little")
-            for comp_id in range(num_comps)
-        ]
+        closures = [0] * n
+        for comp_id, members in enumerate(components):
+            bits = comp_closure[comp_id]
+            for u in members:
+                closures[u] = bits
+        return closures
 
     @staticmethod
     def _tarjan_scc(edges_of, n: int) -> Tuple[List[int], List[List[int]]]:

@@ -3,7 +3,7 @@
 One entry point over every driver grown across the project's subsystems::
 
     python -m repro campaign ...   # expand/execute/aggregate experiment grids
-    python -m repro trace ...      # record/replay/inspect/diff trace artifacts
+    python -m repro trace ...      # replay/inspect/diff trace artifacts
     python -m repro explore ...    # schedule-space exploration + counterexamples
     python -m repro fuzz ...       # coverage-guided schedule fuzzing + corpus
     python -m repro live ...       # one experiment on real OS processes
@@ -13,8 +13,7 @@ Shared flag conventions (every subcommand that takes the concept spells it
 the same way):
 
 ``--seed``    one integer seed (drivers of single runs);
-``--store``   a result store path — ``.jsonl`` is the legacy line store,
-              ``.sqlite``/``.sqlite3``/``.db`` the canonical SQL store;
+``--store``   a SQLite result store path (``.sqlite`` by convention);
 ``--traces``  a directory of per-cell v2 trace artifacts;
 ``--json``    machine-readable JSON on stdout instead of rendered tables.
 
@@ -23,11 +22,8 @@ Exit-code semantics, uniform across subcommands:
 * ``0`` — success;
 * ``1`` — a *domain* finding: failed cells, an oracle violation, an unsafe
   audit, a truncated trace, an incomplete store;
-* ``2`` — usage or input errors (unknown flags, malformed specs).
-
-The historical spellings (``python -m repro.campaign``, ``repro.traceio``,
-``repro.explore``, ``repro.live``) remain as thin deprecated aliases that
-print a one-line pointer here and keep working.
+* ``2`` — usage or input errors (no command, unknown flags, malformed
+  specs, a missing or non-SQLite store).
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ _SUBCOMMANDS: "dict[str, Tuple[str, Callable[[], Callable[[Optional[List[str]]],
         ).main,
     ),
     "trace": (
-        "record, replay, inspect and diff persisted simulation traces",
+        "replay, inspect and diff persisted simulation traces",
         lambda: __import__("repro.traceio.cli", fromlist=["main"]).main,
     ),
     "explore": (
@@ -79,8 +75,8 @@ def _usage(stream) -> None:
         print(f"  {name:<10} {help_text}", file=stream)
     print(file=stream)
     print(
-        "shared flags: --seed (run seed), --store (result store; .jsonl or\n"
-        ".sqlite), --traces (trace-artifact directory), --json (JSON stdout).\n"
+        "shared flags: --seed (run seed), --store (SQLite result store),\n"
+        "--traces (trace-artifact directory), --json (JSON stdout).\n"
         "exit codes: 0 success; 1 domain finding (failed cell, violation,\n"
         "unsafe audit, incomplete store); 2 usage or input error.",
         file=stream,
@@ -92,10 +88,13 @@ def _usage(stream) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     """Dispatch to one subcommand; see the module docstring for semantics."""
     arguments = list(sys.argv[1:] if argv is None else argv)
-    if not arguments or arguments[0] in ("-h", "--help"):
-        _usage(sys.stdout)
-        return 0 if not arguments or arguments[0] in ("-h", "--help") else 2
+    if not arguments:
+        _usage(sys.stderr)
+        return 2
     command = arguments[0]
+    if command in ("-h", "--help"):
+        _usage(sys.stdout)
+        return 0
     if command not in _SUBCOMMANDS:
         print(f"error: unknown command {command!r}", file=sys.stderr)
         _usage(sys.stderr)

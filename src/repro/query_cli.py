@@ -85,15 +85,14 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print("status\n    queue health: cell counts per status plus the lease journal.")
     print(
         "aggregate\n    the byte-identical reducer: fold the store's records "
-        "through the\n    campaign aggregation layer (same CSV/JSON as a "
-        "JSONL-era sweep)."
+        "through the\n    campaign aggregation layer (same CSV/JSON as the "
+        "sweep itself prints)."
     )
     print("merge\n    fold shard stores' completed cells into --store.")
     return 0
 
 
-def _cmd_status(args: argparse.Namespace) -> int:
-    store = SQLResultStore(args.store)
+def _cmd_status(args: argparse.Namespace, store: SQLResultStore) -> int:
     counts = store.status_counts()
     claimable, inflight = store.remaining()
     document = {
@@ -114,13 +113,13 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 1 if counts.get("failed") else 0
 
 
-def _cmd_aggregate(args: argparse.Namespace) -> int:
+def _cmd_aggregate(args: argparse.Namespace, store: SQLResultStore) -> int:
     group_by = tuple(
         axis.strip() for axis in (args.group_by or "").split(",") if axis.strip()
     ) or None
     try:
         summary = store_summary(
-            args.store, group_by=group_by, allow_incomplete=args.partial
+            store, group_by=group_by, allow_incomplete=args.partial
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -142,14 +141,14 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_merge(args: argparse.Namespace) -> int:
-    store = SQLResultStore(args.store)
+def _cmd_merge(args: argparse.Namespace, store: SQLResultStore) -> int:
     total = 0
     for source in args.sources:
-        if not os.path.exists(source):
-            print(f"error: no such store {source!r}", file=sys.stderr)
+        try:
+            imported = store.merge_from(source)
+        except (FileNotFoundError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        imported = store.merge_from(source)
         print(f"{source}: {imported} completed cell(s) imported", file=sys.stderr)
         total += imported
     counts = store.status_counts()
@@ -157,9 +156,9 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_canned(args: argparse.Namespace) -> int:
+def _cmd_canned(args: argparse.Namespace, store: SQLResultStore) -> int:
     try:
-        rows = run_query(args.store, args.query_name, **_parse_params(args.param))
+        rows = run_query(store, args.query_name, **_parse_params(args.param))
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -220,7 +219,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         canned.set_defaults(func=_cmd_canned, query_name=name)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    if args.func is _cmd_list:
+        return _cmd_list(args)
+    try:
+        # Only ``merge`` writes its --store; every other command reads, and a
+        # mistyped path must not leave a fresh empty store behind.
+        store = SQLResultStore(args.store, create=args.func is _cmd_merge)
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return args.func(args, store)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from repro.scenarios.campaign import (
     CampaignCell,
     CampaignRun,
     CampaignSpec,
-    CampaignStore,
     CampaignSummary,
     CollectorSpec,
     WorkloadSpec,
@@ -56,7 +55,6 @@ __all__ = [
     "CampaignCell",
     "CampaignRun",
     "CampaignSpec",
-    "CampaignStore",
     "CampaignSummary",
     "CollectorSpec",
     "FIGURE4_ANNOTATIONS",

@@ -13,8 +13,7 @@ subpackage turns that kind of study into a first-class object:
   or as one of any number of claim/lease workers (:func:`run_worker`)
   sharing a SQL store; because every cell is self-seeded, the results are
   identical regardless of worker count or placement;
-* :mod:`store` — the legacy resumable JSONL result store;
-* :mod:`sqlstore` — the canonical SQL result store and work queue
+* :mod:`sqlstore` — the SQL result store and work queue
   (SQLite-first, Postgres-ready schema: runs/cells/metrics/artifacts plus a
   lease journal), with atomic claims and crash-tolerant lease expiry;
 * :mod:`queries` — canned analytical queries (SQL views + Python helpers)
@@ -50,11 +49,7 @@ from repro.scenarios.campaign.queries import (
     run_query,
     store_summary,
 )
-from repro.scenarios.campaign.sqlstore import (
-    ClaimedCell,
-    SQLResultStore,
-    open_store,
-)
+from repro.scenarios.campaign.sqlstore import ClaimedCell, SQLResultStore
 from repro.scenarios.campaign.spec import (
     CampaignCell,
     CampaignSpec,
@@ -63,7 +58,6 @@ from repro.scenarios.campaign.spec import (
     WorkloadSpec,
     spec_from_mapping,
 )
-from repro.scenarios.campaign.store import CampaignStore
 
 __all__ = [
     "CELL_METRICS",
@@ -73,7 +67,6 @@ __all__ = [
     "CampaignCell",
     "CampaignRun",
     "CampaignSpec",
-    "CampaignStore",
     "CampaignSummary",
     "ClaimedCell",
     "CollectorSpec",
@@ -87,7 +80,6 @@ __all__ = [
     "default_worker_id",
     "describe_queries",
     "execute_cell",
-    "open_store",
     "run_campaign",
     "run_query",
     "run_worker",

@@ -230,7 +230,7 @@ def aggregate_campaign(
     if metrics is None:
         # Default metrics first, then the rest alphabetically: the order must
         # not depend on whether records came from memory (extractor order) or
-        # from a JSONL store (sort_keys order).
+        # from a result store (row order).
         chosen = [m for m in DEFAULT_METRICS if m in available]
         chosen += sorted(m for m in available if m not in chosen)
     else:

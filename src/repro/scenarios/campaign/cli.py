@@ -131,8 +131,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--store", default=None,
-        help="result store; .jsonl is the legacy line store, .sqlite the "
-             "canonical SQL store.  An existing store makes the run resume",
+        help="SQLite result store (e.g. results/paper.sqlite); an existing "
+             "store makes the run resume",
     )
     parser.add_argument(
         "--retry-failed", action="store_true",
@@ -145,8 +145,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--worker", action="store_true",
-        help="run as one claim/lease fabric worker against --store (SQL "
-             "store required); start any number of these on a shared store",
+        help="run as one claim/lease fabric worker against --store; start "
+             "any number of these on a shared store",
     )
     parser.add_argument(
         "--worker-id", default=None,
@@ -217,20 +217,21 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.worker:
         if not args.store:
-            parser.error("--worker needs --store (a shared SQL result store)")
-        if args.store.endswith(".jsonl"):
-            parser.error("--worker needs a SQL store (.sqlite), not JSONL")
+            parser.error("--worker needs --store (a shared result store)")
         started = time.perf_counter()
-        worker_run = run_worker(
-            spec,
-            args.store,
-            worker=args.worker_id,
-            lease_duration=args.lease if args.lease is not None else 900.0,
-            trace_dir=args.traces,
-            progress=progress,
-            shard=args.shard,
-            wait=args.wait,
-        )
+        try:
+            worker_run = run_worker(
+                spec,
+                args.store,
+                worker=args.worker_id,
+                lease_duration=args.lease if args.lease is not None else 900.0,
+                trace_dir=args.traces,
+                progress=progress,
+                shard=args.shard,
+                wait=args.wait,
+            )
+        except ValueError as exc:  # unusable store, or another campaign's
+            parser.error(str(exc))
         elapsed = time.perf_counter() - started
         if not args.quiet:
             print(file=sys.stderr)
@@ -248,15 +249,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--lease/--wait/--worker-id only apply to --worker mode")
 
     started = time.perf_counter()
-    run = run_campaign(
-        spec,
-        store_path=args.store,
-        workers=args.workers,
-        progress=progress,
-        retry_failed=args.retry_failed,
-        trace_dir=args.traces,
-        shard=args.shard,
-    )
+    try:
+        run = run_campaign(
+            spec,
+            store_path=args.store,
+            workers=args.workers,
+            progress=progress,
+            retry_failed=args.retry_failed,
+            trace_dir=args.traces,
+            shard=args.shard,
+        )
+    except ValueError as exc:  # --store is not a (current-schema) result store
+        parser.error(str(exc))
     elapsed = time.perf_counter() - started
     if not args.quiet:
         print(file=sys.stderr)

@@ -4,7 +4,7 @@ Every cell is fully self-describing and self-seeded (see
 :mod:`repro.scenarios.campaign.spec`), so execution strategy is pure
 mechanics: the same spec produces bit-identical per-cell metrics whether it
 runs on one worker or sixteen, and a sweep interrupted at any point resumes
-from its JSONL store without re-executing completed cells.
+from its result store without re-executing completed cells.
 """
 
 from __future__ import annotations
@@ -18,11 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.scenarios.campaign.spec import CampaignCell, CampaignSpec
-from repro.scenarios.campaign.sqlstore import (
-    DEFAULT_LEASE,
-    SQLResultStore,
-    open_store,
-)
+from repro.scenarios.campaign.sqlstore import DEFAULT_LEASE, SQLResultStore
 from repro.simulation.runner import SimulationResult, run_simulation
 
 #: The scalar metrics persisted per cell, in extraction order.  The values
@@ -168,11 +164,10 @@ def run_campaign(
 ) -> CampaignRun:
     """Execute every cell of ``spec`` and return the full result set.
 
-    ``store_path`` — when given, completed cells stream to a result store
-    and cells already in the store are *not* re-executed (resume semantics).
-    The path's extension picks the backend (see
-    :func:`~repro.scenarios.campaign.sqlstore.open_store`): ``.jsonl`` is
-    the legacy line store, anything else the canonical SQL store.
+    ``store_path`` — when given, completed cells stream to the
+    :class:`~repro.scenarios.campaign.sqlstore.SQLResultStore` at that path
+    and cells already in the store are *not* re-executed (resume semantics);
+    without one the run is in-memory.
     ``workers`` — number of pool processes; ``<= 1`` runs serially
     in-process.  ``progress(done, total)`` is invoked after every completed
     cell.  ``retry_failed`` — re-execute cells the store recorded as failed:
@@ -199,7 +194,7 @@ def run_campaign(
         if not (0 <= shard[0] < shard[1]):
             raise ValueError(f"shard must be (k, n) with 0 <= k < n, got {shard}")
         cells = [(index, cell) for index, cell in cells if index % shard[1] == shard[0]]
-    store = open_store(store_path) if store_path else None
+    store = SQLResultStore(store_path) if store_path else None
     completed: Dict[str, Dict[str, Any]] = store.load() if store else {}
     if retry_failed:
         completed = {
@@ -207,7 +202,7 @@ def run_campaign(
             for cell_id, record in completed.items()
             if record.get("status", "ok") == "ok"
         }
-        if isinstance(store, SQLResultStore):
+        if store is not None:
             store.reset_failed()
     pending = [
         (cell, trace_dir, index)
@@ -227,7 +222,7 @@ def run_campaign(
             executed=0,
             resumed=len(cells),
         )
-    if isinstance(store, SQLResultStore):
+    if store is not None:
         # Register the grid (with expansion indices) before executing, so
         # records read back from the store keep grid order — the byte-identity
         # invariant.  After the short-circuit on purpose: a warm re-run must
@@ -322,12 +317,7 @@ def run_worker(
     an in-flight lease that expires lets another worker re-run the cell
     (correct but wasteful), and the late completion is refused as stale.
     """
-    store = open_store(store_path)
-    if not isinstance(store, SQLResultStore):
-        raise ValueError(
-            "claim-based workers need a SQL result store "
-            "(.sqlite/.sqlite3/.db path), not a JSONL store"
-        )
+    store = SQLResultStore(store_path)
     identity = worker if worker is not None else default_worker_id()
     cells = spec.cells()
     store.enqueue(cells, shard=shard)

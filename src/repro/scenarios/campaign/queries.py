@@ -15,9 +15,9 @@ module answers them in two equivalent forms:
 
 Two queries are *reducers*, not SQL: ``aggregate`` folds the store's records
 through :func:`repro.scenarios.campaign.aggregate.aggregate_campaign` — the
-same code path JSONL stores and traced sweeps use — so its CSV/JSON output
-is byte-identical to the JSONL era on the same grid; ``status`` summarises
-queue health (pending/leased/ok/failed, lease journal).
+same code path storeless runs and traced sweeps use — so its CSV/JSON output
+is byte-identical to theirs on the same grid; ``status`` summarises queue
+health (pending/leased/ok/failed, lease journal).
 """
 
 from __future__ import annotations
@@ -191,12 +191,12 @@ def run_query(
     """Run one canned query against a store (object or path); rows as dicts.
 
     Unknown parameters are rejected by name; omitted ones take the query's
-    documented defaults.
+    documented defaults.  A path must name an existing store.
     """
     from repro.scenarios.campaign.sqlstore import SQLResultStore
 
     if isinstance(store, str):
-        store = SQLResultStore(store)
+        store = SQLResultStore(store, create=False)
     if name not in QUERIES:
         raise KeyError(
             f"unknown query {name!r}; available: {', '.join(sorted(QUERIES))}"
@@ -227,10 +227,11 @@ def store_summary(
 
     Reads the store's records in grid-expansion order and hands them to the
     same :func:`~repro.scenarios.campaign.aggregate.aggregate_campaign` every
-    other path uses, so the CSV/JSON this produces is byte-identical to the
-    JSONL-era aggregate of the same grid.  Refuses stores with pending or
-    leased cells unless ``allow_incomplete`` — a reducer that silently
-    aggregates half a sweep would report a different study.
+    other path uses, so the CSV/JSON this produces is byte-identical to a
+    storeless run's aggregate of the same grid.  Refuses stores with pending
+    or leased cells unless ``allow_incomplete`` — a reducer that silently
+    aggregates half a sweep would report a different study.  A path must
+    name an existing store.
     """
     from repro.scenarios.campaign.aggregate import (
         DEFAULT_GROUP_BY,
@@ -239,7 +240,7 @@ def store_summary(
     from repro.scenarios.campaign.sqlstore import SQLResultStore
 
     if isinstance(store, str):
-        store = SQLResultStore(store)
+        store = SQLResultStore(store, create=False)
     records = store.records()
     incomplete = [r for r in records if r.get("status") not in ("ok", "failed")]
     if incomplete and not allow_incomplete:

@@ -17,8 +17,8 @@ shared directory) holding four relational tables plus a lease journal:
     One row per (cell, metric).  ``value`` is a REAL for SQL aggregation;
     ``value_text`` is the JSON scalar encoding, which preserves the
     int-versus-float distinction so records read back from the store are
-    *exactly* the records a JSONL store would have returned — that is what
-    makes SQL-store aggregates byte-identical to the JSONL era.
+    *exactly* the records the executor produced — that is what makes
+    SQL-store aggregates byte-identical to a storeless run's.
 ``artifacts``
     One row per (cell, kind) pointing at a persisted artifact — today the
     per-cell v2 trace file written by traced sweeps.
@@ -59,9 +59,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.scenarios.campaign.aggregate import _axis_value
-
-#: File extensions routed to this store by :func:`open_store`.
-SQL_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 #: Default lease duration.  Must comfortably exceed the wall time of the
 #: slowest cell: a lease that expires mid-execution makes the cell claimable
@@ -153,26 +150,41 @@ def _metric_scalar(value: Any) -> float:
 class SQLResultStore:
     """SQLite-backed campaign result store with an atomic work queue.
 
-    Implements the same ``load()`` / ``append()`` surface as the JSONL
-    :class:`~repro.scenarios.campaign.store.CampaignStore` (so the classic
-    pool executor runs against it unchanged) plus the queue operations the
-    distributed fabric needs: :meth:`enqueue`, :meth:`claim`,
-    :meth:`complete`, :meth:`status_counts` and :meth:`merge_from`.
+    ``load()`` / ``append()`` are what the serial and pool executors use;
+    the distributed fabric adds the queue operations :meth:`enqueue`,
+    :meth:`claim`, :meth:`complete`, :meth:`status_counts` and
+    :meth:`merge_from`.
+
+    Opening creates the file (and its directory) unless ``create=False`` —
+    what every read-side caller passes, so that a mistyped path is a
+    ``FileNotFoundError`` instead of a fresh empty store.  A file that exists
+    but is not a SQLite database is a ``ValueError`` either way.
     """
 
-    def __init__(self, path: str, *, timeout: float = 30.0) -> None:
+    def __init__(
+        self, path: str, *, timeout: float = 30.0, create: bool = True
+    ) -> None:
         self._path = path
         self._timeout = timeout
-        self._ensure_schema()
+        if not create and not os.path.exists(path):
+            raise FileNotFoundError(f"no such store {path!r}")
+        try:
+            self._ensure_schema()
+        except sqlite3.DatabaseError as exc:
+            # Exactly DatabaseError is SQLite's "not a database" / "malformed
+            # image"; its subclasses (locked, read-only, ...) say nothing
+            # about what the file is and propagate as they are.
+            if type(exc) is not sqlite3.DatabaseError:
+                raise
+            raise ValueError(
+                f"result store {path!r} is not a SQLite database ({exc}); "
+                f"stores are SQLite files written by `repro campaign --store`"
+            ) from exc
 
     @property
     def path(self) -> str:
         """Location of the SQLite file."""
         return self._path
-
-    def exists(self) -> bool:
-        """True if the store file is present on disk."""
-        return os.path.exists(self._path)
 
     # ------------------------------------------------------------------
     # Connections and schema
@@ -281,13 +293,6 @@ class SQLResultStore:
                 rows,
             )
             after = connection.execute("SELECT COUNT(*) AS n FROM cells").fetchone()["n"]
-            # Cells first seen via append() (the index-less legacy surface)
-            # learn their expansion index here, restoring grid order.
-            connection.executemany(
-                "UPDATE cells SET cell_index = ? "
-                "WHERE cell_id = ? AND cell_index IS NULL",
-                [(row[2], row[0]) for row in rows],
-            )
             connection.execute(
                 "INSERT OR IGNORE INTO runs (run_id, campaign, cells, created_at) "
                 "VALUES (?, ?, ?, ?)",
@@ -384,8 +389,8 @@ class SQLResultStore:
         another worker reclaimed the cell) the write is refused and the stale
         lease journalled as ``outcome='stale'`` — results are deterministic,
         so nothing is lost, but exactly one completion owns the row.
-        With ``attempt=None`` (the classic pool executor, which never
-        leases) the write is unconditional.
+        With ``attempt=None`` (the serial and pool executors, which never
+        lease) the write is unconditional.
         """
         if "cell_id" not in record:
             raise ValueError("campaign records need a cell_id")
@@ -400,8 +405,7 @@ class SQLResultStore:
             if row is None:
                 connection.execute("ROLLBACK")
                 raise ValueError(
-                    f"cannot complete unknown cell {cell_id!r}; enqueue it first "
-                    f"(or use append() for store-compatible upserts)"
+                    f"cannot complete unknown cell {cell_id!r}; enqueue it first"
                 )
             if attempt is not None and row["attempt"] != attempt:
                 connection.execute(
@@ -441,7 +445,7 @@ class SQLResultStore:
         return True
 
     # ------------------------------------------------------------------
-    # CampaignStore-compatible surface
+    # The unleased surface (serial and pool executors)
     # ------------------------------------------------------------------
     def load(self) -> Dict[str, Dict[str, Any]]:
         """All completed records keyed by ``cell_id`` (resume semantics)."""
@@ -451,38 +455,11 @@ class SQLResultStore:
         }
 
     def append(self, record: Mapping[str, Any]) -> None:
-        """Upsert one completed record (the JSONL store's append contract).
+        """Persist one finished cell of an enqueued grid, unconditionally.
 
-        Cells unknown to the queue are registered on the fly from the
-        record's own ``params``, so the classic in-process executor can
-        stream into a fresh SQL store exactly as it streamed into JSONL.
+        The unleased spelling of :meth:`complete` — one transaction; a later
+        record for the same cell replaces the earlier one.
         """
-        if "cell_id" not in record:
-            raise ValueError("campaign records need a cell_id")
-        params = record.get("params") or {}
-        with self.connect() as connection:
-            connection.execute("BEGIN IMMEDIATE")
-            connection.execute(
-                """
-                INSERT OR IGNORE INTO cells
-                    (cell_id, campaign, cell_index, protocol, collector,
-                     workload, failures, network, backend, seed_index, params)
-                VALUES (?, ?, NULL, ?, ?, ?, ?, ?, ?, ?, ?)
-                """,
-                (
-                    record["cell_id"],
-                    params.get("campaign", ""),
-                    str(params.get("protocol", "")),
-                    str(params.get("collector", "")),
-                    str(params.get("workload", "")),
-                    str(params.get("failures", "")),
-                    str(_axis_value(params, "network")) if "network" in params else "",
-                    str(params.get("backend", "sim")),
-                    int(params.get("seed_index", 0)),
-                    json.dumps(params, sort_keys=True),
-                ),
-            )
-            connection.execute("COMMIT")
         self.complete(record, worker="local", attempt=None)
 
     # ------------------------------------------------------------------
@@ -494,7 +471,7 @@ class SQLResultStore:
         Each completed cell reconstructs the exact record the executor
         produced (params from the verbatim JSON, metrics from their JSON
         scalar encodings), so aggregation over these records is
-        byte-identical to aggregation over a JSONL store or a live run.
+        byte-identical to aggregation over the run that produced them.
         With ``include_incomplete`` pending/leased cells are reported as
         minimal ``{"cell_id", "params", "status"}`` records (the reducer
         refuses to fold those; callers filter or fail on them).
@@ -601,7 +578,7 @@ class SQLResultStore:
         pending/leased rows in ``other`` are registered as pending here.
         Returns the number of completed cells imported.
         """
-        other = SQLResultStore(other_path, timeout=self._timeout)
+        other = SQLResultStore(other_path, timeout=self._timeout, create=False)
         imported = 0
         already = self.load()
         with other.connect() as connection:
@@ -635,24 +612,8 @@ class SQLResultStore:
                         row["params"],
                     ),
                 )
-                connection.execute(
-                    "UPDATE cells SET cell_index = ? "
-                    "WHERE cell_id = ? AND cell_index IS NULL",
-                    (row["cell_index"], row["cell_id"]),
-                )
                 connection.execute("COMMIT")
             if row["status"] in ("ok", "failed") and row["cell_id"] not in already:
                 self.complete(record, worker=row["worker"] or "merge", attempt=None)
                 imported += 1
         return imported
-
-
-def open_store(path: str):
-    """Open the result store a path denotes: ``.jsonl`` is the legacy JSONL
-    store, everything else (``.sqlite``/``.sqlite3``/``.db`` by convention)
-    the SQL store."""
-    if path.endswith(".jsonl"):
-        from repro.scenarios.campaign.store import CampaignStore
-
-        return CampaignStore(path)
-    return SQLResultStore(path)

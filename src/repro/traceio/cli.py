@@ -1,10 +1,9 @@
 """Command-line front end of the trace subsystem.
 
-Record a campaign sweep with per-cell trace artifacts::
+Traces are written by the run that produces them; a campaign sweep leaves
+one artifact per cell::
 
-    python -m repro trace record --traces results/traces --smoke
-    python -m repro trace record --traces results/traces --spec my_sweep.json \\
-        --store results/sweep.jsonl --out results/ --workers 8
+    python -m repro campaign --spec my_sweep.json --traces results/traces
 
 Re-aggregate a recorded sweep from its artifacts alone (no re-simulation;
 byte-identical CSV/JSON to the live run)::
@@ -25,7 +24,6 @@ Peek at a trace without replaying it, or compare two traces::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Any, Dict, List, Optional
@@ -39,14 +37,6 @@ from repro.traceio.reader import (
 )
 
 
-def _progress(quiet: bool, label: str):
-    def progress(done: int, total: int) -> None:
-        if not quiet:
-            print(f"\r{label}: {done}/{total} cells", end="", file=sys.stderr, flush=True)
-
-    return progress
-
-
 def _write_aggregates(summary, out_dir: str, name: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
@@ -56,44 +46,6 @@ def _write_aggregates(summary, out_dir: str, name: str) -> None:
     with open(json_path, "w", encoding="utf-8") as handle:
         handle.write(summary.to_json())
     print(f"aggregates written to {csv_path} and {json_path}")
-
-
-# ----------------------------------------------------------------------
-# record
-# ----------------------------------------------------------------------
-def _cmd_record(args: argparse.Namespace) -> int:
-    from repro.scenarios.campaign import aggregate_campaign, run_campaign, spec_from_mapping
-    from repro.scenarios.experiments import smoke_campaign_spec
-
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec = spec_from_mapping(json.load(handle))
-    else:
-        spec = smoke_campaign_spec()
-    run = run_campaign(
-        spec,
-        store_path=args.store,
-        workers=args.workers,
-        trace_dir=args.traces,
-        progress=_progress(args.quiet, spec.name),
-    )
-    if not args.quiet:
-        print(file=sys.stderr)
-    failed = run.failed_records
-    for record in failed[:10]:
-        print(f"failed cell {record['cell_id']}: {record['error']}", file=sys.stderr)
-    if len(failed) == run.cell_count:
-        print("every cell failed; nothing to aggregate", file=sys.stderr)
-        return 1
-    summary = aggregate_campaign(run.records)
-    print(summary.table().render())
-    print(
-        f"{run.cell_count} cells ({run.executed} executed, {run.resumed} resumed); "
-        f"traces in {args.traces}"
-    )
-    if args.out:
-        _write_aggregates(summary, args.out, spec.name)
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -298,32 +250,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
-        description="Record, replay, inspect and diff persisted simulation traces.",
+        description="Replay, inspect and diff persisted simulation traces.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    record = commands.add_parser(
-        "record", help="run a campaign sweep with per-cell trace artifacts"
-    )
-    record.add_argument(
-        "--spec", default=None,
-        help="JSON campaign description (default: the smoke campaign grid)",
-    )
-    record.add_argument(
-        "--traces", default="traces",
-        help="directory for the per-cell trace artifacts (default: traces)",
-    )
-    record.add_argument(
-        "--store", default=None,
-        help="optional JSONL result store (resume semantics, as in repro.campaign)",
-    )
-    record.add_argument(
-        "--out", default=None,
-        help="directory for the aggregate tables as CSV and JSON",
-    )
-    record.add_argument("--workers", type=int, default=1, help="pool processes")
-    record.add_argument("--quiet", action="store_true", help="suppress progress output")
-    record.set_defaults(func=_cmd_record)
 
     replay = commands.add_parser(
         "replay",

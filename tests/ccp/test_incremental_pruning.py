@@ -8,8 +8,7 @@ does over the surviving (live) checkpoint window, at every instant of the
 churn schedule.  Unpruned recorders are diffed against the classic recompute
 (the ``assert_view_matches_classic`` fixture); the blocked bitset kernel is additionally pinned
 to the brute-force reference on *pruned* (based) logs, where closures start
-at per-process base intervals rather than zero; and the numpy backend must
-agree with the big-int backend bit for bit.
+at per-process base intervals rather than zero.
 
 Simulation-level churn (crashes, recovery truncation, index reuse, pruning
 interleaved with rollback-driven eliminations) is covered by running the
@@ -181,26 +180,16 @@ class TestKernelOnBasedLogs:
     @pytest.mark.parametrize("seed", SEEDS[::4])
     def test_bigint_kernel_matches_brute_force(self, seed):
         ccp, recorder = self._pruned_ccp(seed)
-        kernel = ZigzagAnalysis(ccp, kernel="bigint")
+        kernel = ZigzagAnalysis(ccp)
         brute = BruteForceZigzagAnalysis(ccp)
         assert set(kernel.zigzag_pairs()) == set(brute.zigzag_pairs())
         assert kernel.useless_checkpoints() == brute.useless_checkpoints()
 
-    @pytest.mark.parametrize("seed", SEEDS[::4])
-    def test_numpy_backend_matches_bigint(self, seed):
-        pytest.importorskip("numpy")
-        ccp, recorder = self._pruned_ccp(seed)
-        bigint = ZigzagAnalysis(ccp, kernel="bigint")
-        numpy_kernel = ZigzagAnalysis(ccp, kernel="numpy")
-        assert numpy_kernel.kernel == "numpy"
-        assert set(numpy_kernel.zigzag_pairs()) == set(bigint.zigzag_pairs())
-        assert (
-            numpy_kernel.useless_checkpoints() == bigint.useless_checkpoints()
-        )
-        ids = _live_ids(recorder)
-        for a in ids:
-            for b in ids:
-                assert numpy_kernel.zigzag_exists(a, b) == bigint.zigzag_exists(a, b)
+    def test_there_is_no_backend_to_select(self):
+        ccp, _ = self._pruned_ccp(SEEDS[0])
+        with pytest.raises(TypeError):
+            ZigzagAnalysis(ccp, kernel="numpy")
+        assert not hasattr(ZigzagAnalysis(ccp), "kernel")
 
 
 class TestChurnSchedules:

@@ -86,3 +86,11 @@ class CrossCheckSink(TraceSink):
 def cross_check_sink():
     """Factory attaching a :class:`CrossCheckSink` to a recorder."""
     return CrossCheckSink
+
+
+@pytest.fixture
+def legacy_store_file(tmp_path) -> str:
+    """A ``--store`` path that exists and is not SQLite: an old JSONL store, renamed."""
+    path = tmp_path / "legacy.sqlite"
+    path.write_text('{"cell_id": "abc", "params": {}, "metrics": {}}\n' * 40)
+    return str(path)

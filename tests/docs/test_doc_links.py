@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -41,6 +42,26 @@ class TestCommittedDocs:
             "docs/live.md",
         }
         assert expected_pages <= scanned
+
+
+    def test_no_retired_spellings(self):
+        """README and docs/ name only entry points and options that exist."""
+        retired = {
+            "alias entry point": r"python -m repro\.(campaign|traceio|explore|live)\b(?!\.)",
+            "trace record": r"repro trace record\b",
+            "numpy kernel": r"kernel=\"numpy\"",
+            "kernel env switch": r"REPRO_ZIGZAG_KERNEL",
+            "JSONL result store": r"--store\s+\S*\.jsonl\b",
+        }
+        pages = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+        found = [
+            f"{page.relative_to(REPO_ROOT)}:{lineno}: {name}"
+            for page in pages
+            for lineno, line in enumerate(page.read_text(encoding="utf-8").splitlines(), 1)
+            for name, pattern in retired.items()
+            if re.search(pattern, line)
+        ]
+        assert not found, "\n".join(found)
 
 
 class TestCheckerSemantics:

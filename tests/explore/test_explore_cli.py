@@ -1,4 +1,4 @@
-"""End-to-end tests of ``python -m repro.explore`` (run/sweep/replay)."""
+"""End-to-end tests of ``python -m repro explore`` (run/sweep/replay)."""
 
 from __future__ import annotations
 

@@ -327,7 +327,7 @@ class TestAcceptanceSweep:
     Tier-1 explores every protocol exhaustively at 4 messages (identical
     code paths, seconds) and walks a deterministic 6-message frontier; with
     ``EXPLORE_EXHAUSTIVE=1`` — set by CI's gates job, the nightly workflow
-    and `python -m repro.explore sweep` verification runs — the 6-message
+    and `python -m repro explore sweep` verification runs — the 6-message
     walk is exhaustive across every registered protocol.
     """
 

@@ -143,6 +143,20 @@ class TestQuery:
             api.query(store, "who-wins")
         assert "retained-winner" in excinfo.value.accepted
 
+    @pytest.mark.parametrize("name", [None, "retained-winner"])
+    def test_missing_store_raises_and_creates_nothing(self, name, tmp_path):
+        typo = tmp_path / "no-such-dir" / "typo.sqlite"
+        with pytest.raises(FileNotFoundError, match="no such store"):
+            api.query(str(typo), name)
+        assert not typo.parent.exists()
+
+    @pytest.mark.parametrize("name", [None, "retained-winner"])
+    def test_non_sqlite_store_is_named_in_the_error(self, name, legacy_store_file):
+        with pytest.raises(ValueError, match="not a SQLite database") as excinfo:
+            api.query(legacy_store_file, name)
+        assert legacy_store_file in str(excinfo.value)
+        assert not isinstance(excinfo.value, api.SpecValidationError)
+
     def test_unknown_query_param_surfaces(self, tmp_path):
         store = str(tmp_path / "q2.sqlite")
         api.run(CAMPAIGN_DOC, store=store)

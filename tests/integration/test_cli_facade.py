@@ -37,8 +37,12 @@ class TestDispatcher:
             assert name in out
 
     def test_no_arguments_prints_usage(self, capsys):
-        assert repro_main([]) == 0
-        assert "usage: python -m repro" in capsys.readouterr().out
+        # No command is a usage error (exit 2, usage on stderr); only an
+        # explicit --help is a success.
+        assert repro_main([]) == 2
+        captured = capsys.readouterr()
+        assert "usage: python -m repro" in captured.err
+        assert captured.out == ""
 
     def test_unknown_command_is_a_usage_error(self, capsys):
         assert repro_main(["destroy"]) == 2
@@ -116,16 +120,34 @@ class TestQueryCli:
             "merge", "--store", str(tmp_path / "m.sqlite"),
             str(tmp_path / "ghost.sqlite"),
         ]) == 2
+        assert not (tmp_path / "ghost.sqlite").exists()
+
+    @pytest.mark.parametrize("command", ["status", "aggregate", "retained-winner"])
+    def test_missing_store_is_usage_error_and_creates_nothing(
+        self, command, tmp_path, capsys
+    ):
+        typo = tmp_path / "no-such-dir" / "typo.sqlite"
+        assert query_main([command, "--store", str(typo)]) == 2
+        captured = capsys.readouterr()
+        assert "no such store" in captured.err and str(typo) in captured.err
+        assert captured.out == ""
+        assert not typo.parent.exists()
+
+    @pytest.mark.parametrize("command", ["status", "aggregate", "retained-winner"])
+    def test_non_sqlite_store_is_usage_error(self, command, legacy_store_file, capsys):
+        assert query_main([command, "--store", legacy_store_file]) == 2
+        err = capsys.readouterr().err
+        assert legacy_store_file in err and "not a SQLite database" in err
 
 
 class TestDeprecatedAliases:
-    """The historical spellings keep working and say where to go."""
+    """The historical spellings are gone; ``python -m repro`` is the entry point."""
 
     @pytest.mark.parametrize(
         "module",
         ["repro.campaign", "repro.traceio", "repro.explore", "repro.live"],
     )
-    def test_alias_warns_once_and_still_works(self, module):
+    def test_alias_modules_are_gone(self, module):
         result = subprocess.run(
             [sys.executable, "-m", module, "--help"],
             capture_output=True,
@@ -133,10 +155,11 @@ class TestDeprecatedAliases:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
             timeout=120,
         )
-        assert result.returncode == 0
-        assert "deprecated" in result.stderr
-        assert "python -m repro " in result.stderr
-        assert "usage" in result.stdout.lower()
+        assert result.returncode != 0
+        assert (
+            "No module named" in result.stderr
+            or "cannot be directly executed" in result.stderr
+        )
 
     def test_unified_spelling_does_not_warn(self):
         result = subprocess.run(

@@ -8,8 +8,8 @@ import pytest
 import repro.scenarios.campaign.executor as executor_module
 from repro.scenarios.campaign import (
     CampaignSpec,
-    CampaignStore,
     CollectorSpec,
+    SQLResultStore,
     WorkloadSpec,
     aggregate_campaign,
     run_campaign,
@@ -508,70 +508,39 @@ class TestFaultModelAxes:
 
 
 class TestStore:
+    """The unleased ``append``/``load`` surface the serial and pool executors use."""
+
+    @staticmethod
+    def _store_and_cells(tmp_path):
+        cells = tiny_spec(seeds=(0,)).cells()
+        store = SQLResultStore(str(tmp_path / "s.sqlite"))
+        store.enqueue(cells)
+        return store, cells
+
     def test_append_load_roundtrip(self, tmp_path):
-        store = CampaignStore(str(tmp_path / "s.jsonl"))
-        store.append({"cell_id": "a", "params": {}, "metrics": {"x": 1.5}})
-        store.append({"cell_id": "b", "params": {}, "metrics": {"x": 2.0}})
+        store, (a, b) = self._store_and_cells(tmp_path)
+        store.append({"cell_id": a.cell_id, "params": a.params(), "metrics": {"x": 1.5}})
+        store.append({"cell_id": b.cell_id, "params": b.params(), "metrics": {"x": 2.0}})
         loaded = store.load()
-        assert set(loaded) == {"a", "b"}
-        assert loaded["a"]["metrics"]["x"] == 1.5
-
-    def test_half_written_final_line_is_skipped(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        store = CampaignStore(str(path))
-        store.append({"cell_id": "a", "metrics": {}})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"cell_id": "b", "metr')  # killed mid-write
-        assert set(store.load()) == {"a"}
-
-    def test_append_after_half_written_line_repairs_the_tail(self, tmp_path):
-        # A kill mid-write leaves a partial final line; appending must not
-        # glue the new record onto it (which would lose the record and turn
-        # the partial line into interior corruption on the next append).
-        path = tmp_path / "s.jsonl"
-        store = CampaignStore(str(path))
-        store.append({"cell_id": "a", "metrics": {}})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"cell_id": "b", "metr')  # killed mid-write
-        store.append({"cell_id": "b", "metrics": {"x": 1.0}})
-        store.append({"cell_id": "c", "metrics": {}})
-        loaded = store.load()  # must not raise: the partial line is gone
-        assert set(loaded) == {"a", "b", "c"}
-        assert loaded["b"]["metrics"]["x"] == 1.0
-
-    def test_append_terminates_a_complete_unterminated_record(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        store = CampaignStore(str(path))
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"cell_id": "a", "metrics": {}}')  # no newline
-        store.append({"cell_id": "b", "metrics": {}})
-        assert set(store.load()) == {"a", "b"}
-
-    def test_corrupt_interior_line_raises(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("not json\n")
-            handle.write(json.dumps({"cell_id": "a"}) + "\n")
-        with pytest.raises(ValueError):
-            CampaignStore(str(path)).load()
-
-    def test_non_record_json_line_raises_value_error(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("42\n")
-        with pytest.raises(ValueError, match="not a cell record"):
-            CampaignStore(str(path)).load()
+        assert set(loaded) == {a.cell_id, b.cell_id}
+        assert loaded[a.cell_id]["metrics"]["x"] == 1.5
 
     def test_later_record_wins(self, tmp_path):
-        store = CampaignStore(str(tmp_path / "s.jsonl"))
-        store.append({"cell_id": "a", "metrics": {"x": 1.0}})
-        store.append({"cell_id": "a", "metrics": {"x": 9.0}})
-        assert store.load()["a"]["metrics"]["x"] == 9.0
+        store, (a, _) = self._store_and_cells(tmp_path)
+        store.append({"cell_id": a.cell_id, "metrics": {"x": 1.0}})
+        store.append({"cell_id": a.cell_id, "metrics": {"x": 9.0}})
+        assert store.load()[a.cell_id]["metrics"]["x"] == 9.0
 
     def test_records_without_cell_id_rejected(self, tmp_path):
-        store = CampaignStore(str(tmp_path / "s.jsonl"))
+        store, _ = self._store_and_cells(tmp_path)
         with pytest.raises(ValueError):
             store.append({"metrics": {}})
+
+    def test_append_needs_an_enqueued_cell(self, tmp_path):
+        store, _ = self._store_and_cells(tmp_path)
+        with pytest.raises(ValueError, match="enqueue it first"):
+            store.append({"cell_id": "never-enqueued", "params": {}, "metrics": {}})
+        assert store.load() == {}
 
 
 class TestExecution:
@@ -600,7 +569,7 @@ class TestExecution:
 
     def test_resume_after_kill_skips_completed_cells(self, tmp_path, monkeypatch):
         spec = tiny_spec()
-        store_path = str(tmp_path / "sweep.jsonl")
+        store_path = str(tmp_path / "sweep.sqlite")
         uninterrupted = aggregate_campaign(run_campaign(spec).records)
 
         real = executor_module.execute_cell
@@ -616,7 +585,7 @@ class TestExecution:
         with pytest.raises(KeyboardInterrupt):
             run_campaign(spec, store_path=store_path)
         monkeypatch.setattr(executor_module, "execute_cell", real)
-        assert len(CampaignStore(store_path).load()) == 2
+        assert len(SQLResultStore(store_path).load()) == 2
 
         executed = []
         monkeypatch.setattr(
@@ -628,10 +597,9 @@ class TestExecution:
         assert resumed.executed == spec.cell_count - 2
         assert resumed.resumed == 2
         assert len(executed) == spec.cell_count - 2
-        # Identical results to the uninterrupted run, and one line per cell.
+        # Identical results to the uninterrupted run, and one row per cell.
         assert aggregate_campaign(resumed.records).to_csv() == uninterrupted.to_csv()
-        with open(store_path, "r", encoding="utf-8") as handle:
-            assert len(handle.readlines()) == spec.cell_count
+        assert SQLResultStore(store_path).status_counts() == {"ok": spec.cell_count}
 
         final = run_campaign(spec, store_path=store_path)
         assert final.executed == 0
@@ -659,7 +627,7 @@ class TestExecution:
             ),
             seeds=(0, 1),
         )
-        store_path = str(tmp_path / "partial.jsonl")
+        store_path = str(tmp_path / "partial.sqlite")
         run = run_campaign(spec, store_path=store_path)
         assert run.executed == 4
         failed = run.failed_records
@@ -783,7 +751,7 @@ class TestCli:
                 }
             )
         )
-        store = tmp_path / "store.jsonl"
+        store = tmp_path / "store.sqlite"
         out_dir = tmp_path / "out"
         argv = [
             "--spec", str(spec_path),
@@ -801,6 +769,16 @@ class TestCli:
         assert campaign_main(argv) == 0
         second = capsys.readouterr().out
         assert "0 executed, 2 resumed" in second
+
+    def test_non_sqlite_store_is_a_usage_error(self, legacy_store_file, capsys):
+        for mode in ([], ["--worker"]):
+            with pytest.raises(SystemExit) as excinfo:
+                campaign_main(
+                    ["--seeds", "1", "--store", legacy_store_file, "--quiet", *mode]
+                )
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert legacy_store_file in err and "not a SQLite database" in err
 
     def test_spec_file_rejects_default_grid_flags(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -211,10 +211,6 @@ class TestShortCircuit:
 
 
 class TestWorkerLoop:
-    def test_worker_rejects_jsonl_store(self, tmp_path):
-        with pytest.raises(ValueError, match="SQL result store"):
-            run_worker(fabric_spec(), str(tmp_path / "queue.jsonl"))
-
     def test_worker_rejects_foreign_store(self, tmp_path):
         store_path = str(tmp_path / "foreign.sqlite")
         run_campaign(fabric_spec(), store_path=store_path)

@@ -7,12 +7,10 @@ import pytest
 
 from repro.scenarios.campaign import (
     CampaignSpec,
-    CampaignStore,
     CollectorSpec,
     SQLResultStore,
     WorkloadSpec,
     aggregate_campaign,
-    open_store,
     run_campaign,
 )
 from repro.scenarios.campaign.executor import execute_cell
@@ -36,10 +34,23 @@ def store(tmp_path):
 
 
 class TestSchema:
-    def test_open_store_dispatch(self, tmp_path):
-        assert isinstance(open_store(str(tmp_path / "a.jsonl")), CampaignStore)
-        assert isinstance(open_store(str(tmp_path / "a.sqlite")), SQLResultStore)
-        assert isinstance(open_store(str(tmp_path / "a.db")), SQLResultStore)
+    def test_non_sqlite_file_rejected_by_name(self, legacy_store_file):
+        with open(legacy_store_file, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(ValueError, match="not a SQLite database") as excinfo:
+            SQLResultStore(legacy_store_file)
+        assert legacy_store_file in str(excinfo.value)
+        with open(legacy_store_file, "rb") as handle:
+            assert handle.read() == before
+
+    def test_create_false_refuses_a_missing_store(self, tmp_path):
+        path = tmp_path / "no-such-dir" / "typo.sqlite"
+        with pytest.raises(FileNotFoundError, match="no such store"):
+            SQLResultStore(str(path), create=False)
+        assert not path.parent.exists()
+        with pytest.raises(FileNotFoundError, match="no such store"):
+            SQLResultStore(str(tmp_path / "dest.sqlite")).merge_from(str(path))
+        assert not path.parent.exists()
 
     def test_schema_version_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "old.sqlite")
@@ -180,19 +191,20 @@ class TestRecords:
         assert type(record["metrics"]["count"]) is int
         assert type(record["metrics"]["ratio"]) is float
 
-    def test_aggregate_byte_identical_to_jsonl_store(self, tmp_path):
+    def test_aggregate_byte_identical_to_storeless_run(self, tmp_path):
         spec = tiny_spec()
-        jsonl_run = run_campaign(spec, store_path=str(tmp_path / "a.jsonl"))
+        storeless_run = run_campaign(spec)
         sql_run = run_campaign(spec, store_path=str(tmp_path / "a.sqlite"))
-        jsonl_summary = aggregate_campaign(jsonl_run.records)
+        storeless_summary = aggregate_campaign(storeless_run.records)
         sql_summary = aggregate_campaign(sql_run.records)
-        assert sql_summary.to_csv() == jsonl_summary.to_csv()
-        assert sql_summary.to_json() == jsonl_summary.to_json()
+        assert sql_summary.to_csv() == storeless_summary.to_csv()
+        assert sql_summary.to_json() == storeless_summary.to_json()
         # And reading back from the SQL file alone reproduces the same bytes.
         reread = aggregate_campaign(
             SQLResultStore(str(tmp_path / "a.sqlite")).records(include_incomplete=False)
         )
-        assert reread.to_csv() == jsonl_summary.to_csv()
+        assert reread.to_csv() == storeless_summary.to_csv()
+        assert reread.to_json() == storeless_summary.to_json()
 
     def test_merge_from_folds_shard_stores(self, tmp_path):
         spec = tiny_spec()

@@ -1,8 +1,8 @@
-"""End-to-end tests of ``python -m repro.traceio`` (record/replay/inspect/diff).
+"""End-to-end tests of ``python -m repro trace`` (replay/inspect/diff).
 
-The acceptance path: ``record`` on a campaign writes per-cell trace
-artifacts plus live aggregate tables; ``replay`` on the artifact directory
-reproduces those tables byte for byte without re-simulation.
+The acceptance path: ``python -m repro campaign --traces DIR`` writes per-cell
+trace artifacts plus live aggregate tables; ``replay`` on the artifact
+directory reproduces those tables byte for byte without re-simulation.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.scenarios.campaign.cli import main as campaign_main
 from repro.traceio.cli import main
 
 
@@ -41,8 +42,8 @@ def recorded(tmp_path_factory, spec_file):
     root = tmp_path_factory.mktemp("recorded")
     traces = str(root / "traces")
     out = str(root / "live")
-    code = main(
-        ["record", "--spec", spec_file, "--traces", traces, "--out", out, "--quiet"]
+    code = campaign_main(
+        ["--spec", spec_file, "--traces", traces, "--out", out, "--quiet"]
     )
     assert code == 0
     return {"traces": traces, "out": out, "name": "cli-mini"}
@@ -54,6 +55,12 @@ def _read(path):
 
 
 class TestRecordReplay:
+    def test_record_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["record", "--traces", "anywhere"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'record'" in capsys.readouterr().err
+
     def test_record_writes_one_trace_per_cell(self, recorded):
         names = [n for n in os.listdir(recorded["traces"]) if n.endswith(".trace.jsonl")]
         assert len(names) == 4  # 1 collector x 1 workload x 2 failures x 2 seeds
