@@ -10,8 +10,11 @@ and *gates* on its two invariants:
 2. **Byte-identical reduction** — the store's aggregate CSV/JSON must equal
    the serial in-memory reference aggregate of the same grid, byte for byte.
 
-It also reports fabric throughput (cells/second against a shared store) for
-the perf trajectory.
+It also reports fabric throughput (cells/second against a shared store) and
+what the store itself costs (``store_ms_per_cell``: wall time the surviving
+workers spent inside ``claim`` + ``complete``, waiting for each other's write
+lock included, per cell they executed) for the perf trajectory.  Neither is
+gated: both are wall clock on a shared host.
 
 Run directly::
 
@@ -30,7 +33,7 @@ import signal
 import sys
 import time
 from collections import Counter
-from typing import List, Optional
+from typing import Any, List, Optional
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_REPO_ROOT, "src")
@@ -68,8 +71,30 @@ def fabric_spec(target_cells: int) -> CampaignSpec:
     )
 
 
-def _worker_entry(target_cells: int, store_path: str, name: str) -> None:
-    run_worker(
+def _worker_entry(
+    target_cells: int, store_path: str, name: str, store_seconds: Any, executed: Any
+) -> None:
+    """One surviving worker; adds its store time and cell count to the shared totals.
+
+    The store is timed from out here, around ``claim`` and ``complete`` of
+    this process's ``SQLResultStore`` class — no clock lives in ``src/``.
+    """
+    spent = 0.0
+
+    def timed(method: Any) -> Any:
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            nonlocal spent
+            started = time.perf_counter()
+            try:
+                return method(*args, **kwargs)
+            finally:
+                spent += time.perf_counter() - started
+
+        return wrapper
+
+    SQLResultStore.claim = timed(SQLResultStore.claim)
+    SQLResultStore.complete = timed(SQLResultStore.complete)
+    run = run_worker(
         fabric_spec(target_cells),
         store_path,
         worker=name,
@@ -78,6 +103,10 @@ def _worker_entry(target_cells: int, store_path: str, name: str) -> None:
         wait=True,
         poll_interval=0.1,
     )
+    with store_seconds.get_lock():
+        store_seconds.value += spent
+    with executed.get_lock():
+        executed.value += run.executed
 
 
 def _victim_entry(target_cells: int, store_path: str) -> None:
@@ -145,10 +174,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"FAIL: victim expected to die by SIGKILL, exited {victim.exitcode}")
         return 1
 
+    store_seconds = multiprocessing.Value("d", 0.0)
+    executed = multiprocessing.Value("i", 0)
     started = time.perf_counter()
     survivors = [
         multiprocessing.Process(
-            target=_worker_entry, args=(target, store_path, f"worker-{i}")
+            target=_worker_entry,
+            args=(target, store_path, f"worker-{i}", store_seconds, executed),
         )
         for i in range(workers)
     ]
@@ -161,8 +193,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
     elapsed = time.perf_counter() - started
 
-    store = SQLResultStore(store_path)
-    counts = store.status_counts()
+    with SQLResultStore(store_path) as store:
+        counts = store.status_counts()
+        journal = store.lease_history()
+        stored_records = store.records(include_incomplete=False)
     print(f"store status: {counts}; {elapsed:.1f}s after the kill")
 
     failures = 0
@@ -172,17 +206,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     ok_leases = Counter(
         entry["cell_id"]
-        for entry in store.lease_history()
+        for entry in journal
         if entry["outcome"] == "ok"
     )
     doubled = [cell for cell, n in ok_leases.items() if n != 1]
     if doubled:
         print(f"FAIL: {len(doubled)} cell(s) completed more than once: {doubled[:5]}")
         failures += 1
-    reclaimed = sum(
-        1 for entry in store.lease_history() if entry["outcome"] == "expired"
-    )
-    stale = sum(1 for entry in store.lease_history() if entry["outcome"] == "stale")
+    reclaimed = sum(1 for entry in journal if entry["outcome"] == "expired")
+    stale = sum(1 for entry in journal if entry["outcome"] == "stale")
     print(
         f"lease journal: {len(ok_leases)} completions, {reclaimed} expired "
         f"lease(s) reclaimed from the victim, {stale} stale"
@@ -194,7 +226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # The reducer invariant: the sharded, crash-ridden fabric run aggregates
     # byte-identically to a serial in-memory reference of the same grid.
     reference = aggregate_campaign(run_campaign(spec).records)
-    reduced = aggregate_campaign(store.records(include_incomplete=False))
+    reduced = aggregate_campaign(stored_records)
     if reduced.to_csv() != reference.to_csv() or reduced.to_json() != reference.to_json():
         print("FAIL: store aggregate differs from the serial reference")
         failures += 1
@@ -206,6 +238,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "workers": workers,
         "seconds": round(elapsed, 3),
         "cells_per_second": round(spec.cell_count / elapsed, 2),
+        "store_ms_per_cell": round(1000.0 * store_seconds.value / max(executed.value, 1), 3),
         "reclaimed_leases": reclaimed,
         "stale_completions": stale,
     }
@@ -214,7 +247,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
-    print(f"throughput: {document['cells_per_second']} cells/s -> {out_path}")
+    print(
+        f"throughput: {document['cells_per_second']} cells/s, store "
+        f"{document['store_ms_per_cell']} ms/cell -> {out_path}"
+    )
     return 1 if failures else 0
 
 

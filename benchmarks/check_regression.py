@@ -55,6 +55,14 @@ costs a format string (or one shared encoder), one unbuffered write and one
 C scan; a per-record ``json.dumps``/``json.loads`` wrapper chain, a buffered
 write-and-flush pair or a table rebuilt per record shows up as 2-4x.
 
+The **store-cost** gate (``--smoke`` only) counts what the SQL result store
+asks of SQLite on a serial smoke-campaign run plus its ``store_summary``:
+connections opened (``sqlite3.connect`` wrapped) and SQL statements executed
+(``Connection.set_trace_callback``) per completed cell.  A store holds one
+connection per run, so the first is a constant — two, one per entry point —
+whatever the grid; a connection per operation, or a ``COUNT(*)`` scan per
+transaction growing back, shows in one or the other.
+
 Run directly::
 
     python benchmarks/check_regression.py --smoke
@@ -103,6 +111,13 @@ RECORDING_LINES_CEILING = 36.0
 # and 38.0 on its parent commit, which called json.dumps/json.loads and a
 # buffered write + flush per record).
 TRACE_CODEC_LINES_CEILING = 20.0
+# Store-cost gate, on a serial smoke-campaign run (16 cells) plus its
+# store_summary: connections opened (2 when the gate was added — one per entry
+# point, at any grid size; 21 on its parent commit, one per store operation)
+# and SQL statements per completed cell, schema set-up included (23.0 when the
+# gate was added, so ~25 % headroom; 24.2 on its parent commit).
+STORE_CONNECTIONS_CEILING = 2
+STORE_STATEMENTS_CEILING = 29.0
 
 
 def _load_document(path: str) -> Dict[str, Any]:
@@ -440,6 +455,68 @@ def check_trace_codec_cost(*, ceiling: float = TRACE_CODEC_LINES_CEILING) -> Lis
     return violations
 
 
+def store_cost() -> Tuple[int, float]:
+    """Connections opened, and SQL statements executed per completed cell.
+
+    The smoke campaign run serially into a fresh store, then folded by
+    ``store_summary`` from the path — the two entry points a stored sweep
+    goes through.  Both counts are functions of the code alone.
+    """
+    import sqlite3
+
+    from repro.scenarios.campaign import run_campaign
+    from repro.scenarios.campaign.queries import store_summary
+    from repro.scenarios.experiments import smoke_campaign_spec
+
+    connections = statements = 0
+    real_connect = sqlite3.connect
+
+    def count_statement(statement: str) -> None:
+        nonlocal statements
+        statements += 1
+
+    def counting_connect(*args: Any, **kwargs: Any) -> Any:
+        nonlocal connections
+        connections += 1
+        connection = real_connect(*args, **kwargs)
+        connection.set_trace_callback(count_statement)
+        return connection
+
+    spec = smoke_campaign_spec()
+    sqlite3.connect = counting_connect
+    try:
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "gate.sqlite")
+            run = run_campaign(spec, store_path=path)
+            store_summary(path)
+    finally:
+        sqlite3.connect = real_connect
+    if run.executed != spec.cell_count or run.failed_records:
+        raise RuntimeError("the store-cost gate's own run went wrong")
+    return connections, statements / run.executed
+
+
+def check_store_cost(
+    *,
+    connections_ceiling: int = STORE_CONNECTIONS_CEILING,
+    statements_ceiling: float = STORE_STATEMENTS_CEILING,
+) -> List[str]:
+    """Gate: the store costs its rows — one connection per run, a few statements per cell."""
+    connections, statements = store_cost()
+    violations = []
+    if connections > connections_ceiling:
+        violations.append(
+            f"a stored sweep plus its summary opened {connections} SQLite connections "
+            f"(allowed {connections_ceiling}): SQLResultStore stopped keeping its connection"
+        )
+    if statements > statements_ceiling:
+        violations.append(
+            f"the result store executes {statements:.1f} SQL statements per completed "
+            f"cell (allowed {statements_ceiling:.1f}): SQLResultStore.enqueue/complete regrew"
+        )
+    return violations
+
+
 def check_campaign_determinism(*, workers: int = 2) -> List[str]:
     """Gate the campaign subsystem: serial and pooled execution of the same
     spec must produce byte-identical aggregate tables (empty == pass)."""
@@ -519,6 +596,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         standalone_violations += check_recovery_session_scaling()
         standalone_violations += check_recording_path_cost()
         standalone_violations += check_trace_codec_cost()
+        standalone_violations += check_store_cost()
     if not args.skip_campaign:
         standalone_violations += check_campaign_determinism()
 
@@ -573,7 +651,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     memory_note = "skipped" if args.skip_memory else "within threshold"
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
-        f"session scaling, recording-path and trace-codec gates "
+        f"session scaling, recording-path, trace-codec and store-cost gates "
         f"{'ok' if args.smoke else 'skipped (--smoke only)'}, "
         f"campaign gate {campaign_note}, memory gate {memory_note} — ok"
     )

@@ -564,11 +564,11 @@ def query(
             "name", f"unknown query {name!r}", accepted=sorted(QUERIES)
         )
     # Opened outside the try: an unusable store is not a parameter error.
-    opened = SQLResultStore(store, create=False)
-    try:
-        return run_query(opened, name, **params)
-    except (KeyError, ValueError) as exc:
-        raise SpecValidationError("params", str(exc)) from exc
+    with SQLResultStore(store, create=False) as opened:
+        try:
+            return run_query(opened, name, **params)
+        except (KeyError, ValueError) as exc:
+            raise SpecValidationError("params", str(exc)) from exc
 
 
 __all__ = [

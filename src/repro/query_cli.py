@@ -228,7 +228,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args, store)
+    with store:
+        return args.func(args, store)
 
 
 if __name__ == "__main__":

@@ -185,6 +185,10 @@ def run_campaign(
     writes — the records are simply read back, and the summary reports them
     as ``skipped``.
 
+    The store is opened once, keeps one connection for the run (closed
+    before a pool forks, re-opened by the first result) and is closed when
+    this returns or raises, which leaves no ``-wal``/``-shm`` file behind.
+
     The returned records are in grid-expansion order regardless of the order
     cells actually completed in, so downstream aggregation is deterministic.
     """
@@ -195,66 +199,74 @@ def run_campaign(
             raise ValueError(f"shard must be (k, n) with 0 <= k < n, got {shard}")
         cells = [(index, cell) for index, cell in cells if index % shard[1] == shard[0]]
     store = SQLResultStore(store_path) if store_path else None
-    completed: Dict[str, Dict[str, Any]] = store.load() if store else {}
-    if retry_failed:
-        completed = {
-            cell_id: record
-            for cell_id, record in completed.items()
-            if record.get("status", "ok") == "ok"
-        }
+    try:
+        completed: Dict[str, Dict[str, Any]] = store.load() if store else {}
+        if retry_failed:
+            completed = {
+                cell_id: record
+                for cell_id, record in completed.items()
+                if record.get("status", "ok") == "ok"
+            }
+            if store is not None:
+                store.reset_failed()
+        pending = [
+            (cell, trace_dir, index)
+            for index, cell in cells
+            if cell.cell_id not in completed
+        ]
+        done = len(cells) - len(pending)
+        if not pending:
+            # Short-circuit: everything is already in the store.  Deliberately
+            # *before* pool creation and trace-directory setup so a warm re-run
+            # has no side effects whatsoever.
+            if progress and done:
+                progress(done, len(cells))
+            return CampaignRun(
+                spec=spec,
+                records=[completed[cell.cell_id] for _, cell in cells],
+                executed=0,
+                resumed=len(cells),
+            )
         if store is not None:
-            store.reset_failed()
-    pending = [
-        (cell, trace_dir, index)
-        for index, cell in cells
-        if cell.cell_id not in completed
-    ]
-    done = len(cells) - len(pending)
-    if not pending:
-        # Short-circuit: everything is already in the store.  Deliberately
-        # *before* pool creation and trace-directory setup so a warm re-run
-        # has no side effects whatsoever.
+            # Register the grid (with expansion indices) before executing, so
+            # records read back from the store keep grid order — the byte-identity
+            # invariant.  After the short-circuit on purpose: a warm re-run must
+            # not touch the store at all.
+            store.enqueue(expanded, shard=shard)
+        if trace_dir is not None:
+            os.makedirs(trace_dir, exist_ok=True)
         if progress and done:
             progress(done, len(cells))
+
+        def _finish(record: Dict[str, Any]) -> None:
+            nonlocal done
+            completed[record["cell_id"]] = record
+            if store is not None:
+                store.append(record)
+            done += 1
+            if progress:
+                progress(done, len(cells))
+
+        if workers <= 1 or len(pending) <= 1:
+            for args in pending:
+                _finish(_execute_cell_args(args))
+        else:
+            if store is not None:
+                # Fork with no open handle to inherit: a SQLite connection
+                # must not cross a fork.  The first ``append`` re-opens it.
+                store.close()
+            with multiprocessing.Pool(processes=min(workers, len(pending))) as pool:
+                for record in pool.imap_unordered(_execute_cell_args, pending):
+                    _finish(record)
         return CampaignRun(
             spec=spec,
             records=[completed[cell.cell_id] for _, cell in cells],
-            executed=0,
-            resumed=len(cells),
+            executed=len(pending),
+            resumed=len(cells) - len(pending),
         )
-    if store is not None:
-        # Register the grid (with expansion indices) before executing, so
-        # records read back from the store keep grid order — the byte-identity
-        # invariant.  After the short-circuit on purpose: a warm re-run must
-        # not touch the store at all.
-        store.enqueue(expanded, shard=shard)
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-    if progress and done:
-        progress(done, len(cells))
-
-    def _finish(record: Dict[str, Any]) -> None:
-        nonlocal done
-        completed[record["cell_id"]] = record
+    finally:
         if store is not None:
-            store.append(record)
-        done += 1
-        if progress:
-            progress(done, len(cells))
-
-    if workers <= 1 or len(pending) <= 1:
-        for args in pending:
-            _finish(_execute_cell_args(args))
-    else:
-        with multiprocessing.Pool(processes=min(workers, len(pending))) as pool:
-            for record in pool.imap_unordered(_execute_cell_args, pending):
-                _finish(record)
-    return CampaignRun(
-        spec=spec,
-        records=[completed[cell.cell_id] for _, cell in cells],
-        executed=len(pending),
-        resumed=len(cells) - len(pending),
-    )
+            store.close()
 
 
 # ----------------------------------------------------------------------
@@ -316,64 +328,35 @@ def run_worker(
     ``lease_duration`` must comfortably exceed the slowest cell's wall time;
     an in-flight lease that expires lets another worker re-run the cell
     (correct but wasteful), and the late completion is refused as stale.
+    ``batch_size`` must be at least 1 and ``lease_duration`` positive.
     """
-    store = SQLResultStore(store_path)
-    identity = worker if worker is not None else default_worker_id()
-    cells = spec.cells()
-    store.enqueue(cells, shard=shard)
-    by_id = {cell.cell_id: (index, cell) for index, cell in enumerate(cells)}
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-    total = len(cells) if shard is None else len(
-        [i for i in range(len(cells)) if i % shard[1] == shard[0]]
-    )
-    executed = failed = stale = 0
-    while True:
-        claims = store.claim(
-            worker=identity,
-            limit=batch_size,
-            lease_duration=lease_duration,
-            shard=shard,
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    with SQLResultStore(store_path) as store:
+        identity = worker if worker is not None else default_worker_id()
+        cells = spec.cells()
+        store.enqueue(cells, shard=shard)
+        by_id = {cell.cell_id: (index, cell) for index, cell in enumerate(cells)}
+        if trace_dir is not None:
+            os.makedirs(trace_dir, exist_ok=True)
+        total = len(cells) if shard is None else len(
+            [i for i in range(len(cells)) if i % shard[1] == shard[0]]
         )
-        if not claims:
-            claimable, inflight = store.remaining()
-            if claimable:
-                continue  # raced another worker; try again
-            if inflight and wait:
-                time.sleep(poll_interval)
-                continue
-            return WorkerRun(
+        executed = failed = stale = 0
+        while True:
+            claims = store.claim(
                 worker=identity,
-                executed=executed,
-                failed=failed,
-                stale=stale,
-                remaining=inflight,
+                limit=batch_size,
+                lease_duration=lease_duration,
+                shard=shard,
             )
-        for claim in claims:
-            if claim.cell_id not in by_id:
-                raise ValueError(
-                    f"store {store_path!r} holds cell {claim.cell_id} that is "
-                    f"not in campaign {spec.name!r} — one store per campaign"
-                )
-            index, cell = by_id[claim.cell_id]
-            record = execute_cell(
-                cell,
-                trace_dir=trace_dir,
-                cell_index=index,
-                worker=identity,
-                attempt=claim.attempt,
-            )
-            if store.complete(record, worker=identity, attempt=claim.attempt):
-                executed += 1
-                if record.get("status") == "failed":
-                    failed += 1
-            else:
-                stale += 1
-            if progress:
-                counts = store.status_counts()
-                progress(counts.get("ok", 0) + counts.get("failed", 0), total)
-            if max_cells is not None and executed >= max_cells:
-                _, inflight = store.remaining()
+            if not claims:
+                claimable, inflight = store.remaining()
+                if claimable:
+                    continue  # raced another worker; try again
+                if inflight and wait:
+                    time.sleep(poll_interval)
+                    continue
                 return WorkerRun(
                     worker=identity,
                     executed=executed,
@@ -381,3 +364,35 @@ def run_worker(
                     stale=stale,
                     remaining=inflight,
                 )
+            for claim in claims:
+                if claim.cell_id not in by_id:
+                    raise ValueError(
+                        f"store {store_path!r} holds cell {claim.cell_id} that is "
+                        f"not in campaign {spec.name!r} — one store per campaign"
+                    )
+                index, cell = by_id[claim.cell_id]
+                record = execute_cell(
+                    cell,
+                    trace_dir=trace_dir,
+                    cell_index=index,
+                    worker=identity,
+                    attempt=claim.attempt,
+                )
+                if store.complete(record, worker=identity, attempt=claim.attempt):
+                    executed += 1
+                    if record.get("status") == "failed":
+                        failed += 1
+                else:
+                    stale += 1
+                if progress:
+                    counts = store.status_counts()
+                    progress(counts.get("ok", 0) + counts.get("failed", 0), total)
+                if max_cells is not None and executed >= max_cells:
+                    _, inflight = store.remaining()
+                    return WorkerRun(
+                        worker=identity,
+                        executed=executed,
+                        failed=failed,
+                        stale=stale,
+                        remaining=inflight,
+                    )

@@ -196,7 +196,8 @@ def run_query(
     from repro.scenarios.campaign.sqlstore import SQLResultStore
 
     if isinstance(store, str):
-        store = SQLResultStore(store, create=False)
+        with SQLResultStore(store, create=False) as opened:
+            return run_query(opened, name, **params)
     if name not in QUERIES:
         raise KeyError(
             f"unknown query {name!r}; available: {', '.join(sorted(QUERIES))}"
@@ -240,8 +241,10 @@ def store_summary(
     from repro.scenarios.campaign.sqlstore import SQLResultStore
 
     if isinstance(store, str):
-        store = SQLResultStore(store, create=False)
-    records = store.records()
+        with SQLResultStore(store, create=False) as opened:
+            records = opened.records()
+    else:
+        records = store.records()
     incomplete = [r for r in records if r.get("status") not in ("ok", "failed")]
     if incomplete and not allow_incomplete:
         raise ValueError(

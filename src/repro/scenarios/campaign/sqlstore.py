@@ -40,6 +40,21 @@ re-run produces a byte-identical result row.  ``complete()`` refuses to
 overwrite a row whose attempt counter has moved on (a stale worker finishing
 after its lease was reclaimed), so exactly one completion wins.
 
+Connections and durability.  A store object holds **one** connection per
+process: opened on first use, kept (with its prepared statements) until
+:meth:`SQLResultStore.close`, re-opened on the next use after that.  Every
+function that opens a store closes it in a ``finally``, and closing the last
+connection on the file checkpoints the WAL into it and removes the ``-wal`` /
+``-shm`` sidecars, so a store at rest is one file.  Connections are never
+shared across ``fork``: ``run_campaign`` closes the store before it creates
+its pool, and a store object that does find itself in a child process opens
+its own handle there.  The journal is a WAL with ``synchronous = NORMAL``: a
+commit is appended to the WAL and handed to the OS, and synced at
+checkpoints.  A *killed process* therefore loses at most the transaction in
+flight (the next opener replays the WAL); after a *power loss* the last few
+commits may roll back — a resume re-runs those cells — and the file is never
+corrupt.
+
 The schema is deliberately Postgres-ready: plain TEXT/INTEGER/REAL columns,
 no SQLite-specific types, ``INTEGER PRIMARY KEY`` instead of AUTOINCREMENT
 (maps to IDENTITY), and all timestamps as epoch REALs.  Porting is a
@@ -129,6 +144,17 @@ CREATE VIEW IF NOT EXISTS cell_metrics AS
     WHERE c.status = 'ok';
 """
 
+_CELL_COLUMNS = (
+    "cell_id", "campaign", "cell_index", "protocol", "collector",
+    "workload", "failures", "network", "backend", "seed_index", "params",
+)
+#: Registers one cell as pending; a cell already present, in any status, is
+#: left alone.  Shared by :meth:`SQLResultStore.enqueue` and ``merge_from``.
+_INSERT_CELL = (
+    f"INSERT OR IGNORE INTO cells ({', '.join(_CELL_COLUMNS)}) "
+    f"VALUES ({', '.join('?' * len(_CELL_COLUMNS))})"
+)
+
 
 @dataclass(frozen=True)
 class ClaimedCell:
@@ -159,6 +185,10 @@ class SQLResultStore:
     what every read-side caller passes, so that a mistyped path is a
     ``FileNotFoundError`` instead of a fresh empty store.  A file that exists
     but is not a SQLite database is a ``ValueError`` either way.
+
+    The object owns one connection (see the module docstring); whoever
+    creates a store closes it — ``with SQLResultStore(path) as store:`` or
+    :meth:`close` in a ``finally``.  A closed store re-opens on its next use.
     """
 
     def __init__(
@@ -166,11 +196,14 @@ class SQLResultStore:
     ) -> None:
         self._path = path
         self._timeout = timeout
+        self._connection: Optional[sqlite3.Connection] = None
+        self._connection_pid = 0
         if not create and not os.path.exists(path):
             raise FileNotFoundError(f"no such store {path!r}")
         try:
             self._ensure_schema()
-        except sqlite3.DatabaseError as exc:
+        except BaseException as exc:
+            self.close()  # a constructor that raises leaves no handle behind
             # Exactly DatabaseError is SQLite's "not a database" / "malformed
             # image"; its subclasses (locked, read-only, ...) say nothing
             # about what the file is and propagate as they are.
@@ -191,19 +224,50 @@ class SQLResultStore:
     # ------------------------------------------------------------------
     @contextmanager
     def connect(self) -> Iterator[sqlite3.Connection]:
-        """A fresh autocommit connection (fork-safe: never cached).
+        """The store's autocommit connection, opened if need be.
 
         Exposed publicly so the query library and ad-hoc analysis can run
-        arbitrary SQL against the store's tables and views.
+        arbitrary SQL against the store's tables and views.  The connection
+        outlives the block (:meth:`close` ends it); a transaction the block
+        leaves open by raising is rolled back.  Fork-safe by ownership: a
+        process that did not open the connection gets its own.
         """
-        connection = sqlite3.connect(self._path, timeout=self._timeout)
-        connection.isolation_level = None  # explicit BEGIN only
-        connection.row_factory = sqlite3.Row
-        connection.execute(f"PRAGMA busy_timeout = {int(self._timeout * 1000)}")
+        connection = self._connection
+        if connection is None or self._connection_pid != os.getpid():
+            # An inherited handle is closed first, which also drops SQLite's
+            # per-process lock bookkeeping copied from the parent, so the new
+            # connection takes real locks; the parent still holds its own.
+            self.close()
+            connection = sqlite3.connect(self._path, timeout=self._timeout)
+            self._connection, self._connection_pid = connection, os.getpid()
+            connection.isolation_level = None  # explicit BEGIN only
+            connection.row_factory = sqlite3.Row
+            connection.execute(f"PRAGMA busy_timeout = {int(self._timeout * 1000)}")
+            # Per connection, unlike the journal mode: commits go to the WAL
+            # and the OS, syncs happen at checkpoints.
+            connection.execute("PRAGMA synchronous = NORMAL")
         try:
             yield connection
-        finally:
+        except BaseException:
+            if connection.in_transaction:
+                connection.rollback()
+            raise
+
+    def close(self) -> None:
+        """Close the connection, if open; the next use re-opens it.
+
+        Closing the last connection on the file checkpoints the WAL and
+        removes the ``-wal``/``-shm`` sidecars.
+        """
+        connection, self._connection = self._connection, None
+        if connection is not None:
             connection.close()
+
+    def __enter__(self) -> "SQLResultStore":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def _ensure_schema(self) -> None:
         directory = os.path.dirname(os.path.abspath(self._path))
@@ -225,7 +289,6 @@ class SQLResultStore:
                     (str(SCHEMA_VERSION),),
                 )
             elif int(row["value"]) != SCHEMA_VERSION:
-                connection.execute("ROLLBACK")
                 raise ValueError(
                     f"result store {self._path!r} has schema version "
                     f"{row['value']}, this code expects {SCHEMA_VERSION}"
@@ -282,24 +345,15 @@ class SQLResultStore:
         ).hexdigest()[:16]
         with self.connect() as connection:
             connection.execute("BEGIN IMMEDIATE")
-            before = connection.execute("SELECT COUNT(*) AS n FROM cells").fetchone()["n"]
-            connection.executemany(
-                """
-                INSERT OR IGNORE INTO cells
-                    (cell_id, campaign, cell_index, protocol, collector,
-                     workload, failures, network, backend, seed_index, params)
-                VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                """,
-                rows,
-            )
-            after = connection.execute("SELECT COUNT(*) AS n FROM cells").fetchone()["n"]
+            # executemany sums the per-row modifications; an ignored row is 0.
+            inserted = connection.executemany(_INSERT_CELL, rows).rowcount
             connection.execute(
                 "INSERT OR IGNORE INTO runs (run_id, campaign, cells, created_at) "
                 "VALUES (?, ?, ?, ?)",
                 (run_id, name, len(rows), time.time()),
             )
             connection.execute("COMMIT")
-        return after - before
+        return inserted
 
     # ------------------------------------------------------------------
     # Claim / lease
@@ -323,7 +377,17 @@ class SQLResultStore:
         *right now* — completed sweeps and in-flight leases held by live
         workers look the same here, so callers distinguish them via
         :meth:`remaining`.
+
+        ``limit`` must be at least 1 (SQL's ``LIMIT 0`` claims nothing for
+        ever, ``LIMIT -1`` everything) and ``lease_duration`` positive (a
+        lease born expired lets a second worker claim a cell mid-execution).
         """
+        if limit < 1:
+            raise ValueError(f"limit must be at least 1, got {limit}")
+        if not lease_duration > 0:
+            raise ValueError(
+                f"lease_duration must be positive, got {lease_duration}"
+            )
         moment = time.time() if now is None else now
         claimed: List[ClaimedCell] = []
         shard_sql = ""
@@ -403,7 +467,6 @@ class SQLResultStore:
                 "SELECT attempt FROM cells WHERE cell_id = ?", (cell_id,)
             ).fetchone()
             if row is None:
-                connection.execute("ROLLBACK")
                 raise ValueError(
                     f"cannot complete unknown cell {cell_id!r}; enqueue it first"
                 )
@@ -421,12 +484,14 @@ class SQLResultStore:
                 (status, worker, record.get("error"), moment, cell_id),
             )
             connection.execute("DELETE FROM metrics WHERE cell_id = ?", (cell_id,))
-            for name, value in (record.get("metrics") or {}).items():
-                connection.execute(
-                    "INSERT INTO metrics (cell_id, name, value, value_text) "
-                    "VALUES (?, ?, ?, ?)",
-                    (cell_id, name, _metric_scalar(value), json.dumps(value)),
-                )
+            connection.executemany(
+                "INSERT INTO metrics (cell_id, name, value, value_text) "
+                "VALUES (?, ?, ?, ?)",
+                [
+                    (cell_id, name, _metric_scalar(value), json.dumps(value))
+                    for name, value in (record.get("metrics") or {}).items()
+                ],
+            )
             connection.execute(
                 "DELETE FROM artifacts WHERE cell_id = ? AND kind = 'trace'",
                 (cell_id,),
@@ -578,42 +643,27 @@ class SQLResultStore:
         pending/leased rows in ``other`` are registered as pending here.
         Returns the number of completed cells imported.
         """
-        other = SQLResultStore(other_path, timeout=self._timeout, create=False)
-        imported = 0
+        with SQLResultStore(other_path, timeout=self._timeout, create=False) as other:
+            with other.connect() as connection:
+                cell_rows = connection.execute(
+                    f"SELECT {', '.join(_CELL_COLUMNS)}, status, worker FROM cells"
+                ).fetchall()
+            records = {r["cell_id"]: r for r in other.records()}
         already = self.load()
-        with other.connect() as connection:
-            cell_rows = [
-                dict(row)
-                for row in connection.execute("SELECT * FROM cells").fetchall()
-            ]
-        records = {r["cell_id"]: r for r in other.records()}
+        with self.connect() as connection:
+            connection.execute("BEGIN IMMEDIATE")
+            connection.executemany(
+                _INSERT_CELL,
+                [tuple(row[column] for column in _CELL_COLUMNS) for row in cell_rows],
+            )
+            connection.execute("COMMIT")
+        imported = 0
         for row in cell_rows:
-            record = records[row["cell_id"]]
-            with self.connect() as connection:
-                connection.execute("BEGIN IMMEDIATE")
-                connection.execute(
-                    """
-                    INSERT OR IGNORE INTO cells
-                        (cell_id, campaign, cell_index, protocol, collector,
-                         workload, failures, network, backend, seed_index, params)
-                    VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                    """,
-                    (
-                        row["cell_id"],
-                        row["campaign"],
-                        row["cell_index"],
-                        row["protocol"],
-                        row["collector"],
-                        row["workload"],
-                        row["failures"],
-                        row["network"],
-                        row["backend"],
-                        row["seed_index"],
-                        row["params"],
-                    ),
-                )
-                connection.execute("COMMIT")
             if row["status"] in ("ok", "failed") and row["cell_id"] not in already:
-                self.complete(record, worker=row["worker"] or "merge", attempt=None)
+                self.complete(
+                    records[row["cell_id"]],
+                    worker=row["worker"] or "merge",
+                    attempt=None,
+                )
                 imported += 1
         return imported

@@ -10,9 +10,10 @@ section (>= 30% peak reduction from pruning), the fresh pruned-run memory
 gate (peak traced bytes must stay within 20% of the committed baseline), the
 recovery-session scaling gate (a session may cost at most 2x more after a
 4x longer warm-up history), the recording-path gate (executed lines per
-recorded send/receive/checkpoint under an absolute ceiling) and the
+recorded send/receive/checkpoint under an absolute ceiling), the
 trace-codec gate (executed lines per trace record written and per trace line
-read back, under one ceiling).
+read back, under one ceiling) and the store-cost gate (SQLite connections
+opened per stored sweep and SQL statements per completed cell).
 """
 
 import json
@@ -104,8 +105,8 @@ def test_smoke_regression_check_passes(committed_document):
     gate (a ratio of two executed-line counts, a function of the seed alone):
     replaying or rescanning the history per session reads ~3.6x against its
     2x ceiling, and the violation printed on stderr names it.  The
-    recording-path and trace-codec gates run here too and have their own
-    tests below.
+    recording-path, trace-codec and store-cost gates run here too and have
+    their own tests below.
     """
     from benchmarks.check_regression import main
 
@@ -140,6 +141,24 @@ def test_trace_codec_stays_under_its_line_ceiling():
     written, read = check_trace_codec_cost(ceiling=1.0)  # the gate can fire
     assert "TraceWriter.on_*" in written
     assert "TraceReader.lines" in read
+
+
+def test_store_cost_stays_one_connection_and_a_fixed_few_statements():
+    """A stored sweep opens one connection per entry point, at any grid size.
+
+    Counts of ``sqlite3.connect`` calls and of SQL statements per completed
+    cell (functions of the code alone); the store this gate was added
+    against opened a connection per operation — 21 on the 16-cell smoke
+    grid against the ceiling of 2.
+    """
+    from benchmarks.check_regression import check_store_cost
+
+    assert check_store_cost() == []
+    connections, statements = check_store_cost(  # the gate can fire
+        connections_ceiling=1, statements_ceiling=1.0
+    )
+    assert "stopped keeping its connection" in connections
+    assert "SQLResultStore.enqueue/complete" in statements
 
 
 def test_campaign_gate_is_deterministic_across_worker_counts():

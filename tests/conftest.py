@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.ccp.pattern import CCP
@@ -94,3 +96,13 @@ def legacy_store_file(tmp_path) -> str:
     path = tmp_path / "legacy.sqlite"
     path.write_text('{"cell_id": "abc", "params": {}, "metrics": {}}\n' * 40)
     return str(path)
+
+
+@pytest.fixture
+def sidecars():
+    """``sidecars(path)``: the ``-wal``/``-shm`` files beside an *open* WAL store."""
+
+    def present(path) -> list:
+        return [suffix for suffix in ("-wal", "-shm") if os.path.exists(str(path) + suffix)]
+
+    return present

@@ -11,11 +11,14 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 from collections import Counter
 
 import pytest
 
+import repro.api as api
 import repro.scenarios.campaign.executor as executor_module
 from repro.scenarios.campaign import (
     CampaignSpec,
@@ -27,6 +30,7 @@ from repro.scenarios.campaign import (
     run_worker,
     spec_from_mapping,
 )
+from repro.scenarios.campaign.cli import main as campaign_main
 from repro.scenarios.campaign.executor import execute_cell
 
 #: One small grid, used by every test here so serial references are cheap.
@@ -142,7 +146,7 @@ class TestCrashRecovery:
                 worker="first",
                 attempt=claim.attempt,
             )
-        store.claim(worker="first", limit=1, lease_duration=0.0)
+        store.claim(worker="first", limit=1, lease_duration=1.0, now=time.time() - 60.0)
         # The relaunched worker drains everything else exactly once.
         result = run_worker(spec, store_path, worker="second")
         assert result.executed == spec.cell_count - 2
@@ -235,3 +239,111 @@ class TestWorkerLoop:
         assert result.executed == 3
         counts = SQLResultStore(str(tmp_path / "budget.sqlite")).status_counts()
         assert counts == {"ok": 3, "pending": spec.cell_count - 3}
+
+    def test_batch_size_below_one_is_refused_not_spun_on(self, tmp_path):
+        # LIMIT 0 claims nothing while cells stay claimable: the loop used to
+        # spin for ever.  The alarm turns a regression into a failure.
+        def _spinning(signum, frame):  # pragma: no cover - failing is the point
+            raise AssertionError("run_worker is spinning on an empty claim")
+
+        previous = signal.signal(signal.SIGALRM, _spinning)
+        signal.alarm(5)
+        try:
+            for batch_size in (0, -1):
+                with pytest.raises(ValueError, match="batch_size"):
+                    run_worker(
+                        fabric_spec(), str(tmp_path / "spin.sqlite"), batch_size=batch_size
+                    )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_lease_that_is_born_expired_is_a_usage_error(self, tmp_path, capsys, sidecars):
+        store_path = str(tmp_path / "lease0.sqlite")
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main(
+                ["--seeds", "1", "--worker", "--store", store_path, "--lease", "0", "--quiet"]
+            )
+        assert excinfo.value.code == 2
+        assert "lease_duration must be positive" in capsys.readouterr().err
+        assert not sidecars(store_path)
+
+    def test_reader_interleaves_with_a_worker_in_one_process(self, tmp_path, sidecars):
+        # Two store objects on one file in one process, each keeping its
+        # connection: the reader polls between the worker's transactions.
+        spec = fabric_spec()
+        store_path = str(tmp_path / "shared.sqlite")
+        seen = []
+        with SQLResultStore(store_path, timeout=2.0) as reader:
+
+            def poll(done: int, total: int) -> None:
+                counts = reader.status_counts()
+                claimable, inflight = reader.remaining()
+                seen.append((done, counts.get("ok", 0), claimable + inflight))
+
+            result = run_worker(spec, store_path, batch_size=2, progress=poll)
+            assert reader.status_counts() == {"ok": spec.cell_count}
+        assert result.executed == spec.cell_count
+        # Every poll saw the worker's latest commit, not a stale snapshot.
+        assert [ok for _, ok, _ in seen] == list(range(1, spec.cell_count + 1))
+        assert all(done == ok for done, ok, _ in seen)
+        assert seen[-1][2] == 0
+        assert not sidecars(store_path)
+
+
+class TestNoSidecarOutlivesAnEntryPoint:
+    """A store at rest is one file: every entry point closes what it opened."""
+
+    def test_after_a_sweep_a_worker_and_the_queries(self, tmp_path, sidecars):
+        spec = fabric_spec()
+        store_path = str(tmp_path / "rest.sqlite")
+        run_campaign(spec, store_path=store_path, shard=(0, 2))
+        assert not sidecars(store_path)
+        run_campaign(spec, store_path=store_path, workers=2, shard=(1, 2))
+        assert not sidecars(store_path)
+        other = str(tmp_path / "worker.sqlite")
+        assert run_worker(spec, other).drained
+        assert not sidecars(other)
+        api.query(store_path)
+        api.query(store_path, "collector-table")
+        assert not sidecars(store_path)
+        status = subprocess.run(
+            [sys.executable, "-m", "repro", "query", "status", "--store", store_path, "--json"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=120,
+        )
+        assert status.returncode == 0, status.stderr
+        assert json.loads(status.stdout)["by_status"] == {"ok": spec.cell_count}
+        assert not sidecars(store_path)
+        merged = str(tmp_path / "merged.sqlite")
+        with SQLResultStore(merged) as destination:
+            assert destination.merge_from(store_path) == spec.cell_count
+            assert not sidecars(store_path)  # the source is closed, not us
+            assert sidecars(merged)
+        assert not sidecars(merged)
+
+    def test_when_the_run_raises(self, tmp_path, sidecars):
+        spec = fabric_spec()
+
+        def interrupted(done: int, total: int) -> None:
+            if done in (3, 5):
+                raise KeyboardInterrupt
+
+        store_path = str(tmp_path / "interrupted.sqlite")
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(spec, store_path=store_path, progress=interrupted)
+        assert not sidecars(store_path)
+        with pytest.raises(KeyboardInterrupt):
+            run_worker(spec, store_path, progress=interrupted)
+        assert not sidecars(store_path)
+        with pytest.raises(api.SpecValidationError):
+            api.query(store_path, "collector-table", no_such_parameter=1)
+        with pytest.raises(ValueError, match="incomplete"):
+            api.query(store_path)
+        assert not sidecars(store_path)
+        # Nothing the interrupted runs committed was lost or repeated.
+        resumed = run_campaign(spec, store_path=store_path)
+        assert (resumed.executed, resumed.resumed) == (spec.cell_count - 5, 5)
+        assert not sidecars(store_path)

@@ -1,10 +1,14 @@
 """Tests for the SQL result store: schema, claim/lease protocol, byte-identity."""
 
 import json
+import multiprocessing
+import os
+import signal
 import sqlite3
 
 import pytest
 
+import repro.api as api
 from repro.scenarios.campaign import (
     CampaignSpec,
     CollectorSpec,
@@ -86,6 +90,27 @@ class TestQueue:
         cells = tiny_spec().cells()
         inserted = store.enqueue(cells, shard=(0, 2))
         assert inserted == len([i for i in range(len(cells)) if i % 2 == 0])
+
+    def test_enqueue_counts_only_new_rows_across_shards(self, store):
+        cells = tiny_spec().cells()
+        first = store.enqueue(cells, shard=(0, 2))
+        assert store.enqueue(cells) == len(cells) - first
+        assert store.enqueue(cells, shard=(1, 2)) == 0
+        assert store.status_counts() == {"pending": len(cells)}
+
+    def test_claim_refuses_a_limit_or_lease_that_cannot_work(self, store):
+        # LIMIT 0 claims nothing for ever, LIMIT -1 is SQLite for "no limit",
+        # and a lease that is born expired is claimable while it executes.
+        cells = tiny_spec().cells()
+        store.enqueue(cells)
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="limit"):
+                store.claim(worker="w", limit=limit)
+        for lease in (0.0, -5.0):
+            with pytest.raises(ValueError, match="lease_duration"):
+                store.claim(worker="w", lease_duration=lease)
+        assert store.status_counts() == {"pending": len(cells)}
+        assert store.lease_history() == []
 
     def test_claim_marks_leased_and_is_exclusive(self, store):
         cells = tiny_spec().cells()
@@ -226,3 +251,99 @@ class TestRecords:
         merged = SQLResultStore(str(tmp_path / "m.sqlite"))
         assert merged.merge_from(str(tmp_path / "s.sqlite")) == spec.cell_count
         assert merged.merge_from(str(tmp_path / "s.sqlite")) == 0
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Every ``sqlite3.connect`` call made while the test runs, as a list of paths."""
+    calls = []
+    real_connect = sqlite3.connect
+
+    def counting_connect(path, *args, **kwargs):
+        calls.append(path)
+        return real_connect(path, *args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    return calls
+
+
+def _append_then_die(path: str, count: int) -> None:
+    """Subprocess entry: finish ``count`` cells, then SIGKILL without closing."""
+    cells = tiny_spec().cells()
+    store = SQLResultStore(path)
+    store.enqueue(cells)
+    for cell in cells[:count]:
+        store.append(execute_cell(cell))
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestConnectionPolicy:
+    def test_connections_do_not_grow_with_the_grid(self, tmp_path, connects):
+        opened = []
+        for seeds in (range(3), range(12)):
+            spec = tiny_spec(seeds=tuple(seeds))
+            path = str(tmp_path / f"grid{spec.cell_count}.sqlite")
+            before = len(connects)
+            run = run_campaign(spec, store_path=path)
+            assert run.executed == spec.cell_count
+            api.query(path)
+            opened.append(len(connects) - before)
+        # One for the sweep, one for the query: a function of neither grid.
+        assert opened == [2, 2]
+
+    def test_forked_child_gets_its_own_connection(self, connects, store):
+        cells = tiny_spec().cells()
+        store.enqueue(cells)
+        store.append(execute_cell(cells[0]))
+        assert len(connects) == 1  # every operation so far shared one handle
+        read_end, write_end = os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - the child reports through the pipe
+            try:
+                report = {"counts": store.status_counts(), "connects": len(connects)}
+                os.write(write_end, json.dumps(report).encode("utf-8"))
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        _, status = os.waitpid(child, 0)
+        with os.fdopen(read_end, "rb") as pipe:
+            report = json.loads(pipe.read())
+        assert status == 0
+        assert report == {"counts": {"ok": 1, "pending": len(cells) - 1}, "connects": 2}
+        # The parent's handle is untouched by the child's open and exit.
+        store.append(execute_cell(cells[1]))
+        assert store.status_counts() == {"ok": 2, "pending": len(cells) - 2}
+        assert len(connects) == 1
+
+    def test_block_that_raises_mid_transaction_is_rolled_back(self, tmp_path, sidecars):
+        path = tmp_path / "store.sqlite"
+        cells = tiny_spec().cells()
+        with SQLResultStore(str(path)) as store:
+            store.enqueue(cells)
+            with pytest.raises(RuntimeError, match="mid-transaction"):
+                with store.connect() as connection:
+                    connection.execute("BEGIN IMMEDIATE")
+                    connection.execute("UPDATE cells SET status = 'ok'")
+                    raise RuntimeError("mid-transaction")
+            assert store.status_counts() == {"pending": len(cells)}
+            # The kept connection is out of the transaction: the next one starts.
+            store.append(execute_cell(cells[0]))
+            assert store.status_counts() == {"ok": 1, "pending": len(cells) - 1}
+            assert sidecars(path) == ["-wal", "-shm"]
+        assert sidecars(path) == []
+
+    def test_killed_writer_loses_nothing_it_committed(self, tmp_path, sidecars):
+        # The durability contract for a killed *process*: every committed cell
+        # is in the WAL the victim left behind, and the next opener absorbs it.
+        path = tmp_path / "killed.sqlite"
+        victim = multiprocessing.Process(target=_append_then_die, args=(str(path), 3))
+        victim.start()
+        victim.join(timeout=60)
+        assert victim.exitcode == -signal.SIGKILL
+        assert "-wal" in sidecars(path)
+        with SQLResultStore(str(path)) as store:
+            assert store.status_counts() == {"ok": 3, "pending": tiny_spec().cell_count - 3}
+            assert len(store.load()) == 3
+        assert sidecars(path) == []
+        resumed = run_campaign(tiny_spec(), store_path=str(path))
+        assert (resumed.executed, resumed.resumed) == (tiny_spec().cell_count - 3, 3)
