@@ -53,6 +53,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 import tracemalloc
@@ -82,7 +83,9 @@ KERNEL_NAME = "zigzag-blocked-bitset+incremental-ccp"
 # the acceptance-criteria configuration of the original kernel PR: a
 # full-audit run at 8 processes and >= 2000 messages.  The large tier's
 # 64-process row is the datacenter acceptance configuration: 10^5 messages
-# analysed at < 50 ms per instant.
+# analysed at < 50 ms per instant *on average* (``new_per_instant_s``, what
+# check_regression.LARGE_LATENCY_CEILING_S gates); the worst instant is
+# reported as ``new_per_instant_max_s`` and is not gated.
 TIERS: Dict[str, List[Tuple[int, int, int]]] = {
     "small": [
         (2, 120, 3),
@@ -500,6 +503,10 @@ def run_sweep(
             "seed": seed,
             "checkpoint_rate": CHECKPOINT_RATE,
             "python": sys.version.split()[0],
+            # Seconds do not transfer between machines: say whose they are.
+            "host": f"{platform.system()} {platform.release()} {platform.machine()}, "
+            f"{os.cpu_count()} cpus",
+            "date": time.strftime("%Y-%m-%d"),
             "description": (
                 "Per-instant cost of the full audited analysis suite: "
                 "old = from-scratch CCP + brute-force BFS oracles, "

@@ -55,6 +55,13 @@ costs a format string (or one shared encoder), one unbuffered write and one
 C scan; a per-record ``json.dumps``/``json.loads`` wrapper chain, a buffered
 write-and-flush pair or a table rebuilt per record shows up as 2-4x.
 
+The **retained-set** gate (``--smoke`` only) counts the same way inside
+``IncrementalAnalysisView._retained`` (callees included) per ``(i, f)`` pair
+of active processes on the same run with ``audit="full"``.  A pair costs one
+C-level ``bisect_left`` over a column of ``p_i``'s checkpoint rows and one
+comparison with the volatile row; a Python key callback probing the window —
+a checkpoint id, a dict lookup and a generator per probe — shows up as 5-8x.
+
 The **store-cost** gate (``--smoke`` only) counts what the SQL result store
 asks of SQLite on a serial smoke-campaign run plus its ``store_summary``:
 connections opened (``sqlite3.connect`` wrapped) and SQL statements executed
@@ -72,6 +79,7 @@ Run directly::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -87,9 +95,12 @@ for _path in (_SRC, _REPO_ROOT):  # repo root makes `benchmarks.*` importable
 
 BASELINE_PATH = os.path.join(_REPO_ROOT, "BENCH_perf.json")
 
-# Committed-document acceptance gates: the datacenter row must stay under
-# this per-instant latency, and the medium-tier memory pass must keep at
-# least this much of its pruning benefit.
+# Committed-document acceptance gates: the datacenter row's *mean* latency per
+# analysis instant (``new_per_instant_s``) must stay under this ceiling — the
+# worst instant (``new_per_instant_max_s``: an instant whose live window is
+# several times the median one, spent in the zigzag kernel) is reported beside
+# it in docs/kernel.md, not gated — and the medium-tier memory pass must keep
+# at least this much of its pruning benefit.
 LARGE_LATENCY_CONFIG = (64, 100000)
 LARGE_LATENCY_CEILING_S = 0.05
 MIN_MEMORY_REDUCTION = 0.30
@@ -111,6 +122,11 @@ RECORDING_LINES_CEILING = 36.0
 # and 38.0 on its parent commit, which called json.dumps/json.loads and a
 # buffered write + flush per record).
 TRACE_CODEC_LINES_CEILING = 20.0
+# Retained-set gate, on the same run with audit="full": lines inside
+# IncrementalAnalysisView._retained per (i, f) pair (10.1 when the gate
+# was added, so ~40 % headroom; 69.2 on its parent commit, whose bisection
+# probed through a Python closure).
+RETAINED_LINES_CEILING = 14.0
 # Store-cost gate, on a serial smoke-campaign run (16 cells) plus its
 # store_summary: connections opened (2 when the gate was added — one per entry
 # point, at any grid size; 21 on its parent commit, one per store operation)
@@ -137,8 +153,10 @@ def check_committed_document(path: str) -> List[str]:
     """Static acceptance gates on the committed BENCH_perf.json itself.
 
     These hold the document to the claims the kernel makes: the 64-process /
-    10^5-message pruned row must analyse in under
-    ``LARGE_LATENCY_CEILING_S`` per instant, and the medium-tier memory pass
+    10^5-message pruned row's *mean* over its analysis instants
+    (``new_per_instant_s``) must be under ``LARGE_LATENCY_CEILING_S`` — the
+    worst instant, ``new_per_instant_max_s``, is reported in docs/kernel.md
+    and not gated — and the medium-tier memory pass
     must show at least ``MIN_MEMORY_REDUCTION`` peak reduction from pruning.
     No fresh measurement happens here — CI regenerates the document in the
     nightly large-tier job, and this gate keeps a stale or regressed document
@@ -156,7 +174,7 @@ def check_committed_document(path: str) -> List[str]:
         )
     elif float(large["new_per_instant_s"]) >= LARGE_LATENCY_CEILING_S:
         violations.append(
-            f"committed large-tier latency {large['new_per_instant_s']:.4f}s "
+            f"committed large-tier mean latency {large['new_per_instant_s']:.4f}s "
             f"per instant breaches the {LARGE_LATENCY_CEILING_S:.3f}s ceiling"
         )
     memory = document.get("memory")
@@ -397,6 +415,42 @@ def check_recording_path_cost(*, ceiling: float = RECORDING_LINES_CEILING) -> Li
     return []
 
 
+def retained_set_lines_per_pair() -> float:
+    """Python lines executed per ``(i, f)`` pair of a Theorem-1/2 retained set.
+
+    The recording-path gate's run with ``audit="full"``: every audit instant
+    asks the recorder's view for both retained sets, and only
+    ``IncrementalAnalysisView._retained`` is traced (callees included).
+    Nobody joins or leaves, so every call ranges over ``8 x 8`` pairs.
+    """
+    from repro.ccp.incremental import IncrementalAnalysisView
+    from repro.simulation.runner import SimulationRunner
+
+    config = dataclasses.replace(_recording_run_config(), audit="full")
+    counter = _LineCounter()
+    original = IncrementalAnalysisView._retained
+    IncrementalAnalysisView._retained = counter.counting(original)
+    try:
+        result = SimulationRunner(config).run()
+    finally:
+        IncrementalAnalysisView._retained = original
+    if counter.calls == 0 or not (result.all_audits_safe and result.all_audits_optimal):
+        raise RuntimeError("the retained-set gate's own run went wrong")
+    return counter.lines / (counter.calls * config.num_processes**2)
+
+
+def check_retained_set_cost(*, ceiling: float = RETAINED_LINES_CEILING) -> List[str]:
+    """Gate: a retained set costs n^2 C-level bisections, not n^2 Python probes."""
+    lines = retained_set_lines_per_pair()
+    if lines > ceiling:
+        return [
+            f"IncrementalAnalysisView._retained executes {lines:.1f} Python lines "
+            f"per (i, f) pair (allowed {ceiling:.1f}): the bisection over the "
+            f"checkpoint rows is probing through Python again"
+        ]
+    return []
+
+
 def trace_codec_lines() -> Tuple[float, float]:
     """Python lines executed per trace record written and per trace line read.
 
@@ -596,6 +650,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         standalone_violations += check_recovery_session_scaling()
         standalone_violations += check_recording_path_cost()
         standalone_violations += check_trace_codec_cost()
+        standalone_violations += check_retained_set_cost()
         standalone_violations += check_store_cost()
     if not args.skip_campaign:
         standalone_violations += check_campaign_determinism()
@@ -651,7 +706,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     memory_note = "skipped" if args.skip_memory else "within threshold"
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
-        f"session scaling, recording-path, trace-codec and store-cost gates "
+        f"session scaling, recording-path, trace-codec, retained-set and store-cost gates "
         f"{'ok' if args.smoke else 'skipped (--smoke only)'}, "
         f"campaign gate {campaign_note}, memory gate {memory_note} — ok"
     )

@@ -173,7 +173,7 @@ def _failure_schedule(
         raise SpecValidationError(
             "failures",
             f"expected a crash count, [time, pid] pairs or a failure model, "
-            f"got {value!r}",
+            f"got {value!r} ({exc})",
         ) from exc
 
 

@@ -12,16 +12,23 @@ no event-graph traversal at all:
   causal past of ``p``'s current state (-1 if none).  Sends snapshot the
   sender's vector, receives merge the snapshot elementwise-max into the
   receiver, and taking checkpoint ``k`` sets the own entry to ``k``.
-* ``ckpt_ck[c_p^k]`` — the knowledge vector frozen just *before* the
-  checkpoint event of ``c_p^k``; it encodes the checkpoint's ground-truth
-  dependency vector (``gtdv = ckpt_ck + 1`` elementwise).
+* ``ckpt_rows[p][k - ckpt_base[p]]`` — the knowledge vector frozen just
+  *before* the checkpoint event of ``c_p^k``; it encodes the checkpoint's
+  ground-truth dependency vector (``gtdv = row + 1`` elementwise).  The rows
+  are stored the way they are queried: one list per process in checkpoint
+  index order covering exactly the live window ``[checkpoint_base(p),
+  last_stable(p)]``, every row as long as the current capacity.  The window
+  is contiguous by construction — pruning drops a prefix, a recovery
+  truncation a suffix, a join pads the live rows.
 
 Every checkpoint-level precedence fact the theorems need is then one integer
-comparison: ``c_f^m`` causally precedes ``c_i^k`` iff ``ckpt_ck[c_i^k][f] >=
-m`` (and precedes the volatile ``v_i`` iff ``ck[i][f] >= m``).  Knowledge only
-grows along a process's checkpoints, so the retained sets and recovery lines
-fall out of ``O(n^2)`` bisections over the *live* checkpoint window — neither
-run length nor window size is ever scanned.
+comparison: ``c_f^m`` causally precedes ``c_i^k`` iff ``row(c_i^k)[f] >= m``
+(and precedes the volatile ``v_i`` iff ``ck[i][f] >= m``).  Knowledge only
+grows along a process's checkpoints, so column ``f`` of ``ckpt_rows[i]`` is
+sorted and the retained sets and recovery lines fall out of ``O(n^2)``
+``bisect_left(rows, m, key=itemgetter(f))`` calls — comparison and column
+extraction both in C, the volatile row one extra comparison; neither run
+length nor window size is ever scanned.
 
 A per-process journal of ``(seq, ck)`` snapshots at knowledge-changing events
 supports recovery truncation (restore the vector at the cut by bisection) and
@@ -41,16 +48,9 @@ recorder's view against.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Sequence,
-    Tuple,
-)
+from itertools import compress, count
+from operator import gt, itemgetter
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.ccp.checkpoint import CheckpointId
 from repro.membership import MembershipError
@@ -60,14 +60,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.trace import TraceRecorder
 
 
-def _entry(vector: Sequence[int], f: int) -> int:
-    """``vector[f]`` with out-of-range reads as -1 (no knowledge).
-
-    Snapshots frozen before a membership growth are shorter than the current
-    capacity; a missing column means the snapshot predates process ``f``'s
-    existence, which is exactly "no checkpoint of ``f`` known".
-    """
-    return vector[f] if f < len(vector) else -1
+class KnowledgeWindowError(RuntimeError):
+    """The checkpoint rows do not cover the recorder's live checkpoint window."""
 
 
 class CheckpointKnowledgeTracker:
@@ -76,6 +70,9 @@ class CheckpointKnowledgeTracker:
     The matrices are sized for the current capacity and grow via
     :meth:`grow` when membership expands; out-of-range pids raise
     :class:`~repro.membership.MembershipError` rather than IndexError.
+    ``ckpt_rows[p]`` covers the live checkpoint window of ``p`` and nothing
+    else: :meth:`note_checkpoint` appends, :meth:`forget_checkpoints` drops
+    the pruned prefix and the rolled-back suffix, :meth:`grow` pads.
     """
 
     def __init__(self, num_processes: int) -> None:
@@ -84,8 +81,10 @@ class CheckpointKnowledgeTracker:
         #: Knowledge snapshot piggybacked on each sent message (kept until the
         #: message can no longer be (re-)delivered, i.e. dropped or pruned).
         self.msg_ck: Dict[int, Tuple[int, ...]] = {}
-        #: Knowledge frozen just before each stable checkpoint's event.
-        self.ckpt_ck: Dict[CheckpointId, Tuple[int, ...]] = {}
+        #: Knowledge frozen just before each live stable checkpoint's event:
+        #: ``ckpt_rows[p][k - ckpt_base[p]]`` belongs to ``c_p^k``.
+        self.ckpt_rows: List[List[Tuple[int, ...]]] = [[] for _ in range(num_processes)]
+        self.ckpt_base: List[int] = [0] * num_processes
         #: Per-process journal of (seq, ck-after-event) at knowledge-changing
         #: events, for truncation rebuilds; pruned together with the log.
         self.journal: List[List[Tuple[int, Tuple[int, ...]]]] = [
@@ -112,10 +111,10 @@ class CheckpointKnowledgeTracker:
     def grow(self, num_processes: int) -> None:
         """Extend the matrices to a larger capacity (membership join).
 
-        Live vectors are padded with -1 (nobody can know a checkpoint of a
-        process that did not exist); frozen snapshots (``msg_ck``,
-        ``ckpt_ck``, journal entries) are left short and read through
-        :func:`_entry`, so no history rewrite is needed.
+        Live vectors and the live checkpoint rows are padded with -1 (nobody
+        can know a checkpoint of a process that did not exist); the other
+        frozen snapshots (``msg_ck``, journal entries) are left short — a
+        merge stops at the shorter vector and :meth:`_full_row` pads a restore.
         """
         if num_processes < self._num_processes:
             raise MembershipError(
@@ -132,11 +131,14 @@ class CheckpointKnowledgeTracker:
         self.base_ck = [base + (-1,) * pad for base in self.base_ck]
         self.base_ck.extend((-1,) * num_processes for _ in range(pad))
         self.journal.extend([] for _ in range(pad))
+        self.ckpt_rows = [[row + (-1,) * pad for row in rows] for rows in self.ckpt_rows]
+        self.ckpt_rows.extend([] for _ in range(pad))
+        self.ckpt_base.extend([0] * pad)
         self._num_processes = num_processes
 
     def _full_row(self, vector: Sequence[int]) -> List[int]:
         """A snapshot padded to the current capacity (for live ``ck`` rows)."""
-        return [_entry(vector, f) for f in range(self._num_processes)]
+        return list(vector) + [-1] * (self._num_processes - len(vector))
 
     # ------------------------------------------------------------------
     # Event notifications (called by TraceRecorder)
@@ -149,17 +151,15 @@ class CheckpointKnowledgeTracker:
         self._check_pid(receiver)
         snapshot = self.msg_ck[message_id]
         vector = self.ck[receiver]
-        changed = False
-        for f, known in enumerate(snapshot):
-            if known > vector[f]:
-                vector[f] = known
-                changed = True
-        if changed:
+        newer = tuple(compress(count(), map(gt, snapshot, vector)))
+        if newer:
+            for f in newer:
+                vector[f] = snapshot[f]
             self.journal[receiver].append((seq, tuple(vector)))
 
     def note_checkpoint(self, pid: int, index: int, seq: int) -> None:
         self._check_pid(pid)
-        self.ckpt_ck[CheckpointId(pid, index)] = tuple(self.ck[pid])
+        self.ckpt_rows[pid].append(tuple(self.ck[pid]))
         self.ck[pid][pid] = index
         self.journal[pid].append((seq, tuple(self.ck[pid])))
 
@@ -170,7 +170,7 @@ class CheckpointKnowledgeTracker:
         """Restore the state at a per-process prefix cut (recovery session)."""
         for pid in range(self._num_processes):
             entries = self.journal[pid]
-            cut = bisect_right(entries, lengths[pid] - 1, key=lambda item: item[0])
+            cut = bisect_right(entries, lengths[pid] - 1, key=itemgetter(0))
             del entries[cut:]
             self.ck[pid] = self._full_row(
                 entries[-1][1] if entries else self.base_ck[pid]
@@ -180,16 +180,20 @@ class CheckpointKnowledgeTracker:
         """Drop journal prefixes and re-offset seqs after the log was pruned."""
         for pid in range(self._num_processes):
             entries = self.journal[pid]
-            cut = bisect_right(entries, starts[pid] - 1, key=lambda item: item[0])
+            cut = bisect_right(entries, starts[pid] - 1, key=itemgetter(0))
             if cut:
                 self.base_ck[pid] = entries[cut - 1][1]
             self.journal[pid] = [
                 (seq - starts[pid], vector) for seq, vector in entries[cut:]
             ]
 
-    def forget_checkpoints(self, cids: Iterable[CheckpointId]) -> None:
-        for cid in cids:
-            self.ckpt_ck.pop(cid, None)
+    def forget_checkpoints(self, bases: Sequence[int], taken: Sequence[int]) -> None:
+        """Keep the rows of checkpoints ``bases[p] <= k < taken[p]`` only: a
+        prune raised the bases (prefix drop), a recovery lowered ``taken``."""
+        for pid, rows in enumerate(self.ckpt_rows):
+            del rows[taken[pid] - self.ckpt_base[pid] :]
+            del rows[: bases[pid] - self.ckpt_base[pid]]
+            self.ckpt_base[pid] = bases[pid]
 
     def forget_messages(self, message_ids: Iterable[int]) -> None:
         for message_id in message_ids:
@@ -200,9 +204,12 @@ class IncrementalAnalysisView:
     """Read-only analysis provider over one recorder version.
 
     Serves the Theorem-1/2 retained sets and Lemma-1 recovery lines straight
-    from the tracker's knowledge state.  The view is pinned to the recorder
-    version current at construction: answering from newer state would
-    silently describe a different execution, so stale access raises.
+    from the tracker's knowledge state, by C-level bisection over the
+    per-process checkpoint rows.  The view is pinned to the recorder version
+    current at construction: answering from newer state would silently
+    describe a different execution, so stale access raises — and so do rows
+    that do not cover the recorder's live windows
+    (:class:`KnowledgeWindowError`), which a bisection would misread.
     """
 
     def __init__(self, recorder: "TraceRecorder") -> None:
@@ -223,53 +230,38 @@ class IncrementalAnalysisView:
         assert tracker is not None
         last_stable = [taken - 1 for taken in recorder.checkpoints_taken]
         bases = list(recorder.log.checkpoint_bases)
+        covered = [base + len(rows) - 1 for base, rows in zip(tracker.ckpt_base, tracker.ckpt_rows)]
+        if tracker.ckpt_base != bases or covered != last_stable:
+            raise KnowledgeWindowError(
+                f"checkpoint rows cover {tracker.ckpt_base}..{covered} but the "
+                f"recorder's live windows are {bases}..{last_stable}"
+            )
         return tracker, last_stable, bases
-
-    @property
-    def _departed(self) -> FrozenSet[int]:
-        return self._recorder.departed
-
-    def _snapshot(
-        self,
-        tracker: CheckpointKnowledgeTracker,
-        pid: int,
-        index: int,
-        last_stable: Sequence[int],
-    ) -> Sequence[int]:
-        """Knowledge just before checkpoint ``index`` of ``pid`` (volatile: now)."""
-        if index > last_stable[pid]:
-            return tracker.ck[pid]
-        return tracker.ckpt_ck[CheckpointId(pid, index)]
 
     # ------------------------------------------------------------------
     # Analyses
     # ------------------------------------------------------------------
     # What p_i knows of p_f only grows along p_i's checkpoints (receives
     # max-merge, truncation restores an earlier state and forgets the later
-    # snapshots), so "the first general checkpoint of p_i that knows c_f^m"
-    # is a bisection over the live window, never a scan of it.
+    # snapshots), so column f of p_i's rows is sorted and "the first general
+    # checkpoint of p_i that knows c_f^m" is a bisection over the live window,
+    # never a scan of it.
 
+    @staticmethod
     def _first_knowing(
-        self,
-        tracker: CheckpointKnowledgeTracker,
-        pid: int,
-        window: range,
-        last_stable: Sequence[int],
-        targets: Mapping[int, int],
+        rows: Sequence[Sequence[int]], volatile: Sequence[int], column: itemgetter, m: int
     ) -> int:
-        """Offset in ``window`` of the first general checkpoint of ``pid`` whose
-        knowledge reaches ``targets[f]`` for some ``f`` (``len(window)`` if none)."""
-
-        def knows(index: int) -> bool:
-            snapshot = self._snapshot(tracker, pid, index, last_stable)
-            return any(_entry(snapshot, f) >= m for f, m in targets.items())
-
-        return bisect_left(window, True, key=knows)
+        """Offset of the first general checkpoint (``rows``, then ``volatile``)
+        whose ``column`` reaches ``m``; ``len(rows) + 1`` if none does."""
+        first = bisect_left(rows, m, key=column)
+        if first == len(rows) and column(volatile) < m:
+            return first + 1
+        return first
 
     def _retained(self, theorem: int) -> FrozenSet[CheckpointId]:
         """``c_i^k`` is retained iff some active ``f`` has
-        ``ckpt_ck[c_i^{k+1}][f] >= m_i(f) > ckpt_ck[c_i^k][f]``: per ``(i, f)``
-        that is the one checkpoint just before the first that knows
+        ``row(c_i^{k+1})[f] >= m_i(f) > row(c_i^k)[f]``: per ``(i, f)`` that
+        is the one checkpoint just before the first that knows
         ``c_f^{m_i(f)}``.  Theorem 1 takes ``m_i(f) = last(f)``; Theorem 2 the
         owner's *known* last checkpoint ``ck[i][f]``.
 
@@ -278,18 +270,21 @@ class IncrementalAnalysisView:
         nothing (the garbage-of-departed invariant).
         """
         tracker, last_stable, bases = self._state()
-        departed = self._departed
+        departed = self._recorder.departed
         active = [p for p in range(self._recorder.num_processes) if p not in departed]
+        columns = [(f, itemgetter(f)) for f in active]
+        first_knowing = self._first_knowing
         retained = set()
         for pid in active:
-            window = range(bases[pid], last_stable[pid] + 2)  # stable ones, then volatile
-            wanted = last_stable if theorem == 1 else tracker.ck[pid]
-            for f in active:
-                if wanted[f] < 0:
-                    continue
-                first = self._first_knowing(tracker, pid, window, last_stable, {f: wanted[f]})
-                if 0 < first < len(window):
-                    retained.add(CheckpointId(pid, window[first - 1]))
+            rows, volatile = tracker.ckpt_rows[pid], tracker.ck[pid]
+            wanted = last_stable if theorem == 1 else volatile
+            firsts = set()
+            for f, column in columns:
+                m = wanted[f]
+                if m >= 0:
+                    firsts.add(first_knowing(rows, volatile, column, m))
+            firsts -= {0, len(rows) + 1}
+            retained.update(CheckpointId(pid, bases[pid] + first - 1) for first in firsts)
         return frozenset(retained)
 
     def theorem1_retained(self) -> FrozenSet[CheckpointId]:
@@ -311,14 +306,17 @@ class IncrementalAnalysisView:
         from repro.ccp.consistency import GlobalCheckpoint
 
         tracker, last_stable, bases = self._state()
-        departed = self._departed
-        lasts = {f: last_stable[f] for f in faulty_set}
+        departed = self._recorder.departed
+        lasts = [(itemgetter(f), last_stable[f]) for f in faulty_set]
         indices: List[int] = []
         for pid in range(self._recorder.num_processes):
             if pid in departed:
                 indices.append(last_stable[pid] + 1)
                 continue
-            window = range(bases[pid], last_stable[pid] + 2)
-            preceded = self._first_knowing(tracker, pid, window, last_stable, lasts)
-            indices.append(window[max(preceded - 1, 0)])
+            rows, volatile = tracker.ckpt_rows[pid], tracker.ck[pid]
+            preceded = min(
+                (self._first_knowing(rows, volatile, column, m) for column, m in lasts),
+                default=len(rows) + 1,
+            )
+            indices.append(bases[pid] + max(preceded - 1, 0))
         return GlobalCheckpoint(tuple(indices))

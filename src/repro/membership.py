@@ -29,6 +29,7 @@ campaign-axis form, mirroring :class:`repro.simulation.failures.FailureModelSpec
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -61,8 +62,10 @@ class MembershipEvent:
             raise ValueError(f"unknown membership event kind {self.kind!r}")
         if self.pid < 0:
             raise ValueError("membership events need a non-negative pid")
-        if self.time < 0:
-            raise ValueError("membership events need a non-negative time")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(
+                f"membership events need a finite non-negative time, got {self.time!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -95,9 +95,10 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     def schedule_at(self, time: float, callback: Callback) -> None:
         """Run ``callback`` at absolute simulated time ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # one comparison; also false for NaN
             raise ValueError(
-                f"cannot schedule an event in the past ({time} < {self._now})"
+                f"cannot schedule an event at time {time}: it is not a number "
+                f"or lies in the past (now {self._now})"
             )
         heapq.heappush(self._queue, (time, self._sequence, callback))
         self._sequence += 1

@@ -17,6 +17,7 @@ grid axis (hashable, picklable, hashed into the cell identity).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -28,6 +29,12 @@ class Crash:
 
     time: float
     pid: int
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.time):
+            raise ValueError(
+                f"the crash time of process {self.pid} must be finite, got {self.time!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,8 @@ class FailureSchedule:
         """
         if count < 0:
             raise ValueError("the number of crashes must be non-negative")
-        if duration <= 0:
-            raise ValueError("the duration must be positive")
+        if not 0 < duration < math.inf:
+            raise ValueError(f"the duration must be positive and finite, got {duration!r}")
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("the warm-up fraction must be in [0, 1)")
         start = duration * warmup_fraction
@@ -119,8 +126,8 @@ class FailureSchedule:
         """
         if hazard_rate <= 0:
             raise ValueError("the hazard rate must be positive")
-        if duration <= 0:
-            raise ValueError("the duration must be positive")
+        if not 0 < duration < math.inf:
+            raise ValueError(f"the duration must be positive and finite, got {duration!r}")
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("the warm-up fraction must be in [0, 1)")
         if min_gap < 0:

@@ -9,6 +9,7 @@ benchmarks need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, TYPE_CHECKING, Tuple
 
@@ -74,8 +75,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.num_processes <= 0:
             raise ValueError("a simulation needs at least one process")
-        if self.duration <= 0:
-            raise ValueError("the duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"the duration must be positive and finite, got {self.duration!r}")
         if self.backend not in ("sim", "live"):
             raise ValueError("backend must be one of 'sim', 'live'")
         if self.audit not in ("off", "safety", "full"):

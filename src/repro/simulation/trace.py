@@ -512,7 +512,7 @@ class TraceRecorder:
             del self._recorded_dvs[cid]
         if self._tracker is not None:
             self._tracker.apply_suffix(starts)
-            self._tracker.forget_checkpoints(stale_cids)
+            self._tracker.forget_checkpoints(cut, self._checkpoints_taken)
             self._tracker.forget_messages(pruned_delivered)
         self._pruned_events += sum(starts)
         self._ccp_cache = None
@@ -569,7 +569,7 @@ class TraceRecorder:
         if self._tracker is not None:
             self._tracker.apply_truncation(lengths)
             self._tracker.forget_messages(newly_dropped)
-            self._tracker.forget_checkpoints(stale)
+            self._tracker.forget_checkpoints(self._log.checkpoint_bases, self._checkpoints_taken)
         # A new log, not an in-place cut: CCPs already handed out keep the
         # pre-crash history (the recovery oracles judge the line against it).
         self._log = self._log.prefix(lengths)

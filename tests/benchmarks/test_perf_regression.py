@@ -12,7 +12,8 @@ recovery-session scaling gate (a session may cost at most 2x more after a
 4x longer warm-up history), the recording-path gate (executed lines per
 recorded send/receive/checkpoint under an absolute ceiling), the
 trace-codec gate (executed lines per trace record written and per trace line
-read back, under one ceiling) and the store-cost gate (SQLite connections
+read back, under one ceiling), the retained-set gate (executed lines per
+``(i, f)`` pair of a Theorem-1/2 retained set) and the store-cost gate (SQLite connections
 opened per stored sweep and SQL statements per completed cell).
 """
 
@@ -105,8 +106,8 @@ def test_smoke_regression_check_passes(committed_document):
     gate (a ratio of two executed-line counts, a function of the seed alone):
     replaying or rescanning the history per session reads ~3.6x against its
     2x ceiling, and the violation printed on stderr names it.  The
-    recording-path, trace-codec and store-cost gates run here too and have
-    their own tests below.
+    recording-path, trace-codec, retained-set and store-cost gates run here
+    too and have their own tests below.
     """
     from benchmarks.check_regression import main
 
@@ -141,6 +142,40 @@ def test_trace_codec_stays_under_its_line_ceiling():
     written, read = check_trace_codec_cost(ceiling=1.0)  # the gate can fire
     assert "TraceWriter.on_*" in written
     assert "TraceReader.lines" in read
+
+
+def test_retained_set_costs_one_c_bisection_per_pair(monkeypatch):
+    """A retained set is n^2 ``bisect_left`` calls whose key and comparison run in C.
+
+    An executed-line count per ``(i, f)`` pair (a function of the seed alone).
+    The gate can fire: with the bisection probing the window through a Python
+    key callback again — what the view this gate was added against did, at 4.9x
+    the ceiling with its checkpoint-id, dict-lookup and generator per probe —
+    the same sets come out (the gate's own run still audits safe and optimal)
+    and the violation names the function.
+    """
+    from bisect import bisect_left
+
+    from benchmarks.check_regression import check_retained_set_cost
+    from repro.ccp.incremental import IncrementalAnalysisView
+
+    assert check_retained_set_cost() == []
+
+    def first_knowing_by_callback(rows, volatile, column, m):
+        window = [*rows, volatile]
+
+        def knows(offset):
+            snapshot = window[offset]
+            known = column(snapshot)
+            return known >= m
+
+        return bisect_left(range(len(window)), True, key=knows)
+
+    monkeypatch.setattr(
+        IncrementalAnalysisView, "_first_knowing", staticmethod(first_knowing_by_callback)
+    )
+    (violation,) = check_retained_set_cost()
+    assert "IncrementalAnalysisView._retained" in violation
 
 
 def test_store_cost_stays_one_connection_and_a_fixed_few_statements():

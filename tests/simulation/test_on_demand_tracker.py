@@ -59,12 +59,23 @@ def _twins(num_processes: int):
     return (lazy, TraceFeeder(lazy)), (eager, TraceFeeder(eager))
 
 
+def checkpoint_snapshots(recorder: TraceRecorder):
+    """``{c_p^k: knowledge frozen just before it}`` for every tracked checkpoint."""
+    tracker = recorder.knowledge_tracker
+    assert tracker is not None
+    return {
+        CheckpointId(pid, base + offset): row
+        for pid, (base, rows) in enumerate(zip(tracker.ckpt_base, tracker.ckpt_rows))
+        for offset, row in enumerate(rows)
+    }
+
+
 def _state(recorder: TraceRecorder):
     """The tracker's whole state, snapshots padded to the current capacity.
 
-    Snapshots frozen before a membership growth are legitimately shorter
-    than ones taken by a replay at the grown capacity (a missing column
-    reads as -1), so the comparison pads them.
+    Message and journal snapshots frozen before a membership growth are
+    legitimately shorter than ones taken by a replay at the grown capacity
+    (a missing column reads as -1), so the comparison pads them.
     """
     tracker = recorder.knowledge_tracker
     assert tracker is not None
@@ -75,7 +86,7 @@ def _state(recorder: TraceRecorder):
 
     return {
         "ck": [pad(row) for row in tracker.ck],
-        "ckpt_ck": {cid: pad(vector) for cid, vector in tracker.ckpt_ck.items()},
+        "ckpt_rows": {cid: pad(vector) for cid, vector in checkpoint_snapshots(recorder).items()},
         "msg_ck": {mid: pad(vector) for mid, vector in tracker.msg_ck.items()},
         "journal": [[(seq, pad(vector)) for seq, vector in entries] for entries in tracker.journal],
         "base_ck": [pad(vector) for vector in tracker.base_ck],
@@ -215,9 +226,10 @@ def _assert_knowledge_grows_along_checkpoints(recorder: TraceRecorder) -> None:
     tracker = recorder.knowledge_tracker
     assert tracker is not None
     n = tracker.num_processes
+    frozen = checkpoint_snapshots(recorder)
     for pid in range(n):
         window = range(recorder.log.checkpoint_base(pid), recorder.checkpoints_taken[pid])
-        snapshots = [tracker.ckpt_ck[CheckpointId(pid, index)] for index in window] + [tracker.ck[pid]]
+        snapshots = [frozen[CheckpointId(pid, index)] for index in window] + [tracker.ck[pid]]
         padded = [tuple(vector) + (-1,) * (n - len(vector)) for vector in snapshots]
         for earlier, later in zip(padded, padded[1:]):
             assert all(a <= b for a, b in zip(earlier, later)), (pid, earlier, later)
