@@ -24,27 +24,34 @@ is enumerable, the accepted values — *before* anything expensive runs.
 from __future__ import annotations
 
 import json
+import math
 import random
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.explore.program import ExploreConfig, ProgramStep, checkpoint, crash, send
-from repro.fuzz.fuzzer import FuzzSpec, builtin_targets, resolve_target
+from repro.explore import ExploreConfig, explore
+from repro.fuzz.fuzzer import FuzzSpec, builtin_targets, fuzz, resolve_target
 from repro.gc import available_collectors
 from repro.protocols import available_protocols
-from repro.scenarios.campaign.executor import CampaignRun, run_campaign
+from repro.scenarios.campaign.executor import run_campaign
+from repro.scenarios.campaign.queries import QUERIES, run_query, store_summary
 from repro.scenarios.campaign.spec import (
+    AXES,
     CampaignSpec,
-    FailureModelSpec,
+    CollectorSpec,
+    SPEC_KEYS,
+    WorkloadSpec,
+    failure_schedule,
+    failures_from_entry,
+    membership_from_entry,
     spec_from_mapping,
 )
+from repro.scenarios.campaign.sqlstore import SQLResultStore
 from repro.simulation import (
     FailureSchedule,
     SimulationConfig,
-    SimulationResult,
-    SimulationRunner,
     available_workloads,
-    make_workload,
     network_config_from_mapping,
+    run_simulation,
 )
 
 #: The closed vocabularies of the non-registry fields.
@@ -88,6 +95,64 @@ def _check_choice(field: str, value: Any, accepted: Sequence[Any]) -> None:
         )
 
 
+def _check_keys(document: Mapping[str, Any], known: Sequence[str], kind: str) -> None:
+    unknown = sorted(set(document) - set(known))
+    if unknown:
+        raise SpecValidationError(
+            unknown[0], f"unknown {kind} spec key", accepted=sorted(known)
+        )
+
+
+def _number(
+    document: Mapping[str, Any],
+    field: str,
+    convert: Callable[[Any], Any],
+    default: Any,
+    *,
+    minimum: Optional[int] = None,
+) -> Any:
+    """The ``int``/``float`` at ``field``, naming the field when it is none."""
+    value = document.get(field, default)
+    try:
+        number = convert(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if convert is int else "a number"
+        raise SpecValidationError(field, f"expected {kind}, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise SpecValidationError(field, f"must be at least {minimum}, got {value!r}")
+    return number
+
+
+def _run_shape(document: Mapping[str, Any]) -> Tuple[int, float]:
+    """``(num_processes, duration)`` of a simulation or campaign document."""
+    num_processes = _number(document, "num_processes", int, 4, minimum=1)
+    duration = _number(document, "duration", float, 120.0)
+    if not 0 < duration < math.inf:
+        raise SpecValidationError(
+            "duration", f"the duration must be positive and finite, got {duration!r}"
+        )
+    return num_processes, duration
+
+
+def _parse(field: str, parser: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Run a spec-layer parser or constructor, naming ``field`` if it refuses."""
+    try:
+        return parser(*args, **kwargs)
+    except SpecValidationError:
+        raise
+    except (LookupError, TypeError, ValueError) as exc:
+        raise SpecValidationError(field, str(exc)) from exc
+
+
+def _collector(document: Mapping[str, Any]) -> CollectorSpec:
+    """A run's ``collector`` name plus ``collector_options``, both checked."""
+    name = document.get("collector", "rdt-lgc")
+    _check_choice("collector", name, available_collectors())
+    return _parse(
+        "collector_options", CollectorSpec.of, name, document.get("collector_options")
+    )
+
+
 def _entry_name(entry: Any) -> Any:
     """An axis entry's registry name — bare string or a ``{"name": ...}``."""
     if isinstance(entry, Mapping):
@@ -95,205 +160,147 @@ def _entry_name(entry: Any) -> Any:
     return entry
 
 
-def _validate_campaign_names(document: Mapping[str, Any]) -> None:
-    """Check every registry-backed axis entry before the spec layer runs.
-
-    The spec layer validates structure; this pass validates *vocabulary*, so
-    a typoed collector fails with the accepted list instead of a deep
-    factory error mid-expansion.
-    """
-    registries: Tuple[Tuple[str, Sequence[str]], ...] = (
-        ("protocols", available_protocols()),
-        ("collectors", available_collectors()),
-        ("workloads", available_workloads()),
-        ("backends", _BACKENDS),
-    )
-    for field, accepted in registries:
-        entries = document.get(field)
-        if entries is None or isinstance(entries, (str, bytes)):
-            continue  # shape errors are the spec layer's to report
-        for index, entry in enumerate(entries):
-            name = _entry_name(entry)
-            if isinstance(name, str) and name not in accepted:
-                raise SpecValidationError(
-                    f"{field}[{index}]",
-                    f"unknown value {name!r}",
-                    accepted=accepted,
-                )
-    if "audit" in document:
-        _check_choice("audit", document["audit"], _AUDITS)
+def _check_names(document: Mapping[str, Any], axis: str, accepted: Sequence[str]) -> None:
+    """Check one campaign axis's registry names — vocabulary only; a
+    mis-shaped axis or entry is the spec layer's to report."""
+    entries = document.get(axis)
+    for index, entry in enumerate(entries if isinstance(entries, (list, tuple)) else ()):
+        if isinstance(_entry_name(entry), str):
+            _check_choice(f"{axis}[{index}]", _entry_name(entry), accepted)
 
 
 def _campaign_spec(document: Mapping[str, Any]) -> CampaignSpec:
-    _validate_campaign_names(document)
+    _check_keys(document, sorted(SPEC_KEYS), "campaign")
+    # Vocabulary before structure: a typoed collector fails here with the
+    # accepted list instead of as a deep factory error mid-expansion.
+    _check_names(document, "protocols", available_protocols())
+    _check_names(document, "collectors", available_collectors())
+    _check_names(document, "workloads", available_workloads())
+    _check_names(document, "backends", _BACKENDS)
+    if "audit" in document:
+        _check_choice("audit", document["audit"], _AUDITS)
     if "name" not in document:
         raise SpecValidationError("name", "a campaign spec needs a name")
-    try:
-        return spec_from_mapping(document)
-    except SpecValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecValidationError("spec", str(exc)) from exc
+    _run_shape(document)
+    return _parse("spec", spec_from_mapping, document)
 
 
 def _failure_schedule(
     value: Any, *, num_processes: int, duration: float, seed: int
 ) -> FailureSchedule:
-    """A single run's ``failures`` entry: count, ``[time, pid]`` pairs or a
-    declarative failure model (``{"model": "churn", ...}``)."""
+    """A single run's ``failures``: explicit ``[time, pid]`` pairs, or a
+    failure-axis entry (crash count, ``{"model": "churn", ...}``) drawn from
+    the run seed."""
     if value is None:
         return FailureSchedule.none()
-    if isinstance(value, Mapping):
-        params = dict(value)
-        model = params.pop("model", None)
-        if model is None:
-            raise SpecValidationError(
-                "failures", "a failure-model mapping needs a 'model' key"
-            )
-        try:
-            return FailureModelSpec.of(str(model), params).schedule(
-                num_processes=num_processes,
-                duration=duration,
-                rng=random.Random(seed),
-            )
-        except (TypeError, ValueError) as exc:
-            raise SpecValidationError("failures", str(exc)) from exc
-    if isinstance(value, int):
-        if value == 0:
-            return FailureSchedule.none()
-        return FailureSchedule.random(
-            num_processes=num_processes,
-            duration=duration,
-            count=value,
-            rng=random.Random(seed),
-        )
-    try:
+    if isinstance(value, (list, tuple)):
         return FailureSchedule.of((float(t), int(pid)) for t, pid in value)
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError(
-            "failures",
-            f"expected a crash count, [time, pid] pairs or a failure model, "
-            f"got {value!r} ({exc})",
-        ) from exc
+    return failure_schedule(
+        failures_from_entry(value),
+        num_processes=num_processes,
+        duration=duration,
+        rng=random.Random(seed),
+    )
+
+
+_SIMULATION_KEYS = (
+    "name", "num_processes", "duration", "workload", "protocol", "collector",
+    "collector_options", "network", "failures", "membership", "seed",
+    "sample_interval", "audit", "backend", "trace",
+)
 
 
 def _simulation_config(
     document: Mapping[str, Any], *, backend: Optional[str] = None
 ) -> SimulationConfig:
-    known = {
-        "name", "num_processes", "duration", "workload", "protocol",
-        "collector", "collector_options", "network", "failures", "seed",
-        "sample_interval", "audit", "backend", "trace",
-    }
-    unknown = sorted(set(document) - known)
-    if unknown:
-        raise SpecValidationError(
-            unknown[0], "unknown simulation spec key", accepted=sorted(known)
-        )
-
-    workload_entry = document.get("workload", "uniform-random")
-    workload_name = _entry_name(workload_entry)
-    workload_params: Mapping[str, Any] = (
-        workload_entry.get("params", {}) if isinstance(workload_entry, Mapping) else {}
-    )
-    _check_choice("workload", workload_name, available_workloads())
-    _check_choice("protocol", document.get("protocol", "fdas"), available_protocols())
-    _check_choice("collector", document.get("collector", "rdt-lgc"), available_collectors())
-    _check_choice("audit", document.get("audit", "off"), _AUDITS)
-    resolved_backend = backend or document.get("backend", "sim")
-    _check_choice("backend", resolved_backend, _BACKENDS)
-
-    num_processes = int(document.get("num_processes", 4))
-    duration = float(document.get("duration", 120.0))
-    seed = int(document.get("seed", 0))
-    try:
-        network = network_config_from_mapping(dict(document.get("network", {})))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecValidationError("network", str(exc)) from exc
-    try:
-        return SimulationConfig(
+    _check_keys(document, _SIMULATION_KEYS, "simulation")
+    workload = document.get("workload", "uniform-random")
+    protocol = document.get("protocol", "fdas")
+    audit = document.get("audit", "off")
+    backend = backend or document.get("backend", "sim")
+    _check_choice("workload", _entry_name(workload), available_workloads())
+    _check_choice("protocol", protocol, available_protocols())
+    collector = _collector(document)
+    _check_choice("audit", audit, _AUDITS)
+    _check_choice("backend", backend, _BACKENDS)
+    num_processes, duration = _run_shape(document)
+    seed = _number(document, "seed", int, 0)
+    return _parse(
+        "spec",
+        SimulationConfig,
+        num_processes=num_processes,
+        duration=duration,
+        workload=_parse("workload", WorkloadSpec.from_entry, workload).build(),
+        protocol=protocol,
+        collector=collector.name,
+        collector_options=collector.options_dict(),
+        network=_parse(
+            "network", network_config_from_mapping, dict(document.get("network", {}))
+        ),
+        failures=_parse(
+            "failures",
+            _failure_schedule,
+            document.get("failures"),
             num_processes=num_processes,
             duration=duration,
-            workload=make_workload(workload_name, **dict(workload_params)),
-            protocol=document.get("protocol", "fdas"),
-            collector=document.get("collector", "rdt-lgc"),
-            collector_options=dict(document.get("collector_options", {})),
-            network=network,
-            failures=_failure_schedule(
-                document.get("failures"),
-                num_processes=num_processes,
-                duration=duration,
-                seed=seed,
-            ),
             seed=seed,
-            sample_interval=document.get("sample_interval"),
-            audit=document.get("audit", "off"),
-            trace_path=document.get("trace"),
-            backend=resolved_backend,
-        )
-    except SpecValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError("spec", str(exc)) from exc
+        ),
+        membership=_parse("membership", membership_from_entry, document.get("membership")),
+        seed=seed,
+        sample_interval=document.get("sample_interval"),
+        audit=audit,
+        trace_path=document.get("trace"),
+        backend=backend,
+    )
 
 
-def _program_step(entry: Any, index: int) -> ProgramStep:
-    if not isinstance(entry, Mapping):
+def _program_step(entry: Any, index: int) -> Sequence[Any]:
+    """One program step in the ``["send", 0, 1]`` list form that
+    :meth:`ExploreConfig.describe` emits and ``from_mapping`` parses; the
+    ``{"op": "send", "pid": 0, "target": 1}`` mapping form is converted."""
+    if isinstance(entry, Mapping):
+        if not isinstance(entry.get("pid"), int):
+            raise SpecValidationError(f"program[{index}].pid", "an integer pid is required")
+        if entry.get("op") == "send" and not isinstance(entry.get("target"), int):
+            raise SpecValidationError(
+                f"program[{index}].target", "send steps need an integer target"
+            )
+        entry = [entry.get("op"), entry["pid"], entry.get("target")]
+    elif not isinstance(entry, (list, tuple)) or not entry:
         raise SpecValidationError(
             f"program[{index}]",
             f"expected a mapping like {{'op': 'send', 'pid': 0, 'target': 1}}, "
             f"got {entry!r}",
         )
-    op = entry.get("op")
-    _check_choice(f"program[{index}].op", op, _STEP_OPS)
-    pid = entry.get("pid")
-    if not isinstance(pid, int):
-        raise SpecValidationError(f"program[{index}].pid", "an integer pid is required")
-    if op == "send":
-        target = entry.get("target")
-        if not isinstance(target, int):
-            raise SpecValidationError(
-                f"program[{index}].target", "send steps need an integer target"
-            )
-        return send(pid, target)
-    if op == "checkpoint":
-        return checkpoint(pid)
-    return crash(pid)
+    _check_choice(f"program[{index}].op", entry[0], _STEP_OPS)
+    return entry
+
+
+_EXPLORE_KEYS = (
+    "name", "num_processes", "program", "protocol", "collector",
+    "collector_options", "seed", "step_gap",
+)
 
 
 def _explore_config(document: Mapping[str, Any]) -> ExploreConfig:
-    known = {
-        "name", "num_processes", "program", "protocol", "collector",
-        "collector_options", "seed", "step_gap",
-    }
-    unknown = sorted(set(document) - known)
-    if unknown:
-        raise SpecValidationError(
-            unknown[0], "unknown explore spec key", accepted=sorted(known)
-        )
+    _check_keys(document, _EXPLORE_KEYS, "explore")
     _check_choice("protocol", document.get("protocol", "fdas"), available_protocols())
-    _check_choice("collector", document.get("collector", "rdt-lgc"), available_collectors())
-    program_entries = document.get("program")
-    if not isinstance(program_entries, Sequence) or isinstance(program_entries, (str, bytes)):
+    collector = _collector(document)
+    steps = document.get("program")
+    if not isinstance(steps, (list, tuple)):
         raise SpecValidationError(
             "program", "an explore spec needs a list of program steps"
         )
-    program = tuple(
-        _program_step(entry, index) for index, entry in enumerate(program_entries)
+    return _parse(
+        "spec",
+        ExploreConfig.from_mapping,
+        {
+            "num_processes": 2,
+            **document,
+            "program": [_program_step(step, index) for index, step in enumerate(steps)],
+            "collector_options": collector.options_dict(),
+        },
     )
-    options = document.get("collector_options", {})
-    try:
-        return ExploreConfig(
-            num_processes=int(document.get("num_processes", 2)),
-            program=program,
-            protocol=document.get("protocol", "fdas"),
-            collector=document.get("collector", "rdt-lgc"),
-            collector_options=tuple(sorted(dict(options).items())),
-            seed=int(document.get("seed", 0)),
-            step_gap=float(document.get("step_gap", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError("spec", str(exc)) from exc
 
 
 def _fuzz_spec(document: Mapping[str, Any]) -> FuzzSpec:
@@ -303,18 +310,11 @@ def _fuzz_spec(document: Mapping[str, Any]) -> FuzzSpec:
     target; an explore-shaped document (``program``, ``collector``, ...)
     plus the fuzz knobs fuzzes that custom configuration.
     """
-    fuzz_keys = {"target", "budget", "seed", "corpus", "guided", "minimize"}
-    explore_keys = {
-        "name", "num_processes", "program", "protocol", "collector",
-        "collector_options", "step_gap",
-    }
-    unknown = sorted(set(document) - fuzz_keys - explore_keys)
-    if unknown:
-        raise SpecValidationError(
-            unknown[0],
-            "unknown fuzz spec key",
-            accepted=sorted(fuzz_keys | explore_keys),
-        )
+    fuzz_keys = ("target", "budget", "seed", "corpus", "guided", "minimize")
+    # The fuzzer's own seed is a mutation-stream seed, not the simulation
+    # seed; an embedded configuration keeps the default.
+    explore_keys = tuple(key for key in _EXPLORE_KEYS if key != "seed")
+    _check_keys(document, fuzz_keys + explore_keys, "fuzz")
     target_name = document.get("target")
     if target_name is not None and "program" in document:
         raise SpecValidationError(
@@ -325,37 +325,25 @@ def _fuzz_spec(document: Mapping[str, Any]) -> FuzzSpec:
         _check_choice("target", target_name, sorted(targets))
         target = targets[target_name]
     elif "program" in document:
-        explore_doc = {
-            key: value for key, value in document.items() if key in explore_keys
-        }
-        # The fuzzer's own seed is a mutation-stream seed, not the
-        # simulation seed; the embedded configuration keeps the default.
-        target = resolve_target(_explore_config(explore_doc))
+        target = resolve_target(
+            _explore_config({key: document[key] for key in explore_keys if key in document})
+        )
     else:
         raise SpecValidationError(
             "target", "a fuzz spec needs a built-in target or an inline program"
         )
-    try:
-        return FuzzSpec(
-            target=target,
-            budget=int(document.get("budget", 300)),
-            seed=int(document.get("seed", 0)),
-            corpus=document.get("corpus"),
-            guided=bool(document.get("guided", True)),
-            minimize=bool(document.get("minimize", True)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError("spec", str(exc)) from exc
-
-
-_CAMPAIGN_AXES = frozenset(
-    {"protocols", "collectors", "workloads", "failure_counts", "networks",
-     "seeds", "backends", "base_seed"}
-)
+    return FuzzSpec(
+        target=target,
+        budget=_number(document, "budget", int, 300, minimum=0),
+        seed=_number(document, "seed", int, 0),
+        corpus=document.get("corpus"),
+        guided=bool(document.get("guided", True)),
+        minimize=bool(document.get("minimize", True)),
+    )
 
 
 def _infer_kind(document: Mapping[str, Any]) -> str:
-    if _CAMPAIGN_AXES & set(document):
+    if {*AXES, "base_seed"} & set(document):
         return "campaign"
     if "target" in document or "budget" in document:
         return "fuzz"
@@ -366,7 +354,7 @@ def _infer_kind(document: Mapping[str, Any]) -> str:
 
 def load_spec(
     source: Union[str, Mapping[str, Any], AnySpec], *, kind: Optional[str] = None
-) -> AnySpec:
+) -> Any:
     """Turn ``source`` into the matching typed configuration.
 
     ``source`` may be a path to a JSON document, a mapping, or an
@@ -385,7 +373,8 @@ def load_spec(
             document's ``"kind"`` key and over inference.
 
     Returns:
-        The matching typed configuration object.
+        The matching typed configuration object (an :data:`AnySpec` member;
+        annotated ``Any`` because which one depends on the document).
 
     Raises:
         SpecValidationError: for unreadable/invalid documents, unknown
@@ -443,8 +432,8 @@ def run(
     * a campaign runs through :func:`run_campaign` (``store``, ``traces``,
       ``workers``, ``shard``, ``retry_failed`` and ``progress`` apply) and
       returns a :class:`CampaignRun`;
-    * a simulation runs through :class:`SimulationRunner` — or, when its
-      backend is ``"live"``, on real OS processes — and returns a
+    * a simulation runs through :func:`run_simulation` — the simulator or,
+      when its backend is ``"live"``, real OS processes — and returns a
       :class:`SimulationResult`;
     * an explore config walks its schedule space (``max_executions`` caps
       the budget) and returns an ``ExplorationResult``;
@@ -470,11 +459,9 @@ def run(
             kind — options are never silently dropped.
     """
     loaded = load_spec(spec)
+    if max_executions is not None and not isinstance(loaded, (ExploreConfig, FuzzSpec)):
+        raise SpecValidationError("max_executions", "only applies to explore specs")
     if isinstance(loaded, CampaignSpec):
-        if max_executions is not None:
-            raise SpecValidationError(
-                "max_executions", "only applies to explore specs"
-            )
         return run_campaign(
             loaded,
             store_path=store,
@@ -489,12 +476,10 @@ def run(
         "retry_failed": retry_failed or None, "progress": progress,
     }
     used = sorted(name for name, value in campaign_only.items() if value)
+    if used:
+        raise SpecValidationError(used[0], "only applies to campaign specs")
     if isinstance(loaded, FuzzSpec):
-        if used:
-            raise SpecValidationError(used[0], "only applies to campaign specs")
-        from repro.fuzz.fuzzer import fuzz as run_fuzz
-
-        return run_fuzz(
+        return fuzz(
             loaded.target,
             budget=max_executions if max_executions is not None else loaded.budget,
             seed=loaded.seed,
@@ -503,20 +488,8 @@ def run(
             minimize=loaded.minimize,
         )
     if isinstance(loaded, ExploreConfig):
-        if used:
-            raise SpecValidationError(used[0], "only applies to campaign specs")
-        from repro.explore import explore
-
         return explore(loaded, max_executions=max_executions)
-    if used:
-        raise SpecValidationError(used[0], "only applies to campaign specs")
-    if max_executions is not None:
-        raise SpecValidationError("max_executions", "only applies to explore specs")
-    if loaded.backend == "live":
-        from repro.live import run_live
-
-        return run_live(loaded).result
-    return SimulationRunner(loaded).run()
+    return run_simulation(loaded)
 
 
 def query(
@@ -544,9 +517,6 @@ def query(
         FileNotFoundError: when ``store`` does not exist (nothing is created).
         ValueError: when ``store`` exists but is not a SQLite result store.
     """
-    from repro.scenarios.campaign.queries import QUERIES, run_query, store_summary
-    from repro.scenarios.campaign.sqlstore import SQLResultStore
-
     if name is None or name == "aggregate":
         group_by = params.pop("group_by", None)
         allow_incomplete = bool(params.pop("allow_incomplete", False))

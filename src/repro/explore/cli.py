@@ -22,11 +22,13 @@ byte-compares the fresh trace against the persisted one)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
 from typing import List, Optional
 
+from repro import api
 from repro.explore.canaries import canaries_registered
 from repro.explore.explorer import SweepEntry, explore
 from repro.explore.program import ExploreConfig, ring_program
@@ -38,19 +40,6 @@ from repro.explore.shrink import (
     shrink,
 )
 from repro.scenarios.experiments import explore_sweep_configs
-
-
-def _config_from_args(args: argparse.Namespace) -> ExploreConfig:
-    return ExploreConfig(
-        num_processes=args.processes,
-        program=ring_program(
-            args.processes,
-            args.messages,
-            crash_pid=0 if args.crash else None,
-        ),
-        protocol=args.protocol,
-        collector=args.collector,
-    )
 
 
 def _report_entry(entry: SweepEntry, *, traces: Optional[str], quiet: bool) -> bool:
@@ -93,18 +82,33 @@ def _report_entry(entry: SweepEntry, *, traces: Optional[str], quiet: bool) -> b
 # ----------------------------------------------------------------------
 # run — one configuration
 # ----------------------------------------------------------------------
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    started = time.perf_counter()
+def _explore_entry(config: ExploreConfig, args: argparse.Namespace) -> SweepEntry:
     result = explore(
         config,
         max_executions=args.max_executions,
         reduction=not args.no_reduction,
     )
+    return SweepEntry(config.protocol, config.collector, result)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    program = ring_program(
+        args.processes, args.messages, crash_pid=0 if args.crash else None
+    )
+    config = api.load_spec(
+        {
+            "num_processes": args.processes,
+            "program": [step.describe() for step in program],
+            "protocol": args.protocol,
+            "collector": args.collector,
+        },
+        kind="explore",
+    )
+    started = time.perf_counter()
+    entry = _explore_entry(config, args)
     elapsed = time.perf_counter() - started
-    entry = SweepEntry(config.protocol, config.collector, result)
     clean = _report_entry(entry, traces=args.traces, quiet=False)
-    stats = result.stats
+    stats = entry.result.stats
     rate = stats.executions / elapsed if elapsed > 0 else float("inf")
     print(
         f"explored {stats.executions} prefixes ({stats.schedules} complete "
@@ -128,37 +132,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.collectors:
         collectors = tuple((name, {}) for name in args.collectors.split(","))
 
-    def run_and_report() -> tuple[List[SweepEntry], int]:
-        configs = explore_sweep_configs(
+    started = time.perf_counter()
+    entries: List[SweepEntry] = []
+    dirty = 0
+    with canaries_registered() if args.canaries else contextlib.nullcontext():
+        # A typoed name is the façade's error to word (an empty program per
+        # name), not a registry KeyError out of `explore_sweep_configs`.
+        for protocol in protocols or ():
+            api.load_spec({"program": [], "protocol": protocol}, kind="explore")
+        for name, _ in collectors or ():
+            api.load_spec({"program": [], "collector": name}, kind="explore")
+        # One cell at a time so progress streams; reporting also shrinks and
+        # persists counterexamples, which re-executes their configurations —
+        # canaries must still be registered here.
+        for config in explore_sweep_configs(
             num_processes=args.processes,
             messages=args.messages,
             protocols=protocols,
             collectors=collectors,
             with_crash=args.crash,
-        )
-        entries: List[SweepEntry] = []
-        dirty = 0
-        # One cell at a time so progress streams; reporting also shrinks and
-        # persists counterexamples, which re-executes their configurations —
-        # canaries must still be registered here.
-        for config in configs:
-            result = explore(
-                config,
-                max_executions=args.max_executions,
-                reduction=not args.no_reduction,
-            )
-            entry = SweepEntry(config.protocol, config.collector, result)
-            entries.append(entry)
-            if not _report_entry(entry, traces=args.traces, quiet=args.quiet):
+        ):
+            entries.append(_explore_entry(config, args))
+            if not _report_entry(entries[-1], traces=args.traces, quiet=args.quiet):
                 dirty += 1
-        return entries, dirty
-
-    started = time.perf_counter()
-    if args.canaries:
-        with canaries_registered():
-            entries, dirty = run_and_report()
-    else:
-        entries, dirty = run_and_report()
     elapsed = time.perf_counter() - started
     executions = sum(entry.result.stats.executions for entry in entries)
     print(
@@ -266,7 +262,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     replay.set_defaults(func=_cmd_replay)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except api.SpecValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

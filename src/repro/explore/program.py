@@ -172,8 +172,8 @@ class ExploreConfig:
             program=tuple(
                 ProgramStep.from_description(step) for step in document["program"]
             ),
-            protocol=str(document["protocol"]),
-            collector=str(document["collector"]),
+            protocol=str(document.get("protocol", "fdas")),
+            collector=str(document.get("collector", "rdt-lgc")),
             collector_options=tuple(
                 sorted(dict(document.get("collector_options") or {}).items())
             ),

@@ -221,24 +221,32 @@ class CounterexampleReplay:
     config: ExploreConfig
     schedule: Tuple[Choice, ...]
     recorded_violation: Dict[str, Any]
-    replayed_violation: Violation
+    #: ``None`` only for the violation-free artifacts of the fuzz corpus.
+    replayed_violation: Optional[Violation]
     byte_identical: bool
     trace_events: int
 
 
-def replay_counterexample(
-    path: str, *, oracles: Optional[OracleStack] = None
-) -> CounterexampleReplay:
-    """Replay a persisted counterexample and verify it byte for byte.
+def replay_artifact(
+    path: str,
+    *,
+    oracles: Optional[OracleStack] = None,
+    expect_violation: bool,
+    written_by: str,
+) -> Tuple[CounterexampleReplay, Dict[str, Any]]:
+    """Replay one explorer-provenance artifact and verify it byte for byte.
 
-    Three layers of checking:
+    The body shared by :func:`replay_counterexample` and
+    :func:`repro.fuzz.replay_corpus_entry`, three layers of checking:
 
     1. the artifact replays through :mod:`repro.traceio` (rehydrating the
        recorded execution — this is what proves the trace itself is sound);
-    2. the provenance in the header re-executes live and must reproduce a
-       violation of the recorded kind at the recorded step;
+    2. the provenance in the header re-executes live and must violate an
+       oracle exactly when ``expect_violation`` says so;
     3. the live re-execution's trace artifact is byte-compared against the
        persisted one.
+
+    Returns the replay and the header's explorer provenance.
     """
     from repro.traceio.reader import TraceReader
 
@@ -247,31 +255,32 @@ def replay_counterexample(
     if not meta:
         raise ValueError(
             f"{path}: trace carries no explorer provenance in its header meta "
-            f"— was it written by repro.explore?"
+            f"— was it written by {written_by}?"
         )
     config = ExploreConfig.from_mapping(meta["config"])
     schedule: Tuple[Choice, ...] = tuple(
         (str(kind), int(value)) for kind, value in meta["schedule"]
     )
     recorded = dict(meta.get("violation") or {})
+    extra = {k: v for k, v in meta.items() if k not in ("config", "schedule")}
     with tempfile.TemporaryDirectory() as scratch:
         fresh_path = os.path.join(scratch, os.path.basename(path))
         outcome = ScheduleExecutor(config, oracles).execute(
-            schedule,
-            trace_path=fresh_path,
-            trace_meta={
-                "violation": recorded,
-                "trace_events": meta.get("trace_events"),
-            },
+            schedule, trace_path=fresh_path, trace_meta=extra
         )
-        if outcome.violation is None:
+        if expect_violation and outcome.violation is None:
             raise RuntimeError(
                 f"{path}: re-executing the persisted schedule produced no "
                 f"violation (expected {recorded.get('kind')!r})"
             )
+        if not expect_violation and outcome.violation is not None:
+            raise RuntimeError(
+                f"{path}: re-executing the corpus entry violated an oracle: "
+                f"{outcome.violation}"
+            )
         with open(path, "rb") as original, open(fresh_path, "rb") as fresh:
             byte_identical = original.read() == fresh.read()
-    return CounterexampleReplay(
+    replay = CounterexampleReplay(
         path=path,
         config=config,
         schedule=schedule,
@@ -280,6 +289,17 @@ def replay_counterexample(
         byte_identical=byte_identical,
         trace_events=replayed.recorder.log.total_events(),
     )
+    return replay, meta
+
+
+def replay_counterexample(
+    path: str, *, oracles: Optional[OracleStack] = None
+) -> CounterexampleReplay:
+    """Replay a persisted counterexample (see :func:`replay_artifact`): the
+    re-execution must reproduce a violation, and the same artifact bytes."""
+    return replay_artifact(
+        path, oracles=oracles, expect_violation=True, written_by="repro.explore"
+    )[0]
 
 
 def counterexample_summary(replay: CounterexampleReplay) -> str:

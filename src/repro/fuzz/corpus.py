@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.explore.executor import ScheduleExecutor
 from repro.explore.oracles import OracleStack
 from repro.explore.program import Choice, ExploreConfig
+from repro.explore.shrink import replay_artifact
 from repro.fuzz.coverage import CoverageMap, Feature
 
 #: Name of the index document inside a corpus directory.
@@ -279,12 +280,9 @@ class CorpusEntryReplay:
 def replay_corpus_entry(
     path: str, *, oracles: Optional[OracleStack] = None
 ) -> CorpusEntryReplay:
-    """Replay a persisted corpus entry and verify it byte for byte.
-
-    Mirrors :func:`repro.explore.replay_counterexample` for violation-free
-    entries: the artifact must (1) rehydrate through :mod:`repro.traceio`,
-    (2) re-execute live without any violation, and (3) the live re-execution
-    must write byte-identical artifact bytes.
+    """Replay a persisted corpus entry and verify it byte for byte: the
+    checks of :func:`repro.explore.shrink.replay_artifact`, with a
+    violation-free re-execution expected.
 
     Args:
         path: the ``entries/<id>.trace.jsonl`` artifact.
@@ -297,44 +295,17 @@ def replay_corpus_entry(
         ValueError: when the artifact carries no explorer/fuzz provenance.
         RuntimeError: when the re-execution violates an oracle.
     """
-    import tempfile
-
-    from repro.traceio.reader import TraceReader
-
-    replayed = TraceReader(path).replay()
-    meta = (replayed.header.get("meta") or {}).get("explorer")
-    if not meta:
-        raise ValueError(
-            f"{path}: trace carries no explorer provenance in its header meta "
-            f"— was it written by repro.fuzz?"
-        )
-    config = ExploreConfig.from_mapping(meta["config"])
-    schedule: Tuple[Choice, ...] = tuple(
-        (str(kind), int(value)) for kind, value in meta["schedule"]
+    replay, meta = replay_artifact(
+        path, oracles=oracles, expect_violation=False, written_by="repro.fuzz"
     )
-    extra = {
-        key: value
-        for key, value in meta.items()
-        if key not in ("config", "schedule")
-    }
-    with tempfile.TemporaryDirectory() as scratch:
-        fresh_path = os.path.join(scratch, os.path.basename(path))
-        outcome = ScheduleExecutor(config, oracles).execute(
-            schedule, trace_path=fresh_path, trace_meta=extra
-        )
-        if outcome.violation is not None:
-            raise RuntimeError(
-                f"{path}: re-executing the corpus entry violated an oracle: "
-                f"{outcome.violation}"
-            )
-        with open(path, "rb") as original, open(fresh_path, "rb") as fresh:
-            byte_identical = original.read() == fresh.read()
-    identifier = (meta.get("fuzz") or {}).get("entry") or entry_id(config, schedule)
+    identifier = (meta.get("fuzz") or {}).get("entry") or entry_id(
+        replay.config, replay.schedule
+    )
     return CorpusEntryReplay(
         path=path,
         entry_id=str(identifier),
-        byte_identical=byte_identical,
-        trace_events=replayed.recorder.log.total_events(),
+        byte_identical=replay.byte_identical,
+        trace_events=replay.trace_events,
     )
 
 

@@ -9,9 +9,11 @@ With message loss, a SIGKILL crash/recover and a persisted artifact::
     python -m repro live --processes 3 --duration 30 --drop 0.1 \\
         --crash 12:1 --trace live.trace.jsonl --audit safety
 
-The merged artifact is a standard v2 trace: inspect it with
-``python -m repro trace inspect`` and check its invariants with
-``python -m repro trace replay --verify``.
+The flags become a single-run document that :func:`repro.api.load_spec`
+validates (``kind="live"``) before any worker process is spawned.  The
+merged artifact is a standard v2 trace: inspect it with ``python -m repro
+trace inspect`` and check its invariants with ``python -m repro trace replay
+--verify``.
 """
 
 from __future__ import annotations
@@ -20,11 +22,7 @@ import argparse
 import sys
 from typing import List, Optional, Tuple
 
-from repro.simulation.failures import FailureSchedule
-from repro.simulation.network import NetworkConfig
-from repro.simulation.runner import SimulationConfig
-from repro.simulation.workloads import available_workloads, make_workload
-
+from repro import api
 from repro.live.coordinator import LiveOptions, run_live
 
 
@@ -51,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workload",
         default="uniform-random",
-        choices=available_workloads(),
         help="workload generator",
     )
     parser.add_argument("--drop", type=float, default=0.0, help="message loss probability")
@@ -86,23 +83,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one live experiment and print its summary."""
     args = build_parser().parse_args(argv)
-    config = SimulationConfig(
-        num_processes=args.processes,
-        duration=args.duration,
-        workload=make_workload(args.workload),
-        protocol=args.protocol,
-        collector=args.collector,
-        network=NetworkConfig(
-            base_latency=args.base_latency,
-            jitter=args.jitter,
-            drop_probability=args.drop,
-        ),
-        failures=FailureSchedule.of(args.crash),
-        seed=args.seed,
-        audit=args.audit,
-        trace_path=args.trace,
-        backend="live",
-    )
+    document = {
+        "num_processes": args.processes,
+        "duration": args.duration,
+        "workload": args.workload,
+        "protocol": args.protocol,
+        "collector": args.collector,
+        "network": {
+            "base_latency": args.base_latency,
+            "jitter": args.jitter,
+            "drop_probability": args.drop,
+        },
+        "failures": args.crash,
+        "seed": args.seed,
+        "audit": args.audit,
+        "trace": args.trace,
+    }
+    try:
+        config = api.load_spec(document, kind="live")
+    except api.SpecValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     live = run_live(config, LiveOptions(time_scale=args.time_scale))
     result = live.result
     for key, value in result.summary().items():

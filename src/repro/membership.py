@@ -23,8 +23,9 @@ Semantics, pinned here and documented in ``docs/membership.md``:
 
 :class:`MembershipError` is the loud replacement for the IndexErrors that
 fixed ``num_processes × num_processes`` structures used to raise when an
-out-of-range pid appeared.  :class:`MembershipSpec` is the declarative
-campaign-axis form, mirroring :class:`repro.simulation.failures.FailureModelSpec`.
+out-of-range pid appeared.  A :class:`MembershipSchedule` is frozen and
+hashable, so it is also the campaign-axis entry: cells carry one and hash its
+:meth:`~MembershipSchedule.label` into their identity when it is dynamic.
 """
 
 from __future__ import annotations
@@ -134,18 +135,22 @@ class MembershipSchedule:
         """The pids live at time 0 for a run of the given capacity."""
         return frozenset(range(num_processes)) - self.joining_pids
 
-    def required_capacity(self) -> int:
-        """The smallest ``num_processes`` that covers every referenced pid."""
-        return max((e.pid + 1 for e in self.events), default=0)
-
-    def validate_for(self, num_processes: int) -> None:
-        """Reject schedules referencing pids beyond the run's capacity."""
+    def validate_for(
+        self, num_processes: int, duration: float = math.inf, scope: str = "run"
+    ) -> None:
+        """Reject schedules the ``scope`` (a run, a campaign) cannot hold:
+        pids beyond its capacity, events at or after its ``duration``."""
         for event in self.events:
             if event.pid >= num_processes:
                 raise MembershipError(
                     f"membership schedule names process {event.pid} but the "
                     f"run has only {num_processes} processes "
                     f"(expected pid < {num_processes})"
+                )
+            if event.time >= duration:
+                raise ValueError(
+                    f"membership {event.kind} of process {event.pid} at {event.time} "
+                    f"falls outside the {scope} duration {duration}"
                 )
 
     def __len__(self) -> int:
@@ -154,8 +159,28 @@ class MembershipSchedule:
     def __iter__(self):
         return iter(self.events)
 
-    def __bool__(self) -> bool:
-        return bool(self.events)
+    def label(self) -> str:
+        """Canonical compact form, e.g. ``membership(join=1@20.0,leave=2@60.0)``.
+
+        Deterministic (joins, then leaves, each by time then pid) because it
+        is hashed into campaign cell identities — of dynamic schedules only,
+        so every static cell keeps its historical id.
+        """
+        parts = [f"{e.kind}={e.pid}@{float(e.time)!r}" for e in self.joins + self.leaves]
+        return f"membership({','.join(parts)})"
+
+    @classmethod
+    def from_mapping(cls, document: Mapping[str, Any]) -> "MembershipSchedule":
+        """Build a schedule from ``{"joins": [[t, pid], ...], "leaves": ...}``."""
+        unknown = sorted(set(document) - {"joins", "leaves"})
+        if unknown:
+            raise ValueError(
+                f"unknown membership keys: {', '.join(unknown)}; known: joins, leaves"
+            )
+        return cls.of(
+            joins=[(float(t), int(p)) for t, p in document.get("joins", ())],
+            leaves=[(float(t), int(p)) for t, p in document.get("leaves", ())],
+        )
 
     def describe(self) -> List[List[Any]]:
         """Compact JSON form for trace headers: ``[[kind, pid, time], ...]``."""
@@ -166,17 +191,11 @@ class MembershipSchedule:
         cls, description: Sequence[Sequence[Any]]
     ) -> "MembershipSchedule":
         """Rebuild a schedule from its :meth:`describe` form."""
-        return cls.of(
-            joins=[
-                (float(time), int(pid))
-                for kind, pid, time in description
-                if kind == "join"
-            ],
-            leaves=[
-                (float(time), int(pid))
-                for kind, pid, time in description
-                if kind == "leave"
-            ],
+        return cls.from_mapping(
+            {
+                "joins": [(t, p) for kind, p, t in description if kind == "join"],
+                "leaves": [(t, p) for kind, p, t in description if kind == "leave"],
+            }
         )
 
 
@@ -261,73 +280,3 @@ class MembershipView:
             )
         self._members.discard(pid)
         self._departed.add(pid)
-
-
-# ----------------------------------------------------------------------
-# Declarative membership models (campaign grid axes)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MembershipSpec:
-    """A membership schedule in declarative, hashable form.
-
-    Mirrors :class:`repro.simulation.failures.FailureModelSpec`: campaign
-    cells carry one of these (frozen, tuple-based) and hash its
-    :meth:`label` into the cell identity — but only when it is non-static,
-    so every pre-existing cell id is preserved.
-    """
-
-    joins: Tuple[Tuple[float, int], ...] = ()
-    leaves: Tuple[Tuple[float, int], ...] = ()
-
-    @classmethod
-    def static(cls) -> "MembershipSpec":
-        """The default: fixed membership for the whole run."""
-        return cls()
-
-    @classmethod
-    def of(
-        cls,
-        *,
-        joins: Iterable[Tuple[float, int]] = (),
-        leaves: Iterable[Tuple[float, int]] = (),
-    ) -> "MembershipSpec":
-        """Build and validate a spec (bad schedules fail fast, not per cell)."""
-        spec = cls(
-            joins=tuple(sorted((float(t), int(p)) for t, p in joins)),
-            leaves=tuple(sorted((float(t), int(p)) for t, p in leaves)),
-        )
-        spec.schedule()  # validates join/leave pairing via MembershipSchedule.of
-        return spec
-
-    @classmethod
-    def from_mapping(cls, document: Mapping[str, Any]) -> "MembershipSpec":
-        """Build a spec from ``{"joins": [[t, pid], ...], "leaves": ...}``."""
-        known = {"joins", "leaves"}
-        unknown = sorted(set(document) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown membership keys: {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(known))}"
-            )
-        return cls.of(
-            joins=[(t, p) for t, p in document.get("joins", ())],
-            leaves=[(t, p) for t, p in document.get("leaves", ())],
-        )
-
-    def is_static(self) -> bool:
-        """True when the spec has no events (the compatible default)."""
-        return not self.joins and not self.leaves
-
-    def label(self) -> str:
-        """Canonical compact form, e.g. ``membership(join=1@20.0,leave=2@60.0)``.
-
-        Deterministic (events sorted by time then pid) because it is hashed
-        into campaign cell identities.
-        """
-        parts = [f"join={pid}@{time!r}" for time, pid in self.joins]
-        parts.extend(f"leave={pid}@{time!r}" for time, pid in self.leaves)
-        return f"membership({','.join(parts)})"
-
-    def schedule(self) -> MembershipSchedule:
-        """Materialise the spec into a concrete :class:`MembershipSchedule`."""
-        return MembershipSchedule.of(joins=self.joins, leaves=self.leaves)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -129,15 +128,8 @@ def _cmd_aggregate(args: argparse.Namespace, store: SQLResultStore) -> int:
     else:
         print(summary.table().render())
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        name = summary.campaign or "aggregate"
-        csv_path = os.path.join(args.out, f"{name}.csv")
-        json_path = os.path.join(args.out, f"{name}.json")
-        with open(csv_path, "w", encoding="utf-8") as handle:
-            handle.write(summary.to_csv())
-        with open(json_path, "w", encoding="utf-8") as handle:
-            handle.write(summary.to_json())
-        print(f"aggregates written to {csv_path} and {json_path}", file=sys.stderr)
+        written = " and ".join(summary.write(args.out))
+        print(f"aggregates written to {written}", file=sys.stderr)
     return 0
 
 

@@ -14,6 +14,7 @@ partially filled store.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -202,6 +203,17 @@ class CampaignSummary:
             },
             indent=2,
         )
+
+    def write(self, directory: str, *, unnamed: str = "aggregate") -> Tuple[str, str]:
+        """Write ``<campaign>.csv`` / ``<campaign>.json`` into ``directory``
+        (created if missing; ``unnamed`` names a summary without a campaign)
+        and return the two paths."""
+        os.makedirs(directory, exist_ok=True)
+        stem = os.path.join(directory, self.campaign or unnamed)
+        for path, text in ((f"{stem}.csv", self.to_csv()), (f"{stem}.json", self.to_json())):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        return f"{stem}.csv", f"{stem}.json"
 
 
 def aggregate_campaign(

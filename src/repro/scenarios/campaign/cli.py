@@ -21,16 +21,13 @@ expansion index is k mod n, into its own store; merge the shard stores with
 
     python -m repro campaign --shard 0/2 --store shard0.sqlite
 
-Run a custom sweep described in JSON (see
-:func:`repro.scenarios.campaign.spec.spec_from_mapping` for the schema)::
+Run a custom sweep described in JSON — the file is loaded by
+:func:`repro.api.load_spec`, so it may be anything the façade accepts as a
+campaign document (schema: ``docs/architecture.md``, "Run documents") and is
+refused with the façade's field-naming message::
 
     python -m repro campaign --spec my_sweep.json --out results/
 
-Network fault models and crash-recovery churn are grid axes of the JSON
-schema: ``networks`` entries may carry a ``channel`` (e.g.
-``{"kind": "gilbert-elliott", "loss_bad": 0.5}``), a ``partitions``
-schedule and a ``fifo`` flag, and ``failure_counts`` entries may be
-failure-model mappings (``{"model": "churn", "hazard_rate": 0.05}``).
 Group the aggregate tables per fault regime with ``--group-by
 network,collector,failures``.
 
@@ -42,15 +39,14 @@ prints the cell count and the first cells without executing anything.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import time
 from typing import List, Optional, Tuple
 
+from repro import api
 from repro.scenarios.campaign.aggregate import aggregate_campaign
 from repro.scenarios.campaign.executor import run_campaign, run_worker
-from repro.scenarios.campaign.spec import CampaignSpec, spec_from_mapping
+from repro.scenarios.campaign.spec import CampaignSpec
 
 
 def _parse_shard(value: str) -> Tuple[int, int]:
@@ -84,11 +80,7 @@ def _load_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Cam
                     f"{flag} shapes the default grid and cannot be combined "
                     f"with --spec (set it in the JSON spec instead)"
                 )
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                return spec_from_mapping(json.load(handle))
-        except (OSError, ValueError) as exc:
-            parser.error(f"--spec {args.spec}: {exc}")
+        return api.load_spec(args.spec, kind="campaign")
     from repro.scenarios.experiments import paper_campaign_spec
 
     return paper_campaign_spec(
@@ -186,7 +178,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
-    spec = _load_spec(args, parser)
+    try:
+        spec = _load_spec(args, parser)
+    except api.SpecValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     cells = spec.cells()
     group_by = tuple(axis.strip() for axis in args.group_by.split(",") if axis.strip())
     if not group_by:
@@ -316,12 +312,5 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"replayable traces in {args.traces}", file=chatter)
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        csv_path = os.path.join(args.out, f"{spec.name}.csv")
-        json_path = os.path.join(args.out, f"{spec.name}.json")
-        with open(csv_path, "w", encoding="utf-8") as handle:
-            handle.write(summary.to_csv())
-        with open(json_path, "w", encoding="utf-8") as handle:
-            handle.write(summary.to_json())
-        print(f"aggregates written to {csv_path} and {json_path}", file=chatter)
+        print(f"aggregates written to {' and '.join(summary.write(args.out))}", file=chatter)
     return 0

@@ -22,12 +22,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.gc.registry import collector_class, make_collector
-from repro.membership import MembershipSpec
+from repro.membership import MembershipSchedule
 from repro.protocols.registry import protocol_class
 from repro.simulation.failures import FailureModelSpec, FailureSchedule
 from repro.simulation.network import NetworkConfig, network_config_from_mapping
@@ -77,6 +78,13 @@ class CollectorSpec:
         make_collector(name, 0, 2, StableStorage(0), **spec.options_dict())
         return spec
 
+    @classmethod
+    def from_entry(cls, entry: Any) -> "CollectorSpec":
+        """A document entry: a bare name or ``{"name": ..., "options": {...}}``."""
+        if isinstance(entry, str):
+            return cls.of(entry)
+        return cls.of(entry["name"], entry.get("options"))
+
     def options_dict(self) -> Dict[str, Any]:
         return dict(self.options)
 
@@ -94,8 +102,53 @@ class WorkloadSpec:
         spec.build()  # fail fast on unknown names and bad parameters
         return spec
 
+    @classmethod
+    def from_entry(cls, entry: Any) -> "WorkloadSpec":
+        """A document entry: a bare name or ``{"name": ..., "params": {...}}``."""
+        if isinstance(entry, str):
+            return cls.of(entry)
+        return cls.of(entry["name"], entry.get("params"))
+
     def build(self) -> Workload:
         return make_workload(self.name, **dict(self.params))
+
+
+def failures_from_entry(entry: Any) -> FailureAxisEntry:
+    """A document entry: a crash count or ``{"model": "churn", ...}``."""
+    if isinstance(entry, Mapping):
+        params = dict(entry)
+        model = params.pop("model", None)
+        if model is None:
+            raise ValueError(
+                "failure-model entries need a 'model' key "
+                "(e.g. {'model': 'churn', 'hazard_rate': 0.05})"
+            )
+        return FailureModelSpec.of(str(model), params)
+    if isinstance(entry, bool) or not isinstance(entry, int):
+        raise ValueError(f"expected a crash count or a failure-model mapping, got {entry!r}")
+    return entry
+
+
+def membership_from_entry(entry: Any) -> MembershipSchedule:
+    """A document entry: ``"static"`` or ``{"joins": [[t, pid]], "leaves": ...}``."""
+    if entry in (None, "static"):
+        return MembershipSchedule.static()
+    if not isinstance(entry, Mapping):
+        raise ValueError(
+            "memberships entries must be 'static' or mappings like "
+            "{'joins': [[20.0, 4]], 'leaves': [[60.0, 1]]}"
+        )
+    return MembershipSchedule.from_mapping(entry)
+
+
+def failure_schedule(
+    entry: FailureAxisEntry, *, num_processes: int, duration: float, rng: random.Random
+) -> FailureSchedule:
+    """The crash schedule a failure entry stands for, drawn from ``rng`` (a
+    bare count is the ``crashes`` model with that count)."""
+    if isinstance(entry, int):
+        entry = FailureModelSpec("crashes", (("count", entry),))
+    return entry.schedule(num_processes=num_processes, duration=duration, rng=rng)
 
 
 @dataclass(frozen=True)
@@ -116,7 +169,7 @@ class CampaignCell:
     base_seed: int
     audit: str = "off"
     backend: str = "sim"
-    membership: MembershipSpec = MembershipSpec()
+    membership: MembershipSchedule = MembershipSchedule()
 
     # ------------------------------------------------------------------
     # Identity and seed derivation
@@ -154,7 +207,7 @@ class CampaignCell:
         }
         if self.backend != "sim":
             params["backend"] = self.backend
-        if not self.membership.is_static():
+        if self.membership:
             # Same identity rule as the backend: only dynamic membership
             # enters the hash, so static cells keep their historical ids.
             params["membership"] = self.membership.label()
@@ -180,18 +233,10 @@ class CampaignCell:
     # ------------------------------------------------------------------
     def failure_schedule(self) -> FailureSchedule:
         """The crash schedule of this cell, derived from the cell identity."""
-        if isinstance(self.failures, FailureModelSpec):
-            return self.failures.schedule(
-                num_processes=self.num_processes,
-                duration=self.duration,
-                rng=random.Random(self._derive("failures")),
-            )
-        if not self.failures:
-            return FailureSchedule.none()
-        return FailureSchedule.random(
+        return failure_schedule(
+            self.failures,
             num_processes=self.num_processes,
             duration=self.duration,
-            count=self.failures,
             rng=random.Random(self._derive("failures")),
         )
 
@@ -210,13 +255,21 @@ class CampaignCell:
             audit=self.audit,
             keep_final_ccp=False,
             backend=self.backend,
-            membership=self.membership.schedule(),
+            membership=self.membership,
         )
+
+
+#: The grid axes — `CampaignSpec` fields and campaign-document keys alike —
+#: in expansion order (the first varies slowest).
+AXES = (
+    "protocols", "collectors", "workloads", "failure_counts", "networks",
+    "seeds", "backends", "memberships",
+)
 
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """A declarative sweep: the cross product of every axis below."""
+    """A declarative sweep: the cross product of every axis in :data:`AXES`."""
 
     name: str
     num_processes: int = 4
@@ -238,19 +291,17 @@ class CampaignSpec:
     #: Membership schedules: the static default and/or dynamic join/leave
     #: models.  A grid axis, so one spec can compare the same cells under
     #: fixed and churning membership.
-    memberships: Tuple[MembershipSpec, ...] = (MembershipSpec(),)
+    memberships: Tuple[MembershipSchedule, ...] = (MembershipSchedule(),)
 
     def __post_init__(self) -> None:
-        for axis, label in (
-            (self.protocols, "protocols"),
-            (self.collectors, "collectors"),
-            (self.workloads, "workloads"),
-            (self.failure_counts, "failure_counts"),
-            (self.networks, "networks"),
-            (self.seeds, "seeds"),
-            (self.backends, "backends"),
-            (self.memberships, "memberships"),
-        ):
+        # Checked here, not per cell: `execute_cell` materialises the cell's
+        # SimulationConfig outside the try that turns a raise into a record.
+        if self.num_processes <= 0:
+            raise ValueError("a campaign needs at least one process")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"the duration must be positive and finite, got {self.duration!r}")
+        for label in AXES:
+            axis = getattr(self, label)
             if not axis:
                 raise ValueError(f"a campaign needs at least one entry on the {label} axis")
             if len(set(axis)) != len(axis):
@@ -276,171 +327,101 @@ class CampaignSpec:
         for backend in self.backends:
             if backend not in ("sim", "live"):
                 raise ValueError("backends entries must be 'sim' or 'live'")
+        if "live" in self.backends and self.num_processes < 2:
+            raise ValueError("a live run needs at least two processes")
         for membership in self.memberships:
-            if not isinstance(membership, MembershipSpec):
-                raise ValueError("memberships entries must be MembershipSpec")
-            # Fail fast on schedules the grid cannot run: capacity overflow
-            # and (dynamic membership being simulator-only) live backends.
-            membership.schedule().validate_for(self.num_processes)
-            if not membership.is_static():
-                if "live" in self.backends:
-                    raise ValueError(
-                        "dynamic membership runs on the 'sim' backend only; "
-                        "drop 'live' from backends or the dynamic membership entry"
-                    )
-                for time, pid in membership.joins + membership.leaves:
-                    if time >= self.duration:
-                        raise ValueError(
-                            f"membership event for process {pid} at {time} falls "
-                            f"outside the campaign duration {self.duration}"
-                        )
+            if not isinstance(membership, MembershipSchedule):
+                raise ValueError("memberships entries must be MembershipSchedule")
+            # Fail fast on schedules the grid cannot run: capacity overflow,
+            # late events and (dynamic membership being simulator-only) live
+            # backends.
+            membership.validate_for(self.num_processes, self.duration, "campaign")
+            if membership and "live" in self.backends:
+                raise ValueError(
+                    "dynamic membership runs on the 'sim' backend only; "
+                    "drop 'live' from backends or the dynamic membership entry"
+                )
 
     @property
     def cell_count(self) -> int:
         """Number of cells the grid expands to."""
-        return (
-            len(self.protocols)
-            * len(self.collectors)
-            * len(self.workloads)
-            * len(self.failure_counts)
-            * len(self.networks)
-            * len(self.seeds)
-            * len(self.backends)
-            * len(self.memberships)
-        )
+        return math.prod(len(getattr(self, axis)) for axis in AXES)
 
     def cells(self) -> List[CampaignCell]:
         """Expand the grid.  The order is deterministic (axis-major), but a
         cell's identity and seeds do not depend on its position in it."""
-        expanded: List[CampaignCell] = []
-        for (
-            protocol, collector, workload, failures,
-            network, seed_index, backend, membership,
-        ) in itertools.product(
-            self.protocols,
-            self.collectors,
-            self.workloads,
-            self.failure_counts,
-            self.networks,
-            self.seeds,
-            self.backends,
-            self.memberships,
-        ):
-            expanded.append(
-                CampaignCell(
-                    campaign=self.name,
-                    num_processes=self.num_processes,
-                    duration=self.duration,
-                    protocol=protocol,
-                    collector=collector.name,
-                    collector_options=collector.options,
-                    workload=workload.name,
-                    workload_params=workload.params,
-                    failures=failures,
-                    network=network,
-                    seed_index=seed_index,
-                    base_seed=self.base_seed,
-                    audit=self.audit,
-                    backend=backend,
-                    membership=membership,
-                )
+        return [
+            CampaignCell(
+                campaign=self.name,
+                num_processes=self.num_processes,
+                duration=self.duration,
+                protocol=protocol,
+                collector=collector.name,
+                collector_options=collector.options,
+                workload=workload.name,
+                workload_params=workload.params,
+                failures=failures,
+                network=network,
+                seed_index=seed_index,
+                base_seed=self.base_seed,
+                audit=self.audit,
+                backend=backend,
+                membership=membership,
             )
-        return expanded
+            for (
+                protocol, collector, workload, failures,
+                network, seed_index, backend, membership,
+            ) in itertools.product(*(getattr(self, axis) for axis in AXES))
+        ]
+
+
+#: Every key a campaign document may carry.
+SPEC_KEYS = frozenset({"name", "num_processes", "duration", "base_seed", "audit", *AXES})
 
 
 def spec_from_mapping(document: Mapping[str, Any]) -> CampaignSpec:
     """Build a :class:`CampaignSpec` from a JSON-style mapping.
 
-    Axis entries may be bare names (``"rdt-lgc"``) or mappings with a ``name``
-    and ``options`` / ``params``; ``seeds`` may be a list of seed indices or an
-    integer count (expanded to ``range(count)``); ``networks`` entries are
-    mappings of :class:`NetworkConfig` fields, optionally carrying a fault
-    model (``"channel": {"kind": "gilbert-elliott", ...}``), a partition
-    schedule (``"partitions": [{"start", "end", "groups"}, ...]``) and a
-    ``"fifo"`` discipline flag; ``failure_counts`` entries are crash counts
-    or failure-model mappings (``{"model": "churn", "hazard_rate": 0.05}``).
-    Unknown keys are rejected — a typoed axis name must not silently run a
-    different study.
+    The schema — what each axis entry may look like — is documented once, in
+    ``docs/architecture.md`` ("Run documents"); the entry parsers are the
+    ``from_entry`` functions above, shared with the single-run document of
+    :func:`repro.api.load_spec`.  ``seeds`` may be a list of seed indices or
+    an integer count (expanded to ``range(count)``).  Unknown keys are
+    rejected — a typoed axis name must not silently run a different study.
     """
-    known_keys = {
-        "name", "num_processes", "duration", "protocols", "collectors",
-        "workloads", "failure_counts", "networks", "seeds", "base_seed", "audit",
-        "backends", "memberships",
-    }
-    unknown = sorted(set(document) - known_keys)
+    unknown = sorted(set(document) - SPEC_KEYS)
     if unknown:
         raise ValueError(
             f"unknown campaign spec keys: {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(known_keys))}"
+            f"known: {', '.join(sorted(SPEC_KEYS))}"
         )
-    for axis in (
-        "protocols", "collectors", "workloads", "failure_counts", "networks",
-        "backends", "memberships",
-    ):
-        if isinstance(document.get(axis), (str, bytes)):
-            # tuple("fdas") would expand to ('f','d','a','s') and produce
-            # baffling unknown-name errors for each character.
-            raise ValueError(f"the {axis} axis must be a list, not a bare string")
-
-    def _collector(entry: Any) -> CollectorSpec:
-        if isinstance(entry, str):
-            return CollectorSpec.of(entry)
-        return CollectorSpec.of(entry["name"], entry.get("options"))
-
-    def _workload(entry: Any) -> WorkloadSpec:
-        if isinstance(entry, str):
-            return WorkloadSpec.of(entry)
-        return WorkloadSpec.of(entry["name"], entry.get("params"))
-
-    def _failures(entry: Any) -> FailureAxisEntry:
-        if isinstance(entry, Mapping):
-            params = dict(entry)
-            model = params.pop("model", None)
-            if model is None:
-                raise ValueError(
-                    "failure-model entries need a 'model' key "
-                    "(e.g. {'model': 'churn', 'hazard_rate': 0.05})"
-                )
-            return FailureModelSpec.of(str(model), params)
-        return int(entry)
-
     seeds = document.get("seeds", 1)
     if isinstance(seeds, (str, bytes)):
         # "10" would otherwise be iterated per character into seeds (1, 0).
         raise ValueError("seeds must be an integer count or a list of seed indices")
+    for axis in AXES:
+        if isinstance(document.get(axis), (str, bytes)):
+            # tuple("fdas") would expand to ('f','d','a','s') and produce
+            # baffling unknown-name errors for each character.
+            raise ValueError(f"the {axis} axis must be a list, not a bare string")
     if isinstance(seeds, int):
         seeds = tuple(range(seeds))
     else:
         seeds = tuple(int(s) for s in seeds)
-    networks = tuple(
-        network_config_from_mapping(entry) for entry in document.get("networks", ({},))
-    )
-
-    def _membership(entry: Any) -> MembershipSpec:
-        if entry in (None, "static"):
-            return MembershipSpec.static()
-        if not isinstance(entry, Mapping):
-            raise ValueError(
-                "memberships entries must be 'static' or mappings like "
-                "{'joins': [[20.0, 4]], 'leaves': [[60.0, 1]]}"
-            )
-        return MembershipSpec.from_mapping(entry)
-
-    memberships = tuple(
-        _membership(entry) for entry in document.get("memberships", ("static",))
-    )
     return CampaignSpec(
         name=str(document["name"]),
         num_processes=int(document.get("num_processes", 4)),
         duration=float(document.get("duration", 120.0)),
         protocols=tuple(document.get("protocols", ("fdas",))),
-        collectors=tuple(_collector(c) for c in document.get("collectors", ("rdt-lgc",))),
-        workloads=tuple(_workload(w) for w in document.get("workloads", ("uniform-random",))),
-        failure_counts=tuple(_failures(f) for f in document.get("failure_counts", (0,))),
-        networks=networks,
+        collectors=tuple(map(CollectorSpec.from_entry, document.get("collectors", ("rdt-lgc",)))),
+        workloads=tuple(
+            map(WorkloadSpec.from_entry, document.get("workloads", ("uniform-random",)))
+        ),
+        failure_counts=tuple(map(failures_from_entry, document.get("failure_counts", (0,)))),
+        networks=tuple(map(network_config_from_mapping, document.get("networks", ({},)))),
         seeds=seeds,
         base_seed=int(document.get("base_seed", 0)),
         audit=str(document.get("audit", "off")),
         backends=tuple(document.get("backends", ("sim",))),
-        memberships=memberships,
+        memberships=tuple(map(membership_from_entry, document.get("memberships", ("static",)))),
     )

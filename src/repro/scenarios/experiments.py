@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.explore.program import ExploreConfig
     from repro.fuzz.fuzzer import FuzzSpec
 
-from repro.membership import MembershipSpec
+from repro.membership import MembershipSchedule
 from repro.scenarios.campaign.aggregate import CampaignSummary, aggregate_campaign
 from repro.scenarios.campaign.executor import CampaignRun, run_campaign
 from repro.scenarios.campaign.spec import CampaignSpec, CollectorSpec, WorkloadSpec
@@ -289,12 +289,12 @@ def topology_campaign_spec(
     departed-checkpoints-are-garbage obsolescence rule.
     """
     chosen = STUDY_COLLECTORS if collectors is None else tuple(collectors)
-    memberships: Tuple[MembershipSpec, ...] = (MembershipSpec.static(),)
+    memberships: Tuple[MembershipSchedule, ...] = (MembershipSchedule.static(),)
     if with_membership_churn:
         if num_processes < 3:
             raise ValueError("membership churn needs at least three processes")
         memberships = memberships + (
-            MembershipSpec.of(
+            MembershipSchedule.of(
                 joins=[(duration / 6.0, num_processes - 1)],
                 leaves=[(duration / 2.0, 1)],
             ),
@@ -342,7 +342,7 @@ def membership_churn_smoke_spec(*, num_seeds: int = 2) -> CampaignSpec:
         failure_counts=(0, 1),
         seeds=tuple(range(num_seeds)),
         memberships=(
-            MembershipSpec.of(joins=[(10.0, 3)], leaves=[(25.0, 1)]),
+            MembershipSchedule.of(joins=[(10.0, 3)], leaves=[(25.0, 1)]),
         ),
     )
 

@@ -38,7 +38,12 @@ from repro.simulation.engine import SimulationEngine, StopReason
 from repro.simulation.failures import FailureModelSpec, FailureSchedule
 from repro.simulation.network import Network, NetworkConfig, network_config_from_mapping
 from repro.simulation.node import SimulationNode
-from repro.simulation.runner import SimulationConfig, SimulationResult, SimulationRunner
+from repro.simulation.runner import (
+    SimulationConfig,
+    SimulationResult,
+    SimulationRunner,
+    run_simulation,
+)
 from repro.simulation.trace import TraceRecorder
 from repro.simulation.workloads import (
     Action,
@@ -91,5 +96,6 @@ __all__ = [
     "network_config_from_mapping",
     "register_channel",
     "register_workload",
+    "run_simulation",
     "workload_class",
 ]

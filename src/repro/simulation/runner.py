@@ -79,23 +79,18 @@ class SimulationConfig:
             raise ValueError(f"the duration must be positive and finite, got {self.duration!r}")
         if self.backend not in ("sim", "live"):
             raise ValueError("backend must be one of 'sim', 'live'")
+        if self.backend == "live" and self.num_processes < 2:
+            raise ValueError("a live run needs at least two processes")
         if self.audit not in ("off", "safety", "full"):
             raise ValueError("audit must be one of 'off', 'safety', 'full'")
         # Fail fast on fault models that cannot serve this process count
         # (undersized latency matrices, partitions naming unknown pids).
         self.network.validate_for(self.num_processes)
-        self.membership.validate_for(self.num_processes)
+        self.membership.validate_for(self.num_processes, self.duration)
         if self.membership and self.backend != "sim":
             raise ValueError(
                 "dynamic membership runs on the 'sim' backend only"
             )
-        for event in self.membership:
-            if event.time >= self.duration:
-                raise ValueError(
-                    f"membership {event.kind} of process {event.pid} at "
-                    f"{event.time} falls outside the run duration "
-                    f"{self.duration}"
-                )
 
 
 @dataclass(frozen=True)

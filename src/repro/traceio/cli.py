@@ -37,17 +37,6 @@ from repro.traceio.reader import (
 )
 
 
-def _write_aggregates(summary, out_dir: str, name: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    json_path = os.path.join(out_dir, f"{name}.json")
-    with open(csv_path, "w", encoding="utf-8") as handle:
-        handle.write(summary.to_csv())
-    with open(json_path, "w", encoding="utf-8") as handle:
-        handle.write(summary.to_json())
-    print(f"aggregates written to {csv_path} and {json_path}")
-
-
 # ----------------------------------------------------------------------
 # replay
 # ----------------------------------------------------------------------
@@ -86,7 +75,8 @@ def _replay_directory(args: argparse.Namespace) -> int:
     print(summary.table().render())
     print(f"{len(records)} cells re-aggregated from traces (no re-simulation)")
     if args.out:
-        _write_aggregates(summary, args.out, summary.campaign or "replayed")
+        written = " and ".join(summary.write(args.out, unnamed="replayed"))
+        print(f"aggregates written to {written}")
     return 0
 
 

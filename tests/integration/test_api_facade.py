@@ -162,3 +162,115 @@ class TestQuery:
         api.run(CAMPAIGN_DOC, store=store)
         with pytest.raises(api.SpecValidationError, match="accepted"):
             api.query(store, "retained-winner", metrik="peak_retained")
+
+
+# ----------------------------------------------------------------------
+# The façade's contract: every bad document names its field at load time
+# ----------------------------------------------------------------------
+_SIM = {"kind": "simulation", "num_processes": 2, "duration": 10.0}
+_SWEEP = {"kind": "campaign", "name": "x", "seeds": 1}
+
+#: (id, document, offending field)
+BAD_DOCUMENTS = [
+    ("sim-processes-not-a-number", {**_SIM, "num_processes": "abc"}, "num_processes"),
+    ("sim-processes-zero", {**_SIM, "num_processes": 0}, "num_processes"),
+    ("sim-seed-not-a-number", {**_SIM, "seed": "x"}, "seed"),
+    ("sim-duration-null", {**_SIM, "duration": None}, "duration"),
+    ("sim-collector-option", {**_SIM, "collector_options": {"zzz": 1}}, "collector_options"),
+    ("sim-failures-true", {**_SIM, "failures": True}, "failures"),
+    ("sim-failures-string", {**_SIM, "failures": "two"}, "failures"),
+    ("sim-failure-model-without-name", {**_SIM, "failures": {"hazard_rate": 0.1}}, "failures"),
+    ("sim-membership-unknown-key", {**_SIM, "membership": {"joinz": []}}, "membership"),
+    ("sim-membership-beyond-capacity", {**_SIM, "membership": {"joins": [[1.0, 7]]}}, "spec"),
+    ("sim-workload-params", {**_SIM, "workload": {"name": "ring", "params": {"z": 1}}}, "workload"),
+    ("live-one-process", {**_SIM, "kind": "live", "num_processes": 1}, "spec"),
+    ("campaign-zero-processes", {**_SWEEP, "num_processes": 0}, "num_processes"),
+    ("campaign-duration-nan", {**_SWEEP, "duration": float("nan")}, "duration"),
+    ("campaign-duration-negative", {**_SWEEP, "duration": -1}, "duration"),
+    ("campaign-failure-count-true", {**_SWEEP, "failure_counts": [True]}, "spec"),
+    ("fuzz-negative-budget", {"kind": "fuzz", "target": "ring", "budget": -5}, "budget"),
+    ("fuzz-budget-not-a-number", {"kind": "fuzz", "target": "ring", "budget": "lots"}, "budget"),
+    ("explore-list-step-bad-op", {"program": [["teleport", 0]]}, "program[0].op"),
+    ("explore-list-step-short", {"program": [["send", 0]]}, "spec"),
+]
+
+
+class TestBadDocumentsNameTheirField:
+    @pytest.mark.parametrize(
+        "document, field",
+        [pytest.param(doc, field, id=name) for name, doc, field in BAD_DOCUMENTS],
+    )
+    def test_load_spec_raises_before_anything_runs(self, document, field):
+        with pytest.raises(api.SpecValidationError) as excinfo:
+            api.load_spec(document)
+        assert excinfo.value.field == field
+        assert str(excinfo.value).startswith(f"{field}: ")
+
+    def test_constructors_keep_their_own_checks(self):
+        from repro.simulation import UniformRandomWorkload
+
+        with pytest.raises(ValueError, match="at least two processes"):
+            SimulationConfig(
+                num_processes=1, duration=5.0, workload=UniformRandomWorkload(), backend="live"
+            )
+        with pytest.raises(ValueError, match="at least one process"):
+            CampaignSpec(name="x", num_processes=0)
+        with pytest.raises(ValueError, match="positive and finite, got nan"):
+            CampaignSpec(name="x", duration=float("nan"))
+        with pytest.raises(ValueError, match="at least two processes"):
+            CampaignSpec(name="x", num_processes=1, backends=("live",))
+
+
+class TestKindInferenceAndRoundTrips:
+    def test_a_memberships_axis_alone_means_a_campaign(self):
+        spec = api.load_spec({"name": "x", "memberships": [{"joins": [[5.0, 3]]}]})
+        assert isinstance(spec, CampaignSpec)
+        assert spec.memberships[0].label() == "membership(join=3@5.0)"
+
+    def test_single_run_membership_key(self):
+        config = api.load_spec(
+            {**_SIM, "num_processes": 4, "membership": {"joins": [[2, 3]], "leaves": [[6.0, 1]]}}
+        )
+        assert config.membership.describe() == [["join", 3, 2.0], ["leave", 1, 6.0]]
+        assert not api.load_spec({**_SIM, "membership": "static"}).membership
+        result = api.run({**_SIM, "num_processes": 4, "membership": {"leaves": [[6.0, 1]]}})
+        assert isinstance(result, SimulationResult)
+
+    def test_single_run_failure_entries_match_the_campaign_axis(self):
+        import random
+
+        from repro.simulation import FailureSchedule
+
+        config = api.load_spec({**_SIM, "num_processes": 4, "seed": 9, "failures": 2})
+        assert config.failures == FailureSchedule.random(
+            num_processes=4, duration=10.0, count=2, rng=random.Random(9)
+        )
+        assert not api.load_spec({**_SIM, "failures": 0}).failures.crashes
+        explicit = api.load_spec({**_SIM, "failures": [[3.0, 1]]})
+        assert [(c.time, c.pid) for c in explicit.failures.crashes] == [(3.0, 1)]
+
+    def test_describe_round_trips_through_the_facade(self):
+        from repro.explore.canaries import canaries_registered
+        from repro.fuzz.fuzzer import builtin_targets
+        from repro.scenarios.experiments import explore_sweep_configs
+
+        configs = [target.config for target in builtin_targets().values()]
+        configs += explore_sweep_configs(num_processes=3, messages=4, with_crash=True)
+        assert len(configs) > 20
+        with canaries_registered():
+            for config in configs:
+                assert api.load_spec({"kind": "explore", **config.describe()}) == config
+                assert api.load_spec(config.describe()) == config  # kind inferred
+
+    def test_both_program_step_grammars_mean_the_same_program(self):
+        mapping_form = api.load_spec(
+            {"program": [{"op": "send", "pid": 0, "target": 1}, {"op": "crash", "pid": 1}]}
+        )
+        list_form = api.load_spec({"program": [["send", 0, 1], ["crash", 1]]})
+        assert mapping_form == list_form
+
+    def test_run_dispatches_a_simulation_through_run_simulation(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(api, "run_simulation", lambda config: seen.append(config) or "ran")
+        assert api.run(_SIM) == "ran"
+        assert seen[0].backend == "sim" and seen[0].num_processes == 2

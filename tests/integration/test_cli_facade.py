@@ -171,3 +171,171 @@ class TestDeprecatedAliases:
         )
         assert result.returncode == 0
         assert "deprecated" not in result.stderr
+
+
+# ----------------------------------------------------------------------
+# One front door: the CLIs load their run through ``api.load_spec``
+# ----------------------------------------------------------------------
+_VALID = {"name": "door", "num_processes": 3, "duration": 10.0, "seeds": 1}
+
+#: (id, campaign document, accepted?) — the CLI and the façade must agree.
+DOOR_DOCUMENTS = [
+    ("valid", _VALID, True),
+    ("valid-with-kind", {"kind": "campaign", **_VALID}, True),
+    ("memberships-only", {"name": "door", "memberships": [{"joins": [[5.0, 3]]}]}, True),
+    ("typo-protocol", {**_VALID, "protocols": ["fdass"]}, False),
+    ("typo-collector", {"kind": "campaign", **_VALID, "collectors": ["rdt-lgcc"]}, False),
+    ("typo-workload", {**_VALID, "workloads": [{"name": "spiral"}]}, False),
+    ("typo-backend", {**_VALID, "backends": ["sim", "cloud"]}, False),
+    ("typo-audit", {**_VALID, "audit": "loud"}, False),
+    ("unknown-key", {**_VALID, "colectors": ["rdt-lgc"]}, False),
+    ("bare-string-axis", {**_VALID, "collectors": "rdt-lgc"}, False),
+    ("bad-membership", {**_VALID, "memberships": [{"joins": [[5.0, 9]]}]}, False),
+    ("bad-network", {**_VALID, "networks": [{"latency": 1.0}]}, False),
+    ("bad-option", {**_VALID, "collectors": [{"name": "none", "options": {"z": 1}}]}, False),
+    ("zero-processes", {**_VALID, "num_processes": 0}, False),
+    ("negative-duration", {**_VALID, "duration": -1}, False),
+]
+
+
+class TestCampaignDoorParity:
+    @pytest.mark.parametrize(
+        "document, accepted",
+        [pytest.param(doc, ok, id=name) for name, doc, ok in DOOR_DOCUMENTS],
+    )
+    def test_cli_and_facade_agree(self, document, accepted, tmp_path, capsys):
+        from repro import api
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document))
+        try:
+            api.load_spec(str(path), kind="campaign")
+            facade_error = None
+        except api.SpecValidationError as exc:
+            facade_error = str(exc)
+        code = repro_main(["campaign", "--spec", str(path), "--dry-run"])
+        captured = capsys.readouterr()
+        assert (facade_error is None) == accepted
+        assert code == (0 if accepted else 2)
+        if accepted:
+            assert "cells" in captured.out
+        else:
+            assert f"error: {facade_error}" in captured.err
+            assert captured.out == ""
+
+    def test_unreadable_and_non_json_spec_files(self, tmp_path, capsys):
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{not json")
+        for path, needle in ((tmp_path / "ghost.json", "cannot read"), (garbled, "is not JSON")):
+            assert repro_main(["campaign", "--spec", str(path), "--dry-run"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: source: ") and needle in err and str(path) in err
+
+
+#: (id, argv) — a bad name on every run-building subcommand.
+BAD_NAME_COMMANDS = [
+    ("campaign", ["campaign", "--spec", "{spec}", "--dry-run"]),
+    ("explore-run", ["explore", "run", "--collector", "bogus"]),
+    ("explore-run-protocol", ["explore", "run", "--protocol", "bogus"]),
+    ("explore-sweep", ["explore", "sweep", "--collectors", "rdt-lgc,bogus"]),
+    ("explore-sweep-protocols", ["explore", "sweep", "--protocols", "bogus"]),
+    ("live", ["live", "--collector", "bogus", "--trace", "{trace}"]),
+    ("live-protocol", ["live", "--protocol", "bogus", "--trace", "{trace}"]),
+    ("live-workload", ["live", "--workload", "spiral", "--trace", "{trace}"]),
+    ("live-one-process", ["live", "--processes", "1", "--trace", "{trace}"]),
+    ("fuzz-run", ["fuzz", "run", "--target", "bogus"]),
+]
+
+
+class TestExitContract:
+    @pytest.fixture
+    def argv_for(self, tmp_path):
+        spec = tmp_path / "typo.json"
+        spec.write_text(json.dumps({"kind": "campaign", **_VALID, "collectors": ["bogus"]}))
+        substitutions = {"spec": str(spec), "trace": str(tmp_path / "live.trace.jsonl")}
+        return lambda argv: [part.format(**substitutions) for part in argv]
+
+    @pytest.mark.parametrize(
+        "argv", [pytest.param(argv, id=name) for name, argv in BAD_NAME_COMMANDS]
+    )
+    @pytest.mark.parametrize("door", ["dispatcher", "own-main"])
+    def test_bad_input_is_exit_2_with_one_error_line(
+        self, door, argv, argv_for, tmp_path, capsys, monkeypatch
+    ):
+        import repro.live.cli as live_cli
+
+        def spawned(*args, **kwargs):  # pragma: no cover - the defect
+            raise AssertionError("live validated after spawning its workers")
+
+        monkeypatch.setattr(live_cli, "run_live", spawned)
+        argv = argv_for(argv)
+        if door == "dispatcher":
+            code = repro_main(argv)
+        else:
+            module = {"campaign": "repro.scenarios.campaign.cli"}.get(
+                argv[0], f"repro.{argv[0]}.cli"
+            )
+            code = __import__(module, fromlist=["main"]).main(argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+        # Nothing ran: no artifact, no shard directory next to it.
+        assert list(tmp_path.iterdir()) == [tmp_path / "typo.json"]
+
+    def test_subprocess_sees_no_traceback(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "live", "--collector", "bogus",
+             "--trace", str(tmp_path / "t.trace.jsonl")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: collector: unknown value 'bogus' (accepted: ")
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_no_cli_module_builds_its_own_configuration():
+    """The second door cannot grow back: CLIs go through ``repro.api``."""
+    import pathlib
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    cli_modules = sorted(root.rglob("cli.py"))
+    assert len(cli_modules) >= 6
+    for path in cli_modules:
+        source = path.read_text(encoding="utf-8")
+        for needle in ("spec_from_mapping", "json.load(", "SimulationConfig(", "NetworkConfig("):
+            assert needle not in source, f"{path.relative_to(root)} mentions {needle}"
+
+
+def test_every_out_directory_is_written_by_the_one_summary_method(tmp_path, capsys):
+    """``campaign --out``, ``query aggregate --out`` and ``trace replay --out``
+    write the same two file names with the same bytes."""
+    from repro import api
+    from repro.scenarios.campaign.aggregate import CampaignSummary
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC_DOCUMENT))
+    store, traces = str(tmp_path / "s.sqlite"), str(tmp_path / "traces")
+    assert repro_main([
+        "campaign", "--spec", str(spec_path), "--store", store, "--traces", traces,
+        "--out", str(tmp_path / "a"), "--quiet",
+    ]) == 0
+    assert repro_main(["query", "aggregate", "--store", store, "--out", str(tmp_path / "b")]) == 0
+    assert repro_main(["trace", "replay", traces, "--out", str(tmp_path / "c")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("aggregates written to") == 2  # campaign, trace
+    assert captured.err.count("aggregates written to") == 1  # query keeps stdout clean
+    summary = api.query(store)
+    for door in "abc":
+        assert sorted(p.name for p in (tmp_path / door).iterdir()) == [
+            "cli-facade.csv", "cli-facade.json",
+        ]
+        assert (tmp_path / door / "cli-facade.csv").read_text() == summary.to_csv()
+        assert (tmp_path / door / "cli-facade.json").read_text() == summary.to_json()
+    unnamed = CampaignSummary(campaign="", group_by=(), metrics=(), groups=())
+    assert unnamed.write(str(tmp_path / "d"), unnamed="replayed") == (
+        str(tmp_path / "d" / "replayed.csv"), str(tmp_path / "d" / "replayed.json"),
+    )

@@ -16,7 +16,7 @@ from repro.scenarios.campaign import (
     spec_from_mapping,
 )
 from repro.scenarios.campaign.cli import main as campaign_main
-from repro.membership import MembershipSpec
+from repro.membership import MembershipSchedule
 from repro.scenarios.experiments import (
     fault_model_campaign_spec,
     hierarchical_network_config,
@@ -243,8 +243,8 @@ class TestMembershipAxis:
             collectors=(CollectorSpec.of("rdt-lgc"),),
             workloads=(WorkloadSpec.of("uniform-random"),),
             memberships=(
-                MembershipSpec.static(),
-                MembershipSpec.of(joins=[(10.0, 3)], leaves=[(25.0, 1)]),
+                MembershipSchedule.static(),
+                MembershipSchedule.of(joins=[(10.0, 3)], leaves=[(25.0, 1)]),
             ),
         )
 
@@ -252,8 +252,8 @@ class TestMembershipAxis:
         spec = self._mixed_spec()
         assert spec.cell_count == 2
         static_cell, dynamic_cell = spec.cells()
-        assert static_cell.membership.is_static()
-        assert not dynamic_cell.membership.is_static()
+        assert not static_cell.membership
+        assert dynamic_cell.membership
         config = dynamic_cell.config()
         assert len(config.membership.joins) == 1
         assert len(config.membership.leaves) == 1
@@ -280,13 +280,13 @@ class TestMembershipAxis:
                 name="x",
                 num_processes=4,
                 duration=40.0,
-                memberships=(MembershipSpec.of(leaves=[(50.0, 1)]),),
+                memberships=(MembershipSchedule.of(leaves=[(50.0, 1)]),),
             )
         with pytest.raises(Exception, match="only 2 processes"):
             CampaignSpec(
                 name="x",
                 num_processes=2,
-                memberships=(MembershipSpec.of(joins=[(10.0, 5)]),),
+                memberships=(MembershipSchedule.of(joins=[(10.0, 5)]),),
             )
 
     def test_dynamic_membership_with_live_backend_rejected(self):
@@ -296,7 +296,7 @@ class TestMembershipAxis:
                 num_processes=4,
                 duration=40.0,
                 backends=("sim", "live"),
-                memberships=(MembershipSpec.of(leaves=[(20.0, 1)]),),
+                memberships=(MembershipSchedule.of(leaves=[(20.0, 1)]),),
             )
 
     def test_memberships_from_mapping(self):
@@ -312,8 +312,8 @@ class TestMembershipAxis:
                 ],
             }
         )
-        assert spec.memberships[0].is_static()
-        assert spec.memberships[1].joins == ((10.0, 3),)
+        assert not spec.memberships[0]
+        assert [(e.time, e.pid) for e in spec.memberships[1].joins] == [(10.0, 3)]
         with pytest.raises(ValueError, match="must be a list"):
             spec_from_mapping({"name": "x", "memberships": "static"})
         with pytest.raises(ValueError, match="unknown membership keys"):
@@ -333,7 +333,7 @@ class TestMembershipAxis:
             collectors=(CollectorSpec.of("rdt-lgc"),),
             workloads=(WorkloadSpec.of("uniform-random"),),
             seeds=(0,),
-            memberships=(MembershipSpec.of(joins=[(10.0, 3)], leaves=[(25.0, 1)]),),
+            memberships=(MembershipSchedule.of(joins=[(10.0, 3)], leaves=[(25.0, 1)]),),
         )
         run = run_campaign(spec, trace_dir=str(tmp_path))
         assert run.executed == 1 and not run.failed_records
@@ -347,11 +347,42 @@ class TestMembershipAxis:
     def test_topology_and_smoke_specs_expand(self):
         assert topology_campaign_spec(num_seeds=1).cell_count > 0
         smoke = membership_churn_smoke_spec(num_seeds=1)
-        assert all(not m.is_static() for m in smoke.memberships)
+        assert all(smoke.memberships)
         network = hierarchical_network_config(num_processes=6, duration=60.0)
         network.validate_for(6)
         with pytest.raises(ValueError):
             network.validate_for(7)
+
+    def test_identity_pins_taken_before_membership_spec_was_folded_away(self):
+        # Literals recorded on the commit that still had `MembershipSpec`:
+        # the schedule-as-axis-entry must not move a cell id or a seed.
+        spec = spec_from_mapping(
+            {
+                "name": "pin",
+                "protocols": ["fdas"],
+                "num_processes": 5,
+                "duration": 80,
+                "memberships": ["static", {"joins": [[20.0, 4]], "leaves": [[60.0, 1]]}],
+                "seeds": 1,
+            }
+        )
+        static_cell, dynamic_cell = spec.cells()
+        assert static_cell.cell_id == "8f8c4ea53ee69b6c"
+        assert "membership" not in static_cell.params()
+        assert static_cell.seed == 12609104933352482071
+        assert dynamic_cell.cell_id == "07f95c67ae2ad103"
+        assert dynamic_cell.params()["membership"] == "membership(join=4@20.0,leave=1@60.0)"
+        assert dynamic_cell.seed == 6528555716792596975
+        smoke = membership_churn_smoke_spec().cells()
+        assert len(smoke) == membership_churn_smoke_spec().cell_count == 16
+        assert (smoke[0].cell_id, smoke[-1].cell_id) == ("318621844f4f9b3b", "9cda28b99403a036")
+
+    def test_label_renders_times_as_floats_however_they_were_given(self):
+        from_ints = MembershipSchedule.of(joins=[(20, 4)], leaves=[(60, 1)])
+        assert from_ints.label() == "membership(join=4@20.0,leave=1@60.0)"
+        assert from_ints == MembershipSchedule.from_mapping(
+            {"joins": [[20.0, 4]], "leaves": [[60.0, 1]]}
+        )
 
 
 class TestFaultModelAxes:

@@ -14,7 +14,6 @@ from repro.ccp.incremental import CheckpointKnowledgeTracker
 from repro.membership import (
     MembershipError,
     MembershipSchedule,
-    MembershipSpec,
     MembershipView,
 )
 from repro.simulation.channels import LatencyMatrixChannel
@@ -78,10 +77,10 @@ class TestMembershipSchedule:
         assert MembershipSchedule.from_description(schedule.describe()) == schedule
 
     def test_spec_label_is_deterministic(self):
-        spec = MembershipSpec.of(joins=[(20.0, 4)], leaves=[(60.0, 1)])
+        spec = MembershipSchedule.of(joins=[(20.0, 4)], leaves=[(60.0, 1)])
         assert spec.label() == "membership(join=4@20.0,leave=1@60.0)"
-        assert not spec.is_static()
-        assert MembershipSpec.static().is_static()
+        assert spec
+        assert not MembershipSchedule.static()
 
 
 class TestMembershipView:

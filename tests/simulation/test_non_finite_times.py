@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro import api
-from repro.membership import MembershipEvent, MembershipSchedule, MembershipSpec
+from repro.membership import MembershipEvent, MembershipSchedule
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.failures import Crash, FailureSchedule
 from repro.simulation.runner import SimulationConfig
@@ -92,7 +92,7 @@ class TestMembershipEventTimes:
         with pytest.raises(ValueError, match=message):
             MembershipSchedule.of(leaves=[(bad, 0)])
         with pytest.raises(ValueError, match=message):
-            MembershipSpec.from_mapping({"joins": [[bad, 1]]})
+            MembershipSchedule.from_mapping({"joins": [[bad, 1]]})
 
     def test_negative_times_are_still_refused(self):
         with pytest.raises(ValueError, match="non-negative time, got -1.0"):
