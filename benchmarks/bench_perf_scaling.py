@@ -24,8 +24,8 @@ The sweep is organised in three tiers:
   the final ``OLD_PATH_TAIL_SAMPLES`` instants only (never fewer than 3
   measured samples per row: single-sample baselines were pure noise);
 * ``large`` — datacenter-scale rows (up to 128 processes / 10^5 messages)
-  run with obsolescence pruning (``prune=True``) and Theorem-1-driven
-  eliminations between instants, the configuration the kernel is for.  The
+  run with obsolescence pruning: Theorem-1-driven eliminations fed to the
+  recorder between instants, the configuration the kernel is for.  The
   old path is **not** run at this scale; its per-instant cost is
   extrapolated from the measured 8-process rows via a power-law fit and the
   rows say so explicitly (``"old_extrapolated": true``).
@@ -246,7 +246,11 @@ def run_config(
         num_messages=num_messages,
         checkpoint_rate=CHECKPOINT_RATE,
     )
-    recorder = TraceRecorder(num_processes, prune=prune)
+    recorder = TraceRecorder(num_processes)
+    if prune:
+        # Born at event 0 and delta-maintained throughout, as the committed
+        # rows assume — else the first timed instant would absorb the catch-up.
+        recorder.ccp()
     writer = None
     if trace_dir is not None:
         from repro.traceio.writer import TraceWriter
@@ -410,7 +414,9 @@ def measure_memory_pass(
         gc.collect()
         tracemalloc.start()
         try:
-            recorder = TraceRecorder(num_processes, prune=prune)
+            recorder = TraceRecorder(num_processes)
+            if prune:
+                recorder.ccp()  # tracked from event 0, as in run_config
             feeder = TraceFeeder(recorder)
             consumed = 0
             for point in _sample_points(len(script), samples):

@@ -515,7 +515,8 @@ def query(
     Raises:
         SpecValidationError: for unknown query names or parameters.
         FileNotFoundError: when ``store`` does not exist (nothing is created).
-        ValueError: when ``store`` exists but is not a SQLite result store.
+        ValueError: when ``store`` exists but is not a SQLite result store,
+            or ``group_by`` names an axis its cells do not have.
     """
     if name is None or name == "aggregate":
         group_by = params.pop("group_by", None)

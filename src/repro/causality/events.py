@@ -288,22 +288,6 @@ class EventLog:
         """Per-process first recorded checkpoint index (all zero when unpruned)."""
         return tuple(self._checkpoint_bases)
 
-    def grow_to(self, num_processes: int) -> None:
-        """Extend the execution to a larger process capacity (membership join).
-
-        New processes start with empty histories and a zero checkpoint base;
-        existing events, messages and bases are untouched, so every previously
-        derived fact stays valid.
-        """
-        if num_processes < self.num_processes:
-            raise ValueError(
-                f"cannot shrink the log from {self.num_processes} to "
-                f"{num_processes} processes"
-            )
-        for pid in range(self.num_processes, num_processes):
-            self._histories.append(ProcessHistory(pid))
-            self._checkpoint_bases.append(0)
-
     def history(self, pid: int) -> ProcessHistory:
         """The event history of process ``pid``."""
         return self._histories[pid]

@@ -17,9 +17,10 @@ no event-graph traversal at all:
   ground-truth dependency vector (``gtdv = row + 1`` elementwise).  The rows
   are stored the way they are queried: one list per process in checkpoint
   index order covering exactly the live window ``[checkpoint_base(p),
-  last_stable(p)]``, every row as long as the current capacity.  The window
-  is contiguous by construction — pruning drops a prefix, a recovery
-  truncation a suffix, a join pads the live rows.
+  last_stable(p)]``.  The window is contiguous by construction — pruning
+  drops a prefix, a recovery truncation a suffix.  Every vector here is as
+  long as the run's capacity, fixed at construction: a process that joins
+  mid-run occupies a slot that read -1 from the start.
 
 Every checkpoint-level precedence fact the theorems need is then one integer
 comparison: ``c_f^m`` causally precedes ``c_i^k`` iff ``row(c_i^k)[f] >= m``
@@ -67,12 +68,11 @@ class KnowledgeWindowError(RuntimeError):
 class CheckpointKnowledgeTracker:
     """Online checkpoint-knowledge state, O(P) per recorded event.
 
-    The matrices are sized for the current capacity and grow via
-    :meth:`grow` when membership expands; out-of-range pids raise
+    The matrices are sized for the run's capacity; out-of-range pids raise
     :class:`~repro.membership.MembershipError` rather than IndexError.
     ``ckpt_rows[p]`` covers the live checkpoint window of ``p`` and nothing
     else: :meth:`note_checkpoint` appends, :meth:`forget_checkpoints` drops
-    the pruned prefix and the rolled-back suffix, :meth:`grow` pads.
+    the pruned prefix and the rolled-back suffix.
     """
 
     def __init__(self, num_processes: int) -> None:
@@ -105,40 +105,8 @@ class CheckpointKnowledgeTracker:
             raise MembershipError(
                 f"process {pid} is outside the tracked capacity of "
                 f"{self._num_processes} processes (expected pid < "
-                f"{self._num_processes}); grow the tracker on join first"
+                f"{self._num_processes})"
             )
-
-    def grow(self, num_processes: int) -> None:
-        """Extend the matrices to a larger capacity (membership join).
-
-        Live vectors and the live checkpoint rows are padded with -1 (nobody
-        can know a checkpoint of a process that did not exist); the other
-        frozen snapshots (``msg_ck``, journal entries) are left short — a
-        merge stops at the shorter vector and :meth:`_full_row` pads a restore.
-        """
-        if num_processes < self._num_processes:
-            raise MembershipError(
-                f"cannot shrink the tracker from {self._num_processes} to "
-                f"{num_processes} processes (leaves retire pids, they do "
-                f"not reduce capacity)"
-            )
-        if num_processes == self._num_processes:
-            return
-        pad = num_processes - self._num_processes
-        for row in self.ck:
-            row.extend([-1] * pad)
-        self.ck.extend([-1] * num_processes for _ in range(pad))
-        self.base_ck = [base + (-1,) * pad for base in self.base_ck]
-        self.base_ck.extend((-1,) * num_processes for _ in range(pad))
-        self.journal.extend([] for _ in range(pad))
-        self.ckpt_rows = [[row + (-1,) * pad for row in rows] for rows in self.ckpt_rows]
-        self.ckpt_rows.extend([] for _ in range(pad))
-        self.ckpt_base.extend([0] * pad)
-        self._num_processes = num_processes
-
-    def _full_row(self, vector: Sequence[int]) -> List[int]:
-        """A snapshot padded to the current capacity (for live ``ck`` rows)."""
-        return list(vector) + [-1] * (self._num_processes - len(vector))
 
     # ------------------------------------------------------------------
     # Event notifications (called by TraceRecorder)
@@ -172,9 +140,7 @@ class CheckpointKnowledgeTracker:
             entries = self.journal[pid]
             cut = bisect_right(entries, lengths[pid] - 1, key=itemgetter(0))
             del entries[cut:]
-            self.ck[pid] = self._full_row(
-                entries[-1][1] if entries else self.base_ck[pid]
-            )
+            self.ck[pid] = list(entries[-1][1] if entries else self.base_ck[pid])
 
     def apply_suffix(self, starts: Sequence[int]) -> None:
         """Drop journal prefixes and re-offset seqs after the log was pruned."""

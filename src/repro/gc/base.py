@@ -118,9 +118,10 @@ class GarbageCollector(abc.ABC):
         """Observe every checkpoint index this collector eliminates.
 
         Listeners fire *after* the checkpoint was removed from stable storage.
-        The simulator uses this to feed obsolescence decisions to the trace
-        recorder's pruning machinery; concrete collectors route their
-        eliminations through :meth:`_eliminate` so the hook sees all of them.
+        The live worker shards eliminations this way, and a driver that wants
+        its trace recorder to compact routes them to ``record_elimination``;
+        concrete collectors route their eliminations through
+        :meth:`_eliminate` so the hook sees all of them.
         """
         self._elimination_listeners.append(listener)
 

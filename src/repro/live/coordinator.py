@@ -524,16 +524,7 @@ class LiveCoordinator:
             audit = audit_garbage_collection(
                 ccp, retained, require_optimality=config.audit == "full"
             )
-            audits.append(
-                AuditRecord(
-                    time=config.duration,
-                    label="final",
-                    is_safe=audit.is_safe,
-                    is_optimal=audit.is_optimal,
-                    safety_violations=len(audit.safety_violations),
-                    optimality_violations=len(audit.optimality_violations),
-                )
-            )
+            audits.append(AuditRecord.of(audit, time=config.duration, label="final"))
 
         def summed(key: str) -> int:
             return sum(int(reports[pid]["stats"][key]) for pid in range(n))

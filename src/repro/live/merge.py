@@ -31,13 +31,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.recovery.rollback_plan import RollbackPlan
 from repro.simulation.trace import TraceRecorder, TraceSink
-from repro.traceio.format import (
-    TAG_CHECKPOINT,
-    TAG_DUPLICATE,
-    TAG_INTERNAL,
-    TAG_RECEIVE,
-    TAG_SEND,
-)
+from repro.traceio.format import TAG_CHECKPOINT, TAG_DUPLICATE, TAG_RECEIVE, TAG_SEND
+from repro.traceio.reader import apply_event_record
 
 from repro.live.shard import TAG_ELIMINATION, ShardData, ShardEntry
 
@@ -47,38 +42,34 @@ class StorageMirror:
     """Reconstruction of every process's stable storage from the shards."""
 
     num_processes: int
-    #: Indices currently on storage, keyed by pid.  Membership-keyed (not a
-    #: fixed-size list) so a pid admitted after construction — a join past
-    #: the initial capacity — mirrors correctly instead of raising
-    #: ``IndexError``; absent pids simply retain nothing.
-    retained: Dict[int, Set[int]] = field(default_factory=dict)
+    #: Indices currently on storage, per pid.
+    retained: List[Set[int]] = field(init=False)
     #: ``(pid, index) → (dv, forced, time)`` of the *current* incarnation of
     #: each checkpoint (indices are reused after rollbacks; last write wins).
     info: Dict[Tuple[int, int], Tuple[Tuple[int, ...], bool, float]] = field(
         default_factory=dict
     )
 
-    def retained_for(self, pid: int) -> Set[int]:
-        """The retained-index set of ``pid`` (created on first touch)."""
-        return self.retained.setdefault(pid, set())
+    def __post_init__(self) -> None:
+        self.retained = [set() for _ in range(self.num_processes)]
 
     def apply_store(
         self, pid: int, index: int, dv: Sequence[int], forced: bool, time: float
     ) -> None:
         """A checkpoint reached stable storage."""
-        self.retained_for(pid).add(index)
+        self.retained[pid].add(index)
         self.info[(pid, index)] = (tuple(int(v) for v in dv), forced, time)
 
     def apply_elimination(self, pid: int, index: int) -> None:
         """A collector eliminated a checkpoint."""
-        self.retained_for(pid).discard(index)
+        self.retained[pid].discard(index)
 
     def apply_plan(self, plan: RollbackPlan) -> None:
         """A recovery session truncated storage via ``eliminate_after``."""
         for rollback in plan.rollbacks:
             self.retained[rollback.pid] = {
                 index
-                for index in self.retained_for(rollback.pid)
+                for index in self.retained[rollback.pid]
                 if index <= rollback.rollback_index
             }
 
@@ -105,7 +96,7 @@ class StorageMirror:
         eliminated = sorted(
             index
             for index in range(rollback_index)
-            if index not in self.retained_for(pid)
+            if index not in self.retained[pid]
         )
         return {
             "stores": stores,
@@ -148,7 +139,19 @@ def replay_entries(
                 if mirror is not None:
                     mirror.apply_plan(plan)
             epoch += 1
-        _apply_record(recorder, entry, mirror)
+        record = entry.record
+        if apply_event_record(recorder, record):
+            if mirror is not None and record[0] == TAG_CHECKPOINT:
+                _, pid, index, forced, time, dv = record
+                mirror.apply_store(pid, index, dv, bool(forced), time)
+        elif record[0] == TAG_ELIMINATION:
+            # Shard-only bookkeeping: never enters the artifact (eliminations
+            # are not trace events in simulated artifacts either).
+            if mirror is not None:
+                _, pid, index = record
+                mirror.apply_elimination(pid, index)
+        else:
+            raise ValueError(f"unknown shard record tag {record[0]!r}")
     # Trailing plans (a crash with no post-resume records, or none at all).
     while epoch in plans:
         recorder.apply_recovery(plans[epoch])
@@ -156,41 +159,6 @@ def replay_entries(
             mirror.apply_plan(plans[epoch])
         epoch += 1
     return recorder
-
-
-def _apply_record(
-    recorder: TraceRecorder, entry: ShardEntry, mirror: Optional[StorageMirror]
-) -> None:
-    record = entry.record
-    tag = record[0]
-    if tag == TAG_SEND:
-        _, sender, receiver, message_id, time = record
-        recorder.record_send(int(sender), int(receiver), int(message_id), float(time))
-    elif tag == TAG_RECEIVE:
-        _, message_id, time = record
-        recorder.record_receive(int(message_id), float(time))
-    elif tag == TAG_DUPLICATE:
-        _, message_id, time = record
-        recorder.record_duplicate_receive(int(message_id), float(time))
-    elif tag == TAG_CHECKPOINT:
-        _, pid, index, forced, time, dv = record
-        recorder.record_checkpoint(
-            int(pid), int(index), tuple(int(v) for v in dv),
-            forced=bool(forced), time=float(time),
-        )
-        if mirror is not None:
-            mirror.apply_store(int(pid), int(index), dv, bool(forced), float(time))
-    elif tag == TAG_INTERNAL:
-        _, pid, time = record
-        recorder.record_internal(int(pid), float(time))
-    elif tag == TAG_ELIMINATION:
-        # Shard-only bookkeeping: never enters the artifact (eliminations
-        # are not trace events in simulated artifacts either).
-        if mirror is not None:
-            _, pid, index = record
-            mirror.apply_elimination(int(pid), int(index))
-    else:
-        raise ValueError(f"unknown shard record tag {tag!r}")
 
 
 def shard_counters(shards: Sequence[ShardData]) -> Dict[str, int]:

@@ -203,8 +203,8 @@ class MembershipSchedule:
 class MembershipView:
     """The mutable membership state a recorder (or runner) threads along.
 
-    Tracks three disjoint pid classes over a growable capacity: *members*
-    (live), *dormant* (provisioned, not yet joined) and *departed*
+    Tracks three disjoint pid classes over the run's fixed capacity:
+    *members* (live), *dormant* (provisioned, not yet joined) and *departed*
     (permanently retired).
     """
 
@@ -255,7 +255,7 @@ class MembershipView:
         return pid in self._members
 
     def join(self, pid: int) -> None:
-        """A dormant pid becomes a member (grows capacity if needed)."""
+        """A dormant pid becomes a member."""
         if pid in self._members:
             raise MembershipError(f"process {pid} is already a member")
         if pid in self._departed:
@@ -263,10 +263,7 @@ class MembershipView:
                 f"process {pid} departed and cannot rejoin (leaves are "
                 f"permanent)"
             )
-        if pid < 0:
-            raise MembershipError(f"process pid must be non-negative, got {pid}")
-        if pid >= self.num_processes:
-            self.num_processes = pid + 1
+        self._check_capacity(pid)
         self._members.add(pid)
 
     def leave(self, pid: int) -> None:

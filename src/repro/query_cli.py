@@ -122,7 +122,7 @@ def _cmd_aggregate(args: argparse.Namespace, store: SQLResultStore) -> int:
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     if args.json:
         print(summary.to_json())
     else:

@@ -216,6 +216,16 @@ class CampaignSummary:
         return f"{stem}.csv", f"{stem}.json"
 
 
+def check_group_by(group_by: Sequence[str], params: Mapping[str, Any]) -> None:
+    """Refuse grouping axes that the cells' ``params`` do not have."""
+    unknown = [axis for axis in group_by if axis not in params]
+    if unknown:
+        raise ValueError(
+            f"unknown --group-by axis {', '.join(unknown)}; "
+            f"available: {', '.join(sorted(params))}"
+        )
+
+
 def aggregate_campaign(
     records: Iterable[Mapping[str, Any]],
     *,
@@ -228,13 +238,15 @@ def aggregate_campaign(
     grid-expansion order — pass ``CampaignRun.records``.  (To aggregate a
     store file, run the campaign against it: completed cells resume instead
     of re-executing, and the run re-orders them to expansion order.)
-    ``group_by`` names cell parameters; ``metrics`` names cell metrics
+    ``group_by`` names cell parameters (:func:`check_group_by` refuses any
+    other name with a ``ValueError``); ``metrics`` names cell metrics
     (default: every metric present in the first record, in
     :data:`DEFAULT_METRICS` order first).
     """
     materialised = list(records)
     if not materialised:
         raise ValueError("cannot aggregate an empty campaign")
+    check_group_by(group_by, materialised[0]["params"])
     succeeded = [r for r in materialised if r.get("status", "ok") == "ok"]
     if not succeeded:
         raise ValueError("cannot aggregate a campaign in which every cell failed")

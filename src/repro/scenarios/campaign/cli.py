@@ -44,7 +44,7 @@ import time
 from typing import List, Optional, Tuple
 
 from repro import api
-from repro.scenarios.campaign.aggregate import aggregate_campaign
+from repro.scenarios.campaign.aggregate import aggregate_campaign, check_group_by
 from repro.scenarios.campaign.executor import run_campaign, run_worker
 from repro.scenarios.campaign.spec import CampaignSpec
 
@@ -189,13 +189,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--group-by needs at least one axis")
     # Validate the axes before the sweep runs: a typo must not cost a
     # multi-minute grid whose results were never persisted.
-    valid_axes = set(cells[0].params()) if cells else set()
-    unknown = [axis for axis in group_by if axis not in valid_axes]
-    if unknown:
-        parser.error(
-            f"unknown --group-by axis {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(valid_axes))}"
-        )
+    try:
+        check_group_by(group_by, cells[0].params() if cells else {})
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.dry_run:
         print(f"campaign {spec.name!r}: {len(cells)} cells")
         for cell in cells[:10]:

@@ -285,8 +285,8 @@ def topology_campaign_spec(
     region-structured network of :func:`hierarchical_network_config`, with
     (by default) a dynamic-membership axis next to the static baseline: one
     process joins a sixth of the way in and another departs at the halfway
-    point, so every cell on that axis exercises capacity growth *and* the
-    departed-checkpoints-are-garbage obsolescence rule.
+    point, so every cell on that axis exercises a dormant slot joining *and*
+    the departed-checkpoints-are-garbage obsolescence rule.
     """
     chosen = STUDY_COLLECTORS if collectors is None else tuple(collectors)
     memberships: Tuple[MembershipSchedule, ...] = (MembershipSchedule.static(),)

@@ -112,8 +112,8 @@ class TraceFeeder:
     periodic audits).  Checkpoint operations record a zero dependency vector
     (the recorder does not interpret vectors; oracles that need ground truth
     recompute it from the event graph).  Mirroring the builder's model, every
-    process records an initial stable checkpoint ``s_i^0`` before the first
-    scripted operation.
+    member records an initial stable checkpoint ``s_i^0`` before the first
+    scripted operation (a dormant slot takes its own when it joins).
     """
 
     def __init__(self, recorder) -> None:
@@ -121,7 +121,7 @@ class TraceFeeder:
         self._clock = 0.0
         self._next_index = [1] * recorder.num_processes
         zeros = [0] * recorder.num_processes
-        for pid in range(recorder.num_processes):
+        for pid in sorted(recorder.membership.members):
             self._clock += 1.0
             recorder.record_checkpoint(pid, 0, zeros, forced=False, time=self._clock)
 

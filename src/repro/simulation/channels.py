@@ -330,8 +330,7 @@ class LatencyMatrixChannel(ChannelModel):
             raise ValueError(
                 f"the latency matrix is {size}x{size} (pids 0..{size - 1}) but "
                 f"the run needs capacity for {num_processes} processes — pid "
-                f"{num_processes - 1} has no latency row; membership growth "
-                f"must re-validate the fault model, not just construction"
+                f"{num_processes - 1} has no latency row"
             )
 
 

@@ -418,15 +418,6 @@ class Network:
             self._controller.on_copies_discarded(dropped_ids)
         return len(dropped_ids)
 
-    def ensure_capacity(self, num_processes: int) -> None:
-        """Re-validate the fault model against a grown membership.
-
-        Construction-time validation covers the configured capacity only; a
-        join that extends the process range must re-check that the latency
-        matrix and partition schedule still cover every pid.
-        """
-        self._config.validate_for(num_processes)
-
     # ------------------------------------------------------------------
     # Control messages
     # ------------------------------------------------------------------

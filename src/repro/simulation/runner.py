@@ -48,11 +48,6 @@ class SimulationConfig:
     sample_interval: Optional[float] = None
     audit: str = "off"
     keep_final_ccp: bool = False
-    #: When True, collectors' obsolescence decisions are fed back to the
-    #: trace recorder, which compacts garbage checkpoint intervals out of
-    #: the event log.  Persisted traces are unaffected: sinks observe the
-    #: full history.
-    prune_trace: bool = False
     #: When set, the run streams a replayable trace artifact to this path
     #: (see :mod:`repro.traceio`); ``trace_meta`` is free-form provenance
     #: persisted in the trace header (campaign cell identity and the like).
@@ -128,6 +123,18 @@ class AuditRecord:
     is_optimal: bool
     safety_violations: int
     optimality_violations: int
+
+    @classmethod
+    def of(cls, audit: GcAudit, *, time: float, label: str) -> "AuditRecord":
+        """The summary of one :class:`~repro.core.optimality.GcAudit`."""
+        return cls(
+            time=time,
+            label=label,
+            is_safe=audit.is_safe,
+            is_optimal=audit.is_optimal,
+            safety_violations=len(audit.safety_violations),
+            optimality_violations=len(audit.optimality_violations),
+        )
 
 
 @dataclass
@@ -256,7 +263,6 @@ class SimulationRunner:
         self._transport = SimTransport(self._engine, self._network)
         self._trace = TraceRecorder(
             config.num_processes,
-            prune=config.prune_trace,
             # Static membership passes None so the recorder is bit-for-bit
             # the pre-membership one; joiners start dormant otherwise.
             initial_members=(
@@ -306,10 +312,6 @@ class SimulationRunner:
                 storage,
                 **dict(config.collector_options),
             )
-            if config.prune_trace:
-                collector.attach_elimination_listener(
-                    lambda index, pid=pid: self._trace.record_elimination(pid, index)
-                )
             node = SimulationNode(
                 pid,
                 config.num_processes,
@@ -489,16 +491,7 @@ class SimulationRunner:
         audit = audit_garbage_collection(
             ccp, retained, require_optimality=self._config.audit == "full"
         )
-        self._audits.append(
-            AuditRecord(
-                time=self._engine.now,
-                label=label,
-                is_safe=audit.is_safe,
-                is_optimal=audit.is_optimal,
-                safety_violations=len(audit.safety_violations),
-                optimality_violations=len(audit.optimality_violations),
-            )
-        )
+        self._audits.append(AuditRecord.of(audit, time=self._engine.now, label=label))
         return audit
 
     # ------------------------------------------------------------------
@@ -508,13 +501,11 @@ class SimulationRunner:
         """Process ``pid`` joins the membership now.
 
         The recorder's membership view admits the pid first (rejecting
-        double joins), the fault model is re-validated against the grown
-        member range, and the node stores its initial checkpoint
+        double joins), then the node stores its initial checkpoint
         ``s_pid^0`` — the paper's model requires every process to begin
         with a stable checkpoint, which for a joiner happens at join time.
         """
         self._trace.record_join(pid, self._engine.now)
-        self._network.ensure_capacity(self._trace.num_processes)
         self._nodes[pid].start()
 
     def _handle_leave(self, pid: int) -> None:

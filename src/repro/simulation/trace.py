@@ -23,23 +23,24 @@ carries an :class:`repro.ccp.incremental.IncrementalAnalysisView` as its
 ``analysis_provider``: retained sets and recovery lines are answered from a
 :class:`repro.ccp.incremental.CheckpointKnowledgeTracker` by bisection, with
 no vector-clock replay unless a caller asks for event-level precedence.  The
-tracker is built *on demand*: a run that never asks for an analysis does no
-per-event analysis work, and the first :meth:`ccp` catches the tracker up
-with one causal-order replay of the current log; from then on the
-``record_*`` methods keep it current in O(P) per event.
+tracker has one lifecycle: it is born by one causal-order replay of the
+current log at the first :meth:`ccp` or immediately before the first
+compaction, whichever comes first (the log is whole at both instants, so the
+catch-up is exact), and the ``record_*`` methods keep it current in O(P) per
+event from then on.  A run that asks for no analysis and compacts nothing
+does no per-event analysis work.
 
-``prune=True`` additionally lets the recorder *consume* the obsolescence
-decisions collectors emit (:meth:`record_elimination`): once a contiguous
-prefix of a process's checkpoints is garbage, the corresponding checkpoint
-intervals are compacted out of the event log (:meth:`maybe_prune`), bounding
-the recorder's memory by the live checkpoint frontier instead of run length.
-Pruning weakens the cut to a *send-closed consistent* one first, which is
-exactly what keeps the zigzag relation of every retained checkpoint intact;
-receives of pruned sends that arrive later are recorded as INTERNAL events
-(their knowledge merge still happens, so Theorem-2 state stays exact).
-A pruning recorder starts its tracker at event 0: a pruned log has lost the
-edges a catch-up replay would need, so the maintained knowledge state is the
-only authoritative one.
+A driver that feeds the recorder the obsolescence decisions collectors emit
+(:meth:`record_elimination`) lets it *compact*: once a contiguous prefix of a
+process's checkpoints is garbage, the corresponding checkpoint intervals are
+cut out of the event log (:meth:`maybe_prune`), bounding the recorder's
+memory by the live checkpoint frontier instead of run length.  Pruning
+weakens the cut to a *send-closed consistent* one first, which is exactly
+what keeps the zigzag relation of every retained checkpoint intact; receives
+of pruned sends that arrive later are recorded as INTERNAL events (their
+knowledge merge still happens, so Theorem-2 state stays exact).  A compacted
+log has lost the edges a catch-up replay would need, so from the first
+compaction on the maintained knowledge state is the only authoritative one.
 
 Recovery sessions rewrite history: the post-rollback state of the system is the
 recovery-line cut, so :meth:`apply_recovery` truncates each rolled-back
@@ -80,6 +81,9 @@ from repro.ccp.incremental import CheckpointKnowledgeTracker, IncrementalAnalysi
 from repro.ccp.pattern import CCP
 from repro.membership import MembershipError, MembershipView
 from repro.recovery.rollback_plan import RollbackPlan
+
+#: Events that must be reclaimable before an unforced ``maybe_prune`` compacts.
+PRUNE_THRESHOLD = 512
 
 
 class TraceSink(Protocol):
@@ -134,8 +138,6 @@ class TraceRecorder:
         self,
         num_processes: int,
         *,
-        prune: bool = False,
-        prune_threshold: int = 512,
         initial_members: Optional[Iterable[int]] = None,
     ) -> None:
         self._num_processes = num_processes
@@ -150,18 +152,13 @@ class TraceRecorder:
         self._dropped_messages: set[int] = set()
         # Incremental CCP substrate.
         self._version = 0
-        # Born at the first ccp() (see _catch_up_tracker) — except under
-        # pruning, whose log cannot be replayed once compacted.
-        self._tracker: Optional[CheckpointKnowledgeTracker] = (
-            CheckpointKnowledgeTracker(num_processes) if prune else None
-        )
+        # Born at the first ccp() or just before the first compaction,
+        # whichever comes first (see _catch_up_tracker).
+        self._tracker: Optional[CheckpointKnowledgeTracker] = None
         self._checkpoints_taken = [0] * num_processes
-        # Obsolescence-driven pruning state.
-        self._prune_enabled = prune
-        self._prune_threshold = prune_threshold
-        # Membership-keyed (not a fixed-size list): a pid joining after
-        # construction must not alias or corrupt a neighbour's set.
-        self._eliminated: Dict[int, Set[int]] = {}
+        # Obsolescence-driven pruning state: per pid, the eliminated indices
+        # above its floor (holes the contiguous garbage prefix has not reached).
+        self._eliminated: List[Set[int]] = [set() for _ in range(num_processes)]
         self._prune_floor: List[int] = [0] * num_processes
         self._pruned_pending: Dict[int, Tuple[int, int]] = {}
         self._pruned_delivered: Dict[int, int] = {}
@@ -189,18 +186,13 @@ class TraceRecorder:
         return self._version
 
     @property
-    def pruning_enabled(self) -> bool:
-        """True if obsolescence-driven log compaction is active."""
-        return self._prune_enabled
-
-    @property
     def pruned_events(self) -> int:
         """Total events compacted out of the log by pruning so far."""
         return self._pruned_events
 
     @property
     def knowledge_tracker(self) -> Optional[CheckpointKnowledgeTracker]:
-        """The maintained checkpoint-knowledge state (None before the first :meth:`ccp`)."""
+        """The maintained checkpoint-knowledge state (None until first needed)."""
         return self._tracker
 
     @property
@@ -357,15 +349,11 @@ class TraceRecorder:
     def record_join(self, pid: int, time: float) -> None:
         """Record a process joining the membership.
 
-        A dormant pid within the provisioned capacity becomes live; a pid at
-        or beyond the capacity grows every per-process structure first (the
-        event log, the knowledge tracker, interval bookkeeping).  Joining an
-        already-live or departed pid raises
+        A dormant pid within the capacity becomes live.  Joining a pid at or
+        beyond the capacity, an already-live or a departed one raises
         :class:`~repro.membership.MembershipError`.
         """
-        self._membership.join(pid)  # validates; grows the view's capacity
-        if pid >= self._num_processes:
-            self._grow_to(pid + 1)
+        self._membership.join(pid)
         self._version += 1
         self._ccp_cache = None
         for sink in self._sinks:
@@ -386,16 +374,6 @@ class TraceRecorder:
         for sink in self._sinks:
             sink.on_leave(pid, time)
 
-    def _grow_to(self, num_processes: int) -> None:
-        """Extend every per-process structure to a larger capacity."""
-        self._log.grow_to(num_processes)
-        if self._tracker is not None:
-            self._tracker.grow(num_processes)
-        pad = num_processes - self._num_processes
-        self._checkpoints_taken.extend([0] * pad)
-        self._prune_floor.extend([0] * pad)
-        self._num_processes = num_processes
-
     # ------------------------------------------------------------------
     # Obsolescence-driven pruning
     # ------------------------------------------------------------------
@@ -404,17 +382,14 @@ class TraceRecorder:
 
         Advances the per-process prune floor over the contiguous garbage
         prefix and opportunistically compacts the log (:meth:`maybe_prune`).
-        No-op unless pruning is enabled.
         """
-        if not self._prune_enabled:
-            return
         if not 0 <= index < self._checkpoints_taken[pid]:
             raise ValueError(
                 f"elimination of unknown checkpoint s{pid}^{index}"
             )
         if index < self._prune_floor[pid]:
             return  # already below the garbage frontier
-        eliminated = self._eliminated.setdefault(pid, set())
+        eliminated = self._eliminated[pid]
         eliminated.add(index)
         floor = self._prune_floor[pid]
         while floor in eliminated:
@@ -443,10 +418,8 @@ class TraceRecorder:
         surviving messages only.
 
         Pruning is skipped (returns False) while the reclaimable event count
-        is below the hysteresis threshold, unless ``force`` is given.
+        is below :data:`PRUNE_THRESHOLD`, unless ``force`` is given.
         """
-        if not self._prune_enabled:
-            return False
         bases = self._log.checkpoint_bases
         desired: List[int] = []
         for pid in range(self._num_processes):
@@ -460,7 +433,7 @@ class TraceRecorder:
             self._checkpoint_seq(pid, d) if d > bases[pid] else 0
             for pid, d in enumerate(desired)
         )
-        if upper == 0 or (not force and upper < self._prune_threshold):
+        if upper == 0 or (not force and upper < PRUNE_THRESHOLD):
             return False
         cut = desired
         delivered = self._log.delivered_messages()
@@ -486,13 +459,16 @@ class TraceRecorder:
             for pid in range(self._num_processes)
         ]
         total = sum(starts)
-        if total == 0 or (not force and total < self._prune_threshold):
+        if total == 0 or (not force and total < PRUNE_THRESHOLD):
             return False
         self._perform_prune(cut, starts)
         return True
 
     def _perform_prune(self, cut: List[int], starts: List[int]) -> None:
         """Apply a computed send-closed cut: rewrite the log and remap state."""
+        if self._tracker is None:
+            # Last call: what the cut removes, no later replay can recover.
+            self._tracker = self._catch_up_tracker()
         pruned_delivered: List[int] = []
         for message in self._log.messages():
             if message.send_seq < starts[message.sender]:
@@ -510,10 +486,9 @@ class TraceRecorder:
         ]
         for cid in stale_cids:
             del self._recorded_dvs[cid]
-        if self._tracker is not None:
-            self._tracker.apply_suffix(starts)
-            self._tracker.forget_checkpoints(cut, self._checkpoints_taken)
-            self._tracker.forget_messages(pruned_delivered)
+        self._tracker.apply_suffix(starts)
+        self._tracker.forget_checkpoints(cut, self._checkpoints_taken)
+        self._tracker.forget_messages(pruned_delivered)
         self._pruned_events += sum(starts)
         self._ccp_cache = None
         self._version += 1
@@ -556,9 +531,7 @@ class TraceRecorder:
             # recorded for the discarded incarnations must not survive to
             # taint their successors.
             self._eliminated[pid] = {
-                index
-                for index in self._eliminated.get(pid, set())
-                if index <= rollback.rollback_index
+                index for index in self._eliminated[pid] if index <= rollback.rollback_index
             }
             self._prune_floor[pid] = min(
                 self._prune_floor[pid], rollback.rollback_index

@@ -42,19 +42,16 @@ from repro.traceio.reader import (
 # ----------------------------------------------------------------------
 def _replay_directory(args: argparse.Namespace) -> int:
     from repro.scenarios.campaign import DEFAULT_GROUP_BY, aggregate_campaign
+    from repro.scenarios.campaign.aggregate import check_group_by
 
     group_by = tuple(
         axis.strip() for axis in (args.group_by or "").split(",") if axis.strip()
     ) or DEFAULT_GROUP_BY
     records = campaign_records_from_traces(args.path)
-    valid_axes = set(records[0]["params"]) if records else set()
-    unknown = [axis for axis in group_by if axis not in valid_axes]
-    if unknown:
-        print(
-            f"error: unknown --group-by axis {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(valid_axes))}",
-            file=sys.stderr,
-        )
+    try:
+        check_group_by(group_by, records[0]["params"])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.verify:
         violations: List[str] = []
@@ -142,6 +139,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if schedule:
         crashes = ", ".join(f"p{pid}@{time:g}" for time, pid in schedule)
         print(f"  failures:     {crashes}")
+    if header.get("membership"):
+        events = ", ".join(
+            f"p{pid} {kind}s@{time:g}" for kind, pid, time in header["membership"]
+        )
+        print(f"  membership:   {events}")
     meta = header.get("meta") or {}
     provenance = RunProvenance.from_meta(meta)
     if provenance is not None and provenance.kind == "campaign":
@@ -161,7 +163,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         pass
     names = {"s": "sends", "r": "receives", "d": "duplicates", "c": "checkpoints",
              "i": "internal", "v": "recoveries", "S": "samples",
-             "p": "partition events"}
+             "p": "partition events", "j": "joins", "l": "leaves"}
     rendered = ", ".join(
         f"{counts[tag]} {names.get(tag, tag)}" for tag in sorted(counts)
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from json import JSONDecodeError
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ccp.consistency import GlobalCheckpoint
 from repro.ccp.pattern import CCP
@@ -120,7 +120,7 @@ class ReplayedTrace:
         return self.recorder.ccp(volatile_dvs=volatile)
 
 
-def _recorder_for_header(header: Dict[str, Any]) -> TraceRecorder:
+def _recorder_for_header(header: Dict[str, Any], path: str) -> TraceRecorder:
     """A fresh recorder matching the header's capacity and membership.
 
     Headers without a ``membership`` key (every trace written before
@@ -135,11 +135,40 @@ def _recorder_for_header(header: Dict[str, Any]) -> TraceRecorder:
         return TraceRecorder(num_processes)
     from repro.membership import MembershipSchedule
 
-    schedule = MembershipSchedule.from_description(description)
+    try:
+        schedule = MembershipSchedule.from_description(description)
+        schedule.validate_for(num_processes)
+    except (TypeError, ValueError) as exc:  # MembershipError is a ValueError
+        raise TraceFormatError(f"{path}: header membership: {exc}") from exc
     return TraceRecorder(
         num_processes,
         initial_members=schedule.initial_members(num_processes),
     )
+
+
+def apply_event_record(recorder: TraceRecorder, record: Sequence[Any]) -> bool:
+    """Drive ``recorder`` with one v2 *event* record (``s`` ``r`` ``d`` ``c``
+    ``i``); False, with nothing done, for any other tag.  The one applier of
+    these tags: trace replay and the live shard merge both go through it."""
+    tag = record[0]
+    if tag == TAG_SEND:
+        _, sender, receiver, message_id, time = record
+        recorder.record_send(sender, receiver, message_id, time)
+    elif tag == TAG_RECEIVE:
+        _, message_id, time = record
+        recorder.record_receive(message_id, time)
+    elif tag == TAG_DUPLICATE:
+        _, message_id, time = record
+        recorder.record_duplicate_receive(message_id, time)
+    elif tag == TAG_CHECKPOINT:
+        _, pid, index, forced, time, dv = record
+        recorder.record_checkpoint(pid, index, tuple(dv), forced=bool(forced), time=time)
+    elif tag == TAG_INTERNAL:
+        _, pid, time = record
+        recorder.record_internal(pid, time)
+    else:
+        return False
+    return True
 
 
 class TraceReader:
@@ -258,7 +287,7 @@ class TraceReader:
             for line, parsed in self.lines():
                 if header is None:
                     header = validate_header(parsed, path=self._path)
-                    recorder = _recorder_for_header(header)
+                    recorder = _recorder_for_header(header, self._path)
                     continue
                 if footer is not None:
                     raise TraceFormatError(
@@ -275,7 +304,10 @@ class TraceReader:
                 records += 1
                 assert recorder is not None
                 try:
-                    events += self._apply(recorder, record, samples, plans, partitions)
+                    if apply_event_record(recorder, record):
+                        events += 1
+                    else:
+                        self._apply(recorder, record, samples, plans, partitions)
                 except TraceFormatError:
                     raise
                 except Exception as exc:
@@ -326,40 +358,16 @@ class TraceReader:
         samples: List[Tuple[float, Tuple[int, ...]]],
         plans: List[RollbackPlan],
         partitions: List[Tuple[str, float, Tuple[Tuple[int, ...], ...]]],
-    ) -> int:
-        """Replay one record; returns how many recorder events it produced."""
+    ) -> None:
+        """Replay one record that is not a recorder event."""
         tag = record[0]
-        if tag == TAG_SEND:
-            _, sender, receiver, message_id, time = record
-            recorder.record_send(sender, receiver, message_id, time)
-            return 1
-        if tag == TAG_RECEIVE:
-            _, message_id, time = record
-            recorder.record_receive(message_id, time)
-            return 1
-        if tag == TAG_DUPLICATE:
-            _, message_id, time = record
-            recorder.record_duplicate_receive(message_id, time)
-            return 1
-        if tag == TAG_CHECKPOINT:
-            _, pid, index, forced, time, dv = record
-            recorder.record_checkpoint(
-                pid, index, tuple(dv), forced=bool(forced), time=time
-            )
-            return 1
-        if tag == TAG_INTERNAL:
-            _, pid, time = record
-            recorder.record_internal(pid, time)
-            return 1
         if tag == TAG_JOIN:
             _, pid, time = record
             recorder.record_join(pid, time)
-            return 0
-        if tag == TAG_LEAVE:
+        elif tag == TAG_LEAVE:
             _, pid, time = record
             recorder.record_leave(pid, time)
-            return 0
-        if tag == TAG_RECOVERY:
+        elif tag == TAG_RECOVERY:
             _, faulty, line_indices, rollbacks, last_interval = record
             plan = RollbackPlan(
                 faulty=tuple(faulty),
@@ -372,16 +380,14 @@ class TraceReader:
             )
             recorder.apply_recovery(plan)
             plans.append(plan)
-            return 0
-        if tag == TAG_SAMPLE:
+        elif tag == TAG_SAMPLE:
             _, time, retained = record
             samples.append((time, tuple(retained)))
-            return 0
-        if tag == TAG_PARTITION:
+        elif tag == TAG_PARTITION:
             _, kind, time, groups = record
             partitions.append((kind, time, tuple(tuple(g) for g in groups)))
-            return 0
-        raise TraceFormatError(f"{self._path}: unknown record tag {tag!r}")
+        else:
+            raise TraceFormatError(f"{self._path}: unknown record tag {tag!r}")
 
 
 # ----------------------------------------------------------------------

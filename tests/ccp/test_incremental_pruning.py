@@ -1,8 +1,9 @@
 """Delta-maintained analyses and obsolescence pruning vs full recompute.
 
-Property corpus for the incremental subsystem: a pruning
-:class:`~repro.simulation.trace.TraceRecorder` fed an execution in chunks
-must answer every analysis — Theorem-1/2 retained sets, Lemma-1 recovery
+Property corpus for the incremental subsystem: a
+:class:`~repro.simulation.trace.TraceRecorder` fed an execution in chunks —
+and, between chunks, the eliminations that let it compact its log — must
+answer every analysis — Theorem-1/2 retained sets, Lemma-1 recovery
 lines, the zigzag relation — exactly as an identically-fed unpruned twin
 does over the surviving (live) checkpoint window, at every instant of the
 churn schedule.  Unpruned recorders are diffed against the classic recompute
@@ -26,9 +27,17 @@ from repro.ccp.zigzag import BruteForceZigzagAnalysis, ZigzagAnalysis
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.rollback_plan import ProcessRollback, RollbackPlan
 from repro.scenarios.random_patterns import TraceFeeder, random_ccp_script
+from repro.simulation import trace as trace_module
+from repro.simulation.runner import SimulationRunner
 from repro.simulation.trace import TraceRecorder
 
 SEEDS = list(range(40))
+
+
+@pytest.fixture
+def low_prune_threshold(monkeypatch):
+    """A compaction hysteresis the corpus scripts are long enough to cross."""
+    monkeypatch.setattr(trace_module, "PRUNE_THRESHOLD", 8)
 
 
 def _script(seed: int):
@@ -66,6 +75,7 @@ def _live_ids(recorder: TraceRecorder):
     ]
 
 
+@pytest.mark.usefixtures("low_prune_threshold")
 class TestPrunedEqualsFullRecompute:
     """Pruned recorder vs identically-fed unpruned twin, instant by instant."""
 
@@ -73,7 +83,7 @@ class TestPrunedEqualsFullRecompute:
     def test_analyses_agree_on_live_window(self, seed):
         script = _script(seed)
         num_processes = 2 + seed % 5
-        pruned = TraceRecorder(num_processes, prune=True, prune_threshold=8)
+        pruned = TraceRecorder(num_processes)
         full = TraceRecorder(num_processes)
         pruned_feeder, full_feeder = TraceFeeder(pruned), TraceFeeder(full)
         for chunk in _chunks(script):
@@ -118,7 +128,7 @@ class TestPrunedEqualsFullRecompute:
         fired = 0
         for seed in SEEDS:
             script = _script(seed)
-            recorder = TraceRecorder(2 + seed % 5, prune=True, prune_threshold=8)
+            recorder = TraceRecorder(2 + seed % 5)
             feeder = TraceFeeder(recorder)
             for chunk in _chunks(script):
                 feeder.feed(chunk)
@@ -132,7 +142,7 @@ class TestPrunedEqualsFullRecompute:
     def test_zigzag_relation_exact_on_live_pairs(self, seed):
         script = _script(seed)
         num_processes = 2 + seed % 5
-        pruned = TraceRecorder(num_processes, prune=True, prune_threshold=8)
+        pruned = TraceRecorder(num_processes)
         full = TraceRecorder(num_processes)
         pruned_feeder, full_feeder = TraceFeeder(pruned), TraceFeeder(full)
         for chunk in _chunks(script):
@@ -163,13 +173,14 @@ class TestViewMatchesClassic:
             assert_view_matches_classic(recorder)
 
 
+@pytest.mark.usefixtures("low_prune_threshold")
 class TestKernelOnBasedLogs:
     """Blocked kernel vs brute force on pruned patterns (nonzero bases)."""
 
     def _pruned_ccp(self, seed):
         script = _script(seed)
         num_processes = 2 + seed % 5
-        recorder = TraceRecorder(num_processes, prune=True, prune_threshold=8)
+        recorder = TraceRecorder(num_processes)
         feeder = TraceFeeder(recorder)
         for chunk in _chunks(script):
             feeder.feed(chunk)
@@ -195,9 +206,9 @@ class TestKernelOnBasedLogs:
 class TestChurnSchedules:
     """Crash/recovery churn: pruning + truncation rebuilds + index reuse."""
 
-    def _run(self, seed, *, prune, crashes, before_run=lambda runner: None):
+    def _run(self, seed, *, build, crashes, before_run=lambda runner: None):
         from repro.simulation.failures import FailureSchedule
-        from repro.simulation.runner import SimulationConfig, SimulationRunner
+        from repro.simulation.runner import SimulationConfig
         from repro.simulation.workloads import UniformRandomWorkload
 
         config = SimulationConfig(
@@ -209,18 +220,17 @@ class TestChurnSchedules:
             failures=FailureSchedule.of(crashes),
             seed=seed,
             audit="full",
-            prune_trace=prune,
         )
-        runner = SimulationRunner(config)
+        runner = build(config)
         before_run(runner)
         result = runner.run()
         return runner, result
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_pruned_run_matches_unpruned_twin_after_churn(self, seed):
+    def test_pruned_run_matches_unpruned_twin_after_churn(self, seed, pruning_runner):
         crashes = [(50.0, seed % 4), (100.0, (seed + 2) % 4)]
-        pruned_runner, pruned_result = self._run(seed, prune=True, crashes=crashes)
-        full_runner, full_result = self._run(seed, prune=False, crashes=crashes)
+        pruned_runner, pruned_result = self._run(seed, build=pruning_runner, crashes=crashes)
+        full_runner, full_result = self._run(seed, build=SimulationRunner, crashes=crashes)
         assert len(pruned_result.recoveries) == 2
         # The simulation itself is deterministic in the seed: recording mode
         # must not leak into execution.
@@ -261,16 +271,16 @@ class TestChurnSchedules:
                 )
 
         runner, result = self._run(
-            seed, prune=False, crashes=crashes, before_run=schedule_checks
+            seed, build=SimulationRunner, crashes=crashes, before_run=schedule_checks
         )
         assert len(result.recoveries) == 2 and sinks[0].checked == 2
         assert len(between) == 6 and result.all_audits_safe
         assert_view_matches_classic(runner.trace)
 
-    def test_pruned_run_trace_replays_and_verifies(self, tmp_path):
+    def test_pruned_run_trace_replays_and_verifies(self, tmp_path, pruning_runner):
         """Sinks see the full history: a pruned run's trace stays complete."""
         from repro.simulation.failures import FailureSchedule
-        from repro.simulation.runner import SimulationConfig, run_simulation
+        from repro.simulation.runner import SimulationConfig
         from repro.simulation.workloads import UniformRandomWorkload
         from repro.traceio.cli import main as traceio_main
 
@@ -284,11 +294,11 @@ class TestChurnSchedules:
             failures=FailureSchedule.of([(60.0, 1)]),
             seed=3,
             audit="full",
-            prune_trace=True,
             trace_path=path,
         )
-        result = run_simulation(config)
-        assert result.recoveries
+        runner = pruning_runner(config)
+        result = runner.run()
+        assert result.recoveries and runner.trace.pruned_events > 0
         assert traceio_main(["replay", path, "--verify"]) == 0
 
 
@@ -364,11 +374,12 @@ class TestRecorderReadsTheLog:
         assert recorder.ccp().messages() == _messages_from_events(log)
         assert [m.message_id for m in recorder.ccp().messages()] == [0, 2]
 
+    @pytest.mark.usefixtures("low_prune_threshold")
     @pytest.mark.parametrize("seed", SEEDS)
     def test_messages_equal_the_events_under_churn_and_pruning(self, seed):
         script = _script(seed)
         num_processes = 2 + seed % 5
-        recorder = TraceRecorder(num_processes, prune=True, prune_threshold=8)
+        recorder = TraceRecorder(num_processes)
         feeder = TraceFeeder(recorder)
         for part, chunk in enumerate(_chunks(script)):
             feeder.feed(chunk)

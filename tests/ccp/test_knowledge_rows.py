@@ -6,8 +6,9 @@ bisections of :class:`~repro.ccp.incremental.IncrementalAnalysisView` rely on
 three things that nothing but the recorder's bookkeeping guarantees: the rows
 cover exactly the live window ``[checkpoint_base(p), last_stable(p)]`` (a
 prune drops a prefix, a recovery a suffix, reused indices append again), every
-row is as long as the current capacity (a join pads), and a view handed rows
-that do not satisfy this refuses to answer instead of answering wrongly.
+row is as long as the capacity (a dormant slot reads -1 until its process
+joins), and a view handed rows that do not satisfy this refuses to answer
+instead of answering wrongly.
 """
 
 import pytest
@@ -51,7 +52,7 @@ class TestRowsFollowTheWindow:
         crash=st.floats(min_value=0.1, max_value=0.9),
         victim=st.integers(0, 5),
     )
-    def test_through_prune_recovery_index_reuse_and_growth(
+    def test_through_prune_recovery_index_reuse_and_a_join(
         self, assert_view_matches_classic, seed, crash, victim
     ):
         num_processes = 2 + seed % 5
@@ -62,8 +63,11 @@ class TestRowsFollowTheWindow:
             checkpoint_rate=0.15 + 0.04 * (seed % 6),
             undelivered_fraction=0.15,
         )
-        pruned, full = TraceRecorder(num_processes, prune=True), TraceRecorder(num_processes)
-        full.ccp()  # born before the first event: delta-maintained throughout, like the pruned leg's
+        joiner = num_processes  # the one dormant slot of a capacity of num_processes + 1
+        pruned, full = (
+            TraceRecorder(num_processes + 1, initial_members=range(num_processes)) for _ in range(2)
+        )
+        pruned.ccp(), full.ccp()  # born before the first event: delta-maintained throughout
         feeders = [TraceFeeder(pruned), TraceFeeder(full)]
 
         def check() -> None:
@@ -99,7 +103,6 @@ class TestRowsFollowTheWindow:
             feeder.resync()
         check()
 
-        joiner = num_processes  # one past the capacity: every row is padded
         for recorder in (pruned, full):
             recorder.record_join(joiner, 1000.0)
             assert_rows_cover_the_live_window(recorder)  # dormant joiner: no row yet
@@ -116,13 +119,13 @@ class TestRowsFollowTheWindow:
 
 
 def _joined_after_two_checkpoints() -> TraceRecorder:
-    """``p_0`` takes ``c^0, c^1``; ``p_2`` joins beyond the capacity, takes
-    ``c_2^0`` and tells ``p_0``, which then takes ``c_0^2``."""
-    recorder = TraceRecorder(2)
-    recorder.ccp()  # the tracker exists from event 0, so its early rows are born short
-    recorder.record_checkpoint(0, 0, (0, 0), forced=False, time=1.0)
-    recorder.record_checkpoint(1, 0, (0, 0), forced=False, time=1.0)
-    recorder.record_checkpoint(0, 1, (1, 0), forced=False, time=2.0)
+    """``p_0`` takes ``c^0, c^1``; the dormant ``p_2`` joins, takes ``c_2^0``
+    and tells ``p_0``, which then takes ``c_0^2``."""
+    recorder = TraceRecorder(3, initial_members=(0, 1))
+    recorder.ccp()  # the tracker exists from event 0, so its early rows predate the join
+    recorder.record_checkpoint(0, 0, (0, 0, 0), forced=False, time=1.0)
+    recorder.record_checkpoint(1, 0, (0, 0, 0), forced=False, time=1.0)
+    recorder.record_checkpoint(0, 1, (1, 0, 0), forced=False, time=2.0)
     recorder.record_join(2, 3.0)
     recorder.record_checkpoint(2, 0, (0, 0, 0), forced=False, time=4.0)
     recorder.record_send(2, 0, 1, 5.0)

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.ccp.pattern import CCP
+from repro.simulation.runner import SimulationConfig, SimulationRunner
 from repro.simulation.trace import TraceRecorder, TraceSink
 from repro.scenarios.figures import figure1_ccp as _figure1_ccp
 from repro.scenarios.figures import figure2_ccp as _figure2_ccp
@@ -70,7 +71,7 @@ def assert_view_matches_classic():
 class CrossCheckSink(TraceSink):
     """Cross-checks a recorder right after every recovery session and
     membership change — the states where the view reuses checkpoint indices,
-    has just been truncated, or has just grown."""
+    has just been truncated, or has just gained or lost a process."""
 
     def __init__(self, recorder: TraceRecorder) -> None:
         self.recorder = recorder
@@ -88,6 +89,26 @@ class CrossCheckSink(TraceSink):
 def cross_check_sink():
     """Factory attaching a :class:`CrossCheckSink` to a recorder."""
     return CrossCheckSink
+
+
+def _pruning_runner(config: SimulationConfig) -> SimulationRunner:
+    """A runner whose collectors report every elimination to its recorder.
+
+    Being fed ``record_elimination`` is all that makes a recorder compact its
+    log; no run option does it, so a driver that wants it wires it.
+    """
+    runner = SimulationRunner(config)
+    for node in runner.nodes:
+        node.collector.attach_elimination_listener(
+            lambda index, pid=node.pid: runner.trace.record_elimination(pid, index)
+        )
+    return runner
+
+
+@pytest.fixture(scope="session")
+def pruning_runner():
+    """``pruning_runner(config)``: a built, not yet run, compacting runner."""
+    return _pruning_runner
 
 
 @pytest.fixture

@@ -310,6 +310,68 @@ def test_no_cli_module_builds_its_own_configuration():
             assert needle not in source, f"{path.relative_to(root)} mentions {needle}"
 
 
+def test_no_run_option_is_out_of_the_doors_reach():
+    """A knob only tests can set cannot grow back: every ``SimulationConfig``
+    field is assigned somewhere under ``src/repro`` besides the module that
+    declares it, and the recorder takes its capacity and its members only."""
+    import dataclasses
+    import inspect
+    import pathlib
+    import re
+    import repro
+    from repro.simulation.runner import SimulationConfig
+    from repro.simulation.trace import TraceRecorder
+
+    root = pathlib.Path(repro.__file__).parent
+    sources = [
+        path.read_text(encoding="utf-8")
+        for path in sorted(root.rglob("*.py"))
+        if path != root / "simulation" / "runner.py"
+    ]
+    for field in dataclasses.fields(SimulationConfig):
+        assignment = re.compile(rf"\b{field.name}=")
+        assert any(assignment.search(source) for source in sources), (
+            f"SimulationConfig.{field.name} is set by no module under src/repro"
+        )
+    parameters = inspect.signature(TraceRecorder.__init__).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        ("self", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("num_processes", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("initial_members", inspect.Parameter.KEYWORD_ONLY, None),
+    ]
+
+
+@pytest.mark.parametrize("command", ["campaign", "query aggregate", "trace replay"])
+def test_a_group_by_typo_is_one_error_line_from_every_command(command, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC_DOCUMENT))
+    store, traces = str(tmp_path / "s.sqlite"), str(tmp_path / "traces")
+    assert repro_main([
+        "campaign", "--spec", str(spec_path), "--store", store, "--traces", traces, "--quiet",
+    ]) == 0
+    capsys.readouterr()
+    argv = {
+        "campaign": ["campaign", "--spec", str(spec_path)],
+        "query aggregate": ["query", "aggregate", "--store", store],
+        "trace replay": ["trace", "replay", traces],
+    }[command]
+    try:
+        status = repro_main(argv + ["--group-by", "bogus"])
+    except SystemExit as exit:  # argparse's own way of reporting a usage error
+        status = exit.code
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert "error: unknown --group-by axis bogus; available: " in captured.err
+    assert "collector" in captured.err and "Traceback" not in captured.err
+
+
+def test_api_query_refuses_an_unknown_axis_by_name(store):
+    from repro import api
+
+    with pytest.raises(ValueError, match="unknown --group-by axis bogus; available: .*collector"):
+        api.query(store, group_by=("bogus",))
+
+
 def test_every_out_directory_is_written_by_the_one_summary_method(tmp_path, capsys):
     """``campaign --out``, ``query aggregate --out`` and ``trace replay --out``
     write the same two file names with the same bytes."""

@@ -177,8 +177,9 @@ class TestLatencyMatrix:
             LatencyMatrixChannel(latencies=())
 
     def test_undersized_matrix_rejected_at_config_time(self):
+        # The only time there is: the capacity never grows past the config's.
         channel = LatencyMatrixChannel.of([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2x2.*pid 2 has no latency row"):
             SimulationConfig(
                 num_processes=3,
                 duration=10.0,

@@ -27,6 +27,7 @@ from repro.simulation.runner import (
 )
 from repro.simulation.trace import TraceRecorder
 from repro.simulation.workloads import UniformRandomWorkload
+from repro.traceio.format import TraceFormatError
 from repro.traceio.reader import TraceReader, verify_trace
 from repro.traceio.writer import TraceWriter
 
@@ -203,7 +204,7 @@ class TestRunnerMembership:
         self, assert_view_matches_classic, cross_check_sink
     ):
         """The knowledge-vector substrate must match the classic recompute
-        across joins (matrix growth), leaves (departed exclusion) and a
+        across joins (a dormant slot coming alive), leaves (departed exclusion) and a
         recovery session in between."""
         config = _dynamic_config(failures=FailureSchedule.of([(40.0, 2)]))
         runner = SimulationRunner(config)
@@ -248,18 +249,6 @@ class TestNetworkDeparture:
         assert network.stats.app_discarded_by_departure == 2
         assert network.in_flight_count() == 1
 
-    def test_ensure_capacity_revalidates_fault_model(self):
-        """A join past the latency matrix's size must fail loudly, naming
-        the matrix dimension and the unprovisioned pid."""
-        engine = SimulationEngine(seed=1)
-        matrix = [[1.0, 2.0], [2.0, 1.0]]
-        network = Network(
-            engine, NetworkConfig(channel=LatencyMatrixChannel.of(matrix))
-        )
-        network.ensure_capacity(2)  # fine: the matrix covers pids 0..1
-        with pytest.raises(ValueError, match="2x2.*pid 2 has no latency row"):
-            network.ensure_capacity(3)
-
 
 class TestRecorderMembership:
     def test_events_from_non_members_rejected(self):
@@ -272,25 +261,71 @@ class TestRecorderMembership:
         with pytest.raises(MembershipError, match="departed"):
             recorder.record_send(2, 0, 0, 10.0)
 
-    def test_join_beyond_capacity_grows_structures(self):
-        recorder = TraceRecorder(2, initial_members=frozenset({0, 1}))
-        recorder.record_checkpoint(0, 0, (0, -1), forced=False, time=0.0)
-        recorder.record_checkpoint(1, 0, (-1, 0), forced=False, time=0.0)
-        recorder.record_join(2, 5.0)
-        assert recorder.num_processes == 3
+    def test_a_refused_join_leaves_the_capacity_alone(self):
+        recorder = TraceRecorder(3, initial_members=frozenset({0, 1}))
+        recorder.record_checkpoint(0, 0, (0, -1, -1), forced=False, time=0.0)
+        recorder.record_checkpoint(1, 0, (-1, 0, -1), forced=False, time=0.0)
+        with pytest.raises(MembershipError, match="process 3 is outside the run's capacity of 3"):
+            recorder.record_join(3, 5.0)
+        assert recorder.num_processes == recorder.membership.num_processes == 3
+        assert recorder.version == 2 and recorder.membership.dormant == frozenset({2})
+        recorder.record_join(2, 5.0)  # the dormant slot is what a join is for
         recorder.record_checkpoint(2, 0, (-1, -1, 0), forced=False, time=5.0)
-        ccp = recorder.ccp()
-        assert ccp.num_processes == 3
+        assert recorder.ccp().num_processes == 3
 
-    def test_tracker_out_of_range_pid_raises_membership_error(self):
-        """Regression: fixed n-by-n matrices used to fail with IndexError."""
-        tracker = CheckpointKnowledgeTracker(2)
-        with pytest.raises(MembershipError, match="outside the tracked capacity"):
-            tracker.note_send(0, sender=5)
-        tracker.grow(3)
-        tracker.note_send(0, sender=2)
-        with pytest.raises(MembershipError):
-            tracker.grow(2)  # shrinking is not a thing
+
+def _replay_with_join_of(pid: int, tmp_path) -> None:
+    """Replay the acceptance trace with its ``j`` record rewritten to ``pid``."""
+    path = tmp_path / "garbled.trace.jsonl"
+    run_simulation(_dynamic_config(trace_path=str(path), audit="off"))
+    lines = path.read_text().splitlines()
+    number = lines.index('["j",4,20.0]') + 1
+    lines[number - 1] = f'["j",{pid},20.0]'
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        TraceReader(str(path)).replay()
+    except TraceFormatError as exc:
+        # Refused on the join's own line, not where a later record trips over it.
+        assert f"garbled.trace.jsonl:{number}: " in str(exc)
+        raise
+
+
+class TestBeyondTheCapacityFailsTyped:
+    """The capacity is the process set: no layer grows, every layer refuses."""
+
+    @pytest.mark.parametrize(
+        "attempt, error, message",
+        [
+            pytest.param(
+                lambda pid, tmp_path: MembershipView(5, frozenset(range(4))).join(pid),
+                MembershipError,
+                "^process 9 is outside the run's capacity of 5 processes",
+                id="MembershipView.join",
+            ),
+            pytest.param(
+                lambda pid, tmp_path: TraceRecorder(5, initial_members=range(4)).record_join(pid, 20.0),
+                MembershipError,
+                "^process 9 is outside the run's capacity of 5 processes",
+                id="TraceRecorder.record_join",
+            ),
+            pytest.param(
+                # Regression: fixed n-by-n matrices used to fail with IndexError.
+                lambda pid, tmp_path: CheckpointKnowledgeTracker(5).note_send(0, sender=pid),
+                MembershipError,
+                "^process 9 is outside the tracked capacity of 5 processes",
+                id="CheckpointKnowledgeTracker.note_send",
+            ),
+            pytest.param(
+                _replay_with_join_of,
+                TraceFormatError,
+                r"MembershipError: process 9 is outside the run's capacity of 5 processes",
+                id="replayed-garbled-trace",
+            ),
+        ],
+    )
+    def test_pid_9_of_5(self, attempt, error, message, tmp_path):
+        with pytest.raises(error, match=message):
+            attempt(9, tmp_path)
 
 
 class TestTraceMembershipRecords:
@@ -326,3 +361,14 @@ class TestTraceMembershipRecords:
         assert ["leave", 1, 60.0] in header["membership"]
         replayed = TraceReader(path).replay()
         assert replayed.recorder.departed == frozenset({1})
+
+    def test_header_is_checked_against_its_own_capacity(self, tmp_path):
+        path = tmp_path / "churn.trace.jsonl"
+        run_simulation(_dynamic_config(trace_path=str(path), audit="off"))
+        text = path.read_text()
+        assert text.count('["join",4,20.0]') == 1
+        path.write_text(text.replace('["join",4,20.0]', '["join",9,20.0]'))
+        with pytest.raises(
+            TraceFormatError, match="header membership: .*names process 9 .*only 5 processes"
+        ):
+            TraceReader(str(path)).replay()

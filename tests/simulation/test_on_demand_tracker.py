@@ -1,13 +1,16 @@
 """The knowledge tracker is born on demand and equals an eagerly fed twin.
 
-``TraceRecorder.ccp()`` builds the
-:class:`~repro.ccp.incremental.CheckpointKnowledgeTracker` at its first call
-by one causal-order replay of the current log; from then on ``record_*``
-maintain it.  Whatever happened before that first call — plain recording, a
-recovery truncation, a membership growth, a whole trace replay — the caught-up
-state must be the state an always-on tracker would hold, and a recorder that
-is never asked for an analysis must never pay for one.
+A :class:`~repro.simulation.trace.TraceRecorder` builds its
+:class:`~repro.ccp.incremental.CheckpointKnowledgeTracker` by one causal-order
+replay of the current log at its first ``ccp()`` or just before its first
+compaction, whichever comes first; from then on ``record_*`` maintain it.
+Whatever happened before that instant — plain recording, a recovery
+truncation, a mid-run join, a whole trace replay — the caught-up state must be
+the state an always-on tracker would hold, and a recorder that is never asked
+for an analysis and never compacts must never pay for one.
 """
+
+import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -46,14 +49,19 @@ def _plan(recorder: TraceRecorder, victim: int):
     defined for.
     """
     ccp = recorder.ccp()
-    plan = RecoveryManager().plan(ccp, [victim % recorder.num_processes])
+    members = sorted(recorder.membership.members)  # a dormant slot cannot fail
+    plan = RecoveryManager().plan(ccp, [members[victim % len(members)]])
     assume(is_consistent_global_checkpoint(ccp, plan.recovery_line))
     return plan
 
 
-def _twins(num_processes: int):
-    """A lazy recorder and a twin whose tracker exists from event 0."""
-    lazy, eager = TraceRecorder(num_processes), TraceRecorder(num_processes)
+def _twins(num_processes: int, *, dormant: int = 0):
+    """A lazy recorder and a twin whose tracker exists from event 0, each with
+    ``dormant`` unjoined slots after its ``num_processes`` members."""
+    lazy, eager = (
+        TraceRecorder(num_processes + dormant, initial_members=range(num_processes))
+        for _ in range(2)
+    )
     eager.ccp()
     assert lazy.knowledge_tracker is None and eager.knowledge_tracker is not None
     return (lazy, TraceFeeder(lazy)), (eager, TraceFeeder(eager))
@@ -71,26 +79,21 @@ def checkpoint_snapshots(recorder: TraceRecorder):
 
 
 def _state(recorder: TraceRecorder):
-    """The tracker's whole state, snapshots padded to the current capacity.
-
-    Message and journal snapshots frozen before a membership growth are
-    legitimately shorter than ones taken by a replay at the grown capacity
-    (a missing column reads as -1), so the comparison pads them.
-    """
+    """The tracker's whole state; every vector in it is capacity-sized."""
     tracker = recorder.knowledge_tracker
     assert tracker is not None
-    n = tracker.num_processes
-
-    def pad(vector):
-        return tuple(vector) + (-1,) * (n - len(vector))
-
-    return {
-        "ck": [pad(row) for row in tracker.ck],
-        "ckpt_rows": {cid: pad(vector) for cid, vector in checkpoint_snapshots(recorder).items()},
-        "msg_ck": {mid: pad(vector) for mid, vector in tracker.msg_ck.items()},
-        "journal": [[(seq, pad(vector)) for seq, vector in entries] for entries in tracker.journal],
-        "base_ck": [pad(vector) for vector in tracker.base_ck],
+    state = {
+        "ck": [tuple(row) for row in tracker.ck],
+        "ckpt_rows": checkpoint_snapshots(recorder),
+        "ckpt_base": list(tracker.ckpt_base),
+        "msg_ck": dict(tracker.msg_ck),
+        "journal": [list(entries) for entries in tracker.journal],
+        "base_ck": list(tracker.base_ck),
     }
+    vectors = [*state["ck"], *state["ckpt_rows"].values(), *state["msg_ck"].values()]
+    vectors += state["base_ck"] + [vector for entries in state["journal"] for _, vector in entries]
+    assert {len(vector) for vector in vectors} == {tracker.num_processes}
+    return state
 
 
 class TestCatchUpEqualsEagerTwin:
@@ -135,11 +138,11 @@ class TestCatchUpEqualsEagerTwin:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds, instant=fractions)
-    def test_after_a_membership_growth(self, assert_view_matches_classic, seed, instant):
+    def test_after_a_mid_run_join(self, assert_view_matches_classic, seed, instant):
         num_processes, script = _script(seed)
-        (lazy, lazy_feeder), (eager, eager_feeder) = _twins(num_processes)
+        (lazy, lazy_feeder), (eager, eager_feeder) = _twins(num_processes, dormant=1)
         cut = int(instant * len(script))
-        joiner = num_processes  # one past the capacity: every structure grows
+        joiner = num_processes  # the dormant slot
         for recorder, feeder in ((lazy, lazy_feeder), (eager, eager_feeder)):
             feeder.feed(script[:cut])
             recorder.record_join(joiner, 1000.0)
@@ -191,9 +194,69 @@ class TestNoAnalysisNoTracker:
         runner.current_ccp()
         assert runner.trace.knowledge_tracker is not None
 
-    def test_pruning_recorder_tracks_from_event_zero(self):
-        # A compacted log cannot be replayed, so there is nothing to catch up from.
-        assert TraceRecorder(3, prune=True).knowledge_tracker is not None
+    def test_eliminations_alone_do_not_build_it_either(self):
+        # Only a compaction needs the tracker; floors moving below the
+        # threshold compact nothing.
+        recorder = TraceRecorder(2)
+        TraceFeeder(recorder).feed([("checkpoint", 0), ("send", 0, 1, 0), ("receive", 0)])
+        recorder.record_elimination(0, 0)
+        assert recorder.knowledge_tracker is None and recorder.pruned_events == 0
+
+
+def _theorem1_garbage(recorder: TraceRecorder):
+    """``(pid, index)`` of every stable checkpoint Theorem 1 proves obsolete."""
+    ccp = recorder.ccp()
+    retained = ccp.analyses.theorem1_retained
+    return [
+        (pid, index)
+        for pid in range(recorder.num_processes)
+        for index in range(ccp.base_interval(pid), recorder.checkpoints_taken[pid] - 1)
+        if CheckpointId(pid, index) not in retained
+    ]
+
+
+class TestBornBeforeTheFirstCompaction:
+    """A recorder first compacted before its first ``ccp()`` catches up on the
+    still whole log, and from there on is the twin tracked from event 0."""
+
+    @pytest.mark.parametrize("with_recovery", [False, True], ids=["plain", "after-a-recovery"])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, crash=fractions, instant=fractions, victim=st.integers(0, 5))
+    def test_compacted_before_its_first_ccp(self, with_recovery, seed, crash, instant, victim):
+        num_processes, script = _script(seed)
+        (lazy, lazy_feeder), (eager, eager_feeder) = _twins(num_processes)
+        twins = ((lazy, lazy_feeder), (eager, eager_feeder))
+        fed = 0
+        if with_recovery:
+            fed = int(crash * len(script))
+            lazy_feeder.feed(script[:fed])
+            eager_feeder.feed(script[:fed])
+            plan = _plan(eager, victim)
+            for recorder, feeder in twins:
+                recorder.apply_recovery(plan)
+                feeder.resync()
+        compact_at = fed + int(instant * (len(script) - fed))
+        lazy_feeder.feed(script[fed:compact_at])
+        eager_feeder.feed(script[fed:compact_at])
+        # The eager twin says what is garbage; both are told the same.
+        for pid, index in _theorem1_garbage(eager):
+            lazy.record_elimination(pid, index)
+            eager.record_elimination(pid, index)
+        assert lazy.knowledge_tracker is None  # nothing compacted yet, nothing asked
+        assert lazy.maybe_prune(force=True) == eager.maybe_prune(force=True)
+        assume(eager.pruned_events > 0)
+        assert lazy.knowledge_tracker is not None
+        assert lazy.pruned_events == eager.pruned_events
+        assert lazy.log.messages() == eager.log.messages()
+        assert _state(lazy) == _state(eager)
+        lazy_feeder.feed(script[compact_at:])
+        eager_feeder.feed(script[compact_at:])
+        assert _state(lazy) == _state(eager)
+        mine, twin = lazy.ccp().analyses, eager.ccp().analyses
+        assert mine.theorem1_retained == twin.theorem1_retained
+        assert mine.theorem2_retained == twin.theorem2_retained
+        for pid in range(num_processes):
+            assert mine.recovery_line({pid}) == twin.recovery_line({pid})
 
 
 class TestRecoveryKeepsEventObjects:
@@ -225,22 +288,20 @@ def _assert_knowledge_grows_along_checkpoints(recorder: TraceRecorder) -> None:
     of ``p`` to the next — the invariant ``IncrementalAnalysisView`` bisects on."""
     tracker = recorder.knowledge_tracker
     assert tracker is not None
-    n = tracker.num_processes
     frozen = checkpoint_snapshots(recorder)
-    for pid in range(n):
+    for pid in range(tracker.num_processes):
         window = range(recorder.log.checkpoint_base(pid), recorder.checkpoints_taken[pid])
         snapshots = [frozen[CheckpointId(pid, index)] for index in window] + [tracker.ck[pid]]
-        padded = [tuple(vector) + (-1,) * (n - len(vector)) for vector in snapshots]
-        for earlier, later in zip(padded, padded[1:]):
+        for earlier, later in zip(snapshots, snapshots[1:]):
             assert all(a <= b for a, b in zip(earlier, later)), (pid, earlier, later)
 
 
 class TestKnowledgeGrowsAlongCheckpoints:
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds, crash=fractions, victim=st.integers(0, 5))
-    def test_after_truncation_index_reuse_and_growth(self, seed, crash, victim):
+    def test_after_truncation_index_reuse_and_a_join(self, seed, crash, victim):
         num_processes, script = _script(seed)
-        recorder = TraceRecorder(num_processes)
+        recorder = TraceRecorder(num_processes + 1, initial_members=range(num_processes))
         feeder = TraceFeeder(recorder)
         crash_at = int(crash * len(script))
         feeder.feed(script[:crash_at])
@@ -255,7 +316,7 @@ class TestKnowledgeGrowsAlongCheckpoints:
         feeder.feed(script[crash_at:])  # reuses the rolled-back checkpoint indices
         _assert_knowledge_grows_along_checkpoints(recorder)
 
-    def test_on_a_pruned_churn_run(self):
+    def test_on_a_pruned_churn_run(self, pruning_runner):
         config = SimulationConfig(
             num_processes=4,
             duration=150.0,
@@ -263,9 +324,9 @@ class TestKnowledgeGrowsAlongCheckpoints:
             failures=FailureSchedule.of([(50.0, 3), (90.0, 0), (120.0, 1)]),
             seed=5,
             audit="full",
-            prune_trace=True,
         )
-        runner = SimulationRunner(config)
+        runner = pruning_runner(config)
+        runner.trace.ccp()  # tracked from event 0, so the early checks have a tracker to read
         for time in range(10, 150, 10):
             runner.engine.schedule_at(
                 float(time), lambda: _assert_knowledge_grows_along_checkpoints(runner.trace)

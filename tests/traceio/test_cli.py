@@ -112,6 +112,25 @@ class TestInspectAndDiff:
             for output in outputs
         )
 
+    def test_inspect_names_joins_leaves_and_the_schedule(self, tmp_path, capsys):
+        from repro import api
+
+        path = str(tmp_path / "dynamic.trace.jsonl")
+        api.run(api.load_spec({
+            "num_processes": 5, "duration": 100.0, "workload": "gossip", "seed": 3,
+            "membership": {"joins": [[20.0, 4]], "leaves": [[60.0, 1]]}, "trace": path,
+        }))
+        assert main(["inspect", path]) == 0
+        output = capsys.readouterr().out
+        assert "\n  membership:   p4 joins@20, p1 leaves@60\n" in output
+        assert " 1 joins, 1 leaves, " in output and " 1 j," not in output
+
+    def test_inspect_of_a_static_trace_mentions_no_membership(self, recorded, capsys):
+        for name in sorted(os.listdir(recorded["traces"])):
+            assert main(["inspect", os.path.join(recorded["traces"], name)]) == 0
+        output = capsys.readouterr().out
+        assert not any(word in output for word in ("membership", "joins", "leaves"))
+
     def test_diff_of_identical_traces_passes(self, recorded, capsys):
         names = sorted(os.listdir(recorded["traces"]))
         a = os.path.join(recorded["traces"], names[0])
