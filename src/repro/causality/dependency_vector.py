@@ -61,6 +61,11 @@ class DependencyVector:
     def __iter__(self) -> Iterator[int]:
         return iter(self._entries)
 
+    @property
+    def entries(self) -> Sequence[int]:
+        """The live entries, not a copy: for reading before the vector next changes."""
+        return self._entries
+
     def as_tuple(self) -> Tuple[int, ...]:
         """The entries as an immutable tuple."""
         return tuple(self._entries)

@@ -46,14 +46,9 @@ class UnsafeCanaryCollector(RdtLgcCollector):
     name = "canary-unsafe"
     claims_optimality = False
 
-    def on_receive(
-        self,
-        piggybacked: Sequence[int],
-        updated_entries: Sequence[int],
-        dv: Sequence[int],
-    ) -> None:
+    def on_receive(self, updated_entries: Sequence[int]) -> None:
         if updated_entries:
-            super().on_receive(piggybacked, updated_entries, dv)
+            super().on_receive(updated_entries)
             return
         # BUG: stale message => drop every peer-held retention reference.
         for entry in range(self._num_processes):

@@ -19,7 +19,7 @@ The split captures the paper's taxonomy directly:
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, ClassVar, List, Optional, Sequence
+from typing import Any, Callable, ClassVar, List, Optional, Sequence, Tuple
 
 from repro.storage.stable import StableStorage
 
@@ -46,6 +46,10 @@ class ControlPlane(abc.ABC):
     @abc.abstractmethod
     def current_time(self) -> float:
         """The current simulated time."""
+
+    @abc.abstractmethod
+    def current_dv(self) -> Tuple[int, ...]:
+        """The owning process's current dependency vector."""
 
 
 class GarbageCollector(abc.ABC):
@@ -134,19 +138,10 @@ class GarbageCollector(abc.ABC):
     # ------------------------------------------------------------------
     # Application-event hooks (all optional)
     # ------------------------------------------------------------------
-    def on_send(self, dv: Sequence[int]) -> None:
-        """An application message is about to be sent with piggyback ``dv``."""
-
-    def on_receive(
-        self,
-        piggybacked: Sequence[int],
-        updated_entries: Sequence[int],
-        dv: Sequence[int],
-    ) -> None:
+    def on_receive(self, updated_entries: Sequence[int]) -> None:
         """An application message was delivered.
 
-        ``updated_entries`` lists the dependency-vector entries that increased;
-        ``dv`` is the vector *after* the update.
+        ``updated_entries`` lists the dependency-vector entries that increased.
         """
 
     def on_checkpoint_stored(

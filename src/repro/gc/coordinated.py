@@ -90,7 +90,6 @@ class CoordinatedCollectorBase(GarbageCollector):
         self._epoch = 0
         self._round_id = 0
         self._pending_reports: Dict[int, GcReport] = {}
-        self._current_dv: Optional[Tuple[int, ...]] = None
         self._control_messages_sent = 0
         self._rounds_completed = 0
 
@@ -118,29 +117,6 @@ class CoordinatedCollectorBase(GarbageCollector):
     def on_control_plane_attached(self) -> None:
         if self.is_coordinator:
             self.control.schedule_timer(self._period)
-
-    # ------------------------------------------------------------------
-    # Keeping track of the local dependency vector
-    # ------------------------------------------------------------------
-    def on_send(self, dv: Sequence[int]) -> None:
-        self._current_dv = tuple(dv)
-
-    def on_receive(
-        self,
-        piggybacked: Sequence[int],
-        updated_entries: Sequence[int],
-        dv: Sequence[int],
-    ) -> None:
-        self._current_dv = tuple(dv)
-
-    def on_checkpoint_stored(
-        self, index: int, dv: Sequence[int], *, forced: bool, time: float
-    ) -> None:
-        # The vector stored with the checkpoint is the pre-increment DV; the
-        # process's current interval is one higher in its own entry.
-        current = list(dv)
-        current[self._pid] = index + 1
-        self._current_dv = tuple(current)
 
     # ------------------------------------------------------------------
     # Round protocol
@@ -204,18 +180,11 @@ class CoordinatedCollectorBase(GarbageCollector):
             (index, self._storage.get(index).dependency_vector)
             for index in self._storage.retained_indices()
         )
-        if self._current_dv is not None:
-            volatile = self._current_dv
-        else:
-            volatile = tuple(
-                (self._storage.last_index() + 1) if j == self._pid else 0
-                for j in range(self._num_processes)
-            )
         return GcReport(
             pid=self._pid,
             last_stable=self._storage.last_index(),
             checkpoints=checkpoints,
-            volatile_dv=volatile,
+            volatile_dv=self.control.current_dv(),
         )
 
     # ------------------------------------------------------------------
@@ -229,7 +198,6 @@ class CoordinatedCollectorBase(GarbageCollector):
     ) -> List[int]:
         self._epoch += 1
         self._pending_reports = {}
-        self._current_dv = tuple(dv)
         return []
 
     def on_peer_rollback(
@@ -237,7 +205,6 @@ class CoordinatedCollectorBase(GarbageCollector):
     ) -> List[int]:
         self._epoch += 1
         self._pending_reports = {}
-        self._current_dv = tuple(dv)
         return []
 
     # ------------------------------------------------------------------

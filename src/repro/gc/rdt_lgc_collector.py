@@ -54,12 +54,7 @@ class RdtLgcCollector(GarbageCollector):
     # ------------------------------------------------------------------
     # Algorithm 2
     # ------------------------------------------------------------------
-    def on_receive(
-        self,
-        piggybacked: Sequence[int],
-        updated_entries: Sequence[int],
-        dv: Sequence[int],
-    ) -> None:
+    def on_receive(self, updated_entries: Sequence[int]) -> None:
         """Re-point ``UC[j]`` at the last stable checkpoint for every new dependency."""
         for j in updated_entries:
             # A piggyback can carry transitive knowledge of a departed

@@ -265,13 +265,17 @@ class LiveCoordinator:
         return {str(pid): worker.udp_port for pid, worker in self._workers.items()}
 
     def _init_frame(
-        self, pid: int, *, lamport_floor: int = 0, restore: Optional[Dict[str, Any]] = None
+        self,
+        pid: int,
+        *,
+        lamport_floor: int = 0,
+        restore: Optional[Dict[str, Any]] = None,
+        crashed_at: Optional[float] = None,
     ) -> Dict[str, Any]:
         config = self._config
-        crash_floor = self._recoveries[-1].time if restore is not None else None
         actions = self._actions_by_pid.get(pid, [])
-        if crash_floor is not None:
-            actions = [action for action in actions if action[0] > crash_floor]
+        if crashed_at is not None:
+            actions = [action for action in actions if action[0] > crashed_at]
         return {
             "type": "init",
             "num_processes": config.num_processes,
@@ -365,10 +369,6 @@ class LiveCoordinator:
         volatile = {int(r["pid"]): tuple(int(v) for v in r["dv"]) for r in paused}
         ccp = recorder.ccp(volatile_dvs=volatile)
         plan = RecoveryManager().plan(ccp, [pid])
-        lost = sum(
-            ccp.volatile_index(p) - plan.recovery_line.indices[p]
-            for p in range(self._config.num_processes)
-        )
 
         collected = 0
         for worker in survivors:
@@ -404,34 +404,21 @@ class LiveCoordinator:
             default=0,
         )
 
-        self._recoveries.append(
-            RecoveryRecord(
-                time=crash_time,
-                faulty=(pid,),
-                recovery_line=plan.recovery_line.indices,
-                rolled_back_processes=len(plan.rollbacks),
-                lost_general_checkpoints=lost,
-                collected_during_recovery=collected,
-            )
-        )
         self._plans[self._epoch] = plan
         self._epoch += 1
         self._incarnations[pid] += 1
 
         respawned = await self._spawn_one(port, pid, self._incarnations[pid])
         await respawned.send(
-            self._init_frame(pid, lamport_floor=lamport_floor, restore=restore)
+            self._init_frame(
+                pid, lamport_floor=lamport_floor, restore=restore, crashed_at=crash_time
+            )
         )
         ready = await respawned.expect("ready", options.handshake_timeout)
+        # The respawn's restore eliminations belong to the session too.
         collected += int(ready.get("collected", 0))
-        # Patch the recorded session with the respawn's restore eliminations.
-        self._recoveries[-1] = RecoveryRecord(
-            time=crash_time,
-            faulty=(pid,),
-            recovery_line=plan.recovery_line.indices,
-            rolled_back_processes=len(plan.rollbacks),
-            lost_general_checkpoints=lost,
-            collected_during_recovery=collected,
+        self._recoveries.append(
+            RecoveryRecord.of(plan, ccp, time=crash_time, collected=collected)
         )
 
         peers = self._peer_map()

@@ -1,27 +1,27 @@
 """The live backend's :class:`repro.transport.Transport`: UDP + virtual time.
 
 One :class:`LiveTransport` runs inside each worker process and gives the
-node exactly the contract :class:`repro.transport.SimTransport` gives it in
-the simulator:
+node exactly the contract :class:`repro.simulation.network.Network` gives it
+in the simulator:
 
 * ``now()`` — *virtual* time: scaled monotonic wall time since the
   coordinator's start barrier, frozen while the coordinator pauses the
   system for a recovery session.  One simulated time unit corresponds to
   ``time_scale`` wall seconds, so latencies, timer cadences and failure
   schedules keep the same units as the simulator.
-* ``send_app_message`` — samples the message's fate from the *same*
-  :class:`~repro.simulation.channels.ChannelModel` the simulator would use,
-  with per-directed-link RNGs derived by the *same* seed construction
-  (``sha256(seed:net:label:sender:receiver)``), then injects the fate
-  physically: a loss never transmits, a duplicate transmits extra copies,
-  a latency delays the actual ``sendto``.  Partition cuts and the FIFO
-  discipline are honoured the same way.  The datagram leaves the socket
-  only after the node has durably recorded the send in its shard
+* ``send_app_message`` — asks the simulator's
+  :class:`~repro.simulation.network.LinkFates` for the message's fate (the
+  delivery instant of every surviving copy: send instant + latency, after
+  the partition gate and the FIFO clamp), then injects it physically: a
+  loss never transmits, a duplicate transmits extra copies, a copy's
+  ``sendto`` happens at its delivery instant.  The datagram leaves the
+  socket only after the node has durably recorded the send in its shard
   (:attr:`repro.live.shard.ShardWriter.after_send`), so a recorded receive
   always has a recorded send, even under SIGKILL.
-* ``send_control_message`` — reliable, unfiltered (the coordinated
-  baselines assume reliable control exchanges; loopback UDP delivers them),
-  pickled payloads (:mod:`repro.live.frames`).
+* ``send_control_message`` — reliable, unfiltered and undelayed: a control
+  message draws no latency here (the coordinated baselines assume reliable
+  control exchanges; loopback UDP delivers them), pickled payloads
+  (:mod:`repro.live.frames`).
 * ``schedule_timer`` — entries on the transport's virtual-time heap,
   driven by a single asyncio task; everything in the worker runs on one
   loop, so no locking anywhere.
@@ -36,12 +36,10 @@ are lost, per the paper's model).
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import heapq
-import random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.simulation.network import NetworkConfig, NetworkStats
+from repro.simulation.network import LinkFates, NetworkConfig
 from repro.transport.base import AppMessage, Transport
 
 from repro.live.frames import decode_datagram, encode_datagram, pack_payload, unpack_payload
@@ -54,22 +52,12 @@ _SENDER_STRIDE = 1_000_000_000
 _INCARNATION_STRIDE = 1_000_000
 
 
-def derive_link_rng(seed: int, label: str, sender: int, receiver: int) -> random.Random:
-    """The per-directed-link RNG, exactly as ``Network._link_rng`` derives it."""
-    digest = hashlib.sha256(
-        f"{seed}:net:{label}:{sender}:{receiver}".encode("utf-8")
-    ).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 class LiveTransport(Transport):
     """Datagram transport + virtual-time scheduler of one live worker."""
 
     def __init__(
         self,
         *,
-        pid: int,
-        num_processes: int,
         seed: int,
         network: NetworkConfig,
         time_scale: float,
@@ -78,11 +66,8 @@ class LiveTransport(Transport):
         epoch: int = 0,
         clock: Callable[[], float],
     ) -> None:
-        self._pid = pid
-        self._num_processes = num_processes
-        self._seed = seed
-        self._network = network
-        self._channel = network.resolve_channel()
+        self._fates = LinkFates(seed, network, incarnation=incarnation)
+        self.stats = self._fates.stats
         self._time_scale = time_scale
         self._shard = shard
         self._incarnation = incarnation
@@ -99,18 +84,14 @@ class LiveTransport(Transport):
         self._running = asyncio.Event()
         self._running.set()
         self._stopped = False
-        self._pending_out: Dict[int, Tuple[AppMessage, Tuple[float, ...]]] = {}
+        # Sent but not yet recorded: message and its copies' delivery instants.
+        self._pending_out: Dict[int, Tuple[AppMessage, List[float]]] = {}
         self._paused_control: List[Dict[str, Any]] = []
-        self._received: set[int] = set()
-        self._link_rngs: Dict[Tuple[str, int, int], random.Random] = {}
-        self._link_states: Dict[Tuple[int, int], Any] = {}
-        self._fifo_clock: Dict[Tuple[int, int], float] = {}
         self._peers: Dict[int, Tuple[str, int]] = {}
         self._udp: Optional[asyncio.DatagramTransport] = None
         self._deliver: Optional[Callable[[AppMessage], None]] = None
         self._deliver_duplicate: Optional[Callable[[AppMessage], None]] = None
         self._deliver_control: Optional[Callable[[int, Any], None]] = None
-        self.stats = NetworkStats()
         shard.after_send = self._transmit_recorded_send
 
     # ------------------------------------------------------------------
@@ -166,39 +147,24 @@ class LiveTransport(Transport):
     # Transport interface
     # ------------------------------------------------------------------
     def send_app_message(
-        self,
-        sender: int,
-        receiver: int,
-        piggyback: Tuple[int, ...],
-        payload: Any = None,
+        self, sender: int, receiver: int, piggyback: Tuple[int, ...]
     ) -> AppMessage:
-        """Sample the message's fate; transmission waits for the send record."""
-        message_id = (
-            sender * _SENDER_STRIDE
-            + self._incarnation * _INCARNATION_STRIDE
-            + self._next_seq
-        )
-        self._next_seq += 1
+        """Decide the message's fate; transmission waits for the send record."""
         message = AppMessage(
-            message_id=message_id,
+            message_id=(
+                sender * _SENDER_STRIDE
+                + self._incarnation * _INCARNATION_STRIDE
+                + self._next_seq
+            ),
             sender=sender,
             receiver=receiver,
             piggyback=tuple(piggyback),
-            payload=payload,
         )
-        self.stats.app_sent += 1
-        now = self.now()
-        if self._network.partitions.separated(sender, receiver, now):
-            self.stats.app_blocked_by_partition += 1
-            self._pending_out[message_id] = (message, ())
-            return message
-        rng = self._link_rng("app", sender, receiver)
-        latencies = tuple(
-            self._channel.sample(self._link_state(sender, receiver), sender, receiver, rng)
+        self._next_seq += 1
+        self._pending_out[message.message_id] = (
+            message,
+            self._fates.app_delivery_times(sender, receiver, self.now()),
         )
-        if not latencies:
-            self.stats.app_dropped += 1
-        self._pending_out[message_id] = (message, latencies)
         return message
 
     def _transmit_recorded_send(self, message_id: int) -> None:
@@ -206,14 +172,8 @@ class LiveTransport(Transport):
         pending = self._pending_out.pop(message_id, None)
         if pending is None:
             return
-        message, latencies = pending
-        now = self.now()
-        for latency in latencies:
-            delivery_time = now + latency
-            if self._network.fifo:
-                link = (message.sender, message.receiver)
-                delivery_time = max(delivery_time, self._fifo_clock.get(link, 0.0))
-                self._fifo_clock[link] = delivery_time
+        message, delivery_times = pending
+        for delivery_time in delivery_times:
             self._push(
                 delivery_time,
                 lambda m=message: self._transmit(m),
@@ -300,17 +260,14 @@ class LiveTransport(Transport):
             sender=int(frame["s"]),
             receiver=int(frame["r"]),
             piggyback=tuple(int(v) for v in frame["pb"]),
-            payload=None,
         )
-        if message.message_id in self._received:
-            self.stats.app_duplicates_delivered += 1
-            if self._deliver_duplicate is not None:
-                self._deliver_duplicate(message)
-            return
-        self._received.add(message.message_id)
-        self.stats.app_delivered += 1
-        if self._deliver is not None:
-            self._deliver(message)
+        handler = (
+            self._deliver
+            if self._fates.is_first_copy(message.message_id)
+            else self._deliver_duplicate
+        )
+        if handler is not None:
+            handler(message)
 
     # ------------------------------------------------------------------
     # Pause / resume (coordinator-driven recovery sessions)
@@ -363,42 +320,33 @@ class LiveTransport(Transport):
         self._next_heap_seq += 1
         self._wake.set()
 
+    def run_due(self) -> Optional[float]:
+        """Fire every entry due by now; the next entry's virtual time, if any."""
+        while self._heap:
+            vtime, _, epoch, callback = self._heap[0]
+            if vtime > self.now():
+                return vtime
+            heapq.heappop(self._heap)
+            if epoch is None or epoch == self._epoch:
+                callback()
+        return None
+
     async def run_scheduler(self) -> None:
         """Drive the virtual-time heap until :meth:`stop` (one task per worker)."""
         while not self._stopped:
             await self._running.wait()
             if self._stopped:
                 return
-            if not self._heap:
+            next_due = self.run_due()
+            if next_due is None:
                 await self._wake.wait()
                 self._wake.clear()
                 continue
-            vtime, _, epoch, callback = self._heap[0]
-            delay = (vtime - self.now()) * self._time_scale
-            if delay <= 0:
-                heapq.heappop(self._heap)
-                if epoch is None or epoch == self._epoch:
-                    callback()
-                continue
             try:
-                await asyncio.wait_for(self._wake.wait(), timeout=delay)
+                await asyncio.wait_for(
+                    self._wake.wait(),
+                    timeout=(next_due - self.now()) * self._time_scale,
+                )
                 self._wake.clear()
             except asyncio.TimeoutError:
                 pass
-
-    # ------------------------------------------------------------------
-    # Channel plumbing (same derivations as the simulator's Network)
-    # ------------------------------------------------------------------
-    def _link_rng(self, label: str, sender: int, receiver: int) -> random.Random:
-        key = (label, sender, receiver)
-        rng = self._link_rngs.get(key)
-        if rng is None:
-            rng = derive_link_rng(self._seed, label, sender, receiver)
-            self._link_rngs[key] = rng
-        return rng
-
-    def _link_state(self, sender: int, receiver: int) -> Any:
-        key = (sender, receiver)
-        if key not in self._link_states:
-            self._link_states[key] = self._channel.initial_state()
-        return self._link_states[key]

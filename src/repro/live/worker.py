@@ -41,15 +41,13 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import time as wall_time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.gc.registry import make_collector
-from repro.protocols.registry import make_protocol
 from repro.simulation.network import network_config_from_mapping
-from repro.simulation.node import SimulationNode
+from repro.simulation.node import SimulationNode, build_node
 from repro.simulation.workloads import Action, ActionKind
-from repro.storage.stable import StableStorage
 
 from repro.live.frames import read_frame, send_frame
 from repro.live.shard import ShardWriter
@@ -159,8 +157,6 @@ class LiveWorker:
             lamport=int(frame.get("lamport_floor", 0)),
         )
         self.transport = LiveTransport(
-            pid=self.pid,
-            num_processes=num_processes,
             seed=seed,
             network=network,
             time_scale=float(frame["time_scale"]),
@@ -174,15 +170,16 @@ class LiveWorker:
         self.transport.set_peers(
             {int(pid): ("127.0.0.1", int(port)) for pid, port in frame["peers"].items()}
         )
-        storage = StableStorage(self.pid)
-        protocol = make_protocol(str(frame["protocol"]), self.pid, num_processes)
-        collector = make_collector(
-            str(frame["collector"]),
+        node = self.node = build_node(
             self.pid,
             num_processes,
-            storage,
-            **dict(frame.get("collector_options", {})),
+            protocol=str(frame["protocol"]),
+            collector=str(frame["collector"]),
+            collector_options=frame.get("collector_options", {}),
+            transport=self.transport,
+            trace=self.shard,
         )
+        storage = node.storage
         restore = frame.get("restore")
         if restore is not None:
             # Reload the stable storage exactly as the coordinator
@@ -195,22 +192,12 @@ class LiveWorker:
                     forced=bool(forced),
                     time=float(ckpt_time),
                 )
-        self.node = SimulationNode(
-            self.pid,
-            num_processes,
-            transport=self.transport,
-            trace=self.shard,
-            protocol=protocol,
-            collector=collector,
-            storage=storage,
-        )
         shard = self.shard
-        collector.attach_elimination_listener(
+        node.collector.attach_elimination_listener(
             lambda index: shard.record_elimination(self.pid, index)
         )
-        self.transport.on_app_delivery(self.node.deliver)
-        self.transport.on_duplicate_delivery(self.node.deliver_duplicate)
-        node = self.node
+        self.transport.on_app_delivery(node.deliver)
+        self.transport.on_duplicate_delivery(node.deliver_duplicate)
         transport = self.transport
         self.transport.on_control_delivery(
             lambda sender, payload: node.collector.on_control_message(
@@ -220,7 +207,7 @@ class LiveWorker:
         if restore is not None:
             for index in restore.get("eliminated", ()):
                 storage.eliminate(int(index))
-            collected = self.node.apply_rollback(
+            collected = node.apply_rollback(
                 int(restore["rollback_index"]),
                 [int(v) for v in restore["last_interval_vector"]],
             )
@@ -229,13 +216,6 @@ class LiveWorker:
 
     def _schedule_actions(self, actions: Any) -> None:
         assert self.transport is not None and self.node is not None
-        node = self.node
-
-        def handler(action: Action) -> Any:
-            if action.kind is ActionKind.SEND:
-                return lambda: node.send_message(action.target)
-            return lambda: node.take_checkpoint(forced=False)
-
         for raw_time, raw_kind, raw_target in actions:
             action = Action(
                 time=float(raw_time),
@@ -243,7 +223,7 @@ class LiveWorker:
                 kind=ActionKind(raw_kind),
                 target=None if raw_target is None else int(raw_target),
             )
-            self.transport.schedule_at(action.time, handler(action))
+            self.transport.schedule_at(action.time, self.node.action_handler(action))
 
     def _handle_go(self, frame: Dict[str, Any]) -> None:
         assert self.transport is not None and self.node is not None
@@ -305,7 +285,6 @@ class LiveWorker:
         assert self.shard is not None and self._writer is not None
         self.transport.stop()
         node = self.node
-        stats = self.transport.stats
         send_frame(
             self._writer,
             {
@@ -319,16 +298,7 @@ class LiveWorker:
                 "total_eliminated": node.storage.total_eliminated(),
                 "basic_checkpoints": node.basic_checkpoints,
                 "forced_checkpoints": node.forced_checkpoints,
-                "stats": {
-                    "app_sent": stats.app_sent,
-                    "app_delivered": stats.app_delivered,
-                    "app_dropped": stats.app_dropped,
-                    "app_duplicates_delivered": stats.app_duplicates_delivered,
-                    "app_blocked_by_partition": stats.app_blocked_by_partition,
-                    "app_discarded_by_recovery": stats.app_discarded_by_recovery,
-                    "control_sent": stats.control_sent,
-                    "control_delivered": stats.control_delivered,
-                },
+                "stats": dataclasses.asdict(self.transport.stats),
             },
         )
         self.shard.close()

@@ -19,27 +19,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.scenarios.campaign.spec import CampaignCell, CampaignSpec
 from repro.scenarios.campaign.sqlstore import DEFAULT_LEASE, SQLResultStore
-from repro.simulation.runner import SimulationResult, run_simulation
+from repro.simulation.runner import METRIC_NAMES, SimulationResult, run_simulation
 
-#: The scalar metrics persisted per cell, in extraction order.  The values
-#: come from :meth:`repro.simulation.runner.SimulationResult.metrics_dict`
-#: (the canonical extraction, shared with trace footers); everything
-#: downstream (store, aggregation, tables) works from these names.
-CELL_METRICS: Tuple[str, ...] = (
-    "checkpoints",
-    "basic",
-    "forced",
-    "messages",
-    "control",
-    "collected",
-    "final_retained",
-    "max_per_process",
-    "peak_retained",
-    "collection_ratio",
-    "recoveries",
-    "duplicated",
-    "partition_blocked",
-)
+#: The scalar metrics persisted per cell, in extraction order — the names of
+#: :meth:`repro.simulation.runner.SimulationResult.metrics_dict` (shared
+#: with trace footers); everything downstream (store, aggregation, tables)
+#: works from these names.
+CELL_METRICS: Tuple[str, ...] = METRIC_NAMES
 
 
 def cell_metrics(result: SimulationResult) -> Dict[str, float]:

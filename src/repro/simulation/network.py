@@ -48,10 +48,11 @@ from repro.simulation.channels import (
     channel_from_mapping,
 )
 from repro.simulation.engine import SimulationEngine
-from repro.transport.base import AppMessage
+from repro.transport.base import AppMessage, Transport
 
 __all__ = [
     "AppMessage",
+    "LinkFates",
     "Network",
     "NetworkConfig",
     "NetworkStats",
@@ -193,8 +194,108 @@ class NetworkStats:
     partition_events: int = 0
 
 
-class Network:
-    """Point-to-point transport shared by all simulated processes."""
+class LinkFates:
+    """Decides what happens to every message of one run, link by link.
+
+    The one owner of the fault model's runtime, shared by both backends
+    (:class:`Network` schedules what it decides on the engine,
+    :class:`repro.live.transport.LiveTransport` injects it physically): the
+    private random streams of every directed link, the channel model's
+    per-link state, the partition gate, the FIFO clock, the first-copy /
+    duplicate classification of arrivals, and the :class:`NetworkStats`
+    those decisions feed.
+
+    ``incarnation`` is the live backend's: a respawned worker rebuilds its
+    transport from the run seed, and without a salt its outgoing links would
+    replay the draws of the killed incarnation where the simulator's streams
+    continue.  Incarnation 0 derives the unsalted streams, so a crash-free
+    live run draws exactly the simulator's values.
+    """
+
+    def __init__(self, seed: int, config: NetworkConfig, *, incarnation: int = 0) -> None:
+        self._stream = f"{seed}:net" if incarnation == 0 else f"{seed}:net@{incarnation}"
+        self._channel = config.resolve_channel()
+        self._partitions = config.partitions
+        self._fifo = config.fifo
+        self._link_rngs: Dict[Tuple[str, int, int], random.Random] = {}
+        self._link_states: Dict[Tuple[int, int], LinkState] = {}
+        self._fifo_clock: Dict[Tuple[int, int], float] = {}
+        # Messages whose first copy already landed: later copies are
+        # duplicate deliveries.
+        self._received: set[int] = set()
+        self.stats = NetworkStats()
+
+    def _link_rng(self, label: str, sender: int, receiver: int) -> random.Random:
+        key = (label, sender, receiver)
+        rng = self._link_rngs.get(key)
+        if rng is None:
+            digest = hashlib.sha256(
+                f"{self._stream}:{label}:{sender}:{receiver}".encode("utf-8")
+            ).digest()
+            rng = random.Random(int.from_bytes(digest[:8], "big"))
+            self._link_rngs[key] = rng
+        return rng
+
+    def _link_state(self, sender: int, receiver: int) -> LinkState:
+        key = (sender, receiver)
+        if key not in self._link_states:
+            self._link_states[key] = self._channel.initial_state()
+        return self._link_states[key]
+
+    def app_delivery_times(self, sender: int, receiver: int, now: float) -> List[float]:
+        """The fate of an application message sent at ``now``.
+
+        One delivery instant per copy that reaches the receiver: none when
+        an active partition blocks the link or the channel loses the
+        message, several when it duplicates it.
+        """
+        self.stats.app_sent += 1
+        if self._partitions.separated(sender, receiver, now):
+            self.stats.app_blocked_by_partition += 1
+            return []
+        rng = self._link_rng("app", sender, receiver)
+        latencies = self._channel.sample(
+            self._link_state(sender, receiver), sender, receiver, rng
+        )
+        if not latencies:
+            self.stats.app_dropped += 1
+            return []
+        times = [now + latency for latency in latencies]
+        if self._fifo:
+            # FIFO discipline: a copy never overtakes an earlier copy on the
+            # same link; equal times fall back to the backend's scheduling-
+            # order tiebreak, which is send order.
+            link = (sender, receiver)
+            clock = self._fifo_clock.get(link, 0.0)
+            for index, time in enumerate(times):
+                times[index] = clock = max(time, clock)
+            self._fifo_clock[link] = clock
+        return times
+
+    def control_latency(self, sender: int, receiver: int) -> float:
+        """The latency of a control message, from the link's control stream."""
+        rng = self._link_rng("control", sender, receiver)
+        return self._channel.sample_latency(
+            self._link_state(sender, receiver), sender, receiver, rng
+        )
+
+    def is_first_copy(self, message_id: int) -> bool:
+        """Classify (and count) an arriving copy: fresh message or duplicate."""
+        if message_id in self._received:
+            self.stats.app_duplicates_delivered += 1
+            return False
+        self._received.add(message_id)
+        self.stats.app_delivered += 1
+        return True
+
+
+class Network(Transport):
+    """The simulator's :class:`Transport`: one in-process network for all nodes.
+
+    :class:`LinkFates` decides every message's fate; what is left here is
+    scheduling the surviving copies on the engine, their custody while in
+    flight, and the :class:`ScheduleController` hand-off.
+    """
 
     def __init__(
         self,
@@ -202,8 +303,9 @@ class Network:
         config: Optional[NetworkConfig] = None,
     ) -> None:
         self._engine = engine
-        self._config = config if config is not None else NetworkConfig()
-        self._channel = self._config.resolve_channel()
+        config = config if config is not None else NetworkConfig()
+        self._fates = LinkFates(engine.seed, config)
+        self.stats = self._fates.stats
         self._app_handler: Optional[Callable[[AppMessage], None]] = None
         self._duplicate_handler: Optional[Callable[[AppMessage], None]] = None
         self._control_handler: Optional[Callable[[int, int, Any], None]] = None
@@ -212,33 +314,19 @@ class Network:
         self._next_message_id = 0
         self._next_delivery_id = 0
         # In-transit copies keyed by a per-copy delivery id (a duplicated
-        # message has several copies in flight at once); `_received` marks
-        # messages whose first copy already landed, so later copies are
-        # classified as duplicate deliveries.
+        # message has several copies in flight at once).
         self._in_flight: Dict[int, AppMessage] = {}
-        self._received: set[int] = set()
-        # Per-directed-link state: private random streams (derived from the
-        # engine seed, never drawn from the shared engine generator — see the
-        # module docstring), channel runtime state, and the FIFO clock.
-        self._link_rngs: Dict[Tuple[str, int, int], random.Random] = {}
-        self._link_states: Dict[Tuple[int, int], LinkState] = {}
-        self._fifo_clock: Dict[Tuple[int, int], float] = {}
-        self.stats = NetworkStats()
-        self._schedule_partition_transitions()
+        for time, kind, partition in config.partitions.transitions():
+            engine.schedule_at(
+                time,
+                lambda kind=kind, partition=partition: self._partition_transition(
+                    kind, partition.groups
+                ),
+            )
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    @property
-    def config(self) -> NetworkConfig:
-        """The transport parameters."""
-        return self._config
-
-    @property
-    def channel(self) -> ChannelModel:
-        """The effective channel model."""
-        return self._channel
-
     def on_app_delivery(self, handler: Callable[[AppMessage], None]) -> None:
         """Register the callback invoked when an application message is delivered."""
         self._app_handler = handler
@@ -268,37 +356,19 @@ class Network:
         self._controller = controller
 
     # ------------------------------------------------------------------
-    # Per-link state
+    # Clock and timers
     # ------------------------------------------------------------------
-    def _link_rng(self, label: str, sender: int, receiver: int) -> random.Random:
-        key = (label, sender, receiver)
-        rng = self._link_rngs.get(key)
-        if rng is None:
-            digest = hashlib.sha256(
-                f"{self._engine.seed}:net:{label}:{sender}:{receiver}".encode("utf-8")
-            ).digest()
-            rng = random.Random(int.from_bytes(digest[:8], "big"))
-            self._link_rngs[key] = rng
-        return rng
+    def now(self) -> float:
+        """The engine's virtual time."""
+        return self._engine.now
 
-    def _link_state(self, sender: int, receiver: int) -> LinkState:
-        key = (sender, receiver)
-        if key not in self._link_states:
-            self._link_states[key] = self._channel.initial_state()
-        return self._link_states[key]
+    def schedule_timer(self, delay: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` on the engine ``delay`` time units from now."""
+        self._engine.schedule_after(delay, callback)
 
     # ------------------------------------------------------------------
     # Partitions
     # ------------------------------------------------------------------
-    def _schedule_partition_transitions(self) -> None:
-        for time, kind, partition in self._config.partitions.transitions():
-            self._engine.schedule_at(
-                time,
-                lambda kind=kind, partition=partition: self._partition_transition(
-                    kind, partition.groups
-                ),
-            )
-
     def _partition_transition(self, kind: str, groups: Tuple[Tuple[int, ...], ...]) -> None:
         self.stats.partition_events += 1
         if self._partition_hook is not None:
@@ -308,11 +378,7 @@ class Network:
     # Application messages
     # ------------------------------------------------------------------
     def send_app_message(
-        self,
-        sender: int,
-        receiver: int,
-        piggyback: Tuple[int, ...],
-        payload: Any = None,
+        self, sender: int, receiver: int, piggyback: Tuple[int, ...]
     ) -> AppMessage:
         """Send an application message; returns the in-transit record."""
         message = AppMessage(
@@ -320,30 +386,11 @@ class Network:
             sender=sender,
             receiver=receiver,
             piggyback=tuple(piggyback),
-            payload=payload,
         )
         self._next_message_id += 1
-        self.stats.app_sent += 1
-        now = self._engine.now
-        if self._config.partitions.separated(sender, receiver, now):
-            self.stats.app_blocked_by_partition += 1
-            return message
-        rng = self._link_rng("app", sender, receiver)
-        latencies = self._channel.sample(
-            self._link_state(sender, receiver), sender, receiver, rng
-        )
-        if not latencies:
-            self.stats.app_dropped += 1
-            return message
-        for latency in latencies:
-            delivery_time = now + latency
-            if self._config.fifo:
-                # FIFO discipline: a copy never overtakes an earlier copy on
-                # the same link; equal times fall back to the engine's
-                # scheduling-order tiebreak, which is send order.
-                link = (sender, receiver)
-                delivery_time = max(delivery_time, self._fifo_clock.get(link, 0.0))
-                self._fifo_clock[link] = delivery_time
+        for delivery_time in self._fates.app_delivery_times(
+            sender, receiver, self._engine.now
+        ):
             delivery_id = self._next_delivery_id
             self._next_delivery_id += 1
             self._in_flight[delivery_id] = message
@@ -370,18 +417,14 @@ class Network:
         message = self._in_flight.pop(delivery_id, None)
         if message is None:
             return  # discarded by a recovery session while in transit
-        if message.message_id in self._received:
-            # A later copy of an already-delivered message: a duplicate.
-            self.stats.app_duplicates_delivered += 1
+        if self._fates.is_first_copy(message.message_id):
+            if self._app_handler is None:
+                raise RuntimeError("no application delivery handler registered")
+            self._app_handler(message)
+        else:
             if self._duplicate_handler is None:
                 raise RuntimeError("no duplicate delivery handler registered")
             self._duplicate_handler(message)
-            return
-        self._received.add(message.message_id)
-        self.stats.app_delivered += 1
-        if self._app_handler is None:
-            raise RuntimeError("no application delivery handler registered")
-        self._app_handler(message)
 
     def in_flight_count(self) -> int:
         """Number of application message copies currently in transit."""
@@ -425,10 +468,6 @@ class Network:
         """Send a reliable control message (never dropped, duplicated or
         blocked by partitions; latency follows the link's channel model)."""
         self.stats.control_sent += 1
-        rng = self._link_rng("control", sender, receiver)
-        latency = self._channel.sample_latency(
-            self._link_state(sender, receiver), sender, receiver, rng
-        )
 
         def deliver() -> None:
             self.stats.control_delivered += 1
@@ -436,4 +475,6 @@ class Network:
                 raise RuntimeError("no control delivery handler registered")
             self._control_handler(sender, receiver, payload)
 
-        self._engine.schedule_after(latency, deliver)
+        self._engine.schedule_after(
+            self._fates.control_latency(sender, receiver), deliver
+        )

@@ -10,13 +10,14 @@ stable storage and the message I/O.  The *policies* are plugged in:
   eliminate (and may, for the coordinated baselines, use the node's control
   plane).
 
-The node talks to its environment exclusively through a
+The node talks to its environment exclusively through the four calls of a
 :class:`repro.transport.Transport` — clock, application sends, control
 sends, timers — so the same middleware runs unchanged inside the
-discrete-event simulator (:class:`repro.transport.SimTransport`) and as a
-real OS process on UDP sockets (:class:`repro.live.transport.LiveTransport`).
-Despite the class name (kept for continuity), nothing in here is
-simulation-specific.
+discrete-event simulator (:class:`repro.simulation.network.Network`) and as
+a real OS process on UDP sockets (:class:`repro.live.transport.LiveTransport`).
+Both backends build their nodes with :func:`build_node` and turn workload
+actions into callbacks with :meth:`SimulationNode.action_handler`.  Despite
+the class name (kept for continuity), nothing in here is simulation-specific.
 
 The event ordering required by Section 4.5 — a forced checkpoint triggered by
 a message is stored *before* the receipt is processed and before any garbage
@@ -25,11 +26,15 @@ collection related to that receipt — is enforced in :meth:`deliver`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.causality.dependency_vector import DependencyVector
 from repro.gc.base import ControlPlane, GarbageCollector
+from repro.gc.registry import make_collector
+from repro.membership import MembershipView
 from repro.protocols.base import CheckpointingProtocol
+from repro.protocols.registry import make_protocol
+from repro.simulation.workloads import Action, ActionKind
 from repro.storage.stable import StableStorage
 from repro.transport.base import AppMessage, TraceRecorderPort, Transport
 
@@ -58,6 +63,9 @@ class _NodeControlPlane(ControlPlane):
 
     def current_time(self) -> float:
         return self._node.transport.now()
+
+    def current_dv(self) -> Tuple[int, ...]:
+        return self._node.current_dv
 
 
 class SimulationNode:
@@ -152,17 +160,47 @@ class SimulationNode:
         """Store the initial stable checkpoint ``s_pid^0`` (the model requires it)."""
         self.take_checkpoint(forced=False)
 
-    def send_message(self, destination: int, payload: Any = None) -> None:
+    def action_handler(
+        self, action: Action, members: Optional[MembershipView] = None
+    ) -> Callable[[], None]:
+        """The callback that performs workload ``action`` on this process.
+
+        With ``members`` (a dynamic-membership run) the action happens only
+        if every pid it touches is a member when the callback fires:
+        workloads draw actions over the full capacity, and the application
+        knows its membership.
+        """
+        if action.kind is ActionKind.SEND:
+            target = action.target
+            touched = (self._pid, target)
+
+            def act() -> None:
+                self.send_message(target)
+
+        else:
+            touched = (self._pid,)
+
+            def act() -> None:
+                self.take_checkpoint(forced=False)
+
+        if members is None:
+            return act
+
+        def act_if_members() -> None:
+            if all(members.is_member(pid) for pid in touched):
+                act()
+
+        return act_if_members
+
+    def send_message(self, destination: int) -> None:
         """Send an application message to ``destination``."""
         if self._inert:
             return
         if destination == self._pid:
             raise ValueError("a process does not send application messages to itself")
         self._protocol.notify_send()
-        self._collector.on_send(self._dv.as_tuple())
-        piggyback = self._dv.piggyback()
         message = self._transport.send_app_message(
-            self._pid, destination, piggyback, payload
+            self._pid, destination, self._dv.piggyback()
         )
         self._trace.record_send(
             self._pid, destination, message.message_id, self._transport.now()
@@ -195,12 +233,12 @@ class SimulationNode:
         """The delivery path shared by fresh and duplicate copies; False if inert."""
         if self._inert:
             return False
-        if self._protocol.should_force_checkpoint(self._dv.as_tuple(), message.piggyback):
+        if self._protocol.should_force_checkpoint(self._dv.entries, message.piggyback):
             self.take_checkpoint(forced=True)
         record(message.message_id, self._transport.now())
         updated = self._dv.absorb(message.piggyback)
         self._protocol.notify_receive()
-        self._collector.on_receive(message.piggyback, updated, self._dv.as_tuple())
+        self._collector.on_receive(updated)
         return True
 
     def take_checkpoint(self, *, forced: bool = False, payload: Any = None) -> int:
@@ -228,7 +266,6 @@ class SimulationNode:
     def crash(self) -> None:
         """Lose the volatile state; the process stays down until recovery."""
         self._crashed = True
-        self._transport.on_crash(self._pid)
 
     def depart(self) -> List[int]:
         """Permanently retire from the membership.
@@ -244,7 +281,6 @@ class SimulationNode:
             raise RuntimeError(f"process {self._pid} already departed")
         collected = self._collector.on_departure_self()
         self._departed = True
-        self._transport.on_crash(self._pid)
         return collected
 
     def apply_rollback(
@@ -269,7 +305,6 @@ class SimulationNode:
         )
         self._crashed = False
         self.rollbacks += 1
-        self._transport.on_recover(self._pid)
         return collected
 
     def apply_peer_rollback(self, last_interval_vector: Sequence[int]) -> List[int]:
@@ -277,3 +312,28 @@ class SimulationNode:
         return self._collector.on_peer_rollback(
             last_interval_vector, self._dv.as_tuple()
         )
+
+
+def build_node(
+    pid: int,
+    num_processes: int,
+    *,
+    protocol: str,
+    collector: str,
+    collector_options: Mapping[str, Any],
+    transport: Transport,
+    trace: TraceRecorderPort,
+) -> SimulationNode:
+    """One process's middleware stack, from registry names, on ``transport``."""
+    storage = StableStorage(pid)
+    return SimulationNode(
+        pid,
+        num_processes,
+        transport=transport,
+        trace=trace,
+        protocol=make_protocol(protocol, pid, num_processes),
+        collector=make_collector(
+            collector, pid, num_processes, storage, **dict(collector_options)
+        ),
+        storage=storage,
+    )

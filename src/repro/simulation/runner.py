@@ -18,18 +18,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.ccp.pattern import CCP
 from repro.core.optimality import GcAudit, audit_garbage_collection
-from repro.gc.registry import make_collector
 from repro.membership import MembershipSchedule
-from repro.protocols.registry import make_protocol
 from repro.recovery.manager import RecoveryManager
+from repro.recovery.rollback_plan import RollbackPlan
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.failures import FailureSchedule
 from repro.simulation.network import AppMessage, Network, NetworkConfig, PartitionEvent
-from repro.simulation.node import SimulationNode
+from repro.simulation.node import SimulationNode, build_node
 from repro.simulation.trace import TraceRecorder
-from repro.simulation.workloads import Action, ActionKind, Workload
-from repro.storage.stable import StableStorage
-from repro.transport.sim import SimTransport
+from repro.simulation.workloads import Workload
 
 
 @dataclass(frozen=True)
@@ -111,6 +108,23 @@ class RecoveryRecord:
     rolled_back_processes: int
     lost_general_checkpoints: int
     collected_during_recovery: int
+
+    @classmethod
+    def of(
+        cls, plan: RollbackPlan, ccp: CCP, *, time: float, collected: int
+    ) -> "RecoveryRecord":
+        """The summary of the session that executed ``plan`` on ``ccp``."""
+        line = plan.recovery_line.indices
+        return cls(
+            time=time,
+            faulty=plan.faulty,
+            recovery_line=line,
+            rolled_back_processes=len(plan.rollbacks),
+            lost_general_checkpoints=sum(
+                ccp.volatile_index(pid) - index for pid, index in enumerate(line)
+            ),
+            collected_during_recovery=collected,
+        )
 
 
 @dataclass(frozen=True)
@@ -205,29 +219,8 @@ class SimulationResult:
         return all(audit.is_optimal for audit in self.audits)
 
     def metrics_dict(self) -> Dict[str, float]:
-        """The scalar per-run metrics persisted by campaign stores and traces.
-
-        This is the canonical extraction: the campaign executor's
-        ``cell_metrics`` delegates here, and
-        :func:`repro.traceio.format.metrics_from_record` mirrors it key for
-        key so a persisted trace can reproduce campaign aggregates without
-        re-simulation.
-        """
-        return {
-            "checkpoints": self.total_checkpoints,
-            "basic": self.basic_checkpoints,
-            "forced": self.forced_checkpoints,
-            "messages": self.messages_sent,
-            "control": self.control_messages,
-            "collected": self.total_collected,
-            "final_retained": self.total_retained_final,
-            "max_per_process": self.max_retained_any_process,
-            "peak_retained": self.peak_total_retained,
-            "collection_ratio": self.collection_ratio,
-            "recoveries": len(self.recoveries),
-            "duplicated": self.messages_duplicated,
-            "partition_blocked": self.messages_blocked_by_partition,
-        }
+        """The scalar per-run metrics persisted by campaign stores and traces."""
+        return metrics_from_record(result_to_record(self))
 
     def summary(self) -> Dict[str, Any]:
         """A flat dictionary of the headline numbers (used by report tables)."""
@@ -248,6 +241,73 @@ class SimulationResult:
         }
 
 
+def result_to_record(result: SimulationResult) -> Dict[str, Any]:
+    """The scalar result record persisted in a trace footer.
+
+    Everything a consumer needs to re-derive the per-run metrics without
+    re-simulation, including the sample-derived peak (the samples are
+    streamed as ``S`` records, but the peak is stored so metrics survive
+    even a trace whose samples were pruned).
+    """
+    return {
+        "protocol": result.protocol,
+        "collector": result.collector,
+        "duration": result.duration,
+        "basic_checkpoints": result.basic_checkpoints,
+        "forced_checkpoints": result.forced_checkpoints,
+        "messages_sent": result.messages_sent,
+        "messages_delivered": result.messages_delivered,
+        "messages_dropped": result.messages_dropped,
+        "messages_duplicated": result.messages_duplicated,
+        "messages_blocked_by_partition": result.messages_blocked_by_partition,
+        "control_messages": result.control_messages,
+        "total_collected": result.total_collected,
+        "retained_final": list(result.retained_final),
+        "max_retained_per_process": list(result.max_retained_per_process),
+        "total_stored": result.total_stored,
+        "peak_total_retained": result.peak_total_retained,
+        "collection_ratio": result.collection_ratio,
+        "recoveries": len(result.recoveries),
+        "audits": len(result.audits),
+        "all_audits_safe": result.all_audits_safe,
+        "all_audits_optimal": result.all_audits_optimal,
+    }
+
+
+#: The per-run metrics, in persisted order: name → derivation from a result
+#: record (:func:`result_to_record`).  The one list of metric names —
+#: campaign stores, aggregates and trace footers all read it.
+_METRICS: Dict[str, Callable[[Mapping[str, Any]], Optional[float]]] = {
+    "checkpoints": lambda r: r["basic_checkpoints"] + r["forced_checkpoints"],
+    "basic": lambda r: r["basic_checkpoints"],
+    "forced": lambda r: r["forced_checkpoints"],
+    "messages": lambda r: r["messages_sent"],
+    "control": lambda r: r["control_messages"],
+    "collected": lambda r: r["total_collected"],
+    "final_retained": lambda r: sum(r["retained_final"]),
+    "max_per_process": lambda r: max(r["max_retained_per_process"], default=0),
+    "peak_retained": lambda r: r["peak_total_retained"],
+    "collection_ratio": lambda r: r["collection_ratio"],
+    "recoveries": lambda r: r["recoveries"],
+    # Version-1 result records predate the two fault-model counters: a
+    # metric whose source is absent is left out, which keeps v1 footers
+    # verifying (their stored metrics lack the keys too).
+    "duplicated": lambda r: r.get("messages_duplicated"),
+    "partition_blocked": lambda r: r.get("messages_blocked_by_partition"),
+}
+METRIC_NAMES: Tuple[str, ...] = tuple(_METRICS)
+
+
+def metrics_from_record(record: Mapping[str, Any]) -> Dict[str, float]:
+    """The per-run metrics of a result record (live, or read from a footer).
+
+    Being the one derivation is what lets a campaign be re-aggregated from
+    its trace artifacts alone with byte-identical output.
+    """
+    derived = ((name, derive(record)) for name, derive in _METRICS.items())
+    return {name: value for name, value in derived if value is not None}
+
+
 class SimulationRunner:
     """Builds and runs one experiment from a :class:`SimulationConfig`."""
 
@@ -260,7 +320,6 @@ class SimulationRunner:
         self._config = config
         self._engine = SimulationEngine(seed=config.seed)
         self._network = Network(self._engine, config.network)
-        self._transport = SimTransport(self._engine, self._network)
         self._trace = TraceRecorder(
             config.num_processes,
             # Static membership passes None so the recorder is bit-for-bit
@@ -284,7 +343,18 @@ class SimulationRunner:
             self._writer = TraceWriter(config.trace_path, config)
             self._trace.attach_sink(self._writer)
         try:
-            self._build_nodes()
+            self._nodes = [
+                build_node(
+                    pid,
+                    config.num_processes,
+                    protocol=config.protocol,
+                    collector=config.collector,
+                    collector_options=config.collector_options,
+                    transport=self._network,
+                    trace=self._trace,
+                )
+                for pid in range(config.num_processes)
+            ]
             self._network.on_app_delivery(self._deliver_app)
             self._network.on_duplicate_delivery(self._deliver_duplicate)
             self._network.on_control_delivery(self._deliver_control)
@@ -298,31 +368,8 @@ class SimulationRunner:
             raise
 
     # ------------------------------------------------------------------
-    # Construction
+    # Introspection
     # ------------------------------------------------------------------
-    def _build_nodes(self) -> None:
-        config = self._config
-        for pid in range(config.num_processes):
-            storage = StableStorage(pid)
-            protocol = make_protocol(config.protocol, pid, config.num_processes)
-            collector = make_collector(
-                config.collector,
-                pid,
-                config.num_processes,
-                storage,
-                **dict(config.collector_options),
-            )
-            node = SimulationNode(
-                pid,
-                config.num_processes,
-                transport=self._transport,
-                trace=self._trace,
-                protocol=protocol,
-                collector=collector,
-                storage=storage,
-            )
-            self._nodes.append(node)
-
     @property
     def nodes(self) -> List[SimulationNode]:
         """The simulated processes (useful for tests and custom drivers)."""
@@ -334,13 +381,8 @@ class SimulationRunner:
         return self._engine
 
     @property
-    def transport(self) -> SimTransport:
-        """The transport facade the nodes run on."""
-        return self._transport
-
-    @property
     def network(self) -> Network:
-        """The shared transport (useful for custom drivers and the explorer)."""
+        """The transport the nodes run on (custom drivers, the explorer)."""
         return self._network
 
     @property
@@ -413,8 +455,13 @@ class SimulationRunner:
         actions = config.workload.generate(
             config.num_processes, config.duration, self._engine.rng
         )
+        # Static membership passes no view: nothing to check at fire time.
+        acting_members = self._trace.membership if config.membership else None
         for action in actions:
-            self._engine.schedule_at(action.time, self._make_action_handler(action))
+            self._engine.schedule_at(
+                action.time,
+                self._nodes[action.pid].action_handler(action, acting_members),
+            )
         for crash in config.failures:
             self._engine.schedule_at(
                 crash.time, lambda pid=crash.pid: self._handle_crash(pid)
@@ -428,30 +475,6 @@ class SimulationRunner:
         if config.audit != "off":
             self._run_audit("final")
         return self._build_result()
-
-    def _make_action_handler(self, action: Action) -> Callable[[], None]:
-        node = self._nodes[action.pid]
-        if not self._config.membership:
-            if action.kind is ActionKind.SEND:
-                return lambda: node.send_message(action.target)
-            return lambda: node.take_checkpoint(forced=False)
-        # Dynamic membership: workloads draw actions over the full capacity,
-        # so actions touching a pid that is dormant or departed at fire time
-        # simply do not happen (the application knows its membership).
-        members = self._trace.membership
-        if action.kind is ActionKind.SEND:
-
-            def send() -> None:
-                if members.is_member(action.pid) and members.is_member(action.target):
-                    node.send_message(action.target)
-
-            return send
-
-        def checkpoint() -> None:
-            if members.is_member(action.pid):
-                node.take_checkpoint(forced=False)
-
-        return checkpoint
 
     # ------------------------------------------------------------------
     # Sampling and audits
@@ -568,19 +591,8 @@ class SimulationRunner:
                     process.apply_peer_rollback(plan.last_interval_vector)
                 )
         self._trace.apply_recovery(plan)
-        lost = sum(
-            ccp.volatile_index(p) - plan.recovery_line.indices[p]
-            for p in range(self._config.num_processes)
-        )
         self._recoveries.append(
-            RecoveryRecord(
-                time=self._engine.now,
-                faulty=(pid,),
-                recovery_line=plan.recovery_line.indices,
-                rolled_back_processes=len(plan.rollbacks),
-                lost_general_checkpoints=lost,
-                collected_during_recovery=collected,
-            )
+            RecoveryRecord.of(plan, ccp, time=self._engine.now, collected=collected)
         )
         if self._config.audit != "off":
             self._run_audit(f"after-recovery@{self._engine.now:.1f}")

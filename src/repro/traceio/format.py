@@ -86,8 +86,12 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, TYPE_CHECKING
 
+# Re-exported: the result record and its metrics are defined once, next to
+# SimulationResult.
+from repro.simulation.runner import metrics_from_record, result_to_record  # noqa: F401
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simulation.runner import SimulationConfig, SimulationResult
+    from repro.simulation.runner import SimulationConfig
 
 #: Magic string identifying trace files (header ``format`` key).
 FORMAT_NAME = "repro-trace"
@@ -342,77 +346,6 @@ def validate_header(header: Any, *, path: str = "<trace>") -> Dict[str, Any]:
     if not isinstance(num_processes, int) or num_processes <= 0:
         raise TraceFormatError(f"{path}: invalid num_processes {num_processes!r}")
     return header
-
-
-# ----------------------------------------------------------------------
-# Result records and metrics
-# ----------------------------------------------------------------------
-def result_to_record(result: "SimulationResult") -> Dict[str, Any]:
-    """The scalar result record persisted in the footer.
-
-    Everything a consumer needs to re-derive the per-cell campaign metrics
-    without re-simulation, including the sample-derived peak (the samples are
-    streamed as ``S`` records, but the peak is stored so metrics survive even
-    a trace whose samples were pruned).
-    """
-    return {
-        "protocol": result.protocol,
-        "collector": result.collector,
-        "duration": result.duration,
-        "basic_checkpoints": result.basic_checkpoints,
-        "forced_checkpoints": result.forced_checkpoints,
-        "messages_sent": result.messages_sent,
-        "messages_delivered": result.messages_delivered,
-        "messages_dropped": result.messages_dropped,
-        "messages_duplicated": result.messages_duplicated,
-        "messages_blocked_by_partition": result.messages_blocked_by_partition,
-        "control_messages": result.control_messages,
-        "total_collected": result.total_collected,
-        "retained_final": list(result.retained_final),
-        "max_retained_per_process": list(result.max_retained_per_process),
-        "total_stored": result.total_stored,
-        "peak_total_retained": result.peak_total_retained,
-        "collection_ratio": result.collection_ratio,
-        "recoveries": len(result.recoveries),
-        "audits": len(result.audits),
-        "all_audits_safe": result.all_audits_safe,
-        "all_audits_optimal": result.all_audits_optimal,
-    }
-
-
-def metrics_from_record(record: Mapping[str, Any]) -> Dict[str, float]:
-    """Re-derive the per-cell campaign metrics from a footer result record.
-
-    Mirrors :meth:`repro.simulation.runner.SimulationResult.metrics_dict`
-    key for key (a round-trip test pins the two together), which is what
-    lets a campaign be re-aggregated from its trace artifacts alone with
-    byte-identical output.
-    """
-    metrics: Dict[str, float] = {
-        "checkpoints": record["basic_checkpoints"] + record["forced_checkpoints"],
-        "basic": record["basic_checkpoints"],
-        "forced": record["forced_checkpoints"],
-        "messages": record["messages_sent"],
-        "control": record["control_messages"],
-        "collected": record["total_collected"],
-        "final_retained": sum(record["retained_final"]),
-        "max_per_process": (
-            max(record["max_retained_per_process"])
-            if record["max_retained_per_process"]
-            else 0
-        ),
-        "peak_retained": record["peak_total_retained"],
-        "collection_ratio": record["collection_ratio"],
-        "recoveries": record["recoveries"],
-    }
-    # Version-1 result records predate the fault-model counters; mirroring
-    # them only when present keeps v1 footers verifying cleanly (their
-    # stored metrics lack the keys too) while v2 records always carry them.
-    if "messages_duplicated" in record:
-        metrics["duplicated"] = record["messages_duplicated"]
-    if "messages_blocked_by_partition" in record:
-        metrics["partition_blocked"] = record["messages_blocked_by_partition"]
-    return metrics
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,7 @@ from repro.traceio.format import (
     make_footer,
     make_header,
     make_scripted_header,
+    metrics_from_record,
     result_to_record,
 )
 
@@ -211,7 +212,7 @@ class TraceWriter:
                 events=self._events,
                 status="ok",
                 result=record,
-                metrics=result.metrics_dict(),
+                metrics=metrics_from_record(record),
                 final_volatile_dvs=final_volatile_dvs,
             )
         )

@@ -1,21 +1,19 @@
 """Transport abstraction: the seam between the middleware and its world.
 
 The checkpointing middleware (:class:`repro.simulation.node.SimulationNode`,
-its control plane, the protocols and the garbage collectors) never talks to
-the :class:`repro.simulation.engine.SimulationEngine` or the
-:class:`repro.simulation.network.Network` directly — it talks to a
-:class:`Transport`.  Two implementations exist:
+its control plane, the protocols and the garbage collectors) talks to its
+environment only through a :class:`Transport`.  Two implementations exist:
 
-* :class:`SimTransport` — a thin facade over the discrete-event simulator
-  (virtual clock, in-process network).  It adds no behaviour of its own, so
-  seeded simulated executions are byte-identical to the pre-abstraction
-  stack (gated by ``tests/traceio/test_golden_traces.py``).
+* :class:`repro.simulation.network.Network` — the discrete-event simulator
+  (the engine's virtual clock, one in-process network for all nodes).
 * :class:`repro.live.transport.LiveTransport` — real OS processes exchanging
-  UDP datagrams on localhost, with wall-clock timers and sender-side fault
-  injection mirroring the simulator's :class:`ChannelModel` semantics.
+  UDP datagrams on localhost, with scaled wall-clock timers.
+
+Both draw every message's fate (loss, duplication, latency, partition gate,
+FIFO clamp) from :class:`repro.simulation.network.LinkFates`, so a live run
+injects physically the very values the simulator schedules.
 """
 
 from repro.transport.base import AppMessage, TraceRecorderPort, Transport
-from repro.transport.sim import SimTransport
 
-__all__ = ["AppMessage", "SimTransport", "TraceRecorderPort", "Transport"]
+__all__ = ["AppMessage", "TraceRecorderPort", "Transport"]

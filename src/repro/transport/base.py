@@ -1,11 +1,10 @@
 """The :class:`Transport` interface and the message/recorder contracts.
 
-Everything the middleware needs from its environment fits in five calls:
-a clock, application sends, control sends, timers, and crash/recover
-notifications.  The paper's model needs nothing more — the piggybacked
-dependency vector is the only control information on application messages,
-and the coordinated baselines only add reliable control exchanges and
-timers.
+Everything the middleware needs from its environment fits in four calls:
+a clock, application sends, control sends and timers.  The paper's model
+needs nothing more — the piggybacked dependency vector is the only control
+information on application messages, and the coordinated baselines only add
+reliable control exchanges and timers.
 
 :class:`AppMessage` lives here (re-exported by
 :mod:`repro.simulation.network` for compatibility) because it is part of
@@ -32,7 +31,6 @@ class AppMessage:
     sender: int
     receiver: int
     piggyback: Tuple[int, ...]
-    payload: Any = None
 
 
 @runtime_checkable
@@ -85,9 +83,11 @@ class Transport(abc.ABC):
     * :meth:`schedule_timer` fires ``callback`` once, ``delay`` clock units
       from now, on the thread/task that drives the middleware (no locking
       needed in callbacks).
-    * :meth:`on_crash` / :meth:`on_recover` notify the backend that the
-      middleware changed liveness state; backends without crash mechanics
-      ignore them.
+
+    Both backends — :class:`repro.simulation.network.Network` and
+    :class:`repro.live.transport.LiveTransport` — implement exactly these
+    four calls, and draw every message's fate from one
+    :class:`repro.simulation.network.LinkFates`.
     """
 
     @abc.abstractmethod
@@ -96,11 +96,7 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def send_app_message(
-        self,
-        sender: int,
-        receiver: int,
-        piggyback: Tuple[int, ...],
-        payload: Any = None,
+        self, sender: int, receiver: int, piggyback: Tuple[int, ...]
     ) -> AppMessage:
         """Send an application message; returns the in-transit record."""
 
@@ -111,9 +107,3 @@ class Transport(abc.ABC):
     @abc.abstractmethod
     def schedule_timer(self, delay: float, callback: Callable[[], None]) -> None:
         """Invoke ``callback`` once, ``delay`` clock units from now."""
-
-    def on_crash(self, pid: int) -> None:
-        """The middleware of ``pid`` lost its volatile state."""
-
-    def on_recover(self, pid: int) -> None:
-        """The middleware of ``pid`` completed a rollback and is live again."""

@@ -97,7 +97,7 @@ class TestRdtLgcCollectorAdapter:
 
             def on_receive(self, piggyback):
                 updated = self.dv.absorb(piggyback)
-                self.collector.on_receive(piggyback, updated, self.dv.as_tuple())
+                self.collector.on_receive(updated)
                 return updated
 
             def state_view(self):

@@ -341,6 +341,29 @@ def test_no_run_option_is_out_of_the_doors_reach():
     ]
 
 
+def test_the_transport_contract_is_what_both_backends_implement():
+    """``Transport`` cannot outgrow its backends (every call it declares is
+    abstract and defined by both), and the live transport cannot grow its own
+    fate derivation back (that is ``LinkFates``'s, in the simulator)."""
+    import ast
+    import inspect
+    from repro.live import transport as live_transport
+    from repro.simulation.network import Network
+    from repro.transport.base import Transport
+
+    declared = {name for name, member in vars(Transport).items() if inspect.isfunction(member)}
+    assert declared == Transport.__abstractmethods__ and len(declared) == 4
+    for backend in (Network, live_transport.LiveTransport):
+        assert declared <= set(vars(backend)), backend.__name__
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(live_transport))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert not imported & {"hashlib", "random"}
+
+
 @pytest.mark.parametrize("command", ["campaign", "query aggregate", "trace replay"])
 def test_a_group_by_typo_is_one_error_line_from_every_command(command, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"

@@ -161,10 +161,10 @@ class TestNetwork:
 
     def test_app_message_delivery(self):
         engine, network, delivered, _ = self._build(jitter=0.0)
-        network.send_app_message(0, 1, (1, 0), payload="hello")
+        network.send_app_message(0, 1, (1, 0))
         engine.run()
         assert len(delivered) == 1
-        assert delivered[0].payload == "hello"
+        assert delivered[0].piggyback == (1, 0)
         assert network.stats.app_delivered == 1
 
     def test_message_loss(self):

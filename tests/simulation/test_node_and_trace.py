@@ -11,13 +11,11 @@ from repro.simulation.network import Network, NetworkConfig
 from repro.simulation.node import SimulationNode
 from repro.simulation.trace import TraceRecorder
 from repro.storage.stable import StableStorage
-from repro.transport.sim import SimTransport
 
 
 def _build_pair():
     engine = SimulationEngine(seed=0)
     network = Network(engine, NetworkConfig(jitter=0.0))
-    transport = SimTransport(engine, network)
     trace = TraceRecorder(2)
     nodes = []
     for pid in range(2):
@@ -26,7 +24,7 @@ def _build_pair():
             SimulationNode(
                 pid,
                 2,
-                transport=transport,
+                transport=network,
                 trace=trace,
                 protocol=FixedDependencyAfterSendProtocol(pid, 2),
                 collector=RdtLgcCollector(pid, 2, storage),

@@ -1,4 +1,4 @@
-"""SimTransport regression gate: byte-identical traces for seeded runs.
+"""Simulator regression gate: byte-identical traces for seeded runs.
 
 The transport refactor's non-negotiable invariant is that simulated
 executions are unchanged: for every seeded run, the v2 trace artifact
