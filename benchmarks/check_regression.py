@@ -47,6 +47,13 @@ run.  The path allocates one record per event and one per message state and
 keeps no second message table; a shadow structure or a per-field
 ``__init__`` growing back shows up as tens of lines per occurrence.
 
+The **message-path** gate (``--smoke`` only) counts every line the same run
+executes — the whole ``runner.run()``, recorder unread — per application
+message: what the middleware costs (engine, network, node, protocol,
+collector, storage) when nobody asks for the log.  Building the log of an
+unread run again, or a per-entry call chain growing back into the receive
+path, shows up as tens of lines per message.
+
 The **trace-codec** gate (``--smoke`` only) counts the same way on the same
 run with a trace attached: lines executed inside ``TraceWriter.on_send/
 on_receive/on_checkpoint/write_sample`` per record written, and inside
@@ -117,6 +124,11 @@ SESSION_COST_GROWTH_CEILING = 2.0
 # when the gate was added, so ~25 % headroom; 61.4 on its parent commit, with
 # the recorder's shadow message tables and dataclass records).
 RECORDING_LINES_CEILING = 36.0
+# Message-path gate, on the same run with the recorder unread: lines executed
+# by the whole runner.run() per application message (274.6 when the gate was
+# added, so ~15 % headroom; 355.6 on its parent commit, which built the
+# event log of a run nobody read and re-linked UC through two calls per entry).
+MESSAGE_PATH_LINES_CEILING = 316.0
 # Trace-codec gate, on the same run with a trace attached: lines per record
 # written and per line read back (13.9 and 16.0 when the gate was added; 53.4
 # and 38.0 on its parent commit, which called json.dumps/json.loads and a
@@ -389,7 +401,10 @@ def recording_lines_per_occurrence() -> float:
     A failure-free 8-process FDAS + RDT-LGC run with the audit off, so no
     knowledge tracker exists and the recorder does nothing but record; only
     the three ``TraceRecorder.record_*`` calls are traced (their callees in
-    the ``EventLog`` included), not the simulation around them.
+    the ``EventLog`` included), not the simulation around them.  Reading
+    ``runner.trace`` before ``run()`` is what makes this run record as it
+    happens (an unread one would not reach the recorder at all): the gate
+    keeps measuring the recorder's own path.
     """
     from repro.simulation.runner import SimulationRunner
 
@@ -401,6 +416,36 @@ def recording_lines_per_occurrence() -> float:
     if result.messages_sent == 0 or runner.trace.knowledge_tracker is not None:
         raise RuntimeError("the recording-path gate's own run went wrong")
     return counter.lines / counter.calls
+
+
+def message_path_lines_per_message() -> float:
+    """Python lines executed by the whole ``runner.run()`` per application message.
+
+    The recording-path gate's run with the recorder left unread: engine,
+    network, node, protocol, collector and storage — and nothing of
+    ``TraceRecorder`` / ``EventLog``, which such a run does not reach.
+    """
+    from repro.simulation.runner import SimulationRunner
+
+    runner = SimulationRunner(_recording_run_config())
+    counter = _LineCounter()
+    with counter:
+        result = runner.run()
+    if result.messages_sent == 0 or result.recoveries or result.audits:
+        raise RuntimeError("the message-path gate's own run went wrong")
+    return counter.lines / result.messages_sent
+
+
+def check_message_path_cost(*, ceiling: float = MESSAGE_PATH_LINES_CEILING) -> List[str]:
+    """Gate: an unread run costs its middleware, not a log nobody asked for."""
+    lines = message_path_lines_per_message()
+    if lines > ceiling:
+        return [
+            f"an unread run executes {lines:.1f} Python lines per application "
+            f"message (allowed {ceiling:.1f}): the engine / network / node / "
+            f"collector path regrew, or the run builds its log again"
+        ]
+    return []
 
 
 def check_recording_path_cost(*, ceiling: float = RECORDING_LINES_CEILING) -> List[str]:
@@ -649,6 +694,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.smoke:
         standalone_violations += check_recovery_session_scaling()
         standalone_violations += check_recording_path_cost()
+        standalone_violations += check_message_path_cost()
         standalone_violations += check_trace_codec_cost()
         standalone_violations += check_retained_set_cost()
         standalone_violations += check_store_cost()
@@ -706,7 +752,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     memory_note = "skipped" if args.skip_memory else "within threshold"
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
-        f"session scaling, recording-path, trace-codec, retained-set and store-cost gates "
+        f"session scaling, recording-path, message-path, trace-codec, retained-set and "
+        f"store-cost gates "
         f"{'ok' if args.smoke else 'skipped (--smoke only)'}, "
         f"campaign gate {campaign_note}, memory gate {memory_note} — ok"
     )

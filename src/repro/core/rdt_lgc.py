@@ -146,9 +146,7 @@ class RdtLgc:
                 "rollback?)"
             )
         updated = self._dv.absorb(piggybacked)
-        for j in updated:
-            self._uc.release(j)
-            self._uc.link(j, self._pid)
+        self._uc.relink(updated, self._pid)
         return updated
 
     def on_checkpoint(

@@ -15,11 +15,18 @@ bookkeeping itself).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.ccb import CheckpointControlBlock
 
 EliminateCallback = Callable[[int], None]
+
+
+def _null_link_target(j: int, i: int) -> RuntimeError:
+    return RuntimeError(
+        f"link({j}, {i}) with UC[{i}] = Null: the process has not taken "
+        "its initial checkpoint yet"
+    )
 
 
 class UncollectedTable:
@@ -62,16 +69,35 @@ class UncollectedTable:
         """Procedure ``link(j, i)``: make ``UC[j]`` reference the same CCB as ``UC[i]``."""
         target = self._entries[i]
         if target is None:
-            raise RuntimeError(
-                f"link({j}, {i}) with UC[{i}] = Null: the process has not taken "
-                "its initial checkpoint yet"
-            )
+            raise _null_link_target(j, i)
         if self._entries[j] is not None:
             raise RuntimeError(
                 f"link({j}, {i}) would overwrite a live reference; call release({j}) first"
             )
         self._entries[j] = target
         target.acquire()
+
+    def relink(self, updated: Iterable[int], i: int) -> None:
+        """Algorithm 2's receive loop: ``release(j); link(j, i)`` for every ``j`` in ``updated``.
+
+        One procedure instead of two calls per entry (a receive updates
+        O(n) entries): the same reference counts, the same eliminations in
+        the same order and the same two errors as the literal sequence.
+        """
+        entries = self._entries
+        for j in updated:
+            ccb = entries[j]
+            if ccb is not None:
+                if ccb.ref_count > 1:
+                    ccb.ref_count -= 1
+                elif ccb.release():  # refuses a release too many itself
+                    self._eliminate(ccb.index)
+                entries[j] = None
+            target = entries[i]
+            if target is None:
+                raise _null_link_target(j, i)
+            entries[j] = target
+            target.ref_count += 1
 
     def new_ccb(self, j: int, index: int) -> CheckpointControlBlock:
         """Procedure ``newCCB(j, ind)``: create a CCB for checkpoint ``index``."""

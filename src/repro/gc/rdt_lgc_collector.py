@@ -56,13 +56,13 @@ class RdtLgcCollector(GarbageCollector):
     # ------------------------------------------------------------------
     def on_receive(self, updated_entries: Sequence[int]) -> None:
         """Re-point ``UC[j]`` at the last stable checkpoint for every new dependency."""
-        for j in updated_entries:
+        if self._departed_peers:
             # A piggyback can carry transitive knowledge of a departed
             # process; it is never again a reason to retain anything.
-            if j in self._departed_peers:
-                continue
-            self._uc.release(j)
-            self._uc.link(j, self._pid)
+            updated_entries = [
+                j for j in updated_entries if j not in self._departed_peers
+            ]
+        self._uc.relink(updated_entries, self._pid)
 
     def on_checkpoint_stored(
         self, index: int, dv: Sequence[int], *, forced: bool, time: float

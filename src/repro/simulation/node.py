@@ -19,6 +19,12 @@ Both backends build their nodes with :func:`build_node` and turn workload
 actions into callbacks with :meth:`SimulationNode.action_handler`.  Despite
 the class name (kept for continuity), nothing in here is simulation-specific.
 
+What the node records goes into a :class:`repro.transport.TraceRecorderPort`,
+and a port may apply it to a recorder later than it happened (the simulator's
+runner does, on a run nobody reads).  A refusal that must happen at the call
+— a self-send, a destination outside the process set — is therefore the
+node's own, made before the protocol or the transport hear of the send.
+
 The event ordering required by Section 4.5 — a forced checkpoint triggered by
 a message is stored *before* the receipt is processed and before any garbage
 collection related to that receipt — is enforced in :meth:`deliver`.
@@ -198,6 +204,13 @@ class SimulationNode:
             return
         if destination == self._pid:
             raise ValueError("a process does not send application messages to itself")
+        if not 0 <= destination < self._num_processes:
+            # Refused before the transport counts it, draws its fate and puts
+            # a copy in flight towards a process that does not exist.
+            raise ValueError(
+                f"unknown destination process {destination}: the run has "
+                f"{self._num_processes} processes"
+            )
         self._protocol.notify_send()
         message = self._transport.send_app_message(
             self._pid, destination, self._dv.piggyback()

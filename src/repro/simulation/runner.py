@@ -5,13 +5,22 @@ nodes (protocol + collector + storage), workload, failure injection and the
 optional online audits, runs the experiment and returns a
 :class:`SimulationResult` with everything the analysis layer and the
 benchmarks need.
+
+The recorder sits behind its readers.  A run whose log nobody reads — no
+trace writer, no crash, no audit, no ``keep_final_ccp`` — keeps its nodes'
+``record_*`` occurrences in arrival order and never builds the event log; the
+first read (:attr:`SimulationRunner.trace`, :meth:`SimulationRunner.current_ccp`,
+a recovery session) applies them to the one :class:`TraceRecorder` through
+the calls the nodes would have made, and from then on every occurrence is
+forwarded as it happens.  There is no option: what is read is recorded,
+validated and forwarded to the sinks exactly as if it had been from the start.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, TYPE_CHECKING, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traceio.writer import TraceWriter
@@ -308,8 +317,92 @@ def metrics_from_record(record: Mapping[str, Any]) -> Dict[str, float]:
     return {name: value for name, value in derived if value is not None}
 
 
+class _ReadOnDemandRecorder:
+    """The nodes' :class:`~repro.transport.TraceRecorderPort` on a run nobody reads yet.
+
+    Keeps the four ``record_*`` occurrences in arrival order instead of
+    building the log; :meth:`read` applies them to the recorder through the
+    very calls the nodes would have made (so validation, sinks, tracker and
+    version behave as on an eager run) and hands the recorder out.  The
+    switch is one-way: from the first read on every call is forwarded as it
+    happens, so a recorder reference taken early never shows a stale log.
+    """
+
+    def __init__(self, recorder: TraceRecorder) -> None:
+        self._recorder = recorder
+        #: ``(recorder method name, *arguments)`` per occurrence; None once read.
+        self._kept: Optional[List[Tuple[Any, ...]]] = []
+
+    def record_send(
+        self, sender: int, receiver: int, message_id: int, time: float
+    ) -> None:
+        if self._kept is None:
+            self._recorder.record_send(sender, receiver, message_id, time)
+        else:
+            self._kept.append(("record_send", sender, receiver, message_id, time))
+
+    def record_receive(self, message_id: int, time: float) -> None:
+        if self._kept is None:
+            self._recorder.record_receive(message_id, time)
+        else:
+            self._kept.append(("record_receive", message_id, time))
+
+    def record_duplicate_receive(self, message_id: int, time: float) -> None:
+        if self._kept is None:
+            self._recorder.record_duplicate_receive(message_id, time)
+        else:
+            self._kept.append(("record_duplicate_receive", message_id, time))
+
+    def record_checkpoint(
+        self,
+        pid: int,
+        index: int,
+        dependency_vector: Sequence[int],
+        *,
+        forced: bool,
+        time: float,
+    ) -> None:
+        if self._kept is None:
+            self._recorder.record_checkpoint(
+                pid, index, dependency_vector, forced=forced, time=time
+            )
+        else:
+            # The node hands over the immutable snapshot it also stored.
+            self._kept.append(("record_checkpoint", pid, index, dependency_vector, forced, time))
+
+    def read(self) -> TraceRecorder:
+        """The recorder, brought up to date with everything kept so far."""
+        kept, self._kept = self._kept, None
+        refused: Optional[Exception] = None
+        for name, *arguments in kept or ():
+            try:
+                if name == "record_checkpoint":
+                    pid, index, vector, forced, time = arguments
+                    self._recorder.record_checkpoint(
+                        pid, index, vector, forced=forced, time=time
+                    )
+                else:
+                    getattr(self._recorder, name)(*arguments)
+            except Exception as error:
+                # An eager run would have died of the first refusal: it is
+                # re-raised, once the occurrences behind it reached the
+                # recorder too (the port is already forwarding).
+                if refused is None:
+                    refused = error
+        if refused is not None:
+            raise refused
+        return self._recorder
+
+
 class SimulationRunner:
-    """Builds and runs one experiment from a :class:`SimulationConfig`."""
+    """Builds and runs one experiment from a :class:`SimulationConfig`.
+
+    The run's occurrences reach the :class:`TraceRecorder` at the first read
+    (:attr:`trace`, :meth:`current_ccp`, a recovery session): a run whose log
+    nobody reads does not build it.  A run that is read from construction — a
+    trace writer is attached, or the membership is dynamic and a non-member's
+    event must fail at the call — records as it happens.
+    """
 
     def __init__(self, config: SimulationConfig) -> None:
         if config.backend != "sim":
@@ -329,6 +422,13 @@ class SimulationRunner:
                 if config.membership
                 else None
             ),
+        )
+        # Read from construction (a sink attached, or a non-member's event to
+        # refuse at the call): the nodes record into the recorder itself.
+        self._unread: Optional[_ReadOnDemandRecorder] = (
+            None
+            if config.trace_path is not None or config.membership
+            else _ReadOnDemandRecorder(self._trace)
         )
         self._recovery_manager = RecoveryManager()
         self._nodes: List[SimulationNode] = []
@@ -351,7 +451,7 @@ class SimulationRunner:
                     collector=config.collector,
                     collector_options=config.collector_options,
                     transport=self._network,
-                    trace=self._trace,
+                    trace=self._trace if self._unread is None else self._unread,
                 )
                 for pid in range(config.num_processes)
             ]
@@ -387,8 +487,8 @@ class SimulationRunner:
 
     @property
     def trace(self) -> TraceRecorder:
-        """The global trace recorder."""
-        return self._trace
+        """The global trace recorder, holding every occurrence up to now."""
+        return self._trace if self._unread is None else self._unread.read()
 
     @property
     def recoveries(self) -> List[RecoveryRecord]:
@@ -506,7 +606,7 @@ class SimulationRunner:
         actually changed since the previous call.
         """
         volatile = {node.pid: node.current_dv for node in self._nodes}
-        return self._trace.ccp(volatile_dvs=volatile)
+        return self.trace.ccp(volatile_dvs=volatile)
 
     def _run_audit(self, label: str) -> GcAudit:
         ccp = self.current_ccp()
@@ -590,7 +690,7 @@ class SimulationRunner:
                 collected += len(
                     process.apply_peer_rollback(plan.last_interval_vector)
                 )
-        self._trace.apply_recovery(plan)
+        self.trace.apply_recovery(plan)
         self._recoveries.append(
             RecoveryRecord.of(plan, ccp, time=self._engine.now, collected=collected)
         )

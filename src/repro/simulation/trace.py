@@ -28,7 +28,13 @@ current log at the first :meth:`ccp` or immediately before the first
 compaction, whichever comes first (the log is whole at both instants, so the
 catch-up is exact), and the ``record_*`` methods keep it current in O(P) per
 event from then on.  A run that asks for no analysis and compacts nothing
-does no per-event analysis work.
+does no per-event analysis work — and under the simulator such a run does
+not reach the recorder at all until somebody reads it: the
+:class:`~repro.simulation.runner.SimulationRunner` keeps its nodes'
+occurrences and applies them, through these same ``record_*`` calls and in
+arrival order, at the first read (``runner.trace``, a ``ccp()``, a recovery
+session).  The recorder has one recording path and cannot tell the
+difference, except in time.
 
 A driver that feeds the recorder the obsolescence decisions collectors emit
 (:meth:`record_elimination`) lets it *compact*: once a contiguous prefix of a

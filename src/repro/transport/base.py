@@ -12,7 +12,8 @@ the transport contract, not of any one backend.
 
 :class:`TraceRecorderPort` is the structural type of the middleware's trace
 dependency: the simulator hands nodes the global
-:class:`repro.simulation.trace.TraceRecorder`, the live backend hands each
+:class:`repro.simulation.trace.TraceRecorder` (or, while nobody reads it, the
+runner's port that keeps the occurrences for it), the live backend hands each
 worker a per-process shard recorder — the node cannot tell the difference.
 """
 
@@ -38,8 +39,9 @@ class TraceRecorderPort(Protocol):
     """What the middleware records its execution into.
 
     Structurally satisfied by :class:`repro.simulation.trace.TraceRecorder`
-    (the simulator's global recorder) and by the live backend's per-process
-    shard recorder.  Times are always supplied by the caller, sourced from
+    (the simulator's global recorder), by the runner's read-on-demand port in
+    front of it and by the live backend's per-process shard recorder.  Times
+    are always supplied by the caller, sourced from
     :meth:`Transport.now` — the recorder has no clock of its own.
     """
 

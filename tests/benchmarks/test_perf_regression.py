@@ -11,10 +11,12 @@ gate (peak traced bytes must stay within 20% of the committed baseline), the
 recovery-session scaling gate (a session may cost at most 2x more after a
 4x longer warm-up history), the recording-path gate (executed lines per
 recorded send/receive/checkpoint under an absolute ceiling), the
-trace-codec gate (executed lines per trace record written and per trace line
-read back, under one ceiling), the retained-set gate (executed lines per
-``(i, f)`` pair of a Theorem-1/2 retained set) and the store-cost gate (SQLite connections
-opened per stored sweep and SQL statements per completed cell).
+message-path gate (executed lines of a whole unread run per application
+message), the trace-codec gate (executed lines per trace record written and
+per trace line read back, under one ceiling), the retained-set gate (executed
+lines per ``(i, f)`` pair of a Theorem-1/2 retained set) and the store-cost
+gate (SQLite connections opened per stored sweep and SQL statements per
+completed cell).
 """
 
 import json
@@ -106,8 +108,8 @@ def test_smoke_regression_check_passes(committed_document):
     gate (a ratio of two executed-line counts, a function of the seed alone):
     replaying or rescanning the history per session reads ~3.6x against its
     2x ceiling, and the violation printed on stderr names it.  The
-    recording-path, trace-codec, retained-set and store-cost gates run here
-    too and have their own tests below.
+    recording-path, message-path, trace-codec, retained-set and store-cost
+    gates run here too and have their own tests below.
     """
     from benchmarks.check_regression import main
 
@@ -126,6 +128,32 @@ def test_recording_path_stays_under_its_line_ceiling():
     assert check_recording_path_cost() == []
     (violation,) = check_recording_path_cost(ceiling=1.0)  # the gate can fire
     assert "TraceRecorder.record_*" in violation
+
+
+def test_message_path_stays_under_its_line_ceiling(monkeypatch):
+    """An unread run costs its middleware: it does not build a log nobody asked for.
+
+    An executed-line count of the whole ``runner.run()`` per application
+    message (a function of the seed alone).  The gate can fire: a run whose
+    recorder is read from construction builds its log as it happens — an
+    ``Event``, a ``Message`` and a history entry per occurrence, what every
+    run did on the runner this gate was added against, at 355.6 lines per
+    message — and the violation names the path.
+    """
+    from benchmarks.check_regression import check_message_path_cost
+    from repro.simulation.runner import SimulationRunner
+
+    assert check_message_path_cost() == []
+
+    build = SimulationRunner.__init__
+
+    def build_and_read(runner, config):
+        build(runner, config)
+        runner.trace
+
+    monkeypatch.setattr(SimulationRunner, "__init__", build_and_read)
+    (violation,) = check_message_path_cost()
+    assert "builds its log again" in violation
 
 
 def test_trace_codec_stays_under_its_line_ceiling():

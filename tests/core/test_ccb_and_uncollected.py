@@ -2,6 +2,9 @@
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.ccb import CheckpointControlBlock
 from repro.core.uncollected import UncollectedTable
 
@@ -117,3 +120,102 @@ class TestRebuild:
         table = UncollectedTable(2)
         with pytest.raises(KeyError):
             table.rebuild({0: 7}, stored_indices=[0, 1])
+
+
+@st.composite
+def _tables_and_receives(draw):
+    """A recipe for a random ``UC`` table plus a receive's ``(updated, i)``.
+
+    Entry ``j`` is ``Null``, a fresh CCB, or linked to an earlier live entry;
+    some CCBs then lose references behind the table's back (the state in
+    which a release too many is refused).
+    """
+    size = draw(st.integers(min_value=1, max_value=6))
+    entries = []
+    for j in range(size):
+        live = [k for k, entry in enumerate(entries) if entry is not None]
+        kinds = ["null", "new"] + (["link"] if live else [])
+        kind = draw(st.sampled_from(kinds))
+        entries.append(
+            None if kind == "null" else "new" if kind == "new" else draw(st.sampled_from(live))
+        )
+    stolen = draw(st.lists(st.integers(min_value=0, max_value=size - 1), max_size=2))
+    updated = draw(st.lists(st.integers(min_value=0, max_value=size - 1), max_size=8))
+    i = draw(st.integers(min_value=0, max_value=size - 1))
+    if draw(st.booleans()):
+        # What a receive looks like in a run: UC[i] is live, not itself updated.
+        entries[i] = entries[i] if entries[i] is not None else "new"
+        stolen, updated = [], [j for j in updated if j != i]
+    return entries, stolen, updated, i
+
+
+def _build(entries, stolen):
+    eliminated = []
+    table = UncollectedTable(len(entries), on_eliminate=eliminated.append)
+    blocks = {}
+    for j, entry in enumerate(entries):
+        if entry == "new":
+            blocks[j] = table.new_ccb(j, 10 + j)
+        elif entry is not None:
+            table.link(j, entry)
+            blocks[j] = blocks[entry]
+    for j in stolen:
+        if j in blocks and blocks[j].ref_count > 0:
+            blocks[j].ref_count -= 1
+    return table, blocks, eliminated
+
+
+def _observed(table, blocks, eliminated, error):
+    return {
+        "view": table.view(),
+        "ref_counts": {j: (ccb.index, ccb.ref_count) for j, ccb in blocks.items()},
+        "eliminated": list(eliminated),
+        "history": table.eliminated_history(),
+        "error": None if error is None else (type(error), str(error)),
+    }
+
+
+class TestRelink:
+    @settings(max_examples=300, deadline=None)
+    @given(_tables_and_receives())
+    def test_relink_is_the_literal_release_then_link_sequence(self, recipe):
+        entries, stolen, updated, i = recipe
+        outcomes = []
+        for literal in (True, False):
+            table, blocks, eliminated = _build(entries, stolen)
+            error = None
+            try:
+                if literal:
+                    for j in updated:
+                        table.release(j)
+                        table.link(j, i)
+                else:
+                    table.relink(updated, i)
+            except RuntimeError as raised:
+                error = raised
+            outcomes.append(_observed(table, blocks, eliminated, error))
+        assert outcomes[0] == outcomes[1]
+
+    def test_relink_repoints_and_eliminates_in_order(self):
+        eliminated = []
+        table = UncollectedTable(4, on_eliminate=eliminated.append)
+        table.new_ccb(1, 3)
+        table.new_ccb(2, 4)
+        table.new_ccb(0, 7)
+        table.relink([2, 1, 3], 0)
+        assert table.view() == (7, 7, 7, 7)
+        assert table.reference_count(7) == 4
+        assert eliminated == [4, 3]
+
+    def test_relink_to_a_null_entry_is_links_error(self):
+        table = UncollectedTable(2)
+        with pytest.raises(RuntimeError, match=r"link\(1, 0\) with UC\[0\] = Null"):
+            table.relink([1], 0)
+
+    def test_relink_refuses_a_release_too_many(self):
+        table = UncollectedTable(2)
+        table.new_ccb(0, 0)
+        table.new_ccb(1, 1).release()
+        with pytest.raises(RuntimeError, match="released more times than acquired"):
+            table.relink([1], 0)
+        assert table.view() == (0, 1)

@@ -1,0 +1,252 @@
+"""A run's occurrences reach the recorder at the first read — visible only in time.
+
+The nodes of a :class:`~repro.simulation.runner.SimulationRunner` whose
+recorder nobody has read yet keep their ``record_*`` occurrences; the first
+read (``runner.trace``, ``current_ccp()``, a recovery session) applies them to
+the one :class:`~repro.simulation.trace.TraceRecorder` through the calls the
+nodes would have made, and from then on every call is forwarded as it
+happens.  So a run read from before ``run()`` and a run never read until
+afterwards must be the same run in everything but *when* the log was built.
+"""
+
+import re
+
+import pytest
+
+from repro.causality.events import EventLog
+from repro.membership import MembershipSchedule
+from repro.simulation.channels import DuplicatingChannel, UniformChannel
+from repro.simulation.failures import FailureSchedule
+from repro.simulation.network import NetworkConfig, NetworkStats
+from repro.simulation.runner import SimulationConfig, SimulationRunner
+from repro.simulation.trace import TraceRecorder
+from repro.simulation.workloads import UniformRandomWorkload
+
+LOG_BUILDERS = ("add_send", "add_receive", "add_checkpoint")
+
+LOSSY_DUPLICATING = NetworkConfig(
+    channel=DuplicatingChannel(
+        channel=UniformChannel(drop_probability=0.1), duplicate_probability=0.3
+    )
+)
+
+SHAPES = {
+    "default": {},
+    "lossy-duplicating": {"network": LOSSY_DUPLICATING},
+    "one-crash": {"failures": FailureSchedule.of([(45.0, 2)])},
+    "several-crashes": {
+        "failures": FailureSchedule.of([(20.0, 1), (41.5, 3), (42.0, 0), (70.0, 1)]),
+        "network": LOSSY_DUPLICATING,
+    },
+    "full-audit": {"audit": "full", "keep_final_ccp": True},
+    "full-audit-crash": {"audit": "full", "failures": FailureSchedule.of([(30.0, 4)])},
+}
+
+
+def _config(seed: int = 1, **overrides) -> SimulationConfig:
+    return SimulationConfig(
+        **{
+            "num_processes": 5,
+            "duration": 90.0,
+            "workload": UniformRandomWorkload(),
+            "seed": seed,
+            **overrides,
+        }
+    )
+
+
+def _recorded_state(runner: SimulationRunner):
+    """Everything a reader can learn from the runner's recorder."""
+    recorder = runner.trace
+    analyses = runner.current_ccp().analyses
+    return {
+        "events": [tuple(recorder.log.history(pid)) for pid in recorder.log.processes],
+        "messages": recorder.log.messages(),
+        "dvs": recorder.recorded_checkpoint_dvs(),
+        "taken": recorder.checkpoints_taken,
+        "version": recorder.version,
+        "theorem1": analyses.theorem1_retained,
+        "theorem2": analyses.theorem2_retained,
+    }
+
+
+@pytest.fixture
+def log_calls(monkeypatch):
+    """``{name: calls so far}`` of the three ``EventLog`` methods that build a log."""
+    calls = dict.fromkeys(LOG_BUILDERS, 0)
+
+    def counting(name, method):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+    for name in LOG_BUILDERS:
+        monkeypatch.setattr(EventLog, name, counting(name, getattr(EventLog, name)))
+    return calls
+
+
+class TestReadOnDemandIsInvisible:
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_a_run_read_early_and_a_run_read_late_are_the_same_run(self, shape, seed):
+        early, late = (SimulationRunner(_config(seed, **SHAPES[shape])) for _ in range(2))
+        assert early.trace.log.total_events() == 0  # read before run(): records as it happens
+        early_result, late_result = early.run(), late.run()
+        assert early_result.metrics_dict() == late_result.metrics_dict()
+        assert early_result.recoveries == late_result.recoveries
+        assert early_result.audits == late_result.audits
+        assert early_result.all_audits_safe and early_result.all_audits_optimal
+        state = _recorded_state(late)
+        assert state == _recorded_state(early)
+        assert state["messages"] and sum(state["taken"]) > 5
+
+
+class TestTheLogIsBuiltAtTheFirstRead:
+    def test_an_unread_run_builds_no_log_until_it_is_read(self, log_calls):
+        eager = SimulationRunner(_config())
+        eager.trace
+        eager.run()
+        expected = dict(log_calls)
+        assert all(expected.values())
+
+        log_calls.update(dict.fromkeys(LOG_BUILDERS, 0))
+        runner = SimulationRunner(_config())
+        result = runner.run()
+        assert result.messages_sent > 0
+        assert log_calls == dict.fromkeys(LOG_BUILDERS, 0)
+        runner.trace
+        assert log_calls == expected
+        runner.trace  # applied once
+        assert log_calls == expected
+
+    @pytest.mark.parametrize("reader", ["trace-writer", "membership"])
+    def test_a_run_read_from_construction_records_as_it_happens(
+        self, log_calls, tmp_path, reader
+    ):
+        overrides = {
+            "trace-writer": {"trace_path": str(tmp_path / "t.jsonl")},
+            "membership": {
+                "membership": MembershipSchedule.of(joins=[(20.0, 4)], leaves=[(60.0, 1)])
+            },
+        }[reader]
+        eager = SimulationRunner(_config(**overrides))
+        eager.trace
+        eager.run()
+        expected = dict(log_calls)
+
+        log_calls.update(dict.fromkeys(LOG_BUILDERS, 0))
+        SimulationRunner(_config(**overrides)).run()  # never read by the test
+        assert log_calls == expected and all(expected.values())
+
+    def test_a_recovery_session_is_a_read(self, log_calls):
+        runner = SimulationRunner(_config(failures=FailureSchedule.of([(45.0, 2)])))
+        seen = []
+        runner.engine.schedule_at(44.0, lambda: seen.append(sum(log_calls.values())))
+        runner.engine.schedule_at(46.0, lambda: seen.append(sum(log_calls.values())))
+        result = runner.run()
+        assert len(result.recoveries) == 1
+        before_the_crash, after_the_crash = seen
+        assert before_the_crash == 0 < after_the_crash < sum(log_calls.values())
+
+
+class TestAReferenceTakenEarlyIsNeverStale:
+    def test_it_sees_every_occurrence_as_it_happens_and_an_unread_twin_sees_none(
+        self, log_calls
+    ):
+        referenced, unread = (SimulationRunner(_config()) for _ in range(2))
+        trace = referenced.trace
+        assert isinstance(trace, TraceRecorder)
+        mid_run = []
+        referenced.engine.schedule_at(
+            45.0, lambda: mid_run.append((sum(log_calls.values()), trace.log.total_events()))
+        )
+        referenced.run()
+        ((built, visible),) = mid_run
+        assert built == visible > 0
+        assert trace is referenced.trace
+        total = trace.log.total_events()
+        assert total == sum(log_calls.values()) > visible
+
+        log_calls.update(dict.fromkeys(LOG_BUILDERS, 0))
+        unread.engine.schedule_at(45.0, lambda: mid_run.append(sum(log_calls.values())))
+        unread.run()
+        assert mid_run[-1] == 0 == sum(log_calls.values())
+        assert unread.trace.log.total_events() == total
+
+    def test_a_refused_kept_occurrence_is_raised_and_the_port_keeps_forwarding(
+        self, monkeypatch
+    ):
+        """The recorder's own error, nothing dropped behind it, no second apply."""
+        twin = SimulationRunner(_config())
+        twin.run()
+        expected = twin.trace
+
+        class Refused(Exception):
+            pass
+
+        reached = {"record_send": 0, "record_receive": 0, "record_checkpoint": 0}
+        refusal = Refused("the fortieth receive")
+
+        def counting(name, method):
+            def counted(recorder, *args, **kwargs):
+                reached[name] += 1
+                if name == "record_receive" and reached[name] == 40:
+                    raise refusal
+                return method(recorder, *args, **kwargs)
+
+            return counted
+
+        runner = SimulationRunner(_config())
+        runner.run()
+        for name in reached:
+            monkeypatch.setattr(TraceRecorder, name, counting(name, getattr(TraceRecorder, name)))
+        with pytest.raises(Refused) as raised:
+            runner.trace
+        assert raised.value is refusal
+        # Every kept occurrence was offered to the recorder, the refused one included.
+        messages = expected.log.messages()
+        assert reached == {
+            "record_send": len(messages),
+            "record_receive": sum(message.delivered for message in messages),
+            "record_checkpoint": sum(expected.checkpoints_taken),
+        }
+        recorder = runner.trace  # already forwarding: nothing is applied twice
+        assert recorder.version == expected.version - 1
+        assert recorder.checkpoints_taken == expected.checkpoints_taken
+        undelivered = [m for m in recorder.log.messages() if not m.delivered]
+        assert len(undelivered) == 1 + sum(not m.delivered for m in messages)
+        # Later occurrences reach the recorder as they happen.
+        index = runner.nodes[0].take_checkpoint()
+        assert reached["record_checkpoint"] == sum(expected.checkpoints_taken) + 1
+        assert recorder.checkpoints_taken[0] == index + 1
+
+
+class TestOutOfRangeDestination:
+    @pytest.mark.parametrize("destination", [7, 3, -1])
+    def test_it_is_refused_before_anything_reaches_the_network(self, destination):
+        config = _config(num_processes=3, duration=40.0)
+        runner, untouched = SimulationRunner(config), SimulationRunner(config)
+        for node in runner.nodes:
+            node.start()
+        pending = runner.engine.pending_events()
+        with pytest.raises(ValueError) as refused:
+            runner.nodes[0].send_message(destination)
+        assert runner.network.stats == NetworkStats()
+        assert runner.engine.pending_events() == pending  # no copy in flight
+        assert runner.nodes[0].messages_sent == 0
+        assert not runner.trace.log.messages()
+        assert re.search(rf"process {destination}\b.* 3 processes", str(refused.value))
+        # Neither a fate drawn nor the protocol told of a send: a legal send
+        # afterwards is the send of a process that never tried.
+        for each in untouched.nodes:
+            each.start()
+        for each in (runner, untouched):
+            each.nodes[0].send_message(1)
+            each.engine.run()
+        assert runner.network.stats == untouched.network.stats
+        assert runner.engine.now == untouched.engine.now
+        assert [node.forced_checkpoints for node in runner.nodes] == [
+            node.forced_checkpoints for node in untouched.nodes
+        ]
