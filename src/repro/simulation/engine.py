@@ -3,6 +3,16 @@
 A small, dependency-free engine: callbacks are scheduled at absolute simulated
 times and executed in time order; ties are broken by scheduling order, which
 (together with a seeded random generator) makes every run fully deterministic.
+
+Two sources, one order.  What is scheduled one call at a time
+(:meth:`SimulationEngine.schedule_at`: deliveries, timers, crashes — whatever
+is *in flight*) lives in a heap.  A batch that is already in time order
+(:meth:`SimulationEngine.schedule_sorted`: a workload's whole future) is kept
+beside the heap as a stream.  Every entry of either source carries the
+sequence number ``schedule_at`` would have given it, and the next callback to
+fire is the smaller ``(time, sequence)`` of the heap top and the stream head:
+the firing order, ties included, is the one an all-heap engine produces, and
+an entry is released the moment it fires.
 """
 
 from __future__ import annotations
@@ -10,7 +20,7 @@ from __future__ import annotations
 import enum
 import heapq
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 Callback = Callable[[], None]
 
@@ -44,6 +54,8 @@ class SimulationEngine:
         self._now = 0.0
         self._sequence = 0
         self._queue: List[Tuple[float, int, Callback]] = []
+        # The pending sorted batch, latest first: firing its head is a pop().
+        self._stream: List[Tuple[float, int, Callback]] = []
         self._seed = seed
         self._rng = random.Random(seed)
         self._processed_events = 0
@@ -79,7 +91,7 @@ class SimulationEngine:
 
     def pending_events(self) -> int:
         """Number of callbacks still queued."""
-        return len(self._queue)
+        return len(self._queue) + len(self._stream)
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest queued callback, or None if the queue is empty.
@@ -88,7 +100,10 @@ class SimulationEngine:
         can see how far ``run(until=...)`` would have to go without executing
         anything.
         """
-        return self._queue[0][0] if self._queue else None
+        queue, stream = self._queue, self._stream
+        if stream and (not queue or stream[-1] < queue[0]):
+            return stream[-1][0]
+        return queue[0][0] if queue else None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -108,6 +123,35 @@ class SimulationEngine:
         if delay < 0:
             raise ValueError("delays must be non-negative")
         self.schedule_at(self._now + delay, callback)
+
+    def schedule_sorted(self, entries: Iterable[Tuple[float, Callback]]) -> None:
+        """Schedule ``(time, callback)`` pairs that are already in time order.
+
+        Exactly :meth:`schedule_at` on each pair in turn — same sequence
+        numbers, same firing order against everything else — except that the
+        batch stays out of the heap and is checked as a whole first: a time
+        that is not a number, lies before ``now`` or before its predecessor
+        raises :class:`ValueError` and nothing is scheduled.  A batch handed
+        over while an earlier one is still pending is merged the plain way,
+        one :meth:`schedule_at` per entry.
+        """
+        batch: List[Tuple[float, int, Callback]] = []
+        previous = self._now
+        for sequence, (time, callback) in enumerate(entries, self._sequence):
+            if not time >= previous:  # also false for NaN
+                raise ValueError(
+                    f"cannot schedule a sorted batch holding time {time} after {previous}: "
+                    f"not a number, in the past (now {self._now}) or out of order"
+                )
+            batch.append((time, sequence, callback))
+            previous = time
+        if self._stream:
+            for time, _, callback in batch:
+                self.schedule_at(time, callback)
+        else:
+            # In place: a run() in progress holds this very list.
+            self._stream.extend(reversed(batch))
+            self._sequence += len(batch)
 
     # ------------------------------------------------------------------
     # Execution
@@ -135,8 +179,14 @@ class SimulationEngine:
           already in the past.
         """
         executed = 0
-        while self._queue:
-            time, _, callback = self._queue[0]
+        # Both lists are only ever mutated in place, so a callback that
+        # schedules into either source — or runs the engine itself — is seen
+        # here: which source fires next is decided afresh for every event.
+        queue, stream = self._queue, self._stream
+        while queue or stream:
+            # Sequence numbers are unique: the comparison never reaches the callbacks.
+            from_stream = bool(stream) and (not queue or stream[-1] < queue[0])
+            time = stream[-1][0] if from_stream else queue[0][0]
             if until is not None and time > until:
                 # Never move the clock backwards: `until` earlier than `now`
                 # simply means there is nothing left to do at or before it.
@@ -145,7 +195,7 @@ class SimulationEngine:
                 return StopReason.UNTIL
             if max_events is not None and executed >= max_events:
                 return StopReason.MAX_EVENTS
-            heapq.heappop(self._queue)
+            callback = (stream.pop() if from_stream else heapq.heappop(queue))[2]
             self._now = time
             callback()
             self._processed_events += 1
@@ -156,10 +206,7 @@ class SimulationEngine:
 
     def step(self) -> bool:
         """Process a single event; returns False if the queue was empty."""
-        if not self._queue:
+        if not (self._queue or self._stream):
             return False
-        time, _, callback = heapq.heappop(self._queue)
-        self._now = time
-        callback()
-        self._processed_events += 1
+        self.run(max_events=1)
         return True

@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.simulation.channels import (
@@ -215,10 +216,13 @@ class LinkFates:
     def __init__(self, seed: int, config: NetworkConfig, *, incarnation: int = 0) -> None:
         self._stream = f"{seed}:net" if incarnation == 0 else f"{seed}:net@{incarnation}"
         self._channel = config.resolve_channel()
-        self._partitions = config.partitions
+        # None for the (usual) empty schedule: nothing to scan per message.
+        self._partitions = config.partitions or None
         self._fifo = config.fifo
-        self._link_rngs: Dict[Tuple[str, int, int], random.Random] = {}
-        self._link_states: Dict[Tuple[int, int], LinkState] = {}
+        #: Per directed link: the channel model's state (shared by both kinds
+        #: of traffic) and the application stream, found in one lookup.
+        self._links: Dict[Tuple[int, int], Tuple[LinkState, random.Random]] = {}
+        self._control_rngs: Dict[Tuple[int, int], random.Random] = {}
         self._fifo_clock: Dict[Tuple[int, int], float] = {}
         # Messages whose first copy already landed: later copies are
         # duplicate deliveries.
@@ -226,21 +230,17 @@ class LinkFates:
         self.stats = NetworkStats()
 
     def _link_rng(self, label: str, sender: int, receiver: int) -> random.Random:
-        key = (label, sender, receiver)
-        rng = self._link_rngs.get(key)
-        if rng is None:
-            digest = hashlib.sha256(
-                f"{self._stream}:{label}:{sender}:{receiver}".encode("utf-8")
-            ).digest()
-            rng = random.Random(int.from_bytes(digest[:8], "big"))
-            self._link_rngs[key] = rng
-        return rng
+        digest = hashlib.sha256(
+            f"{self._stream}:{label}:{sender}:{receiver}".encode("utf-8")
+        ).digest()
+        return random.Random(int.from_bytes(digest[:8], "big"))
 
-    def _link_state(self, sender: int, receiver: int) -> LinkState:
-        key = (sender, receiver)
-        if key not in self._link_states:
-            self._link_states[key] = self._channel.initial_state()
-        return self._link_states[key]
+    def _open_link(self, sender: int, receiver: int) -> Tuple[LinkState, random.Random]:
+        link = self._links[sender, receiver] = (
+            self._channel.initial_state(),
+            self._link_rng("app", sender, receiver),
+        )
+        return link
 
     def app_delivery_times(self, sender: int, receiver: int, now: float) -> List[float]:
         """The fate of an application message sent at ``now``.
@@ -250,13 +250,12 @@ class LinkFates:
         message, several when it duplicates it.
         """
         self.stats.app_sent += 1
-        if self._partitions.separated(sender, receiver, now):
+        if self._partitions is not None and self._partitions.separated(sender, receiver, now):
             self.stats.app_blocked_by_partition += 1
             return []
-        rng = self._link_rng("app", sender, receiver)
-        latencies = self._channel.sample(
-            self._link_state(sender, receiver), sender, receiver, rng
-        )
+        link = (sender, receiver)
+        state, rng = self._links.get(link) or self._open_link(sender, receiver)
+        latencies = self._channel.sample(state, sender, receiver, rng)
         if not latencies:
             self.stats.app_dropped += 1
             return []
@@ -265,7 +264,6 @@ class LinkFates:
             # FIFO discipline: a copy never overtakes an earlier copy on the
             # same link; equal times fall back to the backend's scheduling-
             # order tiebreak, which is send order.
-            link = (sender, receiver)
             clock = self._fifo_clock.get(link, 0.0)
             for index, time in enumerate(times):
                 times[index] = clock = max(time, clock)
@@ -274,10 +272,12 @@ class LinkFates:
 
     def control_latency(self, sender: int, receiver: int) -> float:
         """The latency of a control message, from the link's control stream."""
-        rng = self._link_rng("control", sender, receiver)
-        return self._channel.sample_latency(
-            self._link_state(sender, receiver), sender, receiver, rng
-        )
+        link = (sender, receiver)
+        rng = self._control_rngs.get(link)
+        if rng is None:
+            rng = self._control_rngs[link] = self._link_rng("control", sender, receiver)
+        state, _ = self._links.get(link) or self._open_link(sender, receiver)
+        return self._channel.sample_latency(state, sender, receiver, rng)
 
     def is_first_copy(self, message_id: int) -> bool:
         """Classify (and count) an arriving copy: fresh message or duplicate."""
@@ -381,12 +381,7 @@ class Network(Transport):
         self, sender: int, receiver: int, piggyback: Tuple[int, ...]
     ) -> AppMessage:
         """Send an application message; returns the in-transit record."""
-        message = AppMessage(
-            message_id=self._next_message_id,
-            sender=sender,
-            receiver=receiver,
-            piggyback=tuple(piggyback),
-        )
+        message = AppMessage(self._next_message_id, sender, receiver, piggyback)
         self._next_message_id += 1
         for delivery_time in self._fates.app_delivery_times(
             sender, receiver, self._engine.now
@@ -398,7 +393,7 @@ class Network(Transport):
                 self._controller.on_copy_in_flight(delivery_id, message, delivery_time)
             else:
                 self._engine.schedule_at(
-                    delivery_time, lambda did=delivery_id: self._deliver_copy(did)
+                    delivery_time, partial(self._deliver_copy, delivery_id)
                 )
         return message
 

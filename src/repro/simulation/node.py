@@ -32,6 +32,7 @@ collection related to that receipt — is enforced in :meth:`deliver`.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.causality.dependency_vector import DependencyVector
@@ -176,19 +177,13 @@ class SimulationNode:
         workloads draw actions over the full capacity, and the application
         knows its membership.
         """
+        act: Callable[[], Any]  # the engine ignores take_checkpoint's index
         if action.kind is ActionKind.SEND:
-            target = action.target
-            touched = (self._pid, target)
-
-            def act() -> None:
-                self.send_message(target)
-
+            act = partial(self.send_message, action.target)
+            touched = (self._pid, action.target)
         else:
+            act = self.take_checkpoint  # basic: forced defaults to False
             touched = (self._pid,)
-
-            def act() -> None:
-                self.take_checkpoint(forced=False)
-
         if members is None:
             return act
 

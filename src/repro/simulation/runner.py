@@ -552,16 +552,16 @@ class SimulationRunner:
             else:
                 handler = lambda pid=event.pid: self._handle_leave(pid)
             self._engine.schedule_at(event.time, handler)
-        actions = config.workload.generate(
-            config.num_processes, config.duration, self._engine.rng
-        )
         # Static membership passes no view: nothing to check at fire time.
         acting_members = self._trace.membership if config.membership else None
-        for action in actions:
-            self._engine.schedule_at(
-                action.time,
-                self._nodes[action.pid].action_handler(action, acting_members),
+        # The workload is in time order: it is streamed beside the engine's
+        # heap, and neither the list nor an action outlives this statement.
+        self._engine.schedule_sorted(
+            (action.time, self._nodes[action.pid].action_handler(action, acting_members))
+            for action in config.workload.generate(
+                config.num_processes, config.duration, self._engine.rng
             )
+        )
         for crash in config.failures:
             self._engine.schedule_at(
                 crash.time, lambda pid=crash.pid: self._handle_crash(pid)

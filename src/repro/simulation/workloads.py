@@ -42,8 +42,7 @@ from __future__ import annotations
 import abc
 import enum
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 
 class ActionKind(enum.Enum):
@@ -56,27 +55,42 @@ class ActionKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Action:
-    """A timed application action.
+#: The components of :meth:`Action.sort_key`: ``(time, pid, kind.value,
+#: target or -1)`` — what the generators collect and sort before any
+#: :class:`Action` exists.
+ActionKey = Tuple[float, int, str, int]
+_SEND = ActionKind.SEND.value
+_CHECKPOINT = ActionKind.CHECKPOINT.value
+_KINDS = {kind.value: kind for kind in ActionKind}
 
-    Actions are deliberately *not* ``order=True``: the dataclass comparison
-    would fall through to the :class:`ActionKind` enum (unorderable —
-    ``TypeError``) and to ``Optional[int]`` targets (``None`` vs ``int``)
-    whenever two actions share ``(time, pid)``.  Ordering is explicit via
-    :meth:`Action.sort_key` / :meth:`Workload._sorted` instead.
-    """
 
+class _ActionFields(NamedTuple):
     time: float
     pid: int
     kind: ActionKind
     target: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.kind is ActionKind.SEND and self.target is None:
-            raise ValueError("SEND actions need a target process")
 
-    def sort_key(self) -> Tuple[float, int, str, int]:
+class Action(_ActionFields):
+    """A timed application action: an immutable, tuple-backed record.
+
+    Comparing two actions with ``<`` is deliberately useless: the tuple
+    comparison falls through to the :class:`ActionKind` enum (unorderable —
+    ``TypeError``) and to ``Optional[int]`` targets (``None`` vs ``int``)
+    whenever two actions share ``(time, pid)``.  Ordering is explicit via
+    :meth:`Action.sort_key` instead.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, time: float, pid: int, kind: ActionKind, target: Optional[int] = None
+    ) -> "Action":
+        if target is None and kind is ActionKind.SEND:
+            raise ValueError("SEND actions need a target process")
+        return tuple.__new__(cls, (time, pid, kind, target))
+
+    def sort_key(self) -> ActionKey:
         """The canonical schedule order: time, process, then a deterministic
         kind/target tiebreak so equal-timestamp sorts are stable across runs."""
         return (self.time, self.pid, self.kind.value, -1 if self.target is None else self.target)
@@ -91,11 +105,28 @@ class Workload(abc.ABC):
     def generate(
         self, num_processes: int, duration: float, rng: random.Random
     ) -> List[Action]:
-        """Produce the timed actions of one run."""
+        """Produce the timed actions of one run, in non-decreasing time order
+        (the runner streams them to the engine, which refuses any other)."""
 
     @staticmethod
-    def _sorted(actions: List[Action]) -> List[Action]:
-        return sorted(actions, key=Action.sort_key)
+    def _basic_checkpoints(
+        keys: List[ActionKey], pid: int, mean_gap: float, duration: float, rng: random.Random
+    ) -> None:
+        """Add ``pid``'s basic checkpoints, at exponential intervals, to ``keys``."""
+        time = rng.expovariate(1.0 / mean_gap)
+        while time < duration:
+            keys.append((time, pid, _CHECKPOINT, -1))
+            time += rng.expovariate(1.0 / mean_gap)
+
+    @staticmethod
+    def _ordered(keys: List[ActionKey]) -> List[Action]:
+        """The actions of ``keys`` in canonical order: the plain tuples sort
+        natively, and each :class:`Action` is built once, afterwards."""
+        keys.sort()
+        return [
+            Action(time, pid, _KINDS[kind], None if target < 0 else target)
+            for time, pid, kind, target in keys
+        ]
 
 
 class UniformRandomWorkload(Workload):
@@ -117,20 +148,17 @@ class UniformRandomWorkload(Workload):
     def generate(
         self, num_processes: int, duration: float, rng: random.Random
     ) -> List[Action]:
-        actions: List[Action] = []
+        keys: List[ActionKey] = []
         for pid in range(num_processes):
             time = rng.expovariate(1.0 / self._message_gap)
             while time < duration and num_processes > 1:
                 target = rng.randrange(num_processes - 1)
                 if target >= pid:
                     target += 1
-                actions.append(Action(time, pid, ActionKind.SEND, target))
+                keys.append((time, pid, _SEND, target))
                 time += rng.expovariate(1.0 / self._message_gap)
-            time = rng.expovariate(1.0 / self._checkpoint_gap)
-            while time < duration:
-                actions.append(Action(time, pid, ActionKind.CHECKPOINT))
-                time += rng.expovariate(1.0 / self._checkpoint_gap)
-        return self._sorted(actions)
+            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
+        return self._ordered(keys)
 
 
 class ClientServerWorkload(Workload):
@@ -158,22 +186,19 @@ class ClientServerWorkload(Workload):
     ) -> List[Action]:
         if num_processes < 2:
             raise ValueError("the client/server workload needs at least two processes")
-        actions: List[Action] = []
+        keys: List[ActionKey] = []
         server = 0
         for client in range(1, num_processes):
             time = rng.expovariate(1.0 / self._request_gap)
             while time < duration:
-                actions.append(Action(time, client, ActionKind.SEND, server))
+                keys.append((time, client, _SEND, server))
                 reply_time = time + self._think_time + rng.uniform(0.0, self._think_time)
                 if reply_time < duration:
-                    actions.append(Action(reply_time, server, ActionKind.SEND, client))
+                    keys.append((reply_time, server, _SEND, client))
                 time += rng.expovariate(1.0 / self._request_gap)
         for pid in range(num_processes):
-            time = rng.expovariate(1.0 / self._checkpoint_gap)
-            while time < duration:
-                actions.append(Action(time, pid, ActionKind.CHECKPOINT))
-                time += rng.expovariate(1.0 / self._checkpoint_gap)
-        return self._sorted(actions)
+            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
+        return self._ordered(keys)
 
 
 class PipelineWorkload(Workload):
@@ -195,18 +220,15 @@ class PipelineWorkload(Workload):
     def generate(
         self, num_processes: int, duration: float, rng: random.Random
     ) -> List[Action]:
-        actions: List[Action] = []
+        keys: List[ActionKey] = []
         for pid in range(num_processes - 1):
             time = self._stage_period * (1.0 + 0.1 * pid)
             while time < duration:
-                actions.append(Action(time, pid, ActionKind.SEND, pid + 1))
+                keys.append((time, pid, _SEND, pid + 1))
                 time += self._stage_period
         for pid in range(num_processes):
-            time = rng.expovariate(1.0 / self._checkpoint_gap)
-            while time < duration:
-                actions.append(Action(time, pid, ActionKind.CHECKPOINT))
-                time += rng.expovariate(1.0 / self._checkpoint_gap)
-        return self._sorted(actions)
+            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
+        return self._ordered(keys)
 
 
 class RingWorkload(Workload):
@@ -228,19 +250,14 @@ class RingWorkload(Workload):
     def generate(
         self, num_processes: int, duration: float, rng: random.Random
     ) -> List[Action]:
-        actions: List[Action] = []
+        keys: List[ActionKey] = []
         for pid in range(num_processes):
             time = self._period * (1.0 + pid / max(num_processes, 1))
             while time < duration:
-                actions.append(
-                    Action(time, pid, ActionKind.SEND, (pid + 1) % num_processes)
-                )
+                keys.append((time, pid, _SEND, (pid + 1) % num_processes))
                 time += self._period
-            time = rng.expovariate(1.0 / self._checkpoint_gap)
-            while time < duration:
-                actions.append(Action(time, pid, ActionKind.CHECKPOINT))
-                time += rng.expovariate(1.0 / self._checkpoint_gap)
-        return self._sorted(actions)
+            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
+        return self._ordered(keys)
 
 
 class WorstCaseWorkload(Workload):
@@ -266,21 +283,19 @@ class WorstCaseWorkload(Workload):
     def generate(
         self, num_processes: int, duration: float, rng: random.Random
     ) -> List[Action]:
-        actions: List[Action] = []
+        keys: List[ActionKey] = []
         for round_index in range(1, num_processes + 1):
             base = round_index * self._round_length
             for pid in range(num_processes):
-                actions.append(Action(base, pid, ActionKind.CHECKPOINT))
+                keys.append((base, pid, _CHECKPOINT, -1))
             sender = round_index - 1
             for pid in range(num_processes):
                 if pid != sender:
-                    actions.append(
-                        Action(base + self._round_length / 2, sender, ActionKind.SEND, pid)
-                    )
+                    keys.append((base + self._round_length / 2, sender, _SEND, pid))
         final = (num_processes + 1) * self._round_length
         for pid in range(num_processes):
-            actions.append(Action(final, pid, ActionKind.CHECKPOINT))
-        return self._sorted(actions)
+            keys.append((final, pid, _CHECKPOINT, -1))
+        return self._ordered(keys)
 
     def required_duration(self, num_processes: int) -> float:
         """The simulated time needed to play the full schedule."""
@@ -343,22 +358,19 @@ class ZipfClientServerWorkload(Workload):
                 f"{self._num_servers + 1} processes "
                 f"({self._num_servers} servers plus one client)"
             )
-        actions: List[Action] = []
+        keys: List[ActionKey] = []
         for client in range(self._num_servers, num_processes):
             time = rng.expovariate(1.0 / self._request_gap)
             while time < duration:
                 server = self._pick_server(rng, self._num_servers)
-                actions.append(Action(time, client, ActionKind.SEND, server))
+                keys.append((time, client, _SEND, server))
                 reply_time = time + self._think_time + rng.uniform(0.0, self._think_time)
                 if reply_time < duration:
-                    actions.append(Action(reply_time, server, ActionKind.SEND, client))
+                    keys.append((reply_time, server, _SEND, client))
                 time += rng.expovariate(1.0 / self._request_gap)
         for pid in range(num_processes):
-            time = rng.expovariate(1.0 / self._checkpoint_gap)
-            while time < duration:
-                actions.append(Action(time, pid, ActionKind.CHECKPOINT))
-                time += rng.expovariate(1.0 / self._checkpoint_gap)
-        return self._sorted(actions)
+            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
+        return self._ordered(keys)
 
 
 class GossipWorkload(Workload):
@@ -390,20 +402,17 @@ class GossipWorkload(Workload):
     def generate(
         self, num_processes: int, duration: float, rng: random.Random
     ) -> List[Action]:
-        actions: List[Action] = []
+        keys: List[ActionKey] = []
         for pid in range(num_processes):
             time = rng.expovariate(1.0 / self._round_gap)
             while time < duration and num_processes > 1:
                 peers = [p for p in range(num_processes) if p != pid]
                 fanout = min(self._fanout, len(peers))
                 for target in rng.sample(peers, fanout):
-                    actions.append(Action(time, pid, ActionKind.SEND, target))
+                    keys.append((time, pid, _SEND, target))
                 time += rng.expovariate(1.0 / self._round_gap)
-            time = rng.expovariate(1.0 / self._checkpoint_gap)
-            while time < duration:
-                actions.append(Action(time, pid, ActionKind.CHECKPOINT))
-                time += rng.expovariate(1.0 / self._checkpoint_gap)
-        return self._sorted(actions)
+            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
+        return self._ordered(keys)
 
 
 class HierarchicalWorkload(Workload):
@@ -447,7 +456,7 @@ class HierarchicalWorkload(Workload):
     def generate(
         self, num_processes: int, duration: float, rng: random.Random
     ) -> List[Action]:
-        actions: List[Action] = []
+        keys: List[ActionKey] = []
         regions: Dict[int, List[int]] = {}
         for pid in range(num_processes):
             regions.setdefault(self.region_of(pid, num_processes), []).append(pid)
@@ -464,13 +473,10 @@ class HierarchicalWorkload(Workload):
                     not remote_peers or rng.random() < self._local_bias
                 )
                 pool = local_peers if go_local else remote_peers
-                actions.append(Action(time, pid, ActionKind.SEND, rng.choice(pool)))
+                keys.append((time, pid, _SEND, rng.choice(pool)))
                 time += rng.expovariate(1.0 / self._message_gap)
-            time = rng.expovariate(1.0 / self._checkpoint_gap)
-            while time < duration:
-                actions.append(Action(time, pid, ActionKind.CHECKPOINT))
-                time += rng.expovariate(1.0 / self._checkpoint_gap)
-        return self._sorted(actions)
+            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
+        return self._ordered(keys)
 
 
 class ScriptedWorkload(Workload):
@@ -490,7 +496,7 @@ class ScriptedWorkload(Workload):
                     f"scripted action references process {action.pid} but the "
                     f"run has only {num_processes} processes"
                 )
-        return self._sorted(list(self._actions))
+        return sorted(self._actions, key=Action.sort_key)
 
 
 # ----------------------------------------------------------------------

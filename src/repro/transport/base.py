@@ -20,13 +20,11 @@ worker a per-process shard recorder — the node cannot tell the difference.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Any, Callable, NamedTuple, Protocol, Sequence, Tuple, runtime_checkable
 
 
-@dataclass(frozen=True)
-class AppMessage:
-    """An application message in transit."""
+class AppMessage(NamedTuple):
+    """An application message in transit (an immutable, tuple-backed record)."""
 
     message_id: int
     sender: int

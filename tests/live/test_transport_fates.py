@@ -13,6 +13,7 @@ import pytest
 from repro.live.frames import decode_datagram
 from repro.live.shard import ShardWriter
 from repro.live.transport import LiveTransport
+from repro.live.worker import LiveWorker
 from repro.simulation.channels import (
     DuplicatingChannel,
     GilbertElliottChannel,
@@ -21,6 +22,7 @@ from repro.simulation.channels import (
 )
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.network import LinkFates, Network, NetworkConfig
+from repro.simulation.node import build_node
 
 PROCESSES = 3
 SEED = 11
@@ -190,3 +192,43 @@ def test_a_respawned_live_transport_draws_fresh_fates(tmp_path):
     first, _ = _through_live_transports(config, sends, tmp_path)
     respawned, _ = _through_live_transports(config, sends, tmp_path, incarnation=1)
     assert [len(a) for a in respawned] != [len(a) for a in first]
+
+
+def test_worker_action_script_round_trips_into_node_calls(tmp_path):
+    """``[time, kind.value, target]`` → ``Action`` → handler, as the worker's init frame does it."""
+    now, sent = [0.0], []
+    shard = ShardWriter(str(tmp_path / "1.shard.jsonl"), pid=1, num_processes=PROCESSES)
+    transport = LiveTransport(
+        seed=SEED, network=NetworkConfig(), time_scale=1.0, shard=shard, clock=lambda: now[0]
+    )
+
+    class Outbox:
+        def sendto(self, data, address):
+            sent.append((decode_datagram(data)["r"], address))
+
+    transport.attach_endpoint(Outbox())
+    transport.set_peers({peer: ("fake", peer) for peer in range(PROCESSES)})
+    worker = LiveWorker(pid=1, coordinator_port=0)
+    worker.transport, worker.shard = transport, shard
+    worker.node = build_node(
+        1, PROCESSES, protocol="fdas", collector="rdt-lgc", collector_options={},
+        transport=transport, trace=shard,
+    )
+    # The coordinator's encoding of the actions of pid 1 (target null unless a send).
+    worker._schedule_actions([[1.0, "send", 2], [2.0, "checkpoint", None], [2.0, "send", 0]])
+    transport.start_clock(0.0)
+    worker.node.start()
+    assert transport.run_due() == 1.0 and worker.node.messages_sent == 0
+    now[0] = 1.5
+    assert transport.run_due() == 2.0
+    assert (worker.node.messages_sent, worker.node.basic_checkpoints) == (1, 1)
+    now[0] = 2.0
+    due = transport.run_due()  # what is left are the copies' delayed transmissions
+    assert (worker.node.messages_sent, worker.node.basic_checkpoints) == (2, 2)
+    while due is not None:
+        now[0] = due
+        due = transport.run_due()
+    shard.close()
+    assert sent == [(2, ("fake", 2)), (0, ("fake", 0))]
+    with pytest.raises(ValueError, match="target"):
+        worker._schedule_actions([[3.0, "send", None]])

@@ -1,5 +1,6 @@
 """Unit tests for workload generators and failure schedules."""
 
+import hashlib
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from repro.simulation.workloads import (
     available_workloads,
     make_workload,
 )
+from repro.transport.base import AppMessage
 
 
 class TestActions:
@@ -30,11 +32,12 @@ class TestActions:
 
     def test_actions_sort_by_time(self):
         actions = [Action(2.0, 0, ActionKind.CHECKPOINT), Action(1.0, 1, ActionKind.CHECKPOINT)]
-        assert Workload._sorted(actions)[0].time == 1.0
+        assert Workload._ordered([a.sort_key() for a in actions])[0].time == 1.0
 
     def test_actions_are_not_implicitly_orderable(self):
-        # Dataclass ordering fell through to the ActionKind enum (TypeError)
-        # whenever two actions shared (time, pid); ordering is explicit now.
+        # The record's tuple ordering falls through to the ActionKind enum
+        # (TypeError) whenever two actions share (time, pid); ordering is
+        # explicit, via sort_key.
         with pytest.raises(TypeError):
             Action(1.0, 0, ActionKind.CHECKPOINT) < Action(1.0, 0, ActionKind.SEND, 1)
 
@@ -52,10 +55,67 @@ class TestActions:
         for seed in range(5):
             shuffled = list(actions)
             random.Random(seed).shuffle(shuffled)
-            assert Workload._sorted(shuffled) == expected
+            assert Workload._ordered([a.sort_key() for a in shuffled]) == expected
+            assert sorted(shuffled, key=Action.sort_key) == expected
+
+
+    def test_sort_key_orders_time_and_pid_ties(self):
+        checkpoint = Action(1.0, 0, ActionKind.CHECKPOINT)
+        send = Action(1.0, 0, ActionKind.SEND, 1)
+        assert checkpoint.sort_key() == (1.0, 0, "checkpoint", -1)
+        assert send.sort_key() == (1.0, 0, "send", 1)
+        assert checkpoint.sort_key() < send.sort_key() < Action(1.0, 1, ActionKind.CHECKPOINT).sort_key()
+
+    def test_action_is_an_immutable_hashable_record(self):
+        action = Action(1.0, 0, ActionKind.SEND, target=2)
+        assert action == Action(time=1.0, pid=0, kind=ActionKind.SEND, target=2)
+        assert Action(2.0, 1, ActionKind.CHECKPOINT).target is None
+        assert len({action, Action(1.0, 0, ActionKind.SEND, 2)}) == 1
+        with pytest.raises(AttributeError):
+            action.time = 2.0
+        with pytest.raises(AttributeError):
+            action.extra = 1  # no instance dictionary either
+        with pytest.raises(ValueError, match="target"):
+            Action(1.0, 0, ActionKind.SEND, None)
+
+    def test_app_message_is_an_immutable_hashable_record(self):
+        message = AppMessage(7, 0, 1, (1, 0))
+        assert message == AppMessage(message_id=7, sender=0, receiver=1, piggyback=(1, 0))
+        assert (message.message_id, message.sender, message.receiver) == (7, 0, 1)
+        assert len({message, AppMessage(7, 0, 1, (1, 0))}) == 1
+        with pytest.raises(AttributeError):
+            message.receiver = 2
+        with pytest.raises(TypeError):
+            AppMessage(7, 0, 1)  # every field is required
+
+
+#: ``name -> (actions, sha256)`` of ``generate(6, 200.0, Random(11))`` followed
+#: by the generator's next draw, captured on the commit before the generators
+#: collected key tuples: pins every draw and the order of the actions.
+_GENERATED_DIGESTS = {
+    "client-server": (688, "f01abb48ac149558b97449d339bcb14cb229e05d2ec8065ffc9d71b429ec88a8"),
+    "gossip": (735, "03cecfb6ec52f54c83ff365cd5e1b219ece65cc1c50dc50c18fe61f99301ce3a"),
+    "hierarchical": (729, "eea94914f0cd6d902e0bad256d02de48313dd07f0a3807d5ec48472e819ddffc"),
+    "pipeline": (611, "02846ae8f65e758b209ff138bd1ebef318ae41d6ca502886b9fe734aaf11c752"),
+    "ring": (510, "fdbc055632caab549e7949d1cd91701e6b853f7160e1a3515419dfc077905f67"),
+    "uniform-random": (714, "e36d9dcea797b53e75de289ddc43282beda5513592843327b56538a6f5d24475"),
+    "worst-case": (72, "54aaf5e348794d56df4ad5fdf482a6c603383b8cbc92548e8da2aecb9e450a11"),
+    "zipf-client-server": (608, "7d34b19734d0d2d33564082ed06a1dd3e0faddf0f002956294a7a434611af9d8"),
+}
 
 
 class TestGeneratedWorkloads:
+    def test_every_registered_workload_is_pinned(self):
+        assert sorted(_GENERATED_DIGESTS) == available_workloads()
+
+    @pytest.mark.parametrize("name", sorted(_GENERATED_DIGESTS))
+    def test_draws_and_order_are_those_of_the_parent_commit(self, name):
+        rng = random.Random(11)
+        actions = make_workload(name).generate(6, 200.0, rng)
+        assert all(type(action) is Action for action in actions)
+        text = repr([(a.time, a.pid, a.kind.value, a.target) for a in actions] + [rng.random()])
+        assert (len(actions), hashlib.sha256(text.encode()).hexdigest()) == _GENERATED_DIGESTS[name]
+
     @pytest.mark.parametrize(
         "workload",
         [
