@@ -55,6 +55,12 @@ unread run again, a per-entry call chain growing back into the receive
 path, or the workload going back through the heap one closure-wrapped action
 at a time, shows up as tens of lines per message.
 
+The **traced message-path** gate (``--smoke`` only) counts the same on the
+same run streaming its trace to a file, recorder still unread: the trace
+writer is fed each occurrence as it happens and the log is built only at the
+first read, so a file costs its records, not an event log built to forward
+them — which shows up as ~70 lines per message.
+
 The **trace-codec** gate (``--smoke`` only) counts the same way on the same
 run with a trace attached: lines executed inside ``TraceWriter.on_send/
 on_receive/on_checkpoint/write_sample`` per record written, and inside
@@ -128,10 +134,17 @@ RECORDING_LINES_CEILING = 36.0
 # Message-path gate, on the same run with the recorder unread: lines executed
 # by the whole runner.run() per application message (249.2 since the workload
 # is a sorted stream beside the engine's heap and the per-message records are
-# tuples, so ~15 % headroom; 274.6 before that, with every action pushed
+# tuples, so ~15 % headroom, and 250.6 since each kept occurrence also tests
+# for a trace writer; 274.6 before that, with every action pushed
 # through the heap behind two closures; 355.6 when the run still built the
 # event log nobody read and re-linked UC through two calls per entry).
 MESSAGE_PATH_LINES_CEILING = 287.0
+# Traced message-path gate: the same count with the run streaming its trace
+# and nobody reading the recorder (288.5 since the writer is fed as the
+# nodes' occurrences happen and the log is built at the first read, so ~15 %
+# headroom; 355.8 when the writer was fed through the recorder, which built
+# and validated the log only to forward each occurrence to it).
+TRACED_MESSAGE_PATH_LINES_CEILING = 332.0
 # Trace-codec gate, on the same run with a trace attached: lines per record
 # written and per line read back (13.9 and 16.0 when the gate was added; 53.4
 # and 38.0 on its parent commit, which called json.dumps/json.loads and a
@@ -421,16 +434,18 @@ def recording_lines_per_occurrence() -> float:
     return counter.lines / counter.calls
 
 
-def message_path_lines_per_message() -> float:
+def message_path_lines_per_message(trace_path: Optional[str] = None) -> float:
     """Python lines executed by the whole ``runner.run()`` per application message.
 
     The recording-path gate's run with the recorder left unread: engine,
     network, node, protocol, collector and storage — and nothing of
-    ``TraceRecorder`` / ``EventLog``, which such a run does not reach.
+    ``TraceRecorder`` / ``EventLog``, which such a run does not reach.  With
+    ``trace_path`` the run streams its trace there, so the trace writer and
+    its codec are counted too; the log is still not built.
     """
     from repro.simulation.runner import SimulationRunner
 
-    runner = SimulationRunner(_recording_run_config())
+    runner = SimulationRunner(_recording_run_config(trace_path))
     counter = _LineCounter()
     with counter:
         result = runner.run()
@@ -447,6 +462,21 @@ def check_message_path_cost(*, ceiling: float = MESSAGE_PATH_LINES_CEILING) -> L
             f"an unread run executes {lines:.1f} Python lines per application "
             f"message (allowed {ceiling:.1f}): the engine / network / node / "
             f"collector path regrew, or the run builds its log again"
+        ]
+    return []
+
+
+def check_traced_message_path_cost(
+    *, ceiling: float = TRACED_MESSAGE_PATH_LINES_CEILING
+) -> List[str]:
+    """Gate: a trace file is written from the occurrences, not from a log nobody reads."""
+    with tempfile.TemporaryDirectory() as directory:
+        lines = message_path_lines_per_message(os.path.join(directory, "gate.trace.jsonl"))
+    if lines > ceiling:
+        return [
+            f"a traced run nobody reads executes {lines:.1f} Python lines per "
+            f"application message (allowed {ceiling:.1f}): the trace writer is "
+            f"fed through a log built for it again, or the middleware / codec regrew"
         ]
     return []
 
@@ -698,6 +728,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         standalone_violations += check_recovery_session_scaling()
         standalone_violations += check_recording_path_cost()
         standalone_violations += check_message_path_cost()
+        standalone_violations += check_traced_message_path_cost()
         standalone_violations += check_trace_codec_cost()
         standalone_violations += check_retained_set_cost()
         standalone_violations += check_store_cost()
@@ -755,7 +786,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     memory_note = "skipped" if args.skip_memory else "within threshold"
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
-        f"session scaling, recording-path, message-path, trace-codec, retained-set and "
+        f"session scaling, recording-path, message-path (untraced, traced), trace-codec, "
+        f"retained-set and "
         f"store-cost gates "
         f"{'ok' if args.smoke else 'skipped (--smoke only)'}, "
         f"campaign gate {campaign_note}, memory gate {memory_note} — ok"

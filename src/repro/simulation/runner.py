@@ -7,13 +7,14 @@ optional online audits, runs the experiment and returns a
 benchmarks need.
 
 The recorder sits behind its readers.  A run whose log nobody reads — no
-trace writer, no crash, no audit, no ``keep_final_ccp`` — keeps its nodes'
-``record_*`` occurrences in arrival order and never builds the event log; the
-first read (:attr:`SimulationRunner.trace`, :meth:`SimulationRunner.current_ccp`,
-a recovery session) applies them to the one :class:`TraceRecorder` through
-the calls the nodes would have made, and from then on every occurrence is
-forwarded as it happens.  There is no option: what is read is recorded,
-validated and forwarded to the sinks exactly as if it had been from the start.
+crash, no audit, no ``keep_final_ccp`` — keeps its nodes' ``record_*``
+occurrences in arrival order and never builds the event log; the first read
+(:attr:`SimulationRunner.trace`, :meth:`SimulationRunner.current_ccp`, a
+recovery session) applies them to the one :class:`TraceRecorder` through the
+calls the nodes would have made, and from then on every occurrence is
+forwarded as it happens.  A trace file is not a reader: the run's writer
+gets each occurrence as it happens either way.  There is no option: what is
+read is recorded and validated exactly as if it had been from the start.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation.failures import FailureSchedule
 from repro.simulation.network import AppMessage, Network, NetworkConfig, PartitionEvent
 from repro.simulation.node import SimulationNode, build_node
-from repro.simulation.trace import TraceRecorder
+from repro.simulation.trace import TraceRecorder, TraceSink
 from repro.simulation.workloads import Workload
 
 
@@ -321,15 +322,25 @@ class _ReadOnDemandRecorder:
     """The nodes' :class:`~repro.transport.TraceRecorderPort` on a run nobody reads yet.
 
     Keeps the four ``record_*`` occurrences in arrival order instead of
-    building the log; :meth:`read` applies them to the recorder through the
-    very calls the nodes would have made (so validation, sinks, tracker and
-    version behave as on an eager run) and hands the recorder out.  The
-    switch is one-way: from the first read on every call is forwarded as it
-    happens, so a recorder reference taken early never shows a stale log.
+    building the log, handing each to ``sink`` (the run's trace writer, if
+    any) as it happens; :meth:`read` applies them to the recorder through the
+    very calls the nodes would have made (so validation, tracker and version
+    behave as on an eager run), attaches the sink to it once and hands the
+    recorder out.  The switch is one-way: from the first read on every call
+    is forwarded as it happens, so a recorder reference taken early never
+    shows a stale log.
+
+    Writing before the recorder validated is safe: until the first read it
+    refuses nothing the nodes send — a node refuses self-sends and unknown
+    destinations itself, a receive follows its send, nothing is rolled back
+    or compacted yet (both need a read), and a run with dynamic membership
+    never gets this port.  A refusal all the same surfaces at the first read
+    and fails the run.
     """
 
-    def __init__(self, recorder: TraceRecorder) -> None:
+    def __init__(self, recorder: TraceRecorder, sink: Optional[TraceSink]) -> None:
         self._recorder = recorder
+        self._sink = sink
         #: ``(recorder method name, *arguments)`` per occurrence; None once read.
         self._kept: Optional[List[Tuple[Any, ...]]] = []
 
@@ -340,18 +351,24 @@ class _ReadOnDemandRecorder:
             self._recorder.record_send(sender, receiver, message_id, time)
         else:
             self._kept.append(("record_send", sender, receiver, message_id, time))
+            if self._sink is not None:
+                self._sink.on_send(sender, receiver, message_id, time)
 
     def record_receive(self, message_id: int, time: float) -> None:
         if self._kept is None:
             self._recorder.record_receive(message_id, time)
         else:
             self._kept.append(("record_receive", message_id, time))
+            if self._sink is not None:
+                self._sink.on_receive(message_id, time)
 
     def record_duplicate_receive(self, message_id: int, time: float) -> None:
         if self._kept is None:
             self._recorder.record_duplicate_receive(message_id, time)
         else:
             self._kept.append(("record_duplicate_receive", message_id, time))
+            if self._sink is not None:
+                self._sink.on_duplicate_receive(message_id, time)
 
     def record_checkpoint(
         self,
@@ -369,12 +386,16 @@ class _ReadOnDemandRecorder:
         else:
             # The node hands over the immutable snapshot it also stored.
             self._kept.append(("record_checkpoint", pid, index, dependency_vector, forced, time))
+            if self._sink is not None:
+                self._sink.on_checkpoint(pid, index, dependency_vector, forced=forced, time=time)
 
     def read(self) -> TraceRecorder:
         """The recorder, brought up to date with everything kept so far."""
         kept, self._kept = self._kept, None
+        if kept is None:
+            return self._recorder
         refused: Optional[Exception] = None
-        for name, *arguments in kept or ():
+        for name, *arguments in kept:
             try:
                 if name == "record_checkpoint":
                     pid, index, vector, forced, time = arguments
@@ -389,6 +410,9 @@ class _ReadOnDemandRecorder:
                 # recorder too (the port is already forwarding).
                 if refused is None:
                     refused = error
+        # The sink holds the kept occurrences already: it hears what follows.
+        if self._sink is not None:
+            self._recorder.attach_sink(self._sink)
         if refused is not None:
             raise refused
         return self._recorder
@@ -399,9 +423,10 @@ class SimulationRunner:
 
     The run's occurrences reach the :class:`TraceRecorder` at the first read
     (:attr:`trace`, :meth:`current_ccp`, a recovery session): a run whose log
-    nobody reads does not build it.  A run that is read from construction — a
-    trace writer is attached, or the membership is dynamic and a non-member's
-    event must fail at the call — records as it happens.
+    nobody reads does not build it, and its trace writer, if any, is fed the
+    occurrences as they happen without it.  A run with dynamic membership —
+    where a non-member's event must fail at the call — is read from
+    construction and records as it happens.
     """
 
     def __init__(self, config: SimulationConfig) -> None:
@@ -423,13 +448,6 @@ class SimulationRunner:
                 else None
             ),
         )
-        # Read from construction (a sink attached, or a non-member's event to
-        # refuse at the call): the nodes record into the recorder itself.
-        self._unread: Optional[_ReadOnDemandRecorder] = (
-            None
-            if config.trace_path is not None or config.membership
-            else _ReadOnDemandRecorder(self._trace)
-        )
         self._recovery_manager = RecoveryManager()
         self._nodes: List[SimulationNode] = []
         self._samples: List[StorageSample] = []
@@ -441,6 +459,12 @@ class SimulationRunner:
             from repro.traceio.writer import TraceWriter
 
             self._writer = TraceWriter(config.trace_path, config)
+        # Read from construction (a non-member's event to refuse at the
+        # call): the nodes record into the recorder itself.
+        self._unread: Optional[_ReadOnDemandRecorder] = None
+        if not config.membership:
+            self._unread = _ReadOnDemandRecorder(self._trace, self._writer)
+        elif self._writer is not None:
             self._trace.attach_sink(self._writer)
         try:
             self._nodes = [

@@ -95,11 +95,13 @@ PRUNE_THRESHOLD = 512
 class TraceSink(Protocol):
     """Observer of recorded occurrences, in recording order.
 
-    Callbacks fire *after* the recorder accepted the occurrence (validation
-    passed, internal state mutated), so a sink only ever sees occurrences
-    that are part of the recorded history.  Replaying the same callback
-    sequence into a fresh :class:`TraceRecorder` rebuilds an identical
-    recorder — the contract :mod:`repro.traceio` is built on.
+    A recorder fires the callbacks *after* it accepted the occurrence
+    (validation passed, internal state mutated).  Until a simulated run's
+    recorder is first read, the runner's port feeds the sink instead, before
+    the recorder sees the occurrence (the port says why the recorder would
+    accept it; a refusal at that read fails the run).  Replaying the same
+    callback sequence into a fresh :class:`TraceRecorder` rebuilds an
+    identical recorder — the contract :mod:`repro.traceio` is built on.
     """
 
     def on_send(
@@ -227,7 +229,8 @@ class TraceRecorder:
         """Forward every subsequently recorded occurrence to ``sink``.
 
         Sinks attached mid-run only observe the suffix; attach before the
-        first event (the runner does) to capture a replayable trace.
+        first event, or once the sink holds every earlier occurrence (the
+        simulation runner, at the first read), to capture a replayable trace.
         """
         self._sinks.append(sink)
 

@@ -3,7 +3,9 @@
 :class:`TraceWriter` implements the :class:`repro.simulation.trace.TraceSink`
 protocol, so attaching one to a :class:`~repro.simulation.trace.TraceRecorder`
 turns every recorded occurrence into an appended JSONL record the moment it
-happens: the file is unbuffered, so each record is handed to the OS in full
+happens (until a simulated run's recorder is first read, the runner's port
+calls the same methods, in the same order, without building the log).  The
+file is unbuffered, so each record is handed to the OS in full
 (:func:`write_line`) before the recording call returns — a killed run leaves
 every record it observed plus at most one torn line, a readable (partial)
 trace, exactly like the campaign store's crash semantics.  The bytes of each

@@ -12,11 +12,11 @@ recovery-session scaling gate (a session may cost at most 2x more after a
 4x longer warm-up history), the recording-path gate (executed lines per
 recorded send/receive/checkpoint under an absolute ceiling), the
 message-path gate (executed lines of a whole unread run per application
-message), the trace-codec gate (executed lines per trace record written and
-per trace line read back, under one ceiling), the retained-set gate (executed
-lines per ``(i, f)`` pair of a Theorem-1/2 retained set) and the store-cost
-gate (SQLite connections opened per stored sweep and SQL statements per
-completed cell).
+message, untraced and traced), the trace-codec gate (executed lines per
+trace record written and per trace line read back, under one ceiling), the
+retained-set gate (executed lines per ``(i, f)`` pair of a Theorem-1/2
+retained set) and the store-cost gate (SQLite connections opened per stored
+sweep and SQL statements per completed cell).
 """
 
 import json
@@ -108,8 +108,9 @@ def test_smoke_regression_check_passes(committed_document):
     gate (a ratio of two executed-line counts, a function of the seed alone):
     replaying or rescanning the history per session reads ~3.6x against its
     2x ceiling, and the violation printed on stderr names it.  The
-    recording-path, message-path, trace-codec, retained-set and store-cost
-    gates run here too and have their own tests below.
+    recording-path, message-path (untraced and traced), trace-codec,
+    retained-set and store-cost gates run here too and have their own tests
+    below.
     """
     from benchmarks.check_regression import main
 
@@ -130,21 +131,9 @@ def test_recording_path_stays_under_its_line_ceiling():
     assert "TraceRecorder.record_*" in violation
 
 
-def test_message_path_stays_under_its_line_ceiling(monkeypatch):
-    """An unread run costs its middleware: it does not build a log nobody asked for.
-
-    An executed-line count of the whole ``runner.run()`` per application
-    message (a function of the seed alone).  The gate can fire: a run whose
-    recorder is read from construction builds its log as it happens — an
-    ``Event``, a ``Message`` and a history entry per occurrence, what every
-    run did on the runner this gate was added against, at 355.6 lines per
-    message — and the violation names the path.  (An unread run reads 249.2
-    under a ceiling of 287; a run read from construction 323.0.)
-    """
-    from benchmarks.check_regression import check_message_path_cost
+def _read_every_runner_from_construction(monkeypatch):
+    """Every ``SimulationRunner`` built from now on has its recorder read at once."""
     from repro.simulation.runner import SimulationRunner
-
-    assert check_message_path_cost() == []
 
     build = SimulationRunner.__init__
 
@@ -153,8 +142,44 @@ def test_message_path_stays_under_its_line_ceiling(monkeypatch):
         runner.trace
 
     monkeypatch.setattr(SimulationRunner, "__init__", build_and_read)
+
+
+def test_message_path_stays_under_its_line_ceiling(monkeypatch):
+    """An unread run costs its middleware: it does not build a log nobody asked for.
+
+    An executed-line count of the whole ``runner.run()`` per application
+    message (a function of the seed alone).  The gate can fire: a run whose
+    recorder is read from construction builds its log as it happens — an
+    ``Event``, a ``Message`` and a history entry per occurrence, what every
+    run did on the runner this gate was added against, at 355.6 lines per
+    message — and the violation names the path.  (An unread run reads 250.6
+    under a ceiling of 287; a run read from construction 323.0.)
+    """
+    from benchmarks.check_regression import check_message_path_cost
+
+    assert check_message_path_cost() == []
+    _read_every_runner_from_construction(monkeypatch)
     (violation,) = check_message_path_cost()
     assert "builds its log again" in violation
+
+
+def test_traced_message_path_stays_under_its_line_ceiling(monkeypatch):
+    """A trace file is written from the occurrences: it does not build the log.
+
+    The message-path count on the same run streaming its trace (a function
+    of the seed alone).  The gate can fire: a traced run whose recorder is
+    read from construction builds and validates the log only to forward each
+    occurrence to the writer — what every traced run did on the runner this
+    gate was added against, at 355.8 lines per message — and the violation
+    names the path.  (A traced run nobody reads reads 288.5 under a ceiling
+    of 332; one read from construction 362.2.)
+    """
+    from benchmarks.check_regression import check_traced_message_path_cost
+
+    assert check_traced_message_path_cost() == []
+    _read_every_runner_from_construction(monkeypatch)
+    (violation,) = check_traced_message_path_cost()
+    assert "trace writer is fed through a log" in violation
 
 
 def test_trace_codec_stays_under_its_line_ceiling():

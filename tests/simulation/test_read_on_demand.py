@@ -6,7 +6,8 @@ read (``runner.trace``, ``current_ccp()``, a recovery session) applies them to
 the one :class:`~repro.simulation.trace.TraceRecorder` through the calls the
 nodes would have made, and from then on every call is forwarded as it
 happens.  So a run read from before ``run()`` and a run never read until
-afterwards must be the same run in everything but *when* the log was built.
+afterwards must be the same run in everything but *when* the log was built —
+and write the same trace file, which the port feeds until the first read.
 """
 
 import re
@@ -15,12 +16,14 @@ import pytest
 
 from repro.causality.events import EventLog
 from repro.membership import MembershipSchedule
-from repro.simulation.channels import DuplicatingChannel, UniformChannel
+from repro.simulation.channels import DuplicatingChannel, PartitionSchedule, UniformChannel
 from repro.simulation.failures import FailureSchedule
 from repro.simulation.network import NetworkConfig, NetworkStats
 from repro.simulation.runner import SimulationConfig, SimulationRunner
 from repro.simulation.trace import TraceRecorder
 from repro.simulation.workloads import UniformRandomWorkload
+from repro.traceio.reader import TraceReader, verify_trace
+from repro.traceio.writer import TraceWriter
 
 LOG_BUILDERS = ("add_send", "add_receive", "add_checkpoint")
 
@@ -121,16 +124,28 @@ class TestTheLogIsBuiltAtTheFirstRead:
         runner.trace  # applied once
         assert log_calls == expected
 
-    @pytest.mark.parametrize("reader", ["trace-writer", "membership"])
-    def test_a_run_read_from_construction_records_as_it_happens(
-        self, log_calls, tmp_path, reader
-    ):
+    def test_a_traced_run_nobody_reads_builds_no_log(self, log_calls, tmp_path):
+        """The trace file is not a reader: it is written, the log is not built."""
+        eager = SimulationRunner(_config(trace_path=str(tmp_path / "eager.jsonl")))
+        eager.trace
+        eager.run()
+        expected = dict(log_calls)
+        assert all(expected.values())
+
+        log_calls.update(dict.fromkeys(LOG_BUILDERS, 0))
+        runner = SimulationRunner(_config(trace_path=str(tmp_path / "unread.jsonl")))
+        runner.run()
+        assert log_calls == dict.fromkeys(LOG_BUILDERS, 0)
+        written = (tmp_path / "unread.jsonl").read_bytes()
+        assert written == (tmp_path / "eager.jsonl").read_bytes()
+        runner.trace
+        assert log_calls == expected
+
+    def test_a_run_with_dynamic_membership_records_as_it_happens(self, log_calls):
+        """A non-member's event must fail at the call: such a run is read from construction."""
         overrides = {
-            "trace-writer": {"trace_path": str(tmp_path / "t.jsonl")},
-            "membership": {
-                "membership": MembershipSchedule.of(joins=[(20.0, 4)], leaves=[(60.0, 1)])
-            },
-        }[reader]
+            "membership": MembershipSchedule.of(joins=[(20.0, 4)], leaves=[(60.0, 1)])
+        }
         eager = SimulationRunner(_config(**overrides))
         eager.trace
         eager.run()
@@ -221,6 +236,100 @@ class TestAReferenceTakenEarlyIsNeverStale:
         index = runner.nodes[0].take_checkpoint()
         assert reached["record_checkpoint"] == sum(expected.checkpoints_taken) + 1
         assert recorder.checkpoints_taken[0] == index + 1
+
+
+PARTITIONED = NetworkConfig(partitions=PartitionSchedule.of([(20.0, 50.0, ((0, 1),))]))
+
+TRACED_SHAPES = {
+    "failure-free": {},
+    "crashes": {"failures": FailureSchedule.of([(20.0, 1), (41.5, 3), (70.0, 1)])},
+    "full-audit": {"audit": "full"},
+    "keep-final-ccp": {"keep_final_ccp": True},
+    "lossy-duplicating": {"network": LOSSY_DUPLICATING},
+    "partitioned": {"network": PARTITIONED},
+}
+
+
+class TestTheTraceFileIsTheSameWhoeverReads:
+    """The writer is fed by the port until the first read, by the recorder after it.
+
+    Where the switch happens — never, at a crash, at the final audit, at
+    every elimination of a pruning runner, at a few arbitrary instants —
+    must not move a byte of the file.
+    """
+
+    @pytest.mark.parametrize("reader", ["unread", "read-mid-run", "pruning"])
+    @pytest.mark.parametrize("shape", sorted(TRACED_SHAPES))
+    def test_it_is_byte_identical_to_a_run_read_before_it_started(
+        self, tmp_path, pruning_runner, shape, reader
+    ):
+        def traced(name: str) -> SimulationConfig:
+            return _config(trace_path=str(tmp_path / f"{name}.jsonl"), **TRACED_SHAPES[shape])
+
+        reference = SimulationRunner(traced("reference"))
+        reference.trace
+        reference.run()
+        runner = (pruning_runner if reader == "pruning" else SimulationRunner)(traced(reader))
+        if reader == "read-mid-run":
+            for at in (10.0, 10.0, 33.3, 60.0):
+                runner.engine.schedule_at(at, lambda: runner.trace)
+        runner.run()
+
+        path = str(tmp_path / f"{reader}.jsonl")
+        expected = (tmp_path / "reference.jsonl").read_bytes()
+        assert (tmp_path / f"{reader}.jsonl").read_bytes() == expected
+        assert verify_trace(path) == []
+        replayed = TraceReader(path).replay()
+        assert replayed.status == "ok"
+        # The file rebuilds the reference's recorder (a pruning runner's own
+        # log is compacted, its file is not).
+        assert replayed.recorder.version == reference.trace.version
+        assert replayed.recorder.log.messages() == reference.trace.log.messages()
+
+    def test_the_sink_is_attached_exactly_once(self, tmp_path, monkeypatch, pruning_runner):
+        """Attached at every read, each record after the first read would be written twice."""
+        attached = []
+        attach = TraceRecorder.attach_sink
+
+        def counting(recorder, sink):
+            attached.append((sink, runner.engine.now))
+            attach(recorder, sink)
+
+        monkeypatch.setattr(TraceRecorder, "attach_sink", counting)
+        path = str(tmp_path / "t.jsonl")
+        runner = pruning_runner(
+            _config(trace_path=path, audit="full", **TRACED_SHAPES["crashes"])
+        )
+        for at in (5.0, 30.0, 30.0, 80.0):
+            runner.engine.schedule_at(at, lambda: runner.trace)
+        runner.run()
+        runner.trace, runner.current_ccp()
+        ((sink, when),) = attached
+        assert isinstance(sink, TraceWriter) and 0.0 < when <= 5.0
+        assert verify_trace(path) == []
+
+    def test_a_refusal_surfacing_at_the_first_read_seals_the_trace_aborted(
+        self, tmp_path, monkeypatch
+    ):
+        """The port wrote the refused occurrence already; the run still fails, and says so."""
+        receives = [0]
+        record_receive = TraceRecorder.record_receive
+
+        def refusing(recorder, message_id, time):
+            receives[0] += 1
+            if receives[0] == 40:
+                raise ValueError("the fortieth receive")
+            record_receive(recorder, message_id, time)
+
+        monkeypatch.setattr(TraceRecorder, "record_receive", refusing)
+        path = str(tmp_path / "t.jsonl")
+        runner = SimulationRunner(_config(trace_path=path, **TRACED_SHAPES["crashes"]))
+        with pytest.raises(ValueError, match="fortieth receive"):
+            runner.run()
+        assert runner.engine.now == 20.0  # the first crash was the first read
+        replayed = TraceReader(path).replay()
+        assert replayed.status == "aborted"
+        assert replayed.footer["error"] == "ValueError: the fortieth receive"
 
 
 class TestOutOfRangeDestination:
