@@ -1,9 +1,6 @@
-"""Benchmark-suite configuration.
+"""Benchmark-suite configuration: makes the in-tree ``src`` layout importable.
 
-Ensures the in-tree ``src`` layout is importable and provides the shared
-``emit_table`` helper that every benchmark uses to print the rows/series
-corresponding to the paper's figures and to persist them under
-``benchmarks/results/`` for EXPERIMENTS.md.
+``python -m pytest benchmarks/e2e`` imports ``repro`` through this path.
 """
 
 from __future__ import annotations
@@ -11,24 +8,6 @@ from __future__ import annotations
 import os
 import sys
 
-import pytest
-
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-@pytest.fixture
-def emit_table():
-    """Print a result table and persist it under ``benchmarks/results/``."""
-
-    def _emit(name: str, text: str) -> None:
-        os.makedirs(RESULTS_DIR, exist_ok=True)
-        path = os.path.join(RESULTS_DIR, f"{name}.txt")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"\n[{name}]\n{text}")
-
-    return _emit

@@ -17,9 +17,8 @@ from typing import Any, Iterable, List, Sequence
 class TextTable:
     """A minimal column-aligned text table.
 
-    Used by the benchmark harness to print the rows/series corresponding to
-    the paper's figures and to the evaluation study, so that the regenerated
-    numbers can be eyeballed directly in the pytest-benchmark output.
+    Used by the campaign aggregate, the query CLI and the trace analysis
+    table to print their rows.
     """
 
     def __init__(self, columns: Sequence[str], *, title: str = "") -> None:

@@ -103,10 +103,6 @@ class GarbageCollector(abc.ABC):
             raise RuntimeError(f"collector {self.name!r} has no control plane attached")
         return self._control
 
-    def piggyback_overhead_entries(self) -> int:
-        """Extra per-message piggyback entries the collector requires (0 for RDT-LGC)."""
-        return 0
-
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------

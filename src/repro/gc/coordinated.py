@@ -90,8 +90,6 @@ class CoordinatedCollectorBase(GarbageCollector):
         self._epoch = 0
         self._round_id = 0
         self._pending_reports: Dict[int, GcReport] = {}
-        self._control_messages_sent = 0
-        self._rounds_completed = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -100,16 +98,6 @@ class CoordinatedCollectorBase(GarbageCollector):
     def is_coordinator(self) -> bool:
         """True for the process that drives the rounds."""
         return self._pid == self._coordinator
-
-    @property
-    def control_messages_sent(self) -> int:
-        """Number of control messages this collector has sent."""
-        return self._control_messages_sent
-
-    @property
-    def rounds_completed(self) -> int:
-        """Number of rounds whose decisions were computed by this coordinator."""
-        return self._rounds_completed
 
     # ------------------------------------------------------------------
     # Wiring
@@ -132,7 +120,6 @@ class CoordinatedCollectorBase(GarbageCollector):
         self._pending_reports = {self._pid: self._build_report()}
         request = _Request(self._epoch, self._round_id)
         self.control.broadcast_control(request)
-        self._control_messages_sent += self._num_processes - 1
         self._maybe_finish_round()
 
     def on_control_message(self, sender: int, payload: Any, time: float) -> None:
@@ -141,7 +128,6 @@ class CoordinatedCollectorBase(GarbageCollector):
                 return
             reply = _Reply(payload.epoch, payload.round_id, self._build_report())
             self.control.send_control(sender, reply)
-            self._control_messages_sent += 1
         elif isinstance(payload, _Reply):
             if payload.epoch != self._epoch or payload.round_id != self._round_id:
                 return
@@ -158,7 +144,6 @@ class CoordinatedCollectorBase(GarbageCollector):
         if len(self._pending_reports) < self._num_processes:
             return
         decisions = self.compute_decisions(dict(self._pending_reports))
-        self._rounds_completed += 1
         for pid, discard in decisions.items():
             if not discard:
                 continue
@@ -167,7 +152,6 @@ class CoordinatedCollectorBase(GarbageCollector):
                 self._apply_decision(decision.discard)
             else:
                 self.control.send_control(pid, decision)
-                self._control_messages_sent += 1
         self._pending_reports = {}
 
     def _apply_decision(self, discard: Sequence[int]) -> None:

@@ -11,9 +11,9 @@ The paper's criticism — "requires processes to take basic checkpoints in known
 time intervals, which is unfeasible in many practical scenarios" — is exactly
 what this class makes tangible: it is a faithful *behavioural* stand-in, not a
 re-implementation of their full protocol, and its safety rests entirely on the
-workload honouring the declared period.  The evaluation benchmark runs it both
-with honoured and violated assumptions to show the difference (see DESIGN.md,
-substitution notes).
+workload honouring the declared period.  The schedule explorer runs it both
+with honoured and violated assumptions to show the difference (see
+docs/architecture.md, substitution notes).
 """
 
 from __future__ import annotations

@@ -7,14 +7,15 @@ optional online audits, runs the experiment and returns a
 benchmarks need.
 
 The recorder sits behind its readers.  A run whose log nobody reads — no
-crash, no audit, no ``keep_final_ccp`` — keeps its nodes' ``record_*``
-occurrences in arrival order and never builds the event log; the first read
-(:attr:`SimulationRunner.trace`, :meth:`SimulationRunner.current_ccp`, a
-recovery session) applies them to the one :class:`TraceRecorder` through the
-calls the nodes would have made, and from then on every occurrence is
-forwarded as it happens.  A trace file is not a reader: the run's writer
-gets each occurrence as it happens either way.  There is no option: what is
-read is recorded and validated exactly as if it had been from the start.
+crash, no audit, no ``keep_final_ccp``, no join or leave — keeps its nodes'
+``record_*`` occurrences in arrival order and never builds the event log;
+the first read (:attr:`SimulationRunner.trace`,
+:meth:`SimulationRunner.current_ccp`, a recovery session, a membership
+change) applies them to the one :class:`TraceRecorder` through the calls the
+nodes would have made, and from then on every occurrence is forwarded as it
+happens.  A trace file is not a reader: the run's writer gets each
+occurrence as it happens either way.  There is no option: what is read is
+recorded and validated exactly as if it had been from the start.
 """
 
 from __future__ import annotations
@@ -333,8 +334,9 @@ class _ReadOnDemandRecorder:
     Writing before the recorder validated is safe: until the first read it
     refuses nothing the nodes send — a node refuses self-sends and unknown
     destinations itself, a receive follows its send, nothing is rolled back
-    or compacted yet (both need a read), and a run with dynamic membership
-    never gets this port.  A refusal all the same surfaces at the first read
+    or compacted yet and the membership has not changed (joins and leaves,
+    like both of those, are reads), and an action fires only if every pid it
+    touches is a member.  A refusal all the same surfaces at the first read
     and fails the run.
     """
 
@@ -422,11 +424,9 @@ class SimulationRunner:
     """Builds and runs one experiment from a :class:`SimulationConfig`.
 
     The run's occurrences reach the :class:`TraceRecorder` at the first read
-    (:attr:`trace`, :meth:`current_ccp`, a recovery session): a run whose log
-    nobody reads does not build it, and its trace writer, if any, is fed the
-    occurrences as they happen without it.  A run with dynamic membership —
-    where a non-member's event must fail at the call — is read from
-    construction and records as it happens.
+    (:attr:`trace`, :meth:`current_ccp`, a recovery session, a join or a
+    leave): a run whose log nobody reads does not build it, and its trace
+    writer, if any, is fed the occurrences as they happen without it.
     """
 
     def __init__(self, config: SimulationConfig) -> None:
@@ -440,13 +440,7 @@ class SimulationRunner:
         self._network = Network(self._engine, config.network)
         self._trace = TraceRecorder(
             config.num_processes,
-            # Static membership passes None so the recorder is bit-for-bit
-            # the pre-membership one; joiners start dormant otherwise.
-            initial_members=(
-                config.membership.initial_members(config.num_processes)
-                if config.membership
-                else None
-            ),
+            initial_members=config.membership.initial_members(config.num_processes),
         )
         self._recovery_manager = RecoveryManager()
         self._nodes: List[SimulationNode] = []
@@ -459,13 +453,7 @@ class SimulationRunner:
             from repro.traceio.writer import TraceWriter
 
             self._writer = TraceWriter(config.trace_path, config)
-        # Read from construction (a non-member's event to refuse at the
-        # call): the nodes record into the recorder itself.
-        self._unread: Optional[_ReadOnDemandRecorder] = None
-        if not config.membership:
-            self._unread = _ReadOnDemandRecorder(self._trace, self._writer)
-        elif self._writer is not None:
-            self._trace.attach_sink(self._writer)
+        self._unread = _ReadOnDemandRecorder(self._trace, self._writer)
         try:
             self._nodes = [
                 build_node(
@@ -475,7 +463,7 @@ class SimulationRunner:
                     collector=config.collector,
                     collector_options=config.collector_options,
                     transport=self._network,
-                    trace=self._trace if self._unread is None else self._unread,
+                    trace=self._unread,
                 )
                 for pid in range(config.num_processes)
             ]
@@ -512,7 +500,7 @@ class SimulationRunner:
     @property
     def trace(self) -> TraceRecorder:
         """The global trace recorder, holding every occurrence up to now."""
-        return self._trace if self._unread is None else self._unread.read()
+        return self._unread.read()
 
     @property
     def recoveries(self) -> List[RecoveryRecord]:
@@ -652,7 +640,7 @@ class SimulationRunner:
         ``s_pid^0`` — the paper's model requires every process to begin
         with a stable checkpoint, which for a joiner happens at join time.
         """
-        self._trace.record_join(pid, self._engine.now)
+        self.trace.record_join(pid, self._engine.now)
         self._nodes[pid].start()
 
     def _handle_leave(self, pid: int) -> None:
@@ -666,7 +654,7 @@ class SimulationRunner:
         """
         self._nodes[pid].depart()
         self._network.drop_in_flight_for(pid)
-        self._trace.record_leave(pid, self._engine.now)
+        self.trace.record_leave(pid, self._engine.now)
         members = self._trace.membership
         for peer in self._nodes:
             if peer.pid != pid and members.is_member(peer.pid):
@@ -684,7 +672,7 @@ class SimulationRunner:
         self._handle_crash(pid)
 
     def _handle_crash(self, pid: int) -> None:
-        if self._config.membership and not self._trace.membership.is_member(pid):
+        if not self._trace.membership.is_member(pid):
             # A dormant process has no state to lose and a departed one can
             # never be faulty: the scheduled crash does not happen.
             return

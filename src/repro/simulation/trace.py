@@ -33,8 +33,8 @@ not reach the recorder at all until somebody reads it: the
 :class:`~repro.simulation.runner.SimulationRunner` keeps its nodes'
 occurrences and applies them, through these same ``record_*`` calls and in
 arrival order, at the first read (``runner.trace``, a ``ccp()``, a recovery
-session).  The recorder has one recording path and cannot tell the
-difference, except in time.
+session, a join or leave).  The recorder has one recording path and cannot
+tell the difference, except in time.
 
 A driver that feeds the recorder the obsolescence decisions collectors emit
 (:meth:`record_elimination`) lets it *compact*: once a contiguous prefix of a

@@ -33,6 +33,7 @@ class TestCommittedDocs:
         scanned = {p.relative_to(REPO_ROOT).as_posix() for p in checker.iter_doc_files(REPO_ROOT)}
         assert "README.md" in scanned
         assert "DESIGN.md" in scanned
+        assert "EXPERIMENTS.md" in scanned
         expected_pages = {
             "docs/architecture.md",
             "docs/kernel.md",

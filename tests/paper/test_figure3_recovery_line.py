@@ -2,11 +2,12 @@
 
 The exact message pattern of Figure 3 cannot be reconstructed from the paper's
 text (only the checkpoint labels are given), so these tests exercise a
-structurally equivalent 4-process scenario (see ``build_figure3`` in the test
-fixtures and the note in EXPERIMENTS.md): the recovery line for ``F = {p2, p3}``
-excludes the last stable checkpoint of ``p3`` because ``s2^last -> s3^last``,
-and Theorem 1 identifies obsolete checkpoints including a "hole" between two
-retained checkpoints of the same process.
+structurally equivalent 4-process scenario (see ``figure3_builder`` in
+``repro.scenarios.figures`` and the Figure 3 section of EXPERIMENTS.md): the
+recovery line for ``F = {p2, p3}`` excludes the last stable checkpoint of
+``p3`` because ``s2^last -> s3^last``, and Theorem 1 identifies obsolete
+checkpoints including a "hole" between two retained checkpoints of the same
+process.
 """
 
 from repro.ccp.checkpoint import CheckpointId

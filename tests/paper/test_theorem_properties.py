@@ -12,12 +12,14 @@ independent oracles:
 * Lemma 1 == Definition 5 (recovery lines);
 * Theorem 4 (safety) and Theorem 5 (optimality) of RDT-LGC, online, including
   across injected failures;
-* the per-process space bound of Section 4.5.
+* the per-process space bound, the absence of control messages and the O(n)
+  cost per event of Section 4.5.
 """
 
 import itertools
 
 import pytest
+from experiments import complexity, small_run, space_bound, theorem4, theorem5
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,20 +32,6 @@ from repro.core.obsolete import (
     obsolete_stable_checkpoints_theorem2,
 )
 from repro.recovery.recovery_line import recovery_line, recovery_line_brute_force
-
-
-def _small_run(seed: int, protocol: str = "fdas", crashes: int = 0):
-    return run_random_simulation(
-        num_processes=3,
-        duration=60.0,
-        seed=seed,
-        protocol=protocol,
-        collector="rdt-lgc",
-        crashes=crashes,
-        audit="full",
-        mean_message_gap=3.0,
-        mean_checkpoint_gap=9.0,
-    )
 
 
 class TestRdtProtocolsProduceRdtPatterns:
@@ -83,7 +71,7 @@ class TestRdtProtocolsProduceRdtPatterns:
 class TestEquationTwo:
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_recorded_vectors_equal_ground_truth(self, seed):
-        result = _small_run(seed)
+        result = small_run(seed)
         ccp = result.final_ccp
         assert ccp is not None
         for pid in ccp.processes:
@@ -95,13 +83,13 @@ class TestEquationTwo:
 class TestObsoleteCharacterisations:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_needless_equals_theorem1(self, seed):
-        ccp = _small_run(seed).final_ccp
+        ccp = small_run(seed).final_ccp
         assert ccp is not None
         assert needless_stable_checkpoints(ccp) == obsolete_stable_checkpoints_theorem1(ccp)
 
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_theorem2_subset_of_theorem1_and_corollary1_matches(self, seed):
-        ccp = _small_run(seed).final_ccp
+        ccp = small_run(seed).final_ccp
         assert ccp is not None
         theorem1 = obsolete_stable_checkpoints_theorem1(ccp)
         theorem2 = obsolete_stable_checkpoints_theorem2(ccp)
@@ -112,7 +100,7 @@ class TestObsoleteCharacterisations:
 class TestRecoveryLineLemma:
     @pytest.mark.parametrize("seed", [1, 4])
     def test_lemma1_matches_definition5_for_all_faulty_sets(self, seed):
-        ccp = _small_run(seed).final_ccp
+        ccp = small_run(seed).final_ccp
         assert ccp is not None
         processes = list(ccp.processes)
         for size in range(1, len(processes) + 1):
@@ -123,22 +111,29 @@ class TestRecoveryLineLemma:
 class TestRdtLgcSafetyAndOptimality:
     @pytest.mark.parametrize("seed", list(range(6)))
     def test_safe_and_optimal_without_failures(self, seed):
-        result = _small_run(seed)
+        result = small_run(seed)
         assert result.all_audits_safe
         assert result.all_audits_optimal
 
     @pytest.mark.parametrize("seed", list(range(4)))
     def test_safe_and_optimal_with_failures(self, seed):
-        result = _small_run(seed, crashes=2)
+        result = small_run(seed, crashes=2)
         assert len(result.recoveries) >= 1
         assert result.all_audits_safe
         assert result.all_audits_optimal
 
     @pytest.mark.parametrize("protocol", ["fdi", "cbr"])
     def test_safe_and_optimal_under_other_rdt_protocols(self, protocol):
-        result = _small_run(2, protocol=protocol)
+        result = small_run(2, protocol=protocol)
         assert result.all_audits_safe
         assert result.all_audits_optimal
+
+    def test_a_four_process_audit_sweep_finds_no_violation(self):
+        """FDAS, FDI and CBR with up to three crashes: every audit — one per
+        recovery session and one at the end — is safe and optimal."""
+        for safety, optimality in zip(theorem4(), theorem5()):
+            assert safety["audits"] == safety["recoveries"] + 1
+            assert safety["safety violations"] == optimality["optimality violations"] == 0
 
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(min_value=100, max_value=10_000))
@@ -184,3 +179,23 @@ class TestSpaceBound:
         )
         assert result.max_retained_any_process <= 5
         assert result.all_audits_safe
+
+    def test_the_bound_costs_no_control_message_and_global_knowledge_does(self):
+        """n = 2, 4, 8: RDT-LGC within n (n + 1 transiently) and silent;
+        Wang's coordinated collector pays control messages, and on the worst
+        case they buy it a total no larger than RDT-LGC's."""
+        for row in space_bound():
+            n = row["n"]
+            assert row["RDT-LGC transient"] <= n + 1 and row["RDT-LGC at rest"] <= n
+            assert row["RDT-LGC control"] == 0 < row["Wang control"]
+            if row["workload"] == "worst case":
+                assert row["Wang total"] <= row["RDT-LGC total"]
+
+
+class TestComplexity:
+    def test_a_receive_and_a_checkpoint_execute_at_most_linearly_many_lines(self):
+        """Executed Python lines of ``on_receive`` + ``on_checkpoint`` at
+        n = 4, 16, 64, 256 grow no faster than n."""
+        rows = complexity()
+        for smaller, larger in zip(rows, rows[1:]):
+            assert 0 < larger["lines per process"] <= smaller["lines per process"]

@@ -10,12 +10,18 @@ afterwards must be the same run in everything but *when* the log was built —
 and write the same trace file, which the port feeds until the first read.
 """
 
+import dataclasses
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from repro.causality.events import EventLog
-from repro.membership import MembershipSchedule
+from repro.membership import MembershipError, MembershipSchedule
+from repro.scenarios.experiments import membership_churn_smoke_spec
 from repro.simulation.channels import DuplicatingChannel, PartitionSchedule, UniformChannel
 from repro.simulation.failures import FailureSchedule
 from repro.simulation.network import NetworkConfig, NetworkStats
@@ -141,8 +147,10 @@ class TestTheLogIsBuiltAtTheFirstRead:
         runner.trace
         assert log_calls == expected
 
-    def test_a_run_with_dynamic_membership_records_as_it_happens(self, log_calls):
-        """A non-member's event must fail at the call: such a run is read from construction."""
+    def test_a_run_with_dynamic_membership_builds_no_log_before_its_first_join(
+        self, log_calls
+    ):
+        """A join is a read: until the first one the run's log is not built."""
         overrides = {
             "membership": MembershipSchedule.of(joins=[(20.0, 4)], leaves=[(60.0, 1)])
         }
@@ -152,7 +160,13 @@ class TestTheLogIsBuiltAtTheFirstRead:
         expected = dict(log_calls)
 
         log_calls.update(dict.fromkeys(LOG_BUILDERS, 0))
-        SimulationRunner(_config(**overrides)).run()  # never read by the test
+        runner = SimulationRunner(_config(**overrides))  # never read by the test
+        seen = []
+        for at in (19.9, 20.1):
+            runner.engine.schedule_at(at, lambda: seen.append(sum(log_calls.values())))
+        runner.run()
+        before_the_join, after_the_join = seen
+        assert before_the_join == 0 < after_the_join
         assert log_calls == expected and all(expected.values())
 
     def test_a_recovery_session_is_a_read(self, log_calls):
@@ -330,6 +344,67 @@ class TestTheTraceFileIsTheSameWhoeverReads:
         replayed = TraceReader(path).replay()
         assert replayed.status == "aborted"
         assert replayed.footer["error"] == "ValueError: the fortieth receive"
+
+
+SMOKE_CELLS = membership_churn_smoke_spec().cells()
+PIDS = st.sampled_from(range(SMOKE_CELLS[0].num_processes))
+TIMES = st.integers(min_value=0, max_value=395).map(lambda tenths: tenths / 10)
+
+
+@st.composite
+def churn_configs(draw) -> SimulationConfig:
+    """A membership-churn smoke cell with its joins, leaves and crashes redrawn."""
+    joins = draw(st.dictionaries(PIDS, TIMES, max_size=3))
+    leaves = draw(st.dictionaries(PIDS, TIMES, max_size=2))
+    try:
+        membership = MembershipSchedule.of(
+            joins=[(time, pid) for pid, time in joins.items()],
+            leaves=[(time, pid) for pid, time in leaves.items()],
+        )
+    except MembershipError:
+        reject()
+    return dataclasses.replace(
+        draw(st.sampled_from(SMOKE_CELLS)).config(),
+        membership=membership,
+        failures=FailureSchedule.of(draw(st.lists(st.tuples(TIMES, PIDS), max_size=2))),
+        audit=draw(st.sampled_from(["off", "full"])),
+    )
+
+
+class TestAMembershipRunTakesThePort:
+    """Which occurrence would the recorder refuse that the node lets through?
+
+    Before the first join or leave only the initial members act: a workload
+    action fires only when every pid it touches is a member, a crashed or
+    departed node records nothing, and a leaver's messages are dropped in
+    flight.  A run read before ``run()`` validates every occurrence at the
+    call, so a non-member's event the node let through would raise there;
+    the unread twin must be the same run.
+    """
+
+    @staticmethod
+    def _observed(config: SimulationConfig, directory: Path, *, read_first: bool):
+        path = directory / ("eager" if read_first else "unread")
+        runner = SimulationRunner(dataclasses.replace(config, trace_path=str(path)))
+        if read_first:
+            runner.trace
+        result = runner.run()
+        log = runner.trace.log
+        return {
+            "trace": path.read_bytes(),
+            "metrics": result.metrics_dict(),
+            "recoveries": result.recoveries,
+            "audits": result.audits,
+            "events": [tuple(log.history(pid)) for pid in log.processes],
+        }
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(config=churn_configs())
+    def test_an_unread_run_is_the_run_read_before_it_started(self, config):
+        with tempfile.TemporaryDirectory() as directory:
+            eager = self._observed(config, Path(directory), read_first=True)
+            assert self._observed(config, Path(directory), read_first=False) == eager
+        assert all(audit.is_safe for audit in eager["audits"])
 
 
 class TestOutOfRangeDestination:

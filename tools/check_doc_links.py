@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Check that every relative link in the repo's documentation resolves.
 
-Scans ``README.md``, ``DESIGN.md``, ``CHANGES.md``, ``ROADMAP.md`` and every
-``docs/*.md`` page for Markdown links and inline ``[text](target)``
-references, and verifies that each relative target exists on disk (relative
-to the file containing the link). External schemes (``http``, ``https``,
+Scans ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md``, ``CHANGES.md``,
+``ROADMAP.md`` and every ``docs/*.md`` page for Markdown links and inline
+``[text](target)`` references, and verifies that each relative target exists
+on disk (relative to the file containing the link). External schemes (``http``, ``https``,
 ``mailto``) and pure in-page anchors (``#section``) are skipped; a fragment
 on a relative link (``docs/kernel.md#perf``) is checked against the linked
 file's headings.
@@ -27,7 +27,7 @@ from pathlib import Path
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 
-DOC_FILES = ("README.md", "DESIGN.md", "CHANGES.md", "ROADMAP.md")
+DOC_FILES = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "CHANGES.md", "ROADMAP.md")
 DOC_DIRS = ("docs",)
 
 
