@@ -128,22 +128,25 @@ SESSION_WARM_UPS = (60.0, 240.0)
 SESSION_SCHEDULE = (20, 40.0)  # sessions, simulated time they are spread over
 SESSION_COST_GROWTH_CEILING = 2.0
 # Recording-path gate: lines per recorded occurrence on its fixed run (28.9
-# when the gate was added, so ~25 % headroom; 61.4 on its parent commit, with
-# the recorder's shadow message tables and dataclass records).
+# when the gate was added, so ~25 % headroom, and 28.5 since CheckpointId,
+# EventId and StoredCheckpoint are NamedTuples; 61.4 on its parent commit,
+# with the recorder's shadow message tables and dataclass records).
 RECORDING_LINES_CEILING = 36.0
 # Message-path gate, on the same run with the recorder unread: lines executed
 # by the whole runner.run() per application message (249.2 since the workload
 # is a sorted stream beside the engine's heap and the per-message records are
-# tuples, so ~15 % headroom, and 250.6 since each kept occurrence also tests
-# for a trace writer; 274.6 before that, with every action pushed
+# tuples, so ~15 % headroom, 250.6 since each kept occurrence also tests
+# for a trace writer, and 243.4 since a StoredCheckpoint is a NamedTuple
+# built positionally; 274.6 before that, with every action pushed
 # through the heap behind two closures; 355.6 when the run still built the
 # event log nobody read and re-linked UC through two calls per entry).
 MESSAGE_PATH_LINES_CEILING = 287.0
 # Traced message-path gate: the same count with the run streaming its trace
 # and nobody reading the recorder (288.5 since the writer is fed as the
 # nodes' occurrences happen and the log is built at the first read, so ~15 %
-# headroom; 355.8 when the writer was fed through the recorder, which built
-# and validated the log only to forward each occurrence to it).
+# headroom, and 281.3 since a StoredCheckpoint is a NamedTuple; 355.8 when
+# the writer was fed through the recorder, which built and validated the log
+# only to forward each occurrence to it).
 TRACED_MESSAGE_PATH_LINES_CEILING = 332.0
 # Trace-codec gate, on the same run with a trace attached: lines per record
 # written and per line read back (13.9 and 16.0 when the gate was added; 53.4
@@ -152,7 +155,8 @@ TRACED_MESSAGE_PATH_LINES_CEILING = 332.0
 TRACE_CODEC_LINES_CEILING = 20.0
 # Retained-set gate, on the same run with audit="full": lines inside
 # IncrementalAnalysisView._retained per (i, f) pair (10.1 when the gate
-# was added, so ~40 % headroom; 69.2 on its parent commit, whose bisection
+# was added, so ~40 % headroom, and 9.5 since a CheckpointId is a NamedTuple
+# built in C; 69.2 on its parent commit, whose bisection
 # probed through a Python closure).
 RETAINED_LINES_CEILING = 14.0
 # Store-cost gate, on a serial smoke-campaign run (16 cells) plus its

@@ -44,12 +44,13 @@ _RECEIVE = EventKind.RECEIVE
 _CHECKPOINT = EventKind.CHECKPOINT
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class EventId:
+class EventId(NamedTuple):
     """Identifies an event by process id and position in that process history.
 
     ``seq`` is the zero-based index of the event in the process's local event
-    sequence (``e_i^0, e_i^1, ...`` in the paper's notation).
+    sequence (``e_i^0, e_i^1, ...`` in the paper's notation).  A ``NamedTuple``
+    like :class:`Event`, so it equals a plain tuple of the same values; no
+    container in the library mixes the two.
     """
 
     pid: int

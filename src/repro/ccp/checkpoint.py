@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 
 class CheckpointKind(enum.Enum):
@@ -29,9 +29,12 @@ class CheckpointKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class CheckpointId:
-    """Identifies a general checkpoint ``c_pid^index``."""
+class CheckpointId(NamedTuple):
+    """Identifies a general checkpoint ``c_pid^index``.
+
+    A ``NamedTuple`` (built, hashed and compared in C), so it equals a plain
+    tuple of the same values; no container in the library mixes the two.
+    """
 
     pid: int
     index: int
@@ -101,7 +104,6 @@ class Checkpoint:
         return self.kind is CheckpointKind.VOLATILE
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        prefix = "s" if self.is_stable else "v"
         if self.is_volatile:
             return f"v{self.pid}"
-        return f"{prefix}{self.pid}^{self.index}"
+        return f"s{self.pid}^{self.index}"

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class StoredCheckpoint:
+class StoredCheckpoint(NamedTuple):
     """A stable checkpoint as written to stable storage.
+
+    A ``NamedTuple`` (built in C), so it equals a plain tuple of the same
+    values; no container in the library mixes the two.
 
     Attributes
     ----------

@@ -117,13 +117,7 @@ class StableStorage:
                 f"got {index}"
             )
         record = StoredCheckpoint(
-            pid=self._pid,
-            index=index,
-            dependency_vector=tuple(dependency_vector),
-            payload=payload,
-            forced=forced,
-            time=time,
-            size=size,
+            self._pid, index, tuple(dependency_vector), payload, forced, time, size
         )
         self._checkpoints[index] = record
         self._next_index += 1

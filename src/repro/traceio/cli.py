@@ -33,6 +33,7 @@ from repro.traceio.reader import (
     TraceReader,
     analysis_table,
     campaign_records_from_traces,
+    verify_replayed,
     verify_trace,
 )
 
@@ -78,13 +79,12 @@ def _replay_directory(args: argparse.Namespace) -> int:
 
 
 def _replay_file(args: argparse.Namespace) -> int:
-    if args.verify:
-        violations = verify_trace(args.path)
-        if violations:
-            for violation in violations:
-                print(f"VERIFY: {violation}", file=sys.stderr)
-            return 1
-    replayed = TraceReader(args.path).replay(allow_partial=args.partial)
+    replayed = TraceReader(args.path).replay(allow_partial=args.partial or args.verify)
+    violations = verify_replayed(replayed) if args.verify else []
+    if violations:
+        for violation in violations:
+            print(f"VERIFY: {violation}", file=sys.stderr)
+        return 1
     header = replayed.header
     print(
         f"{args.path}: {header['protocol']} / {header['collector']} / "

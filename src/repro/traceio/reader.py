@@ -438,7 +438,12 @@ def analysis_table(recorder: TraceRecorder, *, title: str = "Trace analysis"):
 # Verification
 # ----------------------------------------------------------------------
 def verify_trace(path: str) -> List[str]:
-    """Self-consistency audit of one trace file (empty list == pass).
+    """:func:`verify_replayed` on ``path`` replayed with ``allow_partial``."""
+    return verify_replayed(TraceReader(path).replay(allow_partial=True))
+
+
+def verify_replayed(replayed: ReplayedTrace) -> List[str]:
+    """Self-consistency audit of a replayed trace (empty list == pass).
 
     Checks the invariants a freshly written trace must satisfy: the footer is
     present with matching record/event counts (replay enforces that), the
@@ -446,8 +451,8 @@ def verify_trace(path: str) -> List[str]:
     recovery sessions match the footer result, and the footer metrics equal
     the metrics re-derived from the footer's result record.
     """
+    path = replayed.path
     violations: List[str] = []
-    replayed = TraceReader(path).replay(allow_partial=True)
     if replayed.footer is None:
         return [f"{path}: trace is truncated (no footer)"]
     footer = replayed.footer
@@ -463,17 +468,14 @@ def verify_trace(path: str) -> List[str]:
             # Scripted captures seal without a result; only a footer that
             # carries metrics but no result record is inconsistent.
             if footer.get("metrics") is not None:
-                violations.append(
-                    f"{path}: footer has metrics but no result record"
-                )
+                violations.append(f"{path}: footer has metrics but no result record")
         else:
             if result.get("recoveries") != len(replayed.recovery_plans):
                 violations.append(
                     f"{path}: footer result says {result.get('recoveries')} "
                     f"recoveries, body replayed {len(replayed.recovery_plans)}"
                 )
-            expected = metrics_from_record(result)
-            if footer.get("metrics") != expected:
+            if footer.get("metrics") != metrics_from_record(result):
                 violations.append(
                     f"{path}: footer metrics disagree with the metrics "
                     f"re-derived from the footer result record"

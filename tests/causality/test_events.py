@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.causality.events import Event, EventId, EventKind, EventLog, Message
+from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.pattern import CCP
+from repro.storage.records import StoredCheckpoint
 
 
 class TestEvent:
@@ -43,11 +45,15 @@ RECORDS = [
     Event(pid=0, seq=0, kind=EventKind.CHECKPOINT, checkpoint_index=0, forced=True),
     Message(message_id=3, sender=1, receiver=0, send_seq=2, send_interval=1),
     Message(3, 1, 0, 2, 1, receive_seq=5, receive_interval=2),
+    CheckpointId(1, 2),
+    EventId(3, 4),
+    StoredCheckpoint(1, 2, (2, 0, 1), payload="state", forced=True, time=3.5, size=4),
 ]
+IDENTITIES = (CheckpointId, EventId, StoredCheckpoint)
 
 
 class TestRecordsAreValues:
-    """``Event`` and ``Message`` are immutable, dict-less, hashable, picklable."""
+    """The records are immutable, dict-less, hashable and picklable tuples."""
 
     @pytest.mark.parametrize("record", RECORDS)
     def test_immutable_and_without_instance_dict(self, record):
@@ -77,6 +83,43 @@ class TestRecordsAreValues:
         assert pending.receive_event is None and not pending.delivered
         assert (pending.receive_seq, pending.receive_interval) == (-1, -1)
         assert delivered.receive_event == EventId(0, 5) and delivered.delivered
+
+    @pytest.mark.parametrize("record_type", IDENTITIES)
+    def test_built_hashed_and_compared_in_c(self, record_type):
+        """No Python-level ``__init__``/``__eq__``/``__hash__``: a dataclass fails this."""
+        assert issubclass(record_type, tuple) and record_type.__init__ is tuple.__init__
+        for method in ("__eq__", "__ne__", "__lt__", "__hash__"):
+            assert getattr(record_type, method) is getattr(tuple, method), method
+
+    @pytest.mark.parametrize("pid, index", [(0, 0), (3, 7), (15, 1024)])
+    def test_hash_is_the_hash_of_the_plain_tuple(self, pid, index):
+        """Set iteration order, and so every sorted and written output, rests on this."""
+        assert hash(CheckpointId(pid, index)) == hash((pid, index))
+        assert hash(EventId(pid, index)) == hash((pid, index))
+
+    def test_str_forms(self):
+        assert str(CheckpointId(1, 2)) == "c1^2"
+        assert str(EventId(1, 2)) == "e1^2"
+        assert str(StoredCheckpoint(1, 2, (0, 0))) == "s1^2"
+
+    def test_fields_and_defaults(self):
+        stored = StoredCheckpoint(1, 2, (0, 0))
+        assert StoredCheckpoint._fields == (
+            "pid", "index", "dependency_vector", "payload", "forced", "time", "size"
+        )
+        assert (stored.payload, stored.forced, stored.time, stored.size) == (None, False, 0.0, 1)
+        assert CheckpointId._fields == ("pid", "index") and EventId._fields == ("pid", "seq")
+
+    def test_ordering_is_by_pid_then_index(self):
+        ids = [CheckpointId(1, 0), CheckpointId(0, 5), CheckpointId(0, 2), CheckpointId(1, -1)]
+        assert sorted(ids) == [
+            CheckpointId(0, 2), CheckpointId(0, 5), CheckpointId(1, -1), CheckpointId(1, 0)
+        ]
+        assert EventId(0, 9) < EventId(1, 0) < EventId(1, 1)
+
+    def test_equals_a_plain_tuple_of_the_same_values(self):
+        """The one deliberate change from the dataclass: tuple equality."""
+        assert CheckpointId(1, 2) == (1, 2) == EventId(1, 2)
 
 
 class TestEventLogConstruction:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.scenarios.campaign.cli import main as campaign_main
 from repro.traceio.cli import main
+from repro.traceio.reader import TraceReader, verify_replayed, verify_trace
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +81,60 @@ class TestRecordReplay:
         output = capsys.readouterr().out
         assert "Replayed:" in output
         assert "metrics:" in output
+
+
+def _truncated_copy(trace, tmp_path):
+    """``trace`` without its footer line, as a killed run leaves it."""
+    lines = _read(trace).splitlines(keepends=True)
+    path = tmp_path / "cut.trace.jsonl"
+    path.write_bytes(b"".join(lines[:-1]))
+    return str(path)
+
+
+class TestVerifyReplaysOnce:
+    """``replay FILE --verify`` parses the file once and prints what it did before."""
+
+    @pytest.fixture
+    def replay_calls(self, monkeypatch):
+        calls = []
+        replay = TraceReader.replay
+
+        def counting(self, **kwargs):
+            calls.append(kwargs)
+            return replay(self, **kwargs)
+
+        monkeypatch.setattr(TraceReader, "replay", counting)
+        return calls
+
+    @pytest.fixture
+    def trace(self, recorded):
+        return os.path.join(recorded["traces"], sorted(os.listdir(recorded["traces"]))[0])
+
+    def test_a_clean_trace_is_replayed_once(self, trace, replay_calls, capsys):
+        assert main(["replay", trace]) == 0
+        plain = capsys.readouterr()
+        del replay_calls[:]
+        assert main(["replay", trace, "--verify"]) == 0
+        assert len(replay_calls) == 1
+        assert capsys.readouterr() == plain
+
+    @pytest.mark.parametrize("partial", [[], ["--partial"]])
+    def test_a_truncated_trace_fails_verification_after_one_replay(
+        self, trace, tmp_path, replay_calls, capsys, partial
+    ):
+        cut = _truncated_copy(trace, tmp_path)
+        assert main(["replay", cut, "--verify", *partial]) == 1
+        assert len(replay_calls) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"VERIFY: {cut}: trace is truncated (no footer)\n"
+
+    def test_verify_trace_is_replay_plus_verify_replayed(self, trace, tmp_path):
+        cut = _truncated_copy(trace, tmp_path)
+        for path in (trace, cut):
+            replayed = TraceReader(path).replay(allow_partial=True)
+            assert verify_trace(path) == verify_replayed(replayed)
+        assert verify_trace(trace) == [] and verify_trace(cut) != []
 
 
 class TestInspectAndDiff:
