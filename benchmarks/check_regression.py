@@ -136,15 +136,17 @@ RECORDING_LINES_CEILING = 36.0
 # by the whole runner.run() per application message (249.2 since the workload
 # is a sorted stream beside the engine's heap and the per-message records are
 # tuples, so ~15 % headroom, 250.6 since each kept occurrence also tests
-# for a trace writer, and 243.4 since a StoredCheckpoint is a NamedTuple
-# built positionally; 274.6 before that, with every action pushed
+# for a trace writer, 243.4 since a StoredCheckpoint is a NamedTuple
+# built positionally, and 245.4 since a receipt refuses an orphan piggyback;
+# 274.6 before that, with every action pushed
 # through the heap behind two closures; 355.6 when the run still built the
 # event log nobody read and re-linked UC through two calls per entry).
 MESSAGE_PATH_LINES_CEILING = 287.0
 # Traced message-path gate: the same count with the run streaming its trace
 # and nobody reading the recorder (288.5 since the writer is fed as the
 # nodes' occurrences happen and the log is built at the first read, so ~15 %
-# headroom, and 281.3 since a StoredCheckpoint is a NamedTuple; 355.8 when
+# headroom, 281.3 since a StoredCheckpoint is a NamedTuple, and 283.3 since
+# a receipt refuses an orphan piggyback; 355.8 when
 # the writer was fed through the recorder, which built and validated the log
 # only to forward each occurrence to it).
 TRACED_MESSAGE_PATH_LINES_CEILING = 332.0

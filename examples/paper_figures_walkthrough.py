@@ -11,7 +11,6 @@ annotated RDT-LGC execution for Figure 4 and the worst-case bound for Figure 5.
 from repro.ccp.rdt import check_rdt
 from repro.ccp.zigzag import ZigzagAnalysis
 from repro.core.obsolete import obsolete_stable_checkpoints_theorem1
-from repro.core.rdt_lgc import RdtLgc
 from repro.recovery.recovery_line import recovery_line, recovery_line_brute_force
 from repro.scenarios.experiments import run_worst_case
 from repro.scenarios.figures import drive_figure4, figure1_ccp, figure2_ccp, figure3_ccp
@@ -59,16 +58,18 @@ def figure3() -> None:
 def figure4() -> None:
     print("=" * 72)
     print("Figure 4 — RDT-LGC execution with DV / UC annotations")
-    gcs = [RdtLgc(pid, 3) for pid in range(3)]
-    steps = drive_figure4(gcs)
-    print(render_gc_trace(steps))
+    print("(three middleware nodes with the rdt-lgc collector, driven by hand)")
+    run = drive_figure4()
+    print(render_gc_trace(run.steps))
     eliminated = [
-        f"s{pid + 1}^{index}" for pid, gc in enumerate(gcs) for index in gc.collected_indices()
+        f"s{node.pid + 1}^{index}"
+        for node in run.nodes
+        for index in node.collector.collected_indices()
     ]
     print(f"eliminated online: {eliminated}")
     print(
         "obsolete but not identifiable from causal knowledge: s2^1 "
-        f"(still stored: {1 in gcs[1].retained_indices()})"
+        f"(still stored: {run.nodes[1].storage.contains(1)})"
     )
 
 

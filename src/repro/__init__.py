@@ -2,12 +2,14 @@
 Checkpointing Protocols" (Schmidt, Garcia, Pedone, Buzato; ICDCS 2005).
 
 The package implements the paper's contribution — the RDT-LGC asynchronous
-garbage collector, its recovery-session variant and the merged FDAS
-implementation — together with every substrate it needs: causal ordering and
-dependency vectors, checkpoint-and-communication patterns with zigzag-path
-analysis and the RDT property, communication-induced checkpointing protocols,
-rollback-recovery, baseline garbage collectors and a deterministic
-discrete-event simulator used for the empirical evaluation.
+garbage collector (Algorithms 1–3), run as the collector of the checkpointing
+middleware every backend executes, and merged with FDAS (Algorithm 4) by
+pairing it with the ``fdas`` protocol — together with every substrate it
+needs: causal ordering and dependency vectors, checkpoint-and-communication
+patterns with zigzag-path analysis and the RDT property,
+communication-induced checkpointing protocols, rollback-recovery, baseline
+garbage collectors and a deterministic discrete-event simulator used for the
+empirical evaluation.
 
 Quick start::
 
@@ -55,9 +57,7 @@ from repro.ccp import (
     min_consistent_global_checkpoint,
 )
 from repro.core import (
-    FdasWithRdtLgc,
     GcAudit,
-    RdtLgc,
     audit_garbage_collection,
     needless_stable_checkpoints,
     obsolete_stable_checkpoints_corollary1,
@@ -101,12 +101,10 @@ __all__ = [
     "EventKind",
     "EventLog",
     "FailureSchedule",
-    "FdasWithRdtLgc",
     "GcAudit",
     "GlobalCheckpoint",
     "NetworkConfig",
     "PipelineWorkload",
-    "RdtLgc",
     "RecoveryManager",
     "RingWorkload",
     "RollbackDependencyGraph",

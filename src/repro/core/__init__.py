@@ -1,4 +1,6 @@
-"""The paper's contribution: the RDT-LGC asynchronous garbage collector.
+"""The paper's contribution: RDT-LGC's bookkeeping and the oracles that judge it.
+
+RDT-LGC runs as :class:`repro.gc.RdtLgcCollector`, built from the pieces below.
 
 Modules
 -------
@@ -7,12 +9,8 @@ Modules
 ``uncollected``
     The ``UC`` (Uncollected Checkpoints) table with the ``release`` / ``link``
     / ``newCCB`` procedures of Algorithm 1.
-``rdt_lgc``
-    :class:`RdtLgc`, the per-process garbage collector: Algorithm 2 for normal
-    execution periods and Algorithm 3 for recovery sessions (both the
-    global-information ``LI`` variant and the causal-knowledge ``DV`` variant).
-``merged_fdas``
-    Algorithm 4: the FDAS checkpointing protocol with RDT-LGC merged into it.
+``rollback``
+    The ``UC`` assignment Algorithm 3 computes after a rollback.
 ``obsolete``
     Oracles for the paper's characterisations: Definition 7 (needlessness, by
     exhaustive search), Theorem 1 (obsolete from global knowledge), Theorem 2 /
@@ -23,7 +21,6 @@ Modules
 """
 
 from repro.core.ccb import CheckpointControlBlock
-from repro.core.merged_fdas import FdasWithRdtLgc
 from repro.core.obsolete import (
     needless_stable_checkpoints,
     obsolete_stable_checkpoints_corollary1,
@@ -33,14 +30,11 @@ from repro.core.obsolete import (
     retained_stable_checkpoints_theorem2,
 )
 from repro.core.optimality import GcAudit, audit_garbage_collection
-from repro.core.rdt_lgc import RdtLgc
 from repro.core.uncollected import UncollectedTable
 
 __all__ = [
     "CheckpointControlBlock",
-    "FdasWithRdtLgc",
     "GcAudit",
-    "RdtLgc",
     "UncollectedTable",
     "audit_garbage_collection",
     "needless_stable_checkpoints",

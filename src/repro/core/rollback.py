@@ -1,12 +1,11 @@
-"""Shared helpers for the recovery-session part of RDT-LGC (Algorithm 3).
+"""The recovery-session computation of RDT-LGC (Algorithm 3).
 
-Both the stand-alone :class:`repro.core.RdtLgc` and the simulator-facing
-:class:`repro.gc.RdtLgcCollector` need the same computation after a rollback:
-given the checkpoints still on stable storage (with their stored dependency
-vectors), the process's recreated dependency vector and the reference vector
-(the last-interval vector ``LI`` from the recovery manager, or the recreated
-``DV`` itself in the uncoordinated case), determine which stored checkpoint
-each ``UC`` entry must reference.
+After a rollback, :class:`repro.gc.RdtLgcCollector` rebuilds its ``UC`` table
+from this: given the checkpoints still on stable storage (with their stored
+dependency vectors), the process's recreated dependency vector and the
+reference vector (the last-interval vector ``LI`` from the recovery manager,
+or the recreated ``DV`` itself in the uncoordinated case), determine which
+stored checkpoint each ``UC`` entry must reference.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.core.uncollected import UncollectedTable
 from repro.gc.rdt_lgc_collector import RdtLgcCollector
 from repro.gc.registry import register_collector, unregister_collector
 from repro.storage.stable import StableStorage
@@ -74,10 +73,6 @@ class HoarderCanaryCollector(RdtLgcCollector):
         super().__init__(pid, num_processes, storage)
         self._eliminations = 0
         self._hoarded: List[int] = []
-        # The UC table inherited from RdtLgcCollector already routes through
-        # self._eliminate, which the veto below overrides; the bookkeeping
-        # itself stays exactly Algorithm 1/2.
-        self._uc = UncollectedTable(num_processes, on_eliminate=self._eliminate)
 
     @property
     def hoarded_indices(self) -> Tuple[int, ...]:
@@ -85,6 +80,7 @@ class HoarderCanaryCollector(RdtLgcCollector):
         return tuple(self._hoarded)
 
     def _eliminate(self, index: int) -> None:
+        # The inherited UC table eliminates through this override.
         self._eliminations += 1
         if self._eliminations % 2 == 0:
             # BUG: every second collectible checkpoint is hoarded.

@@ -1,14 +1,14 @@
-"""Simulator-facing adapter for RDT-LGC.
+"""RDT-LGC (Algorithms 1-3) as the collector of the checkpointing middleware.
 
-The stand-alone :class:`repro.core.RdtLgc` owns its dependency vector and
-writes checkpoints to storage itself, exactly as Algorithms 1-3 are written.
-Inside the simulator, however, the node owns the dependency vector and the
-storage (so that *any* protocol can be paired with *any* collector); this
-adapter therefore re-expresses RDT-LGC's bookkeeping over the shared
-:class:`repro.core.UncollectedTable` and the shared rollback helpers, driven
-purely by the node's notifications.  The observable behaviour — which
-checkpoints are eliminated, and when — is identical to the stand-alone class,
-which the integration tests check.
+The node owns the dependency vector and the storage, so that *any* protocol
+can be paired with *any* collector: paired with the ``fdas`` protocol this is
+Algorithm 4, the merged FDAS + RDT-LGC.  The collector keeps the ``UC`` table
+of Algorithm 1, re-links it on the node's notifications (Algorithm 2) and
+rebuilds it after a rollback (Algorithm 3), so it is the one place under
+``repro`` that builds an :class:`repro.core.UncollectedTable` or computes a
+retention assignment.  It is checked against independent references: the
+paper's Figure 4 annotations, the Theorem 1/2 oracles and
+:func:`repro.core.audit_garbage_collection`.
 """
 
 from __future__ import annotations

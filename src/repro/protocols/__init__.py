@@ -20,8 +20,8 @@ Protocols, from most to least eager:
 * :class:`UncoordinatedProtocol` — never forces a checkpoint (not RDT).
 
 The separation protocol-as-policy / node-as-mechanism lets any protocol be
-paired with any garbage collector in the simulator; Algorithm 4's merged
-FDAS + RDT-LGC implementation lives in :mod:`repro.core.merged_fdas`.
+paired with any garbage collector; FDAS paired with the ``rdt-lgc`` collector
+is Algorithm 4's merged FDAS + RDT-LGC.
 """
 
 from repro.protocols.base import CheckpointingProtocol

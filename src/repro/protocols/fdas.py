@@ -4,9 +4,19 @@ After a process sends its first message in a checkpoint interval, its
 dependency vector must stay fixed for the remainder of the interval.  A
 message that arrives carrying new causal information after such a send
 triggers a forced checkpoint before it is delivered.  FDAS is the protocol
-the paper merges with RDT-LGC in Algorithm 4 (see
-:mod:`repro.core.merged_fdas` for that merged implementation); this class is
-the stand-alone policy used when pairing FDAS with other garbage collectors.
+the paper merges with RDT-LGC in Algorithm 4: a node with this protocol and
+the ``rdt-lgc`` collector is that merged middleware, one dependency vector
+serving both, so the collector adds no piggybacked information.
+
+Note on the pseudocode: the paper's Algorithm 4 listing maintains a ``sent``
+flag (set before every send, cleared at every checkpoint) but the condition
+printed in the receive handler tests only the ``forced`` latch.  Taking a
+forced checkpoint on *every* dependency-changing receive would be the stricter
+FDI protocol, which makes the ``sent`` flag pointless; this class implements
+the standard FDAS condition — new causal information *and* a send already
+performed in the current interval — which is what the flag exists for.  Both
+variants ensure RDT (FDI takes strictly more forced checkpoints), and FDI is
+:mod:`repro.protocols.fdi`.
 """
 
 from __future__ import annotations

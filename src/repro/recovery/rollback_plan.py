@@ -11,7 +11,7 @@ two inputs:
 
 A process whose recovery-line component is its volatile checkpoint does not
 roll back and does not run Algorithm 3; it only releases the ``UC`` entries
-allowed by ``LI`` (see :meth:`repro.core.RdtLgc.on_peer_rollback`).
+allowed by ``LI`` (see :meth:`repro.gc.RdtLgcCollector.on_peer_rollback`).
 """
 
 from __future__ import annotations

@@ -14,10 +14,13 @@ substitution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ccp.builder import CCPBuilder
 from repro.ccp.pattern import CCP
+from repro.simulation.node import SimulationNode, build_node
+from repro.simulation.trace import TraceRecorder
+from repro.transport.base import AppMessage, Transport
 
 # ----------------------------------------------------------------------
 # Figure 1 — example CCP
@@ -155,55 +158,103 @@ FIGURE4_EXPECTED_FINAL = {
 }
 
 
-def drive_figure4(gcs: Sequence) -> List[Tuple[str, Tuple[int, ...], Tuple[Optional[int], ...]]]:
-    """Replay the Figure 4 execution against three :class:`repro.core.RdtLgc` instances.
+class HandDrivenTransport(Transport):
+    """A :class:`Transport` for executions written out event by event.
 
-    Returns ``(event label, DV as annotated, UC view)`` steps in the figure's
-    reading order; the labels match the keys of :data:`FIGURE4_ANNOTATIONS`.
+    A sent message waits in :attr:`sent` until the caller hands it to the
+    receiver's :meth:`SimulationNode.deliver`, and the clock stands still.  A
+    control message or a timer raises: a collector that needs one is not
+    asynchronous (Definition 8), so on this transport the definition is
+    checked by running.
     """
-    p1, p2, p3 = gcs
-    steps: List[Tuple[str, Tuple[int, ...], Tuple[Optional[int], ...]]] = []
 
-    def snap(label: str, gc, dv: Optional[Tuple[int, ...]] = None) -> None:
-        view = gc.state_view()
-        steps.append(
-            (label, tuple(dv) if dv is not None else view.dependency_vector, view.uncollected)
-        )
+    def __init__(self) -> None:
+        self.sent: List[AppMessage] = []
 
-    for gc, label in ((p1, "p1 s^0"), (p2, "p2 s^0"), (p3, "p3 s^0")):
-        gc.on_checkpoint()
-        snap(label, gc, dv=(0, 0, 0))
-    m_a = p1.before_send()
+    def now(self) -> float:
+        return 0.0
+
+    def send_app_message(
+        self, sender: int, receiver: int, piggyback: Tuple[int, ...]
+    ) -> AppMessage:
+        message = AppMessage(len(self.sent), sender, receiver, piggyback)
+        self.sent.append(message)
+        return message
+
+    def send_control_message(self, sender: int, receiver: int, payload: Any) -> None:
+        raise RuntimeError("an asynchronous collector sends no control message (Definition 8)")
+
+    def schedule_timer(self, delay: float, callback: Callable[[], None]) -> None:
+        raise RuntimeError("an asynchronous collector sets no timer (Definition 8)")
+
+
+Figure4Step = Tuple[str, Tuple[int, ...], Tuple[Optional[int], ...]]
+
+
+class Figure4Run(NamedTuple):
+    """The driven Figure 4 execution: its processes, its recording, its annotations."""
+
+    nodes: Tuple[SimulationNode, ...]
+    recorder: TraceRecorder
+    steps: List[Figure4Step]
+
+
+def drive_figure4() -> Figure4Run:
+    """Replay the Figure 4 execution on three RDT-LGC middleware nodes.
+
+    The nodes are the ones every backend runs (:func:`build_node`, protocol
+    ``uncoordinated``, collector ``rdt-lgc``) on a :class:`HandDrivenTransport`,
+    recording into one :class:`TraceRecorder`.  The steps are ``(event label,
+    DV as annotated, UC view)`` in the figure's reading order; the labels
+    match the keys of :data:`FIGURE4_ANNOTATIONS`.  At a checkpoint the
+    annotated vector is the one stored with it.
+    """
+    transport, recorder = HandDrivenTransport(), TraceRecorder(3)
+    p1, p2, p3 = nodes = tuple(
+        build_node(pid, 3, protocol="uncoordinated", collector="rdt-lgc",
+                   collector_options={}, transport=transport, trace=recorder)
+        for pid in range(3)
+    )
+    steps: List[Figure4Step] = []
+
+    def snap(label: str, node: SimulationNode) -> None:
+        steps.append((label, node.current_dv, node.collector.uc_view()))
+
+    def checkpoint(label: str, node: SimulationNode) -> None:
+        index = node.take_checkpoint()
+        stored = node.storage.get(index).dependency_vector
+        steps.append((label, stored, node.collector.uc_view()))
+
+    def send(node: SimulationNode, destination: SimulationNode) -> AppMessage:
+        node.send_message(destination.pid)
+        return transport.sent[-1]
+
+    for node, label in ((p1, "p1 s^0"), (p2, "p2 s^0"), (p3, "p3 s^0")):
+        checkpoint(label, node)
+    m_a = send(p1, p2)
     snap("p1 send m_a", p1)
-    p2.on_receive(m_a)
+    p2.deliver(m_a)
     snap("p2 recv m_a", p2)
-    m_b0 = p2.before_send()
-    p2.on_checkpoint()
-    snap("p2 s^1", p2, dv=(1, 1, 0))
-    p2.before_send()  # m_b1 stays in transit, as drawn in the figure
+    m_b0 = send(p2, p3)
+    checkpoint("p2 s^1", p2)
+    send(p2, p3)  # m_b1 stays in transit, as drawn in the figure
     snap("p2 send m_b1", p2)
-    p3.on_receive(m_b0)
+    p3.deliver(m_b0)
     snap("p3 recv m_b0", p3)
-    p3.on_checkpoint()
-    snap("p3 s^1", p3, dv=(1, 1, 1))
-    m_c1 = p3.before_send()
-    p2.on_receive(m_c1)
-    p2.on_checkpoint()
-    snap("p2 s^2", p2, dv=(1, 2, 2))
-    m_d1 = p2.before_send()
-    p2.on_checkpoint()
-    snap("p2 s^3", p2, dv=(1, 3, 2))
-    p3.on_checkpoint()
-    snap("p3 s^2", p3, dv=(1, 1, 2))
-    p3.on_receive(m_d1)
-    p3.on_checkpoint()
-    snap("p3 s^3", p3, dv=(1, 3, 3))
-    m_d2 = p2.before_send()
+    checkpoint("p3 s^1", p3)
+    p2.deliver(send(p3, p2))  # m_c1
+    checkpoint("p2 s^2", p2)
+    m_d1 = send(p2, p3)
+    checkpoint("p2 s^3", p2)
+    checkpoint("p3 s^2", p3)
+    p3.deliver(m_d1)
+    checkpoint("p3 s^3", p3)
+    m_d2 = send(p2, p3)
     snap("p2 final", p2)
-    p3.on_receive(m_d2)
+    p3.deliver(m_d2)
     snap("p3 final", p3)
     snap("p1 final", p1)
-    return steps
+    return Figure4Run(nodes, recorder, steps)
 
 
 def figure4_ccp() -> CCP:

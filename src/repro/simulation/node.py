@@ -241,6 +241,13 @@ class SimulationNode:
         """The delivery path shared by fresh and duplicate copies; False if inert."""
         if self._inert:
             return False
+        if message.piggyback[self._pid] > self._dv.current_interval():
+            # An orphan of a rollback or a garbled datagram: refused before
+            # the protocol, the vector or the collector absorbs it.
+            raise ValueError(
+                f"process {self._pid}: message {message.message_id} depends on its own "
+                f"interval {message.piggyback[self._pid]}, not yet reached"
+            )
         if self._protocol.should_force_checkpoint(self._dv.entries, message.piggyback):
             self.take_checkpoint(forced=True)
         record(message.message_id, self._transport.now())
@@ -302,9 +309,14 @@ class SimulationNode:
         from the restored checkpoint, resets the protocol state and lets the
         garbage collector run its recovery-session logic (Algorithm 3 for
         RDT-LGC).  Returns the checkpoint indices the collector eliminated.
+        A checkpoint not on stable storage (``KeyError``) or a last-interval
+        vector of the wrong length (``ValueError``) is refused before
+        anything changes.
         """
-        self._storage.eliminate_after(rollback_index)
+        if last_interval_vector is not None:
+            self._require_full_vector(last_interval_vector)
         restored = self._storage.get(rollback_index)
+        self._storage.eliminate_after(rollback_index)
         self._dv.restore(restored.dependency_vector)
         self._dv.advance_after_checkpoint()
         self._protocol.reset_after_rollback()
@@ -317,9 +329,17 @@ class SimulationNode:
 
     def apply_peer_rollback(self, last_interval_vector: Sequence[int]) -> List[int]:
         """Recovery session in which this process keeps its volatile state."""
+        self._require_full_vector(last_interval_vector)
         return self._collector.on_peer_rollback(
             last_interval_vector, self._dv.as_tuple()
         )
+
+    def _require_full_vector(self, last_interval_vector: Sequence[int]) -> None:
+        if len(last_interval_vector) != self._num_processes:
+            raise ValueError(
+                f"last-interval vector has {len(last_interval_vector)} entries; "
+                f"the run has {self._num_processes} processes"
+            )
 
 
 def build_node(

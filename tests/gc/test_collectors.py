@@ -1,4 +1,4 @@
-"""Tests for the garbage collectors (adapter, baselines, registry)."""
+"""Tests for the garbage collectors (RDT-LGC, baselines, registry)."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.gc.registry import (
     make_collector,
     register_collector,
 )
-from repro.gc.rdt_lgc_collector import RdtLgcCollector
 from repro.scenarios.experiments import run_random_simulation
 from repro.storage.stable import StableStorage
 
@@ -63,62 +62,6 @@ class TestRegistry:
     def test_register_rejects_non_collectors(self):
         with pytest.raises(TypeError):
             register_collector(dict)
-
-
-class TestRdtLgcCollectorAdapter:
-    def test_adapter_matches_standalone_rdt_lgc_on_figure4(self):
-        """Driving the adapter with the Figure 4 event stream produces exactly
-        the behaviour of the stand-alone RdtLgc class."""
-        from repro.core.rdt_lgc import RdtLgc
-        from repro.scenarios.figures import FIGURE4_EXPECTED_FINAL, drive_figure4
-
-        class _AdapterShim:
-            """Expose the RdtLgc driving API on top of the collector + a DV."""
-
-            def __init__(self, pid: int, n: int) -> None:
-                from repro.causality.dependency_vector import DependencyVector
-
-                self.storage = StableStorage(pid)
-                self.collector = RdtLgcCollector(pid, n, self.storage)
-                self.dv = DependencyVector.initial(n, pid)
-                self.pid = pid
-
-            def on_checkpoint(self):
-                index = self.dv.current_interval()
-                self.storage.store(index, self.dv.as_tuple())
-                self.collector.on_checkpoint_stored(
-                    index, self.dv.as_tuple(), forced=False, time=0.0
-                )
-                self.dv.advance_after_checkpoint()
-                return index
-
-            def before_send(self):
-                return self.dv.piggyback()
-
-            def on_receive(self, piggyback):
-                updated = self.dv.absorb(piggyback)
-                self.collector.on_receive(updated)
-                return updated
-
-            def state_view(self):
-                from repro.core.rdt_lgc import GcStateView
-
-                return GcStateView(self.dv.as_tuple(), self.collector.uc_view())
-
-        shims = [_AdapterShim(pid, 3) for pid in range(3)]
-        drive_figure4(shims)
-        for pid, expectations in FIGURE4_EXPECTED_FINAL.items():
-            assert shims[pid].dv.as_tuple() == expectations["dv"]
-            assert shims[pid].collector.uc_view() == expectations["uc"]
-            assert shims[pid].storage.retained_indices() == expectations["retained"]
-
-        reference = [RdtLgc(pid, 3) for pid in range(3)]
-        drive_figure4(reference)
-        for pid in range(3):
-            assert (
-                shims[pid].storage.retained_indices()
-                == reference[pid].retained_indices()
-            )
 
 
 class TestCollectorsInSimulation:

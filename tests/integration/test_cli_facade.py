@@ -364,6 +364,30 @@ def test_the_transport_contract_is_what_both_backends_implement():
     assert not imported & {"hashlib", "random"}
 
 
+def test_rdt_lgc_bookkeeping_has_one_home():
+    """One RDT-LGC: under ``src/repro`` only the ``rdt-lgc`` collector builds a
+    ``UC`` table or computes Algorithm 3's retention assignment, so a second
+    implementation (or a subclass rebuilding its parent's table) cannot grow
+    back."""
+    import ast
+    import pathlib
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    calls = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")
+                if name in ("UncollectedTable", "retention_assignments"):
+                    calls.add((name, path.relative_to(root).as_posix()))
+    assert calls == {
+        ("UncollectedTable", "gc/rdt_lgc_collector.py"),
+        ("retention_assignments", "gc/rdt_lgc_collector.py"),
+    }
+
+
 @pytest.mark.parametrize("command", ["campaign", "query aggregate", "trace replay"])
 def test_a_group_by_typo_is_one_error_line_from_every_command(command, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"

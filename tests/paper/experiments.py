@@ -31,7 +31,6 @@ from repro.core.obsolete import (
     obsolete_stable_checkpoints_theorem1,
     obsolete_stable_checkpoints_theorem2,
 )
-from repro.core.rdt_lgc import RdtLgc
 from repro.recovery.recovery_line import (
     recovery_line,
     recovery_line_brute_force,
@@ -40,13 +39,16 @@ from repro.recovery.recovery_line import (
 from repro.scenarios.experiments import STUDY_COLLECTORS, run_random_simulation, run_worst_case
 from repro.scenarios.figures import (
     FIGURE4_ANNOTATIONS,
+    HandDrivenTransport,
     drive_figure4,
     figure1_ccp,
     figure2_ccp,
     figure3_ccp,
     figure4_ccp,
 )
+from repro.simulation.node import build_node
 from repro.simulation.runner import SimulationConfig, SimulationResult, SimulationRunner
+from repro.simulation.trace import TraceRecorder
 from repro.simulation.workloads import (
     ClientServerWorkload,
     PipelineWorkload,
@@ -219,11 +221,11 @@ def figure3() -> Iterable[Row]:
 
 @_artifact("figure-4")
 def figure4() -> Iterable[Row]:
-    gcs = [RdtLgc(pid, 3) for pid in range(3)]
-    observed = {label: (dv, uc) for label, dv, uc in drive_figure4(gcs)}
+    run = drive_figure4()
+    observed = {label: (dv, uc) for label, dv, uc in run.steps}
     matching = sum(observed[label] == state for label, state in FIGURE4_ANNOTATIONS.items())
-    eliminated = {CheckpointId(pid, index)
-                  for pid, gc in enumerate(gcs) for index in gc.collected_indices()}
+    eliminated = {CheckpointId(node.pid, index)
+                  for node in run.nodes for index in node.collector.collected_indices()}
     ccp = figure4_ccp()
     return _facts(
         ("annotated (DV, UC) states", len(FIGURE4_ANNOTATIONS), matching),
@@ -375,20 +377,40 @@ def control_messages() -> Iterable[Row]:
 
 
 def _handler_lines(num_processes: int) -> Tuple[int, int]:
-    """Lines executed by one receive and one checkpoint with every ``UC`` entry set.
+    """Lines executed by one receive and one checkpoint of ``p1``'s middleware.
 
-    Process 0 has heard from every peer, so each entry of its ``UC`` holds a
-    CCB; the counted receive brings new information about every peer (the
-    most the handler can do), the counted checkpoint follows it.
+    Every process is a node with the ``fdas`` protocol and the ``rdt-lgc``
+    collector, Algorithm 4's merged FDAS + RDT-LGC.  ``p1`` has heard from
+    every peer, so each entry of its ``UC`` holds a CCB, and it has sent in
+    its current interval.  The counted receive brings new information about
+    every peer, so FDAS forces a checkpoint before it is delivered (the most
+    a receive can do); the counted basic checkpoint follows it.
     """
-    gc = RdtLgc(0, num_processes)
-    gc.on_checkpoint()
-    for peer in range(1, num_processes):
-        gc.on_checkpoint()
-        gc.on_receive([1 if pid == peer else 0 for pid in range(num_processes)])
+    transport, recorder = HandDrivenTransport(), TraceRecorder(num_processes)
+    p1, *peers = nodes = [
+        build_node(pid, num_processes, protocol="fdas", collector="rdt-lgc",
+                   collector_options={}, transport=transport, trace=recorder)
+        for pid in range(num_processes)
+    ]
+    for node in nodes:
+        node.start()
+    for peer in peers:
+        p1.take_checkpoint()
+        peer.send_message(p1.pid)
+        p1.deliver(transport.sent[-1])
+    # The last peer learns every peer's next interval and passes it on to p1.
+    courier = peers[-1]
+    for peer in peers:
+        peer.take_checkpoint()
+    for peer in peers[:-1]:
+        peer.send_message(courier.pid)
+        courier.deliver(transport.sent[-1])
+    p1.send_message(courier.pid)
+    courier.send_message(p1.pid)
     receive, checkpoint = _LineCounter(), _LineCounter()
-    receive.counting(gc.on_receive)([0] + [2] * (num_processes - 1))
-    checkpoint.counting(gc.on_checkpoint)()
+    receive.counting(p1.deliver)(transport.sent[-1])
+    checkpoint.counting(p1.take_checkpoint)()
+    assert p1.forced_checkpoints == 1 and p1.collector.uc_view().count(None) == 0
     return receive.lines, checkpoint.lines
 
 
@@ -398,8 +420,8 @@ def complexity() -> Iterable[Row]:
         receive, checkpoint = _handler_lines(n)
         yield {
             "n": n,
-            "on_receive": receive,
-            "on_checkpoint": checkpoint,
+            "deliver": receive,
+            "take_checkpoint": checkpoint,
             "lines per process": (receive + checkpoint) / n,
         }
 

@@ -2,10 +2,11 @@
 
 The paper annotates selected events of a 3-process execution with the contents
 of ``DV`` (stored vector at checkpoint events, current vector elsewhere) and
-``UC``.  ``drive_figure4`` replays that execution against real :class:`RdtLgc`
-instances; these tests compare every annotation, the set of checkpoints
-eliminated online (``s2^2``, ``s3^1``, ``s3^2``) and the one obsolete
-checkpoint RDT-LGC cannot identify (``s2^1``).
+``UC``.  ``drive_figure4`` replays that execution on three middleware nodes
+with the ``rdt-lgc`` collector, the stack every backend runs; these tests
+compare every annotation, the set of checkpoints eliminated online (``s2^2``,
+``s3^1``, ``s3^2``) and the one obsolete checkpoint RDT-LGC cannot identify
+(``s2^1``).
 """
 
 import pytest
@@ -15,7 +16,6 @@ from repro.core.obsolete import (
     obsolete_stable_checkpoints_theorem1,
     obsolete_stable_checkpoints_theorem2,
 )
-from repro.core.rdt_lgc import RdtLgc
 from repro.scenarios.figures import (
     FIGURE4_ANNOTATIONS,
     FIGURE4_EXPECTED_FINAL,
@@ -25,9 +25,8 @@ from repro.scenarios.figures import (
 
 @pytest.fixture
 def figure4_run():
-    gcs = [RdtLgc(pid, 3) for pid in range(3)]
-    steps = drive_figure4(gcs)
-    return gcs, {label: (dv, uc) for label, dv, uc in steps}
+    run = drive_figure4()
+    return run, {label: (dv, uc) for label, dv, uc in run.steps}
 
 
 class TestFigure4Annotations:
@@ -37,29 +36,47 @@ class TestFigure4Annotations:
             assert observed[label] == expected, f"mismatch at {label}"
 
     def test_final_states(self, figure4_run):
-        gcs, _ = figure4_run
+        run, _ = figure4_run
         for pid, expectations in FIGURE4_EXPECTED_FINAL.items():
-            assert gcs[pid].dependency_vector == expectations["dv"]
-            assert gcs[pid].uncollected.view() == expectations["uc"]
-            assert gcs[pid].retained_indices() == expectations["retained"]
+            node = run.nodes[pid]
+            assert node.current_dv == expectations["dv"]
+            assert node.collector.uc_view() == expectations["uc"]
+            assert node.storage.retained_indices() == expectations["retained"]
+
+    def test_the_recording_is_the_figure4_pattern(self, figure4_run, figure4_ccp):
+        """The recorder's CCP and the hand-built one agree on the stored
+        vectors and on both obsolete sets the oracles compute."""
+        run, _ = figure4_run
+        recorded = run.recorder.ccp()
+
+        def stored(ccp):
+            return {
+                cid: ccp.checkpoint(cid).dependency_vector
+                for pid in ccp.processes
+                for cid in ccp.stable_ids(pid)
+            }
+
+        assert stored(recorded) == stored(figure4_ccp)
+        for oracle in (obsolete_stable_checkpoints_theorem1, obsolete_stable_checkpoints_theorem2):
+            assert oracle(recorded) == oracle(figure4_ccp)
 
 
 class TestFigure4Eliminations:
     def test_eliminated_checkpoints_match_the_empty_squares(self, figure4_run):
-        gcs, _ = figure4_run
+        run, _ = figure4_run
         # s2^2 eliminated by p2; s3^1 and s3^2 eliminated by p3.
-        assert gcs[1].collected_indices() == [2]
-        assert gcs[2].collected_indices() == [1, 2]
+        assert run.nodes[1].collector.collected_indices() == [2]
+        assert run.nodes[2].collector.collected_indices() == [1, 2]
 
     def test_s2_1_is_the_only_unidentified_obsolete_checkpoint(
         self, figure4_run, figure4_ccp
     ):
-        gcs, _ = figure4_run
+        run, _ = figure4_run
         theorem1 = obsolete_stable_checkpoints_theorem1(figure4_ccp)
         retained = {
-            CheckpointId(pid, index)
-            for pid, gc in enumerate(gcs)
-            for index in gc.retained_indices()
+            CheckpointId(node.pid, index)
+            for node in run.nodes
+            for index in node.storage.retained_indices()
         }
         unidentified = theorem1 & retained
         assert unidentified == {CheckpointId(1, 1)}
@@ -67,10 +84,10 @@ class TestFigure4Eliminations:
     def test_rdt_lgc_collects_exactly_the_theorem2_set(self, figure4_run, figure4_ccp):
         """Theorem 5 on this execution: what was eliminated == what causal
         knowledge can identify."""
-        gcs, _ = figure4_run
+        run, _ = figure4_run
         eliminated = {
-            CheckpointId(pid, index)
-            for pid, gc in enumerate(gcs)
-            for index in gc.collected_indices()
+            CheckpointId(node.pid, index)
+            for node in run.nodes
+            for index in node.collector.collected_indices()
         }
         assert eliminated == obsolete_stable_checkpoints_theorem2(figure4_ccp)

@@ -194,8 +194,8 @@ class TestSpaceBound:
 
 class TestComplexity:
     def test_a_receive_and_a_checkpoint_execute_at_most_linearly_many_lines(self):
-        """Executed Python lines of ``on_receive`` + ``on_checkpoint`` at
-        n = 4, 16, 64, 256 grow no faster than n."""
+        """Executed Python lines of the middleware's ``deliver`` +
+        ``take_checkpoint`` at n = 4, 16, 64, 256 grow no faster than n."""
         rows = complexity()
         for smaller, larger in zip(rows, rows[1:]):
             assert 0 < larger["lines per process"] <= smaller["lines per process"]

@@ -1,8 +1,8 @@
 """Tests for the scenario builders shared by tests, examples and benchmarks."""
 
+import pytest
 
 from repro.ccp.rdt import check_rdt
-from repro.core.rdt_lgc import RdtLgc
 from repro.scenarios.experiments import (
     random_run_config,
     run_random_simulation,
@@ -39,16 +39,22 @@ class TestFigureBuilders:
         assert check_rdt(ccp).is_rdt
 
     def test_figure4_ccp_matches_the_driven_execution(self):
-        gcs = [RdtLgc(pid, 3) for pid in range(3)]
-        drive_figure4(gcs)
+        nodes = drive_figure4().nodes
         ccp = figure4_ccp()
-        for pid, gc in enumerate(gcs):
-            assert ccp.dv(ccp.volatile_id(pid)) == gc.dependency_vector
+        for node in nodes:
+            assert ccp.dv(ccp.volatile_id(node.pid)) == node.current_dv
 
     def test_figure4_annotation_labels_match_the_steps(self):
-        gcs = [RdtLgc(pid, 3) for pid in range(3)]
-        steps = drive_figure4(gcs)
+        steps = drive_figure4().steps
         assert {label for label, _, _ in steps} == set(FIGURE4_ANNOTATIONS)
+
+    def test_figure4_runs_without_control_messages_or_timers(self):
+        """The hand-driven transport raises on either (Definition 8)."""
+        transport = drive_figure4().nodes[0].transport
+        with pytest.raises(RuntimeError, match="Definition 8"):
+            transport.send_control_message(0, 1, "marker")
+        with pytest.raises(RuntimeError, match="Definition 8"):
+            transport.schedule_timer(1.0, lambda: None)
 
 
 class TestExperimentBuilders:
