@@ -137,19 +137,23 @@ RECORDING_LINES_CEILING = 36.0
 # is a sorted stream beside the engine's heap and the per-message records are
 # tuples, so ~15 % headroom, 250.6 since each kept occurrence also tests
 # for a trace writer, 243.4 since a StoredCheckpoint is a NamedTuple
-# built positionally, and 245.4 since a receipt refuses an orphan piggyback;
+# built positionally, 245.4 since a receipt refuses an orphan piggyback, and
+# 232.6 since the runner streams the workload's keys against one handler per
+# (process, kind, target), the ceiling lowered by that 12.8-line drop;
 # 274.6 before that, with every action pushed
 # through the heap behind two closures; 355.6 when the run still built the
 # event log nobody read and re-linked UC through two calls per entry).
-MESSAGE_PATH_LINES_CEILING = 287.0
+MESSAGE_PATH_LINES_CEILING = 274.2
 # Traced message-path gate: the same count with the run streaming its trace
 # and nobody reading the recorder (288.5 since the writer is fed as the
 # nodes' occurrences happen and the log is built at the first read, so ~15 %
-# headroom, 281.3 since a StoredCheckpoint is a NamedTuple, and 283.3 since
-# a receipt refuses an orphan piggyback; 355.8 when
+# headroom, 281.3 since a StoredCheckpoint is a NamedTuple, 283.3 since
+# a receipt refuses an orphan piggyback, and 270.4 since the workload's keys
+# are streamed against shared handlers, the ceiling lowered by that 12.9-line
+# drop; 355.8 when
 # the writer was fed through the recorder, which built and validated the log
 # only to forward each occurrence to it).
-TRACED_MESSAGE_PATH_LINES_CEILING = 332.0
+TRACED_MESSAGE_PATH_LINES_CEILING = 319.1
 # Trace-codec gate, on the same run with a trace attached: lines per record
 # written and per line read back (13.9 and 16.0 when the gate was added; 53.4
 # and 38.0 on its parent commit, which called json.dumps/json.loads and a

@@ -13,7 +13,8 @@ empirical evaluation.
 
 Quick start::
 
-    from repro import SimulationConfig, SimulationRunner, UniformRandomWorkload
+    from repro import SimulationConfig, UniformRandomWorkload
+    from repro.simulation import run_simulation
 
     config = SimulationConfig(
         num_processes=4,
@@ -23,7 +24,7 @@ Quick start::
         collector="rdt-lgc",
         audit="full",
     )
-    result = SimulationRunner(config).run()
+    result = run_simulation(config)
     print(result.summary())
 
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the

@@ -52,7 +52,6 @@ from repro.simulation.runner import (
     SimulationConfig,
     SimulationResult,
 )
-from repro.simulation.workloads import ActionKind
 from repro.traceio.format import RunProvenance, make_header
 from repro.traceio.writer import TraceWriter
 
@@ -191,20 +190,14 @@ class LiveCoordinator:
         import random
 
         config = self._config
-        actions = config.workload.generate(
-            config.num_processes, config.duration, random.Random(config.seed)
-        )
         by_pid: Dict[int, List[List[Any]]] = {
             pid: [] for pid in range(config.num_processes)
         }
-        for action in actions:
-            by_pid[action.pid].append(
-                [
-                    action.time,
-                    action.kind.value,
-                    action.target if action.kind is ActionKind.SEND else None,
-                ]
-            )
+        # A worker's frame is [time, kind, target or None], straight from the key.
+        for time, pid, kind, target in config.workload.keys(
+            config.num_processes, config.duration, random.Random(config.seed)
+        ):
+            by_pid[pid].append([time, kind, None if target < 0 else target])
         self._actions_by_pid = by_pid
 
     async def _on_connection(

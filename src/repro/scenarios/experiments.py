@@ -36,7 +36,7 @@ from repro.simulation.channels import (
 )
 from repro.simulation.failures import FailureModelSpec, FailureSchedule
 from repro.simulation.network import NetworkConfig
-from repro.simulation.runner import SimulationConfig, SimulationResult, SimulationRunner
+from repro.simulation.runner import SimulationConfig, SimulationResult, run_simulation
 from repro.simulation.workloads import UniformRandomWorkload, Workload, WorstCaseWorkload
 
 
@@ -87,7 +87,7 @@ def random_run_config(
 
 def run_random_simulation(**kwargs) -> SimulationResult:
     """Build the configuration via :func:`random_run_config` and run it."""
-    return SimulationRunner(random_run_config(**kwargs)).run()
+    return run_simulation(random_run_config(**kwargs))
 
 
 def run_worst_case(
@@ -111,7 +111,7 @@ def run_worst_case(
         audit=audit,
         keep_final_ccp=True,
     )
-    return SimulationRunner(config).run()
+    return run_simulation(config)
 
 
 # ----------------------------------------------------------------------

@@ -288,6 +288,14 @@ class LinkFates:
         self.stats.app_delivered += 1
         return True
 
+    def close(self) -> None:
+        """Drop every link's streams and state, the FIFO clocks and the
+        received set: the run is over (the stats stay)."""
+        self._links.clear()
+        self._control_rngs.clear()
+        self._fifo_clock.clear()
+        self._received.clear()
+
 
 class Network(Transport):
     """The simulator's :class:`Transport`: one in-process network for all nodes.
@@ -420,6 +428,13 @@ class Network(Transport):
             if self._duplicate_handler is None:
                 raise RuntimeError("no duplicate delivery handler registered")
             self._duplicate_handler(message)
+
+    def close(self) -> None:
+        """Let go of the run: in-flight copies, handlers and link state."""
+        self._in_flight.clear()
+        self._app_handler = self._duplicate_handler = self._control_handler = None
+        self._partition_hook = None
+        self._fates.close()
 
     def in_flight_count(self) -> int:
         """Number of application message copies currently in transit."""

@@ -32,12 +32,12 @@ from repro.core.optimality import GcAudit, audit_garbage_collection
 from repro.membership import MembershipSchedule
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.rollback_plan import RollbackPlan
-from repro.simulation.engine import SimulationEngine
+from repro.simulation.engine import Callback, SimulationEngine
 from repro.simulation.failures import FailureSchedule
 from repro.simulation.network import AppMessage, Network, NetworkConfig, PartitionEvent
 from repro.simulation.node import SimulationNode, build_node
 from repro.simulation.trace import TraceRecorder, TraceSink
-from repro.simulation.workloads import Workload
+from repro.simulation.workloads import Action, ActionKey, Workload
 
 
 @dataclass(frozen=True)
@@ -419,6 +419,11 @@ class _ReadOnDemandRecorder:
             raise refused
         return self._recorder
 
+    def close(self) -> None:
+        """Let go of the kept occurrences, the recorder and the sink: the run is over."""
+        self._kept = self._sink = None
+        del self._recorder
+
 
 class SimulationRunner:
     """Builds and runs one experiment from a :class:`SimulationConfig`.
@@ -448,6 +453,7 @@ class SimulationRunner:
         self._recoveries: List[RecoveryRecord] = []
         self._audits: List[AuditRecord] = []
         self._writer: Optional["TraceWriter"] = None
+        self._closed = False
         if config.trace_path is not None:
             # Imported lazily: repro.traceio sits above the simulation layer.
             from repro.traceio.writer import TraceWriter
@@ -500,6 +506,7 @@ class SimulationRunner:
     @property
     def trace(self) -> TraceRecorder:
         """The global trace recorder, holding every occurrence up to now."""
+        self._require_open()
         return self._unread.read()
 
     @property
@@ -537,6 +544,7 @@ class SimulationRunner:
         run that raises seals the trace as ``aborted`` instead (still
         replayable up to the failure point) and re-raises.
         """
+        self._require_open()
         try:
             result = self._run()
         except BaseException as exc:
@@ -549,6 +557,29 @@ class SimulationRunner:
                 final_volatile_dvs=[node.current_dv for node in self._nodes],
             )
         return result
+
+    def close(self) -> None:
+        """Release what the finished run holds (idempotent).
+
+        A run's objects reference each other — node and control plane,
+        ``UC`` and collector, the network's handlers and this runner — so
+        without this they wait for the cyclic collector's next full pass.
+        The port's kept occurrences and recorder, the network's link state
+        and in-flight copies go now; the samples, recoveries and audits a
+        :class:`SimulationResult` shares stay.  Afterwards :meth:`run`,
+        :attr:`trace` and :meth:`current_ccp` raise :class:`RuntimeError`.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if self._writer is not None and not self._writer.closed:
+            self._writer.abort("the runner was closed before its run finished")
+        self._unread.close()
+        self._network.close()
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("the simulation runner is closed: its run was released")
 
     def _run(self) -> SimulationResult:
         config = self._config
@@ -566,12 +597,24 @@ class SimulationRunner:
             self._engine.schedule_at(event.time, handler)
         # Static membership passes no view: nothing to check at fire time.
         acting_members = self._trace.membership if config.membership else None
-        # The workload is in time order: it is streamed beside the engine's
-        # heap, and neither the list nor an action outlives this statement.
+        nodes = self._nodes
+        # Every action that repeats a (pid, kind, target) shares its handler.
+        handlers: Dict[Tuple[int, str, int], Callback] = {}
+
+        def entry(key: ActionKey) -> Tuple[float, Callback]:
+            handler = handlers.get(key[1:])
+            if handler is None:
+                handler = handlers[key[1:]] = nodes[key[1]].action_handler(
+                    Action.of_key(key), acting_members
+                )
+            return key[0], handler
+
+        # The workload's keys are in time order: they are streamed beside the
+        # engine's heap, and the list does not outlive this statement.
         self._engine.schedule_sorted(
-            (action.time, self._nodes[action.pid].action_handler(action, acting_members))
-            for action in config.workload.generate(
-                config.num_processes, config.duration, self._engine.rng
+            map(
+                entry,
+                config.workload.keys(config.num_processes, config.duration, self._engine.rng),
             )
         )
         for crash in config.failures:
@@ -760,4 +803,9 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         from repro.live import run_live
 
         return run_live(config).result
-    return SimulationRunner(config).run()
+    runner = SimulationRunner(config)
+    try:
+        return runner.run()
+    finally:
+        # Freed now, not at the cyclic collector's next full pass.
+        runner.close()

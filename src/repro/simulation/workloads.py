@@ -1,11 +1,12 @@
 """Workload generators.
 
 A workload describes *what the application does*: when each process sends
-messages to whom and when it takes basic checkpoints.  Workloads generate a
-deterministic list of timed :class:`Action` records from a seeded random
-generator; the runner schedules them on the engine.  Forced checkpoints are
-not part of the workload — they are decided online by the checkpointing
-protocol.
+messages to whom and when it takes basic checkpoints.  Workloads draw a
+deterministic, sorted list of action keys (:meth:`Workload.keys`) from a
+seeded random generator; the runner streams them to the engine, and
+:meth:`Workload.generate` is the same list as :class:`Action` records.
+Forced checkpoints are not part of the workload — they are decided online by
+the checkpointing protocol.
 
 Provided workloads:
 
@@ -95,6 +96,12 @@ class Action(_ActionFields):
         kind/target tiebreak so equal-timestamp sorts are stable across runs."""
         return (self.time, self.pid, self.kind.value, -1 if self.target is None else self.target)
 
+    @classmethod
+    def of_key(cls, key: ActionKey) -> "Action":
+        """The action whose :meth:`sort_key` is ``key``."""
+        time, pid, kind, target = key
+        return cls(time, pid, _KINDS[kind], None if target < 0 else target)
+
 
 class Workload(abc.ABC):
     """Base class for workload generators."""
@@ -102,11 +109,21 @@ class Workload(abc.ABC):
     name = "abstract"
 
     @abc.abstractmethod
+    def keys(
+        self, num_processes: int, duration: float, rng: random.Random
+    ) -> List[ActionKey]:
+        """The :meth:`Action.sort_key` of every action of one run, sorted.
+
+        The runner streams them to the engine, which refuses a batch out of
+        time order, and builds one handler per distinct ``(pid, kind,
+        target)``: no :class:`Action` exists per action.
+        """
+
     def generate(
         self, num_processes: int, duration: float, rng: random.Random
     ) -> List[Action]:
-        """Produce the timed actions of one run, in non-decreasing time order
-        (the runner streams them to the engine, which refuses any other)."""
+        """The actions of :meth:`keys`, as records, in the same order."""
+        return [Action.of_key(key) for key in self.keys(num_processes, duration, rng)]
 
     @staticmethod
     def _basic_checkpoints(
@@ -117,16 +134,6 @@ class Workload(abc.ABC):
         while time < duration:
             keys.append((time, pid, _CHECKPOINT, -1))
             time += rng.expovariate(1.0 / mean_gap)
-
-    @staticmethod
-    def _ordered(keys: List[ActionKey]) -> List[Action]:
-        """The actions of ``keys`` in canonical order: the plain tuples sort
-        natively, and each :class:`Action` is built once, afterwards."""
-        keys.sort()
-        return [
-            Action(time, pid, _KINDS[kind], None if target < 0 else target)
-            for time, pid, kind, target in keys
-        ]
 
 
 class UniformRandomWorkload(Workload):
@@ -145,9 +152,9 @@ class UniformRandomWorkload(Workload):
         self._message_gap = mean_message_gap
         self._checkpoint_gap = mean_checkpoint_gap
 
-    def generate(
+    def keys(
         self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[Action]:
+    ) -> List[ActionKey]:
         keys: List[ActionKey] = []
         for pid in range(num_processes):
             time = rng.expovariate(1.0 / self._message_gap)
@@ -158,7 +165,8 @@ class UniformRandomWorkload(Workload):
                 keys.append((time, pid, _SEND, target))
                 time += rng.expovariate(1.0 / self._message_gap)
             self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        return self._ordered(keys)
+        keys.sort()
+        return keys
 
 
 class ClientServerWorkload(Workload):
@@ -181,9 +189,9 @@ class ClientServerWorkload(Workload):
         self._think_time = server_think_time
         self._checkpoint_gap = mean_checkpoint_gap
 
-    def generate(
+    def keys(
         self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[Action]:
+    ) -> List[ActionKey]:
         if num_processes < 2:
             raise ValueError("the client/server workload needs at least two processes")
         keys: List[ActionKey] = []
@@ -198,7 +206,8 @@ class ClientServerWorkload(Workload):
                 time += rng.expovariate(1.0 / self._request_gap)
         for pid in range(num_processes):
             self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        return self._ordered(keys)
+        keys.sort()
+        return keys
 
 
 class PipelineWorkload(Workload):
@@ -217,9 +226,9 @@ class PipelineWorkload(Workload):
         self._stage_period = stage_period
         self._checkpoint_gap = mean_checkpoint_gap
 
-    def generate(
+    def keys(
         self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[Action]:
+    ) -> List[ActionKey]:
         keys: List[ActionKey] = []
         for pid in range(num_processes - 1):
             time = self._stage_period * (1.0 + 0.1 * pid)
@@ -228,7 +237,8 @@ class PipelineWorkload(Workload):
                 time += self._stage_period
         for pid in range(num_processes):
             self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        return self._ordered(keys)
+        keys.sort()
+        return keys
 
 
 class RingWorkload(Workload):
@@ -247,9 +257,9 @@ class RingWorkload(Workload):
         self._period = period
         self._checkpoint_gap = mean_checkpoint_gap
 
-    def generate(
+    def keys(
         self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[Action]:
+    ) -> List[ActionKey]:
         keys: List[ActionKey] = []
         for pid in range(num_processes):
             time = self._period * (1.0 + pid / max(num_processes, 1))
@@ -257,7 +267,8 @@ class RingWorkload(Workload):
                 keys.append((time, pid, _SEND, (pid + 1) % num_processes))
                 time += self._period
             self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        return self._ordered(keys)
+        keys.sort()
+        return keys
 
 
 class WorstCaseWorkload(Workload):
@@ -280,9 +291,9 @@ class WorstCaseWorkload(Workload):
             raise ValueError("round length must be positive")
         self._round_length = round_length
 
-    def generate(
+    def keys(
         self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[Action]:
+    ) -> List[ActionKey]:
         keys: List[ActionKey] = []
         for round_index in range(1, num_processes + 1):
             base = round_index * self._round_length
@@ -295,7 +306,8 @@ class WorstCaseWorkload(Workload):
         final = (num_processes + 1) * self._round_length
         for pid in range(num_processes):
             keys.append((final, pid, _CHECKPOINT, -1))
-        return self._ordered(keys)
+        keys.sort()
+        return keys
 
     def required_duration(self, num_processes: int) -> float:
         """The simulated time needed to play the full schedule."""
@@ -349,9 +361,9 @@ class ZipfClientServerWorkload(Workload):
                 return server
         return num_servers - 1
 
-    def generate(
+    def keys(
         self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[Action]:
+    ) -> List[ActionKey]:
         if num_processes <= self._num_servers:
             raise ValueError(
                 f"the zipf client/server workload needs at least "
@@ -370,7 +382,8 @@ class ZipfClientServerWorkload(Workload):
                 time += rng.expovariate(1.0 / self._request_gap)
         for pid in range(num_processes):
             self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        return self._ordered(keys)
+        keys.sort()
+        return keys
 
 
 class GossipWorkload(Workload):
@@ -399,9 +412,9 @@ class GossipWorkload(Workload):
         self._round_gap = mean_round_gap
         self._checkpoint_gap = mean_checkpoint_gap
 
-    def generate(
+    def keys(
         self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[Action]:
+    ) -> List[ActionKey]:
         keys: List[ActionKey] = []
         for pid in range(num_processes):
             time = rng.expovariate(1.0 / self._round_gap)
@@ -412,7 +425,8 @@ class GossipWorkload(Workload):
                     keys.append((time, pid, _SEND, target))
                 time += rng.expovariate(1.0 / self._round_gap)
             self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        return self._ordered(keys)
+        keys.sort()
+        return keys
 
 
 class HierarchicalWorkload(Workload):
@@ -453,9 +467,9 @@ class HierarchicalWorkload(Workload):
         num_regions = max(num_processes // self._region_size, 1)
         return min(pid // self._region_size, num_regions - 1)
 
-    def generate(
+    def keys(
         self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[Action]:
+    ) -> List[ActionKey]:
         keys: List[ActionKey] = []
         regions: Dict[int, List[int]] = {}
         for pid in range(num_processes):
@@ -476,7 +490,8 @@ class HierarchicalWorkload(Workload):
                 keys.append((time, pid, _SEND, rng.choice(pool)))
                 time += rng.expovariate(1.0 / self._message_gap)
             self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        return self._ordered(keys)
+        keys.sort()
+        return keys
 
 
 class ScriptedWorkload(Workload):
@@ -487,16 +502,17 @@ class ScriptedWorkload(Workload):
     def __init__(self, actions: Sequence[Action]) -> None:
         self._actions = list(actions)
 
-    def generate(
+    def keys(
         self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[Action]:
+    ) -> List[ActionKey]:
         for action in self._actions:
-            if action.pid >= num_processes:
-                raise ValueError(
-                    f"scripted action references process {action.pid} but the "
-                    f"run has only {num_processes} processes"
-                )
-        return sorted(self._actions, key=Action.sort_key)
+            for role, pid in (("process", action.pid), ("send target", action.target)):
+                if pid is not None and not 0 <= pid < num_processes:
+                    raise ValueError(
+                        f"scripted action {action} names {role} {pid} but the "
+                        f"run has processes 0..{num_processes - 1}"
+                    )
+        return sorted(action.sort_key() for action in self._actions)
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ccp.consistency import GlobalCheckpoint
 from repro.ccp.pattern import CCP
+from repro.gc.rdt_lgc_collector import RdtLgcCollector
 from repro.recovery.rollback_plan import ProcessRollback, RollbackPlan
 from repro.simulation.trace import TraceRecorder
 from repro.traceio.format import (
@@ -449,7 +450,9 @@ def verify_replayed(replayed: ReplayedTrace) -> List[str]:
     present with matching record/event counts (replay enforces that), the
     replayed event log contains exactly the footer's event count, the body's
     recovery sessions match the footer result, and the footer metrics equal
-    the metrics re-derived from the footer's result record.
+    the metrics re-derived from the footer's result record.  Of the paper it
+    checks the space bound: under RDT-LGC no storage sample shows a process
+    retaining more than ``n`` checkpoints.
     """
     path = replayed.path
     violations: List[str] = []
@@ -487,6 +490,15 @@ def verify_replayed(replayed: ReplayedTrace) -> List[str]:
             f"{path}: replayed log has {log_events} events but the footer "
             f"only accounts for {footer.get('events')}"
         )
+    if replayed.header.get("collector") == RdtLgcCollector.name:
+        bound = replayed.num_processes
+        for time, retained in replayed.samples:
+            for pid, count in enumerate(retained):
+                if count > bound:
+                    violations.append(
+                        f"{path}: the storage sample at time {time} has process {pid} "
+                        f"retaining {count} checkpoints, over RDT-LGC's bound of n = {bound}"
+                    )
     return violations
 
 

@@ -152,8 +152,8 @@ def test_message_path_stays_under_its_line_ceiling(monkeypatch):
     recorder is read from construction builds its log as it happens — an
     ``Event``, a ``Message`` and a history entry per occurrence, what every
     run did on the runner this gate was added against, at 355.6 lines per
-    message — and the violation names the path.  (An unread run reads 250.6
-    under a ceiling of 287; a run read from construction 323.0.)
+    message — and the violation names the path.  (An unread run reads 232.6
+    under a ceiling of 274.2; a run read from construction 302.5.)
     """
     from benchmarks.check_regression import check_message_path_cost
 
@@ -171,8 +171,8 @@ def test_traced_message_path_stays_under_its_line_ceiling(monkeypatch):
     read from construction builds and validates the log only to forward each
     occurrence to the writer — what every traced run did on the runner this
     gate was added against, at 355.8 lines per message — and the violation
-    names the path.  (A traced run nobody reads reads 288.5 under a ceiling
-    of 332; one read from construction 362.2.)
+    names the path.  (A traced run nobody reads reads 270.4 under a ceiling
+    of 319.1; one read from construction 343.0.)
     """
     from benchmarks.check_regression import check_traced_message_path_cost
 

@@ -9,14 +9,16 @@ here as the reference.
 
 import heapq
 import math
+import random
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulation.engine import SimulationEngine, StopReason
+from repro.simulation.node import SimulationNode
 from repro.simulation.runner import SimulationConfig, SimulationRunner
-from repro.simulation.workloads import Action, ActionKind, UniformRandomWorkload, Workload
+from repro.simulation.workloads import ActionKind, UniformRandomWorkload, Workload
 
 
 class HeapOnlyEngine:
@@ -239,24 +241,24 @@ class TestSortedStream:
 
 
 class TestTheRunnerStreamsItsWorkload:
-    """``SimulationRunner`` hands the workload to ``schedule_sorted`` and lets go of it."""
+    """``SimulationRunner`` streams the workload's keys to ``schedule_sorted``, then drops them."""
 
     @staticmethod
-    def _config(workload):
-        return SimulationConfig(num_processes=2, duration=10.0, workload=workload)
+    def _config(workload, num_processes=2, duration=10.0):
+        return SimulationConfig(num_processes=num_processes, duration=duration, workload=workload)
 
-    def test_the_action_list_does_not_outlive_scheduling(self):
+    def test_the_key_list_does_not_outlive_scheduling(self):
         class Watched(Workload):
             name = "watched"
             generated = None
 
-            def generate(self, num_processes, duration, rng):
-                class Actions(list):  # a plain list takes no weak reference
+            def keys(self, num_processes, duration, rng):
+                class Keys(list):  # a plain list takes no weak reference
                     pass
 
-                actions = Actions(UniformRandomWorkload().generate(num_processes, duration, rng))
-                self.generated = weakref.ref(actions)
-                return actions
+                keys = Keys(UniformRandomWorkload().keys(num_processes, duration, rng))
+                self.generated = weakref.ref(keys)
+                return keys
 
         workload, alive = Watched(), []
         runner = SimulationRunner(self._config(workload))
@@ -276,10 +278,26 @@ class TestTheRunnerStreamsItsWorkload:
         class Unordered(Workload):
             name = "unordered"
 
-            def generate(self, num_processes, duration, rng):
-                return [Action(2.0, 0, ActionKind.SEND, 1), Action(1.0, 1, ActionKind.CHECKPOINT)]
+            def keys(self, num_processes, duration, rng):
+                return [(2.0, 0, "send", 1), (1.0, 1, "checkpoint", -1)]
 
         runner = SimulationRunner(self._config(Unordered()))
         with pytest.raises(ValueError, match="sorted batch"):
             runner.run()
         assert runner.engine.processed_events == 0 and runner.nodes[0].messages_sent == 0
+
+    def test_each_process_kind_and_target_has_one_handler(self, monkeypatch):
+        handed_out = []
+        action_handler = SimulationNode.action_handler
+
+        def counting(node, action, members=None):
+            handed_out.append((action.pid, action.kind, action.target))
+            return action_handler(node, action, members)
+
+        monkeypatch.setattr(SimulationNode, "action_handler", counting)
+        workload = UniformRandomWorkload(mean_message_gap=0.5, mean_checkpoint_gap=2.0)
+        result = SimulationRunner(self._config(workload, num_processes=4, duration=60.0)).run()
+        actions = workload.generate(4, 60.0, random.Random(0))
+        assert len(handed_out) == len(set(handed_out)) <= 4 * 4 < len(actions)
+        assert set(handed_out) == {(a.pid, a.kind, a.target) for a in actions}
+        assert result.messages_sent == sum(a.kind is ActionKind.SEND for a in actions)

@@ -32,7 +32,7 @@ class TestActions:
 
     def test_actions_sort_by_time(self):
         actions = [Action(2.0, 0, ActionKind.CHECKPOINT), Action(1.0, 1, ActionKind.CHECKPOINT)]
-        assert Workload._ordered([a.sort_key() for a in actions])[0].time == 1.0
+        assert ScriptedWorkload(actions).generate(2, 10.0, random.Random(0))[0].time == 1.0
 
     def test_actions_are_not_implicitly_orderable(self):
         # The record's tuple ordering falls through to the ActionKind enum
@@ -55,7 +55,7 @@ class TestActions:
         for seed in range(5):
             shuffled = list(actions)
             random.Random(seed).shuffle(shuffled)
-            assert Workload._ordered([a.sort_key() for a in shuffled]) == expected
+            assert ScriptedWorkload(shuffled).generate(3, 10.0, random.Random(0)) == expected
             assert sorted(shuffled, key=Action.sort_key) == expected
 
 
@@ -65,6 +65,12 @@ class TestActions:
         assert checkpoint.sort_key() == (1.0, 0, "checkpoint", -1)
         assert send.sort_key() == (1.0, 0, "send", 1)
         assert checkpoint.sort_key() < send.sort_key() < Action(1.0, 1, ActionKind.CHECKPOINT).sort_key()
+
+    def test_of_key_inverts_sort_key(self):
+        checkpoint, send = Action(1.5, 2, ActionKind.CHECKPOINT), Action(0.5, 0, ActionKind.SEND, 3)
+        for action in (checkpoint, send):
+            assert Action.of_key(action.sort_key()) == action
+            assert type(Action.of_key(action.sort_key())) is Action
 
     def test_action_is_an_immutable_hashable_record(self):
         action = Action(1.0, 0, ActionKind.SEND, target=2)
@@ -115,6 +121,16 @@ class TestGeneratedWorkloads:
         assert all(type(action) is Action for action in actions)
         text = repr([(a.time, a.pid, a.kind.value, a.target) for a in actions] + [rng.random()])
         assert (len(actions), hashlib.sha256(text.encode()).hexdigest()) == _GENERATED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(_GENERATED_DIGESTS))
+    def test_keys_are_the_sorted_keys_of_the_generated_actions(self, name):
+        workload = make_workload(name)
+        keys = workload.keys(6, 200.0, random.Random(11))
+        assert keys == sorted(keys)
+        assert keys == [a.sort_key() for a in workload.generate(6, 200.0, random.Random(11))]
+
+    def test_keys_is_the_one_abstract_method(self):
+        assert Workload.__abstractmethods__ == frozenset({"keys"})
 
     @pytest.mark.parametrize(
         "workload",
@@ -290,6 +306,34 @@ class TestScriptedWorkload:
         scripted = ScriptedWorkload([Action(1.0, 5, ActionKind.CHECKPOINT)])
         with pytest.raises(ValueError):
             scripted.generate(2, 10.0, random.Random(0))
+
+    @pytest.mark.parametrize(
+        "action, named",
+        [
+            (Action(1.0, -1, ActionKind.CHECKPOINT), "process -1"),
+            (Action(1.0, -3, ActionKind.SEND, 1), "process -3"),
+            (Action(1.0, 0, ActionKind.SEND, -2), "send target -2"),
+            (Action(1.0, 0, ActionKind.SEND, 3), "send target 3"),
+        ],
+    )
+    def test_rejects_a_negative_or_unknown_pid_or_target(self, action, named):
+        scripted = ScriptedWorkload([Action(0.5, 1, ActionKind.CHECKPOINT), action])
+        with pytest.raises(ValueError, match=named):
+            scripted.keys(3, 10.0, random.Random(0))
+
+    def test_a_negative_pid_runs_on_no_process(self):
+        # Indexing the nodes with -1 and -3 would hand the actions to
+        # processes 2 and 0: the script is refused before anything runs.
+        from repro.simulation.runner import SimulationConfig, SimulationRunner
+
+        scripted = ScriptedWorkload(
+            [Action(1.0, -1, ActionKind.CHECKPOINT), Action(2.0, -3, ActionKind.SEND, 1)]
+        )
+        runner = SimulationRunner(SimulationConfig(3, 10.0, scripted))
+        with pytest.raises(ValueError, match="process -1"):
+            runner.run()
+        assert runner.engine.processed_events == 0
+        assert [node.messages_sent for node in runner.nodes] == [0, 0, 0]
 
 
 class TestFailureSchedules:

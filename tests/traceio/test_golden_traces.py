@@ -14,6 +14,7 @@ absorb an execution change):
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/traceio/test_golden_traces.py
 """
 
+import json
 import os
 
 import pytest
@@ -28,6 +29,7 @@ from repro.simulation.failures import FailureSchedule
 from repro.simulation.network import NetworkConfig
 from repro.simulation.runner import SimulationConfig, SimulationRunner
 from repro.simulation.workloads import make_workload
+from repro.traceio.cli import main as trace_main
 from repro.traceio.reader import verify_trace
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "golden_traces")
@@ -135,3 +137,44 @@ def test_golden_trace_is_byte_identical(name, tmp_path, pruning_runner):
         f"trace for seeded run {name!r} diverged from the pre-refactor golden "
         f"artifact — the refactor changed a simulated execution"
     )
+
+
+@pytest.mark.parametrize("name", sorted(_golden_matrix()))
+def test_golden_trace_verifies_clean(name):
+    assert verify_trace(os.path.join(GOLDEN_DIR, f"{name}.trace.jsonl")) == []
+
+
+class TestVerifyHoldsRdtLgcToItsSpaceBound:
+    """``verify`` fails an RDT-LGC trace whose storage sample exceeds ``n`` per process."""
+
+    @staticmethod
+    def _samples_over(name, bound):
+        with open(os.path.join(GOLDEN_DIR, f"{name}.trace.jsonl"), encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle][1:-1]
+        return [r for r in records if r[0] == "S" and max(r[2]) > bound]
+
+    def test_a_sample_raised_to_n_plus_one_fails(self, tmp_path, capsys):
+        with open(os.path.join(GOLDEN_DIR, "uniform-baseline.trace.jsonl"), "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        assert header["collector"] == "rdt-lgc" and header["num_processes"] == 3
+        index = next(i for i, line in enumerate(lines) if line.startswith(b'["S",'))
+        _, time, retained = json.loads(lines[index])
+        retained[1] = 4
+        lines[index] = json.dumps(["S", time, retained], separators=(",", ":")).encode() + b"\n"
+        path = tmp_path / "over-bound.trace.jsonl"
+        path.write_bytes(b"".join(lines))
+        message = (
+            f"{path}: the storage sample at time {time} has process 1 retaining 4 "
+            f"checkpoints, over RDT-LGC's bound of n = 3"
+        )
+        assert verify_trace(str(path)) == [message]
+        assert trace_main(["replay", str(path), "--verify"]) == 1
+        assert capsys.readouterr().err == f"VERIFY: {message}\n"
+
+    def test_other_collectors_are_not_held_to_it(self):
+        # Wang's coordinated collector retains far more than n = 3 between rounds.
+        assert self._samples_over("cbr-wang-coordinated-crash", 3)
+        assert verify_trace(
+            os.path.join(GOLDEN_DIR, "cbr-wang-coordinated-crash.trace.jsonl")
+        ) == []
