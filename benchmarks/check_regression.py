@@ -84,6 +84,13 @@ connection per run, so the first is a constant — two, one per entry point —
 whatever the grid; a connection per operation, or a ``COUNT(*)`` scan per
 transaction growing back, shows in one or the other.
 
+The **explorer** gate (``--smoke`` only) counts every line an exhaustive
+``explore()`` of a 2-process, 3-message ring executes, per execution.  A
+search node's first explored child extends its parent's live run by one
+token, so most executions cost one token and one audit; a walk that
+rebuilds the runner and replays the whole prefix at every node shows up as
+~1.7x.
+
 Run directly::
 
     python benchmarks/check_regression.py --smoke
@@ -172,6 +179,11 @@ RETAINED_LINES_CEILING = 14.0
 # gate was added, so ~25 % headroom; 24.2 on its parent commit).
 STORE_CONNECTIONS_CEILING = 2
 STORE_STATEMENTS_CEILING = 29.0
+# Explorer gate: lines an exhaustive explore() of ring_program(2, 3), seed 1,
+# executes per execution (1669.5 when the gate was added, so ~15 % headroom;
+# 2914.6 on its parent commit, which rebuilt the runner and replayed the
+# whole prefix for every search node).
+EXPLORE_LINES_CEILING = 1920.0
 
 
 def _load_document(path: str) -> Dict[str, Any]:
@@ -659,6 +671,37 @@ def check_store_cost(
     return violations
 
 
+def explore_lines_per_execution() -> float:
+    """Python lines executed per explorer execution on a fixed exhaustive walk.
+
+    ``explore(ExploreConfig(2, ring_program(2, 3), seed=1))`` with the default
+    oracle stack and reduction, counted as a whole (executor, simulation and
+    oracles included) and divided by ``stats.executions``.  The count is a
+    function of the configuration alone.
+    """
+    from repro.explore.explorer import explore
+    from repro.explore.program import ExploreConfig, ring_program
+
+    counter = _LineCounter()
+    with counter:
+        result = explore(ExploreConfig(2, ring_program(2, 3), seed=1))
+    if not (result.ok and result.stats.complete and result.stats.executions):
+        raise RuntimeError("the explorer gate's own walk went wrong")
+    return counter.lines / result.stats.executions
+
+
+def check_explore_cost(*, ceiling: float = EXPLORE_LINES_CEILING) -> List[str]:
+    """Gate: a search node costs its new token, not a replay of its history."""
+    lines = explore_lines_per_execution()
+    if lines > ceiling:
+        return [
+            f"the explorer executes {lines:.1f} Python lines per execution "
+            f"(allowed {ceiling:.1f}): search nodes rebuild the runner and "
+            f"replay their prefix again, or the executor / oracles regrew"
+        ]
+    return []
+
+
 def check_campaign_determinism(*, workers: int = 2) -> List[str]:
     """Gate the campaign subsystem: serial and pooled execution of the same
     spec must produce byte-identical aggregate tables (empty == pass)."""
@@ -742,6 +785,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         standalone_violations += check_trace_codec_cost()
         standalone_violations += check_retained_set_cost()
         standalone_violations += check_store_cost()
+        standalone_violations += check_explore_cost()
     if not args.skip_campaign:
         standalone_violations += check_campaign_determinism()
 
@@ -797,8 +841,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
         f"session scaling, recording-path, message-path (untraced, traced), trace-codec, "
-        f"retained-set and "
-        f"store-cost gates "
+        f"retained-set, "
+        f"store-cost and explorer gates "
         f"{'ok' if args.smoke else 'skipped (--smoke only)'}, "
         f"campaign gate {campaign_note}, memory gate {memory_note} — ok"
     )

@@ -456,11 +456,19 @@ def run(
 
     Raises:
         SpecValidationError: when an option does not apply to the spec's
-            kind — options are never silently dropped.
+            kind — options are never silently dropped — or when
+            ``max_executions`` is negative.
     """
     loaded = load_spec(spec)
-    if max_executions is not None and not isinstance(loaded, (ExploreConfig, FuzzSpec)):
-        raise SpecValidationError("max_executions", "only applies to explore specs")
+    if max_executions is not None:
+        if not isinstance(loaded, (ExploreConfig, FuzzSpec)):
+            raise SpecValidationError(
+                "max_executions", "only applies to explore and fuzz specs"
+            )
+        if max_executions < 0:
+            raise SpecValidationError(
+                "max_executions", f"must be at least 0, got {max_executions!r}"
+            )
     if isinstance(loaded, CampaignSpec):
         return run_campaign(
             loaded,

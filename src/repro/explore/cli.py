@@ -264,7 +264,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except api.SpecValidationError as exc:
+    except ValueError as exc:  # a refused spec, or a budget explore() refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
 """Controlled execution of one schedule over one configuration.
 
-A :class:`ScheduleExecutor` builds the regular simulation stack — engine,
+A :class:`ScheduleRun` builds the regular simulation stack — engine,
 network, nodes, recorder, recovery manager — through
 :class:`~repro.simulation.runner.SimulationRunner`, attaches a
 :class:`~repro.explore.controller.PendingDeliveries` controller so no message
@@ -15,9 +15,16 @@ one by one:
 After every token the oracle stack audits the reached state; the first
 violation stops the execution.  An exception escaping the simulation (the
 way an unsafe collector breaks a recovery session) is itself a violation of
-kind ``execution-error``.  Determinism: the executed prefix fully determines
-the reached state, so re-executing a prefix reproduces it exactly — the
-property both the stateless DFS and counterexample replay rely on.
+kind ``execution-error``.  A run stays live after its last token, so it can
+be extended by one more token instead of being rebuilt — until its outcome
+is terminal (the engine was flushed) or violating.
+
+Determinism: the executed prefix fully determines the reached state, so
+re-executing a prefix on a fresh run reproduces exactly the state a live
+run extended token by token reached.  The explorer relies on it when a
+search node's first child extends the node's run and every later sibling
+replays its prefix, and counterexample replay relies on it to reproduce a
+persisted artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from repro.explore.program import (
     Violation,
 )
 from repro.simulation.runner import SimulationConfig, SimulationRunner
+from repro.simulation.trace import TraceSink
 from repro.simulation.workloads import ScriptedWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,6 +79,29 @@ class ScheduleExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def start(
+        self,
+        schedule: Sequence[Choice] = (),
+        *,
+        check_from: int = 0,
+        sink: Optional[TraceSink] = None,
+    ) -> "ScheduleRun":
+        """Run ``schedule`` from a fresh initial state and keep the run live.
+
+        ``check_from`` skips the per-state oracle audits of the first that
+        many tokens — the explorer passes the parent prefix's length, whose
+        states it already audited on the way down, so each search node pays
+        for exactly one new audit (re-execution of a clean prefix is
+        deterministic, so re-auditing it cannot find anything new).
+        ``sink`` is attached to the run's recorder before anything happens.
+        """
+        run = ScheduleRun(self, check_initial=check_from == 0, sink=sink)
+        for token in schedule:
+            if run.violation is not None:
+                break
+            run.apply(token, audited=run.executed >= check_from)
+        return run
+
     def execute(
         self,
         schedule: Sequence[Choice],
@@ -80,13 +111,7 @@ class ScheduleExecutor:
         trace_meta: Optional[Dict[str, object]] = None,
         state_probe: Optional["StateProbe"] = None,
     ) -> ExecutionOutcome:
-        """Run ``schedule`` from a fresh initial state.
-
-        ``check_from`` skips the per-state oracle audits of the first that
-        many tokens — the DFS passes the parent prefix's length, whose
-        states it already audited on the way down, so each search node pays
-        for exactly one new audit (re-execution of a clean prefix is
-        deterministic, so re-auditing it cannot find anything new).
+        """Run ``schedule`` from a fresh initial state (see :meth:`start`).
 
         With ``trace_path`` the execution streams a replayable v2 traceio
         artifact (header: scripted-style with the configuration, schedule
@@ -100,18 +125,6 @@ class ScheduleExecutor:
         coverage extraction uses.  It must not mutate the runner.
         """
         config = self._config
-        runner = SimulationRunner(
-            SimulationConfig(
-                num_processes=config.num_processes,
-                duration=config.duration,
-                workload=ScriptedWorkload([]),
-                protocol=config.protocol,
-                collector=config.collector,
-                collector_options=config.collector_options_dict(),
-                seed=config.seed,
-            )
-        )
-        controller = PendingDeliveries(runner.network)
         writer = None
         if trace_path is not None:
             from repro.traceio.format import RunProvenance
@@ -129,11 +142,11 @@ class ScheduleExecutor:
                 workload="explore",
                 meta=meta,
             )
-            runner.trace.attach_sink(writer)
         try:
-            outcome = self._drive(runner, controller, schedule, check_from)
+            run = self.start(schedule, check_from=check_from, sink=writer)
+            outcome = run.outcome()
             if state_probe is not None and outcome.violation is None:
-                state_probe(runner)
+                state_probe(run.runner)
         except BaseException:
             if writer is not None and not writer.closed:
                 writer.abort("executor crashed")
@@ -145,119 +158,174 @@ class ScheduleExecutor:
                 writer.seal()
         return outcome
 
+    def _cross_check_next_terminal(self) -> bool:
+        """Whether the next terminal state gets the sampled kernel cross-check."""
+        period = max(self._oracles.kernel_cross_check_period, 1)
+        cross_check = self._terminals_seen % period == 0
+        self._terminals_seen += 1
+        return cross_check
+
+
+class ScheduleRun:
+    """One live execution: the state a schedule prefix reached, extendable.
+
+    Built by :meth:`ScheduleExecutor.start`.  :meth:`apply` executes one more
+    token; :meth:`outcome` reports the state reached so far — for a state
+    with nothing left to do it first flushes the engine and runs the final
+    audit, after which the run is terminal.  A terminal or violating run
+    refuses :meth:`apply` with :class:`RuntimeError`.
+    """
+
+    def __init__(
+        self,
+        executor: ScheduleExecutor,
+        *,
+        check_initial: bool,
+        sink: Optional[TraceSink] = None,
+    ) -> None:
+        config = executor.config
+        self._executor = executor
+        self._config = config
+        self._oracles = executor.oracles
+        self.runner = SimulationRunner(
+            SimulationConfig(
+                num_processes=config.num_processes,
+                duration=config.duration,
+                workload=ScriptedWorkload([]),
+                protocol=config.protocol,
+                collector=config.collector,
+                collector_options=config.collector_options_dict(),
+                seed=config.seed,
+            )
+        )
+        self._controller = PendingDeliveries(self.runner.network)
+        if sink is not None:
+            self.runner.trace.attach_sink(sink)
+        for node in self.runner.nodes:
+            node.start()  # the model's initial stable checkpoints s_i^0
+        #: Schedule tokens executed so far.
+        self.executed = 0
+        #: The first violation observed, if any (the run stops there).
+        self.violation: Optional[Violation] = (
+            self._oracles.check_state(self.runner, 0) if check_initial else None
+        )
+        #: True once the outcome flushed the engine (nothing left to do).
+        self.terminal = False
+        self._next_step = 0
+        self._outcome: Optional[ExecutionOutcome] = None
+
+    def apply(self, token: Choice, audited: bool) -> None:
+        """Execute one schedule token; audit the state it reaches if ``audited``.
+
+        With ``audited`` False the per-state and recovery checks are skipped
+        (a prefix some earlier execution already audited).
+        """
+        if self.violation is not None or self.terminal:
+            raise RuntimeError(
+                "cannot extend a run whose outcome is "
+                + ("violating" if self.violation is not None else "terminal")
+            )
+        self._outcome = None
+        kind, value = token[0], token[1]
+        # An audited send whose en-route timers eliminated nothing needs no
+        # audit (see below); only then is the elimination count compared.
+        watch_send = (
+            audited
+            and kind == ADVANCE
+            and self._config.program[value].kind is StepKind.SEND
+        )
+        eliminated_before = self._eliminated() if watch_send else 0
+        violation: Optional[Violation] = None
+        try:
+            if kind == ADVANCE:
+                if value != self._next_step:
+                    raise ValueError(
+                        f"schedule expects program step {self._next_step}, "
+                        f"token says {value}"
+                    )
+                violation = self._advance(self._next_step, self.executed + 1, audited)
+                self._next_step += 1
+            elif kind == DELIVER:
+                self._controller.deliver(value)
+            else:
+                raise ValueError(f"unknown schedule token kind {kind!r}")
+        except Exception as exc:
+            violation = Violation(
+                kind="execution-error",
+                detail=f"{type(exc).__name__}: {exc}",
+                step=self.executed + 1,
+            )
+        self.executed += 1
+        if violation is None and audited:
+            # A send mutates neither stable storage nor the Theorem-1/2
+            # characterisations (it adds no incoming causal edge and absorbs
+            # nothing), so unless a timer fired and eliminated something en
+            # route the verdict equals the parent state's, which was already
+            # clean.
+            if not (watch_send and self._eliminated() == eliminated_before):
+                violation = self._oracles.check_state(self.runner, self.executed)
+        self.violation = violation
+
+    def outcome(self) -> ExecutionOutcome:
+        """What the run observed: the choices enabled in the reached state.
+
+        With no choice left the run is terminal: trailing engine work
+        (collector timers, late control messages) is flushed up to the
+        nominal duration and the final, full-stack audit runs, including the
+        (sampled) kernel cross-check.  Computed once per reached state.
+        """
+        if self._outcome is None:
+            self._outcome = self._reached()
+        return self._outcome
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _drive(
-        self,
-        runner: SimulationRunner,
-        controller: PendingDeliveries,
-        schedule: Sequence[Choice],
-        check_from: int,
-    ) -> ExecutionOutcome:
+    def _reached(self) -> ExecutionOutcome:
         config = self._config
-        for node in runner.nodes:
-            node.start()  # the model's initial stable checkpoints s_i^0
-        next_step = 0
-        violation = (
-            self._oracles.check_state(runner, 0) if check_from == 0 else None
-        )
-        executed = 0
-        if violation is None:
-            for token in schedule:
-                kind, value = token[0], token[1]
-                audited = executed >= check_from
-                eliminated_before = sum(
-                    node.storage.total_eliminated() for node in runner.nodes
-                )
-                is_send = (
-                    kind == ADVANCE
-                    and config.program[value].kind is StepKind.SEND
-                )
-                try:
-                    if kind == ADVANCE:
-                        if value != next_step:
-                            raise ValueError(
-                                f"schedule expects program step {next_step}, "
-                                f"token says {value}"
-                            )
-                        violation = self._advance(
-                            runner, next_step, executed + 1, audited
-                        )
-                        next_step += 1
-                    elif kind == DELIVER:
-                        controller.deliver(value)
-                    else:
-                        raise ValueError(f"unknown schedule token kind {kind!r}")
-                except Exception as exc:
-                    violation = Violation(
-                        kind="execution-error",
-                        detail=f"{type(exc).__name__}: {exc}",
-                        step=executed + 1,
-                    )
-                executed += 1
-                if violation is None and audited:
-                    # A send mutates neither stable storage nor the
-                    # Theorem-1/2 characterisations (it adds no incoming
-                    # causal edge and absorbs nothing), so unless a timer
-                    # fired and eliminated something en route the verdict
-                    # equals the parent state's, which was already clean.
-                    eliminated_after = sum(
-                        node.storage.total_eliminated() for node in runner.nodes
-                    )
-                    if not (is_send and eliminated_after == eliminated_before):
-                        violation = self._oracles.check_state(runner, executed)
-                if violation is not None:
-                    break
+        runner = self.runner
         enabled: Tuple[Choice, ...] = ()
         affected: Dict[Choice, Optional[int]] = {}
-        terminal = False
-        if violation is None:
+        if self.violation is None:
             choices: List[Choice] = []
-            if next_step < len(config.program):
-                step = config.program[next_step]
-                choice: Choice = (ADVANCE, next_step)
+            if self._next_step < len(config.program):
+                step = config.program[self._next_step]
+                choice: Choice = (ADVANCE, self._next_step)
                 choices.append(choice)
                 affected[choice] = None if step.kind is StepKind.CRASH else step.pid
-            for message_id in controller.pending_message_ids():
+            for message_id in self._controller.pending_message_ids():
                 choice = (DELIVER, message_id)
                 choices.append(choice)
-                affected[choice] = controller.receiver(message_id)
+                affected[choice] = self._controller.receiver(message_id)
             enabled = tuple(choices)
             if not enabled:
-                terminal = True
-                # Flush trailing engine work (collector timers, late control
-                # messages) up to the nominal duration, then run the final,
-                # full-stack audit including the (sampled) kernel cross-check.
-                period = max(self._oracles.kernel_cross_check_period, 1)
-                cross_check = self._terminals_seen % period == 0
-                self._terminals_seen += 1
+                self.terminal = True
+                cross_check = self._executor._cross_check_next_terminal()
                 try:
                     runner.engine.run(until=config.duration)
-                    violation = self._oracles.check_state(
-                        runner, executed, final=True, cross_check=cross_check
+                    self.violation = self._oracles.check_state(
+                        runner, self.executed, final=True, cross_check=cross_check
                     )
                 except Exception as exc:
-                    violation = Violation(
+                    self.violation = Violation(
                         kind="execution-error",
                         detail=f"{type(exc).__name__}: {exc}",
-                        step=executed,
+                        step=self.executed,
                     )
         return ExecutionOutcome(
             enabled=enabled,
-            violation=violation,
-            executed=executed,
-            terminal=terminal,
+            violation=self.violation,
+            executed=self.executed,
+            terminal=self.terminal,
             trace_events=runner.trace.log.total_events(),
             affected=affected,
         )
 
+    def _eliminated(self) -> int:
+        return sum(node.storage.total_eliminated() for node in self.runner.nodes)
+
     def _advance(
-        self,
-        runner: SimulationRunner,
-        step_index: int,
-        position: int,
-        audited: bool,
+        self, step_index: int, position: int, audited: bool
     ) -> Optional[Violation]:
         """Execute program step ``step_index`` at its time slot.
 
@@ -266,6 +334,7 @@ class ScheduleExecutor:
         is skipped (the prefix was already audited by a previous execution).
         """
         config = self._config
+        runner = self.runner
         step = config.program[step_index]
         slot = (step_index + 1) * config.step_gap
         # Run engine-scheduled work due before the slot (collector timers and

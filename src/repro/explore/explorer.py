@@ -4,8 +4,12 @@ The search tree: a node is the state reached by a schedule prefix, its
 outgoing edges are the enabled choices there (the next program step, plus
 one delivery per pending message).  The explorer walks this tree depth-first
 in a canonical order — program step first, then deliveries by message
-ordinal — re-executing each prefix from scratch (state re-construction is
-cheap at explorer sizes and keeps the search trivially correct).
+ordinal.  A node's first explored child runs right after the node and
+starts from exactly its state, so it extends the node's live run by its one
+new token; every later sibling replays its prefix on a fresh run.  The
+executor's determinism contract (the executed prefix fully determines the
+reached state) is what makes the two equal, so every node audits one new
+state and only later siblings pay for their history.
 
 **Exhaustiveness and the frontier.**  Without a budget the walk is
 exhaustive: every schedule of the configuration (up to the reduction's
@@ -49,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.explore.executor import ScheduleExecutor
+from repro.explore.executor import ScheduleExecutor, ScheduleRun
 from repro.explore.oracles import OracleStack
 from repro.explore.program import (
     ADVANCE,
@@ -142,8 +146,13 @@ def explore(
     Stops after ``max_counterexamples`` violations (a violating prefix is
     never extended — its continuations would re-observe the same broken
     state), or when the ``max_executions`` budget runs out, whichever comes
-    first; without a budget the walk is exhaustive.
+    first; without a budget the walk is exhaustive.  A negative
+    ``max_executions`` is a :class:`ValueError`.
     """
+    if max_executions is not None and max_executions < 0:
+        raise ValueError(
+            f"max_executions must be non-negative, got {max_executions}"
+        )
     executor = ScheduleExecutor(config, oracles)
     independence = _Independence(config)
     stats = ScheduleStats()
@@ -156,15 +165,32 @@ def explore(
     def budget_left() -> bool:
         return max_executions is None or stats.executions < max_executions
 
-    def dfs(prefix: Tuple[Choice, ...], sleep: FrozenSet[Choice]) -> bool:
-        """Returns False when the walk must stop (budget or enough findings)."""
+    # The only run the walk keeps: the one at the node being expanded.  No
+    # frame holds a run, so the stack never keeps one live runner per depth.
+    live: Optional[ScheduleRun] = None
+
+    def dfs(
+        prefix: Tuple[Choice, ...], sleep: FrozenSet[Choice], first_child: bool
+    ) -> bool:
+        """Returns False when the walk must stop (budget or enough findings).
+
+        ``first_child`` says the parent's run is live and at the parent's
+        state, so this node extends it by the prefix's last token.
+        """
+        nonlocal live
         if not budget_left():
             stats.complete = False
             stats.frontier = prefix
             return False
         # Only the state the last token produced is new — every proper
         # prefix was audited by the parent executions on the way down.
-        outcome = executor.execute(prefix, check_from=max(len(prefix) - 1, 0))
+        if first_child:
+            assert live is not None
+            live.apply(prefix[-1], audited=True)
+        else:
+            live = None  # free the previous run before building the next
+            live = executor.start(prefix, check_from=max(len(prefix) - 1, 0))
+        outcome = live.outcome()
         stats.executions += 1
         stats.deepest = max(stats.deepest, len(prefix))
         seen_affected.update(outcome.affected)
@@ -190,12 +216,12 @@ def explore(
                 )
             else:
                 child_sleep = frozenset()
-            if not dfs(prefix + (choice,), child_sleep):
+            if not dfs(prefix + (choice,), child_sleep, not explored):
                 return False
             explored.append(choice)
         return True
 
-    dfs((), frozenset())
+    dfs((), frozenset(), False)
     return result
 
 

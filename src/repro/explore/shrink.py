@@ -138,7 +138,12 @@ def shrink(
     oracles: Optional[OracleStack] = None,
     max_attempts: int = 2000,
 ) -> ShrunkCounterexample:
-    """Greedily minimise a counterexample while preserving its violation kind."""
+    """Greedily minimise a counterexample while preserving its violation kind.
+
+    Executes at most ``max_attempts`` candidates (the baseline re-execution
+    not counted); a budget that runs out first leaves the result smaller but
+    not necessarily 1-minimal.
+    """
     kind = violation.kind
     attempts = 0
     # Re-establish the baseline (also truncates: the executor stops at the
@@ -160,6 +165,8 @@ def shrink(
             # schedule below positions this pass still has queued.
             if position >= len(schedule) or schedule[position][0] != DELIVER:
                 continue
+            if attempts >= max_attempts:
+                break
             candidate = _drop_delivery(schedule, position)
             attempts += 1
             outcome = _still_violates(config, candidate, kind, oracles)

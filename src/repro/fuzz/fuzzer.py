@@ -467,8 +467,10 @@ def fuzz(
         artifacts) before returning.
 
     Raises:
-        ValueError: for an unknown target name.
+        ValueError: for an unknown target name or a negative budget.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     resolved = resolve_target(target)
     config = resolved.config
     rng = random.Random(seed)

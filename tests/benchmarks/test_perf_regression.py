@@ -15,8 +15,9 @@ message-path gate (executed lines of a whole unread run per application
 message, untraced and traced), the trace-codec gate (executed lines per
 trace record written and per trace line read back, under one ceiling), the
 retained-set gate (executed lines per ``(i, f)`` pair of a Theorem-1/2
-retained set) and the store-cost gate (SQLite connections opened per stored
-sweep and SQL statements per completed cell).
+retained set), the store-cost gate (SQLite connections opened per stored
+sweep and SQL statements per completed cell) and the explorer gate
+(executed lines per explorer execution on a fixed exhaustive walk).
 """
 
 import json
@@ -109,8 +110,8 @@ def test_smoke_regression_check_passes(committed_document):
     replaying or rescanning the history per session reads ~3.6x against its
     2x ceiling, and the violation printed on stderr names it.  The
     recording-path, message-path (untraced and traced), trace-codec,
-    retained-set and store-cost gates run here too and have their own tests
-    below.
+    retained-set, store-cost and explorer gates run here too and have their
+    own tests below.
     """
     from benchmarks.check_regression import main
 
@@ -248,6 +249,27 @@ def test_store_cost_stays_one_connection_and_a_fixed_few_statements():
     )
     assert "stopped keeping its connection" in connections
     assert "SQLResultStore.enqueue/complete" in statements
+
+
+def test_explorer_extends_runs_instead_of_replaying_prefixes(
+    monkeypatch, replaying_explore
+):
+    """A search node costs its one new token, not a replay of its history.
+
+    An executed-line count per explorer execution (a function of the
+    configuration alone).  The gate can fire: a walk that starts every node
+    on a fresh runner and replays its prefix — the ``replaying_explore``
+    reference, what every walk did before first children extended their
+    parent's run — reads ~1.7x and the violation names the path.  (The walk
+    reads 1669.5 under a ceiling of 1920.0; the replaying walk 2914.6.)
+    """
+    import repro.explore.explorer
+    from benchmarks.check_regression import check_explore_cost
+
+    assert check_explore_cost() == []
+    monkeypatch.setattr(repro.explore.explorer, "explore", replaying_explore)
+    (violation,) = check_explore_cost()
+    assert "replay their prefix again" in violation
 
 
 def test_campaign_gate_is_deterministic_across_worker_counts():

@@ -127,3 +127,72 @@ def sidecars():
         return [suffix for suffix in ("-wal", "-shm") if os.path.exists(str(path) + suffix)]
 
     return present
+
+
+def _replaying_explore(
+    config,
+    *,
+    oracles=None,
+    max_executions=None,
+    reduction=True,
+    max_counterexamples=1,
+):
+    """The explorer's walk with every search node replayed on a fresh run.
+
+    Same canonical order, sleep sets, budget, frontier and counterexample
+    rule as :func:`repro.explore.explorer.explore`, but each node calls
+    ``executor.execute(prefix, check_from=len(prefix) - 1)`` instead of
+    extending its parent's live run: the reference the hand-off must equal.
+    """
+    from repro.explore.executor import ScheduleExecutor
+    from repro.explore.explorer import Counterexample, ExplorationResult, _Independence
+    from repro.explore.program import ScheduleStats
+
+    executor = ScheduleExecutor(config, oracles)
+    independence = _Independence(config)
+    result = ExplorationResult(config=config, stats=ScheduleStats())
+    stats = result.stats
+    seen_affected = {}
+
+    def dfs(prefix, sleep):
+        if max_executions is not None and stats.executions >= max_executions:
+            stats.complete = False
+            stats.frontier = prefix
+            return False
+        outcome = executor.execute(prefix, check_from=max(len(prefix) - 1, 0))
+        stats.executions += 1
+        stats.deepest = max(stats.deepest, len(prefix))
+        seen_affected.update(outcome.affected)
+        if outcome.violation is not None:
+            stats.violations += 1
+            result.counterexamples.append(
+                Counterexample(config, prefix[: outcome.executed], outcome.violation)
+            )
+            return len(result.counterexamples) < max_counterexamples
+        if outcome.terminal:
+            stats.schedules += 1
+            return True
+        explored = []
+        for choice in outcome.enabled:
+            if choice in sleep:
+                stats.sleep_pruned += 1
+                continue
+            child_sleep = frozenset(
+                other
+                for other in sleep.union(explored)
+                if reduction and independence.independent(other, choice, seen_affected)
+            )
+            if not dfs(prefix + (choice,), child_sleep):
+                return False
+            explored.append(choice)
+        return True
+
+    dfs((), frozenset())
+    return result
+
+
+@pytest.fixture(scope="session")
+def replaying_explore():
+    """``replaying_explore(config, **explore_options)``: the reference walk
+    that replays every search node from scratch (see :func:`_replaying_explore`)."""
+    return _replaying_explore

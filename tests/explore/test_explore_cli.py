@@ -110,3 +110,14 @@ class TestSmoke:
         output = capsys.readouterr().out
         assert code == 0, output
         assert "0 with violations" in output
+
+
+class TestBudgetValidation:
+    def test_a_negative_budget_is_a_one_line_usage_error(self, capsys):
+        code = main(["run", "--max-executions", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "error: max_executions must be non-negative, got -3"
+        ]

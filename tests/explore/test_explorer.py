@@ -363,3 +363,142 @@ class TestAcceptanceSweep:
                 assert result.stats.schedules > 1000  # a genuine schedule *space*
             else:
                 assert result.stats.executions == budget  # deterministic frontier
+
+
+class TestRunHandOff:
+    """A node's first explored child extends its parent's live run; later
+    siblings replay their prefix.  The walk must equal one that replays
+    every node from scratch (the ``replaying_explore`` reference)."""
+
+    GRID = [
+        pytest.param(
+            dict(program=ring_program(2, 4), collector="canary-unsafe"),
+            dict(max_counterexamples=3),
+            id="canary-unsafe",
+        ),
+        pytest.param(
+            dict(program=ring_program(2, 4), collector="canary-hoarder"),
+            dict(max_counterexamples=3),
+            id="canary-hoarder",
+        ),
+        pytest.param(
+            dict(program=ring_program(2, 3, crash_pid=0)), {}, id="crash"
+        ),
+        pytest.param(
+            dict(program=ring_program(2, 3), collector="wang-coordinated"),
+            {},
+            id="wang-coordinated",
+        ),
+        pytest.param(
+            dict(program=ring_program(2, 5), seed=1),
+            dict(max_executions=300),
+            id="budgeted",
+        ),
+    ]
+
+    @pytest.mark.parametrize("reduction", [True, False])
+    @pytest.mark.parametrize("config_options, walk_options", GRID)
+    def test_walk_equals_the_replaying_reference(
+        self, replaying_explore, config_options, walk_options, reduction
+    ):
+        from repro.explore.canaries import canaries_registered
+
+        with canaries_registered():
+            config = ExploreConfig(num_processes=2, **config_options)
+            walked = explore(config, reduction=reduction, **walk_options)
+            reference = replaying_explore(config, reduction=reduction, **walk_options)
+        assert walked.stats.as_dict() == reference.stats.as_dict()
+        assert walked.counterexamples == reference.counterexamples
+        if "max_executions" in walk_options:
+            assert walked.stats.frontier is not None
+        # Each canary walk finds the 3 counterexamples it asks for; the rest none.
+        assert len(walked.counterexamples) == walk_options.get("max_counterexamples", 0)
+
+    def test_only_later_siblings_rebuild_and_the_root_is_audited_once(
+        self, monkeypatch, replaying_explore
+    ):
+        """The benchmark's schedule-search walk: 541 runners instead of 1500."""
+        from repro.simulation.runner import SimulationRunner
+
+        counts = {"runners": 0, "check_state": 0}
+        build = SimulationRunner.__init__
+        check_state = OracleStack.check_state
+
+        def counting_build(runner, config):
+            counts["runners"] += 1
+            build(runner, config)
+
+        def counting_check(stack, *args, **kwargs):
+            counts["check_state"] += 1
+            return check_state(stack, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationRunner, "__init__", counting_build)
+        monkeypatch.setattr(OracleStack, "check_state", counting_check)
+        config = ExploreConfig(num_processes=2, program=ring_program(2, 5), seed=1)
+
+        walked = explore(config, max_executions=1500)
+        walk_counts = dict(counts)
+        counts.update(runners=0, check_state=0)
+        reference = replaying_explore(config, max_executions=1500)
+
+        assert walked.stats.as_dict() == reference.stats.as_dict()
+        assert walk_counts["runners"] == 541
+        assert counts["runners"] == 1500
+        assert walk_counts["check_state"] == counts["check_state"] - 1
+
+    def test_a_terminal_run_refuses_to_be_extended(self):
+        from repro.explore.executor import ScheduleExecutor
+
+        config = ExploreConfig(
+            num_processes=2, program=(send(0, 1), checkpoint(0), checkpoint(1))
+        )
+        run = ScheduleExecutor(config).start([("a", 0), ("d", 0), ("a", 1), ("a", 2)])
+        outcome = run.outcome()
+        assert outcome.terminal and outcome.violation is None
+        assert run.outcome() is outcome  # the flush and final audit ran once
+        with pytest.raises(RuntimeError, match="terminal"):
+            run.apply(("a", 3), audited=True)
+
+    def test_a_violating_run_refuses_to_be_extended(self):
+        from repro.explore.canaries import canaries_registered
+        from repro.explore.executor import ScheduleExecutor
+
+        with canaries_registered():
+            config = _tiny(4, collector="canary-unsafe")
+            counterexample = explore(config).first
+            run = ScheduleExecutor(config).start(counterexample.schedule)
+            outcome = run.outcome()
+            assert outcome.violation == counterexample.violation
+            assert not outcome.terminal and outcome.enabled == ()
+            with pytest.raises(RuntimeError, match="violating"):
+                run.apply(("d", 0), audited=True)
+
+
+class TestBudgetValidation:
+    def test_a_negative_budget_is_refused(self):
+        with pytest.raises(ValueError, match="got -1"):
+            explore(_tiny(), max_executions=-1)
+
+    def test_a_zero_budget_explores_nothing(self):
+        stats = explore(_tiny(), max_executions=0).stats
+        assert stats.executions == 0 and not stats.complete
+        assert stats.frontier == ()
+
+
+class TestShrinkBudget:
+    def test_shrink_runs_at_most_max_attempts_candidates(self):
+        from repro.explore import shrink
+        from repro.explore.canaries import canaries_registered
+
+        with canaries_registered():
+            config = ExploreConfig(
+                num_processes=2, program=ring_program(2, 4), seed=3,
+                collector="canary-unsafe",
+            )
+            first = explore(config).first
+            for budget in (0, 1, 2):
+                shrunk = shrink(
+                    first.config, first.schedule, first.violation, max_attempts=budget
+                )
+                assert shrunk.attempts == budget
+                assert shrunk.violation.kind == first.violation.kind

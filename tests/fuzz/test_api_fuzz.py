@@ -88,6 +88,17 @@ class TestRun:
         )
         assert result.stats.executions <= 15
 
+    def test_negative_max_executions_is_rejected(self):
+        with pytest.raises(SpecValidationError, match="got -1") as exc:
+            run({"kind": "fuzz", "target": "ring"}, max_executions=-1)
+        assert exc.value.field == "max_executions"
+
+    def test_fuzz_refuses_a_negative_budget(self):
+        from repro.fuzz import fuzz
+
+        with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
+            fuzz("ring", budget=-1)
+
     def test_campaign_only_options_are_rejected(self, tmp_path):
         with pytest.raises(SpecValidationError, match="campaign"):
             run(

@@ -64,6 +64,18 @@ class TestRun:
         assert main(["run", "--target", "bogus"]) == 2
         assert "accepted" in capsys.readouterr().err
 
+    def test_negative_budget_is_a_usage_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        code = main(
+            ["run", "--target", "canary-unsafe", "--budget", "-1",
+             "--corpus", str(corpus)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: budget must be non-negative, got -1"
+        ]
+        assert not corpus.exists()
+
 
 class TestReplayAndStats:
     @pytest.fixture()

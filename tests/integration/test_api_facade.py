@@ -131,8 +131,14 @@ class TestRun:
             )
 
     def test_explore_budget_rejected_for_campaign(self):
-        with pytest.raises(api.SpecValidationError, match="explore"):
+        with pytest.raises(api.SpecValidationError, match="explore and fuzz specs"):
             api.run(CAMPAIGN_DOC, max_executions=5)
+
+    def test_negative_explore_budget_is_rejected(self):
+        spec = {"num_processes": 2, "program": [{"op": "checkpoint", "pid": 1}]}
+        with pytest.raises(api.SpecValidationError, match="got -1") as exc:
+            api.run(spec, max_executions=-1)
+        assert exc.value.field == "max_executions"
 
 
 class TestQuery:
