@@ -64,6 +64,7 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.ccp.checkpoint import CheckpointId  # noqa: E402
+from repro.ccp.incremental import IncrementalAnalysisView  # noqa: E402
 from repro.ccp.pattern import CCP  # noqa: E402
 from repro.ccp.zigzag import BruteForceZigzagAnalysis  # noqa: E402
 from repro.core.optimality import audit_garbage_collection  # noqa: E402
@@ -169,13 +170,17 @@ def _suite_old(recorder: TraceRecorder) -> Dict[str, int]:
     """The same suite through the old path: from-scratch CCP + brute force.
 
     Uses the literal per-checkpoint theorem transcriptions and the uncached
-    Lemma-1 evaluation directly, *not* ``ccp.analyses`` — the cache's hoisted
-    batch oracles are part of the new path being measured against.
+    Lemma-1 evaluation directly, *not* ``ccp.analyses`` — the recorder's
+    knowledge view behind the cache is the new path being measured against.
     """
     from repro.core.obsolete import _is_retained_theorem1, _is_retained_theorem2
     from repro.recovery.recovery_line import _recovery_line_lemma1
 
-    ccp = CCP(recorder.log, recorded_dvs=recorder.recorded_checkpoint_dvs())
+    ccp = CCP(
+        recorder.log,
+        recorded_dvs=recorder.recorded_checkpoint_dvs(),
+        analysis_provider=IncrementalAnalysisView(recorder),
+    )
     zigzag = BruteForceZigzagAnalysis(ccp)
     useless = zigzag.useless_checkpoints()
     pairs = zigzag.zigzag_pairs()

@@ -39,7 +39,6 @@ from repro.causality import (
     EventId,
     EventKind,
     EventLog,
-    VectorClock,
 )
 from repro.ccp import (
     CCP,
@@ -115,7 +114,6 @@ __all__ = [
     "SimulationRunner",
     "StableStorage",
     "UniformRandomWorkload",
-    "VectorClock",
     "WorstCaseWorkload",
     "ZigzagAnalysis",
     "audit_garbage_collection",

@@ -1,4 +1,4 @@
-"""Causality substrate: events, happened-before, vector clocks, dependency vectors.
+"""Causality substrate: events, happened-before, dependency vectors.
 
 This subpackage provides the ground-truth causal machinery that the rest of the
 library is built on.  It is deliberately independent from checkpointing: it
@@ -12,10 +12,7 @@ Modules
     a full distributed execution.
 ``happens_before``
     The :class:`CausalOrder` oracle, which answers ``e -> e'`` queries over an
-    :class:`EventLog` using per-event vector timestamps.
-``vector_clock``
-    A classic vector-clock implementation (used by the ground-truth oracle and
-    by tests).
+    :class:`EventLog` using per-event vector timestamps (tuples).
 ``dependency_vector``
     The transitive dependency vector of Strom & Yemini as used by RDT
     checkpointing protocols (Section 4.2 of the paper), including the
@@ -35,7 +32,6 @@ from repro.causality.events import (
 )
 from repro.causality.happens_before import CausalOrder
 from repro.causality.cuts import Cut
-from repro.causality.vector_clock import VectorClock
 
 __all__ = [
     "CausalOrder",
@@ -47,5 +43,4 @@ __all__ = [
     "EventLog",
     "Message",
     "ProcessHistory",
-    "VectorClock",
 ]

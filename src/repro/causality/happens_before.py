@@ -11,16 +11,15 @@ iff one of
 The oracle assigns every event a vector timestamp using the standard vector
 clock rules and answers precedence queries in ``O(1)`` afterwards.  It serves
 as the independent ground truth against which dependency-vector based
-reasoning (Equation 2) is property-tested, and as the engine behind
-recovery-line and obsolescence computations on arbitrary CCPs.
+reasoning (Equation 2) is property-tested, and as the engine behind the
+literal Theorem-1/2 and Lemma-1 transcriptions on arbitrary CCPs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Tuple
 
 from repro.causality.events import Event, EventId, EventKind, EventLog
-from repro.causality.vector_clock import VectorClock
 
 
 class CausalOrder:
@@ -37,21 +36,22 @@ class CausalOrder:
 
     def __init__(self, log: EventLog) -> None:
         self._log = log
-        self._timestamps: Dict[EventId, VectorClock] = {}
-        clocks = [VectorClock.zeros(log.num_processes) for _ in log.processes]
+        self._timestamps: Dict[EventId, Tuple[int, ...]] = {}
+        clocks = [[0] * log.num_processes for _ in log.processes]
         # Piggybacked clocks of the messages in flight at this point of the
         # replay; a message is received at most once, so its entry is popped.
-        send_clocks: Dict[int, VectorClock] = {}
+        send_clocks: Dict[int, Tuple[int, ...]] = {}
         for event in log.causal_replay():
             clock = clocks[event.pid]
             if event.kind is EventKind.RECEIVE:
                 assert event.message_id is not None
-                clock.merge(send_clocks.pop(event.message_id))
-            clock.tick(event.pid)
+                clock[:] = map(max, clock, send_clocks.pop(event.message_id))
+            clock[event.pid] += 1
+            stamp = tuple(clock)
             if event.kind is EventKind.SEND:
                 assert event.message_id is not None
-                send_clocks[event.message_id] = clock.copy()
-            self._timestamps[event.event_id] = clock.copy()
+                send_clocks[event.message_id] = stamp
+            self._timestamps[event.event_id] = stamp
 
     @property
     def log(self) -> EventLog:
@@ -61,7 +61,7 @@ class CausalOrder:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def timestamp(self, event: EventId | Event) -> VectorClock:
+    def timestamp(self, event: EventId | Event) -> Tuple[int, ...]:
         """The vector timestamp assigned to ``event``."""
         event_id = event.event_id if isinstance(event, Event) else event
         return self._timestamps[event_id]
@@ -79,33 +79,3 @@ class CausalOrder:
         if first_id.pid == second_id.pid:
             return first_id.seq < second_id.seq
         return ts_first[first_id.pid] <= ts_second[first_id.pid]
-
-    def concurrent(self, first: EventId | Event, second: EventId | Event) -> bool:
-        """True iff neither event causally precedes the other."""
-        return not self.precedes(first, second) and not self.precedes(second, first)
-
-    def causal_past(self, event: EventId | Event) -> List[EventId]:
-        """All events that causally precede ``event`` (excluding itself)."""
-        target = event.event_id if isinstance(event, Event) else event
-        past: List[EventId] = []
-        for other in self._log.events():
-            if other.event_id != target and self.precedes(other.event_id, target):
-                past.append(other.event_id)
-        return past
-
-    def latest_checkpoint_known(self, event: EventId | Event, pid: int) -> Optional[int]:
-        """Index of the latest checkpoint of ``pid`` in the causal past of ``event``.
-
-        Returns ``None`` if no checkpoint of ``pid`` causally precedes the
-        event.  A process's own checkpoints at or before the event count as
-        known (program order).
-        """
-        target = event.event_id if isinstance(event, Event) else event
-        best: Optional[int] = None
-        for other in self._log.history(pid).checkpoint_events():
-            if other.event_id == target or self.precedes(other.event_id, target):
-                index = other.checkpoint_index
-                assert index is not None
-                if best is None or index > best:
-                    best = index
-        return best

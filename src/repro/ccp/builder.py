@@ -10,10 +10,12 @@ benchmarks describe such patterns declaratively::
     builder.checkpoint(1)                  # s_1^1
     ccp = builder.build()
 
-Alongside the event structure the builder simulates the dependency-vector
-propagation of Section 4.2, so the built CCP carries the exact vectors an RDT
-protocol would have piggybacked and stored.  This is what lets Figure 4 of the
-paper be reproduced value-for-value.
+The builder records into a :class:`~repro.simulation.trace.TraceRecorder`, so
+a built pattern is analysed exactly as a simulated run is: its Theorem-1/2
+retained sets and Lemma-1 recovery lines come from the recorder's knowledge
+tracker.  Alongside the event structure the builder simulates the
+dependency-vector propagation of Section 4.2, so the built CCP carries the
+exact vectors an RDT protocol would have piggybacked and stored.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.causality.dependency_vector import DependencyVector
-from repro.causality.events import EventLog
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.pattern import CCP
 
@@ -29,34 +30,24 @@ from repro.ccp.pattern import CCP
 class CCPBuilder:
     """Incrementally describe a checkpoint and communication pattern."""
 
-    def __init__(
-        self,
-        num_processes: int,
-        *,
-        initial_checkpoints: bool = True,
-        track_dependency_vectors: bool = True,
-    ) -> None:
+    def __init__(self, num_processes: int, *, initial_checkpoints: bool = True) -> None:
         """Create a builder for ``num_processes`` processes.
 
-        Parameters
-        ----------
-        initial_checkpoints:
-            When True (the default, matching the paper's model) every process
-            starts by storing its initial stable checkpoint ``s_i^0``.
-        track_dependency_vectors:
-            When True the builder simulates dependency-vector propagation and
-            records the vector stored with every checkpoint.
+        When ``initial_checkpoints`` is True (the default, matching the
+        paper's model) every process starts by storing its initial stable
+        checkpoint ``s_i^0``.
         """
         if num_processes <= 0:
             raise ValueError("a CCP needs at least one process")
-        self._log = EventLog(num_processes)
-        self._track = track_dependency_vectors
+        # Deferred: the simulation package imports repro.ccp.
+        from repro.simulation.trace import TraceRecorder
+
+        self._recorder = TraceRecorder(num_processes)
         self._dvs = [
             DependencyVector.initial(num_processes, pid) for pid in range(num_processes)
         ]
         self._message_tags: Dict[str, int] = {}
         self._message_dvs: Dict[int, Tuple[int, ...]] = {}
-        self._recorded: Dict[CheckpointId, Tuple[int, ...]] = {}
         self._next_auto_tag = 0
         self._clock = 0.0
         if initial_checkpoints:
@@ -69,23 +60,22 @@ class CCPBuilder:
     @property
     def num_processes(self) -> int:
         """Number of processes in the pattern being built."""
-        return self._log.num_processes
+        return self._recorder.num_processes
 
     def checkpoint(self, pid: int, *, forced: bool = False) -> CheckpointId:
         """Take the next stable checkpoint of ``pid`` and return its id."""
-        index = self._log.history(pid).last_checkpoint_index() + 1
+        index = self._recorder.checkpoints_taken[pid]
         self._clock += 1.0
-        self._log.add_checkpoint(pid, index, time=self._clock, forced=forced)
-        cid = CheckpointId(pid, index)
-        if self._track:
-            self._recorded[cid] = self._dvs[pid].snapshot()
-            self._dvs[pid].advance_after_checkpoint()
-        return cid
+        self._recorder.record_checkpoint(
+            pid, index, self._dvs[pid].snapshot(), forced=forced, time=self._clock
+        )
+        self._dvs[pid].advance_after_checkpoint()
+        return CheckpointId(pid, index)
 
     def internal(self, pid: int) -> None:
         """Record an internal (non-communication, non-checkpoint) event."""
         self._clock += 1.0
-        self._log.add_internal(pid, time=self._clock)
+        self._recorder.record_internal(pid, self._clock)
 
     def send(self, sender: int, receiver: int, *, tag: Optional[str] = None) -> str:
         """Record the send of a message; returns the tag used to receive it."""
@@ -94,11 +84,11 @@ class CCPBuilder:
             self._next_auto_tag += 1
         if tag in self._message_tags:
             raise ValueError(f"message tag {tag!r} already used")
+        message_id = len(self._message_tags)
         self._clock += 1.0
-        _, message = self._log.add_send(sender, receiver, time=self._clock)
-        self._message_tags[tag] = message.message_id
-        if self._track:
-            self._message_dvs[message.message_id] = self._dvs[sender].piggyback()
+        self._recorder.record_send(sender, receiver, message_id, self._clock)
+        self._message_tags[tag] = message_id
+        self._message_dvs[message_id] = self._dvs[sender].piggyback()
         return tag
 
     def receive(self, tag: str) -> None:
@@ -107,9 +97,9 @@ class CCPBuilder:
             raise ValueError(f"unknown message tag {tag!r}")
         message_id = self._message_tags[tag]
         self._clock += 1.0
-        event = self._log.add_receive(message_id, time=self._clock)
-        if self._track:
-            self._dvs[event.pid].absorb(self._message_dvs[message_id])
+        self._recorder.record_receive(message_id, self._clock)
+        receiver = self._recorder.log.message(message_id).receiver
+        self._dvs[receiver].absorb(self._message_dvs[message_id])
 
     def message_exchange(
         self, sender: int, receiver: int, *, tag: Optional[str] = None
@@ -124,27 +114,19 @@ class CCPBuilder:
     # ------------------------------------------------------------------
     def current_dv(self, pid: int) -> Tuple[int, ...]:
         """The dependency vector currently held by ``pid`` (``DV(v_pid)``)."""
-        if not self._track:
-            raise ValueError("dependency-vector tracking is disabled")
         return self._dvs[pid].snapshot()
 
-    def event_log(self) -> EventLog:
-        """The raw event log built so far (shared, not copied)."""
-        return self._log
-
     def build(self) -> CCP:
-        """Build the CCP of the execution described so far.
+        """The CCP of the execution described so far.
 
-        The recorded dependency vectors of stable checkpoints and the current
-        vectors of the volatile checkpoints are attached to the pattern when
-        tracking is enabled.
+        Stable checkpoints carry the vectors stored with them, volatile
+        checkpoints the processes' current vectors.  The pattern's analyses
+        are pinned to the execution as of this call: describe more and its
+        retained-set and recovery-line queries raise; build again instead.
         """
-        recorded: Dict[CheckpointId, Tuple[int, ...]] = dict(self._recorded)
-        if self._track:
-            for pid in range(self.num_processes):
-                last = self._log.history(pid).last_checkpoint_index()
-                recorded[CheckpointId(pid, last + 1)] = self._dvs[pid].snapshot()
-        return CCP(self._log, recorded_dvs=recorded if self._track else None)
+        return self._recorder.ccp(
+            volatile_dvs={pid: dv.snapshot() for pid, dv in enumerate(self._dvs)}
+        )
 
     def message_id(self, tag: str) -> int:
         """The internal message id assigned to ``tag``."""

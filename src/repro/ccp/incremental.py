@@ -1,7 +1,7 @@
 """Delta-maintained obsolescence analyses (checkpoint-knowledge tracking).
 
-The classic oracles answer Theorem-1/2 retention and Lemma-1 recovery lines
-by querying checkpoint-level causal precedence, which rides on a
+The literal transcriptions of Theorem-1/2 retention and Lemma-1 recovery
+lines query checkpoint-level causal precedence, which rides on a
 :class:`~repro.causality.happens_before.CausalOrder` — an ``O(E * P)``
 vector-clock replay of the whole event log.  This module maintains the same
 information *online*, in ``O(P)`` per recorded event, so analysis instants do
@@ -37,13 +37,14 @@ is itself pruned together with the log; this is what keeps the state exact on
 pruned histories, where a from-scratch replay is impossible because receives
 of pruned sends survive only as INTERNAL placeholders.
 
-:class:`IncrementalAnalysisView` is the read side handed to
+:class:`IncrementalAnalysisView` is the read side handed to every
 :class:`~repro.ccp.pattern.CCP` as its ``analysis_provider``: it is bound to
 the recorder version it was created at and refuses to answer once the
-recorded execution has moved on.  The classic full recompute stays in
-:class:`~repro.ccp.analysis_cache.AnalysisCache` as the answer for
-provider-less patterns and as the reference the equivalence tests diff a
-recorder's view against.
+recorded execution has moved on.  It is the one production answer — hand-built
+patterns too come from a recorder (:class:`~repro.ccp.builder.CCPBuilder`) —
+and the literal transcriptions in :mod:`repro.core.obsolete` and
+:mod:`repro.recovery.recovery_line` are the reference the equivalence tests
+diff it against.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ A CCP is "the set of all checkpoints taken by all the processes in a
 consistent cut and the dependency relation between them created by the
 exchanged messages (excluding lost and in-transit messages)" (Section 2.2).
 
-The :class:`CCP` class is derived from an :class:`repro.causality.EventLog`
-(optionally restricted to a cut) and offers the checkpoint-level queries used
-by the rest of the library:
+The :class:`CCP` class is a snapshot of a recorder's
+:class:`repro.causality.EventLog` (a :class:`~repro.simulation.trace.TraceRecorder`
+hands it out, and the :class:`~repro.ccp.builder.CCPBuilder` records into one)
+and offers the checkpoint-level queries used by the rest of the library:
 
 * stable and volatile (general) checkpoints, ``last_s(i)``;
 * checkpoint-level causal precedence (ground truth, computed from the event
@@ -16,6 +17,10 @@ by the rest of the library:
 * the delivered messages with their send/receive intervals, as needed by the
   zigzag-path analysis (the log's own :class:`~repro.causality.events.Message`
   records: the intervals are stamped when the events are recorded).
+
+The Theorem-1/2 retained sets and the Lemma-1 recovery lines are not computed
+here: every pattern carries the recorder's knowledge view as its
+``analysis_provider``, and the shared analysis cache asks it.
 """
 
 from __future__ import annotations
@@ -34,13 +39,13 @@ from typing import (
     Tuple,
 )
 
-from repro.causality.cuts import Cut
 from repro.causality.events import Event, EventId, EventLog, Message
 from repro.causality.happens_before import CausalOrder
 from repro.ccp.checkpoint import Checkpoint, CheckpointId, CheckpointKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ccp.analysis_cache import AnalysisCache
+    from repro.ccp.incremental import IncrementalAnalysisView
 
 
 _event_seq = attrgetter("seq")
@@ -54,7 +59,7 @@ class CCP:
         log: EventLog,
         *,
         recorded_dvs: Optional[Mapping[CheckpointId, Sequence[int]]] = None,
-        analysis_provider: Optional[object] = None,
+        analysis_provider: "IncrementalAnalysisView",
         departed: Iterable[int] = (),
     ) -> None:
         """Build the CCP of the full recorded execution.
@@ -63,18 +68,17 @@ class CCP:
         ----------
         log:
             The execution.  It must be causally replayable (every receive has a
-            send); use :meth:`from_log` to restrict to a cut first.
+            send).
         recorded_dvs:
             Dependency vectors recorded by the checkpointing middleware, keyed
             by checkpoint id.  When present they are attached to the
             corresponding :class:`Checkpoint` records; ground-truth vectors are
             still available through :meth:`ground_truth_dv`.
         analysis_provider:
-            An optional delta-maintained analysis source (see
-            :mod:`repro.ccp.incremental`).  When present, the
+            The knowledge view of the recorder that owns ``log`` (see
+            :mod:`repro.ccp.incremental`): the
             :class:`~repro.ccp.analysis_cache.AnalysisCache` serves Theorem-1/2
-            retained sets and recovery lines from it instead of recomputing
-            them from the event graph.
+            retained sets and recovery lines from it.
         departed:
             Pids that left the membership before this cut.  A departed
             process can never be faulty again, so the analyses exclude it
@@ -105,21 +109,8 @@ class CCP:
         self._messages: List[Message] = []
 
     # ------------------------------------------------------------------
-    # Construction helpers
+    # Internals
     # ------------------------------------------------------------------
-    @classmethod
-    def from_log(
-        cls,
-        log: EventLog,
-        cut: Optional[Cut] = None,
-        *,
-        recorded_dvs: Optional[Mapping[CheckpointId, Sequence[int]]] = None,
-    ) -> "CCP":
-        """Build the CCP defined by ``cut`` (default: the full execution)."""
-        if cut is not None:
-            log = cut.restrict(log)
-        return cls(log, recorded_dvs=recorded_dvs)
-
     def _stable_event(self, cid: CheckpointId) -> Optional[Event]:
         """The CHECKPOINT event of ``cid``: None for the volatile, KeyError if absent."""
         if cid.pid in self._log.processes:
@@ -153,8 +144,8 @@ class CCP:
         return self._lazy_order
 
     @property
-    def analysis_provider(self) -> Optional[object]:
-        """The delta-maintained analysis source attached to this pattern, if any."""
+    def analysis_provider(self) -> "IncrementalAnalysisView":
+        """The recorder's knowledge view this pattern's analyses are served from."""
         return self._provider
 
     @property

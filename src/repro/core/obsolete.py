@@ -21,13 +21,15 @@ The expected relationships (Theorem 2 obsolete  ⊆  Theorem 1 obsolete  ==
 needless) are asserted by the test suite, not here.
 
 The public Theorem-1/2 functions serve their answers from the pattern's
-shared :class:`~repro.ccp.analysis_cache.AnalysisCache`, which implements
-batch equivalents with the loop-invariant subterms hoisted.  The literal
+shared :class:`~repro.ccp.analysis_cache.AnalysisCache`, which asks the
+recorder's knowledge view (:mod:`repro.ccp.incremental`).  The literal
 per-checkpoint transcriptions (``_is_retained_theorem1``,
-``_last_known_checkpoint``, ``_is_retained_theorem2``) are kept as the
-executable statements of the theorems: the equivalence property tests pin
-the cache to independent re-transcriptions, and the perf benchmark uses
-these helpers as the measured old path.
+``_last_known_checkpoint``, ``_is_retained_theorem2``) are the other answer:
+executable statements of the theorems over checkpoint-level causal
+precedence, which the equivalence tests and the explorer's kernel
+cross-check compare the view with, and which the perf benchmark measures as
+the old path.  Like the view they exclude departed processes on both sides
+(see ``CCP.departed``).
 """
 
 from __future__ import annotations
@@ -84,8 +86,10 @@ def needless_stable_checkpoints(ccp: CCP, *, singletons_only: bool = False) -> S
 # Theorem 1 — obsolete from global knowledge
 # ----------------------------------------------------------------------
 def _is_retained_theorem1(ccp: CCP, cid: CheckpointId) -> bool:
+    if cid.pid in ccp.departed:
+        return False
     successor = CheckpointId(cid.pid, cid.index + 1)
-    for f in ccp.processes:
+    for f in ccp.active_processes:
         if ccp.last_stable(f) < 0:
             continue
         last = ccp.last_stable_id(f)
@@ -125,8 +129,10 @@ def _last_known_checkpoint(ccp: CCP, observer: int, subject: int) -> int:
 
 
 def _is_retained_theorem2(ccp: CCP, cid: CheckpointId) -> bool:
+    if cid.pid in ccp.departed:
+        return False
     successor = CheckpointId(cid.pid, cid.index + 1)
-    for f in ccp.processes:
+    for f in ccp.active_processes:
         last_known = _last_known_checkpoint(ccp, cid.pid, f)
         if last_known < 0:
             continue

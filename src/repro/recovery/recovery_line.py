@@ -11,9 +11,11 @@ the last stable checkpoint of any faulty process::
 
     R_F = U_i { c_i^k,  k = max(gamma | for all p_f in F:  s_f^last -/-> c_i^gamma) }
 
-:func:`recovery_line` implements Lemma 1 directly.  :func:`recovery_line_brute_force`
-implements Definition 5 by exhaustive search (exponential; used only in tests
-to validate the lemma and on the figure-sized examples).
+:func:`recovery_line` answers Lemma 1 from the pattern's analysis cache (the
+recorder's knowledge view); ``_recovery_line_lemma1`` transcribes it literally
+and :func:`recovery_line_brute_force` implements Definition 5 by exhaustive
+search (exponential; used only in tests, the explorer and on the figure-sized
+examples).
 """
 
 from __future__ import annotations
@@ -62,10 +64,9 @@ def recovery_line(ccp: CCP, faulty: Iterable[int]) -> GlobalCheckpoint:
 def _recovery_line_lemma1(ccp: CCP, faulty_set: Set[int]) -> GlobalCheckpoint:
     """Lemma 1 by full recompute over checkpoint-level precedence queries.
 
-    Uncached; called via the analysis cache.  This is the *reference* path
-    (and the answer for provider-less patterns): trace recorders serve
-    recovery lines from their maintained knowledge state instead, and the
-    equivalence tests compare that answer against this one.
+    The literal reference: :func:`recovery_line` is served from the
+    recorder's knowledge view, and the equivalence tests compare that answer
+    with this one.
     """
     indices: List[int] = []
     for pid in ccp.processes:

@@ -12,7 +12,7 @@ figure-reproduction benchmarks all work from the same source:
   paper's text; see the module docstring of :mod:`repro.scenarios.figures`);
 * :func:`drive_figure4` and :data:`FIGURE4_ANNOTATIONS` — the fully annotated
   RDT-LGC execution of Figure 4, reproduced value for value;
-* :func:`figure4_ccp` — the same execution as a CCP for the offline oracles.
+* :func:`figure4_ccp` — that execution's recording as a CCP for the offline oracles.
 
 The :mod:`repro.scenarios.campaign` subpackage runs *grids* of experiments —
 the paper's evaluation study — declaratively, resumably and in parallel; the

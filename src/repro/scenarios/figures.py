@@ -258,23 +258,7 @@ def drive_figure4() -> Figure4Run:
 
 
 def figure4_ccp() -> CCP:
-    """The CCP corresponding to the Figure 4 execution (for the offline oracles)."""
-    builder = CCPBuilder(3)
-    builder.send(0, 1, tag="m_a")
-    builder.receive("m_a")
-    builder.send(1, 2, tag="m_b0")
-    builder.checkpoint(1)  # s2^1
-    builder.send(1, 2, tag="m_b1")  # never delivered (in transit)
-    builder.receive("m_b0")
-    builder.checkpoint(2)  # s3^1
-    builder.send(2, 1, tag="m_c1")
-    builder.receive("m_c1")
-    builder.checkpoint(1)  # s2^2
-    builder.send(1, 2, tag="m_d1")
-    builder.checkpoint(1)  # s2^3
-    builder.checkpoint(2)  # s3^2
-    builder.receive("m_d1")
-    builder.checkpoint(2)  # s3^3
-    builder.send(1, 2, tag="m_d2")
-    builder.receive("m_d2")
-    return builder.build()
+    """The CCP of the Figure 4 execution (for the offline oracles): the
+    recording of :func:`drive_figure4`, with the nodes' volatile vectors."""
+    run = drive_figure4()
+    return run.recorder.ccp(volatile_dvs={node.pid: node.current_dv for node in run.nodes})

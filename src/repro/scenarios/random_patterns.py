@@ -5,10 +5,10 @@ arbitrary, reproducible CCPs that exercise the full zigzag zoo: causal paths,
 crossing (non-causal) Z-paths, zigzag cycles, undelivered messages and uneven
 checkpoint rates.  This module generates them as an abstract *script* — a flat
 list of operations — that can be interpreted either by the
-:class:`repro.ccp.CCPBuilder` (producing a CCP directly) or by a
-:class:`repro.simulation.trace.TraceRecorder` (exercising the incremental
-recording path), so both consumers see byte-identical executions for a given
-seed.
+:class:`repro.ccp.CCPBuilder` (producing a CCP with simulated dependency
+vectors) or fed straight into a :class:`repro.simulation.trace.TraceRecorder`
+(chunk by chunk, as the simulator records), so both consumers see the same
+execution for a given seed.
 
 Receives deliberately pick a *random* pending message rather than the oldest:
 out-of-order delivery is what creates the crossing message pairs from which

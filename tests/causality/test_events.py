@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.causality.events import Event, EventId, EventKind, EventLog, Message
 from repro.ccp.checkpoint import CheckpointId
+from repro.ccp.incremental import IncrementalAnalysisView
 from repro.ccp.pattern import CCP
+from repro.simulation.trace import TraceRecorder
 from repro.storage.records import StoredCheckpoint
 
 
@@ -506,7 +508,8 @@ def _assert_messages_describe_the_events(log):
     The stamped intervals are checked against :meth:`CCP.interval_of_event`
     and against a count of the checkpoint events before the position.
     """
-    ccp = CCP(log)
+    # interval_of_event reads the log alone: the (empty) view is never asked.
+    ccp = CCP(log, analysis_provider=IncrementalAnalysisView(TraceRecorder(log.num_processes)))
 
     def interval(event):
         before = log.history(event.pid).events[: event.seq]

@@ -77,14 +77,6 @@ class TestBuilderDependencyTracking:
         ccp = builder.build()
         assert ccp.checkpoint(cid).dependency_vector == (1, 1)
 
-    def test_tracking_disabled(self):
-        builder = CCPBuilder(2, track_dependency_vectors=False)
-        with pytest.raises(ValueError):
-            builder.current_dv(0)
-        ccp = builder.build()
-        # Ground truth is still available.
-        assert ccp.dv(CheckpointId(0, 0)) == (0, 0)
-
     def test_recorded_volatile_dv_attached(self):
         builder = CCPBuilder(2)
         builder.message_exchange(0, 1, tag="m")

@@ -6,8 +6,8 @@ and, between chunks, the eliminations that let it compact its log — must
 answer every analysis — Theorem-1/2 retained sets, Lemma-1 recovery
 lines, the zigzag relation — exactly as an identically-fed unpruned twin
 does over the surviving (live) checkpoint window, at every instant of the
-churn schedule.  Unpruned recorders are diffed against the classic recompute
-(the ``assert_view_matches_classic`` fixture); the blocked bitset kernel is additionally pinned
+churn schedule.  Unpruned recorders are diffed against the literal theorems
+(the ``assert_view_matches_literal`` fixture); the blocked bitset kernel is additionally pinned
 to the brute-force reference on *pruned* (based) logs, where closures start
 at per-process base intervals rather than zero.
 
@@ -160,17 +160,17 @@ class TestPrunedEqualsFullRecompute:
             _eliminate_theorem1_garbage(pruned)
 
 
-class TestViewMatchesClassic:
-    """The recorder's view equals the classic recompute at every instant."""
+class TestViewMatchesLiteral:
+    """The recorder's view equals the literal theorems at every instant."""
 
     @pytest.mark.parametrize("seed", SEEDS[::3])
-    def test_chunked_feed_with_queries(self, seed, assert_view_matches_classic):
+    def test_chunked_feed_with_queries(self, seed, assert_view_matches_literal):
         script = _script(seed)
         recorder = TraceRecorder(2 + seed % 5)
         feeder = TraceFeeder(recorder)
         for chunk in _chunks(script):
             feeder.feed(chunk)
-            assert_view_matches_classic(recorder)
+            assert_view_matches_literal(recorder)
 
 
 @pytest.mark.usefixtures("low_prune_threshold")
@@ -254,8 +254,8 @@ class TestChurnSchedules:
             ) == truth_ccp.analyses.recovery_line({faulty})
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_view_matches_classic_across_recovery_truncation(
-        self, seed, assert_view_matches_classic, cross_check_sink
+    def test_view_matches_literal_across_recovery_truncation(
+        self, seed, assert_view_matches_literal, literal_check_sink
     ):
         crashes = [(60.0, seed % 4), (110.0, (seed + 1) % 4)]
         sinks, between = [], []
@@ -263,11 +263,11 @@ class TestChurnSchedules:
         def schedule_checks(runner):
             # Right after each session (the sink), and while the rolled-back
             # checkpoint indices are being reused.
-            sinks.append(cross_check_sink(runner.trace))
+            sinks.append(literal_check_sink(runner.trace))
             for time in (59.9, 65.0, 75.0, 109.9, 115.0, 125.0):
                 runner.engine.schedule_at(
                     time,
-                    lambda: between.append(assert_view_matches_classic(runner.trace)),
+                    lambda: between.append(assert_view_matches_literal(runner.trace)),
                 )
 
         runner, result = self._run(
@@ -275,7 +275,7 @@ class TestChurnSchedules:
         )
         assert len(result.recoveries) == 2 and sinks[0].checked == 2
         assert len(between) == 6 and result.all_audits_safe
-        assert_view_matches_classic(runner.trace)
+        assert_view_matches_literal(runner.trace)
 
     def test_pruned_run_trace_replays_and_verifies(self, tmp_path, pruning_runner):
         """Sinks see the full history: a pruned run's trace stays complete."""

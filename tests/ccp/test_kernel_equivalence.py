@@ -3,10 +3,11 @@
 The bitset :class:`~repro.ccp.zigzag.ZigzagAnalysis` kernel must answer every
 relation query identically to the message-level BFS reference
 (:class:`~repro.ccp.zigzag.BruteForceZigzagAnalysis`), and the shared analysis
-cache must reproduce the Theorem-1/2 retained sets of a literal, uncached
-transcription of the theorems.  Both are checked across a corpus of seeded
-random CCPs (crossing messages, zigzag cycles, in-transit messages, uneven
-checkpoint rates) plus the paper's figures.
+cache must reproduce the Theorem-1/2 retained sets and Lemma-1 recovery lines
+of the literal transcriptions (the ``assert_view_matches_literal`` fixture).
+Both are checked across a corpus of seeded random CCPs (crossing messages, zigzag
+cycles, in-transit messages, uneven checkpoint rates) plus the paper's
+figures.
 
 The incremental trace-recorder CCP is checked against a from-scratch
 construction of the same log, including after a recovery truncation.
@@ -14,7 +15,7 @@ construction of the same log, including after a recovery truncation.
 
 import pytest
 
-from repro.ccp.checkpoint import CheckpointId
+from repro.ccp.incremental import IncrementalAnalysisView
 from repro.ccp.pattern import CCP
 from repro.ccp.zigzag import BruteForceZigzagAnalysis, ZigzagAnalysis
 from repro.scenarios.random_patterns import (
@@ -43,48 +44,6 @@ def _all_general_ids(ccp: CCP):
     return [cid for pid in ccp.processes for cid in ccp.general_ids(pid)]
 
 
-# ----------------------------------------------------------------------
-# Literal transcriptions of Theorems 1 and 2 (independent of the cache)
-# ----------------------------------------------------------------------
-def _reference_theorem1_retained(ccp: CCP):
-    retained = set()
-    for pid in ccp.processes:
-        for cid in ccp.stable_ids(pid):
-            successor = CheckpointId(pid, cid.index + 1)
-            for f in ccp.processes:
-                if ccp.last_stable(f) < 0:
-                    continue
-                last = ccp.last_stable_id(f)
-                if ccp.causally_precedes(last, successor) and not ccp.causally_precedes(
-                    last, cid
-                ):
-                    retained.add(cid)
-                    break
-    return retained
-
-
-def _reference_theorem2_retained(ccp: CCP):
-    retained = set()
-    for pid in ccp.processes:
-        volatile = ccp.volatile_id(pid)
-        for cid in ccp.stable_ids(pid):
-            successor = CheckpointId(pid, cid.index + 1)
-            for f in ccp.processes:
-                last_known = -1
-                for known in ccp.stable_ids(f):
-                    if ccp.causally_precedes(known, volatile):
-                        last_known = max(last_known, known.index)
-                if last_known < 0:
-                    continue
-                known_cid = CheckpointId(f, last_known)
-                if ccp.causally_precedes(known_cid, successor) and not (
-                    ccp.causally_precedes(known_cid, cid)
-                ):
-                    retained.add(cid)
-                    break
-    return retained
-
-
 class TestKernelMatchesBruteForce:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_zigzag_relation_pointwise(self, seed):
@@ -107,10 +66,8 @@ class TestKernelMatchesBruteForce:
         assert kernel.useless_checkpoints() == brute.useless_checkpoints()
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_theorem_retained_sets_match_reference(self, seed):
-        ccp = _corpus_ccp(seed)
-        assert ccp.analyses.theorem1_retained == _reference_theorem1_retained(ccp)
-        assert ccp.analyses.theorem2_retained == _reference_theorem2_retained(ccp)
+    def test_theorem_retained_sets_match_reference(self, seed, assert_view_matches_literal):
+        assert_view_matches_literal(_corpus_ccp(seed))
 
     @pytest.mark.parametrize("seed", SEEDS[:20])
     def test_witness_paths_are_valid_zigzag_sequences(self, seed):
@@ -132,6 +89,47 @@ class TestKernelMatchesBruteForce:
             brute = BruteForceZigzagAnalysis(ccp)
             assert set(kernel.zigzag_pairs()) == set(brute.zigzag_pairs())
             assert kernel.useless_checkpoints() == brute.useless_checkpoints()
+
+
+class TestTrackerMatchesTheLiteralTheorems:
+    """The knowledge view every CCP is served from equals the literal
+    Theorem-1/2 and Lemma-1 transcriptions on the hand-built patterns and on
+    scripted ones of growing shape."""
+
+    def test_on_the_paper_figures(
+        self,
+        assert_view_matches_literal,
+        figure1_ccp,
+        figure1_without_m3_ccp,
+        figure2_ccp,
+        figure3_ccp,
+        figure4_ccp,
+    ):
+        for ccp in (figure1_ccp, figure1_without_m3_ccp, figure2_ccp, figure3_ccp, figure4_ccp):
+            assert_view_matches_literal(ccp)
+
+    @pytest.mark.parametrize(
+        "num_processes, num_messages",
+        [(2, 10), (3, 20), (4, 40), (5, 60), (6, 80)],
+        ids=lambda value: str(value),
+    )
+    def test_on_scripted_patterns(self, assert_view_matches_literal, num_processes, num_messages):
+        for seed in SEEDS:
+            script = random_ccp_script(
+                seed, num_processes=num_processes, num_messages=num_messages
+            )
+            recorder = TraceRecorder(num_processes)
+            feed_trace_recorder(recorder, script)
+            assert_view_matches_literal(recorder)
+
+
+def _from_scratch(recorder: TraceRecorder) -> CCP:
+    """A new CCP over the recorder's log: no memo, a fresh causal order."""
+    return CCP(
+        recorder.log,
+        recorded_dvs=recorder.recorded_checkpoint_dvs(),
+        analysis_provider=IncrementalAnalysisView(recorder),
+    )
 
 
 class TestIncrementalTraceCcp:
@@ -157,8 +155,7 @@ class TestIncrementalTraceCcp:
         recorder = TraceRecorder(num_processes)
         feed_trace_recorder(recorder, script)
         incremental = recorder.ccp()
-        fresh = CCP(recorder.log, recorded_dvs=recorder.recorded_checkpoint_dvs())
-        self._assert_equivalent(incremental, fresh)
+        self._assert_equivalent(incremental, _from_scratch(recorder))
 
     def test_snapshot_is_cached_until_mutation(self):
         recorder = TraceRecorder(3)
@@ -197,7 +194,4 @@ class TestIncrementalTraceCcp:
         assert result.recoveries  # the crash actually happened
         assert result.all_audits_safe
         incremental = runner.trace.ccp()
-        fresh = CCP(
-            runner.trace.log, recorded_dvs=runner.trace.recorded_checkpoint_dvs()
-        )
-        self._assert_equivalent(incremental, fresh)
+        self._assert_equivalent(incremental, _from_scratch(runner.trace))

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.consistency import GlobalCheckpoint, is_consistent_global_checkpoint
 from repro.ccp.incremental import KnowledgeWindowError
-from repro.ccp.pattern import CCP
 from repro.recovery.manager import RecoveryManager
+from repro.recovery.recovery_line import _recovery_line_lemma1
 from repro.scenarios.random_patterns import TraceFeeder, random_ccp_script
 from repro.simulation.trace import TraceRecorder
 
@@ -53,7 +53,7 @@ class TestRowsFollowTheWindow:
         victim=st.integers(0, 5),
     )
     def test_through_prune_recovery_index_reuse_and_a_join(
-        self, assert_view_matches_classic, seed, crash, victim
+        self, assert_view_matches_literal, seed, crash, victim
     ):
         num_processes = 2 + seed % 5
         script = random_ccp_script(
@@ -73,10 +73,10 @@ class TestRowsFollowTheWindow:
         def check() -> None:
             """Both legs keep the invariant; the pruned one answers as the
             unpruned one does on its live window, the unpruned one as the
-            classic recompute does."""
+            literal theorems do."""
             assert_rows_cover_the_live_window(pruned)
             assert_rows_cover_the_live_window(full)
-            assert_view_matches_classic(full)
+            assert_view_matches_literal(full)
             bases = pruned.log.checkpoint_bases
             truth = full.ccp().analyses
             for theorem in ("theorem1_retained", "theorem2_retained"):
@@ -135,7 +135,7 @@ def _joined_after_two_checkpoints() -> TraceRecorder:
 
 
 class TestSnapshotFrozenBeforeAJoin:
-    def test_is_the_answer_for_the_joiners_column(self, assert_view_matches_classic):
+    def test_is_the_answer_for_the_joiners_column(self, assert_view_matches_literal):
         recorder = _joined_after_two_checkpoints()
         tracker = recorder.knowledge_tracker
         assert tracker.ckpt_rows[0] == [(-1, -1, -1), (0, -1, -1), (1, -1, 0)]
@@ -144,7 +144,7 @@ class TestSnapshotFrozenBeforeAJoin:
         # snapshot predates p_2, is what a failure of p_2 would roll p_0 back to.
         assert CheckpointId(0, 1) in analyses.theorem1_retained
         assert analyses.recovery_line({2}) == GlobalCheckpoint((1, 1, 0))
-        assert_view_matches_classic(recorder)
+        assert_view_matches_literal(recorder)
 
 
 class TestRowsOutOfStep:
@@ -204,9 +204,9 @@ def _degenerate_recorder() -> TraceRecorder:
 
 
 class TestDegenerateQueries:
-    """Empty and one-row windows answer exactly as the classic recompute."""
+    """Empty and one-row windows answer exactly as the literal Lemma 1."""
 
-    @pytest.mark.parametrize("source", ["view", "classic"])
+    @pytest.mark.parametrize("source", ["view", "literal"])
     @pytest.mark.parametrize(
         "faulty, line",
         [
@@ -217,32 +217,27 @@ class TestDegenerateQueries:
         ],
     )
     def test_recovery_lines(self, source, faulty, line):
-        recorder = _degenerate_recorder()
-        analyses = recorder.ccp().analyses
-        if source == "classic":
-            analyses = CCP(
-                recorder.log,
-                recorded_dvs=recorder.recorded_checkpoint_dvs(),
-                departed=recorder.departed,
-            ).analyses
-        assert analyses.recovery_line(faulty) == GlobalCheckpoint(line)
+        ccp = _degenerate_recorder().ccp()
+        if source == "literal":
+            assert _recovery_line_lemma1(ccp, faulty) == GlobalCheckpoint(line)
+        else:
+            assert ccp.analyses.recovery_line(faulty) == GlobalCheckpoint(line)
 
     @pytest.mark.parametrize("faulty", [{3}, {4}, {2, 3}], ids=["joined", "dormant", "with-departed"])
     def test_a_faulty_process_without_a_checkpoint(self, faulty):
         # Outside Lemma 1 (only a process with a checkpoint can fail): the
-        # classic recompute says so, the view reads "knows checkpoint -1",
+        # literal transcription says so, the view reads "knows checkpoint -1",
         # true of every snapshot, and rolls everybody to the window's base.
-        recorder = _degenerate_recorder()
-        assert recorder.ccp().analyses.recovery_line(faulty) == GlobalCheckpoint((0, 0, 2, 0, 0))
-        classic = CCP(recorder.log, departed=recorder.departed).analyses
+        ccp = _degenerate_recorder().ccp()
+        assert ccp.analyses.recovery_line(faulty) == GlobalCheckpoint((0, 0, 2, 0, 0))
         with pytest.raises(ValueError, match="has no stable checkpoint"):
-            classic.recovery_line(faulty)
+            _recovery_line_lemma1(ccp, faulty)
 
-    def test_retained_sets_skip_the_empty_and_departed_windows(self, assert_view_matches_classic):
+    def test_retained_sets_skip_the_empty_and_departed_windows(self, assert_view_matches_literal):
         recorder = _degenerate_recorder()
         assert_rows_cover_the_live_window(recorder)
         assert recorder.knowledge_tracker.ckpt_rows[3] == []  # joined, no checkpoint yet
         analyses = recorder.ccp().analyses
         assert analyses.theorem1_retained == {CheckpointId(0, 1), CheckpointId(0, 2), CheckpointId(1, 0)}
         assert analyses.theorem2_retained == analyses.theorem1_retained
-        assert_view_matches_classic(recorder)
+        assert_view_matches_literal(recorder)

@@ -1,4 +1,4 @@
-"""Shared fixtures: the paper's figures as CCPs, and the classic cross-check."""
+"""Shared fixtures: the paper's figures as CCPs, and the literal cross-check."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import os
 import pytest
 
 from repro.ccp.pattern import CCP
+from repro.core.obsolete import _is_retained_theorem1, _is_retained_theorem2
+from repro.recovery.recovery_line import _recovery_line_lemma1
 from repro.simulation.runner import SimulationConfig, SimulationRunner
 from repro.simulation.trace import TraceRecorder, TraceSink
 from repro.scenarios.figures import figure1_ccp as _figure1_ccp
@@ -40,38 +42,38 @@ def figure4_ccp() -> CCP:
     return _figure4_ccp()
 
 
-def _assert_view_matches_classic(recorder: TraceRecorder) -> None:
-    """Diff a recorder's knowledge-vector analyses against the classic recompute.
+def _assert_view_matches_literal(source) -> None:
+    """Diff a recorder's knowledge-vector analyses against the literal theorems.
 
-    The reference is a provider-less :class:`CCP` over the same log, whose
-    analysis cache answers Theorems 1/2 and Lemma 1 by vector-clock replay and
-    pairwise ``causally_precedes``.  Only valid on unpruned logs: a pruned log
-    has lost the edges the replay needs.
+    ``source`` is a recorder or a CCP one handed out.  The reference is the
+    per-checkpoint transcription of Theorems 1/2 (``repro.core.obsolete``)
+    and of Lemma 1 (``_recovery_line_lemma1``) over the same pattern, which
+    answer by vector-clock replay and pairwise ``causally_precedes``.  Only
+    valid on unpruned logs: a pruned log has lost the edges the replay needs.
     """
-    assert not any(recorder.log.checkpoint_bases), "classic reference needs an unpruned log"
-    view = recorder.ccp().analyses
-    classic = CCP(
-        recorder.log,
-        recorded_dvs=recorder.recorded_checkpoint_dvs(),
-        departed=recorder.departed,
-    ).analyses
-    assert view.theorem1_retained == classic.theorem1_retained
-    assert view.theorem2_retained == classic.theorem2_retained
-    for pid in classic.ccp.active_processes:
-        if classic.ccp.last_stable(pid) >= 0:  # only a process with a checkpoint can fail
-            assert view.recovery_line({pid}) == classic.recovery_line({pid}), f"F={{{pid}}}"
+    ccp = source.ccp() if isinstance(source, TraceRecorder) else source
+    assert not any(ccp.log.checkpoint_bases), "the literal reference needs an unpruned log"
+    view = ccp.analyses
+    stable = [cid for pid in ccp.processes for cid in ccp.stable_ids(pid)]
+    assert view.theorem1_retained == {cid for cid in stable if _is_retained_theorem1(ccp, cid)}
+    assert view.theorem2_retained == {cid for cid in stable if _is_retained_theorem2(ccp, cid)}
+    for pid in ccp.active_processes:
+        if ccp.last_stable(pid) >= 0:  # only a process with a checkpoint can fail
+            assert view.recovery_line({pid}) == _recovery_line_lemma1(ccp, {pid}), f"F={{{pid}}}"
 
 
 @pytest.fixture(scope="session")
-def assert_view_matches_classic():
-    """The ``"check"`` cross-assertion, as a callable taking a recorder."""
-    return _assert_view_matches_classic
+def assert_view_matches_literal():
+    """The view-versus-literal cross-assertion, as a callable taking a
+    recorder or a CCP."""
+    return _assert_view_matches_literal
 
 
-class CrossCheckSink(TraceSink):
-    """Cross-checks a recorder right after every recovery session and
-    membership change — the states where the view reuses checkpoint indices,
-    has just been truncated, or has just gained or lost a process."""
+class LiteralCheckSink(TraceSink):
+    """Checks a recorder against the literal theorems right after every
+    recovery session and membership change — the states where the view reuses
+    checkpoint indices, has just been truncated, or has just gained or lost a
+    process."""
 
     def __init__(self, recorder: TraceRecorder) -> None:
         self.recorder = recorder
@@ -79,16 +81,16 @@ class CrossCheckSink(TraceSink):
         recorder.attach_sink(self)
 
     def _check(self, *_args) -> None:
-        _assert_view_matches_classic(self.recorder)
+        _assert_view_matches_literal(self.recorder)
         self.checked += 1
 
     on_recovery = on_join = on_leave = _check
 
 
 @pytest.fixture(scope="session")
-def cross_check_sink():
-    """Factory attaching a :class:`CrossCheckSink` to a recorder."""
-    return CrossCheckSink
+def literal_check_sink():
+    """Factory attaching a :class:`LiteralCheckSink` to a recorder."""
+    return LiteralCheckSink
 
 
 def _pruning_runner(config: SimulationConfig) -> SimulationRunner:

@@ -2,6 +2,8 @@
 
 from repro.ccp.checkpoint import CheckpointId
 from repro.core.obsolete import (
+    _is_retained_theorem1,
+    _is_retained_theorem2,
     needless_stable_checkpoints,
     obsolete_per_process,
     obsolete_stable_checkpoints_corollary1,
@@ -9,6 +11,7 @@ from repro.core.obsolete import (
     obsolete_stable_checkpoints_theorem2,
     retained_stable_checkpoints_theorem1,
 )
+from repro.simulation.trace import TraceRecorder
 
 
 class TestTheorem1:
@@ -83,6 +86,35 @@ class TestFigure4Gap:
     def test_identifiable_obsolete_checkpoints_match_figure4(self, figure4_ccp):
         theorem2 = obsolete_stable_checkpoints_theorem2(figure4_ccp)
         assert theorem2 == {CheckpointId(1, 2), CheckpointId(2, 1), CheckpointId(2, 2)}
+
+
+class TestLiteralTranscriptionsAfterALeave:
+    """``CCP.departed``: a departed process pins nothing and nothing pins its
+    checkpoints, in the literal transcriptions as in the recorder's view."""
+
+    def _ccp(self):
+        # p_2 takes s_2^1 and tells p_1, which takes s_1^1; then p_2 leaves.
+        recorder = TraceRecorder(3)
+        for pid in range(3):
+            recorder.record_checkpoint(pid, 0, (0, 0, 0), forced=False, time=1.0)
+        recorder.record_checkpoint(2, 1, (0, 0, 1), forced=False, time=2.0)
+        recorder.record_send(2, 1, 0, 3.0)
+        recorder.record_receive(0, 4.0)
+        recorder.record_checkpoint(1, 1, (0, 1, 2), forced=False, time=5.0)
+        recorder.record_leave(2, 6.0)
+        return recorder.ccp()
+
+    def test_literal_equals_view(self):
+        ccp = self._ccp()
+        stable = [cid for pid in ccp.processes for cid in ccp.stable_ids(pid)]
+        # Without the exclusion s_2^1 would pin s_1^0, and s_2^1 would be
+        # retained as p_2's last checkpoint.
+        expected = {CheckpointId(0, 0), CheckpointId(1, 1)}
+        for literal, view in (
+            (_is_retained_theorem1, ccp.analyses.theorem1_retained),
+            (_is_retained_theorem2, ccp.analyses.theorem2_retained),
+        ):
+            assert {cid for cid in stable if literal(ccp, cid)} == view == expected
 
 
 class TestHelpers:

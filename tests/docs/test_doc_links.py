@@ -53,6 +53,11 @@ class TestCommittedDocs:
             "numpy kernel": r"kernel=\"numpy\"",
             "kernel env switch": r"REPRO_ZIGZAG_KERNEL",
             "JSONL result store": r"--store\s+\S*\.jsonl\b",
+            "CCP.from_log": r"CCP\.from_log\b",
+            "classic analysis tier": r"_classic_",
+            "VectorClock": r"\bVectorClock\b",
+            "builder tracking switch": r"track_dependency_vectors",
+            "classic cross-check fixture": r"assert_view_matches_classic",
         }
         pages = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
         found = [

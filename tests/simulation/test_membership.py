@@ -200,24 +200,24 @@ class TestRunnerMembership:
         with pytest.raises(ValueError, match="outside the run duration"):
             _dynamic_config(duration=50.0)
 
-    def test_view_matches_classic_under_churn(
-        self, assert_view_matches_classic, cross_check_sink
+    def test_view_matches_literal_under_churn(
+        self, assert_view_matches_literal, literal_check_sink
     ):
-        """The knowledge-vector substrate must match the classic recompute
+        """The knowledge-vector substrate must match the literal theorems
         across joins (a dormant slot coming alive), leaves (departed exclusion) and a
         recovery session in between."""
         config = _dynamic_config(failures=FailureSchedule.of([(40.0, 2)]))
         runner = SimulationRunner(config)
-        sink = cross_check_sink(runner.trace)  # after the join, the crash, the leave
+        sink = literal_check_sink(runner.trace)  # after the join, the crash, the leave
         times = [config.duration * fraction for fraction in (0.1, 0.3, 0.5, 0.7, 0.9)]
         for time in times:
             runner.engine.schedule_at(
-                time, lambda: assert_view_matches_classic(runner.trace)
+                time, lambda: assert_view_matches_literal(runner.trace)
             )
         result = runner.run()
         assert sink.checked == 3 and len(result.recoveries) == 1
         assert result.all_audits_safe and result.all_audits_optimal
-        assert_view_matches_classic(runner.trace)
+        assert_view_matches_literal(runner.trace)
 
 
 class TestNetworkDeparture:

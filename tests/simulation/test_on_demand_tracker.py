@@ -116,7 +116,7 @@ class TestCatchUpEqualsEagerTwin:
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds, crash=fractions, instant=fractions, victim=st.integers(0, 5))
     def test_after_a_recovery_truncation(
-        self, assert_view_matches_classic, seed, crash, instant, victim
+        self, assert_view_matches_literal, seed, crash, instant, victim
     ):
         num_processes, script = _script(seed)
         (lazy, lazy_feeder), (eager, eager_feeder) = _twins(num_processes)
@@ -134,11 +134,11 @@ class TestCatchUpEqualsEagerTwin:
         assert lazy.log.messages() == eager.log.messages()
         lazy.ccp()
         assert _state(lazy) == _state(eager)
-        assert_view_matches_classic(lazy)
+        assert_view_matches_literal(lazy)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds, instant=fractions)
-    def test_after_a_mid_run_join(self, assert_view_matches_classic, seed, instant):
+    def test_after_a_mid_run_join(self, assert_view_matches_literal, seed, instant):
         num_processes, script = _script(seed)
         (lazy, lazy_feeder), (eager, eager_feeder) = _twins(num_processes, dormant=1)
         cut = int(instant * len(script))
@@ -156,11 +156,11 @@ class TestCatchUpEqualsEagerTwin:
         assert lazy.knowledge_tracker is None
         lazy.ccp()
         assert _state(lazy) == _state(eager)
-        assert_view_matches_classic(lazy)
+        assert_view_matches_literal(lazy)
 
 
 class TestReplayedRecorder:
-    def test_replay_truncates_before_its_first_ccp(self, tmp_path, assert_view_matches_classic):
+    def test_replay_truncates_before_its_first_ccp(self, tmp_path, assert_view_matches_literal):
         path = str(tmp_path / "churn.trace.jsonl")
         config = SimulationConfig(
             num_processes=4,
@@ -177,7 +177,7 @@ class TestReplayedRecorder:
         assert replayed.knowledge_tracker is None
         replayed.ccp()
         assert _state(replayed) == _state(runner.trace)
-        assert_view_matches_classic(replayed)
+        assert_view_matches_literal(replayed)
 
 
 class TestNoAnalysisNoTracker:
@@ -263,7 +263,7 @@ class TestRecoveryKeepsEventObjects:
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds, crash=fractions, victim=st.integers(0, 5))
     def test_kept_events_are_the_same_objects(
-        self, assert_view_matches_classic, seed, crash, victim
+        self, assert_view_matches_literal, seed, crash, victim
     ):
         num_processes, script = _script(seed)
         recorder = TraceRecorder(num_processes)
@@ -280,7 +280,7 @@ class TestRecoveryKeepsEventObjects:
             else:
                 assert kept[-1].checkpoint_index == rollback.rollback_index
             assert all(now is then for now, then in zip(kept, before[pid]))
-        assert_view_matches_classic(recorder)
+        assert_view_matches_literal(recorder)
 
 
 def _assert_knowledge_grows_along_checkpoints(recorder: TraceRecorder) -> None:
