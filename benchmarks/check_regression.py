@@ -91,6 +91,12 @@ token, so most executions cost one token and one audit; a walk that
 rebuilds the runner and replays the whole prefix at every node shows up as
 ~1.7x.
 
+The **fuzzer** gate (``--smoke`` only) counts every line a fixed in-memory
+``fuzz()`` of the ``gossip`` target executes, per execution.  A mutant
+shares a prefix with the parent it was drawn from, which this run already
+audited clean, so it audits only the states beyond that prefix; a fuzzer
+whose mutants re-audit their parent's prefix shows up as ~1.3x.
+
 Run directly::
 
     python benchmarks/check_regression.py --smoke
@@ -184,6 +190,13 @@ STORE_STATEMENTS_CEILING = 29.0
 # 2914.6 on its parent commit, which rebuilt the runner and replayed the
 # whole prefix for every search node).
 EXPLORE_LINES_CEILING = 1920.0
+# Fuzzer gate: lines fuzz("gossip", budget=60, seed=1, minimize=False,
+# explorer_seed_executions=0) executes per execution, in-memory corpus
+# (12871.5 when the gate was added, so ~15 % headroom; 17120.0 on its parent
+# commit, whose mutants re-audited the prefix their parent had already
+# passed, hashed each schedule ~3.5 times and asked for the zigzag pairs
+# twice).
+FUZZ_LINES_CEILING = 14800.0
 
 
 def _load_document(path: str) -> Dict[str, Any]:
@@ -702,6 +715,39 @@ def check_explore_cost(*, ceiling: float = EXPLORE_LINES_CEILING) -> List[str]:
     return []
 
 
+def fuzz_lines_per_execution() -> float:
+    """Python lines executed per fuzz execution on a fixed in-memory run.
+
+    ``fuzz("gossip", budget=60, seed=1, minimize=False,
+    explorer_seed_executions=0)``, counted as a whole (mutation, executor,
+    simulation, oracles and coverage included) and divided by
+    ``stats.executions``.  The count is a function of the target and seed
+    alone.
+    """
+    from repro.fuzz.fuzzer import fuzz
+
+    counter = _LineCounter()
+    with counter:
+        result = fuzz(
+            "gossip", budget=60, seed=1, minimize=False, explorer_seed_executions=0
+        )
+    if not (result.ok and result.stats.executions):
+        raise RuntimeError("the fuzzer gate's own run went wrong")
+    return counter.lines / result.stats.executions
+
+
+def check_fuzz_cost(*, ceiling: float = FUZZ_LINES_CEILING) -> List[str]:
+    """Gate: a fuzz execution costs its new states, not its parent's again."""
+    lines = fuzz_lines_per_execution()
+    if lines > ceiling:
+        return [
+            f"the fuzzer executes {lines:.1f} Python lines per execution "
+            f"(allowed {ceiling:.1f}): mutants re-audit their parent's prefix, "
+            f"or the mutation loop / executor / oracles regrew"
+        ]
+    return []
+
+
 def check_campaign_determinism(*, workers: int = 2) -> List[str]:
     """Gate the campaign subsystem: serial and pooled execution of the same
     spec must produce byte-identical aggregate tables (empty == pass)."""
@@ -786,6 +832,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         standalone_violations += check_retained_set_cost()
         standalone_violations += check_store_cost()
         standalone_violations += check_explore_cost()
+        standalone_violations += check_fuzz_cost()
     if not args.skip_campaign:
         standalone_violations += check_campaign_determinism()
 
@@ -842,7 +889,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"check_regression: {len(fresh)} row(s) within threshold, "
         f"session scaling, recording-path, message-path (untraced, traced), trace-codec, "
         f"retained-set, "
-        f"store-cost and explorer gates "
+        f"store-cost, explorer and fuzzer gates "
         f"{'ok' if args.smoke else 'skipped (--smoke only)'}, "
         f"campaign gate {campaign_note}, memory gate {memory_note} — ok"
     )

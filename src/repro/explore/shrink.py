@@ -78,13 +78,18 @@ def _still_violates(
     schedule: Sequence[Choice],
     kind: str,
     oracles: Optional[OracleStack],
+    check_from: int = 0,
 ) -> Optional[Tuple[Violation, int]]:
-    """Execute a candidate; return (violation, trace_events) if ``kind`` recurs."""
+    """Execute a candidate; return (violation, trace_events) if ``kind`` recurs.
+
+    ``check_from`` skips the per-state audits of a prefix already audited
+    clean on the same configuration (see :meth:`ScheduleExecutor.start`).
+    """
     try:
         validate_schedule(config, schedule)
     except ValueError:
         return None
-    outcome = ScheduleExecutor(config, oracles).execute(schedule)
+    outcome = ScheduleExecutor(config, oracles).execute(schedule, check_from=check_from)
     if outcome.violation is not None and outcome.violation.kind == kind:
         return outcome.violation, outcome.trace_events
     return None
@@ -155,6 +160,13 @@ def shrink(
         )
     current_violation, trace_events = baseline
     schedule = tuple(schedule[: current_violation.step])
+    # Which prefix a candidate may skip auditing: the current schedule is
+    # clean at every state before its violation step (each accepted
+    # candidate audited what its predecessor had not).  A pass-1 candidate
+    # keeps the configuration and the first ``position`` tokens, so it
+    # reaches those same clean states and audits from ``position``.  A
+    # pass-2 candidate runs a different configuration — every state is
+    # new — so it audits from 0.
     changed = True
     while changed and attempts < max_attempts:
         changed = False
@@ -169,7 +181,9 @@ def shrink(
                 break
             candidate = _drop_delivery(schedule, position)
             attempts += 1
-            outcome = _still_violates(config, candidate, kind, oracles)
+            outcome = _still_violates(
+                config, candidate, kind, oracles, check_from=position
+            )
             if outcome is not None:
                 current_violation, trace_events = outcome
                 schedule = tuple(candidate[: current_violation.step])

@@ -135,11 +135,12 @@ def state_features(runner: "SimulationRunner") -> FrozenSet[Feature]:
     features: Set[Feature] = set()
 
     # Zigzag-path shapes.
-    for source, target in analyses.zigzag.zigzag_pairs():
+    pairs = analyses.zigzag.zigzag_pairs()
+    for source, target in pairs:
         delta = target.index - source.index
         clamped = max(-3, min(3, delta))
         features.add(("zz", source.pid, target.pid, clamped))
-    if not analyses.zigzag.zigzag_pairs():
+    if not pairs:
         features.add(("zz", "none"))
 
     # R-graph SCC signature.

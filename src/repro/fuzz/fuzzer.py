@@ -13,7 +13,9 @@ Everything is deterministic: one ``random.Random(seed)`` stream drives every
 draw, executions replay bit-identically (the executor guarantee), and the
 corpus is content-addressed — so the same target, seed and budget produce
 the same corpus, the same coverage map and the same findings, which the
-determinism tests pin.
+determinism tests pin.  The same guarantee lets a mutant skip the audits
+of the prefix it shares with a parent this run executed clean: it audits
+only the states it reaches beyond it.
 
 Seeding is a cold-start bridge, not an oracle: the *eager* schedule
 (deliver right after each send), the *lazy* schedule (deliver everything at
@@ -28,7 +30,7 @@ import contextlib
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.explore.canaries import CANARY_NAMES, canaries_registered
 from repro.explore.executor import ScheduleExecutor
@@ -427,6 +429,41 @@ class FuzzResult:
 _DRAWS_PER_ROUND = 8
 
 
+class _PoolEntry(NamedTuple):
+    """One mutation-pool schedule, its content id, and whether this run
+    executed it clean (its mutants may then skip their shared prefix)."""
+
+    schedule: Tuple[Choice, ...]
+    entry_id: str
+    audited: bool
+
+
+class _Candidate(NamedTuple):
+    """One drawn, not-yet-executed candidate."""
+
+    op: str
+    schedule: Tuple[Choice, ...]
+    entry_id: str
+    #: The pool entry it was mutated from (``None`` for seeds).
+    parent_id: Optional[str]
+    #: Tokens whose states its parent already audited clean in this run.
+    check_from: int
+
+
+#: A mutation round whose draws all failed.
+_MISS = _Candidate("miss", (), "", None, 0)
+
+
+def _common_prefix(a: Sequence[Choice], b: Sequence[Choice]) -> int:
+    """Length of the longest common token prefix of two schedules."""
+    length = 0
+    for left, right in zip(a, b):
+        if left != right:
+            break
+        length += 1
+    return length
+
+
 def fuzz(
     target: Union[str, FuzzTarget, ExploreConfig],
     *,
@@ -467,7 +504,9 @@ def fuzz(
         artifacts) before returning.
 
     Raises:
-        ValueError: for an unknown target name or a negative budget.
+        ValueError: for an unknown target name, a negative budget, or a
+            warm corpus written for another configuration (refused before
+            anything executes or is written).
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -483,6 +522,7 @@ def fuzz(
             corpus = Corpus.load(corpus)
         elif corpus is None:
             corpus = Corpus()
+        _refuse_foreign_corpus(corpus, config)
         oracle_stack = oracles if oracles is not None else OracleStack.for_config(config)
         executor = ScheduleExecutor(config, oracle_stack)
         coverage = corpus.coverage if guided else CoverageMap()
@@ -491,9 +531,16 @@ def fuzz(
         )
 
         # Mutation pool: warm corpus entries first, then whatever this run
-        # admits.  Random mode keeps every executed candidate (capped).
-        pool: List[Tuple[Choice, ...]] = [
-            entry.schedule for entry in corpus.ordered()
+        # admits (random mode keeps the seeds instead), each beside its id.
+        # ``audited`` marks a schedule this run executed clean: every state
+        # it reaches passed the audits here, so a mutant re-executing its
+        # prefix reaches those same states (the executor's determinism
+        # contract) and needs no second audit of them.  A warm entry was
+        # audited by another process, possibly under other oracles, so its
+        # mutants audit from the start.
+        pool: List[_PoolEntry] = [
+            _PoolEntry(entry.schedule, entry.entry_id, audited=False)
+            for entry in corpus.ordered()
         ]
         executed_ids = {identifier for identifier in corpus.entries}
         seen_kinds: Dict[str, int] = {}
@@ -502,28 +549,32 @@ def fuzz(
             config, oracles=oracle_stack, explorer_executions=explorer_seed_executions
         )
         stats.seed_executions = seed_set.explorer_executions
-        pending: List[Tuple[str, Optional[str], Tuple[Choice, ...]]] = [
-            (origin, None, schedule) for origin, schedule in seed_set.seeds
-        ]
+        pending = list(seed_set.seeds)
 
-        def next_candidate() -> Optional[Tuple[str, Optional[str], Tuple[Choice, ...]]]:
-            if pending:
-                return pending.pop(0)
+        def next_candidate() -> Optional[_Candidate]:
+            """The next not-yet-executed candidate, a miss, or ``None``."""
+            while pending:
+                origin, schedule = pending.pop(0)
+                identifier = entry_id(config, schedule)
+                if identifier in executed_ids:
+                    stats.duplicates += 1
+                    continue
+                return _Candidate(origin, schedule, identifier, None, 0)
             if not pool:
                 return None
             for _ in range(_DRAWS_PER_ROUND):
-                parent = rng.randrange(len(pool))
-                schedule = pool[parent]
+                parent = pool[rng.randrange(len(pool))]
+                schedule = parent.schedule
                 if len(pool) >= 2 and rng.random() < 0.2:
                     other = rng.randrange(len(pool))
-                    candidate = splice(rng, config, schedule, pool[other])
+                    candidate = splice(rng, config, schedule, pool[other].schedule)
                     op = "splice"
                 else:
                     # Stack 1-3 operators (AFL's havoc idea): single-step
                     # mutants of a small pool exhaust quickly, stacked ones
                     # reach schedules no single operator can.
                     stacked = 1 + rng.randrange(3)
-                    candidate = tuple(schedule)
+                    candidate = schedule
                     ops: List[str] = []
                     for _ in range(stacked):
                         op, mutator = MUTATORS[rng.randrange(len(MUTATORS))]
@@ -535,7 +586,7 @@ def fuzz(
                     if not ops:
                         continue
                     op = "+".join(ops)
-                    if candidate == tuple(schedule):
+                    if candidate == schedule:
                         candidate = None
                 if candidate is None:
                     continue
@@ -543,31 +594,31 @@ def fuzz(
                 if identifier in executed_ids:
                     stats.duplicates += 1
                     continue
-                parent_id = entry_id(config, schedule)
-                return (op, parent_id, candidate)
+                check_from = (
+                    _common_prefix(schedule, candidate) if parent.audited else 0
+                )
+                return _Candidate(op, candidate, identifier, parent.entry_id, check_from)
             stats.mutation_misses += 1
-            return ("miss", None, ())
+            return _MISS
 
         consecutive_misses = 0
         while stats.executions < budget:
             drawn = next_candidate()
             if drawn is None:
                 break  # nothing left to mutate (empty pool, no seeds)
-            op, parent_id, schedule = drawn
-            if op == "miss":
+            if drawn is _MISS:
                 consecutive_misses += 1
                 if consecutive_misses >= 50:
                     break  # mutation space saturated for this pool
                 continue
             consecutive_misses = 0
-            identifier = entry_id(config, schedule)
-            if identifier in executed_ids:
-                stats.duplicates += 1
-                continue
+            op, schedule, identifier, parent_id, check_from = drawn
             executed_ids.add(identifier)
 
             captured: List[Any] = []
-            outcome = executor.execute(schedule, state_probe=captured.append)
+            outcome = executor.execute(
+                schedule, check_from=check_from, state_probe=captured.append
+            )
             stats.executions += 1
 
             if outcome.violation is not None:
@@ -603,27 +654,46 @@ def fuzz(
             if not guided:
                 # Baseline mode: only the seeds are mutation material.
                 if parent_id is None:
-                    pool.append(tuple(schedule))
+                    pool.append(_PoolEntry(schedule, identifier, audited=True))
                 continue
             if new:
                 corpus.add(
                     CorpusEntry(
                         entry_id=identifier,
                         config=config,
-                        schedule=tuple(schedule),
+                        schedule=schedule,
                         features=tuple(sorted(new, key=repr)),
                         parent=parent_id,
                         op=op,
                     ),
                     oracles=oracle_stack,
                 )
-                pool.append(tuple(schedule))
+                pool.append(_PoolEntry(schedule, identifier, audited=True))
                 stats.corpus_added += 1
 
         stats.features = len(coverage)
         stats.dimension_counts = coverage.dimension_counts()
         corpus.save()
     return result
+
+
+def _refuse_foreign_corpus(corpus: Corpus, config: ExploreConfig) -> None:
+    """Refuse a warm corpus whose entries another configuration wrote.
+
+    Its entries would join the mutation pool and its coverage map would
+    judge novelty for a configuration it never described, and this run's
+    entries would land in the same index.
+    """
+    expected = config.describe()
+    for entry in corpus.ordered():
+        found = entry.config.describe()
+        if found != expected:
+            where = corpus.root if corpus.root is not None else "in memory"
+            raise ValueError(
+                f"corpus ({where}) was written for configuration {found}, "
+                f"not for the fuzzed configuration {expected}; use one "
+                f"corpus directory per target"
+            )
 
 
 def _is_invalid_candidate(violation: Violation) -> bool:

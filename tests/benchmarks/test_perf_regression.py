@@ -16,8 +16,9 @@ message, untraced and traced), the trace-codec gate (executed lines per
 trace record written and per trace line read back, under one ceiling), the
 retained-set gate (executed lines per ``(i, f)`` pair of a Theorem-1/2
 retained set), the store-cost gate (SQLite connections opened per stored
-sweep and SQL statements per completed cell) and the explorer gate
-(executed lines per explorer execution on a fixed exhaustive walk).
+sweep and SQL statements per completed cell), the explorer gate
+(executed lines per explorer execution on a fixed exhaustive walk) and the
+fuzzer gate (executed lines per fuzz execution on a fixed in-memory run).
 """
 
 import json
@@ -110,7 +111,7 @@ def test_smoke_regression_check_passes(committed_document):
     replaying or rescanning the history per session reads ~3.6x against its
     2x ceiling, and the violation printed on stderr names it.  The
     recording-path, message-path (untraced and traced), trace-codec,
-    retained-set, store-cost and explorer gates run here too and have their
+    retained-set, store-cost, explorer and fuzzer gates run here too and have their
     own tests below.
     """
     from benchmarks.check_regression import main
@@ -270,6 +271,26 @@ def test_explorer_extends_runs_instead_of_replaying_prefixes(
     monkeypatch.setattr(repro.explore.explorer, "explore", replaying_explore)
     (violation,) = check_explore_cost()
     assert "replay their prefix again" in violation
+
+
+def test_fuzzer_audits_only_the_states_beyond_a_clean_parent(
+    monkeypatch, full_audit_execute
+):
+    """A fuzz execution costs its new states, not its parent's prefix again.
+
+    An executed-line count per fuzz execution (a function of the target and
+    seed alone).  The gate can fire: a fuzzer whose executor ignores
+    ``check_from`` — every mutant re-auditing the prefix its parent already
+    passed — reads ~1.3x and the violation names the path.  (The run reads
+    12871.5 under a ceiling of 14800.0; the re-auditing one 16226.1.)
+    """
+    from benchmarks.check_regression import check_fuzz_cost
+    from repro.explore.executor import ScheduleExecutor
+
+    assert check_fuzz_cost() == []
+    monkeypatch.setattr(ScheduleExecutor, "execute", full_audit_execute)
+    (violation,) = check_fuzz_cost()
+    assert "mutants re-audit their parent's prefix" in violation
 
 
 def test_campaign_gate_is_deterministic_across_worker_counts():

@@ -8,6 +8,7 @@ import pytest
 
 from repro.ccp.pattern import CCP
 from repro.core.obsolete import _is_retained_theorem1, _is_retained_theorem2
+from repro.explore.executor import ScheduleExecutor
 from repro.recovery.recovery_line import _recovery_line_lemma1
 from repro.simulation.runner import SimulationConfig, SimulationRunner
 from repro.simulation.trace import TraceRecorder, TraceSink
@@ -198,3 +199,20 @@ def replaying_explore():
     """``replaying_explore(config, **explore_options)``: the reference walk
     that replays every search node from scratch (see :func:`_replaying_explore`)."""
     return _replaying_explore
+
+
+#: The executor's own ``execute``, captured before any test patches it.
+_EXECUTE = ScheduleExecutor.execute
+
+
+def _full_audit_execute(self, schedule, *, check_from=0, **options):
+    """``ScheduleExecutor.execute`` auditing every state whatever ``check_from``
+    says: the reference a caller's audit skipping must be invisible against."""
+    return _EXECUTE(self, schedule, check_from=0, **options)
+
+
+@pytest.fixture(scope="session")
+def full_audit_execute():
+    """A drop-in ``ScheduleExecutor.execute`` that ignores ``check_from`` (see
+    :func:`_full_audit_execute`); monkeypatch it onto the class."""
+    return _full_audit_execute

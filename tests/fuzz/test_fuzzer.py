@@ -14,6 +14,8 @@ from repro.explore import (
     replay_counterexample,
     ring_program,
 )
+from repro.explore.executor import ScheduleExecutor
+from repro.explore.shrink import persist_counterexample, shrink
 from repro.fuzz import (
     Corpus,
     builtin_targets,
@@ -78,6 +80,165 @@ class TestCorpusReplay:
         for entry in loaded.ordered():
             assert entry.config == run.target.config
             assert entry.features
+
+
+    def test_a_corpus_written_for_another_configuration_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "ring"
+        fuzz("ring", budget=30, seed=0, corpus=str(root))
+        index = (root / "index.json").read_bytes()
+        entries = sorted(os.listdir(root / "entries"))
+
+        def no_execution(*args, **kwargs):
+            raise AssertionError("a refused corpus must be refused before executing")
+
+        monkeypatch.setattr(ScheduleExecutor, "start", no_execution)
+        targets = builtin_targets()
+        with pytest.raises(ValueError) as raised:
+            fuzz("gossip", budget=30, seed=0, corpus=str(root))
+        message = str(raised.value)
+        assert str(targets["ring"].config.describe()) in message
+        assert str(targets["gossip"].config.describe()) in message
+        assert (root / "index.json").read_bytes() == index
+        assert sorted(os.listdir(root / "entries")) == entries
+
+
+def _run_document(result, root):
+    """Everything a fuzz run produced, artifact bytes included, as one value."""
+    files = {}
+    for path in sorted(glob.glob(os.path.join(root, "**", "*"), recursive=True)):
+        if os.path.isfile(path):
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, root)] = handle.read()
+    findings = [
+        (f.violation, f.schedule, f.shrunk, os.path.relpath(f.artifact, root))
+        for f in result.findings
+    ]
+    return (
+        result.stats.as_dict(),
+        list(result.corpus.entries),
+        result.coverage.as_document(),
+        findings,
+        files,
+    )
+
+
+class TestAuditSkip:
+    """A mutant audits only the states beyond the prefix its parent, executed
+    clean earlier in the same run, already passed."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("target", sorted(builtin_targets()))
+    def test_skipping_changes_no_result(
+        self, tmp_path, monkeypatch, full_audit_execute, target, seed
+    ):
+        skipping = fuzz(target, budget=40, seed=seed, corpus=str(tmp_path / "s"))
+        monkeypatch.setattr(ScheduleExecutor, "execute", full_audit_execute)
+        reference = fuzz(target, budget=40, seed=seed, corpus=str(tmp_path / "r"))
+        assert _run_document(skipping, str(tmp_path / "s")) == _run_document(
+            reference, str(tmp_path / "r")
+        )
+
+    def test_skipping_changes_no_unguided_result(
+        self, monkeypatch, full_audit_execute
+    ):
+        options = dict(budget=60, seed=1, guided=False, explorer_seed_executions=0)
+        skipping = fuzz("ring3-crash", **options)
+        monkeypatch.setattr(ScheduleExecutor, "execute", full_audit_execute)
+        reference = fuzz("ring3-crash", **options)
+        assert skipping.stats.as_dict() == reference.stats.as_dict()
+        assert skipping.coverage.as_document() == reference.coverage.as_document()
+
+    def test_warm_parents_audit_from_zero(self, tmp_path, monkeypatch):
+        root = str(tmp_path / "warm")
+        cold = fuzz("ring3-crash", budget=30, seed=1, corpus=root,
+                    explorer_seed_executions=0)
+        loaded = set(Corpus.load(root).entries)
+        assert loaded == set(cold.corpus.entries)
+        # The fuzz loop's executions, in order: (schedule, check_from, clean).
+        calls = []
+        execute = ScheduleExecutor.execute
+
+        def spy(self, schedule, *, check_from=0, state_probe=None, **options):
+            outcome = execute(self, schedule, check_from=check_from,
+                              state_probe=state_probe, **options)
+            if state_probe is not None:
+                calls.append((tuple(schedule), check_from, outcome.violation is None))
+            return outcome
+
+        monkeypatch.setattr(ScheduleExecutor, "execute", spy)
+        warm = fuzz("ring3-crash", budget=80, seed=7, corpus=root,
+                    explorer_seed_executions=0)
+        check_from_of = {schedule: check_from for schedule, check_from, _ in calls}
+        children_of_loaded = [
+            entry for entry in warm.corpus.ordered()
+            if entry.entry_id not in loaded and entry.parent in loaded
+        ]
+        assert children_of_loaded
+        for entry in children_of_loaded:
+            assert check_from_of[entry.schedule] == 0, entry.entry_id
+        # Whatever a candidate skipped, this run executed clean before.
+        clean = []
+        skipped = 0
+        for schedule, check_from, ok in calls:
+            if check_from:
+                skipped += 1
+                assert any(
+                    prior[:check_from] == schedule[:check_from] for prior in clean
+                )
+            if ok:
+                clean.append(schedule)
+        assert skipped
+
+
+class TestShrinkerAuditSkip:
+    """Pass 1 of the shrinker audits a candidate from the dropped position."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("target", ["canary-unsafe", "canary-hoarder", "ms-window"])
+    def test_skipping_changes_no_shrunk_counterexample(
+        self, tmp_path, monkeypatch, full_audit_execute, target, seed
+    ):
+        raw = fuzz(target, budget=REFIND_BUDGET, seed=seed, minimize=False,
+                   stop_after_findings=1)
+        (finding,) = raw.findings
+        config = raw.target.config
+        execute = ScheduleExecutor.execute
+        # Every execution, in order: (schedule, check_from, violation step).
+        calls = []
+
+        def spy(self, schedule, *, check_from=0, **options):
+            outcome = execute(self, schedule, check_from=check_from, **options)
+            step = outcome.violation.step if outcome.violation else None
+            calls.append((tuple(schedule), check_from, step))
+            return outcome
+
+        fast_path = str(tmp_path / "fast.trace.jsonl")
+        reference_path = str(tmp_path / "reference.trace.jsonl")
+        with canaries_registered():
+            monkeypatch.setattr(ScheduleExecutor, "execute", spy)
+            fast = shrink(config, finding.schedule, finding.violation)
+            persist_counterexample(fast, fast_path)
+            monkeypatch.setattr(ScheduleExecutor, "execute", full_audit_execute)
+            reference = shrink(config, finding.schedule, finding.violation)
+            persist_counterexample(reference, reference_path)
+        # Whatever a candidate skipped, an earlier one reached clean.
+        skipped = [call for call in calls if call[1]]
+        assert skipped
+        for index, (schedule, check_from, _) in enumerate(calls):
+            if check_from:
+                assert any(
+                    prior[:check_from] == schedule[:check_from] and step > check_from
+                    for prior, _, step in calls[:index]
+                    if step is not None
+                )
+        assert fast.schedule == reference.schedule
+        assert fast.violation == reference.violation
+        assert fast.attempts == reference.attempts
+        assert fast == reference
+        with open(fast_path, "rb") as a, open(reference_path, "rb") as b:
+            assert a.read() == b.read()
 
 
 class TestViolationRefinding:
