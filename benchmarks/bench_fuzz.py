@@ -6,7 +6,7 @@ mutation operators and seeds, with only the coverage feedback loop removed)
 on the same targets, budgets and run seeds, and compares the number of
 distinct coverage features each reaches.  The claim under test is the
 fuzzer's reason to exist: the coverage signal — novel zigzag shapes,
-R-graph SCC structure, retained-set sizes, recovery-line depths — steers
+zigzag-kernel SCC structure, retained-set sizes, recovery-line depths — steers
 the mutation budget toward structurally new executions.
 
 The gate: summed over the matrix, guided coverage must be **strictly

@@ -49,7 +49,6 @@ from repro.ccp import (
     CheckpointId,
     CheckpointKind,
     GlobalCheckpoint,
-    RollbackDependencyGraph,
     ZigzagAnalysis,
     check_rdt,
     is_consistent_global_checkpoint,
@@ -107,7 +106,6 @@ __all__ = [
     "PipelineWorkload",
     "RecoveryManager",
     "RingWorkload",
-    "RollbackDependencyGraph",
     "ScriptedWorkload",
     "SimulationConfig",
     "SimulationResult",

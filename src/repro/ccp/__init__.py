@@ -14,14 +14,12 @@ reasons about:
   useless checkpoints (Definition 3): the bitset interval-condensation kernel
   plus the brute-force BFS reference it is property-tested against;
 * :mod:`analysis_cache` — the shared per-pattern bundle of derived analyses
-  (zigzag kernel, R-graph, Theorem-1/2 retained sets, recovery lines),
+  (zigzag kernel, Theorem-1/2 retained sets, recovery lines),
   reachable as ``ccp.analyses``;
 * :mod:`rdt` — the rollback-dependency-trackability property checker
   (Definition 4);
 * :mod:`consistency` — consistent global checkpoints and min/max consistent
-  global checkpoint queries;
-* :mod:`rollback_graph` — the rollback-dependency graph (R-graph) analysis
-  utility.
+  global checkpoint queries.
 """
 
 from repro.ccp.analysis_cache import AnalysisCache
@@ -35,7 +33,6 @@ from repro.ccp.consistency import (
 )
 from repro.ccp.pattern import CCP
 from repro.ccp.rdt import RDTReport, check_rdt
-from repro.ccp.rollback_graph import RollbackDependencyGraph
 from repro.ccp.zigzag import BruteForceZigzagAnalysis, ZigzagAnalysis, ZigzagPath
 
 __all__ = [
@@ -48,7 +45,6 @@ __all__ = [
     "CheckpointKind",
     "GlobalCheckpoint",
     "RDTReport",
-    "RollbackDependencyGraph",
     "ZigzagAnalysis",
     "ZigzagPath",
     "check_rdt",

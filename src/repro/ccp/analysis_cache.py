@@ -1,7 +1,7 @@
 """Shared, lazily materialised analyses of one CCP.
 
 Every oracle in the library — zigzag queries, the Theorem-1/2 obsolete
-characterisations, recovery-line determination, R-graph reachability — is a
+characterisations, recovery-line determination — is a
 pure function of the pattern, yet historically each consumer rebuilt its own
 analysis object per call: the simulator's ``audit="full"`` mode constructed a
 fresh :class:`~repro.ccp.zigzag.ZigzagAnalysis` and re-derived the retained
@@ -37,7 +37,6 @@ from repro.ccp.checkpoint import CheckpointId
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ccp.consistency import GlobalCheckpoint
     from repro.ccp.pattern import CCP
-    from repro.ccp.rollback_graph import RollbackDependencyGraph
     from repro.ccp.zigzag import ZigzagAnalysis
 
 
@@ -47,7 +46,6 @@ class AnalysisCache:
     def __init__(self, ccp: "CCP") -> None:
         self._ccp = ccp
         self._zigzag: Optional["ZigzagAnalysis"] = None
-        self._rollback_graph: Optional["RollbackDependencyGraph"] = None
         self._useless: Optional[Tuple[CheckpointId, ...]] = None
         self._theorem1_retained: Optional[FrozenSet[CheckpointId]] = None
         self._theorem2_retained: Optional[FrozenSet[CheckpointId]] = None
@@ -59,7 +57,7 @@ class AnalysisCache:
         return self._ccp
 
     # ------------------------------------------------------------------
-    # Zigzag kernel and R-graph
+    # Zigzag kernel
     # ------------------------------------------------------------------
     @property
     def zigzag(self) -> "ZigzagAnalysis":
@@ -69,15 +67,6 @@ class AnalysisCache:
 
             self._zigzag = ZigzagAnalysis(self._ccp)
         return self._zigzag
-
-    @property
-    def rollback_graph(self) -> "RollbackDependencyGraph":
-        """The rollback-dependency graph (R-graph) of the pattern."""
-        if self._rollback_graph is None:
-            from repro.ccp.rollback_graph import RollbackDependencyGraph
-
-            self._rollback_graph = RollbackDependencyGraph(self._ccp)
-        return self._rollback_graph
 
     @property
     def useless_checkpoints(self) -> Tuple[CheckpointId, ...]:

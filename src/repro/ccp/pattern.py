@@ -293,7 +293,7 @@ class CCP:
     def analyses(self) -> "AnalysisCache":
         """The shared :class:`~repro.ccp.analysis_cache.AnalysisCache`.
 
-        Zigzag kernel, R-graph, Theorem-1/2 retained sets and recovery lines
+        Zigzag kernel, Theorem-1/2 retained sets and recovery lines
         are each materialised at most once per pattern; every consumer module
         (consistency, obsolete oracles, optimality audit, recovery) goes
         through this bundle instead of building private analysis objects.

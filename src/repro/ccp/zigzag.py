@@ -260,7 +260,8 @@ class ZigzagAnalysis(_ZigzagBase):
     * :meth:`useless_checkpoints` is one bit test per general checkpoint;
     * :meth:`zigzag_pairs` extracts, per (source, process) pair, the lowest
       arrival bit of the closure, and :meth:`zigzag_pair_count` sums the
-      pair counts in closed form without materialising the list.
+      pair counts in closed form without materialising the list;
+    * :meth:`cycle_component_sizes` reads the condensation itself.
     """
 
     def __init__(self, ccp: CCP) -> None:
@@ -319,6 +320,7 @@ class ZigzagAnalysis(_ZigzagBase):
             return succ if nxt < 0 else succ + [nxt]
 
         component, components = self._tarjan_scc(edges_of, n)
+        self._components = components
         num_comps = len(components)
 
         # Condense: per-component direct arrival bits (message-edge targets,
@@ -459,6 +461,17 @@ class ZigzagAnalysis(_ZigzagBase):
     def zigzag_exists(self, source: CheckpointId, target: CheckpointId) -> bool:
         """True iff some zigzag path connects ``source`` to ``target`` (``source ~> target``)."""
         return bool(self._closure_of(source) & self._end_mask(target))
+
+    def cycle_component_sizes(self) -> List[int]:
+        """Sizes of the interval graph's strongly connected components with
+        more than one member, in Tarjan's emission order.
+
+        Interval node ``(p, gamma + 1)`` is the rollback-dependency-graph
+        node of checkpoint ``c_p^gamma`` (the interval that checkpoint
+        starts), and chain and message edges match one for one, so these are
+        also the R-graph's cyclic components.
+        """
+        return [len(members) for members in self._components if len(members) > 1]
 
     def zigzag_pairs(self) -> List[Tuple[CheckpointId, CheckpointId]]:
         """All ordered pairs ``(c, c')`` with a zigzag path from ``c`` to ``c'``."""

@@ -46,6 +46,8 @@ class UnsafeCanaryCollector(RdtLgcCollector):
     claims_optimality = False
 
     def on_receive(self, updated_entries: Sequence[int]) -> None:
+        """Algorithm 2's receive step, except that a stale message releases
+        every peer-held ``UC`` reference (the seeded bug)."""
         if updated_entries:
             super().on_receive(updated_entries)
             return
@@ -70,6 +72,7 @@ class HoarderCanaryCollector(RdtLgcCollector):
     claims_optimality = True
 
     def __init__(self, pid: int, num_processes: int, storage: StableStorage) -> None:
+        """An RDT-LGC collector for ``pid`` that has vetoed nothing yet."""
         super().__init__(pid, num_processes, storage)
         self._eliminations = 0
         self._hoarded: List[int] = []

@@ -17,6 +17,11 @@ Replay a shrunk counterexample artifact (re-executes it live and
 byte-compares the fresh trace against the persisted one)::
 
     python -m repro explore replay counterexamples/canary-unsafe.trace.jsonl
+
+Exit codes: 0 — clean (or ``--expect-violations`` satisfied, or a
+byte-identical replay); 1 — violations found (or expectation missed, or
+replay diverged); 2 — usage or input error (a refused budget, a missing
+trace or one without explorer provenance).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.explore.shrink import (
     shrink,
 )
 from repro.scenarios.experiments import explore_sweep_configs
+from repro.traceio.format import TraceError
 
 
 def _report_entry(entry: SweepEntry, *, traces: Optional[str], quiet: bool) -> bool:
@@ -210,6 +216,14 @@ def _add_exploration_knobs(parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the ``repro explore`` command line.
+
+    Args:
+        argv: argument list (defaults to ``sys.argv[1:]``).
+
+    Returns:
+        The process exit code (see the module docstring).
+    """
     parser = argparse.ArgumentParser(
         prog="python -m repro explore",
         description=(
@@ -264,7 +278,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # a refused spec, or a budget explore() refuses
+    except (ValueError, TraceError, FileNotFoundError) as exc:
+        # A refused spec or budget, or a replay path that is missing, not a
+        # trace, or a trace without explorer provenance.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

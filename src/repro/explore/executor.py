@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.explore.controller import PendingDeliveries
-from repro.explore.oracles import OracleStack
+from repro.explore.oracles import KERNEL_CROSS_CHECK_PERIOD, OracleStack
 from repro.explore.program import (
     ADVANCE,
     DELIVER,
@@ -55,13 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ScheduleExecutor:
     """Executes schedules of one configuration, one fresh run per call."""
 
-    def __init__(
-        self,
-        config: ExploreConfig,
-        oracles: Optional[OracleStack] = None,
-    ) -> None:
+    def __init__(self, config: ExploreConfig) -> None:
+        """An executor for ``config``, checked by the configuration's oracle stack."""
         self._config = config
-        self._oracles = oracles if oracles is not None else OracleStack.for_config(config)
+        self._oracles = OracleStack.for_config(config)
         # Terminal-state counter across this executor's executions; drives
         # the deterministic kernel-cross-check sampling.
         self._terminals_seen = 0
@@ -160,8 +157,7 @@ class ScheduleExecutor:
 
     def _cross_check_next_terminal(self) -> bool:
         """Whether the next terminal state gets the sampled kernel cross-check."""
-        period = max(self._oracles.kernel_cross_check_period, 1)
-        cross_check = self._terminals_seen % period == 0
+        cross_check = self._terminals_seen % KERNEL_CROSS_CHECK_PERIOD == 0
         self._terminals_seen += 1
         return cross_check
 
@@ -183,6 +179,11 @@ class ScheduleRun:
         check_initial: bool,
         sink: Optional[TraceSink] = None,
     ) -> None:
+        """A fresh run of ``executor``'s configuration at its initial state.
+
+        ``check_initial`` audits that state; ``sink`` is attached to the
+        recorder before the nodes take their initial checkpoints.
+        """
         config = executor.config
         self._executor = executor
         self._config = config

@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.explore.executor import ScheduleExecutor, ScheduleRun
-from repro.explore.oracles import OracleStack
 from repro.explore.program import (
     ADVANCE,
     Choice,
@@ -136,7 +135,6 @@ class _Independence:
 def explore(
     config: ExploreConfig,
     *,
-    oracles: Optional[OracleStack] = None,
     max_executions: Optional[int] = None,
     reduction: bool = True,
     max_counterexamples: int = 1,
@@ -153,7 +151,7 @@ def explore(
         raise ValueError(
             f"max_executions must be non-negative, got {max_executions}"
         )
-    executor = ScheduleExecutor(config, oracles)
+    executor = ScheduleExecutor(config)
     independence = _Independence(config)
     stats = ScheduleStats()
     result = ExplorationResult(config=config, stats=stats)

@@ -46,52 +46,43 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.runner import RecoveryRecord, SimulationRunner
 
 
+#: Every k-th terminal state gets the kernel cross-check (see
+#: :meth:`OracleStack.check_state`).  Terminal patterns of neighbouring
+#: schedules differ only in event order, so a deterministic sample still
+#: covers the interleaving diversity the cross-check exists for, at a
+#: fraction of the sweep cost.
+KERNEL_CROSS_CHECK_PERIOD = 7
+
+
 @dataclass(frozen=True)
 class OracleStack:
-    """Which checks run, derived from the configuration unless overridden."""
+    """Which checks run, derived from the configuration.
 
-    check_safety: bool = True
+    Safety, the sampled kernel cross-check (terminal states only — it is the
+    expensive layer; the per-state audits already consume the kernel's
+    answers everywhere) and the Definition-5 recovery cross-check (exponential
+    in stable checkpoints — explorer-sized patterns only) always run.
+    """
+
     check_optimality: bool = False
     check_rdt: bool = False
-    #: Cross-check the analysis kernel against brute-force references.  Runs
-    #: at terminal states only (it is the expensive layer); the per-state
-    #: audits above already consume the kernel's answers everywhere.
-    cross_check_kernel: bool = True
-    #: Cross-check every k-th terminal state (1 == every one).  Terminal
-    #: patterns of neighbouring schedules differ only in event order, so a
-    #: deterministic sample still covers the interleaving diversity the
-    #: cross-check exists for, at a fraction of the sweep cost.
-    kernel_cross_check_period: int = 7
-    #: Validate every recovery line against the Definition-5 brute force
-    #: (exponential in stable checkpoints — explorer-sized patterns only).
-    cross_check_recovery: bool = True
 
     @classmethod
-    def for_config(cls, config: ExploreConfig, **overrides: bool) -> "OracleStack":
-        """The default stack for a configuration.
+    def for_config(cls, config: ExploreConfig) -> "OracleStack":
+        """The stack for a configuration.
 
         Optimality is audited only when the collector claims it *and* the
         protocol guarantees the RDT hypothesis; the RDT-preservation oracle
         follows the protocol class.
-
-        Args:
-            config: the explore configuration whose collector/protocol pair
-                determines the default oracle set.
-            **overrides: keyword overrides for any :class:`OracleStack`
-                field (e.g. ``check_optimality=False``); they win over the
-                derived defaults.
-
-        Returns:
-            A frozen :class:`OracleStack` instance.
         """
-        collector = collector_class(config.collector)
         protocol = protocol_class(config.protocol)
-        defaults = {
-            "check_optimality": collector.claims_optimality and protocol.ensures_rdt,
-            "check_rdt": protocol.ensures_rdt,
-        }
-        defaults.update(overrides)
-        return cls(**defaults)
+        return cls(
+            check_optimality=(
+                collector_class(config.collector).claims_optimality
+                and protocol.ensures_rdt
+            ),
+            check_rdt=protocol.ensures_rdt,
+        )
 
     # ------------------------------------------------------------------
     # Per-state checks
@@ -115,7 +106,7 @@ class OracleStack:
                 check and the kernel cross-check run only at terminal
                 states (intermediate states are consistent cuts of them).
             cross_check: lets the executor sample the kernel cross-check
-                over terminal states (see :attr:`kernel_cross_check_period`).
+                over terminal states (see :data:`KERNEL_CROSS_CHECK_PERIOD`).
 
         Returns:
             The first :class:`Violation` found, or ``None`` when every
@@ -128,7 +119,7 @@ class OracleStack:
         audit = audit_garbage_collection(
             ccp, retained, require_optimality=self.check_optimality
         )
-        if self.check_safety and not audit.is_safe:
+        if not audit.is_safe:
             return Violation(
                 kind="safety",
                 detail=(
@@ -159,7 +150,7 @@ class OracleStack:
                     detail=f"the pattern lost RD-trackability: {pair}",
                     step=step,
                 )
-        if final and self.cross_check_kernel and cross_check:
+        if final and cross_check:
             return self._cross_check_kernel(ccp, step)
         return None
 
@@ -214,8 +205,8 @@ class OracleStack:
 
         Returns:
             A ``recovery-line`` :class:`Violation` when the restored line
-            is invalid (or, with :attr:`cross_check_recovery`, differs from
-            the Definition-5 brute-force line), else ``None``.
+            is invalid or differs from the Definition-5 brute-force line,
+            else ``None``.
         """
         line = GlobalCheckpoint(tuple(record.recovery_line))
         if not is_valid_recovery_line(pre_crash_ccp, line, record.faulty):
@@ -227,18 +218,17 @@ class OracleStack:
                 ),
                 step=step,
             )
-        if self.cross_check_recovery:
-            reference = recovery_line_brute_force(pre_crash_ccp, record.faulty)
-            if line != reference:
-                return Violation(
-                    kind="recovery-line",
-                    detail=(
-                        f"Lemma-1 line {line.indices} differs from the "
-                        f"Definition-5 brute-force line {reference.indices}"
-                    ),
-                    step=step,
-                )
+        reference = recovery_line_brute_force(pre_crash_ccp, record.faulty)
+        if line != reference:
+            return Violation(
+                kind="recovery-line",
+                detail=(
+                    f"Lemma-1 line {line.indices} differs from the "
+                    f"Definition-5 brute-force line {reference.indices}"
+                ),
+                step=step,
+            )
         return None
 
 
-__all__ = ["OracleStack"]
+__all__ = ["KERNEL_CROSS_CHECK_PERIOD", "OracleStack"]

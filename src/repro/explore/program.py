@@ -50,6 +50,7 @@ class StepKind(enum.Enum):
     CRASH = "crash"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
+        """The step kind's wire name (``send``, ``checkpoint``, ``crash``)."""
         return self.value
 
 
@@ -62,6 +63,7 @@ class ProgramStep:
     target: Optional[int] = None
 
     def __post_init__(self) -> None:
+        """Refuse a send without a target and a non-send with one."""
         if self.kind is StepKind.SEND and self.target is None:
             raise ValueError("SEND steps need a target process")
         if self.kind is not StepKind.SEND and self.target is not None:
@@ -75,6 +77,7 @@ class ProgramStep:
 
     @classmethod
     def from_description(cls, description: Sequence[Any]) -> "ProgramStep":
+        """Rebuild a step from its :meth:`describe` form."""
         kind = StepKind(description[0])
         target = description[2] if kind is StepKind.SEND else None
         return cls(kind, int(description[1]), target)
@@ -115,6 +118,9 @@ class ExploreConfig:
     step_gap: float = 1.0
 
     def __post_init__(self) -> None:
+        """Refuse an empty process set, a non-positive step gap, a step
+        naming a process outside the set, and an unknown protocol or
+        collector."""
         if self.num_processes <= 0:
             raise ValueError("an explorable configuration needs at least one process")
         if self.step_gap <= 0:
@@ -334,6 +340,8 @@ class ScheduleStats:
     frontier: Optional[Tuple[Choice, ...]] = None
 
     def as_dict(self) -> Dict[str, Any]:
+        """JSON-encodable form (reports and benchmark rows); the frontier
+        appears only when the budget ran out."""
         document: Dict[str, Any] = {
             "executions": self.executions,
             "schedules": self.schedules,
@@ -358,6 +366,7 @@ class Violation:
     step: int
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
+        """``[kind @ step N] detail`` (CLI and artifact rendering)."""
         return f"[{self.kind} @ step {self.step}] {self.detail}"
 
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.explore.executor import ScheduleExecutor
-from repro.explore.oracles import OracleStack
 from repro.explore.program import (
     ADVANCE,
     DELIVER,
@@ -77,7 +76,6 @@ def _still_violates(
     config: ExploreConfig,
     schedule: Sequence[Choice],
     kind: str,
-    oracles: Optional[OracleStack],
     check_from: int = 0,
 ) -> Optional[Tuple[Violation, int]]:
     """Execute a candidate; return (violation, trace_events) if ``kind`` recurs.
@@ -89,7 +87,7 @@ def _still_violates(
         validate_schedule(config, schedule)
     except ValueError:
         return None
-    outcome = ScheduleExecutor(config, oracles).execute(schedule, check_from=check_from)
+    outcome = ScheduleExecutor(config).execute(schedule, check_from=check_from)
     if outcome.violation is not None and outcome.violation.kind == kind:
         return outcome.violation, outcome.trace_events
     return None
@@ -140,7 +138,6 @@ def shrink(
     schedule: Sequence[Choice],
     violation: Violation,
     *,
-    oracles: Optional[OracleStack] = None,
     max_attempts: int = 2000,
 ) -> ShrunkCounterexample:
     """Greedily minimise a counterexample while preserving its violation kind.
@@ -153,7 +150,7 @@ def shrink(
     attempts = 0
     # Re-establish the baseline (also truncates: the executor stops at the
     # violation, so anything after `violation.step` is dead weight).
-    baseline = _still_violates(config, schedule, kind, oracles)
+    baseline = _still_violates(config, schedule, kind)
     if baseline is None:
         raise ValueError(
             f"the given schedule does not reproduce a {kind!r} violation"
@@ -181,9 +178,7 @@ def shrink(
                 break
             candidate = _drop_delivery(schedule, position)
             attempts += 1
-            outcome = _still_violates(
-                config, candidate, kind, oracles, check_from=position
-            )
+            outcome = _still_violates(config, candidate, kind, check_from=position)
             if outcome is not None:
                 current_violation, trace_events = outcome
                 schedule = tuple(candidate[: current_violation.step])
@@ -194,7 +189,7 @@ def shrink(
                 continue
             new_config, candidate = _drop_program_step(config, schedule, step_index)
             attempts += 1
-            outcome = _still_violates(new_config, candidate, kind, oracles)
+            outcome = _still_violates(new_config, candidate, kind)
             if outcome is not None:
                 current_violation, trace_events = outcome
                 config, schedule = new_config, tuple(candidate[: current_violation.step])
@@ -211,19 +206,14 @@ def shrink(
 # ----------------------------------------------------------------------
 # Persistence and replay
 # ----------------------------------------------------------------------
-def persist_counterexample(
-    shrunk: ShrunkCounterexample,
-    path: str,
-    *,
-    oracles: Optional[OracleStack] = None,
-) -> Violation:
+def persist_counterexample(shrunk: ShrunkCounterexample, path: str) -> Violation:
     """Write the shrunk counterexample as a replayable traceio artifact.
 
     Re-executes the shrunk schedule with a trace writer attached; the
     violation must recur (it is re-checked) and is embedded in the header
     provenance and the ``aborted`` footer.  Returns the recurred violation.
     """
-    outcome = ScheduleExecutor(shrunk.config, oracles).execute(
+    outcome = ScheduleExecutor(shrunk.config).execute(
         shrunk.schedule, trace_path=path, trace_meta=shrunk.provenance()
     )
     if outcome.violation is None or outcome.violation.kind != shrunk.violation.kind:
@@ -251,7 +241,6 @@ class CounterexampleReplay:
 def replay_artifact(
     path: str,
     *,
-    oracles: Optional[OracleStack] = None,
     expect_violation: bool,
     written_by: str,
 ) -> Tuple[CounterexampleReplay, Dict[str, Any]]:
@@ -286,7 +275,7 @@ def replay_artifact(
     extra = {k: v for k, v in meta.items() if k not in ("config", "schedule")}
     with tempfile.TemporaryDirectory() as scratch:
         fresh_path = os.path.join(scratch, os.path.basename(path))
-        outcome = ScheduleExecutor(config, oracles).execute(
+        outcome = ScheduleExecutor(config).execute(
             schedule, trace_path=fresh_path, trace_meta=extra
         )
         if expect_violation and outcome.violation is None:
@@ -313,13 +302,11 @@ def replay_artifact(
     return replay, meta
 
 
-def replay_counterexample(
-    path: str, *, oracles: Optional[OracleStack] = None
-) -> CounterexampleReplay:
+def replay_counterexample(path: str) -> CounterexampleReplay:
     """Replay a persisted counterexample (see :func:`replay_artifact`): the
     re-execution must reproduce a violation, and the same artifact bytes."""
     return replay_artifact(
-        path, oracles=oracles, expect_violation=True, written_by="repro.explore"
+        path, expect_violation=True, written_by="repro.explore"
     )[0]
 
 

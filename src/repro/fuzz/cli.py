@@ -20,7 +20,8 @@ ordinary explorer artifacts — replay them with
 
 Exit codes: 0 — clean run (or ``--expect-violations`` satisfied);
 1 — violations found (or expectation missed, or replay diverged);
-2 — usage error.
+2 — usage or input error (unknown target, a garbled corpus index, a
+missing trace or one without explorer provenance).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import List, Optional
 
 from repro.fuzz.corpus import Corpus, replay_corpus_entry
 from repro.fuzz.fuzzer import builtin_targets, fuzz
+from repro.traceio.format import TraceError
 
 
 # ----------------------------------------------------------------------
@@ -41,20 +43,16 @@ from repro.fuzz.fuzzer import builtin_targets, fuzz
 # ----------------------------------------------------------------------
 def _cmd_run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    try:
-        result = fuzz(
-            args.target,
-            budget=args.budget,
-            seed=args.seed,
-            corpus=args.corpus,
-            guided=not args.random,
-            minimize=not args.no_minimize,
-            explorer_seed_executions=args.explorer_seeds,
-            stop_after_findings=args.stop_after_findings,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = fuzz(
+        args.target,
+        budget=args.budget,
+        seed=args.seed,
+        corpus=args.corpus,
+        guided=not args.random,
+        minimize=not args.no_minimize,
+        explorer_seed_executions=args.explorer_seeds,
+        stop_after_findings=args.stop_after_findings,
+    )
     elapsed = time.perf_counter() - started
     stats = result.stats
     mode = "random" if args.random else "guided"
@@ -223,7 +221,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     stats.set_defaults(func=_cmd_stats)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, TraceError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via repro.cli

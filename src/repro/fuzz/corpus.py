@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.explore.executor import ScheduleExecutor
-from repro.explore.oracles import OracleStack
 from repro.explore.program import Choice, ExploreConfig
 from repro.explore.shrink import replay_artifact
 from repro.fuzz.coverage import CoverageMap, Feature
@@ -142,18 +141,37 @@ class Corpus:
 
         Returns:
             The corpus with any persisted entries and coverage map loaded.
+
+        Raises:
+            ValueError: when the index is not JSON, not a JSON object, or
+                holds an entry or coverage map that does not parse; the
+                message names the index path (and the entry position).
         """
         corpus = cls(root=root)
         index_path = os.path.join(root, INDEX_NAME)
-        if os.path.exists(index_path):
-            with open(index_path, "r", encoding="utf-8") as handle:
+        if not os.path.exists(index_path):
+            return corpus
+        with open(index_path, "r", encoding="utf-8") as handle:
+            try:
                 document = json.load(handle)
-            for entry_doc in document.get("entries", []):
+            except ValueError as exc:
+                raise ValueError(f"{index_path}: not a JSON document ({exc})") from None
+        if not isinstance(document, dict):
+            raise ValueError(
+                f"{index_path}: expected a JSON object, got {type(document).__name__}"
+            )
+        where = "entries"
+        try:
+            for position, entry_doc in enumerate(document.get("entries", [])):
+                where = f"entry {position}"
                 entry = CorpusEntry.from_document(entry_doc)
                 corpus.entries[entry.entry_id] = entry
-            corpus.coverage = CoverageMap.from_document(
-                document.get("coverage", {})
-            )
+            where = "coverage map"
+            corpus.coverage = CoverageMap.from_document(document.get("coverage", {}))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(
+                f"{index_path}: {where} does not parse ({type(exc).__name__}: {exc})"
+            ) from None
         return corpus
 
     def save(self) -> None:
@@ -207,13 +225,7 @@ class Corpus:
         """
         return list(self.entries.values())
 
-    def add(
-        self,
-        entry: CorpusEntry,
-        *,
-        oracles: Optional[OracleStack] = None,
-        persist: bool = True,
-    ) -> Optional[str]:
+    def add(self, entry: CorpusEntry) -> Optional[str]:
         """Insert an entry; persist its replayable artifact when disk-backed.
 
         The artifact is produced by re-executing the schedule with a trace
@@ -223,13 +235,10 @@ class Corpus:
 
         Args:
             entry: the entry to insert (no-op if its id is present).
-            oracles: optional oracle-stack override for the persistence
-                re-execution.
-            persist: set False to skip artifact writing (index-only add).
 
         Returns:
-            The persisted artifact path, or ``None`` (in-memory, duplicate,
-            or ``persist=False``).
+            The persisted artifact path, or ``None`` (in-memory or
+            duplicate).
 
         Raises:
             RuntimeError: when the persistence re-execution unexpectedly
@@ -240,10 +249,10 @@ class Corpus:
             return None
         self.entries[entry.entry_id] = entry
         path = self.entry_path(entry)
-        if path is None or not persist:
+        if path is None:
             return None
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        outcome = ScheduleExecutor(entry.config, oracles).execute(
+        outcome = ScheduleExecutor(entry.config).execute(
             entry.schedule,
             trace_path=path,
             trace_meta={"fuzz": {"entry": entry.entry_id, "op": entry.op,
@@ -277,16 +286,13 @@ class CorpusEntryReplay:
     trace_events: int
 
 
-def replay_corpus_entry(
-    path: str, *, oracles: Optional[OracleStack] = None
-) -> CorpusEntryReplay:
+def replay_corpus_entry(path: str) -> CorpusEntryReplay:
     """Replay a persisted corpus entry and verify it byte for byte: the
     checks of :func:`repro.explore.shrink.replay_artifact`, with a
     violation-free re-execution expected.
 
     Args:
         path: the ``entries/<id>.trace.jsonl`` artifact.
-        oracles: optional oracle-stack override for the re-execution.
 
     Returns:
         The replay outcome (byte-compare verdict included).
@@ -296,7 +302,7 @@ def replay_corpus_entry(
         RuntimeError: when the re-execution violates an oracle.
     """
     replay, meta = replay_artifact(
-        path, oracles=oracles, expect_violation=False, written_by="repro.fuzz"
+        path, expect_violation=False, written_by="repro.fuzz"
     )
     identifier = (meta.get("fuzz") or {}).get("entry") or entry_id(
         replay.config, replay.schedule

@@ -11,8 +11,9 @@ already builds (so observation is nearly free):
 * ``zz`` — zigzag-path shapes: one feature per zigzag pair, abstracted to
   (source pid, target pid, bucketed index delta) so a *shape* is novel, not
   every concrete pair;
-* ``scc`` — the R-graph's cyclic structure: how many non-trivial strongly
-  connected components exist and how large the biggest one is;
+* ``scc`` — the zigzag kernel's condensation: how many non-trivial strongly
+  connected components its interval graph has (each one a knot of zigzag
+  cycles) and how large the biggest one is;
 * ``useless`` — how many checkpoints lie on zigzag cycles (Netzer–Xu
   useless checkpoints), bucketed;
 * ``ret`` — retained-set sizes: the Theorem-1 and Theorem-2 retained-set
@@ -29,10 +30,9 @@ feature space stays small enough that novelty means *structure*, not noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, TYPE_CHECKING
+from typing import Dict, FrozenSet, Set, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ccp.rollback_graph import RollbackDependencyGraph
     from repro.simulation.runner import SimulationRunner
 
 #: One coverage feature: a dimension tag followed by small integers.
@@ -61,63 +61,6 @@ def bucket(count: int) -> int:
     return 7
 
 
-def _scc_sizes(graph: "RollbackDependencyGraph", nodes: Iterable) -> List[int]:
-    """Sizes of the graph's strongly connected components (iterative Tarjan).
-
-    Args:
-        graph: the R-graph to condense.
-        nodes: every node to consider (its general checkpoints).
-
-    Returns:
-        The component sizes, unordered.
-    """
-    index: Dict[object, int] = {}
-    low: Dict[object, int] = {}
-    on_stack: Set[object] = set()
-    stack: List[object] = []
-    sizes: List[int] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        # Iterative DFS: (node, iterator over successors).
-        work = [(root, iter(sorted(graph.successors(root), key=str)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = low[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(graph.successors(succ), key=str))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                size = 0
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    size += 1
-                    if member is node:
-                        break
-                sizes.append(size)
-    return sizes
-
-
 def state_features(runner: "SimulationRunner") -> FrozenSet[Feature]:
     """Extract the coverage features of one final execution state.
 
@@ -143,10 +86,8 @@ def state_features(runner: "SimulationRunner") -> FrozenSet[Feature]:
     if not pairs:
         features.add(("zz", "none"))
 
-    # R-graph SCC signature.
-    nodes = [cid for pid in ccp.processes for cid in ccp.general_ids(pid)]
-    sizes = _scc_sizes(analyses.rollback_graph, nodes)
-    nontrivial = [size for size in sizes if size > 1]
+    # Zigzag-kernel condensation signature.
+    nontrivial = analyses.zigzag.cycle_component_sizes()
     features.add(
         ("scc", bucket(len(nontrivial)), bucket(max(nontrivial, default=0)))
     )

@@ -35,7 +35,6 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from repro.explore.canaries import CANARY_NAMES, canaries_registered
 from repro.explore.executor import ScheduleExecutor
 from repro.explore.explorer import explore
-from repro.explore.oracles import OracleStack
 from repro.explore.program import (
     ADVANCE,
     DELIVER,
@@ -266,14 +265,12 @@ class SeedSet:
 def seed_schedules(
     config: ExploreConfig,
     *,
-    oracles: Optional[OracleStack] = None,
     explorer_executions: int = 48,
 ) -> SeedSet:
     """The cold-start seed set: two structural extremes + the explorer frontier.
 
     Args:
         config: the target configuration.
-        oracles: optional oracle-stack override for the seeding walk.
         explorer_executions: budget for the tiny :func:`explore` walk whose
             deterministic frontier prefix becomes a seed (0 disables it).
 
@@ -289,12 +286,7 @@ def seed_schedules(
     ]
     spent = 0
     if explorer_executions > 0:
-        walk = explore(
-            config,
-            oracles=oracles,
-            max_executions=explorer_executions,
-            max_counterexamples=1,
-        )
+        walk = explore(config, max_executions=explorer_executions, max_counterexamples=1)
         spent = walk.stats.executions
         if walk.stats.frontier is not None:
             seeds.append(
@@ -472,7 +464,6 @@ def fuzz(
     corpus: Union[Corpus, str, None] = None,
     guided: bool = True,
     minimize: bool = True,
-    oracles: Optional[OracleStack] = None,
     explorer_seed_executions: int = 48,
     stop_after_findings: Optional[int] = None,
 ) -> FuzzResult:
@@ -493,7 +484,6 @@ def fuzz(
             feedback, the baseline that isolates exactly what the coverage
             signal buys (the benchmark's comparison).
         minimize: shrink each distinct violation to a 1-minimal repro.
-        oracles: optional oracle-stack override.
         explorer_seed_executions: budget of the frontier-seeding walk
             (0 disables explorer seeding).
         stop_after_findings: stop early after this many *distinct* violation
@@ -523,8 +513,7 @@ def fuzz(
         elif corpus is None:
             corpus = Corpus()
         _refuse_foreign_corpus(corpus, config)
-        oracle_stack = oracles if oracles is not None else OracleStack.for_config(config)
-        executor = ScheduleExecutor(config, oracle_stack)
+        executor = ScheduleExecutor(config)
         coverage = corpus.coverage if guided else CoverageMap()
         result = FuzzResult(
             target=resolved, corpus=corpus, stats=stats, coverage=coverage
@@ -536,8 +525,8 @@ def fuzz(
         # it reaches passed the audits here, so a mutant re-executing its
         # prefix reaches those same states (the executor's determinism
         # contract) and needs no second audit of them.  A warm entry was
-        # audited by another process, possibly under other oracles, so its
-        # mutants audit from the start.
+        # audited by another process, not by this run, so its mutants audit
+        # from the start.
         pool: List[_PoolEntry] = [
             _PoolEntry(entry.schedule, entry.entry_id, audited=False)
             for entry in corpus.ordered()
@@ -545,9 +534,7 @@ def fuzz(
         executed_ids = {identifier for identifier in corpus.entries}
         seen_kinds: Dict[str, int] = {}
 
-        seed_set = seed_schedules(
-            config, oracles=oracle_stack, explorer_executions=explorer_seed_executions
-        )
+        seed_set = seed_schedules(config, explorer_executions=explorer_seed_executions)
         stats.seed_executions = seed_set.explorer_executions
         pending = list(seed_set.seeds)
 
@@ -638,7 +625,6 @@ def fuzz(
                             schedule[: outcome.executed] or schedule,
                             outcome.violation,
                             corpus,
-                            oracle_stack,
                             minimize,
                         )
                     )
@@ -665,8 +651,7 @@ def fuzz(
                         features=tuple(sorted(new, key=repr)),
                         parent=parent_id,
                         op=op,
-                    ),
-                    oracles=oracle_stack,
+                    )
                 )
                 pool.append(_PoolEntry(schedule, identifier, audited=True))
                 stats.corpus_added += 1
@@ -722,21 +707,20 @@ def _handle_finding(
     schedule: Sequence[Choice],
     violation: Violation,
     corpus: Corpus,
-    oracles: OracleStack,
     minimize: bool,
 ) -> FuzzFinding:
     """Shrink a fresh violation and persist it under the corpus, if possible."""
     shrunk: Optional[ShrunkCounterexample] = None
     artifact: Optional[str] = None
     if minimize:
-        shrunk = shrink(config, schedule, violation, oracles=oracles)
+        shrunk = shrink(config, schedule, violation)
         destination = corpus.counterexamples_dir()
         if destination is not None:
             os.makedirs(destination, exist_ok=True)
             artifact = os.path.join(
                 destination, f"{violation.kind}.trace.jsonl"
             )
-            persist_counterexample(shrunk, artifact, oracles=oracles)
+            persist_counterexample(shrunk, artifact)
     return FuzzFinding(
         violation=violation,
         schedule=tuple(schedule),

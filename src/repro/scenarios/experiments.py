@@ -21,7 +21,6 @@ from typing import Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.explore.program import ExploreConfig
-    from repro.fuzz.fuzzer import FuzzSpec
 
 from repro.membership import MembershipSchedule
 from repro.scenarios.campaign.aggregate import CampaignSummary, aggregate_campaign
@@ -414,46 +413,21 @@ def explore_sweep_configs(
     protocols: Optional[Sequence[str]] = None,
     collectors: Optional[Sequence[Tuple[str, Mapping[str, object]]]] = None,
     with_crash: bool = False,
-    program_family: str = "ring",
 ) -> Tuple["ExploreConfig", ...]:
     """The canonical schedule-exploration grid (campaign ``explore`` mode).
 
     One :class:`repro.explore.ExploreConfig` per (protocol, collector) pair
-    over one program family — the configuration family the acceptance
-    sweep, the CI smoke gate, the nightly bounded sweep and ``python -m
-    repro explore sweep`` all share.  ``program_family`` selects the
-    topology: the canonical ``"ring"``, the client-server ``"star"``, or
-    the ``"gossip"`` fan-out (the explorable skeletons of the topology
-    workload families).  Defaults to every registered protocol × every
+    over the ring program — the configuration family the acceptance sweep,
+    the CI smoke gate, the nightly bounded sweep and ``python -m repro
+    explore sweep`` all share.  Defaults to every registered protocol × every
     registered collector; crash mode inserts a process-0 crash before the
     final checkpoint round so every schedule exercises a recovery session.
     """
-    from repro.explore.program import (
-        ExploreConfig, gossip_program, ring_program, star_program,
-    )
+    from repro.explore.program import ExploreConfig, ring_program
     from repro.gc.registry import available_collectors
     from repro.protocols.registry import available_protocols
 
-    crash_pid = 0 if with_crash else None
-    if program_family == "ring":
-        program = ring_program(num_processes, messages, crash_pid=crash_pid)
-    elif program_family == "star":
-        program = star_program(num_processes, messages, crash_pid=crash_pid)
-    elif program_family == "gossip":
-        # A gossip round is `fanout` sends; size the round budget so the
-        # program's send count tracks the requested message budget.
-        fanout = min(2, num_processes - 1)
-        program = gossip_program(
-            num_processes,
-            max(messages // fanout, 1),
-            fanout=fanout,
-            crash_pid=crash_pid,
-        )
-    else:
-        raise ValueError(
-            f"unknown program family {program_family!r} "
-            f"(accepted: ring, star, gossip)"
-        )
+    program = ring_program(num_processes, messages, crash_pid=0 if with_crash else None)
     if protocols is None:
         protocols = available_protocols()
     if collectors is None:
@@ -482,47 +456,6 @@ def explore_sweep_configs(
         )
         for protocol in protocols
         for name, options in collectors
-    )
-
-
-def fuzz_target_configs(
-    *,
-    targets: Optional[Sequence[str]] = None,
-    budget: int = 300,
-    seeds: Sequence[int] = (0,),
-) -> Tuple["FuzzSpec", ...]:
-    """The canonical fuzz grid: built-in targets × run seeds.
-
-    One :class:`repro.fuzz.FuzzSpec` per (target, seed) cell — the family
-    the CI fuzz gate and the nightly budgeted fuzz job share, mirroring how
-    :func:`explore_sweep_configs` feeds the exploration gates.  Defaults to
-    the clean built-in targets (the violating ones — the canaries and the
-    Manivannan–Singhal window — are *found-counterexample* gates, opted
-    into by name).
-
-    Args:
-        targets: built-in target names (default: the expected-clean ones).
-        budget: candidate executions per cell.
-        seeds: fuzzer mutation-stream seeds (one cell per seed).
-
-    Returns:
-        One spec per (target, seed), in grid order.
-    """
-    from repro.fuzz.fuzzer import FuzzSpec, builtin_targets
-
-    registry = builtin_targets()
-    if targets is None:
-        targets = ("ring", "ring-crash", "ring3-crash", "star-crash", "gossip")
-    unknown = sorted(set(targets) - set(registry))
-    if unknown:
-        accepted = ", ".join(sorted(registry))
-        raise ValueError(
-            f"unknown fuzz target {unknown[0]!r} (accepted: {accepted})"
-        )
-    return tuple(
-        FuzzSpec(target=registry[name], budget=budget, seed=seed)
-        for name in targets
-        for seed in seeds
     )
 
 

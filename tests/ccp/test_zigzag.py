@@ -93,3 +93,71 @@ class TestZigzagConsistencyWithCausality:
         for source in all_ids:
             for target in all_ids:
                 assert ((source, target) in pairs) == analysis.zigzag_exists(source, target)
+
+
+def _brute_force_cycle_sizes(ccp):
+    """Non-trivial component sizes of the interval graph by mutual reachability.
+
+    Independent of the kernel's Tarjan pass: one node per checkpoint
+    interval ``(p, gamma)``, a chain edge to ``(p, gamma + 1)`` and one edge
+    per delivered message from its send interval to its receive interval;
+    two nodes share a component iff each reaches the other.
+    """
+    nodes = [
+        (pid, gamma)
+        for pid in ccp.processes
+        for gamma in range(ccp.base_interval(pid), ccp.volatile_index(pid) + 1)
+    ]
+    successors = {node: set() for node in nodes}
+    for pid, gamma in nodes:
+        if gamma < ccp.volatile_index(pid):
+            successors[(pid, gamma)].add((pid, gamma + 1))
+    for message in ccp.messages():
+        successors[(message.sender, message.send_interval)].add(
+            (message.receiver, message.receive_interval)
+        )
+
+    def reach(start):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for succ in successors[stack.pop()]:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        return seen
+
+    reachable = {node: reach(node) for node in nodes}
+    sizes = []
+    assigned = set()
+    for node in nodes:
+        if node in assigned:
+            continue
+        component = {other for other in reachable[node] if node in reachable[other]}
+        assigned |= component
+        if len(component) > 1:
+            sizes.append(len(component))
+    return sorted(sizes)
+
+
+class TestCycleComponents:
+    """The condensation the fuzzer's ``scc`` coverage feature reads."""
+
+    def test_figure2_domino_is_one_component_of_five(self, figure2_ccp):
+        sizes = ZigzagAnalysis(figure2_ccp).cycle_component_sizes()
+        assert sizes == [5] == _brute_force_cycle_sizes(figure2_ccp)
+
+    def test_matches_mutual_reachability_on_random_patterns(self):
+        from repro.scenarios.random_patterns import random_ccp
+
+        cyclic = 0
+        for seed in range(50):
+            ccp = random_ccp(seed)
+            sizes = sorted(ZigzagAnalysis(ccp).cycle_component_sizes())
+            assert sizes == _brute_force_cycle_sizes(ccp), seed
+            cyclic += bool(sizes)
+        assert cyclic >= 40  # the seeds exercise cycles, not only DAGs
+
+    def test_acyclic_pattern_has_none(self, figure1_ccp):
+        assert ZigzagAnalysis(figure1_ccp).cycle_component_sizes() == []
+        assert _brute_force_cycle_sizes(figure1_ccp) == []

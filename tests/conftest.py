@@ -135,7 +135,6 @@ def sidecars():
 def _replaying_explore(
     config,
     *,
-    oracles=None,
     max_executions=None,
     reduction=True,
     max_counterexamples=1,
@@ -151,7 +150,7 @@ def _replaying_explore(
     from repro.explore.explorer import Counterexample, ExplorationResult, _Independence
     from repro.explore.program import ScheduleStats
 
-    executor = ScheduleExecutor(config, oracles)
+    executor = ScheduleExecutor(config)
     independence = _Independence(config)
     result = ExplorationResult(config=config, stats=ScheduleStats())
     stats = result.stats

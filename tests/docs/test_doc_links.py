@@ -58,6 +58,10 @@ class TestCommittedDocs:
             "VectorClock": r"\bVectorClock\b",
             "builder tracking switch": r"track_dependency_vectors",
             "classic cross-check fixture": r"assert_view_matches_classic",
+            "R-graph class": r"\bRollbackDependencyGraph\b",
+            "R-graph module": r"\brollback_graph\b",
+            "fuzz grid helper": r"\bfuzz_target_configs\b",
+            "sweep program family knob": r"\bprogram_family\b",
         }
         pages = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
         found = [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 from repro.explore.cli import main
 
@@ -121,3 +122,30 @@ class TestBudgetValidation:
         assert captured.err.strip().splitlines() == [
             "error: max_executions must be non-negative, got -3"
         ]
+
+
+class TestReplayInputErrors:
+    """A replay path that cannot be replayed exits 2 with one ``error:`` line."""
+
+    @staticmethod
+    def _one_error_line(capsys):
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        return lines[0]
+
+    def test_missing_path(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.trace.jsonl")
+        assert main(["replay", missing]) == 2
+        assert missing in self._one_error_line(capsys)
+
+    def test_trace_without_explorer_provenance(self, capsys):
+        golden = Path(__file__).resolve().parents[1] / "golden_traces"
+        assert main(["replay", str(golden / "uniform-baseline.trace.jsonl")]) == 2
+        assert "no explorer provenance" in self._one_error_line(capsys)
+
+    def test_a_file_that_is_not_a_trace(self, tmp_path, capsys):
+        path = tmp_path / "notes.trace.jsonl"
+        path.write_text("hello\n", encoding="utf-8")
+        assert main(["replay", str(path)]) == 2
+        self._one_error_line(capsys)

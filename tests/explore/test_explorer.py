@@ -305,21 +305,6 @@ class TestTopologyPrograms:
         result = explore(config)
         assert result.ok and result.stats.complete
 
-    def test_sweep_config_program_families(self):
-        from repro.scenarios.experiments import explore_sweep_configs
-
-        for family in ("ring", "star", "gossip"):
-            configs = explore_sweep_configs(
-                num_processes=3,
-                messages=4,
-                protocols=("fdas",),
-                collectors=(("rdt-lgc", {}),),
-                program_family=family,
-            )
-            assert len(configs) == 1 and configs[0].program
-        with pytest.raises(ValueError, match="unknown program family"):
-            explore_sweep_configs(program_family="mesh")
-
 
 class TestAcceptanceSweep:
     """The acceptance configuration: 2 processes x 6 messages.

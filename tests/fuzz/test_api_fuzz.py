@@ -8,7 +8,6 @@ import pytest
 
 from repro.api import SpecValidationError, load_spec, run
 from repro.fuzz import FuzzResult, FuzzSpec
-from repro.scenarios.experiments import fuzz_target_configs
 
 
 class TestLoadSpec:
@@ -105,23 +104,3 @@ class TestRun:
                 {"kind": "fuzz", "target": "ring", "budget": 5},
                 store=str(tmp_path / "results.sqlite"),
             )
-
-
-class TestExperimentGrid:
-    def test_default_grid_covers_clean_targets(self):
-        specs = fuzz_target_configs(budget=10)
-        assert specs
-        assert {spec.target.name for spec in specs} == {
-            "ring", "ring-crash", "ring3-crash", "star-crash", "gossip",
-        }
-        assert all(isinstance(spec, FuzzSpec) for spec in specs)
-        assert all(spec.budget == 10 for spec in specs)
-
-    def test_target_by_seed_grid(self):
-        specs = fuzz_target_configs(targets=("ring",), seeds=(0, 1, 2))
-        assert len(specs) == 3
-        assert [spec.seed for spec in specs] == [0, 1, 2]
-
-    def test_unknown_target_is_rejected(self):
-        with pytest.raises(ValueError, match="accepted"):
-            fuzz_target_configs(targets=("bogus",))

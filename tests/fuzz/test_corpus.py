@@ -136,6 +136,37 @@ class TestCorpusAdd:
             corpus.add(entry)
 
 
+class TestGarbledIndex:
+    """A broken ``index.json`` is a ``ValueError`` naming the file and entry."""
+
+    def _load(self, tmp_path, text):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "index.json").write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            Corpus.load(str(root))
+        message = str(raised.value)
+        assert str(root / "index.json") in message
+        return message
+
+    def test_truncated_json(self, tmp_path):
+        assert "not a JSON document" in self._load(tmp_path, '{"entries": [\n')
+
+    def test_entry_without_config(self, tmp_path):
+        good = _entry(_config(), eager_schedule(_config())).as_document()
+        message = self._load(
+            tmp_path, json.dumps({"entries": [good, {"id": "x"}]})
+        )
+        assert "entry 1" in message and "'config'" in message
+
+    def test_non_object_document(self, tmp_path):
+        assert "expected a JSON object, got list" in self._load(tmp_path, "[1, 2]")
+
+    def test_garbled_coverage_map(self, tmp_path):
+        message = self._load(tmp_path, json.dumps({"coverage": {"features": 3}}))
+        assert "coverage map" in message
+
+
 class TestReplayErrors:
     def test_replaying_a_trace_without_provenance_is_a_value_error(self, tmp_path):
         config = _config()

@@ -47,6 +47,27 @@ class TestStateFeatures:
         features = self._features(config, eager_schedule(config))
         assert any(feature[0] == "rl" for feature in features)
 
+    def test_scc_feature_reads_the_kernel_condensation(self):
+        # Uncoordinated checkpointing leaves zigzag cycles under the eager
+        # schedule: two components of two intervals each.
+        config = ExploreConfig(
+            num_processes=2,
+            program=ring_program(2, 4),
+            protocol="uncoordinated",
+            collector="none",
+        )
+        captured = []
+        ScheduleExecutor(config).execute(
+            eager_schedule(config), state_probe=captured.append
+        )
+        kernel = captured[0].current_ccp().analyses.zigzag
+        assert kernel.cycle_component_sizes() == [2, 2]
+        features = state_features(captured[0])
+        assert [f for f in features if f[0] == "scc"] == [("scc", 2, 2)]
+        # An RD-trackable execution has no zigzag cycle at all.
+        rdt = ExploreConfig(num_processes=2, program=ring_program(2, 4))
+        assert ("scc", 0, 0) in self._features(rdt, eager_schedule(rdt))
+
     def test_extraction_is_deterministic(self):
         config = ExploreConfig(num_processes=2, program=ring_program(2, 4))
         schedule = eager_schedule(config)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import glob
 import json
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +97,52 @@ class TestReplayAndStats:
         out = capsys.readouterr().out
         assert "entries" in out and "coverage" in out
         assert "origins:" in out
+
+
+class TestInputErrors:
+    """Bad paths and garbled corpora exit 2 with one ``error:`` line."""
+
+    @staticmethod
+    def _one_error_line(capsys):
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        return lines[0]
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('{"entries":[{"id":"x"}]}', "entry 0 does not parse"),
+            ('{"entries": [\n', "not a JSON document"),
+            ("[]", "expected a JSON object"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_garbled_index(self, tmp_path, capsys, command, text, expected):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        index = root / "index.json"
+        index.write_text(text, encoding="utf-8")
+        argv = (
+            ["run", "--target", "ring", "--budget", "5", "--corpus", str(root)]
+            if command == "run"
+            else ["stats", str(root)]
+        )
+        assert main(argv) == 2
+        line = self._one_error_line(capsys)
+        assert str(index) in line and expected in line
+        assert index.read_text(encoding="utf-8") == text  # nothing rewritten
+
+    def test_replay_of_a_missing_path(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.trace.jsonl")
+        assert main(["replay", missing]) == 2
+        assert missing in self._one_error_line(capsys)
+
+    def test_replay_of_a_trace_without_explorer_provenance(self, capsys):
+        # A simulator trace: replayable, but written without explorer provenance.
+        golden = Path(__file__).resolve().parents[1] / "golden_traces"
+        assert main(["replay", str(golden / "uniform-baseline.trace.jsonl")]) == 2
+        assert "no explorer provenance" in self._one_error_line(capsys)
 
 
 class TestUmbrellaDispatch:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 import os
 
@@ -43,6 +44,20 @@ class TestDeterminism:
         ]
         for path_a, path_b in zip(entries_a, entries_b):
             assert open(path_a, "rb").read() == open(path_b, "rb").read()
+
+    @pytest.mark.parametrize(
+        "target, seed, digest",
+        [
+            ("gossip", 1, "36ea46b85ffbf063a1e6752229bf5413249328dc333689a245cd0a2da9ad8b38"),
+            ("ring3-crash", 7, "556bbdc458c5b833dd76e8f11feb7579c933820ccfbc37fb3943f327882dd84a"),
+        ],
+    )
+    def test_index_bytes_are_pinned(self, tmp_path, target, seed, digest):
+        # Every coverage feature feeds novelty, so the index's bytes pin the
+        # scc dimension's values along the whole run, not only its presence.
+        root = tmp_path / "corpus"
+        fuzz(target, budget=120, seed=seed, corpus=str(root))
+        assert hashlib.sha256((root / "index.json").read_bytes()).hexdigest() == digest
 
     def test_different_seeds_diverge(self):
         a = fuzz("ring", budget=80, seed=0, explorer_seed_executions=0)
