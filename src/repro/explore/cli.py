@@ -142,12 +142,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     entries: List[SweepEntry] = []
     dirty = 0
     with canaries_registered() if args.canaries else contextlib.nullcontext():
-        # A typoed name is the façade's error to word (an empty program per
-        # name), not a registry KeyError out of `explore_sweep_configs`.
-        for protocol in protocols or ():
-            api.load_spec({"program": [], "protocol": protocol}, kind="explore")
-        for name, _ in collectors or ():
-            api.load_spec({"program": [], "collector": name}, kind="explore")
         # One cell at a time so progress streams; reporting also shrinks and
         # persists counterexamples, which re-executes their configurations —
         # canaries must still be registered here.

@@ -28,11 +28,13 @@ bytewise across runs.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.gc.registry import collector_class
-from repro.protocols.registry import protocol_class
+from repro.gc.registry import CollectorSpec, available_collectors
+from repro.protocols.registry import available_protocols
+from repro.validation import SpecValidationError, check_choice, check_keys, integer, naming, number
 
 #: One schedule token (see the module docstring).
 Choice = Tuple[str, int]
@@ -76,11 +78,24 @@ class ProgramStep:
         return [self.kind.value, self.pid]
 
     @classmethod
-    def from_description(cls, description: Sequence[Any]) -> "ProgramStep":
-        """Rebuild a step from its :meth:`describe` form."""
-        kind = StepKind(description[0])
-        target = description[2] if kind is StepKind.SEND else None
-        return cls(kind, int(description[1]), target)
+    def from_description(cls, description: Any) -> "ProgramStep":
+        """Rebuild a step from its :meth:`describe` form, or from the
+        ``{"op": "send", "pid": 0, "target": 1}`` mapping form."""
+        if isinstance(description, Mapping):
+            check_keys(description, ("op", "pid", "target"), "program step")
+            description = [description.get(key) for key in ("op", "pid", "target")]
+        if not isinstance(description, (list, tuple)) or not 2 <= len(description) <= 3:
+            raise SpecValidationError(
+                "", f"expected [op, pid] or [op, pid, target], got {description!r}"
+            )
+        op, pid, target = (*description, None)[:3]
+        check_choice("op", op, [kind.value for kind in StepKind])
+        with naming(""):
+            return cls(
+                StepKind(op),
+                integer("pid", pid),
+                None if target is None else integer("target", target),
+            )
 
 
 def send(pid: int, target: int) -> ProgramStep:
@@ -96,6 +111,11 @@ def checkpoint(pid: int) -> ProgramStep:
 def crash(pid: int) -> ProgramStep:
     """Shorthand for an injected-crash step (triggers a full recovery session)."""
     return ProgramStep(StepKind.CRASH, pid)
+
+
+#: Every key an explore document may carry (``name`` is a label only).
+EXPLORE_KEYS = ("name", "num_processes", "program", "protocol", "collector",
+                "collector_options", "seed", "step_gap")
 
 
 @dataclass(frozen=True)
@@ -122,18 +142,23 @@ class ExploreConfig:
         naming a process outside the set, and an unknown protocol or
         collector."""
         if self.num_processes <= 0:
-            raise ValueError("an explorable configuration needs at least one process")
-        if self.step_gap <= 0:
-            raise ValueError("the step gap must be positive")
-        for step in self.program:
+            raise SpecValidationError(
+                "num_processes", "an explorable configuration needs at least one process"
+            )
+        if not 0 < self.step_gap < math.inf:
+            raise SpecValidationError(
+                "step_gap", f"the step gap must be positive and finite, got {self.step_gap!r}"
+            )
+        for index, step in enumerate(self.program):
             for pid in (step.pid, step.target):
                 if pid is not None and not 0 <= pid < self.num_processes:
-                    raise ValueError(
+                    raise SpecValidationError(
+                        f"program[{index}]",
                         f"program step {step} references process {pid} but the "
-                        f"configuration has {self.num_processes} processes"
+                        f"configuration has {self.num_processes} processes",
                     )
-        protocol_class(self.protocol)  # fail fast on unknown names
-        collector_class(self.collector)
+        check_choice("protocol", self.protocol, available_protocols())
+        check_choice("collector", self.collector, available_collectors())
 
     @property
     def message_count(self) -> int:
@@ -172,19 +197,31 @@ class ExploreConfig:
 
     @classmethod
     def from_mapping(cls, document: Mapping[str, Any]) -> "ExploreConfig":
-        """Rebuild a configuration from its :meth:`describe` mapping."""
+        """Build a configuration from an explore document — its
+        :meth:`describe` mapping, or any subset of :data:`EXPLORE_KEYS` with a
+        ``program``."""
+        check_keys(document, EXPLORE_KEYS, "explore spec")
+        steps = document.get("program")
+        if not isinstance(steps, (list, tuple)):
+            raise SpecValidationError("program", "an explore spec needs a list of program steps")
+        program = []
+        for index, step in enumerate(steps):
+            with naming(f"program[{index}]"):
+                program.append(ProgramStep.from_description(step))
+        collector = CollectorSpec.of(
+            document.get("collector", "rdt-lgc"),
+            document.get("collector_options"),
+            field="collector",
+            options_field="collector_options",
+        )
         return cls(
-            num_processes=int(document["num_processes"]),
-            program=tuple(
-                ProgramStep.from_description(step) for step in document["program"]
-            ),
-            protocol=str(document.get("protocol", "fdas")),
-            collector=str(document.get("collector", "rdt-lgc")),
-            collector_options=tuple(
-                sorted(dict(document.get("collector_options") or {}).items())
-            ),
-            seed=int(document.get("seed", 0)),
-            step_gap=float(document.get("step_gap", 1.0)),
+            num_processes=integer("num_processes", document.get("num_processes", 2)),
+            program=tuple(program),
+            protocol=document.get("protocol", "fdas"),
+            collector=collector.name,
+            collector_options=collector.options,
+            seed=integer("seed", document.get("seed", 0)),
+            step_gap=number("step_gap", document.get("step_gap", 1.0)),
         )
 
 

@@ -30,7 +30,7 @@ import contextlib
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.explore.canaries import CANARY_NAMES, canaries_registered
 from repro.explore.executor import ScheduleExecutor
@@ -38,6 +38,7 @@ from repro.explore.explorer import explore
 from repro.explore.program import (
     ADVANCE,
     DELIVER,
+    EXPLORE_KEYS,
     Choice,
     ExploreConfig,
     StepKind,
@@ -52,6 +53,7 @@ from repro.explore.shrink import ShrunkCounterexample, persist_counterexample, s
 from repro.fuzz.corpus import Corpus, CorpusEntry, entry_id
 from repro.fuzz.coverage import CoverageMap, state_features
 from repro.fuzz.mutate import MUTATORS, complete, splice
+from repro.validation import SpecValidationError, check_choice, check_keys, flag, integer, text
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +182,7 @@ def resolve_target(target: Union[str, FuzzTarget, ExploreConfig]) -> FuzzTarget:
         The resolved target.
 
     Raises:
-        ValueError: for an unknown target name.
+        SpecValidationError: for an unknown target name (field ``target``).
     """
     if isinstance(target, FuzzTarget):
         return target
@@ -190,10 +192,12 @@ def resolve_target(target: Union[str, FuzzTarget, ExploreConfig]) -> FuzzTarget:
             name="custom", config=target, needs_canaries=needs_canaries
         )
     targets = builtin_targets()
-    if target not in targets:
-        accepted = ", ".join(sorted(targets))
-        raise ValueError(f"unknown fuzz target {target!r} (accepted: {accepted})")
+    check_choice("target", target, sorted(targets))
     return targets[target]
+
+
+#: The fuzz knobs a fuzz document may carry besides an inline configuration.
+FUZZ_KEYS = ("target", "budget", "seed", "corpus", "guided", "minimize")
 
 
 @dataclass(frozen=True)
@@ -211,6 +215,40 @@ class FuzzSpec:
     corpus: Optional[str] = None
     guided: bool = True
     minimize: bool = True
+
+    def __post_init__(self) -> None:
+        """Refuse a negative budget."""
+        if self.budget < 0:
+            raise SpecValidationError("budget", f"must be at least 0, got {self.budget!r}")
+
+    @classmethod
+    def from_mapping(cls, document: Mapping[str, Any]) -> "FuzzSpec":
+        """A fuzz document: a built-in ``target`` name *or* an inline program.
+
+        ``{"kind": "fuzz", "target": "ring", "budget": 500}`` fuzzes a
+        built-in target; an explore document (``program``, ``collector``,
+        ...) plus the fuzz knobs fuzzes that custom configuration.  The
+        document's ``seed`` is the fuzzer's mutation-stream seed, so an
+        inline configuration keeps the default simulation seed.
+        """
+        explore_keys = tuple(key for key in EXPLORE_KEYS if key != "seed")
+        check_keys(document, FUZZ_KEYS + explore_keys, "fuzz spec")
+        name = document.get("target")
+        if (name is None) == ("program" not in document):
+            raise SpecValidationError(
+                "target", "a fuzz spec needs a built-in target or an inline program, not both"
+            )
+        inline = {key: document[key] for key in explore_keys if key in document}
+        target = resolve_target(name if name is not None else ExploreConfig.from_mapping(inline))
+        corpus = document.get("corpus")
+        return cls(
+            target=target,
+            budget=integer("budget", document.get("budget", 300)),
+            seed=integer("seed", document.get("seed", 0)),
+            corpus=None if corpus is None else text("corpus", corpus),
+            guided=flag("guided", document.get("guided", True)),
+            minimize=flag("minimize", document.get("minimize", True)),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ options (coordination period, time window) are passed as keyword arguments.
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Type
 
 from repro.gc.all_process_line import AllProcessLineCollector
 from repro.gc.base import GarbageCollector
@@ -15,6 +16,7 @@ from repro.gc.none_gc import NoGarbageCollector
 from repro.gc.rdt_lgc_collector import RdtLgcCollector
 from repro.gc.wang_coordinated import WangCoordinatedCollector
 from repro.storage.stable import StableStorage
+from repro.validation import Options, check_choice, freeze_options, naming, registry_entry
 
 _COLLECTORS: Dict[str, Type[GarbageCollector]] = {
     cls.name: cls
@@ -66,3 +68,39 @@ def register_collector(cls: Type[GarbageCollector]) -> Type[GarbageCollector]:
 def unregister_collector(name: str) -> None:
     """Remove a previously registered custom collector (no-op if absent)."""
     _COLLECTORS.pop(name, None)
+
+
+@dataclass(frozen=True)
+class CollectorSpec:
+    """A garbage collector by name plus its construction options."""
+
+    name: str
+    options: Options = ()
+
+    @classmethod
+    def of(
+        cls,
+        name: str,
+        options: Optional[Mapping[str, Any]] = None,
+        *,
+        field: str = "name",
+        options_field: str = "options",
+    ) -> "CollectorSpec":
+        """A checked spec: an unknown name is refused under ``field`` and a
+        bad option under ``options_field``, here and not as per-cell failure
+        records mid-sweep."""
+        check_choice(field, name, available_collectors())
+        with naming(options_field):
+            spec = cls(name, freeze_options(options))
+            make_collector(name, 0, 2, StableStorage(0), **spec.options_dict())
+        return spec
+
+    @classmethod
+    def from_entry(cls, entry: Any) -> "CollectorSpec":
+        """A document entry: a bare name or ``{"name": ..., "options": {...}}``."""
+        name, options = registry_entry(entry, "options")
+        return cls.of(name, options, field="", options_field="")
+
+    def options_dict(self) -> Dict[str, Any]:
+        """The options as a plain dict (keyword arguments of the collector)."""
+        return dict(self.options)

@@ -3,7 +3,8 @@
 A :class:`CampaignSpec` is a cross-product description of a study; expanding
 it yields one :class:`CampaignCell` per grid point.  Cells are *declarative*
 (names and scalar parameters, never live objects) so they are picklable for
-pool execution and hashable for the result store.
+pool execution and hashable for the result store.  A single run's document
+(:func:`config_from_mapping`) is read here too: its entries are the axes'.
 
 Seed derivation.  A cell's identity — its ``cell_id`` — is a SHA-256 digest
 of the canonical JSON encoding of its parameters.  The engine seed and the
@@ -24,69 +25,32 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.gc.registry import collector_class, make_collector
+from repro.gc.registry import CollectorSpec, available_collectors
 from repro.membership import MembershipSchedule
-from repro.protocols.registry import protocol_class
+from repro.protocols.registry import available_protocols
 from repro.simulation.failures import FailureModelSpec, FailureSchedule
 from repro.simulation.network import NetworkConfig, network_config_from_mapping
-from repro.simulation.runner import SimulationConfig
-from repro.simulation.workloads import Workload, make_workload, workload_class
-from repro.storage.stable import StableStorage
+from repro.simulation.runner import SimulationConfig, check_run
+from repro.simulation.workloads import Workload, available_workloads, make_workload
+from repro.validation import (
+    Options,
+    SpecValidationError,
+    check_choice,
+    check_keys,
+    freeze_options,
+    integer,
+    naming,
+    number,
+    registry_entry,
+    text,
+)
 
 #: A failure axis entry: a bare crash count (the paper's regime) or a
 #: declarative failure model (e.g. crash-recovery churn).
 FailureAxisEntry = Union[int, FailureModelSpec]
-
-#: Options are stored as sorted ``(key, value)`` tuples: hashable, picklable
-#: and with a canonical order so equal option sets hash identically.
-Options = Tuple[Tuple[str, Any], ...]
-
-_SCALAR_TYPES = (str, int, float, bool, type(None))
-
-
-def _freeze_options(options: Optional[Mapping[str, Any]]) -> Options:
-    if not options:
-        return ()
-    frozen = []
-    for key, value in dict(options).items():
-        if not isinstance(value, _SCALAR_TYPES):
-            # Nested containers would break the hashability the frozen form
-            # promises (and crash the duplicate-axis check with a bare
-            # TypeError far from the offending entry).
-            raise ValueError(
-                f"option {key!r} must be a scalar, got {type(value).__name__}"
-            )
-        frozen.append((str(key), value))
-    return tuple(sorted(frozen))
-
-
-@dataclass(frozen=True)
-class CollectorSpec:
-    """A garbage collector by name plus its construction options."""
-
-    name: str
-    options: Options = ()
-
-    @classmethod
-    def of(cls, name: str, options: Optional[Mapping[str, Any]] = None) -> "CollectorSpec":
-        spec = cls(name, _freeze_options(options))
-        # Fail fast on unknown names AND bad options: a typo'd option must
-        # surface here, not as per-cell failure records mid-sweep.
-        make_collector(name, 0, 2, StableStorage(0), **spec.options_dict())
-        return spec
-
-    @classmethod
-    def from_entry(cls, entry: Any) -> "CollectorSpec":
-        """A document entry: a bare name or ``{"name": ..., "options": {...}}``."""
-        if isinstance(entry, str):
-            return cls.of(entry)
-        return cls.of(entry["name"], entry.get("options"))
-
-    def options_dict(self) -> Dict[str, Any]:
-        return dict(self.options)
 
 
 @dataclass(frozen=True)
@@ -98,18 +62,20 @@ class WorkloadSpec:
 
     @classmethod
     def of(cls, name: str, params: Optional[Mapping[str, Any]] = None) -> "WorkloadSpec":
-        spec = cls(name, _freeze_options(params))
-        spec.build()  # fail fast on unknown names and bad parameters
+        """A checked spec: an unknown name or a bad parameter is refused here."""
+        check_choice("", name, available_workloads())
+        with naming(""):
+            spec = cls(name, freeze_options(params))
+            spec.build()
         return spec
 
     @classmethod
     def from_entry(cls, entry: Any) -> "WorkloadSpec":
         """A document entry: a bare name or ``{"name": ..., "params": {...}}``."""
-        if isinstance(entry, str):
-            return cls.of(entry)
-        return cls.of(entry["name"], entry.get("params"))
+        return cls.of(*registry_entry(entry, "params"))
 
     def build(self) -> Workload:
+        """A fresh workload generator of this spec."""
         return make_workload(self.name, **dict(self.params))
 
 
@@ -119,13 +85,17 @@ def failures_from_entry(entry: Any) -> FailureAxisEntry:
         params = dict(entry)
         model = params.pop("model", None)
         if model is None:
-            raise ValueError(
+            raise SpecValidationError(
+                "",
                 "failure-model entries need a 'model' key "
-                "(e.g. {'model': 'churn', 'hazard_rate': 0.05})"
+                "(e.g. {'model': 'churn', 'hazard_rate': 0.05})",
             )
-        return FailureModelSpec.of(str(model), params)
+        with naming(""):
+            return FailureModelSpec.of(model, params)
     if isinstance(entry, bool) or not isinstance(entry, int):
-        raise ValueError(f"expected a crash count or a failure-model mapping, got {entry!r}")
+        raise SpecValidationError(
+            "", f"expected a crash count or a failure-model mapping, got {entry!r}"
+        )
     return entry
 
 
@@ -134,11 +104,11 @@ def membership_from_entry(entry: Any) -> MembershipSchedule:
     if entry in (None, "static"):
         return MembershipSchedule.static()
     if not isinstance(entry, Mapping):
-        raise ValueError(
-            "memberships entries must be 'static' or mappings like "
-            "{'joins': [[20.0, 4]], 'leaves': [[60.0, 1]]}"
+        raise SpecValidationError(
+            "", "expected 'static' or a mapping like {'joins': [[20.0, 4]], 'leaves': [[60.0, 1]]}"
         )
-    return MembershipSchedule.from_mapping(entry)
+    with naming(""):
+        return MembershipSchedule.from_mapping(entry)
 
 
 def failure_schedule(
@@ -296,50 +266,36 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         # Checked here, not per cell: `execute_cell` materialises the cell's
         # SimulationConfig outside the try that turns a raise into a record.
-        if self.num_processes <= 0:
-            raise ValueError("a campaign needs at least one process")
-        if not 0 < self.duration < math.inf:
-            raise ValueError(f"the duration must be positive and finite, got {self.duration!r}")
         for label in AXES:
             axis = getattr(self, label)
             if not axis:
-                raise ValueError(f"a campaign needs at least one entry on the {label} axis")
+                raise SpecValidationError(
+                    label, f"a campaign needs at least one entry on the {label} axis"
+                )
             if len(set(axis)) != len(axis):
                 # Duplicate entries expand to identical cells (same cell_id),
                 # which would execute twice and double-count in aggregation.
-                raise ValueError(f"duplicate entries on the {label} axis")
-        for protocol in self.protocols:
-            protocol_class(protocol)  # fail fast on unknown names
-        for collector in self.collectors:
-            collector_class(collector.name)
-        for workload in self.workloads:
-            workload_class(workload.name)
-        for entry in self.failure_counts:
-            if isinstance(entry, int):
-                if entry < 0:
-                    raise ValueError("failure counts must be non-negative")
-            elif not isinstance(entry, FailureModelSpec):
-                raise ValueError(
-                    "failure axis entries must be crash counts or FailureModelSpec"
+                raise SpecValidationError(label, f"duplicate entries on the {label} axis")
+        # Every cell is a run: the run rules hold for each backend and
+        # membership the grid pairs.
+        for b, backend in enumerate(self.backends):
+            for m, membership in enumerate(self.memberships):
+                check_run(
+                    self.num_processes, self.duration, self.audit, backend, membership,
+                    scope="campaign",
+                    backend_field=f"backends[{b}]",
+                    membership_field=f"memberships[{m}]",
                 )
-        if self.audit not in ("off", "safety", "full"):
-            raise ValueError("audit must be one of 'off', 'safety', 'full'")
-        for backend in self.backends:
-            if backend not in ("sim", "live"):
-                raise ValueError("backends entries must be 'sim' or 'live'")
-        if "live" in self.backends and self.num_processes < 2:
-            raise ValueError("a live run needs at least two processes")
-        for membership in self.memberships:
-            if not isinstance(membership, MembershipSchedule):
-                raise ValueError("memberships entries must be MembershipSchedule")
-            # Fail fast on schedules the grid cannot run: capacity overflow,
-            # late events and (dynamic membership being simulator-only) live
-            # backends.
-            membership.validate_for(self.num_processes, self.duration, "campaign")
-            if membership and "live" in self.backends:
-                raise ValueError(
-                    "dynamic membership runs on the 'sim' backend only; "
-                    "drop 'live' from backends or the dynamic membership entry"
+        for index, protocol in enumerate(self.protocols):
+            check_choice(f"protocols[{index}]", protocol, available_protocols())
+        for index, collector in enumerate(self.collectors):
+            check_choice(f"collectors[{index}]", collector.name, available_collectors())
+        for index, workload in enumerate(self.workloads):
+            check_choice(f"workloads[{index}]", workload.name, available_workloads())
+        for index, entry in enumerate(self.failure_counts):
+            if not isinstance(entry, FailureModelSpec) and not (type(entry) is int and entry >= 0):
+                raise SpecValidationError(
+                    f"failure_counts[{index}]", "expected a crash count or a FailureModelSpec"
                 )
 
     @property
@@ -379,49 +335,118 @@ class CampaignSpec:
 SPEC_KEYS = frozenset({"name", "num_processes", "duration", "base_seed", "audit", *AXES})
 
 
+def _axis(
+    document: Mapping[str, Any], axis: str, default: Any, parse: Callable[[Any], Any]
+) -> Tuple[Any, ...]:
+    """One grid axis of a campaign document, each entry parsed under its
+    position (``collectors[1]``)."""
+    entries = document.get(axis, default)
+    if not isinstance(entries, (list, tuple)):
+        # A bare string would expand per character: tuple("fdas").
+        raise SpecValidationError(axis, f"the {axis} axis must be a list, got {entries!r}")
+    parsed = []
+    for index, entry in enumerate(entries):
+        with naming(f"{axis}[{index}]"):
+            parsed.append(parse(entry))
+    return tuple(parsed)
+
+
 def spec_from_mapping(document: Mapping[str, Any]) -> CampaignSpec:
     """Build a :class:`CampaignSpec` from a JSON-style mapping.
 
-    The schema — what each axis entry may look like — is documented once, in
-    ``docs/architecture.md`` ("Run documents"); the entry parsers are the
-    ``from_entry`` functions above, shared with the single-run document of
-    :func:`repro.api.load_spec`.  ``seeds`` may be a list of seed indices or
-    an integer count (expanded to ``range(count)``).  Unknown keys are
-    rejected — a typoed axis name must not silently run a different study.
+    The schema is documented once, in ``docs/architecture.md`` ("Run
+    documents"); the entry parsers above are shared with
+    :func:`config_from_mapping`.  ``seeds`` may be a list of seed indices or
+    an integer count (expanded to ``range(count)``).
     """
-    unknown = sorted(set(document) - SPEC_KEYS)
-    if unknown:
-        raise ValueError(
-            f"unknown campaign spec keys: {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(SPEC_KEYS))}"
-        )
+    check_keys(document, SPEC_KEYS, "campaign spec")
+    if "name" not in document:
+        raise SpecValidationError("name", "a campaign spec needs a name")
     seeds = document.get("seeds", 1)
-    if isinstance(seeds, (str, bytes)):
-        # "10" would otherwise be iterated per character into seeds (1, 0).
-        raise ValueError("seeds must be an integer count or a list of seed indices")
-    for axis in AXES:
-        if isinstance(document.get(axis), (str, bytes)):
-            # tuple("fdas") would expand to ('f','d','a','s') and produce
-            # baffling unknown-name errors for each character.
-            raise ValueError(f"the {axis} axis must be a list, not a bare string")
-    if isinstance(seeds, int):
+    if isinstance(seeds, int) and not isinstance(seeds, bool):
         seeds = tuple(range(seeds))
     else:
-        seeds = tuple(int(s) for s in seeds)
+        seeds = _axis(document, "seeds", (), lambda seed: integer("", seed))
     return CampaignSpec(
-        name=str(document["name"]),
-        num_processes=int(document.get("num_processes", 4)),
-        duration=float(document.get("duration", 120.0)),
-        protocols=tuple(document.get("protocols", ("fdas",))),
-        collectors=tuple(map(CollectorSpec.from_entry, document.get("collectors", ("rdt-lgc",)))),
-        workloads=tuple(
-            map(WorkloadSpec.from_entry, document.get("workloads", ("uniform-random",)))
-        ),
-        failure_counts=tuple(map(failures_from_entry, document.get("failure_counts", (0,)))),
-        networks=tuple(map(network_config_from_mapping, document.get("networks", ({},)))),
+        name=text("name", document["name"]),
+        num_processes=integer("num_processes", document.get("num_processes", 4)),
+        duration=number("duration", document.get("duration", 120.0)),
+        protocols=_axis(document, "protocols", ("fdas",), lambda name: text("", name)),
+        collectors=_axis(document, "collectors", ("rdt-lgc",), CollectorSpec.from_entry),
+        workloads=_axis(document, "workloads", ("uniform-random",), WorkloadSpec.from_entry),
+        failure_counts=_axis(document, "failure_counts", (0,), failures_from_entry),
+        networks=_axis(document, "networks", ({},), network_config_from_mapping),
         seeds=seeds,
-        base_seed=int(document.get("base_seed", 0)),
-        audit=str(document.get("audit", "off")),
-        backends=tuple(document.get("backends", ("sim",))),
-        memberships=tuple(map(membership_from_entry, document.get("memberships", ("static",)))),
+        base_seed=integer("base_seed", document.get("base_seed", 0)),
+        audit=document.get("audit", "off"),
+        backends=_axis(document, "backends", ("sim",), lambda name: text("", name)),
+        memberships=_axis(document, "memberships", ("static",), membership_from_entry),
     )
+
+
+#: Every key a single-run document may carry.
+RUN_KEYS = (
+    "name", "num_processes", "duration", "workload", "protocol", "collector",
+    "collector_options", "network", "failures", "membership", "seed",
+    "sample_interval", "audit", "backend", "trace",
+)
+
+
+def config_from_mapping(
+    document: Mapping[str, Any], *, backend: Optional[str] = None
+) -> SimulationConfig:
+    """Build one run's :class:`SimulationConfig` from a JSON-style mapping.
+
+    The entries are the campaign axes' (one parser each); ``failures`` may
+    also list explicit ``[time, pid]`` crashes.  ``backend`` (the ``live``
+    document kind) wins over the document's ``"backend"`` key.
+    """
+    check_keys(document, RUN_KEYS, "simulation spec")
+    collector = CollectorSpec.of(
+        document.get("collector", "rdt-lgc"),
+        document.get("collector_options"),
+        field="collector",
+        options_field="collector_options",
+    )
+    with naming("workload"):
+        workload = WorkloadSpec.from_entry(document.get("workload", "uniform-random"))
+    with naming("network"):
+        network = network_config_from_mapping(document.get("network", {}))
+    with naming("membership"):
+        membership = membership_from_entry(document.get("membership"))
+    failures = document.get("failures")
+    with naming("failures"):
+        if isinstance(failures, (list, tuple)):
+            failures = FailureSchedule.of((number("", t), integer("", p)) for t, p in failures)
+        elif failures is not None:
+            failures = failures_from_entry(failures)
+    sample_interval = document.get("sample_interval")
+    trace = document.get("trace")
+    config = SimulationConfig(
+        num_processes=integer("num_processes", document.get("num_processes", 4)),
+        duration=number("duration", document.get("duration", 120.0)),
+        workload=workload.build(),
+        protocol=document.get("protocol", "fdas"),
+        collector=collector.name,
+        collector_options=collector.options_dict(),
+        network=network,
+        failures=failures if isinstance(failures, FailureSchedule) else FailureSchedule.none(),
+        seed=integer("seed", document.get("seed", 0)),
+        sample_interval=(
+            None if sample_interval is None else number("sample_interval", sample_interval)
+        ),
+        audit=document.get("audit", "off"),
+        trace_path=None if trace is None else text("trace", trace),
+        backend=backend or document.get("backend", "sim"),
+        membership=membership,
+    )
+    if failures is None or isinstance(failures, FailureSchedule):
+        return config
+    # A crash count or failure model is drawn from the run's seed once the
+    # run itself passed its checks.
+    with naming("failures"):
+        drawn = failure_schedule(
+            failures, num_processes=config.num_processes, duration=config.duration,
+            rng=random.Random(config.seed),
+        )
+    return replace(config, failures=drawn)

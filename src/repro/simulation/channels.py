@@ -43,6 +43,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Sequence, Tuple, Type
 
+from repro.validation import check_choice
+
 #: Runtime per-link state handed back to the model on every sample.  The
 #: concrete type is private to each model (None for the stateless ones).
 LinkState = Any
@@ -507,13 +509,8 @@ def channel_from_mapping(document: Mapping[str, Any]) -> ChannelModel:
     """
     params = dict(document)
     kind = params.pop("kind", None)
-    if kind is None:
-        raise ValueError("a channel description needs a 'kind' key")
-    cls = _CHANNELS.get(str(kind))
-    if cls is None:
-        raise ValueError(
-            f"unknown channel kind {kind!r}; available: {', '.join(available_channels())}"
-        )
+    check_choice("kind", kind, available_channels())
+    cls = _CHANNELS[kind]
     if cls is DuplicatingChannel and "channel" in params:
         params["channel"] = channel_from_mapping(params["channel"])
     if cls is LatencyMatrixChannel and "latencies" in params:

@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+from repro.validation import check_choice, check_keys
+
 
 @dataclass(frozen=True, order=True)
 class Crash:
@@ -176,19 +178,9 @@ class FailureModelSpec:
         cls, model: str, params: Optional[Mapping[str, Any]] = None
     ) -> "FailureModelSpec":
         """Build and validate a spec (unknown models/parameters fail fast)."""
-        known = FAILURE_MODELS.get(model)
-        if known is None:
-            raise ValueError(
-                f"unknown failure model {model!r}; "
-                f"available: {', '.join(sorted(FAILURE_MODELS))}"
-            )
+        check_choice("model", model, sorted(FAILURE_MODELS))
         merged = dict(params or {})
-        unknown = sorted(set(merged) - set(known))
-        if unknown:
-            raise ValueError(
-                f"unknown parameters for failure model {model!r}: "
-                f"{', '.join(unknown)}; known: {', '.join(sorted(known))}"
-            )
+        check_keys(merged, FAILURE_MODELS[model], f"{model} failure model parameter")
         spec = cls(model, tuple(sorted(merged.items())))
         # Fail fast on bad values, not per cell mid-sweep: generating a tiny
         # schedule exercises every parameter check.

@@ -39,7 +39,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Tuple
 
 from repro.simulation.channels import (
     ChannelModel,
@@ -50,6 +50,7 @@ from repro.simulation.channels import (
 )
 from repro.simulation.engine import SimulationEngine
 from repro.transport.base import AppMessage, Transport
+from repro.validation import SpecValidationError, check_keys, flag, naming
 
 __all__ = [
     "AppMessage",
@@ -128,26 +129,22 @@ class NetworkConfig:
         return description
 
 
-def network_config_from_mapping(document: Dict[str, Any]) -> NetworkConfig:
+def network_config_from_mapping(document: Mapping[str, Any]) -> NetworkConfig:
     """Build a :class:`NetworkConfig` from its :meth:`NetworkConfig.describe`
     mapping (the form campaign specs written as JSON use)."""
+    if not isinstance(document, Mapping):
+        raise SpecValidationError("", f"expected a mapping of network settings, got {document!r}")
+    known = ("base_latency", "jitter", "drop_probability", "channel", "partitions", "fifo")
+    check_keys(document, known, "network config")
     params = dict(document)
-    channel = params.pop("channel", None)
-    partitions = params.pop("partitions", None)
-    fifo = bool(params.pop("fifo", False))
-    unknown = sorted(set(params) - {"base_latency", "jitter", "drop_probability"})
-    if unknown:
-        raise ValueError(f"unknown network config keys: {', '.join(unknown)}")
-    return NetworkConfig(
-        **params,
-        channel=channel_from_mapping(channel) if channel is not None else None,
-        partitions=(
-            PartitionSchedule.from_mapping(partitions)
-            if partitions is not None
-            else PartitionSchedule.none()
-        ),
-        fifo=fifo,
-    )
+    with naming("channel"):
+        channel = params.pop("channel", None)
+        channel = None if channel is None else channel_from_mapping(channel)
+    with naming("partitions"):
+        partitions = PartitionSchedule.from_mapping(params.pop("partitions", None) or ())
+    fifo = flag("fifo", params.pop("fifo", False))
+    with naming(""):
+        return NetworkConfig(**params, channel=channel, partitions=partitions, fifo=fifo)
 
 
 class ScheduleController(Protocol):

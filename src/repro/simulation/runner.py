@@ -29,7 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.ccp.pattern import CCP
 from repro.core.optimality import GcAudit, audit_garbage_collection
+from repro.gc.registry import available_collectors
 from repro.membership import MembershipSchedule
+from repro.protocols.registry import available_protocols
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.rollback_plan import RollbackPlan
 from repro.simulation.engine import Callback, SimulationEngine
@@ -38,6 +40,7 @@ from repro.simulation.network import AppMessage, Network, NetworkConfig, Partiti
 from repro.simulation.node import SimulationNode, build_node
 from repro.simulation.trace import TraceRecorder, TraceSink
 from repro.simulation.workloads import Action, ActionKey, Workload
+from repro.validation import SpecValidationError, check_choice, naming
 
 
 @dataclass(frozen=True)
@@ -76,24 +79,52 @@ class SimulationConfig:
     membership: MembershipSchedule = field(default_factory=MembershipSchedule.static)
 
     def __post_init__(self) -> None:
-        if self.num_processes <= 0:
-            raise ValueError("a simulation needs at least one process")
-        if not 0 < self.duration < math.inf:
-            raise ValueError(f"the duration must be positive and finite, got {self.duration!r}")
-        if self.backend not in ("sim", "live"):
-            raise ValueError("backend must be one of 'sim', 'live'")
-        if self.backend == "live" and self.num_processes < 2:
-            raise ValueError("a live run needs at least two processes")
-        if self.audit not in ("off", "safety", "full"):
-            raise ValueError("audit must be one of 'off', 'safety', 'full'")
+        check_run(self.num_processes, self.duration, self.audit, self.backend, self.membership)
+        check_choice("protocol", self.protocol, available_protocols())
+        check_choice("collector", self.collector, available_collectors())
+        if self.sample_interval is not None and not 0 < self.sample_interval < math.inf:
+            raise SpecValidationError(
+                "sample_interval",
+                f"the sample interval must be positive and finite, got {self.sample_interval!r}",
+            )
         # Fail fast on fault models that cannot serve this process count
         # (undersized latency matrices, partitions naming unknown pids).
-        self.network.validate_for(self.num_processes)
-        self.membership.validate_for(self.num_processes, self.duration)
-        if self.membership and self.backend != "sim":
-            raise ValueError(
-                "dynamic membership runs on the 'sim' backend only"
-            )
+        with naming("network"):
+            self.network.validate_for(self.num_processes)
+        for index, crash in enumerate(self.failures):
+            # A dormant joiner's crash does not happen; one outside the run is a typo.
+            if not (0 <= crash.pid < self.num_processes and 0 <= crash.time < self.duration):
+                raise SpecValidationError(
+                    f"failures[{index}]", f"{crash} is outside the run's processes or duration"
+                )
+
+
+#: The closed vocabularies of a run's ``audit`` and ``backend``.
+AUDITS = ("off", "safety", "full")
+BACKENDS = ("sim", "live")
+
+
+def check_run(
+    num_processes: int, duration: float, audit: str, backend: str, membership: MembershipSchedule,
+    *, scope: str = "run", backend_field: str = "backend", membership_field: str = "membership",
+) -> None:
+    """The rules of every run, checked by :class:`SimulationConfig` and for
+    each cell by :class:`~repro.scenarios.campaign.spec.CampaignSpec`, whose
+    axes place the backend and membership fields (``backends[1]``)."""
+    if num_processes <= 0:
+        raise SpecValidationError("num_processes", f"a {scope} needs at least one process")
+    if not 0 < duration < math.inf:
+        raise SpecValidationError(
+            "duration", f"the duration must be positive and finite, got {duration!r}"
+        )
+    check_choice("audit", audit, AUDITS)
+    check_choice(backend_field, backend, BACKENDS)
+    if backend == "live" and num_processes < 2:
+        raise SpecValidationError("num_processes", "a live run needs at least two processes")
+    with naming(membership_field):
+        membership.validate_for(num_processes, duration, scope)
+        if membership and backend != "sim":
+            raise ValueError("dynamic membership runs on the 'sim' backend only")
 
 
 @dataclass(frozen=True)

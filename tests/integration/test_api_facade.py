@@ -187,17 +187,34 @@ BAD_DOCUMENTS = [
     ("sim-failures-string", {**_SIM, "failures": "two"}, "failures"),
     ("sim-failure-model-without-name", {**_SIM, "failures": {"hazard_rate": 0.1}}, "failures"),
     ("sim-membership-unknown-key", {**_SIM, "membership": {"joinz": []}}, "membership"),
-    ("sim-membership-beyond-capacity", {**_SIM, "membership": {"joins": [[1.0, 7]]}}, "spec"),
+    ("sim-membership-beyond-capacity", {**_SIM, "membership": {"joins": [[1.0, 7]]}}, "membership"),
     ("sim-workload-params", {**_SIM, "workload": {"name": "ring", "params": {"z": 1}}}, "workload"),
-    ("live-one-process", {**_SIM, "kind": "live", "num_processes": 1}, "spec"),
+    ("live-one-process", {**_SIM, "kind": "live", "num_processes": 1}, "num_processes"),
     ("campaign-zero-processes", {**_SWEEP, "num_processes": 0}, "num_processes"),
     ("campaign-duration-nan", {**_SWEEP, "duration": float("nan")}, "duration"),
     ("campaign-duration-negative", {**_SWEEP, "duration": -1}, "duration"),
-    ("campaign-failure-count-true", {**_SWEEP, "failure_counts": [True]}, "spec"),
+    ("campaign-failure-count-true", {**_SWEEP, "failure_counts": [True]}, "failure_counts[0]"),
     ("fuzz-negative-budget", {"kind": "fuzz", "target": "ring", "budget": -5}, "budget"),
     ("fuzz-budget-not-a-number", {"kind": "fuzz", "target": "ring", "budget": "lots"}, "budget"),
     ("explore-list-step-bad-op", {"program": [["teleport", 0]]}, "program[0].op"),
-    ("explore-list-step-short", {"program": [["send", 0]]}, "spec"),
+    ("explore-list-step-short", {"program": [["send", 0]]}, "program[0]"),
+    # A sampling interval that is not positive would reschedule forever.
+    ("sim-sample-interval-zero", {**_SIM, "sample_interval": 0}, "sample_interval"),
+    ("sim-sample-interval-negative", {**_SIM, "sample_interval": -1.0}, "sample_interval"),
+    # An explicit crash the run does not have is a typo, not a no-op.
+    ("sim-crash-pid-outside", {**_SIM, "num_processes": 4, "failures": [[5.0, 9]]}, "failures[0]"),
+    ("sim-crash-after-the-run", {**_SIM, "failures": [[1.0, 0], [10.0, 1]]}, "failures[1]"),
+    ("sim-crash-before-the-run", {**_SIM, "failures": [[-1.0, 0]]}, "failures[0]"),
+    ("sim-network-not-a-mapping", {**_SIM, "network": 5}, "network"),
+    ("sim-trace-not-a-path", {**_SIM, "trace": 5}, "trace"),
+    ("campaign-collector-without-name", {**_SWEEP, "collectors": [{"options": {}}]},
+     "collectors[0].name"),
+    # Integer and boolean fields take nothing else.
+    ("sim-seed-fractional", {**_SIM, "seed": 1.5}, "seed"),
+    ("sim-processes-true", {**_SIM, "num_processes": True}, "num_processes"),
+    ("campaign-name-not-a-string", {**_SWEEP, "name": ["x"]}, "name"),
+    ("fuzz-guided-string", {"kind": "fuzz", "target": "ring", "guided": "no"}, "guided"),
+    ("fuzz-minimize-string", {"kind": "fuzz", "target": "ring", "minimize": "false"}, "minimize"),
 ]
 
 
@@ -254,6 +271,15 @@ class TestKindInferenceAndRoundTrips:
         assert not api.load_spec({**_SIM, "failures": 0}).failures.crashes
         explicit = api.load_spec({**_SIM, "failures": [[3.0, 1]]})
         assert [(c.time, c.pid) for c in explicit.failures.crashes] == [(3.0, 1)]
+
+    def test_a_dormant_joiners_crash_loads_and_does_not_happen(self):
+        document = {
+            **_SIM, "num_processes": 4, "seed": 2,
+            "membership": {"joins": [[6.0, 3]]}, "failures": [[2.0, 3]],
+        }
+        config = api.load_spec(document)
+        assert [(c.time, c.pid) for c in config.failures.crashes] == [(2.0, 3)]
+        assert api.run(config).recoveries == []
 
     def test_describe_round_trips_through_the_facade(self):
         from repro.explore.canaries import canaries_registered

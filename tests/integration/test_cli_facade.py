@@ -243,6 +243,7 @@ BAD_NAME_COMMANDS = [
     ("live-protocol", ["live", "--protocol", "bogus", "--trace", "{trace}"]),
     ("live-workload", ["live", "--workload", "spiral", "--trace", "{trace}"]),
     ("live-one-process", ["live", "--processes", "1", "--trace", "{trace}"]),
+    ("live-audit", ["live", "--audit", "loud", "--trace", "{trace}"]),
     ("fuzz-run", ["fuzz", "run", "--target", "bogus"]),
 ]
 
@@ -294,6 +295,14 @@ class TestExitContract:
         assert result.stderr.startswith("error: collector: unknown value 'bogus' (accepted: ")
         assert "Traceback" not in result.stderr
         assert list(tmp_path.iterdir()) == []
+
+
+def test_a_bad_live_audit_is_the_doors_error_line(capsys):
+    """``live --audit`` has no vocabulary of its own: the run's is the one."""
+    assert repro_main(["live", "--audit", "loud"]) == 2
+    assert capsys.readouterr().err == (
+        "error: audit: unknown value 'loud' (accepted: off, safety, full)\n"
+    )
 
 
 def test_no_cli_module_builds_its_own_configuration():

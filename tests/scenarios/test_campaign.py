@@ -6,6 +6,7 @@ import statistics
 import pytest
 
 import repro.scenarios.campaign.executor as executor_module
+from repro.api import SpecValidationError
 from repro.scenarios.campaign import (
     CampaignSpec,
     CollectorSpec,
@@ -61,20 +62,23 @@ class TestSpecExpansion:
         assert spec.cell_count == 5 * 4 * 2 * 10
 
     def test_unknown_names_rejected_eagerly(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SpecValidationError, match="no-such-collector") as raised:
             CollectorSpec.of("no-such-collector")
-        with pytest.raises(KeyError):
+        assert raised.value.field == "name" and "rdt-lgc" in raised.value.accepted
+        with pytest.raises(SpecValidationError, match="no-such-workload"):
             WorkloadSpec.of("no-such-workload")
-        with pytest.raises(KeyError):
+        with pytest.raises(SpecValidationError, match="no-such-protocol") as raised:
             CampaignSpec(name="x", protocols=("no-such-protocol",))
+        assert raised.value.field == "protocols[0]" and "fdas" in raised.value.accepted
 
     def test_bad_options_rejected_eagerly(self):
         # A typo'd option must fail at spec-build time, not surface as
         # per-cell "failed" records halfway through a sweep.
-        with pytest.raises(TypeError):
+        with pytest.raises(SpecValidationError, match="perod"):
             WorkloadSpec.of("ring", {"perod": 2.0})
-        with pytest.raises(TypeError):
+        with pytest.raises(SpecValidationError, match="periot") as raised:
             CollectorSpec.of("wang-coordinated", {"periot": 20.0})
+        assert raised.value.field == "options"
         with pytest.raises(ValueError, match="must be a scalar"):
             CollectorSpec.of("rdt-lgc", {"p": [1, 2]})
 

@@ -387,16 +387,18 @@ class TestErrorPaths:
         """A cell that cannot even be built leaves an aborted (not a
         header-only, footer-less) artifact."""
         path = str(tmp_path / "broken.trace.jsonl")
+        # A collector's options are checked by building it, which
+        # SimulationConfig leaves to the nodes; an unknown name it refuses.
         config = dataclasses.replace(
             random_run_config(seed=0, keep_final_ccp=False),
-            collector="no-such-collector",
+            collector_options={"no_such_option": 1},
             trace_path=path,
         )
-        with pytest.raises(Exception, match="no-such-collector"):
+        with pytest.raises(Exception, match="no_such_option"):
             SimulationRunner(config)
         replayed = TraceReader(path).replay()
         assert replayed.status == "aborted"
-        assert "no-such-collector" in replayed.footer["error"]
+        assert "no_such_option" in replayed.footer["error"]
 
     def test_not_a_trace_file(self, tmp_path):
         path = str(tmp_path / "not_a_trace.jsonl")
