@@ -33,7 +33,6 @@ paper-versus-measured record of every reproduced figure and claim.
 
 from repro.causality import (
     CausalOrder,
-    Cut,
     DependencyVector,
     Event,
     EventId,
@@ -52,8 +51,6 @@ from repro.ccp import (
     ZigzagAnalysis,
     check_rdt,
     is_consistent_global_checkpoint,
-    max_consistent_global_checkpoint,
-    min_consistent_global_checkpoint,
 )
 from repro.core import (
     GcAudit,
@@ -93,7 +90,6 @@ __all__ = [
     "CheckpointId",
     "CheckpointKind",
     "ClientServerWorkload",
-    "Cut",
     "DependencyVector",
     "Event",
     "EventId",
@@ -121,8 +117,6 @@ __all__ = [
     "is_consistent_global_checkpoint",
     "make_collector",
     "make_protocol",
-    "max_consistent_global_checkpoint",
-    "min_consistent_global_checkpoint",
     "needless_stable_checkpoints",
     "obsolete_stable_checkpoints_corollary1",
     "obsolete_stable_checkpoints_theorem1",

@@ -1,27 +1,16 @@
 """Analysis and reporting helpers.
 
-* :mod:`storage` — storage-occupancy series and summaries extracted from
-  simulation results;
-* :mod:`metrics` — aggregation of repeated runs (multiple seeds) into mean /
-  min / max statistics;
+* :mod:`metrics` — aggregation of repeated observations (multiple seeds) into
+  mean / min / max statistics;
 * :mod:`tables` — plain-text tables used by the benchmark harness and the
   examples to print paper-style result tables.
 """
 
-from repro.analysis.metrics import AggregateStats, aggregate, aggregate_results
-from repro.analysis.storage import (
-    OccupancySummary,
-    occupancy_series,
-    summarize_occupancy,
-)
+from repro.analysis.metrics import AggregateStats, aggregate
 from repro.analysis.tables import TextTable
 
 __all__ = [
     "AggregateStats",
-    "OccupancySummary",
     "TextTable",
     "aggregate",
-    "aggregate_results",
-    "occupancy_series",
-    "summarize_occupancy",
 ]

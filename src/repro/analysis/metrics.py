@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Sequence
-
-from repro.simulation.runner import SimulationResult
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -45,19 +43,3 @@ def aggregate(values: Iterable[float]) -> AggregateStats:
         count=len(observations),
     )
 
-
-def aggregate_results(
-    results: Sequence[SimulationResult],
-    metrics: Dict[str, Callable[[SimulationResult], float]],
-) -> Dict[str, AggregateStats]:
-    """Aggregate named metrics extracted from several runs.
-
-    ``metrics`` maps a metric name to an extractor, e.g.
-    ``{"peak": lambda r: r.peak_total_retained}``.
-    """
-    if not results:
-        raise ValueError("cannot aggregate zero results")
-    return {
-        name: aggregate(extractor(result) for result in results)
-        for name, extractor in metrics.items()
-    }

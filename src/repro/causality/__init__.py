@@ -17,8 +17,6 @@ Modules
     The transitive dependency vector of Strom & Yemini as used by RDT
     checkpointing protocols (Section 4.2 of the paper), including the
     checkpoint-level causal-precedence test of Equation (2).
-``cuts``
-    Cuts and consistent cuts of an :class:`EventLog` (Definition 2).
 """
 
 from repro.causality.dependency_vector import DependencyVector
@@ -31,11 +29,9 @@ from repro.causality.events import (
     ProcessHistory,
 )
 from repro.causality.happens_before import CausalOrder
-from repro.causality.cuts import Cut
 
 __all__ = [
     "CausalOrder",
-    "Cut",
     "DependencyVector",
     "Event",
     "EventId",

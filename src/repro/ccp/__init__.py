@@ -18,8 +18,7 @@ reasons about:
   reachable as ``ccp.analyses``;
 * :mod:`rdt` — the rollback-dependency-trackability property checker
   (Definition 4);
-* :mod:`consistency` — consistent global checkpoints and min/max consistent
-  global checkpoint queries.
+* :mod:`consistency` — consistent global checkpoints.
 """
 
 from repro.ccp.analysis_cache import AnalysisCache
@@ -28,8 +27,6 @@ from repro.ccp.checkpoint import Checkpoint, CheckpointId, CheckpointKind
 from repro.ccp.consistency import (
     GlobalCheckpoint,
     is_consistent_global_checkpoint,
-    max_consistent_global_checkpoint,
-    min_consistent_global_checkpoint,
 )
 from repro.ccp.pattern import CCP
 from repro.ccp.rdt import RDTReport, check_rdt
@@ -49,6 +46,4 @@ __all__ = [
     "ZigzagPath",
     "check_rdt",
     "is_consistent_global_checkpoint",
-    "max_consistent_global_checkpoint",
-    "min_consistent_global_checkpoint",
 ]

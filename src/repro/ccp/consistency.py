@@ -1,4 +1,4 @@
-"""Consistent global checkpoints and min/max queries.
+"""Consistent global checkpoints.
 
 A *global checkpoint* picks one general checkpoint per process; it is
 *consistent* iff its members are pairwise consistent, i.e. no member causally
@@ -7,11 +7,6 @@ question of whether a set of checkpoints can be *extended* to a consistent
 global checkpoint: that holds iff no zigzag path connects any two of them
 (including a checkpoint to itself); under RDT the two notions coincide for
 full global checkpoints because every zigzag dependency is causal.
-
-This module also implements the classic min/max queries that the RDT property
-enables (Wang 1997): the maximum (respectively minimum) consistent global
-checkpoint containing a given set of local checkpoints, computed by simple
-fixpoint propagation over the causal relation.
 """
 
 from __future__ import annotations
@@ -127,89 +122,6 @@ def is_consistent_global_checkpoint(
                     return False
         return True
     raise ValueError(f"unknown consistency method {method!r}")
-
-
-def _fixpoint(
-    ccp: CCP,
-    fixed: Mapping[int, int],
-    start: List[int],
-    adjust_down: bool,
-) -> Optional[GlobalCheckpoint]:
-    """Shared fixpoint used by the max (adjust_down) and min queries."""
-    candidate = list(start)
-    for pid, index in fixed.items():
-        if not ccp.has_checkpoint(CheckpointId(pid, index)):
-            raise KeyError(f"fixed checkpoint c{pid}^{index} is not in this CCP")
-        candidate[pid] = index
-    changed = True
-    while changed:
-        changed = False
-        for i in range(ccp.num_processes):
-            for j in range(ccp.num_processes):
-                if i == j:
-                    continue
-                first = CheckpointId(i, candidate[i])
-                second = CheckpointId(j, candidate[j])
-                if not ccp.causally_precedes(first, second):
-                    continue
-                # Inconsistent pair: first -> second.  Repair by moving the
-                # adjustable side.  Max query: any solution below the candidate
-                # must use an earlier checkpoint of the successor side, so roll
-                # j back (or i back when j is fixed).  Min query: any solution
-                # above the candidate must use a later checkpoint of the
-                # predecessor side, so advance i; a fixed predecessor means no
-                # solution exists at all.
-                if adjust_down:
-                    if j in fixed:
-                        if i in fixed:
-                            return None
-                        candidate[i] -= 1
-                        if candidate[i] < 0:
-                            return None
-                    else:
-                        candidate[j] -= 1
-                        if candidate[j] < 0:
-                            return None
-                else:
-                    if i in fixed:
-                        return None
-                    candidate[i] += 1
-                    if candidate[i] > ccp.volatile_index(i):
-                        return None
-                changed = True
-    result = GlobalCheckpoint(tuple(candidate))
-    if not is_consistent_global_checkpoint(ccp, result):
-        return None
-    return result
-
-
-def max_consistent_global_checkpoint(
-    ccp: CCP, fixed: Optional[Mapping[int, int]] = None
-) -> Optional[GlobalCheckpoint]:
-    """The maximum consistent global checkpoint containing ``fixed``.
-
-    ``fixed`` maps process ids to checkpoint indices that must be members.
-    Unconstrained processes start from their volatile checkpoint and are
-    rolled back until consistency holds (rollback propagation).  Returns
-    ``None`` if no consistent global checkpoint contains the fixed set.
-    Under RDT the fixpoint is the unique maximum (Wang 1997).
-    """
-    fixed = dict(fixed or {})
-    start = [ccp.volatile_index(pid) for pid in ccp.processes]
-    return _fixpoint(ccp, fixed, start, adjust_down=True)
-
-
-def min_consistent_global_checkpoint(
-    ccp: CCP, fixed: Optional[Mapping[int, int]] = None
-) -> Optional[GlobalCheckpoint]:
-    """The minimum consistent global checkpoint containing ``fixed``.
-
-    Unconstrained processes start from their initial checkpoint and are
-    advanced until consistency holds.  Returns ``None`` when impossible.
-    """
-    fixed = dict(fixed or {})
-    start = [0 for _ in ccp.processes]
-    return _fixpoint(ccp, fixed, start, adjust_down=False)
 
 
 def all_consistent_global_checkpoints(ccp: CCP) -> List[GlobalCheckpoint]:

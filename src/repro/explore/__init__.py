@@ -24,14 +24,6 @@ a one-command repro::
 CLI: ``python -m repro explore {run,sweep,replay}``.
 """
 
-from repro.explore.canaries import (
-    CANARY_NAMES,
-    HoarderCanaryCollector,
-    UnsafeCanaryCollector,
-    canaries_registered,
-    register_canaries,
-    unregister_canaries,
-)
 from repro.explore.controller import PendingDeliveries
 from repro.explore.executor import ScheduleExecutor
 from repro.explore.explorer import (
@@ -71,7 +63,6 @@ from repro.explore.shrink import (
 
 __all__ = [
     "ADVANCE",
-    "CANARY_NAMES",
     "Choice",
     "Counterexample",
     "CounterexampleReplay",
@@ -79,7 +70,6 @@ __all__ = [
     "ExecutionOutcome",
     "ExplorationResult",
     "ExploreConfig",
-    "HoarderCanaryCollector",
     "OracleStack",
     "PendingDeliveries",
     "ProgramStep",
@@ -88,22 +78,18 @@ __all__ = [
     "ShrunkCounterexample",
     "StepKind",
     "SweepEntry",
-    "UnsafeCanaryCollector",
     "Violation",
-    "canaries_registered",
     "checkpoint",
     "counterexample_summary",
     "crash",
     "explore",
     "gossip_program",
     "persist_counterexample",
-    "register_canaries",
     "replay_counterexample",
     "ring_program",
     "send",
     "shrink",
     "star_program",
     "sweep",
-    "unregister_canaries",
     "validate_schedule",
 ]

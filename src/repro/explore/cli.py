@@ -27,14 +27,12 @@ trace or one without explorer provenance).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 import time
 from typing import List, Optional
 
 from repro import api
-from repro.explore.canaries import canaries_registered
 from repro.explore.explorer import SweepEntry, explore
 from repro.explore.program import ExploreConfig, ring_program
 from repro.explore.shrink import (
@@ -44,7 +42,9 @@ from repro.explore.shrink import (
     schedule_to_json,
     shrink,
 )
-from repro.scenarios.experiments import explore_sweep_configs
+from repro.gc.canaries import CANARY_NAMES
+from repro.gc.registry import available_collectors
+from repro.scenarios.experiments import explore_sweep_collectors, explore_sweep_configs
 from repro.traceio.format import TraceError
 
 
@@ -137,24 +137,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     collectors = None
     if args.collectors:
         collectors = tuple((name, {}) for name in args.collectors.split(","))
+    elif args.canaries:
+        collectors = explore_sweep_collectors(
+            sorted(available_collectors() + list(CANARY_NAMES))
+        )
 
     started = time.perf_counter()
     entries: List[SweepEntry] = []
     dirty = 0
-    with canaries_registered() if args.canaries else contextlib.nullcontext():
-        # One cell at a time so progress streams; reporting also shrinks and
-        # persists counterexamples, which re-executes their configurations —
-        # canaries must still be registered here.
-        for config in explore_sweep_configs(
-            num_processes=args.processes,
-            messages=args.messages,
-            protocols=protocols,
-            collectors=collectors,
-            with_crash=args.crash,
-        ):
-            entries.append(_explore_entry(config, args))
-            if not _report_entry(entries[-1], traces=args.traces, quiet=args.quiet):
-                dirty += 1
+    # One cell at a time so progress streams.
+    for config in explore_sweep_configs(
+        num_processes=args.processes,
+        messages=args.messages,
+        protocols=protocols,
+        collectors=collectors,
+        with_crash=args.crash,
+    ):
+        entries.append(_explore_entry(config, args))
+        if not _report_entry(entries[-1], traces=args.traces, quiet=args.quiet):
+            dirty += 1
     elapsed = time.perf_counter() - started
     executions = sum(entry.result.stats.executions for entry in entries)
     print(
@@ -175,8 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # replay — a persisted counterexample
 # ----------------------------------------------------------------------
 def _cmd_replay(args: argparse.Namespace) -> int:
-    with canaries_registered():
-        replay = replay_counterexample(args.path)
+    replay = replay_counterexample(args.path)
     print(counterexample_summary(replay))
     return 0 if replay.byte_identical else 1
 
@@ -239,11 +239,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_exploration_knobs(sweep_cmd)
     sweep_cmd.add_argument(
         "--protocols", default=None,
-        help="comma-separated protocol names (default: all registered)",
+        help="comma-separated protocol names (default: all)",
     )
     sweep_cmd.add_argument(
         "--collectors", default=None,
-        help="comma-separated collector names (default: all registered)",
+        help="comma-separated collector names (default: all but the canaries)",
     )
     sweep_cmd.add_argument(
         "--canaries", action="store_true",

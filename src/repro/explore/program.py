@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.gc.registry import CollectorSpec, available_collectors
+from repro.gc.registry import CollectorSpec, check_collector
 from repro.protocols.registry import available_protocols
 from repro.validation import SpecValidationError, check_choice, check_keys, integer, naming, number
 
@@ -158,7 +158,7 @@ class ExploreConfig:
                         f"configuration has {self.num_processes} processes",
                     )
         check_choice("protocol", self.protocol, available_protocols())
-        check_choice("collector", self.collector, available_collectors())
+        check_collector("collector", self.collector)
 
     @property
     def message_count(self) -> int:

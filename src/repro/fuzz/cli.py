@@ -103,10 +103,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 # replay — one persisted corpus entry
 # ----------------------------------------------------------------------
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.explore.canaries import canaries_registered
-
-    with canaries_registered():
-        replay = replay_corpus_entry(args.path)
+    replay = replay_corpus_entry(args.path)
     verdict = "yes" if replay.byte_identical else "NO"
     print(
         f"{replay.path}: entry {replay.entry_id}, {replay.trace_events} "
@@ -119,12 +116,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 # stats — summarise a corpus directory
 # ----------------------------------------------------------------------
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.explore.canaries import canaries_registered
-
-    # Registered so corpora of canary targets parse (configuration
-    # validation resolves collector names).
-    with canaries_registered():
-        corpus = Corpus.load(args.corpus)
+    corpus = Corpus.load(args.corpus)
     print(
         f"{args.corpus}: {len(corpus)} entries, "
         f"{len(corpus.coverage)} coverage features over "

@@ -26,13 +26,12 @@ point exhaustive exploration gave up, the hand-off the roadmap asked for.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.explore.canaries import CANARY_NAMES, canaries_registered
 from repro.explore.executor import ScheduleExecutor
 from repro.explore.explorer import explore
 from repro.explore.program import (
@@ -53,6 +52,7 @@ from repro.explore.shrink import ShrunkCounterexample, persist_counterexample, s
 from repro.fuzz.corpus import Corpus, CorpusEntry, entry_id
 from repro.fuzz.coverage import CoverageMap, state_features
 from repro.fuzz.mutate import MUTATORS, complete, splice
+from repro.gc.canaries import CANARY_NAMES
 from repro.validation import SpecValidationError, check_choice, check_keys, flag, integer, text
 
 
@@ -61,17 +61,11 @@ from repro.validation import SpecValidationError, check_choice, check_keys, flag
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FuzzTarget:
-    """A named, self-contained thing to fuzz.
-
-    Wraps an :class:`~repro.explore.ExploreConfig` plus the run-scoped
-    environment it needs (today: whether the canary collectors must be
-    registered for the configuration to resolve).
-    """
+    """A named, self-contained thing to fuzz: an
+    :class:`~repro.explore.ExploreConfig` under a name."""
 
     name: str
     config: ExploreConfig
-    #: Register the test-only canary collectors for the run's duration.
-    needs_canaries: bool = False
 
 
 def _ms_window_program() -> Tuple[Any, ...]:
@@ -88,7 +82,42 @@ def _ms_window_program() -> Tuple[Any, ...]:
     )
 
 
-def builtin_targets() -> Dict[str, FuzzTarget]:
+def _builtin_target(
+    name: str, num_processes: int, program: Tuple[Any, ...], **config: Any
+) -> FuzzTarget:
+    return FuzzTarget(
+        name=name,
+        config=ExploreConfig(num_processes=num_processes, program=program, **config),
+    )
+
+
+#: The named fuzz targets, built once at import (see :func:`builtin_targets`).
+_TARGETS: Mapping[str, FuzzTarget] = MappingProxyType({
+    target.name: target
+    for target in (
+        _builtin_target("ring", 2, ring_program(2, 4)),
+        _builtin_target("ring-crash", 2, ring_program(2, 4, crash_pid=0)),
+        _builtin_target("ring3-crash", 3, ring_program(3, 9, crash_pid=0)),
+        _builtin_target("star-crash", 3, star_program(3, 4, crash_pid=0)),
+        _builtin_target("gossip", 3, gossip_program(3, 3, fanout=2)),
+        _builtin_target(
+            "ms-window", 2, _ms_window_program(),
+            collector="manivannan-singhal",
+            collector_options=(
+                ("checkpoint_period", 2.0),
+                ("max_message_delay", 0.5),
+                ("slack", 0.5),
+            ),
+        ),
+        *(
+            _builtin_target(name, 2, ring_program(2, 4), collector=name)
+            for name in CANARY_NAMES
+        ),
+    )
+})
+
+
+def builtin_targets() -> Mapping[str, FuzzTarget]:
     """The named fuzz targets the CLI accepts.
 
     Returns:
@@ -104,71 +133,12 @@ def builtin_targets() -> Dict[str, FuzzTarget]:
           two clients, a hub crash): the skewed client-server workload
           family's explorable skeleton (expected clean);
         * ``gossip`` — 3-process gossip fan-out rounds (expected clean);
-        * ``canary-unsafe`` / ``canary-hoarder`` — the PR-5 conformance
-          canaries (a violation *must* be found);
         * ``ms-window`` — Manivannan–Singhal quasi-synchronous collector
-          outside its honoured timing window (a safety violation exists).
+          outside its honoured timing window (a safety violation exists);
+        * ``canary-unsafe`` / ``canary-hoarder`` — the conformance canaries
+          of :mod:`repro.gc.canaries` (a violation *must* be found).
     """
-    targets = {
-        "ring": FuzzTarget(
-            name="ring",
-            config=ExploreConfig(num_processes=2, program=ring_program(2, 4)),
-        ),
-        "ring-crash": FuzzTarget(
-            name="ring-crash",
-            config=ExploreConfig(
-                num_processes=2,
-                program=ring_program(2, 4, crash_pid=0),
-            ),
-        ),
-        "ring3-crash": FuzzTarget(
-            name="ring3-crash",
-            config=ExploreConfig(
-                num_processes=3,
-                program=ring_program(3, 9, crash_pid=0),
-            ),
-        ),
-        "star-crash": FuzzTarget(
-            name="star-crash",
-            config=ExploreConfig(
-                num_processes=3,
-                program=star_program(3, 4, crash_pid=0),
-            ),
-        ),
-        "gossip": FuzzTarget(
-            name="gossip",
-            config=ExploreConfig(
-                num_processes=3,
-                program=gossip_program(3, 3, fanout=2),
-            ),
-        ),
-        "ms-window": FuzzTarget(
-            name="ms-window",
-            config=ExploreConfig(
-                num_processes=2,
-                program=_ms_window_program(),
-                collector="manivannan-singhal",
-                collector_options=(
-                    ("checkpoint_period", 2.0),
-                    ("max_message_delay", 0.5),
-                    ("slack", 0.5),
-                ),
-            ),
-        ),
-    }
-    # ExploreConfig validates collector names at construction time, so the
-    # canary configurations must be built while the canaries are registered;
-    # the fuzz run itself re-registers them (needs_canaries).
-    with canaries_registered():
-        for name in CANARY_NAMES:
-            targets[name] = FuzzTarget(
-                name=name,
-                config=ExploreConfig(
-                    num_processes=2, program=ring_program(2, 4), collector=name
-                ),
-                needs_canaries=True,
-            )
-    return targets
+    return _TARGETS
 
 
 def resolve_target(target: Union[str, FuzzTarget, ExploreConfig]) -> FuzzTarget:
@@ -187,13 +157,9 @@ def resolve_target(target: Union[str, FuzzTarget, ExploreConfig]) -> FuzzTarget:
     if isinstance(target, FuzzTarget):
         return target
     if isinstance(target, ExploreConfig):
-        needs_canaries = target.collector in CANARY_NAMES
-        return FuzzTarget(
-            name="custom", config=target, needs_canaries=needs_canaries
-        )
-    targets = builtin_targets()
-    check_choice("target", target, sorted(targets))
-    return targets[target]
+        return FuzzTarget(name="custom", config=target)
+    check_choice("target", target, sorted(_TARGETS))
+    return _TARGETS[target]
 
 
 #: The fuzz knobs a fuzz document may carry besides an inline configuration.
@@ -543,160 +509,157 @@ def fuzz(
     rng = random.Random(seed)
     stats = FuzzStats()
 
-    with contextlib.ExitStack() as stack:
-        if resolved.needs_canaries:
-            stack.enter_context(canaries_registered())
-        if isinstance(corpus, str):
-            corpus = Corpus.load(corpus)
-        elif corpus is None:
-            corpus = Corpus()
-        _refuse_foreign_corpus(corpus, config)
-        executor = ScheduleExecutor(config)
-        coverage = corpus.coverage if guided else CoverageMap()
-        result = FuzzResult(
-            target=resolved, corpus=corpus, stats=stats, coverage=coverage
-        )
+    if isinstance(corpus, str):
+        corpus = Corpus.load(corpus)
+    elif corpus is None:
+        corpus = Corpus()
+    _refuse_foreign_corpus(corpus, config)
+    executor = ScheduleExecutor(config)
+    coverage = corpus.coverage if guided else CoverageMap()
+    result = FuzzResult(
+        target=resolved, corpus=corpus, stats=stats, coverage=coverage
+    )
 
-        # Mutation pool: warm corpus entries first, then whatever this run
-        # admits (random mode keeps the seeds instead), each beside its id.
-        # ``audited`` marks a schedule this run executed clean: every state
-        # it reaches passed the audits here, so a mutant re-executing its
-        # prefix reaches those same states (the executor's determinism
-        # contract) and needs no second audit of them.  A warm entry was
-        # audited by another process, not by this run, so its mutants audit
-        # from the start.
-        pool: List[_PoolEntry] = [
-            _PoolEntry(entry.schedule, entry.entry_id, audited=False)
-            for entry in corpus.ordered()
-        ]
-        executed_ids = {identifier for identifier in corpus.entries}
-        seen_kinds: Dict[str, int] = {}
+    # Mutation pool: warm corpus entries first, then whatever this run
+    # admits (random mode keeps the seeds instead), each beside its id.
+    # ``audited`` marks a schedule this run executed clean: every state
+    # it reaches passed the audits here, so a mutant re-executing its
+    # prefix reaches those same states (the executor's determinism
+    # contract) and needs no second audit of them.  A warm entry was
+    # audited by another process, not by this run, so its mutants audit
+    # from the start.
+    pool: List[_PoolEntry] = [
+        _PoolEntry(entry.schedule, entry.entry_id, audited=False)
+        for entry in corpus.ordered()
+    ]
+    executed_ids = {identifier for identifier in corpus.entries}
+    seen_kinds: Dict[str, int] = {}
 
-        seed_set = seed_schedules(config, explorer_executions=explorer_seed_executions)
-        stats.seed_executions = seed_set.explorer_executions
-        pending = list(seed_set.seeds)
+    seed_set = seed_schedules(config, explorer_executions=explorer_seed_executions)
+    stats.seed_executions = seed_set.explorer_executions
+    pending = list(seed_set.seeds)
 
-        def next_candidate() -> Optional[_Candidate]:
-            """The next not-yet-executed candidate, a miss, or ``None``."""
-            while pending:
-                origin, schedule = pending.pop(0)
-                identifier = entry_id(config, schedule)
-                if identifier in executed_ids:
-                    stats.duplicates += 1
-                    continue
-                return _Candidate(origin, schedule, identifier, None, 0)
-            if not pool:
-                return None
-            for _ in range(_DRAWS_PER_ROUND):
-                parent = pool[rng.randrange(len(pool))]
-                schedule = parent.schedule
-                if len(pool) >= 2 and rng.random() < 0.2:
-                    other = rng.randrange(len(pool))
-                    candidate = splice(rng, config, schedule, pool[other].schedule)
-                    op = "splice"
-                else:
-                    # Stack 1-3 operators (AFL's havoc idea): single-step
-                    # mutants of a small pool exhaust quickly, stacked ones
-                    # reach schedules no single operator can.
-                    stacked = 1 + rng.randrange(3)
-                    candidate = schedule
-                    ops: List[str] = []
-                    for _ in range(stacked):
-                        op, mutator = MUTATORS[rng.randrange(len(MUTATORS))]
-                        mutated = mutator(rng, config, candidate)
-                        if mutated is None:
-                            continue
-                        candidate = mutated
-                        ops.append(op)
-                    if not ops:
+    def next_candidate() -> Optional[_Candidate]:
+        """The next not-yet-executed candidate, a miss, or ``None``."""
+        while pending:
+            origin, schedule = pending.pop(0)
+            identifier = entry_id(config, schedule)
+            if identifier in executed_ids:
+                stats.duplicates += 1
+                continue
+            return _Candidate(origin, schedule, identifier, None, 0)
+        if not pool:
+            return None
+        for _ in range(_DRAWS_PER_ROUND):
+            parent = pool[rng.randrange(len(pool))]
+            schedule = parent.schedule
+            if len(pool) >= 2 and rng.random() < 0.2:
+                other = rng.randrange(len(pool))
+                candidate = splice(rng, config, schedule, pool[other].schedule)
+                op = "splice"
+            else:
+                # Stack 1-3 operators (AFL's havoc idea): single-step
+                # mutants of a small pool exhaust quickly, stacked ones
+                # reach schedules no single operator can.
+                stacked = 1 + rng.randrange(3)
+                candidate = schedule
+                ops: List[str] = []
+                for _ in range(stacked):
+                    op, mutator = MUTATORS[rng.randrange(len(MUTATORS))]
+                    mutated = mutator(rng, config, candidate)
+                    if mutated is None:
                         continue
-                    op = "+".join(ops)
-                    if candidate == schedule:
-                        candidate = None
-                if candidate is None:
+                    candidate = mutated
+                    ops.append(op)
+                if not ops:
                     continue
-                identifier = entry_id(config, candidate)
-                if identifier in executed_ids:
-                    stats.duplicates += 1
-                    continue
-                check_from = (
-                    _common_prefix(schedule, candidate) if parent.audited else 0
-                )
-                return _Candidate(op, candidate, identifier, parent.entry_id, check_from)
-            stats.mutation_misses += 1
-            return _MISS
-
-        consecutive_misses = 0
-        while stats.executions < budget:
-            drawn = next_candidate()
-            if drawn is None:
-                break  # nothing left to mutate (empty pool, no seeds)
-            if drawn is _MISS:
-                consecutive_misses += 1
-                if consecutive_misses >= 50:
-                    break  # mutation space saturated for this pool
+                op = "+".join(ops)
+                if candidate == schedule:
+                    candidate = None
+            if candidate is None:
                 continue
-            consecutive_misses = 0
-            op, schedule, identifier, parent_id, check_from = drawn
-            executed_ids.add(identifier)
-
-            captured: List[Any] = []
-            outcome = executor.execute(
-                schedule, check_from=check_from, state_probe=captured.append
+            identifier = entry_id(config, candidate)
+            if identifier in executed_ids:
+                stats.duplicates += 1
+                continue
+            check_from = (
+                _common_prefix(schedule, candidate) if parent.audited else 0
             )
-            stats.executions += 1
+            return _Candidate(op, candidate, identifier, parent.entry_id, check_from)
+        stats.mutation_misses += 1
+        return _MISS
 
-            if outcome.violation is not None:
-                if _is_invalid_candidate(outcome.violation):
-                    # Statically well-formed, semantically impossible: the
-                    # schedule delivers a message a recovery session already
-                    # discarded.  Not a bug — reject the input.
-                    stats.invalid += 1
-                    continue
-                stats.violations += 1
-                kind = outcome.violation.kind
-                seen_kinds[kind] = seen_kinds.get(kind, 0) + 1
-                if seen_kinds[kind] == 1:
-                    result.findings.append(
-                        _handle_finding(
-                            config,
-                            schedule[: outcome.executed] or schedule,
-                            outcome.violation,
-                            corpus,
-                            minimize,
-                        )
-                    )
-                    if (
-                        stop_after_findings is not None
-                        and len(result.findings) >= stop_after_findings
-                    ):
-                        break
-                continue
+    consecutive_misses = 0
+    while stats.executions < budget:
+        drawn = next_candidate()
+        if drawn is None:
+            break  # nothing left to mutate (empty pool, no seeds)
+        if drawn is _MISS:
+            consecutive_misses += 1
+            if consecutive_misses >= 50:
+                break  # mutation space saturated for this pool
+            continue
+        consecutive_misses = 0
+        op, schedule, identifier, parent_id, check_from = drawn
+        executed_ids.add(identifier)
 
-            features = state_features(captured[0])
-            new = coverage.observe(features)
-            if not guided:
-                # Baseline mode: only the seeds are mutation material.
-                if parent_id is None:
-                    pool.append(_PoolEntry(schedule, identifier, audited=True))
+        captured: List[Any] = []
+        outcome = executor.execute(
+            schedule, check_from=check_from, state_probe=captured.append
+        )
+        stats.executions += 1
+
+        if outcome.violation is not None:
+            if _is_invalid_candidate(outcome.violation):
+                # Statically well-formed, semantically impossible: the
+                # schedule delivers a message a recovery session already
+                # discarded.  Not a bug — reject the input.
+                stats.invalid += 1
                 continue
-            if new:
-                corpus.add(
-                    CorpusEntry(
-                        entry_id=identifier,
-                        config=config,
-                        schedule=schedule,
-                        features=tuple(sorted(new, key=repr)),
-                        parent=parent_id,
-                        op=op,
+            stats.violations += 1
+            kind = outcome.violation.kind
+            seen_kinds[kind] = seen_kinds.get(kind, 0) + 1
+            if seen_kinds[kind] == 1:
+                result.findings.append(
+                    _handle_finding(
+                        config,
+                        schedule[: outcome.executed] or schedule,
+                        outcome.violation,
+                        corpus,
+                        minimize,
                     )
                 )
-                pool.append(_PoolEntry(schedule, identifier, audited=True))
-                stats.corpus_added += 1
+                if (
+                    stop_after_findings is not None
+                    and len(result.findings) >= stop_after_findings
+                ):
+                    break
+            continue
 
-        stats.features = len(coverage)
-        stats.dimension_counts = coverage.dimension_counts()
-        corpus.save()
+        features = state_features(captured[0])
+        new = coverage.observe(features)
+        if not guided:
+            # Baseline mode: only the seeds are mutation material.
+            if parent_id is None:
+                pool.append(_PoolEntry(schedule, identifier, audited=True))
+            continue
+        if new:
+            corpus.add(
+                CorpusEntry(
+                    entry_id=identifier,
+                    config=config,
+                    schedule=schedule,
+                    features=tuple(sorted(new, key=repr)),
+                    parent=parent_id,
+                    op=op,
+                )
+            )
+            pool.append(_PoolEntry(schedule, identifier, audited=True))
+            stats.corpus_added += 1
+
+    stats.features = len(coverage)
+    stats.dimension_counts = coverage.dimension_counts()
+    corpus.save()
     return result
 
 

@@ -19,6 +19,10 @@ simulated processes: the paper's RDT-LGC (through a thin adapter over
 * :class:`RdtLgcCollector` — the paper's contribution: asynchronous (causal
   knowledge only), no control messages, no time assumptions, at most ``n``
   retained checkpoints per process.
+
+:mod:`repro.gc.canaries` adds two deliberately broken RDT-LGC variants that
+test the explorer's oracles; they resolve by name but no default grid sweeps
+them.
 """
 
 from repro.gc.all_process_line import AllProcessLineCollector

@@ -68,6 +68,10 @@ class GarbageCollector(abc.ABC):
     #: execution).  Oracle stacks audit optimality only for collectors that
     #: claim it — baselines are merely required to be safe.
     claims_optimality: ClassVar[bool] = False
+    #: True for a deliberately broken collector that tests the oracles
+    #: (:mod:`repro.gc.canaries`): it resolves by name but is left out of
+    #: :func:`~repro.gc.registry.available_collectors`.
+    canary: ClassVar[bool] = False
 
     def __init__(self, pid: int, num_processes: int, storage: StableStorage) -> None:
         if not 0 <= pid < num_processes:

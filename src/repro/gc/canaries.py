@@ -16,19 +16,19 @@ are RDT-LGC variants with one seeded, interleaving-flavoured bug each:
   *retained*: an optimality (Theorem 5) violation while remaining perfectly
   safe.
 
-Neither is registered by default — they exist to be caught.  Tests and the
-CLI opt in via :func:`register_canaries` / :func:`canaries_registered`; the
-conformance suite asserts the explorer finds both within a fixed budget
-while RDT-LGC sweeps the same space clean.
+Both resolve by name wherever a collector name is accepted, like every
+other collector of :mod:`repro.gc.registry`, but their ``canary`` marker
+keeps them out of :func:`~repro.gc.registry.available_collectors` and so out
+of every default grid: they exist to be caught.  The conformance suite
+asserts the explorer finds both within a fixed budget while RDT-LGC sweeps
+the same space clean.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.gc.rdt_lgc_collector import RdtLgcCollector
-from repro.gc.registry import register_collector, unregister_collector
 from repro.storage.stable import StableStorage
 
 
@@ -43,6 +43,7 @@ class UnsafeCanaryCollector(RdtLgcCollector):
     """
 
     name = "canary-unsafe"
+    canary = True
     claims_optimality = False
 
     def on_receive(self, updated_entries: Sequence[int]) -> None:
@@ -69,6 +70,7 @@ class HoarderCanaryCollector(RdtLgcCollector):
     """
 
     name = "canary-hoarder"
+    canary = True
     claims_optimality = True
 
     def __init__(self, pid: int, num_processes: int, storage: StableStorage) -> None:
@@ -92,30 +94,5 @@ class HoarderCanaryCollector(RdtLgcCollector):
         super()._eliminate(index)
 
 
-#: The canary classes, in registration order.
-CANARY_COLLECTORS = (UnsafeCanaryCollector, HoarderCanaryCollector)
-
-#: Their registry names.
-CANARY_NAMES = tuple(cls.name for cls in CANARY_COLLECTORS)
-
-
-def register_canaries() -> None:
-    """Register both canaries with the collector registry (idempotent)."""
-    for cls in CANARY_COLLECTORS:
-        register_collector(cls)
-
-
-def unregister_canaries() -> None:
-    """Remove both canaries from the collector registry (idempotent)."""
-    for cls in CANARY_COLLECTORS:
-        unregister_collector(cls.name)
-
-
-@contextlib.contextmanager
-def canaries_registered() -> Iterator[Tuple[str, ...]]:
-    """Scoped registration for tests and CLI sweeps."""
-    register_canaries()
-    try:
-        yield CANARY_NAMES
-    finally:
-        unregister_canaries()
+#: The canary collectors' names, in the order the fuzz targets list them.
+CANARY_NAMES = (UnsafeCanaryCollector.name, HoarderCanaryCollector.name)

@@ -1,6 +1,6 @@
-"""Registry of checkpointing protocols, keyed by name.
+"""The checkpointing protocols, keyed by name: a table fixed at import.
 
-The registry lets benchmarks and examples sweep over protocols by name
+The table lets benchmarks and examples sweep over protocols by name
 (``for proto in available_protocols(): ...``) without importing each class.
 """
 
@@ -26,7 +26,7 @@ _PROTOCOLS: Dict[str, Type[CheckpointingProtocol]] = {
 
 
 def available_protocols(*, rdt_only: bool = False) -> List[str]:
-    """Names of all registered protocols (optionally only the RDT ones)."""
+    """Names of all protocols (optionally only the RDT ones)."""
     return [
         name
         for name, cls in sorted(_PROTOCOLS.items())
@@ -35,7 +35,7 @@ def available_protocols(*, rdt_only: bool = False) -> List[str]:
 
 
 def protocol_class(name: str) -> Type[CheckpointingProtocol]:
-    """The protocol class registered under ``name``."""
+    """The protocol class named ``name``."""
     try:
         return _PROTOCOLS[name]
     except KeyError:
@@ -45,18 +45,6 @@ def protocol_class(name: str) -> Type[CheckpointingProtocol]:
 
 
 def make_protocol(name: str, pid: int, num_processes: int) -> CheckpointingProtocol:
-    """Instantiate the protocol registered under ``name`` for one process."""
+    """Instantiate the protocol named ``name`` for one process."""
     return protocol_class(name)(pid, num_processes)
 
-
-def register_protocol(cls: Type[CheckpointingProtocol]) -> Type[CheckpointingProtocol]:
-    """Register a custom protocol class (usable as a decorator)."""
-    if not issubclass(cls, CheckpointingProtocol):
-        raise TypeError("protocols must subclass CheckpointingProtocol")
-    _PROTOCOLS[cls.name] = cls
-    return cls
-
-
-def unregister_protocol(name: str) -> None:
-    """Remove a previously registered custom protocol (no-op if absent)."""
-    _PROTOCOLS.pop(name, None)

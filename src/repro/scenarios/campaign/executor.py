@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.scenarios.campaign.spec import CampaignCell, CampaignSpec
-from repro.scenarios.campaign.sqlstore import DEFAULT_LEASE, SQLResultStore
+from repro.scenarios.campaign.sqlstore import DEFAULT_LEASE, SQLResultStore, shard_indices
 from repro.simulation.runner import METRIC_NAMES, SimulationResult, run_simulation
 
 #: The scalar metrics persisted per cell, in extraction order — the names of
@@ -179,11 +179,7 @@ def run_campaign(
     cells actually completed in, so downstream aggregation is deterministic.
     """
     expanded = spec.cells()
-    cells = list(enumerate(expanded))
-    if shard is not None:
-        if not (0 <= shard[0] < shard[1]):
-            raise ValueError(f"shard must be (k, n) with 0 <= k < n, got {shard}")
-        cells = [(index, cell) for index, cell in cells if index % shard[1] == shard[0]]
+    cells = [(index, expanded[index]) for index in shard_indices(len(expanded), shard)]
     store = SQLResultStore(store_path) if store_path else None
     try:
         completed: Dict[str, Dict[str, Any]] = store.load() if store else {}
@@ -314,20 +310,19 @@ def run_worker(
     ``lease_duration`` must comfortably exceed the slowest cell's wall time;
     an in-flight lease that expires lets another worker re-run the cell
     (correct but wasteful), and the late completion is refused as stale.
-    ``batch_size`` must be at least 1 and ``lease_duration`` positive.
+    ``batch_size`` must be at least 1, ``lease_duration`` positive and a
+    ``shard=(k, n)`` within ``0 <= k < n``.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    cells = spec.cells()
+    total = len(shard_indices(len(cells), shard))
     with SQLResultStore(store_path) as store:
         identity = worker if worker is not None else default_worker_id()
-        cells = spec.cells()
         store.enqueue(cells, shard=shard)
         by_id = {cell.cell_id: (index, cell) for index, cell in enumerate(cells)}
         if trace_dir is not None:
             os.makedirs(trace_dir, exist_ok=True)
-        total = len(cells) if shard is None else len(
-            [i for i in range(len(cells)) if i % shard[1] == shard[0]]
-        )
         executed = failed = stale = 0
         while True:
             claims = store.claim(

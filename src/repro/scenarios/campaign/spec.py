@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.gc.registry import CollectorSpec, available_collectors
+from repro.gc.registry import CollectorSpec, check_collector
 from repro.membership import MembershipSchedule
 from repro.protocols.registry import available_protocols
 from repro.simulation.failures import FailureModelSpec, FailureSchedule
@@ -289,7 +289,7 @@ class CampaignSpec:
         for index, protocol in enumerate(self.protocols):
             check_choice(f"protocols[{index}]", protocol, available_protocols())
         for index, collector in enumerate(self.collectors):
-            check_choice(f"collectors[{index}]", collector.name, available_collectors())
+            check_collector(f"collectors[{index}]", collector.name)
         for index, workload in enumerate(self.workloads):
             check_choice(f"workloads[{index}]", workload.name, available_workloads())
         for index, entry in enumerate(self.failure_counts):

@@ -156,6 +156,22 @@ _INSERT_CELL = (
 )
 
 
+def shard_indices(count: int, shard: Optional[Tuple[int, int]]) -> range:
+    """The expansion indices below ``count`` that ``shard=(k, n)`` owns (those
+    with ``index % n == k``; all of them without a shard).
+
+    Every sharded path (both executors, :meth:`SQLResultStore.enqueue` and
+    :meth:`SQLResultStore.claim`) goes through here, so a shard outside
+    ``0 <= k < n`` is refused alike everywhere, as a ``ValueError`` naming it.
+    """
+    if shard is None:
+        return range(count)
+    k, n = shard
+    if not 0 <= k < n:
+        raise ValueError(f"shard must be (k, n) with 0 <= k < n, got {shard}")
+    return range(k, count, n)
+
+
 @dataclass(frozen=True)
 class ClaimedCell:
     """One cell leased to a worker by :meth:`SQLResultStore.claim`."""
@@ -318,9 +334,8 @@ class SQLResultStore:
         ``shard=(k, n)`` registers only the cells with ``index % n == k``.
         """
         rows = []
-        for index, cell in enumerate(cells):
-            if shard is not None and index % shard[1] != shard[0]:
-                continue
+        for index in shard_indices(len(cells), shard):
+            cell = cells[index]
             params = cell.params()
             rows.append(
                 (
@@ -388,6 +403,7 @@ class SQLResultStore:
             raise ValueError(
                 f"lease_duration must be positive, got {lease_duration}"
             )
+        shard_indices(0, shard)  # refuses a shard outside 0 <= k < n
         moment = time.time() if now is None else now
         claimed: List[ClaimedCell] = []
         shard_sql = ""

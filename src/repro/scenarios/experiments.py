@@ -117,7 +117,7 @@ def run_worst_case(
 # Campaign specs
 # ----------------------------------------------------------------------
 
-#: Every registered collector with the options the evaluation study uses.
+#: Every collector the study sweeps, with the options it uses.
 STUDY_COLLECTORS: Tuple[Tuple[str, Mapping[str, object]], ...] = (
     ("none", {}),
     ("rdt-lgc", {}),
@@ -406,6 +406,26 @@ def smoke_campaign_spec(*, num_seeds: int = 2) -> CampaignSpec:
     )
 
 
+#: The options a collector explores with: every collector runs with its
+#: assumptions *honoured* on the explorer's step-per-time-unit scale, since the
+#: sweep's contract is "zero violations expected".  In particular
+#: Manivannan–Singhal gets a window far above any explorer program length —
+#: its violated-window failure mode is a *found counterexample* test
+#: (tests/explore), not a sweep expectation.
+_EXPLORE_OPTIONS: Mapping[str, Mapping[str, object]] = {
+    **dict(STUDY_COLLECTORS),
+    "manivannan-singhal": {"checkpoint_period": 50.0},
+}
+
+
+def explore_sweep_collectors(
+    names: Sequence[str],
+) -> Tuple[Tuple[str, Mapping[str, object]], ...]:
+    """``names`` paired with the options the exploration grid runs each with
+    (a canary or a collector the study does not sweep runs with none)."""
+    return tuple((name, _EXPLORE_OPTIONS.get(name, {})) for name in names)
+
+
 def explore_sweep_configs(
     *,
     num_processes: int = 2,
@@ -419,9 +439,10 @@ def explore_sweep_configs(
     One :class:`repro.explore.ExploreConfig` per (protocol, collector) pair
     over the ring program — the configuration family the acceptance sweep,
     the CI smoke gate, the nightly bounded sweep and ``python -m repro
-    explore sweep`` all share.  Defaults to every registered protocol × every
-    registered collector; crash mode inserts a process-0 crash before the
-    final checkpoint round so every schedule exercises a recovery session.
+    explore sweep`` all share.  Defaults to every protocol × every collector
+    of :func:`~repro.gc.registry.available_collectors` (the canaries are not
+    among them); crash mode inserts a process-0 crash before the final
+    checkpoint round so every schedule exercises a recovery session.
     """
     from repro.explore.program import ExploreConfig, ring_program
     from repro.gc.registry import available_collectors
@@ -431,21 +452,7 @@ def explore_sweep_configs(
     if protocols is None:
         protocols = available_protocols()
     if collectors is None:
-        chosen_names = available_collectors()
-        options_by_name: Mapping[str, Mapping[str, object]] = dict(STUDY_COLLECTORS)
-        # Every collector runs with its assumptions *honoured* on the
-        # explorer's step-per-time-unit scale: the sweep's contract is "zero
-        # violations expected".  In particular Manivannan–Singhal gets a
-        # window far above any explorer program length — its
-        # violated-window failure mode is a *found counterexample* test
-        # (tests/explore), not a sweep expectation.
-        options_by_name = {
-            **options_by_name,
-            "manivannan-singhal": {"checkpoint_period": 50.0},
-        }
-        collectors = tuple(
-            (name, options_by_name.get(name, {})) for name in chosen_names
-        )
+        collectors = explore_sweep_collectors(available_collectors())
     return tuple(
         ExploreConfig(
             num_processes=num_processes,

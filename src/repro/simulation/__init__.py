@@ -32,7 +32,6 @@ from repro.simulation.channels import (
     UniformChannel,
     available_channels,
     channel_from_mapping,
-    register_channel,
 )
 from repro.simulation.engine import SimulationEngine, StopReason
 from repro.simulation.failures import FailureModelSpec, FailureSchedule
@@ -57,7 +56,6 @@ from repro.simulation.workloads import (
     WorstCaseWorkload,
     available_workloads,
     make_workload,
-    register_workload,
     workload_class,
 )
 
@@ -94,8 +92,6 @@ __all__ = [
     "channel_from_mapping",
     "make_workload",
     "network_config_from_mapping",
-    "register_channel",
-    "register_workload",
     "run_simulation",
     "workload_class",
 ]

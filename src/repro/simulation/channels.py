@@ -473,7 +473,7 @@ class PartitionSchedule:
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The channel-model kinds, fixed at import
 # ----------------------------------------------------------------------
 _CHANNELS: Dict[str, Type[ChannelModel]] = {
     cls.kind: cls
@@ -487,18 +487,8 @@ _CHANNELS: Dict[str, Type[ChannelModel]] = {
 
 
 def available_channels() -> List[str]:
-    """Names of all registered channel-model kinds."""
+    """Names of all channel-model kinds."""
     return sorted(_CHANNELS)
-
-
-def register_channel(cls: Type[ChannelModel]) -> Type[ChannelModel]:
-    """Register a custom channel model (usable as a decorator)."""
-    if not (isinstance(cls, type) and issubclass(cls, ChannelModel)):
-        raise TypeError("channel models must subclass ChannelModel")
-    if "kind" not in cls.__dict__:
-        raise ValueError(f"{cls.__name__} must define its own `kind` to be registered")
-    _CHANNELS[cls.kind] = cls
-    return cls
 
 
 def channel_from_mapping(document: Mapping[str, Any]) -> ChannelModel:
@@ -577,5 +567,4 @@ __all__ = [
     "available_channels",
     "channel_from_mapping",
     "channel_label",
-    "register_channel",
 ]

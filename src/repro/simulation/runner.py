@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.ccp.pattern import CCP
 from repro.core.optimality import GcAudit, audit_garbage_collection
-from repro.gc.registry import available_collectors
+from repro.gc.registry import check_collector
 from repro.membership import MembershipSchedule
 from repro.protocols.registry import available_protocols
 from repro.recovery.manager import RecoveryManager
@@ -81,7 +81,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         check_run(self.num_processes, self.duration, self.audit, self.backend, self.membership)
         check_choice("protocol", self.protocol, available_protocols())
-        check_choice("collector", self.collector, available_collectors())
+        check_collector("collector", self.collector)
         if self.sample_interval is not None and not 0 < self.sample_interval < math.inf:
             raise SpecValidationError(
                 "sample_interval",

@@ -516,12 +516,12 @@ class ScriptedWorkload(Workload):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The workload generators, fixed at import
 # ----------------------------------------------------------------------
 # The campaign layer describes workloads declaratively — ``(name, params)``
 # rather than instances — so that sweep cells stay picklable and hashable.
-# Only generative workloads are registered: :class:`ScriptedWorkload` needs an
-# explicit action list and cannot be built from scalar parameters.
+# Only generative workloads have a name here: :class:`ScriptedWorkload` needs
+# an explicit action list and cannot be built from scalar parameters.
 _WORKLOADS: Dict[str, Type[Workload]] = {
     cls.name: cls
     for cls in (
@@ -530,17 +530,20 @@ _WORKLOADS: Dict[str, Type[Workload]] = {
         PipelineWorkload,
         RingWorkload,
         WorstCaseWorkload,
+        ZipfClientServerWorkload,
+        GossipWorkload,
+        HierarchicalWorkload,
     )
 }
 
 
 def available_workloads() -> List[str]:
-    """Names of all registered workload generators."""
+    """Names of all workload generators."""
     return sorted(_WORKLOADS)
 
 
 def workload_class(name: str) -> Type[Workload]:
-    """The workload class registered under ``name``."""
+    """The workload class named ``name``."""
     try:
         return _WORKLOADS[name]
     except KeyError:
@@ -550,30 +553,6 @@ def workload_class(name: str) -> Type[Workload]:
 
 
 def make_workload(name: str, **params: object) -> Workload:
-    """Instantiate the workload registered under ``name``."""
+    """Instantiate the workload named ``name``."""
     return workload_class(name)(**params)  # type: ignore[arg-type]
 
-
-def register_workload(cls: Type[Workload]) -> Type[Workload]:
-    """Register a custom workload class (usable as a decorator)."""
-    if not issubclass(cls, Workload):
-        raise TypeError("workloads must subclass Workload")
-    if "name" not in cls.__dict__:
-        # An inherited name would silently shadow the parent's registration
-        # (campaign specs naming it would then build the subclass).
-        raise ValueError(
-            f"{cls.__name__} must define its own `name` to be registered"
-        )
-    _WORKLOADS[cls.name] = cls
-    return cls
-
-
-# The topology-aware families register through the same extension point
-# campaign plugins use, so their campaign/fuzz wiring is the registry entry.
-for _topology_workload in (
-    ZipfClientServerWorkload,
-    GossipWorkload,
-    HierarchicalWorkload,
-):
-    register_workload(_topology_workload)
-del _topology_workload

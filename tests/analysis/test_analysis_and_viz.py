@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.analysis.metrics import aggregate, aggregate_results
-from repro.analysis.storage import occupancy_series, summarize_occupancy
+from repro.analysis.metrics import aggregate
 from repro.analysis.tables import TextTable
-from repro.scenarios.experiments import run_random_simulation
 from repro.scenarios.figures import figure1_ccp
 from repro.viz.ascii_diagram import render_ccp, render_gc_trace
 
@@ -38,36 +36,6 @@ class TestAggregation:
     def test_aggregate_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
-
-    def test_aggregate_results_over_seeds(self):
-        results = [
-            run_random_simulation(duration=40.0, seed=seed, num_processes=3)
-            for seed in (0, 1)
-        ]
-        stats = aggregate_results(
-            results,
-            {
-                "peak": lambda r: r.peak_total_retained,
-                "collected": lambda r: r.total_collected,
-            },
-        )
-        assert set(stats) == {"peak", "collected"}
-        assert stats["peak"].count == 2
-
-    def test_aggregate_results_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_results([], {"x": lambda r: 0.0})
-
-
-class TestOccupancy:
-    def test_series_and_summary(self):
-        result = run_random_simulation(duration=60.0, seed=3, num_processes=3)
-        series = occupancy_series(result)
-        assert series and all(total >= 0 for _, total in series)
-        summary = summarize_occupancy(result)
-        assert summary.peak_total >= summary.final_total >= 0
-        assert summary.peak_per_process <= result.config.num_processes + 1
-        assert len(summary.as_row()) == 5
 
 
 class TestTextTable:

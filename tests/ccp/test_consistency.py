@@ -1,4 +1,4 @@
-"""Tests for consistent global checkpoints and min/max queries."""
+"""Tests for consistent global checkpoints."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from repro.ccp.consistency import (
     GlobalCheckpoint,
     all_consistent_global_checkpoints,
     is_consistent_global_checkpoint,
-    max_consistent_global_checkpoint,
-    min_consistent_global_checkpoint,
 )
 
 
@@ -64,45 +62,3 @@ class TestConsistencyChecks:
 
     def test_initial_line_always_consistent(self, figure2_ccp):
         assert is_consistent_global_checkpoint(figure2_ccp, GlobalCheckpoint((0, 0)))
-
-
-class TestMinMaxQueries:
-    def test_max_without_constraints_is_all_volatile_when_consistent(self, figure1_ccp):
-        result = max_consistent_global_checkpoint(figure1_ccp)
-        assert result is not None
-        assert result.indices == tuple(
-            figure1_ccp.volatile_index(pid) for pid in figure1_ccp.processes
-        )
-
-    def test_max_with_fixed_member(self, figure1_ccp):
-        result = max_consistent_global_checkpoint(figure1_ccp, fixed={0: 0})
-        assert result is not None
-        assert result.indices[0] == 0
-        assert is_consistent_global_checkpoint(figure1_ccp, result)
-        # It must dominate every other consistent global checkpoint with that member.
-        for candidate in all_consistent_global_checkpoints(figure1_ccp):
-            if candidate.indices[0] == 0:
-                assert all(a <= b for a, b in zip(candidate.indices, result.indices))
-
-    def test_min_with_fixed_member(self, figure1_ccp):
-        result = min_consistent_global_checkpoint(figure1_ccp, fixed={1: 1})
-        assert result is not None
-        assert result.indices[1] == 1
-        assert is_consistent_global_checkpoint(figure1_ccp, result)
-        for candidate in all_consistent_global_checkpoints(figure1_ccp):
-            if candidate.indices[1] == 1:
-                assert all(a >= b for a, b in zip(candidate.indices, result.indices))
-
-    def test_min_without_constraints_is_all_initial(self, figure1_ccp):
-        result = min_consistent_global_checkpoint(figure1_ccp)
-        assert result is not None
-        assert result.indices == (0, 0, 0)
-
-    def test_fixed_checkpoint_must_exist(self, figure1_ccp):
-        with pytest.raises(KeyError):
-            max_consistent_global_checkpoint(figure1_ccp, fixed={0: 9})
-
-    def test_queries_on_figure3(self, figure3_ccp):
-        result = max_consistent_global_checkpoint(figure3_ccp, fixed={1: 1})
-        assert result is not None
-        assert is_consistent_global_checkpoint(figure3_ccp, result)

@@ -13,16 +13,14 @@ from __future__ import annotations
 import pytest
 
 from repro.explore import (
-    CANARY_NAMES,
     ExploreConfig,
-    canaries_registered,
     explore,
     persist_counterexample,
     replay_counterexample,
     ring_program,
     shrink,
 )
-from repro.gc.registry import available_collectors
+from repro.gc.canaries import CANARY_NAMES
 
 #: The fixed budget the conformance suite promises detection within.
 CANARY_BUDGET = 2000
@@ -38,21 +36,13 @@ def _sweep_config(collector: str) -> ExploreConfig:
 def caught():
     """Explore both canaries once; shared by the assertion tests below."""
     found = {}
-    with canaries_registered():
-        for name in CANARY_NAMES:
-            result = explore(_sweep_config(name), max_executions=CANARY_BUDGET)
-            found[name] = result
+    for name in CANARY_NAMES:
+        result = explore(_sweep_config(name), max_executions=CANARY_BUDGET)
+        found[name] = result
     return found
 
 
 class TestCanariesAreCaught:
-    def test_registration_is_scoped(self):
-        with canaries_registered() as names:
-            registered = available_collectors()
-            assert all(name in registered for name in names)
-        registered = available_collectors()
-        assert all(name not in registered for name in CANARY_NAMES)
-
     def test_unsafe_canary_violates_safety_within_budget(self, caught):
         result = caught["canary-unsafe"]
         assert not result.ok
@@ -76,15 +66,14 @@ class TestCanariesAreCaught:
 class TestShrinkingAndReplay:
     @pytest.fixture(scope="class")
     def shrunk_pair(self, caught):
-        with canaries_registered():
-            return {
-                name: shrink(
-                    caught[name].first.config,
-                    caught[name].first.schedule,
-                    caught[name].first.violation,
-                )
-                for name in CANARY_NAMES
-            }
+        return {
+            name: shrink(
+                caught[name].first.config,
+                caught[name].first.schedule,
+                caught[name].first.violation,
+            )
+            for name in CANARY_NAMES
+        }
 
     def test_counterexamples_shrink_below_twelve_events(self, shrunk_pair):
         for name, shrunk in shrunk_pair.items():
@@ -98,40 +87,37 @@ class TestShrinkingAndReplay:
         violation (the shrinking fixpoint invariant)."""
         from repro.explore import DELIVER, ScheduleExecutor
 
-        with canaries_registered():
-            for name, shrunk in shrunk_pair.items():
-                for position, token in enumerate(shrunk.schedule):
-                    if token[0] != DELIVER:
-                        continue
-                    candidate = (
-                        shrunk.schedule[:position] + shrunk.schedule[position + 1:]
-                    )
-                    outcome = ScheduleExecutor(shrunk.config).execute(candidate)
-                    assert (
-                        outcome.violation is None
-                        or outcome.violation.kind != shrunk.violation.kind
-                    ), f"{name}: dropping token {position} kept the violation"
+        for name, shrunk in shrunk_pair.items():
+            for position, token in enumerate(shrunk.schedule):
+                if token[0] != DELIVER:
+                    continue
+                candidate = (
+                    shrunk.schedule[:position] + shrunk.schedule[position + 1:]
+                )
+                outcome = ScheduleExecutor(shrunk.config).execute(candidate)
+                assert (
+                    outcome.violation is None
+                    or outcome.violation.kind != shrunk.violation.kind
+                ), f"{name}: dropping token {position} kept the violation"
 
     def test_persisted_counterexamples_replay_byte_identically(
         self, shrunk_pair, tmp_path
     ):
-        with canaries_registered():
-            for name, shrunk in shrunk_pair.items():
-                path = str(tmp_path / f"{name}.trace.jsonl")
-                recurred = persist_counterexample(shrunk, path)
-                assert recurred.kind == shrunk.violation.kind
-                replay = replay_counterexample(path)
-                assert replay.byte_identical
-                assert replay.replayed_violation.kind == shrunk.violation.kind
-                assert replay.recorded_violation["kind"] == shrunk.violation.kind
+        for name, shrunk in shrunk_pair.items():
+            path = str(tmp_path / f"{name}.trace.jsonl")
+            recurred = persist_counterexample(shrunk, path)
+            assert recurred.kind == shrunk.violation.kind
+            replay = replay_counterexample(path)
+            assert replay.byte_identical
+            assert replay.replayed_violation.kind == shrunk.violation.kind
+            assert replay.recorded_violation["kind"] == shrunk.violation.kind
 
     def test_persisted_artifact_is_a_valid_traceio_trace(self, shrunk_pair, tmp_path):
         from repro.traceio.reader import TraceReader
 
-        with canaries_registered():
-            shrunk = shrunk_pair["canary-unsafe"]
-            path = str(tmp_path / "unsafe.trace.jsonl")
-            persist_counterexample(shrunk, path)
+        shrunk = shrunk_pair["canary-unsafe"]
+        path = str(tmp_path / "unsafe.trace.jsonl")
+        persist_counterexample(shrunk, path)
         replayed = TraceReader(path).replay()
         assert replayed.status == "aborted"  # sealed with the violation
         assert "violation" in (replayed.footer or {}).get("error", "")
@@ -156,11 +142,10 @@ class TestExplorerSweepWithCanaries:
         only dirty cells (this is the CLI's --expect-violations contract)."""
         from repro.explore import sweep
 
-        with canaries_registered():
-            configs = [
-                _sweep_config(name) for name in ("rdt-lgc",) + CANARY_NAMES
-            ]
-            entries = sweep(configs, max_executions=CANARY_BUDGET)
+        configs = [
+            _sweep_config(name) for name in ("rdt-lgc",) + CANARY_NAMES
+        ]
+        entries = sweep(configs, max_executions=CANARY_BUDGET)
         verdicts = {entry.collector: entry.result.ok for entry in entries}
         assert verdicts == {
             "rdt-lgc": True,

@@ -63,6 +63,29 @@ class TestSweepWithCanaries:
             "fdas-canary-unsafe.trace.jsonl",
         ]
 
+    def test_canaries_flag_adds_them_to_the_default_grid(self, capsys, tmp_path):
+        traces = str(tmp_path / "counterexamples")
+        code = main(
+            [
+                "sweep",
+                "--processes", "2",
+                "--messages", "4",
+                "--protocols", "fdas",
+                "--canaries",
+                "--max-executions", "300",
+                "--expect-violations", "2",
+                "--traces", traces,
+                "--quiet",
+            ]
+        )
+        output = capsys.readouterr().out
+        assert code == 0, output
+        assert "7 configurations" in output and "2 with violations" in output
+        assert sorted(os.listdir(traces)) == [
+            "fdas-canary-hoarder.trace.jsonl",
+            "fdas-canary-unsafe.trace.jsonl",
+        ]
+
     def test_replay_of_a_persisted_counterexample(self, capsys, tmp_path):
         traces = str(tmp_path / "counterexamples")
         assert main(

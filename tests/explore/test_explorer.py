@@ -386,12 +386,9 @@ class TestRunHandOff:
     def test_walk_equals_the_replaying_reference(
         self, replaying_explore, config_options, walk_options, reduction
     ):
-        from repro.explore.canaries import canaries_registered
-
-        with canaries_registered():
-            config = ExploreConfig(num_processes=2, **config_options)
-            walked = explore(config, reduction=reduction, **walk_options)
-            reference = replaying_explore(config, reduction=reduction, **walk_options)
+        config = ExploreConfig(num_processes=2, **config_options)
+        walked = explore(config, reduction=reduction, **walk_options)
+        reference = replaying_explore(config, reduction=reduction, **walk_options)
         assert walked.stats.as_dict() == reference.stats.as_dict()
         assert walked.counterexamples == reference.counterexamples
         if "max_executions" in walk_options:
@@ -445,18 +442,16 @@ class TestRunHandOff:
             run.apply(("a", 3), audited=True)
 
     def test_a_violating_run_refuses_to_be_extended(self):
-        from repro.explore.canaries import canaries_registered
         from repro.explore.executor import ScheduleExecutor
 
-        with canaries_registered():
-            config = _tiny(4, collector="canary-unsafe")
-            counterexample = explore(config).first
-            run = ScheduleExecutor(config).start(counterexample.schedule)
-            outcome = run.outcome()
-            assert outcome.violation == counterexample.violation
-            assert not outcome.terminal and outcome.enabled == ()
-            with pytest.raises(RuntimeError, match="violating"):
-                run.apply(("d", 0), audited=True)
+        config = _tiny(4, collector="canary-unsafe")
+        counterexample = explore(config).first
+        run = ScheduleExecutor(config).start(counterexample.schedule)
+        outcome = run.outcome()
+        assert outcome.violation == counterexample.violation
+        assert not outcome.terminal and outcome.enabled == ()
+        with pytest.raises(RuntimeError, match="violating"):
+            run.apply(("d", 0), audited=True)
 
 
 class TestBudgetValidation:
@@ -473,17 +468,15 @@ class TestBudgetValidation:
 class TestShrinkBudget:
     def test_shrink_runs_at_most_max_attempts_candidates(self):
         from repro.explore import shrink
-        from repro.explore.canaries import canaries_registered
 
-        with canaries_registered():
-            config = ExploreConfig(
-                num_processes=2, program=ring_program(2, 4), seed=3,
-                collector="canary-unsafe",
+        config = ExploreConfig(
+            num_processes=2, program=ring_program(2, 4), seed=3,
+            collector="canary-unsafe",
+        )
+        first = explore(config).first
+        for budget in (0, 1, 2):
+            shrunk = shrink(
+                first.config, first.schedule, first.violation, max_attempts=budget
             )
-            first = explore(config).first
-            for budget in (0, 1, 2):
-                shrunk = shrink(
-                    first.config, first.schedule, first.violation, max_attempts=budget
-                )
-                assert shrunk.attempts == budget
-                assert shrunk.violation.kind == first.violation.kind
+            assert shrunk.attempts == budget
+            assert shrunk.violation.kind == first.violation.kind

@@ -11,7 +11,6 @@ import pytest
 
 from repro.explore import (
     ExploreConfig,
-    canaries_registered,
     replay_counterexample,
     ring_program,
 )
@@ -231,13 +230,12 @@ class TestShrinkerAuditSkip:
 
         fast_path = str(tmp_path / "fast.trace.jsonl")
         reference_path = str(tmp_path / "reference.trace.jsonl")
-        with canaries_registered():
-            monkeypatch.setattr(ScheduleExecutor, "execute", spy)
-            fast = shrink(config, finding.schedule, finding.violation)
-            persist_counterexample(fast, fast_path)
-            monkeypatch.setattr(ScheduleExecutor, "execute", full_audit_execute)
-            reference = shrink(config, finding.schedule, finding.violation)
-            persist_counterexample(reference, reference_path)
+        monkeypatch.setattr(ScheduleExecutor, "execute", spy)
+        fast = shrink(config, finding.schedule, finding.violation)
+        persist_counterexample(fast, fast_path)
+        monkeypatch.setattr(ScheduleExecutor, "execute", full_audit_execute)
+        reference = shrink(config, finding.schedule, finding.violation)
+        persist_counterexample(reference, reference_path)
         # Whatever a candidate skipped, an earlier one reached clean.
         skipped = [call for call in calls if call[1]]
         assert skipped
@@ -283,8 +281,7 @@ class TestViolationRefinding:
         assert len(finding.shrunk.schedule) <= len(finding.schedule)
         # The persisted counterexample is a replayable explorer artifact.
         assert finding.artifact is not None and os.path.exists(finding.artifact)
-        with canaries_registered():
-            replay = replay_counterexample(finding.artifact)
+        replay = replay_counterexample(finding.artifact)
         assert replay.byte_identical
         assert replay.replayed_violation.kind == expected_kind
 

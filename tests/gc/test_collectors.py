@@ -3,13 +3,7 @@
 import pytest
 
 from repro.core.obsolete import retained_stable_checkpoints_theorem1
-from repro.gc.base import GarbageCollector
-from repro.gc.registry import (
-    available_collectors,
-    collector_class,
-    make_collector,
-    register_collector,
-)
+from repro.gc.registry import available_collectors, collector_class, make_collector
 from repro.scenarios.experiments import run_random_simulation
 from repro.storage.stable import StableStorage
 
@@ -39,29 +33,6 @@ class TestRegistry:
     def test_unknown_collector(self):
         with pytest.raises(KeyError):
             collector_class("nope")
-
-    def test_register_custom_collector(self):
-        from repro.gc.registry import unregister_collector
-
-        class KeepLastOnly(GarbageCollector):
-            name = "keep-last-only-test"
-            asynchronous = True
-
-            def on_checkpoint_stored(self, index, dv, *, forced, time):
-                for old in self.storage.retained_indices():
-                    if old != index:
-                        self.storage.eliminate(old)
-
-        register_collector(KeepLastOnly)
-        try:
-            assert "keep-last-only-test" in available_collectors()
-        finally:
-            unregister_collector("keep-last-only-test")
-        assert "keep-last-only-test" not in available_collectors()
-
-    def test_register_rejects_non_collectors(self):
-        with pytest.raises(TypeError):
-            register_collector(dict)
 
 
 class TestCollectorsInSimulation:

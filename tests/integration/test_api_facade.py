@@ -282,17 +282,15 @@ class TestKindInferenceAndRoundTrips:
         assert api.run(config).recoveries == []
 
     def test_describe_round_trips_through_the_facade(self):
-        from repro.explore.canaries import canaries_registered
         from repro.fuzz.fuzzer import builtin_targets
         from repro.scenarios.experiments import explore_sweep_configs
 
         configs = [target.config for target in builtin_targets().values()]
         configs += explore_sweep_configs(num_processes=3, messages=4, with_crash=True)
         assert len(configs) > 20
-        with canaries_registered():
-            for config in configs:
-                assert api.load_spec({"kind": "explore", **config.describe()}) == config
-                assert api.load_spec(config.describe()) == config  # kind inferred
+        for config in configs:
+            assert api.load_spec({"kind": "explore", **config.describe()}) == config
+            assert api.load_spec(config.describe()) == config  # kind inferred
 
     def test_both_program_step_grammars_mean_the_same_program(self):
         mapping_form = api.load_spec(

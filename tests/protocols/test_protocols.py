@@ -10,7 +10,6 @@ from repro.protocols.registry import (
     available_protocols,
     make_protocol,
     protocol_class,
-    register_protocol,
 )
 from repro.protocols.uncoordinated import UncoordinatedProtocol
 
@@ -125,25 +124,3 @@ class TestRegistry:
     def test_unknown_protocol(self):
         with pytest.raises(KeyError):
             protocol_class("nope")
-
-    def test_register_custom_protocol(self):
-        from repro.protocols.registry import unregister_protocol
-
-        class AlwaysForce(CheckpointingProtocol):
-            name = "always-force-test"
-            ensures_rdt = True
-
-            def should_force_checkpoint(self, current_dv, piggybacked):
-                return True
-
-        register_protocol(AlwaysForce)
-        try:
-            assert "always-force-test" in available_protocols()
-            assert isinstance(make_protocol("always-force-test", 0, 2), AlwaysForce)
-        finally:
-            unregister_protocol("always-force-test")
-        assert "always-force-test" not in available_protocols()
-
-    def test_register_rejects_non_protocols(self):
-        with pytest.raises(TypeError):
-            register_protocol(object)

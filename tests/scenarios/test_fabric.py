@@ -10,6 +10,7 @@ short-circuits without touching the store.
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -212,6 +213,26 @@ class TestShortCircuit:
             aggregate_campaign(merged.records(include_incomplete=False)).to_json()
             == aggregate_campaign(serial.records).to_json()
         )
+
+    @pytest.mark.parametrize("shard", [(3, 2), (0, 0), (-1, 2), (2, 2)])
+    def test_both_executors_and_the_queue_refuse_a_shard_outside_k_below_n(
+        self, tmp_path, shard
+    ):
+        spec = fabric_spec()
+        store_path = str(tmp_path / "shard.sqlite")
+        message = re.escape(f"shard must be (k, n) with 0 <= k < n, got {shard}")
+        with pytest.raises(ValueError, match=message):
+            run_campaign(spec, shard=shard)
+        with pytest.raises(ValueError, match=message):
+            run_campaign(spec, store_path=store_path, shard=shard)
+        with pytest.raises(ValueError, match=message):
+            run_worker(spec, store_path, shard=shard)
+        with SQLResultStore(store_path) as store:
+            with pytest.raises(ValueError, match=message):
+                store.enqueue(spec.cells(), shard=shard)
+            with pytest.raises(ValueError, match=message):
+                store.claim(worker="w", shard=shard)
+            assert store.remaining() == (0, 0)  # nothing was enqueued
 
 
 class TestWorkerLoop:

@@ -12,9 +12,7 @@ from repro.simulation.channels import (
     Partition,
     PartitionSchedule,
     UniformChannel,
-    available_channels,
     channel_from_mapping,
-    register_channel,
 )
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.network import (
@@ -312,16 +310,6 @@ class TestDescribeAndMappings:
     def test_network_config_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             network_config_from_mapping({"bandwidth": 10})
-
-    def test_register_channel_requires_own_kind(self):
-        class Nameless(UniformChannel):
-            pass
-
-        with pytest.raises(ValueError):
-            register_channel(Nameless)
-        with pytest.raises(TypeError):
-            register_channel(dict)
-        assert "uniform" in available_channels()
 
     def test_models_are_hashable_axis_entries(self):
         axis = (

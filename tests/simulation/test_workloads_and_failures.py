@@ -184,16 +184,6 @@ class TestGeneratedWorkloads:
         with pytest.raises(KeyError):
             make_workload("no-such-workload")
 
-    def test_register_rejects_inherited_name(self):
-        from repro.simulation.workloads import register_workload
-
-        class Shadow(UniformRandomWorkload):
-            pass  # no `name` of its own -> would shadow "uniform-random"
-
-        with pytest.raises(ValueError, match="its own `name`"):
-            register_workload(Shadow)
-        assert make_workload("uniform-random").__class__ is UniformRandomWorkload
-
     def test_client_server_needs_two_processes(self):
         with pytest.raises(ValueError):
             ClientServerWorkload().generate(1, 10.0, random.Random(0))
