@@ -8,11 +8,16 @@ and *gates* on its two invariants:
    cell, even though one worker is SIGKILLed mid-sweep and its leases are
    reclaimed by the survivors.
 2. **Byte-identical reduction** — the store's aggregate CSV/JSON must equal
-   the serial in-memory reference aggregate of the same grid, byte for byte.
+   the serial in-process reference aggregate of the same grid, byte for byte.
+3. **A dead worker process is an error, not a hang** — one worker process of
+   a 2-worker ``run_campaign`` SIGKILLs itself mid-cell; the run must raise
+   ``CampaignWorkerError`` with no lease left behind, and a re-run must
+   finish the grid with one ``ok`` lease per cell and the reference
+   aggregate.
 
 It also reports fabric throughput (cells/second against a shared store) and
 what the store itself costs (``store_ms_per_cell``: wall time the surviving
-workers spent inside ``claim`` + ``complete``, waiting for each other's write
+workers spent inside ``claim`` + ``append``, waiting for each other's write
 lock included, per cell they executed) for the perf trajectory.  Neither is
 gated: both are wall clock on a shared host.
 
@@ -31,6 +36,7 @@ import multiprocessing
 import os
 import signal
 import sys
+import tempfile
 import time
 from collections import Counter
 from typing import Any, List, Optional
@@ -40,6 +46,7 @@ _SRC = os.path.join(_REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+import repro.scenarios.campaign.executor as executor  # noqa: E402
 from repro.scenarios.campaign import (  # noqa: E402
     CampaignSpec,
     SQLResultStore,
@@ -48,6 +55,7 @@ from repro.scenarios.campaign import (  # noqa: E402
     run_worker,
     spec_from_mapping,
 )
+from repro.scenarios.campaign.executor import CampaignWorkerError  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
@@ -76,7 +84,7 @@ def _worker_entry(
 ) -> None:
     """One surviving worker; adds its store time and cell count to the shared totals.
 
-    The store is timed from out here, around ``claim`` and ``complete`` of
+    The store is timed from out here, around ``claim`` and ``append`` of
     this process's ``SQLResultStore`` class — no clock lives in ``src/``.
     """
     spent = 0.0
@@ -93,7 +101,7 @@ def _worker_entry(
         return wrapper
 
     SQLResultStore.claim = timed(SQLResultStore.claim)
-    SQLResultStore.complete = timed(SQLResultStore.complete)
+    SQLResultStore.append = timed(SQLResultStore.append)
     run = run_worker(
         fabric_spec(target_cells),
         store_path,
@@ -128,6 +136,72 @@ def _victim_entry(target_cells: int, store_path: str) -> None:
     store = SQLResultStore(store_path)
     store.claim(worker="victim", limit=4, lease_duration=2.0)
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def dead_worker_leg() -> List[str]:
+    """SIGKILL one worker process of a 2-worker ``run_campaign``; the failures.
+
+    The run must raise :class:`CampaignWorkerError` (not hang) and leave no
+    leased cell behind; re-running it must finish the grid with exactly one
+    ``ok`` lease per cell and aggregate byte-identically to the in-process
+    reference.
+    """
+    spec = fabric_spec(24)
+    victim = spec.cells()[len(spec.cells()) // 3].cell_id
+    parent = os.getpid()
+    real = executor.execute_cell
+    killed = False
+
+    def killer(cell: Any, **kwargs: Any) -> Any:
+        # Forked workers inherit the patch.  Only a worker process dies, and
+        # only the first to claim the victim: a marker file says it happened.
+        if cell.cell_id == victim and os.getpid() != parent:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real(cell, **kwargs)
+
+    failures: List[str] = []
+    with tempfile.TemporaryDirectory(prefix="fabric-dead-worker-") as directory:
+        store_path = os.path.join(directory, "store.sqlite")
+        marker = os.path.join(directory, "killed")
+        executor.execute_cell = killer
+        started = time.perf_counter()
+        try:
+            run_campaign(spec, store_path=store_path, workers=2)
+        except CampaignWorkerError as exc:
+            killed = exc.exitcode == -signal.SIGKILL
+        finally:
+            executor.execute_cell = real
+        print(f"dead-worker leg: the run raised after {time.perf_counter() - started:.1f}s")
+        if not killed:
+            failures.append("a SIGKILLed worker process did not raise CampaignWorkerError")
+        with SQLResultStore(store_path) as store:
+            if store.status_counts().get("leased"):
+                failures.append("the dead worker's lease was not released")
+        rerun = run_campaign(spec, store_path=store_path, workers=2)
+        with SQLResultStore(store_path) as store:
+            journal = store.lease_history()
+        ok = Counter(entry["cell_id"] for entry in journal if entry["outcome"] == "ok")
+        if len(ok) != spec.cell_count or set(ok.values()) != {1}:
+            failures.append("the re-run did not complete every cell exactly once")
+        if not any(entry["outcome"] == "released" for entry in journal):
+            failures.append("the lease journal shows no released lease")
+        reference = aggregate_campaign(run_campaign(spec).records)
+        reduced = aggregate_campaign(rerun.records)
+        if reduced.to_csv() != reference.to_csv() or reduced.to_json() != reference.to_json():
+            failures.append("the re-run's aggregate differs from the in-process reference")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    if not failures:
+        print(
+            f"dead-worker leg: re-run finished {spec.cell_count} cells once each, "
+            f"aggregate == in-process reference"
+        )
+    return failures
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -224,7 +298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         failures += 1
 
     # The reducer invariant: the sharded, crash-ridden fabric run aggregates
-    # byte-identically to a serial in-memory reference of the same grid.
+    # byte-identically to a serial in-process reference of the same grid.
     reference = aggregate_campaign(run_campaign(spec).records)
     reduced = aggregate_campaign(stored_records)
     if reduced.to_csv() != reference.to_csv() or reduced.to_json() != reference.to_json():
@@ -232,6 +306,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         failures += 1
     else:
         print("byte-identity: store aggregate == serial reference (CSV and JSON)")
+    failures += len(dead_worker_leg())
 
     document = {
         "cells": spec.cell_count,

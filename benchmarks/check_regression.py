@@ -24,10 +24,10 @@ invokes :func:`main` with ``--smoke``, which re-measures only the smoke-sized
 configurations so tier-1 stays cheap.
 
 Besides the perf rows, the checker gates the **campaign subsystem**: a
-seconds-sized sweep (the smoke campaign spec) is executed twice — serially
-and on a 2-worker pool — and the aggregate CSV/JSON documents must be byte
-identical.  Any nondeterminism introduced into cell seeding, pool execution
-or aggregation ordering fails the gate before it can corrupt a paper-scale
+seconds-sized sweep (the smoke campaign spec) is executed twice — in-process
+and in 2 worker processes — and the aggregate CSV/JSON documents must be byte
+identical.  Any nondeterminism introduced into cell seeding, multi-process
+execution or aggregation ordering fails the gate before it can corrupt a paper-scale
 study.  ``--skip-campaign`` disables the gate (e.g. when bisecting a pure
 kernel regression).
 
@@ -750,8 +750,8 @@ def check_fuzz_cost(*, ceiling: float = FUZZ_LINES_CEILING) -> List[str]:
 
 
 def check_campaign_determinism(*, workers: int = 2) -> List[str]:
-    """Gate the campaign subsystem: serial and pooled execution of the same
-    spec must produce byte-identical aggregate tables (empty == pass)."""
+    """Gate the campaign subsystem: in-process and multi-process execution of
+    the same spec must produce byte-identical aggregate tables (empty == pass)."""
     from repro.scenarios.campaign import aggregate_campaign, run_campaign
     from repro.scenarios.experiments import smoke_campaign_spec
 
@@ -813,7 +813,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--skip-campaign",
         action="store_true",
-        help="skip the campaign serial-vs-pool determinism gate",
+        help="skip the campaign in-process-vs-2-worker determinism gate",
     )
     parser.add_argument(
         "--skip-memory",

@@ -4,7 +4,7 @@
 Walks the whole campaign pipeline on a deliberately tiny grid:
 
 1. declare a :class:`CampaignSpec` (the grid axes);
-2. expand it into self-seeded cells and run them on a 2-worker pool while
+2. expand it into self-seeded cells and run them in 2 worker processes while
    streaming results to a SQLite store — and a replayable trace artifact per
    cell (``trace_dir``);
 3. run the *same* campaign again — every cell resumes from the store, nothing
@@ -53,7 +53,7 @@ def main() -> None:
         store = os.path.join(scratch, "quickstart.sqlite")
         traces = os.path.join(scratch, "traces")
 
-        # 2. First run: everything executes (here on a 2-worker pool), each
+        # 2. First run: everything executes (here in 2 worker processes), each
         #    cell leaving a durable, replayable trace artifact.
         first = run_campaign(spec, store_path=store, workers=2, trace_dir=traces)
         print(f"first run:  {first.executed} executed, {first.resumed} resumed")

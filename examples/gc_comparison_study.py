@@ -9,7 +9,7 @@ The study is expressed as a declarative campaign — the paper's grid of every
 registered collector × the four workload shapes × several seeds — expanded,
 executed and aggregated by :mod:`repro.scenarios.campaign`.  This script runs
 a shrunk copy of it (3 seeds, no failures) so it finishes in seconds; the
-full grid (≥10 seeds, crash injection, worker pool) is one command::
+full grid (≥10 seeds, crash injection, worker processes) is one command::
 
     python -m repro campaign --workers 8 --store results/paper.sqlite
 """

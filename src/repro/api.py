@@ -152,7 +152,7 @@ def run(
         spec: anything :func:`load_spec` accepts.
         store: campaign only — SQL result-store path (claim/lease fabric).
         traces: campaign only — directory for per-cell trace artifacts.
-        workers: campaign only — process-pool width.
+        workers: campaign only — worker processes (1: in-process).
         shard: campaign only — ``(k, n)`` grid shard.
         retry_failed: campaign only — re-execute failed cells in the store.
         progress: campaign only — ``(done, total)`` callback.

@@ -37,7 +37,7 @@ from typing import Callable, List, Optional, Tuple
 _SUBCOMMANDS: "dict[str, Tuple[str, Callable[[], Callable[[Optional[List[str]]], int]]]]" = {
     "campaign": (
         "expand, execute and aggregate an experiment campaign "
-        "(serial, pooled, or as a claim/lease fabric worker)",
+        "(in-process, in worker processes, or as a claim/lease fabric worker)",
         lambda: __import__(
             "repro.scenarios.campaign.cli", fromlist=["main"]
         ).main,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.tables import TextTable
@@ -81,7 +82,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         if defaults:
             rendered = ", ".join(f"{k}={v}" for k, v in sorted(defaults.items()))
             print(f"    parameters: {rendered}")
-    print("status\n    queue health: cell counts per status plus the lease journal.")
+    print("status\n    queue health: cell counts per status, live leases, lease outcomes.")
     print(
         "aggregate\n    the byte-identical reducer: fold the store's records "
         "through the\n    campaign aggregation layer (same CSV/JSON as the "
@@ -93,20 +94,45 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_status(args: argparse.Namespace, store: SQLResultStore) -> int:
     counts = store.status_counts()
-    claimable, inflight = store.remaining()
+    now = time.time()
+    claimable, inflight = store.remaining(now=now)
+    journal = store.lease_history()
+    # Always counted, zero or not: each is a lease that ended uncompleted.
+    outcomes = {"expired": 0, "stale": 0, "released": 0}
+    for entry in journal:
+        if entry["outcome"] in outcomes:
+            outcomes[entry["outcome"]] += 1
+    live = [
+        {
+            "worker": entry["worker"], "cell_id": entry["cell_id"],
+            "attempt": entry["attempt"], "age_s": round(now - entry["claimed_at"], 3),
+            "expires_in_s": round(entry["expires_at"] - now, 3),
+        }
+        for entry in journal
+        if entry["outcome"] is None and entry["expires_at"] > now
+    ]
     document = {
         "store": args.store,
         "cells": sum(counts.values()),
         "by_status": counts,
         "claimable": claimable,
         "in_flight": inflight,
-        "leases": len(store.lease_history()),
+        "leases": len(journal),
+        "lease_outcomes": outcomes,
+        "live_leases": live,
     }
     if args.json:
         print(json.dumps(document, indent=2))
     else:
         for key, value in document.items():
-            print(f"{key:>12}: {value}")
+            if key != "live_leases":
+                print(f"{key:>14}: {value}")
+        for lease in live:
+            print(
+                f"{'live lease':>14}: {lease['worker']} holds {lease['cell_id']} "
+                f"(attempt {lease['attempt']}, {lease['age_s']:.1f}s old, "
+                f"expires in {lease['expires_in_s']:.1f}s)"
+            )
     # A store with failed cells is a domain finding, same as failed cells in
     # a live sweep's summary.
     return 1 if counts.get("failed") else 0

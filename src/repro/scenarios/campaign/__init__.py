@@ -9,10 +9,12 @@ subpackage turns that kind of study into a first-class object:
   expansion produces :class:`CampaignCell` objects whose identity (and the
   per-cell engine/failure seeds) is a stable hash of the cell's parameters,
   independent of execution order;
-* :mod:`executor` — runs the cells serially, on a ``multiprocessing`` pool,
-  or as one of any number of claim/lease workers (:func:`run_worker`)
-  sharing a SQL store; because every cell is self-seeded, the results are
-  identical regardless of worker count or placement;
+* :mod:`executor` — one claim loop over the SQL store executes every cell:
+  :func:`run_campaign` runs it in-process or in forked worker processes
+  (on a temporary store when the caller names none), :func:`run_worker` as
+  one of any number of claim/lease workers sharing a store; because every
+  cell is self-seeded, the results are identical regardless of worker count
+  or placement;
 * :mod:`sqlstore` — the SQL result store and work queue
   (SQLite-first, Postgres-ready schema: runs/cells/metrics/artifacts plus a
   lease journal), with atomic claims and crash-tolerant lease expiry;
@@ -35,6 +37,7 @@ from repro.scenarios.campaign.aggregate import (
 from repro.scenarios.campaign.executor import (
     CELL_METRICS,
     CampaignRun,
+    CampaignWorkerError,
     WorkerRun,
     cell_metrics,
     default_worker_id,
@@ -68,6 +71,7 @@ __all__ = [
     "CampaignRun",
     "CampaignSpec",
     "CampaignSummary",
+    "CampaignWorkerError",
     "ClaimedCell",
     "CollectorSpec",
     "FailureAxisEntry",

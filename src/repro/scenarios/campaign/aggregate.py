@@ -7,8 +7,8 @@ and each group's metric lists are folded through
 
 Everything here is deterministic in the grid-expansion order of the records,
 never in completion order, so the rendered text/CSV/JSON tables of a spec are
-byte-identical whether the sweep ran serially, on a pool, or resumed from a
-partially filled store.
+byte-identical whether the sweep ran in-process, in worker processes, or
+resumed from a partially filled store.
 """
 
 from __future__ import annotations

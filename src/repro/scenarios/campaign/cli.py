@@ -1,6 +1,6 @@
 """Command-line front end of the campaign subsystem.
 
-Run the paper's collector-comparison grid end to end on a worker pool::
+Run the paper's collector-comparison grid end to end in worker processes::
 
     python -m repro campaign --workers 8 --store results/paper.sqlite
 
@@ -119,7 +119,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="pool processes; 1 runs serially (default: 1)",
+        help="worker processes; 1 runs in-process (default: 1)",
     )
     parser.add_argument(
         "--store", default=None,
@@ -259,7 +259,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(file=sys.stderr)
     if run.executed == 0 and run.skipped:
         # The short-circuit path: everything was already in the store — no
-        # pool was created and the store saw no writes.
+        # worker process was started and the store saw no writes.
         print(
             f"{run.skipped} cell(s) already complete — skipped "
             f"(store untouched)",

@@ -15,9 +15,9 @@ module answers them in two equivalent forms:
 
 Two queries are *reducers*, not SQL: ``aggregate`` folds the store's records
 through :func:`repro.scenarios.campaign.aggregate.aggregate_campaign` — the
-same code path storeless runs and traced sweeps use — so its CSV/JSON output
-is byte-identical to theirs on the same grid; ``status`` summarises queue
-health (pending/leased/ok/failed, lease journal).
+same code path sweeps and trace replays use — so its CSV/JSON output is
+byte-identical to theirs on the same grid; ``status`` summarises queue
+health (pending/leased/ok/failed, live leases, lease outcomes).
 """
 
 from __future__ import annotations
@@ -228,8 +228,8 @@ def store_summary(
 
     Reads the store's records in grid-expansion order and hands them to the
     same :func:`~repro.scenarios.campaign.aggregate.aggregate_campaign` every
-    other path uses, so the CSV/JSON this produces is byte-identical to a
-    storeless run's aggregate of the same grid.  Refuses stores with pending
+    other path uses, so the CSV/JSON this produces is byte-identical to the
+    sweep's own aggregate of the same grid.  Refuses stores with pending
     or leased cells unless ``allow_incomplete`` — a reducer that silently
     aggregates half a sweep would report a different study.  A path must
     name an existing store.

@@ -2,8 +2,8 @@
 
 A :class:`CampaignSpec` is a cross-product description of a study; expanding
 it yields one :class:`CampaignCell` per grid point.  Cells are *declarative*
-(names and scalar parameters, never live objects) so they are picklable for
-pool execution and hashable for the result store.  A single run's document
+(names and scalar parameters, never live objects) so they are picklable and
+hashable for the result store.  A single run's document
 (:func:`config_from_mapping`) is read here too: its entries are the axes'.
 
 Seed derivation.  A cell's identity — its ``cell_id`` — is a SHA-256 digest

@@ -17,16 +17,17 @@ shared directory) holding four relational tables plus a lease journal:
     One row per (cell, metric).  ``value`` is a REAL for SQL aggregation;
     ``value_text`` is the JSON scalar encoding, which preserves the
     int-versus-float distinction so records read back from the store are
-    *exactly* the records the executor produced — that is what makes
-    SQL-store aggregates byte-identical to a storeless run's.
+    *exactly* the records ``execute_cell`` produced — that is what makes
+    SQL-store aggregates byte-identical to a trace replay's.
 ``artifacts``
     One row per (cell, kind) pointing at a persisted artifact — today the
     per-cell v2 trace file written by traced sweeps.
 ``leases``
     Append-only claim journal: every successful claim inserts a row with the
     worker identity, attempt number and expiry; completion stamps the
-    outcome.  Double-execution of a cell is visible here as two ``ok`` rows,
-    which the concurrency tests assert never happens.
+    outcome (``ok``/``failed``; ``expired``, ``stale``, ``released`` below).
+    Double-execution of a cell is visible here as two ``ok`` rows, which the
+    concurrency tests assert never happens.
 
 Claim/lease protocol.  ``claim()`` runs a single ``BEGIN IMMEDIATE``
 transaction: select claimable cells (``pending``, or ``leased`` with an
@@ -36,9 +37,11 @@ write lock makes the transaction atomic across processes, so two racing
 workers can never claim the same cell.  A worker that dies mid-lease (e.g.
 SIGKILL) simply stops heartbeating: once its lease expires the cell is
 claimable again, and because cells are content-addressed and self-seeded the
-re-run produces a byte-identical result row.  ``complete()`` refuses to
+re-run produces a byte-identical result row.  ``append()`` refuses to
 overwrite a row whose attempt counter has moved on (a stale worker finishing
-after its lease was reclaimed), so exactly one completion wins.
+after its lease was reclaimed), so exactly one completion wins.  A claim loop
+stopped by an exception (Ctrl-C included), or the parent of a dead worker
+process, hands the leases back at once with ``release()``.
 
 Connections and durability.  A store object holds **one** connection per
 process: opened on first use, kept (with its prepared statements) until
@@ -46,8 +49,8 @@ process: opened on first use, kept (with its prepared statements) until
 function that opens a store closes it in a ``finally``, and closing the last
 connection on the file checkpoints the WAL into it and removes the ``-wal`` /
 ``-shm`` sidecars, so a store at rest is one file.  Connections are never
-shared across ``fork``: ``run_campaign`` closes the store before it creates
-its pool, and a store object that does find itself in a child process opens
+shared across ``fork``: ``run_campaign`` closes the store before it forks
+workers, and a store object that does find itself in a child process opens
 its own handle there.  The journal is a WAL with ``synchronous = NORMAL``: a
 commit is appended to the WAL and handed to the OS, and synced at
 checkpoints.  A *killed process* therefore loses at most the transaction in
@@ -160,9 +163,9 @@ def shard_indices(count: int, shard: Optional[Tuple[int, int]]) -> range:
     """The expansion indices below ``count`` that ``shard=(k, n)`` owns (those
     with ``index % n == k``; all of them without a shard).
 
-    Every sharded path (both executors, :meth:`SQLResultStore.enqueue` and
-    :meth:`SQLResultStore.claim`) goes through here, so a shard outside
-    ``0 <= k < n`` is refused alike everywhere, as a ``ValueError`` naming it.
+    Every sharded path (the executor and every shard-aware store query) goes
+    through here, so a shard outside ``0 <= k < n`` is refused alike
+    everywhere, as a ``ValueError`` naming it.
     """
     if shard is None:
         return range(count)
@@ -170,6 +173,14 @@ def shard_indices(count: int, shard: Optional[Tuple[int, int]]) -> range:
     if not 0 <= k < n:
         raise ValueError(f"shard must be (k, n) with 0 <= k < n, got {shard}")
     return range(k, count, n)
+
+
+def _shard_sql(shard: Optional[Tuple[int, int]]) -> Tuple[str, Tuple[Any, ...]]:
+    """SQL condition (and arguments) selecting ``shard``'s rows of ``cells``."""
+    shard_indices(0, shard)  # refuses a shard outside 0 <= k < n
+    if shard is None:
+        return "1 = 1", ()
+    return "cell_index % ? = ?", (shard[1], shard[0])
 
 
 @dataclass(frozen=True)
@@ -192,10 +203,9 @@ def _metric_scalar(value: Any) -> float:
 class SQLResultStore:
     """SQLite-backed campaign result store with an atomic work queue.
 
-    ``load()`` / ``append()`` are what the serial and pool executors use;
-    the distributed fabric adds the queue operations :meth:`enqueue`,
-    :meth:`claim`, :meth:`complete`, :meth:`status_counts` and
-    :meth:`merge_from`.
+    The executor's queue operations are :meth:`enqueue`, :meth:`claim`,
+    :meth:`append` and :meth:`release`; :meth:`load` reads results back
+    and :meth:`merge_from` folds shard stores together.
 
     Opening creates the file (and its directory) unless ``create=False`` —
     what every read-side caller passes, so that a mistyped path is a
@@ -317,13 +327,7 @@ class SQLResultStore:
     # ------------------------------------------------------------------
     # Enqueueing
     # ------------------------------------------------------------------
-    def enqueue(
-        self,
-        cells: Sequence[Any],
-        *,
-        campaign: Optional[str] = None,
-        shard: Optional[Tuple[int, int]] = None,
-    ) -> int:
+    def enqueue(self, cells: Sequence[Any], *, shard: Optional[Tuple[int, int]] = None) -> int:
         """Register grid cells as pending work; returns the rows inserted.
 
         ``cells`` are :class:`~repro.scenarios.campaign.spec.CampaignCell`
@@ -354,7 +358,6 @@ class SQLResultStore:
             )
         if not rows:
             return 0
-        name = campaign if campaign is not None else rows[0][1]
         run_id = hashlib.sha256(
             json.dumps([row[0] for row in rows], sort_keys=True).encode("utf-8")
         ).hexdigest()[:16]
@@ -365,7 +368,7 @@ class SQLResultStore:
             connection.execute(
                 "INSERT OR IGNORE INTO runs (run_id, campaign, cells, created_at) "
                 "VALUES (?, ?, ?, ?)",
-                (run_id, name, len(rows), time.time()),
+                (run_id, rows[0][1], len(rows), time.time()),
             )
             connection.execute("COMMIT")
         return inserted
@@ -403,14 +406,9 @@ class SQLResultStore:
             raise ValueError(
                 f"lease_duration must be positive, got {lease_duration}"
             )
-        shard_indices(0, shard)  # refuses a shard outside 0 <= k < n
+        shard_sql, shard_args = _shard_sql(shard)
         moment = time.time() if now is None else now
         claimed: List[ClaimedCell] = []
-        shard_sql = ""
-        args: Tuple[Any, ...] = (moment,)
-        if shard is not None:
-            shard_sql = "AND cell_index % ? = ?"
-            args += (shard[1], shard[0])
         with self.connect() as connection:
             connection.execute("BEGIN IMMEDIATE")
             rows = connection.execute(
@@ -418,11 +416,11 @@ class SQLResultStore:
                 SELECT cell_id, cell_index, attempt, status FROM cells
                 WHERE (status = 'pending'
                    OR (status = 'leased' AND lease_expires <= ?))
-                   {shard_sql}
+                  AND {shard_sql}
                 ORDER BY cell_index, cell_id
                 LIMIT ?
                 """,
-                args + (int(limit),),
+                (moment, *shard_args, int(limit)),
             ).fetchall()
             for row in rows:
                 attempt = row["attempt"] + 1
@@ -454,7 +452,7 @@ class SQLResultStore:
             connection.execute("COMMIT")
         return claimed
 
-    def complete(
+    def append(
         self,
         record: Mapping[str, Any],
         *,
@@ -469,8 +467,8 @@ class SQLResultStore:
         another worker reclaimed the cell) the write is refused and the stale
         lease journalled as ``outcome='stale'`` — results are deterministic,
         so nothing is lost, but exactly one completion owns the row.
-        With ``attempt=None`` (the serial and pool executors, which never
-        lease) the write is unconditional.
+        With ``attempt=None`` (``merge_from``, which holds no lease) the write
+        is unconditional and replaces any earlier record of the cell.
         """
         if "cell_id" not in record:
             raise ValueError("campaign records need a cell_id")
@@ -525,8 +523,28 @@ class SQLResultStore:
             connection.execute("COMMIT")
         return True
 
+    def release(self, worker: str) -> int:
+        """Return ``worker``'s leased cells to ``pending`` at once, journalled
+        as ``outcome='released'``; the count released.  Only the holder, or
+        the parent of a dead holder, calls this: no completion may follow."""
+        with self.connect() as connection:
+            connection.execute("BEGIN IMMEDIATE")
+            connection.execute(
+                "UPDATE leases SET outcome = 'released' WHERE outcome IS NULL "
+                "AND worker = ? AND cell_id IN "
+                "(SELECT cell_id FROM cells WHERE status = 'leased' AND worker = ?)",
+                (worker, worker),
+            )
+            released = connection.execute(
+                "UPDATE cells SET status = 'pending', worker = NULL, "
+                "lease_expires = NULL WHERE status = 'leased' AND worker = ?",
+                (worker,),
+            ).rowcount
+            connection.execute("COMMIT")
+        return released
+
     # ------------------------------------------------------------------
-    # The unleased surface (serial and pool executors)
+    # Reading
     # ------------------------------------------------------------------
     def load(self) -> Dict[str, Dict[str, Any]]:
         """All completed records keyed by ``cell_id`` (resume semantics)."""
@@ -535,17 +553,6 @@ class SQLResultStore:
             for record in self.records(include_incomplete=False)
         }
 
-    def append(self, record: Mapping[str, Any]) -> None:
-        """Persist one finished cell of an enqueued grid, unconditionally.
-
-        The unleased spelling of :meth:`complete` — one transaction; a later
-        record for the same cell replaces the earlier one.
-        """
-        self.complete(record, worker="local", attempt=None)
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
     def records(self, *, include_incomplete: bool = True) -> List[Dict[str, Any]]:
         """Store records in grid-expansion order — the reducer's input.
 
@@ -592,31 +599,37 @@ class SQLResultStore:
             records.append(record)
         return records
 
-    def status_counts(self) -> Dict[str, int]:
+    def status_counts(self, *, shard: Optional[Tuple[int, int]] = None) -> Dict[str, int]:
         """Cell counts per status (``pending``/``leased``/``ok``/``failed``)."""
+        shard_sql, shard_args = _shard_sql(shard)
         with self.connect() as connection:
             rows = connection.execute(
-                "SELECT status, COUNT(*) AS n FROM cells GROUP BY status"
+                f"SELECT status, COUNT(*) AS n FROM cells WHERE {shard_sql} "
+                "GROUP BY status",
+                shard_args,
             ).fetchall()
         return {row["status"]: row["n"] for row in rows}
 
-    def remaining(self, *, now: Optional[float] = None) -> Tuple[int, int]:
-        """(claimable, in-flight) cell counts — the worker loop's exit test.
+    def remaining(
+        self, *, now: Optional[float] = None, shard: Optional[Tuple[int, int]] = None
+    ) -> Tuple[int, int]:
+        """(claimable, in-flight) cell counts — the claim loop's exit test.
 
         Claimable counts pending cells plus expired leases; in-flight counts
         live leases held by (presumed alive) workers.
         """
         moment = time.time() if now is None else now
+        shard_sql, shard_args = _shard_sql(shard)
         with self.connect() as connection:
             claimable = connection.execute(
-                "SELECT COUNT(*) AS n FROM cells WHERE status = 'pending' "
-                "OR (status = 'leased' AND lease_expires <= ?)",
-                (moment,),
+                "SELECT COUNT(*) AS n FROM cells WHERE (status = 'pending' "
+                f"OR (status = 'leased' AND lease_expires <= ?)) AND {shard_sql}",
+                (moment, *shard_args),
             ).fetchone()["n"]
             inflight = connection.execute(
                 "SELECT COUNT(*) AS n FROM cells WHERE status = 'leased' "
-                "AND lease_expires > ?",
-                (moment,),
+                f"AND lease_expires > ? AND {shard_sql}",
+                (moment, *shard_args),
             ).fetchone()["n"]
         return claimable, inflight
 
@@ -635,13 +648,16 @@ class SQLResultStore:
             rows = connection.execute(query, args).fetchall()
         return [dict(row) for row in rows]
 
-    def reset_failed(self) -> int:
+    def reset_failed(self, *, shard: Optional[Tuple[int, int]] = None) -> int:
         """Return failed cells to ``pending`` (the --retry-failed path)."""
+        shard_sql, shard_args = _shard_sql(shard)
         with self.connect() as connection:
             connection.execute("BEGIN IMMEDIATE")
             cursor = connection.execute(
                 "UPDATE cells SET status = 'pending', error = NULL, "
-                "completed_at = NULL, worker = NULL WHERE status = 'failed'"
+                "completed_at = NULL, worker = NULL "
+                f"WHERE status = 'failed' AND {shard_sql}",
+                shard_args,
             )
             connection.execute("COMMIT")
             return cursor.rowcount
@@ -676,7 +692,7 @@ class SQLResultStore:
         imported = 0
         for row in cell_rows:
             if row["status"] in ("ok", "failed") and row["cell_id"] not in already:
-                self.complete(
+                self.append(
                     records[row["cell_id"]],
                     worker=row["worker"] or "merge",
                     attempt=None,

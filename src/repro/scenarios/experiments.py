@@ -385,7 +385,7 @@ def fault_model_campaign_spec(
 def smoke_campaign_spec(*, num_seeds: int = 2) -> CampaignSpec:
     """A seconds-sized campaign with the paper grid's shape.
 
-    Used by the tier-1 regression gate to exercise expansion, pool execution
+    Used by the tier-1 regression gate to exercise expansion, multi-process execution
     and aggregation cheaply: two collectors, two workloads, one failure level
     and ``num_seeds`` seeds at a short duration.
     """

@@ -12,7 +12,7 @@ Entry points:
 
 * ``SimulationConfig(trace_path=...)`` — any single run persists its trace;
 * ``run_campaign(spec, trace_dir=...)`` — every executed campaign cell
-  persists one trace artifact next to the JSONL store, re-aggregatable via
+  persists one trace artifact next to the result store, re-aggregatable via
   :func:`~repro.traceio.reader.campaign_records_from_traces`;
 * ``python -m repro trace`` — ``record`` / ``replay`` / ``inspect`` /
   ``diff`` from the shell (see :mod:`repro.traceio.cli`).

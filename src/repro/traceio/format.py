@@ -185,10 +185,9 @@ class RunProvenance:
     ) -> "RunProvenance":
         """Identity of one campaign grid cell.
 
-        ``worker``/``attempt`` carry the fabric's shard/lease provenance —
-        which claimer executed the cell and on which attempt.  They are
-        recorded only when present, so artifacts from unleased (classic
-        pool) sweeps are byte-identical to the pre-fabric encoding, and they
+        ``worker``/``attempt`` carry the lease provenance — which claimer
+        executed the cell and on which attempt.  They are recorded only when
+        present (a cell executed outside a lease carries neither), and they
         never participate in cell identity: a cell re-run after a lease
         expiry differs from the original artifact only here.
         """

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import main as repro_main
 from repro.query_cli import main as query_main
-from repro.scenarios.campaign import run_campaign, spec_from_mapping
+from repro.scenarios.campaign import SQLResultStore, run_campaign, spec_from_mapping
 
 SPEC_DOCUMENT = {
     "name": "cli-facade",
@@ -71,6 +71,30 @@ class TestQueryCli:
         document = json.loads(capsys.readouterr().out)
         assert document["by_status"] == {"ok": 2}
         assert document["claimable"] == 0
+
+    def test_status_lists_live_leases_and_journal_outcomes(self, tmp_path, capsys):
+        path = str(tmp_path / "leased.sqlite")
+        cells = spec_from_mapping(SPEC_DOCUMENT).cells()
+        with SQLResultStore(path) as opened:
+            opened.enqueue(cells)
+            [held] = opened.claim(worker="holder", limit=1, lease_duration=600.0)
+            opened.claim(worker="quitter", limit=1)
+            assert opened.release("quitter") == 1
+        assert query_main(["status", "--store", path, "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["by_status"] == {"leased": 1, "pending": 1}
+        assert document["in_flight"] == 1 and document["claimable"] == 1
+        assert document["lease_outcomes"] == {"expired": 0, "stale": 0, "released": 1}
+        [lease] = document["live_leases"]
+        assert (lease["worker"], lease["cell_id"], lease["attempt"]) == (
+            "holder", held.cell_id, 1,
+        )
+        assert 0 <= lease["age_s"] < 60
+        assert 540 < lease["expires_in_s"] <= 600
+        assert query_main(["status", "--store", path]) == 0
+        out = capsys.readouterr().out
+        assert "'released': 1" in out
+        assert f"live lease: holder holds {held.cell_id} (attempt 1," in out
 
     def test_canned_query_renders_rows(self, store, capsys):
         assert query_main(["retained-winner", "--store", store]) == 0

@@ -543,7 +543,7 @@ class TestFaultModelAxes:
 
 
 class TestStore:
-    """The unleased ``append``/``load`` surface the serial and pool executors use."""
+    """The unleased ``append``/``load`` surface (no lease, no attempt check)."""
 
     @staticmethod
     def _store_and_cells(tmp_path):
@@ -610,11 +610,11 @@ class TestExecution:
         real = executor_module.execute_cell
         calls = {"n": 0}
 
-        def dies_after_two(cell):
+        def dies_after_two(cell, **kwargs):
             if calls["n"] == 2:
                 raise KeyboardInterrupt("killed mid-sweep")
             calls["n"] += 1
-            return real(cell)
+            return real(cell, **kwargs)
 
         monkeypatch.setattr(executor_module, "execute_cell", dies_after_two)
         with pytest.raises(KeyboardInterrupt):
@@ -626,7 +626,7 @@ class TestExecution:
         monkeypatch.setattr(
             executor_module,
             "execute_cell",
-            lambda cell: executed.append(cell.cell_id) or real(cell),
+            lambda cell, **kwargs: executed.append(cell.cell_id) or real(cell, **kwargs),
         )
         resumed = run_campaign(spec, store_path=store_path)
         assert resumed.executed == spec.cell_count - 2
@@ -695,6 +695,13 @@ class TestExecution:
         assert retried.executed == 2
         assert retried.resumed == 2
         assert len(retried.failed_records) == 2
+
+        # A retry of one shard leaves the other shard's failures alone.
+        sharded = run_campaign(spec, store_path=store_path, retry_failed=True, shard=(0, 2))
+        assert (sharded.executed, sharded.resumed) == (1, 1)
+        with SQLResultStore(store_path) as store:
+            assert store.status_counts(shard=(1, 2)) == {"ok": 1, "failed": 1}
+            assert all(r["error"] for r in store.records() if r["status"] == "failed")
 
     def test_all_failed_campaign_rejected_in_aggregation(self):
         spec = CampaignSpec(

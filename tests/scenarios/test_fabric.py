@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.scenarios.campaign import (
     spec_from_mapping,
 )
 from repro.scenarios.campaign.cli import main as campaign_main
-from repro.scenarios.campaign.executor import execute_cell
+from repro.scenarios.campaign.executor import CampaignWorkerError, execute_cell
 
 #: One small grid, used by every test here so serial references are cheap.
 SPEC_DOCUMENT = {
@@ -48,6 +49,28 @@ SPEC_DOCUMENT = {
 
 def fabric_spec() -> CampaignSpec:
     return spec_from_mapping(SPEC_DOCUMENT)
+
+
+@contextmanager
+def deadline(seconds: int, what: str):
+    """Turn a hang inside the block into a failure after ``seconds``."""
+
+    def _expired(signum, frame):  # pragma: no cover - failing is the point
+        raise AssertionError(f"{what} did not return within {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def ok_leases_per_cell(store: SQLResultStore) -> Counter:
+    return Counter(
+        entry["cell_id"] for entry in store.lease_history() if entry["outcome"] == "ok"
+    )
 
 
 def _worker_process(store_path: str, worker_name: str) -> None:
@@ -103,6 +126,21 @@ class TestRacingWorkers:
         )
 
 
+    def test_more_worker_processes_than_cores_run_each_cell_once(self, tmp_path):
+        spec = fabric_spec()
+        store_path = str(tmp_path / "crowded.sqlite")
+        workers = max(4, 2 * (os.cpu_count() or 1))
+        with deadline(120, f"run_campaign with {workers} worker processes"):
+            run = run_campaign(spec, store_path=store_path, workers=workers)
+        with SQLResultStore(store_path) as store:
+            ok = ok_leases_per_cell(store)
+            assert store.status_counts() == {"ok": spec.cell_count}
+        assert len(ok) == spec.cell_count and set(ok.values()) == {1}
+        assert aggregate_campaign(run.records).to_csv() == aggregate_campaign(
+            run_campaign(spec).records
+        ).to_csv()
+
+
 class TestCrashRecovery:
     def test_sigkill_mid_lease_leaves_reclaimable_cell(self, tmp_path):
         spec = fabric_spec()
@@ -127,7 +165,7 @@ class TestCrashRecovery:
         # cell identity and seeds derive from the parameters, not the worker.
         cells = spec.cells()
         record = execute_cell(cells[reclaimed.cell_index])
-        assert store.complete(record, worker="survivor", attempt=reclaimed.attempt)
+        assert store.append(record, worker="survivor", attempt=reclaimed.attempt)
         reference = execute_cell(cells[reclaimed.cell_index])
         assert json.dumps(record, sort_keys=True) == json.dumps(
             reference, sort_keys=True
@@ -142,7 +180,7 @@ class TestCrashRecovery:
         # with a third mid-lease.
         cells = spec.cells()
         for claim in store.claim(worker="first", limit=2):
-            store.complete(
+            store.append(
                 execute_cell(cells[claim.cell_index]),
                 worker="first",
                 attempt=claim.attempt,
@@ -169,10 +207,10 @@ class TestShortCircuit:
         first = run_campaign(spec, store_path=store_path, workers=2)
         assert first.executed == spec.cell_count
 
-        def _no_pool(*args, **kwargs):  # pragma: no cover - failing is the point
-            raise AssertionError("short-circuit must not create a pool")
+        def _no_process(*args, **kwargs):  # pragma: no cover - failing is the point
+            raise AssertionError("short-circuit must not start a worker process")
 
-        monkeypatch.setattr(executor_module.multiprocessing, "Pool", _no_pool)
+        monkeypatch.setattr(executor_module, "_start_worker", _no_process)
         before = os.stat(store_path).st_mtime_ns, os.path.getsize(store_path)
         warm = run_campaign(spec, store_path=store_path, workers=4)
         after = os.stat(store_path).st_mtime_ns, os.path.getsize(store_path)
@@ -236,21 +274,43 @@ class TestShortCircuit:
 
 
 class TestWorkerLoop:
+    OTHER = CampaignSpec(
+        name="other",
+        num_processes=3,
+        duration=10.0,
+        collectors=(CollectorSpec.of("none"),),
+        workloads=(WorkloadSpec.of("ring"),),
+        seeds=(0,),
+    )
+
     def test_worker_rejects_foreign_store(self, tmp_path):
         store_path = str(tmp_path / "foreign.sqlite")
         run_campaign(fabric_spec(), store_path=store_path)
-        other = CampaignSpec(
-            name="other",
-            num_processes=3,
-            duration=10.0,
-            collectors=(CollectorSpec.of("none"),),
-            workloads=(WorkloadSpec.of("ring"),),
-            seeds=(0,),
-        )
         store = SQLResultStore(store_path)
-        store.enqueue(other.cells())
+        store.enqueue(self.OTHER.cells())
         with pytest.raises(ValueError, match="one store per campaign"):
             run_worker(fabric_spec(), store_path)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_campaign_rejects_foreign_store_alike_at_any_worker_count(
+        self, tmp_path, capsys, workers
+    ):
+        # A worker process's exception reaches the parent as itself, so the
+        # command line reports it the same way whatever the worker count.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC_DOCUMENT))
+        store_path = str(tmp_path / "foreign.sqlite")
+        with SQLResultStore(store_path) as store:
+            store.enqueue(self.OTHER.cells())
+        argv = ["--spec", str(spec_path), "--store", store_path, "--workers", workers, "--quiet"]
+        with deadline(60, "a campaign over a foreign store"):
+            with pytest.raises(SystemExit) as excinfo:
+                campaign_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "one store per campaign" in err and "Traceback" not in err
+        with SQLResultStore(store_path) as store:
+            assert "leased" not in store.status_counts()
 
     def test_max_cells_bounds_one_incarnation(self, tmp_path):
         spec = fabric_spec()
@@ -264,20 +324,56 @@ class TestWorkerLoop:
     def test_batch_size_below_one_is_refused_not_spun_on(self, tmp_path):
         # LIMIT 0 claims nothing while cells stay claimable: the loop used to
         # spin for ever.  The alarm turns a regression into a failure.
-        def _spinning(signum, frame):  # pragma: no cover - failing is the point
-            raise AssertionError("run_worker is spinning on an empty claim")
-
-        previous = signal.signal(signal.SIGALRM, _spinning)
-        signal.alarm(5)
-        try:
+        with deadline(5, "run_worker with an empty claim"):
             for batch_size in (0, -1):
                 with pytest.raises(ValueError, match="batch_size"):
                     run_worker(
                         fabric_spec(), str(tmp_path / "spin.sqlite"), batch_size=batch_size
                     )
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+
+    def test_a_drained_shard_returns_while_another_shard_is_pending(self, tmp_path):
+        # The exit test counts the worker's own shard: other shards' pending
+        # cells are nothing it could claim, so they must not keep it looping.
+        spec = fabric_spec()
+        store_path = str(tmp_path / "shared.sqlite")
+        with SQLResultStore(store_path) as store:
+            store.enqueue(spec.cells())
+        seen = []
+        with deadline(60, "a worker whose shard is drained"):
+            result = run_worker(
+                spec, store_path, shard=(0, 2), progress=lambda *pair: seen.append(pair)
+            )
+        half = spec.cell_count // 2
+        assert result.drained and result.executed == half
+        assert seen == [(done, half) for done in range(1, half + 1)]
+        with SQLResultStore(store_path) as store:
+            assert store.status_counts(shard=(0, 2)) == {"ok": half}
+            assert store.status_counts(shard=(1, 2)) == {"pending": half}
+            assert store.remaining(shard=(0, 2)) == (0, 0)
+            assert store.remaining(shard=(1, 2)) == (half, 0)
+
+    def test_an_interrupted_worker_hands_its_leases_back(self, tmp_path, monkeypatch):
+        spec = fabric_spec()
+        store_path = str(tmp_path / "ctrl-c.sqlite")
+        real = executor_module.execute_cell
+        third = spec.cells()[2].cell_id
+
+        def interrupted(cell, **kwargs):
+            if cell.cell_id == third:
+                raise KeyboardInterrupt
+            return real(cell, **kwargs)
+
+        monkeypatch.setattr(executor_module, "execute_cell", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_worker(spec, store_path, worker="quitter", batch_size=4)
+        with SQLResultStore(store_path) as store:
+            # The batch was cells 0-3: two completed, two handed back.
+            assert store.status_counts() == {"ok": 2, "pending": spec.cell_count - 2}
+            outcomes = Counter(entry["outcome"] for entry in store.lease_history())
+            assert outcomes == {"ok": 2, "released": 2}
+        monkeypatch.setattr(executor_module, "execute_cell", real)
+        # Claimable at once, not after DEFAULT_LEASE.
+        assert run_worker(spec, store_path).executed == spec.cell_count - 2
 
     def test_lease_that_is_born_expired_is_a_usage_error(self, tmp_path, capsys, sidecars):
         store_path = str(tmp_path / "lease0.sqlite")
@@ -310,6 +406,49 @@ class TestWorkerLoop:
         assert all(done == ok for done, ok, _ in seen)
         assert seen[-1][2] == 0
         assert not sidecars(store_path)
+
+
+class TestDeadWorkerProcess:
+    """A worker process of ``run_campaign`` that dies is an error, not a hang."""
+
+    def test_sigkilled_worker_raises_then_a_rerun_finishes(self, tmp_path, monkeypatch):
+        spec = fabric_spec()
+        store_path = str(tmp_path / "dead.sqlite")
+        parent = os.getpid()
+        real = executor_module.execute_cell
+        fourth = spec.cells()[3].cell_id
+
+        def killer(cell, **kwargs):
+            # Forked workers inherit this patch; every one that reaches the
+            # cell dies on it, the parent never runs a cell itself.
+            if cell.cell_id == fourth and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(cell, **kwargs)
+
+        monkeypatch.setattr(executor_module, "execute_cell", killer)
+        with deadline(60, "run_campaign with a SIGKILLed worker"):
+            with pytest.raises(CampaignWorkerError, match="exit code -9") as excinfo:
+                run_campaign(spec, store_path=store_path, workers=2)
+        assert excinfo.value.exitcode == -signal.SIGKILL
+        with SQLResultStore(store_path) as store:
+            assert "leased" not in store.status_counts()  # every lease was handed back
+            released = [e for e in store.lease_history() if e["outcome"] == "released"]
+            assert excinfo.value.worker in {entry["worker"] for entry in released}
+
+        monkeypatch.setattr(executor_module, "execute_cell", real)
+        with deadline(60, "the re-run"):
+            rerun = run_campaign(spec, store_path=store_path, workers=2)
+        assert rerun.executed > 0
+        serial = run_campaign(spec)
+        assert aggregate_campaign(rerun.records).to_csv() == aggregate_campaign(
+            serial.records
+        ).to_csv()
+        assert aggregate_campaign(rerun.records).to_json() == aggregate_campaign(
+            serial.records
+        ).to_json()
+        with SQLResultStore(store_path) as store:
+            ok = ok_leases_per_cell(store)
+        assert len(ok) == spec.cell_count and set(ok.values()) == {1}
 
 
 class TestNoSidecarOutlivesAnEntryPoint:

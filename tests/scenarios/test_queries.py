@@ -112,7 +112,7 @@ class TestStoreSummary:
 
         cells = spec.cells()
         [claim] = store.claim(worker="w", limit=1)
-        store.complete(
+        store.append(
             execute_cell(cells[claim.cell_index]), worker="w", attempt=claim.attempt
         )
         with pytest.raises(ValueError, match="incomplete"):

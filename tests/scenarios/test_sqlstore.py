@@ -151,9 +151,9 @@ class TestQueue:
         [claim] = store.claim(worker="victim", limit=1, lease_duration=10.0, now=100.0)
         [reclaim] = store.claim(worker="other", limit=1, now=200.0)
         record = execute_cell(cells[claim.cell_index])
-        assert store.complete(record, worker="other", attempt=reclaim.attempt)
+        assert store.append(record, worker="other", attempt=reclaim.attempt)
         # The victim finishing late must not overwrite the winner's row.
-        assert not store.complete(record, worker="victim", attempt=claim.attempt)
+        assert not store.append(record, worker="victim", attempt=claim.attempt)
         outcomes = {
             entry["attempt"]: entry["outcome"]
             for entry in store.lease_history(claim.cell_id)
@@ -163,7 +163,7 @@ class TestQueue:
 
     def test_complete_unknown_cell_rejected(self, store):
         with pytest.raises(ValueError, match="enqueue"):
-            store.complete({"cell_id": "nope", "status": "ok", "metrics": {}})
+            store.append({"cell_id": "nope", "status": "ok", "metrics": {}})
 
     def test_remaining_distinguishes_claimable_from_inflight(self, store):
         cells = tiny_spec().cells()
@@ -176,7 +176,7 @@ class TestQueue:
         cells = tiny_spec(seeds=(0,)).cells()
         store.enqueue(cells)
         [claim] = store.claim(worker="w", limit=1)
-        store.complete(
+        store.append(
             {"cell_id": claim.cell_id, "status": "failed", "error": "boom"},
             worker="w",
             attempt=claim.attempt,
@@ -184,6 +184,43 @@ class TestQueue:
         assert store.status_counts()["failed"] == 1
         assert store.reset_failed() == 1
         assert "failed" not in store.status_counts()
+
+    def test_queue_counts_and_reset_honour_the_shard(self, store):
+        cells = tiny_spec().cells()
+        store.enqueue(cells)
+        for claim in store.claim(worker="w", limit=len(cells)):
+            store.append(
+                {"cell_id": claim.cell_id, "status": "failed", "error": "boom"},
+                worker="w",
+                attempt=claim.attempt,
+            )
+        assert store.reset_failed(shard=(0, 2)) == 2
+        assert store.status_counts(shard=(0, 2)) == {"pending": 2}
+        assert store.status_counts(shard=(1, 2)) == {"failed": 2}
+        assert store.remaining(shard=(0, 2)) == (2, 0)
+        assert store.remaining(shard=(1, 2)) == (0, 0)
+        errors = [r["error"] for r in store.records() if r["status"] == "failed"]
+        assert errors == ["boom", "boom"]  # the other shard keeps its errors
+
+    def test_release_returns_only_the_workers_leases(self, store):
+        cells = tiny_spec().cells()
+        store.enqueue(cells)
+        [kept] = store.claim(worker="stays", limit=1)
+        handed_back = store.claim(worker="quits", limit=2)
+        assert store.release("quits") == 2
+        assert store.release("quits") == 0
+        assert store.status_counts() == {"leased": 1, "pending": len(cells) - 1}
+        outcomes = {
+            entry["cell_id"]: entry["outcome"] for entry in store.lease_history()
+        }
+        assert outcomes == {
+            kept.cell_id: None, **{claim.cell_id: "released" for claim in handed_back}
+        }
+        # Claimable at once, on the next attempt.
+        again = store.claim(worker="next", limit=2)
+        assert [(c.cell_id, c.attempt) for c in again] == [
+            (c.cell_id, 2) for c in handed_back
+        ]
 
 
 class TestRecords:
@@ -195,7 +232,7 @@ class TestRecords:
         for claim in store.claim(worker="w", limit=len(cells)):
             record = execute_cell(cells[claim.cell_index])
             originals.append(record)
-            store.complete(record, worker="w", attempt=claim.attempt)
+            store.append(record, worker="w", attempt=claim.attempt)
         read_back = store.records(include_incomplete=False)
         assert [json.dumps(r, sort_keys=True) for r in read_back] == [
             json.dumps(r, sort_keys=True) for r in originals

@@ -24,6 +24,7 @@ from repro.scenarios.campaign import (
     WorkloadSpec,
     aggregate_campaign,
     cell_metrics,
+    default_worker_id,
     run_campaign,
 )
 from repro.scenarios.experiments import random_run_config
@@ -41,6 +42,7 @@ from repro.traceio import (
     result_to_record,
     verify_trace,
 )
+from repro.traceio.format import RunProvenance
 
 
 def _traced_run(tmp_path, *, seed, protocol="fdas", crashes=0, **kwargs):
@@ -272,6 +274,22 @@ class TestCampaignRoundTrip:
         replayed = aggregate_campaign(records)
         assert replayed.to_csv() == live.to_csv()
         assert replayed.to_json() == live.to_json()
+
+    def test_traced_cells_carry_their_lease_provenance(self, tmp_path, tiny_spec):
+        # Every executed cell runs under a lease, in-process as in a fabric
+        # worker: the header names the worker and attempt, beside (never in)
+        # the identity fields.
+        traces = str(tmp_path / "traces")
+        run = run_campaign(tiny_spec, trace_dir=traces)
+        for index, record in enumerate(run.records):
+            header, _ = TraceReader(os.path.join(traces, record["trace"])).summary()
+            meta = header["meta"]
+            assert (meta["worker"], meta["attempt"]) == (default_worker_id(), 1)
+            identity = RunProvenance.from_meta(meta).fields
+            assert identity == {
+                "campaign": tiny_spec.name, "cell_id": record["cell_id"],
+                "params": record["params"], "cell_index": index,
+            }
 
     def test_traced_and_untraced_sweeps_agree(self, tmp_path, tiny_spec):
         """Trace persistence must not perturb the simulation."""
