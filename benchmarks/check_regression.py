@@ -174,9 +174,10 @@ TRACED_MESSAGE_PATH_LINES_CEILING = 319.1
 TRACE_CODEC_LINES_CEILING = 20.0
 # Retained-set gate, on the same run with audit="full": lines inside
 # IncrementalAnalysisView._retained per (i, f) pair (10.1 when the gate
-# was added, so ~40 % headroom, and 9.5 since a CheckpointId is a NamedTuple
-# built in C; 69.2 on its parent commit, whose bisection
-# probed through a Python closure).
+# was added, so ~40 % headroom, 9.5 since a CheckpointId is a NamedTuple
+# built in C, and 9.6 since the same loop also serves one process's share;
+# 69.2 on its parent commit, whose bisection probed through a Python
+# closure).
 RETAINED_LINES_CEILING = 14.0
 # Store-cost gate, on a serial smoke-campaign run (16 cells) plus its
 # store_summary: connections opened (2 when the gate was added — one per entry
@@ -186,18 +187,21 @@ RETAINED_LINES_CEILING = 14.0
 STORE_CONNECTIONS_CEILING = 2
 STORE_STATEMENTS_CEILING = 29.0
 # Explorer gate: lines an exhaustive explore() of ring_program(2, 3), seed 1,
-# executes per execution (1669.5 when the gate was added, so ~15 % headroom;
+# executes per execution (1401.8 since a token is audited by event from the
+# knowledge rows instead of over a whole-state CCP, down from 1655.4, so
+# ~15 % headroom; 1669.5 when the gate was added under a 1920.0 ceiling;
 # 2914.6 on its parent commit, which rebuilt the runner and replayed the
-# whole prefix for every search node).
-EXPLORE_LINES_CEILING = 1920.0
+# whole prefix for every search node, 2572.8 for that walk today).
+EXPLORE_LINES_CEILING = 1610.0
 # Fuzzer gate: lines fuzz("gossip", budget=60, seed=1, minimize=False,
 # explorer_seed_executions=0) executes per execution, in-memory corpus
-# (12053.3 since the scc coverage feature reads the zigzag kernel's
-# condensation, down from 12871.5 when it built an R-graph and ran a second
-# Tarjan over it, so ~15 % headroom; 17120.0 before mutants skipped the
-# audits of the prefix their parent had already passed, hashed each schedule
-# once and asked for the zigzag pairs once).
-FUZZ_LINES_CEILING = 13900.0
+# (9937.2 since a token is audited by event, down from 12096.7 under the
+# whole-state audit, so ~15 % headroom; the ceiling was 13900.0 from 12053.3,
+# when the scc coverage feature began reading the zigzag kernel's
+# condensation; 17120.0 before mutants skipped the audits of the prefix their
+# parent had already passed, hashed each schedule once and asked for the
+# zigzag pairs once; 11740.5 today for mutants that re-audit that prefix).
+FUZZ_LINES_CEILING = 11400.0
 
 
 def _load_document(path: str) -> Dict[str, Any]:

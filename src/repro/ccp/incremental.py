@@ -29,7 +29,9 @@ grows along a process's checkpoints, so column ``f`` of ``ckpt_rows[i]`` is
 sorted and the retained sets and recovery lines fall out of ``O(n^2)``
 ``bisect_left(rows, m, key=itemgetter(f))`` calls — comparison and column
 extraction both in C, the volatile row one extra comparison; neither run
-length nor window size is ever scanned.
+length nor window size is ever scanned.  The same rows answer one question
+at a time without a CCP: one checkpoint's Theorem-1 retention, one
+process's Theorem-2 set, one pair's precedence.
 
 A per-process journal of ``(seq, ck)`` snapshots at knowledge-changing events
 supports recovery truncation (restore the vector at the cut by bisection) and
@@ -52,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import compress, count
 from operator import gt, itemgetter
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ccp.checkpoint import CheckpointId
 from repro.membership import MembershipError
@@ -186,7 +188,7 @@ class IncrementalAnalysisView:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _state(self) -> Tuple[CheckpointKnowledgeTracker, List[int], List[int]]:
+    def _tracker(self) -> CheckpointKnowledgeTracker:
         recorder = self._recorder
         if recorder.version != self._version:
             raise RuntimeError(
@@ -195,6 +197,11 @@ class IncrementalAnalysisView:
             )
         tracker = recorder.knowledge_tracker
         assert tracker is not None
+        return tracker
+
+    def _state(self) -> Tuple[CheckpointKnowledgeTracker, List[int], List[int]]:
+        tracker = self._tracker()
+        recorder = self._recorder
         last_stable = [taken - 1 for taken in recorder.checkpoints_taken]
         bases = list(recorder.log.checkpoint_bases)
         covered = [base + len(rows) - 1 for base, rows in zip(tracker.ckpt_base, tracker.ckpt_rows)]
@@ -204,6 +211,18 @@ class IncrementalAnalysisView:
                 f"recorder's live windows are {bases}..{last_stable}"
             )
         return tracker, last_stable, bases
+
+    @staticmethod
+    def _row(tracker: CheckpointKnowledgeTracker, cid: CheckpointId) -> Sequence[int]:
+        """The knowledge row of general checkpoint ``cid``: frozen for a stable
+        one, the process's current vector for the volatile one."""
+        rows = tracker.ckpt_rows[cid.pid]
+        offset = cid.index - tracker.ckpt_base[cid.pid]
+        if 0 <= offset < len(rows):
+            return rows[offset]
+        if offset == len(rows):
+            return tracker.ck[cid.pid]
+        raise KeyError(f"checkpoint {cid} is not part of the recorded window")
 
     # ------------------------------------------------------------------
     # Analyses
@@ -225,12 +244,15 @@ class IncrementalAnalysisView:
             return first + 1
         return first
 
-    def _retained(self, theorem: int) -> FrozenSet[CheckpointId]:
+    def _retained(
+        self, theorem: int, owners: Optional[Iterable[int]] = None
+    ) -> FrozenSet[CheckpointId]:
         """``c_i^k`` is retained iff some active ``f`` has
         ``row(c_i^{k+1})[f] >= m_i(f) > row(c_i^k)[f]``: per ``(i, f)`` that
         is the one checkpoint just before the first that knows
         ``c_f^{m_i(f)}``.  Theorem 1 takes ``m_i(f) = last(f)``; Theorem 2 the
-        owner's *known* last checkpoint ``ck[i][f]``.
+        owner's *known* last checkpoint ``ck[i][f]``.  ``owners`` restricts
+        the answer to those processes' checkpoints.
 
         Departed processes are excluded on both sides: they can never be
         faulty again, so nothing pins their checkpoints and they pin
@@ -242,7 +264,7 @@ class IncrementalAnalysisView:
         columns = [(f, itemgetter(f)) for f in active]
         first_knowing = self._first_knowing
         retained = set()
-        for pid in active:
+        for pid in active if owners is None else [p for p in owners if p not in departed]:
             rows, volatile = tracker.ckpt_rows[pid], tracker.ck[pid]
             wanted = last_stable if theorem == 1 else volatile
             firsts = set()
@@ -261,6 +283,49 @@ class IncrementalAnalysisView:
     def theorem2_retained(self) -> FrozenSet[CheckpointId]:
         """Stable checkpoints retained under causal knowledge only (Theorem 2)."""
         return self._retained(2)
+
+    def theorem1_retains(self, cid: CheckpointId) -> bool:
+        """Whether stable checkpoint ``cid`` is in :meth:`theorem1_retained`.
+
+        The set's rule for one checkpoint, ``O(n)`` on two rows: some active
+        ``f`` has ``row(c_i^k)[f] < last(f) <= row(c_i^{k+1})[f]``, the
+        volatile row standing in for ``c_i^{k+1}`` after the last stable
+        checkpoint.  KeyError unless ``cid`` is a live stable checkpoint.
+        """
+        tracker, last_stable, _ = self._state()
+        if cid.index > last_stable[cid.pid]:
+            raise KeyError(f"checkpoint {cid} is not a live stable checkpoint")
+        row = self._row(tracker, cid)
+        after = self._row(tracker, CheckpointId(cid.pid, cid.index + 1))
+        departed = self._recorder.departed
+        if cid.pid in departed:
+            return False  # nothing pins a departed process's checkpoints
+        return any(
+            row[f] < m <= after[f] for f, m in enumerate(last_stable) if f not in departed
+        )
+
+    def theorem2_retained_of(self, pid: int) -> FrozenSet[CheckpointId]:
+        """Process ``pid``'s share of :meth:`theorem2_retained`.
+
+        It reads ``pid``'s own rows and knowledge vector only, so it changes
+        only when ``pid``'s knowledge does (or the membership does).
+        """
+        return self._retained(2, (pid,))
+
+    def precedes(self, first: CheckpointId, second: CheckpointId) -> bool:
+        """Whether general checkpoint ``first`` causally precedes ``second``.
+
+        ``c_f^m -> c_i^k`` iff ``row(c_i^k)[f] >= m``, the volatile ``v_i``
+        reading ``ck[i]``.  The one rule covers every case
+        :meth:`~repro.ccp.pattern.CCP.causally_precedes` (the event-level
+        reference) spells out: a process knows its own earlier checkpoints
+        (``row(c_i^k)[i] = k - 1``), and no row knows a volatile checkpoint
+        or anything after it.  KeyError unless both are general checkpoints
+        of the recorded window.
+        """
+        tracker = self._tracker()
+        self._row(tracker, first)  # KeyError unless it is in the window
+        return self._row(tracker, second)[first.pid] >= first.index
 
     def recovery_line(self, faulty_set: FrozenSet[int]) -> "GlobalCheckpoint":
         """Lemma 1: per process the last general checkpoint not causally

@@ -10,7 +10,13 @@ on-the-fly with transitive dependency vectors (Equation 2).
 
 The checker compares the ground-truth zigzag relation against the ground-truth
 causal relation and reports every violating pair, together with a concrete
-witness Z-path for diagnostics.
+witness Z-path for diagnostics.  The zigzag pairs come from the kernel;
+checkpoint precedence is read from the recorder's knowledge rows
+(:meth:`~repro.ccp.incremental.IncrementalAnalysisView.precedes`: ``c_f^m ->
+c_i^k`` iff ``row(c_i^k)[f] >= m``), one comparison per pair and no
+event-level vector-clock replay.  :meth:`~repro.ccp.pattern.CCP.causally_precedes`
+answers the same question from the event graph and is the reference the
+tests pin it to.
 """
 
 from __future__ import annotations
@@ -61,10 +67,11 @@ def check_rdt(
     the paper states the assumption for RDT checkpointing protocols.
     """
     analysis = analysis if analysis is not None else ccp.analyses.zigzag
+    precedes = ccp.analysis_provider.precedes
     violations: List[RDTViolation] = []
     pairs: List[Tuple[CheckpointId, CheckpointId]] = analysis.zigzag_pairs()
     for source, target in pairs:
-        if not ccp.causally_precedes(source, target):
+        if not precedes(source, target):
             witness = analysis.find_zigzag_path(source, target) if collect_witnesses else None
             violations.append(RDTViolation(source, target, witness))
     useless = [v.source for v in violations if v.source == v.target]

@@ -13,9 +13,14 @@ one by one:
 * ``("d", m)`` delivers pending message ``m`` at the current clock.
 
 After every token the oracle stack audits the reached state; the first
-violation stops the execution.  An exception escaping the simulation (the
-way an unsafe collector breaks a recovery session) is itself a violation of
-kind ``execution-error``.  A run stays live after its last token, so it can
+violation stops the execution.  A token is audited by event
+(:meth:`~repro.explore.oracles.OracleStack.check_events`): the run collects
+the checkpoints its collectors eliminate and asks the recorder whose
+knowledge changed since the last clean state.  The initial state, the state
+after a recovery session and a terminal state get the whole-state audit
+(:meth:`~repro.explore.oracles.OracleStack.check_state`).  An exception
+escaping the simulation (the way an unsafe collector breaks a recovery
+session) is itself a violation of kind ``execution-error``.  A run stays live after its last token, so it can
 be extended by one more token instead of being rebuilt — until its outcome
 is terminal (the engine was flushed) or violating.
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from repro.ccp.checkpoint import CheckpointId
 from repro.explore.controller import PendingDeliveries
 from repro.explore.oracles import KERNEL_CROSS_CHECK_PERIOD, OracleStack
 from repro.explore.program import (
@@ -200,8 +206,22 @@ class ScheduleRun:
             )
         )
         self._controller = PendingDeliveries(self.runner.network)
+        recorder = self.runner.trace
         if sink is not None:
-            self.runner.trace.attach_sink(sink)
+            recorder.attach_sink(sink)
+        # What the event audit reads: the checkpoints eliminated since the
+        # last clean state (filled in place by the collectors' listeners) and
+        # the recorder's knowledge mark at that state.  The first mark is
+        # taken before the first event, so the knowledge tracker follows the
+        # run from its start instead of catching up on it.  The listeners
+        # hold the list, not the run, so a dropped run is freed at once.
+        self._eliminated: List[CheckpointId] = []
+        eliminated = self._eliminated
+        for node in self.runner.nodes:
+            node.collector.attach_elimination_listener(
+                lambda index, pid=node.pid: eliminated.append(CheckpointId(pid, index))
+            )
+        self._clean_mark = recorder.knowledge_mark()
         for node in self.runner.nodes:
             node.start()  # the model's initial stable checkpoints s_i^0
         #: Schedule tokens executed so far.
@@ -210,6 +230,7 @@ class ScheduleRun:
         self.violation: Optional[Violation] = (
             self._oracles.check_state(self.runner, 0) if check_initial else None
         )
+        self._passed()
         #: True once the outcome flushed the engine (nothing left to do).
         self.terminal = False
         self._next_step = 0
@@ -219,7 +240,9 @@ class ScheduleRun:
         """Execute one schedule token; audit the state it reaches if ``audited``.
 
         With ``audited`` False the per-state and recovery checks are skipped
-        (a prefix some earlier execution already audited).
+        (a prefix some earlier execution already audited).  The audit is the
+        event audit, or the whole-state one when a recovery session rewrote
+        history since the last clean state.
         """
         if self.violation is not None or self.terminal:
             raise RuntimeError(
@@ -228,14 +251,6 @@ class ScheduleRun:
             )
         self._outcome = None
         kind, value = token[0], token[1]
-        # An audited send whose en-route timers eliminated nothing needs no
-        # audit (see below); only then is the elimination count compared.
-        watch_send = (
-            audited
-            and kind == ADVANCE
-            and self._config.program[value].kind is StepKind.SEND
-        )
-        eliminated_before = self._eliminated() if watch_send else 0
         violation: Optional[Violation] = None
         try:
             if kind == ADVANCE:
@@ -258,14 +273,15 @@ class ScheduleRun:
             )
         self.executed += 1
         if violation is None and audited:
-            # A send mutates neither stable storage nor the Theorem-1/2
-            # characterisations (it adds no incoming causal edge and absorbs
-            # nothing), so unless a timer fired and eliminated something en
-            # route the verdict equals the parent state's, which was already
-            # clean.
-            if not (watch_send and self._eliminated() == eliminated_before):
+            changed = self.runner.trace.knowledge_changed_since(self._clean_mark)
+            if changed is None:  # a recovery session rewrote history
                 violation = self._oracles.check_state(self.runner, self.executed)
+            else:
+                violation = self._oracles.check_events(
+                    self.runner, self.executed, self._eliminated, changed
+                )
         self.violation = violation
+        self._passed()
 
     def outcome(self) -> ExecutionOutcome:
         """What the run observed: the choices enabled in the reached state.
@@ -322,8 +338,13 @@ class ScheduleRun:
             affected=affected,
         )
 
-    def _eliminated(self) -> int:
-        return sum(node.storage.total_eliminated() for node in self.runner.nodes)
+    def _passed(self) -> None:
+        """Make the reached state, if clean, the one the next event audit
+        starts from (an unaudited state counts as clean: its prefix was
+        audited by an earlier execution)."""
+        if self.violation is None:
+            self._eliminated.clear()
+            self._clean_mark = self.runner.trace.knowledge_mark()
 
     def _advance(
         self, step_index: int, position: int, audited: bool

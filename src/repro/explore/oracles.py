@@ -21,13 +21,29 @@ Recovery sessions get a dedicated check
 a valid recovery line of the pre-crash pattern *and* must match the
 Definition-5 brute-force line (exhaustive search over consistent global
 checkpoints), which pins Lemma 1 along explored interleavings too.
+
+Two audits state Theorems 4 and 5, with the same verdicts.
+:meth:`OracleStack.check_state` audits a whole state over its CCP.
+:meth:`OracleStack.check_events` audits only what changed since the last
+clean state, from the recorder's knowledge rows, without a CCP: obsolescence
+is stable.  For a non-last checkpoint ``c_i^k`` both retention tests compare
+frozen rows with ``last(f)`` (Theorem 1) or ``ck[i][f]`` (Theorem 2), which
+only grow, and no row ever exceeds them, so a checkpoint can leave either
+retained set but never re-enter it; the last checkpoint is always retained.
+So Theorem 4 needs only the checkpoints eliminated since the clean state,
+and Theorem 5 only the processes whose knowledge or storage changed (a
+process's Theorem-2 set reads its own rows and vector alone).  The argument
+holds between two states with no recovery session, log compaction or
+membership change in between, and the executor audits the initial state,
+the state after any of those, and every terminal state in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Collection, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
+from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.consistency import GlobalCheckpoint
 from repro.ccp.pattern import CCP
 from repro.ccp.rdt import check_rdt as run_rdt_check
@@ -119,24 +135,11 @@ class OracleStack:
         audit = audit_garbage_collection(
             ccp, retained, require_optimality=self.check_optimality
         )
-        if not audit.is_safe:
-            return Violation(
-                kind="safety",
-                detail=(
-                    "Theorem-1-required checkpoints were eliminated: "
-                    + ", ".join(str(cid) for cid in audit.safety_violations)
-                ),
-                step=step,
-            )
-        if self.check_optimality and not audit.is_optimal:
-            return Violation(
-                kind="optimality",
-                detail=(
-                    "Theorem-2-obsolete checkpoints are still retained: "
-                    + ", ".join(str(cid) for cid in audit.optimality_violations)
-                ),
-                step=step,
-            )
+        violation = self._theorem_violation(
+            audit.safety_violations, audit.optimality_violations, step
+        )
+        if violation is not None:
+            return violation
         if final and self.check_rdt:
             # Terminal states suffice: every executed prefix is a consistent
             # cut of its terminal execution (per-process prefixes, deliveries
@@ -152,6 +155,65 @@ class OracleStack:
                 )
         if final and cross_check:
             return self._cross_check_kernel(ccp, step)
+        return None
+
+    def check_events(
+        self,
+        runner: "SimulationRunner",
+        step: int,
+        eliminated: Collection[CheckpointId],
+        changed: Iterable[int],
+    ) -> Optional[Violation]:
+        """Audit a state reached from a clean one; the verdict of :meth:`check_state`.
+
+        Args:
+            runner: the live simulation runner, audited in place.
+            step: the schedule step this state was reached at.
+            eliminated: the checkpoints eliminated since the clean state;
+                Theorem 4 tests each for Theorem-1 retention.
+            changed: the processes whose knowledge changed since the clean
+                state; Theorem 5 recomputes their Theorem-2 sets, and those
+                of the processes in ``eliminated``.
+
+        Sound only when no recovery session, log compaction or membership
+        change happened since the clean state (see the module docstring).
+        """
+        view = runner.trace.knowledge_view()
+        unsafe = sorted({cid for cid in eliminated if view.theorem1_retains(cid)})
+        hoarded: List[CheckpointId] = []
+        if self.check_optimality and not unsafe:
+            for pid in sorted({*changed, *(cid.pid for cid in eliminated)}):
+                allowed = view.theorem2_retained_of(pid)
+                for index in runner.nodes[pid].storage.retained_indices():
+                    if CheckpointId(pid, index) not in allowed:
+                        hoarded.append(CheckpointId(pid, index))
+        return self._theorem_violation(unsafe, hoarded, step)
+
+    def _theorem_violation(
+        self,
+        unsafe: Sequence[CheckpointId],
+        hoarded: Sequence[CheckpointId],
+        step: int,
+    ) -> Optional[Violation]:
+        """The Theorem-4 violation, else the Theorem-5 one, else ``None``."""
+        if unsafe:
+            return Violation(
+                kind="safety",
+                detail=(
+                    "Theorem-1-required checkpoints were eliminated: "
+                    + ", ".join(str(cid) for cid in unsafe)
+                ),
+                step=step,
+            )
+        if self.check_optimality and hoarded:
+            return Violation(
+                kind="optimality",
+                detail=(
+                    "Theorem-2-obsolete checkpoints are still retained: "
+                    + ", ".join(str(cid) for cid in hoarded)
+                ),
+                step=step,
+            )
         return None
 
     def _cross_check_kernel(self, ccp: CCP, step: int) -> Optional[Violation]:

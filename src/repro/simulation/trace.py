@@ -24,11 +24,15 @@ carries an :class:`repro.ccp.incremental.IncrementalAnalysisView` as its
 :class:`repro.ccp.incremental.CheckpointKnowledgeTracker` by bisection, with
 no vector-clock replay unless a caller asks for event-level precedence.  The
 tracker has one lifecycle: it is born by one causal-order replay of the
-current log at the first :meth:`ccp` or immediately before the first
-compaction, whichever comes first (the log is whole at both instants, so the
+current log at the first :meth:`ccp`, :meth:`knowledge_view` or
+:meth:`knowledge_mark`, or immediately before the first compaction,
+whichever comes first (the log is whole at all these instants, so the
 catch-up is exact), and the ``record_*`` methods keep it current in O(P) per
-event from then on.  A run that asks for no analysis and compacts nothing
-does no per-event analysis work — and under the simulator such a run does
+event from then on.  A caller that audits event by event (the schedule
+explorer) takes a :meth:`knowledge_mark` before the first event and asks
+:meth:`knowledge_changed_since` which processes' knowledge moved.  A run
+that asks for no analysis and compacts nothing does no per-event analysis
+work — and under the simulator such a run does
 not reach the recorder at all until somebody reads it: the
 :class:`~repro.simulation.runner.SimulationRunner` keeps its nodes'
 occurrences and applies them, through these same ``record_*`` calls and in
@@ -160,9 +164,12 @@ class TraceRecorder:
         self._dropped_messages: set[int] = set()
         # Incremental CCP substrate.
         self._version = 0
-        # Born at the first ccp() or just before the first compaction,
-        # whichever comes first (see _catch_up_tracker).
+        # Born at the first ccp(), knowledge_view() or knowledge_mark(), or
+        # just before the first compaction, whichever comes first (see
+        # _tracked and _catch_up_tracker).
         self._tracker: Optional[CheckpointKnowledgeTracker] = None
+        # History rewrites and membership changes so far (knowledge_mark).
+        self._rewrites = 0
         self._checkpoints_taken = [0] * num_processes
         # Obsolescence-driven pruning state: per pid, the eliminated indices
         # above its floor (holes the contiguous garbage prefix has not reached).
@@ -364,6 +371,7 @@ class TraceRecorder:
         """
         self._membership.join(pid)
         self._version += 1
+        self._rewrites += 1
         self._ccp_cache = None
         for sink in self._sinks:
             sink.on_join(pid, time)
@@ -379,6 +387,7 @@ class TraceRecorder:
         """
         self._membership.leave(pid)
         self._version += 1
+        self._rewrites += 1
         self._ccp_cache = None
         for sink in self._sinks:
             sink.on_leave(pid, time)
@@ -475,9 +484,8 @@ class TraceRecorder:
 
     def _perform_prune(self, cut: List[int], starts: List[int]) -> None:
         """Apply a computed send-closed cut: rewrite the log and remap state."""
-        if self._tracker is None:
-            # Last call: what the cut removes, no later replay can recover.
-            self._tracker = self._catch_up_tracker()
+        # Last call: what the cut removes, no later replay can recover.
+        tracker = self._tracked()
         pruned_delivered: List[int] = []
         for message in self._log.messages():
             if message.send_seq < starts[message.sender]:
@@ -495,12 +503,13 @@ class TraceRecorder:
         ]
         for cid in stale_cids:
             del self._recorded_dvs[cid]
-        self._tracker.apply_suffix(starts)
-        self._tracker.forget_checkpoints(cut, self._checkpoints_taken)
-        self._tracker.forget_messages(pruned_delivered)
+        tracker.apply_suffix(starts)
+        tracker.forget_checkpoints(cut, self._checkpoints_taken)
+        tracker.forget_messages(pruned_delivered)
         self._pruned_events += sum(starts)
         self._ccp_cache = None
         self._version += 1
+        self._rewrites += 1
 
     # ------------------------------------------------------------------
     # Recovery sessions
@@ -557,8 +566,15 @@ class TraceRecorder:
         self._log = self._log.prefix(lengths)
         self._ccp_cache = None
         self._version += 1
+        self._rewrites += 1
         for sink in self._sinks:
             sink.on_recovery(plan)
+
+    def _tracked(self) -> CheckpointKnowledgeTracker:
+        """The knowledge tracker, born now by a catch-up if it does not exist."""
+        if self._tracker is None:
+            self._tracker = self._catch_up_tracker()
+        return self._tracker
 
     def _catch_up_tracker(self) -> CheckpointKnowledgeTracker:
         """Build the knowledge tracker by one causal-order replay of the log."""
@@ -578,6 +594,43 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Analysis snapshots
     # ------------------------------------------------------------------
+    def knowledge_view(self) -> IncrementalAnalysisView:
+        """The knowledge view of the execution recorded so far, without a CCP.
+
+        What :meth:`ccp` hands its pattern as ``analysis_provider``, for a
+        caller that asks single-checkpoint or single-process questions and
+        needs no pattern.  Like every view, it refuses to answer once the
+        recorded execution moves on.
+        """
+        self._tracked()
+        return IncrementalAnalysisView(self)
+
+    def knowledge_mark(self) -> Tuple[int, ...]:
+        """A mark of the knowledge state now, for :meth:`knowledge_changed_since`.
+
+        Taken before the first event, it makes the tracker exist from that
+        event on.
+        """
+        # A process's journal gains an entry exactly when its knowledge
+        # vector or its checkpoint rows change, and loses entries only in a
+        # rewrite; the rewrite count guards that.
+        return (self._rewrites, *map(len, self._tracked().journal))
+
+    def knowledge_changed_since(self, mark: Tuple[int, ...]) -> Optional[FrozenSet[int]]:
+        """The pids whose knowledge (vector or checkpoint rows) changed since ``mark``.
+
+        ``None`` when a recovery session, a log compaction, a join or a
+        leave happened in between: history was rewritten (or the set of
+        processes the analyses range over changed), so no per-process
+        answer describes the difference.
+        """
+        now = self.knowledge_mark()
+        if now[0] != mark[0]:
+            return None
+        return frozenset(
+            pid for pid, (before, after) in enumerate(zip(mark[1:], now[1:])) if before != after
+        )
+
     def ccp(
         self, volatile_dvs: Optional[Mapping[int, Sequence[int]]] = None
     ) -> CCP:
@@ -604,12 +657,10 @@ class TraceRecorder:
         if volatile_dvs is not None:
             for pid, dv in volatile_dvs.items():
                 recorded[CheckpointId(pid, self._checkpoints_taken[pid])] = tuple(dv)
-        if self._tracker is None:
-            self._tracker = self._catch_up_tracker()
         ccp = CCP(
             self._log,
             recorded_dvs=recorded,
-            analysis_provider=IncrementalAnalysisView(self),
+            analysis_provider=self.knowledge_view(),
             departed=self._membership.departed,
         )
         self._ccp_cache = (self._version, fingerprint, ccp)

@@ -261,8 +261,8 @@ def test_explorer_extends_runs_instead_of_replaying_prefixes(
     configuration alone).  The gate can fire: a walk that starts every node
     on a fresh runner and replays its prefix — the ``replaying_explore``
     reference, what every walk did before first children extended their
-    parent's run — reads ~1.7x and the violation names the path.  (The walk
-    reads 1669.5 under a ceiling of 1920.0; the replaying walk 2914.6.)
+    parent's run — reads ~1.8x and the violation names the path.  (The walk
+    reads 1401.8 under a ceiling of 1610.0; the replaying walk 2572.8.)
     """
     import repro.explore.explorer
     from benchmarks.check_regression import check_explore_cost
@@ -281,8 +281,8 @@ def test_fuzzer_audits_only_the_states_beyond_a_clean_parent(
     An executed-line count per fuzz execution (a function of the target and
     seed alone).  The gate can fire: a fuzzer whose executor ignores
     ``check_from`` — every mutant re-auditing the prefix its parent already
-    passed — reads ~1.3x and the violation names the path.  (The run reads
-    12871.5 under a ceiling of 14800.0; the re-auditing one 16226.1.)
+    passed — reads ~1.2x and the violation names the path.  (The run reads
+    9937.2 under a ceiling of 11400.0; the re-auditing one 11740.5.)
     """
     from benchmarks.check_regression import check_fuzz_cost
     from repro.explore.executor import ScheduleExecutor

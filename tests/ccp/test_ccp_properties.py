@@ -143,3 +143,72 @@ class TestRandomCcpInvariants:
         obsolete = obsolete_stable_checkpoints_theorem1(ccp)
         for pid in ccp.processes:
             assert ccp.last_stable_id(pid) not in obsolete
+
+
+def _general_ids(ccp):
+    return [cid for pid in ccp.processes for cid in ccp.general_ids(pid)]
+
+
+def _rdt_violations_by_causal_order(ccp):
+    """``check_rdt``'s violation list with event-level precedence (``CausalOrder``)."""
+    return [
+        (source, target)
+        for source, target in ccp.analyses.zigzag.zigzag_pairs()
+        if not ccp.causally_precedes(source, target)
+    ]
+
+
+class TestKnowledgeRowAnswers:
+    """The knowledge view's single-pair, single-checkpoint and single-process
+    answers against the event-level references, on RDT and non-RDT patterns."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ccp_inputs)
+    def test_row_precedence_is_event_precedence(self, data):
+        ccp = _build(*data).build()
+        view = ccp.analysis_provider
+        general = _general_ids(ccp)
+        for first in general:
+            for second in general:
+                assert view.precedes(first, second) == ccp.causally_precedes(
+                    first, second
+                ), (first, second)
+
+    @settings(max_examples=80, deadline=None)
+    @given(ccp_inputs)
+    def test_rdt_violations_match_a_causal_order_run(self, data):
+        ccp = _build(*data).build()
+        report = check_rdt(ccp)
+        assert [(v.source, v.target) for v in report.violations] == (
+            _rdt_violations_by_causal_order(ccp)
+        )
+
+    def test_on_the_papers_non_rdt_figures(self, figure1_without_m3_ccp, figure2_ccp):
+        for ccp in (figure1_without_m3_ccp, figure2_ccp):
+            view = ccp.analysis_provider
+            general = _general_ids(ccp)
+            assert [
+                (first, second) for first in general for second in general
+                if view.precedes(first, second)
+            ] == [
+                (first, second) for first in general for second in general
+                if ccp.causally_precedes(first, second)
+            ]
+            report = check_rdt(ccp)
+            assert not report.is_rdt
+            expected = _rdt_violations_by_causal_order(ccp)
+            assert [(v.source, v.target) for v in report.violations] == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(ccp_inputs)
+    def test_single_checkpoint_and_single_process_answers_match_the_sets(self, data):
+        ccp = _build(*data).build()
+        view = ccp.analysis_provider
+        required = ccp.analyses.theorem1_retained
+        allowed = ccp.analyses.theorem2_retained
+        for pid in ccp.processes:
+            for cid in ccp.stable_ids(pid):
+                assert view.theorem1_retains(cid) == (cid in required), cid
+            assert view.theorem2_retained_of(pid) == {
+                cid for cid in allowed if cid.pid == pid
+            }, pid

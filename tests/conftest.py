@@ -215,3 +215,16 @@ def full_audit_execute():
     """A drop-in ``ScheduleExecutor.execute`` that ignores ``check_from`` (see
     :func:`_full_audit_execute`); monkeypatch it onto the class."""
     return _full_audit_execute
+
+
+def _state_audit_check_events(self, runner, step, eliminated, changed):
+    """``OracleStack.check_events`` answering with the whole-state CCP audit
+    of every token: the reference the event audit must be invisible against."""
+    return self.check_state(runner, step)
+
+
+@pytest.fixture(scope="session")
+def state_audit_check_events():
+    """A drop-in ``OracleStack.check_events`` that audits the whole state (see
+    :func:`_state_audit_check_events`); monkeypatch it onto the class."""
+    return _state_audit_check_events

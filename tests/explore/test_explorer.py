@@ -454,6 +454,42 @@ class TestRunHandOff:
             run.apply(("d", 0), audited=True)
 
 
+class TestEventAudit:
+    """A token audited by event gives what the whole-state CCP audit gives,
+    over the smoke sweep's grid (canaries included) and its crash variant:
+    the same stats and the same counterexamples (kind, step and detail)."""
+
+    @pytest.mark.parametrize("with_crash", [False, True], ids=["smoke", "crash"])
+    def test_event_audit_changes_no_walk(
+        self, monkeypatch, state_audit_check_events, with_crash
+    ):
+        from repro.gc.canaries import CANARY_NAMES
+        from repro.gc.registry import available_collectors
+        from repro.scenarios.experiments import (
+            explore_sweep_collectors,
+            explore_sweep_configs,
+        )
+
+        configs = explore_sweep_configs(
+            num_processes=2,
+            messages=4 if not with_crash else 3,
+            collectors=explore_sweep_collectors(
+                sorted(available_collectors() + list(CANARY_NAMES))
+            ),
+            with_crash=with_crash,
+        )
+        options = dict(max_executions=250, max_counterexamples=3)
+        by_event = [explore(config, **options) for config in configs]
+        monkeypatch.setattr(OracleStack, "check_events", state_audit_check_events)
+        reference = [explore(config, **options) for config in configs]
+        for config, walked, expected in zip(configs, by_event, reference):
+            label = (config.protocol, config.collector)
+            assert walked.stats.as_dict() == expected.stats.as_dict(), label
+            assert walked.counterexamples == expected.counterexamples, label
+        found = {c.violation.kind for walk in by_event for c in walk.counterexamples}
+        assert found == {"safety", "optimality"}
+
+
 class TestBudgetValidation:
     def test_a_negative_budget_is_refused(self):
         with pytest.raises(ValueError, match="got -1"):

@@ -15,6 +15,7 @@ from repro.explore import (
     ring_program,
 )
 from repro.explore.executor import ScheduleExecutor
+from repro.explore.oracles import OracleStack
 from repro.explore.shrink import persist_counterexample, shrink
 from repro.fuzz import (
     Corpus,
@@ -204,6 +205,24 @@ class TestAuditSkip:
             if ok:
                 clean.append(schedule)
         assert skipped
+
+
+class TestEventAudit:
+    """A token audited by event gives what the whole-state CCP audit gives:
+    the same stats, corpus, coverage, findings (kind, step and detail) and
+    artifact bytes, shrunk counterexamples included."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("target", sorted(builtin_targets()))
+    def test_event_audit_changes_no_result(
+        self, tmp_path, monkeypatch, state_audit_check_events, target, seed
+    ):
+        by_event = fuzz(target, budget=80, seed=seed, corpus=str(tmp_path / "e"))
+        monkeypatch.setattr(OracleStack, "check_events", state_audit_check_events)
+        reference = fuzz(target, budget=80, seed=seed, corpus=str(tmp_path / "r"))
+        assert _run_document(by_event, str(tmp_path / "e")) == _run_document(
+            reference, str(tmp_path / "r")
+        )
 
 
 class TestShrinkerAuditSkip:
