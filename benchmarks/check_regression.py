@@ -69,6 +69,14 @@ costs a format string (or one shared encoder), one unbuffered write and one
 C scan; a per-record ``json.dumps``/``json.loads`` wrapper chain, a buffered
 write-and-flush pair or a table rebuilt per record shows up as 2-4x.
 
+The **replay-path** gate (``--smoke`` only) counts the same way on the file
+the trace-codec gate's run wrote: every line ``TraceReader.replay()`` executes
+— parsing, the record applier, and the ``TraceRecorder`` / ``EventLog``
+recording it drives — per body record.  A record costs one parse, one
+applier pass that checks its fields once and one recording call; a
+per-record chain of wrappers that re-check what the frame before them
+computed shows up as ~1.4x.
+
 The **retained-set** gate (``--smoke`` only) counts the same way inside
 ``IncrementalAnalysisView._retained`` (callees included) per ``(i, f)`` pair
 of active processes on the same run with ``audit="full"``.  A pair costs one
@@ -141,9 +149,11 @@ SESSION_WARM_UPS = (60.0, 240.0)
 SESSION_SCHEDULE = (20, 40.0)  # sessions, simulated time they are spread over
 SESSION_COST_GROWTH_CEILING = 2.0
 # Recording-path gate: lines per recorded occurrence on its fixed run (28.9
-# when the gate was added, so ~25 % headroom, and 28.5 since CheckpointId,
-# EventId and StoredCheckpoint are NamedTuples; 61.4 on its parent commit,
-# with the recorder's shadow message tables and dataclass records).
+# when the gate was added, so ~25 % headroom, 28.5 since CheckpointId,
+# EventId and StoredCheckpoint are NamedTuples, and 18.9 since the
+# EventLog builds its records without their validating constructors and the
+# membership test is one set lookup; 61.4 on its parent commit, with the
+# recorder's shadow message tables and dataclass records).
 RECORDING_LINES_CEILING = 36.0
 # Message-path gate, on the same run with the recorder unread: lines executed
 # by the whole runner.run() per application message (249.2 since the workload
@@ -155,8 +165,11 @@ RECORDING_LINES_CEILING = 36.0
 # (process, kind, target), the ceiling lowered by that 12.8-line drop;
 # 274.6 before that, with every action pushed
 # through the heap behind two closures; 355.6 when the run still built the
-# event log nobody read and re-linked UC through two calls per entry).
-MESSAGE_PATH_LINES_CEILING = 274.2
+# event log nobody read and re-linked UC through two calls per entry).  The
+# ceiling was 274.2 until the EventLog built its records without their
+# validating constructors: a run that builds its log nobody reads then fell
+# from 302.5 to 277.8, so the ceiling went back to ~15 % above 232.6.
+MESSAGE_PATH_LINES_CEILING = 267.5
 # Traced message-path gate: the same count with the run streaming its trace
 # and nobody reading the recorder (288.5 since the writer is fed as the
 # nodes' occurrences happen and the log is built at the first read, so ~15 %
@@ -165,13 +178,23 @@ MESSAGE_PATH_LINES_CEILING = 274.2
 # are streamed against shared handlers, the ceiling lowered by that 12.9-line
 # drop; 355.8 when
 # the writer was fed through the recorder, which built and validated the log
-# only to forward each occurrence to it).
-TRACED_MESSAGE_PATH_LINES_CEILING = 319.1
+# only to forward each occurrence to it).  The ceiling was 319.1 until the
+# EventLog built its records without their validating constructors: a traced
+# run that builds its log nobody reads then fell from 343.0 to 318.2, so the
+# ceiling went back to ~15 % above 270.4.
+TRACED_MESSAGE_PATH_LINES_CEILING = 311.0
 # Trace-codec gate, on the same run with a trace attached: lines per record
-# written and per line read back (13.9 and 16.0 when the gate was added; 53.4
-# and 38.0 on its parent commit, which called json.dumps/json.loads and a
-# buffered write + flush per record).
+# written and per line read back (13.9 and 16.0 when the gate was added, 13.0
+# read since a line is parsed before it is tested for blankness; 53.4 and 38.0
+# on its parent commit, which called json.dumps/json.loads and a buffered
+# write + flush per record).
 TRACE_CODEC_LINES_CEILING = 20.0
+# Replay-path gate, on the file that run wrote: lines TraceReader.replay()
+# executes per body record, recording included (42.5 when the gate was added,
+# so ~15 % headroom; 59.1 on its parent commit, whose records went through
+# validate_record, a second dispatch, a validating Event constructor and
+# ProcessHistory.append).
+REPLAY_LINES_CEILING = 49.0
 # Retained-set gate, on the same run with audit="full": lines inside
 # IncrementalAnalysisView._retained per (i, f) pair (10.1 when the gate
 # was added, so ~40 % headroom, 9.5 since a CheckpointId is a NamedTuple
@@ -569,14 +592,16 @@ def check_retained_set_cost(*, ceiling: float = RETAINED_LINES_CEILING) -> List[
     return []
 
 
-def trace_codec_lines() -> Tuple[float, float]:
-    """Python lines executed per trace record written and per trace line read.
+def trace_codec_lines() -> Tuple[float, float, float]:
+    """Python lines executed per trace record written, per trace line read and
+    per body record replayed.
 
     The recording-path gate's run, streamed to a trace file.  Written: the
     four ``TraceWriter`` methods a failure-free run calls per occurrence and
     per sample, callees (the codec, the write) included.  Read: the file it
-    wrote, through ``TraceReader.lines()`` and ``validate_record`` — replaying
-    the records into a recorder is the recording path, gated above.
+    wrote, through ``TraceReader.lines()`` and ``validate_record``.  Replayed:
+    the same file through ``TraceReader.replay()``, callees (the applier, the
+    recorder and its event log) included.
     """
     from repro.simulation.runner import SimulationRunner
     from repro.traceio.format import validate_record
@@ -604,15 +629,28 @@ def trace_codec_lines() -> Tuple[float, float]:
                 lines_read += 1
                 if isinstance(parsed, list):
                     validate_record(parsed, line=line, path=path)
+        replay_counter = _LineCounter()
+        with replay_counter:
+            replayed = TraceReader(path).replay()
     # Every record the writer methods wrote, plus the header and the footer.
     if result.messages_sent == 0 or lines_read != write_counter.calls + 2:
         raise RuntimeError("the trace-codec gate's own run went wrong")
-    return write_counter.lines / write_counter.calls, read_counter.lines / lines_read
+    records = replayed.footer["records"]
+    return (
+        write_counter.lines / write_counter.calls,
+        read_counter.lines / lines_read,
+        replay_counter.lines / records,
+    )
 
 
-def check_trace_codec_cost(*, ceiling: float = TRACE_CODEC_LINES_CEILING) -> List[str]:
-    """Gate: a trace line costs its bytes, not a chain of per-record wrappers."""
-    write_lines, read_lines = trace_codec_lines()
+def check_trace_codec_cost(
+    *,
+    ceiling: float = TRACE_CODEC_LINES_CEILING,
+    replay_ceiling: float = REPLAY_LINES_CEILING,
+) -> List[str]:
+    """Gate: a trace line costs its bytes, and a replayed record one pass —
+    not a chain of per-record wrappers."""
+    write_lines, read_lines, replay_lines = trace_codec_lines()
     violations = []
     if write_lines > ceiling:
         violations.append(
@@ -623,6 +661,12 @@ def check_trace_codec_cost(*, ceiling: float = TRACE_CODEC_LINES_CEILING) -> Lis
         violations.append(
             f"the trace reader executes {read_lines:.1f} Python lines per line "
             f"(allowed {ceiling:.1f}): TraceReader.lines / validate_record regrew"
+        )
+    if replay_lines > replay_ceiling:
+        violations.append(
+            f"replay executes {replay_lines:.1f} Python lines per record (allowed "
+            f"{replay_ceiling:.1f}): TraceReader.replay / apply_event_record / the "
+            f"recording path regrew"
         )
     return violations
 
@@ -893,6 +937,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
         f"session scaling, recording-path, message-path (untraced, traced), trace-codec, "
+        f"replay-path, "
         f"retained-set, "
         f"store-cost, explorer and fuzzer gates "
         f"{'ok' if args.smoke else 'skipped (--smoke only)'}, "

@@ -42,6 +42,8 @@ _INTERNAL = EventKind.INTERNAL
 _SEND = EventKind.SEND
 _RECEIVE = EventKind.RECEIVE
 _CHECKPOINT = EventKind.CHECKPOINT
+# Builds a record from a complete field tuple, skipping the class's __new__.
+_new = tuple.__new__
 
 
 class EventId(NamedTuple):
@@ -329,11 +331,18 @@ class EventLog:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    # The add_* methods number the event and stamp the message themselves, so
+    # they build the tuples directly (no validating __new__) and append to the
+    # history's lists in place of ProcessHistory.append, which would re-check
+    # the seq they just computed.  A negative pid would index another process's
+    # history, so it is refused explicitly.
     def add_internal(self, pid: int, *, time: float = 0.0) -> Event:
         """Record an internal event at process ``pid``."""
-        history = self._histories[pid]
-        event = Event(pid, len(history.events), _INTERNAL, None, None, time)
-        history.append(event)
+        if pid < 0:
+            raise ValueError(f"unknown process {pid}")
+        events = self._histories[pid].events
+        event = _new(Event, (pid, len(events), _INTERNAL, None, None, time, False))
+        events.append(event)
         return event
 
     def add_checkpoint(
@@ -344,6 +353,8 @@ class EventLog:
         Checkpoint indices must be taken in increasing order, starting at the
         process's checkpoint base (0 unless the log was pruned).
         """
+        if pid < 0:
+            raise ValueError(f"unknown process {pid}")
         history = self._histories[pid]
         expected = self._checkpoint_bases[pid] + len(history.checkpoints)
         if checkpoint_index != expected:
@@ -351,8 +362,10 @@ class EventLog:
                 f"process {pid}: expected checkpoint index {expected}, "
                 f"got {checkpoint_index}"
             )
-        event = Event(pid, len(history.events), _CHECKPOINT, None, checkpoint_index, time, forced)
-        history.append(event)
+        seq = len(history.events)
+        event = _new(Event, (pid, seq, _CHECKPOINT, None, checkpoint_index, time, forced))
+        history.events.append(event)
+        history.checkpoints.append(event)
         return event
 
     def add_send(
@@ -368,8 +381,8 @@ class EventLog:
         Returns the send event and the (not-yet-delivered) message record,
         stamped with the sender's current checkpoint interval.
         """
-        if not 0 <= receiver < len(self._histories):
-            raise ValueError(f"unknown receiver process {receiver}")
+        if sender < 0 or not 0 <= receiver < len(self._histories):
+            raise ValueError(f"unknown process in a send from {sender} to {receiver}")
         if message_id is None:
             message_id = self._next_message_id
         if message_id in self._messages:
@@ -378,10 +391,10 @@ class EventLog:
             self._next_message_id = message_id + 1
         history = self._histories[sender]
         seq = len(history.events)
-        event = Event(sender, seq, _SEND, message_id, None, time)
-        history.append(event)
+        event = _new(Event, (sender, seq, _SEND, message_id, None, time, False))
+        history.events.append(event)
         interval = self._checkpoint_bases[sender] + len(history.checkpoints)
-        message = Message(message_id, sender, receiver, seq, interval)
+        message = _new(Message, (message_id, sender, receiver, seq, interval, -1, -1))
         self._messages[message_id] = message
         return event, message
 
@@ -394,17 +407,16 @@ class EventLog:
         message = self._messages.get(message_id)
         if message is None:
             raise ValueError(f"receive of unknown message {message_id}")
-        if message.receive_seq >= 0:
+        _, sender, pid, send_seq, send_interval, receive_seq, _ = message
+        if receive_seq >= 0:
             raise ValueError(f"message {message_id} already received")
-        pid = message.receiver
         history = self._histories[pid]
         seq = len(history.events)
-        event = Event(pid, seq, _RECEIVE, message_id, None, time)
-        history.append(event)
+        event = _new(Event, (pid, seq, _RECEIVE, message_id, None, time, False))
+        history.events.append(event)
         interval = self._checkpoint_bases[pid] + len(history.checkpoints)
-        self._messages[message_id] = Message(
-            message_id, message.sender, pid, message.send_seq, message.send_interval, seq, interval
-        )
+        delivered = (message_id, sender, pid, send_seq, send_interval, seq, interval)
+        self._messages[message_id] = _new(Message, delivered)
         return event
 
     # ------------------------------------------------------------------

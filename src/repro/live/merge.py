@@ -31,7 +31,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.recovery.rollback_plan import RollbackPlan
 from repro.simulation.trace import TraceRecorder, TraceSink
-from repro.traceio.format import TAG_CHECKPOINT, TAG_DUPLICATE, TAG_RECEIVE, TAG_SEND
+from repro.traceio.format import (
+    TAG_CHECKPOINT,
+    TAG_DUPLICATE,
+    TAG_RECEIVE,
+    TAG_SEND,
+    TraceFormatError,
+)
 from repro.traceio.reader import apply_event_record
 
 from repro.live.shard import TAG_ELIMINATION, ShardData, ShardEntry
@@ -140,7 +146,13 @@ def replay_entries(
                     mirror.apply_plan(plan)
             epoch += 1
         record = entry.record
-        if apply_event_record(recorder, record):
+        try:
+            applied = apply_event_record(recorder, record)
+        except TraceFormatError as exc:
+            raise TraceFormatError(
+                f"shard record {entry.seq} of process {entry.pid}: {exc}"
+            ) from None
+        if applied:
             if mirror is not None and record[0] == TAG_CHECKPOINT:
                 _, pid, index, forced, time, dv = record
                 mirror.apply_store(pid, index, dv, bool(forced), time)

@@ -250,6 +250,13 @@ class MembershipView:
             frozenset(range(self.num_processes)) - self._members - self._departed
         )
 
+    @property
+    def live(self) -> Set[int]:
+        """The live pids as the view's own set, not a copy: a holder's
+        membership test stays one set lookup.  Change it only through
+        :meth:`join` and :meth:`leave`."""
+        return self._members
+
     def is_member(self, pid: int) -> bool:
         """Whether ``pid`` is currently live."""
         return pid in self._members

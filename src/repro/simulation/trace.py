@@ -159,6 +159,8 @@ class TraceRecorder:
             num_processes,
             None if initial_members is None else frozenset(initial_members),
         )
+        # The view's own live set: the per-event membership test is one lookup.
+        self._members = self._membership.live
         self._log = EventLog(num_processes)
         self._recorded_dvs: Dict[CheckpointId, Tuple[int, ...]] = {}
         self._dropped_messages: set[int] = set()
@@ -248,7 +250,8 @@ class TraceRecorder:
         self, sender: int, receiver: int, message_id: int, time: float
     ) -> None:
         """Record the sending of an application message."""
-        self._require_member(sender)
+        if sender not in self._members:
+            raise self._not_a_member(sender)
         self._log.add_send(sender, receiver, message_id=message_id, time=time)
         if self._tracker is not None:
             self._tracker.note_send(message_id, sender)
@@ -279,9 +282,12 @@ class TraceRecorder:
             for sink in self._sinks:
                 sink.on_receive(message_id, time)
             return
-        if not self._log.has_message(message_id):
-            return
-        event = self._log.add_receive(message_id, time=time)
+        try:
+            event = self._log.add_receive(message_id, time=time)
+        except ValueError:
+            if self._log.has_message(message_id):
+                raise  # received twice
+            return  # never sent, as far as this log knows
         if self._tracker is not None:
             self._tracker.note_receive(message_id, event.pid, event.seq)
         self._version += 1
@@ -330,9 +336,11 @@ class TraceRecorder:
         time: float,
     ) -> None:
         """Record a stable checkpoint and the vector stored with it."""
-        self._require_member(pid)
+        if pid not in self._members:
+            raise self._not_a_member(pid)
         event = self._log.add_checkpoint(pid, index, time=time, forced=forced)
-        self._recorded_dvs[CheckpointId(pid, index)] = tuple(dependency_vector)
+        # The id built from its two fields, without NamedTuple's Python-level __new__.
+        self._recorded_dvs[tuple.__new__(CheckpointId, (pid, index))] = tuple(dependency_vector)
         self._checkpoints_taken[pid] = index + 1
         if self._tracker is not None:
             self._tracker.note_checkpoint(pid, index, event.seq)
@@ -350,17 +358,17 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Membership events
     # ------------------------------------------------------------------
-    def _require_member(self, pid: int) -> None:
-        if not self._membership.is_member(pid):
-            state = "departed" if pid in self._membership.departed else (
-                "dormant (not yet joined)"
-                if 0 <= pid < self._num_processes
-                else "outside the capacity"
-            )
-            raise MembershipError(
-                f"process {pid} is {state} and cannot originate events "
-                f"(capacity {self._num_processes})"
-            )
+    def _not_a_member(self, pid: int) -> MembershipError:
+        """The refusal of an event originated by ``pid``, which is not a member."""
+        state = "departed" if pid in self._membership.departed else (
+            "dormant (not yet joined)"
+            if 0 <= pid < self._num_processes
+            else "outside the capacity"
+        )
+        return MembershipError(
+            f"process {pid} is {state} and cannot originate events "
+            f"(capacity {self._num_processes})"
+        )
 
     def record_join(self, pid: int, time: float) -> None:
         """Record a process joining the membership.

@@ -342,7 +342,7 @@ def validate_header(header: Any, *, path: str = "<trace>") -> Dict[str, Any]:
             f"supported version {FORMAT_VERSION}"
         )
     num_processes = header.get("num_processes")
-    if not isinstance(num_processes, int) or num_processes <= 0:
+    if type(num_processes) is not int or num_processes <= 0:
         raise TraceFormatError(f"{path}: invalid num_processes {num_processes!r}")
     return header
 
@@ -377,22 +377,86 @@ def make_footer(
     return {"footer": footer}
 
 
-def validate_record(record: Any, *, line: int, path: str = "<trace>") -> List[Any]:
-    """Check one body record's tag and arity; return it as a list."""
-    if not isinstance(record, list) or not record:
-        raise TraceFormatError(
-            f"{path}:{line}: body records must be non-empty JSON arrays"
-        )
+#: The field rule of each tag, as a refused record's message states it:
+#: pids, ids and indices are exactly ``int`` (``true`` is not ``1``), a time is
+#: an ``int`` or ``float``, a vector holds ``n`` (the header's
+#: ``num_processes``) non-negative ``int``\ s.
+FIELD_RULES = {
+    TAG_SEND: "sender, receiver and message id are ints, time is an int or float",
+    TAG_RECEIVE: "message id is an int, time is an int or float",
+    TAG_DUPLICATE: "message id is an int, time is an int or float",
+    TAG_CHECKPOINT: (
+        "pid and index are ints, forced is 0 or 1, time is an int or float, "
+        "the vector holds {n} non-negative ints"
+    ),
+    TAG_INTERNAL: "pid is an int, time is an int or float",
+    TAG_RECOVERY: (
+        "faulty is a list of ints, the recovery line {n} ints, each rollback "
+        "an [int, int] pair, the last-interval vector {n} ints"
+    ),
+    TAG_SAMPLE: "time is an int or float, retained holds {n} non-negative ints",
+    TAG_PARTITION: (
+        "kind is 'cut' or 'heal', time is an int or float, groups is a list "
+        "of lists of ints"
+    ),
+    TAG_JOIN: "pid is an int, time is an int or float",
+    TAG_LEAVE: "pid is an int, time is an int or float",
+}
+
+
+def _shape_refusal(record: Any) -> Optional[str]:
+    """Why ``record`` is not a body record of a known tag and arity (None if it is)."""
+    if not isinstance(record, (list, tuple)) or not record:
+        return "body records must be non-empty JSON arrays"
     tag = record[0]
     # A garbled tag can be a list or an object, which a dict cannot look up.
     arity = RECORD_ARITY.get(tag) if isinstance(tag, str) else None
-    if arity == len(record):
-        return record
     if arity is None:
-        raise TraceFormatError(f"{path}:{line}: unknown record tag {tag!r}")
-    raise TraceFormatError(
-        f"{path}:{line}: {tag!r} record has {len(record)} fields, expected {arity}"
-    )
+        return f"unknown record tag {tag!r}"
+    if arity != len(record):
+        return f"{tag!r} record has {len(record)} fields, expected {arity}"
+    return None
+
+
+def record_refusal(record: Any, num_processes: int) -> str:
+    """Why ``record`` is refused in a trace of ``num_processes`` processes: its
+    shape, else its tag's :data:`FIELD_RULES` (no location: the caller adds it)."""
+    shape = _shape_refusal(record)
+    if shape is not None:
+        return shape
+    rule = FIELD_RULES[record[0]].format(n=num_processes)
+    return f"{record[0]!r} record {list(record)!r} breaks its field rule: {rule}"
+
+
+def validate_footer(document: Dict[str, Any], *, path: str = "<trace>") -> Dict[str, Any]:
+    """The footer of a ``{"footer": ...}`` line, with the fields a reader uses
+    checked: integer ``records``/``events``, a string ``status``, and
+    ``result``/``metrics`` objects when present.  ``path`` names the line."""
+    footer = document["footer"]
+    if not isinstance(footer, dict):
+        raise TraceFormatError(f"{path}: the footer is not an object")
+    for key, kind in (("records", int), ("events", int), ("status", str)):
+        if type(footer.get(key)) is not kind:
+            raise TraceFormatError(
+                f"{path}: footer {key} {footer.get(key)!r} is not of type {kind.__name__}"
+            )
+    for key in ("result", "metrics"):
+        if footer.get(key) is not None and not isinstance(footer[key], dict):
+            raise TraceFormatError(f"{path}: footer {key} {footer[key]!r} is not an object")
+    return footer
+
+
+def validate_record(record: Any, *, line: int, path: str = "<trace>") -> List[Any]:
+    """Check one body record's tag and arity; return it as a list.
+
+    Its fields are checked where it is applied
+    (:func:`repro.traceio.reader.apply_event_record` and ``TraceReader``).
+    """
+    if isinstance(record, list) and record:
+        tag = record[0]
+        if isinstance(tag, str) and RECORD_ARITY.get(tag) == len(record):
+            return record
+    raise TraceFormatError(f"{path}:{line}: {_shape_refusal(record)}")
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,9 @@ without materialising a recorder.
 Lines are parsed one at a time by :func:`repro.traceio.format.decode_line`
 (the scanner ``json.loads`` delegates to, without its per-call wrappers) —
 never joined, so a line either is one complete JSON document or is damage.
+Each parsed record then takes one pass: :func:`apply_event_record` checks an
+event record's fields once and calls the recorder, which builds the log
+entry itself.  Every refusal names ``path:line``.
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ from repro.traceio.format import (
     TraceTruncatedError,
     decode_line,
     metrics_from_record,
+    record_refusal,
+    validate_footer,
     validate_header,
-    validate_record,
 )
 
 
@@ -147,29 +151,79 @@ def _recorder_for_header(header: Dict[str, Any], path: str) -> TraceRecorder:
     )
 
 
+#: The types a time field may have (exactly: ``True`` is not a time).
+_TIMES = (int, float)
+_INTS = frozenset((int,))
+
+
+def _counts(value: Any, length: int) -> bool:
+    """Whether ``value`` is a list of ``length`` non-negative ``int``\\ s."""
+    return (
+        type(value) is list
+        and len(value) == length
+        and _INTS.issuperset(map(type, value))
+        and min(value) >= 0
+    )
+
+
+def _ints(value: Any) -> bool:
+    """Whether ``value`` is a list of ``int``\\ s."""
+    return type(value) is list and _INTS.issuperset(map(type, value))
+
+
 def apply_event_record(recorder: TraceRecorder, record: Sequence[Any]) -> bool:
-    """Drive ``recorder`` with one v2 *event* record (``s`` ``r`` ``d`` ``c``
-    ``i``); False, with nothing done, for any other tag.  The one applier of
-    these tags: trace replay and the live shard merge both go through it."""
+    """Drive ``recorder`` with one non-empty body record if it is an *event*
+    (``s`` ``r`` ``d`` ``c`` ``i``); False, with nothing done, for any other tag.
+
+    The one applier of these tags — trace replay (and so ``verify_trace``) and
+    the live shard merge both go through it — and the one place their field
+    types are checked, once, with their arity
+    (:data:`~repro.traceio.format.FIELD_RULES`): pids and ids exactly ``int``,
+    a time an ``int`` or ``float``, ``forced`` 0 or 1, a vector
+    ``num_processes`` non-negative ``int``\\ s.  A record that breaks them
+    raises :class:`TraceFormatError` naming no location (the caller knows
+    where the record came from).  What the recorder refuses (an unknown
+    message, a non-member, an out-of-order index) it raises itself.
+    """
     tag = record[0]
     if tag == TAG_SEND:
-        _, sender, receiver, message_id, time = record
-        recorder.record_send(sender, receiver, message_id, time)
+        if len(record) == 5:
+            _, sender, receiver, message_id, time = record
+            if type(sender) is type(receiver) is type(message_id) is int and type(time) in _TIMES:
+                recorder.record_send(sender, receiver, message_id, time)
+                return True
     elif tag == TAG_RECEIVE:
-        _, message_id, time = record
-        recorder.record_receive(message_id, time)
-    elif tag == TAG_DUPLICATE:
-        _, message_id, time = record
-        recorder.record_duplicate_receive(message_id, time)
+        if len(record) == 3:
+            _, message_id, time = record
+            if type(message_id) is int and type(time) in _TIMES:
+                recorder.record_receive(message_id, time)
+                return True
     elif tag == TAG_CHECKPOINT:
-        _, pid, index, forced, time, dv = record
-        recorder.record_checkpoint(pid, index, tuple(dv), forced=bool(forced), time=time)
+        if len(record) == 6:
+            _, pid, index, forced, time, dv = record
+            if (
+                type(pid) is type(index) is type(forced) is int
+                and 0 <= forced <= 1
+                and type(time) in _TIMES
+                and _counts(dv, recorder.num_processes)
+            ):
+                recorder.record_checkpoint(pid, index, tuple(dv), forced=forced == 1, time=time)
+                return True
+    elif tag == TAG_DUPLICATE:
+        if len(record) == 3:
+            _, message_id, time = record
+            if type(message_id) is int and type(time) in _TIMES:
+                recorder.record_duplicate_receive(message_id, time)
+                return True
     elif tag == TAG_INTERNAL:
-        _, pid, time = record
-        recorder.record_internal(pid, time)
+        if len(record) == 3:
+            _, pid, time = record
+            if type(pid) is int and type(time) in _TIMES:
+                recorder.record_internal(pid, time)
+                return True
     else:
         return False
-    return True
+    raise TraceFormatError(record_refusal(record, recorder.num_processes))
 
 
 class TraceReader:
@@ -194,30 +248,31 @@ class TraceReader:
         Streams the file (one line in memory at a time — traces can be
         large).  A half-written *final* line (killed writer) terminates the
         iteration with :class:`TraceTruncatedError`; an unparseable line
-        followed by further content raises :class:`TraceFormatError`.
+        followed by further content raises :class:`TraceFormatError`.  Both
+        name the damaged line.  Bytes that are not UTF-8 decode to U+FFFD,
+        which is damage anywhere but inside a JSON string.
         """
         bad: Optional[Tuple[int, JSONDecodeError]] = None
-        with open(self._path, "r", encoding="utf-8") as handle:
-            for index, raw in enumerate(handle):
-                stripped = raw.strip()
-                if not stripped:
-                    continue
+        with open(self._path, "r", encoding="utf-8", errors="replace") as handle:
+            for number, raw in enumerate(handle, 1):
+                try:
+                    parsed = decode_line(raw.strip())
+                except JSONDecodeError as exc:
+                    if not raw.strip():
+                        continue  # a blank line holds no record
+                    if bad is None:
+                        bad = (number, exc)
+                        continue
                 if bad is not None:
-                    line, exc = bad
+                    line, error = bad
                     raise TraceFormatError(
                         f"{self._path}:{line}: unparseable line"
-                    ) from exc
-                try:
-                    parsed = decode_line(stripped)
-                except JSONDecodeError as exc:
-                    bad = (index + 1, exc)
-                    continue
-                yield index + 1, parsed
+                    ) from error
+                yield number, parsed
         if bad is not None:
             line, exc = bad
             raise TraceTruncatedError(
-                f"{self._path}: half-written final line "
-                f"(record {line}) — the writer was killed"
+                f"{self._path}:{line}: half-written final line — the writer was killed"
             ) from exc
 
     def header(self) -> Dict[str, Any]:
@@ -235,7 +290,7 @@ class TraceReader:
         """
         header: Optional[Dict[str, Any]] = None
         footer: Optional[Dict[str, Any]] = None
-        with open(self._path, "r", encoding="utf-8") as handle:
+        with open(self._path, "r", encoding="utf-8", errors="replace") as handle:
             for index, raw in enumerate(handle):
                 stripped = raw.strip()
                 if not stripped:
@@ -273,76 +328,79 @@ class TraceReader:
         replayed and :attr:`ReplayedTrace.truncated` is set.  Without it, a
         trace that does not end in a footer whose counts match the body
         raises :class:`TraceTruncatedError`; structural damage anywhere
-        raises :class:`TraceFormatError` in either mode.
+        raises :class:`TraceFormatError` in either mode.  Every refusal names
+        ``path:line``.
+
+        One pass per line: :meth:`lines` parses it, :func:`apply_event_record`
+        checks and applies an event, :meth:`_apply` everything else.
         """
-        header: Optional[Dict[str, Any]] = None
+        path = self._path
         footer: Optional[Dict[str, Any]] = None
-        recorder: Optional[TraceRecorder] = None
         samples: List[Tuple[float, Tuple[int, ...]]] = []
         plans: List[RollbackPlan] = []
         partitions: List[Tuple[str, float, Tuple[Tuple[int, ...], ...]]] = []
-        records = 0
-        events = 0
+        events = others = line = footer_line = 0
         truncated = False
+        lines = self.lines()
         try:
-            for line, parsed in self.lines():
-                if header is None:
-                    header = validate_header(parsed, path=self._path)
-                    recorder = _recorder_for_header(header, self._path)
-                    continue
-                if footer is not None:
-                    raise TraceFormatError(
-                        f"{self._path}:{line}: record after the footer"
-                    )
-                if isinstance(parsed, dict):
-                    if "footer" not in parsed:
+            for line, parsed in lines:
+                header = validate_header(parsed, path=f"{path}:{line}")
+                recorder = _recorder_for_header(header, f"{path}:{line}")
+                break
+            for line, parsed in lines:
+                if type(parsed) is list and parsed:
+                    try:
+                        if apply_event_record(recorder, parsed):
+                            events += 1
+                        else:
+                            others += 1
+                            self._apply(recorder, parsed, samples, plans, partitions)
+                    except TraceFormatError as exc:
+                        raise TraceFormatError(f"{path}:{line}: {exc}") from None
+                    except Exception as exc:
                         raise TraceFormatError(
-                            f"{self._path}:{line}: unexpected object record"
-                        )
-                    footer = parsed["footer"]
-                    continue
-                record = validate_record(parsed, line=line, path=self._path)
-                records += 1
-                assert recorder is not None
-                try:
-                    if apply_event_record(recorder, record):
-                        events += 1
-                    else:
-                        self._apply(recorder, record, samples, plans, partitions)
-                except TraceFormatError:
-                    raise
-                except Exception as exc:
+                            f"{path}:{line}: record is inconsistent with the "
+                            f"replayed history ({type(exc).__name__}: {exc})"
+                        ) from exc
+                elif isinstance(parsed, dict):
+                    if "footer" not in parsed:
+                        raise TraceFormatError(f"{path}:{line}: unexpected object record")
+                    footer = validate_footer(parsed, path=f"{path}:{line}")
+                    footer_line = line
+                    break
+                else:
                     raise TraceFormatError(
-                        f"{self._path}:{line}: record is inconsistent with the "
-                        f"replayed history ({type(exc).__name__}: {exc})"
-                    ) from exc
+                        f"{path}:{line}: {record_refusal(parsed, recorder.num_processes)}"
+                    )
+            for line, _ in lines:
+                raise TraceFormatError(f"{path}:{line}: record after the footer")
         except TraceTruncatedError:
             if not allow_partial:
                 raise
             truncated = True
-        if header is None or recorder is None:
-            raise TraceFormatError(f"{self._path}: empty trace file")
+        if line == 0:
+            raise TraceFormatError(f"{path}: empty trace file")
         if footer is None:
             truncated = True
             if not allow_partial:
                 raise TraceTruncatedError(
-                    f"{self._path}: no footer — the trace was cut short"
+                    f"{path}:{line}: no footer after the last line — the trace was cut short"
                 )
         else:
             for key, expected, actual in (
-                ("records", footer.get("records"), records),
-                ("events", footer.get("events"), events),
+                ("records", footer["records"], events + others),
+                ("events", footer["events"], events),
             ):
                 if expected != actual:
                     if allow_partial:
                         truncated = True
                         break
                     raise TraceTruncatedError(
-                        f"{self._path}: footer says {expected} {key}, "
+                        f"{path}:{footer_line}: footer says {expected} {key}, "
                         f"file contains {actual} — records are missing"
                     )
         return ReplayedTrace(
-            path=self._path,
+            path=path,
             header=header,
             recorder=recorder,
             samples=samples,
@@ -352,43 +410,66 @@ class TraceReader:
             truncated=truncated,
         )
 
+    @staticmethod
     def _apply(
-        self,
         recorder: TraceRecorder,
         record: List[Any],
         samples: List[Tuple[float, Tuple[int, ...]]],
         plans: List[RollbackPlan],
         partitions: List[Tuple[str, float, Tuple[Tuple[int, ...], ...]]],
     ) -> None:
-        """Replay one record that is not a recorder event."""
+        """Check and replay one body record that is not a recorder event."""
         tag = record[0]
-        if tag == TAG_JOIN:
-            _, pid, time = record
-            recorder.record_join(pid, time)
-        elif tag == TAG_LEAVE:
-            _, pid, time = record
-            recorder.record_leave(pid, time)
-        elif tag == TAG_RECOVERY:
-            _, faulty, line_indices, rollbacks, last_interval = record
-            plan = RollbackPlan(
-                faulty=tuple(faulty),
-                recovery_line=GlobalCheckpoint(tuple(line_indices)),
-                rollbacks=tuple(
-                    ProcessRollback(pid=pid, rollback_index=index)
-                    for pid, index in rollbacks
-                ),
-                last_interval_vector=tuple(last_interval),
-            )
-            recorder.apply_recovery(plan)
-            plans.append(plan)
-        elif tag == TAG_SAMPLE:
+        n = recorder.num_processes
+        if tag == TAG_SAMPLE and len(record) == 3:
             _, time, retained = record
-            samples.append((time, tuple(retained)))
-        elif tag == TAG_PARTITION:
+            if type(time) in _TIMES and _counts(retained, n):
+                samples.append((time, tuple(retained)))
+                return
+        elif tag == TAG_JOIN and len(record) == 3:
+            _, pid, time = record
+            if type(pid) is int and type(time) in _TIMES:
+                recorder.record_join(pid, time)
+                return
+        elif tag == TAG_LEAVE and len(record) == 3:
+            _, pid, time = record
+            if type(pid) is int and type(time) in _TIMES:
+                recorder.record_leave(pid, time)
+                return
+        elif tag == TAG_RECOVERY and len(record) == 5:
+            _, faulty, line_indices, rollbacks, last_interval = record
+            if (
+                _ints(faulty)
+                and _ints(line_indices)
+                and len(line_indices) == n
+                and type(rollbacks) is list
+                and all(_ints(pair) and len(pair) == 2 for pair in rollbacks)
+                and _ints(last_interval)
+                and len(last_interval) == n
+            ):
+                plan = RollbackPlan(
+                    faulty=tuple(faulty),
+                    recovery_line=GlobalCheckpoint(tuple(line_indices)),
+                    rollbacks=tuple(
+                        ProcessRollback(pid=pid, rollback_index=index)
+                        for pid, index in rollbacks
+                    ),
+                    last_interval_vector=tuple(last_interval),
+                )
+                recorder.apply_recovery(plan)
+                plans.append(plan)
+                return
+        elif tag == TAG_PARTITION and len(record) == 4:
             _, kind, time, groups = record
-            partitions.append((kind, time, tuple(tuple(g) for g in groups)))
-        else:
-            raise TraceFormatError(f"{self._path}: unknown record tag {tag!r}")
+            if (
+                kind in ("cut", "heal")
+                and type(time) in _TIMES
+                and type(groups) is list
+                and all(_ints(group) for group in groups)
+            ):
+                partitions.append((kind, time, tuple(tuple(g) for g in groups)))
+                return
+        raise TraceFormatError(record_refusal(record, n))
 
 
 # ----------------------------------------------------------------------
@@ -478,11 +559,19 @@ def verify_replayed(replayed: ReplayedTrace) -> List[str]:
                     f"{path}: footer result says {result.get('recoveries')} "
                     f"recoveries, body replayed {len(replayed.recovery_plans)}"
                 )
-            if footer.get("metrics") != metrics_from_record(result):
+            try:
+                derived = metrics_from_record(result)
+            except (KeyError, TypeError, ValueError) as exc:
                 violations.append(
-                    f"{path}: footer metrics disagree with the metrics "
-                    f"re-derived from the footer result record"
+                    f"{path}: no metrics derive from the footer result record "
+                    f"({type(exc).__name__}: {exc})"
                 )
+            else:
+                if footer.get("metrics") != derived:
+                    violations.append(
+                        f"{path}: footer metrics disagree with the metrics "
+                        f"re-derived from the footer result record"
+                    )
     # The recorder truncates history at recovery lines, so the log can hold
     # fewer events than were written — never more.
     if log_events > footer.get("events", 0):

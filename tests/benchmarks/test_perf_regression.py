@@ -155,7 +155,7 @@ def test_message_path_stays_under_its_line_ceiling(monkeypatch):
     ``Event``, a ``Message`` and a history entry per occurrence, what every
     run did on the runner this gate was added against, at 355.6 lines per
     message — and the violation names the path.  (An unread run reads 232.6
-    under a ceiling of 274.2; a run read from construction 302.5.)
+    under a ceiling of 267.5; a run read from construction 277.8.)
     """
     from benchmarks.check_regression import check_message_path_cost
 
@@ -174,7 +174,7 @@ def test_traced_message_path_stays_under_its_line_ceiling(monkeypatch):
     occurrence to the writer — what every traced run did on the runner this
     gate was added against, at 355.8 lines per message — and the violation
     names the path.  (A traced run nobody reads reads 270.4 under a ceiling
-    of 319.1; one read from construction 343.0.)
+    of 311.0; one read from construction 318.2.)
     """
     from benchmarks.check_regression import check_traced_message_path_cost
 
@@ -185,19 +185,23 @@ def test_traced_message_path_stays_under_its_line_ceiling(monkeypatch):
 
 
 def test_trace_codec_stays_under_its_line_ceiling():
-    """A trace line costs a format string, one write and one C scan.
+    """A trace line costs a format string, one write and one C scan, and a
+    replayed record one applier pass and one recording call.
 
-    Executed-line counts per record written and per line read back (functions
-    of the seed alone); the writer and reader this gate was added against —
-    ``json.dumps`` + write + flush and ``json.loads`` per record — read 2.7x
-    and 1.9x the ceiling.
+    Executed-line counts per record written, per line read back and per
+    record replayed (functions of the seed alone); the writer and reader this
+    gate was added against — ``json.dumps`` + write + flush and ``json.loads``
+    per record — read 2.7x and 1.9x the ceiling, and the replay before the
+    one applier 1.2x its own.
     """
     from benchmarks.check_regression import check_trace_codec_cost
 
     assert check_trace_codec_cost() == []
-    written, read = check_trace_codec_cost(ceiling=1.0)  # the gate can fire
+    # The gates can fire.
+    written, read, replayed = check_trace_codec_cost(ceiling=1.0, replay_ceiling=1.0)
     assert "TraceWriter.on_*" in written
     assert "TraceReader.lines" in read
+    assert "TraceReader.replay" in replayed
 
 
 def test_retained_set_costs_one_c_bisection_per_pair(monkeypatch):

@@ -15,6 +15,7 @@ from repro.live.merge import (
 from repro.live.shard import ShardWriter, read_shard
 from repro.recovery.manager import RecoveryManager
 from repro.simulation.trace import TraceRecorder
+from repro.traceio.format import TraceFormatError
 
 
 def _write_pair(tmp_path):
@@ -111,6 +112,21 @@ class TestMerge:
         ccp = recorder.ccp(volatile_dvs={0: (2, 0), 1: (1, 3)})
         plan = RecoveryManager().plan(ccp, [1])
         assert plan.recovery_line.indices[1] >= 0
+
+    def test_a_mistyped_record_is_refused_naming_its_shard_entry(self, tmp_path):
+        """The merge applies shard records through the trace applier, so a
+        field of the wrong type is refused there, not recorded."""
+        paths, w0, w1 = _write_pair(tmp_path)
+        w0.close()
+        w1.close()
+        with open(paths[1], encoding="utf-8") as handle:
+            text = handle.read()
+        assert text.count('["r",1,2.0]') == 1
+        with open(paths[1], "w", encoding="utf-8") as handle:
+            handle.write(text.replace('["r",1,2.0]', '["r",1,"later"]'))
+        entries = ordered_entries([read_shard(p) for p in paths])
+        with pytest.raises(TraceFormatError, match="^shard record 1 of process 1: 'r' record"):
+            replay_entries(entries, 2)
 
     def test_counters_cover_killed_incarnations(self, tmp_path):
         paths, w0, w1 = _write_pair(tmp_path)

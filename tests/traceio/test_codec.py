@@ -221,7 +221,7 @@ def _reference_lines(path):
             yield index + 1, parsed
     if bad is not None:
         raise TraceTruncatedError(
-            f"{path}: half-written final line (record {bad}) — the writer was killed"
+            f"{path}:{bad}: half-written final line — the writer was killed"
         )
 
 
