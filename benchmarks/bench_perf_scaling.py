@@ -13,8 +13,8 @@ analysed at ``samples`` evenly spaced instants, the way the simulator's
   checkpoint-knowledge tracker serves the Theorem-1/2 retained sets and
   recovery lines, and the blocked bitset
   :class:`~repro.ccp.zigzag.ZigzagAnalysis` kernel answers the zigzag
-  queries over the level-batched condensation DAG.  The tracker of an
-  unpruned row is born at the first instant (one catch-up replay of the log
+  queries over the level-batched condensation DAG.  The tracker of a small
+  or medium row is born at the first instant (one catch-up replay of the log
   fed so far, billed to that instant) and delta-maintained afterwards.
 
 The sweep is organised in three tiers:
@@ -24,16 +24,19 @@ The sweep is organised in three tiers:
   the final ``OLD_PATH_TAIL_SAMPLES`` instants only (never fewer than 3
   measured samples per row: single-sample baselines were pure noise);
 * ``large`` — datacenter-scale rows (up to 128 processes / 10^5 messages)
-  run with obsolescence pruning: Theorem-1-driven eliminations fed to the
-  recorder between instants, the configuration the kernel is for.  The
-  old path is **not** run at this scale; its per-instant cost is
-  extrapolated from the measured 8-process rows via a power-law fit and the
-  rows say so explicitly (``"old_extrapolated": true``).
+  on a recorder born at event 0 that keeps the whole log, as every run
+  does.  Each instant times what ``audit="full"`` and a recovery session
+  ask of the knowledge view at that scale: both retained sets and the
+  recovery line of a failure of process 0 (the zigzag kernel is measured
+  against brute force in the smaller tiers).  The old path is **not** run
+  at this scale; the per-instant cost of its full suite is extrapolated
+  from the measured 8-process rows via a power-law fit and the rows say so
+  explicitly (``"old_extrapolated": true``).
 
 A separate **memory pass** (tracemalloc, kept out of the timing loops — the
-tracer costs ~2x) measures the peak traced allocation of a pruned versus an
-unpruned medium-tier run, which is the ``memory`` section of the output and
-the basis of the RSS regression gate in :mod:`benchmarks.check_regression`.
+tracer costs ~2x) measures the peak traced allocation of a medium-tier run,
+which is the ``memory`` section of the output and the basis of the memory
+regression gate in :mod:`benchmarks.check_regression`.
 
 Results are written to ``BENCH_perf.json`` at the repository root so
 :mod:`benchmarks.check_regression` (and future PRs) have a machine-readable
@@ -112,7 +115,7 @@ OLD_PATH_EVERY_INSTANT_LIMIT = 500
 # Single-sample baselines made the committed speedups noise; three is the
 # floor for a defensible mean.
 OLD_PATH_TAIL_SAMPLES = 3
-# The medium-tier configuration the memory pass compares pruned/unpruned at.
+# The medium-tier configuration the memory pass measures.
 MEMORY_CONFIG: Tuple[int, int, int] = (8, 2000, 4)
 SEED = 1
 CHECKPOINT_RATE = 0.12
@@ -130,36 +133,30 @@ def _suite_new(recorder: TraceRecorder) -> Dict[str, int]:
     ccp = recorder.ccp()
     zigzag = ccp.analyses.zigzag
     useless = zigzag.useless_checkpoints()
-    pair_count = zigzag.zigzag_pair_count()
+    pairs = zigzag.zigzag_pairs()
     audit = audit_garbage_collection(ccp, _retained_everything(ccp))
     line = recovery_line(ccp, [0])
     return {
         "useless": len(useless),
-        "pairs": pair_count,
+        "pairs": len(pairs),
         "safety_violations": len(audit.safety_violations),
         "optimality_violations": len(audit.optimality_violations),
         "line_total": line.total_index(),
     }
 
 
-def _suite_pruned(recorder: TraceRecorder) -> Dict[str, int]:
-    """The analysis suite on a pruning recorder (large tier).
+def _suite_large(recorder: TraceRecorder) -> Dict[str, int]:
+    """The analysis suite of the large tier.
 
-    Same analyses, but the retained map tracks the Theorem-1 eliminations the
-    driver feeds back between instants, and the zigzag relation is counted
-    (``zigzag_pair_count``) rather than materialised — at 10^5 messages the
-    pair list itself would dominate the instant.
+    What ``audit="full"`` (both retained sets) and a recovery session (the
+    recovery line) ask at every analysis instant, read from the recorder's
+    knowledge view over the whole log.
     """
     ccp = recorder.ccp()
-    zigzag = ccp.analyses.zigzag
-    useless = zigzag.useless_checkpoints()
-    pair_count = zigzag.zigzag_pair_count()
     retained_t1 = ccp.analyses.theorem1_retained
     retained_t2 = ccp.analyses.theorem2_retained
     line = recovery_line(ccp, [0])
     return {
-        "useless": len(useless),
-        "pairs": pair_count,
         "retained_t1": len(retained_t1),
         "retained_t2": len(retained_t2),
         "line_total": line.total_index(),
@@ -204,23 +201,6 @@ def _suite_old(recorder: TraceRecorder) -> Dict[str, int]:
     }
 
 
-def _drive_theorem1_eliminations(recorder: TraceRecorder) -> None:
-    """Feed the recorder the eliminations a Theorem-1 collector would emit.
-
-    Untimed between-instant work of the large tier: everything the last
-    analysis instant proved obsolete is declared garbage, which is what lets
-    :meth:`TraceRecorder.maybe_prune` keep the log bounded by the live
-    frontier.
-    """
-    ccp = recorder.ccp()
-    retained = ccp.analyses.theorem1_retained
-    for pid in range(recorder.num_processes):
-        base = ccp.base_interval(pid)
-        for index in range(base, recorder.checkpoints_taken[pid] - 1):
-            if CheckpointId(pid, index) not in retained:
-                recorder.record_elimination(pid, index)
-
-
 def _sample_points(script_len: int, samples: int) -> List[int]:
     return sorted(
         {max(1, round(script_len * (i + 1) / samples)) for i in range(samples)}
@@ -234,16 +214,16 @@ def run_config(
     *,
     seed: int = SEED,
     trace_dir: Optional[str] = None,
-    prune: bool = False,
+    large: bool = False,
 ) -> Dict[str, Any]:
     """Benchmark one configuration; returns a BENCH_perf.json row.
 
     With ``trace_dir`` the measured pattern is additionally persisted as a
     replayable :mod:`repro.traceio` artifact, so a regression seen in CI can
     be re-analysed offline against the *exact* pattern that was measured.
-    With ``prune`` (the large tier) the recorder consumes Theorem-1
-    eliminations between instants and compacts the log; the old path is not
-    run and its cost is filled in by :func:`extrapolate_old_costs`.
+    With ``large`` (the large tier) every instant runs :func:`_suite_large`;
+    the old path is not run and its cost is filled in by
+    :func:`extrapolate_old_costs`.
     """
     script = random_ccp_script(
         seed,
@@ -252,7 +232,7 @@ def run_config(
         checkpoint_rate=CHECKPOINT_RATE,
     )
     recorder = TraceRecorder(num_processes)
-    if prune:
+    if large:
         # Born at event 0 and delta-maintained throughout, as the committed
         # rows assume — else the first timed instant would absorb the catch-up.
         recorder.ccp()
@@ -272,12 +252,12 @@ def run_config(
         recorder.attach_sink(writer)
     feeder = TraceFeeder(recorder)
     measure_old_everywhere = (
-        not prune and num_messages <= OLD_PATH_EVERY_INSTANT_LIMIT
+        not large and num_messages <= OLD_PATH_EVERY_INSTANT_LIMIT
     )
 
     sample_points = _sample_points(len(script), samples)
     old_tail_points = (
-        set() if prune else set(sample_points[-OLD_PATH_TAIL_SAMPLES:])
+        set() if large else set(sample_points[-OLD_PATH_TAIL_SAMPLES:])
     )
     instant_times: List[float] = []
     old_total = 0.0
@@ -291,12 +271,10 @@ def run_config(
         consumed = point
 
         start = time.perf_counter()
-        last_new = _suite_pruned(recorder) if prune else _suite_new(recorder)
+        last_new = _suite_large(recorder) if large else _suite_new(recorder)
         instant_times.append(time.perf_counter() - start)
 
-        if prune:
-            _drive_theorem1_eliminations(recorder)
-        elif measure_old_everywhere or point in old_tail_points:
+        if measure_old_everywhere or point in old_tail_points:
             start = time.perf_counter()
             last_old = _suite_old(recorder)
             old_total += time.perf_counter() - start
@@ -305,7 +283,7 @@ def run_config(
     if writer is not None:
         writer.seal()
     assert last_new is not None
-    if not prune:
+    if not large:
         assert last_old is not None
         if last_new != last_old:
             raise AssertionError(
@@ -325,12 +303,8 @@ def run_config(
         "new_per_instant_max_s": round(max(instant_times), 6),
         "final_suite": last_new,
     }
-    if prune:
-        row["pruned"] = True
-        row["pruned_events"] = recorder.pruned_events
-        row["live_log_events"] = sum(
-            len(recorder.log.history(pid)) for pid in range(num_processes)
-        )
+    if large:
+        row["log_events"] = recorder.log.total_events()
         row["old_extrapolated"] = True  # filled in by extrapolate_old_costs
     else:
         old_per_instant = old_total / old_instants
@@ -390,21 +364,20 @@ def measure_memory_pass(
     samples: int,
     *,
     seed: int = SEED,
-    prune: bool,
     repeat: int = 3,
 ) -> int:
     """Peak traced allocation (bytes) of one feed-and-analyse run.
 
     Runs the exact workload of :func:`run_config` — feeding plus an analysis
-    instant at every sample point, with Theorem-1 eliminations fed back when
-    pruning — under :mod:`tracemalloc`.  Kept separate from the timing loops
-    because the tracer roughly doubles the cost of every allocation.
+    instant at every sample point — under :mod:`tracemalloc`.  Kept separate
+    from the timing loops because the tracer roughly doubles the cost of
+    every allocation.
 
     The run is repeated ``repeat`` times and the *minimum* peak reported: a
     single pass swings by tens of percent with cyclic-GC timing (transient
     tuples survive until whenever the collector happens to run), while the
-    minimum tracks the structural footprint — the thing pruning bounds — and
-    is stable across host and process state.
+    minimum tracks the structural footprint and is stable across host and
+    process state.
     """
     import gc
 
@@ -420,18 +393,12 @@ def measure_memory_pass(
         tracemalloc.start()
         try:
             recorder = TraceRecorder(num_processes)
-            if prune:
-                recorder.ccp()  # tracked from event 0, as in run_config
             feeder = TraceFeeder(recorder)
             consumed = 0
             for point in _sample_points(len(script), samples):
                 feeder.feed(script[consumed:point])
                 consumed = point
-                if prune:
-                    _suite_pruned(recorder)
-                    _drive_theorem1_eliminations(recorder)
-                else:
-                    _suite_new(recorder)
+                _suite_new(recorder)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -440,23 +407,15 @@ def measure_memory_pass(
 
 
 def run_memory_section(*, seed: int = SEED) -> Dict[str, Any]:
-    """The pruned-versus-unpruned medium-tier memory comparison."""
+    """The medium-tier memory measurement."""
     num_processes, num_messages, samples = MEMORY_CONFIG
-    unpruned = measure_memory_pass(
-        num_processes, num_messages, samples, seed=seed, prune=False
-    )
-    pruned = measure_memory_pass(
-        num_processes, num_messages, samples, seed=seed, prune=True
-    )
     return {
         "config": {
             "processes": num_processes,
             "messages": num_messages,
             "samples": samples,
         },
-        "peak_unpruned_bytes": unpruned,
-        "peak_pruned_bytes": pruned,
-        "reduction": round(1.0 - pruned / unpruned, 4),
+        "peak_bytes": measure_memory_pass(num_processes, num_messages, samples, seed=seed),
     }
 
 
@@ -498,14 +457,14 @@ def run_sweep(
         )
     for num_processes, num_messages, samples in large_configs or []:
         row = run_config(
-            num_processes, num_messages, samples, seed=seed, prune=True
+            num_processes, num_messages, samples, seed=seed, large=True
         )
         rows.append(row)
         print(
-            f"  {num_processes} procs x {num_messages} msgs [pruned]: "
+            f"  {num_processes} procs x {num_messages} msgs [large]: "
             f"new {row['new_per_instant_s']:.4f}s/instant "
             f"(max {row['new_per_instant_max_s']:.4f}s), "
-            f"{row['pruned_events']} events pruned"
+            f"{row['log_events']} events in the log"
         )
     extrapolate_old_costs(rows)
     document: Dict[str, Any] = {
@@ -523,7 +482,8 @@ def run_sweep(
                 "old = from-scratch CCP + brute-force BFS oracles, "
                 "new = delta-maintained TraceRecorder knowledge state + "
                 "blocked bitset zigzag kernel + shared AnalysisCache; "
-                "large rows run with obsolescence pruning."
+                "large rows time the retained sets and a recovery line "
+                "over the whole log."
             ),
         },
         "rows": rows,
@@ -531,12 +491,7 @@ def run_sweep(
     if memory:
         document["memory"] = run_memory_section(seed=seed)
         section = document["memory"]
-        print(
-            f"  memory @ medium tier: unpruned "
-            f"{section['peak_unpruned_bytes'] / 1e6:.1f} MB, pruned "
-            f"{section['peak_pruned_bytes'] / 1e6:.1f} MB "
-            f"(-{section['reduction'] * 100:.0f}%)"
-        )
+        print(f"  memory @ medium tier: peak {section['peak_bytes'] / 1e6:.1f} MB")
     return document
 
 
@@ -553,7 +508,7 @@ def _profile_tier(name: str, configs: List[Tuple[int, int, int]], seed: int) -> 
         num_messages,
         samples,
         seed=seed,
-        prune=name == "large",
+        large=name == "large",
     )
     profiler.disable()
     print(f"\n--- cProfile [{name}] {num_processes}p x {num_messages}m "
@@ -583,7 +538,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--memory",
         action="store_true",
-        help="also run the pruned-vs-unpruned memory pass (medium tier)",
+        help="also run the memory pass (medium tier)",
     )
     parser.add_argument(
         "--profile",

@@ -140,8 +140,7 @@ class Message(NamedTuple):
     ``receive_interval`` are the checkpoint intervals those events belong to
     (``alpha`` such that the send is in ``I_sender^alpha``, likewise for the
     receive) — the only facts about messages the zigzag-path analysis needs
-    (Definition 3).  Interval indices are global: pruning a log re-bases the
-    seqs, never the intervals.
+    (Definition 3).
 
     A message is *delivered* when both its send and its receive are known.
     Messages that were sent but never received (lost, or still in transit at
@@ -187,21 +186,6 @@ class ProcessHistory:
     #: checkpoint queries cost the number of checkpoints, not of events.
     checkpoints: List[Event] = field(default_factory=list, repr=False)
 
-    def append(self, event: Event) -> None:
-        """Append ``event``, validating process id and sequence number."""
-        if event.pid != self.pid:
-            raise ValueError(
-                f"event for process {event.pid} appended to history of {self.pid}"
-            )
-        if event.seq != len(self.events):
-            raise ValueError(
-                f"expected seq {len(self.events)} for process {self.pid}, "
-                f"got {event.seq}"
-            )
-        self.events.append(event)
-        if event.kind is _CHECKPOINT:
-            self.checkpoints.append(event)
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -237,29 +221,13 @@ class EventLog:
     * each message id is sent exactly once and received at most once;
     * a receive event can only be recorded after its send event exists.
 
-    A log may be *based*: ``checkpoint_bases[pid]`` is the index of the first
-    checkpoint event of ``pid`` present in the log (0 for a full record).
-    Based logs arise from obsolescence-driven pruning, which discards the
-    prefix of each history up to a garbage-collected checkpoint (see
-    :meth:`suffix`); checkpoint indices remain globally meaningful, only the
-    events of earlier intervals are gone.
+    Every history starts at the process's first event, so a process's
+    checkpoints are recorded from index 0.
     """
 
-    def __init__(
-        self,
-        num_processes: int,
-        *,
-        checkpoint_bases: Optional[Sequence[int]] = None,
-    ) -> None:
+    def __init__(self, num_processes: int) -> None:
         if num_processes <= 0:
             raise ValueError("an execution needs at least one process")
-        if checkpoint_bases is None:
-            checkpoint_bases = [0] * num_processes
-        if len(checkpoint_bases) != num_processes:
-            raise ValueError("one checkpoint base per process is required")
-        if any(base < 0 for base in checkpoint_bases):
-            raise ValueError("checkpoint bases must be non-negative")
-        self._checkpoint_bases: List[int] = list(checkpoint_bases)
         self._histories: List[ProcessHistory] = [
             ProcessHistory(pid) for pid in range(num_processes)
         ]
@@ -278,18 +246,6 @@ class EventLog:
     def processes(self) -> range:
         """The process ids ``0 .. n-1``."""
         return range(self.num_processes)
-
-    def checkpoint_base(self, pid: int) -> int:
-        """Index of the first checkpoint event of ``pid`` recorded in this log.
-
-        0 for full records; greater for logs whose prefix was pruned away.
-        """
-        return self._checkpoint_bases[pid]
-
-    @property
-    def checkpoint_bases(self) -> Tuple[int, ...]:
-        """Per-process first recorded checkpoint index (all zero when unpruned)."""
-        return tuple(self._checkpoint_bases)
 
     def history(self, pid: int) -> ProcessHistory:
         """The event history of process ``pid``."""
@@ -333,9 +289,8 @@ class EventLog:
     # ------------------------------------------------------------------
     # The add_* methods number the event and stamp the message themselves, so
     # they build the tuples directly (no validating __new__) and append to the
-    # history's lists in place of ProcessHistory.append, which would re-check
-    # the seq they just computed.  A negative pid would index another process's
-    # history, so it is refused explicitly.
+    # history's lists.  A negative pid would index another process's history,
+    # so it is refused explicitly.
     def add_internal(self, pid: int, *, time: float = 0.0) -> Event:
         """Record an internal event at process ``pid``."""
         if pid < 0:
@@ -350,13 +305,12 @@ class EventLog:
     ) -> Event:
         """Record a checkpoint event at process ``pid``.
 
-        Checkpoint indices must be taken in increasing order, starting at the
-        process's checkpoint base (0 unless the log was pruned).
+        Checkpoint indices must be taken in increasing order, starting at 0.
         """
         if pid < 0:
             raise ValueError(f"unknown process {pid}")
         history = self._histories[pid]
-        expected = self._checkpoint_bases[pid] + len(history.checkpoints)
+        expected = len(history.checkpoints)
         if checkpoint_index != expected:
             raise ValueError(
                 f"process {pid}: expected checkpoint index {expected}, "
@@ -393,7 +347,7 @@ class EventLog:
         seq = len(history.events)
         event = _new(Event, (sender, seq, _SEND, message_id, None, time, False))
         history.events.append(event)
-        interval = self._checkpoint_bases[sender] + len(history.checkpoints)
+        interval = len(history.checkpoints)
         message = _new(Message, (message_id, sender, receiver, seq, interval, -1, -1))
         self._messages[message_id] = message
         return event, message
@@ -414,7 +368,7 @@ class EventLog:
         seq = len(history.events)
         event = _new(Event, (pid, seq, _RECEIVE, message_id, None, time, False))
         history.events.append(event)
-        interval = self._checkpoint_bases[pid] + len(history.checkpoints)
+        interval = len(history.checkpoints)
         delivered = (message_id, sender, pid, send_seq, send_interval, seq, interval)
         self._messages[message_id] = _new(Message, delivered)
         return event
@@ -456,13 +410,6 @@ class EventLog:
                 "matching send before it"
             )
 
-    def _check_window(self, bounds: Sequence[int], what: str) -> None:
-        if len(bounds) != self.num_processes:
-            raise ValueError(f"one {what} per process is required")
-        for pid, bound in enumerate(bounds):
-            if not 0 <= bound <= len(self._histories[pid]):
-                raise ValueError(f"invalid {what} {bound} for process {pid}")
-
     def prefix(self, lengths: Sequence[int]) -> "EventLog":
         """Return a new :class:`EventLog` containing only a prefix per process.
 
@@ -477,8 +424,12 @@ class EventLog:
         are the only places a message can change state.  This log is left
         untouched, so patterns already derived from it stay valid.
         """
-        self._check_window(lengths, "prefix length")
-        sub = EventLog(self.num_processes, checkpoint_bases=self._checkpoint_bases)
+        if len(lengths) != self.num_processes:
+            raise ValueError("one prefix length per process is required")
+        for pid, length in enumerate(lengths):
+            if not 0 <= length <= len(self._histories[pid]):
+                raise ValueError(f"invalid prefix length {length} for process {pid}")
+        sub = EventLog(self.num_processes)
         messages = sub._messages = dict(self._messages)
         for history in self._histories:
             length = lengths[history.pid]
@@ -508,55 +459,6 @@ class EventLog:
                             receive_seq=-1, receive_interval=-1
                         )
         sub._next_message_id = max(messages, default=-1) + 1
-        return sub
-
-    def suffix(
-        self, starts: Sequence[int], *, checkpoint_bases: Sequence[int]
-    ) -> "EventLog":
-        """Drop a per-process event prefix, re-sequencing the remainder from 0.
-
-        ``starts[pid]`` is the number of leading events of ``pid`` to discard;
-        ``checkpoint_bases[pid]`` must be the index of the first checkpoint
-        event that survives for ``pid`` (it becomes the new log's base).  The
-        cut must be *send-closed*: a delivered message whose send event
-        survives must also keep its receive event — obsolescence pruning
-        guarantees this by weakening the cut to a consistent one first.
-        Receives whose send was discarded are kept as INTERNAL placeholders so
-        per-process event counts (and trace replay) stay meaningful; sends
-        pending at the cut survive as undelivered messages.
-        """
-        self._check_window(starts, "suffix start")
-        sub = EventLog(self.num_processes, checkpoint_bases=checkpoint_bases)
-        for message_id, message in self._messages.items():
-            send_seq = message.send_seq - starts[message.sender]
-            if send_seq < 0:
-                continue
-            receive_seq = message.receive_seq
-            if receive_seq >= 0:
-                receive_seq -= starts[message.receiver]
-                if receive_seq < 0:
-                    raise ValueError(
-                        f"suffix is not send-closed: message {message_id} keeps "
-                        "its send but drops its receive"
-                    )
-            # Interval indices are global: only the positions are re-based.
-            sub._messages[message_id] = message._replace(
-                send_seq=send_seq, receive_seq=receive_seq
-            )
-        sub._next_message_id = max(sub._messages, default=-1) + 1
-        for pid, start in enumerate(starts):
-            for event in self._histories[pid].events[start:]:
-                if event.kind is _CHECKPOINT:
-                    assert event.checkpoint_index is not None
-                    sub.add_checkpoint(
-                        pid, event.checkpoint_index, time=event.time, forced=event.forced
-                    )
-                elif event.message_id is None or event.message_id in sub._messages:
-                    sub._histories[pid].append(
-                        Event(pid, event.seq - start, event.kind, event.message_id, time=event.time)
-                    )
-                else:
-                    sub.add_internal(pid, time=event.time)
         return sub
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

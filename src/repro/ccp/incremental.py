@@ -12,15 +12,14 @@ no event-graph traversal at all:
   causal past of ``p``'s current state (-1 if none).  Sends snapshot the
   sender's vector, receives merge the snapshot elementwise-max into the
   receiver, and taking checkpoint ``k`` sets the own entry to ``k``.
-* ``ckpt_rows[p][k - ckpt_base[p]]`` — the knowledge vector frozen just
-  *before* the checkpoint event of ``c_p^k``; it encodes the checkpoint's
-  ground-truth dependency vector (``gtdv = row + 1`` elementwise).  The rows
-  are stored the way they are queried: one list per process in checkpoint
-  index order covering exactly the live window ``[checkpoint_base(p),
-  last_stable(p)]``.  The window is contiguous by construction — pruning
-  drops a prefix, a recovery truncation a suffix.  Every vector here is as
-  long as the run's capacity, fixed at construction: a process that joins
-  mid-run occupies a slot that read -1 from the start.
+* ``ckpt_rows[p][k]`` — the knowledge vector frozen just *before* the
+  checkpoint event of ``c_p^k``; it encodes the checkpoint's ground-truth
+  dependency vector (``gtdv = row + 1`` elementwise).  The rows are stored
+  the way they are queried: one list per process in checkpoint index order
+  covering exactly ``[0, last_stable(p)]`` — a recovery truncation drops a
+  suffix, reused indices append again.  Every vector here is as long as the
+  run's capacity, fixed at construction: a process that joins mid-run
+  occupies a slot that read -1 from the start.
 
 Every checkpoint-level precedence fact the theorems need is then one integer
 comparison: ``c_f^m`` causally precedes ``c_i^k`` iff ``row(c_i^k)[f] >= m``
@@ -28,16 +27,14 @@ comparison: ``c_f^m`` causally precedes ``c_i^k`` iff ``row(c_i^k)[f] >= m``
 grows along a process's checkpoints, so column ``f`` of ``ckpt_rows[i]`` is
 sorted and the retained sets and recovery lines fall out of ``O(n^2)``
 ``bisect_left(rows, m, key=itemgetter(f))`` calls — comparison and column
-extraction both in C, the volatile row one extra comparison; neither run
-length nor window size is ever scanned.  The same rows answer one question
+extraction both in C, the volatile row one extra comparison; neither the
+run nor the rows are ever scanned.  The same rows answer one question
 at a time without a CCP: one checkpoint's Theorem-1 retention, one
 process's Theorem-2 set, one pair's precedence.
 
 A per-process journal of ``(seq, ck)`` snapshots at knowledge-changing events
-supports recovery truncation (restore the vector at the cut by bisection) and
-is itself pruned together with the log; this is what keeps the state exact on
-pruned histories, where a from-scratch replay is impossible because receives
-of pruned sends survive only as INTERNAL placeholders.
+supports recovery truncation: the vector at the cut is restored by
+bisection, not by a replay.
 
 :class:`IncrementalAnalysisView` is the read side handed to every
 :class:`~repro.ccp.pattern.CCP` as its ``analysis_provider``: it is bound to
@@ -65,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class KnowledgeWindowError(RuntimeError):
-    """The checkpoint rows do not cover the recorder's live checkpoint window."""
+    """The checkpoint rows do not cover the recorder's stable checkpoints."""
 
 
 class CheckpointKnowledgeTracker:
@@ -73,29 +70,24 @@ class CheckpointKnowledgeTracker:
 
     The matrices are sized for the run's capacity; out-of-range pids raise
     :class:`~repro.membership.MembershipError` rather than IndexError.
-    ``ckpt_rows[p]`` covers the live checkpoint window of ``p`` and nothing
+    ``ckpt_rows[p]`` covers the stable checkpoints of ``p`` and nothing
     else: :meth:`note_checkpoint` appends, :meth:`forget_checkpoints` drops
-    the pruned prefix and the rolled-back suffix.
+    the rolled-back suffix.
     """
 
     def __init__(self, num_processes: int) -> None:
         self._num_processes = num_processes
         self.ck: List[List[int]] = [[-1] * num_processes for _ in range(num_processes)]
         #: Knowledge snapshot piggybacked on each sent message (kept until the
-        #: message can no longer be (re-)delivered, i.e. dropped or pruned).
+        #: message can no longer be (re-)delivered, i.e. dropped).
         self.msg_ck: Dict[int, Tuple[int, ...]] = {}
-        #: Knowledge frozen just before each live stable checkpoint's event:
-        #: ``ckpt_rows[p][k - ckpt_base[p]]`` belongs to ``c_p^k``.
+        #: Knowledge frozen just before each stable checkpoint's event:
+        #: ``ckpt_rows[p][k]`` belongs to ``c_p^k``.
         self.ckpt_rows: List[List[Tuple[int, ...]]] = [[] for _ in range(num_processes)]
-        self.ckpt_base: List[int] = [0] * num_processes
         #: Per-process journal of (seq, ck-after-event) at knowledge-changing
-        #: events, for truncation rebuilds; pruned together with the log.
+        #: events, for truncation rebuilds.
         self.journal: List[List[Tuple[int, Tuple[int, ...]]]] = [
             [] for _ in range(num_processes)
-        ]
-        #: Knowledge at the start of the retained log (all -1 until pruning).
-        self.base_ck: List[Tuple[int, ...]] = [
-            (-1,) * num_processes for _ in range(num_processes)
         ]
 
     @property
@@ -143,26 +135,13 @@ class CheckpointKnowledgeTracker:
             entries = self.journal[pid]
             cut = bisect_right(entries, lengths[pid] - 1, key=itemgetter(0))
             del entries[cut:]
-            self.ck[pid] = list(entries[-1][1] if entries else self.base_ck[pid])
+            self.ck[pid] = list(entries[-1][1]) if entries else [-1] * self._num_processes
 
-    def apply_suffix(self, starts: Sequence[int]) -> None:
-        """Drop journal prefixes and re-offset seqs after the log was pruned."""
-        for pid in range(self._num_processes):
-            entries = self.journal[pid]
-            cut = bisect_right(entries, starts[pid] - 1, key=itemgetter(0))
-            if cut:
-                self.base_ck[pid] = entries[cut - 1][1]
-            self.journal[pid] = [
-                (seq - starts[pid], vector) for seq, vector in entries[cut:]
-            ]
-
-    def forget_checkpoints(self, bases: Sequence[int], taken: Sequence[int]) -> None:
-        """Keep the rows of checkpoints ``bases[p] <= k < taken[p]`` only: a
-        prune raised the bases (prefix drop), a recovery lowered ``taken``."""
+    def forget_checkpoints(self, taken: Sequence[int]) -> None:
+        """Keep the rows of checkpoints ``k < taken[p]`` only (a recovery
+        lowered ``taken``)."""
         for pid, rows in enumerate(self.ckpt_rows):
-            del rows[taken[pid] - self.ckpt_base[pid] :]
-            del rows[: bases[pid] - self.ckpt_base[pid]]
-            self.ckpt_base[pid] = bases[pid]
+            del rows[taken[pid] :]
 
     def forget_messages(self, message_ids: Iterable[int]) -> None:
         for message_id in message_ids:
@@ -177,7 +156,7 @@ class IncrementalAnalysisView:
     per-process checkpoint rows.  The view is pinned to the recorder version
     current at construction: answering from newer state would silently
     describe a different execution, so stale access raises — and so do rows
-    that do not cover the recorder's live windows
+    that do not cover the recorder's stable checkpoints
     (:class:`KnowledgeWindowError`), which a bisection would misread.
     """
 
@@ -199,30 +178,27 @@ class IncrementalAnalysisView:
         assert tracker is not None
         return tracker
 
-    def _state(self) -> Tuple[CheckpointKnowledgeTracker, List[int], List[int]]:
+    def _state(self) -> Tuple[CheckpointKnowledgeTracker, List[int]]:
         tracker = self._tracker()
-        recorder = self._recorder
-        last_stable = [taken - 1 for taken in recorder.checkpoints_taken]
-        bases = list(recorder.log.checkpoint_bases)
-        covered = [base + len(rows) - 1 for base, rows in zip(tracker.ckpt_base, tracker.ckpt_rows)]
-        if tracker.ckpt_base != bases or covered != last_stable:
+        last_stable = [taken - 1 for taken in self._recorder.checkpoints_taken]
+        covered = [len(rows) - 1 for rows in tracker.ckpt_rows]
+        if covered != last_stable:
             raise KnowledgeWindowError(
-                f"checkpoint rows cover {tracker.ckpt_base}..{covered} but the "
-                f"recorder's live windows are {bases}..{last_stable}"
+                f"checkpoint rows reach {covered} but the recorder's last "
+                f"stable checkpoints are {last_stable}"
             )
-        return tracker, last_stable, bases
+        return tracker, last_stable
 
     @staticmethod
     def _row(tracker: CheckpointKnowledgeTracker, cid: CheckpointId) -> Sequence[int]:
         """The knowledge row of general checkpoint ``cid``: frozen for a stable
         one, the process's current vector for the volatile one."""
         rows = tracker.ckpt_rows[cid.pid]
-        offset = cid.index - tracker.ckpt_base[cid.pid]
-        if 0 <= offset < len(rows):
-            return rows[offset]
-        if offset == len(rows):
+        if 0 <= cid.index < len(rows):
+            return rows[cid.index]
+        if cid.index == len(rows):
             return tracker.ck[cid.pid]
-        raise KeyError(f"checkpoint {cid} is not part of the recorded window")
+        raise KeyError(f"checkpoint {cid} is not part of the recorded execution")
 
     # ------------------------------------------------------------------
     # Analyses
@@ -230,8 +206,8 @@ class IncrementalAnalysisView:
     # What p_i knows of p_f only grows along p_i's checkpoints (receives
     # max-merge, truncation restores an earlier state and forgets the later
     # snapshots), so column f of p_i's rows is sorted and "the first general
-    # checkpoint of p_i that knows c_f^m" is a bisection over the live window,
-    # never a scan of it.
+    # checkpoint of p_i that knows c_f^m" is a bisection over the rows, never
+    # a scan of them.
 
     @staticmethod
     def _first_knowing(
@@ -258,7 +234,7 @@ class IncrementalAnalysisView:
         faulty again, so nothing pins their checkpoints and they pin
         nothing (the garbage-of-departed invariant).
         """
-        tracker, last_stable, bases = self._state()
+        tracker, last_stable = self._state()
         departed = self._recorder.departed
         active = [p for p in range(self._recorder.num_processes) if p not in departed]
         columns = [(f, itemgetter(f)) for f in active]
@@ -273,7 +249,7 @@ class IncrementalAnalysisView:
                 if m >= 0:
                     firsts.add(first_knowing(rows, volatile, column, m))
             firsts -= {0, len(rows) + 1}
-            retained.update(CheckpointId(pid, bases[pid] + first - 1) for first in firsts)
+            retained.update(CheckpointId(pid, first - 1) for first in firsts)
         return frozenset(retained)
 
     def theorem1_retained(self) -> FrozenSet[CheckpointId]:
@@ -292,7 +268,7 @@ class IncrementalAnalysisView:
         volatile row standing in for ``c_i^{k+1}`` after the last stable
         checkpoint.  KeyError unless ``cid`` is a live stable checkpoint.
         """
-        tracker, last_stable, _ = self._state()
+        tracker, last_stable = self._state()
         if cid.index > last_stable[cid.pid]:
             raise KeyError(f"checkpoint {cid} is not a live stable checkpoint")
         row = self._row(tracker, cid)
@@ -321,10 +297,10 @@ class IncrementalAnalysisView:
         reference) spells out: a process knows its own earlier checkpoints
         (``row(c_i^k)[i] = k - 1``), and no row knows a volatile checkpoint
         or anything after it.  KeyError unless both are general checkpoints
-        of the recorded window.
+        of the recorded execution.
         """
         tracker = self._tracker()
-        self._row(tracker, first)  # KeyError unless it is in the window
+        self._row(tracker, first)  # KeyError unless it was recorded
         return self._row(tracker, second)[first.pid] >= first.index
 
     def recovery_line(self, faulty_set: FrozenSet[int]) -> "GlobalCheckpoint":
@@ -337,7 +313,7 @@ class IncrementalAnalysisView:
         """
         from repro.ccp.consistency import GlobalCheckpoint
 
-        tracker, last_stable, bases = self._state()
+        tracker, last_stable = self._state()
         departed = self._recorder.departed
         lasts = [(itemgetter(f), last_stable[f]) for f in faulty_set]
         indices: List[int] = []
@@ -350,5 +326,5 @@ class IncrementalAnalysisView:
                 (self._first_knowing(rows, volatile, column, m) for column, m in lasts),
                 default=len(rows) + 1,
             )
-            indices.append(bases[pid] + max(preceded - 1, 0))
+            indices.append(max(preceded - 1, 0))
         return GlobalCheckpoint(tuple(indices))

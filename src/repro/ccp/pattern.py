@@ -170,15 +170,6 @@ class CCP:
             return list(self._log.processes)
         return [pid for pid in self._log.processes if pid not in self._departed]
 
-    def base_interval(self, pid: int) -> int:
-        """The first checkpoint interval of ``pid`` retained in this pattern.
-
-        0 for full records; for pruned logs this is the log's checkpoint base
-        — no event of ``pid`` belongs to an earlier interval, which lets the
-        zigzag kernel size its bitsets by the live window.
-        """
-        return self._log.checkpoint_base(pid)
-
     def last_stable(self, pid: int) -> int:
         """``last_s(pid)``: index of the last stable checkpoint, or -1 if none."""
         events = self._stable_events[pid]
@@ -275,9 +266,7 @@ class CCP:
         (exclusive), so an event's interval is one more than the index of the
         last checkpoint taken at or before it.
         """
-        checkpoints = self._stable_events[event.pid]
-        taken = bisect_right(checkpoints, event.seq, key=_event_seq)
-        return self._log.checkpoint_base(event.pid) + taken
+        return bisect_right(self._stable_events[event.pid], event.seq, key=_event_seq)
 
     def messages(self) -> List[Message]:
         """Delivered messages with their send/receive intervals, by message id."""

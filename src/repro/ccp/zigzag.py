@@ -29,10 +29,7 @@ Two implementations of the relation are provided:
   deduplicated successor components exactly once, and whole levels are
   processed as a block, one Python big-int OR per condensation edge.  Every
   relation query then becomes a couple of bit operations over the precomputed
-  closures.  Node layouts are *based*:
-  bit 0 of a process's segment is its first retained interval, so patterns
-  whose prefix has been pruned away (see ``EventLog.checkpoint_bases``) get
-  compact bitsets sized by the live window, not by run length.
+  closures.
 * :class:`BruteForceZigzagAnalysis` — the original message-level BFS over the
   hand-off graph (edge ``m -> m'`` iff ``m'`` is sent by the receiver of
   ``m`` in the same or a later interval).  It is kept as the executable
@@ -238,20 +235,12 @@ class _ZigzagBase:
             if self.has_zigzag_cycle(cid)
         ]
 
-    def zigzag_pair_count(self) -> int:
-        """Number of ordered pairs in :meth:`zigzag_pairs`.
-
-        Engines may override this with a closed form that avoids materialising
-        the (potentially huge) pair list.
-        """
-        return len(self.zigzag_pairs())
-
 
 class ZigzagAnalysis(_ZigzagBase):
     """Bitset zigzag kernel: interval condensation + blocked reachability.
 
     Construction is ``O(N + M)`` graph building plus one SCC pass and one
-    bitset OR per condensation edge, where ``N`` is the number of *retained*
+    bitset OR per condensation edge, where ``N`` is the number of
     checkpoint intervals and ``M`` the number of delivered messages.
     Components are grouped into reverse-topological levels and each level is
     propagated as a block.  After construction:
@@ -259,27 +248,24 @@ class ZigzagAnalysis(_ZigzagBase):
     * :meth:`zigzag_exists` is one AND over two precomputed big ints;
     * :meth:`useless_checkpoints` is one bit test per general checkpoint;
     * :meth:`zigzag_pairs` extracts, per (source, process) pair, the lowest
-      arrival bit of the closure, and :meth:`zigzag_pair_count` sums the
-      pair counts in closed form without materialising the list;
+      arrival bit of the closure;
     * :meth:`cycle_component_sizes` reads the condensation itself.
     """
 
     def __init__(self, ccp: CCP) -> None:
         super().__init__(ccp)
-        # Node layout: node (p, gamma) at bit offset[p] + (gamma - lo[p])
-        # represents the hand-off state "a message sent by p in interval
-        # >= gamma is usable"; gamma ranges over lo(p)..volatile_index(p),
-        # where lo(p) is the first interval retained in the (possibly pruned)
-        # log — every event of p lives in one of those intervals.
+        # Node layout: node (p, gamma) at bit offset[p] + gamma represents
+        # the hand-off state "a message sent by p in interval >= gamma is
+        # usable"; gamma ranges over 0..volatile_index(p) — every event of p
+        # lives in one of those intervals.
         self._volatile: List[int] = [
             ccp.volatile_index(pid) for pid in ccp.processes
         ]
-        self._lo: List[int] = [ccp.base_interval(pid) for pid in ccp.processes]
         self._offsets: List[int] = []
         total = 0
         for pid in ccp.processes:
             self._offsets.append(total)
-            total += self._volatile[pid] - self._lo[pid] + 1
+            total += self._volatile[pid] + 1
         self._num_nodes = total
         self._closures: List[int] = self._compute_closures()
 
@@ -287,7 +273,7 @@ class ZigzagAnalysis(_ZigzagBase):
     # Kernel construction
     # ------------------------------------------------------------------
     def _node(self, pid: int, interval: int) -> int:
-        return self._offsets[pid] + (interval - self._lo[pid])
+        return self._offsets[pid] + interval
 
     def _compute_closures(self) -> List[int]:
         """Arrival closure of every interval node, as one big int per node.
@@ -306,7 +292,7 @@ class ZigzagAnalysis(_ZigzagBase):
         # Edges: chain (p, g) -> (p, g+1); message (sender, sigma) -> (receiver, rho).
         chain_next: List[int] = [-1] * n
         for pid in self._ccp.processes:
-            for gamma in range(self._lo[pid], self._volatile[pid]):
+            for gamma in range(self._volatile[pid]):
                 chain_next[self._node(pid, gamma)] = self._node(pid, gamma + 1)
         message_edges: List[List[int]] = [[] for _ in range(n)]
         for message in self._messages.values():
@@ -424,15 +410,10 @@ class ZigzagAnalysis(_ZigzagBase):
     # Bit helpers
     # ------------------------------------------------------------------
     def _closure_of(self, source: CheckpointId) -> int:
-        """Arrival closure of the start state of ``source`` (condition i).
-
-        ``start`` is clamped to the first retained interval: a start below it
-        would allow strictly more messages than exist in the pattern, so the
-        closure of the base node is exact for it.
-        """
+        """Arrival closure of the start state of ``source`` (condition i)."""
         if source.pid not in self._ccp.processes:
             return 0
-        start = max(source.index + 1, self._lo[source.pid])
+        start = max(source.index + 1, 0)
         if start > self._volatile[source.pid]:
             return 0
         return self._closures[self._node(source.pid, start)]
@@ -441,19 +422,17 @@ class ZigzagAnalysis(_ZigzagBase):
         """Bits of every arrival node satisfying condition (iii) for ``target``."""
         if target.pid not in self._ccp.processes:
             return 0
-        width = min(target.index, self._volatile[target.pid]) - self._lo[target.pid] + 1
+        width = min(target.index, self._volatile[target.pid]) + 1
         if width <= 0:
             return 0
         return ((1 << width) - 1) << self._offsets[target.pid]
 
     def _first_arrival(self, closure: int, pid: int) -> Optional[int]:
         """Earliest interval of ``pid`` with an arrival bit set in ``closure``."""
-        segment = (closure >> self._offsets[pid]) & (
-            (1 << (self._volatile[pid] - self._lo[pid] + 1)) - 1
-        )
+        segment = (closure >> self._offsets[pid]) & ((1 << (self._volatile[pid] + 1)) - 1)
         if not segment:
             return None
-        return self._lo[pid] + (segment & -segment).bit_length() - 1
+        return (segment & -segment).bit_length() - 1
 
     # ------------------------------------------------------------------
     # Relation queries
@@ -494,20 +473,6 @@ class ZigzagAnalysis(_ZigzagBase):
                     for beta in range(first, self._volatile[pid] + 1)
                 )
         return pairs
-
-    def zigzag_pair_count(self) -> int:
-        """Number of ordered zigzag pairs, in closed form (no pair list)."""
-        count = 0
-        for src_pid in self._ccp.processes:
-            for source in self._ccp.general_ids(src_pid):
-                closure = self._closure_of(source)
-                if not closure:
-                    continue
-                for pid in self._ccp.processes:
-                    first = self._first_arrival(closure, pid)
-                    if first is not None:
-                        count += self._volatile[pid] + 1 - first
-        return count
 
 
 class BruteForceZigzagAnalysis(_ZigzagBase):

@@ -122,8 +122,7 @@ class GarbageCollector(abc.ABC):
         """Observe every checkpoint index this collector eliminates.
 
         Listeners fire *after* the checkpoint was removed from stable storage.
-        The live worker shards eliminations this way, and a driver that wants
-        its trace recorder to compact routes them to ``record_elimination``;
+        The live worker writes eliminations to its trace shard this way;
         concrete collectors route their eliminations through
         :meth:`_eliminate` so the hook sees all of them.
         """
@@ -190,8 +189,8 @@ class GarbageCollector(abc.ABC):
         A departed process can never be faulty, so no recovery line ever
         needs its checkpoints — all of them are garbage the instant it
         leaves.  The default eliminates everything retained, through
-        :meth:`_eliminate` so elimination listeners (trace pruning) observe
-        every index.  Returns the eliminated indices.
+        :meth:`_eliminate` so elimination listeners (the live worker's
+        shard) observe every index.  Returns the eliminated indices.
         """
         collected = sorted(self._storage.retained_indices())
         for index in collected:

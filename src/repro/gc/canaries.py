@@ -26,7 +26,7 @@ the same space clean.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from repro.gc.rdt_lgc_collector import RdtLgcCollector
 from repro.storage.stable import StableStorage
@@ -77,19 +77,12 @@ class HoarderCanaryCollector(RdtLgcCollector):
         """An RDT-LGC collector for ``pid`` that has vetoed nothing yet."""
         super().__init__(pid, num_processes, storage)
         self._eliminations = 0
-        self._hoarded: List[int] = []
-
-    @property
-    def hoarded_indices(self) -> Tuple[int, ...]:
-        """Checkpoint indices the veto kept alive (diagnostics)."""
-        return tuple(self._hoarded)
 
     def _eliminate(self, index: int) -> None:
         # The inherited UC table eliminates through this override.
         self._eliminations += 1
         if self._eliminations % 2 == 0:
             # BUG: every second collectible checkpoint is hoarded.
-            self._hoarded.append(index)
             return
         super()._eliminate(index)
 

@@ -218,6 +218,11 @@ class ShardData:
     complete: bool = False
 
 
+def _is_count(value: Any) -> bool:
+    """True for a non-negative ``int`` (not a ``bool``, a float or a string)."""
+    return type(value) is int and value >= 0
+
+
 def read_shard(path: str) -> ShardData:
     """Parse one shard file, tolerating a torn tail (SIGKILLed writer)."""
     header: Optional[dict] = None
@@ -239,6 +244,7 @@ def read_shard(path: str) -> ShardData:
                 if not isinstance(parsed, dict) or parsed.get("shard") != SHARD_VERSION:
                     raise ValueError(f"{path}:{number}: not a live trace shard")
                 header = parsed
+                pid = int(header["pid"])
                 continue
             if isinstance(parsed, dict):
                 footer = parsed.get("shard_footer")
@@ -249,18 +255,31 @@ def read_shard(path: str) -> ShardData:
             if not (isinstance(parsed, list) and len(parsed) == 3):
                 raise ValueError(f"{path}:{number}: malformed shard record")
             epoch, lamport, record = parsed
+            if not (_is_count(epoch) and _is_count(lamport)):
+                raise ValueError(
+                    f"{path}:{number}: merge key ({epoch!r}, {lamport!r}) is not "
+                    f"two non-negative integers"
+                )
             if not isinstance(record, list) or not record:
                 raise ValueError(f"{path}:{number}: malformed shard record body")
             if record[0] == TAG_ELIMINATION:
-                if len(record) != 3:
-                    raise ValueError(f"{path}:{number}: malformed elimination record")
+                if not (
+                    len(record) == 3
+                    and _is_count(record[1])
+                    and record[1] == pid
+                    and _is_count(record[2])
+                ):
+                    raise ValueError(
+                        f"{path}:{number}: malformed elimination record {record!r} "
+                        f"(expected [\"e\", {pid}, <non-negative checkpoint index>])"
+                    )
             else:
                 validate_record(record, line=number, path=path)
             entries.append(
                 ShardEntry(
-                    epoch=int(epoch),
-                    lamport=int(lamport),
-                    pid=int(header["pid"]),
+                    epoch=epoch,
+                    lamport=lamport,
+                    pid=pid,
                     seq=len(entries),
                     record=tuple(record),
                 )
@@ -269,7 +288,7 @@ def read_shard(path: str) -> ShardData:
         raise ValueError(f"{path}: empty shard file")
     return ShardData(
         path=path,
-        pid=int(header["pid"]),
+        pid=pid,
         num_processes=int(header["num_processes"]),
         epoch=int(header["epoch"]),
         incarnation=int(header.get("incarnation", 0)),

@@ -75,8 +75,8 @@ def _recovery_line_lemma1(ccp: CCP, faulty_set: Set[int]) -> GlobalCheckpoint:
             # is pinned to the volatile index so recovery never touches it.
             indices.append(ccp.volatile_index(pid))
             continue
-        chosen = ccp.base_interval(pid)
-        for gamma in range(ccp.base_interval(pid), ccp.volatile_index(pid) + 1):
+        chosen = 0
+        for gamma in range(ccp.volatile_index(pid) + 1):
             candidate = CheckpointId(pid, gamma)
             preceded = any(
                 ccp.causally_precedes(ccp.last_stable_id(f), candidate)

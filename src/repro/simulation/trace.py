@@ -25,14 +25,14 @@ carries an :class:`repro.ccp.incremental.IncrementalAnalysisView` as its
 no vector-clock replay unless a caller asks for event-level precedence.  The
 tracker has one lifecycle: it is born by one causal-order replay of the
 current log at the first :meth:`ccp`, :meth:`knowledge_view` or
-:meth:`knowledge_mark`, or immediately before the first compaction,
-whichever comes first (the log is whole at all these instants, so the
-catch-up is exact), and the ``record_*`` methods keep it current in O(P) per
-event from then on.  A caller that audits event by event (the schedule
-explorer) takes a :meth:`knowledge_mark` before the first event and asks
+:meth:`knowledge_mark`, and the ``record_*`` methods keep it current in O(P)
+per event from then on — unless a recovery session leaves a placeholder
+receive behind, which drops it to be born again at the next read.  A caller
+that audits event by event (the schedule explorer) takes a
+:meth:`knowledge_mark` before the first event and asks
 :meth:`knowledge_changed_since` which processes' knowledge moved.  A run
-that asks for no analysis and compacts nothing does no per-event analysis
-work — and under the simulator such a run does
+that asks for no analysis does no per-event analysis work — and under the
+simulator such a run does
 not reach the recorder at all until somebody reads it: the
 :class:`~repro.simulation.runner.SimulationRunner` keeps its nodes'
 occurrences and applies them, through these same ``record_*`` calls and in
@@ -40,17 +40,9 @@ arrival order, at the first read (``runner.trace``, a ``ccp()``, a recovery
 session, a join or leave).  The recorder has one recording path and cannot
 tell the difference, except in time.
 
-A driver that feeds the recorder the obsolescence decisions collectors emit
-(:meth:`record_elimination`) lets it *compact*: once a contiguous prefix of a
-process's checkpoints is garbage, the corresponding checkpoint intervals are
-cut out of the event log (:meth:`maybe_prune`), bounding the recorder's
-memory by the live checkpoint frontier instead of run length.  Pruning
-weakens the cut to a *send-closed consistent* one first, which is exactly
-what keeps the zigzag relation of every retained checkpoint intact; receives
-of pruned sends that arrive later are recorded as INTERNAL events (their
-knowledge merge still happens, so Theorem-2 state stays exact).  A compacted
-log has lost the edges a catch-up replay would need, so from the first
-compaction on the maintained knowledge state is the only authoritative one.
+The recorder observes the execution from outside the algorithm and keeps
+its whole history: a checkpoint a collector eliminates from stable storage
+stays in the log, so every process's checkpoints are recorded from index 0.
 
 Recovery sessions rewrite history: the post-rollback state of the system is the
 recovery-line cut, so :meth:`apply_recovery` truncates each rolled-back
@@ -66,8 +58,6 @@ recovery sessions, which replay needs to reproduce the history truncation —
 is forwarded to each sink in recording order, which is how
 :class:`repro.traceio.writer.TraceWriter` turns a live run into a durable,
 replayable artifact without the recorder knowing anything about files.
-Pruning is *not* an occurrence: sinks observe the full history, so traces
-written from pruned runs remain complete and replayable.
 """
 
 from __future__ import annotations
@@ -81,7 +71,6 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -91,9 +80,6 @@ from repro.ccp.incremental import CheckpointKnowledgeTracker, IncrementalAnalysi
 from repro.ccp.pattern import CCP
 from repro.membership import MembershipError, MembershipView
 from repro.recovery.rollback_plan import RollbackPlan
-
-#: Events that must be reclaimable before an unforced ``maybe_prune`` compacts.
-PRUNE_THRESHOLD = 512
 
 
 class TraceSink(Protocol):
@@ -166,20 +152,12 @@ class TraceRecorder:
         self._dropped_messages: set[int] = set()
         # Incremental CCP substrate.
         self._version = 0
-        # Born at the first ccp(), knowledge_view() or knowledge_mark(), or
-        # just before the first compaction, whichever comes first (see
-        # _tracked and _catch_up_tracker).
+        # Born at the first ccp(), knowledge_view() or knowledge_mark()
+        # (see _tracked and _catch_up_tracker).
         self._tracker: Optional[CheckpointKnowledgeTracker] = None
         # History rewrites and membership changes so far (knowledge_mark).
         self._rewrites = 0
         self._checkpoints_taken = [0] * num_processes
-        # Obsolescence-driven pruning state: per pid, the eliminated indices
-        # above its floor (holes the contiguous garbage prefix has not reached).
-        self._eliminated: List[Set[int]] = [set() for _ in range(num_processes)]
-        self._prune_floor: List[int] = [0] * num_processes
-        self._pruned_pending: Dict[int, Tuple[int, int]] = {}
-        self._pruned_delivered: Dict[int, int] = {}
-        self._pruned_events = 0
         # Memoised snapshot: (version, volatile-DV fingerprint, CCP).
         self._ccp_cache: Optional[Tuple[int, object, CCP]] = None
         self._sinks: List[TraceSink] = []
@@ -194,18 +172,14 @@ class TraceRecorder:
 
     @property
     def log(self) -> EventLog:
-        """The current event log (post-rollback, post-pruning history only)."""
+        """The current event log (post-rollback history)."""
         return self._log
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter; bumps on every recorded event, recovery or prune."""
+        """Monotonic mutation counter; bumps on every recorded event, recovery,
+        join or leave."""
         return self._version
-
-    @property
-    def pruned_events(self) -> int:
-        """Total events compacted out of the log by pruning so far."""
-        return self._pruned_events
 
     @property
     def knowledge_tracker(self) -> Optional[CheckpointKnowledgeTracker]:
@@ -264,23 +238,9 @@ class TraceRecorder:
 
         Deliveries of messages whose send was erased by a recovery session are
         ignored (the runner prevents them anyway by dropping in-flight
-        messages, so this is a belt-and-braces guard).  Deliveries of messages
-        whose send interval was *pruned* as obsolete are recorded as INTERNAL
-        events: the hand-off edge can only serve pruned checkpoints, but the
-        knowledge the message carries still reaches the receiver.
+        messages, so this is a belt-and-braces guard).
         """
         if message_id in self._dropped_messages:
-            return
-        if message_id in self._pruned_pending:
-            _, receiver = self._pruned_pending.pop(message_id)
-            event = self._log.add_internal(receiver, time=time)
-            assert self._tracker is not None
-            self._tracker.note_receive(message_id, receiver, event.seq)
-            self._tracker.forget_messages([message_id])
-            self._pruned_delivered[message_id] = receiver
-            self._version += 1
-            for sink in self._sinks:
-                sink.on_receive(message_id, time)
             return
         try:
             event = self._log.add_receive(message_id, time=time)
@@ -306,13 +266,6 @@ class TraceRecorder:
         message is received at most once is thereby preserved.
         """
         if message_id in self._dropped_messages:
-            return
-        pruned_receiver = self._pruned_delivered.get(message_id)
-        if pruned_receiver is not None:
-            self._log.add_internal(pruned_receiver, time=time)
-            self._version += 1
-            for sink in self._sinks:
-                sink.on_duplicate_receive(message_id, time)
             return
         if not self._log.has_message(message_id):
             return
@@ -400,124 +353,11 @@ class TraceRecorder:
         for sink in self._sinks:
             sink.on_leave(pid, time)
 
-    # ------------------------------------------------------------------
-    # Obsolescence-driven pruning
-    # ------------------------------------------------------------------
-    def record_elimination(self, pid: int, index: int) -> None:
-        """Note that the collector of ``pid`` eliminated checkpoint ``index``.
-
-        Advances the per-process prune floor over the contiguous garbage
-        prefix and opportunistically compacts the log (:meth:`maybe_prune`).
-        """
-        if not 0 <= index < self._checkpoints_taken[pid]:
-            raise ValueError(
-                f"elimination of unknown checkpoint s{pid}^{index}"
-            )
-        if index < self._prune_floor[pid]:
-            return  # already below the garbage frontier
-        eliminated = self._eliminated[pid]
-        eliminated.add(index)
-        floor = self._prune_floor[pid]
-        while floor in eliminated:
-            eliminated.discard(floor)
-            floor += 1
-        self._prune_floor[pid] = floor
-        self.maybe_prune()
-
     def _checkpoint_seq(self, pid: int, index: int) -> int:
         """Position of the CHECKPOINT event of ``s_pid^index`` (IndexError if not in the log)."""
-        offset = index - self._log.checkpoint_base(pid)
-        if offset < 0:
+        if index < 0:
             raise IndexError(index)
-        return self._log.history(pid).checkpoints[offset].seq
-
-    def maybe_prune(self, *, force: bool = False) -> bool:
-        """Compact obsolete checkpoint intervals out of the log.
-
-        The candidate cut puts each process's base at its prune floor (the
-        first non-garbage checkpoint), then weakens it to a *send-closed*
-        fixpoint: a delivered message whose send survives must keep its
-        receive, otherwise the receiver's base is lowered to just below the
-        receive interval.  Send-closedness is exactly what preserves the
-        zigzag relation of every checkpoint at or above the final bases —
-        every hand-off chain reachable from a live checkpoint consists of
-        surviving messages only.
-
-        Pruning is skipped (returns False) while the reclaimable event count
-        is below :data:`PRUNE_THRESHOLD`, unless ``force`` is given.
-        """
-        bases = self._log.checkpoint_bases
-        desired: List[int] = []
-        for pid in range(self._num_processes):
-            last = self._checkpoints_taken[pid] - 1
-            if last < 0:
-                desired.append(bases[pid])
-            else:
-                desired.append(max(bases[pid], min(self._prune_floor[pid], last)))
-        # Cheap upper bound on reclaimable events before paying for the fixpoint.
-        upper = sum(
-            self._checkpoint_seq(pid, d) if d > bases[pid] else 0
-            for pid, d in enumerate(desired)
-        )
-        if upper == 0 or (not force and upper < PRUNE_THRESHOLD):
-            return False
-        cut = desired
-        delivered = self._log.delivered_messages()
-        changed = True
-        while changed:
-            changed = False
-            for message in delivered:
-                sender_cut = cut[message.sender] > bases[message.sender]
-                send_kept = (
-                    not sender_cut or message.send_interval > cut[message.sender]
-                )
-                if (
-                    send_kept
-                    and cut[message.receiver] > bases[message.receiver]
-                    and message.receive_interval <= cut[message.receiver]
-                ):
-                    cut[message.receiver] = max(
-                        bases[message.receiver], message.receive_interval - 1
-                    )
-                    changed = True
-        starts = [
-            self._checkpoint_seq(pid, cut[pid]) if cut[pid] > bases[pid] else 0
-            for pid in range(self._num_processes)
-        ]
-        total = sum(starts)
-        if total == 0 or (not force and total < PRUNE_THRESHOLD):
-            return False
-        self._perform_prune(cut, starts)
-        return True
-
-    def _perform_prune(self, cut: List[int], starts: List[int]) -> None:
-        """Apply a computed send-closed cut: rewrite the log and remap state."""
-        # Last call: what the cut removes, no later replay can recover.
-        tracker = self._tracked()
-        pruned_delivered: List[int] = []
-        for message in self._log.messages():
-            if message.send_seq < starts[message.sender]:
-                if message.delivered:
-                    pruned_delivered.append(message.message_id)
-                    self._pruned_delivered[message.message_id] = message.receiver
-                else:
-                    self._pruned_pending[message.message_id] = (
-                        message.sender,
-                        message.receiver,
-                    )
-        self._log = self._log.suffix(starts, checkpoint_bases=cut)
-        stale_cids = [
-            cid for cid in self._recorded_dvs if cid.index < cut[cid.pid]
-        ]
-        for cid in stale_cids:
-            del self._recorded_dvs[cid]
-        tracker.apply_suffix(starts)
-        tracker.forget_checkpoints(cut, self._checkpoints_taken)
-        tracker.forget_messages(pruned_delivered)
-        self._pruned_events += sum(starts)
-        self._ccp_cache = None
-        self._version += 1
-        self._rewrites += 1
+        return self._log.history(pid).checkpoints[index].seq
 
     # ------------------------------------------------------------------
     # Recovery sessions
@@ -552,23 +392,23 @@ class TraceRecorder:
                     assert event.checkpoint_index is not None
                     stale.append(CheckpointId(pid, event.checkpoint_index))
             self._checkpoints_taken[pid] = rollback.rollback_index + 1
-            # Rolled-back checkpoint indices are *reused* after recovery
-            # (stable storage rewinds its next index), so elimination facts
-            # recorded for the discarded incarnations must not survive to
-            # taint their successors.
-            self._eliminated[pid] = {
-                index for index in self._eliminated[pid] if index <= rollback.rollback_index
-            }
-            self._prune_floor[pid] = min(
-                self._prune_floor[pid], rollback.rollback_index
-            )
         self._dropped_messages.update(newly_dropped)
         for cid in stale:
             del self._recorded_dvs[cid]
+        # A kept receive of a message whose send is discarded becomes a
+        # placeholder (a Lemma-1 line of a non-RDT pattern can cut so).  What
+        # that receive merged has spread past any journal cut, so the tracker
+        # goes and the next read rebuilds it from the repaired log.
+        if self._tracker is not None and any(
+            0 <= (message := self._log.message(message_id)).receive_seq
+            < lengths[message.receiver]
+            for message_id in newly_dropped
+        ):
+            self._tracker = None
         if self._tracker is not None:
             self._tracker.apply_truncation(lengths)
             self._tracker.forget_messages(newly_dropped)
-            self._tracker.forget_checkpoints(self._log.checkpoint_bases, self._checkpoints_taken)
+            self._tracker.forget_checkpoints(self._checkpoints_taken)
         # A new log, not an in-place cut: CCPs already handed out keep the
         # pre-crash history (the recovery oracles judge the line against it).
         self._log = self._log.prefix(lengths)
@@ -627,8 +467,8 @@ class TraceRecorder:
     def knowledge_changed_since(self, mark: Tuple[int, ...]) -> Optional[FrozenSet[int]]:
         """The pids whose knowledge (vector or checkpoint rows) changed since ``mark``.
 
-        ``None`` when a recovery session, a log compaction, a join or a
-        leave happened in between: history was rewritten (or the set of
+        ``None`` when a recovery session, a join or a leave happened in
+        between: history was rewritten (or the set of
         processes the analyses range over changed), so no per-process
         answer describes the difference.
         """

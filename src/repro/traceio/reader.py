@@ -90,13 +90,6 @@ class ReplayedTrace:
         return str(self.footer.get("status", "ok"))
 
     @property
-    def result_record(self) -> Optional[Dict[str, Any]]:
-        """The persisted scalar result record (None for aborted/truncated runs)."""
-        if self.footer is None:
-            return None
-        return self.footer.get("result")
-
-    @property
     def metrics(self) -> Optional[Dict[str, float]]:
         """The persisted per-cell campaign metrics, if the run completed."""
         if self.footer is None:

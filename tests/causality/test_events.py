@@ -193,14 +193,6 @@ class TestEventLogConstruction:
             record(log)
         assert log.total_events() == 2 and log.messages() == []
 
-    def test_history_rejects_out_of_sequence_events(self):
-        log = EventLog(1)
-        log.add_internal(0)
-        with pytest.raises(ValueError, match="expected seq 1"):
-            log.history(0).append(Event(pid=0, seq=2, kind=EventKind.INTERNAL))
-        with pytest.raises(ValueError, match="expected seq 1"):
-            log.history(0).append(Event(pid=0, seq=0, kind=EventKind.INTERNAL))
-
     def test_messages_are_stamped_with_their_intervals(self):
         log = EventLog(2)
         _, early = log.add_send(0, 1)  # before any checkpoint: interval 0
@@ -251,12 +243,6 @@ class TestEventLogQueries:
         event = log.event(EventId(1, 1))
         assert event.kind is EventKind.RECEIVE
 
-    def test_history_rejects_foreign_events(self):
-        log = EventLog(2)
-        foreign = Event(pid=1, seq=0, kind=EventKind.INTERNAL)
-        with pytest.raises(ValueError):
-            log.history(0).append(foreign)
-
 
 class TestEventLogPrefix:
     def test_prefix_drops_receives_of_dropped_sends_gracefully(self):
@@ -291,27 +277,27 @@ class TestEventLogPrefix:
             log.prefix([5, 0])
 
 
-def _readd_window(log, starts, ends, checkpoint_bases):
-    """Reference for ``prefix``/``suffix``: re-add every surviving event.
+def _readd_prefix(log, lengths):
+    """Reference for ``prefix``: re-add every surviving event.
 
-    Events of ``[starts[pid], ends[pid])`` are replayed through ``add_*`` into
-    a fresh log, in an interleaving where a receive waits for its send; a
-    receive whose send lies outside the window becomes an INTERNAL
-    placeholder.  This is what ``prefix`` and ``suffix`` did before they
-    sliced the histories.
+    The first ``lengths[pid]`` events of each process are replayed through
+    ``add_*`` into a fresh log, in an interleaving where a receive waits for
+    its send; a receive whose send lies outside the prefix becomes an
+    INTERNAL placeholder.  This is what ``prefix`` did before it sliced the
+    histories.
     """
-    sub = EventLog(log.num_processes, checkpoint_bases=checkpoint_bases)
+    sub = EventLog(log.num_processes)
     kept_sends = {
         event.message_id
         for pid in log.processes
-        for event in log.history(pid).events[starts[pid] : ends[pid]]
+        for event in log.history(pid).events[: lengths[pid]]
         if event.kind is EventKind.SEND
     }
-    cursors = list(starts)
-    remaining = sum(end - start for start, end in zip(starts, ends))
+    cursors = [0] * log.num_processes
+    remaining = sum(lengths)
     while remaining:
         for pid in log.processes:
-            while cursors[pid] < ends[pid]:
+            while cursors[pid] < lengths[pid]:
                 event = log.history(pid)[cursors[pid]]
                 if event.kind is EventKind.CHECKPOINT:
                     sub.add_checkpoint(
@@ -332,7 +318,6 @@ def _readd_window(log, starts, ends, checkpoint_bases):
 
 
 def _assert_same_log(actual, reference):
-    assert actual.checkpoint_bases == reference.checkpoint_bases
     for pid in reference.processes:
         assert actual.history(pid).events == reference.history(pid).events
     # Same records; the reference registers its sends in another order.
@@ -342,7 +327,6 @@ def _assert_same_log(actual, reference):
     assert actual.add_send(0, 1)[1].message_id == reference.add_send(0, 1)[1].message_id
     for pid in reference.processes:
         expected = reference.history(pid).last_checkpoint_index() + 1
-        expected = max(expected, reference.checkpoint_base(pid))
         with pytest.raises(ValueError, match=f"expected checkpoint index {expected}"):
             actual.add_checkpoint(pid, expected + 1)
         actual.add_checkpoint(pid, expected)
@@ -386,31 +370,6 @@ def _close_under_sends(log, lengths):
     return lengths
 
 
-def _send_closed_window(log, rng):
-    """Random ``suffix`` arguments: ``(starts, checkpoint_bases)``.
-
-    Cut each process at one of its checkpoint events, then weaken the cut
-    until it is send-closed (a receiver that would lose the receive of a
-    surviving send keeps its whole history).
-    """
-    bases, starts = list(log.checkpoint_bases), [0] * log.num_processes
-    for pid in log.processes:
-        checkpoints = log.history(pid).checkpoint_events()
-        if checkpoints:
-            chosen = rng.choice(checkpoints)
-            bases[pid], starts[pid] = chosen.checkpoint_index, chosen.seq
-    changed = True
-    while changed:
-        changed = False
-        for message in log.delivered_messages():
-            send, receive = message.send_event, message.receive_event
-            if send.seq >= starts[send.pid] and 0 < starts[receive.pid] > receive.seq:
-                bases[receive.pid] = log.checkpoint_base(receive.pid)
-                starts[receive.pid] = 0
-                changed = True
-    return starts, bases
-
-
 def _kinds(log, lengths=None):
     return [
         [event.kind for event in log.history(pid).events[: lengths and lengths[pid]]]
@@ -419,7 +378,7 @@ def _kinds(log, lengths=None):
 
 
 class TestWindowsMatchReaddReference:
-    """Slicing ``prefix``/``suffix`` equal re-adding the surviving events one by one."""
+    """Slicing ``prefix`` equals re-adding the surviving events one by one."""
 
     SEEDS = range(40)
 
@@ -436,10 +395,9 @@ class TestWindowsMatchReaddReference:
         seen = {"consistent": 0, "undelivered": 0, "placeholder": 0}
         for seed in self.SEEDS:
             log = _random_log(seed)
-            zeros = [0] * log.num_processes
             for lengths in self._cuts(log, seed):
                 sub = log.prefix(lengths)
-                reference = _readd_window(log, zeros, lengths, zeros)
+                reference = _readd_prefix(log, lengths)
                 placeholder = _kinds(sub) != _kinds(log, lengths)
                 seen["placeholder"] += placeholder
                 seen["consistent"] += not placeholder
@@ -469,38 +427,6 @@ class TestWindowsMatchReaddReference:
             kept = sub.history(pid).events
             assert all(a is b for a, b in zip(kept, log.history(pid).events))
 
-    def test_suffix_matches_readd_reference(self):
-        import random
-
-        pruned = 0
-        for seed in self.SEEDS:
-            log = _random_log(seed)
-            rng = random.Random(seed)
-            starts, bases = _send_closed_window(log, rng)
-            pruned += any(starts)
-            ends = [len(log.history(pid)) for pid in log.processes]
-            _assert_same_log(
-                log.suffix(starts, checkpoint_bases=bases),
-                _readd_window(log, starts, ends, bases),
-            )
-        assert pruned >= len(self.SEEDS) // 4
-
-    def test_suffix_validates_starts_and_send_closure(self):
-        log = EventLog(2)
-        log.add_checkpoint(0, 0)
-        log.add_checkpoint(1, 0)
-        _, message = log.add_send(0, 1)
-        log.add_receive(message.message_id)
-        log.add_checkpoint(1, 1)
-        with pytest.raises(ValueError, match="one suffix start per process"):
-            log.suffix([0], checkpoint_bases=[0])
-        with pytest.raises(ValueError, match="invalid suffix start"):
-            log.suffix([3, 0], checkpoint_bases=[0, 0])
-        with pytest.raises(ValueError, match="not send-closed"):
-            log.suffix([0, 2], checkpoint_bases=[0, 1])
-        with pytest.raises(ValueError, match="expected checkpoint index"):
-            log.suffix([2, 2], checkpoint_bases=[0, 0])  # p1's first survivor is s^1
-
 
 def _assert_messages_describe_the_events(log):
     """Every ``Message`` agrees with the SEND/RECEIVE events it stands for.
@@ -515,7 +441,7 @@ def _assert_messages_describe_the_events(log):
         before = log.history(event.pid).events[: event.seq]
         counted = sum(e.kind is EventKind.CHECKPOINT for e in before)
         assert ccp.interval_of_event(event) == ccp.interval_of_event(event.event_id)
-        assert ccp.interval_of_event(event) == log.checkpoint_base(event.pid) + counted
+        assert ccp.interval_of_event(event) == counted
         return ccp.interval_of_event(event)
 
     for message in log.messages():
@@ -546,7 +472,7 @@ class TestMessagesDescribeTheEvents:
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**16), data=st.data())
-    def test_after_prefix_suffix_and_late_receives(self, seed, data):
+    def test_after_prefix_and_late_receives(self, seed, data):
         log = _random_log(seed)
         _assert_messages_describe_the_events(log)
         lengths = [
@@ -554,16 +480,12 @@ class TestMessagesDescribeTheEvents:
             for pid in log.processes
         ]
         rng = data.draw(st.randoms(use_true_random=False))
-        for window in (log, log.prefix(lengths)):
-            _assert_messages_describe_the_events(window)
-            starts, bases = _send_closed_window(window, rng)
-            based = window.suffix(starts, checkpoint_bases=bases)
-            _assert_messages_describe_the_events(based)
-            # Recording goes on in a based log: stamps count from the base.
-            for message in based.messages():
-                if not message.delivered and rng.random() < 0.7:
-                    based.add_receive(message.message_id)
-            taken = len(based.history(0).checkpoint_events())
-            based.add_checkpoint(0, based.checkpoint_base(0) + taken)
-            based.add_receive(based.add_send(0, 1)[1].message_id)
-            _assert_messages_describe_the_events(based)
+        window = log.prefix(lengths)
+        _assert_messages_describe_the_events(window)
+        # Recording goes on in a cut log: stamps count the kept checkpoints.
+        for message in window.messages():
+            if not message.delivered and rng.random() < 0.7:
+                window.add_receive(message.message_id)
+        window.add_checkpoint(0, len(window.history(0).checkpoint_events()))
+        window.add_receive(window.add_send(0, 1)[1].message_id)
+        _assert_messages_describe_the_events(window)

@@ -1,14 +1,13 @@
 """The frozen knowledge snapshots are stored the way they are queried.
 
-``CheckpointKnowledgeTracker.ckpt_rows[p]`` holds one snapshot per live stable
-checkpoint of ``p`` in index order, starting at ``ckpt_base[p]``.  The
-bisections of :class:`~repro.ccp.incremental.IncrementalAnalysisView` rely on
-three things that nothing but the recorder's bookkeeping guarantees: the rows
-cover exactly the live window ``[checkpoint_base(p), last_stable(p)]`` (a
-prune drops a prefix, a recovery a suffix, reused indices append again), every
-row is as long as the capacity (a dormant slot reads -1 until its process
-joins), and a view handed rows that do not satisfy this refuses to answer
-instead of answering wrongly.
+``CheckpointKnowledgeTracker.ckpt_rows[p]`` holds one snapshot per stable
+checkpoint of ``p`` in index order, starting at index 0.  The bisections of
+:class:`~repro.ccp.incremental.IncrementalAnalysisView` rely on three things
+that nothing but the recorder's bookkeeping guarantees: the rows cover
+exactly ``[0, last_stable(p)]`` (a recovery drops a suffix, reused indices
+append again), every row is as long as the capacity (a dormant slot reads -1
+until its process joins), and a view handed rows that do not satisfy this
+refuses to answer instead of answering wrongly.
 """
 
 import pytest
@@ -24,35 +23,25 @@ from repro.scenarios.random_patterns import TraceFeeder, random_ccp_script
 from repro.simulation.trace import TraceRecorder
 
 
-def assert_rows_cover_the_live_window(recorder: TraceRecorder) -> None:
+def assert_rows_cover_the_stable_checkpoints(recorder: TraceRecorder) -> None:
     tracker = recorder.knowledge_tracker
     assert tracker is not None
     n = recorder.num_processes
-    assert tracker.num_processes == len(tracker.ckpt_rows) == len(tracker.ckpt_base) == n
-    for pid, (base, rows) in enumerate(zip(tracker.ckpt_base, tracker.ckpt_rows)):
-        live = range(recorder.log.checkpoint_base(pid), recorder.checkpoints_taken[pid])
-        assert range(base, base + len(rows)) == live, pid
+    assert tracker.num_processes == len(tracker.ckpt_rows) == n
+    for pid, rows in enumerate(tracker.ckpt_rows):
+        assert len(rows) == recorder.checkpoints_taken[pid], pid
         assert {len(row) for row in rows} <= {n}, pid
         assert len(tracker.ck[pid]) == n
 
 
-def _eliminate_theorem1_garbage(recorder: TraceRecorder) -> None:
-    ccp = recorder.ccp()
-    retained = ccp.analyses.theorem1_retained
-    for pid in range(recorder.num_processes):
-        for index in range(ccp.base_interval(pid), recorder.checkpoints_taken[pid] - 1):
-            if CheckpointId(pid, index) not in retained:
-                recorder.record_elimination(pid, index)
-
-
-class TestRowsFollowTheWindow:
+class TestRowsFollowTheStableCheckpoints:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
         crash=st.floats(min_value=0.1, max_value=0.9),
         victim=st.integers(0, 5),
     )
-    def test_through_prune_recovery_index_reuse_and_a_join(
+    def test_through_recovery_index_reuse_and_a_join(
         self, assert_view_matches_literal, seed, crash, victim
     ):
         num_processes = 2 + seed % 5
@@ -64,57 +53,33 @@ class TestRowsFollowTheWindow:
             undelivered_fraction=0.15,
         )
         joiner = num_processes  # the one dormant slot of a capacity of num_processes + 1
-        pruned, full = (
-            TraceRecorder(num_processes + 1, initial_members=range(num_processes)) for _ in range(2)
-        )
-        pruned.ccp(), full.ccp()  # born before the first event: delta-maintained throughout
-        feeders = [TraceFeeder(pruned), TraceFeeder(full)]
+        recorder = TraceRecorder(num_processes + 1, initial_members=range(num_processes))
+        recorder.ccp()  # born before the first event: delta-maintained throughout
+        feeder = TraceFeeder(recorder)
 
         def check() -> None:
-            """Both legs keep the invariant; the pruned one answers as the
-            unpruned one does on its live window, the unpruned one as the
-            literal theorems do."""
-            assert_rows_cover_the_live_window(pruned)
-            assert_rows_cover_the_live_window(full)
-            assert_view_matches_literal(full)
-            bases = pruned.log.checkpoint_bases
-            truth = full.ccp().analyses
-            for theorem in ("theorem1_retained", "theorem2_retained"):
-                live = {cid for cid in getattr(truth, theorem) if cid.index >= bases[cid.pid]}
-                assert getattr(pruned.ccp().analyses, theorem) == live, theorem
-
-        def compact() -> None:
-            _eliminate_theorem1_garbage(pruned)
-            pruned.maybe_prune(force=True)
+            """The rows keep the invariant and answer as the literal theorems do."""
+            assert_rows_cover_the_stable_checkpoints(recorder)
+            assert_view_matches_literal(recorder)
 
         crash_at = int(crash * len(script))
-        for feeder in feeders:
-            feeder.feed(script[:crash_at])
-        check()
-        compact()
+        feeder.feed(script[:crash_at])
         check()
 
-        faulty = [victim % num_processes]
-        plan = RecoveryManager().plan(full.ccp(), faulty)
-        assume(is_consistent_global_checkpoint(full.ccp(), plan.recovery_line))
-        assert RecoveryManager().plan(pruned.ccp(), faulty).recovery_line == plan.recovery_line
-        for recorder, feeder in zip((pruned, full), feeders):
-            recorder.apply_recovery(plan)
-            feeder.resync()
+        plan = RecoveryManager().plan(recorder.ccp(), [victim % num_processes])
+        assume(is_consistent_global_checkpoint(recorder.ccp(), plan.recovery_line))
+        recorder.apply_recovery(plan)
+        feeder.resync()
         check()
 
-        for recorder in (pruned, full):
-            recorder.record_join(joiner, 1000.0)
-            assert_rows_cover_the_live_window(recorder)  # dormant joiner: no row yet
-            recorder.record_checkpoint(joiner, 0, [0] * (joiner + 1), forced=False, time=1001.0)
-            recorder.record_send(joiner, 0, 10_000, 1002.0)
-            recorder.record_receive(10_000, 1003.0)
+        recorder.record_join(joiner, 1000.0)
+        assert_rows_cover_the_stable_checkpoints(recorder)  # dormant joiner: no row yet
+        recorder.record_checkpoint(joiner, 0, [0] * (joiner + 1), forced=False, time=1001.0)
+        recorder.record_send(joiner, 0, 10_000, 1002.0)
+        recorder.record_receive(10_000, 1003.0)
         check()
 
-        for feeder in feeders:
-            feeder.feed(script[crash_at:])  # reuses the rolled-back checkpoint indices
-        check()
-        compact()
+        feeder.feed(script[crash_at:])  # reuses the rolled-back checkpoint indices
         check()
 
 
@@ -157,21 +122,15 @@ class TestRowsOutOfStep:
             lambda: analyses.theorem2_retained,
             lambda: analyses.recovery_line({1}),
         ):
-            with pytest.raises(KnowledgeWindowError, match=r"rows cover \[0, 0, 0\]\.\.\[1, 0, 0\]"):
+            with pytest.raises(KnowledgeWindowError, match=r"rows reach \[1, 0, 0\] but"):
                 query()
-
-    def test_a_shifted_base_is_out_of_step_too(self):
-        recorder = _joined_after_two_checkpoints()
-        recorder.knowledge_tracker.ckpt_base[1] = 1
-        with pytest.raises(KnowledgeWindowError, match="live windows"):
-            recorder.ccp().analyses.theorem1_retained
 
     def test_an_extra_row_is_out_of_step_too(self):
         # The log refuses an out-of-order index before the tracker hears of
         # it; a row appended behind the recorder's back shows at the next query.
         recorder = _joined_after_two_checkpoints()
         recorder.knowledge_tracker.note_checkpoint(0, 5, seq=99)
-        with pytest.raises(KnowledgeWindowError, match=r"\.\.\[3, 0, 0\] but"):
+        with pytest.raises(KnowledgeWindowError, match=r"rows reach \[3, 0, 0\] but"):
             recorder.ccp().analyses.theorem1_retained
 
     def test_the_stale_view_check_comes_first(self):
@@ -227,7 +186,7 @@ class TestDegenerateQueries:
     def test_a_faulty_process_without_a_checkpoint(self, faulty):
         # Outside Lemma 1 (only a process with a checkpoint can fail): the
         # literal transcription says so, the view reads "knows checkpoint -1",
-        # true of every snapshot, and rolls everybody to the window's base.
+        # true of every snapshot, and rolls everybody back to checkpoint 0.
         ccp = _degenerate_recorder().ccp()
         assert ccp.analyses.recovery_line(faulty) == GlobalCheckpoint((0, 0, 2, 0, 0))
         with pytest.raises(ValueError, match="has no stable checkpoint"):
@@ -235,7 +194,7 @@ class TestDegenerateQueries:
 
     def test_retained_sets_skip_the_empty_and_departed_windows(self, assert_view_matches_literal):
         recorder = _degenerate_recorder()
-        assert_rows_cover_the_live_window(recorder)
+        assert_rows_cover_the_stable_checkpoints(recorder)
         assert recorder.knowledge_tracker.ckpt_rows[3] == []  # joined, no checkpoint yet
         analyses = recorder.ccp().analyses
         assert analyses.theorem1_retained == {CheckpointId(0, 1), CheckpointId(0, 2), CheckpointId(1, 0)}

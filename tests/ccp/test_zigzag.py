@@ -106,7 +106,7 @@ def _brute_force_cycle_sizes(ccp):
     nodes = [
         (pid, gamma)
         for pid in ccp.processes
-        for gamma in range(ccp.base_interval(pid), ccp.volatile_index(pid) + 1)
+        for gamma in range(ccp.volatile_index(pid) + 1)
     ]
     successors = {node: set() for node in nodes}
     for pid, gamma in nodes:

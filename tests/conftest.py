@@ -10,7 +10,6 @@ from repro.ccp.pattern import CCP
 from repro.core.obsolete import _is_retained_theorem1, _is_retained_theorem2
 from repro.explore.executor import ScheduleExecutor
 from repro.recovery.recovery_line import _recovery_line_lemma1
-from repro.simulation.runner import SimulationConfig, SimulationRunner
 from repro.simulation.trace import TraceRecorder, TraceSink
 from repro.scenarios.figures import figure1_ccp as _figure1_ccp
 from repro.scenarios.figures import figure2_ccp as _figure2_ccp
@@ -49,11 +48,9 @@ def _assert_view_matches_literal(source) -> None:
     ``source`` is a recorder or a CCP one handed out.  The reference is the
     per-checkpoint transcription of Theorems 1/2 (``repro.core.obsolete``)
     and of Lemma 1 (``_recovery_line_lemma1``) over the same pattern, which
-    answer by vector-clock replay and pairwise ``causally_precedes``.  Only
-    valid on unpruned logs: a pruned log has lost the edges the replay needs.
+    answer by vector-clock replay and pairwise ``causally_precedes``.
     """
     ccp = source.ccp() if isinstance(source, TraceRecorder) else source
-    assert not any(ccp.log.checkpoint_bases), "the literal reference needs an unpruned log"
     view = ccp.analyses
     stable = [cid for pid in ccp.processes for cid in ccp.stable_ids(pid)]
     assert view.theorem1_retained == {cid for cid in stable if _is_retained_theorem1(ccp, cid)}
@@ -92,26 +89,6 @@ class LiteralCheckSink(TraceSink):
 def literal_check_sink():
     """Factory attaching a :class:`LiteralCheckSink` to a recorder."""
     return LiteralCheckSink
-
-
-def _pruning_runner(config: SimulationConfig) -> SimulationRunner:
-    """A runner whose collectors report every elimination to its recorder.
-
-    Being fed ``record_elimination`` is all that makes a recorder compact its
-    log; no run option does it, so a driver that wants it wires it.
-    """
-    runner = SimulationRunner(config)
-    for node in runner.nodes:
-        node.collector.attach_elimination_listener(
-            lambda index, pid=node.pid: runner.trace.record_elimination(pid, index)
-        )
-    return runner
-
-
-@pytest.fixture(scope="session")
-def pruning_runner():
-    """``pruning_runner(config)``: a built, not yet run, compacting runner."""
-    return _pruning_runner
 
 
 @pytest.fixture

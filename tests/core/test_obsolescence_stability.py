@@ -1,12 +1,12 @@
 """Obsolescence is stable: the premise of the explorer's event audit.
 
-Between two consecutive states with no recovery session, log compaction or
-membership change in between, no stable checkpoint that had left the
+Between two consecutive states with no recovery session or membership
+change in between, no stable checkpoint that had left the
 Theorem-1 retained set re-enters it, and none re-enters its owner's
 Theorem-2 set.  The sets come from the whole-state CCP audit
 (``ccp.analyses``).  Checked over explored and fuzzed executions (token by
-token) and over simulations with crashes, compaction and membership leaves
-(occurrence by occurrence).
+token) and over simulations with crashes and membership leaves (occurrence
+by occurrence).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.explore.program import ExploreConfig, StepKind, ring_program
 from repro.fuzz import fuzz
 from repro.membership import MembershipSchedule
 from repro.simulation.failures import FailureSchedule
-from repro.simulation.runner import SimulationConfig
+from repro.simulation.runner import SimulationConfig, SimulationRunner
 from repro.simulation.trace import TraceRecorder, TraceSink
 from repro.simulation.workloads import UniformRandomWorkload
 
@@ -43,7 +43,6 @@ class StabilityProbe:
         ccp = recorder.ccp()
         stable = {cid for pid in ccp.processes for cid in ccp.stable_ids(pid)}
         state = (
-            recorder.pruned_events,
             recorder.membership.members,
             stable,
             ccp.analyses.theorem1_retained,
@@ -51,12 +50,12 @@ class StabilityProbe:
         )
         last = self._last.get(recorder)
         self._last[recorder] = state
-        if last is None or last[:2] != state[:2]:
-            return  # the first state, or a compaction or membership change since
+        if last is None or last[0] != state[0]:
+            return  # the first state, or a membership change since
         self.pairs += 1
-        _, _, was_stable, was_required, was_allowed = last
-        assert not (was_stable - was_required) & state[3], "re-entered Theorem 1"
-        assert not (was_stable - was_allowed) & state[4], "re-entered Theorem 2"
+        _, was_stable, was_required, was_allowed = last
+        assert not (was_stable - was_required) & state[2], "re-entered Theorem 1"
+        assert not (was_stable - was_allowed) & state[3], "re-entered Theorem 2"
 
 
 class _OccurrenceProbe(TraceSink):
@@ -122,9 +121,7 @@ class TestObsolescenceIsStable:
         assert token_probe.pairs > 200
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_along_simulations_with_crashes_compaction_and_leaves(
-        self, pruning_runner, seed
-    ):
+    def test_along_simulations_with_crashes_and_leaves(self, seed):
         config = SimulationConfig(
             num_processes=5,
             duration=120.0,
@@ -133,17 +130,17 @@ class TestObsolescenceIsStable:
             membership=MembershipSchedule.of(leaves=[(70.0, (seed + 1) % 5)]),
             seed=seed,
         )
-        runner = pruning_runner(config)
+        runner = SimulationRunner(config)
         probe = StabilityProbe()
         _OccurrenceProbe(probe, runner.trace)
         runner.run()
-        assert runner.trace.departed and runner.recoveries and runner.trace.pruned_events
+        assert runner.trace.departed and runner.recoveries
         assert probe.pairs > 200
 
 
 class TestTheFullAuditFollowsARewrite:
-    """A recovery session, a compaction and a leave each send the next audit
-    to the whole-state path."""
+    """A recovery session and a leave each send the next audit to the
+    whole-state path."""
 
     def test_a_crash_token_is_audited_in_full(self, monkeypatch):
         calls = []
@@ -185,17 +182,6 @@ class TestTheFullAuditFollowsARewrite:
         mark = recorder.knowledge_mark()
         assert recorder.knowledge_changed_since(mark) == frozenset()
         recorder.apply_recovery(RecoveryManager().plan(recorder.ccp(), [0]))
-        assert recorder.knowledge_changed_since(mark) is None
-
-    def test_a_compaction(self):
-        recorder = self._recorder()
-        for index in range(1, 4):
-            recorder.record_checkpoint(0, index, (index, 0, 0), forced=False, time=float(index))
-        mark = recorder.knowledge_mark()
-        recorder.record_elimination(0, 0)
-        recorder.record_elimination(0, 1)
-        assert recorder.knowledge_changed_since(mark) == frozenset()
-        assert recorder.maybe_prune(force=True)
         assert recorder.knowledge_changed_since(mark) is None
 
     def test_a_leave(self):

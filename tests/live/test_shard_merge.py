@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -72,6 +73,37 @@ class TestShardRoundTrip:
         writer.close()
         shard = read_shard(path)
         assert [e.record[0] for e in shard.entries] == ["c", "e"]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param('[0,2,["e","0",0]]', id="elimination-pid-as-string"),
+            pytest.param('[0,2,["e",1,0]]', id="elimination-of-another-process"),
+            pytest.param('[0,2,["e",9,0]]', id="elimination-pid-outside-the-run"),
+            pytest.param('[0,2,["e",0,"0"]]', id="elimination-index-as-string"),
+            pytest.param('[0,2,["e",0,-1]]', id="elimination-negative-index"),
+            pytest.param('[0,2,["e",0,true]]', id="elimination-index-as-bool"),
+            pytest.param('["5",2,["i",0,1.0]]', id="epoch-as-string"),
+            pytest.param('[1.7,2,["i",0,1.0]]', id="epoch-as-float"),
+            pytest.param('[true,2,["i",0,1.0]]', id="epoch-as-bool"),
+            pytest.param('[0,"2",["i",0,1.0]]', id="lamport-as-string"),
+            pytest.param('[0,-2,["i",0,1.0]]', id="lamport-negative"),
+        ],
+    )
+    def test_a_mistyped_merge_key_or_elimination_is_refused(self, tmp_path, line):
+        """The merge orders by these fields and the storage mirror discards
+        by the elimination's index, so a wrong type is refused where it is
+        read, naming its line."""
+        path = str(tmp_path / "g.shard.jsonl")
+        writer = ShardWriter(path, pid=0, num_processes=2)
+        writer.record_checkpoint(0, 0, (1, 0), forced=False, time=0.0)
+        writer.close()
+        with open(path, encoding="utf-8") as handle:
+            header, checkpoint, footer = handle.read().splitlines()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join([header, checkpoint, line, footer]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:3: "):
+            read_shard(path)
 
     def test_lamport_monotone_and_epoch_stamped(self, tmp_path):
         path = str(tmp_path / "l.shard.jsonl")

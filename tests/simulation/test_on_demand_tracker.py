@@ -2,15 +2,12 @@
 
 A :class:`~repro.simulation.trace.TraceRecorder` builds its
 :class:`~repro.ccp.incremental.CheckpointKnowledgeTracker` by one causal-order
-replay of the current log at its first ``ccp()`` or just before its first
-compaction, whichever comes first; from then on ``record_*`` maintain it.
-Whatever happened before that instant — plain recording, a recovery
-truncation, a mid-run join, a whole trace replay — the caught-up state must be
-the state an always-on tracker would hold, and a recorder that is never asked
-for an analysis and never compacts must never pay for one.
+replay of the current log at its first ``ccp()``; from then on ``record_*``
+maintain it.  Whatever happened before that instant — plain recording, a
+recovery truncation, a mid-run join, a whole trace replay — the caught-up
+state must be the state an always-on tracker would hold, and a recorder that
+is never asked for an analysis must never pay for one.
 """
-
-import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -72,9 +69,9 @@ def checkpoint_snapshots(recorder: TraceRecorder):
     tracker = recorder.knowledge_tracker
     assert tracker is not None
     return {
-        CheckpointId(pid, base + offset): row
-        for pid, (base, rows) in enumerate(zip(tracker.ckpt_base, tracker.ckpt_rows))
-        for offset, row in enumerate(rows)
+        CheckpointId(pid, index): row
+        for pid, rows in enumerate(tracker.ckpt_rows)
+        for index, row in enumerate(rows)
     }
 
 
@@ -85,13 +82,11 @@ def _state(recorder: TraceRecorder):
     state = {
         "ck": [tuple(row) for row in tracker.ck],
         "ckpt_rows": checkpoint_snapshots(recorder),
-        "ckpt_base": list(tracker.ckpt_base),
         "msg_ck": dict(tracker.msg_ck),
         "journal": [list(entries) for entries in tracker.journal],
-        "base_ck": list(tracker.base_ck),
     }
     vectors = [*state["ck"], *state["ckpt_rows"].values(), *state["msg_ck"].values()]
-    vectors += state["base_ck"] + [vector for entries in state["journal"] for _, vector in entries]
+    vectors += [vector for entries in state["journal"] for _, vector in entries]
     assert {len(vector) for vector in vectors} == {tracker.num_processes}
     return state
 
@@ -194,70 +189,6 @@ class TestNoAnalysisNoTracker:
         runner.current_ccp()
         assert runner.trace.knowledge_tracker is not None
 
-    def test_eliminations_alone_do_not_build_it_either(self):
-        # Only a compaction needs the tracker; floors moving below the
-        # threshold compact nothing.
-        recorder = TraceRecorder(2)
-        TraceFeeder(recorder).feed([("checkpoint", 0), ("send", 0, 1, 0), ("receive", 0)])
-        recorder.record_elimination(0, 0)
-        assert recorder.knowledge_tracker is None and recorder.pruned_events == 0
-
-
-def _theorem1_garbage(recorder: TraceRecorder):
-    """``(pid, index)`` of every stable checkpoint Theorem 1 proves obsolete."""
-    ccp = recorder.ccp()
-    retained = ccp.analyses.theorem1_retained
-    return [
-        (pid, index)
-        for pid in range(recorder.num_processes)
-        for index in range(ccp.base_interval(pid), recorder.checkpoints_taken[pid] - 1)
-        if CheckpointId(pid, index) not in retained
-    ]
-
-
-class TestBornBeforeTheFirstCompaction:
-    """A recorder first compacted before its first ``ccp()`` catches up on the
-    still whole log, and from there on is the twin tracked from event 0."""
-
-    @pytest.mark.parametrize("with_recovery", [False, True], ids=["plain", "after-a-recovery"])
-    @settings(max_examples=60, deadline=None)
-    @given(seed=seeds, crash=fractions, instant=fractions, victim=st.integers(0, 5))
-    def test_compacted_before_its_first_ccp(self, with_recovery, seed, crash, instant, victim):
-        num_processes, script = _script(seed)
-        (lazy, lazy_feeder), (eager, eager_feeder) = _twins(num_processes)
-        twins = ((lazy, lazy_feeder), (eager, eager_feeder))
-        fed = 0
-        if with_recovery:
-            fed = int(crash * len(script))
-            lazy_feeder.feed(script[:fed])
-            eager_feeder.feed(script[:fed])
-            plan = _plan(eager, victim)
-            for recorder, feeder in twins:
-                recorder.apply_recovery(plan)
-                feeder.resync()
-        compact_at = fed + int(instant * (len(script) - fed))
-        lazy_feeder.feed(script[fed:compact_at])
-        eager_feeder.feed(script[fed:compact_at])
-        # The eager twin says what is garbage; both are told the same.
-        for pid, index in _theorem1_garbage(eager):
-            lazy.record_elimination(pid, index)
-            eager.record_elimination(pid, index)
-        assert lazy.knowledge_tracker is None  # nothing compacted yet, nothing asked
-        assert lazy.maybe_prune(force=True) == eager.maybe_prune(force=True)
-        assume(eager.pruned_events > 0)
-        assert lazy.knowledge_tracker is not None
-        assert lazy.pruned_events == eager.pruned_events
-        assert lazy.log.messages() == eager.log.messages()
-        assert _state(lazy) == _state(eager)
-        lazy_feeder.feed(script[compact_at:])
-        eager_feeder.feed(script[compact_at:])
-        assert _state(lazy) == _state(eager)
-        mine, twin = lazy.ccp().analyses, eager.ccp().analyses
-        assert mine.theorem1_retained == twin.theorem1_retained
-        assert mine.theorem2_retained == twin.theorem2_retained
-        for pid in range(num_processes):
-            assert mine.recovery_line({pid}) == twin.recovery_line({pid})
-
 
 class TestRecoveryKeepsEventObjects:
     @settings(max_examples=40, deadline=None)
@@ -290,8 +221,8 @@ def _assert_knowledge_grows_along_checkpoints(recorder: TraceRecorder) -> None:
     assert tracker is not None
     frozen = checkpoint_snapshots(recorder)
     for pid in range(tracker.num_processes):
-        window = range(recorder.log.checkpoint_base(pid), recorder.checkpoints_taken[pid])
-        snapshots = [frozen[CheckpointId(pid, index)] for index in window] + [tracker.ck[pid]]
+        stable = range(recorder.checkpoints_taken[pid])
+        snapshots = [frozen[CheckpointId(pid, index)] for index in stable] + [tracker.ck[pid]]
         for earlier, later in zip(snapshots, snapshots[1:]):
             assert all(a <= b for a, b in zip(earlier, later)), (pid, earlier, later)
 
@@ -316,7 +247,7 @@ class TestKnowledgeGrowsAlongCheckpoints:
         feeder.feed(script[crash_at:])  # reuses the rolled-back checkpoint indices
         _assert_knowledge_grows_along_checkpoints(recorder)
 
-    def test_on_a_pruned_churn_run(self, pruning_runner):
+    def test_on_a_churn_run(self):
         config = SimulationConfig(
             num_processes=4,
             duration=150.0,
@@ -325,12 +256,12 @@ class TestKnowledgeGrowsAlongCheckpoints:
             seed=5,
             audit="full",
         )
-        runner = pruning_runner(config)
+        runner = SimulationRunner(config)
         runner.trace.ccp()  # tracked from event 0, so the early checks have a tracker to read
         for time in range(10, 150, 10):
             runner.engine.schedule_at(
                 float(time), lambda: _assert_knowledge_grows_along_checkpoints(runner.trace)
             )
         result = runner.run()
-        assert len(result.recoveries) == 3 and runner.trace.pruned_events > 0
+        assert len(result.recoveries) == 3
         _assert_knowledge_grows_along_checkpoints(runner.trace)

@@ -268,14 +268,14 @@ class TestTheTraceFileIsTheSameWhoeverReads:
     """The writer is fed by the port until the first read, by the recorder after it.
 
     Where the switch happens — never, at a crash, at the final audit, at
-    every elimination of a pruning runner, at a few arbitrary instants —
-    must not move a byte of the file.
+    every elimination, at a few arbitrary instants — must not move a byte of
+    the file.
     """
 
-    @pytest.mark.parametrize("reader", ["unread", "read-mid-run", "pruning"])
+    @pytest.mark.parametrize("reader", ["unread", "read-mid-run", "read-at-every-elimination"])
     @pytest.mark.parametrize("shape", sorted(TRACED_SHAPES))
     def test_it_is_byte_identical_to_a_run_read_before_it_started(
-        self, tmp_path, pruning_runner, shape, reader
+        self, tmp_path, shape, reader
     ):
         def traced(name: str) -> SimulationConfig:
             return _config(trace_path=str(tmp_path / f"{name}.jsonl"), **TRACED_SHAPES[shape])
@@ -283,11 +283,18 @@ class TestTheTraceFileIsTheSameWhoeverReads:
         reference = SimulationRunner(traced("reference"))
         reference.trace
         reference.run()
-        runner = (pruning_runner if reader == "pruning" else SimulationRunner)(traced(reader))
+        runner = SimulationRunner(traced(reader))
         if reader == "read-mid-run":
             for at in (10.0, 10.0, 33.3, 60.0):
                 runner.engine.schedule_at(at, lambda: runner.trace)
+        eliminations = []
+        if reader == "read-at-every-elimination":
+            for node in runner.nodes:
+                node.collector.attach_elimination_listener(
+                    lambda index: eliminations.append(runner.current_ccp())
+                )
         runner.run()
+        assert bool(eliminations) == (reader == "read-at-every-elimination")
 
         path = str(tmp_path / f"{reader}.jsonl")
         expected = (tmp_path / "reference.jsonl").read_bytes()
@@ -295,12 +302,11 @@ class TestTheTraceFileIsTheSameWhoeverReads:
         assert verify_trace(path) == []
         replayed = TraceReader(path).replay()
         assert replayed.status == "ok"
-        # The file rebuilds the reference's recorder (a pruning runner's own
-        # log is compacted, its file is not).
+        # The file rebuilds the reference's recorder.
         assert replayed.recorder.version == reference.trace.version
         assert replayed.recorder.log.messages() == reference.trace.log.messages()
 
-    def test_the_sink_is_attached_exactly_once(self, tmp_path, monkeypatch, pruning_runner):
+    def test_the_sink_is_attached_exactly_once(self, tmp_path, monkeypatch):
         """Attached at every read, each record after the first read would be written twice."""
         attached = []
         attach = TraceRecorder.attach_sink
@@ -311,7 +317,7 @@ class TestTheTraceFileIsTheSameWhoeverReads:
 
         monkeypatch.setattr(TraceRecorder, "attach_sink", counting)
         path = str(tmp_path / "t.jsonl")
-        runner = pruning_runner(
+        runner = SimulationRunner(
             _config(trace_path=path, audit="full", **TRACED_SHAPES["crashes"])
         )
         for at in (5.0, 30.0, 30.0, 80.0):
