@@ -131,7 +131,7 @@ def _retained_everything(ccp: CCP) -> Dict[int, List[int]]:
 def _suite_new(recorder: TraceRecorder) -> Dict[str, int]:
     """The audited analysis suite through the incremental + bitset path."""
     ccp = recorder.ccp()
-    zigzag = ccp.analyses.zigzag
+    zigzag = ccp.zigzag
     useless = zigzag.useless_checkpoints()
     pairs = zigzag.zigzag_pairs()
     audit = audit_garbage_collection(ccp, _retained_everything(ccp))
@@ -153,8 +153,8 @@ def _suite_large(recorder: TraceRecorder) -> Dict[str, int]:
     knowledge view over the whole log.
     """
     ccp = recorder.ccp()
-    retained_t1 = ccp.analyses.theorem1_retained
-    retained_t2 = ccp.analyses.theorem2_retained
+    retained_t1 = ccp.analysis_provider.theorem1_retained()
+    retained_t2 = ccp.analysis_provider.theorem2_retained()
     line = recovery_line(ccp, [0])
     return {
         "retained_t1": len(retained_t1),
@@ -167,8 +167,8 @@ def _suite_old(recorder: TraceRecorder) -> Dict[str, int]:
     """The same suite through the old path: from-scratch CCP + brute force.
 
     Uses the literal per-checkpoint theorem transcriptions and the uncached
-    Lemma-1 evaluation directly, *not* ``ccp.analyses`` — the recorder's
-    knowledge view behind the cache is the new path being measured against.
+    Lemma-1 evaluation directly, *not* ``ccp.analysis_provider`` — the
+    recorder's knowledge view is the new path being measured against.
     """
     from repro.core.obsolete import _is_retained_theorem1, _is_retained_theorem2
     from repro.recovery.recovery_line import _recovery_line_lemma1
@@ -422,8 +422,8 @@ def run_memory_section(*, seed: int = SEED) -> Dict[str, Any]:
 def _warmup() -> None:
     """One unmeasured instant through both paths.
 
-    First use pays one-time process costs (lazy imports inside the analysis
-    cache, allocator warmup) that would otherwise be billed to the first —
+    First use pays one-time process costs (lazy imports inside the pattern
+    and the knowledge view, allocator warmup) that would otherwise be billed to the first —
     often smallest — measured configuration.
     """
     script = random_ccp_script(0, num_processes=2, num_messages=30)
@@ -481,7 +481,8 @@ def run_sweep(
                 "Per-instant cost of the full audited analysis suite: "
                 "old = from-scratch CCP + brute-force BFS oracles, "
                 "new = delta-maintained TraceRecorder knowledge state + "
-                "blocked bitset zigzag kernel + shared AnalysisCache; "
+                "blocked bitset zigzag kernel, answers memoised on the "
+                "recorder's knowledge view; "
                 "large rows time the retained sets and a recovery line "
                 "over the whole log."
             ),

@@ -9,7 +9,6 @@ annotated RDT-LGC execution for Figure 4 and the worst-case bound for Figure 5.
 """
 
 from repro.ccp.rdt import check_rdt
-from repro.ccp.zigzag import ZigzagAnalysis
 from repro.core.obsolete import obsolete_stable_checkpoints_theorem1
 from repro.recovery.recovery_line import recovery_line, recovery_line_brute_force
 from repro.scenarios.experiments import run_worst_case
@@ -22,7 +21,7 @@ def figure1() -> None:
     print("Figure 1 — example CCP, zigzag paths and consistency")
     ccp = figure1_ccp()
     print(render_ccp(ccp))
-    analysis = ZigzagAnalysis(ccp)
+    analysis = ccp.zigzag
     print(f"[m1, m2] is a C-path: {analysis.is_causal_sequence([0, 1])}")
     print(f"[m5, m4] is a Z-path: {not analysis.is_causal_sequence([3, 2])}")
     print(f"pattern is RD-trackable: {check_rdt(ccp).is_rdt}")
@@ -34,7 +33,7 @@ def figure2() -> None:
     print("Figure 2 — useless checkpoints and the domino effect")
     ccp = figure2_ccp()
     print(render_ccp(ccp))
-    useless = ZigzagAnalysis(ccp).useless_checkpoints()
+    useless = ccp.zigzag.useless_checkpoints()
     print(f"useless checkpoints: {[str(c) for c in useless]}")
     line = recovery_line_brute_force(ccp, [0])
     print(f"if p1 fails the recovery line is {line.indices}: back to the initial state")

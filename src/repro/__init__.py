@@ -41,7 +41,6 @@ from repro.causality import (
 )
 from repro.ccp import (
     CCP,
-    AnalysisCache,
     BruteForceZigzagAnalysis,
     CCPBuilder,
     Checkpoint,
@@ -81,7 +80,6 @@ from repro.storage import StableStorage
 __version__ = "1.0.0"
 
 __all__ = [
-    "AnalysisCache",
     "BruteForceZigzagAnalysis",
     "CCP",
     "CCPBuilder",

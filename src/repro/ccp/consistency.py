@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, List, Mapping, Optional, Tuple
+from typing import Iterator, List, Mapping, Tuple
 
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.pattern import CCP
-from repro.ccp.zigzag import ZigzagAnalysis
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ def is_consistent_global_checkpoint(
     global_checkpoint: GlobalCheckpoint,
     *,
     method: str = "causal",
-    zigzag: Optional[ZigzagAnalysis] = None,
 ) -> bool:
     """Check consistency of a global checkpoint.
 
@@ -115,7 +113,7 @@ def is_consistent_global_checkpoint(
                 return False
         return True
     if method == "zigzag":
-        analysis = zigzag if zigzag is not None else ccp.analyses.zigzag
+        analysis = ccp.zigzag
         for first in members:
             for second in members:
                 if analysis.zigzag_exists(first, second):

@@ -39,11 +39,14 @@ bisection, not by a replay.
 :class:`IncrementalAnalysisView` is the read side handed to every
 :class:`~repro.ccp.pattern.CCP` as its ``analysis_provider``: it is bound to
 the recorder version it was created at and refuses to answer once the
-recorded execution has moved on.  It is the one production answer — hand-built
-patterns too come from a recorder (:class:`~repro.ccp.builder.CCPBuilder`) —
-and the literal transcriptions in :mod:`repro.core.obsolete` and
-:mod:`repro.recovery.recovery_line` are the reference the equivalence tests
-diff it against.
+recorded execution has moved on.  The recorder hands out one view per
+version, so the view is also the one memo: the retained sets and the
+recovery line of each faulty set are computed at most once per version, and
+pinning makes the memo need no invalidation.  It is the one production
+answer — hand-built patterns too come from a recorder
+(:class:`~repro.ccp.builder.CCPBuilder`) — and the literal transcriptions in
+:mod:`repro.core.obsolete` and :mod:`repro.recovery.recovery_line` are the
+reference the equivalence tests diff it against.
 """
 
 from __future__ import annotations
@@ -157,12 +160,20 @@ class IncrementalAnalysisView:
     current at construction: answering from newer state would silently
     describe a different execution, so stale access raises — and so do rows
     that do not cover the recorder's stable checkpoints
-    (:class:`KnowledgeWindowError`), which a bisection would misread.
+    (:class:`KnowledgeWindowError`), which a bisection would misread.  For
+    the same reason the whole-pattern answers are memoised on the view.
     """
 
     def __init__(self, recorder: "TraceRecorder") -> None:
         self._recorder = recorder
         self._version = recorder.version
+        self._retained_sets: Dict[int, FrozenSet[CheckpointId]] = {}
+        self._lines: Dict[FrozenSet[int], "GlobalCheckpoint"] = {}
+
+    @property
+    def version(self) -> int:
+        """The recorder version this view answers for."""
+        return self._version
 
     # ------------------------------------------------------------------
     # Internals
@@ -252,13 +263,20 @@ class IncrementalAnalysisView:
             retained.update(CheckpointId(pid, first - 1) for first in firsts)
         return frozenset(retained)
 
+    def _retained_set(self, theorem: int) -> FrozenSet[CheckpointId]:
+        self._tracker()  # stale views raise, memoised or not
+        retained = self._retained_sets.get(theorem)
+        if retained is None:
+            retained = self._retained_sets[theorem] = self._retained(theorem)
+        return retained
+
     def theorem1_retained(self) -> FrozenSet[CheckpointId]:
-        """Stable checkpoints Theorem 1 still deems necessary."""
-        return self._retained(1)
+        """Stable checkpoints Theorem 1 still deems necessary (memoised)."""
+        return self._retained_set(1)
 
     def theorem2_retained(self) -> FrozenSet[CheckpointId]:
-        """Stable checkpoints retained under causal knowledge only (Theorem 2)."""
-        return self._retained(2)
+        """Stable checkpoints retained under causal knowledge only (Theorem 2, memoised)."""
+        return self._retained_set(2)
 
     def theorem1_retains(self, cid: CheckpointId) -> bool:
         """Whether stable checkpoint ``cid`` is in :meth:`theorem1_retained`.
@@ -303,14 +321,33 @@ class IncrementalAnalysisView:
         self._row(tracker, first)  # KeyError unless it was recorded
         return self._row(tracker, second)[first.pid] >= first.index
 
-    def recovery_line(self, faulty_set: FrozenSet[int]) -> "GlobalCheckpoint":
+    def dependency_vector(self, cid: CheckpointId) -> Tuple[int, ...]:
+        """The ground-truth dependency vector of general checkpoint ``cid``.
+
+        ``row + 1`` elementwise: what
+        :meth:`~repro.ccp.pattern.CCP.ground_truth_dv` derives from the event
+        graph, read from one knowledge row.  KeyError unless ``cid`` is a
+        general checkpoint of the recorded execution.
+        """
+        return tuple(entry + 1 for entry in self._row(self._tracker(), cid))
+
+    def recovery_line(self, faulty: Iterable[int]) -> "GlobalCheckpoint":
         """Lemma 1: per process the last general checkpoint not causally
         preceded by the last stable checkpoint of any faulty process.
 
-        A departed process's component is pinned to its volatile index:
-        recovery never rolls the departed back (they hold no state), and
-        none of their checkpoints can belong to any future line.
+        Memoised per faulty set.  A departed process's component is pinned
+        to its volatile index: recovery never rolls the departed back (they
+        hold no state), and none of their checkpoints can belong to any
+        future line.
         """
+        self._tracker()  # stale views raise, memoised or not
+        faulty_set = frozenset(faulty)
+        line = self._lines.get(faulty_set)
+        if line is None:
+            line = self._lines[faulty_set] = self._recovery_line(faulty_set)
+        return line
+
+    def _recovery_line(self, faulty_set: FrozenSet[int]) -> "GlobalCheckpoint":
         from repro.ccp.consistency import GlobalCheckpoint
 
         tracker, last_stable = self._state()

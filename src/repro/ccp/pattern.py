@@ -20,7 +20,8 @@ and offers the checkpoint-level queries used by the rest of the library:
 
 The Theorem-1/2 retained sets and the Lemma-1 recovery lines are not computed
 here: every pattern carries the recorder's knowledge view as its
-``analysis_provider``, and the shared analysis cache asks it.
+``analysis_provider``, which answers and memoises them.  The pattern owns its
+zigzag kernel (:attr:`CCP.zigzag`).
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from repro.causality.happens_before import CausalOrder
 from repro.ccp.checkpoint import Checkpoint, CheckpointId, CheckpointKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ccp.analysis_cache import AnalysisCache
     from repro.ccp.incremental import IncrementalAnalysisView
+    from repro.ccp.zigzag import ZigzagAnalysis
 
 
 _event_seq = attrgetter("seq")
@@ -76,9 +77,8 @@ class CCP:
             still available through :meth:`ground_truth_dv`.
         analysis_provider:
             The knowledge view of the recorder that owns ``log`` (see
-            :mod:`repro.ccp.incremental`): the
-            :class:`~repro.ccp.analysis_cache.AnalysisCache` serves Theorem-1/2
-            retained sets and recovery lines from it.
+            :mod:`repro.ccp.incremental`): it answers the Theorem-1/2
+            retained sets and the recovery lines of this pattern.
         departed:
             Pids that left the membership before this cut.  A departed
             process can never be faulty again, so the analyses exclude it
@@ -101,7 +101,7 @@ class CCP:
         # recovery-line query over a long run touches a handful of them.
         self._checkpoints: Dict[CheckpointId, Checkpoint] = {}
         self._ground_truth_dvs: Dict[CheckpointId, Tuple[int, ...]] = {}
-        self._analyses: Optional["AnalysisCache"] = None
+        self._zigzag: Optional["ZigzagAnalysis"] = None
         # The registry as of now (the log may keep growing); filtered and
         # ordered by message id on first use (see messages()): audits and
         # recovery lines never look at the messages.
@@ -147,6 +147,15 @@ class CCP:
     def analysis_provider(self) -> "IncrementalAnalysisView":
         """The recorder's knowledge view this pattern's analyses are served from."""
         return self._provider
+
+    @property
+    def zigzag(self) -> "ZigzagAnalysis":
+        """The bitset zigzag kernel of this pattern, built on first use."""
+        if self._zigzag is None:
+            from repro.ccp.zigzag import ZigzagAnalysis
+
+            self._zigzag = ZigzagAnalysis(self)
+        return self._zigzag
 
     @property
     def num_processes(self) -> int:
@@ -274,24 +283,6 @@ class CCP:
             self._messages = sorted(m for m in self._registry if m.delivered)
             self._registry = None
         return list(self._messages)
-
-    # ------------------------------------------------------------------
-    # Shared derived analyses
-    # ------------------------------------------------------------------
-    @property
-    def analyses(self) -> "AnalysisCache":
-        """The shared :class:`~repro.ccp.analysis_cache.AnalysisCache`.
-
-        Zigzag kernel, Theorem-1/2 retained sets and recovery lines
-        are each materialised at most once per pattern; every consumer module
-        (consistency, obsolete oracles, optimality audit, recovery) goes
-        through this bundle instead of building private analysis objects.
-        """
-        if self._analyses is None:
-            from repro.ccp.analysis_cache import AnalysisCache
-
-            self._analyses = AnalysisCache(self)
-        return self._analyses
 
     # ------------------------------------------------------------------
     # Checkpoint-level causal precedence (ground truth)

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.pattern import CCP
-from repro.ccp.zigzag import ZigzagAnalysis, ZigzagPath
+from repro.ccp.zigzag import ZigzagPath
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ class RDTReport:
 def check_rdt(
     ccp: CCP,
     *,
-    analysis: Optional[ZigzagAnalysis] = None,
     collect_witnesses: bool = True,
 ) -> RDTReport:
     """Check Definition 4 over every ordered pair of general checkpoints.
@@ -66,7 +65,7 @@ def check_rdt(
     consistent cut of the same execution as well, which is the form in which
     the paper states the assumption for RDT checkpointing protocols.
     """
-    analysis = analysis if analysis is not None else ccp.analyses.zigzag
+    analysis = ccp.zigzag
     precedes = ccp.analysis_provider.precedes
     violations: List[RDTViolation] = []
     pairs: List[Tuple[CheckpointId, CheckpointId]] = analysis.zigzag_pairs()

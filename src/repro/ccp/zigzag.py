@@ -89,6 +89,7 @@ class _ZigzagBase:
             for pid, sent in self._by_sender.items()
         }
         self._successors_cache: Optional[Dict[int, List[int]]] = None
+        self._useless: Optional[Tuple[CheckpointId, ...]] = None
 
     @property
     def ccp(self) -> CCP:
@@ -226,14 +227,17 @@ class _ZigzagBase:
         """True iff a zigzag path connects ``checkpoint`` to itself (Z-cycle)."""
         return self.zigzag_exists(checkpoint, checkpoint)
 
-    def useless_checkpoints(self) -> List[CheckpointId]:
-        """All checkpoints on a zigzag cycle (in no consistent global checkpoint)."""
-        return [
-            cid
-            for pid in self._ccp.processes
-            for cid in self._ccp.general_ids(pid)
-            if self.has_zigzag_cycle(cid)
-        ]
+    def useless_checkpoints(self) -> Tuple[CheckpointId, ...]:
+        """All checkpoints on a zigzag cycle (in no consistent global
+        checkpoint), computed once per analysis."""
+        if self._useless is None:
+            self._useless = tuple(
+                cid
+                for pid in self._ccp.processes
+                for cid in self._ccp.general_ids(pid)
+                if self.has_zigzag_cycle(cid)
+            )
+        return self._useless
 
 
 class ZigzagAnalysis(_ZigzagBase):

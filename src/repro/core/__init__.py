@@ -26,8 +26,6 @@ from repro.core.obsolete import (
     obsolete_stable_checkpoints_corollary1,
     obsolete_stable_checkpoints_theorem1,
     obsolete_stable_checkpoints_theorem2,
-    retained_stable_checkpoints_theorem1,
-    retained_stable_checkpoints_theorem2,
 )
 from repro.core.optimality import GcAudit, audit_garbage_collection
 from repro.core.uncollected import UncollectedTable
@@ -41,6 +39,4 @@ __all__ = [
     "obsolete_stable_checkpoints_corollary1",
     "obsolete_stable_checkpoints_theorem1",
     "obsolete_stable_checkpoints_theorem2",
-    "retained_stable_checkpoints_theorem1",
-    "retained_stable_checkpoints_theorem2",
 ]

@@ -20,9 +20,9 @@ knowledge); they exist to validate it:
 The expected relationships (Theorem 2 obsolete  ⊆  Theorem 1 obsolete  ==
 needless) are asserted by the test suite, not here.
 
-The public Theorem-1/2 functions serve their answers from the pattern's
-shared :class:`~repro.ccp.analysis_cache.AnalysisCache`, which asks the
-recorder's knowledge view (:mod:`repro.ccp.incremental`).  The literal
+The public Theorem-1/2 functions are the complements of the retained sets
+the pattern's knowledge view answers (``ccp.analysis_provider``, see
+:mod:`repro.ccp.incremental`), which memoises them.  The literal
 per-checkpoint transcriptions (``_is_retained_theorem1``,
 ``_last_known_checkpoint``, ``_is_retained_theorem2``) are the other answer:
 executable statements of the theorems over checkpoint-level causal
@@ -101,17 +101,11 @@ def _is_retained_theorem1(ccp: CCP, cid: CheckpointId) -> bool:
 def obsolete_stable_checkpoints_theorem1(ccp: CCP) -> Set[CheckpointId]:
     """Theorem 1: the exact set of obsolete stable checkpoints.
 
-    The retained set is materialised once per CCP in the pattern's shared
-    :class:`~repro.ccp.analysis_cache.AnalysisCache`; repeated audits of the
-    same instant reuse it.
+    The complement of ``ccp.analysis_provider.theorem1_retained()``, the
+    checkpoints every correct GC must retain.
     """
     all_stable = {cid for pid in ccp.processes for cid in ccp.stable_ids(pid)}
-    return all_stable - ccp.analyses.theorem1_retained
-
-
-def retained_stable_checkpoints_theorem1(ccp: CCP) -> Set[CheckpointId]:
-    """Complement of Theorem 1: the checkpoints every correct GC must retain."""
-    return set(ccp.analyses.theorem1_retained)
+    return all_stable - ccp.analysis_provider.theorem1_retained()
 
 
 # ----------------------------------------------------------------------
@@ -146,16 +140,12 @@ def obsolete_stable_checkpoints_theorem2(ccp: CCP) -> Set[CheckpointId]:
     """Theorem 2: checkpoints identifiable as obsolete using causal knowledge only.
 
     This is exactly the set an *optimal* asynchronous garbage collector must
-    have eliminated (Theorem 5); it is a subset of the Theorem 1 set.  Like
-    Theorem 1, the retained set is cached on the pattern.
+    have eliminated (Theorem 5); it is a subset of the Theorem 1 set, and
+    the complement of ``ccp.analysis_provider.theorem2_retained()``, the
+    checkpoints an optimal asynchronous GC is allowed (and expected) to keep.
     """
     all_stable = {cid for pid in ccp.processes for cid in ccp.stable_ids(pid)}
-    return all_stable - ccp.analyses.theorem2_retained
-
-
-def retained_stable_checkpoints_theorem2(ccp: CCP) -> Set[CheckpointId]:
-    """Checkpoints an optimal asynchronous GC is allowed (and expected) to keep."""
-    return set(ccp.analyses.theorem2_retained)
+    return all_stable - ccp.analysis_provider.theorem2_retained()
 
 
 # ----------------------------------------------------------------------

@@ -79,11 +79,12 @@ def audit_garbage_collection(
         non-optimal baselines such as the no-GC or coordinated collectors).
     """
     retained_ids = _retained_as_ids(retained)
-    # Pull the retained sets from the pattern's shared cache: auditing several
+    # The knowledge view memoises the retained sets: auditing several
     # collectors (or several labels) against the same instant computes the
     # Theorem-1/2 characterisations once.
-    required = ccp.analyses.theorem1_retained
-    allowed = ccp.analyses.theorem2_retained
+    view = ccp.analysis_provider
+    required = view.theorem1_retained()
+    allowed = view.theorem2_retained()
     audit = GcAudit(
         retained_total=len(retained_ids),
         required_total=len(required),

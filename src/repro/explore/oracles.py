@@ -218,13 +218,13 @@ class OracleStack:
 
     def _cross_check_kernel(self, ccp: CCP, step: int) -> Optional[Violation]:
         """Kernel answers vs the literal transcriptions and the message BFS."""
-        analyses = ccp.analyses
+        view = ccp.analysis_provider
         all_stable = {
             cid for pid in ccp.processes for cid in ccp.stable_ids(pid)
         }
         for theorem, kernel_retained, literal in (
-            (1, analyses.theorem1_retained, _is_retained_theorem1),
-            (2, analyses.theorem2_retained, _is_retained_theorem2),
+            (1, view.theorem1_retained(), _is_retained_theorem1),
+            (2, view.theorem2_retained(), _is_retained_theorem2),
         ):
             reference = {cid for cid in all_stable if literal(ccp, cid)}
             if set(kernel_retained) != reference:
@@ -236,13 +236,14 @@ class OracleStack:
                     ),
                     step=step,
                 )
+        useless = ccp.zigzag.useless_checkpoints()
         brute_useless = set(BruteForceZigzagAnalysis(ccp).useless_checkpoints())
-        if set(analyses.useless_checkpoints) != brute_useless:
+        if set(useless) != brute_useless:
             return Violation(
                 kind="kernel-mismatch",
                 detail=(
                     f"useless-checkpoint sets disagree: kernel "
-                    f"{sorted(analyses.useless_checkpoints)} vs brute force "
+                    f"{sorted(useless)} vs brute force "
                     f"{sorted(brute_useless)}"
                 ),
                 step=step,

@@ -74,11 +74,12 @@ def state_features(runner: "SimulationRunner") -> FrozenSet[Feature]:
         for the dimensions).
     """
     ccp = runner.current_ccp()
-    analyses = ccp.analyses
+    zigzag = ccp.zigzag
+    view = ccp.analysis_provider
     features: Set[Feature] = set()
 
     # Zigzag-path shapes.
-    pairs = analyses.zigzag.zigzag_pairs()
+    pairs = zigzag.zigzag_pairs()
     for source, target in pairs:
         delta = target.index - source.index
         clamped = max(-3, min(3, delta))
@@ -87,13 +88,13 @@ def state_features(runner: "SimulationRunner") -> FrozenSet[Feature]:
         features.add(("zz", "none"))
 
     # Zigzag-kernel condensation signature.
-    nontrivial = analyses.zigzag.cycle_component_sizes()
+    nontrivial = zigzag.cycle_component_sizes()
     features.add(
         ("scc", bucket(len(nontrivial)), bucket(max(nontrivial, default=0)))
     )
 
     # Useless (zigzag-cycle) checkpoints.
-    features.add(("useless", bucket(len(analyses.useless_checkpoints))))
+    features.add(("useless", bucket(len(zigzag.useless_checkpoints()))))
 
     # Retained-set sizes: the theorems' characterisations and what the
     # collector actually kept on stable storage.
@@ -101,8 +102,8 @@ def state_features(runner: "SimulationRunner") -> FrozenSet[Feature]:
     features.add(
         (
             "ret",
-            bucket(len(analyses.theorem1_retained)),
-            bucket(len(analyses.theorem2_retained)),
+            bucket(len(view.theorem1_retained())),
+            bucket(len(view.theorem2_retained())),
             bucket(kept),
         )
     )

@@ -14,7 +14,7 @@ recovery line" (Section 2.4).  This subpackage provides:
   failure injector.
 """
 
-from repro.recovery.manager import RecoveryManager, RecoveryOutcome
+from repro.recovery.manager import RecoveryManager
 from repro.recovery.recovery_line import (
     recovery_line,
     recovery_line_brute_force,
@@ -25,7 +25,6 @@ from repro.recovery.rollback_plan import ProcessRollback, RollbackPlan
 __all__ = [
     "ProcessRollback",
     "RecoveryManager",
-    "RecoveryOutcome",
     "RollbackPlan",
     "recovery_line",
     "recovery_line_brute_force",

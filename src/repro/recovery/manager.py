@@ -11,29 +11,11 @@ simulated processes is the job of :mod:`repro.simulation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
-from repro.ccp.checkpoint import CheckpointId
-from repro.ccp.consistency import GlobalCheckpoint
 from repro.ccp.pattern import CCP
-from repro.recovery.recovery_line import recovery_line, rolled_back_checkpoints
+from repro.recovery.recovery_line import recovery_line
 from repro.recovery.rollback_plan import ProcessRollback, RollbackPlan
-
-
-@dataclass(frozen=True)
-class RecoveryOutcome:
-    """Summary of one recovery session (used by metrics and benchmarks)."""
-
-    plan: RollbackPlan
-    rolled_back: Tuple[CheckpointId, ...]
-    lost_general_checkpoints: int
-    rolled_back_processes: int
-
-    @property
-    def recovery_line(self) -> GlobalCheckpoint:
-        """The recovery line restored by this session."""
-        return self.plan.recovery_line
 
 
 class RecoveryManager:
@@ -61,15 +43,4 @@ class RecoveryManager:
             recovery_line=line,
             rollbacks=tuple(rollbacks),
             last_interval_vector=tuple(last_interval),
-        )
-
-    def outcome(self, ccp: CCP, faulty: Iterable[int]) -> RecoveryOutcome:
-        """Compute the plan together with lost-work accounting."""
-        plan = self.plan(ccp, faulty)
-        rolled = tuple(rolled_back_checkpoints(ccp, plan.recovery_line))
-        return RecoveryOutcome(
-            plan=plan,
-            rolled_back=rolled,
-            lost_general_checkpoints=len(rolled),
-            rolled_back_processes=len(plan.rollbacks),
         )

@@ -11,8 +11,8 @@ the last stable checkpoint of any faulty process::
 
     R_F = U_i { c_i^k,  k = max(gamma | for all p_f in F:  s_f^last -/-> c_i^gamma) }
 
-:func:`recovery_line` answers Lemma 1 from the pattern's analysis cache (the
-recorder's knowledge view); ``_recovery_line_lemma1`` transcribes it literally
+:func:`recovery_line` answers Lemma 1 from the recorder's knowledge view
+(``ccp.analysis_provider``); ``_recovery_line_lemma1`` transcribes it literally
 and :func:`recovery_line_brute_force` implements Definition 5 by exhaustive
 search (exponential; used only in tests, the explorer and on the figure-sized
 examples).
@@ -52,13 +52,13 @@ def recovery_line(ccp: CCP, faulty: Iterable[int]) -> GlobalCheckpoint:
     """The recovery line ``R_F`` per Lemma 1.
 
     With an empty faulty set the line is simply every process's volatile
-    checkpoint (nothing needs to be rolled back).  Lines are memoised per
-    faulty set in the pattern's shared analysis cache, so repeated queries
+    checkpoint (nothing needs to be rolled back).  The knowledge view
+    memoises lines per faulty set, so repeated queries
     (e.g. the Definition-7 needlessness oracle, which asks for the line of
     every faulty set) pay for each one only once.
     """
     faulty_set = _validate_faulty(ccp, faulty)
-    return ccp.analyses.recovery_line(faulty_set)
+    return ccp.analysis_provider.recovery_line(faulty_set)
 
 
 def _recovery_line_lemma1(ccp: CCP, faulty_set: Set[int]) -> GlobalCheckpoint:

@@ -688,8 +688,9 @@ class SimulationRunner:
         """The CCP of the execution recorded so far.
 
         Served from the trace recorder's substrate: the pattern (and its
-        attached analysis cache) is only rebuilt when the recorded execution
-        actually changed since the previous call.
+        zigzag kernel) is only rebuilt when the recorded execution actually
+        changed since the previous call, and it shares the recorder's
+        knowledge view with every other pattern of the same version.
         """
         volatile = {node.pid: node.current_dv for node in self._nodes}
         return self.trace.ccp(volatile_dvs=volatile)

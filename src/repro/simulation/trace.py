@@ -13,14 +13,14 @@ checkpoint intervals of its send and receive the moment they are recorded
 (an event's interval is fixed when it happens), and the recorder keeps no
 message table of its own — which sends are pending, which messages are
 delivered and in which intervals is read from the log's one
-:class:`repro.causality.events.Message` record per message.  :meth:`ccp`
-memoises the built pattern keyed on a mutation version: while no new event
-arrives, every caller receives the *same* CCP object and with it the same
-shared :class:`repro.ccp.analysis_cache.AnalysisCache`.
+:class:`repro.causality.events.Message` record per message.
 
-:meth:`ccp` is the only gate to analysis, and every snapshot it hands out
-carries an :class:`repro.ccp.incremental.IncrementalAnalysisView` as its
-``analysis_provider``: retained sets and recovery lines are answered from a
+Analysis goes through one door: :meth:`knowledge_view` hands out one
+:class:`repro.ccp.incremental.IncrementalAnalysisView` per mutation version,
+and every snapshot :meth:`ccp` builds at that version carries that same view
+as its ``analysis_provider`` — whatever volatile vectors it was asked to
+attach.  The view memoises its own answers (retained sets, recovery lines),
+so everybody who asks at one version shares them; they are read from a
 :class:`repro.ccp.incremental.CheckpointKnowledgeTracker` by bisection, with
 no vector-clock replay unless a caller asks for event-level precedence.  The
 tracker has one lifecycle: it is born by one causal-order replay of the
@@ -158,7 +158,9 @@ class TraceRecorder:
         # History rewrites and membership changes so far (knowledge_mark).
         self._rewrites = 0
         self._checkpoints_taken = [0] * num_processes
-        # Memoised snapshot: (version, volatile-DV fingerprint, CCP).
+        # The view of the current version (knowledge_view) and the memoised
+        # snapshot: (version, volatile-DV fingerprint, CCP).
+        self._view: Optional[IncrementalAnalysisView] = None
         self._ccp_cache: Optional[Tuple[int, object, CCP]] = None
         self._sinks: List[TraceSink] = []
 
@@ -443,15 +445,18 @@ class TraceRecorder:
     # Analysis snapshots
     # ------------------------------------------------------------------
     def knowledge_view(self) -> IncrementalAnalysisView:
-        """The knowledge view of the execution recorded so far, without a CCP.
+        """The knowledge view of the execution recorded so far.
 
-        What :meth:`ccp` hands its pattern as ``analysis_provider``, for a
-        caller that asks single-checkpoint or single-process questions and
-        needs no pattern.  Like every view, it refuses to answer once the
-        recorded execution moves on.
+        The same object while :attr:`version` is unchanged, and the one
+        :meth:`ccp` hands every pattern of this version as
+        ``analysis_provider``: its memoised answers are shared by everyone
+        who asks.  Like every view, it refuses to answer once the recorded
+        execution moves on.
         """
         self._tracked()
-        return IncrementalAnalysisView(self)
+        if self._view is None or self._view.version != self._version:
+            self._view = IncrementalAnalysisView(self)
+        return self._view
 
     def knowledge_mark(self) -> Tuple[int, ...]:
         """A mark of the knowledge state now, for :meth:`knowledge_changed_since`.
@@ -489,8 +494,9 @@ class TraceRecorder:
         only ground-truth) vectors.
 
         While the recorded execution does not change between calls, the same
-        CCP object is returned, so its attached analysis cache (zigzag kernel,
-        Theorem-1/2 retained sets, recovery lines) is shared across callers.
+        CCP object is returned for the same ``volatile_dvs`` (and with it the
+        same zigzag kernel); every CCP of one version carries the same
+        :meth:`knowledge_view`.
         """
         fingerprint = (
             None

@@ -6,7 +6,7 @@ the exact public recording API the live simulation drove, in the exact order
 it drove it.  Because the recorder's incremental CCP substrate is a pure
 function of that call sequence, the replayed recorder is indistinguishable
 from the live one: same event log, same checkpoint dependency vectors, same
-message intervals, same memoised CCP, and therefore the same analysis cache
+message intervals, same memoised CCP, and therefore the same analysis
 results (zigzag kernel, Theorem-1/2 retained sets, recovery lines).  The
 round-trip property tests assert this byte for byte.
 
@@ -32,6 +32,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.ccp.consistency import GlobalCheckpoint
 from repro.ccp.pattern import CCP
 from repro.gc.rdt_lgc_collector import RdtLgcCollector
+from repro.recovery.recovery_line import recovery_line
 from repro.recovery.rollback_plan import ProcessRollback, RollbackPlan
 from repro.simulation.trace import TraceRecorder
 from repro.traceio.format import (
@@ -472,31 +473,30 @@ def analysis_table(recorder: TraceRecorder, *, title: str = "Trace analysis"):
     """A per-process analysis table derived from a (replayed) recorder.
 
     One row per process: event and checkpoint counts, the recovery line of
-    the single-fault failure ``{pid}`` and the ground-truth dependency vector
-    of the last stable checkpoint.  The table is a pure function of the
-    recorder state, so rendering it for a live run and for its replayed
-    trace must produce byte-identical text — the round-trip tests' most
-    end-to-end check.
+    the single-fault failure ``{pid}`` (``-`` for a departed process, which
+    cannot fail) and the ground-truth dependency vector of the last stable
+    checkpoint, read from its knowledge row.  The table is a pure function
+    of the recorder state, so rendering it for a live run and for its
+    replayed trace must produce byte-identical text — the round-trip tests'
+    most end-to-end check.
     """
     from repro.analysis.tables import TextTable
 
     ccp = recorder.ccp()
-    analyses = ccp.analyses
-    useless = analyses.useless_checkpoints
+    useless = ccp.zigzag.useless_checkpoints()
     table = TextTable(
         ["pid", "events", "stable", "last", "useless", "recovery_line({pid})", "dv(last)"],
         title=title,
     )
     for pid in ccp.processes:
         last = ccp.last_stable(pid)
+        line_text = dv_text = "-"
         if last >= 0:
-            line = analyses.recovery_line(frozenset((pid,)))
-            line_text = "(" + ",".join(str(i) for i in line.indices) + ")"
-            dv = ccp.ground_truth_dv(ccp.last_stable_id(pid))
+            if pid not in ccp.departed:
+                line = recovery_line(ccp, [pid])
+                line_text = "(" + ",".join(str(i) for i in line.indices) + ")"
+            dv = ccp.analysis_provider.dependency_vector(ccp.last_stable_id(pid))
             dv_text = "(" + ",".join(str(v) for v in dv) + ")"
-        else:
-            line_text = "-"
-            dv_text = "-"
         table.add_row(
             pid,
             len(recorder.log.history(pid)),

@@ -109,7 +109,7 @@ class TestRandomCcpInvariants:
         ccp = _build(n, operations).build()
         report = check_rdt(ccp, collect_witnesses=False)
         if report.is_rdt:
-            assert ZigzagAnalysis(ccp).useless_checkpoints() == []
+            assert ZigzagAnalysis(ccp).useless_checkpoints() == ()
 
     @settings(max_examples=40, deadline=None)
     @given(ccp_inputs, st.integers(0, 3))
@@ -153,7 +153,7 @@ def _rdt_violations_by_causal_order(ccp):
     """``check_rdt``'s violation list with event-level precedence (``CausalOrder``)."""
     return [
         (source, target)
-        for source, target in ccp.analyses.zigzag.zigzag_pairs()
+        for source, target in ccp.zigzag.zigzag_pairs()
         if not ccp.causally_precedes(source, target)
     ]
 
@@ -204,8 +204,8 @@ class TestKnowledgeRowAnswers:
     def test_single_checkpoint_and_single_process_answers_match_the_sets(self, data):
         ccp = _build(*data).build()
         view = ccp.analysis_provider
-        required = ccp.analyses.theorem1_retained
-        allowed = ccp.analyses.theorem2_retained
+        required = ccp.analysis_provider.theorem1_retained()
+        allowed = ccp.analysis_provider.theorem2_retained()
         for pid in ccp.processes:
             for cid in ccp.stable_ids(pid):
                 assert view.theorem1_retains(cid) == (cid in required), cid

@@ -92,11 +92,11 @@ def _all_ids(recorder: TraceRecorder):
 
 def _answers(recorder: TraceRecorder):
     """Theorem-1/2 retained sets and every single-fault recovery line, now."""
-    analyses = recorder.ccp().analyses
+    view = recorder.ccp().analysis_provider
     return (
-        analyses.theorem1_retained,
-        analyses.theorem2_retained,
-        [analyses.recovery_line({faulty}) for faulty in range(recorder.num_processes)],
+        view.theorem1_retained(),
+        view.theorem2_retained(),
+        [view.recovery_line({faulty}) for faulty in range(recorder.num_processes)],
     )
 
 
@@ -115,7 +115,7 @@ class TestIncrementalEqualsFullRecompute:
     @pytest.mark.parametrize("seed", SEEDS[::4])
     def test_zigzag_relation_exact_at_every_instant(self, seed):
         def check(recorder):
-            zigzag = recorder.ccp().analyses.zigzag
+            zigzag = recorder.ccp().zigzag
             brute = BruteForceZigzagAnalysis(recorder.ccp())
             ids = _all_ids(recorder)
             related = set()
@@ -191,7 +191,7 @@ class TestChurnSchedules:
         reads = []
         for node in read.nodes:
             node.collector.attach_elimination_listener(
-                lambda index: reads.append(read.current_ccp().analyses.theorem1_retained)
+                lambda index: reads.append(read.trace.knowledge_view().theorem1_retained())
             )
         read_result = read.run()
         unread = SimulationRunner(_churn_config(seed, crashes, audit="off"))
@@ -206,14 +206,12 @@ class TestChurnSchedules:
             node.storage.retained_indices() for node in unread.nodes
         ]
         assert read_result.all_audits_safe and read_result.all_audits_optimal
-        tracked_ccp = read.current_ccp()
-        truth_ccp = unread.current_ccp()
-        assert tracked_ccp.analyses.theorem1_retained == truth_ccp.analyses.theorem1_retained
-        assert tracked_ccp.analyses.theorem2_retained == truth_ccp.analyses.theorem2_retained
+        tracked = read.current_ccp().analysis_provider
+        truth = unread.current_ccp().analysis_provider
+        assert tracked.theorem1_retained() == truth.theorem1_retained()
+        assert tracked.theorem2_retained() == truth.theorem2_retained()
         for faulty in range(4):
-            assert tracked_ccp.analyses.recovery_line(
-                {faulty}
-            ) == truth_ccp.analyses.recovery_line({faulty})
+            assert tracked.recovery_line({faulty}) == truth.recovery_line({faulty})
 
     @pytest.mark.parametrize("seed", range(4))
     def test_view_matches_literal_across_recovery_truncation(

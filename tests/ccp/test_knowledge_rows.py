@@ -104,11 +104,11 @@ class TestSnapshotFrozenBeforeAJoin:
         recorder = _joined_after_two_checkpoints()
         tracker = recorder.knowledge_tracker
         assert tracker.ckpt_rows[0] == [(-1, -1, -1), (0, -1, -1), (1, -1, 0)]
-        analyses = recorder.ccp().analyses
+        view = recorder.ccp().analysis_provider
         # c_2^0 is first known at c_0^2: the checkpoint before it, whose
         # snapshot predates p_2, is what a failure of p_2 would roll p_0 back to.
-        assert CheckpointId(0, 1) in analyses.theorem1_retained
-        assert analyses.recovery_line({2}) == GlobalCheckpoint((1, 1, 0))
+        assert CheckpointId(0, 1) in view.theorem1_retained()
+        assert view.recovery_line({2}) == GlobalCheckpoint((1, 1, 0))
         assert_view_matches_literal(recorder)
 
 
@@ -116,11 +116,11 @@ class TestRowsOutOfStep:
     def test_the_view_refuses_to_answer(self):
         recorder = _joined_after_two_checkpoints()
         del recorder.knowledge_tracker.ckpt_rows[0][0]
-        analyses = recorder.ccp().analyses
+        view = recorder.ccp().analysis_provider
         for query in (
-            lambda: analyses.theorem1_retained,
-            lambda: analyses.theorem2_retained,
-            lambda: analyses.recovery_line({1}),
+            lambda: view.theorem1_retained(),
+            lambda: view.theorem2_retained(),
+            lambda: view.recovery_line({1}),
         ):
             with pytest.raises(KnowledgeWindowError, match=r"rows reach \[1, 0, 0\] but"):
                 query()
@@ -131,14 +131,14 @@ class TestRowsOutOfStep:
         recorder = _joined_after_two_checkpoints()
         recorder.knowledge_tracker.note_checkpoint(0, 5, seq=99)
         with pytest.raises(KnowledgeWindowError, match=r"rows reach \[3, 0, 0\] but"):
-            recorder.ccp().analyses.theorem1_retained
+            recorder.ccp().analysis_provider.theorem1_retained()
 
     def test_the_stale_view_check_comes_first(self):
         recorder = _joined_after_two_checkpoints()
-        analyses = recorder.ccp().analyses
+        view = recorder.ccp().analysis_provider
         recorder.record_checkpoint(1, 1, (0, 1, 0), forced=False, time=8.0)
         with pytest.raises(RuntimeError, match="stale incremental analysis view"):
-            analyses.theorem1_retained
+            view.theorem1_retained()
 
 
 def _degenerate_recorder() -> TraceRecorder:
@@ -180,7 +180,7 @@ class TestDegenerateQueries:
         if source == "literal":
             assert _recovery_line_lemma1(ccp, faulty) == GlobalCheckpoint(line)
         else:
-            assert ccp.analyses.recovery_line(faulty) == GlobalCheckpoint(line)
+            assert ccp.analysis_provider.recovery_line(faulty) == GlobalCheckpoint(line)
 
     @pytest.mark.parametrize("faulty", [{3}, {4}, {2, 3}], ids=["joined", "dormant", "with-departed"])
     def test_a_faulty_process_without_a_checkpoint(self, faulty):
@@ -188,7 +188,7 @@ class TestDegenerateQueries:
         # literal transcription says so, the view reads "knows checkpoint -1",
         # true of every snapshot, and rolls everybody back to checkpoint 0.
         ccp = _degenerate_recorder().ccp()
-        assert ccp.analyses.recovery_line(faulty) == GlobalCheckpoint((0, 0, 2, 0, 0))
+        assert ccp.analysis_provider.recovery_line(faulty) == GlobalCheckpoint((0, 0, 2, 0, 0))
         with pytest.raises(ValueError, match="has no stable checkpoint"):
             _recovery_line_lemma1(ccp, faulty)
 
@@ -196,7 +196,7 @@ class TestDegenerateQueries:
         recorder = _degenerate_recorder()
         assert_rows_cover_the_stable_checkpoints(recorder)
         assert recorder.knowledge_tracker.ckpt_rows[3] == []  # joined, no checkpoint yet
-        analyses = recorder.ccp().analyses
-        assert analyses.theorem1_retained == {CheckpointId(0, 1), CheckpointId(0, 2), CheckpointId(1, 0)}
-        assert analyses.theorem2_retained == analyses.theorem1_retained
+        view = recorder.ccp().analysis_provider
+        assert view.theorem1_retained() == {CheckpointId(0, 1), CheckpointId(0, 2), CheckpointId(1, 0)}
+        assert view.theorem2_retained() == view.theorem1_retained()
         assert_view_matches_literal(recorder)

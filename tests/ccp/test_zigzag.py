@@ -46,7 +46,7 @@ class TestFigure1Paths:
         assert not analysis.zigzag_exists(CheckpointId(1, 1), CheckpointId(2, 1))
 
     def test_no_useless_checkpoints_in_figure1(self, figure1_ccp):
-        assert ZigzagAnalysis(figure1_ccp).useless_checkpoints() == []
+        assert ZigzagAnalysis(figure1_ccp).useless_checkpoints() == ()
 
     def test_empty_sequence_is_not_a_zigzag_path(self, figure1_ccp):
         analysis = ZigzagAnalysis(figure1_ccp)

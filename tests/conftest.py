@@ -51,10 +51,10 @@ def _assert_view_matches_literal(source) -> None:
     answer by vector-clock replay and pairwise ``causally_precedes``.
     """
     ccp = source.ccp() if isinstance(source, TraceRecorder) else source
-    view = ccp.analyses
+    view = ccp.analysis_provider
     stable = [cid for pid in ccp.processes for cid in ccp.stable_ids(pid)]
-    assert view.theorem1_retained == {cid for cid in stable if _is_retained_theorem1(ccp, cid)}
-    assert view.theorem2_retained == {cid for cid in stable if _is_retained_theorem2(ccp, cid)}
+    assert view.theorem1_retained() == {cid for cid in stable if _is_retained_theorem1(ccp, cid)}
+    assert view.theorem2_retained() == {cid for cid in stable if _is_retained_theorem2(ccp, cid)}
     for pid in ccp.active_processes:
         if ccp.last_stable(pid) >= 0:  # only a process with a checkpoint can fail
             assert view.recovery_line({pid}) == _recovery_line_lemma1(ccp, {pid}), f"F={{{pid}}}"

@@ -4,7 +4,7 @@ Between two consecutive states with no recovery session or membership
 change in between, no stable checkpoint that had left the
 Theorem-1 retained set re-enters it, and none re-enters its owner's
 Theorem-2 set.  The sets come from the whole-state CCP audit
-(``ccp.analyses``).  Checked over explored and fuzzed executions (token by
+(``ccp.analysis_provider``).  Checked over explored and fuzzed executions (token by
 token) and over simulations with crashes and membership leaves (occurrence
 by occurrence).
 """
@@ -45,8 +45,8 @@ class StabilityProbe:
         state = (
             recorder.membership.members,
             stable,
-            ccp.analyses.theorem1_retained,
-            ccp.analyses.theorem2_retained,
+            ccp.analysis_provider.theorem1_retained(),
+            ccp.analysis_provider.theorem2_retained(),
         )
         last = self._last.get(recorder)
         self._last[recorder] = state

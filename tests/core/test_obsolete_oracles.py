@@ -9,7 +9,6 @@ from repro.core.obsolete import (
     obsolete_stable_checkpoints_corollary1,
     obsolete_stable_checkpoints_theorem1,
     obsolete_stable_checkpoints_theorem2,
-    retained_stable_checkpoints_theorem1,
 )
 from repro.simulation.trace import TraceRecorder
 
@@ -36,7 +35,7 @@ class TestTheorem1:
 
     def test_retained_is_complement_of_obsolete(self, figure3_ccp):
         obsolete = obsolete_stable_checkpoints_theorem1(figure3_ccp)
-        retained = retained_stable_checkpoints_theorem1(figure3_ccp)
+        retained = figure3_ccp.analysis_provider.theorem1_retained()
         all_stable = {
             cid for pid in figure3_ccp.processes for cid in figure3_ccp.stable_ids(pid)
         }
@@ -111,8 +110,8 @@ class TestLiteralTranscriptionsAfterALeave:
         # retained as p_2's last checkpoint.
         expected = {CheckpointId(0, 0), CheckpointId(1, 1)}
         for literal, view in (
-            (_is_retained_theorem1, ccp.analyses.theorem1_retained),
-            (_is_retained_theorem2, ccp.analyses.theorem2_retained),
+            (_is_retained_theorem1, ccp.analysis_provider.theorem1_retained()),
+            (_is_retained_theorem2, ccp.analysis_provider.theorem2_retained()),
         ):
             assert {cid for cid in stable if literal(ccp, cid)} == view == expected
 

@@ -1,17 +1,14 @@
 """Tests for the safety/optimality auditor (Theorems 4 and 5)."""
 
 from repro.ccp.checkpoint import CheckpointId
-from repro.core.obsolete import (
-    obsolete_stable_checkpoints_theorem2,
-    retained_stable_checkpoints_theorem2,
-)
+from repro.core.obsolete import obsolete_stable_checkpoints_theorem2
 from repro.core.optimality import audit_garbage_collection, retained_from_storages
 from repro.storage.stable import StableStorage
 
 
 def _expected_retained(ccp):
     retained = {pid: [] for pid in ccp.processes}
-    for cid in retained_stable_checkpoints_theorem2(ccp):
+    for cid in ccp.analysis_provider.theorem2_retained():
         retained[cid.pid].append(cid.index)
     return {pid: sorted(indices) for pid, indices in retained.items()}
 

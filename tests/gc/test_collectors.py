@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.obsolete import retained_stable_checkpoints_theorem1
 from repro.gc.registry import available_collectors, collector_class, make_collector
 from repro.scenarios.experiments import run_random_simulation
 from repro.storage.stable import StableStorage
@@ -98,7 +97,7 @@ class TestCollectorsInSimulation:
             assert result.all_audits_safe
             ccp = result.final_ccp
             assert ccp is not None
-            required = retained_stable_checkpoints_theorem1(ccp)
+            required = ccp.analysis_provider.theorem1_retained()
             retained = {
                 (pid, index)
                 for pid, count in enumerate(result.retained_final)

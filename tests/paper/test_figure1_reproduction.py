@@ -43,4 +43,4 @@ class TestFigure1:
         assert not check_rdt(ccp).is_rdt
 
     def test_no_useless_checkpoints(self, figure1_ccp):
-        assert ZigzagAnalysis(figure1_ccp).useless_checkpoints() == []
+        assert ZigzagAnalysis(figure1_ccp).useless_checkpoints() == ()

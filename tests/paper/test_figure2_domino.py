@@ -42,7 +42,7 @@ class TestDominoAvoidedByRdtProtocols:
         with no useless checkpoints, in contrast to Figure 2."""
         ccp = fdas_ring_ccp()
         assert check_rdt(ccp).is_rdt
-        assert ZigzagAnalysis(ccp).useless_checkpoints() == []
+        assert ZigzagAnalysis(ccp).useless_checkpoints() == ()
 
     def test_a_failure_under_fdas_rolls_back_less_than_everything(self):
         """The failure (``F = {p1}``) that sends Figure 2 back to its initial

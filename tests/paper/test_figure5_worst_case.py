@@ -41,16 +41,12 @@ class TestFigure5WorstCase:
         knowledge allows (Theorem 2 / Theorem 5); global knowledge (Theorem 1,
         i.e. a coordinated collector) could discard far more in this pattern,
         which is precisely the gap control messages buy."""
-        from repro.core.obsolete import (
-            retained_stable_checkpoints_theorem1,
-            retained_stable_checkpoints_theorem2,
-        )
-
         n = 4
         result = worst_case(n)
         assert result.final_ccp is not None
-        allowed = retained_stable_checkpoints_theorem2(result.final_ccp)
-        required = retained_stable_checkpoints_theorem1(result.final_ccp)
+        view = result.final_ccp.analysis_provider
+        allowed = view.theorem2_retained()
+        required = view.theorem1_retained()
         assert len(allowed) == result.total_retained_final == n * n
         assert len(required) == n  # only each process's last checkpoint
 

@@ -2,6 +2,7 @@
 
 from repro.ccp.checkpoint import CheckpointId
 from repro.recovery.manager import RecoveryManager
+from repro.recovery.recovery_line import recovery_line, rolled_back_checkpoints
 
 
 class TestRollbackPlans:
@@ -30,11 +31,12 @@ class TestRollbackPlans:
             assert plan.must_roll_back(pid)
 
     def test_outcome_accounting(self, figure3_ccp):
-        outcome = RecoveryManager().outcome(figure3_ccp, [1, 2])
-        assert outcome.rolled_back_processes == 3
-        assert outcome.lost_general_checkpoints == len(outcome.rolled_back)
-        assert CheckpointId(2, 2) in outcome.rolled_back
-        assert outcome.recovery_line == outcome.plan.recovery_line
+        plan = RecoveryManager().plan(figure3_ccp, [1, 2])
+        rolled_back = rolled_back_checkpoints(figure3_ccp, plan.recovery_line)
+        assert len(plan.rollbacks) == 3
+        assert len(rolled_back) == plan.recovery_line.rolled_back_count(figure3_ccp)
+        assert CheckpointId(2, 2) in rolled_back
+        assert plan.recovery_line == recovery_line(figure3_ccp, [1, 2])
 
     def test_no_failure_plan_is_a_no_op(self, figure1_ccp):
         plan = RecoveryManager().plan(figure1_ccp, [])

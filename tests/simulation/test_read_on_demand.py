@@ -67,15 +67,15 @@ def _config(seed: int = 1, **overrides) -> SimulationConfig:
 def _recorded_state(runner: SimulationRunner):
     """Everything a reader can learn from the runner's recorder."""
     recorder = runner.trace
-    analyses = runner.current_ccp().analyses
+    view = runner.current_ccp().analysis_provider
     return {
         "events": [tuple(recorder.log.history(pid)) for pid in recorder.log.processes],
         "messages": recorder.log.messages(),
         "dvs": recorder.recorded_checkpoint_dvs(),
         "taken": recorder.checkpoints_taken,
         "version": recorder.version,
-        "theorem1": analyses.theorem1_retained,
-        "theorem2": analyses.theorem2_retained,
+        "theorem1": view.theorem1_retained(),
+        "theorem2": view.theorem2_retained(),
     }
 
 

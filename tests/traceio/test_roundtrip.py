@@ -170,21 +170,21 @@ class TestRecorderRoundTrip:
         replayed_ccp = replayed.recorder.ccp()
         assert replayed_ccp.messages() == live_ccp.messages()
         assert (
-            replayed_ccp.analyses.useless_checkpoints
-            == live_ccp.analyses.useless_checkpoints
+            replayed_ccp.zigzag.useless_checkpoints()
+            == live_ccp.zigzag.useless_checkpoints()
         )
         assert (
-            replayed_ccp.analyses.theorem1_retained
-            == live_ccp.analyses.theorem1_retained
+            replayed_ccp.analysis_provider.theorem1_retained()
+            == live_ccp.analysis_provider.theorem1_retained()
         )
         assert (
-            replayed_ccp.analyses.theorem2_retained
-            == live_ccp.analyses.theorem2_retained
+            replayed_ccp.analysis_provider.theorem2_retained()
+            == live_ccp.analysis_provider.theorem2_retained()
         )
         for pid in live_ccp.processes:
-            assert replayed_ccp.analyses.recovery_line(
+            assert replayed_ccp.analysis_provider.recovery_line(
                 frozenset((pid,))
-            ) == live_ccp.analyses.recovery_line(frozenset((pid,)))
+            ) == live_ccp.analysis_provider.recovery_line(frozenset((pid,)))
         # The most end-to-end check: the rendered analysis table is
         # byte-identical between the live run and its replayed trace.
         live_table = analysis_table(runner.trace, title="T").render()
