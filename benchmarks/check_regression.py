@@ -64,7 +64,8 @@ them — which shows up as ~70 lines per message.
 The **trace-codec** gate (``--smoke`` only) counts the same way on the same
 run with a trace attached: lines executed inside ``TraceWriter.on_send/
 on_receive/on_checkpoint/write_sample`` per record written, and inside
-``TraceReader.lines()`` plus ``validate_record`` per line read back.  A line
+``TraceReader.lines()`` (the line iterator traces and live shards share) per
+line read back.  A line
 costs a format string (or one shared encoder), one unbuffered write and one
 C scan; a per-record ``json.dumps``/``json.loads`` wrapper chain, a buffered
 write-and-flush pair or a table rebuilt per record shows up as 2-4x.
@@ -182,9 +183,11 @@ MESSAGE_PATH_LINES_CEILING = 267.5
 TRACED_MESSAGE_PATH_LINES_CEILING = 311.0
 # Trace-codec gate, on the same run with a trace attached: lines per record
 # written and per line read back (13.9 and 16.0 when the gate was added, 13.0
-# read since a line is parsed before it is tested for blankness; 53.4 and 38.0
-# on its parent commit, which called json.dumps/json.loads and a buffered
-# write + flush per record).
+# read since a line is parsed before it is tested for blankness, 9.0 read
+# since the read side times TraceReader.lines() alone, the record checks
+# having moved to where records are applied; 53.4 and 38.0 on its parent
+# commit, which called json.dumps/json.loads and a buffered write + flush per
+# record).
 TRACE_CODEC_LINES_CEILING = 20.0
 # Replay-path gate, on the file that run wrote: lines TraceReader.replay()
 # executes per body record, recording included (42.5 when the gate was added,
@@ -592,12 +595,11 @@ def trace_codec_lines() -> Tuple[float, float, float]:
     The recording-path gate's run, streamed to a trace file.  Written: the
     four ``TraceWriter`` methods a failure-free run calls per occurrence and
     per sample, callees (the codec, the write) included.  Read: the file it
-    wrote, through ``TraceReader.lines()`` and ``validate_record``.  Replayed:
+    wrote, through ``TraceReader.lines()`` alone.  Replayed:
     the same file through ``TraceReader.replay()``, callees (the applier, the
     recorder and its event log) included.
     """
     from repro.simulation.runner import SimulationRunner
-    from repro.traceio.format import validate_record
     from repro.traceio.reader import TraceReader
     from repro.traceio.writer import TraceWriter
 
@@ -618,10 +620,8 @@ def trace_codec_lines() -> Tuple[float, float, float]:
         read_counter = _LineCounter()
         lines_read = 0
         with read_counter:
-            for line, parsed in TraceReader(path).lines():
+            for _ in TraceReader(path).lines():
                 lines_read += 1
-                if isinstance(parsed, list):
-                    validate_record(parsed, line=line, path=path)
         replay_counter = _LineCounter()
         with replay_counter:
             replayed = TraceReader(path).replay()
@@ -653,7 +653,7 @@ def check_trace_codec_cost(
     if read_lines > ceiling:
         violations.append(
             f"the trace reader executes {read_lines:.1f} Python lines per line "
-            f"(allowed {ceiling:.1f}): TraceReader.lines / validate_record regrew"
+            f"(allowed {ceiling:.1f}): TraceReader.lines / traceio.format.read_lines regrew"
         )
     if replay_lines > replay_ceiling:
         violations.append(

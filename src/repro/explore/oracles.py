@@ -33,9 +33,9 @@ retained set but never re-enter it; the last checkpoint is always retained.
 So Theorem 4 needs only the checkpoints eliminated since the clean state,
 and Theorem 5 only the processes whose knowledge or storage changed (a
 process's Theorem-2 set reads its own rows and vector alone).  The argument
-holds between two states with no recovery session, log compaction or
-membership change in between, and the executor audits the initial state,
-the state after any of those, and every terminal state in full.
+holds between two states with no recovery session or membership change in
+between, and the executor audits the initial state, the state after either,
+and every terminal state in full.
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ class OracleStack:
                 state; Theorem 5 recomputes their Theorem-2 sets, and those
                 of the processes in ``eliminated``.
 
-        Sound only when no recovery session, log compaction or membership
-        change happened since the clean state (see the module docstring).
+        Sound only when no recovery session or membership change happened
+        since the clean state (see the module docstring).
         """
         view = runner.trace.knowledge_view()
         unsafe = sorted({cid for cid in eliminated if view.theorem1_retains(cid)})

@@ -52,7 +52,7 @@ from repro.simulation.runner import (
     SimulationConfig,
     SimulationResult,
 )
-from repro.traceio.format import RunProvenance, make_header
+from repro.traceio.format import RunProvenance, TraceTruncatedError, make_header
 from repro.traceio.writer import TraceWriter
 
 from repro.live.frames import read_frame, send_frame
@@ -450,7 +450,15 @@ class LiveCoordinator:
         config = self._config
         n = config.num_processes
         shards = [read_shard(path) for path in self._shard_paths]
-        counters = shard_counters(shards)
+        for shard in shards:
+            # A SIGKILLed incarnation's shard has no footer; a current one,
+            # whose worker reported its clean stop, must have it.
+            if not shard.complete and shard.incarnation == self._incarnations.get(shard.pid):
+                last = shard.entries[-1].line if shard.entries else 1
+                raise TraceTruncatedError(
+                    f"{shard.path}:{last}: no shard footer after this line, yet "
+                    f"worker {shard.pid} reported a clean stop"
+                )
         live_fields: Dict[str, Any] = {
             "time_scale": self._options.time_scale,
             "processes": n,
@@ -470,7 +478,7 @@ class LiveCoordinator:
             recorder = replay_entries(
                 ordered_entries(shards), n, plans=self._plans, sink=writer
             )
-            result = self._build_result(recorder, reports, counters)
+            result = self._build_result(recorder, reports, shard_counters(shards))
             writer.finalize(
                 result,
                 final_volatile_dvs=[list(reports[pid]["dv"]) for pid in range(n)],

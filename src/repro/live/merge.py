@@ -3,17 +3,20 @@
 The merge is a deterministic function of the shard files and the recovery
 plans the coordinator computed:
 
-1. every shard's entries are read (tolerating SIGKILL-torn tails) and
-   sorted globally by ``(epoch, lamport, pid, shard_seq)`` — a causal
+1. every shard's entries are read (tolerating a SIGKILL-torn final line)
+   and sorted globally by ``(epoch, lamport, pid, line)`` — a causal
    linearisation (see :mod:`repro.live.shard`);
 2. the ordered records are fed through a fresh
    :class:`~repro.simulation.trace.TraceRecorder` with a
    :class:`~repro.traceio.writer.TraceWriter` attached, exactly the sink
    pipeline a simulated run uses, so the artifact obeys every v2 invariant
-   by construction.  Receives whose send never became durable (the sender
-   was SIGKILLed between the two shard writes — impossible by the
-   write-before-transmit rule, but defended anyway) are silently dropped
-   by the recorder, mirroring its replay contract;
+   by construction.  Each record is checked once, where it is applied (an
+   event by :func:`~repro.traceio.reader.apply_event_record`, an ``e`` next
+   to the storage mirror); a refusal is a ``TraceFormatError`` naming its
+   shard's ``path:line``.  Receives whose send never became durable (the
+   sender was SIGKILLed between the two shard writes — impossible by the
+   write-before-transmit rule, but defended anyway) are silently dropped by
+   the recorder, mirroring its replay contract;
 3. at each epoch boundary the corresponding
    :class:`~repro.recovery.rollback_plan.RollbackPlan` is applied to the
    recorder (which emits the artifact's ``v`` record), reproducing the
@@ -114,9 +117,7 @@ class StorageMirror:
 
 def ordered_entries(shards: Sequence[ShardData]) -> List[ShardEntry]:
     """All shard entries in global merge order."""
-    entries = [entry for shard in shards for entry in shard.entries]
-    entries.sort(key=lambda entry: entry.sort_key)
-    return entries
+    return sorted(entry for shard in shards for entry in shard.entries)
 
 
 def replay_entries(
@@ -147,23 +148,34 @@ def replay_entries(
             epoch += 1
         record = entry.record
         try:
-            applied = apply_event_record(recorder, record)
+            if apply_event_record(recorder, record):
+                if mirror is not None and record[0] == TAG_CHECKPOINT:
+                    _, pid, index, forced, time, dv = record
+                    mirror.apply_store(pid, index, dv, bool(forced), time)
+            elif record[0] != TAG_ELIMINATION:
+                raise TraceFormatError(f"unknown record tag {record[0]!r} in a shard")
+            elif (
+                len(record) == 3
+                and type(record[1]) is type(record[2]) is int
+                and record[1] == entry.pid
+                and record[2] >= 0
+            ):
+                # Shard-only bookkeeping: never enters the artifact (eliminations
+                # are not trace events in simulated artifacts either).
+                if mirror is not None:
+                    mirror.apply_elimination(entry.pid, record[2])
+            else:
+                raise TraceFormatError(
+                    f"{list(record)!r} is not an elimination "
+                    f'["e", {entry.pid}, <checkpoint index >= 0>]'
+                )
         except TraceFormatError as exc:
+            raise TraceFormatError(f"{entry.path}:{entry.line}: {exc}") from None
+        except (ValueError, IndexError) as exc:
             raise TraceFormatError(
-                f"shard record {entry.seq} of process {entry.pid}: {exc}"
-            ) from None
-        if applied:
-            if mirror is not None and record[0] == TAG_CHECKPOINT:
-                _, pid, index, forced, time, dv = record
-                mirror.apply_store(pid, index, dv, bool(forced), time)
-        elif record[0] == TAG_ELIMINATION:
-            # Shard-only bookkeeping: never enters the artifact (eliminations
-            # are not trace events in simulated artifacts either).
-            if mirror is not None:
-                _, pid, index = record
-                mirror.apply_elimination(pid, index)
-        else:
-            raise ValueError(f"unknown shard record tag {record[0]!r}")
+                f"{entry.path}:{entry.line}: record is inconsistent with the "
+                f"merged history ({type(exc).__name__}: {exc})"
+            ) from exc
     # Trailing plans (a crash with no post-resume records, or none at all).
     while epoch in plans:
         recorder.apply_recovery(plans[epoch])
@@ -179,7 +191,8 @@ def shard_counters(shards: Sequence[ShardData]) -> Dict[str, int]:
     These are the live counterparts of the simulator's node counters, which
     also count occurrences that recovery later rolled back; deriving them
     from the shards covers SIGKILLed incarnations whose in-memory counters
-    died with the process.
+    died with the process.  Taken after :func:`replay_entries` accepted the
+    same shards, so only checked records are counted.
     """
     counters = {
         "sent": 0,

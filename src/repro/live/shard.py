@@ -15,39 +15,40 @@ Shard lines:
 * **header** (first line, object): ``{"shard": 1, "pid", "num_processes",
   "epoch", "incarnation"}``;
 * **records** (arrays): ``[epoch, lamport, <traceio body record>]`` — the
-  inner record uses exactly the v2 tags/arities of
-  :mod:`repro.traceio.format`, plus the shard-only tag ``"e"``
-  (``[“e”, pid, index]``, a collector elimination — consumed by the
-  coordinator's storage reconstruction, never emitted into the artifact);
+  inner record is a v2 event of :mod:`repro.traceio.format` (``s r d c i``)
+  or the shard-only ``[“e”, pid, index]``, a collector elimination —
+  consumed by the coordinator's storage reconstruction, never emitted into
+  the artifact;
 * **footer** (object): ``{"shard_footer": {"records", "lamport"}}`` —
   absent when the worker was SIGKILLed, which is normal, not damage.
 
 ``(epoch, lamport)`` is the merge key: the Lamport clock ticks on every
 recorded occurrence and merges with the sender's clock on every datagram
-receipt, so sorting all shards by ``(epoch, lamport, pid, seq)`` yields a
+receipt, so sorting all shards by ``(epoch, lamport, pid, line)`` yields a
 linearisation consistent with causality — every receive sorts after its
 send, every process's own records stay in program order.
 
-Reading tolerates truncation *at the end* (a torn final line from a
-SIGKILL) but not structural damage before it — mirroring the traceio
-reader's ``allow_partial`` contract.
+Reading uses the traceio reader's torn-line rule — the same rule, the same
+iterator (:func:`repro.traceio.format.read_lines`): only the final line may be
+torn.  :func:`read_shard` checks the header, each record's envelope and the
+footer's count; body records are checked at the merge, where they are applied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from json import JSONDecodeError
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.traceio.format import (
     TAG_DUPLICATE,
     TAG_INTERNAL,
-    decode_line,
+    TraceFormatError,
+    TraceTruncatedError,
     encode_checkpoint,
     encode_document,
     encode_receive,
     encode_send,
-    validate_record,
+    read_lines,
 )
 from repro.traceio.writer import open_line_file, write_line
 
@@ -188,20 +189,16 @@ class ShardWriter:
         write_line(self._handle, b"[%d,%d,%b]" % (self._epoch, self._lamport, record))
 
 
-@dataclass(frozen=True)
-class ShardEntry:
-    """One shard record with its full merge key."""
+class ShardEntry(NamedTuple):
+    """One shard record.  Entries sort in the global merge order: by merge
+    key, then pid, then line (program order within a shard)."""
 
     epoch: int
     lamport: int
     pid: int
-    seq: int
+    line: int
+    path: str
     record: Tuple[Any, ...]
-
-    @property
-    def sort_key(self) -> Tuple[int, int, int, int]:
-        """The global merge order (see the module docstring)."""
-        return (self.epoch, self.lamport, self.pid, self.seq)
 
 
 @dataclass
@@ -214,84 +211,67 @@ class ShardData:
     epoch: int
     incarnation: int
     entries: List[ShardEntry] = field(default_factory=list)
-    #: True when the footer is present and its record count matches.
+    #: True when the shard ends in its footer (its writer closed it).
     complete: bool = False
 
 
-def _is_count(value: Any) -> bool:
-    """True for a non-negative ``int`` (not a ``bool``, a float or a string)."""
-    return type(value) is int and value >= 0
+def _header(document: Any, where: str) -> Dict[str, Any]:
+    """The shard header, its fields exact non-negative ``int``\\ s, ``pid`` in range."""
+    if not isinstance(document, dict) or document.get("shard") != SHARD_VERSION:
+        raise TraceFormatError(f"{where}: not a live trace shard")
+    for key in ("shard", "pid", "num_processes", "epoch", "incarnation"):
+        value = document.get(key)
+        if type(value) is not int or value < 0:
+            raise TraceFormatError(f"{where}: shard header {key} {value!r} is not an int >= 0")
+    if document["pid"] >= document["num_processes"]:
+        raise TraceFormatError(f"{where}: shard header pid is not below num_processes")
+    return document
 
 
 def read_shard(path: str) -> ShardData:
-    """Parse one shard file, tolerating a torn tail (SIGKILLed writer)."""
-    header: Optional[dict] = None
-    entries: List[ShardEntry] = []
-    complete = False
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                parsed = decode_line(stripped)
-            except JSONDecodeError:
-                # A torn final line is the expected remnant of a SIGKILL;
-                # torn *interior* lines would desynchronise the parse of
-                # the following line instead, so stopping here is safe.
-                break
-            if header is None:
-                if not isinstance(parsed, dict) or parsed.get("shard") != SHARD_VERSION:
-                    raise ValueError(f"{path}:{number}: not a live trace shard")
-                header = parsed
-                pid = int(header["pid"])
-                continue
-            if isinstance(parsed, dict):
-                footer = parsed.get("shard_footer")
-                if not isinstance(footer, dict):
-                    raise ValueError(f"{path}:{number}: unexpected shard object")
-                complete = footer.get("records") == len(entries)
-                break
-            if not (isinstance(parsed, list) and len(parsed) == 3):
-                raise ValueError(f"{path}:{number}: malformed shard record")
-            epoch, lamport, record = parsed
-            if not (_is_count(epoch) and _is_count(lamport)):
-                raise ValueError(
-                    f"{path}:{number}: merge key ({epoch!r}, {lamport!r}) is not "
-                    f"two non-negative integers"
-                )
-            if not isinstance(record, list) or not record:
-                raise ValueError(f"{path}:{number}: malformed shard record body")
-            if record[0] == TAG_ELIMINATION:
-                if not (
-                    len(record) == 3
-                    and _is_count(record[1])
-                    and record[1] == pid
-                    and _is_count(record[2])
-                ):
-                    raise ValueError(
-                        f"{path}:{number}: malformed elimination record {record!r} "
-                        f"(expected [\"e\", {pid}, <non-negative checkpoint index>])"
-                    )
-            else:
-                validate_record(record, line=number, path=path)
-            entries.append(
-                ShardEntry(
-                    epoch=epoch,
-                    lamport=lamport,
-                    pid=pid,
-                    seq=len(entries),
-                    record=tuple(record),
-                )
-            )
-    if header is None:
-        raise ValueError(f"{path}: empty shard file")
-    return ShardData(
-        path=path,
-        pid=pid,
-        num_processes=int(header["num_processes"]),
-        epoch=int(header["epoch"]),
-        incarnation=int(header.get("incarnation", 0)),
-        entries=entries,
-        complete=complete,
+    """Parse one shard file, tolerating a torn final line (SIGKILLed writer).
+
+    Every refusal is a :class:`TraceFormatError` naming ``path:line``."""
+    lines = read_lines(path)
+    for number, parsed in lines:
+        header = _header(parsed, f"{path}:{number}")
+        break
+    else:
+        raise TraceFormatError(f"{path}: empty shard file")
+    shard = ShardData(
+        path, header["pid"], header["num_processes"], header["epoch"], header["incarnation"]
     )
+    try:
+        for number, parsed in lines:
+            if (
+                type(parsed) is list
+                and len(parsed) == 3
+                and type(parsed[0]) is type(parsed[1]) is int
+                and min(parsed[0], parsed[1]) >= 0
+                and type(parsed[2]) is list
+                and parsed[2]
+            ):
+                epoch, lamport, record = parsed
+                shard.entries.append(
+                    ShardEntry(epoch, lamport, shard.pid, number, path, tuple(record))
+                )
+            elif isinstance(parsed, dict) and "shard_footer" in parsed:
+                footer = parsed["shard_footer"]
+                records = footer.get("records") if isinstance(footer, dict) else None
+                if type(records) is not int or records != len(shard.entries):
+                    raise TraceFormatError(
+                        f"{path}:{number}: shard footer says {records!r} records, "
+                        f"the shard holds {len(shard.entries)}"
+                    )
+                shard.complete = True
+                break
+            else:
+                raise TraceFormatError(
+                    f"{path}:{number}: not a record [epoch, lamport, <non-empty list>] "
+                    f"with an int merge key >= 0, nor the shard footer"
+                )
+        for number, _ in lines:
+            raise TraceFormatError(f"{path}:{number}: record after the shard footer")
+    except TraceTruncatedError:
+        pass  # a torn final line: the remnant of a SIGKILLed writer
+    return shard

@@ -365,8 +365,8 @@ class _ReadOnDemandRecorder:
     Writing before the recorder validated is safe: until the first read it
     refuses nothing the nodes send — a node refuses self-sends and unknown
     destinations itself, a receive follows its send, nothing is rolled back
-    or compacted yet and the membership has not changed (joins and leaves,
-    like both of those, are reads), and an action fires only if every pid it
+    yet and the membership has not changed (joins and leaves, like a
+    rollback, are reads), and an action fires only if every pid it
     touches is a member.  A refusal all the same surfaces at the first read
     and fails the run.
     """

@@ -77,14 +77,16 @@ and fall back to :func:`encode_document` otherwise, so ``True``,
 ``numpy.int64`` or ``inf`` read and raise exactly as they do there.
 :func:`decode_line` runs one shared ``JSONDecoder``'s scanner over one
 stripped line; lines are never joined before parsing, because ``[1,[2]`` /
-``[3]]`` would then read as records.
+``[3]]`` would then read as records.  :func:`read_lines` applies it to every
+line of a file under the one torn-line rule that traces and live shards share:
+only the final line may be half-written.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 # Re-exported: the result record and its metrics are defined once, next to
 # SimulationResult.
@@ -404,8 +406,9 @@ FIELD_RULES = {
 }
 
 
-def _shape_refusal(record: Any) -> Optional[str]:
-    """Why ``record`` is not a body record of a known tag and arity (None if it is)."""
+def record_refusal(record: Any, num_processes: int) -> str:
+    """Why ``record`` is refused in a trace of ``num_processes`` processes: its
+    shape, else its tag's :data:`FIELD_RULES` (no location: the caller adds it)."""
     if not isinstance(record, (list, tuple)) or not record:
         return "body records must be non-empty JSON arrays"
     tag = record[0]
@@ -415,17 +418,8 @@ def _shape_refusal(record: Any) -> Optional[str]:
         return f"unknown record tag {tag!r}"
     if arity != len(record):
         return f"{tag!r} record has {len(record)} fields, expected {arity}"
-    return None
-
-
-def record_refusal(record: Any, num_processes: int) -> str:
-    """Why ``record`` is refused in a trace of ``num_processes`` processes: its
-    shape, else its tag's :data:`FIELD_RULES` (no location: the caller adds it)."""
-    shape = _shape_refusal(record)
-    if shape is not None:
-        return shape
-    rule = FIELD_RULES[record[0]].format(n=num_processes)
-    return f"{record[0]!r} record {list(record)!r} breaks its field rule: {rule}"
+    rule = FIELD_RULES[tag].format(n=num_processes)
+    return f"{tag!r} record {list(record)!r} breaks its field rule: {rule}"
 
 
 def validate_footer(document: Dict[str, Any], *, path: str = "<trace>") -> Dict[str, Any]:
@@ -444,19 +438,6 @@ def validate_footer(document: Dict[str, Any], *, path: str = "<trace>") -> Dict[
         if footer.get(key) is not None and not isinstance(footer[key], dict):
             raise TraceFormatError(f"{path}: footer {key} {footer[key]!r} is not an object")
     return footer
-
-
-def validate_record(record: Any, *, line: int, path: str = "<trace>") -> List[Any]:
-    """Check one body record's tag and arity; return it as a list.
-
-    Its fields are checked where it is applied
-    (:func:`repro.traceio.reader.apply_event_record` and ``TraceReader``).
-    """
-    if isinstance(record, list) and record:
-        tag = record[0]
-        if isinstance(tag, str) and RECORD_ARITY.get(tag) == len(record):
-            return record
-    raise TraceFormatError(f"{path}:{line}: {_shape_refusal(record)}")
 
 
 # ----------------------------------------------------------------------
@@ -542,3 +523,36 @@ def decode_line(line: str) -> Any:
     if end != len(line):
         raise json.JSONDecodeError("Extra data", line, end)
     return document
+
+
+def read_lines(path: str) -> Iterator[Tuple[int, Any]]:
+    """Yield ``(line_number, parsed_json)`` for every non-blank line of ``path``.
+
+    The one torn-line rule of traces and live shards.  Streams the file (one
+    line in memory at a time — traces can be large).  A half-written *final*
+    line (killed writer) terminates the iteration with
+    :class:`TraceTruncatedError`; an unparseable line followed by further
+    content raises :class:`TraceFormatError`.  Both name the damaged line.
+    Bytes that are not UTF-8 decode to U+FFFD, which is damage anywhere but
+    inside a JSON string.
+    """
+    bad: Optional[Tuple[int, json.JSONDecodeError]] = None
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        for number, raw in enumerate(handle, 1):
+            try:
+                parsed = decode_line(raw.strip())
+            except json.JSONDecodeError as exc:
+                if not raw.strip():
+                    continue  # a blank line holds no record
+                if bad is None:
+                    bad = (number, exc)
+                    continue
+            if bad is not None:
+                line, error = bad
+                raise TraceFormatError(f"{path}:{line}: unparseable line") from error
+            yield number, parsed
+    if bad is not None:
+        line, exc = bad
+        raise TraceTruncatedError(
+            f"{path}:{line}: half-written final line — the writer was killed"
+        ) from exc

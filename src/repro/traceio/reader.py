@@ -14,9 +14,11 @@ Cheap consumers (campaign re-aggregation, ``inspect`` on huge traces) can use
 :meth:`TraceReader.summary` instead, which reads only the header and footer
 without materialising a recorder.
 
-Lines are parsed one at a time by :func:`repro.traceio.format.decode_line`
-(the scanner ``json.loads`` delegates to, without its per-call wrappers) —
-never joined, so a line either is one complete JSON document or is damage.
+Lines are parsed one at a time by :func:`repro.traceio.format.read_lines`
+(through :func:`~repro.traceio.format.decode_line`, the scanner
+``json.loads`` delegates to, without its per-call wrappers) — never joined,
+so a line either is one complete JSON document or is damage; only the final
+line may be torn.  Live shards are read by the same iterator.
 Each parsed record then takes one pass: :func:`apply_event_record` checks an
 event record's fields once and calls the recorder, which builds the log
 entry itself.  Every refusal names ``path:line``.
@@ -51,6 +53,7 @@ from repro.traceio.format import (
     TraceTruncatedError,
     decode_line,
     metrics_from_record,
+    read_lines,
     record_refusal,
     validate_footer,
     validate_header,
@@ -237,37 +240,8 @@ class TraceReader:
     # Raw access
     # ------------------------------------------------------------------
     def lines(self) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(line_number, parsed_json)`` for every line of the file.
-
-        Streams the file (one line in memory at a time — traces can be
-        large).  A half-written *final* line (killed writer) terminates the
-        iteration with :class:`TraceTruncatedError`; an unparseable line
-        followed by further content raises :class:`TraceFormatError`.  Both
-        name the damaged line.  Bytes that are not UTF-8 decode to U+FFFD,
-        which is damage anywhere but inside a JSON string.
-        """
-        bad: Optional[Tuple[int, JSONDecodeError]] = None
-        with open(self._path, "r", encoding="utf-8", errors="replace") as handle:
-            for number, raw in enumerate(handle, 1):
-                try:
-                    parsed = decode_line(raw.strip())
-                except JSONDecodeError as exc:
-                    if not raw.strip():
-                        continue  # a blank line holds no record
-                    if bad is None:
-                        bad = (number, exc)
-                        continue
-                if bad is not None:
-                    line, error = bad
-                    raise TraceFormatError(
-                        f"{self._path}:{line}: unparseable line"
-                    ) from error
-                yield number, parsed
-        if bad is not None:
-            line, exc = bad
-            raise TraceTruncatedError(
-                f"{self._path}:{line}: half-written final line — the writer was killed"
-            ) from exc
+        """The file's ``(line_number, parsed_json)`` pairs: :func:`~repro.traceio.format.read_lines`."""
+        return read_lines(self._path)
 
     def header(self) -> Dict[str, Any]:
         """Parse and validate the header line only."""
@@ -280,31 +254,36 @@ class TraceReader:
 
         Body records (JSON arrays) are skipped *without parsing* — this is
         the cheap path campaign re-aggregation and ``inspect`` take over
-        large artifact sets.
+        large artifact sets.  The lines it does parse follow the torn-line
+        rule of :func:`~repro.traceio.format.read_lines`: an unparseable one
+        is a killed writer's tail (no footer) only when nothing follows it.
         """
         header: Optional[Dict[str, Any]] = None
         footer: Optional[Dict[str, Any]] = None
+        bad = 0
         with open(self._path, "r", encoding="utf-8", errors="replace") as handle:
-            for index, raw in enumerate(handle):
+            for number, raw in enumerate(handle, 1):
                 stripped = raw.strip()
                 if not stripped:
                     continue
+                if bad:
+                    # Only the final line may be torn (read_lines' rule).
+                    raise TraceFormatError(f"{self._path}:{bad}: unparseable line")
                 if footer is not None:
-                    raise TraceFormatError(
-                        f"{self._path}:{index + 1}: record after the footer"
-                    )
+                    raise TraceFormatError(f"{self._path}:{number}: record after the footer")
                 if header is not None and stripped.startswith("["):
                     continue  # body record — content irrelevant here
                 try:
                     parsed = decode_line(stripped)
                 except JSONDecodeError:
-                    continue  # half-written tail of a killed writer
+                    bad = number  # the half-written tail of a killed writer, if last
+                    continue
                 if header is None:
                     header = validate_header(parsed, path=self._path)
                 elif isinstance(parsed, dict):
                     if "footer" not in parsed:
                         raise TraceFormatError(
-                            f"{self._path}:{index + 1}: unexpected object record"
+                            f"{self._path}:{number}: unexpected object record"
                         )
                     footer = parsed["footer"]
         if header is None:
@@ -325,8 +304,9 @@ class TraceReader:
         raises :class:`TraceFormatError` in either mode.  Every refusal names
         ``path:line``.
 
-        One pass per line: :meth:`lines` parses it, :func:`apply_event_record`
-        checks and applies an event, :meth:`_apply` everything else.
+        One pass per line: :func:`~repro.traceio.format.read_lines` parses
+        it, :func:`apply_event_record` checks and applies an event,
+        :meth:`_apply` everything else.
         """
         path = self._path
         footer: Optional[Dict[str, Any]] = None
@@ -335,7 +315,7 @@ class TraceReader:
         partitions: List[Tuple[str, float, Tuple[Tuple[int, ...], ...]]] = []
         events = others = line = footer_line = 0
         truncated = False
-        lines = self.lines()
+        lines = read_lines(path)
         try:
             for line, parsed in lines:
                 header = validate_header(parsed, path=f"{path}:{line}")

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 
 import pytest
 
+from repro.live.coordinator import LiveCoordinator, LiveOptions
 from repro.live.merge import (
     StorageMirror,
     ordered_entries,
@@ -15,8 +17,10 @@ from repro.live.merge import (
 )
 from repro.live.shard import ShardWriter, read_shard
 from repro.recovery.manager import RecoveryManager
+from repro.simulation.runner import SimulationConfig
 from repro.simulation.trace import TraceRecorder
-from repro.traceio.format import TraceFormatError
+from repro.simulation.workloads import make_workload
+from repro.traceio.format import TraceFormatError, TraceTruncatedError
 
 
 def _write_pair(tmp_path):
@@ -91,19 +95,21 @@ class TestShardRoundTrip:
         ],
     )
     def test_a_mistyped_merge_key_or_elimination_is_refused(self, tmp_path, line):
-        """The merge orders by these fields and the storage mirror discards
-        by the elimination's index, so a wrong type is refused where it is
-        read, naming its line."""
+        """The merge orders by the key, so a wrong type is refused where the
+        shard is read; the storage mirror discards by the elimination's
+        index, so a wrong elimination is refused where the merge applies it.
+        Either names the shard's line."""
         path = str(tmp_path / "g.shard.jsonl")
         writer = ShardWriter(path, pid=0, num_processes=2)
         writer.record_checkpoint(0, 0, (1, 0), forced=False, time=0.0)
         writer.close()
         with open(path, encoding="utf-8") as handle:
             header, checkpoint, footer = handle.read().splitlines()
+        footer = footer.replace('"records":1', '"records":2')
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join([header, checkpoint, line, footer]) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(path)}:3: "):
-            read_shard(path)
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(path)}:3: "):
+            replay_entries(ordered_entries([read_shard(path)]), 2)
 
     def test_lamport_monotone_and_epoch_stamped(self, tmp_path):
         path = str(tmp_path / "l.shard.jsonl")
@@ -118,7 +124,7 @@ class TestShardRoundTrip:
     def test_rejects_non_shard_file(self, tmp_path):
         path = tmp_path / "not.jsonl"
         path.write_text(json.dumps({"format": "repro-trace"}) + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}:1: not a live"):
             read_shard(str(path))
 
 
@@ -147,7 +153,8 @@ class TestMerge:
 
     def test_a_mistyped_record_is_refused_naming_its_shard_entry(self, tmp_path):
         """The merge applies shard records through the trace applier, so a
-        field of the wrong type is refused there, not recorded."""
+        field of the wrong type is refused there, not recorded, naming the
+        record's shard line."""
         paths, w0, w1 = _write_pair(tmp_path)
         w0.close()
         w1.close()
@@ -157,7 +164,7 @@ class TestMerge:
         with open(paths[1], "w", encoding="utf-8") as handle:
             handle.write(text.replace('["r",1,2.0]', '["r",1,"later"]'))
         entries = ordered_entries([read_shard(p) for p in paths])
-        with pytest.raises(TraceFormatError, match="^shard record 1 of process 1: 'r' record"):
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(paths[1])}:3: 'r' record"):
             replay_entries(entries, 2)
 
     def test_counters_cover_killed_incarnations(self, tmp_path):
@@ -171,6 +178,60 @@ class TestMerge:
             "basic_checkpoints": 2,
             "forced_checkpoints": 1,
         }
+
+
+class TestCoordinatorMerge:
+    """The coordinator's merge reads ``ShardData.complete``: a SIGKILLed
+    incarnation's shard may end anywhere, a cleanly stopped one's may not."""
+
+    def _coordinator(self, tmp_path, paths, incarnations):
+        config = SimulationConfig(
+            num_processes=2, duration=1.0, workload=make_workload("uniform-random")
+        )
+        trace_path = str(tmp_path / "live.trace.jsonl")
+        coordinator = LiveCoordinator(config, LiveOptions(), trace_path, str(tmp_path))
+        coordinator._shard_paths = paths
+        coordinator._incarnations = incarnations
+        return coordinator, trace_path
+
+    def test_a_stopped_worker_without_a_footer_is_refused(self, tmp_path):
+        paths, w0, w1 = _write_pair(tmp_path)
+        w0.close()
+        w1.close()
+        with open(paths[1], encoding="utf-8") as handle:
+            lines = handle.readlines()
+        with open(paths[1], "w", encoding="utf-8") as handle:
+            # w1's footer is missing, though its worker reported "final".
+            handle.writelines(lines[:-1])
+        coordinator, trace_path = self._coordinator(tmp_path, paths, {0: 0, 1: 0})
+        with pytest.raises(
+            TraceTruncatedError,
+            match=f"^{re.escape(paths[1])}:4: no shard footer .* worker 1 reported a clean stop",
+        ):
+            coordinator._merge({0: {}, 1: {}})
+        assert not os.path.exists(trace_path)
+
+    def test_a_killed_incarnation_without_a_footer_is_merged(self, tmp_path):
+        paths, w0, w1 = _write_pair(tmp_path)
+        w0.close()
+        w1.close()
+        # Process 1 was SIGKILLed and respawned: only incarnation 1 is current.
+        killed = str(tmp_path / "w1-i0.shard.jsonl")
+        ShardWriter(killed, pid=1, num_processes=2, incarnation=0).close()
+        with open(killed, encoding="utf-8") as handle:
+            header = handle.readline()
+        with open(killed, "w", encoding="utf-8") as handle:
+            handle.write(header)  # all a SIGKILL right after the header leaves
+        with open(paths[1], encoding="utf-8") as handle:
+            current = handle.read().replace('"incarnation":0', '"incarnation":1')
+        with open(paths[1], "w", encoding="utf-8") as handle:
+            handle.write(current)
+        coordinator, _ = self._coordinator(
+            tmp_path, [paths[0], killed, paths[1]], {0: 0, 1: 1}
+        )
+        # Past the footer check, the merge wants the workers' reports.
+        with pytest.raises(KeyError, match="retained_indices"):
+            coordinator._merge({0: {}, 1: {}})
 
 
 class TestStorageMirror:

@@ -24,6 +24,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.live.merge import ordered_entries, replay_entries
 from repro.live.shard import ShardWriter, read_shard
 from repro.scenarios.experiments import random_run_config
 from repro.simulation.network import NetworkConfig
@@ -385,8 +386,14 @@ class TestGarbledTagFailsTyped:
         writer.record_internal(0, 0.5)
         writer.close()
         _insert_line(path, 2, f"[0,2,{record}]")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read().replace('"records":1', '"records":2')
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        # The envelope is sound, so the shard reads; the merge applies the body.
+        entries = ordered_entries([read_shard(path)])
         with pytest.raises(TraceFormatError, match=rf"{path}:3: unknown record tag"):
-            read_shard(path)
+            replay_entries(entries, 2)
 
 
 class _UndescribableNetwork(NetworkConfig):

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 
 import pytest
 
@@ -384,6 +385,23 @@ class TestErrorPaths:
         # Structural damage is fatal even in partial mode.
         with pytest.raises(TraceFormatError):
             TraceReader(trace_path).replay(allow_partial=True)
+
+    def test_summary_refuses_a_garbled_line_that_is_not_last(self, tmp_path):
+        """summary() follows replay's torn-line rule: an unparseable footer
+        is a killed writer's tail only when no line follows it."""
+        trace = tmp_path / "garbled-footer.trace.jsonl"
+        path = str(trace)
+        writer = TraceWriter.scripted(path, 2)
+        writer.on_send(0, 1, 1, 0.5)
+        writer.seal()
+        header, send, footer = trace.read_text(encoding="utf-8").splitlines()
+        torn = footer[: len(footer) // 2]
+        trace.write_text("\n".join([header, send, torn]) + "\n", encoding="utf-8")
+        assert TraceReader(path).summary()[1] is None
+        trace.write_text("\n".join([header, send, torn, send]) + "\n", encoding="utf-8")
+        for read in (TraceReader(path).summary, TraceReader(path).replay):
+            with pytest.raises(TraceFormatError, match=f"^{re.escape(path)}:3: unparseable line"):
+                read()
 
     def test_unknown_tag_is_a_format_error(self, trace_path):
         lines = open(trace_path, encoding="utf-8").readlines()
