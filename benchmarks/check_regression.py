@@ -78,6 +78,15 @@ applier pass that checks its fields once and one recording call; a
 per-record chain of wrappers that re-check what the frame before them
 computed shows up as ~1.4x.
 
+The **history-tracking** gate (``--smoke`` only) counts objects, not lines,
+on the same file: the GC-tracked objects (``len(gc.get_objects())`` after a
+``gc.collect()``) that ``TraceReader.replay()`` adds per body record, the
+replay held.  The event log keeps exact tuples of atoms, which the cyclic
+collector stops tracking at its first pass, so a replayed history leaves
+almost nothing for a full collection to walk; records stored as tuple
+subclasses (``NamedTuple`` instances) or holding an enum member stay tracked
+for the life of the log and show up as ~1.6 objects per record.
+
 The **retained-set** gate (``--smoke`` only) counts the same way inside
 ``IncrementalAnalysisView._retained`` (callees included) per ``(i, f)`` pair
 of active processes on the same run with ``audit="full"``.  A pair costs one
@@ -116,6 +125,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import random
@@ -150,8 +160,9 @@ SESSION_COST_GROWTH_CEILING = 2.0
 # when the gate was added, so ~25 % headroom, 28.5 since CheckpointId,
 # EventId and StoredCheckpoint are NamedTuples, and 18.9 since the
 # EventLog builds its records without their validating constructors and the
-# membership test is one set lookup; 61.4 on its parent commit, with the
-# recorder's shadow message tables and dataclass records).
+# membership test is one set lookup, and 17.5 since the records are exact
+# tuples; 61.4 on its parent commit, with the recorder's shadow message tables
+# and dataclass records).
 RECORDING_LINES_CEILING = 36.0
 # Message-path gate, on the same run with the recorder unread: lines executed
 # by the whole runner.run() per application message (249.2 since the workload
@@ -191,10 +202,16 @@ TRACED_MESSAGE_PATH_LINES_CEILING = 311.0
 TRACE_CODEC_LINES_CEILING = 20.0
 # Replay-path gate, on the file that run wrote: lines TraceReader.replay()
 # executes per body record, recording included (42.5 when the gate was added,
-# so ~15 % headroom; 59.1 on its parent commit, whose records went through
+# so ~15 % headroom, 41.2 since the records are exact tuples; 59.1 on its
+# parent commit, whose records went through
 # validate_record, a second dispatch, a validating Event constructor and
 # ProcessHistory.append).
 REPLAY_LINES_CEILING = 49.0
+# History-tracking gate, on the trace-codec gate's file: GC-tracked objects a
+# held TraceReader.replay() adds per body record (0.0016 when the gate was
+# added; 1.622 on its parent commit, whose event log stored Event, Message and
+# CheckpointId NamedTuple instances, with an enum member in every event).
+TRACKED_PER_RECORD_CEILING = 0.05
 # Retained-set gate, on the same run with audit="full": lines inside
 # IncrementalAnalysisView._retained per (i, f) pair (10.1 when the gate
 # was added, so ~40 % headroom, 9.5 since a CheckpointId is a NamedTuple
@@ -664,6 +681,42 @@ def check_trace_codec_cost(
     return violations
 
 
+def tracked_objects_per_replayed_record() -> float:
+    """GC-tracked objects a replay adds per body record, the replay held.
+
+    The trace-codec gate's run, streamed to a file; a full collection before
+    each count, so what is counted is what a later full collection would
+    walk.  Exact on a given interpreter: it counts objects, not time.
+    """
+    from repro.simulation.runner import SimulationRunner
+    from repro.traceio.reader import TraceReader
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "gate.trace.jsonl")
+        result = SimulationRunner(_recording_run_config(path)).run()
+        gc.collect()
+        before = len(gc.get_objects())
+        replayed = TraceReader(path).replay()
+        gc.collect()
+        after = len(gc.get_objects())
+    records = replayed.footer["records"]
+    if result.messages_sent == 0 or replayed.recorder.log.total_events() == 0:
+        raise RuntimeError("the history-tracking gate's own run went wrong")
+    return (after - before) / records
+
+
+def check_history_tracking(*, ceiling: float = TRACKED_PER_RECORD_CEILING) -> List[str]:
+    """Gate: a replayed history is records the cyclic collector never walks."""
+    tracked = tracked_objects_per_replayed_record()
+    if tracked > ceiling:
+        return [
+            f"a replayed trace leaves {tracked:.3f} GC-tracked objects per record "
+            f"(allowed {ceiling:.3f}): the EventLog / TraceRecorder store records "
+            f"the cyclic collector cannot untrack (a tuple subclass, an enum member)"
+        ]
+    return []
+
+
 def store_cost() -> Tuple[int, float]:
     """Connections opened, and SQL statements executed per completed cell.
 
@@ -871,6 +924,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         standalone_violations += check_message_path_cost()
         standalone_violations += check_traced_message_path_cost()
         standalone_violations += check_trace_codec_cost()
+        standalone_violations += check_history_tracking()
         standalone_violations += check_retained_set_cost()
         standalone_violations += check_store_cost()
         standalone_violations += check_explore_cost()
@@ -930,7 +984,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
         f"session scaling, recording-path, message-path (untraced, traced), trace-codec, "
-        f"replay-path, "
+        f"replay-path, history-tracking, "
         f"retained-set, "
         f"store-cost, explorer and fuzzer gates "
         f"{'ok' if args.smoke else 'skipped (--smoke only)'}, "

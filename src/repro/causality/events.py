@@ -5,54 +5,93 @@ of processes ``p_1 .. p_n`` that communicate only by exchanging messages.  A
 process execution is a sequence of events; events are *internal* (including
 local checkpoints) or *communication* events (send/receive).
 
-:class:`Event` and :class:`Message` are immutable, tuple-backed records
-(``NamedTuple`` classes): one allocation each, hashable, comparable and
-picklable by value, with the field names as read-only attributes.  An
-:class:`EventLog` keeps exactly one :class:`Event` per event and one
-:class:`Message` per message; the message carries the positions *and* the
-checkpoint intervals of its send and receive, stamped by the log the moment
-they are recorded, so nothing downstream re-derives or shadows them.  The
-records carry no behaviour beyond validation and convenient accessors; all
-causal reasoning is done by :mod:`repro.causality.happens_before` and the CCP
-layer.
+An :class:`EventLog` keeps exactly one record per event and one per message,
+and each record is an *exact* tuple of atoms (ints, floats, bools, ``None``):
+
+* an event is ``(pid, seq, kind, message_id, checkpoint_index, time,
+  forced)``, with ``kind`` the plain ``int`` code of its :class:`EventKind`;
+* a message is ``(message_id, sender, receiver, send_seq, send_interval,
+  receive_seq, receive_interval)`` — the positions *and* the checkpoint
+  intervals of its send and receive, stamped by the log the moment they are
+  recorded, so nothing downstream re-derives or shadows them.
+
+CPython's cyclic garbage collector stops tracking such a tuple at its first
+young-generation pass (it never does for a tuple subclass, and an enum member
+is itself tracked), so a full collection never walks the history, however
+long the run.  Fields are read by position, through the module-level
+constants ``E_*`` (events) and ``M_*`` (messages), and kinds are compared
+against the ``int`` codes :data:`INTERNAL`, :data:`SEND`, :data:`RECEIVE` and
+:data:`CHECKPOINT`.
+
+:class:`Event` and :class:`Message` are the ``NamedTuple`` classes that name
+those fields, in that order.  They build literal references (tests, hand-made
+records): since :class:`EventKind` is an ``IntEnum`` whose values are the
+stored codes, a literal compares and hashes equal to the stored record of the
+same values.  The log itself never stores one.  The records carry no
+behaviour; all causal reasoning is done by
+:mod:`repro.causality.happens_before` and the CCP layer.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Final, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
-class EventKind(enum.Enum):
-    """The kind of an event in a process history."""
+class EventKind(enum.IntEnum):
+    """The kind of an event; its value is the code an event record stores."""
 
-    INTERNAL = "internal"
-    SEND = "send"
-    RECEIVE = "receive"
-    CHECKPOINT = "checkpoint"
+    INTERNAL = 0
+    SEND = 1
+    RECEIVE = 2
+    CHECKPOINT = 3
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
+        return self.name.lower()
 
 
-# Module-level aliases: an enum member lookup goes through the metaclass
-# (~0.2 us on CPython 3.11), and the recording path does several per event.
-_INTERNAL = EventKind.INTERNAL
-_SEND = EventKind.SEND
-_RECEIVE = EventKind.RECEIVE
-_CHECKPOINT = EventKind.CHECKPOINT
-# Builds a record from a complete field tuple, skipping the class's __new__.
-_new = tuple.__new__
+# The codes a record stores: plain ints.  A member is GC-tracked, and reading
+# one off the class goes through the enum metaclass (~0.2 us on CPython 3.11).
+INTERNAL: Final = 0
+SEND: Final = 1
+RECEIVE: Final = 2
+CHECKPOINT: Final = 3
+
+# Field positions of an event record (the order of Event's fields).
+E_PID: Final = 0
+E_SEQ: Final = 1
+E_KIND: Final = 2
+E_MESSAGE_ID: Final = 3
+E_CHECKPOINT_INDEX: Final = 4
+E_TIME: Final = 5
+E_FORCED: Final = 6
+# Field positions of a message record (the order of Message's fields).
+M_ID: Final = 0
+M_SENDER: Final = 1
+M_RECEIVER: Final = 2
+M_SEND_SEQ: Final = 3
+M_SEND_INTERVAL: Final = 4
+M_RECEIVE_SEQ: Final = 5
+M_RECEIVE_INTERVAL: Final = 6
+
+#: A stored event: ``(pid, seq, kind, message_id, checkpoint_index, time,
+#: forced)``.  ``message_id`` is an int for a SEND or RECEIVE and
+#: ``checkpoint_index`` one for a CHECKPOINT; each is None otherwise.
+EventRecord = Tuple[int, int, int, Any, Any, float, bool]
+#: A stored message: ``(message_id, sender, receiver, send_seq, send_interval,
+#: receive_seq, receive_interval)``.
+MessageRecord = Tuple[int, int, int, int, int, int, int]
 
 
 class EventId(NamedTuple):
     """Identifies an event by process id and position in that process history.
 
     ``seq`` is the zero-based index of the event in the process's local event
-    sequence (``e_i^0, e_i^1, ...`` in the paper's notation).  A ``NamedTuple``
-    like :class:`Event`, so it equals a plain tuple of the same values; no
-    container in the library mixes the two.
+    sequence (``e_i^0, e_i^1, ...`` in the paper's notation).  Its fields sit
+    where an event record's ``pid`` and ``seq`` do, so ``(r[E_PID],
+    r[E_SEQ])`` identifies an event whether ``r`` is an id or a record; it
+    equals that plain tuple.
     """
 
     pid: int
@@ -65,7 +104,7 @@ class EventId(NamedTuple):
 class _EventFields(NamedTuple):
     pid: int
     seq: int
-    kind: EventKind
+    kind: int
     message_id: Optional[int] = None
     checkpoint_index: Optional[int] = None
     time: float = 0.0
@@ -73,7 +112,7 @@ class _EventFields(NamedTuple):
 
 
 class Event(_EventFields):
-    """A single event executed by a process.
+    """The fields of an event record, by name: a literal reference to one.
 
     Parameters
     ----------
@@ -82,7 +121,7 @@ class Event(_EventFields):
     seq:
         The position of the event in the process's history.
     kind:
-        One of :class:`EventKind`.
+        One of :class:`EventKind` (or its code).
     message_id:
         For SEND/RECEIVE events, the id of the message involved.
     checkpoint_index:
@@ -102,15 +141,15 @@ class Event(_EventFields):
         cls,
         pid: int,
         seq: int,
-        kind: EventKind,
+        kind: int,
         message_id: Optional[int] = None,
         checkpoint_index: Optional[int] = None,
         time: float = 0.0,
         forced: bool = False,
     ) -> "Event":
-        if message_id is None and (kind is _SEND or kind is _RECEIVE):
-            raise ValueError(f"{kind} event requires a message_id")
-        if checkpoint_index is None and kind is _CHECKPOINT:
+        if message_id is None and kind in (SEND, RECEIVE):
+            raise ValueError(f"{EventKind(kind)} event requires a message_id")
+        if checkpoint_index is None and kind == CHECKPOINT:
             raise ValueError("CHECKPOINT event requires a checkpoint_index")
         return tuple.__new__(cls, (pid, seq, kind, message_id, checkpoint_index, time, forced))
 
@@ -121,19 +160,19 @@ class Event(_EventFields):
 
     def is_checkpoint(self) -> bool:
         """True if this event records the taking of a local checkpoint."""
-        return self.kind is _CHECKPOINT
+        return self.kind == CHECKPOINT
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         extra = ""
-        if self.kind in (_SEND, _RECEIVE):
+        if self.kind in (SEND, RECEIVE):
             extra = f"(m{self.message_id})"
-        elif self.kind is _CHECKPOINT:
+        elif self.kind == CHECKPOINT:
             extra = f"(c{self.pid}^{self.checkpoint_index})"
-        return f"{self.kind.value}@p{self.pid}#{self.seq}{extra}"
+        return f"{EventKind(self.kind)}@p{self.pid}#{self.seq}{extra}"
 
 
 class Message(NamedTuple):
-    """An application message exchanged between two processes.
+    """The fields of a message record, by name: a literal reference to one.
 
     ``send_seq`` / ``receive_seq`` are the positions of the send and receive
     events in the sender's and receiver's histories; ``send_interval`` /
@@ -144,10 +183,9 @@ class Message(NamedTuple):
 
     A message is *delivered* when both its send and its receive are known.
     Messages that were sent but never received (lost, or still in transit at
-    the cut under analysis) have ``receive_seq == receive_interval == -1`` and
-    ``receive_event is None``; they do not contribute dependencies, matching
-    the CCP definition in Section 2.2 which excludes lost and in-transit
-    messages.
+    the cut under analysis) have ``receive_seq == receive_interval == -1``;
+    they do not contribute dependencies, matching the CCP definition in
+    Section 2.2 which excludes lost and in-transit messages.
     """
 
     message_id: int
@@ -178,42 +216,39 @@ class Message(NamedTuple):
 
 @dataclass
 class ProcessHistory:
-    """The ordered sequence of events executed by one process."""
+    """The ordered sequence of event records of one process."""
 
     pid: int
-    events: List[Event] = field(default_factory=list)
-    #: The CHECKPOINT events of ``events``, in order.  Kept alongside so the
-    #: checkpoint queries cost the number of checkpoints, not of events.
-    checkpoints: List[Event] = field(default_factory=list, repr=False)
+    events: List[EventRecord] = field(default_factory=list)
+    #: The CHECKPOINT records of ``events``, in order (``checkpoints[k]`` took
+    #: checkpoint ``k``).  Kept alongside so the checkpoint queries cost the
+    #: number of checkpoints, not of events.
+    checkpoints: List[EventRecord] = field(default_factory=list, repr=False)
 
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self) -> Iterator[Event]:
+    def __iter__(self) -> Iterator[EventRecord]:
         return iter(self.events)
 
-    def __getitem__(self, seq: int) -> Event:
+    def __getitem__(self, seq: int) -> EventRecord:
         return self.events[seq]
 
-    def checkpoint_events(self) -> List[Event]:
-        """All CHECKPOINT events in order."""
+    def checkpoint_events(self) -> List[EventRecord]:
+        """All CHECKPOINT records in order."""
         return list(self.checkpoints)
 
     def last_checkpoint_index(self) -> int:
         """Index of the last checkpoint taken, or -1 if none was taken."""
-        if not self.checkpoints:
-            return -1
-        index = self.checkpoints[-1].checkpoint_index
-        assert index is not None
-        return index
+        return len(self.checkpoints) - 1
 
 
 class EventLog:
     """A complete record of a distributed execution.
 
     The log stores one :class:`ProcessHistory` per process and a registry of
-    messages.  It is the single source of truth from which causal orders,
-    cuts and checkpoint-and-communication patterns are derived.
+    message records.  It is the single source of truth from which causal
+    orders, cuts and checkpoint-and-communication patterns are derived.
 
     The class enforces the structural invariants of the model:
 
@@ -222,7 +257,8 @@ class EventLog:
     * a receive event can only be recorded after its send event exists.
 
     Every history starts at the process's first event, so a process's
-    checkpoints are recorded from index 0.
+    checkpoints are recorded from index 0.  Every reader hands out the stored
+    records themselves (see the module docstring).
     """
 
     def __init__(self, num_processes: int) -> None:
@@ -231,7 +267,7 @@ class EventLog:
         self._histories: List[ProcessHistory] = [
             ProcessHistory(pid) for pid in range(num_processes)
         ]
-        self._messages: Dict[int, Message] = {}
+        self._messages: Dict[int, MessageRecord] = {}
         self._next_message_id = 0
 
     # ------------------------------------------------------------------
@@ -255,29 +291,29 @@ class EventLog:
         """All process histories, indexed by pid."""
         return tuple(self._histories)
 
-    def event(self, event_id: EventId) -> Event:
-        """The event identified by ``event_id``."""
-        return self._histories[event_id.pid][event_id.seq]
+    def event(self, event_id: Sequence[int]) -> EventRecord:
+        """The event record identified by ``event_id`` (an :class:`EventId`)."""
+        return self._histories[event_id[E_PID]].events[event_id[E_SEQ]]
 
-    def events(self) -> Iterator[Event]:
-        """Iterate over all events, grouped by process, in program order."""
+    def events(self) -> Iterator[EventRecord]:
+        """Iterate over all event records, grouped by process, in program order."""
         for history in self._histories:
-            yield from history
+            yield from history.events
 
     def total_events(self) -> int:
         """Total number of events across all processes."""
         return sum(len(h) for h in self._histories)
 
-    def messages(self) -> List[Message]:
-        """All registered messages (delivered or not), in send-recording order."""
+    def messages(self) -> List[MessageRecord]:
+        """All message records (delivered or not), in send-recording order."""
         return list(self._messages.values())
 
-    def delivered_messages(self) -> List[Message]:
-        """Messages that have both a send and a receive event."""
-        return [m for m in self._messages.values() if m.receive_seq >= 0]
+    def delivered_messages(self) -> List[MessageRecord]:
+        """Records of the messages that have both a send and a receive event."""
+        return [m for m in self._messages.values() if m[M_RECEIVE_SEQ] >= 0]
 
-    def message(self, message_id: int) -> Message:
-        """The message with id ``message_id``."""
+    def message(self, message_id: int) -> MessageRecord:
+        """The record of the message with id ``message_id``."""
         return self._messages[message_id]
 
     def has_message(self, message_id: int) -> bool:
@@ -287,22 +323,21 @@ class EventLog:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    # The add_* methods number the event and stamp the message themselves, so
-    # they build the tuples directly (no validating __new__) and append to the
-    # history's lists.  A negative pid would index another process's history,
-    # so it is refused explicitly.
-    def add_internal(self, pid: int, *, time: float = 0.0) -> Event:
+    # The add_* methods number the event and stamp the message themselves and
+    # append the records to the history's lists.  A negative pid would index
+    # another process's history, so it is refused explicitly.
+    def add_internal(self, pid: int, *, time: float = 0.0) -> EventRecord:
         """Record an internal event at process ``pid``."""
         if pid < 0:
             raise ValueError(f"unknown process {pid}")
         events = self._histories[pid].events
-        event = _new(Event, (pid, len(events), _INTERNAL, None, None, time, False))
+        event = (pid, len(events), INTERNAL, None, None, time, False)
         events.append(event)
         return event
 
     def add_checkpoint(
         self, pid: int, checkpoint_index: int, *, time: float = 0.0, forced: bool = False
-    ) -> Event:
+    ) -> EventRecord:
         """Record a checkpoint event at process ``pid``.
 
         Checkpoint indices must be taken in increasing order, starting at 0.
@@ -316,8 +351,7 @@ class EventLog:
                 f"process {pid}: expected checkpoint index {expected}, "
                 f"got {checkpoint_index}"
             )
-        seq = len(history.events)
-        event = _new(Event, (pid, seq, _CHECKPOINT, None, checkpoint_index, time, forced))
+        event = (pid, len(history.events), CHECKPOINT, None, checkpoint_index, time, forced)
         history.events.append(event)
         history.checkpoints.append(event)
         return event
@@ -329,7 +363,7 @@ class EventLog:
         *,
         message_id: Optional[int] = None,
         time: float = 0.0,
-    ) -> Tuple[Event, Message]:
+    ) -> Tuple[EventRecord, MessageRecord]:
         """Record the sending of a message from ``sender`` to ``receiver``.
 
         Returns the send event and the (not-yet-delivered) message record,
@@ -345,14 +379,13 @@ class EventLog:
             self._next_message_id = message_id + 1
         history = self._histories[sender]
         seq = len(history.events)
-        event = _new(Event, (sender, seq, _SEND, message_id, None, time, False))
+        event = (sender, seq, SEND, message_id, None, time, False)
         history.events.append(event)
-        interval = len(history.checkpoints)
-        message = _new(Message, (message_id, sender, receiver, seq, interval, -1, -1))
+        message = (message_id, sender, receiver, seq, len(history.checkpoints), -1, -1)
         self._messages[message_id] = message
         return event, message
 
-    def add_receive(self, message_id: int, *, time: float = 0.0) -> Event:
+    def add_receive(self, message_id: int, *, time: float = 0.0) -> EventRecord:
         """Record the receipt of a previously sent message.
 
         The message record is replaced by its delivered state, stamped with
@@ -366,18 +399,18 @@ class EventLog:
             raise ValueError(f"message {message_id} already received")
         history = self._histories[pid]
         seq = len(history.events)
-        event = _new(Event, (pid, seq, _RECEIVE, message_id, None, time, False))
+        event = (pid, seq, RECEIVE, message_id, None, time, False)
         history.events.append(event)
-        interval = len(history.checkpoints)
-        delivered = (message_id, sender, pid, send_seq, send_interval, seq, interval)
-        self._messages[message_id] = _new(Message, delivered)
+        self._messages[message_id] = (
+            message_id, sender, pid, send_seq, send_interval, seq, len(history.checkpoints)
+        )
         return event
 
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
-    def causal_replay(self) -> Iterator[Event]:
-        """Iterate over all events in an order consistent with happened-before.
+    def causal_replay(self) -> Iterator[EventRecord]:
+        """Iterate over all event records in an order consistent with happened-before.
 
         Program order per process, and every receive after its send.  A
         process is followed until it blocks on a receive whose send has not
@@ -394,16 +427,16 @@ class EventLog:
             events = histories[pid]
             while cursors[pid] < len(events):
                 event = events[cursors[pid]]
-                if event.kind is _RECEIVE:
-                    assert event.message_id is not None
-                    message = self._messages[event.message_id]
-                    if cursors[message.sender] <= message.send_seq:
-                        waiting[event.message_id] = pid
+                kind = event[E_KIND]
+                if kind == RECEIVE:
+                    message = self._messages[event[E_MESSAGE_ID]]
+                    if cursors[message[M_SENDER]] <= message[M_SEND_SEQ]:
+                        waiting[event[E_MESSAGE_ID]] = pid
                         break
                 cursors[pid] += 1
                 yield event
-                if event.kind is _SEND and event.message_id in waiting:
-                    runnable.append(waiting.pop(event.message_id))
+                if kind == SEND and event[E_MESSAGE_ID] in waiting:
+                    runnable.append(waiting.pop(event[E_MESSAGE_ID]))
         if waiting:
             raise ValueError(
                 "event log is not causally replayable: some receive has no "
@@ -419,7 +452,7 @@ class EventLog:
         outside are dropped entirely (a kept receive of such a message is
         replaced by an INTERNAL placeholder so event numbering holds).
 
-        The kept events are shared with this log, not re-created: the event
+        The kept records are shared with this log, not re-created: the event
         lists are sliced and only the *discarded* suffixes are walked — they
         are the only places a message can change state.  This log is left
         untouched, so patterns already derived from it stay valid.
@@ -433,8 +466,7 @@ class EventLog:
         messages = sub._messages = dict(self._messages)
         for history in self._histories:
             length = lengths[history.pid]
-            discarded = history.events[length:]
-            gone = sum(event.kind is _CHECKPOINT for event in discarded)
+            gone = sum(event[E_KIND] == CHECKPOINT for event in history.events[length:])
             sub._histories[history.pid] = ProcessHistory(
                 history.pid,
                 history.events[:length],
@@ -442,22 +474,17 @@ class EventLog:
             )
         for history in self._histories:
             for event in history.events[lengths[history.pid]:]:
-                if event.kind is _SEND:
-                    assert event.message_id is not None
-                    message = messages.pop(event.message_id)
-                    if 0 <= message.receive_seq < lengths[message.receiver]:
-                        kept = sub._histories[message.receiver].events
-                        orphan = kept[message.receive_seq]
-                        kept[message.receive_seq] = Event(
-                            orphan.pid, orphan.seq, _INTERNAL, time=orphan.time
-                        )
-                elif event.kind is _RECEIVE:
-                    assert event.message_id is not None
-                    pending = messages.get(event.message_id)
+                kind = event[E_KIND]
+                if kind == SEND:
+                    message = messages.pop(event[E_MESSAGE_ID])
+                    receiver, seq = message[M_RECEIVER], message[M_RECEIVE_SEQ]
+                    if 0 <= seq < lengths[receiver]:
+                        kept = sub._histories[receiver].events
+                        kept[seq] = (receiver, seq, INTERNAL, None, None, kept[seq][E_TIME], False)
+                elif kind == RECEIVE:
+                    pending = messages.get(event[E_MESSAGE_ID])
                     if pending is not None:
-                        messages[event.message_id] = pending._replace(
-                            receive_seq=-1, receive_interval=-1
-                        )
+                        messages[event[E_MESSAGE_ID]] = pending[:M_RECEIVE_SEQ] + (-1, -1)
         sub._next_message_id = max(messages, default=-1) + 1
         return sub
 

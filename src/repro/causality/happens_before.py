@@ -17,9 +17,17 @@ literal Theorem-1/2 and Lemma-1 transcriptions on arbitrary CCPs.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.causality.events import Event, EventId, EventKind, EventLog
+from repro.causality.events import (
+    E_KIND,
+    E_MESSAGE_ID,
+    E_PID,
+    E_SEQ,
+    RECEIVE,
+    SEND,
+    EventLog,
+)
 
 
 class CausalOrder:
@@ -32,26 +40,31 @@ class CausalOrder:
     and the CCP builder; a log violating this is rejected with ``ValueError``.
     The order describes the log as of construction: events appended later are
     not timestamped.
+
+    A query names an event by an :class:`~repro.causality.events.EventId`, an
+    event record or an :class:`~repro.causality.events.Event` alike: all
+    three hold the pid and the seq at ``E_PID`` and ``E_SEQ``.
     """
 
     def __init__(self, log: EventLog) -> None:
         self._log = log
-        self._timestamps: Dict[EventId, Tuple[int, ...]] = {}
+        # Keyed by plain (pid, seq) tuples, which an EventId equals.
+        self._timestamps: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         clocks = [[0] * log.num_processes for _ in log.processes]
         # Piggybacked clocks of the messages in flight at this point of the
         # replay; a message is received at most once, so its entry is popped.
         send_clocks: Dict[int, Tuple[int, ...]] = {}
         for event in log.causal_replay():
-            clock = clocks[event.pid]
-            if event.kind is EventKind.RECEIVE:
-                assert event.message_id is not None
-                clock[:] = map(max, clock, send_clocks.pop(event.message_id))
-            clock[event.pid] += 1
+            pid = event[E_PID]
+            kind = event[E_KIND]
+            clock = clocks[pid]
+            if kind == RECEIVE:
+                clock[:] = map(max, clock, send_clocks.pop(event[E_MESSAGE_ID]))
+            clock[pid] += 1
             stamp = tuple(clock)
-            if event.kind is EventKind.SEND:
-                assert event.message_id is not None
-                send_clocks[event.message_id] = stamp
-            self._timestamps[event.event_id] = stamp
+            if kind == SEND:
+                send_clocks[event[E_MESSAGE_ID]] = stamp
+            self._timestamps[(pid, event[E_SEQ])] = stamp
 
     @property
     def log(self) -> EventLog:
@@ -61,21 +74,21 @@ class CausalOrder:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def timestamp(self, event: EventId | Event) -> Tuple[int, ...]:
+    def timestamp(self, event: Sequence) -> Tuple[int, ...]:
         """The vector timestamp assigned to ``event``."""
-        event_id = event.event_id if isinstance(event, Event) else event
-        return self._timestamps[event_id]
+        return self._timestamps[(event[E_PID], event[E_SEQ])]
 
-    def precedes(self, first: EventId | Event, second: EventId | Event) -> bool:
+    def precedes(self, first: Sequence, second: Sequence) -> bool:
         """True iff ``first -> second`` (strict causal precedence)."""
-        first_id = first.event_id if isinstance(first, Event) else first
-        second_id = second.event_id if isinstance(second, Event) else second
+        first_id = (first[E_PID], first[E_SEQ])
+        second_id = (second[E_PID], second[E_SEQ])
         if first_id == second_id:
             return False
         ts_first = self._timestamps[first_id]
         ts_second = self._timestamps[second_id]
         # e -> e' iff ts(e)[e.pid] <= ts(e')[e.pid] and e != e' (standard VC fact),
         # but for events of the same process program order is simply seq order.
-        if first_id.pid == second_id.pid:
-            return first_id.seq < second_id.seq
-        return ts_first[first_id.pid] <= ts_second[first_id.pid]
+        pid = first_id[0]
+        if pid == second_id[0]:
+            return first_id[1] < second_id[1]
+        return ts_first[pid] <= ts_second[pid]

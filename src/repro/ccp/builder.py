@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.causality.dependency_vector import DependencyVector
+from repro.causality.events import M_RECEIVER
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.pattern import CCP
 
@@ -98,7 +99,7 @@ class CCPBuilder:
         message_id = self._message_tags[tag]
         self._clock += 1.0
         self._recorder.record_receive(message_id, self._clock)
-        receiver = self._recorder.log.message(message_id).receiver
+        receiver = self._recorder.log.message(message_id)[M_RECEIVER]
         self._dvs[receiver].absorb(self._message_dvs[message_id])
 
     def message_exchange(

@@ -15,8 +15,9 @@ and offers the checkpoint-level queries used by the rest of the library:
 * per-checkpoint ground-truth dependency vectors, which — for RDT executions —
   coincide with the vectors an RDT protocol piggybacks (Equation 2);
 * the delivered messages with their send/receive intervals, as needed by the
-  zigzag-path analysis (the log's own :class:`~repro.causality.events.Message`
-  records: the intervals are stamped when the events are recorded).
+  zigzag-path analysis (the log's own message records, read through the
+  ``M_*`` positions of :mod:`repro.causality.events`: the intervals are
+  stamped when the events are recorded).
 
 The Theorem-1/2 retained sets and the Lemma-1 recovery lines are not computed
 here: every pattern carries the recorder's knowledge view as its
@@ -27,7 +28,7 @@ zigzag kernel (:attr:`CCP.zigzag`).
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import attrgetter
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -40,7 +41,17 @@ from typing import (
     Tuple,
 )
 
-from repro.causality.events import Event, EventId, EventLog, Message
+from repro.causality.events import (
+    E_FORCED,
+    E_PID,
+    E_SEQ,
+    E_TIME,
+    M_RECEIVE_SEQ,
+    EventId,
+    EventLog,
+    EventRecord,
+    MessageRecord,
+)
 from repro.causality.happens_before import CausalOrder
 from repro.ccp.checkpoint import Checkpoint, CheckpointId, CheckpointKind
 
@@ -49,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ccp.zigzag import ZigzagAnalysis
 
 
-_event_seq = attrgetter("seq")
+_event_seq = itemgetter(E_SEQ)
 
 
 class CCP:
@@ -59,7 +70,7 @@ class CCP:
         self,
         log: EventLog,
         *,
-        recorded_dvs: Optional[Mapping[CheckpointId, Sequence[int]]] = None,
+        recorded_dvs: Optional[Mapping[Tuple[int, int], Sequence[int]]] = None,
         analysis_provider: "IncrementalAnalysisView",
         departed: Iterable[int] = (),
     ) -> None:
@@ -72,7 +83,8 @@ class CCP:
             send).
         recorded_dvs:
             Dependency vectors recorded by the checkpointing middleware, keyed
-            by checkpoint id.  When present they are attached to the
+            by checkpoint id (a :class:`CheckpointId` or the plain ``(pid,
+            index)`` tuple it equals).  When present they are attached to the
             corresponding :class:`Checkpoint` records; ground-truth vectors are
             still available through :meth:`ground_truth_dv`.
         analysis_provider:
@@ -94,7 +106,7 @@ class CCP:
         self._departed = frozenset(departed)
         self._recorded_dvs = dict(recorded_dvs) if recorded_dvs else {}
 
-        self._stable_events: List[List[Event]] = [
+        self._stable_events: List[List[EventRecord]] = [
             log.history(pid).checkpoint_events() for pid in log.processes
         ]
         # Checkpoint records are materialised on first access: an audit or a
@@ -105,22 +117,20 @@ class CCP:
         # The registry as of now (the log may keep growing); filtered and
         # ordered by message id on first use (see messages()): audits and
         # recovery lines never look at the messages.
-        self._registry: Optional[List[Message]] = log.messages()
-        self._messages: List[Message] = []
+        self._registry: Optional[List[MessageRecord]] = log.messages()
+        self._messages: List[MessageRecord] = []
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _stable_event(self, cid: CheckpointId) -> Optional[Event]:
-        """The CHECKPOINT event of ``cid``: None for the volatile, KeyError if absent."""
+    def _stable_event(self, cid: CheckpointId) -> Optional[EventRecord]:
+        """The CHECKPOINT record of ``cid``: None for the volatile, KeyError if absent."""
         if cid.pid in self._log.processes:
             events = self._stable_events[cid.pid]
-            # Indices are contiguous from the first recorded checkpoint on.
-            first = events[0].checkpoint_index if events else 0
-            assert first is not None
-            if first <= cid.index < first + len(events):
-                return events[cid.index - first]
-            if cid.index == first + len(events):
+            # Every history records its checkpoints from index 0 on.
+            if 0 <= cid.index < len(events):
+                return events[cid.index]
+            if cid.index == len(events):
                 return None
         raise KeyError(f"checkpoint {cid} is not part of this CCP")
 
@@ -181,12 +191,7 @@ class CCP:
 
     def last_stable(self, pid: int) -> int:
         """``last_s(pid)``: index of the last stable checkpoint, or -1 if none."""
-        events = self._stable_events[pid]
-        if not events:
-            return -1
-        index = events[-1].checkpoint_index
-        assert index is not None
-        return index
+        return len(self._stable_events[pid]) - 1
 
     def volatile_index(self, pid: int) -> int:
         """Index of the volatile (general) checkpoint ``v_pid``."""
@@ -205,8 +210,7 @@ class CCP:
 
     def stable_ids(self, pid: int) -> List[CheckpointId]:
         """All stable checkpoint ids of ``pid``, in index order."""
-        events = self._stable_events[pid]
-        return [CheckpointId(pid, e.checkpoint_index) for e in events]  # type: ignore[arg-type]
+        return [CheckpointId(pid, index) for index in range(len(self._stable_events[pid]))]
 
     def general_ids(self, pid: int) -> List[CheckpointId]:
         """All general checkpoint ids of ``pid`` (stable then volatile)."""
@@ -246,9 +250,9 @@ class CCP:
                     index=cid.index,
                     kind=CheckpointKind.STABLE,
                     dependency_vector=self._recorded_or_none(cid),
-                    event_seq=event.seq,
-                    forced=event.forced,
-                    time=event.time,
+                    event_seq=event[E_SEQ],
+                    forced=event[E_FORCED],
+                    time=event[E_TIME],
                 )
             self._checkpoints[cid] = checkpoint
         return checkpoint
@@ -268,19 +272,19 @@ class CCP:
     # ------------------------------------------------------------------
     # Intervals
     # ------------------------------------------------------------------
-    def interval_of_event(self, event: Event | EventId) -> int:
+    def interval_of_event(self, event: Sequence) -> int:
         """The checkpoint interval ``I_pid^gamma`` an event belongs to.
 
         ``I_i^gamma`` spans from ``c_i^{gamma-1}`` (inclusive) to ``c_i^gamma``
         (exclusive), so an event's interval is one more than the index of the
         last checkpoint taken at or before it.
         """
-        return bisect_right(self._stable_events[event.pid], event.seq, key=_event_seq)
+        return bisect_right(self._stable_events[event[E_PID]], event[E_SEQ], key=_event_seq)
 
-    def messages(self) -> List[Message]:
-        """Delivered messages with their send/receive intervals, by message id."""
+    def messages(self) -> List[MessageRecord]:
+        """Records of the delivered messages, by message id."""
         if self._registry is not None:
-            self._messages = sorted(m for m in self._registry if m.delivered)
+            self._messages = sorted(m for m in self._registry if m[M_RECEIVE_SEQ] >= 0)
             self._registry = None
         return list(self._messages)
 
@@ -313,10 +317,10 @@ class CCP:
         # second is volatile: anchored after the last event of its process.
         if first.pid == second.pid:
             return True
-        history = self._log.history(second.pid)
-        if len(history) == 0:
+        length = len(self._log.history(second.pid))
+        if length == 0:
             return False
-        last_event = history[len(history) - 1].event_id
+        last_event = EventId(second.pid, length - 1)
         return first_event == last_event or self.causal_order.precedes(first_event, last_event)
 
     def consistent(self, first: CheckpointId, second: CheckpointId) -> bool:

@@ -45,11 +45,23 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.causality.events import Message
+from repro.causality.events import (
+    M_ID,
+    M_RECEIVE_INTERVAL,
+    M_RECEIVE_SEQ,
+    M_RECEIVER,
+    M_SEND_INTERVAL,
+    M_SEND_SEQ,
+    M_SENDER,
+    MessageRecord,
+)
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.pattern import CCP
+
+_send_interval = itemgetter(M_SEND_INTERVAL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,18 +86,16 @@ class _ZigzagBase:
 
     def __init__(self, ccp: CCP) -> None:
         self._ccp = ccp
-        self._messages: Dict[int, Message] = {
-            m.message_id: m for m in ccp.messages()
-        }
+        self._messages: Dict[int, MessageRecord] = {m[M_ID]: m for m in ccp.messages()}
         # Per-sender message lists sorted by send interval: _start_messages and
         # the hand-off successor computation are range queries on these.
-        self._by_sender: Dict[int, List[Message]] = {}
+        self._by_sender: Dict[int, List[MessageRecord]] = {}
         for message in self._messages.values():
-            self._by_sender.setdefault(message.sender, []).append(message)
+            self._by_sender.setdefault(message[M_SENDER], []).append(message)
         for sent in self._by_sender.values():
-            sent.sort(key=lambda m: m.send_interval)
+            sent.sort(key=_send_interval)
         self._send_keys: Dict[int, List[int]] = {
-            pid: [m.send_interval for m in sent]
+            pid: [m[M_SEND_INTERVAL] for m in sent]
             for pid, sent in self._by_sender.items()
         }
         self._successors_cache: Optional[Dict[int, List[int]]] = None
@@ -99,7 +109,7 @@ class _ZigzagBase:
     # ------------------------------------------------------------------
     # Message graph (lazy; only needed for witness-path search)
     # ------------------------------------------------------------------
-    def _sent_at_or_after(self, pid: int, interval: int) -> List[Message]:
+    def _sent_at_or_after(self, pid: int, interval: int) -> List[MessageRecord]:
         """Messages sent by ``pid`` in interval ``interval`` or later."""
         sent = self._by_sender.get(pid)
         if not sent:
@@ -112,28 +122,25 @@ class _ZigzagBase:
         """The message hand-off graph: ``m -> m'`` iff condition (ii) holds."""
         if self._successors_cache is None:
             successors: Dict[int, List[int]] = {}
-            for message in self._messages.values():
-                successors[message.message_id] = [
-                    candidate.message_id
+            for message_id, message in self._messages.items():
+                successors[message_id] = [
+                    candidate[M_ID]
                     for candidate in self._sent_at_or_after(
-                        message.receiver, message.receive_interval
+                        message[M_RECEIVER], message[M_RECEIVE_INTERVAL]
                     )
-                    if candidate.message_id != message.message_id
+                    if candidate[M_ID] != message_id
                 ]
             self._successors_cache = successors
         return self._successors_cache
 
     def _start_messages(self, source: CheckpointId) -> List[int]:
         """Messages sent by the source process after ``source`` (condition i)."""
-        return [
-            m.message_id
-            for m in self._sent_at_or_after(source.pid, source.index + 1)
-        ]
+        return [m[M_ID] for m in self._sent_at_or_after(source.pid, source.index + 1)]
 
     def _is_end_message(self, message_id: int, target: CheckpointId) -> bool:
         """Condition (iii): received by the target process before the target checkpoint."""
         message = self._messages[message_id]
-        return message.receiver == target.pid and message.receive_interval <= target.index
+        return message[M_RECEIVER] == target.pid and message[M_RECEIVE_INTERVAL] <= target.index
 
     # ------------------------------------------------------------------
     # Relation queries (engine-specific)
@@ -199,14 +206,14 @@ class _ZigzagBase:
             return False
         messages = [self._messages[mid] for mid in message_ids]
         first, last = messages[0], messages[-1]
-        if first.sender != source.pid or first.send_interval < source.index + 1:
+        if first[M_SENDER] != source.pid or first[M_SEND_INTERVAL] < source.index + 1:
             return False
-        if last.receiver != target.pid or last.receive_interval > target.index:
+        if last[M_RECEIVER] != target.pid or last[M_RECEIVE_INTERVAL] > target.index:
             return False
         for current, nxt in zip(messages, messages[1:]):
-            if nxt.sender != current.receiver:
+            if nxt[M_SENDER] != current[M_RECEIVER]:
                 return False
-            if nxt.send_interval < current.receive_interval:
+            if nxt[M_SEND_INTERVAL] < current[M_RECEIVE_INTERVAL]:
                 return False
         return True
 
@@ -214,9 +221,9 @@ class _ZigzagBase:
         """True iff each receipt causally precedes the next send (C-path hand-offs)."""
         messages = [self._messages[mid] for mid in message_ids]
         for current, nxt in zip(messages, messages[1:]):
-            if nxt.sender != current.receiver:
+            if nxt[M_SENDER] != current[M_RECEIVER]:
                 return False
-            if nxt.send_seq <= current.receive_seq:
+            if nxt[M_SEND_SEQ] <= current[M_RECEIVE_SEQ]:
                 return False
         return True
 
@@ -300,8 +307,8 @@ class ZigzagAnalysis(_ZigzagBase):
                 chain_next[self._node(pid, gamma)] = self._node(pid, gamma + 1)
         message_edges: List[List[int]] = [[] for _ in range(n)]
         for message in self._messages.values():
-            source = self._node(message.sender, message.send_interval)
-            target = self._node(message.receiver, message.receive_interval)
+            source = self._node(message[M_SENDER], message[M_SEND_INTERVAL])
+            target = self._node(message[M_RECEIVER], message[M_RECEIVE_INTERVAL])
             message_edges[source].append(target)
 
         def edges_of(u: int) -> List[int]:

@@ -12,8 +12,10 @@ The event log *is* the CCP substrate: the log stamps every message with the
 checkpoint intervals of its send and receive the moment they are recorded
 (an event's interval is fixed when it happens), and the recorder keeps no
 message table of its own — which sends are pending, which messages are
-delivered and in which intervals is read from the log's one
-:class:`repro.causality.events.Message` record per message.
+delivered and in which intervals is read from the log's one message record
+per message.  Like the log's records, the recorder's stored vectors and their
+``(pid, index)`` keys are exact tuples of ints, which the cyclic garbage
+collector stops tracking (see :mod:`repro.causality.events`).
 
 Analysis goes through one door: :meth:`knowledge_view` hands out one
 :class:`repro.ccp.incremental.IncrementalAnalysisView` per mutation version,
@@ -74,7 +76,19 @@ from typing import (
     Tuple,
 )
 
-from repro.causality.events import EventKind, EventLog
+from repro.causality.events import (
+    CHECKPOINT,
+    E_CHECKPOINT_INDEX,
+    E_KIND,
+    E_MESSAGE_ID,
+    E_PID,
+    E_SEQ,
+    M_RECEIVE_SEQ,
+    M_RECEIVER,
+    RECEIVE,
+    SEND,
+    EventLog,
+)
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.incremental import CheckpointKnowledgeTracker, IncrementalAnalysisView
 from repro.ccp.pattern import CCP
@@ -148,7 +162,8 @@ class TraceRecorder:
         # The view's own live set: the per-event membership test is one lookup.
         self._members = self._membership.live
         self._log = EventLog(num_processes)
-        self._recorded_dvs: Dict[CheckpointId, Tuple[int, ...]] = {}
+        # Keyed by plain (pid, index) tuples, which a CheckpointId equals.
+        self._recorded_dvs: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._dropped_messages: set[int] = set()
         # Incremental CCP substrate.
         self._version = 0
@@ -205,7 +220,9 @@ class TraceRecorder:
 
     def recorded_checkpoint_dvs(self) -> Dict[CheckpointId, Tuple[int, ...]]:
         """Dependency vectors stored with the currently existing stable checkpoints."""
-        return dict(self._recorded_dvs)
+        return {
+            tuple.__new__(CheckpointId, cid): dv for cid, dv in self._recorded_dvs.items()
+        }
 
     # ------------------------------------------------------------------
     # Persistence sinks
@@ -251,7 +268,7 @@ class TraceRecorder:
                 raise  # received twice
             return  # never sent, as far as this log knows
         if self._tracker is not None:
-            self._tracker.note_receive(message_id, event.pid, event.seq)
+            self._tracker.note_receive(message_id, event[E_PID], event[E_SEQ])
         self._version += 1
         for sink in self._sinks:
             sink.on_receive(message_id, time)
@@ -272,11 +289,11 @@ class TraceRecorder:
         if not self._log.has_message(message_id):
             return
         message = self._log.message(message_id)
-        if not message.delivered:
+        if message[M_RECEIVE_SEQ] < 0:
             raise ValueError(
                 f"duplicate delivery of message {message_id} before its first receive"
             )
-        self._log.add_internal(message.receiver, time=time)
+        self._log.add_internal(message[M_RECEIVER], time=time)
         self._version += 1
         for sink in self._sinks:
             sink.on_duplicate_receive(message_id, time)
@@ -294,11 +311,10 @@ class TraceRecorder:
         if pid not in self._members:
             raise self._not_a_member(pid)
         event = self._log.add_checkpoint(pid, index, time=time, forced=forced)
-        # The id built from its two fields, without NamedTuple's Python-level __new__.
-        self._recorded_dvs[tuple.__new__(CheckpointId, (pid, index))] = tuple(dependency_vector)
+        self._recorded_dvs[(pid, index)] = tuple(dependency_vector)
         self._checkpoints_taken[pid] = index + 1
         if self._tracker is not None:
-            self._tracker.note_checkpoint(pid, index, event.seq)
+            self._tracker.note_checkpoint(pid, index, event[E_SEQ])
         self._version += 1
         for sink in self._sinks:
             sink.on_checkpoint(pid, index, dependency_vector, forced=forced, time=time)
@@ -359,7 +375,7 @@ class TraceRecorder:
         """Position of the CHECKPOINT event of ``s_pid^index`` (IndexError if not in the log)."""
         if index < 0:
             raise IndexError(index)
-        return self._log.history(pid).checkpoints[index].seq
+        return self._log.history(pid).checkpoints[index][E_SEQ]
 
     # ------------------------------------------------------------------
     # Recovery sessions
@@ -383,16 +399,14 @@ class TraceRecorder:
                 ) from None
             lengths[rollback.pid] = cutoff + 1
         newly_dropped: List[int] = []
-        stale: List[CheckpointId] = []
+        stale: List[Tuple[int, int]] = []
         for rollback in plan.rollbacks:
             pid = rollback.pid
             for event in self._log.history(pid).events[lengths[pid]:]:
-                if event.kind is EventKind.SEND:
-                    assert event.message_id is not None
-                    newly_dropped.append(event.message_id)
-                elif event.kind is EventKind.CHECKPOINT:
-                    assert event.checkpoint_index is not None
-                    stale.append(CheckpointId(pid, event.checkpoint_index))
+                if event[E_KIND] == SEND:
+                    newly_dropped.append(event[E_MESSAGE_ID])
+                elif event[E_KIND] == CHECKPOINT:
+                    stale.append((pid, event[E_CHECKPOINT_INDEX]))
             self._checkpoints_taken[pid] = rollback.rollback_index + 1
         self._dropped_messages.update(newly_dropped)
         for cid in stale:
@@ -402,8 +416,8 @@ class TraceRecorder:
         # that receive merged has spread past any journal cut, so the tracker
         # goes and the next read rebuilds it from the repaired log.
         if self._tracker is not None and any(
-            0 <= (message := self._log.message(message_id)).receive_seq
-            < lengths[message.receiver]
+            0 <= (message := self._log.message(message_id))[M_RECEIVE_SEQ]
+            < lengths[message[M_RECEIVER]]
             for message_id in newly_dropped
         ):
             self._tracker = None
@@ -429,16 +443,13 @@ class TraceRecorder:
     def _catch_up_tracker(self) -> CheckpointKnowledgeTracker:
         """Build the knowledge tracker by one causal-order replay of the log."""
         tracker = CheckpointKnowledgeTracker(self._num_processes)
-        for event in self._log.causal_replay():
-            if event.kind is EventKind.SEND:
-                assert event.message_id is not None
-                tracker.note_send(event.message_id, event.pid)
-            elif event.kind is EventKind.RECEIVE:
-                assert event.message_id is not None
-                tracker.note_receive(event.message_id, event.pid, event.seq)
-            elif event.kind is EventKind.CHECKPOINT:
-                assert event.checkpoint_index is not None
-                tracker.note_checkpoint(event.pid, event.checkpoint_index, event.seq)
+        for pid, seq, kind, message_id, index, _, _ in self._log.causal_replay():
+            if kind == SEND:
+                tracker.note_send(message_id, pid)
+            elif kind == RECEIVE:
+                tracker.note_receive(message_id, pid, seq)
+            elif kind == CHECKPOINT:
+                tracker.note_checkpoint(pid, index, seq)
         return tracker
 
     # ------------------------------------------------------------------
@@ -507,10 +518,10 @@ class TraceRecorder:
             version, cached_fingerprint, cached = self._ccp_cache
             if version == self._version and cached_fingerprint == fingerprint:
                 return cached
-        recorded: Dict[CheckpointId, Tuple[int, ...]] = dict(self._recorded_dvs)
+        recorded: Dict[Tuple[int, int], Tuple[int, ...]] = dict(self._recorded_dvs)
         if volatile_dvs is not None:
             for pid, dv in volatile_dvs.items():
-                recorded[CheckpointId(pid, self._checkpoints_taken[pid])] = tuple(dv)
+                recorded[(pid, self._checkpoints_taken[pid])] = tuple(dv)
         ccp = CCP(
             self._log,
             recorded_dvs=recorded,

@@ -480,7 +480,7 @@ def analysis_table(recorder: TraceRecorder, *, title: str = "Trace analysis"):
         table.add_row(
             pid,
             len(recorder.log.history(pid)),
-            len(ccp.stable_ids(pid)),
+            last + 1,
             last,
             sum(1 for cid in useless if cid.pid == pid),
             line_text,

@@ -14,27 +14,39 @@ reporting aid, not a drawing library.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from repro.causality.events import EventKind
+from repro.causality.events import (
+    CHECKPOINT,
+    E_CHECKPOINT_INDEX,
+    E_KIND,
+    E_MESSAGE_ID,
+    E_PID,
+    E_SEQ,
+    E_TIME,
+    RECEIVE,
+    SEND,
+)
 from repro.ccp.pattern import CCP
 
 
 def render_ccp(ccp: CCP, *, max_width: int = 120) -> str:
     """Render the event structure of a CCP as an ASCII diagram."""
     log = ccp.log
-    events = sorted(log.events(), key=lambda e: (e.time, e.pid, e.seq))
+    events = sorted(log.events(), key=itemgetter(E_TIME, E_PID, E_SEQ))
     columns: List[Tuple[int, str]] = []
     for event in events:
-        if event.kind is EventKind.CHECKPOINT:
-            token = f"[{event.checkpoint_index}]"
-        elif event.kind is EventKind.SEND:
-            token = f"s{event.message_id}>"
-        elif event.kind is EventKind.RECEIVE:
-            token = f">r{event.message_id}"
+        kind = event[E_KIND]
+        if kind == CHECKPOINT:
+            token = f"[{event[E_CHECKPOINT_INDEX]}]"
+        elif kind == SEND:
+            token = f"s{event[E_MESSAGE_ID]}>"
+        elif kind == RECEIVE:
+            token = f">r{event[E_MESSAGE_ID]}"
         else:
             token = "·"
-        columns.append((event.pid, token))
+        columns.append((event[E_PID], token))
     width = max((len(token) for _, token in columns), default=1)
     lines: List[str] = []
     for pid in log.processes:

@@ -14,6 +14,7 @@ recorded send/receive/checkpoint under an absolute ceiling), the
 message-path gate (executed lines of a whole unread run per application
 message, untraced and traced), the trace-codec gate (executed lines per
 trace record written and per trace line read back, under one ceiling), the
+history-tracking gate (GC-tracked objects a held replay adds per record), the
 retained-set gate (executed lines per ``(i, f)`` pair of a Theorem-1/2
 retained set), the store-cost gate (SQLite connections opened per stored
 sweep and SQL statements per completed cell), the explorer gate
@@ -195,6 +196,32 @@ def test_trace_codec_stays_under_its_line_ceiling():
     assert "TraceWriter.on_*" in written
     assert "TraceReader.lines" in read
     assert "TraceReader.replay" in replayed
+
+
+def test_replay_leaves_no_history_for_the_cyclic_collector_to_walk(monkeypatch):
+    """A replayed event log is exact tuples of atoms, which the collector untracks.
+
+    GC-tracked objects a held replay adds per body record (a count, not a
+    time).  The gate can fire: an event log that stores its send events as
+    ``Event`` instances again — a ``NamedTuple``, which the collector never
+    untracks — leaves 0.41 objects per record of this file tracked, and the
+    violation names the log.
+    """
+    from benchmarks.check_regression import check_history_tracking
+    from repro.causality.events import Event, EventLog
+
+    assert check_history_tracking() == []
+    add_send = EventLog.add_send
+
+    def add_send_storing_events(log, sender, receiver, **kwargs):
+        event, message = add_send(log, sender, receiver, **kwargs)
+        stored = Event(*event)
+        log.history(sender).events[-1] = stored
+        return stored, message
+
+    monkeypatch.setattr(EventLog, "add_send", add_send_storing_events)
+    (violation,) = check_history_tracking()
+    assert "GC-tracked objects per record" in violation and "EventLog" in violation
 
 
 def test_retained_set_costs_one_c_bisection_per_pair(monkeypatch):

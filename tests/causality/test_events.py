@@ -6,7 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.causality.events import Event, EventId, EventKind, EventLog, Message
+from repro.causality.events import (
+    CHECKPOINT,
+    E_KIND,
+    E_MESSAGE_ID,
+    E_PID,
+    E_SEQ,
+    M_ID,
+    M_RECEIVE_SEQ,
+    M_RECEIVER,
+    M_SEND_INTERVAL,
+    M_SEND_SEQ,
+    M_SENDER,
+    RECEIVE,
+    SEND,
+    Event,
+    EventId,
+    EventKind,
+    EventLog,
+    Message,
+)
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.incremental import IncrementalAnalysisView
 from repro.ccp.pattern import CCP
@@ -133,7 +152,7 @@ class TestEventLogConstruction:
         log = EventLog(2)
         first = log.add_internal(0)
         second = log.add_internal(0)
-        assert (first.seq, second.seq) == (0, 1)
+        assert (first[E_SEQ], second[E_SEQ]) == (0, 1)
 
     def test_add_checkpoint_enforces_contiguous_indices(self):
         log = EventLog(1)
@@ -154,9 +173,9 @@ class TestEventLogConstruction:
     def test_send_and_receive_round_trip(self):
         log = EventLog(2)
         _, message = log.add_send(0, 1)
-        assert not message.delivered
-        log.add_receive(message.message_id)
-        assert log.message(message.message_id).delivered
+        assert message[M_RECEIVE_SEQ] < 0
+        log.add_receive(message[M_ID])
+        assert log.message(message[M_ID])[M_RECEIVE_SEQ] >= 0
 
     def test_receive_of_unknown_message_rejected(self):
         log = EventLog(2)
@@ -166,9 +185,9 @@ class TestEventLogConstruction:
     def test_double_receive_rejected(self):
         log = EventLog(2)
         _, message = log.add_send(0, 1)
-        log.add_receive(message.message_id)
+        log.add_receive(message[M_ID])
         with pytest.raises(ValueError):
-            log.add_receive(message.message_id)
+            log.add_receive(message[M_ID])
 
     def test_duplicate_message_id_rejected(self):
         log = EventLog(2)
@@ -200,17 +219,17 @@ class TestEventLogConstruction:
         log.add_checkpoint(1, 0)
         log.add_checkpoint(1, 1)
         _, late = log.add_send(0, 1)
-        log.add_receive(late.message_id)
-        assert (early.send_seq, early.send_interval) == (0, 0)
-        assert log.message(late.message_id) == Message(
-            late.message_id, 0, 1, send_seq=2, send_interval=1, receive_seq=2, receive_interval=2
+        log.add_receive(late[M_ID])
+        assert (early[M_SEND_SEQ], early[M_SEND_INTERVAL]) == (0, 0)
+        assert log.message(late[M_ID]) == Message(
+            late[M_ID], 0, 1, send_seq=2, send_interval=1, receive_seq=2, receive_interval=2
         )
 
     def test_explicit_message_ids_do_not_collide_with_auto_ids(self):
         log = EventLog(2)
         log.add_send(0, 1, message_id=3)
         _, auto = log.add_send(0, 1)
-        assert auto.message_id == 4
+        assert auto[M_ID] == 4
 
 
 class TestEventLogQueries:
@@ -219,7 +238,7 @@ class TestEventLogQueries:
         for pid in range(3):
             log.add_checkpoint(pid, 0)
         _, m = log.add_send(0, 1)
-        log.add_receive(m.message_id)
+        log.add_receive(m[M_ID])
         log.add_checkpoint(1, 1)
         log.add_send(2, 0)  # never received
         return log
@@ -241,7 +260,7 @@ class TestEventLogQueries:
     def test_event_lookup(self):
         log = self._sample_log()
         event = log.event(EventId(1, 1))
-        assert event.kind is EventKind.RECEIVE
+        assert event[E_KIND] == RECEIVE
 
 
 class TestEventLogPrefix:
@@ -250,7 +269,7 @@ class TestEventLogPrefix:
         log.add_checkpoint(0, 0)
         log.add_checkpoint(1, 0)
         _, m = log.add_send(0, 1)
-        log.add_receive(m.message_id)
+        log.add_receive(m[M_ID])
         # Keep the receive but drop the send: the receive is replaced by an
         # internal placeholder so per-process event counts are preserved.
         sub = log.prefix([1, 2])
@@ -262,7 +281,7 @@ class TestEventLogPrefix:
         log.add_checkpoint(0, 0)
         log.add_checkpoint(1, 0)
         _, m = log.add_send(0, 1)
-        log.add_receive(m.message_id)
+        log.add_receive(m[M_ID])
         log.add_checkpoint(1, 1)
         sub = log.prefix([2, 3])
         assert sub.total_events() == 5
@@ -288,30 +307,28 @@ def _readd_prefix(log, lengths):
     """
     sub = EventLog(log.num_processes)
     kept_sends = {
-        event.message_id
+        event[E_MESSAGE_ID]
         for pid in log.processes
         for event in log.history(pid).events[: lengths[pid]]
-        if event.kind is EventKind.SEND
+        if event[E_KIND] == SEND
     }
     cursors = [0] * log.num_processes
     remaining = sum(lengths)
     while remaining:
         for pid in log.processes:
             while cursors[pid] < lengths[pid]:
-                event = log.history(pid)[cursors[pid]]
-                if event.kind is EventKind.CHECKPOINT:
-                    sub.add_checkpoint(
-                        pid, event.checkpoint_index, time=event.time, forced=event.forced
-                    )
-                elif event.kind is EventKind.SEND:
-                    receiver = log.message(event.message_id).receiver
-                    sub.add_send(pid, receiver, message_id=event.message_id, time=event.time)
-                elif event.kind is EventKind.RECEIVE and event.message_id in kept_sends:
-                    if not sub.has_message(event.message_id):
+                _, _, kind, message_id, index, time, forced = log.history(pid)[cursors[pid]]
+                if kind == CHECKPOINT:
+                    sub.add_checkpoint(pid, index, time=time, forced=forced)
+                elif kind == SEND:
+                    receiver = log.message(message_id)[M_RECEIVER]
+                    sub.add_send(pid, receiver, message_id=message_id, time=time)
+                elif kind == RECEIVE and message_id in kept_sends:
+                    if not sub.has_message(message_id):
                         break  # its send is replayed in a later round
-                    sub.add_receive(event.message_id, time=event.time)
+                    sub.add_receive(message_id, time=time)
                 else:
-                    sub.add_internal(pid, time=event.time)
+                    sub.add_internal(pid, time=time)
                 cursors[pid] += 1
                 remaining -= 1
     return sub
@@ -324,7 +341,7 @@ def _assert_same_log(actual, reference):
     assert sorted(actual.messages()) == sorted(reference.messages())
     # The construction state carries over too: the next automatic message id
     # and the next checkpoint index each process may record.
-    assert actual.add_send(0, 1)[1].message_id == reference.add_send(0, 1)[1].message_id
+    assert actual.add_send(0, 1)[1][M_ID] == reference.add_send(0, 1)[1][M_ID]
     for pid in reference.processes:
         expected = reference.history(pid).last_checkpoint_index() + 1
         with pytest.raises(ValueError, match=f"expected checkpoint index {expected}"):
@@ -362,17 +379,16 @@ def _close_under_sends(log, lengths):
     changed = True
     while changed:
         changed = False
-        for message in log.delivered_messages():
-            send, receive = message.send_event, message.receive_event
-            if receive.seq < lengths[receive.pid] and send.seq >= lengths[send.pid]:
-                lengths[receive.pid] = receive.seq
+        for _, sender, receiver, send_seq, _, receive_seq, _ in log.delivered_messages():
+            if receive_seq < lengths[receiver] and send_seq >= lengths[sender]:
+                lengths[receiver] = receive_seq
                 changed = True
     return lengths
 
 
 def _kinds(log, lengths=None):
     return [
-        [event.kind for event in log.history(pid).events[: lengths and lengths[pid]]]
+        [event[E_KIND] for event in log.history(pid).events[: lengths and lengths[pid]]]
         for pid in log.processes
     ]
 
@@ -402,7 +418,7 @@ class TestWindowsMatchReaddReference:
                 seen["placeholder"] += placeholder
                 seen["consistent"] += not placeholder
                 seen["undelivered"] += any(
-                    log.message(m.message_id).delivered and not m.delivered
+                    log.message(m[M_ID])[M_RECEIVE_SEQ] >= 0 and m[M_RECEIVE_SEQ] < 0
                     for m in sub.messages()
                 )
                 _assert_same_log(sub, reference)
@@ -438,33 +454,37 @@ def _assert_messages_describe_the_events(log):
     ccp = CCP(log, analysis_provider=IncrementalAnalysisView(TraceRecorder(log.num_processes)))
 
     def interval(event):
-        before = log.history(event.pid).events[: event.seq]
-        counted = sum(e.kind is EventKind.CHECKPOINT for e in before)
-        assert ccp.interval_of_event(event) == ccp.interval_of_event(event.event_id)
+        before = log.history(event[E_PID]).events[: event[E_SEQ]]
+        counted = sum(e[E_KIND] == CHECKPOINT for e in before)
+        event_id = EventId(event[E_PID], event[E_SEQ])
+        assert ccp.interval_of_event(event) == ccp.interval_of_event(event_id)
         assert ccp.interval_of_event(event) == counted
         return ccp.interval_of_event(event)
 
     for message in log.messages():
-        send = log.event(message.send_event)
-        assert (send.kind, send.pid, send.message_id) == (
-            EventKind.SEND, message.sender, message.message_id
+        message_id, sender, receiver, send_seq, send_interval, receive_seq, receive_interval = (
+            message
         )
-        assert message.send_interval == interval(send)
-        if message.delivered:
-            receive = log.event(message.receive_event)
-            assert (receive.kind, receive.pid, receive.message_id) == (
-                EventKind.RECEIVE, message.receiver, message.message_id
+        send = log.event(EventId(sender, send_seq))
+        assert (send[E_KIND], send[E_PID], send[E_MESSAGE_ID]) == (SEND, sender, message_id)
+        assert send_interval == interval(send)
+        if receive_seq >= 0:
+            receive = log.event(EventId(receiver, receive_seq))
+            assert (receive[E_KIND], receive[E_PID], receive[E_MESSAGE_ID]) == (
+                RECEIVE, receiver, message_id
             )
-            assert message.receive_interval == interval(receive)
+            assert receive_interval == interval(receive)
         else:
-            assert message.receive_event is None
-            assert (message.receive_seq, message.receive_interval) == (-1, -1)
+            assert (receive_seq, receive_interval) == (-1, -1)
     # And the other way round: no SEND or RECEIVE event without its record.
     for event in log.events():
-        if event.kind is EventKind.SEND:
-            assert log.message(event.message_id).send_event == event.event_id
-        elif event.kind is EventKind.RECEIVE:
-            assert log.message(event.message_id).receive_event == event.event_id
+        at = (event[E_PID], event[E_SEQ])
+        if event[E_KIND] == SEND:
+            message = log.message(event[E_MESSAGE_ID])
+            assert (message[M_SENDER], message[M_SEND_SEQ]) == at
+        elif event[E_KIND] == RECEIVE:
+            message = log.message(event[E_MESSAGE_ID])
+            assert (message[M_RECEIVER], message[M_RECEIVE_SEQ]) == at
 
 
 class TestMessagesDescribeTheEvents:
@@ -484,8 +504,8 @@ class TestMessagesDescribeTheEvents:
         _assert_messages_describe_the_events(window)
         # Recording goes on in a cut log: stamps count the kept checkpoints.
         for message in window.messages():
-            if not message.delivered and rng.random() < 0.7:
-                window.add_receive(message.message_id)
+            if message[M_RECEIVE_SEQ] < 0 and rng.random() < 0.7:
+                window.add_receive(message[M_ID])
         window.add_checkpoint(0, len(window.history(0).checkpoint_events()))
-        window.add_receive(window.add_send(0, 1)[1].message_id)
+        window.add_receive(window.add_send(0, 1)[1][M_ID])
         _assert_messages_describe_the_events(window)

@@ -4,7 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.causality.events import EventId, EventKind, EventLog
+from repro.causality.events import (
+    CHECKPOINT,
+    E_CHECKPOINT_INDEX,
+    E_KIND,
+    E_PID,
+    E_SEQ,
+    M_ID,
+    M_RECEIVE_SEQ,
+    M_RECEIVER,
+    M_SEND_SEQ,
+    M_SENDER,
+    EventId,
+    EventLog,
+)
 from repro.causality.happens_before import CausalOrder
 
 
@@ -13,10 +26,10 @@ def _two_process_log() -> EventLog:
     log.add_checkpoint(0, 0)
     log.add_checkpoint(1, 0)
     _, m1 = log.add_send(0, 1)
-    log.add_receive(m1.message_id)
+    log.add_receive(m1[M_ID])
     log.add_checkpoint(1, 1)
     _, m2 = log.add_send(1, 0)
-    log.add_receive(m2.message_id)
+    log.add_receive(m2[M_ID])
     return log
 
 
@@ -52,7 +65,9 @@ class TestCausalOrder:
     def test_causal_past(self):
         log = _two_process_log()
         order = CausalOrder(log)
-        past = {e.event_id for e in log.events() if order.precedes(e, EventId(1, 2))}
+        past = {
+            EventId(e[E_PID], e[E_SEQ]) for e in log.events() if order.precedes(e, EventId(1, 2))
+        }
         assert past == {EventId(0, 0), EventId(0, 1), EventId(1, 0), EventId(1, 1)}
 
     def test_latest_checkpoint_known(self):
@@ -61,10 +76,10 @@ class TestCausalOrder:
 
         def latest_known(event_id, pid):
             return max(
-                event.checkpoint_index
+                event[E_CHECKPOINT_INDEX]
                 for event in log.history(pid)
-                if event.kind is EventKind.CHECKPOINT
-                and (event.event_id == event_id or order.precedes(event, event_id))
+                if event[E_KIND] == CHECKPOINT
+                and ((event[E_PID], event[E_SEQ]) == event_id or order.precedes(event, event_id))
             )
 
         # At p1's checkpoint 1 (event (1,2)), the latest checkpoint of p0 known is 0.
@@ -77,7 +92,7 @@ class TestCausalOrder:
         # Hand-craft a receive whose send is not replayable by erasing the
         # sender's history after the fact.
         _, m = log.add_send(0, 1)
-        log.add_receive(m.message_id)
+        log.add_receive(m[M_ID])
         log.history(0).events.clear()
         with pytest.raises(ValueError):
             CausalOrder(log)
@@ -87,7 +102,7 @@ class TestCausalOrder:
         order = CausalOrder(log)
         for first in log.events():
             for second in log.events():
-                if first.event_id == second.event_id:
+                if (first[E_PID], first[E_SEQ]) == (second[E_PID], second[E_SEQ]):
                     continue
                 earlier, later = order.timestamp(first), order.timestamp(second)
                 expected = earlier != later and all(map(int.__le__, earlier, later))
@@ -120,7 +135,7 @@ class TestTimestamps:
         log = _two_process_log()
         order = CausalOrder(log)
         for event in log.events():
-            assert order.timestamp(event) == order.timestamp(event.event_id)
+            assert order.timestamp(event) == order.timestamp(EventId(event[E_PID], event[E_SEQ]))
 
     def test_events_appended_later_are_not_timestamped(self):
         log = _two_process_log()
@@ -147,7 +162,7 @@ def event_logs(draw):
             log.add_checkpoint(a % n, indices[a % n])
             indices[a % n] += 1
         elif kind == 2:
-            in_flight.append(log.add_send(a % n, b % n)[1].message_id)
+            in_flight.append(log.add_send(a % n, b % n)[1][M_ID])
         elif in_flight:
             log.add_receive(in_flight.pop(a % len(in_flight)))
     return log
@@ -155,19 +170,19 @@ def event_logs(draw):
 
 def _reachability(log):
     """Definition 1 by brute force: program order, message edges, closure."""
-    events = [event.event_id for event in log.events()]
+    events = [EventId(event[E_PID], event[E_SEQ]) for event in log.events()]
     before = {e: set() for e in events}
     for e in events:
         if e.seq:
             before[e].add(EventId(e.pid, e.seq - 1))
     for message in log.messages():
-        if message.receive_seq >= 0:
-            before[EventId(message.receiver, message.receive_seq)].add(
-                EventId(message.sender, message.send_seq)
+        if message[M_RECEIVE_SEQ] >= 0:
+            before[EventId(message[M_RECEIVER], message[M_RECEIVE_SEQ])].add(
+                EventId(message[M_SENDER], message[M_SEND_SEQ])
             )
     past = {}
     for event in log.causal_replay():
-        e = event.event_id
+        e = EventId(event[E_PID], event[E_SEQ])
         past[e] = set(before[e])
         for direct in before[e]:
             past[e] |= past[direct]
@@ -217,10 +232,10 @@ class TestOrderProperties:
     def test_receive_stamp_is_least_upper_bound(self, log):
         order = CausalOrder(log)
         for message in log.messages():
-            if message.receive_seq < 0:
+            if message[M_RECEIVE_SEQ] < 0:
                 continue
-            receive = EventId(message.receiver, message.receive_seq)
-            sent = order.timestamp(EventId(message.sender, message.send_seq))
+            receive = EventId(message[M_RECEIVER], message[M_RECEIVE_SEQ])
+            sent = order.timestamp(EventId(message[M_SENDER], message[M_SEND_SEQ]))
             local = (
                 order.timestamp(EventId(receive.pid, receive.seq - 1))
                 if receive.seq

@@ -20,7 +20,16 @@ churn run.
 
 import pytest
 
-from repro.causality.events import EventKind, Message
+from repro.causality.events import (
+    E_KIND,
+    INTERNAL,
+    M_ID,
+    M_RECEIVE_SEQ,
+    M_RECEIVER,
+    EventId,
+    EventKind,
+    Message,
+)
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.consistency import GlobalCheckpoint
 from repro.ccp.zigzag import BruteForceZigzagAnalysis, ZigzagAnalysis
@@ -255,13 +264,13 @@ def _messages_from_events(log):
     sends, receives = {}, {}
     for pid in log.processes:
         interval = 0
-        for event in log.history(pid).events:
-            if event.kind is EventKind.CHECKPOINT:
-                interval = event.checkpoint_index + 1
-            elif event.kind is EventKind.SEND:
-                sends[event.message_id] = (pid, event.seq, interval)
-            elif event.kind is EventKind.RECEIVE:
-                receives[event.message_id] = (pid, event.seq, interval)
+        for _, seq, kind, message_id, index, _, _ in log.history(pid).events:
+            if kind == EventKind.CHECKPOINT:
+                interval = index + 1
+            elif kind == EventKind.SEND:
+                sends[message_id] = (pid, seq, interval)
+            elif kind == EventKind.RECEIVE:
+                receives[message_id] = (pid, seq, interval)
     messages = []
     for message_id in sorted(receives):
         sender, send_seq, send_interval = sends[message_id]  # no receive without its send
@@ -274,10 +283,14 @@ def _messages_from_events(log):
     return messages
 
 
+def _receive_event(message):
+    return EventId(message[M_RECEIVER], message[M_RECEIVE_SEQ])
+
+
 def _assert_late_receive_accepted_once(recorder, message_id):
-    assert not recorder.log.message(message_id).delivered
+    assert recorder.log.message(message_id)[M_RECEIVE_SEQ] < 0
     recorder.record_receive(message_id, 10_000.0)
-    assert recorder.log.message(message_id).delivered
+    assert recorder.log.message(message_id)[M_RECEIVE_SEQ] >= 0
     for _ in range(2):
         with pytest.raises(ValueError, match="already received"):
             recorder.record_receive(message_id, 10_001.0)
@@ -301,8 +314,8 @@ class TestRecorderReadsTheLog:
                 ("send", 1, 0, 3),  # in transit, send discarded
             ]
         )
-        assert [m.message_id for m in recorder.ccp().messages()] == [0, 1, 2]
-        receive_of_1 = recorder.log.message(1).receive_event
+        assert [m[M_ID] for m in recorder.ccp().messages()] == [0, 1, 2]
+        receive_of_1 = _receive_event(recorder.log.message(1))
         recorder.apply_recovery(
             RollbackPlan(
                 faulty=(1,),
@@ -314,13 +327,13 @@ class TestRecorderReadsTheLog:
         log = recorder.log
         assert recorder.ccp().messages() == _messages_from_events(log) == [log.message(2)]
         assert log.has_message(0) and not log.has_message(1) and not log.has_message(3)
-        assert log.event(receive_of_1).kind is EventKind.INTERNAL
+        assert log.event(receive_of_1)[E_KIND] == INTERNAL
         recorder.record_receive(1, 9_000.0)  # its send was rolled back: ignored
-        assert log.event(receive_of_1).kind is EventKind.INTERNAL and not log.has_message(1)
+        assert log.event(receive_of_1)[E_KIND] == INTERNAL and not log.has_message(1)
         _assert_late_receive_accepted_once(recorder, 0)
         assert log.message(0) == Message(0, 0, 1, 1, 1, receive_seq=1, receive_interval=1)
         assert recorder.ccp().messages() == _messages_from_events(log)
-        assert [m.message_id for m in recorder.ccp().messages()] == [0, 2]
+        assert [m[M_ID] for m in recorder.ccp().messages()] == [0, 2]
 
     def test_a_placeholder_receive_takes_what_it_merged_with_it(
         self, assert_view_matches_literal
@@ -341,7 +354,7 @@ class TestRecorderReadsTheLog:
         )
         assert_view_matches_literal(recorder)  # the tracker exists from here on
         assert recorder.knowledge_view().precedes(CheckpointId(1, 1), CheckpointId(0, 1))
-        receive_of_0 = recorder.log.message(0).receive_event
+        receive_of_0 = _receive_event(recorder.log.message(0))
         recorder.apply_recovery(
             RollbackPlan(
                 faulty=(1,),
@@ -351,7 +364,7 @@ class TestRecorderReadsTheLog:
             )
         )
         log = recorder.log
-        assert log.event(receive_of_0).kind is EventKind.INTERNAL and not log.has_message(0)
+        assert log.event(receive_of_0)[E_KIND] == INTERNAL and not log.has_message(0)
         assert_view_matches_literal(recorder)
         view = recorder.knowledge_view()
         assert not view.precedes(CheckpointId(1, 0), CheckpointId(0, 1))
@@ -367,14 +380,14 @@ class TestRecorderReadsTheLog:
             feeder.feed(chunk)
             assert recorder.ccp().messages() == _messages_from_events(recorder.log)
             if part == 2:
-                delivered = {m.message_id for m in recorder.log.delivered_messages()}
+                delivered = {m[M_ID] for m in recorder.log.delivered_messages()}
                 plan = RecoveryManager().plan(recorder.ccp(), [seed % num_processes])
                 recorder.apply_recovery(plan)
                 feeder.resync()
                 assert recorder.ccp().messages() == _messages_from_events(recorder.log)
                 for message in recorder.log.messages():
-                    if message.message_id in delivered and not message.delivered:
-                        _assert_late_receive_accepted_once(recorder, message.message_id)
+                    if message[M_ID] in delivered and message[M_RECEIVE_SEQ] < 0:
+                        _assert_late_receive_accepted_once(recorder, message[M_ID])
                 assert recorder.ccp().messages() == _messages_from_events(recorder.log)
 
 

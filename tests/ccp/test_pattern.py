@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.causality.events import EventId
+from repro.causality.events import M_ID, M_RECEIVE_INTERVAL, M_SEND_INTERVAL, EventId
 from repro.ccp.builder import CCPBuilder
 from repro.ccp.checkpoint import CheckpointId
 
@@ -52,11 +52,11 @@ class TestIntervals:
         builder.checkpoint(1)             # s1^1
         builder.receive("m2")             # p1 interval 2
         ccp = builder.build()
-        messages = {m.message_id: m for m in ccp.messages()}
-        assert messages[0].send_interval == 1
-        assert messages[0].receive_interval == 1
-        assert messages[1].send_interval == 2
-        assert messages[1].receive_interval == 2
+        messages = {m[M_ID]: m for m in ccp.messages()}
+        assert messages[0][M_SEND_INTERVAL] == 1
+        assert messages[0][M_RECEIVE_INTERVAL] == 1
+        assert messages[1][M_SEND_INTERVAL] == 2
+        assert messages[1][M_RECEIVE_INTERVAL] == 2
 
     def test_checkpoint_event_belongs_to_the_interval_it_opens(self):
         builder = CCPBuilder(1)

@@ -1,5 +1,6 @@
 """Tests for zigzag paths, Z-paths, C-paths and useless checkpoints (Definition 3)."""
 
+from repro.causality.events import M_RECEIVE_INTERVAL, M_RECEIVER, M_SEND_INTERVAL, M_SENDER
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.zigzag import ZigzagAnalysis
 
@@ -113,8 +114,8 @@ def _brute_force_cycle_sizes(ccp):
         if gamma < ccp.volatile_index(pid):
             successors[(pid, gamma)].add((pid, gamma + 1))
     for message in ccp.messages():
-        successors[(message.sender, message.send_interval)].add(
-            (message.receiver, message.receive_interval)
+        successors[(message[M_SENDER], message[M_SEND_INTERVAL])].add(
+            (message[M_RECEIVER], message[M_RECEIVE_INTERVAL])
         )
 
     def reach(start):

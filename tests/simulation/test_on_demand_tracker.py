@@ -12,6 +12,7 @@ is never asked for an analysis must never pay for one.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.causality.events import E_CHECKPOINT_INDEX
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.consistency import is_consistent_global_checkpoint
 from repro.recovery.manager import RecoveryManager
@@ -209,7 +210,7 @@ class TestRecoveryKeepsEventObjects:
             if rollback is None:
                 assert len(kept) == len(before[pid])
             else:
-                assert kept[-1].checkpoint_index == rollback.rollback_index
+                assert kept[-1][E_CHECKPOINT_INDEX] == rollback.rollback_index
             assert all(now is then for now, then in zip(kept, before[pid]))
         assert_view_matches_literal(recorder)
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from repro.causality.events import EventLog
+from repro.causality.events import M_RECEIVE_SEQ, EventLog
 from repro.membership import MembershipError, MembershipSchedule
 from repro.scenarios.experiments import membership_churn_smoke_spec
 from repro.simulation.channels import DuplicatingChannel, PartitionSchedule, UniformChannel
@@ -238,14 +238,14 @@ class TestAReferenceTakenEarlyIsNeverStale:
         messages = expected.log.messages()
         assert reached == {
             "record_send": len(messages),
-            "record_receive": sum(message.delivered for message in messages),
+            "record_receive": sum(message[M_RECEIVE_SEQ] >= 0 for message in messages),
             "record_checkpoint": sum(expected.checkpoints_taken),
         }
         recorder = runner.trace  # already forwarding: nothing is applied twice
         assert recorder.version == expected.version - 1
         assert recorder.checkpoints_taken == expected.checkpoints_taken
-        undelivered = [m for m in recorder.log.messages() if not m.delivered]
-        assert len(undelivered) == 1 + sum(not m.delivered for m in messages)
+        undelivered = [m for m in recorder.log.messages() if m[M_RECEIVE_SEQ] < 0]
+        assert len(undelivered) == 1 + sum(m[M_RECEIVE_SEQ] < 0 for m in messages)
         # Later occurrences reach the recorder as they happen.
         index = runner.nodes[0].take_checkpoint()
         assert reached["record_checkpoint"] == sum(expected.checkpoints_taken) + 1

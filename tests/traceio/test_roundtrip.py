@@ -19,6 +19,7 @@ import re
 
 import pytest
 
+from repro.causality.events import E_KIND
 from repro.scenarios.campaign import (
     CampaignSpec,
     CollectorSpec,
@@ -125,8 +126,7 @@ def find_passing_seed() -> int:
 def _event_view(recorder: TraceRecorder):
     return [
         [
-            (e.kind, e.message_id, e.checkpoint_index, e.time, e.forced)
-            for e in recorder.log.history(pid)
+            e[E_KIND:] for e in recorder.log.history(pid)
         ]
         for pid in range(recorder.num_processes)
     ]
