@@ -18,8 +18,10 @@ on real OS processes:
    the global CCP by merging every shard written so far, computes the
    recovery line with the very same :class:`~repro.recovery.manager.RecoveryManager`
    the simulator uses, pushes rollback directives to the survivors,
-   respawns the crashed process with its stable storage rebuilt from its
-   own durable shard, and resumes the system in a new epoch.
+   respawns the crashed process with its stable storage restored from the
+   session's replayed pattern (its checkpoints up to the recovery line,
+   minus those its shards record as eliminated), and resumes the system
+   in a new epoch.
 3. **Merge** — after the stop barrier, every incarnation's shard is merged
    into a single v2 traceio artifact (:mod:`repro.live.merge`) with the
    recovery plans applied at their epoch boundaries, so ``traceio verify``,
@@ -41,7 +43,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.optimality import audit_garbage_collection
 from repro.recovery.manager import RecoveryManager
@@ -56,12 +58,7 @@ from repro.traceio.format import RunProvenance, TraceTruncatedError, make_header
 from repro.traceio.writer import TraceWriter
 
 from repro.live.frames import read_frame, send_frame
-from repro.live.merge import (
-    StorageMirror,
-    ordered_entries,
-    replay_entries,
-    shard_counters,
-)
+from repro.live.merge import ordered_entries, replay_entries, restore_spec, shard_counters
 from repro.live.shard import read_shard
 
 
@@ -348,16 +345,16 @@ class LiveCoordinator:
             *(w.expect("paused", options.handshake_timeout) for w in survivors)
         )
 
-        # Reconstruct the global state from the durable shards: the CCP for
-        # the recovery-line computation and the storage mirror the crashed
-        # process's respawn restores from.
+        # Reconstruct the global state from the durable shards: the CCP the
+        # recovery line is computed on is also what the crashed process's
+        # respawn restores its stable storage from.
         shards = [read_shard(path) for path in self._shard_paths]
-        mirror = StorageMirror(self._config.num_processes)
+        eliminated: List[Set[int]] = [set() for _ in range(self._config.num_processes)]
         recorder = replay_entries(
             ordered_entries(shards),
             self._config.num_processes,
             plans=self._plans,
-            mirror=mirror,
+            eliminated=eliminated,
         )
         volatile = {int(r["pid"]): tuple(int(v) for v in r["dv"]) for r in paused}
         ccp = recorder.ccp(volatile_dvs=volatile)
@@ -388,8 +385,8 @@ class LiveCoordinator:
         directive = plan.rollback_for(pid)
         if directive is None:  # pragma: no cover - the faulty process always rolls back
             raise RuntimeError(f"recovery plan has no rollback for faulty process {pid}")
-        restore = mirror.restore_spec(
-            pid, directive.rollback_index, plan.last_interval_vector
+        restore = restore_spec(
+            ccp, eliminated, pid, directive.rollback_index, plan.last_interval_vector
         )
         lamport_floor = 1 + max(
             [entry.lamport for shard in shards for entry in shard.entries]

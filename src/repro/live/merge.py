@@ -11,9 +11,9 @@ plans the coordinator computed:
    :class:`~repro.traceio.writer.TraceWriter` attached, exactly the sink
    pipeline a simulated run uses, so the artifact obeys every v2 invariant
    by construction.  Each record is checked once, where it is applied (an
-   event by :func:`~repro.traceio.reader.apply_event_record`, an ``e`` next
-   to the storage mirror); a refusal is a ``TraceFormatError`` naming its
-   shard's ``path:line``.  Receives whose send never became durable (the
+   event by :func:`~repro.traceio.reader.apply_event_record`, an ``e``
+   inline); a refusal is a ``TraceFormatError`` naming its shard's
+   ``path:line``.  Receives whose send never became durable (the
    sender was SIGKILLed between the two shard writes — impossible by the
    write-before-transmit rule, but defended anyway) are silently dropped by
    the recorder, mirroring its replay contract;
@@ -22,16 +22,18 @@ plans the coordinator computed:
    recorder (which emits the artifact's ``v`` record), reproducing the
    history truncation the recovery session performed on the live system.
 
-The same replay also maintains a storage mirror (stores, collector
-eliminations, rollback truncations) — what the coordinator uses to
-reconstruct a SIGKILLed process's stable storage for its respawn.
+A SIGKILLed process's respawn is restored from the session's replayed
+pattern (:func:`restore_spec`): its stable checkpoints are the pattern's, and
+the only fact the pattern lacks — which of them a collector eliminated — the
+same replay collects from the shards' ``e`` records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
+from repro.ccp.checkpoint import CheckpointId
+from repro.ccp.pattern import CCP
 from repro.recovery.rollback_plan import RollbackPlan
 from repro.simulation.trace import TraceRecorder, TraceSink
 from repro.traceio.format import (
@@ -46,73 +48,39 @@ from repro.traceio.reader import apply_event_record
 from repro.live.shard import TAG_ELIMINATION, ShardData, ShardEntry
 
 
-@dataclass
-class StorageMirror:
-    """Reconstruction of every process's stable storage from the shards."""
+def restore_spec(
+    ccp: CCP,
+    eliminated: Sequence[Set[int]],
+    pid: int,
+    rollback_index: int,
+    last_interval_vector: Sequence[int],
+) -> Dict[str, object]:
+    """The ``restore`` object a respawned worker rebuilds its storage from.
 
-    num_processes: int
-    #: Indices currently on storage, per pid.
-    retained: List[Set[int]] = field(init=False)
-    #: ``(pid, index) → (dv, forced, time)`` of the *current* incarnation of
-    #: each checkpoint (indices are reused after rollbacks; last write wins).
-    info: Dict[Tuple[int, int], Tuple[Tuple[int, ...], bool, float]] = field(
-        default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        self.retained = [set() for _ in range(self.num_processes)]
-
-    def apply_store(
-        self, pid: int, index: int, dv: Sequence[int], forced: bool, time: float
-    ) -> None:
-        """A checkpoint reached stable storage."""
-        self.retained[pid].add(index)
-        self.info[(pid, index)] = (tuple(int(v) for v in dv), forced, time)
-
-    def apply_elimination(self, pid: int, index: int) -> None:
-        """A collector eliminated a checkpoint."""
-        self.retained[pid].discard(index)
-
-    def apply_plan(self, plan: RollbackPlan) -> None:
-        """A recovery session truncated storage via ``eliminate_after``."""
-        for rollback in plan.rollbacks:
-            self.retained[rollback.pid] = {
-                index
-                for index in self.retained[rollback.pid]
-                if index <= rollback.rollback_index
-            }
-
-    def restore_spec(
-        self, pid: int, rollback_index: int, last_interval_vector: Sequence[int]
-    ) -> Dict[str, object]:
-        """The ``restore`` object a respawned worker rebuilds its storage from.
-
-        Stores are replayed sequentially up to the rollback target, then the
-        eliminated holes below it are re-punched; ``apply_rollback`` on the
-        worker discards everything above the target, so nothing later needs
-        shipping.
-        """
-        stores = []
-        for index in range(rollback_index + 1):
-            entry = self.info.get((pid, index))
-            if entry is None:
-                raise RuntimeError(
-                    f"shards never recorded checkpoint s{pid}^{index} "
-                    f"needed to restore process {pid}"
-                )
-            dv, forced, time = entry
-            stores.append([index, list(dv), forced, time])
-        eliminated = sorted(
-            index
-            for index in range(rollback_index)
-            if index not in self.retained[pid]
+    ``ccp`` is the session's replayed pattern and ``eliminated`` the per-pid
+    sets :func:`replay_entries` kept.  The stores are the pattern's
+    checkpoints ``s_pid^0 .. s_pid^rollback_index`` in index order, each
+    with the vector, kind and time its ``c`` record stored; the holes are
+    the indices below the target a collector eliminated since their last
+    store.  ``apply_rollback`` on the worker discards everything above the
+    target, so nothing later needs shipping.
+    """
+    if rollback_index > ccp.last_stable(pid):
+        raise RuntimeError(
+            f"shards never recorded checkpoint s{pid}^{rollback_index} "
+            f"needed to restore process {pid}"
         )
-        return {
-            "stores": stores,
-            "eliminated": eliminated,
-            "rollback_index": rollback_index,
-            "last_interval_vector": list(last_interval_vector),
-        }
+    stores = []
+    for index in range(rollback_index + 1):
+        cid = CheckpointId(pid, index)
+        checkpoint = ccp.checkpoint(cid)
+        stores.append([index, list(ccp.dv(cid)), checkpoint.forced, checkpoint.time])
+    return {
+        "stores": stores,
+        "eliminated": sorted(index for index in eliminated[pid] if index < rollback_index),
+        "rollback_index": rollback_index,
+        "last_interval_vector": list(last_interval_vector),
+    }
 
 
 def ordered_entries(shards: Sequence[ShardData]) -> List[ShardEntry]:
@@ -126,13 +94,17 @@ def replay_entries(
     *,
     plans: Mapping[int, RollbackPlan] = {},
     sink: Optional[TraceSink] = None,
-    mirror: Optional[StorageMirror] = None,
+    eliminated: Optional[Sequence[Set[int]]] = None,
 ) -> TraceRecorder:
     """Feed ordered entries through a fresh recorder (and optional sink).
 
-    ``plans[e]`` is applied — to the recorder *and* the mirror — after the
-    last record of epoch ``e``, reproducing the live system's recovery
-    sessions at exactly the points they happened.
+    ``plans[e]`` is applied to the recorder after the last record of epoch
+    ``e``, reproducing the live system's recovery sessions at exactly the
+    points they happened.  ``eliminated`` (one set per pid), when given,
+    ends up holding each process's indices eliminated since their last
+    store: an ``e`` record adds its index, a ``c`` record discards it, and
+    a plan leaves it alone (a rolled-back index is stored again before any
+    rollback can reach past it).
     """
     recorder = TraceRecorder(num_processes)
     if sink is not None:
@@ -143,15 +115,12 @@ def replay_entries(
             plan = plans.get(epoch)
             if plan is not None:
                 recorder.apply_recovery(plan)
-                if mirror is not None:
-                    mirror.apply_plan(plan)
             epoch += 1
         record = entry.record
         try:
             if apply_event_record(recorder, record):
-                if mirror is not None and record[0] == TAG_CHECKPOINT:
-                    _, pid, index, forced, time, dv = record
-                    mirror.apply_store(pid, index, dv, bool(forced), time)
+                if eliminated is not None and record[0] == TAG_CHECKPOINT:
+                    eliminated[record[1]].discard(record[2])
             elif record[0] != TAG_ELIMINATION:
                 raise TraceFormatError(f"unknown record tag {record[0]!r} in a shard")
             elif (
@@ -162,8 +131,8 @@ def replay_entries(
             ):
                 # Shard-only bookkeeping: never enters the artifact (eliminations
                 # are not trace events in simulated artifacts either).
-                if mirror is not None:
-                    mirror.apply_elimination(entry.pid, record[2])
+                if eliminated is not None:
+                    eliminated[entry.pid].add(record[2])
             else:
                 raise TraceFormatError(
                     f"{list(record)!r} is not an elimination "
@@ -179,8 +148,6 @@ def replay_entries(
     # Trailing plans (a crash with no post-resume records, or none at all).
     while epoch in plans:
         recorder.apply_recovery(plans[epoch])
-        if mirror is not None:
-            mirror.apply_plan(plans[epoch])
         epoch += 1
     return recorder
 
@@ -188,11 +155,12 @@ def replay_entries(
 def shard_counters(shards: Sequence[ShardData]) -> Dict[str, int]:
     """Exact event tallies over the *raw* shards (pre-truncation history).
 
-    These are the live counterparts of the simulator's node counters, which
-    also count occurrences that recovery later rolled back; deriving them
-    from the shards covers SIGKILLed incarnations whose in-memory counters
-    died with the process.  Taken after :func:`replay_entries` accepted the
-    same shards, so only checked records are counted.
+    These are the live counterparts of the simulator's network statistics
+    and node checkpoint counters, which also count occurrences that recovery
+    later rolled back; deriving them from the shards covers SIGKILLed
+    incarnations whose in-memory counters died with the process.  Taken
+    after :func:`replay_entries` accepted the same shards, so only checked
+    records are counted.
     """
     counters = {
         "sent": 0,

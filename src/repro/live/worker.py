@@ -17,8 +17,8 @@ frame           meaning
                 collector (+options), network description, time scale,
                 per-pid action script, shard path, epoch/incarnation,
                 peer address map, and — for a respawned worker — the
-                ``restore`` object (stable-storage contents + rollback
-                directive reconstructed by the coordinator)
+                ``restore`` object (stable-storage contents from the
+                session's replayed pattern + rollback directive)
 → ``ready``     node built (and restored, when applicable)
 ← ``go``        start barrier; carries the virtual time to anchor at
 ← ``pause``     freeze (a recovery session is starting)
@@ -33,7 +33,7 @@ frame           meaning
 
 A worker can be SIGKILLed at any instant; its shard stays a readable
 prefix (each record is handed to the OS as it happens) and the coordinator
-reconstructs its storage from it — that asymmetry (durable shard, volatile
+restores its storage from the shards — that asymmetry (durable shard, volatile
 everything else) is the paper's crash model made physical.
 """
 
@@ -182,8 +182,8 @@ class LiveWorker:
         storage = node.storage
         restore = frame.get("restore")
         if restore is not None:
-            # Reload the stable storage exactly as the coordinator
-            # reconstructed it from this process's shard (stores must be
+            # Reload the stable storage exactly as the coordinator restored
+            # it from the session's replayed pattern (stores must be
             # sequential; eliminated holes are re-punched afterwards).
             for index, dv, forced, ckpt_time in restore["stores"]:
                 storage.store(
@@ -291,13 +291,10 @@ class LiveWorker:
                 "type": "final",
                 "pid": self.pid,
                 "dv": list(node.current_dv),
-                "lamport": self.shard.lamport,
                 "retained_indices": node.storage.retained_indices(),
                 "max_retained": node.storage.max_retained(),
                 "total_stored": node.storage.total_stored(),
                 "total_eliminated": node.storage.total_eliminated(),
-                "basic_checkpoints": node.basic_checkpoints,
-                "forced_checkpoints": node.forced_checkpoints,
                 "stats": dataclasses.asdict(self.transport.stats),
             },
         )

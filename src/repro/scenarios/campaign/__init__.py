@@ -35,11 +35,9 @@ from repro.scenarios.campaign.aggregate import (
     aggregate_campaign,
 )
 from repro.scenarios.campaign.executor import (
-    CELL_METRICS,
     CampaignRun,
     CampaignWorkerError,
     WorkerRun,
-    cell_metrics,
     default_worker_id,
     execute_cell,
     run_campaign,
@@ -63,7 +61,6 @@ from repro.scenarios.campaign.spec import (
 )
 
 __all__ = [
-    "CELL_METRICS",
     "DEFAULT_GROUP_BY",
     "DEFAULT_METRICS",
     "QUERIES",
@@ -80,7 +77,6 @@ __all__ = [
     "WorkerRun",
     "WorkloadSpec",
     "aggregate_campaign",
-    "cell_metrics",
     "default_worker_id",
     "describe_queries",
     "execute_cell",

@@ -1,8 +1,9 @@
 """Aggregation of campaign results into per-group statistics tables.
 
-Per-cell metrics (see :data:`repro.scenarios.campaign.executor.CELL_METRICS`)
-are grouped by declarative axes — collector, workload, failure count, … —
-and each group's metric lists are folded through
+Per-cell metrics (:data:`repro.simulation.runner.METRIC_NAMES`, the keys of
+:meth:`~repro.simulation.runner.SimulationResult.metrics_dict`) are grouped
+by declarative axes — collector, workload, failure count, … — and each
+group's metric lists are folded through
 :func:`repro.analysis.metrics.aggregate` into :class:`AggregateStats`.
 
 Everything here is deterministic in the grid-expansion order of the records,

@@ -30,18 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.scenarios.campaign.spec import CampaignCell, CampaignSpec
 from repro.scenarios.campaign.sqlstore import DEFAULT_LEASE, SQLResultStore, shard_indices
-from repro.simulation.runner import METRIC_NAMES, SimulationResult, run_simulation
-
-#: The scalar metrics persisted per cell, in extraction order — the names of
-#: :meth:`repro.simulation.runner.SimulationResult.metrics_dict` (shared
-#: with trace footers); everything downstream (store, aggregation, tables)
-#: works from these names.
-CELL_METRICS: Tuple[str, ...] = METRIC_NAMES
-
-
-def cell_metrics(result: SimulationResult) -> Dict[str, float]:
-    """Extract the persisted scalar metrics from one run."""
-    return result.metrics_dict()
+from repro.simulation.runner import run_simulation
 
 
 def trace_filename(cell_id: str) -> str:
@@ -103,7 +92,7 @@ def execute_cell(
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
     record["status"] = "ok"
-    record["metrics"] = cell_metrics(result)
+    record["metrics"] = result.metrics_dict()
     return record
 
 

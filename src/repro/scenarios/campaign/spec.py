@@ -388,7 +388,7 @@ def spec_from_mapping(document: Mapping[str, Any]) -> CampaignSpec:
 RUN_KEYS = (
     "name", "num_processes", "duration", "workload", "protocol", "collector",
     "collector_options", "network", "failures", "membership", "seed",
-    "sample_interval", "audit", "backend", "trace",
+    "audit", "backend", "trace",
 )
 
 
@@ -420,7 +420,6 @@ def config_from_mapping(
             failures = FailureSchedule.of((number("", t), integer("", p)) for t, p in failures)
         elif failures is not None:
             failures = failures_from_entry(failures)
-    sample_interval = document.get("sample_interval")
     trace = document.get("trace")
     config = SimulationConfig(
         num_processes=integer("num_processes", document.get("num_processes", 4)),
@@ -432,9 +431,6 @@ def config_from_mapping(
         network=network,
         failures=failures if isinstance(failures, FailureSchedule) else FailureSchedule.none(),
         seed=integer("seed", document.get("seed", 0)),
-        sample_interval=(
-            None if sample_interval is None else number("sample_interval", sample_interval)
-        ),
         audit=document.get("audit", "off"),
         trace_path=None if trace is None else text("trace", trace),
         backend=backend or document.get("backend", "sim"),

@@ -99,12 +99,8 @@ class SimulationNode:
         self._dv = DependencyVector.initial(num_processes, pid)
         self._crashed = False
         self._departed = False
-        self.messages_sent = 0
-        self.messages_received = 0
-        self.duplicates_received = 0
         self.basic_checkpoints = 0
         self.forced_checkpoints = 0
-        self.rollbacks = 0
         collector.attach_control_plane(_NodeControlPlane(self))
 
     # ------------------------------------------------------------------
@@ -213,12 +209,10 @@ class SimulationNode:
         self._trace.record_send(
             self._pid, destination, message.message_id, self._transport.now()
         )
-        self.messages_sent += 1
 
     def deliver(self, message: AppMessage) -> None:
         """Deliver an application message to this process."""
-        if self._receive(message, self._trace.record_receive):
-            self.messages_received += 1
+        self._receive(message, self._trace.record_receive)
 
     def deliver_duplicate(self, message: AppMessage) -> None:
         """Deliver a duplicate copy of a message this process already received.
@@ -232,15 +226,12 @@ class SimulationNode:
         trace knows the ground truth and records a causally-neutral
         duplicate event instead of a second receive.
         """
-        if self._receive(message, self._trace.record_duplicate_receive):
-            self.duplicates_received += 1
+        self._receive(message, self._trace.record_duplicate_receive)
 
-    def _receive(
-        self, message: AppMessage, record: Callable[[int, float], None]
-    ) -> bool:
-        """The delivery path shared by fresh and duplicate copies; False if inert."""
+    def _receive(self, message: AppMessage, record: Callable[[int, float], None]) -> None:
+        """The delivery path shared by fresh and duplicate copies."""
         if self._inert:
-            return False
+            return
         if message.piggyback[self._pid] > self._dv.current_interval():
             # An orphan of a rollback or a garbled datagram: refused before
             # the protocol, the vector or the collector absorbs it.
@@ -254,7 +245,6 @@ class SimulationNode:
         updated = self._dv.absorb(message.piggyback)
         self._protocol.notify_receive()
         self._collector.on_receive(updated)
-        return True
 
     def take_checkpoint(self, *, forced: bool = False, payload: Any = None) -> int:
         """Take a basic or forced checkpoint; returns its index."""
@@ -324,7 +314,6 @@ class SimulationNode:
             rollback_index, last_interval_vector, self._dv.as_tuple()
         )
         self._crashed = False
-        self.rollbacks += 1
         return collected
 
     def apply_peer_rollback(self, last_interval_vector: Sequence[int]) -> List[int]:

@@ -56,7 +56,6 @@ class SimulationConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     failures: FailureSchedule = field(default_factory=FailureSchedule.none)
     seed: int = 0
-    sample_interval: Optional[float] = None
     audit: str = "off"
     keep_final_ccp: bool = False
     #: When set, the run streams a replayable trace artifact to this path
@@ -82,11 +81,6 @@ class SimulationConfig:
         check_run(self.num_processes, self.duration, self.audit, self.backend, self.membership)
         check_choice("protocol", self.protocol, available_protocols())
         check_collector("collector", self.collector)
-        if self.sample_interval is not None and not 0 < self.sample_interval < math.inf:
-            raise SpecValidationError(
-                "sample_interval",
-                f"the sample interval must be positive and finite, got {self.sample_interval!r}",
-            )
         # Fail fast on fault models that cannot serve this process count
         # (undersized latency matrices, partitions naming unknown pids).
         with naming("network"):
@@ -652,10 +646,7 @@ class SimulationRunner:
             self._engine.schedule_at(
                 crash.time, lambda pid=crash.pid: self._handle_crash(pid)
             )
-        sample_interval = config.sample_interval
-        if sample_interval is None:
-            sample_interval = max(config.duration / 50.0, 1.0)
-        self._schedule_sampling(sample_interval)
+        self._schedule_sampling(max(config.duration / 50.0, 1.0))
         self._engine.run(until=config.duration)
         self._take_sample()
         if config.audit != "off":

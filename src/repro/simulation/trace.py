@@ -164,7 +164,6 @@ class TraceRecorder:
         self._log = EventLog(num_processes)
         # Keyed by plain (pid, index) tuples, which a CheckpointId equals.
         self._recorded_dvs: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        self._dropped_messages: set[int] = set()
         # Incremental CCP substrate.
         self._version = 0
         # Born at the first ccp(), knowledge_view() or knowledge_mark()
@@ -172,7 +171,6 @@ class TraceRecorder:
         self._tracker: Optional[CheckpointKnowledgeTracker] = None
         # History rewrites and membership changes so far (knowledge_mark).
         self._rewrites = 0
-        self._checkpoints_taken = [0] * num_processes
         # The view of the current version (knowledge_view) and the memoised
         # snapshot: (version, volatile-DV fingerprint, CCP).
         self._view: Optional[IncrementalAnalysisView] = None
@@ -206,7 +204,7 @@ class TraceRecorder:
     @property
     def checkpoints_taken(self) -> Tuple[int, ...]:
         """Per-process count of stable checkpoints taken (volatile index)."""
-        return tuple(self._checkpoints_taken)
+        return tuple([len(history.checkpoints) for history in self._log.histories()])
 
     @property
     def membership(self) -> MembershipView:
@@ -255,12 +253,11 @@ class TraceRecorder:
     def record_receive(self, message_id: int, time: float) -> None:
         """Record the delivery of an application message.
 
-        Deliveries of messages whose send was erased by a recovery session are
-        ignored (the runner prevents them anyway by dropping in-flight
-        messages, so this is a belt-and-braces guard).
+        Deliveries of messages the log does not know — never sent, or whose
+        send a recovery session erased — are ignored (the runner prevents the
+        latter anyway by dropping in-flight messages, so this is a
+        belt-and-braces guard).
         """
-        if message_id in self._dropped_messages:
-            return
         try:
             event = self._log.add_receive(message_id, time=time)
         except ValueError:
@@ -284,10 +281,8 @@ class TraceRecorder:
         :class:`repro.causality.events.EventLog` invariant that every
         message is received at most once is thereby preserved.
         """
-        if message_id in self._dropped_messages:
-            return
         if not self._log.has_message(message_id):
-            return
+            return  # never sent, or its send erased by a recovery session
         message = self._log.message(message_id)
         if message[M_RECEIVE_SEQ] < 0:
             raise ValueError(
@@ -312,7 +307,6 @@ class TraceRecorder:
             raise self._not_a_member(pid)
         event = self._log.add_checkpoint(pid, index, time=time, forced=forced)
         self._recorded_dvs[(pid, index)] = tuple(dependency_vector)
-        self._checkpoints_taken[pid] = index + 1
         if self._tracker is not None:
             self._tracker.note_checkpoint(pid, index, event[E_SEQ])
         self._version += 1
@@ -321,6 +315,8 @@ class TraceRecorder:
 
     def record_internal(self, pid: int, time: float) -> None:
         """Record an internal application event (used by scripted scenarios)."""
+        if pid not in self._members:
+            raise self._not_a_member(pid)
         self._log.add_internal(pid, time=time)
         self._version += 1
         for sink in self._sinks:
@@ -407,8 +403,6 @@ class TraceRecorder:
                     newly_dropped.append(event[E_MESSAGE_ID])
                 elif event[E_KIND] == CHECKPOINT:
                     stale.append((pid, event[E_CHECKPOINT_INDEX]))
-            self._checkpoints_taken[pid] = rollback.rollback_index + 1
-        self._dropped_messages.update(newly_dropped)
         for cid in stale:
             del self._recorded_dvs[cid]
         # A kept receive of a message whose send is discarded becomes a
@@ -421,13 +415,13 @@ class TraceRecorder:
             for message_id in newly_dropped
         ):
             self._tracker = None
-        if self._tracker is not None:
-            self._tracker.apply_truncation(lengths)
-            self._tracker.forget_messages(newly_dropped)
-            self._tracker.forget_checkpoints(self._checkpoints_taken)
         # A new log, not an in-place cut: CCPs already handed out keep the
         # pre-crash history (the recovery oracles judge the line against it).
         self._log = self._log.prefix(lengths)
+        if self._tracker is not None:
+            self._tracker.apply_truncation(lengths)
+            self._tracker.forget_messages(newly_dropped)
+            self._tracker.forget_checkpoints(self.checkpoints_taken)
         self._ccp_cache = None
         self._version += 1
         self._rewrites += 1
@@ -521,7 +515,7 @@ class TraceRecorder:
         recorded: Dict[Tuple[int, int], Tuple[int, ...]] = dict(self._recorded_dvs)
         if volatile_dvs is not None:
             for pid, dv in volatile_dvs.items():
-                recorded[(pid, self._checkpoints_taken[pid])] = tuple(dv)
+                recorded[(pid, len(self._log.history(pid).checkpoints))] = tuple(dv)
         ccp = CCP(
             self._log,
             recorded_dvs=recorded,

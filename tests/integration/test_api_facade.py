@@ -198,9 +198,8 @@ BAD_DOCUMENTS = [
     ("fuzz-budget-not-a-number", {"kind": "fuzz", "target": "ring", "budget": "lots"}, "budget"),
     ("explore-list-step-bad-op", {"program": [["teleport", 0]]}, "program[0].op"),
     ("explore-list-step-short", {"program": [["send", 0]]}, "program[0]"),
-    # A sampling interval that is not positive would reschedule forever.
-    ("sim-sample-interval-zero", {**_SIM, "sample_interval": 0}, "sample_interval"),
-    ("sim-sample-interval-negative", {**_SIM, "sample_interval": -1.0}, "sample_interval"),
+    # A run samples storage every max(duration / 50, 1): the interval is no option.
+    ("sim-sample-interval-unknown", {**_SIM, "sample_interval": 2.0}, "sample_interval"),
     # An explicit crash the run does not have is a typo, not a no-op.
     ("sim-crash-pid-outside", {**_SIM, "num_processes": 4, "failures": [[5.0, 9]]}, "failures[0]"),
     ("sim-crash-after-the-run", {**_SIM, "failures": [[1.0, 0], [10.0, 1]]}, "failures[1]"),

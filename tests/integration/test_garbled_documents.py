@@ -31,7 +31,6 @@ _RUN = {
     "network": {"base_latency": 1.0, "jitter": 0.5, "drop_probability": 0.0},
     "failures": [[5.0, 1]],
     "seed": 3,
-    "sample_interval": 2.0,
     "audit": "safety",
     "trace": "unused.trace.jsonl",
 }

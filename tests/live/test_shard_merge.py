@@ -9,12 +9,7 @@ import re
 import pytest
 
 from repro.live.coordinator import LiveCoordinator, LiveOptions
-from repro.live.merge import (
-    StorageMirror,
-    ordered_entries,
-    replay_entries,
-    shard_counters,
-)
+from repro.live.merge import ordered_entries, replay_entries, restore_spec, shard_counters
 from repro.live.shard import ShardWriter, read_shard
 from repro.recovery.manager import RecoveryManager
 from repro.simulation.runner import SimulationConfig
@@ -96,8 +91,9 @@ class TestShardRoundTrip:
     )
     def test_a_mistyped_merge_key_or_elimination_is_refused(self, tmp_path, line):
         """The merge orders by the key, so a wrong type is refused where the
-        shard is read; the storage mirror discards by the elimination's
-        index, so a wrong elimination is refused where the merge applies it.
+        shard is read; the merge collects the elimination's index for a
+        respawn's restore, so a wrong elimination is refused where the merge
+        applies it.
         Either names the shard's line."""
         path = str(tmp_path / "g.shard.jsonl")
         writer = ShardWriter(path, pid=0, num_processes=2)
@@ -234,39 +230,77 @@ class TestCoordinatorMerge:
             coordinator._merge({0: {}, 1: {}})
 
 
-class TestStorageMirror:
-    def test_restore_spec_reconstructs_storage(self):
-        mirror = StorageMirror(2)
-        mirror.apply_store(0, 0, (1, 0), False, 0.0)
-        mirror.apply_store(0, 1, (2, 0), False, 1.0)
-        mirror.apply_store(0, 2, (3, 1), True, 2.0)
-        mirror.apply_elimination(0, 1)
-        spec = mirror.restore_spec(0, 2, (3, 1))
-        assert [s[0] for s in spec["stores"]] == [0, 1, 2]
-        assert spec["eliminated"] == [1]
-        assert spec["rollback_index"] == 2
-        assert spec["last_interval_vector"] == [3, 1]
+def _replayed(paths, plans={}):
+    """The replay the coordinator runs at a crash: recorder and eliminated sets."""
+    eliminated = [set(), set()]
+    recorder = replay_entries(
+        ordered_entries([read_shard(path) for path in paths]), 2,
+        plans=plans, eliminated=eliminated,
+    )
+    return recorder, eliminated
 
-    def test_missing_checkpoint_is_an_error(self):
-        mirror = StorageMirror(2)
-        mirror.apply_store(0, 0, (1, 0), False, 0.0)
-        with pytest.raises(RuntimeError):
-            mirror.restore_spec(0, 1, (1, 0))
 
-    def test_plan_truncates_retained(self):
-        mirror = StorageMirror(2)
-        for index in range(4):
-            mirror.apply_store(1, index, (0, index + 1), False, float(index))
-        ccp_recorder = TraceRecorder(2)
-        for index in range(4):
-            ccp_recorder.record_checkpoint(
-                1, index, (0, index + 1), forced=False, time=float(index)
-            )
-        ccp_recorder.record_checkpoint(0, 0, (1, 0), forced=False, time=0.0)
-        plan = RecoveryManager().plan(
-            ccp_recorder.ccp(volatile_dvs={0: (1, 0), 1: (0, 5)}), [1]
-        )
-        mirror.apply_plan(plan)
-        rollback = plan.rollback_for(1)
-        assert rollback is not None
-        assert max(mirror.retained[1]) == rollback.rollback_index
+class TestRestoreSpec:
+    """A respawn's storage is the replayed pattern's checkpoints up to its
+    rollback target, less the indices eliminated since their last store."""
+
+    def test_stores_and_holes_come_from_the_replayed_pattern(self, tmp_path):
+        paths = [str(tmp_path / f"w{pid}.shard.jsonl") for pid in (0, 1)]
+        w0 = ShardWriter(paths[0], pid=0, num_processes=2)
+        w1 = ShardWriter(paths[1], pid=1, num_processes=2)
+        w0.record_checkpoint(0, 0, (1, 0), forced=False, time=0.0)
+        w1.record_checkpoint(1, 0, (0, 1), forced=False, time=0.0)
+        w0.record_checkpoint(0, 1, (2, 0), forced=False, time=1.0)
+        w0.record_checkpoint(0, 2, (3, 0), forced=True, time=2)
+        w0.record_elimination(0, 1)
+        w0.record_checkpoint(0, 3, (4, 0), forced=False, time=3.5)
+        w0.record_elimination(0, 2)  # above the target: not shipped
+        recorder, eliminated = _replayed(paths)
+        assert eliminated == [{1, 2}, set()]
+        spec = restore_spec(recorder.ccp(), eliminated, 0, 2, (3, 1))
+        assert spec == {
+            "stores": [[0, [1, 0], False, 0.0], [1, [2, 0], False, 1.0], [2, [3, 0], True, 2]],
+            "eliminated": [1],
+            "rollback_index": 2,
+            "last_interval_vector": [3, 1],
+        }
+        # The frame the coordinator sends carries the restore object as is.
+        assert json.loads(json.dumps(spec)) == spec
+
+    def test_a_checkpoint_the_shards_never_recorded_is_an_error(self, tmp_path):
+        paths, w0, w1 = _write_pair(tmp_path)
+        recorder, eliminated = _replayed(paths)
+        with pytest.raises(RuntimeError, match=r"never recorded checkpoint s0\^1"):
+            restore_spec(recorder.ccp(), eliminated, 0, 1, (1, 0))
+
+    def test_an_index_rolled_back_and_stored_again_is_no_hole(self, tmp_path):
+        paths = [str(tmp_path / f"w{pid}.shard.jsonl") for pid in (0, 1)]
+        w0 = ShardWriter(paths[0], pid=0, num_processes=2)
+        w1 = ShardWriter(paths[1], pid=1, num_processes=2)
+        w0.record_checkpoint(0, 0, (1, 0), forced=False, time=0.0)
+        w1.record_checkpoint(1, 0, (0, 1), forced=False, time=0.0)
+        w1.record_checkpoint(1, 1, (0, 2), forced=False, time=1.0)
+        w0.record_send(0, 1, 7, 1.5)  # sent after s0^0: lost when p0 crashes
+        w1.merge_clock(w0.lamport)
+        w1.record_receive(7, 2.0)
+        w1.record_checkpoint(1, 2, (1, 3), forced=False, time=3.0)
+        w1.record_checkpoint(1, 3, (1, 4), forced=False, time=4.0)
+        w1.record_elimination(1, 2)
+        # p0 crashes: the orphan receive rolls p1 back to s1^1.
+        recorder, _ = _replayed(paths)
+        plan = RecoveryManager().plan(recorder.ccp(volatile_dvs={1: (1, 5)}), [0])
+        assert plan.rollback_for(1).rollback_index == 1
+        # Epoch 1: p1 stores index 2 (and 3) again, then crashes itself.
+        w1.set_epoch(1, lamport_floor=w1.lamport + 1)
+        w1.record_checkpoint(1, 2, (1, 3), forced=True, time=6.0)
+        w1.record_checkpoint(1, 3, (1, 4), forced=False, time=7.0)
+        recorder, eliminated = _replayed(paths, plans={0: plan})
+        assert eliminated == [set(), set()]
+        spec = restore_spec(recorder.ccp(), eliminated, 1, 3, (1, 4))
+        assert spec["stores"] == [
+            [0, [0, 1], False, 0.0],
+            [1, [0, 2], False, 1.0],
+            [2, [1, 3], True, 6.0],
+            [3, [1, 4], False, 7.0],
+        ]
+        assert spec["eliminated"] == []

@@ -218,13 +218,13 @@ def test_worker_action_script_round_trips_into_node_calls(tmp_path):
     worker._schedule_actions([[1.0, "send", 2], [2.0, "checkpoint", None], [2.0, "send", 0]])
     transport.start_clock(0.0)
     worker.node.start()
-    assert transport.run_due() == 1.0 and worker.node.messages_sent == 0
+    assert transport.run_due() == 1.0 and transport.stats.app_sent == 0
     now[0] = 1.5
     assert transport.run_due() == 2.0
-    assert (worker.node.messages_sent, worker.node.basic_checkpoints) == (1, 1)
+    assert (transport.stats.app_sent, worker.node.basic_checkpoints) == (1, 1)
     now[0] = 2.0
     due = transport.run_due()  # what is left are the copies' delayed transmissions
-    assert (worker.node.messages_sent, worker.node.basic_checkpoints) == (2, 2)
+    assert (transport.stats.app_sent, worker.node.basic_checkpoints) == (2, 2)
     while due is not None:
         now[0] = due
         due = transport.run_due()

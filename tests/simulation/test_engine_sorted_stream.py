@@ -284,7 +284,7 @@ class TestTheRunnerStreamsItsWorkload:
         runner = SimulationRunner(self._config(Unordered()))
         with pytest.raises(ValueError, match="sorted batch"):
             runner.run()
-        assert runner.engine.processed_events == 0 and runner.nodes[0].messages_sent == 0
+        assert runner.engine.processed_events == 0 and runner.network.stats.app_sent == 0
 
     def test_each_process_kind_and_target_has_one_handler(self, monkeypatch):
         handed_out = []

@@ -261,6 +261,28 @@ class TestRecorderMembership:
         with pytest.raises(MembershipError, match="departed"):
             recorder.record_send(2, 0, 0, 10.0)
 
+    @pytest.mark.parametrize("state", ["dormant", "departed"])
+    def test_an_internal_event_of_a_non_member_is_refused(self, state):
+        recorder = TraceRecorder(3, initial_members={0, 1})
+        if state == "departed":
+            recorder.record_join(2, 1.0)
+            recorder.record_checkpoint(2, 0, (-1, -1, 0), forced=False, time=1.0)
+            recorder.record_leave(2, 2.0)
+        version, events = recorder.version, recorder.log.total_events()
+        with pytest.raises(MembershipError, match=f"process 2 is {state}"):
+            recorder.record_internal(2, 3.0)
+        assert (recorder.version, recorder.log.total_events()) == (version, events)
+
+    def test_a_traced_internal_event_of_a_departed_process_is_refused(self, tmp_path):
+        path = tmp_path / "departed.trace.jsonl"
+        run_simulation(_dynamic_config(trace_path=str(path), audit="off"))
+        lines = path.read_text().splitlines()
+        number = lines.index('["l",1,60.0]') + 2
+        lines.insert(number - 1, '["i",1,61.0]')  # p1 left at 60
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=f"departed.trace.jsonl:{number}: .*departed"):
+            TraceReader(str(path)).replay()
+
     def test_a_refused_join_leaves_the_capacity_alone(self):
         recorder = TraceRecorder(3, initial_members=frozenset({0, 1}))
         recorder.record_checkpoint(0, 0, (0, -1, -1), forced=False, time=0.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.causality.events import CHECKPOINT, E_KIND, RECEIVE, SEND
 from repro.ccp.checkpoint import CheckpointId
 from repro.gc.rdt_lgc_collector import RdtLgcCollector
 from repro.protocols.fdas import FixedDependencyAfterSendProtocol
@@ -46,12 +47,13 @@ class TestNodeBasics:
             assert node.current_dv[node.pid] == 1
 
     def test_send_and_deliver_update_vectors(self):
-        engine, _, _, nodes = _build_pair()
+        engine, network, trace, nodes = _build_pair()
         nodes[0].send_message(1)
         engine.run()
         assert nodes[1].current_dv == (1, 1)
-        assert nodes[1].messages_received == 1
-        assert nodes[0].messages_sent == 1
+        assert (network.stats.app_sent, network.stats.app_delivered) == (1, 1)
+        kinds = [[event[E_KIND] for event in trace.log.history(pid)] for pid in range(2)]
+        assert kinds == [[CHECKPOINT, SEND], [CHECKPOINT, RECEIVE]]
 
     def test_self_send_rejected(self):
         _, _, _, nodes = _build_pair()
@@ -71,12 +73,13 @@ class TestNodeBasics:
         assert forced.dependency_vector[0] == 0
 
     def test_crashed_node_ignores_traffic(self):
-        engine, _, _, nodes = _build_pair()
+        engine, network, trace, nodes = _build_pair()
         nodes[1].crash()
         assert nodes[1].crashed
         nodes[1].send_message(0)
         nodes[1].take_checkpoint()
-        assert nodes[1].messages_sent == 0
+        assert network.stats.app_sent == 0
+        assert len(trace.log.history(1)) == 1  # the initial checkpoint only
         assert nodes[1].storage.retained_count() == 1
 
 
@@ -92,7 +95,7 @@ class TestNodeRecovery:
         directive = plan.rollback_for(1)
         assert directive is not None
         nodes[1].apply_rollback(directive.rollback_index, plan.last_interval_vector)
-        assert nodes[1].rollbacks == 1
+        assert nodes[1].storage.last_index() == directive.rollback_index
         assert not nodes[1].crashed
         assert nodes[1].current_dv[1] == directive.rollback_index + 1
 

@@ -14,26 +14,33 @@ from repro.transport.base import AppMessage
 
 
 class _Unrecorded:
-    """A trace port that keeps nothing (no recovery session reaches a recorder here)."""
+    """A trace port that keeps only the kind of each call (no recovery
+    session reaches a recorder here)."""
+
+    def __init__(self):
+        self.calls = []
 
     def record_send(self, sender, receiver, message_id, time):
-        pass
+        self.calls.append("send")
 
     def record_receive(self, message_id, time):
-        pass
+        self.calls.append("receive")
 
     def record_duplicate_receive(self, message_id, time):
-        pass
+        self.calls.append("duplicate")
 
     def record_checkpoint(self, pid, index, dependency_vector, *, forced, time):
-        pass
+        self.calls.append("checkpoint")
 
 
-def _nodes(num_processes, protocol="uncoordinated", *, start=True):
+def _nodes(num_processes, protocol="uncoordinated", *, start=True, trace=None):
+    """Nodes on one hand-driven transport, sharing one trace port (``trace``,
+    or a fresh ``_Unrecorded``)."""
     transport = HandDrivenTransport()
+    port = _Unrecorded() if trace is None else trace
     nodes = [
         build_node(pid, num_processes, protocol=protocol, collector="rdt-lgc",
-                   collector_options={}, transport=transport, trace=_Unrecorded())
+                   collector_options={}, transport=transport, trace=port)
         for pid in range(num_processes)
     ]
     if start:
@@ -263,23 +270,27 @@ class TestRecoveryRefusals:
     def test_a_refused_rollback_leaves_a_crashed_process_down(self, pinned_pair):
         _, p1 = pinned_pair
         p1.crash()
+        before = _state(p1)
         with pytest.raises(KeyError):
             p1.apply_rollback(2, (1, 4))
-        assert p1.crashed and p1.rollbacks == 0
+        assert p1.crashed and _state(p1) == before
 
 
 @pytest.mark.parametrize("path", ["deliver", "deliver_duplicate"])
 class TestReceiptRefusals:
     @pytest.mark.parametrize("protocol", ["uncoordinated", "fdas"])
     def test_knowledge_of_an_unreached_own_interval_is_refused(self, path, protocol):
-        p0, p1 = _nodes(2, protocol)
+        port = _Unrecorded()
+        p0, p1 = _nodes(2, protocol, trace=port)
         _send(p1, p0)  # under FDAS the receipt below would force a checkpoint
         before = _state(p1)
         orphan = AppMessage(99, 0, 1, (1, 5))  # p1 is in interval 1
         with pytest.raises(ValueError, match="its own interval 5"):
             getattr(p1, path)(orphan)
         assert _state(p1) == before
-        assert (p1.messages_received, p1.duplicates_received, p1.forced_checkpoints) == (0, 0, 0)
+        # Nothing recorded after the send: no forced checkpoint, no receipt.
+        assert port.calls == ["checkpoint", "checkpoint", "send"]
+        assert p1.forced_checkpoints == 0
 
     def test_a_wrong_size_piggyback_is_refused(self, path):
         p0, _ = _nodes(2)

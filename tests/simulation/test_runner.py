@@ -55,8 +55,10 @@ class TestRunnerBehaviour:
         assert 0.0 <= result.collection_ratio <= 1.0
 
     def test_samples_are_collected(self):
-        result = run_simulation(_config(sample_interval=5.0))
-        assert len(result.samples) >= 10
+        # Every max(duration / 50, 1) = 1.2 time units, plus the final sample.
+        result = run_simulation(_config())
+        assert len(result.samples) >= 50
+        assert result.samples[0].time == pytest.approx(1.2)
         assert result.peak_total_retained >= result.samples[0].total
 
     def test_final_ccp_only_kept_on_request(self):

@@ -323,7 +323,7 @@ class TestScriptedWorkload:
         with pytest.raises(ValueError, match="process -1"):
             runner.run()
         assert runner.engine.processed_events == 0
-        assert [node.messages_sent for node in runner.nodes] == [0, 0, 0]
+        assert runner.network.stats.app_sent == 0
 
 
 class TestFailureSchedules:
