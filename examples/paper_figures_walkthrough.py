@@ -60,10 +60,13 @@ def figure4() -> None:
     print("(three middleware nodes with the rdt-lgc collector, driven by hand)")
     run = drive_figure4()
     print(render_gc_trace(run.steps))
+    # Nothing rolls back in the figure: a stored index no longer on stable
+    # storage was eliminated by the collector.
     eliminated = [
         f"s{node.pid + 1}^{index}"
         for node in run.nodes
-        for index in node.collector.collected_indices()
+        for index in range(node.storage.last_index() + 1)
+        if not node.storage.contains(index)
     ]
     print(f"eliminated online: {eliminated}")
     print(

@@ -18,7 +18,7 @@ the optimality benchmark (CLAIM-OPT in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Set
+from typing import Iterable, List, Mapping, Set
 
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.pattern import CCP
@@ -30,9 +30,6 @@ class GcAudit:
 
     safety_violations: List[CheckpointId] = field(default_factory=list)
     optimality_violations: List[CheckpointId] = field(default_factory=list)
-    retained_total: int = 0
-    required_total: int = 0
-    collectible_total: int = 0
 
     @property
     def is_safe(self) -> bool:
@@ -83,22 +80,7 @@ def audit_garbage_collection(
     # collectors (or several labels) against the same instant computes the
     # Theorem-1/2 characterisations once.
     view = ccp.analysis_provider
-    required = view.theorem1_retained()
-    allowed = view.theorem2_retained()
-    audit = GcAudit(
-        retained_total=len(retained_ids),
-        required_total=len(required),
-        collectible_total=ccp.total_stable_checkpoints() - len(allowed),
-    )
-    audit.safety_violations = sorted(required - retained_ids)
+    audit = GcAudit(safety_violations=sorted(view.theorem1_retained() - retained_ids))
     if require_optimality:
-        audit.optimality_violations = sorted(retained_ids - allowed)
+        audit.optimality_violations = sorted(retained_ids - view.theorem2_retained())
     return audit
-
-
-def retained_from_storages(storages: Mapping[int, "object"]) -> Dict[int, List[int]]:
-    """Convenience: extract retained indices from a mapping of stable storages."""
-    result: Dict[int, List[int]] = {}
-    for pid, storage in storages.items():
-        result[pid] = list(storage.retained_indices())  # type: ignore[attr-defined]
-    return result

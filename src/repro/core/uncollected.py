@@ -41,7 +41,6 @@ class UncollectedTable:
             raise ValueError("the UC table needs at least one entry")
         self._entries: List[Optional[CheckpointControlBlock]] = [None] * num_processes
         self._on_eliminate = on_eliminate
-        self._eliminated: List[int] = []
 
     # ------------------------------------------------------------------
     # Algorithm 1 procedures
@@ -172,14 +171,9 @@ class UncollectedTable:
             1 for ccb in self._entries if ccb is not None and ccb.index == index
         )
 
-    def eliminated_history(self) -> List[int]:
-        """All checkpoint indices this table has eliminated, in order."""
-        return list(self._eliminated)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _eliminate(self, index: int) -> None:
-        self._eliminated.append(index)
         if self._on_eliminate is not None:
             self._on_eliminate(index)

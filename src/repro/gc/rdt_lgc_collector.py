@@ -47,10 +47,6 @@ class RdtLgcCollector(GarbageCollector):
         """The ``UC`` entries as checkpoint indices (None for ``Null``)."""
         return self._uc.view()
 
-    def collected_indices(self) -> List[int]:
-        """Checkpoint indices eliminated so far, in order."""
-        return self._uc.eliminated_history()
-
     # ------------------------------------------------------------------
     # Algorithm 2
     # ------------------------------------------------------------------

@@ -29,11 +29,12 @@ on real OS processes:
    exactly like simulated ones.
 
 Counter semantics: event counters (sends, deliveries, duplicates,
-checkpoints) are derived from the shards and are exact even across
-SIGKILLs; environment counters that only lived in a killed process's
-memory (its sampled message losses, control sends) are summed from the
-surviving incarnations' final reports — the one place live metrics are
-approximate where simulated ones are exact.
+checkpoints) and the storage counts (stored = basic + forced checkpoints,
+collected = the shards' ``e`` records) are derived from the shards and are
+exact even across SIGKILLs; environment counters that only lived in a
+killed process's memory (its sampled message losses, control sends) are
+summed from the surviving incarnations' final reports — the one place live
+metrics are approximate where simulated ones are exact.
 """
 
 from __future__ import annotations
@@ -62,6 +63,13 @@ from repro.live.merge import ordered_entries, replay_entries, restore_spec, shar
 from repro.live.shard import read_shard
 
 
+#: Wall seconds of slack after the nominal duration before the stop
+#: barrier (lets final in-flight datagrams land).
+GRACE_S = 0.25
+#: Handshake timeout (wall seconds) for every worker reply.
+HANDSHAKE_TIMEOUT_S = 30.0
+
+
 @dataclass(frozen=True)
 class LiveOptions:
     """Knobs of the live execution environment (not of the experiment)."""
@@ -70,13 +78,6 @@ class LiveOptions:
     #: latencies (~1 simulated unit) well above loopback jitter while a
     #: duration-30 run still finishes in under a second of active time.
     time_scale: float = 0.02
-    #: Wall seconds of slack after the nominal duration before the stop
-    #: barrier (lets final in-flight datagrams land).
-    grace: float = 0.25
-    #: Handshake timeout (wall seconds) for every worker reply.
-    handshake_timeout: float = 30.0
-    #: Where shard files go; default is ``<trace_path>.shards/``.
-    shard_dir: Optional[str] = None
 
 
 @dataclass
@@ -231,7 +232,7 @@ class LiveCoordinator:
             env=env,
         )
         reader, writer, hello = await asyncio.wait_for(
-            self._hello_queue.get(), self._options.handshake_timeout
+            self._hello_queue.get(), HANDSHAKE_TIMEOUT_S
         )
         if int(hello["pid"]) != pid:
             raise RuntimeError(
@@ -290,7 +291,7 @@ class LiveCoordinator:
             await worker.send(self._init_frame(pid))
         await asyncio.gather(
             *(
-                worker.expect("ready", self._options.handshake_timeout)
+                worker.expect("ready", HANDSHAKE_TIMEOUT_S)
                 for worker in self._workers.values()
             )
         )
@@ -322,7 +323,7 @@ class LiveCoordinator:
             await self._crash_and_recover(port, crash.pid, crash.time)
         remaining = (
             self._config.duration - self._vnow()
-        ) * self._options.time_scale + self._options.grace
+        ) * self._options.time_scale + GRACE_S
         if remaining > 0:
             await asyncio.sleep(remaining)
 
@@ -342,7 +343,7 @@ class LiveCoordinator:
         for worker in survivors:
             await worker.send({"type": "pause"})
         paused = await asyncio.gather(
-            *(w.expect("paused", options.handshake_timeout) for w in survivors)
+            *(w.expect("paused", HANDSHAKE_TIMEOUT_S) for w in survivors)
         )
 
         # Reconstruct the global state from the durable shards: the CCP the
@@ -371,7 +372,7 @@ class LiveCoordinator:
                         "last_interval_vector": list(plan.last_interval_vector),
                     }
                 )
-                ack = await worker.expect("rolled_back", options.handshake_timeout)
+                ack = await worker.expect("rolled_back", HANDSHAKE_TIMEOUT_S)
             else:
                 await worker.send(
                     {
@@ -379,7 +380,7 @@ class LiveCoordinator:
                         "last_interval_vector": list(plan.last_interval_vector),
                     }
                 )
-                ack = await worker.expect("peer_rolled_back", options.handshake_timeout)
+                ack = await worker.expect("peer_rolled_back", HANDSHAKE_TIMEOUT_S)
             collected += int(ack["collected"])
 
         directive = plan.rollback_for(pid)
@@ -404,7 +405,7 @@ class LiveCoordinator:
                 pid, lamport_floor=lamport_floor, restore=restore, crashed_at=crash_time
             )
         )
-        ready = await respawned.expect("ready", options.handshake_timeout)
+        ready = await respawned.expect("ready", HANDSHAKE_TIMEOUT_S)
         # The respawn's restore eliminations belong to the session too.
         collected += int(ready.get("collected", 0))
         self._recoveries.append(
@@ -434,7 +435,7 @@ class LiveCoordinator:
         await self._broadcast({"type": "stop"})
         finals = await asyncio.gather(
             *(
-                worker.expect("final", self._options.handshake_timeout)
+                worker.expect("final", HANDSHAKE_TIMEOUT_S)
                 for worker in self._workers.values()
             )
         )
@@ -527,16 +528,13 @@ class LiveCoordinator:
             messages_duplicated=counters["duplicates"],
             messages_blocked_by_partition=summed("app_blocked_by_partition"),
             control_messages=summed("control_sent"),
-            total_collected=sum(
-                int(reports[pid]["total_eliminated"]) for pid in range(n)
-            ),
+            total_collected=counters["eliminated"],
             retained_final=tuple(
                 len(reports[pid]["retained_indices"]) for pid in range(n)
             ),
             max_retained_per_process=tuple(
                 int(reports[pid]["max_retained"]) for pid in range(n)
             ),
-            total_stored=sum(int(reports[pid]["total_stored"]) for pid in range(n)),
             samples=[],
             recoveries=list(self._recoveries),
             audits=audits,
@@ -550,9 +548,9 @@ def run_live(
 
     The merged artifact goes to ``config.trace_path`` when set, otherwise to
     a fresh temporary directory (the returned :class:`LiveRunResult` names
-    it); shards sit next to it.  A failed UDP/TCP bind is retried once with
-    a fresh ephemeral port before giving up — CI runners occasionally race
-    on the loopback port space.
+    it); shards go to ``<trace_path>.shards/``.  A failed UDP/TCP bind is
+    retried once with a fresh ephemeral port before giving up — CI runners
+    occasionally race on the loopback port space.
     """
     options = options or LiveOptions()
     trace_path = config.trace_path
@@ -560,7 +558,7 @@ def run_live(
         trace_path = os.path.join(
             tempfile.mkdtemp(prefix="repro-live-"), "live.trace.jsonl"
         )
-    shard_dir = options.shard_dir or trace_path + ".shards"
+    shard_dir = trace_path + ".shards"
     os.makedirs(shard_dir, exist_ok=True)
     attempts = 0
     while True:

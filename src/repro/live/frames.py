@@ -10,23 +10,24 @@ Two channels, two encodings:
 * **Data plane** (worker ⟷ worker, UDP): one JSON object per datagram —
   UDP preserves message boundaries, so no prefix is needed.
 
-Collector control payloads are arbitrary Python objects (the coordinated
-baselines exchange tuples and dataclasses); they cross the wire pickled and
-base64-wrapped so JSON transport cannot silently change their types (JSON
-would turn tuples into lists).  Both ends of every link run the same code
-from the same checkout on the same machine, so the usual pickle caveats do
-not apply.
+Collector control payloads are the three round messages of the coordinated
+baselines (:mod:`repro.gc.coordinated`): a request, a reply carrying a
+:class:`~repro.gc.coordinated.GcReport`, and a decision.  Each crosses the
+wire as a tagged JSON list (:func:`pack_payload`) and is rebuilt field by
+field (:func:`unpack_payload`), so tuples come back as tuples and nothing
+arriving on the data-plane port is ever executed: an unknown tag or a
+malformed field is a :class:`ControlPayloadError`.
 """
 
 from __future__ import annotations
 
-import base64
 import json
-import pickle
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import asyncio
+
+from repro.gc.coordinated import GcReport, _Decision, _Reply, _Request
 
 _LENGTH = struct.Struct(">I")
 
@@ -81,11 +82,63 @@ def decode_datagram(data: bytes) -> Dict[str, Any]:
     return document
 
 
-def pack_payload(payload: Any) -> str:
-    """Encode an arbitrary control payload for JSON transport."""
-    return base64.b64encode(pickle.dumps(payload)).decode("ascii")
+class ControlPayloadError(ValueError):
+    """A control payload that is not one of the collectors' round messages."""
 
 
-def unpack_payload(encoded: str) -> Any:
-    """Decode a :func:`pack_payload` value."""
-    return pickle.loads(base64.b64decode(encoded.encode("ascii")))
+#: Tag → list length of each encoded control payload.
+_ARITY = {"req": 3, "rep": 7, "dec": 4}
+
+
+def pack_payload(payload: Any) -> List[Any]:
+    """Encode a collector control payload as a tagged JSON list."""
+    if isinstance(payload, _Request):
+        return ["req", payload.epoch, payload.round_id]
+    if isinstance(payload, _Reply):
+        report = payload.report
+        return [
+            "rep", payload.epoch, payload.round_id, report.pid, report.last_stable,
+            [[index, list(dv)] for index, dv in report.checkpoints],
+            list(report.volatile_dv),
+        ]
+    if isinstance(payload, _Decision):
+        return ["dec", payload.epoch, payload.round_id, list(payload.discard)]
+    raise ControlPayloadError(f"no wire encoding for control payload {payload!r}")
+
+
+def _int(value: Any) -> int:
+    if type(value) is not int:
+        raise ControlPayloadError(f"expected an integer field, got {value!r}")
+    return value
+
+
+def _ints(value: Any) -> Tuple[int, ...]:
+    if type(value) is not list:
+        raise ControlPayloadError(f"expected a list of integers, got {value!r}")
+    return tuple(_int(item) for item in value)
+
+
+def unpack_payload(encoded: Any) -> Any:
+    """Rebuild a :func:`pack_payload` value; anything else is refused."""
+    if (
+        type(encoded) is not list
+        or not encoded
+        or type(encoded[0]) is not str
+        or _ARITY.get(encoded[0]) != len(encoded)
+    ):
+        raise ControlPayloadError(f"{encoded!r} is not a tagged control payload")
+    tag, epoch, round_id = encoded[0], _int(encoded[1]), _int(encoded[2])
+    if tag == "req":
+        return _Request(epoch, round_id)
+    if tag == "dec":
+        return _Decision(epoch, round_id, _ints(encoded[3]))
+    pid, last_stable, checkpoints, volatile_dv = encoded[3:]
+    if type(checkpoints) is not list:
+        raise ControlPayloadError(f"expected a list of checkpoints, got {checkpoints!r}")
+    stored = []
+    for item in checkpoints:
+        if type(item) is not list or len(item) != 2:
+            raise ControlPayloadError(f"expected [index, dv], got {item!r}")
+        stored.append((_int(item[0]), _ints(item[1])))
+    report = GcReport(_int(pid), _int(last_stable), tuple(stored), _ints(volatile_dv))
+    return _Reply(epoch, round_id, report)

@@ -155,12 +155,12 @@ def replay_entries(
 def shard_counters(shards: Sequence[ShardData]) -> Dict[str, int]:
     """Exact event tallies over the *raw* shards (pre-truncation history).
 
-    These are the live counterparts of the simulator's network statistics
-    and node checkpoint counters, which also count occurrences that recovery
-    later rolled back; deriving them from the shards covers SIGKILLed
-    incarnations whose in-memory counters died with the process.  Taken
-    after :func:`replay_entries` accepted the same shards, so only checked
-    records are counted.
+    These are the live counterparts of the simulator's network statistics,
+    node checkpoint counters and storage elimination counts, which also
+    count occurrences that recovery later rolled back; deriving them from
+    the shards covers SIGKILLed incarnations whose in-memory counters died
+    with the process.  Taken after :func:`replay_entries` accepted the same
+    shards, so only checked records are counted.
     """
     counters = {
         "sent": 0,
@@ -168,6 +168,7 @@ def shard_counters(shards: Sequence[ShardData]) -> Dict[str, int]:
         "duplicates": 0,
         "basic_checkpoints": 0,
         "forced_checkpoints": 0,
+        "eliminated": 0,
     }
     for shard in shards:
         for entry in shard.entries:
@@ -183,4 +184,6 @@ def shard_counters(shards: Sequence[ShardData]) -> Dict[str, int]:
                     counters["forced_checkpoints"] += 1
                 else:
                     counters["basic_checkpoints"] += 1
+            elif tag == TAG_ELIMINATION:
+                counters["eliminated"] += 1
     return counters

@@ -20,8 +20,9 @@ in the simulator:
   always has a recorded send, even under SIGKILL.
 * ``send_control_message`` — reliable, unfiltered and undelayed: a control
   message draws no latency here (the coordinated baselines assume reliable
-  control exchanges; loopback UDP delivers them), pickled payloads
-  (:mod:`repro.live.frames`).
+  control exchanges; loopback UDP delivers them), payloads as tagged JSON
+  (:mod:`repro.live.frames`); a datagram whose payload is not a
+  collector's round message is refused on arrival.
 * ``schedule_timer`` — entries on the transport's virtual-time heap,
   driven by a single asyncio task; everything in the worker runs on one
   loop, so no locking anywhere.
@@ -42,7 +43,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.simulation.network import LinkFates, NetworkConfig
 from repro.transport.base import AppMessage, Transport
 
-from repro.live.frames import decode_datagram, encode_datagram, pack_payload, unpack_payload
+from repro.live.frames import (
+    ControlPayloadError,
+    decode_datagram,
+    encode_datagram,
+    pack_payload,
+    unpack_payload,
+)
 from repro.live.shard import ShardWriter
 
 #: Message-id partitioning: ids are unique across senders and incarnations
@@ -86,7 +93,7 @@ class LiveTransport(Transport):
         self._stopped = False
         # Sent but not yet recorded: message and its copies' delivery instants.
         self._pending_out: Dict[int, Tuple[AppMessage, List[float]]] = {}
-        self._paused_control: List[Dict[str, Any]] = []
+        self._paused_control: List[Tuple[Dict[str, Any], Any]] = []
         self._peers: Dict[int, Tuple[str, int]] = {}
         self._udp: Optional[asyncio.DatagramTransport] = None
         self._deliver: Optional[Callable[[AppMessage], None]] = None
@@ -200,7 +207,7 @@ class LiveTransport(Transport):
         )
 
     def send_control_message(self, sender: int, receiver: int, payload: Any) -> None:
-        """Reliable control datagram (never filtered, pickled payload)."""
+        """Reliable control datagram (never filtered, tagged JSON payload)."""
         self.stats.control_sent += 1
         address = self._peers.get(receiver)
         if self._udp is None or address is None:
@@ -239,14 +246,18 @@ class LiveTransport(Transport):
             return
         kind = frame.get("t")
         if kind == "ctrl":
+            try:
+                payload = unpack_payload(frame.get("p"))
+            except ControlPayloadError:
+                return  # not a round message any collector sends
             # Control exchanges are reliable and survive recovery sessions
             # (the simulator's drop_in_flight only touches app traffic), so
             # no epoch guard; while paused the frame is parked and delivered
             # on resume instead of being lost to the freeze.
             if self._paused_at is not None:
-                self._paused_control.append(frame)
+                self._paused_control.append((frame, payload))
                 return
-            self._deliver_ctrl(frame)
+            self._deliver_ctrl(frame, payload)
             return
         if self._paused_at is not None:
             return  # the system is frozen for a recovery session
@@ -295,14 +306,14 @@ class LiveTransport(Transport):
         self._running.set()
         self._wake.set()
         parked, self._paused_control = self._paused_control, []
-        for frame in parked:
-            self._deliver_ctrl(frame)
+        for frame, payload in parked:
+            self._deliver_ctrl(frame, payload)
 
-    def _deliver_ctrl(self, frame: Dict[str, Any]) -> None:
+    def _deliver_ctrl(self, frame: Dict[str, Any], payload: Any) -> None:
         self._shard.merge_clock(int(frame.get("l", 0)))
         self.stats.control_delivered += 1
         if self._deliver_control is not None:
-            self._deliver_control(int(frame["s"]), unpack_payload(frame["p"]))
+            self._deliver_control(int(frame["s"]), payload)
 
     def stop(self) -> None:
         """Stop the scheduler task permanently."""

@@ -293,8 +293,6 @@ class LiveWorker:
                 "dv": list(node.current_dv),
                 "retained_indices": node.storage.retained_indices(),
                 "max_retained": node.storage.max_retained(),
-                "total_stored": node.storage.total_stored(),
-                "total_eliminated": node.storage.total_eliminated(),
                 "stats": dataclasses.asdict(self.transport.stats),
             },
         )

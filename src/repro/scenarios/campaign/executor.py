@@ -287,7 +287,7 @@ def _start_worker(target: Callable[[], None]) -> Tuple[Any, Any]:
     its report pipe and the process.
 
     Forked, not spawned: the child inherits the spec and modules as they are
-    (a patched ``execute_cell`` included) and nothing is pickled on the way
+    (a patched ``execute_cell`` included) and nothing is serialised on the way
     in; the campaign process runs no threads that a fork could break.
     """
     receiver, sender = multiprocessing.Pipe(duplex=False)
@@ -306,14 +306,14 @@ def _worker_main(target: Callable[[], None], sender: Any) -> None:
     try:
         target()
     except BaseException as exc:
-        with contextlib.suppress(Exception):  # unpicklable: the exit code says it
+        with contextlib.suppress(Exception):  # unserialisable: the exit code says it
             sender.send(exc)
         raise SystemExit(1) from None
 
 
 def _received(receiver: Any) -> Optional[BaseException]:
     """The exception a worker process sent, or None: it exited cleanly, died
-    by a signal, or sent one that does not unpickle."""
+    by a signal, or sent one that does not deserialise."""
     with receiver:
         try:
             return receiver.recv()

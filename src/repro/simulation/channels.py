@@ -19,7 +19,7 @@ regime the paper evaluated:
 
 Channel models are **declarative**: frozen, hashable dataclasses carrying
 only scalars and tuples, so they can sit on a campaign grid axis (hashed
-into ``cell_id``), be pickled to pool workers, and be serialised into trace
+into ``cell_id``), be sent to pool workers, and be serialised into trace
 headers via :meth:`ChannelModel.describe`.  All *runtime* state (the
 Gilbert–Elliott regime of a link, for example) lives in the
 :class:`~repro.simulation.network.Network`, keyed per directed link, and is

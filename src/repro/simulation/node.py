@@ -246,7 +246,7 @@ class SimulationNode:
         self._protocol.notify_receive()
         self._collector.on_receive(updated)
 
-    def take_checkpoint(self, *, forced: bool = False, payload: Any = None) -> int:
+    def take_checkpoint(self, *, forced: bool = False) -> int:
         """Take a basic or forced checkpoint; returns its index."""
         if self._inert:
             return self._storage.last_index()
@@ -254,7 +254,7 @@ class SimulationNode:
         now = self._transport.now()
         # One snapshot for storage, trace and collector (tuples are immutable).
         dv = self._dv.as_tuple()
-        self._storage.store(index, dv, payload=payload, forced=forced, time=now)
+        self._storage.store(index, dv, forced=forced, time=now)
         self._trace.record_checkpoint(self._pid, index, dv, forced=forced, time=now)
         self._collector.on_checkpoint_stored(index, dv, forced=forced, time=now)
         self._protocol.notify_checkpoint()

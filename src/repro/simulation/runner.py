@@ -204,7 +204,6 @@ class SimulationResult:
     total_collected: int
     retained_final: Tuple[int, ...]
     max_retained_per_process: Tuple[int, ...]
-    total_stored: int
     samples: List[StorageSample]
     recoveries: List[RecoveryRecord]
     audits: List[AuditRecord]
@@ -240,9 +239,9 @@ class SimulationResult:
     @property
     def collection_ratio(self) -> float:
         """Fraction of stored checkpoints eventually collected."""
-        if self.total_stored == 0:
+        if self.total_checkpoints == 0:
             return 0.0
-        return self.total_collected / self.total_stored
+        return self.total_collected / self.total_checkpoints
 
     @property
     def all_audits_safe(self) -> bool:
@@ -300,7 +299,7 @@ def result_to_record(result: SimulationResult) -> Dict[str, Any]:
         "total_collected": result.total_collected,
         "retained_final": list(result.retained_final),
         "max_retained_per_process": list(result.max_retained_per_process),
-        "total_stored": result.total_stored,
+        "total_stored": result.total_checkpoints,
         "peak_total_retained": result.peak_total_retained,
         "collection_ratio": result.collection_ratio,
         "recoveries": len(result.recoveries),
@@ -805,7 +804,6 @@ class SimulationRunner:
             max_retained_per_process=tuple(
                 node.storage.max_retained() for node in self._nodes
             ),
-            total_stored=sum(node.storage.total_stored() for node in self._nodes),
             samples=self._samples,
             recoveries=self._recoveries,
             audits=self._audits,

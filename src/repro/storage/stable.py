@@ -2,17 +2,14 @@
 
 A :class:`StableStorage` holds the stable checkpoints of one process.  It
 persists across simulated crashes (the failure injector wipes only the
-volatile state of a process) and records the occupancy statistics used by the
-evaluation benchmarks:
-
-* current number of retained checkpoints,
-* high-water mark of retained checkpoints,
-* totals of stored and eliminated checkpoints.
+volatile state of a process) and keeps the two counts the evaluation reads
+that no other owner has: how many checkpoints garbage collection eliminated,
+and the high-water mark of checkpoints retained at once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.storage.records import StoredCheckpoint
 
@@ -24,19 +21,12 @@ class StableStorage:
         self._pid = pid
         self._checkpoints: Dict[int, StoredCheckpoint] = {}
         self._next_index = 0
-        self._total_stored = 0
         self._total_eliminated = 0
-        self._total_rolled_back = 0
         self._max_retained = 0
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def pid(self) -> int:
-        """The owning process id."""
-        return self._pid
-
     def retained_indices(self) -> List[int]:
         """Indices of the checkpoints currently on stable storage, ascending."""
         return sorted(self._checkpoints)
@@ -49,21 +39,9 @@ class StableStorage:
         """High-water mark of simultaneously retained checkpoints."""
         return self._max_retained
 
-    def total_stored(self) -> int:
-        """Total number of checkpoints ever written."""
-        return self._total_stored
-
     def total_eliminated(self) -> int:
         """Total number of checkpoints eliminated by garbage collection."""
         return self._total_eliminated
-
-    def total_rolled_back(self) -> int:
-        """Total number of checkpoints discarded because of rollbacks."""
-        return self._total_rolled_back
-
-    def next_index(self) -> int:
-        """Index the next stored checkpoint must use."""
-        return self._next_index
 
     def last_index(self) -> int:
         """Index of the most recently written (not yet rolled back) checkpoint, or -1."""
@@ -79,16 +57,6 @@ class StableStorage:
             raise KeyError(f"checkpoint s{self._pid}^{index} is not on stable storage")
         return self._checkpoints[index]
 
-    def latest(self) -> Optional[StoredCheckpoint]:
-        """The most recent retained checkpoint, or None if the store is empty."""
-        if not self._checkpoints:
-            return None
-        return self._checkpoints[max(self._checkpoints)]
-
-    def occupancy(self) -> int:
-        """Sum of the sizes of all retained checkpoints."""
-        return sum(c.size for c in self._checkpoints.values())
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -97,14 +65,12 @@ class StableStorage:
         index: int,
         dependency_vector: Tuple[int, ...],
         *,
-        payload: object = None,
         forced: bool = False,
         time: float = 0.0,
-        size: int = 1,
     ) -> StoredCheckpoint:
         """Write checkpoint ``index`` to stable storage.
 
-        Indices must be written in order: each write uses :meth:`next_index`,
+        Indices must be written in order: each write uses ``last_index() + 1``,
         which increases monotonically during normal execution and is rewound by
         :meth:`eliminate_after` when a rollback discards later checkpoints
         (their indices are then reused, matching Algorithm 3 which resets
@@ -116,12 +82,9 @@ class StableStorage:
                 f"process {self._pid}: expected to store checkpoint {expected}, "
                 f"got {index}"
             )
-        record = StoredCheckpoint(
-            self._pid, index, tuple(dependency_vector), payload, forced, time, size
-        )
+        record = StoredCheckpoint(self._pid, index, tuple(dependency_vector), forced, time)
         self._checkpoints[index] = record
         self._next_index += 1
-        self._total_stored += 1
         self._max_retained = max(self._max_retained, len(self._checkpoints))
         return record
 
@@ -139,18 +102,13 @@ class StableStorage:
 
         Used during rollback (Algorithm 3, line 4: "eliminate checkpoints
         ``s_i^gamma`` with ``gamma > RI``").  Returns the removed indices.
-        Rolled-back checkpoints do not count as garbage-collected in the
-        statistics; they are recorded separately.
+        Rolled-back checkpoints do not count as garbage-collected.
         """
         removed = [i for i in self._checkpoints if i > index]
         for i in removed:
             del self._checkpoints[i]
-        self._total_rolled_back += len(removed)
         self._next_index = index + 1
         return sorted(removed)
-
-    def __len__(self) -> int:
-        return len(self._checkpoints)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -148,8 +148,8 @@ def test_message_path_stays_under_its_line_ceiling(monkeypatch):
     recorder is read from construction builds its log as it happens — an
     ``Event``, a ``Message`` and a history entry per occurrence, what every
     run did on the runner this gate was added against, at 355.6 lines per
-    message — and the violation names the path.  (An unread run reads 229.6
-    under a ceiling of 264.5; a run read from construction 269.6.)
+    message — and the violation names the path.  (An unread run reads 227.2
+    under a ceiling of 247.0; a run read from construction 267.1.)
     """
     from benchmarks.check_regression import check_message_path_cost
 
@@ -167,8 +167,8 @@ def test_traced_message_path_stays_under_its_line_ceiling(monkeypatch):
     read from construction builds and validates the log only to forward each
     occurrence to the writer — what every traced run did on the runner this
     gate was added against, at 355.8 lines per message — and the violation
-    names the path.  (A traced run nobody reads reads 267.4 under a ceiling
-    of 308.0; one read from construction 310.0.)
+    names the path.  (A traced run nobody reads reads 265.0 under a ceiling
+    of 286.0; one read from construction 307.6.)
     """
     from benchmarks.check_regression import check_traced_message_path_cost
 

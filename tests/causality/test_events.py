@@ -68,7 +68,7 @@ RECORDS = [
     Message(3, 1, 0, 2, 1, receive_seq=5, receive_interval=2),
     CheckpointId(1, 2),
     EventId(3, 4),
-    StoredCheckpoint(1, 2, (2, 0, 1), payload="state", forced=True, time=3.5, size=4),
+    StoredCheckpoint(1, 2, (2, 0, 1), forced=True, time=3.5),
 ]
 IDENTITIES = (CheckpointId, EventId, StoredCheckpoint)
 
@@ -125,10 +125,8 @@ class TestRecordsAreValues:
 
     def test_fields_and_defaults(self):
         stored = StoredCheckpoint(1, 2, (0, 0))
-        assert StoredCheckpoint._fields == (
-            "pid", "index", "dependency_vector", "payload", "forced", "time", "size"
-        )
-        assert (stored.payload, stored.forced, stored.time, stored.size) == (None, False, 0.0, 1)
+        assert StoredCheckpoint._fields == ("pid", "index", "dependency_vector", "forced", "time")
+        assert (stored.forced, stored.time) == (False, 0.0)
         assert CheckpointId._fields == ("pid", "index") and EventId._fields == ("pid", "seq")
 
     def test_ordering_is_by_pid_then_index(self):

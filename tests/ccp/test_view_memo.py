@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ccp.incremental import IncrementalAnalysisView
-from repro.core.optimality import audit_garbage_collection, retained_from_storages
+from repro.core.optimality import audit_garbage_collection
 from repro.fuzz import state_features
 from repro.scenarios.random_patterns import TraceFeeder, random_ccp_script
 from repro.simulation.runner import SimulationConfig, SimulationRunner
@@ -92,7 +92,7 @@ class TestTheViewMemoisesItsAnswers:
         assert retained_calls == []  # nobody asked during an unaudited run
         ccp = runner.trace.ccp()
         assert ccp is not runner.current_ccp()  # state_features' pattern differs
-        retained = retained_from_storages({node.pid: node.storage for node in runner.nodes})
+        retained = {node.pid: node.storage.retained_indices() for node in runner.nodes}
         assert audit_garbage_collection(ccp, retained).ok
         state_features(runner)
         assert sorted(retained_calls) == [1, 2]

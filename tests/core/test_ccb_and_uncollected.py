@@ -90,13 +90,14 @@ class TestUncollectedTable:
         table = UncollectedTable(2)
         assert table.release(1) is None
 
-    def test_eliminated_history(self):
-        table = UncollectedTable(1)
+    def test_eliminations_reach_the_callback_in_order(self):
+        eliminated = []
+        table = UncollectedTable(1, on_eliminate=eliminated.append)
         table.new_ccb(0, 0)
         table.release(0)
         table.new_ccb(0, 1)
         table.release(0)
-        assert table.eliminated_history() == [0, 1]
+        assert eliminated == [0, 1]
 
 
 class TestRebuild:
@@ -170,7 +171,6 @@ def _observed(table, blocks, eliminated, error):
         "view": table.view(),
         "ref_counts": {j: (ccb.index, ccb.ref_count) for j, ccb in blocks.items()},
         "eliminated": list(eliminated),
-        "history": table.eliminated_history(),
         "error": None if error is None else (type(error), str(error)),
     }
 

@@ -2,8 +2,7 @@
 
 from repro.ccp.checkpoint import CheckpointId
 from repro.core.obsolete import obsolete_stable_checkpoints_theorem2
-from repro.core.optimality import audit_garbage_collection, retained_from_storages
-from repro.storage.stable import StableStorage
+from repro.core.optimality import audit_garbage_collection
 
 
 def _expected_retained(ccp):
@@ -43,22 +42,3 @@ class TestAudit:
         }
         audit = audit_garbage_collection(figure4_ccp, retained, require_optimality=False)
         assert audit.is_safe and audit.is_optimal  # optimality simply not checked
-
-    def test_counters(self, figure4_ccp):
-        audit = audit_garbage_collection(figure4_ccp, _expected_retained(figure4_ccp))
-        assert audit.retained_total == sum(
-            len(v) for v in _expected_retained(figure4_ccp).values()
-        )
-        assert audit.required_total <= audit.retained_total
-        assert audit.collectible_total == len(
-            obsolete_stable_checkpoints_theorem2(figure4_ccp)
-        )
-
-
-class TestRetainedFromStorages:
-    def test_extracts_indices(self):
-        storage = StableStorage(0)
-        storage.store(0, (0,))
-        storage.store(1, (1,))
-        storage.eliminate(0)
-        assert retained_from_storages({0: storage}) == {0: [1]}

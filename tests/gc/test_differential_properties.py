@@ -118,4 +118,4 @@ def test_none_collector_is_the_trivial_upper_bound():
     )
     result = runner.run()
     assert result.total_collected == 0
-    assert result.total_retained_final == result.total_stored
+    assert result.total_retained_final == result.total_checkpoints

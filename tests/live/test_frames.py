@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import asyncio
+import base64
+import json
+import pickle
 import struct
 
 import pytest
 
+from repro.gc.coordinated import GcReport, _Decision, _Reply, _Request
 from repro.live.frames import (
     MAX_FRAME,
+    ControlPayloadError,
     decode_datagram,
     encode_datagram,
     encode_frame,
@@ -16,6 +21,9 @@ from repro.live.frames import (
     read_frame,
     unpack_payload,
 )
+from repro.live.shard import ShardWriter
+from repro.live.transport import LiveTransport
+from repro.simulation.network import NetworkConfig
 
 
 def _reader_with(data: bytes) -> asyncio.StreamReader:
@@ -72,13 +80,90 @@ class TestDatagrams:
             decode_datagram(b"\xff\x00 not json")
 
 
-class TestPayloadPacking:
-    def test_tuples_survive(self):
-        """Control payloads are pickled: tuples must NOT come back as lists."""
-        payload = {"dv": (3, 1, 4), "round": 2}
-        unpacked = unpack_payload(pack_payload(payload))
-        assert unpacked == payload
-        assert isinstance(unpacked["dv"], tuple)
+REPORT = GcReport(pid=2, last_stable=4, checkpoints=((1, (0, 1, 0)), (4, (3, 4, 1))),
+                  volatile_dv=(3, 5, 1))
+PAYLOADS = [_Request(1, 7), _Reply(1, 7, REPORT), _Decision(1, 7, (0, 2))]
 
-    def test_none_payload(self):
-        assert unpack_payload(pack_payload(None)) is None
+
+class _Detonator:
+    """Unpickling this calls ``detonate``: what a crafted payload can do to pickle."""
+
+    def __reduce__(self):
+        return (_detonate, ())
+
+
+def _detonate():  # pragma: no cover - must never run
+    raise AssertionError("a control payload was unpickled")
+
+
+def _through_json(payload):
+    """What the receiver sees: the packed payload after a datagram's JSON round trip."""
+    return json.loads(json.dumps(pack_payload(payload)))
+
+
+class TestPayloadPacking:
+    @pytest.mark.parametrize("payload", PAYLOADS, ids=lambda p: type(p).__name__)
+    def test_round_trip(self, payload):
+        assert unpack_payload(_through_json(payload)) == payload
+
+    def test_tuples_survive(self):
+        """JSON turns tuples into lists; the decoder rebuilds every one."""
+        reply = unpack_payload(_through_json(PAYLOADS[1]))
+        report = reply.report
+        assert type(report.checkpoints) is tuple and type(report.volatile_dv) is tuple
+        assert all(type(c) is tuple and type(c[1]) is tuple for c in report.checkpoints)
+        assert type(unpack_payload(_through_json(PAYLOADS[2])).discard) is tuple
+
+    def test_only_round_messages_are_packed(self):
+        for payload in (None, {"dv": (3, 1, 4)}, "marker", REPORT):
+            with pytest.raises(ControlPayloadError):
+                pack_payload(payload)
+
+    @pytest.mark.parametrize(
+        "encoded",
+        [
+            None,
+            [],
+            "req",
+            ["pickle", 1, 7],
+            [["req"], 1, 7],
+            ["req", 1],
+            ["req", 1, 7, 0],
+            ["req", "1", 7],
+            ["req", True, 7],
+            ["req", 1.0, 7],
+            ["dec", 1, 7, [0, "2"]],
+            ["dec", 1, 7, {"0": 2}],
+            ["rep", 1, 7, 2, 4, [[1]], [3, 5, 1]],
+            ["rep", 1, 7, 2, 4, [[1, [0, None, 0]]], [3, 5, 1]],
+            ["rep", 1, 7, 2, 4, {"1": [0]}, [3, 5, 1]],
+            ["rep", 1, 7, 2, 4, [], (3, 5, 1)],
+        ],
+    )
+    def test_malformed_payload_refused(self, encoded):
+        with pytest.raises(ControlPayloadError):
+            unpack_payload(encoded)
+
+    def test_crafted_pickle_payload_refused(self):
+        """The wire format before the tagged encoding: base64 of a pickle."""
+        crafted = base64.b64encode(pickle.dumps(_Detonator())).decode("ascii")
+        with pytest.raises(ControlPayloadError):
+            unpack_payload(crafted)
+        with pytest.raises(ControlPayloadError):
+            unpack_payload(["rep", 1, 7, 2, 4, crafted, [3, 5, 1]])
+
+    def test_a_transport_delivers_round_messages_and_drops_the_rest(self, tmp_path):
+        shard = ShardWriter(str(tmp_path / "0.shard.jsonl"), pid=0, num_processes=3)
+        transport = LiveTransport(
+            seed=1, network=NetworkConfig(), time_scale=1.0, shard=shard, clock=lambda: 0.0
+        )
+        delivered = []
+        transport.on_control_delivery(lambda sender, payload: delivered.append(payload))
+        crafted = base64.b64encode(pickle.dumps(_Detonator())).decode("ascii")
+        for packed in (crafted, ["dec", 1, 7, crafted], pack_payload(PAYLOADS[2])):
+            transport.datagram_received(
+                encode_datagram({"t": "ctrl", "s": 1, "p": packed, "e": 0, "l": 0})
+            )
+        shard.close()
+        assert delivered == [PAYLOADS[2]]
+        assert transport.stats.control_delivered == 1

@@ -165,6 +165,8 @@ class TestMerge:
 
     def test_counters_cover_killed_incarnations(self, tmp_path):
         paths, w0, w1 = _write_pair(tmp_path)
+        w1.record_elimination(1, 0)
+        w0.record_elimination(0, 0)  # a killed incarnation's eliminations count too
         w1.close()  # w0 left open: its process was SIGKILLed
         counters = shard_counters([read_shard(p) for p in paths])
         assert counters == {
@@ -173,6 +175,7 @@ class TestMerge:
             "duplicates": 0,
             "basic_checkpoints": 2,
             "forced_checkpoints": 1,
+            "eliminated": 2,
         }
 
 

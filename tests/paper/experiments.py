@@ -224,8 +224,10 @@ def figure4() -> Iterable[Row]:
     run = drive_figure4()
     observed = {label: (dv, uc) for label, dv, uc in run.steps}
     matching = sum(observed[label] == state for label, state in FIGURE4_ANNOTATIONS.items())
-    eliminated = {CheckpointId(node.pid, index)
-                  for node in run.nodes for index in node.collector.collected_indices()}
+    # No rollback in the figure: every stored index no longer retained was eliminated.
+    eliminated = {CheckpointId(node.pid, index) for node in run.nodes
+                  for index in range(node.storage.last_index() + 1)
+                  if not node.storage.contains(index)}
     ccp = figure4_ccp()
     return _facts(
         ("annotated (DV, UC) states", len(FIGURE4_ANNOTATIONS), matching),
@@ -330,7 +332,7 @@ def theorem5() -> Iterable[Row]:
         yield {
             "protocol": protocol,
             "seed": seed,
-            "stored": result.total_stored,
+            "stored": result.total_checkpoints,
             "collected": result.total_collected,
             "retained": result.total_retained_final,
             "optimality violations": sum(a.optimality_violations for a in result.audits),

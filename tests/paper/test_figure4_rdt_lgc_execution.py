@@ -64,12 +64,20 @@ class TestFigure4Annotations:
             assert oracle(recorded) == oracle(figure4_ccp)
 
 
+def _eliminated(node):
+    """Indices the collector eliminated: stored (none rolled back here), no longer retained."""
+    storage = node.storage
+    return sorted(set(range(storage.last_index() + 1)) - set(storage.retained_indices()))
+
+
 class TestFigure4Eliminations:
     def test_eliminated_checkpoints_match_the_empty_squares(self, figure4_run):
         run, _ = figure4_run
         # s2^2 eliminated by p2; s3^1 and s3^2 eliminated by p3.
-        assert run.nodes[1].collector.collected_indices() == [2]
-        assert run.nodes[2].collector.collected_indices() == [1, 2]
+        assert _eliminated(run.nodes[0]) == []
+        assert _eliminated(run.nodes[1]) == [2]
+        assert _eliminated(run.nodes[2]) == [1, 2]
+        assert [node.storage.total_eliminated() for node in run.nodes] == [0, 1, 2]
 
     def test_s2_1_is_the_only_unidentified_obsolete_checkpoint(
         self, figure4_run, figure4_ccp
@@ -91,6 +99,6 @@ class TestFigure4Eliminations:
         eliminated = {
             CheckpointId(node.pid, index)
             for node in run.nodes
-            for index in node.collector.collected_indices()
+            for index in _eliminated(node)
         }
         assert eliminated == obsolete_stable_checkpoints_theorem2(figure4_ccp)

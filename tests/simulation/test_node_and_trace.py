@@ -85,19 +85,33 @@ class TestNodeBasics:
 
 class TestNodeRecovery:
     def test_apply_rollback_restores_dv_and_runs_gc(self):
+        """p0 crashes after a send p1's later checkpoints depend on: p1 rolls
+        back below its last stable checkpoint, to s1^0."""
         engine, network, trace, nodes = _build_pair()
-        nodes[0].send_message(1)
+        p0, p1 = nodes
+        p0.send_message(1)
         engine.run()
-        nodes[1].take_checkpoint()
-        nodes[1].take_checkpoint()
+        p1.take_checkpoint()
+        p1.take_checkpoint()
+        assert p1.storage.retained_indices() == [0, 2]  # s1^1 collected
+        assert p1.collector.uc_view() == (0, 2)
+        p0.crash()
         ccp = trace.ccp(volatile_dvs={n.pid: n.current_dv for n in nodes})
-        plan = RecoveryManager().plan(ccp, [1])
+        plan = RecoveryManager().plan(ccp, [0])
         directive = plan.rollback_for(1)
-        assert directive is not None
-        nodes[1].apply_rollback(directive.rollback_index, plan.last_interval_vector)
-        assert nodes[1].storage.last_index() == directive.rollback_index
-        assert not nodes[1].crashed
-        assert nodes[1].current_dv[1] == directive.rollback_index + 1
+        assert directive is not None and directive.rollback_index == 0
+        stored = p1.storage.get(0).dependency_vector
+        p1.apply_rollback(directive.rollback_index, plan.last_interval_vector)
+        # The later checkpoint is discarded and its index will be reused.
+        assert p1.storage.retained_indices() == [0]
+        assert not p1.storage.contains(2)
+        assert p1.storage.last_index() == 0
+        # DV is the restored checkpoint's stored vector, in its next interval:
+        # the dependency on p0's lost send is forgotten.
+        assert p1.current_dv == (stored[0], stored[1] + 1) == (0, 1)
+        # Algorithm 3 rebuilt UC: no entry references the discarded s1^2.
+        assert p1.collector.uc_view() == (None, 0)
+        assert not p1.crashed
 
     def test_apply_peer_rollback_delegates_to_collector(self):
         engine, _, _, nodes = _build_pair()

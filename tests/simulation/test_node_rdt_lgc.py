@@ -58,8 +58,8 @@ def _send(sender, receiver):
 def _state(node):
     """Everything a refused call must leave as it was."""
     storage = node.storage
-    return (storage.retained_indices(), storage.next_index(), node.current_dv,
-            node.collector.uc_view(), node.collector.collected_indices())
+    return (storage.retained_indices(), storage.last_index(), node.current_dv,
+            node.collector.uc_view(), storage.total_eliminated())
 
 
 @pytest.fixture
@@ -107,17 +107,19 @@ class TestNormalExecution:
 
     def test_the_checkpoint_metadata_reaches_storage(self):
         node, _ = _nodes(2)
-        assert node.take_checkpoint(forced=True, payload="snap") == 1
+        assert node.take_checkpoint(forced=True) == 1
         record = node.storage.get(1)
-        assert (record.payload, record.forced) == ("snap", True)
+        assert (record.dependency_vector, record.forced) == ((1, 0), True)
         assert node.forced_checkpoints == 1
 
     def test_an_unreferenced_predecessor_is_collected(self):
         node, _ = _nodes(2)
+        eliminated = []
+        node.collector.attach_elimination_listener(eliminated.append)
         node.take_checkpoint()
         # s^0 was only protected by UC[0]; taking s^1 releases and collects it.
         assert node.storage.retained_indices() == [1]
-        assert node.collector.collected_indices() == [0]
+        assert eliminated == [0]
 
     def test_a_receive_relinks_uc_to_the_last_stable_checkpoint(self):
         sender, receiver = _nodes(2)
@@ -138,12 +140,14 @@ class TestNormalExecution:
     @pytest.mark.parametrize("protocol", ["uncoordinated", "fdas"])
     def test_a_remotely_pinned_checkpoint_survives(self, protocol):
         sender, receiver = _nodes(2, protocol)
+        eliminated = []
+        receiver.collector.attach_elimination_listener(eliminated.append)
         receiver.deliver(_send(sender, receiver))  # UC[0] -> s^0
         receiver.take_checkpoint()  # UC[1] -> s^1; s^0 still pinned
         assert receiver.storage.retained_indices() == [0, 1]
         receiver.take_checkpoint()  # s^1 unpinned -> collected
         assert receiver.storage.retained_indices() == [0, 2]
-        assert receiver.collector.collected_indices() == [1]
+        assert eliminated == [1]
 
     @pytest.mark.parametrize("protocol", ["uncoordinated", "fdas"])
     def test_the_per_process_bound_is_n(self, protocol):
@@ -170,7 +174,7 @@ class TestRollbackWithGlobalInformation:
     def test_a_rollback_to_the_last_checkpoint_rebuilds_uc(self, pinned_pair):
         _, p1 = pinned_pair
         assert p1.apply_rollback(3, (1, 4)) == []
-        assert p1.storage.total_rolled_back() == 0
+        assert p1.storage.last_index() == 3
         assert p1.current_dv == (1, 4)
         assert p1.storage.retained_indices() == [0, 3]
         assert p1.collector.uc_view() == (0, 3)
@@ -178,7 +182,7 @@ class TestRollbackWithGlobalInformation:
     def test_a_rollback_to_an_earlier_checkpoint_discards_the_later_ones(self, pinned_pair):
         _, p1 = pinned_pair
         p1.apply_rollback(0, (1, 1))
-        assert p1.storage.total_rolled_back() == 1
+        assert p1.storage.last_index() == 0
         assert p1.storage.retained_indices() == [0]
         assert p1.current_dv == (0, 1)
         # The rollback checkpoint is protected by the process's own entry.

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.simulation.failures import FailureSchedule
-from repro.simulation.runner import SimulationConfig, SimulationRunner, run_simulation
+from repro.simulation.runner import (
+    SimulationConfig,
+    SimulationRunner,
+    result_to_record,
+    run_simulation,
+)
 from repro.simulation.workloads import UniformRandomWorkload
 
 
@@ -49,7 +54,7 @@ class TestRunnerBehaviour:
     def test_counters_are_consistent(self):
         result = run_simulation(_config())
         assert result.total_checkpoints == result.basic_checkpoints + result.forced_checkpoints
-        assert result.total_stored == result.total_checkpoints
+        assert result_to_record(result)["total_stored"] == result.total_checkpoints
         assert result.messages_delivered <= result.messages_sent
         assert result.total_retained_final == sum(result.retained_final)
         assert 0.0 <= result.collection_ratio <= 1.0

@@ -20,27 +20,17 @@ class TestStore:
 
     def test_record_fields(self):
         storage = StableStorage(3)
-        record = storage.store(0, (1, 2), payload="state", forced=True, time=4.5, size=7)
-        assert record.pid == 3
-        assert record.dependency_vector == (1, 2)
-        assert record.payload == "state"
-        assert record.forced and record.time == 4.5 and record.size == 7
+        record = storage.store(0, (1, 2), forced=True, time=4.5)
+        assert record == (3, 0, (1, 2), True, 4.5)
+        assert storage.get(0) is record
 
     def test_counters(self):
         storage = StableStorage(0)
         storage.store(0, (0,))
         storage.store(1, (1,))
-        assert storage.total_stored() == 2
         assert storage.retained_count() == 2
         assert storage.max_retained() == 2
         assert storage.last_index() == 1
-        assert storage.next_index() == 2
-
-    def test_occupancy_uses_sizes(self):
-        storage = StableStorage(0)
-        storage.store(0, (0,), size=2)
-        storage.store(1, (1,), size=3)
-        assert storage.occupancy() == 5
 
 
 class TestEliminate:
@@ -76,14 +66,13 @@ class TestEliminate:
 
 
 class TestRollback:
-    def test_eliminate_after_rewinds_next_index(self):
+    def test_eliminate_after_rewinds_last_index(self):
         storage = StableStorage(0)
         for index in range(4):
             storage.store(index, (index,))
         removed = storage.eliminate_after(1)
         assert removed == [2, 3]
-        assert storage.next_index() == 2
-        assert storage.total_rolled_back() == 2
+        assert storage.last_index() == 1
         # Indices are reused after a rollback, matching Algorithm 3.
         storage.store(2, (9,))
         assert storage.get(2).dependency_vector == (9,)
@@ -92,9 +81,9 @@ class TestRollback:
         storage = StableStorage(0)
         for index in range(3):
             storage.store(index, (index,))
-        storage.eliminate_after(0)
+        assert storage.eliminate_after(0) == [1, 2]
         assert storage.total_eliminated() == 0
-        assert storage.total_rolled_back() == 2
+        assert storage.retained_indices() == [0]
 
     def test_eliminate_after_with_gaps(self):
         storage = StableStorage(0)
@@ -104,14 +93,3 @@ class TestRollback:
         removed = storage.eliminate_after(1)
         assert removed == [3, 4]
         assert storage.retained_indices() == [0, 1]
-
-    def test_latest_after_rollback(self):
-        storage = StableStorage(0)
-        for index in range(3):
-            storage.store(index, (index,))
-        storage.eliminate_after(0)
-        latest = storage.latest()
-        assert latest is not None and latest.index == 0
-
-    def test_latest_on_empty_storage(self):
-        assert StableStorage(0).latest() is None
