@@ -134,7 +134,7 @@ def _suite_new(recorder: TraceRecorder) -> Dict[str, int]:
     zigzag = ccp.zigzag
     useless = zigzag.useless_checkpoints()
     pairs = zigzag.zigzag_pairs()
-    audit = audit_garbage_collection(ccp, _retained_everything(ccp))
+    audit = audit_garbage_collection(ccp.analysis_provider, _retained_everything(ccp))
     line = recovery_line(ccp, [0])
     return {
         "useless": len(useless),

@@ -120,14 +120,14 @@ class CCPBuilder:
     def build(self) -> CCP:
         """The CCP of the execution described so far.
 
-        Stable checkpoints carry the vectors stored with them, volatile
-        checkpoints the processes' current vectors.  The pattern's analyses
-        are pinned to the execution as of this call: describe more and its
-        retained-set and recovery-line queries raise; build again instead.
+        Stable checkpoints carry the vectors stored with them; a volatile
+        checkpoint's :meth:`~repro.ccp.pattern.CCP.dv` is its ground truth,
+        which on an RDT pattern equals :meth:`current_dv`.  The pattern's
+        analyses are pinned to the execution as of this call: describe more
+        and its retained-set and recovery-line queries raise; build again
+        instead.
         """
-        return self._recorder.ccp(
-            volatile_dvs={pid: dv.snapshot() for pid, dv in enumerate(self._dvs)}
-        )
+        return self._recorder.ccp()
 
     def message_id(self, tag: str) -> int:
         """The internal message id assigned to ``tag``."""

@@ -65,10 +65,10 @@ class Checkpoint:
         STABLE for ``s_i^gamma`` with ``gamma <= last_s(i)``; VOLATILE for the
         single ``v_i`` per process.
     dependency_vector:
-        The dependency vector associated with the checkpoint: for stable
-        checkpoints this is the DV stored with the checkpoint when it was
-        taken; for the volatile checkpoint it is the process's current DV.
-        ``None`` when the CCP was built without dependency tracking.
+        The DV stored with a stable checkpoint when it was taken; ``None``
+        for the volatile checkpoint (a pattern records no volatile vector —
+        :meth:`repro.ccp.pattern.CCP.dv` answers its ground truth) and when
+        the CCP was built without dependency tracking.
     event_seq:
         For stable checkpoints, the sequence number of the CHECKPOINT event
         that took it.  ``None`` for volatile checkpoints (they sit after the

@@ -175,6 +175,12 @@ class IncrementalAnalysisView:
         """The recorder version this view answers for."""
         return self._version
 
+    @property
+    def checkpoints_taken(self) -> Tuple[int, ...]:
+        """Per-process count of stable checkpoints (each volatile index)."""
+        self._tracker()  # stale views raise
+        return self._recorder.checkpoints_taken
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -335,15 +341,30 @@ class IncrementalAnalysisView:
         """Lemma 1: per process the last general checkpoint not causally
         preceded by the last stable checkpoint of any faulty process.
 
-        Memoised per faulty set.  A departed process's component is pinned
-        to its volatile index: recovery never rolls the departed back (they
-        hold no state), and none of their checkpoints can belong to any
-        future line.
+        Memoised per faulty set.  Only a member with a stable checkpoint can
+        fail: any other faulty pid is a ValueError.  A departed process's
+        component is pinned to its volatile index: recovery never rolls the
+        departed back (they hold no state), and none of their checkpoints
+        can belong to any future line.
         """
         self._tracker()  # stale views raise, memoised or not
         faulty_set = frozenset(faulty)
         line = self._lines.get(faulty_set)
         if line is None:
+            recorder = self._recorder
+            taken = recorder.checkpoints_taken
+            for pid in sorted(faulty_set):
+                if pid not in range(recorder.num_processes):
+                    raise ValueError(f"faulty process {pid} is not part of the CCP")
+                if pid in recorder.departed:
+                    raise ValueError(
+                        f"faulty process {pid} departed the membership; departed "
+                        f"processes hold no state and cannot fail"
+                    )
+                if taken[pid] == 0:
+                    raise ValueError(
+                        f"faulty process {pid} has no stable checkpoint; recovery is impossible"
+                    )
             line = self._lines[faulty_set] = self._recovery_line(faulty_set)
         return line
 

@@ -82,11 +82,14 @@ class CCP:
             The execution.  It must be causally replayable (every receive has a
             send).
         recorded_dvs:
-            Dependency vectors recorded by the checkpointing middleware, keyed
-            by checkpoint id (a :class:`CheckpointId` or the plain ``(pid,
-            index)`` tuple it equals).  When present they are attached to the
-            corresponding :class:`Checkpoint` records; ground-truth vectors are
-            still available through :meth:`ground_truth_dv`.
+            Dependency vectors the checkpointing middleware stored with the
+            stable checkpoints, keyed by checkpoint id (a :class:`CheckpointId`
+            or the plain ``(pid, index)`` tuple it equals).  The map is kept,
+            not copied: its owner may add keys beyond this pattern's
+            checkpoints but must not change or delete one (the recorder
+            rebinds its map on a recovery session).  Ground-truth vectors
+            are available through :meth:`ground_truth_dv`; a volatile
+            checkpoint has no recorded vector.
         analysis_provider:
             The knowledge view of the recorder that owns ``log`` (see
             :mod:`repro.ccp.incremental`): it answers the Theorem-1/2
@@ -104,7 +107,7 @@ class CCP:
         self._lazy_order: Optional[CausalOrder] = None
         self._provider = analysis_provider
         self._departed = frozenset(departed)
-        self._recorded_dvs = dict(recorded_dvs) if recorded_dvs else {}
+        self._recorded_dvs = {} if recorded_dvs is None else recorded_dvs
 
         self._stable_events: List[List[EventRecord]] = [
             log.history(pid).checkpoint_events() for pid in log.processes
@@ -133,10 +136,6 @@ class CCP:
             if cid.index == len(events):
                 return None
         raise KeyError(f"checkpoint {cid} is not part of this CCP")
-
-    def _recorded_or_none(self, cid: CheckpointId) -> Optional[Tuple[int, ...]]:
-        recorded = self._recorded_dvs.get(cid)
-        return tuple(recorded) if recorded is not None else None
 
     # ------------------------------------------------------------------
     # Basic structure
@@ -241,15 +240,16 @@ class CCP:
                     pid=cid.pid,
                     index=cid.index,
                     kind=CheckpointKind.VOLATILE,
-                    dependency_vector=self._recorded_or_none(cid),
+                    dependency_vector=None,
                     event_seq=None,
                 )
             else:
+                recorded = self._recorded_dvs.get(cid)
                 checkpoint = Checkpoint(
                     pid=cid.pid,
                     index=cid.index,
                     kind=CheckpointKind.STABLE,
-                    dependency_vector=self._recorded_or_none(cid),
+                    dependency_vector=None if recorded is None else tuple(recorded),
                     event_seq=event[E_SEQ],
                     forced=event[E_FORCED],
                     time=event[E_TIME],
@@ -358,7 +358,8 @@ class CCP:
         return result
 
     def dv(self, cid: CheckpointId) -> Tuple[int, ...]:
-        """The dependency vector of ``cid``: recorded if available, else ground truth."""
+        """The dependency vector of ``cid``: the stored one of a stable
+        checkpoint if recorded, else (a volatile checkpoint's too) ground truth."""
         recorded = self.checkpoint(cid).dependency_vector
         if recorded is not None:
             return recorded

@@ -8,20 +8,25 @@ The paper proves two properties of RDT-LGC:
 * **Optimality** (Theorem 5): every checkpoint identifiable as obsolete from
   causal knowledge alone (Theorem 2) has been eliminated.
 
-:func:`audit_garbage_collection` checks both against the oracles of
-:mod:`repro.core.obsolete`, given the global CCP at some instant and the
-per-process sets of stable checkpoints actually retained at that instant.  It
-is used by property-based tests, by the simulator's self-checking mode and by
-the optimality benchmark (CLAIM-OPT in DESIGN.md).
+:func:`audit_garbage_collection` checks both against the Theorem-1/2
+retained sets, given the recorder's knowledge view at some instant and the
+per-process sets of stable checkpoints actually retained at that instant.
+Both theorems are statements about causal precedence among checkpoints, so
+the audit needs no CCP snapshot and no volatile vector: the view answers
+from its knowledge rows, and the literal transcriptions of
+:mod:`repro.core.obsolete` are the reference it is tested against.  It is
+used by property-based tests, by the simulator's and the live backend's
+self-checking mode, by the explorer's oracles and by the optimality benchmark
+(CLAIM-OPT in DESIGN.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Mapping, Set
+from typing import Iterable, List, Mapping
 
 from repro.ccp.checkpoint import CheckpointId
-from repro.ccp.pattern import CCP
+from repro.ccp.incremental import IncrementalAnalysisView
 
 
 @dataclass
@@ -47,16 +52,8 @@ class GcAudit:
         return self.is_safe and self.is_optimal
 
 
-def _retained_as_ids(retained: Mapping[int, Iterable[int]]) -> Set[CheckpointId]:
-    ids: Set[CheckpointId] = set()
-    for pid, indices in retained.items():
-        for index in indices:
-            ids.add(CheckpointId(pid, index))
-    return ids
-
-
 def audit_garbage_collection(
-    ccp: CCP,
+    view: IncrementalAnalysisView,
     retained: Mapping[int, Iterable[int]],
     *,
     require_optimality: bool = True,
@@ -65,9 +62,9 @@ def audit_garbage_collection(
 
     Parameters
     ----------
-    ccp:
-        The global checkpoint and communication pattern at the instant being
-        audited (typically built from the simulator's trace).
+    view:
+        The recorder's knowledge view at the instant being audited
+        (``recorder.knowledge_view()``, or ``ccp.analysis_provider``).
     retained:
         Mapping ``pid -> iterable of stable checkpoint indices`` currently on
         that process's stable storage.
@@ -75,11 +72,12 @@ def audit_garbage_collection(
         When False only the safety check is performed (useful for auditing
         non-optimal baselines such as the no-GC or coordinated collectors).
     """
-    retained_ids = _retained_as_ids(retained)
+    retained_ids = {
+        CheckpointId(pid, index) for pid, indices in retained.items() for index in indices
+    }
     # The knowledge view memoises the retained sets: auditing several
     # collectors (or several labels) against the same instant computes the
     # Theorem-1/2 characterisations once.
-    view = ccp.analysis_provider
     audit = GcAudit(safety_violations=sorted(view.theorem1_retained() - retained_ids))
     if require_optimality:
         audit.optimality_violations = sorted(retained_ids - view.theorem2_retained())

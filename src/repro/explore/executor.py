@@ -375,8 +375,8 @@ class ScheduleRun:
             runner.inject_crash(step.pid)
             return None
         # Recovery validity is checked against the pattern at the crash
-        # instant; current_ccp() is memoised, so the manager reuses it.
-        pre_crash_ccp = runner.current_ccp()
+        # instant, which keeps its history once the session rewrites it.
+        pre_crash_ccp = runner.trace.ccp()
         runner.inject_crash(step.pid)
         return self._oracles.check_recovery(
             pre_crash_ccp, runner.recoveries[-1], position

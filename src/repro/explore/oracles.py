@@ -22,14 +22,17 @@ a valid recovery line of the pre-crash pattern *and* must match the
 Definition-5 brute-force line (exhaustive search over consistent global
 checkpoints), which pins Lemma 1 along explored interleavings too.
 
-Two audits state Theorems 4 and 5, with the same verdicts.
-:meth:`OracleStack.check_state` audits a whole state over its CCP.
+Two audits state Theorems 4 and 5, with the same verdicts, and both read
+the recorder's knowledge view, not a CCP (a pattern is built only for what
+needs the event graph: a terminal state's RDT check and kernel cross-check,
+and the pre-crash pattern of the recovery check).
+:meth:`OracleStack.check_state` audits a whole state.
 :meth:`OracleStack.check_events` audits only what changed since the last
-clean state, from the recorder's knowledge rows, without a CCP: obsolescence
-is stable.  For a non-last checkpoint ``c_i^k`` both retention tests compare
-frozen rows with ``last(f)`` (Theorem 1) or ``ck[i][f]`` (Theorem 2), which
-only grow, and no row ever exceeds them, so a checkpoint can leave either
-retained set but never re-enter it; the last checkpoint is always retained.
+clean state: obsolescence is stable.  For a non-last checkpoint ``c_i^k``
+both retention tests compare frozen rows with ``last(f)`` (Theorem 1) or
+``ck[i][f]`` (Theorem 2), which only grow, and no row ever exceeds them, so
+a checkpoint can leave either retained set but never re-enter it; the last
+checkpoint is always retained.
 So Theorem 4 needs only the checkpoints eliminated since the clean state,
 and Theorem 5 only the processes whose knowledge or storage changed (a
 process's Theorem-2 set reads its own rows and vector alone).  The argument
@@ -114,7 +117,7 @@ class OracleStack:
         """Audit the runner's current state; return the first violation.
 
         Args:
-            runner: the live simulation runner whose current CCP and
+            runner: the live simulation runner whose recorded execution and
                 per-process retained sets are audited in place.
             step: the schedule step this state was reached at — stamped
                 into any returned :class:`Violation`.
@@ -128,24 +131,23 @@ class OracleStack:
             The first :class:`Violation` found, or ``None`` when every
             enabled oracle passes.
         """
-        ccp = runner.current_ccp()
         retained = {
             node.pid: node.storage.retained_indices() for node in runner.nodes
         }
         audit = audit_garbage_collection(
-            ccp, retained, require_optimality=self.check_optimality
+            runner.trace.knowledge_view(), retained, require_optimality=self.check_optimality
         )
         violation = self._theorem_violation(
             audit.safety_violations, audit.optimality_violations, step
         )
-        if violation is not None:
+        if violation is not None or not final:
             return violation
-        if final and self.check_rdt:
+        if self.check_rdt:
             # Terminal states suffice: every executed prefix is a consistent
             # cut of its terminal execution (per-process prefixes, deliveries
             # only of sent messages), and RD-trackability of a CCP carries
             # over to all its consistent cuts (see repro.ccp.rdt.check_rdt).
-            report = run_rdt_check(ccp, collect_witnesses=False)
+            report = run_rdt_check(runner.trace.ccp(), collect_witnesses=False)
             if not report.is_rdt:
                 pair = report.violations[0]
                 return Violation(
@@ -153,8 +155,8 @@ class OracleStack:
                     detail=f"the pattern lost RD-trackability: {pair}",
                     step=step,
                 )
-        if final and cross_check:
-            return self._cross_check_kernel(ccp, step)
+        if cross_check:
+            return self._cross_check_kernel(runner.trace.ccp(), step)
         return None
 
     def check_events(

@@ -73,7 +73,7 @@ def state_features(runner: "SimulationRunner") -> FrozenSet[Feature]:
         The frozen feature set of the execution (see the module docstring
         for the dimensions).
     """
-    ccp = runner.current_ccp()
+    ccp = runner.trace.ccp()
     zigzag = ccp.zigzag
     view = ccp.analysis_provider
     features: Set[Feature] = set()

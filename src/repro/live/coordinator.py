@@ -14,10 +14,11 @@ on real OS processes:
    through the time scale; at each crash instant the target worker is
    SIGKILLed mid-flight.  The coordinator then plays the paper's
    centralized recovery manager (Section 2.4) *for real*: it pauses the
-   survivors, snapshots their volatile dependency vectors, reconstructs
-   the global CCP by merging every shard written so far, computes the
-   recovery line with the very same :class:`~repro.recovery.manager.RecoveryManager`
-   the simulator uses, pushes rollback directives to the survivors,
+   survivors, reconstructs the recorded execution by merging every shard
+   written so far, computes the recovery line from its knowledge view with
+   the very same :class:`~repro.recovery.manager.RecoveryManager` the
+   simulator uses, pushes rollback directives to every survivor and awaits
+   their acknowledgements together,
    respawns the crashed process with its stable storage restored from the
    session's replayed pattern (its checkpoints up to the recovery line,
    minus those its shards record as eliminated), and resumes the system
@@ -346,9 +347,9 @@ class LiveCoordinator:
             *(w.expect("paused", HANDSHAKE_TIMEOUT_S) for w in survivors)
         )
 
-        # Reconstruct the global state from the durable shards: the CCP the
-        # recovery line is computed on is also what the crashed process's
-        # respawn restores its stable storage from.
+        # Reconstruct the recorded execution from the durable shards: the
+        # recovery line is computed on its knowledge view, and the crashed
+        # process's respawn restores its stable storage from its pattern.
         shards = [read_shard(path) for path in self._shard_paths]
         eliminated: List[Set[int]] = [set() for _ in range(self._config.num_processes)]
         recorder = replay_entries(
@@ -357,11 +358,12 @@ class LiveCoordinator:
             plans=self._plans,
             eliminated=eliminated,
         )
-        volatile = {int(r["pid"]): tuple(int(v) for v in r["dv"]) for r in paused}
-        ccp = recorder.ccp(volatile_dvs=volatile)
-        plan = RecoveryManager().plan(ccp, [pid])
+        view = recorder.knowledge_view()
+        plan = RecoveryManager().plan(view, [pid])
 
-        collected = 0
+        # Every directive goes out first, then the acks are awaited together:
+        # a stalled survivor costs one timeout, not one per survivor.
+        interval = list(plan.last_interval_vector)
         for worker in survivors:
             directive = plan.rollback_for(worker.pid)
             if directive is not None:
@@ -369,25 +371,27 @@ class LiveCoordinator:
                     {
                         "type": "rollback",
                         "rollback_index": directive.rollback_index,
-                        "last_interval_vector": list(plan.last_interval_vector),
+                        "last_interval_vector": interval,
                     }
                 )
-                ack = await worker.expect("rolled_back", HANDSHAKE_TIMEOUT_S)
             else:
-                await worker.send(
-                    {
-                        "type": "peer_rollback",
-                        "last_interval_vector": list(plan.last_interval_vector),
-                    }
+                await worker.send({"type": "peer_rollback", "last_interval_vector": interval})
+        acks = await asyncio.gather(
+            *(
+                w.expect(
+                    "rolled_back" if plan.must_roll_back(w.pid) else "peer_rolled_back",
+                    HANDSHAKE_TIMEOUT_S,
                 )
-                ack = await worker.expect("peer_rolled_back", HANDSHAKE_TIMEOUT_S)
-            collected += int(ack["collected"])
+                for w in survivors
+            )
+        )
+        collected = sum(int(ack["collected"]) for ack in acks)
 
         directive = plan.rollback_for(pid)
         if directive is None:  # pragma: no cover - the faulty process always rolls back
             raise RuntimeError(f"recovery plan has no rollback for faulty process {pid}")
         restore = restore_spec(
-            ccp, eliminated, pid, directive.rollback_index, plan.last_interval_vector
+            recorder.ccp(), eliminated, pid, directive.rollback_index, plan.last_interval_vector
         )
         lamport_floor = 1 + max(
             [entry.lamport for shard in shards for entry in shard.entries]
@@ -409,7 +413,9 @@ class LiveCoordinator:
         # The respawn's restore eliminations belong to the session too.
         collected += int(ready.get("collected", 0))
         self._recoveries.append(
-            RecoveryRecord.of(plan, ccp, time=crash_time, collected=collected)
+            RecoveryRecord.of(
+                plan, view.checkpoints_taken, time=crash_time, collected=collected
+            )
         )
 
         peers = self._peer_map()
@@ -501,14 +507,12 @@ class LiveCoordinator:
         n = config.num_processes
         audits: List[AuditRecord] = []
         if config.audit != "off":
-            volatile = {pid: tuple(int(v) for v in reports[pid]["dv"]) for pid in range(n)}
-            ccp = recorder.ccp(volatile_dvs=volatile)
             retained = {
                 pid: [int(i) for i in reports[pid]["retained_indices"]]
                 for pid in range(n)
             }
             audit = audit_garbage_collection(
-                ccp, retained, require_optimality=config.audit == "full"
+                recorder.knowledge_view(), retained, require_optimality=config.audit == "full"
             )
             audits.append(AuditRecord.of(audit, time=config.duration, label="final"))
 

@@ -8,7 +8,9 @@ Two channels, two encodings:
   keeps the protocol greppable in a packet dump and needs no third-party
   codec (the container bakes in the stdlib only).
 * **Data plane** (worker ⟷ worker, UDP): one JSON object per datagram —
-  UDP preserves message boundaries, so no prefix is needed.
+  UDP preserves message boundaries, so no prefix is needed.  A document
+  larger than one datagram is refused before it is sent
+  (:class:`DatagramTooLargeError`), not lost to ``EMSGSIZE`` uncounted.
 
 Collector control payloads are the three round messages of the coordinated
 baselines (:mod:`repro.gc.coordinated`): a request, a reply carrying a
@@ -69,9 +71,26 @@ def send_frame(writer: asyncio.StreamWriter, document: Dict[str, Any]) -> None:
     writer.write(encode_frame(document))
 
 
+#: The largest UDP payload over IPv4: 65 535 minus the IP and UDP headers.
+MAX_DATAGRAM = 65_507
+
+
+class DatagramTooLargeError(ValueError):
+    """A data-plane document that does not fit in one UDP datagram."""
+
+
 def encode_datagram(document: Dict[str, Any]) -> bytes:
-    """Encode one data-plane datagram (compact JSON, one object per packet)."""
-    return json.dumps(document, separators=(",", ":")).encode("utf-8")
+    """Encode one data-plane datagram (compact JSON, one object per packet).
+
+    Raises :class:`DatagramTooLargeError` above :data:`MAX_DATAGRAM` bytes.
+    """
+    data = json.dumps(document, separators=(",", ":")).encode("utf-8")
+    if len(data) > MAX_DATAGRAM:
+        raise DatagramTooLargeError(
+            f"a {document.get('t')!r} datagram of {len(data)} bytes exceeds the "
+            f"{MAX_DATAGRAM}-byte UDP limit"
+        )
+    return data
 
 
 def decode_datagram(data: bytes) -> Dict[str, Any]:

@@ -207,23 +207,24 @@ class LiveTransport(Transport):
         )
 
     def send_control_message(self, sender: int, receiver: int, payload: Any) -> None:
-        """Reliable control datagram (never filtered, tagged JSON payload)."""
+        """Reliable control datagram (never filtered, tagged JSON payload).
+
+        One that cannot be encoded is refused before it is counted or sent.
+        """
+        data = encode_datagram(
+            {
+                "t": "ctrl",
+                "s": sender,
+                "p": pack_payload(payload),
+                "e": self._epoch,
+                "l": self._shard.lamport,
+            }
+        )
         self.stats.control_sent += 1
         address = self._peers.get(receiver)
         if self._udp is None or address is None:
             return
-        self._udp.sendto(
-            encode_datagram(
-                {
-                    "t": "ctrl",
-                    "s": sender,
-                    "p": pack_payload(payload),
-                    "e": self._epoch,
-                    "l": self._shard.lamport,
-                }
-            ),
-            address,
-        )
+        self._udp.sendto(data, address)
 
     def schedule_timer(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` simulated units of *active* time."""

@@ -22,7 +22,7 @@ frame           meaning
 → ``ready``     node built (and restored, when applicable)
 ← ``go``        start barrier; carries the virtual time to anchor at
 ← ``pause``     freeze (a recovery session is starting)
-→ ``paused``    ``{dv, lamport}`` — volatile state for the CCP snapshot
+→ ``paused``    ``{pid, lamport}`` — frozen; its clock floors the next epoch
 ← ``rollback``  apply a rollback directive (this process is rolled back)
 ← ``peer_rollback``  recovery session in which this process keeps state
 → ``rolled_back`` / ``peer_rolled_back``  ack, with collected counts
@@ -235,7 +235,7 @@ class LiveWorker:
         )
 
     def _handle_pause(self) -> None:
-        assert self.transport is not None and self.node is not None and self.shard is not None
+        assert self.transport is not None and self.shard is not None
         assert self._writer is not None
         self.transport.pause()
         send_frame(
@@ -243,7 +243,6 @@ class LiveWorker:
             {
                 "type": "paused",
                 "pid": self.pid,
-                "dv": list(self.node.current_dv),
                 "lamport": self.shard.lamport,
             },
         )

@@ -12,7 +12,8 @@ the last stable checkpoint of any faulty process::
     R_F = U_i { c_i^k,  k = max(gamma | for all p_f in F:  s_f^last -/-> c_i^gamma) }
 
 :func:`recovery_line` answers Lemma 1 from the recorder's knowledge view
-(``ccp.analysis_provider``); ``_recovery_line_lemma1`` transcribes it literally
+(``ccp.analysis_provider``, which also refuses a faulty set Lemma 1 does not
+cover); ``_recovery_line_lemma1`` transcribes it literally
 and :func:`recovery_line_brute_force` implements Definition 5 by exhaustive
 search (exponential; used only in tests, the explorer and on the figure-sized
 examples).
@@ -31,34 +32,16 @@ from repro.ccp.consistency import (
 from repro.ccp.pattern import CCP
 
 
-def _validate_faulty(ccp: CCP, faulty: Iterable[int]) -> Set[int]:
-    faulty_set = set(faulty)
-    for pid in faulty_set:
-        if pid not in ccp.processes:
-            raise ValueError(f"faulty process {pid} is not part of the CCP")
-        if pid in ccp.departed:
-            raise ValueError(
-                f"faulty process {pid} departed the membership; departed "
-                f"processes hold no state and cannot fail"
-            )
-        if ccp.last_stable(pid) < 0:
-            raise ValueError(
-                f"faulty process {pid} has no stable checkpoint; recovery is impossible"
-            )
-    return faulty_set
-
-
 def recovery_line(ccp: CCP, faulty: Iterable[int]) -> GlobalCheckpoint:
-    """The recovery line ``R_F`` per Lemma 1.
+    """The recovery line ``R_F`` per Lemma 1: ``ccp``'s knowledge view answers.
 
     With an empty faulty set the line is simply every process's volatile
-    checkpoint (nothing needs to be rolled back).  The knowledge view
-    memoises lines per faulty set, so repeated queries
-    (e.g. the Definition-7 needlessness oracle, which asks for the line of
-    every faulty set) pay for each one only once.
+    checkpoint (nothing needs to be rolled back).  The view refuses a faulty
+    set outside Lemma 1 and memoises lines per faulty set, so repeated
+    queries (e.g. the Definition-7 needlessness oracle, which asks for the
+    line of every faulty set) pay for each one only once.
     """
-    faulty_set = _validate_faulty(ccp, faulty)
-    return ccp.analysis_provider.recovery_line(faulty_set)
+    return ccp.analysis_provider.recovery_line(faulty)
 
 
 def _recovery_line_lemma1(ccp: CCP, faulty_set: Set[int]) -> GlobalCheckpoint:
@@ -95,9 +78,11 @@ def recovery_line_brute_force(ccp: CCP, faulty: Iterable[int]) -> GlobalCheckpoi
     hand-built patterns of the paper's figures.  Ties on the number of rolled
     back checkpoints are broken by preferring the componentwise largest line,
     which for RD-trackable patterns never actually occurs because the line is
-    unique (the uniqueness is asserted by tests, not here).
+    unique (the uniqueness is asserted by tests, not here).  It checks
+    nothing beyond Definition 5: a faulty process without a stable
+    checkpoint leaves no candidate, a ValueError.
     """
-    faulty_set = _validate_faulty(ccp, faulty)
+    faulty_set = set(faulty)
     best: Optional[GlobalCheckpoint] = None
     best_rolled_back: Optional[int] = None
     for candidate in all_consistent_global_checkpoints(ccp):

@@ -259,6 +259,5 @@ def drive_figure4() -> Figure4Run:
 
 def figure4_ccp() -> CCP:
     """The CCP of the Figure 4 execution (for the offline oracles): the
-    recording of :func:`drive_figure4`, with the nodes' volatile vectors."""
-    run = drive_figure4()
-    return run.recorder.ccp(volatile_dvs={node.pid: node.current_dv for node in run.nodes})
+    recording of :func:`drive_figure4`."""
+    return drive_figure4().recorder.ccp()

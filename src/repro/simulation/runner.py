@@ -9,13 +9,14 @@ benchmarks need.
 The recorder sits behind its readers.  A run whose log nobody reads — no
 crash, no audit, no ``keep_final_ccp``, no join or leave — keeps its nodes'
 ``record_*`` occurrences in arrival order and never builds the event log;
-the first read (:attr:`SimulationRunner.trace`,
-:meth:`SimulationRunner.current_ccp`, a recovery session, a membership
-change) applies them to the one :class:`TraceRecorder` through the calls the
-nodes would have made, and from then on every occurrence is forwarded as it
-happens.  A trace file is not a reader: the run's writer gets each
-occurrence as it happens either way.  There is no option: what is read is
-recorded and validated exactly as if it had been from the start.
+the first read (:attr:`SimulationRunner.trace`, a recovery session, a
+membership change) applies them to the one :class:`TraceRecorder` through
+the calls the nodes would have made, and from then on every occurrence is
+forwarded as it happens.  Audits and recovery sessions read the recorder's
+knowledge view: a run builds a CCP only for ``keep_final_ccp``.  A trace
+file is not a reader: the run's writer gets each occurrence as it happens
+either way.  There is no option: what is read is recorded and validated
+exactly as if it had been from the start.
 """
 
 from __future__ import annotations
@@ -147,9 +148,10 @@ class RecoveryRecord:
 
     @classmethod
     def of(
-        cls, plan: RollbackPlan, ccp: CCP, *, time: float, collected: int
+        cls, plan: RollbackPlan, taken: Sequence[int], *, time: float, collected: int
     ) -> "RecoveryRecord":
-        """The summary of the session that executed ``plan`` on ``ccp``."""
+        """The summary of the session that executed ``plan`` when process
+        ``pid`` had taken ``taken[pid]`` stable checkpoints (its volatile index)."""
         line = plan.recovery_line.indices
         return cls(
             time=time,
@@ -157,7 +159,7 @@ class RecoveryRecord:
             recovery_line=line,
             rolled_back_processes=len(plan.rollbacks),
             lost_general_checkpoints=sum(
-                ccp.volatile_index(pid) - index for pid, index in enumerate(line)
+                volatile - index for volatile, index in zip(taken, line)
             ),
             collected_during_recovery=collected,
         )
@@ -453,9 +455,9 @@ class SimulationRunner:
     """Builds and runs one experiment from a :class:`SimulationConfig`.
 
     The run's occurrences reach the :class:`TraceRecorder` at the first read
-    (:attr:`trace`, :meth:`current_ccp`, a recovery session, a join or a
-    leave): a run whose log nobody reads does not build it, and its trace
-    writer, if any, is fed the occurrences as they happen without it.
+    (:attr:`trace`, a recovery session, a join or a leave): a run whose log
+    nobody reads does not build it, and its trace writer, if any, is fed the
+    occurrences as they happen without it.
     """
 
     def __init__(self, config: SimulationConfig) -> None:
@@ -590,8 +592,8 @@ class SimulationRunner:
         without this they wait for the cyclic collector's next full pass.
         The port's kept occurrences and recorder, the network's link state
         and in-flight copies go now; the samples, recoveries and audits a
-        :class:`SimulationResult` shares stay.  Afterwards :meth:`run`,
-        :attr:`trace` and :meth:`current_ccp` raise :class:`RuntimeError`.
+        :class:`SimulationResult` shares stay.  Afterwards :meth:`run` and
+        :attr:`trace` raise :class:`RuntimeError`.
         """
         if self._closed:
             return
@@ -674,22 +676,12 @@ class SimulationRunner:
         if self._writer is not None:
             self._writer.write_sample(sample.time, sample.retained_per_process)
 
-    def current_ccp(self) -> CCP:
-        """The CCP of the execution recorded so far.
-
-        Served from the trace recorder's substrate: the pattern (and its
-        zigzag kernel) is only rebuilt when the recorded execution actually
-        changed since the previous call, and it shares the recorder's
-        knowledge view with every other pattern of the same version.
-        """
-        volatile = {node.pid: node.current_dv for node in self._nodes}
-        return self.trace.ccp(volatile_dvs=volatile)
-
     def _run_audit(self, label: str) -> GcAudit:
-        ccp = self.current_ccp()
         retained = {node.pid: node.storage.retained_indices() for node in self._nodes}
         audit = audit_garbage_collection(
-            ccp, retained, require_optimality=self._config.audit == "full"
+            self.trace.knowledge_view(),
+            retained,
+            require_optimality=self._config.audit == "full",
         )
         self._audits.append(AuditRecord.of(audit, time=self._engine.now, label=label))
         return audit
@@ -746,8 +738,9 @@ class SimulationRunner:
             raise RuntimeError(f"process {pid} crashed before storing any checkpoint")
         node.crash()
         self._network.drop_in_flight()
-        ccp = self.current_ccp()
-        plan = self._recovery_manager.plan(ccp, [pid])
+        view = self.trace.knowledge_view()
+        plan = self._recovery_manager.plan(view, [pid])
+        taken = view.checkpoints_taken
         collected = 0
         members = self._trace.membership
         for process in self._nodes:
@@ -769,7 +762,7 @@ class SimulationRunner:
                 )
         self.trace.apply_recovery(plan)
         self._recoveries.append(
-            RecoveryRecord.of(plan, ccp, time=self._engine.now, collected=collected)
+            RecoveryRecord.of(plan, taken, time=self._engine.now, collected=collected)
         )
         if self._config.audit != "off":
             self._run_audit(f"after-recovery@{self._engine.now:.1f}")
@@ -780,7 +773,7 @@ class SimulationRunner:
     def _build_result(self) -> SimulationResult:
         config = self._config
         stats = self._network.stats
-        final_ccp = self.current_ccp() if config.keep_final_ccp else None
+        final_ccp = self.trace.ccp() if config.keep_final_ccp else None
         control_messages = stats.control_sent
         return SimulationResult(
             config=config,

@@ -19,9 +19,12 @@ collector stops tracking (see :mod:`repro.causality.events`).
 
 Analysis goes through one door: :meth:`knowledge_view` hands out one
 :class:`repro.ccp.incremental.IncrementalAnalysisView` per mutation version,
-and every snapshot :meth:`ccp` builds at that version carries that same view
-as its ``analysis_provider`` — whatever volatile vectors it was asked to
-attach.  The view memoises its own answers (retained sets, recovery lines),
+and the one snapshot :meth:`ccp` builds at that version carries that same
+view as its ``analysis_provider``.  The audits and the recovery manager read
+the view alone; a snapshot is for what needs the event graph — the zigzag
+kernel, event-level references, stored checkpoint records — and it attaches
+no volatile vector (``ccp.dv(v_i)`` is the ground-truth one).  The view
+memoises its own answers (retained sets, recovery lines),
 so everybody who asks at one version shares them; they are read from a
 :class:`repro.ccp.incremental.CheckpointKnowledgeTracker` by bisection, with
 no vector-clock replay unless a caller asks for event-level precedence.  The
@@ -52,7 +55,10 @@ process's history at its recovery-line component (the resulting prefix is a
 consistent cut because the recovery line is consistent);
 :meth:`repro.causality.events.EventLog.prefix` repairs the message records
 from the discarded suffixes alone — a session costs what it rolled back, not
-the length of the run.
+the length of the run.  The session rebinds the log and the stored-vector
+map rather than cutting them in place, so a snapshot shares both with the
+recorder, copying neither, and one handed out before a session keeps the
+pre-crash history and vectors.
 
 Persistence: the recorder accepts :class:`TraceSink` observers
 (:meth:`attach_sink`).  Every successfully recorded occurrence — including
@@ -69,7 +75,6 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
-    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -172,9 +177,9 @@ class TraceRecorder:
         # History rewrites and membership changes so far (knowledge_mark).
         self._rewrites = 0
         # The view of the current version (knowledge_view) and the memoised
-        # snapshot: (version, volatile-DV fingerprint, CCP).
+        # snapshot, which carries the view of its version.
         self._view: Optional[IncrementalAnalysisView] = None
-        self._ccp_cache: Optional[Tuple[int, object, CCP]] = None
+        self._ccp: Optional[CCP] = None
         self._sinks: List[TraceSink] = []
 
     # ------------------------------------------------------------------
@@ -347,7 +352,6 @@ class TraceRecorder:
         self._membership.join(pid)
         self._version += 1
         self._rewrites += 1
-        self._ccp_cache = None
         for sink in self._sinks:
             sink.on_join(pid, time)
 
@@ -363,7 +367,6 @@ class TraceRecorder:
         self._membership.leave(pid)
         self._version += 1
         self._rewrites += 1
-        self._ccp_cache = None
         for sink in self._sinks:
             sink.on_leave(pid, time)
 
@@ -403,8 +406,11 @@ class TraceRecorder:
                     newly_dropped.append(event[E_MESSAGE_ID])
                 elif event[E_KIND] == CHECKPOINT:
                     stale.append((pid, event[E_CHECKPOINT_INDEX]))
-        for cid in stale:
-            del self._recorded_dvs[cid]
+        if stale:
+            # A new map, not an in-place delete: snapshots share the old one.
+            self._recorded_dvs = dict(self._recorded_dvs)
+            for cid in stale:
+                del self._recorded_dvs[cid]
         # A kept receive of a message whose send is discarded becomes a
         # placeholder (a Lemma-1 line of a non-RDT pattern can cut so).  What
         # that receive merged has spread past any journal cut, so the tracker
@@ -422,7 +428,6 @@ class TraceRecorder:
             self._tracker.apply_truncation(lengths)
             self._tracker.forget_messages(newly_dropped)
             self._tracker.forget_checkpoints(self.checkpoints_taken)
-        self._ccp_cache = None
         self._version += 1
         self._rewrites += 1
         for sink in self._sinks:
@@ -489,38 +494,22 @@ class TraceRecorder:
             pid for pid, (before, after) in enumerate(zip(mark[1:], now[1:])) if before != after
         )
 
-    def ccp(
-        self, volatile_dvs: Optional[Mapping[int, Sequence[int]]] = None
-    ) -> CCP:
+    def ccp(self) -> CCP:
         """The CCP of the recorded execution.
 
-        ``volatile_dvs`` optionally supplies the processes' current dependency
-        vectors so that the volatile checkpoints carry recorded (rather than
-        only ground-truth) vectors.
-
         While the recorded execution does not change between calls, the same
-        CCP object is returned for the same ``volatile_dvs`` (and with it the
-        same zigzag kernel); every CCP of one version carries the same
-        :meth:`knowledge_view`.
+        CCP object is returned (and with it the same zigzag kernel); it
+        carries this version's :meth:`knowledge_view`.  It shares the log and
+        the stored-vector map with the recorder: recording appends to both,
+        beyond what the snapshot's checkpoints reach, and a recovery session
+        rebinds both, so neither is copied.
         """
-        fingerprint = (
-            None
-            if volatile_dvs is None
-            else tuple(sorted((pid, tuple(dv)) for pid, dv in volatile_dvs.items()))
-        )
-        if self._ccp_cache is not None:
-            version, cached_fingerprint, cached = self._ccp_cache
-            if version == self._version and cached_fingerprint == fingerprint:
-                return cached
-        recorded: Dict[Tuple[int, int], Tuple[int, ...]] = dict(self._recorded_dvs)
-        if volatile_dvs is not None:
-            for pid, dv in volatile_dvs.items():
-                recorded[(pid, len(self._log.history(pid).checkpoints))] = tuple(dv)
-        ccp = CCP(
-            self._log,
-            recorded_dvs=recorded,
-            analysis_provider=self.knowledge_view(),
-            departed=self._membership.departed,
-        )
-        self._ccp_cache = (self._version, fingerprint, ccp)
+        ccp = self._ccp
+        if ccp is None or ccp.analysis_provider.version != self._version:
+            ccp = self._ccp = CCP(
+                self._log,
+                recorded_dvs=self._recorded_dvs,
+                analysis_provider=self.knowledge_view(),
+                departed=self._membership.departed,
+            )
         return ccp

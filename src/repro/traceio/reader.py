@@ -8,7 +8,9 @@ function of that call sequence, the replayed recorder is indistinguishable
 from the live one: same event log, same checkpoint dependency vectors, same
 message intervals, same memoised CCP, and therefore the same analysis
 results (zigzag kernel, Theorem-1/2 retained sets, recovery lines).  The
-round-trip property tests assert this byte for byte.
+round-trip property tests assert this byte for byte.  A pattern carries no
+volatile vector, so ``replayed.recorder.ccp()`` is the run's final CCP
+without the footer's ``final_volatile_dvs``, which nothing reads.
 
 Cheap consumers (campaign re-aggregation, ``inspect`` on huge traces) can use
 :meth:`TraceReader.summary` instead, which reads only the header and footer
@@ -32,7 +34,6 @@ from json import JSONDecodeError
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ccp.consistency import GlobalCheckpoint
-from repro.ccp.pattern import CCP
 from repro.gc.rdt_lgc_collector import RdtLgcCollector
 from repro.recovery.recovery_line import recovery_line
 from repro.recovery.rollback_plan import ProcessRollback, RollbackPlan
@@ -99,27 +100,6 @@ class ReplayedTrace:
         if self.footer is None:
             return None
         return self.footer.get("metrics")
-
-    def ccp(self, *, with_final_volatile_dvs: bool = False) -> CCP:
-        """The CCP of the replayed execution.
-
-        With ``with_final_volatile_dvs`` the footer's recorded end-of-run
-        dependency vectors are attached to the volatile checkpoints, which is
-        what makes the replayed pattern identical to the live run's *final*
-        audit CCP (not just to its stable part).
-        """
-        if not with_final_volatile_dvs:
-            return self.recorder.ccp()
-        if self.footer is None or "final_volatile_dvs" not in self.footer:
-            raise TraceTruncatedError(
-                f"{self.path}: no final volatile vectors in the footer "
-                f"(aborted or truncated trace)"
-            )
-        volatile = {
-            pid: tuple(dv)
-            for pid, dv in enumerate(self.footer["final_volatile_dvs"])
-        }
-        return self.recorder.ccp(volatile_dvs=volatile)
 
 
 def _recorder_for_header(header: Dict[str, Any], path: str) -> TraceRecorder:

@@ -77,16 +77,17 @@ class TestBuilderDependencyTracking:
         ccp = builder.build()
         assert ccp.checkpoint(cid).dependency_vector == (1, 1)
 
-    def test_recorded_volatile_dv_attached(self):
+    def test_volatile_dv_is_the_ground_truth(self):
         builder = CCPBuilder(2)
         builder.message_exchange(0, 1, tag="m")
         ccp = builder.build()
-        assert ccp.checkpoint(ccp.volatile_id(1)).dependency_vector == (1, 1)
+        assert ccp.checkpoint(ccp.volatile_id(1)).dependency_vector is None
+        assert ccp.dv(ccp.volatile_id(1)) == (1, 1) == builder.current_dv(1)
 
 
 class TestBuilderRecordedVsGroundTruth:
     def test_recorded_vectors_match_ground_truth_on_rdt_pattern(self, figure1_ccp):
         for pid in figure1_ccp.processes:
-            for cid in figure1_ccp.general_ids(pid):
+            for cid in figure1_ccp.stable_ids(pid):
                 recorded = figure1_ccp.checkpoint(cid).dependency_vector
                 assert recorded == figure1_ccp.ground_truth_dv(cid)

@@ -97,10 +97,12 @@ class TestRandomCcpInvariants:
     @given(ccp_inputs)
     def test_recorded_vectors_match_ground_truth(self, data):
         n, operations = data
-        ccp = _build(n, operations).build()
+        builder = _build(n, operations)
+        ccp = builder.build()
         for pid in ccp.processes:
-            for cid in ccp.general_ids(pid):
+            for cid in ccp.stable_ids(pid):
                 assert ccp.checkpoint(cid).dependency_vector == ccp.ground_truth_dv(cid)
+            assert builder.current_dv(pid) == ccp.dv(ccp.volatile_id(pid))
 
     @settings(max_examples=40, deadline=None)
     @given(ccp_inputs)

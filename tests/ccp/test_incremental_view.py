@@ -71,7 +71,7 @@ def _plan_at_recovery(seed: int):
     for part, chunk in enumerate(_chunks(_script(seed))):
         feeder.feed(chunk)
         if part == RECOVERY_AFTER:
-            return RecoveryManager().plan(recorder.ccp(), [seed % num_processes])
+            return RecoveryManager().plan(recorder.knowledge_view(), [seed % num_processes])
     return None
 
 
@@ -215,8 +215,8 @@ class TestChurnSchedules:
             node.storage.retained_indices() for node in unread.nodes
         ]
         assert read_result.all_audits_safe and read_result.all_audits_optimal
-        tracked = read.current_ccp().analysis_provider
-        truth = unread.current_ccp().analysis_provider
+        tracked = read.trace.knowledge_view()
+        truth = unread.trace.knowledge_view()
         assert tracked.theorem1_retained() == truth.theorem1_retained()
         assert tracked.theorem2_retained() == truth.theorem2_retained()
         for faulty in range(4):
@@ -381,7 +381,7 @@ class TestRecorderReadsTheLog:
             assert recorder.ccp().messages() == _messages_from_events(recorder.log)
             if part == 2:
                 delivered = {m[M_ID] for m in recorder.log.delivered_messages()}
-                plan = RecoveryManager().plan(recorder.ccp(), [seed % num_processes])
+                plan = RecoveryManager().plan(recorder.knowledge_view(), [seed % num_processes])
                 recorder.apply_recovery(plan)
                 feeder.resync()
                 assert recorder.ccp().messages() == _messages_from_events(recorder.log)

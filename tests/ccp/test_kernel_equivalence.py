@@ -167,13 +167,6 @@ class TestIncrementalTraceCcp:
         second = recorder.ccp()
         assert second is not first
 
-    def test_volatile_dv_fingerprint_invalidates_cache(self):
-        recorder = TraceRecorder(2)
-        feed_trace_recorder(recorder, random_ccp_script(6, num_processes=2))
-        with_dvs = recorder.ccp(volatile_dvs={0: (1, 0), 1: (0, 1)})
-        assert recorder.ccp(volatile_dvs={0: (1, 0), 1: (0, 1)}) is with_dvs
-        assert recorder.ccp(volatile_dvs={0: (2, 0), 1: (0, 1)}) is not with_dvs
-
     def test_incremental_state_survives_recovery_truncation(self):
         from repro.simulation.failures import FailureSchedule
         from repro.simulation.runner import SimulationConfig, SimulationRunner

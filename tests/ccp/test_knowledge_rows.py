@@ -66,7 +66,7 @@ class TestRowsFollowTheStableCheckpoints:
         feeder.feed(script[:crash_at])
         check()
 
-        plan = RecoveryManager().plan(recorder.ccp(), [victim % num_processes])
+        plan = RecoveryManager().plan(recorder.knowledge_view(), [victim % num_processes])
         assume(is_consistent_global_checkpoint(recorder.ccp(), plan.recovery_line))
         recorder.apply_recovery(plan)
         feeder.resync()
@@ -170,7 +170,6 @@ class TestDegenerateQueries:
         "faulty, line",
         [
             pytest.param(frozenset(), (3, 1, 2, 0, 0), id="nobody-faulty"),
-            pytest.param(frozenset({2}), (3, 1, 2, 0, 0), id="only-a-departed-pid"),
             pytest.param(frozenset({1}), (1, 0, 2, 0, 0), id="window-of-s0-alone"),
             pytest.param(frozenset({0, 1}), (1, 0, 2, 0, 0), id="busy-and-s0-alone"),
         ],
@@ -182,13 +181,24 @@ class TestDegenerateQueries:
         else:
             assert ccp.analysis_provider.recovery_line(faulty) == GlobalCheckpoint(line)
 
+    def test_a_departed_faulty_pid(self):
+        # A departed process cannot fail: the view refuses it, and the
+        # literal transcription, which checks nothing, pins nobody for it.
+        ccp = _degenerate_recorder().ccp()
+        with pytest.raises(ValueError, match="faulty process 2 departed the membership"):
+            ccp.analysis_provider.recovery_line({2})
+        assert _recovery_line_lemma1(ccp, {2}) == GlobalCheckpoint((3, 1, 2, 0, 0))
+
     @pytest.mark.parametrize("faulty", [{3}, {4}, {2, 3}], ids=["joined", "dormant", "with-departed"])
     def test_a_faulty_process_without_a_checkpoint(self, faulty):
-        # Outside Lemma 1 (only a process with a checkpoint can fail): the
-        # literal transcription says so, the view reads "knows checkpoint -1",
-        # true of every snapshot, and rolls everybody back to checkpoint 0.
+        # Outside Lemma 1 (only a member with a checkpoint can fail): the
+        # view refuses the set, whose first pid is departed or has none,
+        # and the literal transcription cannot name a last stable checkpoint.
         ccp = _degenerate_recorder().ccp()
-        assert ccp.analysis_provider.recovery_line(faulty) == GlobalCheckpoint((0, 0, 2, 0, 0))
+        with pytest.raises(
+            ValueError, match="faulty process [234] (has no stable checkpoint|departed)"
+        ):
+            ccp.analysis_provider.recovery_line(faulty)
         with pytest.raises(ValueError, match="has no stable checkpoint"):
             _recovery_line_lemma1(ccp, faulty)
 

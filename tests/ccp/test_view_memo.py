@@ -48,10 +48,8 @@ class TestOneViewPerVersion:
         recorder = _recorder()
         view = recorder.knowledge_view()
         plain = recorder.ccp()
-        volatile = recorder.ccp(volatile_dvs={pid: (0,) * 3 for pid in range(3)})
-        assert volatile is not plain  # another fingerprint, another pattern ...
-        assert plain.analysis_provider is view  # ... but one view
-        assert volatile.analysis_provider is view
+        assert recorder.ccp() is plain  # one pattern per version ...
+        assert plain.analysis_provider is view  # ... carrying the one view
         assert recorder.knowledge_view() is view
 
     def test_a_new_version_gets_a_new_view(self):
@@ -66,8 +64,7 @@ class TestTheViewMemoisesItsAnswers:
     def test_each_retained_set_is_computed_once(self, retained_calls):
         recorder = _recorder()
         first = recorder.ccp().analysis_provider.theorem1_retained()
-        volatile = recorder.ccp(volatile_dvs={pid: (0,) * 3 for pid in range(3)})
-        assert volatile.analysis_provider.theorem1_retained() is first
+        assert recorder.knowledge_view().theorem1_retained() is first
         recorder.knowledge_view().theorem2_retained()
         recorder.knowledge_view().theorem2_retained()
         assert retained_calls == [1, 2]
@@ -90,11 +87,9 @@ class TestTheViewMemoisesItsAnswers:
         )
         runner.run()
         assert retained_calls == []  # nobody asked during an unaudited run
-        ccp = runner.trace.ccp()
-        assert ccp is not runner.current_ccp()  # state_features' pattern differs
         retained = {node.pid: node.storage.retained_indices() for node in runner.nodes}
-        assert audit_garbage_collection(ccp, retained).ok
-        state_features(runner)
+        assert audit_garbage_collection(runner.trace.knowledge_view(), retained).ok
+        state_features(runner)  # its pattern carries the same view
         assert sorted(retained_calls) == [1, 2]
 
     def test_a_stale_view_still_refuses_after_memoising(self):

@@ -181,7 +181,7 @@ class TestTheFullAuditFollowsARewrite:
         recorder.record_checkpoint(1, 1, (1, 1, 0), forced=False, time=3.0)
         mark = recorder.knowledge_mark()
         assert recorder.knowledge_changed_since(mark) == frozenset()
-        recorder.apply_recovery(RecoveryManager().plan(recorder.ccp(), [0]))
+        recorder.apply_recovery(RecoveryManager().plan(recorder.knowledge_view(), [0]))
         assert recorder.knowledge_changed_since(mark) is None
 
     def test_a_leave(self):

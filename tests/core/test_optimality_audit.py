@@ -14,13 +14,15 @@ def _expected_retained(ccp):
 
 class TestAudit:
     def test_optimal_retention_passes(self, figure4_ccp):
-        audit = audit_garbage_collection(figure4_ccp, _expected_retained(figure4_ccp))
+        audit = audit_garbage_collection(
+            figure4_ccp.analysis_provider, _expected_retained(figure4_ccp)
+        )
         assert audit.ok and audit.is_safe and audit.is_optimal
 
     def test_missing_required_checkpoint_is_a_safety_violation(self, figure4_ccp):
         retained = _expected_retained(figure4_ccp)
         retained[1] = [i for i in retained[1] if i != 3]  # drop p2's last checkpoint
-        audit = audit_garbage_collection(figure4_ccp, retained)
+        audit = audit_garbage_collection(figure4_ccp.analysis_provider, retained)
         assert not audit.is_safe
         assert CheckpointId(1, 3) in audit.safety_violations
 
@@ -30,7 +32,7 @@ class TestAudit:
         retained = _expected_retained(figure4_ccp)
         extra = next(iter(obsolete_stable_checkpoints_theorem2(figure4_ccp)))
         retained[extra.pid] = sorted(retained[extra.pid] + [extra.index])
-        audit = audit_garbage_collection(figure4_ccp, retained)
+        audit = audit_garbage_collection(figure4_ccp.analysis_provider, retained)
         assert audit.is_safe
         assert not audit.is_optimal
         assert extra in audit.optimality_violations
@@ -40,5 +42,7 @@ class TestAudit:
             pid: [cid.index for cid in figure4_ccp.stable_ids(pid)]
             for pid in figure4_ccp.processes
         }
-        audit = audit_garbage_collection(figure4_ccp, retained, require_optimality=False)
+        audit = audit_garbage_collection(
+            figure4_ccp.analysis_provider, retained, require_optimality=False
+        )
         assert audit.is_safe and audit.is_optimal  # optimality simply not checked

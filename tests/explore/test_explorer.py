@@ -115,7 +115,7 @@ class TestCrashConfigurations:
             collected_during_recovery=0,
         )
         violation = OracleStack().check_recovery(
-            runner.current_ccp(), record, step=1
+            runner.trace.ccp(), record, step=1
         )
         assert violation is not None and violation.kind == "recovery-line"
 
@@ -146,7 +146,7 @@ class TestCrashConfigurations:
             node.take_checkpoint(forced=False)
         runner.nodes[0].send_message(1)  # received after s_1^1: p1 must roll back
         runner.engine.run(until=50.0)
-        pre_crash_ccp = runner.current_ccp()
+        pre_crash_ccp = runner.trace.ccp()
         events_before = pre_crash_ccp.log.total_events()
         runner.inject_crash(0)
         record = runner.recoveries[-1]

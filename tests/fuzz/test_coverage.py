@@ -60,7 +60,7 @@ class TestStateFeatures:
         ScheduleExecutor(config).execute(
             eager_schedule(config), state_probe=captured.append
         )
-        kernel = captured[0].current_ccp().zigzag
+        kernel = captured[0].trace.ccp().zigzag
         assert kernel.cycle_component_sizes() == [2, 2]
         features = state_features(captured[0])
         assert [f for f in features if f[0] == "scc"] == [("scc", 2, 2)]

@@ -12,8 +12,10 @@ import pytest
 
 from repro.gc.coordinated import GcReport, _Decision, _Reply, _Request
 from repro.live.frames import (
+    MAX_DATAGRAM,
     MAX_FRAME,
     ControlPayloadError,
+    DatagramTooLargeError,
     decode_datagram,
     encode_datagram,
     encode_frame,
@@ -78,6 +80,47 @@ class TestDatagrams:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             decode_datagram(b"\xff\x00 not json")
+
+    @pytest.mark.parametrize("processes, size", [(64, 580), (128, 1094)])
+    def test_the_largest_app_datagram_fits(self, processes, size):
+        """An app datagram carries the O(n) piggybacked vector: with every
+        counter at 10^6 it is far below the UDP limit at 64 and 128 processes."""
+        big = 10**6
+        doc = {
+            "t": "app", "m": big, "s": processes - 1, "r": processes - 2,
+            "pb": [big] * processes, "e": big, "l": big,
+        }
+        assert len(encode_datagram(doc)) == size < MAX_DATAGRAM
+
+    def test_an_oversized_reply_is_refused_before_it_is_sent(self, tmp_path):
+        """A coordinated round's reply carries every retained checkpoint's
+        vector: at 128 processes x 300 retained it exceeds one datagram, and
+        the transport raises instead of handing the kernel a datagram that
+        ``sendto`` would drop with EMSGSIZE."""
+        processes, retained = 128, 300
+        vector = tuple(range(processes))
+        report = GcReport(
+            pid=0,
+            last_stable=retained - 1,
+            checkpoints=tuple((index, vector) for index in range(retained)),
+            volatile_dv=vector,
+        )
+        shard = ShardWriter(str(tmp_path / "0.shard.jsonl"), pid=0, num_processes=processes)
+        transport = LiveTransport(
+            seed=1, network=NetworkConfig(), time_scale=1.0, shard=shard, clock=lambda: 0.0
+        )
+        sent = []
+
+        class Endpoint:
+            def sendto(self, data, address):
+                sent.append(data)
+
+        transport.attach_endpoint(Endpoint())
+        transport.set_peers({1: ("127.0.0.1", 1)})
+        with pytest.raises(DatagramTooLargeError, match=r"'ctrl' datagram of \d+ bytes"):
+            transport.send_control_message(0, 1, _Reply(1, 7, report))
+        shard.close()
+        assert sent == [] and transport.stats.control_sent == 0
 
 
 REPORT = GcReport(pid=2, last_stable=4, checkpoints=((1, (0, 1, 0)), (4, (3, 4, 1))),

@@ -143,8 +143,7 @@ class TestMerge:
         )
         assert isinstance(recorder, TraceRecorder)
         assert recorder.log.total_events() == 5
-        ccp = recorder.ccp(volatile_dvs={0: (2, 0), 1: (1, 3)})
-        plan = RecoveryManager().plan(ccp, [1])
+        plan = RecoveryManager().plan(recorder.knowledge_view(), [1])
         assert plan.recovery_line.indices[1] >= 0
 
     def test_a_mistyped_record_is_refused_naming_its_shard_entry(self, tmp_path):
@@ -291,7 +290,7 @@ class TestRestoreSpec:
         w1.record_elimination(1, 2)
         # p0 crashes: the orphan receive rolls p1 back to s1^1.
         recorder, _ = _replayed(paths)
-        plan = RecoveryManager().plan(recorder.ccp(volatile_dvs={1: (1, 5)}), [0])
+        plan = RecoveryManager().plan(recorder.knowledge_view(), [0])
         assert plan.rollback_for(1).rollback_index == 1
         # Epoch 1: p1 stores index 2 (and 3) again, then crashes itself.
         w1.set_epoch(1, lamport_floor=w1.lamport + 1)

@@ -45,8 +45,8 @@ class TestFigure4Annotations:
 
     def test_the_recording_is_the_figure4_pattern(self, figure4_run, figure4_ccp):
         """The offline oracles' pattern carries the annotated vectors: the
-        stored one at every checkpoint, the final one at every volatile
-        checkpoint; and it is what the driven run records."""
+        stored one at every checkpoint, and the final one is every volatile
+        checkpoint's ground truth; and it is what the driven run records."""
         run, _ = figure4_run
         for label, (dv, _) in FIGURE4_ANNOTATIONS.items():
             process, event = label.split(" ", 1)
@@ -57,7 +57,7 @@ class TestFigure4Annotations:
                 cid = figure4_ccp.volatile_id(pid)
             else:
                 continue
-            assert figure4_ccp.checkpoint(cid).dependency_vector == dv, label
+            assert figure4_ccp.dv(cid) == dv, label
         recorded = run.recorder.ccp()
         assert recorded.messages() == figure4_ccp.messages()
         for oracle in (obsolete_stable_checkpoints_theorem1, obsolete_stable_checkpoints_theorem2):

@@ -96,8 +96,7 @@ class TestNodeRecovery:
         assert p1.storage.retained_indices() == [0, 2]  # s1^1 collected
         assert p1.collector.uc_view() == (0, 2)
         p0.crash()
-        ccp = trace.ccp(volatile_dvs={n.pid: n.current_dv for n in nodes})
-        plan = RecoveryManager().plan(ccp, [0])
+        plan = RecoveryManager().plan(trace.knowledge_view(), [0])
         directive = plan.rollback_for(1)
         assert directive is not None and directive.rollback_index == 0
         stored = p1.storage.get(0).dependency_vector
@@ -131,7 +130,7 @@ class TestTraceRecorder:
         nodes[0].send_message(1)
         engine.run()
         nodes[1].take_checkpoint()
-        ccp = trace.ccp(volatile_dvs={n.pid: n.current_dv for n in nodes})
+        ccp = trace.ccp()
         assert ccp.last_stable(1) == 1
         assert ccp.checkpoint(CheckpointId(1, 1)).dependency_vector == (1, 1)
         assert len(ccp.messages()) == 1
@@ -146,8 +145,7 @@ class TestTraceRecorder:
         engine.run()
         nodes[1].take_checkpoint()
         nodes[1].take_checkpoint()
-        ccp = trace.ccp(volatile_dvs={n.pid: n.current_dv for n in nodes})
-        plan = RecoveryManager().plan(ccp, [1])
+        plan = RecoveryManager().plan(trace.knowledge_view(), [1])
         trace.apply_recovery(plan)
         truncated = trace.ccp()
         assert truncated.last_stable(1) == plan.recovery_line.indices[1]

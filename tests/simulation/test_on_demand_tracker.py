@@ -48,7 +48,7 @@ def _plan(recorder: TraceRecorder, victim: int):
     """
     ccp = recorder.ccp()
     members = sorted(recorder.membership.members)  # a dormant slot cannot fail
-    plan = RecoveryManager().plan(ccp, [members[victim % len(members)]])
+    plan = RecoveryManager().plan(ccp.analysis_provider, [members[victim % len(members)]])
     assume(is_consistent_global_checkpoint(ccp, plan.recovery_line))
     return plan
 
@@ -187,7 +187,7 @@ class TestNoAnalysisNoTracker:
         runner = SimulationRunner(config)
         runner.run()
         assert runner.trace.knowledge_tracker is None
-        runner.current_ccp()
+        runner.trace.ccp()
         assert runner.trace.knowledge_tracker is not None
 
 

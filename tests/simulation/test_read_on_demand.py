@@ -2,7 +2,7 @@
 
 The nodes of a :class:`~repro.simulation.runner.SimulationRunner` whose
 recorder nobody has read yet keep their ``record_*`` occurrences; the first
-read (``runner.trace``, ``current_ccp()``, a recovery session) applies them to
+read (``runner.trace``, a recovery session) applies them to
 the one :class:`~repro.simulation.trace.TraceRecorder` through the calls the
 nodes would have made, and from then on every call is forwarded as it
 happens.  So a run read from before ``run()`` and a run never read until
@@ -67,7 +67,7 @@ def _config(seed: int = 1, **overrides) -> SimulationConfig:
 def _recorded_state(runner: SimulationRunner):
     """Everything a reader can learn from the runner's recorder."""
     recorder = runner.trace
-    view = runner.current_ccp().analysis_provider
+    view = runner.trace.knowledge_view()
     return {
         "events": [tuple(recorder.log.history(pid)) for pid in recorder.log.processes],
         "messages": recorder.log.messages(),
@@ -291,7 +291,7 @@ class TestTheTraceFileIsTheSameWhoeverReads:
         if reader == "read-at-every-elimination":
             for node in runner.nodes:
                 node.collector.attach_elimination_listener(
-                    lambda index: eliminations.append(runner.current_ccp())
+                    lambda index: eliminations.append(runner.trace.ccp())
                 )
         runner.run()
         assert bool(eliminations) == (reader == "read-at-every-elimination")
@@ -323,7 +323,7 @@ class TestTheTraceFileIsTheSameWhoeverReads:
         for at in (5.0, 30.0, 30.0, 80.0):
             runner.engine.schedule_at(at, lambda: runner.trace)
         runner.run()
-        runner.trace, runner.current_ccp()
+        runner.trace, runner.trace.ccp()
         ((sink, when),) = attached
         assert isinstance(sink, TraceWriter) and 0.0 < when <= 5.0
         assert verify_trace(path) == []

@@ -81,7 +81,7 @@ class TestAClosedRunner:
     def test_run_trace_and_ccp_raise(self, finished):
         runner, _ = finished
         runner.close()
-        for use in (runner.run, lambda: runner.trace, runner.current_ccp):
+        for use in (runner.run, lambda: runner.trace, lambda: runner.trace.ccp()):
             with pytest.raises(RuntimeError, match="closed"):
                 use()
 

@@ -88,8 +88,7 @@ class TestKilledShardPrefixes:
         paths, w0, w1 = _exchange(tmp_path)
         shards = [read_shard(path) for path in paths]
         recorder = replay_entries(ordered_entries(shards), 2)
-        ccp = recorder.ccp(volatile_dvs={0: (2, 0), 1: (2, 2)})
-        plan = RecoveryManager().plan(ccp, [0])
+        plan = RecoveryManager().plan(recorder.knowledge_view(), [0])
         assert plan.rollback_for(0) is not None
 
 

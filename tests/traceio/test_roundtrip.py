@@ -191,15 +191,15 @@ class TestRecorderRoundTrip:
         replayed_table = analysis_table(replayed.recorder, title="T").render()
         assert replayed_table == live_table
 
-    def test_final_volatile_dvs_reproduce_live_audit_ccp(self, tmp_path):
+    def test_the_replayed_pattern_determines_the_final_volatile_dvs(self, tmp_path):
+        """The footer's ``final_volatile_dvs`` are the ground-truth vectors of
+        the replayed pattern's volatile checkpoints: the pattern needs none."""
         runner, _, path = _traced_run(tmp_path, seed=5, crashes=1)
         replayed = TraceReader(path).replay()
-        live_ccp = runner.current_ccp()
-        replayed_ccp = replayed.ccp(with_final_volatile_dvs=True)
-        for pid in live_ccp.processes:
-            assert replayed_ccp.dv(replayed_ccp.volatile_id(pid)) == live_ccp.dv(
-                live_ccp.volatile_id(pid)
-            )
+        ccp = replayed.recorder.ccp()
+        volatile = [ccp.dv(ccp.volatile_id(pid)) for pid in ccp.processes]
+        assert volatile == [tuple(dv) for dv in replayed.footer["final_volatile_dvs"]]
+        assert volatile == [node.current_dv for node in runner.nodes]
 
     def test_metrics_survive_the_footer(self, tmp_path):
         _, result, path = _traced_run(tmp_path, seed=3, crashes=1)
