@@ -61,6 +61,15 @@ writer is fed each occurrence as it happens and the log is built only at the
 first read, so a file costs its records, not an event log built to forward
 them — which shows up as ~70 lines per message.
 
+The **held-bytes** gate (``--smoke`` only) measures memory, not lines: the
+bytes an unread ``run_simulation`` of the same 8-process config still holds
+when its engine stops (tracemalloc's current size where the runner builds
+its result, less the size before the run), per application message, between
+a 300- and a 600-time-unit run.  ``run_simulation`` releases its runner
+right after ``run()``, so a run that schedules no read keeps no occurrence;
+a port that keeps a tuple per send, receive and checkpoint until ``close()``
+shows up as ~2.8x.
+
 The **trace-codec** gate (``--smoke`` only) counts the same way on the same
 run with a trace attached: lines executed inside ``TraceWriter.on_send/
 on_receive/on_checkpoint/write_sample`` per record written, and inside
@@ -210,6 +219,15 @@ MESSAGE_PATH_LINES_CEILING = 247.0
 # between 265.0 and 307.6, so the gate passes and fires with ~21 lines to
 # spare either way.
 TRACED_MESSAGE_PATH_LINES_CEILING = 286.0
+# Held-bytes gate: bytes an unread run_simulation of the recording-path
+# gate's config still holds when its engine stops, per application message,
+# between the two durations (173.1 on Python 3.11 when the gate was added;
+# 487.0 on its parent commit, whose port kept a tuple per occurrence until
+# close()).  What is left is the network's received-id set: ~32 bytes per
+# delivered message for the id, and its hash table, which quadruples between
+# the two runs (32 to 128 KiB), ~82 more.
+HELD_BYTES_DURATIONS = (300.0, 600.0)
+HELD_BYTES_PER_MESSAGE_CEILING = 240.0
 # Trace-codec gate, on the same run with a trace attached: lines per record
 # written and per line read back (13.9 and 16.0 when the gate was added, 13.0
 # read since a line is parsed before it is tested for blankness, 9.0 read
@@ -584,6 +602,62 @@ def check_traced_message_path_cost(
     return []
 
 
+def held_bytes_per_message() -> float:
+    """Bytes an unread ``run_simulation`` still holds when its engine stops, per message.
+
+    The recording-path gate's config, audit off and failure-free, run at each
+    of ``HELD_BYTES_DURATIONS`` after a warm-up run that fills the
+    interpreter's free lists: tracemalloc's current size where the runner
+    builds its result, less the size before the run, and the difference
+    between the two runs divided by the difference of their application
+    messages.  Exact on a given interpreter: it counts allocations, not RSS.
+    """
+    import tracemalloc
+
+    from repro.simulation import runner as runner_module
+
+    build_result = runner_module.SimulationRunner._build_result
+    held: List[int] = []
+
+    def measured(runner: Any) -> Any:
+        held.append(tracemalloc.get_traced_memory()[0])
+        return build_result(runner)
+
+    def run(duration: float) -> Tuple[int, int]:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        config = dataclasses.replace(_recording_run_config(), duration=duration)
+        result = runner_module.run_simulation(config)
+        if result.messages_sent == 0 or result.audits or result.recoveries:
+            raise RuntimeError("the held-bytes gate's own run went wrong")
+        return held.pop() - before, result.messages_sent
+
+    tracing = tracemalloc.is_tracing()
+    runner_module.SimulationRunner._build_result = measured  # type: ignore[method-assign]
+    try:
+        if not tracing:
+            tracemalloc.start()
+        run(HELD_BYTES_DURATIONS[-1])
+        (short, short_messages), (long, long_messages) = map(run, HELD_BYTES_DURATIONS)
+    finally:
+        runner_module.SimulationRunner._build_result = build_result  # type: ignore[method-assign]
+        if not tracing:
+            tracemalloc.stop()
+    return (long - short) / (long_messages - short_messages)
+
+
+def check_held_bytes(*, ceiling: float = HELD_BYTES_PER_MESSAGE_CEILING) -> List[str]:
+    """Gate: a run nobody reads holds no history while it runs."""
+    held = held_bytes_per_message()
+    if held > ceiling:
+        return [
+            f"an unread run_simulation still holds {held:.1f} bytes per application "
+            f"message when its engine stops (allowed {ceiling:.1f}): the recorder "
+            f"port keeps its occurrences again, or another per-message structure grew"
+        ]
+    return []
+
+
 def check_recording_path_cost(*, ceiling: float = RECORDING_LINES_CEILING) -> List[str]:
     """Gate: recording an occurrence stays one cheap record, kept once."""
     lines = recording_lines_per_occurrence()
@@ -950,6 +1024,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         standalone_violations += check_recording_path_cost()
         standalone_violations += check_message_path_cost()
         standalone_violations += check_traced_message_path_cost()
+        standalone_violations += check_held_bytes()
         standalone_violations += check_trace_codec_cost()
         standalone_violations += check_history_tracking()
         standalone_violations += check_retained_set_cost()
@@ -1010,7 +1085,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     memory_note = "skipped" if args.skip_memory else "within threshold"
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
-        f"session scaling, recording-path, message-path (untraced, traced), trace-codec, "
+        f"session scaling, recording-path, message-path (untraced, traced), held-bytes, "
+        f"trace-codec, "
         f"replay-path, history-tracking, "
         f"retained-set, "
         f"store-cost, explorer and fuzzer gates "

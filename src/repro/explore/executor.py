@@ -20,8 +20,9 @@ knowledge changed since the last clean state.  The initial state, the state
 after a recovery session and a terminal state get the whole-state audit
 (:meth:`~repro.explore.oracles.OracleStack.check_state`).  An exception
 escaping the simulation (the way an unsafe collector breaks a recovery
-session) is itself a violation of kind ``execution-error``.  A run stays live after its last token, so it can
-be extended by one more token instead of being rebuilt — until its outcome
+session) is itself a violation of kind ``execution-error``.  A run stays
+live after its last token, so it can be extended by one more token instead of
+being rebuilt — until its outcome
 is terminal (the engine was flushed) or violating.
 
 Determinism: the executed prefix fully determines the reached state, so

@@ -7,16 +7,19 @@ optional online audits, runs the experiment and returns a
 benchmarks need.
 
 The recorder sits behind its readers.  A run whose log nobody reads — no
-crash, no audit, no ``keep_final_ccp``, no join or leave — keeps its nodes'
-``record_*`` occurrences in arrival order and never builds the event log;
-the first read (:attr:`SimulationRunner.trace`, a recovery session, a
-membership change) applies them to the one :class:`TraceRecorder` through
-the calls the nodes would have made, and from then on every occurrence is
-forwarded as it happens.  Audits and recovery sessions read the recorder's
-knowledge view: a run builds a CCP only for ``keep_final_ccp``.  A trace
-file is not a reader: the run's writer gets each occurrence as it happens
-either way.  There is no option: what is read is recorded and validated
-exactly as if it had been from the start.
+crash, no audit, no ``keep_final_ccp``, no join or leave
+(:func:`_reads_history`) — keeps its nodes' ``record_*`` occurrences in
+arrival order and never builds the event log; the first read
+(:attr:`SimulationRunner.trace`, a recovery session, a membership change)
+applies them to the one :class:`TraceRecorder` through the calls the nodes
+would have made, and from then on every occurrence is forwarded as it
+happens.  :func:`run_simulation` owns its runner and releases it right after
+``run()``, so on such a run it keeps nothing at all: no read can follow, and
+a read all the same is a :class:`RuntimeError`, not an empty log.  Audits
+and recovery sessions read the recorder's knowledge view: a run builds a CCP
+only for ``keep_final_ccp``.  A trace file is not a reader: the run's writer
+gets each occurrence as it happens either way.  There is no option: what is
+read is recorded and validated exactly as if it had been from the start.
 """
 
 from __future__ import annotations
@@ -42,6 +45,14 @@ from repro.simulation.node import SimulationNode, build_node
 from repro.simulation.trace import TraceRecorder, TraceSink
 from repro.simulation.workloads import Action, ActionKey, Workload
 from repro.validation import SpecValidationError, check_choice, naming
+
+
+def _reads_history(config: SimulationConfig) -> bool:
+    """Whether the run itself reads its recorder: a crash, an audit,
+    ``keep_final_ccp``, or a join or leave."""
+    return bool(
+        config.failures or config.audit != "off" or config.keep_final_ccp or config.membership
+    )
 
 
 @dataclass(frozen=True)
@@ -345,6 +356,10 @@ def metrics_from_record(record: Mapping[str, Any]) -> Dict[str, float]:
     return {name: value for name, value in derived if value is not None}
 
 
+def _ignore(*args: Any, **kwargs: Any) -> None:
+    """An occurrence nobody keeps or writes."""
+
+
 class _ReadOnDemandRecorder:
     """The nodes' :class:`~repro.transport.TraceRecorderPort` on a run nobody reads yet.
 
@@ -364,13 +379,33 @@ class _ReadOnDemandRecorder:
     rollback, are reads), and an action fires only if every pid it
     touches is a member.  A refusal all the same surfaces at the first read
     and fails the run.
+
+    A run whose owner knows no read will follow (:meth:`expect_no_read`)
+    keeps nothing: each occurrence goes to the sink alone.
     """
 
     def __init__(self, recorder: TraceRecorder, sink: Optional[TraceSink]) -> None:
         self._recorder = recorder
         self._sink = sink
-        #: ``(recorder method name, *arguments)`` per occurrence; None once read.
+        #: ``(recorder method name, *arguments)`` per occurrence; None once
+        #: read, or once no read can follow.
         self._kept: Optional[List[Tuple[Any, ...]]] = []
+        self._unreadable = False
+
+    def expect_no_read(self) -> None:
+        """Keep no occurrence from now on: nothing will read the recorder.
+
+        Each ``record_*`` becomes the sink's own ``on_*`` (a no-op without a
+        sink), so the writer still hears every occurrence and nothing else
+        holds one; a later :meth:`read` raises instead of handing out a log
+        that misses them.  Called before anything was recorded.
+        """
+        assert self._kept == [], "expect_no_read() after the port kept or forwarded"
+        self._kept, self._unreadable = None, True
+        for event in ("send", "receive", "duplicate_receive", "checkpoint"):
+            # An instance attribute: the nodes' next call skips the port
+            # (a None sink has no ``on_*``, so it gets the no-op).
+            setattr(self, f"record_{event}", getattr(self._sink, f"on_{event}", _ignore))
 
     def record_send(
         self, sender: int, receiver: int, message_id: int, time: float
@@ -419,6 +454,11 @@ class _ReadOnDemandRecorder:
 
     def read(self) -> TraceRecorder:
         """The recorder, brought up to date with everything kept so far."""
+        if self._unreadable:
+            raise RuntimeError(
+                "this run keeps no history: its owner declared that nothing reads "
+                "the recorder (no crash, audit, keep_final_ccp, join or leave)"
+            )
         kept, self._kept = self._kept, None
         if kept is None:
             return self._recorder
@@ -818,6 +858,9 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
 
         return run_live(config).result
     runner = SimulationRunner(config)
+    if not _reads_history(config):
+        # The runner is closed right after run(): nothing can read it later.
+        runner._unread.expect_no_read()
     try:
         return runner.run()
     finally:

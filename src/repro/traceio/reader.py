@@ -220,7 +220,8 @@ class TraceReader:
     # Raw access
     # ------------------------------------------------------------------
     def lines(self) -> Iterator[Tuple[int, Any]]:
-        """The file's ``(line_number, parsed_json)`` pairs: :func:`~repro.traceio.format.read_lines`."""
+        """The file's ``(line_number, parsed_json)`` pairs:
+        :func:`~repro.traceio.format.read_lines`."""
         return read_lines(self._path)
 
     def header(self) -> Dict[str, Any]:

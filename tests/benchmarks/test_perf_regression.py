@@ -12,7 +12,9 @@ recovery-session scaling gate (a session may cost at most 2x more after a
 4x longer warm-up history), the recording-path gate (executed lines per
 recorded send/receive/checkpoint under an absolute ceiling), the
 message-path gate (executed lines of a whole unread run per application
-message, untraced and traced), the trace-codec gate (executed lines per
+message, untraced and traced), the held-bytes gate (bytes an unread
+``run_simulation`` still holds per application message when its engine
+stops), the trace-codec gate (executed lines per
 trace record written and per trace line read back, under one ceiling), the
 history-tracking gate (GC-tracked objects a held replay adds per record), the
 retained-set gate (executed lines per ``(i, f)`` pair of a Theorem-1/2
@@ -104,7 +106,7 @@ def test_smoke_regression_check_passes(committed_document):
     gate (a ratio of two executed-line counts, a function of the seed alone):
     replaying or rescanning the history per session reads ~3.6x against its
     2x ceiling, and the violation printed on stderr names it.  The
-    recording-path, message-path (untraced and traced), trace-codec,
+    recording-path, message-path (untraced and traced), held-bytes, trace-codec,
     retained-set, store-cost, explorer and fuzzer gates run here too and have their
     own tests below.
     """
@@ -176,6 +178,25 @@ def test_traced_message_path_stays_under_its_line_ceiling(monkeypatch):
     _read_every_runner_from_construction(monkeypatch)
     (violation,) = check_traced_message_path_cost()
     assert "trace writer is fed through a log" in violation
+
+
+def test_an_unread_run_holds_no_history_when_its_engine_stops(monkeypatch):
+    """``run_simulation`` on a config that schedules no read keeps no occurrence.
+
+    Bytes still held when the engine stops, per application message, between
+    a 300- and a 600-time-unit run (tracemalloc: a count of allocations on a
+    given interpreter, not a time).  The gate can fire: a run whose port
+    keeps a tuple per send, receive and checkpoint until ``close()`` — every
+    unread ``run_simulation`` on the commit this gate was added against —
+    holds ~2.8x the bytes, and the violation names the port.
+    """
+    from benchmarks.check_regression import check_held_bytes
+    from repro.simulation import runner
+
+    assert check_held_bytes() == []
+    monkeypatch.setattr(runner, "_reads_history", lambda config: True)
+    (violation,) = check_held_bytes()
+    assert "port keeps its occurrences" in violation
 
 
 def test_trace_codec_stays_under_its_line_ceiling():

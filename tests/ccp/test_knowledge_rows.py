@@ -189,7 +189,9 @@ class TestDegenerateQueries:
             ccp.analysis_provider.recovery_line({2})
         assert _recovery_line_lemma1(ccp, {2}) == GlobalCheckpoint((3, 1, 2, 0, 0))
 
-    @pytest.mark.parametrize("faulty", [{3}, {4}, {2, 3}], ids=["joined", "dormant", "with-departed"])
+    @pytest.mark.parametrize(
+        "faulty", [{3}, {4}, {2, 3}], ids=["joined", "dormant", "with-departed"]
+    )
     def test_a_faulty_process_without_a_checkpoint(self, faulty):
         # Outside Lemma 1 (only a member with a checkpoint can fail): the
         # view refuses the set, whose first pid is departed or has none,
@@ -207,6 +209,8 @@ class TestDegenerateQueries:
         assert_rows_cover_the_stable_checkpoints(recorder)
         assert recorder.knowledge_tracker.ckpt_rows[3] == []  # joined, no checkpoint yet
         view = recorder.ccp().analysis_provider
-        assert view.theorem1_retained() == {CheckpointId(0, 1), CheckpointId(0, 2), CheckpointId(1, 0)}
+        assert view.theorem1_retained() == {
+            CheckpointId(0, 1), CheckpointId(0, 2), CheckpointId(1, 0)
+        }
         assert view.theorem2_retained() == view.theorem1_retained()
         assert_view_matches_literal(recorder)

@@ -195,7 +195,8 @@ def test_a_respawned_live_transport_draws_fresh_fates(tmp_path):
 
 
 def test_worker_action_script_round_trips_into_node_calls(tmp_path):
-    """``[time, kind.value, target]`` → ``Action`` → handler, as the worker's init frame does it."""
+    """``[time, kind.value, target]`` → ``Action`` → handler, as the worker's
+    init frame does it."""
     now, sent = [0.0], []
     shard = ShardWriter(str(tmp_path / "1.shard.jsonl"), pid=1, num_processes=PROCESSES)
     transport = LiveTransport(

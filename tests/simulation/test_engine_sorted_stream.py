@@ -135,7 +135,13 @@ def _play(engine, script):
                 [(engine.now + delay, make(f"op{index}.{k}")) for k, delay in enumerate(op[1])]
             )
         observed.append(
-            (outcome, engine.now, engine.processed_events, engine.peek_time(), engine.pending_events())
+            (
+                outcome,
+                engine.now,
+                engine.processed_events,
+                engine.peek_time(),
+                engine.pending_events(),
+            )
         )
     return fired, observed
 
@@ -147,7 +153,9 @@ class TestSortedStreamAgainstTheHeapOnlyReference:
         assert _play(SimulationEngine(), script) == _play(HeapOnlyEngine(), script)
 
     def test_the_final_run_leaves_nothing_pending(self):
-        script = {"before": [1.0], "batch": [1.0, 1.0, 2.0], "after": [1.0], "spawns": [], "ops": []}
+        script = {
+            "before": [1.0], "batch": [1.0, 1.0, 2.0], "after": [1.0], "spawns": [], "ops": []
+        }
         fired, observed = _play(SimulationEngine(), script)
         # Ties fire in scheduling order across the two sources.
         assert [label for label, _ in fired] == ["before0", "batch0", "batch1", "after0", "batch2"]
@@ -158,7 +166,9 @@ class TestSortedStream:
     def test_step_peek_and_pending_see_the_stream(self):
         engine, order = SimulationEngine(), []
         engine.schedule_at(2.0, lambda: order.append("heap"))
-        engine.schedule_sorted([(1.0, lambda: order.append("s1")), (3.0, lambda: order.append("s3"))])
+        engine.schedule_sorted(
+            [(1.0, lambda: order.append("s1")), (3.0, lambda: order.append("s3"))]
+        )
         assert engine.pending_events() == 3
         assert engine.peek_time() == 1.0
         assert engine.step() and order == ["s1"] and engine.now == 1.0
@@ -207,13 +217,19 @@ class TestSortedStream:
 
     def test_a_batch_may_hold_plus_infinity(self):
         engine, order = SimulationEngine(), []
-        engine.schedule_sorted([(1.0, lambda: order.append(1)), (math.inf, lambda: order.append(2))])
+        engine.schedule_sorted(
+            [(1.0, lambda: order.append(1)), (math.inf, lambda: order.append(2))]
+        )
         assert engine.run(until=100.0) is StopReason.UNTIL and order == [1]
 
     def test_a_second_batch_while_one_is_pending_is_merged_entry_by_entry(self):
         engine, order = SimulationEngine(), []
-        engine.schedule_sorted([(1.0, lambda: order.append("a1")), (4.0, lambda: order.append("a4"))])
-        engine.schedule_sorted([(1.0, lambda: order.append("b1")), (3.0, lambda: order.append("b3"))])
+        engine.schedule_sorted(
+            [(1.0, lambda: order.append("a1")), (4.0, lambda: order.append("a4"))]
+        )
+        engine.schedule_sorted(
+            [(1.0, lambda: order.append("b1")), (3.0, lambda: order.append("b3"))]
+        )
         assert engine.pending_events() == 4
         with pytest.raises(ValueError):
             engine.schedule_sorted([(3.0, lambda: None), (2.0, lambda: None)])

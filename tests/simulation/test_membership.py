@@ -325,7 +325,9 @@ class TestBeyondTheCapacityFailsTyped:
                 id="MembershipView.join",
             ),
             pytest.param(
-                lambda pid, tmp_path: TraceRecorder(5, initial_members=range(4)).record_join(pid, 20.0),
+                lambda pid, tmp_path: TraceRecorder(5, initial_members=range(4)).record_join(
+                    pid, 20.0
+                ),
                 MembershipError,
                 "^process 9 is outside the run's capacity of 5 processes",
                 id="TraceRecorder.record_join",

@@ -42,7 +42,9 @@ class TestDuration:
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_json_spec_path(self, literal):
-        document = json.loads('{"kind": "simulation", "num_processes": 2, "duration": %s}' % literal)
+        document = json.loads(
+            '{"kind": "simulation", "num_processes": 2, "duration": %s}' % literal
+        )
         with pytest.raises(api.SpecValidationError, match="duration must be positive and finite"):
             api.load_spec(document)
 
@@ -61,7 +63,9 @@ class TestDuration:
 class TestCrashTimes:
     @non_finite
     def test_failure_schedule_of(self, bad):
-        with pytest.raises(ValueError, match=rf"crash time of process 1 must be finite, got {bad!r}"):
+        with pytest.raises(
+            ValueError, match=rf"crash time of process 1 must be finite, got {bad!r}"
+        ):
             FailureSchedule.of([(3.0, 0), (bad, 1)])
         with pytest.raises(ValueError, match="crash time"):
             FailureSchedule((Crash(bad, 1),))
@@ -74,7 +78,9 @@ class TestCrashTimes:
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
     def test_json_spec_path(self, literal):
-        document = json.loads(json.dumps(_spec()).replace("}", ', "failures": [[%s, 0]]}' % literal))
+        document = json.loads(
+            json.dumps(_spec()).replace("}", ', "failures": [[%s, 0]]}' % literal)
+        )
         with pytest.raises(api.SpecValidationError, match="failures: .*must be finite"):
             api.load_spec(document)
 
@@ -111,7 +117,9 @@ class TestEngineTimes:
     def test_the_clock_is_not_poisoned_for_later_events(self):
         engine = SimulationEngine()
         fired = []
-        engine.schedule_at(2.0, lambda: engine.schedule_after(1.0, lambda: fired.append(engine.now)))
+        engine.schedule_at(
+            2.0, lambda: engine.schedule_after(1.0, lambda: fired.append(engine.now))
+        )
         with pytest.raises(ValueError):
             engine.schedule_at(NAN, lambda: fired.append("nan"))
         engine.run()

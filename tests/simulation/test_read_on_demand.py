@@ -8,6 +8,9 @@ nodes would have made, and from then on every call is forwarded as it
 happens.  So a run read from before ``run()`` and a run never read until
 afterwards must be the same run in everything but *when* the log was built —
 and write the same trace file, which the port feeds until the first read.
+:func:`~repro.simulation.runner.run_simulation` releases its runner right
+after ``run()``: on a config that schedules no read its port keeps nothing,
+and the run is still the same run, file included.
 """
 
 import dataclasses
@@ -25,7 +28,7 @@ from repro.scenarios.experiments import membership_churn_smoke_spec
 from repro.simulation.channels import DuplicatingChannel, PartitionSchedule, UniformChannel
 from repro.simulation.failures import FailureSchedule
 from repro.simulation.network import NetworkConfig, NetworkStats
-from repro.simulation.runner import SimulationConfig, SimulationRunner
+from repro.simulation.runner import SimulationConfig, SimulationRunner, run_simulation
 from repro.simulation.trace import TraceRecorder
 from repro.simulation.workloads import UniformRandomWorkload
 from repro.traceio.reader import TraceReader, verify_trace
@@ -439,3 +442,71 @@ class TestOutOfRangeDestination:
         assert [node.forced_checkpoints for node in runner.nodes] == [
             node.forced_checkpoints for node in untouched.nodes
         ]
+
+
+RUN_SIMULATION_SHAPES = {
+    **SHAPES,
+    "join-and-leave": {
+        "membership": MembershipSchedule.of(joins=[(20.0, 4)], leaves=[(60.0, 1)])
+    },
+    "keep-final-ccp": {"keep_final_ccp": True},
+}
+
+
+@pytest.fixture
+def at_result(monkeypatch):
+    """Calls each ``check(runner)`` where every runner from now on builds its result."""
+    checks = []
+    build_result = SimulationRunner._build_result
+
+    def checked(runner):
+        for check in checks:
+            check(runner)
+        return build_result(runner)
+
+    monkeypatch.setattr(SimulationRunner, "_build_result", checked)
+    return checks
+
+
+class TestRunSimulationKeepsNothingNobodyReads:
+    """``run_simulation`` owns its runner: a config that schedules no read
+    (no crash, audit, ``keep_final_ccp``, join or leave) keeps no history."""
+
+    @pytest.mark.parametrize("shape", sorted(RUN_SIMULATION_SHAPES))
+    def test_it_is_the_run_of_a_runner_built_directly(self, tmp_path, shape):
+        def traced(name: str) -> SimulationConfig:
+            return _config(
+                trace_path=str(tmp_path / f"{name}.jsonl"), **RUN_SIMULATION_SHAPES[shape]
+            )
+
+        direct = SimulationRunner(traced("direct")).run()
+        owned = run_simulation(traced("owned"))
+        assert owned.metrics_dict() == direct.metrics_dict()
+        assert owned.recoveries == direct.recoveries and owned.audits == direct.audits
+        written = (tmp_path / "owned.jsonl").read_bytes()
+        assert written == (tmp_path / "direct.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_an_unread_run_keeps_no_occurrence(self, tmp_path, log_calls, at_result, traced):
+        held = []
+        at_result.append(
+            lambda runner: held.append((runner._unread._kept, runner._trace.log.total_events()))
+        )
+        path = str(tmp_path / "t.jsonl") if traced else None
+        result = run_simulation(_config(trace_path=path))
+        assert result.messages_sent > 0
+        assert held == [(None, 0)]
+        assert log_calls == dict.fromkeys(LOG_BUILDERS, 0)
+        if traced:
+            assert verify_trace(path) == []
+
+    def test_a_run_that_reads_keeps_its_history(self, at_result):
+        events = []
+        at_result.append(lambda runner: events.append(runner.trace.log.total_events()))
+        run_simulation(_config(audit="safety"))
+        assert events[0] > 0
+
+    def test_a_read_forced_on_an_unread_run_is_refused(self, at_result):
+        at_result.append(lambda runner: runner.trace)
+        with pytest.raises(RuntimeError, match="this run keeps no history"):
+            run_simulation(_config())

@@ -64,7 +64,8 @@ class TestActions:
         send = Action(1.0, 0, ActionKind.SEND, 1)
         assert checkpoint.sort_key() == (1.0, 0, "checkpoint", -1)
         assert send.sort_key() == (1.0, 0, "send", 1)
-        assert checkpoint.sort_key() < send.sort_key() < Action(1.0, 1, ActionKind.CHECKPOINT).sort_key()
+        later = Action(1.0, 1, ActionKind.CHECKPOINT)
+        assert checkpoint.sort_key() < send.sort_key() < later.sort_key()
 
     def test_of_key_inverts_sort_key(self):
         checkpoint, send = Action(1.5, 2, ActionKind.CHECKPOINT), Action(0.5, 0, ActionKind.SEND, 3)
