@@ -70,6 +70,13 @@ right after ``run()``, so a run that schedules no read keeps no occurrence;
 a port that keeps a tuple per send, receive and checkpoint until ``close()``
 shows up as ~2.8x.
 
+The **link-bytes** gate (``--smoke`` only) measures memory the same way: the
+bytes a 64-process ``LinkFates`` holds per directed link after 5 application
+messages on each of its 4 032 links, the median a link of the 64-process
+steady run draws.  A link keeps its next draws, not a generator; a
+``random.Random`` per link (2 560 bytes of Mersenne-Twister state) shows up as
+~6.8x.
+
 The **trace-codec** gate (``--smoke`` only) counts the same way on the same
 run with a trace attached: lines executed inside ``TraceWriter.on_send/
 on_receive/on_checkpoint/write_sample`` per record written, and inside
@@ -187,7 +194,8 @@ RECORDING_LINES_CEILING = 35.4
 # 229.6 since the node keeps no sent / received / duplicate / rollback
 # counters, lowered again by that 3.0-line drop, and 227.2 since a stored
 # checkpoint keeps only what recovery reads and the UC table keeps no
-# elimination history;
+# elimination history, and 228.2 since a link serves its buffered draws
+# through a Python uniform() instead of holding a random.Random;
 # 274.6 before that, with every action pushed
 # through the heap behind two closures; 355.6 when the run still built the
 # event log nobody read and re-linked UC through two calls per entry).  The
@@ -208,7 +216,7 @@ MESSAGE_PATH_LINES_CEILING = 247.0
 # drop, and 267.4 since the node keeps no counters the network and the log
 # own, lowered again by that 3.0-line drop, and 265.0 since a stored
 # checkpoint keeps only what recovery reads and the UC table keeps no
-# elimination history; 355.8 when
+# elimination history, and 266.1 since a link serves buffered draws; 355.8 when
 # the writer was fed through the recorder, which built and validated the log
 # only to forward each occurrence to it).  The ceiling was 319.1 until the
 # EventLog built its records without their validating constructors: a traced
@@ -223,11 +231,19 @@ TRACED_MESSAGE_PATH_LINES_CEILING = 286.0
 # gate's config still holds when its engine stops, per application message,
 # between the two durations (173.1 on Python 3.11 when the gate was added;
 # 487.0 on its parent commit, whose port kept a tuple per occurrence until
-# close()).  What is left is the network's received-id set: ~32 bytes per
-# delivered message for the id, and its hash table, which quadruples between
-# the two runs (32 to 128 KiB), ~82 more.
+# close()).  It reads 70.1 since the network keeps delivered message ids only
+# under a duplicating channel, so the ceiling went from 240 to 100; keeping
+# them under every channel again (~32 bytes per id, and the set's hash table
+# quadrupling between the two runs) reads 173.1.
 HELD_BYTES_DURATIONS = (300.0, 600.0)
-HELD_BYTES_PER_MESSAGE_CEILING = 240.0
+HELD_BYTES_PER_MESSAGE_CEILING = 100.0
+# Link-bytes gate: traced bytes per directed link of a 64-process LinkFates
+# after 5 application messages on every link (449.1 on Python 3.11 when the
+# gate was added; 3045.1 on its parent commit, which gave every link its own
+# random.Random).
+LINK_BYTES_PROCESSES = 64
+LINK_BYTES_MESSAGES = 5
+LINK_BYTES_CEILING = 1024.0
 # Trace-codec gate, on the same run with a trace attached: lines per record
 # written and per line read back (13.9 and 16.0 when the gate was added, 13.0
 # read since a line is parsed before it is tested for blankness, 9.0 read
@@ -658,6 +674,56 @@ def check_held_bytes(*, ceiling: float = HELD_BYTES_PER_MESSAGE_CEILING) -> List
     return []
 
 
+def link_bytes() -> float:
+    """Traced bytes a ``LinkFates`` holds per directed link it has opened.
+
+    A 64-process ``LinkFates`` on the default network, ``LINK_BYTES_MESSAGES``
+    application messages on each of its links: tracemalloc's current size
+    after the sends, less the size before the ``LinkFates`` was built,
+    divided by the number of links.  Exact on a given interpreter.
+    """
+    import tracemalloc
+
+    from repro.simulation.network import LinkFates, NetworkConfig
+
+    processes = range(LINK_BYTES_PROCESSES)
+    links = [
+        (sender, receiver)
+        for sender in processes
+        for receiver in processes
+        if sender != receiver
+    ]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        fates = LinkFates(1, NetworkConfig())
+        for _ in range(LINK_BYTES_MESSAGES):
+            for sender, receiver in links:
+                fates.app_delivery_times(sender, receiver, 0.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    if fates.stats.app_sent != LINK_BYTES_MESSAGES * len(links):
+        raise RuntimeError("the link-bytes gate's own sends went wrong")
+    return held / len(links)
+
+
+def check_link_bytes(*, ceiling: float = LINK_BYTES_CEILING) -> List[str]:
+    """Gate: a link keeps its next draws, not a generator it barely uses."""
+    held = link_bytes()
+    if held > ceiling:
+        return [
+            f"a 64-process LinkFates holds {held:.1f} bytes per opened link after "
+            f"{LINK_BYTES_MESSAGES} messages on each (allowed {ceiling:.1f}): every "
+            f"link keeps a random.Random again, or the per-link state grew"
+        ]
+    return []
+
+
 def check_recording_path_cost(*, ceiling: float = RECORDING_LINES_CEILING) -> List[str]:
     """Gate: recording an occurrence stays one cheap record, kept once."""
     lines = recording_lines_per_occurrence()
@@ -1025,6 +1091,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         standalone_violations += check_message_path_cost()
         standalone_violations += check_traced_message_path_cost()
         standalone_violations += check_held_bytes()
+        standalone_violations += check_link_bytes()
         standalone_violations += check_trace_codec_cost()
         standalone_violations += check_history_tracking()
         standalone_violations += check_retained_set_cost()
@@ -1086,7 +1153,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
         f"session scaling, recording-path, message-path (untraced, traced), held-bytes, "
-        f"trace-codec, "
+        f"link-bytes, trace-codec, "
         f"replay-path, history-tracking, "
         f"retained-set, "
         f"store-cost, explorer and fuzzer gates "

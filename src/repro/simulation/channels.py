@@ -39,15 +39,35 @@ import abc
 import dataclasses
 import hashlib
 import json
-import random
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Sequence, Tuple, Type
+from typing import (
+    Any,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Protocol,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 from repro.validation import check_choice
 
 #: Runtime per-link state handed back to the model on every sample.  The
 #: concrete type is private to each model (None for the stateless ones).
 LinkState = Any
+
+
+class RandomStream(Protocol):
+    """The two draws a channel model may make: a ``random.Random`` has both."""
+
+    def random(self) -> float:
+        """The next draw in ``[0, 1)``."""
+
+    def uniform(self, a: float, b: float) -> float:
+        """``a + (b - a) * random()``."""
 
 
 class ChannelModel(abc.ABC):
@@ -58,6 +78,11 @@ class ChannelModel(abc.ABC):
     once per application message on that link, always with the same per-link
     random stream; the returned tuple holds the latency of every copy to
     deliver (empty = the message is lost on the wire).
+
+    A model draws from that stream only through ``random()`` and
+    ``uniform(a, b)`` (:class:`RandomStream`): a link keeps its next draws,
+    not a generator (:mod:`repro.simulation.network`), and those two are
+    what it serves, bit-identical to ``random.Random``'s.
     """
 
     #: Registry key used by :func:`channel_from_mapping` and ``describe()``.
@@ -73,13 +98,13 @@ class ChannelModel(abc.ABC):
 
     @abc.abstractmethod
     def sample(
-        self, state: LinkState, sender: int, receiver: int, rng: random.Random
+        self, state: LinkState, sender: int, receiver: int, rng: RandomStream
     ) -> Tuple[float, ...]:
         """Latencies of the copies to deliver for one message; ``()`` = lost."""
 
     @abc.abstractmethod
     def sample_latency(
-        self, state: LinkState, sender: int, receiver: int, rng: random.Random
+        self, state: LinkState, sender: int, receiver: int, rng: RandomStream
     ) -> float:
         """One latency draw with no loss/duplication (control plane, copies)."""
 
@@ -127,14 +152,14 @@ class UniformChannel(ChannelModel):
         }
 
     def sample(
-        self, state: LinkState, sender: int, receiver: int, rng: random.Random
+        self, state: LinkState, sender: int, receiver: int, rng: RandomStream
     ) -> Tuple[float, ...]:
         if self.drop_probability and rng.random() < self.drop_probability:
             return ()
         return (self.sample_latency(state, sender, receiver, rng),)
 
     def sample_latency(
-        self, state: LinkState, sender: int, receiver: int, rng: random.Random
+        self, state: LinkState, sender: int, receiver: int, rng: RandomStream
     ) -> float:
         return self.base_latency + rng.uniform(0.0, self.jitter)
 
@@ -185,7 +210,7 @@ class GilbertElliottChannel(ChannelModel):
         return {"bad": False}  # every link starts in the good regime
 
     def sample(
-        self, state: LinkState, sender: int, receiver: int, rng: random.Random
+        self, state: LinkState, sender: int, receiver: int, rng: RandomStream
     ) -> Tuple[float, ...]:
         loss = self.loss_bad if state["bad"] else self.loss_good
         lost = rng.random() < loss
@@ -197,7 +222,7 @@ class GilbertElliottChannel(ChannelModel):
         return (self.sample_latency(state, sender, receiver, rng),)
 
     def sample_latency(
-        self, state: LinkState, sender: int, receiver: int, rng: random.Random
+        self, state: LinkState, sender: int, receiver: int, rng: RandomStream
     ) -> float:
         return self.base_latency + rng.uniform(0.0, self.jitter)
 
@@ -241,7 +266,7 @@ class DuplicatingChannel(ChannelModel):
         return self.channel.initial_state()
 
     def sample(
-        self, state: LinkState, sender: int, receiver: int, rng: random.Random
+        self, state: LinkState, sender: int, receiver: int, rng: RandomStream
     ) -> Tuple[float, ...]:
         delivered = self.channel.sample(state, sender, receiver, rng)
         if not delivered:
@@ -255,7 +280,7 @@ class DuplicatingChannel(ChannelModel):
         return delivered + extras
 
     def sample_latency(
-        self, state: LinkState, sender: int, receiver: int, rng: random.Random
+        self, state: LinkState, sender: int, receiver: int, rng: RandomStream
     ) -> float:
         return self.channel.sample_latency(state, sender, receiver, rng)
 
@@ -315,14 +340,14 @@ class LatencyMatrixChannel(ChannelModel):
         }
 
     def sample(
-        self, state: LinkState, sender: int, receiver: int, rng: random.Random
+        self, state: LinkState, sender: int, receiver: int, rng: RandomStream
     ) -> Tuple[float, ...]:
         if self.drop_probability and rng.random() < self.drop_probability:
             return ()
         return (self.sample_latency(state, sender, receiver, rng),)
 
     def sample_latency(
-        self, state: LinkState, sender: int, receiver: int, rng: random.Random
+        self, state: LinkState, sender: int, receiver: int, rng: RandomStream
     ) -> float:
         return self.latencies[sender][receiver] + rng.uniform(0.0, self.jitter)
 
@@ -558,6 +583,7 @@ def channel_label(description: Mapping[str, Any]) -> str:
 
 __all__ = [
     "ChannelModel",
+    "RandomStream",
     "UniformChannel",
     "GilbertElliottChannel",
     "DuplicatingChannel",

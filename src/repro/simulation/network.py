@@ -21,6 +21,19 @@ attaching a coordinated garbage collector (control traffic) does not perturb
 the application execution.  The workload, which *does* draw from the engine
 generator, is likewise untouched by anything the network does.
 
+The draw-sequence contract.  A stream is the sequence of
+``random.Random(seed).random()`` values, ``seed`` being the first eight
+bytes (big-endian) of the sha256 of ``"{stream}:{label}:{sender}:{receiver}"``
+(``stream`` is ``"{engine seed}:net"``, salted ``@{incarnation}`` by the live
+backend's respawned workers; ``label`` is ``app`` or ``control``).  A link
+does not keep a Mersenne Twister for it: most links make a handful of draws
+per run, so a link holds its first ``LINK_BUFFERED_DRAWS`` values, copied
+from one shared generator reseeded in place, and only a link that uses them
+up gets a ``random.Random(seed)`` of its own, moved past them.  Channels draw
+only through ``random()`` and ``uniform(a, b)``, computed as CPython's
+``a + (b - a) * random()``, so every latency and loss is bit-identical to a
+link holding ``random.Random(seed)`` itself.
+
 Control messages (used only by the coordinated garbage-collection baselines)
 travel over the same transport but are never dropped, duplicated or blocked
 by partitions — those baselines explicitly assume reliable control
@@ -37,12 +50,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Tuple, Union
 
 from repro.simulation.channels import (
     ChannelModel,
+    DuplicatingChannel,
     LinkState,
     PartitionSchedule,
     UniformChannel,
@@ -192,6 +208,67 @@ class NetworkStats:
     partition_events: int = 0
 
 
+#: Draws a link serves from its own buffer before it gets a generator: one
+#: per message on a loss-free uniform link, and the 64-process steady run
+#: (seed 1) makes a median of 5 per link and at most 14.  A buffered link
+#: holds ~450 bytes where a ``random.Random`` holds 2 560.
+LINK_BUFFERED_DRAWS = 16
+
+# The one generator every link's buffer is drawn from.  Each link open
+# reseeds it before drawing, so nothing carries over from one open to the
+# next; two threads opening links at once would interleave, and the
+# simulator and a live worker each open links on one thread.  ``_RESEED`` is
+# the C seeding ``random.Random.seed`` ends in for an int.
+_SCRATCH = random.Random(0)
+_RESEED = super(random.Random, _SCRATCH).seed
+_DRAW = random.Random.random
+
+
+class _SpilledGenerator(random.Random):
+    """A link's own ``random.Random``, once its buffer is used up; ``pop()``
+    is its next draw, as it is the buffer's."""
+
+    pop = random.Random.random
+
+
+class _LinkStream:
+    """One link's random stream: the draws of ``random.Random(seed)``.
+
+    The first ``LINK_BUFFERED_DRAWS`` are drawn when the link opens and kept
+    reversed, so each draw is one C ``pop()``; a link that uses them up puts
+    ``random.Random(seed)``, moved past them, in the buffer's place.
+    """
+
+    __slots__ = ("_draws", "_seed", "__weakref__")
+
+    def __init__(self, seed: int) -> None:
+        _RESEED(seed)
+        draws = array("d", map(_DRAW, repeat(_SCRATCH, LINK_BUFFERED_DRAWS)))
+        draws.reverse()
+        self._draws: Union[array[float], _SpilledGenerator] = draws
+        self._seed = seed
+
+    def random(self) -> float:
+        """The next draw in ``[0, 1)``."""
+        try:
+            return self._draws.pop()
+        except IndexError:
+            return self._spill().pop()
+
+    def uniform(self, a: float, b: float) -> float:
+        """The next draw scaled to ``[a, b]``, as ``random.Random.uniform``."""
+        try:
+            return a + (b - a) * self._draws.pop()
+        except IndexError:
+            return a + (b - a) * self._spill().pop()
+
+    def _spill(self) -> _SpilledGenerator:
+        generator = self._draws = _SpilledGenerator(self._seed)
+        for _ in range(LINK_BUFFERED_DRAWS):
+            generator.random()
+        return generator
+
+
 class LinkFates:
     """Decides what happens to every message of one run, link by link.
 
@@ -208,6 +285,13 @@ class LinkFates:
     replay the draws of the killed incarnation where the simulator's streams
     continue.  Incarnation 0 derives the unsalted streams, so a crash-free
     live run draws exactly the simulator's values.
+
+    Each stream draws exactly what ``random.Random(seed)`` would, ``seed``
+    from :meth:`_link_seed` (the module docstring's contract), but a link
+    keeps only its next draws until it has used ``LINK_BUFFERED_DRAWS`` of
+    them.  Only a duplicating channel delivers a message twice, so only
+    under one are the ids of delivered messages kept to tell the copies
+    apart.
     """
 
     def __init__(self, seed: int, config: NetworkConfig, *, incarnation: int = 0) -> None:
@@ -218,21 +302,27 @@ class LinkFates:
         self._fifo = config.fifo
         #: Per directed link: the channel model's state (shared by both kinds
         #: of traffic) and the application stream, found in one lookup.
-        self._links: Dict[Tuple[int, int], Tuple[LinkState, random.Random]] = {}
-        self._control_rngs: Dict[Tuple[int, int], random.Random] = {}
+        self._links: Dict[Tuple[int, int], Tuple[LinkState, _LinkStream]] = {}
+        self._control_rngs: Dict[Tuple[int, int], _LinkStream] = {}
         self._fifo_clock: Dict[Tuple[int, int], float] = {}
-        # Messages whose first copy already landed: later copies are
-        # duplicate deliveries.
-        self._received: set[int] = set()
+        # Under a duplicating channel, the messages whose first copy already
+        # landed: later copies are duplicate deliveries.  Without one every
+        # arrival is a first copy and nothing is kept.
+        self._received: Optional[set[int]] = (
+            set() if isinstance(self._channel, DuplicatingChannel) else None
+        )
         self.stats = NetworkStats()
 
-    def _link_rng(self, label: str, sender: int, receiver: int) -> random.Random:
+    def _link_seed(self, label: str, sender: int, receiver: int) -> int:
         digest = hashlib.sha256(
             f"{self._stream}:{label}:{sender}:{receiver}".encode("utf-8")
         ).digest()
-        return random.Random(int.from_bytes(digest[:8], "big"))
+        return int.from_bytes(digest[:8], "big")
 
-    def _open_link(self, sender: int, receiver: int) -> Tuple[LinkState, random.Random]:
+    def _link_rng(self, label: str, sender: int, receiver: int) -> _LinkStream:
+        return _LinkStream(self._link_seed(label, sender, receiver))
+
+    def _open_link(self, sender: int, receiver: int) -> Tuple[LinkState, _LinkStream]:
         link = self._links[sender, receiver] = (
             self._channel.initial_state(),
             self._link_rng("app", sender, receiver),
@@ -278,10 +368,12 @@ class LinkFates:
 
     def is_first_copy(self, message_id: int) -> bool:
         """Classify (and count) an arriving copy: fresh message or duplicate."""
-        if message_id in self._received:
-            self.stats.app_duplicates_delivered += 1
-            return False
-        self._received.add(message_id)
+        received = self._received
+        if received is not None:
+            if message_id in received:
+                self.stats.app_duplicates_delivered += 1
+                return False
+            received.add(message_id)
         self.stats.app_delivered += 1
         return True
 
@@ -291,7 +383,8 @@ class LinkFates:
         self._links.clear()
         self._control_rngs.clear()
         self._fifo_clock.clear()
-        self._received.clear()
+        if self._received is not None:
+            self._received.clear()
 
 
 class Network(Transport):

@@ -14,7 +14,8 @@ recorded send/receive/checkpoint under an absolute ceiling), the
 message-path gate (executed lines of a whole unread run per application
 message, untraced and traced), the held-bytes gate (bytes an unread
 ``run_simulation`` still holds per application message when its engine
-stops), the trace-codec gate (executed lines per
+stops), the link-bytes gate (bytes a 64-process ``LinkFates`` holds per
+opened link), the trace-codec gate (executed lines per
 trace record written and per trace line read back, under one ceiling), the
 history-tracking gate (GC-tracked objects a held replay adds per record), the
 retained-set gate (executed lines per ``(i, f)`` pair of a Theorem-1/2
@@ -150,7 +151,7 @@ def test_message_path_stays_under_its_line_ceiling(monkeypatch):
     recorder is read from construction builds its log as it happens — an
     ``Event``, a ``Message`` and a history entry per occurrence, what every
     run did on the runner this gate was added against, at 355.6 lines per
-    message — and the violation names the path.  (An unread run reads 227.2
+    message — and the violation names the path.  (An unread run reads 228.2
     under a ceiling of 247.0; a run read from construction 267.1.)
     """
     from benchmarks.check_regression import check_message_path_cost
@@ -169,7 +170,7 @@ def test_traced_message_path_stays_under_its_line_ceiling(monkeypatch):
     read from construction builds and validates the log only to forward each
     occurrence to the writer — what every traced run did on the runner this
     gate was added against, at 355.8 lines per message — and the violation
-    names the path.  (A traced run nobody reads reads 265.0 under a ceiling
+    names the path.  (A traced run nobody reads reads 266.1 under a ceiling
     of 286.0; one read from construction 307.6.)
     """
     from benchmarks.check_regression import check_traced_message_path_cost
@@ -188,7 +189,8 @@ def test_an_unread_run_holds_no_history_when_its_engine_stops(monkeypatch):
     given interpreter, not a time).  The gate can fire: a run whose port
     keeps a tuple per send, receive and checkpoint until ``close()`` — every
     unread ``run_simulation`` on the commit this gate was added against —
-    holds ~2.8x the bytes, and the violation names the port.
+    holds ~6x the bytes, and the violation names the port.  (An unread run
+    reads 70.1 under a ceiling of 100.0; one whose recorder is read 416.0.)
     """
     from benchmarks.check_regression import check_held_bytes
     from repro.simulation import runner
@@ -197,6 +199,33 @@ def test_an_unread_run_holds_no_history_when_its_engine_stops(monkeypatch):
     monkeypatch.setattr(runner, "_reads_history", lambda config: True)
     (violation,) = check_held_bytes()
     assert "port keeps its occurrences" in violation
+
+
+def test_a_link_keeps_its_next_draws_not_a_generator(monkeypatch):
+    """An opened link holds a few buffered draws, not a Mersenne Twister.
+
+    Traced bytes per link of a 64-process ``LinkFates`` after 5 messages on
+    each link (a count of allocations on a given interpreter).  The gate can
+    fire: links that each keep a ``random.Random(seed)`` — what every link
+    did on the commit this gate was added against — hold ~6.8x the bytes,
+    and the violation names the generator.  (449.1 under a ceiling of
+    1024.0; 3045.1 with a generator per link.)
+    """
+    import random
+
+    from benchmarks.check_regression import check_link_bytes
+    from repro.simulation.network import LinkFates
+
+    assert check_link_bytes() == []
+    monkeypatch.setattr(
+        LinkFates,
+        "_link_rng",
+        lambda fates, label, sender, receiver: random.Random(
+            fates._link_seed(label, sender, receiver)
+        ),
+    )
+    (violation,) = check_link_bytes()
+    assert "keeps a random.Random again" in violation
 
 
 def test_trace_codec_stays_under_its_line_ceiling():

@@ -16,6 +16,7 @@ from repro.simulation.channels import (
 )
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.network import (
+    LinkFates,
     Network,
     NetworkConfig,
     network_config_from_mapping,
@@ -152,6 +153,18 @@ class TestDuplicatingChannel:
         network.send_app_message(0, 1, (0, 0))
         with pytest.raises(RuntimeError):
             engine.run()
+
+    @pytest.mark.parametrize(
+        "channel", [UniformChannel(drop_probability=0.2), GilbertElliottChannel()]
+    )
+    def test_only_a_duplicating_channel_keeps_delivered_ids(self, channel):
+        """Without duplication every arrival is a first copy: no id is kept."""
+        fates = LinkFates(1, NetworkConfig(channel=channel))
+        assert [fates.is_first_copy(7), fates.is_first_copy(7)] == [True, True]
+        assert fates._received is None
+        duplicating = LinkFates(1, NetworkConfig(channel=DuplicatingChannel(channel)))
+        assert [duplicating.is_first_copy(7), duplicating.is_first_copy(7)] == [True, False]
+        assert duplicating.stats.app_duplicates_delivered == 1
 
 
 class TestLatencyMatrix:
