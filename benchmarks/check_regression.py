@@ -103,6 +103,15 @@ almost nothing for a full collection to walk; records stored as tuple
 subclasses (``NamedTuple`` instances) or holding an enum member stay tracked
 for the life of the log and show up as ~1.6 objects per record.
 
+The **replay-bytes** gate (``--smoke`` only) measures memory again: the
+bytes a held ``TraceReader(path).replay()`` keeps (tracemalloc's current size
+after it, less the size before), per body record, on a trace the gate writes
+from a fixed checkpoint-heavy 16-process run whose vector entries outgrow
+CPython's small-int cache.  A recorder keeps each stored-vector entry value
+once — ``TraceRecorder.record_checkpoint`` takes the entries from its value
+table — and a receive record the send's message id; a stored vector built
+with a plain ``tuple(dv)`` again, one fresh int per entry, shows up as ~1.5x.
+
 The **retained-set** gate (``--smoke`` only) counts the same way inside
 ``IncrementalAnalysisView._retained`` (callees included) per ``(i, f)`` pair
 of active processes on the same run with ``audit="full"``.  A pair costs one
@@ -181,7 +190,9 @@ SESSION_COST_GROWTH_CEILING = 2.0
 # checkpoint counts beside its log, the ceiling lowered by that 0.6-line drop;
 # 61.4 on its parent commit, with the recorder's shadow message tables
 # and dataclass records; still 16.9 since a stored checkpoint keeps only
-# what recovery reads and the UC table no elimination history).
+# what recovery reads and the UC table no elimination history, and 17.4
+# since record_checkpoint takes a stored vector's entries from the
+# recorder's value table, two lines per checkpoint behind a type guard).
 RECORDING_LINES_CEILING = 35.4
 # Message-path gate, on the same run with the recorder unread: lines executed
 # by the whole runner.run() per application message (249.2 since the workload
@@ -256,7 +267,8 @@ TRACE_CODEC_LINES_CEILING = 20.0
 # executes per body record, recording included (42.5 when the gate was added,
 # so ~15 % headroom, 41.2 since the records are exact tuples, 40.6 since the
 # recorder keeps no dropped-message set or checkpoint counts beside its log,
-# the ceiling lowered by that 0.6-line drop; 59.1 on its
+# the ceiling lowered by that 0.6-line drop, 41.0 since record_checkpoint
+# takes a stored vector's entries from its value table; 59.1 on its
 # parent commit, whose records went through
 # validate_record, a second dispatch, a validating Event constructor and
 # ProcessHistory.append).
@@ -266,6 +278,15 @@ REPLAY_LINES_CEILING = 48.4
 # added; 1.622 on its parent commit, whose event log stored Event, Message and
 # CheckpointId NamedTuple instances, with an enum member in every event).
 TRACKED_PER_RECORD_CEILING = 0.05
+# Replay-bytes gate: bytes a held TraceReader.replay() keeps per body record
+# of the trace its fixed run writes (16 processes, a basic checkpoint every
+# 0.25 time units on average, 200 time units, seed 1: ~16 k records whose
+# vector entries reach ~900).  412.2 on Python 3.11 when the gate was added;
+# 639.0 on its parent commit, whose recorder stored tuple(dv) — a fresh int
+# object per entry above 256 — and whose receive records kept the r line's
+# message id.  The ceiling is about midway.
+REPLAY_BYTES_RUN = (16, 200.0, 0.25)  # processes, duration, mean checkpoint gap
+REPLAY_BYTES_PER_RECORD_CEILING = 520.0
 # Retained-set gate, on the same run with audit="full": lines inside
 # IncrementalAnalysisView._retained per (i, f) pair (10.1 when the gate
 # was added, so ~40 % headroom, 9.5 since a CheckpointId is a NamedTuple
@@ -884,6 +905,61 @@ def check_history_tracking(*, ceiling: float = TRACKED_PER_RECORD_CEILING) -> Li
     return []
 
 
+def replay_bytes_per_record() -> float:
+    """Bytes a held ``TraceReader(path).replay()`` keeps, per body record.
+
+    The trace is written by the fixed ``REPLAY_BYTES_RUN``; tracemalloc's
+    current size after the replay (its result held, a full collection done)
+    less the size before it, divided by the footer's record count.  Exact on
+    a given interpreter: it counts allocations, not RSS.
+    """
+    import tracemalloc
+
+    from repro.simulation.runner import SimulationConfig, run_simulation
+    from repro.simulation.workloads import UniformRandomWorkload
+    from repro.traceio.reader import TraceReader
+
+    processes, duration, checkpoint_gap = REPLAY_BYTES_RUN
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "gate.trace.jsonl")
+        result = run_simulation(
+            SimulationConfig(
+                num_processes=processes,
+                duration=duration,
+                workload=UniformRandomWorkload(mean_checkpoint_gap=checkpoint_gap),
+                seed=1,
+                trace_path=path,
+            )
+        )
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            replayed = TraceReader(path).replay()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    if result.total_checkpoints == 0 or replayed.recorder.log.total_events() == 0:
+        raise RuntimeError("the replay-bytes gate's own run went wrong")
+    return held / replayed.footer["records"]
+
+
+def check_replay_bytes(*, ceiling: float = REPLAY_BYTES_PER_RECORD_CEILING) -> List[str]:
+    """Gate: a replayed recorder keeps each recorded number once."""
+    held = replay_bytes_per_record()
+    if held > ceiling:
+        return [
+            f"a held replay keeps {held:.1f} bytes per trace record (allowed "
+            f"{ceiling:.1f}): TraceRecorder.record_checkpoint stores fresh entry "
+            f"ints again instead of its value table's, or another per-record holding grew"
+        ]
+    return []
+
+
 def store_cost() -> Tuple[int, float]:
     """Connections opened, and SQL statements executed per completed cell.
 
@@ -1094,6 +1170,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         standalone_violations += check_link_bytes()
         standalone_violations += check_trace_codec_cost()
         standalone_violations += check_history_tracking()
+        standalone_violations += check_replay_bytes()
         standalone_violations += check_retained_set_cost()
         standalone_violations += check_store_cost()
         standalone_violations += check_explore_cost()
@@ -1154,7 +1231,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"check_regression: {len(fresh)} row(s) within threshold, "
         f"session scaling, recording-path, message-path (untraced, traced), held-bytes, "
         f"link-bytes, trace-codec, "
-        f"replay-path, history-tracking, "
+        f"replay-path, history-tracking, replay-bytes, "
         f"retained-set, "
         f"store-cost, explorer and fuzzer gates "
         f"{'ok' if args.smoke else 'skipped (--smoke only)'}, "

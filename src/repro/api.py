@@ -33,15 +33,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.explore import ExploreConfig, explore
 from repro.fuzz.fuzzer import FuzzSpec, fuzz
-from repro.scenarios.campaign.executor import run_campaign
-from repro.scenarios.campaign.queries import QUERIES, run_query, store_summary
 from repro.scenarios.campaign.spec import (
     AXES,
     CampaignSpec,
     config_from_mapping,
     spec_from_mapping,
 )
-from repro.scenarios.campaign.sqlstore import SQLResultStore
 from repro.simulation import SimulationConfig, run_simulation
 from repro.validation import SpecValidationError, check_choice
 
@@ -177,6 +174,8 @@ def run(
                 "max_executions", f"must be at least 0, got {max_executions!r}"
             )
     if isinstance(loaded, CampaignSpec):
+        from repro.scenarios.campaign.executor import run_campaign
+
         return run_campaign(
             loaded,
             store_path=store,
@@ -233,6 +232,11 @@ def query(
         ValueError: when ``store`` exists but is not a SQLite result store,
             or ``group_by`` names an axis its cells do not have.
     """
+    # The campaign fabric (executor, SQL store, aggregate) loads only here
+    # and for a campaign spec in run(): no simulation, explore or fuzz run uses it.
+    from repro.scenarios.campaign.queries import QUERIES, run_query, store_summary
+    from repro.scenarios.campaign.sqlstore import SQLResultStore
+
     if name is None or name == "aggregate":
         group_by = params.pop("group_by", None)
         allow_incomplete = bool(params.pop("allow_incomplete", False))

@@ -15,6 +15,11 @@ and each record is an *exact* tuple of atoms (ints, floats, bools, ``None``):
   intervals of its send and receive, stamped by the log the moment they are
   recorded, so nothing downstream re-derives or shadows them.
 
+A message's records share one id object: the receive event and the
+delivered message record hold the id the send was recorded with, not the
+equal one the caller of :meth:`EventLog.add_receive` passed (a replayed
+trace's parser makes a fresh int for every id it reads).
+
 CPython's cyclic garbage collector stops tracking such a tuple at its first
 young-generation pass (it never does for a tuple subclass, and an enum member
 is itself tracked), so a full collection never walks the history, however
@@ -389,20 +394,21 @@ class EventLog:
         """Record the receipt of a previously sent message.
 
         The message record is replaced by its delivered state, stamped with
-        the receiver's current checkpoint interval.
+        the receiver's current checkpoint interval.  Both it and the receive
+        event hold the send's id object, not ``message_id`` itself.
         """
         message = self._messages.get(message_id)
         if message is None:
             raise ValueError(f"receive of unknown message {message_id}")
-        _, sender, pid, send_seq, send_interval, receive_seq, _ = message
+        mid, sender, pid, send_seq, send_interval, receive_seq, _ = message
         if receive_seq >= 0:
             raise ValueError(f"message {message_id} already received")
         history = self._histories[pid]
         seq = len(history.events)
-        event = (pid, seq, RECEIVE, message_id, None, time, False)
+        event = (pid, seq, RECEIVE, mid, None, time, False)
         history.events.append(event)
-        self._messages[message_id] = (
-            message_id, sender, pid, send_seq, send_interval, seq, len(history.checkpoints)
+        self._messages[mid] = (
+            mid, sender, pid, send_seq, send_interval, seq, len(history.checkpoints)
         )
         return event
 

@@ -27,38 +27,93 @@ subpackage turns that kind of study into a first-class object:
 * :mod:`cli` — the ``python -m repro campaign`` entry point.
 """
 
-from repro.scenarios.campaign.aggregate import (
-    DEFAULT_GROUP_BY,
-    DEFAULT_METRICS,
-    CampaignSummary,
-    GroupStats,
-    aggregate_campaign,
-)
-from repro.scenarios.campaign.executor import (
-    CampaignRun,
-    CampaignWorkerError,
-    WorkerRun,
-    default_worker_id,
-    execute_cell,
-    run_campaign,
-    run_worker,
-    trace_filename,
-)
-from repro.scenarios.campaign.queries import (
-    QUERIES,
-    describe_queries,
-    run_query,
-    store_summary,
-)
-from repro.scenarios.campaign.sqlstore import ClaimedCell, SQLResultStore
-from repro.scenarios.campaign.spec import (
-    CampaignCell,
-    CampaignSpec,
-    CollectorSpec,
-    FailureAxisEntry,
-    WorkloadSpec,
-    spec_from_mapping,
-)
+import importlib
+from typing import TYPE_CHECKING, Any, List
+
+if TYPE_CHECKING:  # the re-exports for type checkers; at run time __getattr__ loads them
+    from repro.scenarios.campaign.aggregate import (
+        DEFAULT_GROUP_BY,
+        DEFAULT_METRICS,
+        CampaignSummary,
+        GroupStats,
+        aggregate_campaign,
+    )
+    from repro.scenarios.campaign.executor import (
+        CampaignRun,
+        CampaignWorkerError,
+        WorkerRun,
+        default_worker_id,
+        execute_cell,
+        run_campaign,
+        run_worker,
+        trace_filename,
+    )
+    from repro.scenarios.campaign.queries import (
+        QUERIES,
+        describe_queries,
+        run_query,
+        store_summary,
+    )
+    from repro.scenarios.campaign.sqlstore import ClaimedCell, SQLResultStore
+    from repro.scenarios.campaign.spec import (
+        CampaignCell,
+        CampaignSpec,
+        CollectorSpec,
+        FailureAxisEntry,
+        WorkloadSpec,
+        spec_from_mapping,
+    )
+
+#: The submodule each re-exported name lives in.  A name is imported on its
+#: first access (PEP 562): the spec parser a single simulation's document
+#: goes through loads without the executor, the SQL store (``sqlite3``), the
+#: worker fabric (``multiprocessing``), the queries and the aggregate.
+_SOURCES = {
+    name: f"{__name__}.{module}"
+    for module, names in {
+        "aggregate": (
+            "DEFAULT_GROUP_BY",
+            "DEFAULT_METRICS",
+            "CampaignSummary",
+            "GroupStats",
+            "aggregate_campaign",
+        ),
+        "executor": (
+            "CampaignRun",
+            "CampaignWorkerError",
+            "WorkerRun",
+            "default_worker_id",
+            "execute_cell",
+            "run_campaign",
+            "run_worker",
+            "trace_filename",
+        ),
+        "queries": ("QUERIES", "describe_queries", "run_query", "store_summary"),
+        "sqlstore": ("ClaimedCell", "SQLResultStore"),
+        "spec": (
+            "CampaignCell",
+            "CampaignSpec",
+            "CollectorSpec",
+            "FailureAxisEntry",
+            "WorkloadSpec",
+            "spec_from_mapping",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_SOURCES[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "DEFAULT_GROUP_BY",

@@ -15,7 +15,12 @@ message table of its own — which sends are pending, which messages are
 delivered and in which intervals is read from the log's one message record
 per message.  Like the log's records, the recorder's stored vectors and their
 ``(pid, index)`` keys are exact tuples of ints, which the cyclic garbage
-collector stops tracking (see :mod:`repro.causality.events`).
+collector stops tracking (see :mod:`repro.causality.events`).  A stored
+vector enters through :meth:`TraceRecorder.record_checkpoint` alone — the
+simulator's reads, trace replay and the live shard merge all call it — and
+its entries are the recorder's: each distinct entry value is one int object
+per recorder, however many vectors hold it (a replayed trace's parser makes
+a fresh int per number it reads).
 
 Analysis goes through one door: :meth:`knowledge_view` hands out one
 :class:`repro.ccp.incremental.IncrementalAnalysisView` per mutation version,
@@ -100,6 +105,9 @@ from repro.ccp.pattern import CCP
 from repro.membership import MembershipError, MembershipView
 from repro.recovery.rollback_plan import RollbackPlan
 
+#: The one entry type a stored vector's entries may share through the value table.
+_INTS = frozenset((int,))
+
 
 class TraceSink(Protocol):
     """Observer of recorded occurrences, in recording order.
@@ -149,7 +157,14 @@ class TraceSink(Protocol):
 
 
 class TraceRecorder:
-    """Records a simulated execution as an event log plus checkpoint vectors."""
+    """Records a simulated execution as an event log plus checkpoint vectors.
+
+    What a record shares: a stored vector's entries are the objects of the
+    recorder's value table (one per distinct value, exact ints only; any
+    other vector is kept as given), and the log's receive event and
+    delivered message record hold the send's message id object (see
+    :meth:`repro.causality.events.EventLog.add_receive`).
+    """
 
     def __init__(
         self,
@@ -169,6 +184,9 @@ class TraceRecorder:
         self._log = EventLog(num_processes)
         # Keyed by plain (pid, index) tuples, which a CheckpointId equals.
         self._recorded_dvs: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        # Every distinct stored-vector entry value, once: record_checkpoint
+        # builds each stored vector from these objects.
+        self._values: Dict[int, int] = {}
         # Incremental CCP substrate.
         self._version = 0
         # Born at the first ccp(), knowledge_view() or knowledge_mark()
@@ -307,11 +325,22 @@ class TraceRecorder:
         forced: bool,
         time: float,
     ) -> None:
-        """Record a stable checkpoint and the vector stored with it."""
+        """Record a stable checkpoint and the vector stored with it.
+
+        The one door through which a stored vector enters the recorder.  Its
+        entries are taken from the recorder's value table, so each distinct
+        entry value is one int object however many vectors hold it.  Only a
+        vector of exact ints goes through the table (``True`` and ``1.0``
+        hash and compare equal to ``1``): any other is stored as given.
+        """
         if pid not in self._members:
             raise self._not_a_member(pid)
         event = self._log.add_checkpoint(pid, index, time=time, forced=forced)
-        self._recorded_dvs[(pid, index)] = tuple(dependency_vector)
+        if _INTS.issuperset(map(type, dependency_vector)):
+            stored = tuple(map(self._values.setdefault, dependency_vector, dependency_vector))
+        else:
+            stored = tuple(dependency_vector)
+        self._recorded_dvs[(pid, index)] = stored
         if self._tracker is not None:
             self._tracker.note_checkpoint(pid, index, event[E_SEQ])
         self._version += 1

@@ -42,8 +42,11 @@ from repro.traceio.reader import (
 # replay
 # ----------------------------------------------------------------------
 def _replay_directory(args: argparse.Namespace) -> int:
-    from repro.scenarios.campaign import DEFAULT_GROUP_BY, aggregate_campaign
-    from repro.scenarios.campaign.aggregate import check_group_by
+    from repro.scenarios.campaign.aggregate import (
+        DEFAULT_GROUP_BY,
+        aggregate_campaign,
+        check_group_by,
+    )
 
     group_by = tuple(
         axis.strip() for axis in (args.group_by or "").split(",") if axis.strip()

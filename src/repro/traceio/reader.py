@@ -184,7 +184,7 @@ def apply_event_record(recorder: TraceRecorder, record: Sequence[Any]) -> bool:
                 and type(time) in _TIMES
                 and _counts(dv, recorder.num_processes)
             ):
-                recorder.record_checkpoint(pid, index, tuple(dv), forced=forced == 1, time=time)
+                recorder.record_checkpoint(pid, index, dv, forced=forced == 1, time=time)
                 return True
     elif tag == TAG_DUPLICATE:
         if len(record) == 3:

@@ -18,6 +18,7 @@ stops), the link-bytes gate (bytes a 64-process ``LinkFates`` holds per
 opened link), the trace-codec gate (executed lines per
 trace record written and per trace line read back, under one ceiling), the
 history-tracking gate (GC-tracked objects a held replay adds per record), the
+replay-bytes gate (bytes a held replay keeps per record), the
 retained-set gate (executed lines per ``(i, f)`` pair of a Theorem-1/2
 retained set), the store-cost gate (SQLite connections opened per stored
 sweep and SQL statements per completed cell), the explorer gate
@@ -108,8 +109,8 @@ def test_smoke_regression_check_passes(committed_document):
     replaying or rescanning the history per session reads ~3.6x against its
     2x ceiling, and the violation printed on stderr names it.  The
     recording-path, message-path (untraced and traced), held-bytes, trace-codec,
-    retained-set, store-cost, explorer and fuzzer gates run here too and have their
-    own tests below.
+    replay-bytes, retained-set, store-cost, explorer and fuzzer gates run here
+    too and have their own tests below.
     """
     from benchmarks.check_regression import main
 
@@ -272,6 +273,26 @@ def test_replay_leaves_no_history_for_the_cyclic_collector_to_walk(monkeypatch):
     monkeypatch.setattr(EventLog, "add_send", add_send_storing_events)
     (violation,) = check_history_tracking()
     assert "GC-tracked objects per record" in violation and "EventLog" in violation
+
+
+def test_a_replayed_recorder_keeps_each_recorded_number_once(monkeypatch):
+    """A held replay keeps each distinct stored-vector entry value as one object.
+
+    Bytes a held ``TraceReader.replay()`` keeps per record of a
+    checkpoint-heavy 16-process trace (tracemalloc: a count of allocations on
+    a given interpreter, not a time).  The gate can fire: a recorder that
+    stores every vector as a plain ``tuple(dv)`` — the value table bypassed,
+    as it is for any vector that is not all exact ints — keeps a fresh int
+    per entry the JSON scanner made, and the violation names the door.
+    (412.2 under a ceiling of 520.0; 636.7 with the table bypassed.)
+    """
+    from benchmarks.check_regression import check_replay_bytes
+    from repro.simulation import trace
+
+    assert check_replay_bytes() == []
+    monkeypatch.setattr(trace, "_INTS", frozenset())  # no vector passes the guard
+    (violation,) = check_replay_bytes()
+    assert "TraceRecorder.record_checkpoint" in violation
 
 
 def test_retained_set_costs_one_c_bisection_per_pair(monkeypatch):
