@@ -176,7 +176,7 @@ def _suite_old(recorder: TraceRecorder) -> Dict[str, int]:
     ccp = CCP(
         recorder.log,
         recorded_dvs=recorder.recorded_checkpoint_dvs(),
-        analysis_provider=IncrementalAnalysisView(recorder),
+        analysis_provider=IncrementalAnalysisView(recorder, recorder.knowledge_tracker),
     )
     zigzag = BruteForceZigzagAnalysis(ccp)
     useless = zigzag.useless_checkpoints()

@@ -70,6 +70,16 @@ right after ``run()``, so a run that schedules no read keeps no occurrence;
 a port that keeps a tuple per send, receive and checkpoint until ``close()``
 shows up as ~2.8x.
 
+The **released-history** gate (``--smoke`` only) measures memory with the
+cyclic collector disabled: the bytes a dropped ``run_simulation`` of a fixed
+8-process config with 10 crashes and ``audit="full"`` still holds
+(tracemalloc's current size once its result is dropped, less the size
+before the run), per event its final log recorded, between a 150- and a
+300-time-unit run.  ``close()`` lets go of the recorder, whose knowledge
+view refers back to it weakly, so the log, the knowledge tracker and the
+view are freed by reference counting when the run ends; a recorder that
+waits in the runner's own cycle for a full collection shows up as ~17x.
+
 The **link-bytes** gate (``--smoke`` only) measures memory the same way: the
 bytes a 64-process ``LinkFates`` holds per directed link after 5 application
 messages on each of its 4 032 links, the median a link of the 64-process
@@ -248,6 +258,15 @@ TRACED_MESSAGE_PATH_LINES_CEILING = 286.0
 # quadrupling between the two runs) reads 173.1.
 HELD_BYTES_DURATIONS = (300.0, 600.0)
 HELD_BYTES_PER_MESSAGE_CEILING = 100.0
+# Released-history gate: traced bytes a dropped run_simulation of a fixed
+# 8-process config with RELEASED_HISTORY_CRASHES crashes and audit="full"
+# still holds with the cyclic collector off, per recorded event, between the
+# two durations.  The ceiling sits between a run that frees its recorder by
+# reference counting at close() and one whose recorder waits in the
+# runner's cycle (or in a view that holds it back) for a full collection.
+RELEASED_HISTORY_DURATIONS = (150.0, 300.0)
+RELEASED_HISTORY_CRASHES = 10
+RELEASED_HISTORY_BYTES_PER_EVENT_CEILING = 100.0
 # Link-bytes gate: traced bytes per directed link of a 64-process LinkFates
 # after 5 application messages on every link (449.1 on Python 3.11 when the
 # gate was added; 3045.1 on its parent commit, which gave every link its own
@@ -268,7 +287,8 @@ TRACE_CODEC_LINES_CEILING = 20.0
 # so ~15 % headroom, 41.2 since the records are exact tuples, 40.6 since the
 # recorder keeps no dropped-message set or checkpoint counts beside its log,
 # the ceiling lowered by that 0.6-line drop, 41.0 since record_checkpoint
-# takes a stored vector's entries from its value table; 59.1 on its
+# takes a stored vector's entries from its value table, 40.8 since the
+# applier tells it the vector's types are checked; 59.1 on its
 # parent commit, whose records went through
 # validate_record, a second dispatch, a validating Event constructor and
 # ProcessHistory.append).
@@ -691,6 +711,88 @@ def check_held_bytes(*, ceiling: float = HELD_BYTES_PER_MESSAGE_CEILING) -> List
             f"an unread run_simulation still holds {held:.1f} bytes per application "
             f"message when its engine stops (allowed {ceiling:.1f}): the recorder "
             f"port keeps its occurrences again, or another per-message structure grew"
+        ]
+    return []
+
+
+def released_history_bytes_per_event() -> float:
+    """Bytes a dropped churn-shaped ``run_simulation`` still holds, per recorded event.
+
+    An 8-process run with ``RELEASED_HISTORY_CRASHES`` crashes spread over
+    it and ``audit="full"`` — so its recorder, knowledge tracker and view
+    are read — at each of ``RELEASED_HISTORY_DURATIONS``.  With the cyclic
+    collector disabled, tracemalloc's current size once the result is
+    dropped, less the size before the run, and the difference between the
+    two runs divided by the difference of the events their final logs
+    hold; the second of two rounds counts, the first fills the
+    interpreter's caches.  What only the cyclic collector would free is
+    counted; exact on a given interpreter.
+    """
+    import tracemalloc
+
+    from repro.simulation import runner as runner_module
+    from repro.simulation.failures import FailureSchedule
+    from repro.simulation.workloads import UniformRandomWorkload
+
+    build_result = runner_module.SimulationRunner._build_result
+    events: List[int] = []
+
+    def counted(runner: Any) -> Any:
+        events.append(runner.trace.log.total_events())
+        return build_result(runner)
+
+    def run(duration: float) -> Tuple[int, int]:
+        crashes = FailureSchedule.of(
+            [
+                (duration * (index + 0.5) / RELEASED_HISTORY_CRASHES, index % 8)
+                for index in range(RELEASED_HISTORY_CRASHES)
+            ]
+        )
+        config = runner_module.SimulationConfig(
+            num_processes=8,
+            duration=duration,
+            workload=UniformRandomWorkload(),
+            failures=crashes,
+            audit="full",
+            seed=1,
+        )
+        before = tracemalloc.get_traced_memory()[0]
+        result = runner_module.run_simulation(config)
+        if len(result.recoveries) != RELEASED_HISTORY_CRASHES or not result.all_audits_safe:
+            raise RuntimeError("the released-history gate's own run went wrong")
+        del result
+        return tracemalloc.get_traced_memory()[0] - before, events.pop()
+
+    tracing = tracemalloc.is_tracing()
+    enabled = gc.isenabled()
+    runner_module.SimulationRunner._build_result = counted  # type: ignore[method-assign]
+    try:
+        if not tracing:
+            tracemalloc.start()
+        gc.collect()
+        gc.disable()
+        for _ in range(2):
+            (short, short_events), (long, long_events) = map(run, RELEASED_HISTORY_DURATIONS)
+    finally:
+        if enabled:
+            gc.enable()
+        runner_module.SimulationRunner._build_result = build_result  # type: ignore[method-assign]
+        if not tracing:
+            tracemalloc.stop()
+    return (long - short) / (long_events - short_events)
+
+
+def check_released_history(
+    *, ceiling: float = RELEASED_HISTORY_BYTES_PER_EVENT_CEILING
+) -> List[str]:
+    """Gate: a finished run's history is freed by reference counting."""
+    held = released_history_bytes_per_event()
+    if held > ceiling:
+        return [
+            f"a dropped run_simulation still holds {held:.1f} bytes per recorded "
+            f"event until a full collection (allowed {ceiling:.1f}): a cycle keeps "
+            f"its recorder alive again — SimulationRunner.close() keeps it, or the "
+            f"knowledge view refers back to it strongly"
         ]
     return []
 
@@ -1167,6 +1269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         standalone_violations += check_message_path_cost()
         standalone_violations += check_traced_message_path_cost()
         standalone_violations += check_held_bytes()
+        standalone_violations += check_released_history()
         standalone_violations += check_link_bytes()
         standalone_violations += check_trace_codec_cost()
         standalone_violations += check_history_tracking()
@@ -1230,7 +1333,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
         f"session scaling, recording-path, message-path (untraced, traced), held-bytes, "
-        f"link-bytes, trace-codec, "
+        f"released-history, link-bytes, trace-codec, "
         f"replay-path, history-tracking, replay-bytes, "
         f"retained-set, "
         f"store-cost, explorer and fuzzer gates "

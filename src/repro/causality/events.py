@@ -296,6 +296,10 @@ class EventLog:
         """All process histories, indexed by pid."""
         return tuple(self._histories)
 
+    def checkpoints_taken(self) -> Tuple[int, ...]:
+        """Per-process count of recorded checkpoints (each volatile index)."""
+        return tuple([len(history.checkpoints) for history in self._histories])
+
     def event(self, event_id: Sequence[int]) -> EventRecord:
         """The event record identified by ``event_id`` (an :class:`EventId`)."""
         return self._histories[event_id[E_PID]].events[event_id[E_SEQ]]

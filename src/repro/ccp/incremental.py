@@ -51,6 +51,7 @@ reference the equivalence tests diff it against.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from itertools import compress, count
 from operator import gt, itemgetter
@@ -162,11 +163,23 @@ class IncrementalAnalysisView:
     that do not cover the recorder's stable checkpoints
     (:class:`KnowledgeWindowError`), which a bisection would misread.  For
     the same reason the whole-pattern answers are memoised on the view.
+
+    Who references whom: the recorder memoises its current view (and the
+    CCP that carries it), so the view refers back to the recorder weakly,
+    for the staleness check alone, and holds strongly what it reads — the
+    recorder's tracker, log and membership of this version.  No cycle runs
+    through a recorder's history: dropping the recorder frees it by
+    reference counting, and a view or CCP still held answers as before
+    (nothing can record into a recorder that is gone).
     """
 
-    def __init__(self, recorder: "TraceRecorder") -> None:
-        self._recorder = recorder
+    def __init__(self, recorder: "TraceRecorder", tracker: CheckpointKnowledgeTracker) -> None:
+        """A view of ``recorder`` as it is now, whose knowledge ``tracker`` keeps."""
+        self._recorder = weakref.ref(recorder)
         self._version = recorder.version
+        self._knowledge = tracker
+        self._log = recorder.log
+        self._membership = recorder.membership
         self._retained_sets: Dict[int, FrozenSet[CheckpointId]] = {}
         self._lines: Dict[FrozenSet[int], "GlobalCheckpoint"] = {}
 
@@ -179,25 +192,23 @@ class IncrementalAnalysisView:
     def checkpoints_taken(self) -> Tuple[int, ...]:
         """Per-process count of stable checkpoints (each volatile index)."""
         self._tracker()  # stale views raise
-        return self._recorder.checkpoints_taken
+        return self._log.checkpoints_taken()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _tracker(self) -> CheckpointKnowledgeTracker:
-        recorder = self._recorder
-        if recorder.version != self._version:
+        recorder = self._recorder()
+        if recorder is not None and recorder.version != self._version:
             raise RuntimeError(
                 "stale incremental analysis view: the recorded execution has "
                 "changed since this CCP snapshot was taken"
             )
-        tracker = recorder.knowledge_tracker
-        assert tracker is not None
-        return tracker
+        return self._knowledge
 
     def _state(self) -> Tuple[CheckpointKnowledgeTracker, List[int]]:
         tracker = self._tracker()
-        last_stable = [taken - 1 for taken in self._recorder.checkpoints_taken]
+        last_stable = [taken - 1 for taken in self._log.checkpoints_taken()]
         covered = [len(rows) - 1 for rows in tracker.ckpt_rows]
         if covered != last_stable:
             raise KnowledgeWindowError(
@@ -252,8 +263,8 @@ class IncrementalAnalysisView:
         nothing (the garbage-of-departed invariant).
         """
         tracker, last_stable = self._state()
-        departed = self._recorder.departed
-        active = [p for p in range(self._recorder.num_processes) if p not in departed]
+        departed = self._membership.departed
+        active = [p for p in range(self._membership.num_processes) if p not in departed]
         columns = [(f, itemgetter(f)) for f in active]
         first_knowing = self._first_knowing
         retained = set()
@@ -297,7 +308,7 @@ class IncrementalAnalysisView:
             raise KeyError(f"checkpoint {cid} is not a live stable checkpoint")
         row = self._row(tracker, cid)
         after = self._row(tracker, CheckpointId(cid.pid, cid.index + 1))
-        departed = self._recorder.departed
+        departed = self._membership.departed
         if cid.pid in departed:
             return False  # nothing pins a departed process's checkpoints
         return any(
@@ -351,12 +362,12 @@ class IncrementalAnalysisView:
         faulty_set = frozenset(faulty)
         line = self._lines.get(faulty_set)
         if line is None:
-            recorder = self._recorder
-            taken = recorder.checkpoints_taken
+            taken = self._log.checkpoints_taken()
+            departed = self._membership.departed
             for pid in sorted(faulty_set):
-                if pid not in range(recorder.num_processes):
+                if pid not in range(self._membership.num_processes):
                     raise ValueError(f"faulty process {pid} is not part of the CCP")
-                if pid in recorder.departed:
+                if pid in departed:
                     raise ValueError(
                         f"faulty process {pid} departed the membership; departed "
                         f"processes hold no state and cannot fail"
@@ -372,10 +383,10 @@ class IncrementalAnalysisView:
         from repro.ccp.consistency import GlobalCheckpoint
 
         tracker, last_stable = self._state()
-        departed = self._recorder.departed
+        departed = self._membership.departed
         lasts = [(itemgetter(f), last_stable[f]) for f in faulty_set]
         indices: List[int] = []
-        for pid in range(self._recorder.num_processes):
+        for pid in range(self._membership.num_processes):
             if pid in departed:
                 indices.append(last_stable[pid] + 1)
                 continue

@@ -629,11 +629,18 @@ class SimulationRunner:
 
         A run's objects reference each other — node and control plane,
         ``UC`` and collector, the network's handlers and this runner — so
-        without this they wait for the cyclic collector's next full pass.
-        The port's kept occurrences and recorder, the network's link state
-        and in-flight copies go now; the samples, recoveries and audits a
-        :class:`SimulationResult` shares stay.  Afterwards :meth:`run` and
-        :attr:`trace` raise :class:`RuntimeError`.
+        what stays reachable from them waits for the cyclic collector's next
+        full pass.  This lets go of the recorder (the runner's reference and
+        the port's), and with it the event log, the knowledge tracker and
+        the memoised view and CCP: nothing else refers to them, so reference
+        counting frees them now unless the caller holds one (a result's
+        ``final_ccp`` keeps its pattern, log and view).  The port's kept
+        occurrences and the network's link state and in-flight copies go
+        too.  What stays until the cyclic collector comes is the runner's
+        own cycle — nodes, their storage, the engine — and the samples,
+        recoveries and audits a :class:`SimulationResult` shares.
+        Afterwards :meth:`run`, :meth:`inject_crash` and :attr:`trace`
+        raise :class:`RuntimeError`.
         """
         if self._closed:
             return
@@ -641,6 +648,7 @@ class SimulationRunner:
         if self._writer is not None and not self._writer.closed:
             self._writer.abort("the runner was closed before its run finished")
         self._unread.close()
+        del self._trace
         self._network.close()
 
     def _require_open(self) -> None:
@@ -766,6 +774,7 @@ class SimulationRunner:
         Public entry point for external drivers (the schedule-space
         explorer); scheduled failure injection goes through the same path.
         """
+        self._require_open()
         self._handle_crash(pid)
 
     def _handle_crash(self, pid: int) -> None:

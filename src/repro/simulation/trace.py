@@ -227,7 +227,7 @@ class TraceRecorder:
     @property
     def checkpoints_taken(self) -> Tuple[int, ...]:
         """Per-process count of stable checkpoints taken (volatile index)."""
-        return tuple([len(history.checkpoints) for history in self._log.histories()])
+        return self._log.checkpoints_taken()
 
     @property
     def membership(self) -> MembershipView:
@@ -324,6 +324,7 @@ class TraceRecorder:
         *,
         forced: bool,
         time: float,
+        exact_ints: bool = False,
     ) -> None:
         """Record a stable checkpoint and the vector stored with it.
 
@@ -332,11 +333,13 @@ class TraceRecorder:
         entry value is one int object however many vectors hold it.  Only a
         vector of exact ints goes through the table (``True`` and ``1.0``
         hash and compare equal to ``1``): any other is stored as given.
+        ``exact_ints`` says the caller has already checked every entry's type
+        (the trace record applier does), so the vector is not scanned again.
         """
         if pid not in self._members:
             raise self._not_a_member(pid)
         event = self._log.add_checkpoint(pid, index, time=time, forced=forced)
-        if _INTS.issuperset(map(type, dependency_vector)):
+        if exact_ints or _INTS.issuperset(map(type, dependency_vector)):
             stored = tuple(map(self._values.setdefault, dependency_vector, dependency_vector))
         else:
             stored = tuple(dependency_vector)
@@ -491,10 +494,15 @@ class TraceRecorder:
         ``analysis_provider``: its memoised answers are shared by everyone
         who asks.  Like every view, it refuses to answer once the recorded
         execution moves on.
+
+        The recorder holds the view it hands out; the view holds the
+        tracker, log and membership it reads and only a weak reference back
+        to the recorder, so the memo is no cycle: a recorder nobody holds is
+        freed by reference counting, and a view that outlives it still
+        answers.
         """
-        self._tracked()
         if self._view is None or self._view.version != self._version:
-            self._view = IncrementalAnalysisView(self)
+            self._view = IncrementalAnalysisView(self, self._tracked())
         return self._view
 
     def knowledge_mark(self) -> Tuple[int, ...]:
@@ -532,6 +540,11 @@ class TraceRecorder:
         the stored-vector map with the recorder: recording appends to both,
         beyond what the snapshot's checkpoints reach, and a recovery session
         rebinds both, so neither is copied.
+
+        The recorder holds the CCP it hands out; the CCP holds the log, the
+        map and the view, and only the view refers back to the recorder,
+        weakly.  So the memo keeps no recorder alive, and a CCP that
+        outlives its recorder answers as before.
         """
         ccp = self._ccp
         if ccp is None or ccp.analysis_provider.version != self._version:

@@ -157,7 +157,8 @@ def apply_event_record(recorder: TraceRecorder, record: Sequence[Any]) -> bool:
     types are checked, once, with their arity
     (:data:`~repro.traceio.format.FIELD_RULES`): pids and ids exactly ``int``,
     a time an ``int`` or ``float``, ``forced`` 0 or 1, a vector
-    ``num_processes`` non-negative ``int``\\ s.  A record that breaks them
+    ``num_processes`` non-negative ``int``\\ s (which the recorder then
+    does not scan again).  A record that breaks them
     raises :class:`TraceFormatError` naming no location (the caller knows
     where the record came from).  What the recorder refuses (an unknown
     message, a non-member, an out-of-order index) it raises itself.
@@ -178,13 +179,12 @@ def apply_event_record(recorder: TraceRecorder, record: Sequence[Any]) -> bool:
     elif tag == TAG_CHECKPOINT:
         if len(record) == 6:
             _, pid, index, forced, time, dv = record
-            if (
-                type(pid) is type(index) is type(forced) is int
-                and 0 <= forced <= 1
-                and type(time) in _TIMES
-                and _counts(dv, recorder.num_processes)
+            if type(pid) is type(index) is type(forced) is int and 0 <= forced <= 1 and (
+                type(time) in _TIMES and _counts(dv, recorder.num_processes)
             ):
-                recorder.record_checkpoint(pid, index, dv, forced=forced == 1, time=time)
+                recorder.record_checkpoint(
+                    pid, index, dv, forced=forced == 1, time=time, exact_ints=True
+                )
                 return True
     elif tag == TAG_DUPLICATE:
         if len(record) == 3:

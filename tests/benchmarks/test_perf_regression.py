@@ -108,9 +108,9 @@ def test_smoke_regression_check_passes(committed_document):
     gate (a ratio of two executed-line counts, a function of the seed alone):
     replaying or rescanning the history per session reads ~3.6x against its
     2x ceiling, and the violation printed on stderr names it.  The
-    recording-path, message-path (untraced and traced), held-bytes, trace-codec,
-    replay-bytes, retained-set, store-cost, explorer and fuzzer gates run here
-    too and have their own tests below.
+    recording-path, message-path (untraced and traced), held-bytes,
+    released-history, trace-codec, replay-bytes, retained-set, store-cost,
+    explorer and fuzzer gates run here too and have their own tests below.
     """
     from benchmarks.check_regression import main
 
@@ -202,6 +202,47 @@ def test_an_unread_run_holds_no_history_when_its_engine_stops(monkeypatch):
     assert "port keeps its occurrences" in violation
 
 
+def test_a_finished_run_frees_its_history_by_reference_counting(monkeypatch):
+    """A dropped churn-shaped run leaves no history for the cyclic collector.
+
+    Bytes a dropped ``run_simulation`` with 10 crashes and the full audit
+    still holds with the collector off, per recorded event, between a 150-
+    and a 300-time-unit run (tracemalloc: a count of allocations on a given
+    interpreter, not a time).  The gate can fire: a ``close()`` that keeps
+    the recorder — as every run that read its recorder did on the commit
+    this gate was added against — leaves the log, tracker and view in the
+    runner's own cycle, and the violation names it; so does a knowledge
+    view that holds its recorder strongly.  (15.9 under a ceiling of 100.0;
+    450.0 in either case.)
+    """
+    from benchmarks.check_regression import check_released_history
+    from repro.ccp.incremental import IncrementalAnalysisView
+    from repro.simulation.runner import SimulationRunner
+
+    assert check_released_history() == []
+    close = SimulationRunner.close
+
+    def close_keeping_the_recorder(runner):
+        recorder = runner._trace
+        close(runner)
+        runner._trace = recorder
+
+    monkeypatch.setattr(SimulationRunner, "close", close_keeping_the_recorder)
+    (violation,) = check_released_history()
+    assert "SimulationRunner.close() keeps it" in violation
+    # So does a knowledge view that holds its recorder (the recorder memoises the view).
+    monkeypatch.setattr(SimulationRunner, "close", close)
+    build_view = IncrementalAnalysisView.__init__
+
+    def view_holding_its_recorder(view, recorder, tracker):
+        build_view(view, recorder, tracker)
+        view.held = recorder
+
+    monkeypatch.setattr(IncrementalAnalysisView, "__init__", view_holding_its_recorder)
+    (violation,) = check_released_history()
+    assert "the knowledge view refers back to it strongly" in violation
+
+
 def test_a_link_keeps_its_next_draws_not_a_generator(monkeypatch):
     """An opened link holds a few buffered draws, not a Mersenne Twister.
 
@@ -290,7 +331,14 @@ def test_a_replayed_recorder_keeps_each_recorded_number_once(monkeypatch):
     from repro.simulation import trace
 
     assert check_replay_bytes() == []
-    monkeypatch.setattr(trace, "_INTS", frozenset())  # no vector passes the guard
+    record_checkpoint = trace.TraceRecorder.record_checkpoint
+
+    def record_checking_the_types(recorder, pid, index, dv, *, forced, time, exact_ints=False):
+        record_checkpoint(recorder, pid, index, dv, forced=forced, time=time)
+
+    # Every vector goes through the type guard, which no vector passes.
+    monkeypatch.setattr(trace.TraceRecorder, "record_checkpoint", record_checking_the_types)
+    monkeypatch.setattr(trace, "_INTS", frozenset())
     (violation,) = check_replay_bytes()
     assert "TraceRecorder.record_checkpoint" in violation
 

@@ -27,7 +27,6 @@ from repro.causality.events import (
     Message,
 )
 from repro.ccp.checkpoint import CheckpointId
-from repro.ccp.incremental import IncrementalAnalysisView
 from repro.ccp.pattern import CCP
 from repro.simulation.trace import TraceRecorder
 from repro.storage.records import StoredCheckpoint
@@ -449,7 +448,7 @@ def _assert_messages_describe_the_events(log):
     and against a count of the checkpoint events before the position.
     """
     # interval_of_event reads the log alone: the (empty) view is never asked.
-    ccp = CCP(log, analysis_provider=IncrementalAnalysisView(TraceRecorder(log.num_processes)))
+    ccp = CCP(log, analysis_provider=TraceRecorder(log.num_processes).knowledge_view())
 
     def interval(event):
         before = log.history(event[E_PID]).events[: event[E_SEQ]]

@@ -128,7 +128,7 @@ def _from_scratch(recorder: TraceRecorder) -> CCP:
     return CCP(
         recorder.log,
         recorded_dvs=recorder.recorded_checkpoint_dvs(),
-        analysis_provider=IncrementalAnalysisView(recorder),
+        analysis_provider=IncrementalAnalysisView(recorder, recorder.knowledge_tracker),
     )
 
 

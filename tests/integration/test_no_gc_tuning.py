@@ -5,7 +5,10 @@ log stores records the collector untracks (``tests/causality/
 test_untracked_history.py``), not because the library switches the collector
 off or retunes it.  ``gc.freeze``, ``gc.disable`` and ``gc.set_threshold``
 change the whole process, so no module under ``src/repro`` calls them — by
-attribute (``gc.disable()``) or by a name imported from ``gc``.
+attribute (``gc.disable()``) or by a name imported from ``gc``.  Nor does it
+call ``gc.collect``: a finished run's history is freed by reference counting
+because no cycle holds it (``tests/simulation/test_run_release.py``), not
+because the library pays for a full pass of the host's collector.
 """
 
 import ast
@@ -13,7 +16,7 @@ import pathlib
 
 import repro
 
-FORBIDDEN = {"freeze", "disable", "set_threshold"}
+FORBIDDEN = {"freeze", "disable", "set_threshold", "collect"}
 
 
 def _gc_tuning_calls(source: str):
@@ -68,4 +71,5 @@ def test_the_scan_sees_each_spelling():
         (5, "collector.freeze"),
         (6, "f"),
         (7, "set_threshold"),
+        (8, "gc.collect"),
     ]

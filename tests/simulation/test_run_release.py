@@ -3,9 +3,13 @@
 A run's objects reference each other (node and control plane, ``UC`` and
 collector, the network's handlers and the runner), so what a run holds is
 cyclic garbage once it is over.  ``close()`` lets go of the bulk — the
-port's kept occurrences and recorder, the network's link state and in-flight
-copies — so reference counting frees it without waiting for a full pass of
-the cyclic collector; ``run_simulation`` closes the runner it builds.
+recorder with its event log, knowledge tracker and memoised view and CCP,
+the port's kept occurrences, the network's link state and in-flight copies —
+so reference counting frees it without waiting for a full pass of the
+cyclic collector; ``run_simulation`` closes the runner it builds.  No cycle
+runs through a recorder's history either: its knowledge view refers back to
+it weakly, so a recorder whose view and CCP were read is freed once its
+owner drops it, and the view and CCP still answer if held.
 """
 
 import gc
@@ -13,9 +17,13 @@ import weakref
 
 import pytest
 
+from repro.recovery.manager import RecoveryManager
+from repro.recovery.recovery_line import recovery_line
+from repro.scenarios.random_patterns import feed_trace_recorder, random_ccp_script
 from repro.simulation.failures import FailureSchedule
 from repro.simulation.network import LinkFates
 from repro.simulation.runner import SimulationConfig, SimulationRunner, run_simulation
+from repro.simulation.trace import TraceRecorder
 from repro.simulation.workloads import UniformRandomWorkload
 from repro.traceio.reader import TraceReader
 
@@ -102,3 +110,120 @@ class TestAClosedRunner:
         SimulationRunner(_config(trace_path=path)).close()
         _, footer = TraceReader(path).summary()
         assert footer is not None and footer["status"] == "aborted"
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector disabled (after one pass): only reference counting frees."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def _history_refs(recorder):
+    """Weak references to a recorder, its event log and its knowledge tracker."""
+    tracker = recorder.knowledge_tracker
+    assert tracker is not None
+    return [weakref.ref(recorder), weakref.ref(recorder.log), weakref.ref(tracker)]
+
+
+def _watch_final_history(monkeypatch):
+    """Weak references to each run's recorder, log and tracker as its result is built."""
+    refs = []
+    build_result = SimulationRunner._build_result
+
+    def watched(runner):
+        refs.extend(_history_refs(runner.trace))
+        return build_result(runner)
+
+    monkeypatch.setattr(SimulationRunner, "_build_result", watched)
+    return refs
+
+
+def _alive(refs):
+    return [ref() is not None for ref in refs]
+
+
+class TestNoCycleKeepsAHistoryAlive:
+    def test_a_churn_run_frees_its_history_once_its_result_is_dropped(
+        self, monkeypatch, collector_off
+    ):
+        refs = _watch_final_history(monkeypatch)
+        crashes = FailureSchedule.of([(20.0, 1), (35.0, 2), (50.0, 0)])
+        result = run_simulation(_config(failures=crashes, audit="full"))
+        assert len(result.recoveries) == 3 and len(result.audits) == 4
+        del result
+        assert _alive(refs) == [False, False, False]
+
+    def test_a_kept_final_ccp_holds_the_history_until_its_result_is_dropped(
+        self, monkeypatch, collector_off
+    ):
+        refs = _watch_final_history(monkeypatch)
+        result = run_simulation(
+            _config(failures=FailureSchedule.of([(30.0, 2)]), keep_final_ccp=True)
+        )
+        # The pattern keeps its log and view's tracker, not the recorder.
+        assert _alive(refs) == [False, True, True]
+        assert result.final_ccp.analysis_provider.theorem1_retained()
+        del result
+        assert _alive(refs) == [False, False, False]
+
+    def test_a_recorder_whose_view_and_ccp_were_read_is_freed_when_dropped(
+        self, collector_off
+    ):
+        recorder = TraceRecorder(4)
+        feed_trace_recorder(recorder, random_ccp_script(5, num_processes=4))
+        recorder.knowledge_view().theorem2_retained()
+        recorder.apply_recovery(RecoveryManager().plan(recorder.knowledge_view(), [1]))
+        recorder.record_leave(3, 1000.0)
+        view, ccp = recorder.knowledge_view(), recorder.ccp()
+        assert ccp.analysis_provider is view and view.theorem1_retained() is not None
+        refs = _history_refs(recorder)
+        del recorder, view, ccp
+        assert _alive(refs) == [False, False, False]
+
+
+def _scripted(seed):
+    """A recorder that ran a random script, a recovery session and a leave."""
+    recorder = TraceRecorder(5)
+    feed_trace_recorder(recorder, random_ccp_script(seed, num_processes=5, num_messages=60))
+    recorder.apply_recovery(RecoveryManager().plan(recorder.knowledge_view(), [2]))
+    recorder.record_leave(4, 1000.0)
+    return recorder
+
+
+def _answers(view, ccp):
+    faulty_sets = [{pid} for pid in range(4)] + [{0, 3}]
+    stable = [cid for pid in ccp.active_processes for cid in ccp.stable_ids(pid)]
+    return (
+        view.version,
+        view.checkpoints_taken,
+        view.theorem1_retained(),
+        view.theorem2_retained(),
+        [view.theorem1_retains(cid) for cid in stable],
+        [view.dependency_vector(cid) for cid in stable],
+        [view.theorem2_retained_of(pid) for pid in range(5)],
+        [view.recovery_line(faulty) for faulty in faulty_sets],
+        [recovery_line(ccp, faulty) for faulty in faulty_sets],
+        [ccp.last_stable(pid) for pid in ccp.processes],
+    )
+
+
+class TestAViewOutlivesItsRecorder:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_a_held_view_and_ccp_answer_as_before(
+        self, seed, collector_off, assert_view_matches_literal
+    ):
+        twin = _scripted(seed)
+        expected = _answers(twin.knowledge_view(), twin.ccp())
+        recorder = _scripted(seed)
+        # Taken, not asked: every answer below is computed after the drop.
+        view, ccp = recorder.knowledge_view(), recorder.ccp()
+        gone = weakref.ref(recorder)
+        del recorder
+        assert gone() is None
+        assert _answers(view, ccp) == expected
+        assert_view_matches_literal(ccp)
