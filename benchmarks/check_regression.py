@@ -80,6 +80,15 @@ view refers back to it weakly, so the log, the knowledge tracker and the
 view are freed by reference counting when the run ends; a recorder that
 waits in the runner's own cycle for a full collection shows up as ~17x.
 
+The **scheduled-workload** gate (``--smoke`` only) measures memory at the
+start of a run: tracemalloc's peak from ``runner.run()`` until the first
+event fires, less the size before, per callback then pending, on a fixed
+64-process run of the default workload.  The workload is drawn into compact
+columns and handed to the engine one window at a time, so only a window's
+keys and entries ever exist as objects; the whole workload handed over as
+one window shows up as ~4x, and built as a sorted key list and then copied
+into the engine as ~6x.
+
 The **link-bytes** gate (``--smoke`` only) measures memory the same way: the
 bytes a 64-process ``LinkFates`` holds per directed link after 5 application
 messages on each of its 4 032 links, the median a link of the 64-process
@@ -267,6 +276,15 @@ HELD_BYTES_PER_MESSAGE_CEILING = 100.0
 RELEASED_HISTORY_DURATIONS = (150.0, 300.0)
 RELEASED_HISTORY_CRASHES = 10
 RELEASED_HISTORY_BYTES_PER_EVENT_CEILING = 100.0
+# Scheduled-workload gate: tracemalloc's peak from runner.run() until the
+# first event fires, per pending callback, on a 64-process, 600-time-unit run
+# of the default workload, seed 1 (~23 k actions): 45.7 on Python 3.11 when
+# the gate was added, where the workload is drawn into columns and streamed
+# window by window; 270.3 on its parent commit, which built the whole key
+# list, sorted it and copied it into the engine; 187.3 for one window of the
+# whole workload.  The ceiling is about midway between 45.7 and 270.3.
+SCHEDULED_WORKLOAD_RUN = (64, 600.0)  # processes, duration
+SCHEDULED_WORKLOAD_BYTES_CEILING = 158.0
 # Link-bytes gate: traced bytes per directed link of a 64-process LinkFates
 # after 5 application messages on every link (449.1 on Python 3.11 when the
 # gate was added; 3045.1 on its parent commit, which gave every link its own
@@ -797,6 +815,75 @@ def check_released_history(
     return []
 
 
+def scheduled_workload_bytes_per_action() -> float:
+    """Peak bytes a run's workload costs before its first event, per action.
+
+    A ``SCHEDULED_WORKLOAD_RUN`` run of the default workload (audit off, no
+    failures): tracemalloc's peak from ``runner.run()`` until the engine
+    starts, less the size before, divided by the callbacks then pending.
+    The run stops there; the second of two runs counts, the first fills the
+    interpreter's caches.  Exact on a given interpreter.
+    """
+    import tracemalloc
+
+    from repro.simulation import engine as engine_module
+    from repro.simulation.runner import SimulationConfig, SimulationRunner
+    from repro.simulation.workloads import UniformRandomWorkload
+
+    class _Started(Exception):
+        pass
+
+    engine_run = engine_module.SimulationEngine.run
+    peaks: List[Tuple[int, int]] = []
+
+    def measured(engine: Any, *args: Any, **kwargs: Any) -> Any:
+        peaks.append((tracemalloc.get_traced_memory()[1], engine.pending_events()))
+        raise _Started
+
+    processes, duration = SCHEDULED_WORKLOAD_RUN
+    config = SimulationConfig(
+        num_processes=processes, duration=duration, workload=UniformRandomWorkload(), seed=1
+    )
+
+    def run() -> float:
+        runner = SimulationRunner(config)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            runner.run()
+        except _Started:
+            pass
+        finally:
+            runner.close()
+        peak, pending = peaks.pop()
+        return (peak - before) / pending
+
+    tracing = tracemalloc.is_tracing()
+    engine_module.SimulationEngine.run = measured  # type: ignore[method-assign]
+    try:
+        if not tracing:
+            tracemalloc.start()
+        run()
+        return run()
+    finally:
+        engine_module.SimulationEngine.run = engine_run  # type: ignore[method-assign]
+        if not tracing:
+            tracemalloc.stop()
+
+
+def check_scheduled_workload(*, ceiling: float = SCHEDULED_WORKLOAD_BYTES_CEILING) -> List[str]:
+    """Gate: a run's workload exists as objects one window at a time."""
+    held = scheduled_workload_bytes_per_action()
+    if held > ceiling:
+        return [
+            f"scheduling a 64-process workload peaks at {held:.1f} bytes per action "
+            f"before the first event fires (allowed {ceiling:.1f}): the workload is "
+            f"built whole again, as a key list or as engine entries"
+        ]
+    return []
+
+
 def link_bytes() -> float:
     """Traced bytes a ``LinkFates`` holds per directed link it has opened.
 
@@ -1270,6 +1357,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         standalone_violations += check_traced_message_path_cost()
         standalone_violations += check_held_bytes()
         standalone_violations += check_released_history()
+        standalone_violations += check_scheduled_workload()
         standalone_violations += check_link_bytes()
         standalone_violations += check_trace_codec_cost()
         standalone_violations += check_history_tracking()
@@ -1333,7 +1421,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
         f"session scaling, recording-path, message-path (untraced, traced), held-bytes, "
-        f"released-history, link-bytes, trace-codec, "
+        f"released-history, scheduled-workload, link-bytes, trace-codec, "
         f"replay-path, history-tracking, replay-bytes, "
         f"retained-set, "
         f"store-cost, explorer and fuzzer gates "

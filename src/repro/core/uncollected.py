@@ -42,6 +42,10 @@ class UncollectedTable:
         self._entries: List[Optional[CheckpointControlBlock]] = [None] * num_processes
         self._on_eliminate = on_eliminate
 
+    def detach(self) -> None:
+        """Stop reporting eliminations: the table's owner is done with it."""
+        self._on_eliminate = None
+
     # ------------------------------------------------------------------
     # Algorithm 1 procedures
     # ------------------------------------------------------------------

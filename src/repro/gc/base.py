@@ -118,6 +118,11 @@ class GarbageCollector(abc.ABC):
     def on_control_plane_attached(self) -> None:
         """Hook for collectors that schedule their first timer at start-up."""
 
+    def close(self) -> None:
+        """Let go of the control plane, which refers back to the owning node:
+        the run is over, and no cycle keeps the node and its storage alive."""
+        self._control = None
+
     def attach_elimination_listener(self, listener: Callable[[int], None]) -> None:
         """Observe every checkpoint index this collector eliminates.
 

@@ -47,6 +47,11 @@ class RdtLgcCollector(GarbageCollector):
         """The ``UC`` entries as checkpoint indices (None for ``Null``)."""
         return self._uc.view()
 
+    def close(self) -> None:
+        super().close()
+        # The table calls back into this collector: the run is over.
+        self._uc.detach()
+
     # ------------------------------------------------------------------
     # Algorithm 2
     # ------------------------------------------------------------------

@@ -6,13 +6,18 @@ times and executed in time order; ties are broken by scheduling order, which
 
 Two sources, one order.  What is scheduled one call at a time
 (:meth:`SimulationEngine.schedule_at`: deliveries, timers, crashes — whatever
-is *in flight*) lives in a heap.  A batch that is already in time order
-(:meth:`SimulationEngine.schedule_sorted`: a workload's whole future) is kept
-beside the heap as a stream.  Every entry of either source carries the
-sequence number ``schedule_at`` would have given it, and the next callback to
-fire is the smaller ``(time, sequence)`` of the heap top and the stream head:
-the firing order, ties included, is the one an all-heap engine produces, and
-an entry is released the moment it fires.
+is *in flight*) lives in a heap.  What arrives already in time order
+(:meth:`SimulationEngine.schedule_stream`: a workload's future, handed over
+window by window) is kept beside the heap as a stream, and only its current
+window exists as entries: the next one is loaded the moment the last loaded
+entry fires, before anything else does.  A stream takes one sequence number
+at hand-over, so everything scheduled before it sorts before its entries at
+equal times and everything scheduled after sorts after them; the stream's
+own entries are never compared with each other.  The next callback to fire
+is the smaller ``(time, sequence)`` of the heap top and the stream head: the
+firing order, ties included, is the one an all-heap engine produces, and an
+entry is released the moment it fires.  :meth:`SimulationEngine.schedule_sorted`
+is a stream of one window.
 """
 
 from __future__ import annotations
@@ -20,9 +25,13 @@ from __future__ import annotations
 import enum
 import heapq
 import random
-from typing import Callable, Iterable, List, Optional, Tuple
+from itertools import islice, repeat
+from operator import le
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Callback = Callable[[], None]
+#: One window of a stream: its times, in order, and their callbacks.
+Window = Tuple[Sequence[float], Sequence[Callback]]
 
 
 class StopReason(enum.Enum):
@@ -54,8 +63,13 @@ class SimulationEngine:
         self._now = 0.0
         self._sequence = 0
         self._queue: List[Tuple[float, int, Callback]] = []
-        # The pending sorted batch, latest first: firing its head is a pop().
+        # The stream's loaded window, latest first: firing its head is a pop().
+        # Every entry holds the one sequence number the stream was given.
         self._stream: List[Tuple[float, int, Callback]] = []
+        # The stream's windows not loaded yet, and how many entries they hold.
+        self._windows: Optional[Iterator[Window]] = None
+        self._unloaded = 0
+        self._stream_sequence = 0
         self._seed = seed
         self._rng = random.Random(seed)
         self._processed_events = 0
@@ -91,7 +105,7 @@ class SimulationEngine:
 
     def pending_events(self) -> int:
         """Number of callbacks still queued."""
-        return len(self._queue) + len(self._stream)
+        return len(self._queue) + len(self._stream) + self._unloaded
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest queued callback, or None if the queue is empty.
@@ -127,31 +141,85 @@ class SimulationEngine:
     def schedule_sorted(self, entries: Iterable[Tuple[float, Callback]]) -> None:
         """Schedule ``(time, callback)`` pairs that are already in time order.
 
-        Exactly :meth:`schedule_at` on each pair in turn — same sequence
-        numbers, same firing order against everything else — except that the
-        batch stays out of the heap and is checked as a whole first: a time
-        that is not a number, lies before ``now`` or before its predecessor
-        raises :class:`ValueError` and nothing is scheduled.  A batch handed
-        over while an earlier one is still pending is merged the plain way,
-        one :meth:`schedule_at` per entry.
+        A stream of one window (:meth:`schedule_stream`): exactly
+        :meth:`schedule_at` on each pair in turn — same firing order against
+        everything else — except that the batch stays out of the heap and is
+        checked as a whole first.
         """
-        batch: List[Tuple[float, int, Callback]] = []
-        previous = self._now
-        for sequence, (time, callback) in enumerate(entries, self._sequence):
+        batch = list(entries)
+        window = ([time for time, _ in batch], [callback for _, callback in batch])
+        # A callable iterator over a list it pops: the window is not held
+        # once loaded, so each callback is released when it fires.
+        self.schedule_stream(iter([None, window].pop, None), len(window[0]))
+
+    def schedule_stream(self, windows: Iterable[Window], count: int) -> None:
+        """Schedule ``count`` callbacks handed over as time-ordered windows.
+
+        Each window is ``(times, callbacks)``, its times in order and no
+        earlier than the previous window's.  Exactly :meth:`schedule_at` on
+        each entry in turn — same firing order against everything else —
+        except that the entries stay out of the heap and only one window is
+        loaded at a time: the first now, each next one when the last loaded
+        entry fires.  A loaded window is checked as a whole: a time that is
+        not a number, lies before ``now`` or before its predecessor raises
+        :class:`ValueError` and nothing of it is scheduled (for the first
+        window: nothing at all).  A stream handed over while an earlier one
+        is still pending is merged the plain way, one :meth:`schedule_at`
+        per entry, once every window was checked.
+        """
+        if self._stream:
+            entries: List[Tuple[float, Callback]] = []
+            previous = self._now
+            for times, callbacks in windows:
+                if len(times):
+                    self._check(times, previous)
+                    entries.extend(zip(times, callbacks))
+                    previous = times[-1]
+            for time, callback in entries:
+                self.schedule_at(time, callback)
+            return
+        self._windows, self._unloaded = iter(windows), count
+        self._stream_sequence = self._sequence
+        self._load()
+        if self._stream:
+            self._sequence += 1
+
+    def _load(self) -> None:
+        """Load the stream's next window that has entries (the stream is empty).
+
+        Until it is loaded the stream holds nothing else: a refused window
+        leaves nothing of the stream pending.
+        """
+        windows, unloaded = self._windows, self._unloaded
+        assert windows is not None
+        self._windows, self._unloaded = None, 0
+        for times, callbacks in windows:
+            if len(times):
+                self._check(times, self._now)
+                # In place: a run() in progress holds this very list.
+                self._stream.extend(
+                    zip(reversed(times), repeat(self._stream_sequence), reversed(callbacks))
+                )
+                self._windows, self._unloaded = windows, unloaded - len(times)
+                return
+
+    def _check(self, times: Sequence[float], previous: float) -> None:
+        """Refuse a window whose times are not numbers in order from ``previous``."""
+        if times[0] >= previous and all(map(le, times, islice(times, 1, None))):
+            return
+        for time in times:
             if not time >= previous:  # also false for NaN
                 raise ValueError(
                     f"cannot schedule a sorted batch holding time {time} after {previous}: "
                     f"not a number, in the past (now {self._now}) or out of order"
                 )
-            batch.append((time, sequence, callback))
             previous = time
-        if self._stream:
-            for time, _, callback in batch:
-                self.schedule_at(time, callback)
-        else:
-            # In place: a run() in progress holds this very list.
-            self._stream.extend(reversed(batch))
-            self._sequence += len(batch)
+
+    def close(self) -> None:
+        """Drop every pending callback, loaded or not: nothing will run them."""
+        self._queue.clear()
+        self._stream.clear()
+        self._windows, self._unloaded = None, 0
 
     # ------------------------------------------------------------------
     # Execution
@@ -195,8 +263,14 @@ class SimulationEngine:
                 return StopReason.UNTIL
             if max_events is not None and executed >= max_events:
                 return StopReason.MAX_EVENTS
-            callback = (stream.pop() if from_stream else heapq.heappop(queue))[2]
-            self._now = time
+            if from_stream:
+                callback = stream.pop()[2]
+                self._now = time
+                if not stream and self._windows is not None:
+                    self._load()
+            else:
+                callback = heapq.heappop(queue)[2]
+                self._now = time
             callback()
             self._processed_events += 1
             executed += 1

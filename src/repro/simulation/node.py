@@ -189,6 +189,11 @@ class SimulationNode:
 
         return act_if_members
 
+    def close(self) -> None:
+        """Let go of the collector's control plane, which refers back to
+        this node: the run is over."""
+        self._collector.close()
+
     def send_message(self, destination: int) -> None:
         """Send an application message to ``destination``."""
         if self._inert:

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,11 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.ccp.pattern import CCP
 from repro.core.optimality import GcAudit, audit_garbage_collection
 from repro.gc.registry import check_collector
-from repro.membership import MembershipSchedule
+from repro.membership import MembershipSchedule, MembershipView
 from repro.protocols.registry import available_protocols
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.rollback_plan import RollbackPlan
-from repro.simulation.engine import Callback, SimulationEngine
+from repro.simulation.engine import Callback, SimulationEngine, Window
 from repro.simulation.failures import FailureSchedule
 from repro.simulation.network import AppMessage, Network, NetworkConfig, PartitionEvent
 from repro.simulation.node import SimulationNode, build_node
@@ -356,6 +358,32 @@ def metrics_from_record(record: Mapping[str, Any]) -> Dict[str, float]:
     return {name: value for name, value in derived if value is not None}
 
 
+_TIME = itemgetter(0)
+_ACTION = itemgetter(1, 2, 3)
+
+
+class _ActionHandlers(Dict[Tuple[int, str, int], Callback]):
+    """``(pid, kind, target)`` of a key → the callback performing it.
+
+    Built on first use by the process's :meth:`SimulationNode.action_handler`
+    and shared by every action that repeats it.
+    """
+
+    def __init__(
+        self, nodes: Sequence[SimulationNode], members: Optional[MembershipView]
+    ) -> None:
+        super().__init__()
+        self._nodes, self._members = nodes, members
+
+    def __missing__(self, action: Tuple[int, str, int]) -> Callback:
+        pid, kind, target = action
+        # A handler does not depend on when its action happens.
+        handler = self[action] = self._nodes[pid].action_handler(
+            Action.of_key((0.0, pid, kind, target)), self._members
+        )
+        return handler
+
+
 def _ignore(*args: Any, **kwargs: Any) -> None:
     """An occurrence nobody keeps or writes."""
 
@@ -627,18 +655,21 @@ class SimulationRunner:
     def close(self) -> None:
         """Release what the finished run holds (idempotent).
 
-        A run's objects reference each other — node and control plane,
-        ``UC`` and collector, the network's handlers and this runner — so
-        what stays reachable from them waits for the cyclic collector's next
-        full pass.  This lets go of the recorder (the runner's reference and
+        A run's objects reference each other — the network's handlers and
+        the engine's pending callbacks refer back to this runner, each
+        node's collector to its node through the control plane, the ``UC``
+        table to its collector — and what stays reachable from a cycle
+        waits for the cyclic collector's next full pass.  This breaks every
+        one of them: it lets go of the recorder (the runner's reference and
         the port's), and with it the event log, the knowledge tracker and
-        the memoised view and CCP: nothing else refers to them, so reference
-        counting frees them now unless the caller holds one (a result's
-        ``final_ccp`` keeps its pattern, log and view).  The port's kept
-        occurrences and the network's link state and in-flight copies go
-        too.  What stays until the cyclic collector comes is the runner's
-        own cycle — nodes, their storage, the engine — and the samples,
-        recoveries and audits a :class:`SimulationResult` shares.
+        the memoised view and CCP, unless the caller holds one (a result's
+        ``final_ccp`` keeps its pattern, log and view); the port's kept
+        occurrences; the network's handlers, link state and in-flight
+        copies; the engine's pending callbacks, the workload's unread
+        windows included; and each collector's control plane and ``UC``
+        callback.  Once the caller drops the runner, reference counting
+        frees it, its nodes, their storage and the engine; the samples,
+        recoveries and audits a :class:`SimulationResult` shares stay.
         Afterwards :meth:`run`, :meth:`inject_crash` and :attr:`trace`
         raise :class:`RuntimeError`.
         """
@@ -650,6 +681,9 @@ class SimulationRunner:
         self._unread.close()
         del self._trace
         self._network.close()
+        self._engine.close()
+        for node in self._nodes:
+            node.close()
 
     def _require_open(self) -> None:
         if self._closed:
@@ -670,27 +704,7 @@ class SimulationRunner:
                 handler = lambda pid=event.pid: self._handle_leave(pid)
             self._engine.schedule_at(event.time, handler)
         # Static membership passes no view: nothing to check at fire time.
-        acting_members = self._trace.membership if config.membership else None
-        nodes = self._nodes
-        # Every action that repeats a (pid, kind, target) shares its handler.
-        handlers: Dict[Tuple[int, str, int], Callback] = {}
-
-        def entry(key: ActionKey) -> Tuple[float, Callback]:
-            handler = handlers.get(key[1:])
-            if handler is None:
-                handler = handlers[key[1:]] = nodes[key[1]].action_handler(
-                    Action.of_key(key), acting_members
-                )
-            return key[0], handler
-
-        # The workload's keys are in time order: they are streamed beside the
-        # engine's heap, and the list does not outlive this statement.
-        self._engine.schedule_sorted(
-            map(
-                entry,
-                config.workload.keys(config.num_processes, config.duration, self._engine.rng),
-            )
-        )
+        self._schedule_workload(self._trace.membership if config.membership else None)
         for crash in config.failures:
             self._engine.schedule_at(
                 crash.time, lambda pid=crash.pid: self._handle_crash(pid)
@@ -702,16 +716,34 @@ class SimulationRunner:
             self._run_audit("final")
         return self._build_result()
 
+    def _schedule_workload(self, acting_members: Optional[MembershipView]) -> None:
+        """Draw the workload and hand it to the engine as a stream of windows.
+
+        Every draw is made here, before the first event fires; a window's
+        keys become entries only when the engine loads it, and neither the
+        window nor its keys are held once loaded.
+        """
+        config = self._config
+        windows = config.workload.windows(config.num_processes, config.duration, self._engine.rng)
+        handler_of = _ActionHandlers(self._nodes, acting_members).__getitem__
+
+        def entries(window: List[ActionKey]) -> Window:
+            return list(map(_TIME, window)), list(map(handler_of, map(_ACTION, window)))
+
+        self._engine.schedule_stream(map(entries, windows), windows.count)
+
     # ------------------------------------------------------------------
     # Sampling and audits
     # ------------------------------------------------------------------
     def _schedule_sampling(self, interval: float) -> None:
-        def sample_and_reschedule() -> None:
-            self._take_sample()
-            if self._engine.now + interval <= self._config.duration:
-                self._engine.schedule_after(interval, sample_and_reschedule)
+        # A bound method, not a closure: a closure that schedules itself is a
+        # cycle that holds the runner.
+        self._engine.schedule_after(interval, partial(self._sample_and_reschedule, interval))
 
-        self._engine.schedule_after(interval, sample_and_reschedule)
+    def _sample_and_reschedule(self, interval: float) -> None:
+        self._take_sample()
+        if self._engine.now + interval <= self._config.duration:
+            self._schedule_sampling(interval)
 
     def _take_sample(self) -> None:
         sample = StorageSample(

@@ -1,12 +1,22 @@
 """Workload generators.
 
 A workload describes *what the application does*: when each process sends
-messages to whom and when it takes basic checkpoints.  Workloads draw a
-deterministic, sorted list of action keys (:meth:`Workload.keys`) from a
-seeded random generator; the runner streams them to the engine, and
-:meth:`Workload.generate` is the same list as :class:`Action` records.
-Forced checkpoints are not part of the workload — they are decided online by
-the checkpointing protocol.
+messages to whom and when it takes basic checkpoints.  Forced checkpoints
+are not part of the workload — they are decided online by the checkpointing
+protocol.
+
+A workload is a deterministic, sorted list of action keys
+(:meth:`Workload.keys`, ``(time, pid, kind, target)``) drawn from a seeded
+random generator, and :meth:`Workload.generate` is the same list as
+:class:`Action` records.  The runner does not build that list.  Every
+generator here is a :class:`DrawnWorkload`: :meth:`DrawnWorkload.draw` makes
+all of a run's draws up front, in a fixed order, and writes them into
+:class:`ActionColumns` — per process and kind of action, an ``array('d')``
+of times and an ``array('i')`` of targets, 8 to 12 bytes an action.
+:meth:`Workload.windows` then hands the keys out one time window at a time,
+cut from every run by bisection and sorted, and the runner gives each window
+to the engine as its stream reaches it; ``keys()`` is the windows
+concatenated.  A workload that only defines ``keys()`` is one window.
 
 Provided workloads:
 
@@ -42,8 +52,15 @@ from __future__ import annotations
 
 import abc
 import enum
+import math
 import random
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
+from array import array
+from bisect import bisect_right
+from itertools import chain, islice, repeat
+from operator import le
+from typing import (
+    Any, Dict, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple, Type,
+)
 
 
 class ActionKind(enum.Enum):
@@ -103,6 +120,149 @@ class Action(_ActionFields):
         return cls(time, pid, _KINDS[kind], None if target < 0 else target)
 
 
+#: Entries a window takes from the run that fills it first: a window ends at
+#: the time where some run reaches this many more entries, so its size grows
+#: with the number of runs it cuts.
+_RUN_SPAN = 32
+
+
+class ActionColumns:
+    """A run's workload draws, kept as compact columns and handed out by window.
+
+    A generator writes each draw into a *run*: the times of one process and
+    one kind of action, an ``array('d')``, with the send targets beside them
+    in an ``array('i')`` (a checkpoint run has none: its targets are all
+    ``-1``).  Nothing else exists per action until a window is taken.
+
+    Once sealed (:meth:`seal`) the columns are an iterator of *windows*: each
+    is every pending entry at or before a horizon, taken from every run by
+    bisection, built into :data:`ActionKey` tuples and sorted.  The horizon
+    is the earliest time some run reaches :data:`_RUN_SPAN` entries past the
+    ones already handed out (none: the rest of every run), and every run is
+    cut at the same horizon, so equal times always share a window and the
+    windows, concatenated, are the sorted key list.  A window is not held
+    once it is returned.
+    """
+
+    def __init__(self) -> None:
+        #: ``(pid, kind, times, targets or None)`` per run, in drawing order.
+        self._drawn: List[Tuple[int, str, array, Optional[array]]] = []
+        #: ``[times, next index, pid, kind, targets]`` per run with entries
+        #: still to hand out, once sealed.
+        self._pending: List[List[Any]] = []
+        #: The number of entries, once sealed.
+        self.count = 0
+
+    def run(self, pid: int, kind: str) -> Tuple[array, array]:
+        """A new run of ``pid``'s actions of ``kind``: its time and target columns."""
+        times, targets = array("d"), array("i")
+        self._drawn.append((pid, kind, times, targets))
+        return times, targets
+
+    def sends(self, pid: int) -> Tuple[array, array]:
+        """A new run of ``pid``'s sends: its time and target columns."""
+        return self.run(pid, _SEND)
+
+    def checkpoints(self, pid: int) -> array:
+        """A new run of ``pid``'s basic checkpoints: its time column."""
+        times = array("d")
+        self._drawn.append((pid, _CHECKPOINT, times, None))
+        return times
+
+    def seal(self) -> "ActionColumns":
+        """Put every run in time order and start handing out windows.
+
+        A generator's runs are usually drawn in time order already; one that
+        is not (replies of several requests, a script) is sorted here, by
+        time alone: a window sorts its keys in full.  A time that is not a
+        number raises :class:`ValueError`.
+        """
+        for pid, kind, times, targets in self._drawn:
+            if not times:
+                continue
+            if not _ascending(times):
+                order = sorted(range(len(times)), key=times.__getitem__)
+                times[:] = array("d", map(times.__getitem__, order))
+                if targets is not None:
+                    targets[:] = array("i", map(targets.__getitem__, order))
+                if not _ascending(times):
+                    raise ValueError(
+                        f"workload action times of process {pid} must be numbers, "
+                        f"got {[time for time in times if time != time][0]!r}"
+                    )
+            self._pending.append([times, 0, pid, kind, targets])
+            self.count += len(times)
+        self._drawn = []
+        return self
+
+    def __iter__(self) -> "ActionColumns":
+        return self
+
+    def __next__(self) -> List[ActionKey]:
+        pending = self._pending
+        if not pending:
+            raise StopIteration
+        # A run with fewer entries left does not bound the window.
+        horizon = min(
+            (times[start + _RUN_SPAN] for times, start, *_ in pending
+             if start + _RUN_SPAN < len(times)),
+            default=math.inf,
+        )
+        window: List[ActionKey] = []
+        left: List[List[Any]] = []
+        for run in pending:
+            times, start, pid, kind, targets = run
+            end = bisect_right(times, horizon, start)
+            if end > start:
+                window.extend(
+                    zip(
+                        times[start:end],
+                        repeat(pid),
+                        repeat(kind),
+                        repeat(-1) if targets is None else targets[start:end],
+                    )
+                )
+            if end < len(times):
+                run[1] = end
+                left.append(run)
+        self._pending = left
+        window.sort()
+        return window
+
+
+def _ascending(times: array) -> bool:
+    """Whether ``times`` (not empty) is in time order and holds no NaN."""
+    return times[0] == times[0] and all(map(le, times, islice(times, 1, None)))
+
+
+class _WholeKeys:
+    """A key list handed out as the one window, and not held once handed out."""
+
+    def __init__(self, keys: List[ActionKey]) -> None:
+        self._keys: Optional[List[ActionKey]] = keys
+        self.count = len(keys)
+
+    def __iter__(self) -> "_WholeKeys":
+        return self
+
+    def __next__(self) -> List[ActionKey]:
+        keys, self._keys = self._keys, None
+        if keys is None:
+            raise StopIteration
+        return keys
+
+
+class KeyWindows(Protocol):
+    """What :meth:`Workload.windows` returns: the sorted windows and their size."""
+
+    #: The number of keys across all windows.
+    count: int
+
+    def __iter__(self) -> Iterator[List[ActionKey]]: ...
+
+    def __next__(self) -> List[ActionKey]: ...
+
+
 class Workload(abc.ABC):
     """Base class for workload generators."""
 
@@ -114,10 +274,20 @@ class Workload(abc.ABC):
     ) -> List[ActionKey]:
         """The :meth:`Action.sort_key` of every action of one run, sorted.
 
-        The runner streams them to the engine, which refuses a batch out of
+        The runner hands them to the engine, which refuses a batch out of
         time order, and builds one handler per distinct ``(pid, kind,
         target)``: no :class:`Action` exists per action.
         """
+
+    def windows(
+        self, num_processes: int, duration: float, rng: random.Random
+    ) -> KeyWindows:
+        """The keys of :meth:`keys` in time-ordered windows, for the runner.
+
+        Here the whole list is the one window; a :class:`DrawnWorkload`
+        draws into :class:`ActionColumns` and builds one window at a time.
+        """
+        return _WholeKeys(self.keys(num_processes, duration, rng))
 
     def generate(
         self, num_processes: int, duration: float, rng: random.Random
@@ -125,18 +295,48 @@ class Workload(abc.ABC):
         """The actions of :meth:`keys`, as records, in the same order."""
         return [Action.of_key(key) for key in self.keys(num_processes, duration, rng)]
 
+
+class DrawnWorkload(Workload):
+    """A workload that draws its actions into :class:`ActionColumns`.
+
+    :meth:`draw` makes every random draw, in a fixed order, before the run
+    starts; :meth:`windows` then builds the keys one window at a time, and
+    :meth:`keys` is the windows concatenated.  A subclass that overrides
+    :meth:`keys` alone is one window, as for any :class:`Workload`.
+    """
+
+    @abc.abstractmethod
+    def draw(
+        self, columns: ActionColumns, num_processes: int, duration: float, rng: random.Random
+    ) -> None:
+        """Write every action of one run into ``columns``, run by run."""
+
+    def keys(
+        self, num_processes: int, duration: float, rng: random.Random
+    ) -> List[ActionKey]:
+        return list(chain.from_iterable(self.windows(num_processes, duration, rng)))
+
+    def windows(
+        self, num_processes: int, duration: float, rng: random.Random
+    ) -> KeyWindows:
+        if type(self).keys is not DrawnWorkload.keys:
+            return super().windows(num_processes, duration, rng)
+        columns = ActionColumns()
+        self.draw(columns, num_processes, duration, rng)
+        return columns.seal()
+
     @staticmethod
     def _basic_checkpoints(
-        keys: List[ActionKey], pid: int, mean_gap: float, duration: float, rng: random.Random
+        times: array, mean_gap: float, duration: float, rng: random.Random
     ) -> None:
-        """Add ``pid``'s basic checkpoints, at exponential intervals, to ``keys``."""
+        """Add a process's basic checkpoints, at exponential intervals, to ``times``."""
         time = rng.expovariate(1.0 / mean_gap)
         while time < duration:
-            keys.append((time, pid, _CHECKPOINT, -1))
+            times.append(time)
             time += rng.expovariate(1.0 / mean_gap)
 
 
-class UniformRandomWorkload(Workload):
+class UniformRandomWorkload(DrawnWorkload):
     """Peer-to-peer traffic with random partners and random basic checkpoints."""
 
     name = "uniform-random"
@@ -152,24 +352,23 @@ class UniformRandomWorkload(Workload):
         self._message_gap = mean_message_gap
         self._checkpoint_gap = mean_checkpoint_gap
 
-    def keys(
-        self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[ActionKey]:
-        keys: List[ActionKey] = []
+    def draw(
+        self, columns: ActionColumns, num_processes: int, duration: float, rng: random.Random
+    ) -> None:
         for pid in range(num_processes):
+            times, targets = columns.sends(pid)
             time = rng.expovariate(1.0 / self._message_gap)
             while time < duration and num_processes > 1:
                 target = rng.randrange(num_processes - 1)
                 if target >= pid:
                     target += 1
-                keys.append((time, pid, _SEND, target))
+                times.append(time)
+                targets.append(target)
                 time += rng.expovariate(1.0 / self._message_gap)
-            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        keys.sort()
-        return keys
+            self._basic_checkpoints(columns.checkpoints(pid), self._checkpoint_gap, duration, rng)
 
 
-class ClientServerWorkload(Workload):
+class ClientServerWorkload(DrawnWorkload):
     """Clients send requests to process 0, which answers each client."""
 
     name = "client-server"
@@ -189,28 +388,30 @@ class ClientServerWorkload(Workload):
         self._think_time = server_think_time
         self._checkpoint_gap = mean_checkpoint_gap
 
-    def keys(
-        self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[ActionKey]:
+    def draw(
+        self, columns: ActionColumns, num_processes: int, duration: float, rng: random.Random
+    ) -> None:
         if num_processes < 2:
             raise ValueError("the client/server workload needs at least two processes")
-        keys: List[ActionKey] = []
         server = 0
+        # One run of replies: it is sorted when the columns are sealed.
+        reply_times, reply_targets = columns.sends(server)
         for client in range(1, num_processes):
+            times, targets = columns.sends(client)
             time = rng.expovariate(1.0 / self._request_gap)
             while time < duration:
-                keys.append((time, client, _SEND, server))
+                times.append(time)
+                targets.append(server)
                 reply_time = time + self._think_time + rng.uniform(0.0, self._think_time)
                 if reply_time < duration:
-                    keys.append((reply_time, server, _SEND, client))
+                    reply_times.append(reply_time)
+                    reply_targets.append(client)
                 time += rng.expovariate(1.0 / self._request_gap)
         for pid in range(num_processes):
-            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        keys.sort()
-        return keys
+            self._basic_checkpoints(columns.checkpoints(pid), self._checkpoint_gap, duration, rng)
 
 
-class PipelineWorkload(Workload):
+class PipelineWorkload(DrawnWorkload):
     """A linear pipeline: stage ``i`` periodically feeds stage ``i + 1``."""
 
     name = "pipeline"
@@ -226,22 +427,21 @@ class PipelineWorkload(Workload):
         self._stage_period = stage_period
         self._checkpoint_gap = mean_checkpoint_gap
 
-    def keys(
-        self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[ActionKey]:
-        keys: List[ActionKey] = []
+    def draw(
+        self, columns: ActionColumns, num_processes: int, duration: float, rng: random.Random
+    ) -> None:
         for pid in range(num_processes - 1):
+            times, targets = columns.sends(pid)
             time = self._stage_period * (1.0 + 0.1 * pid)
             while time < duration:
-                keys.append((time, pid, _SEND, pid + 1))
+                times.append(time)
+                targets.append(pid + 1)
                 time += self._stage_period
         for pid in range(num_processes):
-            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        keys.sort()
-        return keys
+            self._basic_checkpoints(columns.checkpoints(pid), self._checkpoint_gap, duration, rng)
 
 
-class RingWorkload(Workload):
+class RingWorkload(DrawnWorkload):
     """Each process periodically sends to its successor on a ring."""
 
     name = "ring"
@@ -257,21 +457,20 @@ class RingWorkload(Workload):
         self._period = period
         self._checkpoint_gap = mean_checkpoint_gap
 
-    def keys(
-        self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[ActionKey]:
-        keys: List[ActionKey] = []
+    def draw(
+        self, columns: ActionColumns, num_processes: int, duration: float, rng: random.Random
+    ) -> None:
         for pid in range(num_processes):
+            times, targets = columns.sends(pid)
             time = self._period * (1.0 + pid / max(num_processes, 1))
             while time < duration:
-                keys.append((time, pid, _SEND, (pid + 1) % num_processes))
+                times.append(time)
+                targets.append((pid + 1) % num_processes)
                 time += self._period
-            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        keys.sort()
-        return keys
+            self._basic_checkpoints(columns.checkpoints(pid), self._checkpoint_gap, duration, rng)
 
 
-class WorstCaseWorkload(Workload):
+class WorstCaseWorkload(DrawnWorkload):
     """The schedule that drives every process to retain ``n`` stable checkpoints.
 
     Round ``k`` (``k = 1 .. n``): every process takes a basic checkpoint, then
@@ -291,30 +490,30 @@ class WorstCaseWorkload(Workload):
             raise ValueError("round length must be positive")
         self._round_length = round_length
 
-    def keys(
-        self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[ActionKey]:
-        keys: List[ActionKey] = []
+    def draw(
+        self, columns: ActionColumns, num_processes: int, duration: float, rng: random.Random
+    ) -> None:
+        checkpoints = [columns.checkpoints(pid) for pid in range(num_processes)]
         for round_index in range(1, num_processes + 1):
             base = round_index * self._round_length
             for pid in range(num_processes):
-                keys.append((base, pid, _CHECKPOINT, -1))
+                checkpoints[pid].append(base)
             sender = round_index - 1
+            times, targets = columns.sends(sender)
             for pid in range(num_processes):
                 if pid != sender:
-                    keys.append((base + self._round_length / 2, sender, _SEND, pid))
+                    times.append(base + self._round_length / 2)
+                    targets.append(pid)
         final = (num_processes + 1) * self._round_length
         for pid in range(num_processes):
-            keys.append((final, pid, _CHECKPOINT, -1))
-        keys.sort()
-        return keys
+            checkpoints[pid].append(final)
 
     def required_duration(self, num_processes: int) -> float:
         """The simulated time needed to play the full schedule."""
         return (num_processes + 2) * self._round_length
 
 
-class ZipfClientServerWorkload(Workload):
+class ZipfClientServerWorkload(DrawnWorkload):
     """Clients call one of ``num_servers`` servers with Zipf-skewed choice.
 
     Servers are pids ``0 .. num_servers - 1``; the remaining pids are
@@ -361,32 +560,35 @@ class ZipfClientServerWorkload(Workload):
                 return server
         return num_servers - 1
 
-    def keys(
-        self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[ActionKey]:
+    def draw(
+        self, columns: ActionColumns, num_processes: int, duration: float, rng: random.Random
+    ) -> None:
         if num_processes <= self._num_servers:
             raise ValueError(
                 f"the zipf client/server workload needs at least "
                 f"{self._num_servers + 1} processes "
                 f"({self._num_servers} servers plus one client)"
             )
-        keys: List[ActionKey] = []
+        # One run of replies per server: sorted when the columns are sealed.
+        replies = [columns.sends(server) for server in range(self._num_servers)]
         for client in range(self._num_servers, num_processes):
+            times, targets = columns.sends(client)
             time = rng.expovariate(1.0 / self._request_gap)
             while time < duration:
                 server = self._pick_server(rng, self._num_servers)
-                keys.append((time, client, _SEND, server))
+                times.append(time)
+                targets.append(server)
                 reply_time = time + self._think_time + rng.uniform(0.0, self._think_time)
                 if reply_time < duration:
-                    keys.append((reply_time, server, _SEND, client))
+                    reply_times, reply_targets = replies[server]
+                    reply_times.append(reply_time)
+                    reply_targets.append(client)
                 time += rng.expovariate(1.0 / self._request_gap)
         for pid in range(num_processes):
-            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        keys.sort()
-        return keys
+            self._basic_checkpoints(columns.checkpoints(pid), self._checkpoint_gap, duration, rng)
 
 
-class GossipWorkload(Workload):
+class GossipWorkload(DrawnWorkload):
     """Epidemic broadcast: periodic pushes to a random fan-out of peers.
 
     Every gossip round spreads the sender's causal knowledge to ``fanout``
@@ -412,24 +614,23 @@ class GossipWorkload(Workload):
         self._round_gap = mean_round_gap
         self._checkpoint_gap = mean_checkpoint_gap
 
-    def keys(
-        self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[ActionKey]:
-        keys: List[ActionKey] = []
+    def draw(
+        self, columns: ActionColumns, num_processes: int, duration: float, rng: random.Random
+    ) -> None:
         for pid in range(num_processes):
+            times, targets = columns.sends(pid)
             time = rng.expovariate(1.0 / self._round_gap)
             while time < duration and num_processes > 1:
                 peers = [p for p in range(num_processes) if p != pid]
                 fanout = min(self._fanout, len(peers))
                 for target in rng.sample(peers, fanout):
-                    keys.append((time, pid, _SEND, target))
+                    times.append(time)
+                    targets.append(target)
                 time += rng.expovariate(1.0 / self._round_gap)
-            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        keys.sort()
-        return keys
+            self._basic_checkpoints(columns.checkpoints(pid), self._checkpoint_gap, duration, rng)
 
 
-class HierarchicalWorkload(Workload):
+class HierarchicalWorkload(DrawnWorkload):
     """Region clusters: mostly-local traffic with occasional WAN messages.
 
     Processes are grouped into contiguous regions of ``region_size`` pids
@@ -467,10 +668,9 @@ class HierarchicalWorkload(Workload):
         num_regions = max(num_processes // self._region_size, 1)
         return min(pid // self._region_size, num_regions - 1)
 
-    def keys(
-        self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[ActionKey]:
-        keys: List[ActionKey] = []
+    def draw(
+        self, columns: ActionColumns, num_processes: int, duration: float, rng: random.Random
+    ) -> None:
         regions: Dict[int, List[int]] = {}
         for pid in range(num_processes):
             regions.setdefault(self.region_of(pid, num_processes), []).append(pid)
@@ -481,20 +681,20 @@ class HierarchicalWorkload(Workload):
                 p for p in range(num_processes)
                 if self.region_of(p, num_processes) != home
             ]
+            times, targets = columns.sends(pid)
             time = rng.expovariate(1.0 / self._message_gap)
             while time < duration and num_processes > 1:
                 go_local = local_peers and (
                     not remote_peers or rng.random() < self._local_bias
                 )
                 pool = local_peers if go_local else remote_peers
-                keys.append((time, pid, _SEND, rng.choice(pool)))
+                times.append(time)
+                targets.append(rng.choice(pool))
                 time += rng.expovariate(1.0 / self._message_gap)
-            self._basic_checkpoints(keys, pid, self._checkpoint_gap, duration, rng)
-        keys.sort()
-        return keys
+            self._basic_checkpoints(columns.checkpoints(pid), self._checkpoint_gap, duration, rng)
 
 
-class ScriptedWorkload(Workload):
+class ScriptedWorkload(DrawnWorkload):
     """An explicit, fully deterministic list of actions."""
 
     name = "scripted"
@@ -502,9 +702,9 @@ class ScriptedWorkload(Workload):
     def __init__(self, actions: Sequence[Action]) -> None:
         self._actions = list(actions)
 
-    def keys(
-        self, num_processes: int, duration: float, rng: random.Random
-    ) -> List[ActionKey]:
+    def draw(
+        self, columns: ActionColumns, num_processes: int, duration: float, rng: random.Random
+    ) -> None:
         for action in self._actions:
             for role, pid in (("process", action.pid), ("send target", action.target)):
                 if pid is not None and not 0 <= pid < num_processes:
@@ -512,7 +712,15 @@ class ScriptedWorkload(Workload):
                         f"scripted action {action} names {role} {pid} but the "
                         f"run has processes 0..{num_processes - 1}"
                     )
-        return sorted(action.sort_key() for action in self._actions)
+        # One run per (pid, kind), in script order: sorted when sealed.
+        runs: Dict[Tuple[int, str], Tuple[array, array]] = {}
+        for action in self._actions:
+            time, pid, kind, target = action.sort_key()
+            run = runs.get((pid, kind))
+            if run is None:
+                run = runs[pid, kind] = columns.run(pid, kind)
+            run[0].append(time)
+            run[1].append(target)
 
 
 # ----------------------------------------------------------------------

@@ -210,8 +210,8 @@ def test_a_finished_run_frees_its_history_by_reference_counting(monkeypatch):
     and a 300-time-unit run (tracemalloc: a count of allocations on a given
     interpreter, not a time).  The gate can fire: a ``close()`` that keeps
     the recorder — as every run that read its recorder did on the commit
-    this gate was added against — leaves the log, tracker and view in the
-    runner's own cycle, and the violation names it; so does a knowledge
+    this gate was added against, whose runner was in a cycle of its own —
+    leaves the log, tracker and view in that cycle, and the violation names it; so does a knowledge
     view that holds its recorder strongly.  (15.9 under a ceiling of 100.0;
     450.0 in either case.)
     """
@@ -225,7 +225,9 @@ def test_a_finished_run_frees_its_history_by_reference_counting(monkeypatch):
     def close_keeping_the_recorder(runner):
         recorder = runner._trace
         close(runner)
-        runner._trace = recorder
+        # A runner is in no cycle of its own any more: put it back in one,
+        # as its sampling closure did on that commit.
+        runner._trace, runner._itself = recorder, runner
 
     monkeypatch.setattr(SimulationRunner, "close", close_keeping_the_recorder)
     (violation,) = check_released_history()
@@ -241,6 +243,25 @@ def test_a_finished_run_frees_its_history_by_reference_counting(monkeypatch):
     monkeypatch.setattr(IncrementalAnalysisView, "__init__", view_holding_its_recorder)
     (violation,) = check_released_history()
     assert "the knowledge view refers back to it strongly" in violation
+
+
+def test_a_workload_exists_as_objects_one_window_at_a_time(monkeypatch):
+    """Scheduling a workload builds one window of keys and entries, not the run's.
+
+    Tracemalloc's peak per action from ``runner.run()`` until the first
+    event, on a 64-process run.  The gate can fire: the whole workload
+    handed over as one window — its sorted key list and an engine entry per
+    action at once — peaks at ~4x, and the violation names it.  (45.7 under
+    a ceiling of 158.0; 187.3 as one window; 270.3 on the commit this gate
+    was added against, which also sorted the whole list before copying it.)
+    """
+    from benchmarks.check_regression import check_scheduled_workload
+    from repro.simulation import workloads
+
+    assert check_scheduled_workload() == []
+    monkeypatch.setattr(workloads, "_RUN_SPAN", 10**9)
+    (violation,) = check_scheduled_workload()
+    assert "built whole again" in violation
 
 
 def test_a_link_keeps_its_next_draws_not_a_generator(monkeypatch):

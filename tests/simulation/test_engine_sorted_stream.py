@@ -1,6 +1,7 @@
 """The engine's two sources fire in the one order an all-heap engine produces.
 
-``schedule_sorted`` keeps a time-ordered batch beside the heap; everything
+``schedule_stream`` keeps time-ordered windows beside the heap, loading one
+at a time, and ``schedule_sorted`` is its one-window case; everything
 observable — firing order with ties, clock, stop reasons, counters, the two
 introspection calls — must be what pushing every entry through
 ``schedule_at`` gives.  The all-heap engine the simulator had before lives on
@@ -38,6 +39,11 @@ class HeapOnlyEngine:
     def schedule_sorted(self, entries):
         for time, callback in list(entries):
             self.schedule_at(time, callback)
+
+    def schedule_stream(self, windows, count):
+        for times, callbacks in list(windows):
+            for time, callback in zip(times, callbacks):
+                self.schedule_at(time, callback)
 
     def pending_events(self):
         return len(self._heap)
@@ -83,16 +89,27 @@ _op = st.one_of(
     st.tuples(st.just("run"), st.none() | _times, st.none() | st.integers(0, 4)),
     st.tuples(st.just("step")),
     st.tuples(st.just("sorted"), _sorted_delays),  # a second batch, the first pending
+    st.tuples(st.just("stream"), _sorted_delays),  # the same, as windows of one
 )
 _scripts = st.fixed_dictionaries(
     {
         "before": st.lists(_times, max_size=4),
         "batch": st.lists(_times, max_size=10).map(sorted),
+        # Where the batch is cut into windows: equal times may straddle a cut,
+        # and a repeated cut is an empty window.
+        "cuts": st.lists(st.integers(0, 10), max_size=4).map(sorted),
         "after": st.lists(_times, max_size=4),
         "spawns": st.lists(st.lists(_spawn, max_size=3), max_size=12),
         "ops": st.lists(_op, max_size=8),
     }
 )
+
+
+def _windowed(times, callbacks, cuts):
+    """``times`` and ``callbacks`` cut into windows at ``cuts``, one at a time."""
+    bounds = [0, *(min(cut, len(times)) for cut in cuts), len(times)]
+    for start, end in zip(bounds, bounds[1:]):
+        yield times[start:end], callbacks[start:end]
 
 
 def _play(engine, script):
@@ -121,7 +138,11 @@ def _play(engine, script):
 
     for n, time in enumerate(script["before"]):
         engine.schedule_at(time, make(f"before{n}"))
-    engine.schedule_sorted((time, make(f"batch{n}")) for n, time in enumerate(script["batch"]))
+    batch = script["batch"]
+    engine.schedule_stream(
+        _windowed(batch, [make(f"batch{n}") for n in range(len(batch))], script.get("cuts", ())),
+        len(batch),
+    )
     for n, time in enumerate(script["after"]):
         engine.schedule_at(time, make(f"after{n}"))
     observed = []
@@ -130,9 +151,15 @@ def _play(engine, script):
             outcome = engine.run(until=op[1], max_events=op[2])
         elif op[0] == "step":
             outcome = engine.step()
-        else:
+        elif op[0] == "sorted":
             outcome = engine.schedule_sorted(
                 [(engine.now + delay, make(f"op{index}.{k}")) for k, delay in enumerate(op[1])]
+            )
+        else:
+            times = [engine.now + delay for delay in op[1]]
+            callbacks = [make(f"op{index}.{k}") for k in range(len(times))]
+            outcome = engine.schedule_stream(
+                _windowed(times, callbacks, range(1, len(times))), len(times)
             )
         observed.append(
             (
@@ -254,6 +281,53 @@ class TestSortedStream:
         del first
         engine.run()
         assert released == [True, 0]
+
+
+class TestWindowedStream:
+    @staticmethod
+    def _windows(log, *windows):
+        """A stream of ``windows`` (lists of times) that logs each pull."""
+        for n, times in enumerate(windows):
+            log.append(f"pull{n}")
+            yield times, [lambda t=t: log.append(t) for t in times]
+
+    def test_one_window_is_loaded_at_a_time_and_the_next_before_anything_else(self):
+        engine, log = SimulationEngine(), []
+        engine.schedule_at(2.0, lambda: log.append("heap-before"))
+        engine.schedule_stream(self._windows(log, [1.0, 2.0], [2.0, 3.0], [3.0]), 5)
+        engine.schedule_at(2.0, lambda: log.append("heap-after"))
+        assert log == ["pull0"] and engine.pending_events() == 7
+        assert engine.run(until=1.5) is StopReason.UNTIL and log == ["pull0", 1.0]
+        engine.run()
+        # A window is pulled as the last entry of the one before fires.
+        assert log == [
+            "pull0", 1.0, "heap-before", "pull1", 2.0, 2.0, "heap-after", "pull2", 3.0, 3.0
+        ]
+        assert engine.pending_events() == 0 and engine.peek_time() is None
+
+    def test_pending_and_peek_count_the_windows_not_loaded(self):
+        engine, log = SimulationEngine(), []
+        engine.schedule_stream(self._windows(log, [1.0], [], [4.0, 5.0]), 3)
+        assert (engine.pending_events(), engine.peek_time()) == (3, 1.0)
+        assert engine.step()
+        assert log == ["pull0", "pull1", "pull2", 1.0]
+        assert (engine.pending_events(), engine.peek_time()) == (2, 4.0)
+
+    def test_a_window_out_of_order_is_refused_when_loaded(self):
+        engine, log = SimulationEngine(), []
+        engine.schedule_stream(self._windows(log, [1.0, 2.0], [1.5], [3.0]), 4)
+        with pytest.raises(ValueError, match="sorted batch holding time 1.5 after 2.0"):
+            engine.run()
+        assert log == ["pull0", 1.0, "pull1"]
+        assert engine.pending_events() == 0 and engine.peek_time() is None
+
+    def test_close_drops_the_loaded_and_the_unread_windows(self):
+        engine, log = SimulationEngine(), []
+        engine.schedule_at(9.0, lambda: log.append("heap"))
+        engine.schedule_stream(self._windows(log, [1.0], [2.0]), 2)
+        engine.close()
+        assert engine.pending_events() == 0 and engine.run() is StopReason.EXHAUSTED
+        assert log == ["pull0"]
 
 
 class TestTheRunnerStreamsItsWorkload:

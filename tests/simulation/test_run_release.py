@@ -24,7 +24,7 @@ from repro.simulation.failures import FailureSchedule
 from repro.simulation.network import LinkFates
 from repro.simulation.runner import SimulationConfig, SimulationRunner, run_simulation
 from repro.simulation.trace import TraceRecorder
-from repro.simulation.workloads import UniformRandomWorkload
+from repro.simulation.workloads import UniformRandomWorkload, WorstCaseWorkload
 from repro.traceio.reader import TraceReader
 
 
@@ -210,6 +210,51 @@ def _answers(view, ccp):
         [recovery_line(ccp, faulty) for faulty in faulty_sets],
         [ccp.last_stable(pid) for pid in ccp.processes],
     )
+
+
+def _watch_run(monkeypatch):
+    """Weak references to each run's engine, first node and its storage, as
+    its result is built."""
+    refs = []
+    build_result = SimulationRunner._build_result
+
+    def watched(runner):
+        node = runner.nodes[0]
+        refs.extend([weakref.ref(runner.engine), weakref.ref(node), weakref.ref(node.storage)])
+        return build_result(runner)
+
+    monkeypatch.setattr(SimulationRunner, "_build_result", watched)
+    return refs
+
+
+class TestNoCycleKeepsARunAlive:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"failures": FailureSchedule.of([(20.0, 1), (35.0, 2)]), "audit": "full"},
+            # The last round lies past the duration: its windows are never read.
+            {"workload": WorstCaseWorkload(), "num_processes": 40, "duration": 35.0},
+            {"collector": "wang-coordinated"},
+        ],
+        ids=["steady", "churn", "unread-windows", "control-plane"],
+    )
+    def test_the_engine_nodes_and_storage_are_freed_with_the_result(
+        self, monkeypatch, collector_off, overrides
+    ):
+        refs = _watch_run(monkeypatch)
+        result = run_simulation(_config(**overrides))
+        assert result.total_checkpoints > 0 and len(refs) == 3
+        del result
+        assert _alive(refs) == [False, False, False]
+
+    def test_a_closed_runner_is_freed_when_dropped(self, monkeypatch, collector_off):
+        refs = _watch_run(monkeypatch)
+        runner = SimulationRunner(_config(failures=FailureSchedule.of([(30.0, 2)])))
+        runner.run()
+        runner.close()
+        del runner
+        assert _alive(refs) == [False, False, False]
 
 
 class TestAViewOutlivesItsRecorder:
