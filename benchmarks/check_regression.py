@@ -68,7 +68,11 @@ its result, less the size before the run), per application message, between
 a 300- and a 600-time-unit run.  ``run_simulation`` releases its runner
 right after ``run()``, so a run that schedules no read keeps no occurrence;
 a port that keeps a tuple per send, receive and checkpoint until ``close()``
-shows up as ~2.8x.
+shows up as ~2.8x.  Its second row runs the same config with a crash every
+30 time units under the same ceiling: a crash under an RDT protocol and a
+safe collector is planned from the nodes' stable storage, so that run keeps
+no history either; one whose sessions read the recorded history holds the
+whole log (~70x).
 
 The **released-history** gate (``--smoke`` only) measures memory with the
 cyclic collector disabled: the bytes a dropped ``run_simulation`` of a fixed
@@ -175,7 +179,7 @@ import os
 import random
 import sys
 import tempfile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_REPO_ROOT, "src")
@@ -265,8 +269,15 @@ TRACED_MESSAGE_PATH_LINES_CEILING = 286.0
 # under a duplicating channel, so the ceiling went from 240 to 100; keeping
 # them under every channel again (~32 bytes per id, and the set's hash table
 # quadrupling between the two runs) reads 173.1.
+# The gate's second row is the same config with one crash per
+# HELD_BYTES_CRASH_GAP time units spread over the run, under the same
+# ceiling: it plans each recovery session from the nodes' stable storage and
+# holds no history either (16.8 when the row was added, beside 7.6 for the
+# first row; 1222.6 on its parent commit, which read the recorder at every
+# crash and so kept the whole log).
 HELD_BYTES_DURATIONS = (300.0, 600.0)
 HELD_BYTES_PER_MESSAGE_CEILING = 100.0
+HELD_BYTES_CRASH_GAP = 30.0
 # Released-history gate: traced bytes a dropped run_simulation of a fixed
 # 8-process config with RELEASED_HISTORY_CRASHES crashes and audit="full"
 # still holds with the cyclic collector off, per recorded event, between the
@@ -677,15 +688,39 @@ def check_traced_message_path_cost(
     return []
 
 
-def held_bytes_per_message() -> float:
+def _held_bytes_config(duration: float) -> Any:
+    """The recording-path gate's config, audit off and failure-free, lasting ``duration``."""
+    return dataclasses.replace(_recording_run_config(), duration=duration)
+
+
+def _held_bytes_crash_config(duration: float) -> Any:
+    """:func:`_held_bytes_config` with a crash every ``HELD_BYTES_CRASH_GAP``
+    time units, round-robin over the processes."""
+    from repro.simulation.failures import FailureSchedule
+
+    config = _held_bytes_config(duration)
+    crashes = round(duration / HELD_BYTES_CRASH_GAP)
+    return dataclasses.replace(
+        config,
+        failures=FailureSchedule.of(
+            [
+                ((index + 0.5) * HELD_BYTES_CRASH_GAP, index % config.num_processes)
+                for index in range(crashes)
+            ]
+        ),
+    )
+
+
+def held_bytes_per_message(config: Callable[[float], Any] = _held_bytes_config) -> float:
     """Bytes an unread ``run_simulation`` still holds when its engine stops, per message.
 
-    The recording-path gate's config, audit off and failure-free, run at each
-    of ``HELD_BYTES_DURATIONS`` after a warm-up run that fills the
-    interpreter's free lists: tracemalloc's current size where the runner
-    builds its result, less the size before the run, and the difference
-    between the two runs divided by the difference of their application
-    messages.  Exact on a given interpreter: it counts allocations, not RSS.
+    ``config(duration)`` — by default the recording-path gate's config,
+    audit off and failure-free — run at each of ``HELD_BYTES_DURATIONS``
+    after a warm-up run that fills the interpreter's free lists:
+    tracemalloc's current size where the runner builds its result, less the
+    size before the run, and the difference between the two runs divided by
+    the difference of their application messages.  Exact on a given
+    interpreter: it counts allocations, not RSS.
     """
     import tracemalloc
 
@@ -701,9 +736,13 @@ def held_bytes_per_message() -> float:
     def run(duration: float) -> Tuple[int, int]:
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        config = dataclasses.replace(_recording_run_config(), duration=duration)
-        result = runner_module.run_simulation(config)
-        if result.messages_sent == 0 or result.audits or result.recoveries:
+        run_config = config(duration)
+        result = runner_module.run_simulation(run_config)
+        if (
+            result.messages_sent == 0
+            or result.audits
+            or len(result.recoveries) != len(run_config.failures)
+        ):
             raise RuntimeError("the held-bytes gate's own run went wrong")
         return held.pop() - before, result.messages_sent
 
@@ -729,6 +768,19 @@ def check_held_bytes(*, ceiling: float = HELD_BYTES_PER_MESSAGE_CEILING) -> List
             f"an unread run_simulation still holds {held:.1f} bytes per application "
             f"message when its engine stops (allowed {ceiling:.1f}): the recorder "
             f"port keeps its occurrences again, or another per-message structure grew"
+        ]
+    return []
+
+
+def check_crash_held_bytes(*, ceiling: float = HELD_BYTES_PER_MESSAGE_CEILING) -> List[str]:
+    """Gate, the held-bytes check's second row: a crash run with the audit
+    off plans its sessions from stable storage and holds no history either."""
+    held = held_bytes_per_message(_held_bytes_crash_config)
+    if held > ceiling:
+        return [
+            f"a crash run with the audit off still holds {held:.1f} bytes per application "
+            f"message when its engine stops (allowed {ceiling:.1f}): its recovery "
+            f"sessions read the recorded history again instead of stable storage"
         ]
     return []
 
@@ -1356,6 +1408,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         standalone_violations += check_message_path_cost()
         standalone_violations += check_traced_message_path_cost()
         standalone_violations += check_held_bytes()
+        standalone_violations += check_crash_held_bytes()
         standalone_violations += check_released_history()
         standalone_violations += check_scheduled_workload()
         standalone_violations += check_link_bytes()
@@ -1420,9 +1473,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     memory_note = "skipped" if args.skip_memory else "within threshold"
     print(
         f"check_regression: {len(fresh)} row(s) within threshold, "
-        f"session scaling, recording-path, message-path (untraced, traced), held-bytes, "
-        f"released-history, scheduled-workload, link-bytes, trace-codec, "
-        f"replay-path, history-tracking, replay-bytes, "
+        f"session scaling, recording-path, message-path (untraced, traced), "
+        f"held-bytes (failure-free, crashes), released-history, scheduled-workload, "
+        f"link-bytes, trace-codec, replay-path, history-tracking, replay-bytes, "
         f"retained-set, "
         f"store-cost, explorer and fuzzer gates "
         f"{'ok' if args.smoke else 'skipped (--smoke only)'}, "

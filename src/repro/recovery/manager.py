@@ -14,10 +14,10 @@ recorded execution.  Applying it to live simulated processes is the job of
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.ccp.incremental import IncrementalAnalysisView
-from repro.recovery.rollback_plan import ProcessRollback, RollbackPlan
+from repro.recovery.rollback_plan import RollbackPlan
 
 
 class RecoveryManager:
@@ -30,23 +30,6 @@ class RecoveryManager:
         refuses a faulty set Lemma 1 does not cover.
         """
         faulty_tuple = tuple(sorted(set(faulty)))
-        line = view.recovery_line(faulty_tuple)
-        taken = view.checkpoints_taken
-        rollbacks: List[ProcessRollback] = []
-        last_interval: List[int] = []
-        for pid, component in enumerate(line.indices):
-            if component < taken[pid]:
-                # The component is a stable checkpoint: the process rolls back
-                # to it, and its next interval is component + 1.
-                rollbacks.append(ProcessRollback(pid=pid, rollback_index=component))
-                last_interval.append(component + 1)
-            else:
-                # The component is the volatile checkpoint: no rollback, the
-                # process keeps executing interval last_s + 1 == component.
-                last_interval.append(component)
-        return RollbackPlan(
-            faulty=faulty_tuple,
-            recovery_line=line,
-            rollbacks=tuple(rollbacks),
-            last_interval_vector=tuple(last_interval),
+        return RollbackPlan.of_line(
+            faulty_tuple, view.recovery_line(faulty_tuple), view.checkpoints_taken
         )

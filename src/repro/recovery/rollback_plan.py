@@ -17,7 +17,7 @@ allowed by ``LI`` (see :meth:`repro.gc.RdtLgcCollector.on_peer_rollback`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ccp.consistency import GlobalCheckpoint
 
@@ -54,6 +54,31 @@ class RollbackPlan:
     recovery_line: GlobalCheckpoint
     rollbacks: Tuple[ProcessRollback, ...]
     last_interval_vector: Tuple[int, ...]
+
+    @classmethod
+    def of_line(
+        cls, faulty: Tuple[int, ...], line: GlobalCheckpoint, taken: Sequence[int]
+    ) -> "RollbackPlan":
+        """The directives that restore ``line`` when process ``pid`` has taken
+        ``taken[pid]`` stable checkpoints (its volatile index)."""
+        rollbacks: List[ProcessRollback] = []
+        last_interval: List[int] = []
+        for pid, component in enumerate(line.indices):
+            if component < taken[pid]:
+                # The component is a stable checkpoint: the process rolls back
+                # to it, and its next interval is component + 1.
+                rollbacks.append(ProcessRollback(pid=pid, rollback_index=component))
+                last_interval.append(component + 1)
+            else:
+                # The component is the volatile checkpoint: no rollback, the
+                # process keeps executing interval last_s + 1 == component.
+                last_interval.append(component)
+        return cls(
+            faulty=faulty,
+            recovery_line=line,
+            rollbacks=tuple(rollbacks),
+            last_interval_vector=tuple(last_interval),
+        )
 
     def rollback_for(self, pid: int) -> Optional[ProcessRollback]:
         """The rollback directive of ``pid``, or None if it keeps its volatile state."""

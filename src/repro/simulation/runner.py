@@ -7,19 +7,31 @@ optional online audits, runs the experiment and returns a
 benchmarks need.
 
 The recorder sits behind its readers.  A run whose log nobody reads — no
-crash, no audit, no ``keep_final_ccp``, no join or leave
-(:func:`_reads_history`) — keeps its nodes' ``record_*`` occurrences in
-arrival order and never builds the event log; the first read
-(:attr:`SimulationRunner.trace`, a recovery session, a membership change)
-applies them to the one :class:`TraceRecorder` through the calls the nodes
-would have made, and from then on every occurrence is forwarded as it
-happens.  :func:`run_simulation` owns its runner and releases it right after
-``run()``, so on such a run it keeps nothing at all: no read can follow, and
-a read all the same is a :class:`RuntimeError`, not an empty log.  Audits
-and recovery sessions read the recorder's knowledge view: a run builds a CCP
+audit, no ``keep_final_ccp``, no join or leave, no crash planned from the
+history (:func:`_reads_history`) — keeps its nodes' ``record_*`` occurrences
+in arrival order and never builds the event log; the first read
+(:attr:`SimulationRunner.trace`, a recovery session that reads the history,
+a membership change) applies them to the one :class:`TraceRecorder` through
+the calls the nodes would have made, and from then on every occurrence is
+forwarded as it happens.  :func:`run_simulation` owns its runner and
+releases it right after ``run()``, so on such a run it keeps nothing at all:
+no read can follow, and a read all the same is a :class:`RuntimeError`, not
+an empty log.  Audits read the recorder's knowledge view: a run builds a CCP
 only for ``keep_final_ccp``.  A trace file is not a reader: the run's writer
 gets each occurrence as it happens either way.  There is no option: what is
 read is recorded and validated exactly as if it had been from the start.
+
+A recovery session is planned from what stable storage holds wherever the
+rule of :func:`~repro.recovery.local_rule.local_rollback` is sound — an RDT
+protocol and a collector that keeps every recovery-line member
+(:func:`_recovers_from_storage`): each process finds its part of the line
+from its own stored vectors, given the last stable index of each faulty
+process, so such a crash reads no history.  A run that keeps its history
+anyway checks each such plan against the knowledge view's
+(:class:`~repro.recovery.local_rule.PlanMismatchError` on a difference); any
+other run plans from the view, and a line that needs an eliminated
+checkpoint is a :class:`~repro.recovery.local_rule.MissingCheckpointError`
+raised before any process rolls back.
 """
 
 from __future__ import annotations
@@ -33,11 +45,13 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, TYPE_
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traceio.writer import TraceWriter
 
+from repro.ccp.consistency import GlobalCheckpoint
 from repro.ccp.pattern import CCP
 from repro.core.optimality import GcAudit, audit_garbage_collection
-from repro.gc.registry import check_collector
+from repro.gc.registry import check_collector, collector_class
 from repro.membership import MembershipSchedule, MembershipView
-from repro.protocols.registry import available_protocols
+from repro.protocols.registry import available_protocols, protocol_class
+from repro.recovery.local_rule import MissingCheckpointError, PlanMismatchError, local_rollback
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.rollback_plan import RollbackPlan
 from repro.simulation.engine import Callback, SimulationEngine, Window
@@ -50,10 +64,30 @@ from repro.validation import SpecValidationError, check_choice, naming
 
 
 def _reads_history(config: SimulationConfig) -> bool:
-    """Whether the run itself reads its recorder: a crash, an audit,
-    ``keep_final_ccp``, or a join or leave."""
+    """Whether the run itself reads its recorder: an audit, ``keep_final_ccp``,
+    a join or leave, or a crash planned from the history — one
+    :func:`_recovers_from_storage` does not cover."""
     return bool(
-        config.failures or config.audit != "off" or config.keep_final_ccp or config.membership
+        config.audit != "off"
+        or config.keep_final_ccp
+        or config.membership
+        or (config.failures and not _recovers_from_storage(config))
+    )
+
+
+def _recovers_from_storage(config: SimulationConfig) -> bool:
+    """Whether the run's crashes are planned from its nodes' stable storage.
+
+    The storage rule (:func:`~repro.recovery.local_rule.local_rollback`)
+    needs an RDT pattern, so a protocol that declares ``ensures_rdt``, and
+    every recovery-line member on stable storage (Theorem 4), so a collector
+    that makes no time assumption and is not a deliberately broken canary.
+    """
+    collector = collector_class(config.collector)
+    return bool(
+        protocol_class(config.protocol).ensures_rdt
+        and not collector.uses_time_assumptions
+        and not collector.canary
     )
 
 
@@ -435,6 +469,11 @@ class _ReadOnDemandRecorder:
             # (a None sink has no ``on_*``, so it gets the no-op).
             setattr(self, f"record_{event}", getattr(self._sink, f"on_{event}", _ignore))
 
+    @property
+    def keeps_history(self) -> bool:
+        """False once :meth:`expect_no_read` declared that nothing reads the recorder."""
+        return not self._unreadable
+
     def record_send(
         self, sender: int, receiver: int, message_id: int, time: float
     ) -> None:
@@ -485,7 +524,8 @@ class _ReadOnDemandRecorder:
         if self._unreadable:
             raise RuntimeError(
                 "this run keeps no history: its owner declared that nothing reads "
-                "the recorder (no crash, audit, keep_final_ccp, join or leave)"
+                "the recorder (no audit, keep_final_ccp, join, leave or crash "
+                "planned from the history)"
             )
         kept, self._kept = self._kept, None
         if kept is None:
@@ -542,6 +582,7 @@ class SimulationRunner:
             initial_members=config.membership.initial_members(config.num_processes),
         )
         self._recovery_manager = RecoveryManager()
+        self._from_storage = _recovers_from_storage(config)
         self._nodes: List[SimulationNode] = []
         self._samples: List[StorageSample] = []
         self._recoveries: List[RecoveryRecord] = []
@@ -800,32 +841,42 @@ class SimulationRunner:
     # ------------------------------------------------------------------
     # Failure handling
     # ------------------------------------------------------------------
-    def inject_crash(self, pid: int) -> None:
-        """Crash ``pid`` now and run the full recovery session.
+    def inject_crash(self, pid: int, *others: int) -> None:
+        """Crash ``pid`` — and ``others``, at the same instant — now and run
+        one recovery session for them all.
 
         Public entry point for external drivers (the schedule-space
         explorer); scheduled failure injection goes through the same path.
         """
         self._require_open()
-        self._handle_crash(pid)
+        self._handle_crash(pid, *others)
 
-    def _handle_crash(self, pid: int) -> None:
-        if not self._trace.membership.is_member(pid):
-            # A dormant process has no state to lose and a departed one can
-            # never be faulty: the scheduled crash does not happen.
-            return
-        node = self._nodes[pid]
-        if node.storage.retained_count() == 0:
-            raise RuntimeError(f"process {pid} crashed before storing any checkpoint")
-        node.crash()
-        self._network.drop_in_flight()
-        view = self.trace.knowledge_view()
-        plan = self._recovery_manager.plan(view, [pid])
-        taken = view.checkpoints_taken
-        collected = 0
+    def _handle_crash(self, *pids: int) -> None:
         members = self._trace.membership
+        # A dormant process has no state to lose and a departed one can
+        # never be faulty: its scheduled crash does not happen.
+        faulty = tuple(sorted({pid for pid in pids if members.is_member(pid)}))
+        if not faulty:
+            return
+        for pid in faulty:
+            if self._nodes[pid].storage.retained_count() == 0:
+                raise RuntimeError(f"process {pid} crashed before storing any checkpoint")
+        for pid in faulty:
+            self._nodes[pid].crash()
+        self._network.drop_in_flight()
+        # Each process's volatile index: the stable checkpoints it has taken.
+        taken = tuple(node.storage.last_index() + 1 for node in self._nodes)
+        reads = self._unread.keeps_history
+        if self._from_storage:
+            plan = self._storage_plan(faulty, taken)
+            if reads:
+                self._check_against_view(plan, taken)
+        else:
+            plan = self._recovery_manager.plan(self.trace.knowledge_view(), faulty)
+            self._require_on_storage(plan)
+        collected = 0
         for process in self._nodes:
-            if process.pid != pid and not members.is_member(process.pid):
+            if not members.is_member(process.pid):
                 # Dormant and departed processes take no part in the
                 # recovery session (their line component is their volatile
                 # index by construction).
@@ -841,12 +892,56 @@ class SimulationRunner:
                 collected += len(
                     process.apply_peer_rollback(plan.last_interval_vector)
                 )
-        self.trace.apply_recovery(plan)
+        if reads:
+            self.trace.apply_recovery(plan)
+        elif self._writer is not None:
+            # What the recorder would have handed its sink.
+            self._writer.on_recovery(plan)
         self._recoveries.append(
             RecoveryRecord.of(plan, taken, time=self._engine.now, collected=collected)
         )
         if self._config.audit != "off":
             self._run_audit(f"after-recovery@{self._engine.now:.1f}")
+
+    def _storage_plan(self, faulty: Tuple[int, ...], taken: Tuple[int, ...]) -> RollbackPlan:
+        """The rollback plan for ``faulty`` that the nodes' stable storage gives now.
+
+        Each member's component is its own
+        :func:`~repro.recovery.local_rule.local_rollback` directive under the
+        bounds ``bound(f) = last stable index of f``; dormant and departed
+        processes are pinned to their volatile index, as the knowledge view
+        pins them.  Sound under the pairs :func:`_recovers_from_storage`
+        covers; elsewhere it may differ from the recorded history's plan.
+        """
+        bounds = {f: taken[f] - 1 for f in faulty}
+        members = self._trace.membership.live
+        line = list(taken)
+        for pid, node in enumerate(self._nodes):
+            if pid in members:
+                directive = local_rollback(node.storage.stored_vectors(), node.current_dv, bounds)
+                if directive is not None:
+                    line[pid] = directive
+        return RollbackPlan.of_line(faulty, GlobalCheckpoint(tuple(line)), taken)
+
+    def _check_against_view(self, plan: RollbackPlan, taken: Tuple[int, ...]) -> None:
+        """The knowledge view's plan is the oracle of the storage plan."""
+        view = self.trace.knowledge_view()
+        expected = self._recovery_manager.plan(view, plan.faulty)
+        if expected != plan or view.checkpoints_taken != taken:
+            raise PlanMismatchError(
+                f"recovery of {list(plan.faulty)} at t={self._engine.now!r}: stable storage "
+                f"gives the line {list(plan.recovery_line.indices)} with checkpoints taken "
+                f"{list(taken)}, the recorded history {list(expected.recovery_line.indices)} "
+                f"with {list(view.checkpoints_taken)}"
+            )
+
+    def _require_on_storage(self, plan: RollbackPlan) -> None:
+        """Refuse, before anything rolls back, a plan that restores an eliminated checkpoint."""
+        for rollback in plan.rollbacks:
+            if not self._nodes[rollback.pid].storage.contains(rollback.rollback_index):
+                raise MissingCheckpointError(
+                    rollback.pid, rollback.rollback_index, self._config.collector
+                )
 
     # ------------------------------------------------------------------
     # Results

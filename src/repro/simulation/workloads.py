@@ -106,6 +106,8 @@ class Action(_ActionFields):
     ) -> "Action":
         if target is None and kind is ActionKind.SEND:
             raise ValueError("SEND actions need a target process")
+        if target is not None and kind is ActionKind.CHECKPOINT:
+            raise ValueError(f"a CHECKPOINT action has no target, got {target!r}")
         return tuple.__new__(cls, (time, pid, kind, target))
 
     def sort_key(self) -> ActionKey:

@@ -9,7 +9,7 @@ and the high-water mark of checkpoints retained at once.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 from repro.storage.records import StoredCheckpoint
 
@@ -50,6 +50,12 @@ class StableStorage:
     def contains(self, index: int) -> bool:
         """True if checkpoint ``index`` is currently retained."""
         return index in self._checkpoints
+
+    def stored_vectors(self) -> Mapping[int, Tuple[int, ...]]:
+        """Index → dependency vector of each checkpoint currently retained
+        (what recovery reads to find this process's part of a line): a
+        read-only view, not a copy."""
+        return _StoredVectors(self._checkpoints)
 
     def get(self, index: int) -> StoredCheckpoint:
         """The retained checkpoint with the given index."""
@@ -114,3 +120,21 @@ class StableStorage:
         return (
             f"StableStorage(pid={self._pid}, retained={self.retained_indices()})"
         )
+
+
+class _StoredVectors(Mapping[int, Tuple[int, ...]]):
+    """The stored vectors of a storage's retained checkpoints, by index."""
+
+    __slots__ = ("_checkpoints",)
+
+    def __init__(self, checkpoints: Dict[int, StoredCheckpoint]) -> None:
+        self._checkpoints = checkpoints
+
+    def __getitem__(self, index: int) -> Tuple[int, ...]:
+        return self._checkpoints[index].dependency_vector
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._checkpoints)
+
+    def __len__(self) -> int:
+        return len(self._checkpoints)

@@ -202,6 +202,24 @@ def test_an_unread_run_holds_no_history_when_its_engine_stops(monkeypatch):
     assert "port keeps its occurrences" in violation
 
 
+def test_a_crash_run_with_the_audit_off_holds_no_history(monkeypatch):
+    """The held-bytes gate's second row: the same config with a crash every
+    30 time units plans each session from stable storage and keeps no log.
+
+    The gate can fire: a run whose crashes read the recorded history — every
+    crash run on the commit this row was added against — holds the whole
+    log, and the violation names the sessions.  (16.8 bytes per message
+    under a ceiling of 100.0; 1222.6 when a crash is a reader.)
+    """
+    from benchmarks.check_regression import check_crash_held_bytes
+    from repro.simulation import runner
+
+    assert check_crash_held_bytes() == []
+    monkeypatch.setattr(runner, "_recovers_from_storage", lambda config: False)
+    (violation,) = check_crash_held_bytes()
+    assert "read the recorded history again" in violation
+
+
 def test_a_finished_run_frees_its_history_by_reference_counting(monkeypatch):
     """A dropped churn-shaped run leaves no history for the cyclic collector.
 

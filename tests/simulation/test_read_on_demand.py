@@ -470,7 +470,8 @@ def at_result(monkeypatch):
 
 class TestRunSimulationKeepsNothingNobodyReads:
     """``run_simulation`` owns its runner: a config that schedules no read
-    (no crash, audit, ``keep_final_ccp``, join or leave) keeps no history."""
+    (no audit, ``keep_final_ccp``, join or leave, and no crash unless it is
+    planned from stable storage) keeps no history."""
 
     @pytest.mark.parametrize("shape", sorted(RUN_SIMULATION_SHAPES))
     def test_it_is_the_run_of_a_runner_built_directly(self, tmp_path, shape):
@@ -486,15 +487,20 @@ class TestRunSimulationKeepsNothingNobodyReads:
         written = (tmp_path / "owned.jsonl").read_bytes()
         assert written == (tmp_path / "direct.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("crashes", [False, True])
     @pytest.mark.parametrize("traced", [False, True])
-    def test_an_unread_run_keeps_no_occurrence(self, tmp_path, log_calls, at_result, traced):
+    def test_an_unread_run_keeps_no_occurrence(
+        self, tmp_path, log_calls, at_result, traced, crashes
+    ):
         held = []
         at_result.append(
             lambda runner: held.append((runner._unread._kept, runner._trace.log.total_events()))
         )
         path = str(tmp_path / "t.jsonl") if traced else None
-        result = run_simulation(_config(trace_path=path))
+        failures = SHAPES["several-crashes"]["failures"] if crashes else FailureSchedule.none()
+        result = run_simulation(_config(trace_path=path, failures=failures))
         assert result.messages_sent > 0
+        assert len(result.recoveries) == len(failures)
         assert held == [(None, 0)]
         assert log_calls == dict.fromkeys(LOG_BUILDERS, 0)
         if traced:

@@ -30,6 +30,13 @@ class TestActions:
         with pytest.raises(ValueError):
             Action(1.0, 0, ActionKind.SEND)
 
+    def test_a_checkpoint_has_no_target(self):
+        # Kept, the target would reach the script's key and be refused there
+        # as a "send target" — the wrong role.
+        with pytest.raises(ValueError, match="CHECKPOINT action has no target"):
+            Action(1.0, 0, ActionKind.CHECKPOINT, 5)
+        assert Action.of_key((1.0, 0, "checkpoint", -1)).target is None
+
     def test_actions_sort_by_time(self):
         actions = [Action(2.0, 0, ActionKind.CHECKPOINT), Action(1.0, 1, ActionKind.CHECKPOINT)]
         assert ScriptedWorkload(actions).generate(2, 10.0, random.Random(0))[0].time == 1.0
